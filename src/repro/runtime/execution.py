@@ -1328,7 +1328,8 @@ class ExecutionCoordinator:
             for controller in controllers:
                 try:
                     execution = controller.start_slice(
-                        span_work, memory_mb, label=f"{self.afg.name}:{node.id}"
+                        span_work, memory_mb,
+                        label=f"{self.afg.name}:{node.id}", task_id=node.id,
                     )
                 except HostDownError:
                     yield from self._reschedule(
@@ -1337,7 +1338,6 @@ class ExecutionCoordinator:
                     executions = None
                     break
                 executions.append(execution)
-                controller.watch(execution, node.id, lambda *args: None)
             if executions is None:
                 continue
             exec_span = None
@@ -1596,7 +1596,8 @@ class ExecutionCoordinator:
         controller = self.runtime.app_controllers[backup_host]
         try:
             backup = controller.start_slice(
-                span_work, memory_mb, label=f"{self.afg.name}:{node.id}:spec"
+                span_work, memory_mb,
+                label=f"{self.afg.name}:{node.id}:spec", task_id=node.id,
             )
         except HostDownError:
             return
@@ -1640,7 +1641,6 @@ class ExecutionCoordinator:
                 "straggle",
                 origin=f"app:{self.afg.name}",
             )
-        controller.watch(backup, node.id, lambda *args: None)
         self.sim.process(
             watcher("backup", backup),
             name=f"specwatch:{self.afg.name}:{node.id}:backup",

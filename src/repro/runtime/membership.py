@@ -20,7 +20,7 @@ half-departed host:
 * **retire** — the inverse of admit, in one step: evict residents,
   deregister both repository sides symmetrically (tombstone kept),
   detach from the topology, forget Group Manager beliefs, stop the
-  monitor, drop the controller.
+  monitor, unhook and drop the controller.
 * **rejoin** — a departed name comes back *at its original site* under
   epoch + 1: dynamic state is discarded (fresh row, fresh Host object),
   task-performance calibration is deliberately kept, and anything
@@ -106,6 +106,7 @@ class MembershipCoordinator:
             load_threshold=config.load_threshold,
             check_period_s=config.check_period_s,
             tracer=self.tracer,
+            checks=runtime.load_checks,
         )
         manager.attach_app_controller(controller)
         runtime.app_controllers[host.name] = controller
@@ -209,7 +210,9 @@ class MembershipCoordinator:
         monitor = self.runtime.monitors.pop(name, None)
         if monitor is not None:
             monitor.stop()
-        self.runtime.app_controllers.pop(name, None)
+        controller = self.runtime.app_controllers.pop(name, None)
+        if controller is not None:
+            controller.detach()
         manager.app_controllers.pop(name, None)
         self._draining.discard(name)
         self._departed_info[name] = (site_name, group.name, host.spec)

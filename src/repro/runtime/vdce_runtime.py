@@ -40,7 +40,7 @@ from repro.runtime.overload import (
     SiteOverloaded,
 )
 from repro.repository.store import SiteRepository
-from repro.runtime.app_controller import AppController
+from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
 from repro.runtime.group_manager import GroupManager
 from repro.runtime.integrity import IntegrityManager, IntegrityPolicy
@@ -239,6 +239,9 @@ class VDCERuntime:
         self.group_managers: Dict[str, GroupManager] = {}
         self.monitors: Dict[str, MonitorDaemon] = {}
         self.app_controllers: Dict[str, AppController] = {}
+        #: one calendar of armed load checks for every controller, so
+        #: checks due in the same instant fire oldest slice first
+        self.load_checks = LoadCheckCalendar(self.sim)
 
         for site_name, site in topology.sites.items():
             lan_latency = topology.network.lan_link(site_name).spec.latency_s
@@ -283,6 +286,7 @@ class VDCERuntime:
                         load_threshold=config.load_threshold,
                         check_period_s=config.check_period_s,
                         tracer=self.tracer,
+                        checks=self.load_checks,
                     )
                     manager.attach_app_controller(controller)
                     self.app_controllers[host.name] = controller

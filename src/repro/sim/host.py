@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass, field
-from typing import Any, Optional
+from typing import Any, Callable, Optional
 
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
@@ -134,6 +134,9 @@ class Host:
         self._running: list[TaskExecution] = []
         self._last_settle = sim.now
         self._completion_call = None
+        #: called (no arguments) whenever :meth:`set_bg_load` has set a
+        #: new background load — the Application Controller's load watch
+        self.load_listener: Optional[Callable[[], None]] = None
         #: counters for experiments
         self.completed_count = 0
         self.failed_count = 0
@@ -232,6 +235,11 @@ class Host:
             raise SimulationError(f"negative background load: {value}")
         self._settle()
         self.bg_load = float(value)
+        # before the completion is re-timed: a load check armed by this
+        # change must go on the calendar ahead of a completion landing on
+        # the same instant (DESIGN §5 decision 7, completion tie)
+        if self.load_listener is not None:
+            self.load_listener()
         self._reschedule_completion()
 
     def set_slowdown(self, factor: float) -> None:

@@ -1,0 +1,73 @@
+"""Kernel events per task: the machine-independent cost gate.
+
+Wall seconds depend on the machine; the number of calendar events the
+kernel executes for a fixed workload does not.  A bag of independent
+tasks started concurrently (the parameter-sweep shape of ``bag_2k``)
+must cost a bounded number of events *per task*, and that number must
+not grow with the size of the bag — a component that wakes once per
+period per running task (as the per-slice load watchdog did: 304
+events/task here at 512 tasks, 1182 at 2048) fails this test instead of
+burning minutes at ladder scale.
+"""
+
+import pytest
+
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.scheduler import SiteScheduler
+from repro.sim import TopologyBuilder
+from repro.workloads import bag_of_tasks
+
+#: measured 10.8 at 512 tasks and 10.6 at 2048 (monitor reports and echo
+#: rounds over the bag's makespan are most of it)
+CEILING = 20.0
+#: events/task at 2048 tasks over events/task at 512
+GROWTH = 1.25
+
+
+def events_per_task(n_tasks: int) -> float:
+    """Schedule and run one bag on 2 sites x 4 hosts, stock config,
+    monitoring on; kernel events executed per task."""
+    speeds = (1.0, 1.5, 2.0, 2.5)
+    builder = (
+        TopologyBuilder(seed=0)
+        .lan_defaults(0.0005, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(2):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
+            for h in range(4)
+        ])
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    rt.start_monitoring()
+    afg = bag_of_tasks(n=n_tasks, cost=4.0, heterogeneity=0.0, seed=0)
+
+    def pipeline():
+        table, _ = yield from rt.schedule_process(
+            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0"
+        )
+        return (yield rt.execute_process(
+            afg, table, submit_site="site-0", execute_payloads=False
+        ))
+
+    result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
+    assert len(result.records) == n_tasks
+    # nothing per-task is left behind either
+    assert len(rt.load_checks) == 0
+    assert all(c.n_guarded == 0 for c in rt.app_controllers.values())
+    return rt.sim.events_processed / n_tasks
+
+
+@pytest.fixture(scope="module")
+def at_512():
+    return events_per_task(512)
+
+
+def test_events_per_task_under_the_ceiling(at_512):
+    assert at_512 < CEILING
+
+
+def test_events_per_task_does_not_grow_with_the_bag(at_512):
+    at_2048 = events_per_task(2048)
+    assert at_2048 < CEILING
+    assert at_2048 < at_512 * GROWTH

@@ -5,6 +5,7 @@ import pytest
 from repro.afg import ApplicationFlowGraph, TaskNode, TaskProperties
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.sim import TopologyBuilder
+from repro.trace.tracer import NULL_TRACER
 
 
 def build_runtime(
@@ -13,6 +14,7 @@ def build_runtime(
     wan_latency_s=0.02,
     wan_bandwidth_mbps=2.0,
     seed=0,
+    tracer=NULL_TRACER,
     **config_kwargs,
 ):
     if site_hosts is None:
@@ -25,7 +27,7 @@ def build_runtime(
         builder.site(site, hosts=hosts)
     topo = builder.build()
     cfg = config or RuntimeConfig(**config_kwargs)
-    return VDCERuntime(topo, config=cfg)
+    return VDCERuntime(topo, config=cfg, tracer=tracer)
 
 
 def chain_afg(n=3, scale=1.0, edge_mb=0.5, name="chain"):

@@ -206,6 +206,63 @@ class TestRetireAndRejoin:
         assert EventKind.HOST_REJOIN in kinds
 
 
+class TestLoadWatchLifecycle:
+    """A host that crashes or leaves takes its load watch with it."""
+
+    @staticmethod
+    def _cancelled(tracer):
+        return [e.data["task"] for e in tracer.events()
+                if e.kind == EventKind.LOAD_CANCEL]
+
+    def test_crashed_host_leaves_no_armed_check(self):
+        """The per-slice watchdogs used to wake once more, up to a check
+        period after their slices had died with the host."""
+        tracer = Tracer()
+        runtime = build_runtime(tracer=tracer)
+        host = runtime.topology.host("a2")
+        controller = runtime.app_controllers["a2"]
+        host.set_bg_load(9.0)
+        for i in range(3):
+            controller.start_slice(50.0, 0, label=f"s{i}", task_id=f"s{i}")
+        assert len(runtime.load_checks) == controller.n_guarded == 3
+        runtime.sim.run(until=1.0)
+
+        host.fail()
+        assert len(runtime.load_checks) == controller.n_guarded == 0
+        events = runtime.sim.events_processed
+        runtime.sim.run(until=10.0)
+        assert runtime.sim.events_processed == events
+        assert self._cancelled(tracer) == []
+
+    def test_drain_retire_rejoin_overload_cancels_each_resident_once(self):
+        tracer = Tracer()
+        runtime = build_runtime(tracer=tracer)
+        old_host = runtime.topology.host("a2")
+        old_controller = runtime.app_controllers["a2"]
+        for i in range(2):
+            old_controller.start_slice(
+                50.0, 0, label=f"old{i}", task_id=f"old{i}")
+        runtime.membership.drain_host("a2", deadline_s=0.5)
+        runtime.sim.run(until=1.0)
+        # retired: residents preempted, nothing armed, nobody listening
+        assert old_controller.n_guarded == 0
+        assert len(runtime.load_checks) == 0
+        assert old_host.load_listener is None
+
+        new_host = runtime.membership.rejoin_host("a2")
+        controller = runtime.app_controllers["a2"]
+        assert controller is not old_controller
+        for i in range(3):
+            controller.start_slice(50.0, 0, label=f"new{i}", task_id=f"new{i}")
+        old_host.set_bg_load(9.0)   # the departed machine: reaches no one
+        assert len(runtime.load_checks) == 0
+        new_host.set_bg_load(9.0)
+        runtime.sim.run(until=10.0)
+        assert self._cancelled(tracer) == ["new0", "new1", "new2"]
+        assert controller.n_guarded == 0
+        assert len(runtime.load_checks) == 0
+
+
 class TestResumeAcrossMembershipChange:
     """Satellite 2: the journal outlives the federation that wrote it."""
 
