@@ -17,13 +17,15 @@ Flags
     replacing the linear scan + re-sort in
     :func:`~repro.scheduler.host_selection.candidate_hosts`.
 ``predict_cache``
-    :class:`~repro.repository.predict_cache.PredictCache` — memoized
-    ``Predict(task, R)`` keyed by the full prediction input (task type,
-    scale, node count, host, reported load, available memory, in-round
-    extra load), invalidated when the task-performance database changes
-    (calibration updates).  Exact keys, not quantized buckets: loads
-    are already piecewise-constant between monitor reports, so hit
-    rates stay high *and* results stay bit-identical.
+    The prediction-row kernel.  ``Predict(task, R)`` is separable into
+    a task half and a host half (see :mod:`repro.scheduler.prediction`);
+    :class:`~repro.repository.predict_cache.PredictCache` keeps the
+    host half as one row per candidate host, re-keyed by the host
+    index's version triple plus ``task_perf.version``, and
+    :func:`~repro.scheduler.host_selection.bid_for_task` evaluates a
+    bid over the rows with ``PredictionModel.predict``'s float
+    operations in ``predict``'s order — bit-identical, and
+    ``predict`` itself (the flag-off reference) is never called.
 ``commit_ledger``
     :class:`~repro.scheduler.host_selection.CommitmentLedger` — O(|related|)
     in-round extra-load queries plus a heap-backed ready queue,

@@ -74,6 +74,15 @@ class HostIndex:
             self.rebuilds += 1
         return table
 
+    def version_key(self) -> Tuple[int, int, int]:
+        """The version triple under which no host row has changed."""
+        resources = self._resources
+        return (
+            resources.registration_version,
+            self._constraints.version,
+            resources.state_version,
+        )
+
     def runnable_up_hosts(self, task_type: str) -> List[HostRecord]:
         """Up ACTIVE hosts with ``task_type`` installed, name-ordered.
 
@@ -85,18 +94,13 @@ class HostIndex:
         the cache itself and MUST be treated as read-only — callers
         that filter (preferences, quarantine) build new lists.
         """
-        resources = self._resources
-        key = (
-            resources.registration_version,
-            self._constraints.version,
-            resources.state_version,
-        )
+        key = self.version_key()
         if key != self._record_key:
             self._record_lists.clear()
             self._record_key = key
         cached = self._record_lists.get(task_type)
         if cached is None:
-            get = resources.get
+            get = self._resources.get
             active = MembershipState.ACTIVE
             cached = [
                 record

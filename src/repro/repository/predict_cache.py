@@ -1,40 +1,37 @@
-"""Memoized ``Predict(task, R)`` with explicit invalidation.
+"""Prediction rows: the host half of ``Predict(task, R)``, cached.
 
 Host selection evaluates the prediction model for every (task, host)
 pair per scheduling round, and the federation runs that round at every
-site.  Between monitor reports a host's reported ``load`` and
-``available_memory_mb`` are piecewise-constant, and a bag of similar
-tasks asks the model the *same question* thousands of times — the
-profile shows ``PredictionModel.predict`` as the single hottest frame
-on bench_scalability.
+site.  The model is separable (:mod:`repro.scheduler.prediction`):
+everything a host contributes — reported load, speed, available memory,
+the (task type, host) calibration and noise factors — is independent of
+the individual task, and piecewise-constant between repository writes.
 
-:class:`PredictCache` memoizes on the **exact** prediction inputs:
+:class:`PredictCache` therefore keeps, per model value and task type,
+one :meth:`~repro.scheduler.prediction.PredictionModel.host_terms` row
+per up ACTIVE host with the executable installed, in the host index's
+name order, and host selection's row kernel evaluates a bid from the
+rows without touching a :class:`~repro.repository.resources.HostRecord`.
 
-``(model, task_type, scale, n_nodes, host name, reported load,
-available memory, memory_mb, extra_load)``
-
-Exact keys, never quantized buckets: a hit returns the float the model
-itself computed for identical inputs, so results are bit-identical by
-construction and the determinism oracles cannot tell the cache was
-there.  The model object participates in the key (it is a frozen,
-hashable dataclass), so noise/ablation variants never collide.  A
-host's static spec cannot change under a fixed name (re-registration
-raises), so the name stands in for the spec.
-
-Invalidation is a version check against
-:attr:`~repro.repository.taskperf.TaskPerformanceDB.version`, which the
-database bumps on registration *and* on every post-execution
-calibration refinement — the only prediction inputs not present in the
-key.  Slowdown/quarantine penalties from the straggler defense are
-applied by the caller *after* prediction, so health-score updates need
-no invalidation here (pinned by the predict-cache tests).
+Key discipline is the host index's, plus one counter: rows are valid
+for exactly one ``(resources.registration_version, constraints.version,
+resources.state_version, task_perf.version)``.  Host rows are frozen
+and replaced on write, so any workload report, up/down or membership
+transition bumps one of the first three; a task registration or a
+post-execution calibration refinement bumps the fourth.  Nothing is
+ever patched in place: a changed key drops every table.  The model
+object participates in the table key (it is a frozen, hashable
+dataclass), so noise/ablation variants never collide.  Per-bid filters
+(preferred machine, quarantine, exclusion) *select* from the rows and
+never mutate them; health penalties multiply after prediction, so
+health-score updates need no re-keying.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
-from repro.repository.resources import HostRecord
+from repro.repository.host_index import HostIndex
 from repro.repository.taskperf import TaskPerformanceDB
 
 if TYPE_CHECKING:  # pragma: no cover - avoid repository -> scheduler cycle
@@ -44,99 +41,46 @@ __all__ = ["PredictCache"]
 
 
 class PredictCache:
-    """Exact-key memo over ``PredictionModel.predict``.
+    """``host_terms`` rows per (model, task type), rebuilt only on re-key."""
 
-    The memo is two-level: an outer table per *model value* (frozen
-    dataclass equality), an inner table on the primitive inputs.  The
-    outer lookup is short-circuited by an ``is`` check on the last
-    model seen — schedulers pass the same model object for thousands of
-    consecutive predictions, and hashing a five-field dataclass twice
-    per lookup was itself a hot frame in the profile.
-    """
-
-    def __init__(self, task_perf: TaskPerformanceDB):
+    def __init__(self, host_index: HostIndex, task_perf: TaskPerformanceDB):
+        self._host_index = host_index
         self._task_perf = task_perf
-        self._version = -1
-        #: model -> inner memo table (exact model equality)
-        self._tables: Dict["PredictionModel", Dict[Tuple, float]] = {}
+        self._key: Tuple[int, ...] = ()
+        #: model -> task_type -> rows (exact model equality); the outer
+        #: lookup is short-circuited by an ``is`` check on the last model
+        #: seen — schedulers pass one model object for a whole round
+        self._by_model: Dict["PredictionModel", Dict[str, List[tuple]]] = {}
         self._model: Optional["PredictionModel"] = None
-        self._table: Dict[Tuple, float] = {}
-        self.hits = 0
-        self.misses = 0
+        self._tables: Dict[str, List[tuple]] = {}
+        #: row tables built — bounded by distinct (key, model, task type)
+        self.builds = 0
 
-    def table(
-        self,
-        model: "PredictionModel",
-        task_type: str,
-        scale: float,
-        n_nodes: int,
-        memory_mb: Optional[int],
-    ) -> Dict[Tuple, float]:
-        """The memo table for one prediction context, version-checked.
+    def key(self) -> Tuple[int, ...]:
+        """The version key the current rows would have to match."""
+        return self._host_index.version_key() + (self._task_perf.version,)
 
-        A *context* is everything constant across one bid's candidate
-        scan (model, task type, scale, node count, memory requirement);
-        the returned dict maps the per-host remainder of the exact key
-        — ``(host name, reported load, available memory, extra_load)``
-        — to the model's float.  Callers on the hot path look up and
-        fill this dict inline, paying the context hash once per bid
-        instead of once per candidate.
+    def rows(self, task_type: str, model: "PredictionModel") -> List[tuple]:
+        """One ``model.host_terms`` row per runnable up host, name-ordered.
+
+        Aligned with :meth:`HostIndex.runnable_up_hosts` at the same
+        key.  The returned list is the cache itself: read-only.
         """
-        if self._task_perf.version != self._version:
-            self._tables.clear()
+        key = self.key()
+        if key != self._key:
+            self._by_model.clear()
             self._model = None
-            self._version = self._task_perf.version
-        if model is self._model:
-            outer = self._table
-        else:
-            outer = self._tables.get(model)
-            if outer is None:
-                outer = self._tables[model] = {}
+            self._key = key
+        if model is not self._model:
+            self._tables = self._by_model.setdefault(model, {})
             self._model = model
-            self._table = outer
-        ctx = (task_type, scale, n_nodes, memory_mb)
-        inner = outer.get(ctx)
-        if inner is None:
-            inner = outer[ctx] = {}
-        return inner
-
-    def predict(
-        self,
-        model: "PredictionModel",
-        task_type: str,
-        scale: float,
-        n_nodes: int,
-        host: HostRecord,
-        memory_mb: Optional[int],
-        extra_load: float,
-    ) -> float:
-        table = self.table(model, task_type, scale, n_nodes, memory_mb)
-        key = (host.spec.name, host.load, host.available_memory_mb, extra_load)
-        value = table.get(key)
-        if value is not None:
-            self.hits += 1
-            return value
-        value = model.predict(
-            task_type,
-            scale,
-            n_nodes,
-            host,
-            self._task_perf,
-            memory_mb=memory_mb,
-            extra_load=extra_load,
-        )
-        table[key] = value
-        self.misses += 1
-        return value
-
-    def clear(self) -> None:
-        self._tables.clear()
-        self._model = None
-        self._version = -1
-
-    def __len__(self) -> int:
-        return sum(
-            len(inner)
-            for outer in self._tables.values()
-            for inner in outer.values()
-        )
+        rows = self._tables.get(task_type)
+        if rows is None:
+            host_terms = model.host_terms
+            task_perf = self._task_perf
+            rows = self._tables[task_type] = [
+                host_terms(task_type, record, task_perf)
+                for record in self._host_index.runnable_up_hosts(task_type)
+            ]
+            self.builds += 1
+        return rows

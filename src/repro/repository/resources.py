@@ -119,10 +119,6 @@ class ResourcePerformanceDB:
         #: called with a host name, True means executable constraints
         #: still reference it (deregistering then would diverge)
         self._constraint_check: Optional[Callable[[str], bool]] = None
-        #: observers notified as ``fn(host_name, new_state)`` after every
-        #: membership transition — the site repository hangs cache
-        #: invalidation (predict cache) off this
-        self._membership_listeners: List[Callable[[str, str], None]] = []
 
     # -- host registration --------------------------------------------------
 
@@ -154,7 +150,6 @@ class ResourcePerformanceDB:
         )
         self._hosts[spec.name] = record
         self.registration_version += 1
-        self._notify_membership(spec.name, state)
         return record
 
     def deregister_host(self, name: str) -> HostRecord:
@@ -174,7 +169,6 @@ class ResourcePerformanceDB:
         del self._hosts[name]
         self._departed[name] = record.epoch
         self.registration_version += 1
-        self._notify_membership(name, MembershipState.DEPARTED)
         return record
 
     def rejoin_host(
@@ -207,7 +201,6 @@ class ResourcePerformanceDB:
         )
         self._hosts[spec.name] = record
         self.registration_version += 1
-        self._notify_membership(spec.name, MembershipState.REJOINING)
         return record
 
     # -- membership transitions ----------------------------------------------
@@ -239,7 +232,6 @@ class ResourcePerformanceDB:
         record = replace(record, state=state, updated_at=time)
         self._hosts[name] = record
         self.state_version += 1
-        self._notify_membership(name, state)
         return record
 
     def membership_state(self, name: str) -> str:
@@ -275,13 +267,6 @@ class ResourcePerformanceDB:
 
     def set_constraint_check(self, check: Callable[[str], bool]) -> None:
         self._constraint_check = check
-
-    def add_membership_listener(self, fn: Callable[[str, str], None]) -> None:
-        self._membership_listeners.append(fn)
-
-    def _notify_membership(self, name: str, state: str) -> None:
-        for fn in self._membership_listeners:
-            fn(name, state)
 
     def has_host(self, name: str) -> bool:
         return name in self._hosts

@@ -38,7 +38,7 @@ class SiteRepository:
         #: perf-layer accessories (see repro.perf): version-invalidated,
         #: derived state only — never serialized, rebuilt on restore
         self.host_index = HostIndex(self.resources, self.constraints)
-        self.predict_cache = PredictCache(self.task_perf)
+        self.predict_cache = PredictCache(self.host_index, self.task_perf)
         # Symmetry guards (issue 10): removing one side of a host's
         # registration while the other still references it is a typed
         # error, not silent divergence.  "Actively registered" excludes
@@ -46,11 +46,6 @@ class SiteRepository:
         # constraints while the resource row is still draining.
         self.resources.set_constraint_check(self.constraints.references_host)
         self.constraints.set_registration_check(self._actively_registered)
-        # Every membership transition invalidates the prediction memo:
-        # the host index re-keys itself off the version counters, but the
-        # predict cache keys only on task-perf versions and host names —
-        # a rejoined host may carry a new spec under an old name.
-        self.resources.add_membership_listener(self._on_membership_change)
 
     def _actively_registered(self, name: str) -> bool:
         if not self.resources.has_host(name):
@@ -60,9 +55,6 @@ class SiteRepository:
             MembershipState.JOINING,
             MembershipState.REJOINING,
         )
-
-    def _on_membership_change(self, name: str, state: str) -> None:
-        self.predict_cache.clear()
 
     def deregister_host(self, name: str) -> None:
         """Symmetric removal of a host: constraints *and* resource row.

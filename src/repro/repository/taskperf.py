@@ -55,7 +55,7 @@ class TaskPerformanceDB:
         self._host_ratio: Dict[Tuple[str, str], float] = {}
         self.measurements_recorded = 0
         #: bumped whenever a prediction input changes (registration or
-        #: calibration refinement) — the Predict cache's invalidator
+        #: calibration refinement) — part of the prediction rows' key
         self.version = 0
 
     # -- population --------------------------------------------------------

@@ -24,7 +24,11 @@ from repro.runtime.monitor import Measurement
 from repro.runtime.overload import SiteOverloaded
 from repro.runtime.stats import RuntimeStats
 from repro.scheduler.allocation import AllocationTable
-from repro.scheduler.host_selection import HostSelectionResult, select_hosts
+from repro.scheduler.host_selection import (
+    HostSelectionResult,
+    bid_for_task,
+    select_hosts,
+)
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.kernel import Signal, Simulator
 from repro.sim.site import Site
@@ -374,58 +378,15 @@ class SiteManager:
         """
         if not self.alive:
             return None  # a crashed site never bids
-        single = ApplicationFlowGraph(f"resched:{task_id}")
-        node = afg.task(task_id)
-        single.add_task(node)
-        bids = select_hosts(single, self.repository, model,
-                            health_of=self._health_of)
-        bid = bids.get(task_id)
-        if bid is None:
-            return None
-        if set(bid.hosts) & exclude_hosts:
-            # re-run with the excluded hosts masked out of the DB view:
-            # cheapest correct approach is to filter candidates manually
-            from repro.scheduler.host_selection import candidate_hosts
+        health_of = self._health_of
 
-            model = model or PredictionModel()
-            props = node.properties
-            n_nodes = props.n_nodes if props.is_parallel else 1
-            records = [
-                r
-                for r in candidate_hosts(node, self.repository)
-                if r.name not in exclude_hosts
-            ]
-            factors = {}
-            if self.health is not None:
-                for r in list(records):
-                    factor = self.health.factor_of(r.name)
-                    if factor is None:
-                        records.remove(r)  # quarantined
-                    else:
-                        factors[r.name] = factor
-            if len(records) < n_nodes:
-                return None
-            memory_mb = props.memory_mb if props.memory_mb > 0 else None
-            predictions = sorted(
-                (
-                    model.predict(
-                        node.task_type,
-                        props.workload_scale,
-                        n_nodes,
-                        r,
-                        self.repository.task_perf,
-                        memory_mb=memory_mb,
-                    )
-                    * factors.get(r.name, 1.0),
-                    r.name,
-                )
-                for r in records
-            )
-            chosen = predictions[:n_nodes]
-            return HostSelectionResult(
-                task_id=task_id,
-                site=self.name,
-                hosts=tuple(n for _, n in chosen),
-                predicted_time=chosen[-1][0],
-            )
-        return bid
+        def masked(host_name: str) -> Optional[float]:
+            # health first, excluded or not: factor_of releases an
+            # expired quarantine (PROBATION) on whichever host it sees
+            factor = 1.0 if health_of is None else health_of(host_name)
+            return None if host_name in exclude_hosts else factor
+
+        return bid_for_task(
+            afg.task(task_id), self.repository, model or PredictionModel(),
+            lambda _host: 0.0, masked,
+        )

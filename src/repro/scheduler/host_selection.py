@@ -210,8 +210,7 @@ class CommitmentLedger:
         if not related_on:
             # bag-of-tasks / entry-wave common case: nothing placed so
             # far is ordered with this task, the count is the raw total
-            # (an int — exact under IEEE promotion, and int and float
-            # loads hash to the same memo key)
+            # (an int — it promotes exactly when added to a float load)
             def extra_load_of(host_name: str) -> float:
                 return total_get(host_name, 0)
 
@@ -275,65 +274,47 @@ def bid_for_task(
     memory_mb = props.memory_mb if props.memory_mb > 0 else None
     task_type = task.task_type
     scale = props.workload_scale
-    if perf.FLAGS.predict_cache and n_nodes == 1:
-        # The hot case (every sequential task, every site, every round):
-        # an explicit min-loop with hoisted locals.  Equivalent to
-        # ``min((time, name) for ...)``: the smallest time wins, a time
-        # tie breaks to the smaller name, and names are unique so the
-        # tuple comparison never ties out.  ``x * 1.0`` is bit-exact
-        # ``x`` for finite predictions, so the factor multiply is
-        # skipped entirely when no health hook supplied one.
-        table = repo.predict_cache.table(model, task_type, scale, 1, memory_mb)
-        table_get = table.get
-        model_predict = model.predict
-        task_perf = repo.task_perf
-        factor_get = factors.get if factors else None
-        best_time = best_name = None
-        for record in candidates:
-            name = record.spec.name
-            extra = extra_load_of(name)
-            key = (name, record.load, record.available_memory_mb, extra)
-            t = table_get(key)
-            if t is None:
-                t = model_predict(
-                    task_type, scale, 1, record, task_perf,
-                    memory_mb=memory_mb, extra_load=extra,
-                )
-                table[key] = t
-            if factor_get is not None:
-                t *= factor_get(name, 1.0)
-            if (
-                best_name is None
-                or t < best_time
-                or (t == best_time and name < best_name)
-            ):
-                best_time, best_name = t, name
-        return HostSelectionResult(
-            task_id=task.id,
-            site=repo.site_name,
-            hosts=(best_name,),
-            predicted_time=best_time,
-        )
     if perf.FLAGS.predict_cache:
-        cache = repo.predict_cache
-        pairs = (
-            (
-                cache.predict(
-                    model,
-                    task_type,
-                    scale,
-                    n_nodes,
-                    record,
-                    memory_mb,
-                    float(extra_load_of(record.name)),
-                )
-                * factors.get(record.name, 1.0),
-                record.name,
-            )
-            for record in candidates
+        # The row kernel: Predict is separable (see scheduler.prediction),
+        # so the task half is computed once here, the host half comes
+        # from the repository's cached rows, and the loop body is
+        # ``model.predict``'s float operations in ``model.predict``'s
+        # order — every time is bit-identical to the reference below.
+        rows = repo.predict_cache.rows(task_type, model)
+        if len(rows) != len(candidates):
+            # a preference / quarantine / exclusion filter narrowed the
+            # candidates: select their rows, never touch the shared list
+            kept_names = {record.name for record in candidates}
+            rows = [row for row in rows if row[0] in kept_names]
+        span_work, required_mb = model.task_terms(
+            task_type, scale, n_nodes, repo.task_perf, memory_mb
         )
+        memory_penalty = model.memory_penalty
+        # one host wanted (the hot case): keep the running minimum, not
+        # a list of pairs.  Rows are name-ordered and names unique, so
+        # the first strict minimum is min() over (time, name) tuples.
+        single = n_nodes == 1
+        best_time = best_name = None
+        pairs = []
+        for name, one_plus_load, speed, available_mb, calibration, noise in rows:
+            extra = extra_load_of(name)
+            if extra < 0:
+                raise ValueError("extra_load must be non-negative")
+            t = span_work * (one_plus_load + extra) / speed
+            if required_mb > available_mb:
+                t *= memory_penalty
+            t *= calibration
+            t *= noise
+            if factors:
+                t *= factors[name]
+            if not single:
+                pairs.append((t, name))
+            elif best_name is None or t < best_time:
+                best_time, best_name = t, name
+        if single:
+            pairs.append((best_time, best_name))
     else:
-        pairs = (
+        pairs = [
             (
                 model.predict(
                     task_type,
@@ -348,7 +329,7 @@ def bid_for_task(
                 record.name,
             )
             for record in candidates
-        )
+        ]
     if n_nodes == 1:
         # min over (time, name) tuples is sorted(...)[0]: same winner,
         # same tie-break, no O(m log m) sort for the common case

@@ -22,13 +22,33 @@ available memory.
 The optional ``noise`` knob perturbs predictions multiplicatively for
 the sensitivity experiment (E10); noise is deterministic per
 (task, host, seed) so experiments are reproducible.
+
+**The model is separable** (DESIGN.md §13.5): every term depends on the
+task or on the host, never on both, except the in-round ``extra_load``
+the caller adds.  :meth:`PredictionModel.task_terms` is the task half
+(``span_work``, ``required_mb``), :meth:`PredictionModel.host_terms`
+the host half (one row per host, cached by
+:class:`~repro.repository.predict_cache.PredictCache`), and host
+selection's row kernel combines them with :meth:`PredictionModel.
+predict`'s float operations in :meth:`predict`'s order:
+
+``t = span_work * (one_plus_load + extra) / speed``, then
+``t *= memory_penalty`` if oversubscribed, ``t *= calibration``,
+``t *= noise``.
+
+IEEE arithmetic is not associative, so that order *is* the contract:
+``one_plus_load`` is ``1.0 + load`` exactly as :meth:`predict`
+associates it, the factors are never pre-multiplied, and a term the
+model leaves out is the exact identity ``1.0``.  :meth:`predict` stays
+the straight-line reference the kernel is tested against, bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -114,8 +134,8 @@ class PredictionModel:
         load = 0.0 if self.ignore_load else max(0.0, host.load)
         time = span_work * (1.0 + load + extra_load) / host.spec.speed
 
-        required_mb = memory_mb if memory_mb is not None else int(
-            np.ceil(record.required_memory_mb * scale)
+        required_mb = memory_mb if memory_mb is not None else math.ceil(
+            record.required_memory_mb * scale
         )
         if required_mb > host.available_memory_mb:
             time *= self.memory_penalty
@@ -126,6 +146,50 @@ class PredictionModel:
         if self.noise > 0.0:
             time *= self._noise_factor(task_type, host.name)
         return time
+
+    # -- the two halves (see the module docstring) ----------------------------
+
+    def task_terms(
+        self,
+        task_type: str,
+        scale: float,
+        n_nodes: int,
+        task_perf: TaskPerformanceDB,
+        memory_mb: Optional[int] = None,
+    ) -> Tuple[float, int]:
+        """``(span_work, required_mb)``: all of :meth:`predict` that
+        depends on the task alone, computed once per bid."""
+        record = task_perf.get(task_type)
+        span_work = record.computation_size * scale
+        if n_nodes > 1:
+            if record.parallel is None:
+                raise ValueError(
+                    f"task {task_type!r} is not parallelizable but n_nodes={n_nodes}"
+                )
+            span_work = span_work / record.parallel.speedup(n_nodes)
+        if memory_mb is None:
+            memory_mb = math.ceil(record.required_memory_mb * scale)
+        return span_work, memory_mb
+
+    def host_terms(
+        self, task_type: str, host: HostRecord, task_perf: TaskPerformanceDB
+    ) -> Tuple[str, float, float, int, float, float]:
+        """``(name, one_plus_load, speed, available_memory_mb,
+        calibration, noise)``: all of :meth:`predict` that depends on the
+        host (and task *type*) alone, computed once per repository
+        version.  Calibration and noise are ``1.0`` when the model does
+        not apply them — multiplying by it changes no bit."""
+        name = host.name
+        load = 0.0 if self.ignore_load else max(0.0, host.load)
+        return (
+            name,
+            1.0 + load,
+            host.spec.speed,
+            host.available_memory_mb,
+            task_perf.host_calibration(task_type, name)
+            if self.use_calibration else 1.0,
+            self._noise_factor(task_type, name) if self.noise > 0.0 else 1.0,
+        )
 
     # -- host group (parallel tasks) ------------------------------------------
 

@@ -298,18 +298,23 @@ class SiteScheduler:
             best = min(bids, key=lambda s: (bids[s].predicted_time, s))
         else:
             # Dataflow rule: Timetotal = parent-site transfers + Predict.
+            # What does not depend on the candidate site is gathered
+            # once per task; per site only the transfer times are added,
+            # in parent order (the float sum is order-sensitive).
+            site_transfer_time = view.site_transfer_time
+            inputs = [
+                (site_by_task[parent], afg.edge_size_between(parent, task_id))
+                for parent in afg.parents(task_id)
+            ]
+            # explicit file inputs are staged from the submitting site
+            file_mb = task.properties.total_input_size_mb()
+            if file_mb > 0:
+                inputs.append((view.local_site, file_mb))
+
             def time_total(site: str) -> float:
                 transfer = 0.0
-                for parent in afg.parents(task_id):
-                    parent_site = site_by_task[parent]
-                    size_mb = afg.edge_size_between(parent, task_id)
-                    transfer += view.site_transfer_time(parent_site, site, size_mb)
-                # explicit file inputs are staged from the submitting site
-                file_mb = task.properties.total_input_size_mb()
-                if file_mb > 0:
-                    transfer += view.site_transfer_time(
-                        view.local_site, site, file_mb
-                    )
+                for source_site, size_mb in inputs:
+                    transfer += site_transfer_time(source_site, site, size_mb)
                 return transfer + bids[site].predicted_time
 
             best = min(bids, key=lambda s: (time_total(s), s))

@@ -1,0 +1,65 @@
+"""Predict calls and row-table builds: the host-selection count gate.
+
+With ``predict_cache`` on, a bid is evaluated by the row kernel from
+cached host rows: ``PredictionModel.predict`` is never called, and the
+rows are built once per (site, version key, model, task type) — a pure
+placement writes nothing to the repositories, so that is once per
+(site, task type), whatever the size of the DAG.  Exact counts, so a
+change that quietly falls back to per-pair prediction (262 144 calls
+per ``place_4x1k`` round before the kernel) or rebuilds rows per bid
+fails here instead of in a bench run.
+"""
+
+import pytest
+
+import repro.perf as perf
+from repro.repository import SiteRepository
+from repro.scheduler import FederationView, SiteScheduler
+from repro.scheduler.prediction import PredictionModel
+from repro.sim import TopologyBuilder
+from repro.tasklib import default_registry
+from repro.workloads import RandomDAGConfig, random_dag
+
+N_SITES, HOSTS_PER_SITE = 2, 4
+
+
+def place(n_tasks: int, monkeypatch):
+    """Place one layered random DAG on 2 sites x 4 hosts; returns
+    (predict calls, row-table builds, distinct task types)."""
+    speeds = (1.0, 1.5, 2.0, 2.5)
+    builder = (
+        TopologyBuilder(seed=0)
+        .lan_defaults(0.0005, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(N_SITES):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
+            for h in range(HOSTS_PER_SITE)
+        ])
+    topo = builder.build()
+    repos = {
+        name: SiteRepository.bootstrap(site, default_registry())
+        for name, site in topo.sites.items()
+    }
+    view = FederationView.from_topology(topo, repos, local_site="site-0")
+    afg = random_dag(RandomDAGConfig(
+        n_tasks=n_tasks, width=16, mean_cost=3.0, ccr=0.3, seed=7))
+
+    calls = []
+    reference = PredictionModel.predict
+    monkeypatch.setattr(
+        PredictionModel, "predict",
+        lambda self, *a, **kw: calls.append(1) or reference(self, *a, **kw))
+    with perf.use_flags(predict_cache=True):
+        table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
+    assert len(table) == n_tasks
+    builds = sum(repo.predict_cache.builds for repo in repos.values())
+    return len(calls), builds, len({t.task_type for t in afg})
+
+
+@pytest.mark.parametrize("n_tasks", [256, 1024])
+def test_kernel_never_calls_predict_and_builds_rows_once(n_tasks, monkeypatch):
+    predict_calls, builds, task_types = place(n_tasks, monkeypatch)
+    assert predict_calls == 0
+    assert builds == N_SITES * task_types

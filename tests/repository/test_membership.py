@@ -173,25 +173,22 @@ class TestRegistrationSymmetry:
 
 class TestMembershipInvalidation:
     def test_every_transition_clears_predict_cache(self):
+        """Prediction rows hold no listener: each transition moves their
+        version key, so the next bid rebuilds them."""
         sim = Simulator()
         site = make_uniform_site(sim, "syr", n_hosts=3)
         repo = SiteRepository.bootstrap(site, default_registry())
-        def prime():
-            repo.predict_cache._tables["probe"] = {}
-
-        prime()
+        keys = [repo.predict_cache.key()]
         repo.resources.begin_draining("syr-h01", time=1.0)
-        assert "probe" not in repo.predict_cache._tables
-        prime()
+        keys.append(repo.predict_cache.key())
         repo.deregister_host("syr-h01")
-        assert "probe" not in repo.predict_cache._tables
-        prime()
+        keys.append(repo.predict_cache.key())
         repo.resources.rejoin_host(site.host("syr-h01").spec,
                                    group="syr-g0", time=2.0)
-        assert "probe" not in repo.predict_cache._tables
-        prime()
+        keys.append(repo.predict_cache.key())
         repo.resources.activate_host("syr-h01", time=3.0)
-        assert "probe" not in repo.predict_cache._tables
+        keys.append(repo.predict_cache.key())
+        assert len(set(keys)) == len(keys)
 
     def test_runnable_up_hosts_excludes_non_active(self):
         sim = Simulator()

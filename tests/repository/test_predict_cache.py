@@ -1,24 +1,28 @@
-"""PredictCache invalidation: a hit is always the model's own float.
+"""Prediction rows: re-keyed by every input change, never patched.
 
-The cache's correctness story has two halves: every dynamic input is
-either part of the exact key (host name, reported load, available
-memory, in-round extra load) or covered by the task-performance DB's
-version counter (registration, calibration refinement).  These tests
-drive each half — workload churn, slowdown-fault calibration updates,
-quarantine/health changes — and require cached and uncached answers to
-agree bit-for-bit throughout.
+The row table's correctness story is its version key: a row holds a
+host's reported load, available memory and (task type, host)
+calibration, and every write to any of them bumps one of
+``(resources.registration_version, constraints.version,
+resources.state_version, task_perf.version)``.  These tests drive each
+kind of write — workload report, mark down/up, calibration refinement,
+task registration, drain/retire/rejoin — and require the kernel's bid
+(``predict_cache=True``) to agree bit-for-bit with the model's own
+(``predict_cache=False``) before and after, with rebuilds happening
+exactly when the key moved.
 """
 
 import repro.perf as perf
 from repro.afg import TaskNode, TaskProperties
 from repro.repository import SiteRepository
-from repro.repository.predict_cache import PredictCache
 from repro.repository.taskperf import TaskPerfRecord
 from repro.scheduler.host_selection import bid_for_task
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 
 TASK = "math.lu_decompose"
+NODE = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
+                properties=TaskProperties())
 
 
 def _repo(n_hosts=3):
@@ -35,127 +39,170 @@ def _repo(n_hosts=3):
 
 
 def _direct(model, repo, host_name, extra_load=0.0):
-    """The uncached answer for one host, straight from the model."""
+    """The reference answer for one host, straight from the model."""
     return model.predict(TASK, 1.0, 1, repo.resources.get(host_name),
                          repo.task_perf, memory_mb=None,
                          extra_load=extra_load)
 
 
+def _both_bids(repo, model, extra_load_of=lambda _h: 0.0, health_of=None):
+    """(kernel bid, reference bid); the caller asserts what it needs,
+    this asserts they are the same bid."""
+    with perf.use_flags(predict_cache=True):
+        kernel = bid_for_task(NODE, repo, model, extra_load_of, health_of)
+    with perf.use_flags(predict_cache=False):
+        reference = bid_for_task(NODE, repo, model, extra_load_of, health_of)
+    assert kernel == reference
+    return kernel
+
+
 def test_hit_is_bit_identical_and_counted():
+    """Rows are built once and reused while nothing changed."""
     repo = _repo()
     model = PredictionModel()
     cache = repo.predict_cache
-    record = repo.resources.get("c0")
-    first = cache.predict(model, TASK, 1.0, 1, record, None, 0.0)
-    second = cache.predict(model, TASK, 1.0, 1, record, None, 0.0)
-    assert first == second == _direct(model, repo, "c0")
-    assert cache.misses == 1 and cache.hits == 1
-    assert len(cache) == 1
+    rows = cache.rows(TASK, model)
+    assert [row[0] for row in rows] == ["c0", "c1", "c2"]
+    first = _both_bids(repo, model)
+    second = _both_bids(repo, model)
+    assert first == second
+    assert first.predicted_time == _direct(model, repo, first.primary_host)
+    assert cache.rows(TASK, model) is rows and cache.builds == 1
 
 
 def test_load_change_is_a_new_key_never_a_stale_hit():
+    """A workload report replaces the host row, which re-keys the rows."""
+    repo = _repo(n_hosts=1)
+    model = PredictionModel()
+    cache = repo.predict_cache
+    before = _both_bids(repo, model).predicted_time
+    key = cache.key()
+    repo.resources.update_workload("c0", load=3.0,
+                                   available_memory_mb=128, time=1.0)
+    assert cache.key() != key
+    after = _both_bids(repo, model).predicted_time
+    assert after == _direct(model, repo, "c0")
+    assert after != before  # the load genuinely moved the prediction
+    assert cache.builds == 2
+
+
+def test_mark_down_and_up_rekey_and_resize_the_rows():
     repo = _repo()
     model = PredictionModel()
     cache = repo.predict_cache
-    before = cache.predict(model, TASK, 1.0, 1,
-                           repo.resources.get("c0"), None, 0.0)
-    repo.resources.update_workload("c0", load=3.0,
-                                   available_memory_mb=128, time=1.0)
-    after = cache.predict(model, TASK, 1.0, 1,
-                          repo.resources.get("c0"), None, 0.0)
-    assert after == _direct(model, repo, "c0")
-    assert after != before  # the load genuinely moved the prediction
-    # and the old key still answers for the old state, bit-identically
-    assert cache.hits == 0 and cache.misses == 2
+    assert _both_bids(repo, model).primary_host == "c2"  # the fastest
+    repo.resources.mark_down("c2", time=1.0)
+    assert [row[0] for row in cache.rows(TASK, model)] == ["c0", "c1"]
+    assert _both_bids(repo, model).primary_host == "c1"
+    repo.resources.mark_up("c2", time=2.0)
+    assert [row[0] for row in cache.rows(TASK, model)] == ["c0", "c1", "c2"]
+    assert _both_bids(repo, model).primary_host == "c2"
+    assert cache.builds == 3
 
 
 def test_calibration_refinement_invalidates_the_whole_cache():
     """A slowdown fault shows up as measured >> expected; the resulting
-    record_execution bumps the version and must flush every entry."""
-    repo = _repo()
+    record_execution bumps the version and must drop every row."""
+    repo = _repo(n_hosts=1)
     model = PredictionModel()
     cache = repo.predict_cache
-    record = repo.resources.get("c0")
-    before = cache.predict(model, TASK, 1.0, 1, record, None, 0.0)
+    stale = cache.rows(TASK, model)
+    before = _both_bids(repo, model).predicted_time
     # the host ran 4x slower than predicted (a slowdown fault)
     repo.task_perf.record_execution(TASK, "c0", expected_s=before,
                                     measured_s=4.0 * before)
-    after = cache.predict(model, TASK, 1.0, 1, record, None, 0.0)
+    after = _both_bids(repo, model).predicted_time
     assert after == _direct(model, repo, "c0")
     assert after != before
-    assert cache.hits == 0  # same key, but the flush forced a recompute
+    assert cache.rows(TASK, model) is not stale and cache.builds == 2
+    # the same refinement leaves an uncalibrated model's floats alone
+    blind = PredictionModel(use_calibration=False)
+    assert _both_bids(repo, blind).predicted_time == before
 
 
 def test_registration_invalidates():
     repo = _repo()
     model = PredictionModel()
     cache = repo.predict_cache
-    cache.predict(model, TASK, 1.0, 1, repo.resources.get("c0"), None, 0.0)
-    assert len(cache) == 1
+    cache.rows(TASK, model)
     repo.task_perf.register(TaskPerfRecord(
         task_type="signal.spectrum", computation_size=1.0,
         communication_size_mb=0.1, required_memory_mb=8))
-    cache.predict(model, TASK, 1.0, 1, repo.resources.get("c1"), None, 0.0)
-    assert len(cache) == 1  # the pre-registration entry was flushed
+    cache.rows(TASK, model)
+    assert cache.builds == 2  # the pre-registration rows were dropped
 
 
 def test_quarantine_and_health_updates_need_no_invalidation():
-    """Health penalties multiply *after* prediction, so score updates
-    must flow through a warm cache: cached and uncached bids agree
-    before, during, and after a quarantine."""
-    repo = _repo()
-    model = PredictionModel()
-    node = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
-                    properties=TaskProperties())
-    factors = {"c0": 1.0, "c1": 1.0, "c2": 1.0}
-
-    def health_of(name):
-        return factors[name]
-
-    def both_bids():
-        with perf.use_flags(predict_cache=True):
-            cached = bid_for_task(node, repo, model, lambda _h: 0.0,
-                                  health_of=health_of)
-        with perf.use_flags(predict_cache=False):
-            reference = bid_for_task(node, repo, model, lambda _h: 0.0,
-                                     health_of=health_of)
-        return cached, reference
-
-    cached, reference = both_bids()
-    assert cached == reference
-    fastest = cached.primary_host
-    # penalize then quarantine the winner; the warm cache must follow
-    factors[fastest] = 10.0
-    cached, reference = both_bids()
-    assert cached == reference and cached.primary_host != fastest
-    factors[fastest] = None  # quarantined outright
-    cached, reference = both_bids()
-    assert cached == reference and fastest not in cached.hosts
-
-
-def test_int_and_float_extra_load_share_one_entry():
-    """The commit ledger's fast path hands out raw ints; int and float
-    loads hash equal and promote exactly, so both forms must map to the
-    same memo entry with the same float."""
+    """Health penalties multiply *after* prediction and quarantine
+    *selects* from the rows, so score updates flow through warm rows:
+    kernel and reference bids agree before, during, and after a
+    quarantine, and the shared rows are neither rebuilt nor touched."""
     repo = _repo()
     model = PredictionModel()
     cache = repo.predict_cache
-    record = repo.resources.get("c0")
-    as_int = cache.predict(model, TASK, 1.0, 1, record, None, 2)
-    as_float = cache.predict(model, TASK, 1.0, 1, record, None, 2.0)
-    assert as_int == as_float == _direct(model, repo, "c0", extra_load=2.0)
-    assert cache.misses == 1 and cache.hits == 1
+    rows = cache.rows(TASK, model)
+    snapshot = list(rows)
+    factors = {"c0": 1.0, "c1": 1.0, "c2": 1.0}
+    fastest = _both_bids(repo, model, health_of=factors.get).primary_host
+    # penalize then quarantine the winner; the warm rows must follow
+    factors[fastest] = 10.0
+    assert _both_bids(repo, model, health_of=factors.get).primary_host \
+        != fastest
+    factors[fastest] = None  # quarantined outright
+    assert fastest not in _both_bids(repo, model,
+                                     health_of=factors.get).hosts
+    assert cache.rows(TASK, model) is rows and rows == snapshot
+    assert cache.builds == 1
+
+
+def test_drain_retire_and_rejoin_each_rekey():
+    """Every membership transition moves the key; a rejoined host comes
+    back with its new spec, not the rows of its previous life."""
+    repo = _repo()
+    model = PredictionModel()
+    cache = repo.predict_cache
+    names = lambda: [row[0] for row in cache.rows(TASK, model)]
+    assert names() == ["c0", "c1", "c2"]
+    keys = {cache.key()}
+    repo.resources.begin_draining("c2", time=1.0)
+    assert names() == ["c0", "c1"] and _both_bids(repo, model)
+    keys.add(cache.key())
+    repo.deregister_host("c2")
+    assert names() == ["c0", "c1"]
+    keys.add(cache.key())
+    repo.resources.rejoin_host(
+        HostSpec(name="c2", speed=9.0, memory_mb=256), time=2.0)
+    repo.constraints.register(TASK, "c2", "/bin/c2")
+    assert names() == ["c0", "c1"]  # REJOINING is not yet schedulable
+    keys.add(cache.key())
+    repo.resources.activate_host("c2", time=3.0)
+    keys.add(cache.key())
+    assert len(keys) == 5
+    assert [row[2] for row in cache.rows(TASK, model)] == [1.0, 2.0, 9.0]
+    assert _both_bids(repo, model).primary_host == "c2"
+
+
+def test_int_and_float_extra_load_give_one_float():
+    """The commit ledger's fast path hands out raw ints; ints promote
+    exactly, so both forms must produce the reference's float."""
+    repo = _repo(n_hosts=1)
+    model = PredictionModel()
+    as_int = _both_bids(repo, model, extra_load_of=lambda _h: 2)
+    as_float = _both_bids(repo, model, extra_load_of=lambda _h: 2.0)
+    assert as_int.predicted_time == as_float.predicted_time \
+        == _direct(model, repo, "c0", extra_load=2.0)
 
 
 def test_model_variants_never_collide():
-    repo = _repo()
+    repo = _repo(n_hosts=1)
     exact = PredictionModel()
     noisy = PredictionModel(noise=0.3, noise_seed=7)
-    cache = PredictCache(repo.task_perf)
-    record = repo.resources.get("c0")
-    a = cache.predict(exact, TASK, 1.0, 1, record, None, 0.0)
-    b = cache.predict(noisy, TASK, 1.0, 1, record, None, 0.0)
+    cache = repo.predict_cache
+    a = _both_bids(repo, exact).predicted_time
+    b = _both_bids(repo, noisy).predicted_time
     assert a != b
-    # switching back re-hits the first model's table
-    assert cache.predict(exact, TASK, 1.0, 1, record, None, 0.0) == a
-    assert cache.hits == 1
+    # switching back reuses the first model's rows, and an equal model
+    # value shares them
+    assert _both_bids(repo, exact).predicted_time == a
+    assert cache.rows(TASK, PredictionModel()) is cache.rows(TASK, exact)
+    assert cache.builds == 2

@@ -170,3 +170,34 @@ class TestSiteManagerCrash:
         afg = chain_afg(n=2)
         sm.crash()
         assert sm.reselect_host(afg, "t0", frozenset(), rt.model) is None
+
+    def test_reselect_masks_excluded_and_quarantined_hosts(self):
+        """Exclusion and quarantine are one mask over one bid: the
+        replacement is the best host that is neither."""
+        from repro.runtime.straggler import HealthPolicy
+
+        rt = build_runtime(
+            site_hosts={"alpha": [("a1", 1.0, 256), ("a2", 2.0, 256),
+                                  ("a3", 4.0, 256)]},
+            health=HealthPolicy(),
+        )
+        sm = rt.site_managers["alpha"]
+        afg = chain_afg(n=2)
+
+        def pick(*excluded):
+            bid = sm.reselect_host(afg, "t0", frozenset(excluded), rt.model)
+            return bid and bid.hosts
+
+        assert pick() == ("a3",)
+        assert pick("a3") == ("a2",)
+        rt.health.penalize("a2", rt.health.policy.quarantine_threshold)
+        assert pick("a3") == ("a1",)  # a2 quarantined, a3 excluded
+        assert pick("a1", "a3") is None
+        # a penalty short of quarantine multiplies the prediction
+        rt.health.penalize("a3", 1.0)
+        bid = sm.reselect_host(afg, "t0", frozenset(), rt.model)
+        clean = rt.model.predict(
+            "generic.source", 1.0, 1, sm.repository.resources.get("a3"),
+            sm.repository.task_perf)
+        assert bid.hosts == ("a3",)
+        assert bid.predicted_time == clean * rt.health.factor_of("a3")

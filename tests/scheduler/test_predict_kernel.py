@@ -1,0 +1,133 @@
+"""Row kernel == ``PredictionModel.predict``, bit for bit.
+
+``bid_for_task`` under ``predict_cache=True`` evaluates a bid from the
+repository's cached host rows and a task half computed once; under
+``False`` it calls ``model.predict`` per (task, host) pair.  The kernel
+performs the model's float operations in the model's order, so on *any*
+repository the two must return the identical ``HostSelectionResult`` —
+same hosts, ``predicted_time`` equal by ``==``, never ``approx``.
+"""
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import repro.perf as perf
+from repro.afg import ComputationMode, TaskNode, TaskProperties
+from repro.repository import SiteRepository
+from repro.repository.taskperf import TaskPerfRecord
+from repro.scheduler.host_selection import bid_for_task
+from repro.scheduler.prediction import PredictionModel
+from repro.sim.host import HostSpec
+from repro.tasklib.base import ParallelModel
+
+TASK = "math.lu_decompose"
+
+hosts = st.lists(
+    st.fixed_dictionaries({
+        "speed": st.floats(min_value=0.05, max_value=16.0),
+        "memory_mb": st.integers(min_value=16, max_value=1024),
+        "arch": st.sampled_from(("sparc", "x86")),
+        "up": st.booleans(),
+        # None = the host never reported (load 0.0, all memory free)
+        "report": st.none() | st.tuples(
+            st.floats(min_value=0.0, max_value=20.0),
+            st.integers(min_value=0, max_value=1024)),
+        "calibration": st.none() | st.floats(min_value=0.05, max_value=20.0),
+        # None = quarantined; consulted only when the health hook is on
+        "health": st.none() | st.floats(min_value=1.0, max_value=10.0),
+        "extra": st.integers(min_value=0, max_value=6)
+        | st.floats(min_value=0.0, max_value=6.0),
+    }),
+    min_size=1, max_size=7,
+)
+
+tasks = st.fixed_dictionaries({
+    "computation_size": st.floats(min_value=0.0, max_value=100.0),
+    "required_memory_mb": st.integers(min_value=0, max_value=512),
+    "overhead": st.floats(min_value=0.0, max_value=0.5),
+    "scale": st.floats(min_value=0.01, max_value=50.0),
+    "memory_mb": st.integers(min_value=0, max_value=1024),  # 0 = unset
+    "n_nodes": st.integers(min_value=1, max_value=4),
+    "machine_type": st.none() | st.just("x86"),
+})
+
+models = st.builds(
+    PredictionModel,
+    memory_penalty=st.floats(min_value=1.0, max_value=8.0),
+    noise=st.sampled_from((0.0, 0.3)),
+    noise_seed=st.integers(min_value=0, max_value=3),
+    use_calibration=st.booleans(),
+    ignore_load=st.booleans(),
+)
+
+
+def _repo(host_specs, task):
+    repo = SiteRepository("kernel-site")
+    repo.task_perf.register(TaskPerfRecord(
+        task_type=TASK, computation_size=task["computation_size"],
+        communication_size_mb=0.1,
+        required_memory_mb=task["required_memory_mb"],
+        parallel=ParallelModel(overhead=task["overhead"])))
+    for i, spec in enumerate(host_specs):
+        name = f"h{i}"
+        repo.resources.register_host(HostSpec(
+            name=name, speed=spec["speed"], memory_mb=spec["memory_mb"],
+            arch=spec["arch"]))
+        repo.constraints.register(TASK, name, f"/bin/{name}")
+        if spec["report"] is not None:
+            load, available = spec["report"]
+            repo.resources.update_workload(name, load, available, time=1.0)
+        if not spec["up"]:
+            repo.resources.mark_down(name, time=2.0)
+        if spec["calibration"] is not None:
+            # a first measurement sets the ratio to measured / expected
+            repo.task_perf.record_execution(
+                TASK, name, expected_s=1.0, measured_s=spec["calibration"])
+    return repo
+
+
+def _node(task):
+    parallel = task["n_nodes"] > 1
+    return TaskNode(
+        id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
+        properties=TaskProperties(
+            mode=ComputationMode.PARALLEL if parallel
+            else ComputationMode.SEQUENTIAL,
+            n_nodes=task["n_nodes"], workload_scale=task["scale"],
+            memory_mb=task["memory_mb"],
+            preferred_machine_type=task["machine_type"]))
+
+
+@given(hosts, tasks, models, st.booleans())
+@settings(max_examples=300, deadline=None)
+def test_kernel_bid_is_the_models_bid(host_specs, task, model, with_health):
+    repo = _repo(host_specs, task)
+    node = _node(task)
+    by_name = {f"h{i}": spec for i, spec in enumerate(host_specs)}
+    extra_load_of = lambda name: by_name[name]["extra"]
+    health_of = (lambda name: by_name[name]["health"]) if with_health else None
+    bids = []
+    for _ in range(2):  # the second kernel bid runs on warm rows
+        with perf.use_flags(predict_cache=True):
+            bids.append(bid_for_task(node, repo, model, extra_load_of,
+                                     health_of))
+    with perf.use_flags(predict_cache=False):
+        reference = bid_for_task(node, repo, model, extra_load_of, health_of)
+    assert bids[0] == bids[1] == reference
+    if reference is not None:
+        assert bids[0].predicted_time == reference.predicted_time
+        assert len(reference.hosts) == task["n_nodes"]
+
+
+@pytest.mark.parametrize("predict_cache", [True, False])
+def test_negative_extra_load_still_raises(predict_cache):
+    repo = _repo([{"speed": 1.0, "memory_mb": 64, "arch": "sparc",
+                   "up": True, "report": None, "calibration": None}],
+                 {"computation_size": 1.0, "required_memory_mb": 8,
+                  "overhead": 0.0})
+    node = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
+                    properties=TaskProperties())
+    with perf.use_flags(predict_cache=predict_cache):
+        with pytest.raises(ValueError, match="extra_load"):
+            bid_for_task(node, repo, PredictionModel(), lambda _h: -1.0)

@@ -1,6 +1,11 @@
 """Tests for the performance-prediction model."""
 
+import math
+
+import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro.repository.resources import HostRecord
 from repro.repository.taskperf import TaskPerfRecord, TaskPerformanceDB
@@ -69,6 +74,13 @@ def test_memory_penalty_uses_explicit_memory_override():
     # default requirement 32 fits; override of 100 does not
     assert model.predict("seq", 1.0, 1, host, db) == pytest.approx(10.0)
     assert model.predict("seq", 1.0, 1, host, db, memory_mb=100) == pytest.approx(40.0)
+
+
+@given(st.integers(min_value=0, max_value=2**40),
+       st.floats(min_value=0.0, max_value=1e12))
+def test_math_ceil_is_the_numpy_ceil_it_replaced(required_memory_mb, scale):
+    product = required_memory_mb * scale
+    assert math.ceil(product) == int(np.ceil(product))
 
 
 def test_parallel_speedup_divides_span():
