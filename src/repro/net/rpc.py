@@ -438,7 +438,8 @@ class ControlPlane:
         policy = policy or self.policy
         src_site = self.network.site_of(src_host)
         dst_site = self.network.site_of(dst_host)
-        rng = self.sim.rng(f"rpc:{src_site}->{dst_site}")
+        # per-peer stream, by name: resolved only where a value is drawn
+        rng_name = f"rpc:{src_site}->{dst_site}"
         spans = self.spans
         rpc_span = None
         if spans.enabled and span is not None and span.span_id >= 0:
@@ -480,7 +481,7 @@ class ControlPlane:
                 breaker.note_send(src_site, dst_site)
             delivered = yield from self._leg(
                 src_host, dst_host, payload_mb, f"{label}:req",
-                policy, rng, started, transport,
+                policy, rng_name, started, transport,
             )
             if delivered:
                 try:
@@ -526,7 +527,7 @@ class ControlPlane:
                     size = reply_mb(value) if callable(reply_mb) else reply_mb
                     acked = yield from self._leg(
                         dst_host, src_host, size, f"{label}:rep",
-                        policy, rng, started, transport,
+                        policy, rng_name, started, transport,
                     )
                     if acked:
                         if attempt_span is not None:
@@ -549,7 +550,9 @@ class ControlPlane:
                     label=label, attempt=attempt, dst=dst_site,
                 )
             if attempt < policy.max_attempts:
-                delay = policy.backoff(attempt, float(rng.uniform()))
+                delay = policy.backoff(
+                    attempt, float(self.sim.rng(rng_name).uniform())
+                )
                 if rpc_span is not None:
                     backoff_span = spans.open(
                         SpanKind.RETRY_BACKOFF, rpc_span.app, parent=rpc_span,
@@ -573,8 +576,13 @@ class ControlPlane:
             )
         raise RpcTimeout(label, policy.max_attempts)
 
-    def _leg(self, src, dst, size_mb, label, policy, rng, started, transport):
-        """One message leg; True iff delivered within the attempt deadline."""
+    def _leg(self, src, dst, size_mb, label, policy, rng_name, started,
+             transport):
+        """One message leg; True iff delivered within the attempt deadline.
+
+        ``rng_name`` names the per-peer loss stream; it is materialised
+        only when the link is lossy.
+        """
         remaining = policy.timeout_s - (self.sim.now - started)
         if remaining <= 0:
             return False
@@ -582,7 +590,8 @@ class ControlPlane:
         if link is not None:
             if not link.up:
                 return False  # connect error: fail fast, no time burned
-            if link.loss_prob > 0.0 and float(rng.uniform()) < link.loss_prob:
+            if (link.loss_prob > 0.0
+                    and float(self.sim.rng(rng_name).uniform()) < link.loss_prob):
                 # the message vanishes; the sender finds out via the timer
                 yield Timeout(remaining)
                 return False

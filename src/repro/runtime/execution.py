@@ -222,6 +222,10 @@ class ExecutionCoordinator:
         self.table = table
         self.execute_payloads = execute_payloads
         self.submit_site = submit_site or runtime.default_site
+        #: the submitting site's server host: file inputs stage from it
+        self._submit_server = (
+            runtime.topology.site(self.submit_site).server_host.name
+        )
         #: live assignment (diverges from the table after rescheduling)
         self.assignment: Dict[str, TaskAssignment] = dict(table.assignments)
         #: membership epoch each assigned host had when its placement was
@@ -309,7 +313,7 @@ class ExecutionCoordinator:
                     source=source, completed=len(self._restored),
                 )
                 self.spans.close(resume_span, source=source)
-        else:
+        elif self._journaling:
             self._journal_append(
                 "schedule",
                 scheduler=self.table.scheduler,
@@ -420,7 +424,6 @@ class ExecutionCoordinator:
         application starts on whatever part of the federation can
         actually be talked to, or fails with a typed error.
         """
-        local_server = self.runtime.topology.site(self.submit_site).server_host.name
         # only sites with frontier work need their portion (on a fresh
         # run the frontier is every task)
         pending = sorted({
@@ -450,7 +453,8 @@ class ExecutionCoordinator:
                     procs.append(
                         self.sim.process(
                             self._deliver_allocation(
-                                site_name, local_server, snapshot, span=span
+                                site_name, self._submit_server, snapshot,
+                                span=span,
                             ),
                             name=f"alloc:{self.afg.name}:{site_name}",
                         )
@@ -472,9 +476,15 @@ class ExecutionCoordinator:
 
     # -- checkpointing ------------------------------------------------------
 
+    @property
+    def _journaling(self) -> bool:
+        """Whether records are being kept; callers whose record is costly
+        to build (serialised AFG, hashed + pickled outputs) test it first."""
+        return self.journal is not None and self.journal.enabled
+
     def _journal_append(self, kind: str, **fields: Any) -> None:
         """One checkpoint record: journal append + stats/metrics/trace."""
-        if self.journal is None or not self.journal.enabled:
+        if not self._journaling:
             return
         n = self.journal.append(
             kind, time=self.sim.now, application=self.afg.name, **fields
@@ -808,7 +818,6 @@ class ExecutionCoordinator:
         network = self.runtime.topology.network
         metrics = self.sim.metrics
         policy = self.data_policy
-        rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
         for attempt in range(1, policy.max_attempts + 1):
             transfer = network.transfer(src_host, dst_host, size_mb, label=label)
             self._transfers += 1
@@ -843,6 +852,7 @@ class ExecutionCoordinator:
                         EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
                         label=label, attempt=attempt, reason=str(exc),
                     )
+                rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
                 yield Timeout(policy.backoff(attempt, float(rng.uniform())))
                 if edge is not None:
                     try:
@@ -893,7 +903,6 @@ class ExecutionCoordinator:
                 self.spans.close(wait_span, source=f"app:{self.afg.name}")
 
         # Stage explicit file inputs from the submitting site's server.
-        src_server = self.runtime.topology.site(self.submit_site).server_host.name
         file_inputs = node.properties.file_inputs()
         if file_inputs:
             stage_span = None
@@ -906,7 +915,7 @@ class ExecutionCoordinator:
             for binding in file_inputs:
                 dst = self.assignment[task_id].primary_host
                 value = yield from self._stage_with_retry(
-                    binding.file, src_server, dst, record
+                    binding.file, self._submit_server, dst, record
                 )
                 port_values[binding.port] = value
             if stage_span is not None:
@@ -950,26 +959,27 @@ class ExecutionCoordinator:
                     self.afg.name, task_id, port, value,
                     final_assignment.primary_host,
                 )
-        self._journal_append(
-            "task_complete",
-            task=task_id,
-            site=record.site,
-            hosts=list(record.hosts),
-            predicted_time=record.predicted_time,
-            started_at=record.started_at,
-            finished_at=record.finished_at,
-            measured_time=record.measured_time,
-            attempts=record.attempts,
-            outputs=[
-                {
-                    "port": port,
-                    "hash": value_hash(value),
-                    "value": encode_value(value),
-                    "location": final_assignment.primary_host,
-                }
-                for port, value in enumerate(outputs)
-            ],
-        )
+        if self._journaling:
+            self._journal_append(
+                "task_complete",
+                task=task_id,
+                site=record.site,
+                hosts=list(record.hosts),
+                predicted_time=record.predicted_time,
+                started_at=record.started_at,
+                finished_at=record.finished_at,
+                measured_time=record.measured_time,
+                attempts=record.attempts,
+                outputs=[
+                    {
+                        "port": port,
+                        "hash": value_hash(value),
+                        "value": encode_value(value),
+                        "location": final_assignment.primary_host,
+                    }
+                    for port, value in enumerate(outputs)
+                ],
+            )
         if not self.afg.out_edges(task_id):
             self.outputs[task_id] = outputs
 
@@ -1222,7 +1232,6 @@ class ExecutionCoordinator:
         """
         policy = self.data_policy
         integrity = self.runtime.integrity
-        rng = self.sim.rng(f"retry:{self.afg.name}:stage:{spec.path}")
         refetches_left = (
             integrity.policy.max_refetches if integrity is not None else 0
         )
@@ -1269,6 +1278,7 @@ class ExecutionCoordinator:
                         label=f"stage:{spec.path}", attempt=attempt,
                         reason=str(exc),
                     )
+                rng = self.sim.rng(f"retry:{self.afg.name}:stage:{spec.path}")
                 yield Timeout(policy.backoff(attempt, float(rng.uniform())))
         raise ExecutionError(
             f"staging {spec.path!r} onto {dst_host} exhausted "
@@ -1582,11 +1592,10 @@ class ExecutionCoordinator:
                 return  # could not feed the backup; speculation aborted
             if outcome.triggered or primary.done.triggered:
                 return
-        src_server = self.runtime.topology.site(self.submit_site).server_host.name
         for binding in node.properties.file_inputs():
             try:
                 yield from self._stage_with_retry(
-                    binding.file, src_server, backup_host, record
+                    binding.file, self._submit_server, backup_host, record
                 )
             except ExecutionError:
                 return
@@ -1824,10 +1833,9 @@ class ExecutionCoordinator:
                 label=f"restage:{edge.src}->{edge.dst}", record=record,
                 reason="restage",
             )
-        src_server = self.runtime.topology.site(self.submit_site).server_host.name
         for binding in node.properties.file_inputs():
             yield from self._stage_with_retry(
-                binding.file, src_server, new_primary, record
+                binding.file, self._submit_server, new_primary, record
             )
         if resched_span is not None:
             self.spans.close(

@@ -363,7 +363,7 @@ class GroupManager:
         return self._echo_process
 
     def _echo_loop(self, generation: int):
-        rng = self.sim.rng(f"echo:{self.name}")
+        rng = None  # echo:{gm}, taken on the first lossy echo
         echo_child = None
         batched = False
         while True:
@@ -398,6 +398,8 @@ class GroupManager:
                 # host's state when the packet arrives, and may be lost
                 responded = host.is_up()
                 if responded and self.echo_loss_prob > 0.0:
+                    if rng is None:
+                        rng = self.sim.rng(f"echo:{self.name}")
                     if float(rng.uniform()) < self.echo_loss_prob:
                         responded = False  # packet lost, host fine
                 if self.detector == "phi":

@@ -434,7 +434,15 @@ class Simulator:
     # -- randomness -----------------------------------------------------
 
     def rng(self, name: str) -> np.random.Generator:
-        """Named deterministic RNG stream (stable across runs and platforms)."""
+        """Named deterministic RNG stream (stable across runs and platforms).
+
+        A stream is a pure function of ``(seed, name)``, so *when* it is
+        first asked for cannot change a value it yields.  A miss builds a
+        ``SeedSequence`` + PCG64 + ``Generator`` (~40 us) that is kept for
+        the life of the simulator; a hit is one dict look-up.  Callers
+        therefore take a stream at the statement that draws from it, not
+        when they merely might need it.
+        """
         if name not in self._rngs:
             child = np.random.SeedSequence(
                 entropy=self.seed,
@@ -442,6 +450,11 @@ class Simulator:
             )
             self._rngs[name] = np.random.default_rng(child)
         return self._rngs[name]
+
+    @property
+    def rng_streams(self) -> int:
+        """How many named streams have been materialised (misses, not calls)."""
+        return len(self._rngs)
 
     # -- tracing ----------------------------------------------------------
 

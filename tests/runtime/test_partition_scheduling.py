@@ -145,3 +145,68 @@ def test_mid_execution_transfer_retry_telemetry():
     assert payload["channel_reestablishes"] == result.channel_reestablishes
     per_task = sum(t["transfer_retries"] for t in payload["tasks"].values())
     assert per_task == result.transfer_retries
+
+
+def _lossy_partitioned_run(pre_touch=()):
+    """The partition scenario above on a lossy federation — lossy WAN
+    control messages, lossy LAN echoes — so the ``retry:``, ``rpc:`` and
+    ``echo:`` streams all draw.  ``pre_touch`` names are materialised,
+    undrawn, before anything runs."""
+    from repro.sim import FailureInjector
+    from repro.trace import Tracer, trace_hash
+
+    rt = build_runtime(site_hosts=THREE_SITES, tracer=Tracer(),
+                       echo_loss_prob=0.2)
+    for name in pre_touch:
+        rt.sim.rng(name)
+    network = rt.topology.network
+    network.set_message_loss(0.15)
+    rt.start_monitoring()
+    afg = chain_afg(n=4, scale=2.0, edge_mb=8.0)
+    table = _manual_cross_site_table(afg, {
+        "t0": ("alpha", "a1"),
+        "t1": ("beta", "b1"),
+        "t2": ("beta", "b2"),
+        "t3": ("gamma", "g1"),
+    })
+    start = rt.sim.now + 1.0
+    FailureInjector(rt.sim).schedule_partition(
+        network, [["alpha"], ["beta", "gamma"]], start=start, duration=6.0
+    )
+    proc = rt.execute_process(afg, table, execute_payloads=False)
+    result = rt.sim.run_until_complete(proc, limit=1e5)
+    assert result.finished_at > start
+    assert result.transfer_retries >= 1
+    assert rt.stats.rpc_retries >= 1
+    facts = {
+        task: (r.hosts, r.started_at, r.finished_at, r.transfer_retries)
+        for task, r in sorted(result.records.items())
+    }
+    return rt, facts, trace_hash(rt.tracer)
+
+
+def test_fault_path_draws_the_same_numbers_whenever_streams_materialise():
+    """Streams are taken where they draw, so (a) every stream a faulty
+    run materialised was drawn from, and (b) materialising them — and
+    decoys that never draw — up front, in any order, changes nothing."""
+    from repro.sim import Simulator
+
+    rt, facts, digest = _lossy_partitioned_run()
+    names = list(rt.sim._rngs)
+    assert {n.split(":")[0] for n in names} == {"retry", "rpc", "echo"}
+    untouched = Simulator(seed=rt.sim.seed)
+    assert [
+        n for n in names
+        if rt.sim.rng(n).bit_generator.state
+        == untouched.rng(n).bit_generator.state
+    ] == []
+
+    decoys = ["retry:chain:t2->t3", "retry:chain:decoy", "rpc:gamma->alpha",
+              "rpc:nowhere->alpha"]
+    eager, eager_facts, eager_digest = _lossy_partitioned_run(
+        pre_touch=list(reversed(names)) + decoys
+    )
+    assert eager.sim.rng_streams > len(names)
+    assert eager_facts == facts
+    assert eager_digest == digest
+    assert eager.stats.as_dict() == rt.stats.as_dict()

@@ -1,6 +1,8 @@
 """Unit tests for the discrete-event kernel."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import (
     AllOf,
@@ -296,6 +298,41 @@ def test_rng_streams_are_deterministic_and_independent():
 def test_rng_stream_cached_per_name():
     sim = Simulator(seed=1)
     assert sim.rng("x") is sim.rng("x")
+
+
+def test_rng_streams_counts_misses_not_calls():
+    sim = Simulator(seed=1)
+    assert sim.rng_streams == 0
+    for name in ("x", "y", "x", "x", "y"):
+        sim.rng(name)
+    assert sim.rng_streams == 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(min_value=0, max_value=2**63),
+    steps=st.lists(
+        # (name, 0) materialises; (name, k) draws k values
+        st.tuples(st.text(min_size=1, max_size=12),
+                  st.integers(min_value=0, max_value=4)),
+        max_size=30,
+    ),
+)
+def test_stream_values_do_not_depend_on_when_it_materialises(seed, steps):
+    """What makes first-draw safe: the values of stream X are those of
+    ``default_rng(SeedSequence(seed, spawn_key=X))``, whatever else was
+    materialised before, between or never."""
+    sim = Simulator(seed=seed)
+    drawn = {}
+    for name, k in steps:
+        values = sim.rng(name).random(k)
+        drawn.setdefault(name, []).extend(values)
+    assert sim.rng_streams == len(drawn)
+    for name, values in drawn.items():
+        reference = np.random.default_rng(np.random.SeedSequence(
+            entropy=seed, spawn_key=tuple(name.encode("utf-8")),
+        ))
+        assert values == list(reference.random(len(values)))
 
 
 def test_trace_disabled_by_default_and_enabled_on_request():
