@@ -12,11 +12,12 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
-
-import networkx as nx
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.afg.task import TaskNode
+
+if TYPE_CHECKING:
+    import networkx as nx
 
 __all__ = ["ApplicationFlowGraph", "Edge"]
 
@@ -253,6 +254,8 @@ class ApplicationFlowGraph:
 
     def to_networkx(self) -> nx.DiGraph:
         """Export for analysis/visualisation (node attrs carry the TaskNode)."""
+        import networkx as nx
+
         g = nx.DiGraph(name=self.name)
         for task in self._tasks.values():
             g.add_node(task.id, task=task)

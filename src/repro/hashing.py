@@ -1,4 +1,4 @@
-"""Canonical content hashing for task payloads.
+"""Canonical content hashing for task payloads, and canonical JSON.
 
 One hash function shared by every layer that moves or stores task
 output bytes: the checkpoint journal (``runtime/checkpoint.py``), the
@@ -12,17 +12,35 @@ the simulated and real Data Manager paths.
 Canonical across runs and processes: numpy arrays hash their dtype,
 shape and raw bytes; floats their IEEE-754 encoding; dicts their
 sorted items — never ``repr`` or pickle, whose output can vary.
+
+:func:`canonical_json` is the other byte-level agreement in the
+package: every hash taken over JSON (trace, metrics snapshot, explain
+report, journal record, campaign log) is taken over this one encoding.
 """
 
 from __future__ import annotations
 
 import hashlib
+import json
 import struct
 from typing import Any
 
 import numpy as np
 
-__all__ = ["value_hash"]
+__all__ = ["canonical_json", "value_hash"]
+
+#: built once per process: ``json.dumps(..., sort_keys=True, ...)`` would
+#: construct this same encoder on every call
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"))
+
+
+def canonical_json(value: Any) -> str:
+    """``value`` as JSON with sorted keys and no insignificant whitespace.
+
+    The bytes are those ``json.dumps`` gives with the same two
+    settings: ASCII-only, shortest round-trip float ``repr``, one line.
+    """
+    return _CANONICAL.encode(value)
 
 
 def _feed(h, value: Any) -> None:

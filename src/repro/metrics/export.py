@@ -18,6 +18,7 @@ import hashlib
 import json
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
+from repro.hashing import canonical_json
 from repro.metrics.registry import (
     Counter,
     Gauge,
@@ -112,7 +113,7 @@ def registry_snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
 
 def snapshot_to_json(snapshot: Dict[str, Any]) -> str:
     """Canonical serialisation (sorted keys, minimal separators)."""
-    return json.dumps(snapshot, sort_keys=True, separators=(",", ":")) + "\n"
+    return canonical_json(snapshot) + "\n"
 
 
 def snapshot_hash(snapshot: Dict[str, Any]) -> str:

@@ -28,10 +28,10 @@ same seed produce byte-identical reports.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
+from repro.hashing import canonical_json
 from repro.obs.spans import SpanKind
 from repro.trace.events import EventKind, TraceEvent
 
@@ -92,6 +92,8 @@ PRIORITY: Tuple[str, ...] = (
 #: every category a breakdown reports, in canonical order
 CATEGORIES: Tuple[str, ...] = PRIORITY + ("other",)
 
+_RANK = {category: rank for rank, category in enumerate(PRIORITY)}
+
 _SPAN_KINDS = frozenset(
     (EventKind.SPAN_OPEN, EventKind.SPAN_CLOSE, EventKind.SPAN_ORPHAN)
 )
@@ -128,6 +130,20 @@ class SpanNode:
             yield from child.walk()
 
 
+def _span_events(
+    events: Iterable[TraceEvent],
+) -> Tuple[List[TraceEvent], float]:
+    """The span events of a trace, in order, and the trace's end time."""
+    span_events = []
+    last_time = 0.0
+    for event in events:
+        if event.time > last_time:
+            last_time = event.time
+        if event.kind in _SPAN_KINDS:
+            span_events.append(event)
+    return span_events, last_time
+
+
 def build_forest(events: Iterable[TraceEvent]) -> List[SpanNode]:
     """Span forest from a trace; unclosed spans are closed at trace end.
 
@@ -135,12 +151,12 @@ def build_forest(events: Iterable[TraceEvent]) -> List[SpanNode]:
     Children are sorted by (open_time, span_id), so the forest is
     deterministic regardless of event interleaving.
     """
+    return _forest(*_span_events(events))
+
+
+def _forest(span_events: List[TraceEvent], last_time: float) -> List[SpanNode]:
     nodes: Dict[int, SpanNode] = {}
-    last_time = 0.0
-    for event in events:
-        last_time = max(last_time, event.time)
-        if event.kind not in _SPAN_KINDS:
-            continue
+    for event in span_events:
         data = event.data
         span_id = int(data["span_id"])
         if event.kind == EventKind.SPAN_OPEN:
@@ -234,29 +250,40 @@ def _sweep(window: Tuple[float, float],
     segment is charged to the highest-priority active category (or
     ``other`` when none is active).  The returned sums add up to
     exactly ``window[1] - window[0]`` up to float associativity.
+
+    A boundary sweep: one pass over the intervals notes, at each
+    boundary point, which priority ranks gain or lose an active
+    interval there; one pass over the sorted boundaries keeps the
+    running count per rank and charges each segment to the first rank
+    whose count is non-zero.  A clamped interval covers a segment iff
+    it starts at or before the segment's left end and ends after it
+    (both ends are boundaries), which is what the running counts hold —
+    so the segments, their order and every ``right - left`` added are
+    those of testing each interval against each segment, at
+    O(n log n) for the sort instead of O(n^2).
     """
     w0, w1 = window
     out = {c: 0.0 for c in CATEGORIES}
     if w1 <= w0:
         return out
-    clamped = []
-    points = {w0, w1}
+    #: boundary point -> [(rank, +1 | -1)] taking effect there
+    steps: Dict[float, List[Tuple[int, int]]] = {w0: [], w1: []}
     for start, end, category in intervals:
         start, end = max(start, w0), min(end, w1)
         if end <= start:
             continue
-        clamped.append((start, end, category))
-        points.add(start)
-        points.add(end)
-    rank = {c: i for i, c in enumerate(PRIORITY)}
-    bounds = sorted(points)
+        rank = _RANK[category]
+        steps.setdefault(start, []).append((rank, 1))
+        steps.setdefault(end, []).append((rank, -1))
+    active = [0] * len(PRIORITY)
+    bounds = sorted(steps)
     for left, right in zip(bounds, bounds[1:]):
-        mid_best: Optional[str] = None
-        for start, end, category in clamped:
-            if start <= left and end >= right:
-                if mid_best is None or rank[category] < rank[mid_best]:
-                    mid_best = category
-        out[mid_best if mid_best is not None else "other"] += right - left
+        for rank, step in steps[left]:
+            active[rank] += step
+        owner = next(
+            (PRIORITY[rank] for rank, n in enumerate(active) if n), "other"
+        )
+        out[owner] += right - left
     return out
 
 
@@ -303,8 +330,8 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
     window, per-task breakdowns, and top-``top`` slow tasks.  Globally:
     top hosts by execute time and the span-integrity summary.
     """
-    events = list(events)
-    roots = build_forest(events)
+    span_events, last_time = _span_events(events)
+    roots = _forest(span_events, last_time)
     app_roots: Dict[str, List[SpanNode]] = {}
     for root in roots:
         if root.kind == SpanKind.APP:
@@ -363,9 +390,9 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
     top_hosts = sorted(
         host_execute.items(), key=lambda kv: (-kv[1], kv[0])
     )[:top]
-    integrity = span_integrity(events)
+    integrity = span_integrity(span_events)
     orphaned = sum(
-        1 for e in events if e.kind == EventKind.SPAN_ORPHAN
+        1 for e in span_events if e.kind == EventKind.SPAN_ORPHAN
     )
     return {
         "schema_version": ATTRIBUTION_SCHEMA_VERSION,
@@ -393,9 +420,7 @@ def _round_floats(value: Any, digits: int = 9) -> Any:
 
 def report_to_json(report: Dict[str, Any]) -> str:
     """Canonical JSON: 9-decimal rounding, sorted keys, trailing newline."""
-    return json.dumps(
-        _round_floats(report), sort_keys=True, separators=(",", ":")
-    ) + "\n"
+    return canonical_json(_round_floats(report)) + "\n"
 
 
 def report_hash(report: Dict[str, Any]) -> str:

@@ -47,7 +47,7 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.serialize import afg_from_dict, afg_to_dict
 from repro.errors import JournalCorruptError
-from repro.hashing import value_hash
+from repro.hashing import canonical_json, value_hash
 from repro.scheduler.allocation import AllocationTable
 
 __all__ = [
@@ -89,7 +89,7 @@ def decode_value(encoded: str) -> Any:
 
 
 def _record_crc(body: Dict[str, Any]) -> str:
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
+    payload = canonical_json(body)
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
 
 
@@ -129,7 +129,7 @@ class CheckpointJournal:
         body = {"kind": kind, **fields}
         line_obj = dict(body)
         line_obj["crc"] = _record_crc(body)
-        line = json.dumps(line_obj, sort_keys=True, separators=(",", ":")) + "\n"
+        line = canonical_json(line_obj) + "\n"
         raw = line.encode("utf-8")
         if self.path is not None:
             with open(self.path, "ab") as fh:

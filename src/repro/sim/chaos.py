@@ -88,11 +88,11 @@ whole outcome — the regression oracle the CLI and CI lean on.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.hashing import canonical_json
 from repro.sim.failures import FailureInjector
 from repro.sim.host import HostDownError
 from repro.sim.kernel import Timeout
@@ -562,7 +562,7 @@ class ChaosReport:
 
     def campaign_hash(self) -> str:
         """Content hash of the whole campaign outcome (I3's oracle)."""
-        payload = json.dumps(self.to_dict(), sort_keys=True, separators=(",", ":"))
+        payload = canonical_json(self.to_dict())
         return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

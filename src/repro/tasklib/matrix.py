@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, List, Sequence
 
 import numpy as np
-import scipy.linalg
 
 from repro.tasklib.base import ParallelModel, TaskSignature
 
@@ -45,12 +44,16 @@ def generate_spd(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 
 def lu_decomposition(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import scipy.linalg
+
     a = _as_matrix(inputs[0])
     lu, piv = scipy.linalg.lu_factor(a)
     return [(lu, piv)]
 
 
 def triangular_solve(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import scipy.linalg
+
     (lu, piv), b = inputs
     x = scipy.linalg.lu_solve((lu, piv), np.asarray(b, dtype=float))
     return [x]

@@ -13,7 +13,6 @@ from __future__ import annotations
 from typing import Any, List, Sequence
 
 import numpy as np
-import scipy.signal
 
 from repro.tasklib.base import ParallelModel, TaskSignature
 
@@ -42,6 +41,8 @@ def synthesize(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def lowpass_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
     """4th-order Butterworth low-pass at 0.2 cycles/sample."""
+    import scipy.signal
+
     signal = np.asarray(inputs[0], dtype=float)
     b, a = scipy.signal.butter(4, 0.4)  # 0.2 cycles/sample = 0.4 Nyquist
     return [scipy.signal.filtfilt(b, a, signal)]
@@ -49,6 +50,8 @@ def lowpass_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def spectrum(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Welch power spectral density estimate."""
+    import scipy.signal
+
     signal = np.asarray(inputs[0], dtype=float)
     nperseg = min(1024, len(signal))
     freqs, psd = scipy.signal.welch(signal, nperseg=nperseg)
@@ -57,6 +60,8 @@ def spectrum(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def detect_peaks(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Peak frequencies from a PSD, strongest first."""
+    import scipy.signal
+
     spec = np.asarray(inputs[0], dtype=float)
     freqs, psd = spec[0], spec[1]
     indices, _ = scipy.signal.find_peaks(psd, prominence=psd.max() * 0.05)
@@ -66,6 +71,8 @@ def detect_peaks(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def correlate_frames(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Normalised cross-correlation peak between two frames (lag, value)."""
+    import scipy.signal
+
     a = np.asarray(inputs[0], dtype=float)
     b = np.asarray(inputs[1], dtype=float)
     a = (a - a.mean()) / (a.std() + 1e-12)
@@ -77,6 +84,8 @@ def correlate_frames(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def decimate(inputs: Sequence[Any], scale: float) -> List[Any]:
     """8x decimation with anti-aliasing."""
+    import scipy.signal
+
     signal = np.asarray(inputs[0], dtype=float)
     return [scipy.signal.decimate(signal, 8)]
 

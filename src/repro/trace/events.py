@@ -125,9 +125,17 @@ KNOWN_KINDS = frozenset(
 )
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class TraceEvent:
-    """One structured trace record."""
+    """One structured trace record.
+
+    Slotted and built by a plain ``__init__``: a traced run constructs
+    one per event (tens of thousands per application), so the record
+    costs five attribute stores, not a ``__dict__`` plus the five
+    ``object.__setattr__`` calls a frozen dataclass pays.  Treat events
+    as immutable all the same — :func:`~repro.trace.serialize.trace_hash`
+    is only an identity for a trace nobody edits.
+    """
 
     #: virtual time (simulated runs) or caller-clock time (real runs)
     time: float
@@ -141,7 +149,7 @@ class TraceEvent:
     data: Dict[str, Any] = field(default_factory=dict)
 
     def to_dict(self) -> Dict[str, Any]:
-        """Plain-dict form (the JSONL wire format)."""
+        """Plain-dict form (the JSONL wire format); ``data`` is copied."""
         return {
             "time": self.time,
             "seq": self.seq,

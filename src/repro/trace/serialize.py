@@ -15,6 +15,7 @@ import hashlib
 import json
 from typing import Iterable, List, Sequence, Union
 
+from repro.hashing import canonical_json
 from repro.trace.events import TraceEvent
 from repro.trace.tracer import Tracer
 
@@ -45,7 +46,13 @@ def _events_of(trace: TraceLike) -> List[TraceEvent]:
 
 def event_to_json(event: TraceEvent) -> str:
     """Canonical single-line JSON for one event."""
-    return json.dumps(event.to_dict(), sort_keys=True, separators=(",", ":"))
+    return canonical_json({
+        "time": event.time,
+        "seq": event.seq,
+        "kind": event.kind,
+        "source": event.source,
+        "data": event.data,
+    })
 
 
 def events_to_jsonl(trace: TraceLike) -> str:
@@ -55,9 +62,8 @@ def events_to_jsonl(trace: TraceLike) -> str:
     :func:`trace_hash` is computed over the events only, so adding or
     bumping the header never changes a trace's identity.
     """
-    header = json.dumps(
-        {"trace_header": {"schema_version": TRACE_SCHEMA_VERSION}},
-        sort_keys=True, separators=(",", ":"),
+    header = canonical_json(
+        {"trace_header": {"schema_version": TRACE_SCHEMA_VERSION}}
     )
     lines = [header] + [event_to_json(e) for e in _events_of(trace)]
     return "\n".join(lines) + "\n"
@@ -111,8 +117,7 @@ def trace_hash(trace: TraceLike) -> str:
     """SHA-256 over the canonical JSONL — the trace's stable identity."""
     digest = hashlib.sha256()
     for event in _events_of(trace):
-        digest.update(event_to_json(event).encode("utf-8"))
-        digest.update(b"\n")
+        digest.update((event_to_json(event) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
 

@@ -30,6 +30,12 @@ from repro.trace.events import EventKind, TraceEvent
 
 __all__ = ["NULL_TRACER", "NullTracer", "Tracer"]
 
+#: payload types that are already JSON scalars; :meth:`Tracer.emit`
+#: stores these as they are.  Exact types only — a ``str``/``int``/
+#: ``float`` subclass (numpy scalars, enums) still goes through
+#: :func:`_jsonify`.
+_PLAIN = frozenset((str, int, float, bool, type(None)))
+
 
 def _jsonify(value: Any) -> Any:
     """Coerce a payload value to something ``json.dumps`` accepts.
@@ -88,14 +94,19 @@ class Tracer:
     # -- recording ---------------------------------------------------------
 
     def emit(self, kind: str, source: str = "", **data: Any) -> TraceEvent:
-        """Record one event at the current clock reading."""
-        event = TraceEvent(
-            time=self.now,
-            seq=next(self._seq),
-            kind=kind,
-            source=source,
-            data={k: _jsonify(v) for k, v in data.items()},
-        )
+        """Record one event at the current clock reading.
+
+        ``data`` is this call's own keyword dict, so it becomes the
+        event's payload in place; only values that are not already
+        plain JSON scalars are converted.
+        """
+        for key, value in data.items():
+            if type(value) not in _PLAIN:
+                data[key] = _jsonify(value)
+        time = self._clock()
+        if type(time) is not float:
+            time = float(time)
+        event = TraceEvent(time, next(self._seq), kind, source, data)
         self._events.append(event)
         return event
 

@@ -1,0 +1,167 @@
+"""Telemetry must cost in proportion to what it records.
+
+Three machine-independent gates on the write / encode / read stages of
+the telemetry path, and one on what ``import repro`` drags in:
+
+* reading a trace back is O(n log n): the wait-state sweep used to test
+  every interval against every elementary segment (40 000 intervals is
+  3 x 10^9 comparisons — minutes), so the bounds below are cliff
+  detectors, not stopwatches;
+* a cold ``import repro`` loads none of the optional heavyweights
+  (scipy and networkx were 1.1 s of a 1.3 s import and 80 MB of RSS,
+  paid by every process that never executed a payload);
+* ``Tracer.emit`` converts only the payload values that need it: almost
+  every value is already a plain ``str``/``int``/``float``, and sending
+  each through ``_jsonify`` was four calls per event.
+
+This file runs in the ``bench`` CI job, which installs neither scipy nor
+Hypothesis.
+"""
+
+import os
+import subprocess
+import sys
+import time
+
+import repro
+from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
+from repro.obs.spans import SpanKind, SpanRecorder
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.scheduler import SiteScheduler
+from repro.sim import TopologyBuilder
+from repro.trace import tracer as tracer_module
+from repro.trace.tracer import Tracer
+from repro.workloads import RandomDAGConfig, random_dag
+
+
+# -- read: the sweep and explain scale as n log n -----------------------------
+
+def test_sweep_over_40k_intervals_is_not_quadratic():
+    n = 40_000
+    # overlapping, all nine categories, ~2n distinct boundaries
+    intervals = [
+        (i * 0.37, i * 0.37 + 1.0 + (i % 11) * 0.53, PRIORITY[i % len(PRIORITY)])
+        for i in range(n)
+    ]
+    window = (5.0, n * 0.37)
+    started = time.perf_counter()
+    out = _sweep(window, intervals)
+    elapsed = time.perf_counter() - started
+    assert elapsed < 2.0
+    assert list(out) == list(CATEGORIES)
+    assert abs(sum(out.values()) - (window[1] - window[0])) < 1e-6
+
+
+def span_trace(n_tasks: int, width: int = 16):
+    """One application of ``n_tasks`` tasks, ``width`` at a time, each
+    input_wait -> execute -> stage_out: 4 spans and 8 events per task,
+    every span a descendant of the one root window."""
+    clock = [0.0]
+    tracer = Tracer(clock=lambda: clock[0])
+    spans = SpanRecorder(tracer)
+    root = spans.root_of("app")
+    for wave in range(n_tasks // width):
+        t0 = wave * 1.0
+        for k in range(width):
+            task_id = f"t{wave * width + k}"
+            start = t0 + k * 0.01
+            clock[0] = start
+            task = spans.open(SpanKind.TASK, "app", parent=root, task=task_id)
+            wait = spans.open(SpanKind.INPUT_WAIT, "app", parent=task)
+            clock[0] = start + 0.1
+            spans.close(wait)
+            run = spans.open(SpanKind.EXECUTE, "app", parent=task,
+                             host=f"h{k}", task=task_id)
+            clock[0] = start + 0.7
+            spans.close(run)
+            out = spans.open(SpanKind.STAGE_OUT, "app", parent=task)
+            clock[0] = start + 0.8
+            spans.close(out)
+            spans.close(task)
+    clock[0] = n_tasks / width + 1.0
+    spans.close_root("app")
+    return tracer.events()
+
+
+def explain_seconds(n_tasks: int, repeats: int = 3) -> float:
+    events = span_trace(n_tasks)
+    best = float("inf")
+    for _ in range(repeats):
+        started = time.perf_counter()
+        report = explain(events)
+        best = min(best, time.perf_counter() - started)
+    app = report["apps"]["app"]
+    assert len(app["tasks"]) == n_tasks
+    assert abs(app["breakdown_residual_s"]) < 1e-6
+    assert not report["integrity"]["violations"]
+    return best
+
+
+def test_explain_grows_like_n_log_n():
+    """4x the tasks: n log n is ~4.4x, the quadratic root sweep ~16x."""
+    at_1k = explain_seconds(1024)
+    at_4k = explain_seconds(4096)
+    assert at_4k < 8.0 * at_1k
+
+
+# -- cold start: what ``import repro`` loads ----------------------------------
+
+def test_import_repro_loads_no_optional_heavyweight():
+    src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    child = subprocess.run(
+        [sys.executable, "-c",
+         "import repro, sys; print(' '.join(sorted("
+         "{m.split('.')[0] for m in sys.modules})))"],
+        env=env, capture_output=True, text=True, check=True, timeout=120,
+    )
+    loaded = set(child.stdout.split())
+    assert "repro" in loaded and "numpy" in loaded
+    assert not loaded & {"scipy", "networkx", "flask", "matplotlib"}
+
+
+# -- write: emit converts only what needs converting --------------------------
+
+def test_jsonify_entered_less_than_once_per_event(monkeypatch):
+    """A 64-task traced run with causal spans on, 2 sites x 4 hosts."""
+    entered = [0]
+    original = tracer_module._jsonify
+
+    def counting(value):
+        entered[0] += 1
+        return original(value)
+
+    monkeypatch.setattr(tracer_module, "_jsonify", counting)
+
+    speeds = (1.0, 1.5, 2.0, 2.5)
+    builder = (
+        TopologyBuilder(seed=0)
+        .lan_defaults(0.0005, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(2):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
+            for h in range(4)
+        ])
+    tracer = Tracer()
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig(causal_spans=True),
+                     tracer=tracer)
+    rt.start_monitoring()
+    afg = random_dag(RandomDAGConfig(
+        n_tasks=64, width=16, mean_cost=3.0, ccr=0.3, seed=7))
+
+    def pipeline():
+        table, _ = yield from rt.schedule_process(
+            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0"
+        )
+        return (yield rt.execute_process(
+            afg, table, submit_site="site-0", execute_payloads=False
+        ))
+
+    result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
+    assert len(result.records) == 64
+    events = len(tracer)
+    assert events > 64 * 10
+    # recursion into list / dict payloads goes through the wrapper too
+    assert 0 < entered[0] < events
