@@ -19,8 +19,9 @@ Commands:
   and top-k slow tasks/hosts, and hash the canonical report;
 * ``experiments`` — print the experiment index (DESIGN.md §4) and the
   bench command that regenerates each one;
-* ``bench`` — run the benchmark trajectory (wall time + determinism
-  oracles), optionally comparing against a committed ``BENCH_*.json``;
+* ``bench`` — run the behaviour gate (three fixed-seed scenarios, trace
+  and metrics hashes), optionally comparing against the committed
+  ``BENCH_6.json``; wall-clock measurement is ``python -m bench``;
 * ``resume <dir>`` — resume an interrupted application from a
   checkpoint directory written by ``run --journal`` (optionally
   checking resume equivalence against expected output hashes);
@@ -32,6 +33,7 @@ Commands:
 from __future__ import annotations
 
 import argparse
+import json
 import sys
 from typing import List, Optional, Sequence
 
@@ -377,6 +379,22 @@ def cmd_analyze(args) -> int:
     return 0 if structural_diff(events, events2)["identical"] else 2
 
 
+def _write_text(path: str, text: str, what: str) -> bool:
+    """Write ``text`` to ``path``; on failure report it and return False."""
+    try:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"error: cannot write {what} to {path}: {exc}")
+        return False
+    return True
+
+
+def _json_text(value) -> str:
+    """The layout every hashes/log file uses (what ``diff`` in CI sees)."""
+    return json.dumps(value, indent=2, sort_keys=True) + "\n"
+
+
 def _import_harness():
     import os
 
@@ -390,8 +408,6 @@ def _import_harness():
 
 def cmd_explain(args) -> int:
     """Attribute an application's wall time from its causal span trace."""
-    import json as _json
-
     from repro.obs.attribution import (
         CATEGORIES, explain, report_hash, report_to_json,
     )
@@ -475,29 +491,16 @@ def cmd_explain(args) -> int:
     digest = report_hash(report)
     print(f"\nreport hash: {digest}")
     if args.json:
-        try:
-            with open(args.json, "w", encoding="utf-8") as fh:
-                fh.write(report_to_json(report))
-        except OSError as exc:
-            print(f"error: cannot write report to {args.json}: {exc}")
+        if not _write_text(args.json, report_to_json(report), "report"):
             return 1
         print(f"report written to {args.json}")
     if args.hashes:
-        try:
-            with open(args.hashes, "w", encoding="utf-8") as fh:
-                _json.dump({"report": digest}, fh, indent=2, sort_keys=True)
-                fh.write("\n")
-        except OSError as exc:
-            print(f"error: cannot write hash to {args.hashes}: {exc}")
+        if not _write_text(args.hashes, _json_text({"report": digest}), "hash"):
             return 1
         print(f"report hash written to {args.hashes}")
     if args.profile:
         stacks = folded_stacks(events)
-        try:
-            with open(args.profile, "w", encoding="utf-8") as fh:
-                fh.write(format_folded(stacks))
-        except OSError as exc:
-            print(f"error: cannot write profile to {args.profile}: {exc}")
+        if not _write_text(args.profile, format_folded(stacks), "profile"):
             return 1
         print(f"folded-stack profile ({len(stacks)} stacks) written to "
               f"{args.profile} — load it in speedscope.app")
@@ -645,8 +648,6 @@ def cmd_selftest(args) -> int:
 
 def cmd_resume(args) -> int:
     """Resume an interrupted application from a checkpoint directory."""
-    import json as _json
-
     from repro.runtime.checkpoint import final_output_hashes, resume_run
 
     tracer = None
@@ -687,14 +688,13 @@ def cmd_resume(args) -> int:
     for task_id in sorted(hashes):
         print(f"  {task_id}: {hashes[task_id]}")
     if args.hashes:
-        with open(args.hashes, "w", encoding="utf-8") as fh:
-            _json.dump(hashes, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if not _write_text(args.hashes, _json_text(hashes), "output hashes"):
+            return 1
         print(f"output hashes written to {args.hashes}")
     if args.expect:
         try:
             with open(args.expect, encoding="utf-8") as fh:
-                expected = _json.load(fh)
+                expected = json.load(fh)
         except (OSError, ValueError) as exc:
             print(f"error: cannot load expected hashes {args.expect}: {exc}")
             return 1
@@ -726,8 +726,6 @@ def cmd_serve(args) -> int:  # pragma: no cover - starts a real server
 
 def cmd_chaos(args) -> int:
     """Run a chaos campaign; exit 1 on any invariant violation."""
-    import json as _json
-
     from repro.sim.chaos import (
         ChaosConfig, churn_smoke_config, corruption_smoke_config,
         run_campaign, slowdown_smoke_config, smoke_config, storm_config,
@@ -838,14 +836,13 @@ def cmd_chaos(args) -> int:
             )
 
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            _json.dump(report.to_dict(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if not _write_text(args.log, _json_text(report.to_dict()),
+                           "campaign log"):
+            return 1
         print(f"campaign log written to {args.log}")
     if args.hashes:
-        with open(args.hashes, "w", encoding="utf-8") as fh:
-            _json.dump(hashes, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        if not _write_text(args.hashes, _json_text(hashes), "hashes"):
+            return 1
         print(f"hashes written to {args.hashes}")
 
     print(f"trace hash:    {report.trace_hash}")
@@ -860,9 +857,7 @@ def cmd_chaos(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Run the benchmark trajectory harness (benchmarks/harness.py)."""
-    import json as _json
-
+    """Run the behaviour gate's scenarios (benchmarks/harness.py)."""
     try:
         # benchmarks/ is a repo-root package, not an installed one;
         # running from anywhere inside a checkout still works
@@ -872,66 +867,43 @@ def cmd_bench(args) -> int:
               "bench' from the repository root")
         return 1
 
-    document = harness.run_all(
-        quick=args.quick,
-        with_reference=args.with_reference,
-        label=args.label,
-    )
-    if args.baseline:
-        try:
-            with open(args.baseline, encoding="utf-8") as fh:
-                harness.embed_baseline(document, _json.load(fh))
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load baseline {args.baseline}: {exc}")
-            return 1
+    document = harness.run_all()
     print(harness.format_document(document))
     if args.out:
-        try:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(harness.to_json(document))
-        except OSError as exc:
-            print(f"error: cannot write bench document to {args.out}: {exc}")
+        if not _write_text(args.out, harness.to_json(document),
+                           "bench document"):
             return 1
         print(f"\nbench document written to {args.out}")
     if args.profile:
-        # a separate spans-on pass per scenario: the timed/hashed passes
-        # above never see spans, so the document's hashes are untouched
+        # a separate spans-on pass per scenario: the hashed pass above
+        # never sees spans, so the document's hashes are untouched
         from repro.obs.profile import folded_stacks, format_folded
 
         stacks = {}
         for name in harness.SCENARIO_ORDER:
             events = harness.run_traced(name, causal_spans=True)
             stacks.update(folded_stacks(events, prefix=name))
-        try:
-            with open(args.profile, "w", encoding="utf-8") as fh:
-                fh.write(format_folded(stacks))
-        except OSError as exc:
-            print(f"error: cannot write profile to {args.profile}: {exc}")
+        if not _write_text(args.profile, format_folded(stacks), "profile"):
             return 1
         print(f"folded-stack profile ({len(stacks)} stacks) written to "
               f"{args.profile} — load it in speedscope.app")
     if args.compare:
         try:
             with open(args.compare, encoding="utf-8") as fh:
-                previous = _json.load(fh)
+                previous = json.load(fh)
         except (OSError, ValueError) as exc:
             print(f"error: cannot load previous bench document "
                   f"{args.compare}: {exc}")
             return 1
-        problems = harness.compare(
-            previous, document,
-            tolerance=args.tolerance, hash_only=args.hash_only,
-        )
+        problems = harness.compare(previous, document)
         if problems:
             print(f"\ncomparison vs {args.compare}: "
                   f"{len(problems)} problem(s)")
             for problem in problems:
                 print(f"  {problem}")
             return 1
-        detail = ("behaviour hashes identical" if args.hash_only else
-                  f"hashes identical, throughput within "
-                  f"{args.tolerance:.0%} of reference")
-        print(f"\ncomparison vs {args.compare}: clean ({detail})")
+        print(f"\ncomparison vs {args.compare}: clean "
+              f"(behaviour hashes identical)")
     return 0
 
 
@@ -1092,31 +1064,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     bench = sub.add_parser(
         "bench",
-        help="run the benchmark trajectory (wall time + behaviour hashes)")
-    bench.add_argument("--quick", action="store_true",
-                       help="one timed repetition per scenario instead of "
-                            "three (hashes are identical either way)")
+        help="run the behaviour gate: three fixed-seed scenarios, hashed")
     bench.add_argument("--out", metavar="PATH",
                        help="write the canonical bench JSON to PATH")
     bench.add_argument("--compare", metavar="PATH",
-                       help="previous BENCH_*.json: exit 1 on any "
-                            "trace-hash change or throughput regression")
-    bench.add_argument("--hash-only", action="store_true",
-                       help="with --compare: check only the behaviour "
-                            "hashes (wall clocks differ across machines)")
-    bench.add_argument("--tolerance", type=float,
-                       default=0.20,
-                       help="with --compare: allowed fractional throughput "
-                            "drop (default 0.20)")
-    bench.add_argument("--with-reference", action="store_true",
-                       help="re-run every scenario with all perf flags off "
-                            "and embed the reference + speedup")
-    bench.add_argument("--baseline", metavar="PATH",
-                       help="an older bench document (pre-optimization "
-                            "code) to embed verbatim as this document's "
-                            "fixed baseline, with speedup_vs_baseline")
-    bench.add_argument("--label", default="BENCH_6",
-                       help="document label (the committed file's stem)")
+                       help="a committed BENCH_*.json: exit 1 if any "
+                            "scenario's trace or metrics hash differs")
     bench.add_argument("--profile", metavar="PATH",
                        help="also run every scenario with causal spans on "
                             "and write the span self-time profile to PATH "

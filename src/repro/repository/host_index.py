@@ -1,10 +1,9 @@
 """Per-site indexed host tables for the host-selection hot path.
 
-The reference path (:meth:`~repro.repository.store.SiteRepository.
-runnable_up_hosts` + the name sort in :func:`~repro.scheduler.
-host_selection.candidate_hosts`) walks every registered host and
+A linear scan (:meth:`~repro.repository.store.SiteRepository.
+runnable_up_hosts`) plus a name sort walks every registered host and
 re-sorts the survivors on **every** ``Predict`` round — O(hosts log
-hosts) per task per site.  The populations those scans iterate over
+hosts) per task per site.  The populations such a scan iterates over
 change only on registration events (host or executable registered,
 host decommissioned), which both member databases already version.
 
@@ -19,11 +18,11 @@ of the two version counters (population changes bump
 ``registration_version``, in-place drains bump ``state_version``), so
 every join/drain/depart/rejoin invalidates the cache by construction.
 
-Equivalence argument (pinned by ``tests/scheduler/test_host_index.py``):
+Equivalence argument (pinned by ``tests/scheduler/test_host_index.py``
+against the scan + sort kept in ``tests/scheduler/_reference.py``):
 filtering commutes with sorting, so
 ``sorted(filter(up, runnable)) == filter(up, sorted(runnable))`` — the
-index returns exactly the reference answer in exactly the reference
-order.
+index returns exactly the scan's answer in name order.
 """
 
 from __future__ import annotations

@@ -35,8 +35,8 @@ class SiteRepository:
         self.resources = ResourcePerformanceDB(site_name)
         self.task_perf = TaskPerformanceDB(site_name)
         self.constraints = TaskConstraintsDB(site_name)
-        #: perf-layer accessories (see repro.perf): version-invalidated,
-        #: derived state only — never serialized, rebuilt on restore
+        #: host-selection accessories: version-invalidated, derived
+        #: state only — never serialized, rebuilt on restore
         self.host_index = HostIndex(self.resources, self.constraints)
         self.predict_cache = PredictCache(self.host_index, self.task_perf)
         # Symmetry guards (issue 10): removing one side of a host's
@@ -105,11 +105,14 @@ class SiteRepository:
     def runnable_up_hosts(self, task_type: str) -> list:
         """Hosts that are up, ACTIVE members, and have the executable.
 
-        The intersection the host-selection algorithm iterates over.
-        Non-ACTIVE membership states (joining, draining, rejoining) are
-        excluded here — the reference semantics the host index must
-        reproduce — so a draining host stops attracting placements the
-        instant its transition is recorded.
+        The intersection the host-selection algorithm iterates over,
+        by linear scan in registration order: what the baselines and the
+        chaos I16 audit read, and the definition
+        :class:`~repro.repository.host_index.HostIndex` (host selection's
+        name-sorted, cached form) is tested against.  Non-ACTIVE
+        membership states (joining, draining, rejoining) are excluded,
+        so a draining host stops attracting placements the instant its
+        transition is recorded.
         """
         return [
             record

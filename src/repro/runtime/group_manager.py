@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-import repro.perf as perf
 from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
 from repro.runtime.monitor import Measurement
 from repro.runtime.stats import RuntimeStats
@@ -134,8 +133,8 @@ class GroupManager:
         self._suspected: Dict[str, bool] = {h.name: False for h in group}
         self._echo_process: Optional[Process] = None
         #: pre-labelled counter handles for the measurement fast path,
-        #: resolved lazily at first use so instrument-family creation
-        #: happens at the same instant as on the reference path
+        #: resolved lazily at first use: family registration order is
+        #: part of the metrics snapshot
         self._suppressed_child = None
         self._forwards_child = None
         self.false_positives = 0
@@ -307,19 +306,13 @@ class GroupManager:
         if last is not None and abs(measurement.load - last) < self.change_threshold:
             self.stats.workload_suppressed += 1
             if metrics.enabled:
-                if perf.FLAGS.batched_bookkeeping:
-                    child = self._suppressed_child
-                    if child is None:
-                        child = self._suppressed_child = metrics.counter(
-                            "vdce_workload_suppressed_by_group_total",
-                            "measurements filtered by the significant-change test",
-                        ).child(group=self.name)
-                    child.inc()
-                else:
-                    metrics.counter(
+                child = self._suppressed_child
+                if child is None:
+                    child = self._suppressed_child = metrics.counter(
                         "vdce_workload_suppressed_by_group_total",
                         "measurements filtered by the significant-change test",
-                    ).inc(group=self.name)
+                    ).child(group=self.name)
+                child.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
                     EventKind.WORKLOAD_SUPPRESS, source=f"gm:{self.name}",
@@ -329,19 +322,13 @@ class GroupManager:
         self._last_forwarded[measurement.host] = measurement.load
         self.stats.workload_forwards += 1
         if metrics.enabled:
-            if perf.FLAGS.batched_bookkeeping:
-                child = self._forwards_child
-                if child is None:
-                    child = self._forwards_child = metrics.counter(
-                        "vdce_workload_forwards_by_group_total",
-                        "significant measurements forwarded to the Site Manager",
-                    ).child(group=self.name)
-                child.inc()
-            else:
-                metrics.counter(
+            child = self._forwards_child
+            if child is None:
+                child = self._forwards_child = metrics.counter(
                     "vdce_workload_forwards_by_group_total",
                     "significant measurements forwarded to the Site Manager",
-                ).inc(group=self.name)
+                ).child(group=self.name)
+            child.inc()
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.WORKLOAD_FORWARD, source=f"gm:{self.name}",
@@ -365,35 +352,24 @@ class GroupManager:
     def _echo_loop(self, generation: int):
         rng = None  # echo:{gm}, taken on the first lossy echo
         echo_child = None
-        batched = False
         while True:
             yield Timeout(self.echo_period_s)
             if generation != self._generation:
                 return  # crashed (or failed over) since our last tick
             metrics = self.sim.metrics
-            batched = perf.FLAGS.batched_bookkeeping
-            if batched:
-                # one aggregate bump per round instead of one per host —
-                # counters are untimestamped, so the end-of-run snapshot
-                # is byte-identical to the per-host reference increments
-                n = len(self.group)
-                if n:
-                    self.stats.echo_packets += n
-                    if metrics.enabled:
-                        if echo_child is None:
-                            echo_child = metrics.counter(
-                                "vdce_echo_packets_by_group_total",
-                                "echo round trips attempted, per group",
-                            ).child(group=self.name)
-                        echo_child.inc(n)
-            for host in self.group:
-                if not batched:
-                    self.stats.echo_packets += 1
-                    if metrics.enabled:
-                        metrics.counter(
+            # one aggregate bump per round, not one per host: counters
+            # are untimestamped, so the end-of-run snapshot is the same
+            n = len(self.group)
+            if n:
+                self.stats.echo_packets += n
+                if metrics.enabled:
+                    if echo_child is None:
+                        echo_child = metrics.counter(
                             "vdce_echo_packets_by_group_total",
                             "echo round trips attempted, per group",
-                        ).inc(group=self.name)
+                        ).child(group=self.name)
+                    echo_child.inc(n)
+            for host in self.group:
                 # an echo round trip on the LAN; the response reflects the
                 # host's state when the packet arrives, and may be lost
                 responded = host.is_up()

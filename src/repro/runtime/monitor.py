@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import repro.perf as perf
 from repro.sim.host import Host
 from repro.sim.kernel import Process, Simulator, Timeout
 from repro.runtime.stats import RuntimeStats
@@ -91,11 +90,10 @@ class MonitorDaemon:
         )
 
     def _run(self):
-        # Pre-labelled instrument handles, resolved at the *first* report
-        # (same instant the reference path would register the families,
-        # so snapshots agree) and reused every period thereafter — the
-        # batched-bookkeeping flag's answer to three family lookups plus
-        # three label-key builds per host per period.
+        # Pre-labelled instrument handles, resolved at the first report
+        # (when the families are registered, which fixes their snapshot
+        # order) and reused every period thereafter — not three family
+        # lookups plus three label-key builds per host per period.
         reports_child = load_child = mem_child = None
         while True:
             if self._stopped:
@@ -112,38 +110,22 @@ class MonitorDaemon:
                 self.stats.monitor_reports += 1
                 metrics = self.sim.metrics
                 if metrics.enabled:
-                    if perf.FLAGS.batched_bookkeeping:
-                        if reports_child is None:
-                            reports_child = metrics.counter(
-                                "vdce_monitor_reports_by_host_total",
-                                "monitor measurements taken, per host",
-                            ).child(host=self.host.name)
-                            load_child = metrics.series(
-                                "vdce_host_load",
-                                "run-queue length sampled by the monitor daemon",
-                            ).child(host=self.host.name)
-                            mem_child = metrics.series(
-                                "vdce_host_available_memory_mb",
-                                "available memory sampled by the monitor daemon",
-                            ).child(host=self.host.name)
-                        reports_child.inc()
-                        load_child.observe(measurement.load)
-                        mem_child.observe(measurement.available_memory_mb)
-                    else:
-                        metrics.counter(
+                    if reports_child is None:
+                        reports_child = metrics.counter(
                             "vdce_monitor_reports_by_host_total",
                             "monitor measurements taken, per host",
-                        ).inc(host=measurement.host)
-                        metrics.series(
+                        ).child(host=self.host.name)
+                        load_child = metrics.series(
                             "vdce_host_load",
                             "run-queue length sampled by the monitor daemon",
-                        ).observe(measurement.load, host=measurement.host)
-                        metrics.series(
+                        ).child(host=self.host.name)
+                        mem_child = metrics.series(
                             "vdce_host_available_memory_mb",
                             "available memory sampled by the monitor daemon",
-                        ).observe(
-                            measurement.available_memory_mb, host=measurement.host
-                        )
+                        ).child(host=self.host.name)
+                    reports_child.inc()
+                    load_child.observe(measurement.load)
+                    mem_child.observe(measurement.available_memory_mb)
                 if self.tracer.enabled:
                     self.tracer.emit(
                         EventKind.MONITOR_REPORT,

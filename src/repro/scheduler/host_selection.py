@@ -50,7 +50,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.task import TaskNode
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
@@ -101,19 +100,12 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
     """Feasible hosts for ``task`` at this site, in stable name order.
 
     The sorted order is a repository invariant the rest of host
-    selection depends on (bids are built positionally from it); the
-    indexed and reference paths both uphold it, and
-    ``tests/scheduler/test_host_index.py`` pins the two paths to the
-    same answer.  Preference filters preserve relative order, so
-    filtering the index's pre-sorted table equals sorting the filtered
-    reference scan.
+    selection depends on (prediction rows are aligned with it).  The
+    host index hands out its table pre-sorted and the preference
+    filters preserve relative order; ``tests/scheduler/
+    test_host_index.py`` pins the answer to a linear scan + sort.
     """
-    if perf.FLAGS.host_index:
-        records = repo.host_index.runnable_up_hosts(task.task_type)
-        presorted = True
-    else:
-        records = repo.runnable_up_hosts(task.task_type)
-        presorted = False
+    records = repo.host_index.runnable_up_hosts(task.task_type)
     props = task.properties
     if props.preferred_machine is not None:
         records = [r for r in records if r.name == props.preferred_machine]
@@ -121,9 +113,7 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
         records = [
             r for r in records if _matches_machine_type(r, props.preferred_machine_type)
         ]
-    if presorted:
-        return records
-    return sorted(records, key=lambda r: r.name)
+    return records
 
 
 def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
@@ -157,19 +147,19 @@ def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
 class CommitmentLedger:
     """In-round commitment accounting with O(|related|) queries.
 
-    The reference path answers "how many tasks already placed on host
-    ``R`` can run concurrently with ``task_i``?" by rescanning *every*
-    commitment on ``R`` for every (task, host) prediction — O(total
-    commitments) per pair, quadratic over a large bag.  The ledger
-    keeps per-host totals and, once per queried task, a per-host count
-    of that task's *related* (ordered) placements; the concurrent count
-    is then ``total[R] - related_on[R]`` in O(1).
+    "How many tasks already placed on host ``R`` can run concurrently
+    with ``task_i``?"  Rescanning every commitment on ``R`` per (task,
+    host) prediction is O(total commitments) per pair, quadratic over a
+    large bag.  The ledger keeps per-host totals and, once per queried
+    task, a per-host count of that task's *related* (ordered)
+    placements; the concurrent count is then
+    ``total[R] - related_on[R]`` in O(1).
 
-    Equivalence: every committed task appears at most once per host
-    (bid host groups are duplicate-free), and relatedness is symmetric,
-    so subtracting the related placements from the total is exactly the
-    reference's "count others not in related[task]" — same float, every
-    query.
+    Every committed task appears at most once per host (bid host groups
+    are duplicate-free) and relatedness is symmetric, so subtracting
+    the related placements from the total is exactly "count others not
+    in related[task]" — ``tests/scheduler/test_commitment_ledger.py``
+    checks it against that rescan on random DAGs.
     """
 
     def __init__(self, related: Dict[str, Set[str]]):
@@ -187,21 +177,13 @@ class CommitmentLedger:
             total[host] = total.get(host, 0) + 1
         self._for_task = None  # per-task overlap is stale now
 
-    def extra_load(self, task_id: str, host_name: str) -> float:
-        """Concurrent in-round commitments on ``host_name`` vs ``task_id``."""
-        if task_id != self._for_task:
-            self._begin(task_id)
-        return float(
-            self._total.get(host_name, 0) - self._related_on.get(host_name, 0)
-        )
-
     def extra_load_fn(self, task_id: str):
-        """A one-argument ``extra_load_of`` bound to ``task_id``.
+        """``extra_load_of(host_name)`` bound to ``task_id``: the number
+        of in-round commitments on the host that can run concurrently
+        with the task.
 
         Precomputes the related-placement overlay now and returns a
-        flat closure — one call per host query instead of the
-        closure -> method trampoline, which the profile showed costing
-        as much as the arithmetic it wrapped.
+        flat closure, one call per host query.
         """
         if task_id != self._for_task:
             self._begin(task_id)
@@ -274,66 +256,44 @@ def bid_for_task(
     memory_mb = props.memory_mb if props.memory_mb > 0 else None
     task_type = task.task_type
     scale = props.workload_scale
-    if perf.FLAGS.predict_cache:
-        # The row kernel: Predict is separable (see scheduler.prediction),
-        # so the task half is computed once here, the host half comes
-        # from the repository's cached rows, and the loop body is
-        # ``model.predict``'s float operations in ``model.predict``'s
-        # order — every time is bit-identical to the reference below.
-        rows = repo.predict_cache.rows(task_type, model)
-        if len(rows) != len(candidates):
-            # a preference / quarantine / exclusion filter narrowed the
-            # candidates: select their rows, never touch the shared list
-            kept_names = {record.name for record in candidates}
-            rows = [row for row in rows if row[0] in kept_names]
-        span_work, required_mb = model.task_terms(
-            task_type, scale, n_nodes, repo.task_perf, memory_mb
-        )
-        memory_penalty = model.memory_penalty
-        # one host wanted (the hot case): keep the running minimum, not
-        # a list of pairs.  Rows are name-ordered and names unique, so
-        # the first strict minimum is min() over (time, name) tuples.
-        single = n_nodes == 1
-        best_time = best_name = None
-        pairs = []
-        for name, one_plus_load, speed, available_mb, calibration, noise in rows:
-            extra = extra_load_of(name)
-            if extra < 0:
-                raise ValueError("extra_load must be non-negative")
-            t = span_work * (one_plus_load + extra) / speed
-            if required_mb > available_mb:
-                t *= memory_penalty
-            t *= calibration
-            t *= noise
-            if factors:
-                t *= factors[name]
-            if not single:
-                pairs.append((t, name))
-            elif best_name is None or t < best_time:
-                best_time, best_name = t, name
-        if single:
-            pairs.append((best_time, best_name))
-    else:
-        pairs = [
-            (
-                model.predict(
-                    task_type,
-                    scale,
-                    n_nodes,
-                    record,
-                    repo.task_perf,
-                    memory_mb=memory_mb,
-                    extra_load=float(extra_load_of(record.name)),
-                )
-                * factors.get(record.name, 1.0),
-                record.name,
-            )
-            for record in candidates
-        ]
-    if n_nodes == 1:
-        # min over (time, name) tuples is sorted(...)[0]: same winner,
-        # same tie-break, no O(m log m) sort for the common case
-        best_time, best_name = min(pairs)
+    # The row kernel: Predict is separable (see scheduler.prediction),
+    # so the task half is computed once here, the host half comes from
+    # the repository's cached rows, and the loop body is
+    # ``PredictionModel.predict``'s float operations in ``predict``'s
+    # order (``tests/scheduler/test_predict_kernel.py`` holds the two
+    # to ``==``).
+    rows = repo.predict_cache.rows(task_type, model)
+    if len(rows) != len(candidates):
+        # a preference / quarantine / exclusion filter narrowed the
+        # candidates: select their rows, never touch the shared list
+        kept_names = {record.name for record in candidates}
+        rows = [row for row in rows if row[0] in kept_names]
+    span_work, required_mb = model.task_terms(
+        task_type, scale, n_nodes, repo.task_perf, memory_mb
+    )
+    memory_penalty = model.memory_penalty
+    # one host wanted (the hot case): keep the running minimum, not a
+    # list of pairs.  Rows are name-ordered and names unique, so the
+    # first strict minimum is min() over (time, name) tuples.
+    single = n_nodes == 1
+    best_time = best_name = None
+    pairs = []
+    for name, one_plus_load, speed, available_mb, calibration, noise in rows:
+        extra = extra_load_of(name)
+        if extra < 0:
+            raise ValueError("extra_load must be non-negative")
+        t = span_work * (one_plus_load + extra) / speed
+        if required_mb > available_mb:
+            t *= memory_penalty
+        t *= calibration
+        t *= noise
+        if factors:
+            t *= factors[name]
+        if not single:
+            pairs.append((t, name))
+        elif best_name is None or t < best_time:
+            best_time, best_name = t, name
+    if single:
         chosen_hosts: Tuple[str, ...] = (best_name,)
         predicted_time = best_time
     else:
@@ -394,22 +354,12 @@ def select_hosts(
             raise ValueError("order must be a permutation of the AFG's tasks")
         queue = list(order)
 
-    related = _reachability(afg)
-    ledger = CommitmentLedger(related) if perf.FLAGS.commit_ledger else None
-    #: in-round commitments: host -> task ids assigned there (reference)
-    committed: Dict[str, List[str]] = {}
+    #: in-round commitments: which hosts each placed task went to
+    ledger = CommitmentLedger(_reachability(afg))
 
     for task_id in queue:
         task = afg.task(task_id)
-
-        if ledger is not None:
-            concurrent_commitments = ledger.extra_load_fn(task_id)
-        else:
-            def concurrent_commitments(host_name: str, task_id=task_id) -> float:
-                others = committed.get(host_name, ())
-                return float(
-                    sum(1 for other in others if other not in related[task_id])
-                )
+        concurrent_commitments = ledger.extra_load_fn(task_id)
 
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
@@ -432,10 +382,6 @@ def select_hosts(
                 task=task.id, site=bid.site, hosts=bid.hosts,
                 predicted_time=bid.predicted_time,
             )
-        if ledger is not None:
-            ledger.commit(task_id, bid.hosts)
-        else:
-            for host_name in bid.hosts:
-                committed.setdefault(host_name, []).append(task_id)
+        ledger.commit(task_id, bid.hosts)
         results[task.id] = bid
     return results

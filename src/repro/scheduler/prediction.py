@@ -39,8 +39,10 @@ predict`'s float operations in :meth:`predict`'s order:
 IEEE arithmetic is not associative, so that order *is* the contract:
 ``one_plus_load`` is ``1.0 + load`` exactly as :meth:`predict`
 associates it, the factors are never pre-multiplied, and a term the
-model leaves out is the exact identity ``1.0``.  :meth:`predict` stays
-the straight-line reference the kernel is tested against, bit for bit.
+model leaves out is the exact identity ``1.0``.  :meth:`predict` is
+the straight-line form — what the baselines and the public API call,
+and what ``tests/scheduler/test_predict_kernel.py`` holds the kernel
+to, bit for bit.
 """
 
 from __future__ import annotations

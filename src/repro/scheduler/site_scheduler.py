@@ -42,7 +42,6 @@ import heapq
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Set, Tuple
 
-import repro.perf as perf
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
@@ -79,6 +78,11 @@ class _MaxStr(str):
 
     def __lt__(self, other) -> bool:  # pragma: no branch - trivial
         return str.__gt__(self, other)
+
+
+def _no_extra_load(host_name: str) -> float:
+    """``extra_load_of`` when in-round commitments are not accounted."""
+    return 0.0
 
 
 @dataclass
@@ -172,45 +176,37 @@ class SiteScheduler:
             return local_perf.base_cost(node.task_type, node.properties.workload_scale)
 
         levels = compute_levels(afg, cost)
-        related = _reachability(afg)
-        #: federation-wide in-round commitments — an O(1)-query ledger
-        #: on the optimized path, the reference host -> task-ids dict
-        #: otherwise (the two agree bid for bid; see CommitmentLedger)
+        #: federation-wide in-round commitments; None under the E13
+        #: ablation, where Predict ignores what this round already placed
         ledger: Optional[CommitmentLedger] = (
-            CommitmentLedger(related)
-            if perf.FLAGS.commit_ledger and self.account_commitments
-            else None
+            CommitmentLedger(_reachability(afg))
+            if self.account_commitments else None
         )
-        committed: Dict[str, List[str]] = {}
 
         table = AllocationTable(afg.name, scheduler=self.name)
         site_by_task: Dict[str, str] = {}
         placement_order: List[str] = []
 
-        # Step 6: ready set starts with the entry nodes.
+        # Step 6: ready set starts with the entry nodes.  With level
+        # priority it is a heap on (-level, _MaxStr(id)), so each pop is
+        # max(ready, key=(level, id)); the E9 ablation keeps a FIFO list.
         scheduled: Set[str] = set()
+        by_level = self.use_level_priority
         ready: List = sorted(afg.entry_tasks())
-        # Heap-backed priority queue: each pop returns exactly
-        # max(ready, key=(level, id)) without the O(n) scan per task.
-        use_heap = self.use_level_priority and perf.FLAGS.commit_ledger
-        if use_heap:
-            ready_set: Set[str] = set(ready)
+        ready_set: Set[str] = set(ready)
+        if by_level:
             ready = [(-levels[t], _MaxStr(t)) for t in ready]
             heapq.heapify(ready)
 
         # Step 7: walk the ready set in priority order.
         while ready:
-            if use_heap:
+            if by_level:
                 task_id = str(heapq.heappop(ready)[1])
-                ready_set.discard(task_id)
-            elif self.use_level_priority:
-                task_id = max(ready, key=lambda t: (levels[t], t))
-                ready.remove(task_id)
             else:
-                task_id = ready.pop(0)  # FIFO ablation (E9)
+                task_id = ready.pop(0)
+            ready_set.discard(task_id)
             assignment = self._place_task(
-                afg, task_id, sites, view, site_by_task, committed, related,
-                health_of, ledger,
+                afg, task_id, sites, view, site_by_task, health_of, ledger,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -232,20 +228,17 @@ class SiteScheduler:
             table.assign(assignment)
             if ledger is not None:
                 ledger.commit(task_id, assignment.hosts)
-            else:
-                for host_name in assignment.hosts:
-                    committed.setdefault(host_name, []).append(task_id)
             site_by_task[task_id] = assignment.site
             placement_order.append(task_id)
             scheduled.add(task_id)
             for child in afg.children(task_id):
                 if (
                     child not in scheduled
-                    and (child not in ready_set if use_heap else child not in ready)
+                    and child not in ready_set
                     and all(p in scheduled for p in afg.parents(child))
                 ):
-                    if use_heap:
-                        ready_set.add(child)
+                    ready_set.add(child)
+                    if by_level:
                         heapq.heappush(ready, (-levels[child], _MaxStr(child)))
                     else:
                         ready.append(child)
@@ -262,23 +255,15 @@ class SiteScheduler:
         sites: List[str],
         view: FederationView,
         site_by_task: Dict[str, str],
-        committed: Dict[str, List[str]],
-        related: Dict[str, Set[str]],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
     ) -> TaskAssignment:
         task = afg.task(task_id)
 
-        if ledger is not None:
-            extra_load_of = ledger.extra_load_fn(task_id)
-        else:
-            def extra_load_of(host_name: str) -> float:
-                if not self.account_commitments:
-                    return 0.0
-                others = committed.get(host_name, ())
-                return float(
-                    sum(1 for other in others if other not in related[task_id])
-                )
+        extra_load_of = (
+            ledger.extra_load_fn(task_id) if ledger is not None
+            else _no_extra_load
+        )
 
         bids: Dict[str, HostSelectionResult] = {}
         for site in sites:

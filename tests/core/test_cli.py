@@ -63,3 +63,12 @@ class TestCLI:
     def test_missing_command_errors(self):
         with pytest.raises(SystemExit):
             main([])
+
+    def test_chaos_with_an_unwritable_log_reports_and_exits_1(
+            self, tmp_path, capsys):
+        log = tmp_path / "no-such-dir" / "campaign.json"
+        code = main(["chaos", "--sites", "2", "--hosts", "2", "--apps", "1",
+                     "--duration", "5", "--log", str(log)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert f"error: cannot write campaign log to {log}" in out

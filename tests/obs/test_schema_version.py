@@ -119,3 +119,25 @@ class TestBenchCompare:
         assert problems and "schema" in problems[0]
         problems = harness.compare(document, foreign)
         assert problems and "schema" in problems[0]
+
+    @pytest.mark.parametrize("edit, problem", [
+        (lambda scenarios: scenarios["end_to_end"].update(trace_hash="f" * 64),
+         "end_to_end: trace hash changed"),
+        (lambda scenarios: scenarios["end_to_end"].update(metrics_hash="f" * 64),
+         "end_to_end: metrics snapshot hash changed"),
+        (lambda scenarios: scenarios.pop("end_to_end"),
+         "end_to_end: scenario missing from current run"),
+        (lambda scenarios: scenarios["end_to_end"].pop("trace_hash"),
+         "end_to_end: current document has no trace_hash"),
+    ], ids=["trace_hash", "metrics_hash", "missing_scenario", "no_trace_hash"])
+    def test_each_difference_is_one_named_problem(self, edit, problem):
+        def document():
+            return {"schema": harness.SCHEMA, "scenarios": {
+                name: {"trace_hash": "a" * 64, "metrics_hash": "b" * 64}
+                for name in harness.SCENARIO_ORDER}}
+
+        assert harness.compare(document(), document()) == []
+        current = document()
+        edit(current["scenarios"])
+        problems = harness.compare(document(), current)
+        assert len(problems) == 1 and problems[0].startswith(problem)

@@ -1,7 +1,7 @@
 """Predict calls and row-table builds: the host-selection count gate.
 
-With ``predict_cache`` on, a bid is evaluated by the row kernel from
-cached host rows: ``PredictionModel.predict`` is never called, and the
+A bid is evaluated by the row kernel from cached host rows:
+``PredictionModel.predict`` is never called, and the
 rows are built once per (site, version key, model, task type) — a pure
 placement writes nothing to the repositories, so that is once per
 (site, task type), whatever the size of the DAG.  Exact counts, so a
@@ -12,7 +12,6 @@ fails here instead of in a bench run.
 
 import pytest
 
-import repro.perf as perf
 from repro.repository import SiteRepository
 from repro.scheduler import FederationView, SiteScheduler
 from repro.scheduler.prediction import PredictionModel
@@ -51,8 +50,7 @@ def place(n_tasks: int, monkeypatch):
     monkeypatch.setattr(
         PredictionModel, "predict",
         lambda self, *a, **kw: calls.append(1) or reference(self, *a, **kw))
-    with perf.use_flags(predict_cache=True):
-        table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
+    table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
     assert len(table) == n_tasks
     builds = sum(repo.predict_cache.builds for repo in repos.values())
     return len(calls), builds, len({t.task_type for t in afg})

@@ -7,18 +7,18 @@ calibration, and every write to any of them bumps one of
 resources.state_version, task_perf.version)``.  These tests drive each
 kind of write — workload report, mark down/up, calibration refinement,
 task registration, drain/retire/rejoin — and require the kernel's bid
-(``predict_cache=True``) to agree bit-for-bit with the model's own
-(``predict_cache=False``) before and after, with rebuilds happening
-exactly when the key moved.
+to agree bit-for-bit with the per-pair ``model.predict`` bid
+(``tests/scheduler/_reference.py``) before and after, with rebuilds
+happening exactly when the key moved.
 """
 
-import repro.perf as perf
 from repro.afg import TaskNode, TaskProperties
 from repro.repository import SiteRepository
 from repro.repository.taskperf import TaskPerfRecord
 from repro.scheduler.host_selection import bid_for_task
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
+from tests.scheduler import _reference
 
 TASK = "math.lu_decompose"
 NODE = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
@@ -48,10 +48,9 @@ def _direct(model, repo, host_name, extra_load=0.0):
 def _both_bids(repo, model, extra_load_of=lambda _h: 0.0, health_of=None):
     """(kernel bid, reference bid); the caller asserts what it needs,
     this asserts they are the same bid."""
-    with perf.use_flags(predict_cache=True):
-        kernel = bid_for_task(NODE, repo, model, extra_load_of, health_of)
-    with perf.use_flags(predict_cache=False):
-        reference = bid_for_task(NODE, repo, model, extra_load_of, health_of)
+    kernel = bid_for_task(NODE, repo, model, extra_load_of, health_of)
+    reference = _reference.bid_for_task(NODE, repo, model, extra_load_of,
+                                        health_of)
     assert kernel == reference
     return kernel
 

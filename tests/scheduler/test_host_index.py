@@ -4,20 +4,20 @@ The equivalence argument (filtering commutes with sorting) is pinned
 here with randomized repositories: for any population of hosts,
 installed executables and up/down states — including after host
 registration, executable removal, workload churn and quarantine — the
-index must return exactly the reference path's answer in exactly its
-stable name order.
+index must return exactly the answer of a linear scan + name sort
+(``tests/scheduler/_reference.py``) in exactly its stable name order.
 """
 
 import random
 
 import pytest
 
-import repro.perf as perf
 from repro.afg import TaskNode, TaskProperties
 from repro.repository import SiteRepository
 from repro.scheduler.host_selection import bid_for_task, candidate_hosts
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
+from tests.scheduler import _reference as reference
 
 TASK_TYPES = ("math.lu_decompose", "signal.spectrum", "image.convolve")
 
@@ -96,7 +96,7 @@ def test_index_matches_reference_under_mutation(seed):
 
 @pytest.mark.parametrize("seed", range(3))
 def test_candidate_hosts_flag_equivalence(seed):
-    """candidate_hosts: indexed and reference paths agree, same order."""
+    """candidate_hosts: the index and the reference scan agree, same order."""
     rng = random.Random(100 + seed)
     repo = _random_repo(rng, n_hosts=12)
     nodes = [
@@ -105,26 +105,22 @@ def test_candidate_hosts_flag_equivalence(seed):
         _node(TASK_TYPES[2], preferred_machine_type="SUN solaris"),
     ]
     for node in nodes:
-        with perf.use_flags(host_index=True):
-            indexed = candidate_hosts(node, repo)
-        with perf.use_flags(host_index=False):
-            reference = candidate_hosts(node, repo)
-        assert indexed == reference
+        indexed = candidate_hosts(node, repo)
+        assert indexed == reference.candidate_hosts(node, repo)
         names = [r.name for r in indexed]
         assert names == sorted(names)
 
 
 def test_candidate_hosts_sorted_order_invariant():
     """The documented invariant: bids are built positionally from a
-    name-sorted candidate list, under either flag setting."""
+    name-sorted candidate list, from the index as from the scan."""
     repo = SiteRepository("order-site")
     for name in ("zeta", "alpha", "mike", "bravo"):
         repo.resources.register_host(HostSpec(name=name))
         repo.constraints.register(TASK_TYPES[0], name, f"/bin/{name}")
     node = _node(TASK_TYPES[0])
-    for host_index in (True, False):
-        with perf.use_flags(host_index=host_index):
-            names = [r.name for r in candidate_hosts(node, repo)]
+    for candidates in (candidate_hosts, reference.candidate_hosts):
+        names = [r.name for r in candidates(node, repo)]
         assert names == ["alpha", "bravo", "mike", "zeta"]
 
 
@@ -146,12 +142,11 @@ def test_quarantine_filter_does_not_corrupt_the_index_cache():
     def quarantine_qb(name):
         return None if name == "qb" else 1.0
 
-    with perf.use_flags(host_index=True, predict_cache=True):
-        bid = bid_for_task(node, repo, model, lambda _h: 0.0,
-                           health_of=quarantine_qb)
-        assert bid is not None and "qb" not in bid.hosts
-        # the quarantined host must still be in the (cached) table
-        names = [r.name for r in candidate_hosts(node, repo)]
+    bid = bid_for_task(node, repo, model, lambda _h: 0.0,
+                       health_of=quarantine_qb)
+    assert bid is not None and "qb" not in bid.hosts
+    # the quarantined host must still be in the (cached) table
+    names = [r.name for r in candidate_hosts(node, repo)]
     assert names == ["qa", "qb", "qc"]
 
 

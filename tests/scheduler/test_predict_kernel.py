@@ -1,18 +1,18 @@
 """Row kernel == ``PredictionModel.predict``, bit for bit.
 
-``bid_for_task`` under ``predict_cache=True`` evaluates a bid from the
-repository's cached host rows and a task half computed once; under
-``False`` it calls ``model.predict`` per (task, host) pair.  The kernel
-performs the model's float operations in the model's order, so on *any*
-repository the two must return the identical ``HostSelectionResult`` —
-same hosts, ``predicted_time`` equal by ``==``, never ``approx``.
+``bid_for_task`` evaluates a bid from the repository's cached host rows
+and a task half computed once; the reference bid
+(``tests/scheduler/_reference.py``) calls ``model.predict`` per (task,
+host) pair.  The kernel performs the model's float operations in the
+model's order, so on *any* repository the two must return the identical
+``HostSelectionResult`` — same hosts, ``predicted_time`` equal by
+``==``, never ``approx``.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import repro.perf as perf
 from repro.afg import ComputationMode, TaskNode, TaskProperties
 from repro.repository import SiteRepository
 from repro.repository.taskperf import TaskPerfRecord
@@ -20,6 +20,7 @@ from repro.scheduler.host_selection import bid_for_task
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 from repro.tasklib.base import ParallelModel
+from tests.scheduler import _reference
 
 TASK = "math.lu_decompose"
 
@@ -109,11 +110,9 @@ def test_kernel_bid_is_the_models_bid(host_specs, task, model, with_health):
     health_of = (lambda name: by_name[name]["health"]) if with_health else None
     bids = []
     for _ in range(2):  # the second kernel bid runs on warm rows
-        with perf.use_flags(predict_cache=True):
-            bids.append(bid_for_task(node, repo, model, extra_load_of,
-                                     health_of))
-    with perf.use_flags(predict_cache=False):
-        reference = bid_for_task(node, repo, model, extra_load_of, health_of)
+        bids.append(bid_for_task(node, repo, model, extra_load_of, health_of))
+    reference = _reference.bid_for_task(node, repo, model, extra_load_of,
+                                        health_of)
     assert bids[0] == bids[1] == reference
     if reference is not None:
         assert bids[0].predicted_time == reference.predicted_time
@@ -128,6 +127,6 @@ def test_negative_extra_load_still_raises(predict_cache):
                   "overhead": 0.0})
     node = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
                     properties=TaskProperties())
-    with perf.use_flags(predict_cache=predict_cache):
-        with pytest.raises(ValueError, match="extra_load"):
-            bid_for_task(node, repo, PredictionModel(), lambda _h: -1.0)
+    bid = bid_for_task if predict_cache else _reference.bid_for_task
+    with pytest.raises(ValueError, match="extra_load"):
+        bid(node, repo, PredictionModel(), lambda _h: -1.0)
