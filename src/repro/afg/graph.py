@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from repro.afg.task import TaskNode
 
 if TYPE_CHECKING:
     import networkx as nx
 
-__all__ = ["ApplicationFlowGraph", "Edge"]
+__all__ = ["ApplicationFlowGraph", "Edge", "StructureSnapshot"]
 
 
 @dataclass(frozen=True)
@@ -46,8 +46,77 @@ class Edge:
             raise ValueError(f"edge {self.src}->{self.dst}: negative size")
 
 
+class StructureSnapshot:
+    """What a scheduling round derives from an AFG's structure, once.
+
+    A ``select_hosts`` / ``schedule_with_trace`` call is synchronous — no
+    AFG changes inside it — so everything below is a function of one
+    ``structure_version``: built on first use, shared read-only by every
+    reader (all participating sites see the same multicast AFG object),
+    dropped by the next mutation.
+
+    ``order`` is Kahn's order with a min-heap ready set (each step takes
+    the lexicographically smallest ready task); ``parents`` /
+    ``children`` are the de-duplicated neighbour ids in first-edge
+    order; ``related`` (built when first asked for) maps each task to
+    the tasks ordered with it, ancestors ∪ descendants.
+    """
+
+    __slots__ = ("order", "parents", "children", "_related")
+
+    def __init__(self, afg: "ApplicationFlowGraph"):
+        self.parents: Dict[str, Tuple[str, ...]] = {
+            t: tuple(dict.fromkeys(e.src for e in edges))
+            for t, edges in afg._pred.items()
+        }
+        self.children: Dict[str, Tuple[str, ...]] = {
+            t: tuple(dict.fromkeys(e.dst for e in edges))
+            for t, edges in afg._succ.items()
+        }
+        children = self.children
+        waiting = {t: len(near) for t, near in self.parents.items()}
+        ready = [t for t, n in waiting.items() if not n]
+        heapq.heapify(ready)
+        order: List[str] = []
+        pop, push = heapq.heappop, heapq.heappush
+        while ready:
+            t = pop(ready)
+            order.append(t)
+            for child in children[t]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    push(ready, child)
+        if len(order) != len(waiting):
+            raise ValueError(f"AFG {afg.name!r} contains a cycle")
+        self.order: Tuple[str, ...] = tuple(order)
+        self._related: Optional[Dict[str, Set[str]]] = None
+
+    @property
+    def related(self) -> Dict[str, Set[str]]:
+        related = self._related
+        if related is None:
+            # ancestors along the order, descendants against it: one
+            # C-level union per task instead of one ``add`` per pair
+            parents, children = self.parents, self.children
+            related = {}
+            for t in self.order:
+                near = parents[t]
+                related[t] = set(near).union(*[related[p] for p in near])
+            below: Dict[str, Set[str]] = {}
+            for t in reversed(self.order):
+                near = children[t]
+                below[t] = set(near).union(*[below[c] for c in near])
+                related[t] |= below[t]
+            self._related = related
+        return related
+
+
 class ApplicationFlowGraph:
     """A named DAG of :class:`TaskNode` with port-to-port edges."""
+
+    #: the derived-structure snapshot of the current ``structure_version``
+    #: (None = not built yet); never copied or pickled with the graph
+    _structure: Optional[StructureSnapshot] = None
 
     def __init__(self, name: str = "application"):
         if not name:
@@ -57,9 +126,17 @@ class ApplicationFlowGraph:
         self._edges: List[Edge] = []
         self._succ: Dict[str, List[Edge]] = {}
         self._pred: Dict[str, List[Edge]] = {}
-        #: bumped on any node/edge change; derived-structure caches
-        #: (e.g. the scheduler's reachability sets) key on it
+        #: bumped on any node/edge change, which also drops the snapshot
         self.structure_version = 0
+
+    def _structure_changed(self) -> None:
+        self.structure_version += 1
+        self._structure = None
+
+    def __getstate__(self) -> dict:
+        state = dict(self.__dict__)
+        state.pop("_structure", None)
+        return state
 
     # -- construction ----------------------------------------------------
 
@@ -69,7 +146,7 @@ class ApplicationFlowGraph:
         self._tasks[task.id] = task
         self._succ[task.id] = []
         self._pred[task.id] = []
-        self.structure_version += 1
+        self._structure_changed()
         return task
 
     def replace_task(self, task: TaskNode) -> TaskNode:
@@ -92,7 +169,7 @@ class ApplicationFlowGraph:
         del self._tasks[task_id]
         del self._succ[task_id]
         del self._pred[task_id]
-        self.structure_version += 1
+        self._structure_changed()
         return node
 
     def disconnect(
@@ -107,7 +184,7 @@ class ApplicationFlowGraph:
                 self._edges.remove(edge)
                 self._succ[src].remove(edge)
                 self._pred[dst].remove(edge)
-                self.structure_version += 1
+                self._structure_changed()
                 return edge
         raise KeyError(
             f"no edge {src!r}:{src_port} -> {dst!r}:{dst_port}"
@@ -148,7 +225,7 @@ class ApplicationFlowGraph:
         self._edges.append(edge)
         self._succ[src].append(edge)
         self._pred[dst].append(edge)
-        self.structure_version += 1
+        self._structure_changed()
         return edge
 
     # -- queries -------------------------------------------------------------
@@ -217,33 +294,21 @@ class ApplicationFlowGraph:
 
     # -- graph algorithms --------------------------------------------------
 
-    def topological_order(self) -> List[str]:
-        """Kahn's algorithm; raises on cycles; deterministic order.
+    def structure(self) -> StructureSnapshot:
+        """The snapshot of the current structure; raises on cycles (a
+        failed build is not kept, so it raises on every call)."""
+        snapshot = self._structure
+        if snapshot is None:
+            snapshot = self._structure = StructureSnapshot(self)
+        return snapshot
 
-        The ready set is a min-heap, so each step still removes the
-        lexicographically smallest ready task (the same order the old
-        sorted-list implementation produced) without re-sorting the
-        whole list per step — that re-sort made wide graphs quadratic.
-        """
-        indeg = {t: len(self._pred[t]) for t in self._tasks}
-        ready = [t for t, d in indeg.items() if d == 0]
-        heapq.heapify(ready)
-        order: List[str] = []
-        pop, push = heapq.heappop, heapq.heappush
-        while ready:
-            t = pop(ready)
-            order.append(t)
-            for e in self._succ[t]:
-                indeg[e.dst] -= 1
-                if indeg[e.dst] == 0:
-                    push(ready, e.dst)
-        if len(order) != len(self._tasks):
-            raise ValueError(f"AFG {self.name!r} contains a cycle")
-        return order
+    def topological_order(self) -> List[str]:
+        """Kahn's order as a fresh list; raises ``ValueError`` on cycles."""
+        return list(self.structure().order)
 
     def is_acyclic(self) -> bool:
         try:
-            self.topological_order()
+            self.structure()
             return True
         except ValueError:
             return False

@@ -34,12 +34,14 @@ def compute_levels(afg: ApplicationFlowGraph, cost: CostFn) -> Dict[str, float]:
     processor.  Raises ``ValueError`` on cyclic graphs and on negative
     costs (a negative base time is always a database bug).
     """
+    structure = afg.structure()
+    children = structure.children
     levels: Dict[str, float] = {}
-    for task_id in reversed(afg.topological_order()):
+    for task_id in reversed(structure.order):
         c = float(cost(task_id))
         if c < 0:
             raise ValueError(f"task {task_id!r}: negative computation cost {c}")
-        child_best = max((levels[ch] for ch in afg.children(task_id)), default=0.0)
+        child_best = max([levels[ch] for ch in children[task_id]], default=0.0)
         levels[task_id] = c + child_best
     return levels
 

@@ -388,5 +388,5 @@ class SiteManager:
 
         return bid_for_task(
             afg.task(task_id), self.repository, model or PredictionModel(),
-            lambda _host: 0.0, masked,
+            {}, masked,
         )

@@ -240,8 +240,10 @@ class _BatchModeScheduler:
         host_free: Dict[str, float] = {}
         finish: Dict[str, float] = {}
         choices: Dict[str, _Candidate] = {}
-        scheduled: set[str] = set()
-        unscheduled = {t.id for t in afg}
+        # a task is ready when its count of unscheduled parents is zero
+        structure = afg.structure()
+        waiting = {t: len(near) for t, near in structure.parents.items()}
+        ready_set = {t for t, n in waiting.items() if not n}
 
         def completion(task_id: str, cand: _Candidate) -> float:
             ready = 0.0
@@ -252,12 +254,8 @@ class _BatchModeScheduler:
             start = max([ready] + [host_free.get(h, 0.0) for h in cand.hosts])
             return start + cand.exec_time
 
-        while unscheduled:
-            ready_tasks = sorted(
-                t
-                for t in unscheduled
-                if all(p in scheduled for p in afg.parents(t))
-            )
+        while ready_set:
+            ready_tasks = sorted(ready_set)
             # best candidate per ready task
             best: Dict[str, Tuple[float, _Candidate]] = {}
             for t in ready_tasks:
@@ -274,8 +272,11 @@ class _BatchModeScheduler:
             finish[chosen_task] = ctime
             for h in cand.hosts:
                 host_free[h] = ctime
-            scheduled.add(chosen_task)
-            unscheduled.discard(chosen_task)
+            ready_set.discard(chosen_task)
+            for child in structure.children[chosen_task]:
+                waiting[child] -= 1
+                if not waiting[child]:
+                    ready_set.add(child)
 
         return _table_from_choices(afg, choices, self.name)
 

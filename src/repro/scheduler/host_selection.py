@@ -47,8 +47,7 @@ simply absent from the result — the site declines to bid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.task import TaskNode
@@ -68,9 +67,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class HostSelectionResult:
-    """One site's bid for one task: machine name(s) + predicted time."""
+class HostSelectionResult(NamedTuple):
+    """One site's bid for one task: machine name(s) + predicted time.
+
+    A tuple type: seven of the eight bids per task lose, so the record
+    costs one allocation, not a frozen dataclass's four guarded stores.
+    """
 
     task_id: str
     site: str
@@ -116,44 +118,16 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
     return records
 
 
-def _reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
-    """task -> set of tasks ordered with it (ancestors + descendants).
-
-    Memoized on the graph object against its ``structure_version``:
-    every participating site computes reachability for the *same*
-    multicast AFG, and the sets depend only on graph structure.  The
-    cached dict is shared read-only by all callers.
-    """
-    cached = getattr(afg, "_reachability_cache", None)
-    version = afg.structure_version
-    if cached is not None and cached[0] == version:
-        return cached[1]
-    order = afg.topological_order()
-    ancestors: Dict[str, Set[str]] = {}
-    for task_id in order:
-        acc: Set[str] = set()
-        for parent in afg.parents(task_id):
-            acc.add(parent)
-            acc |= ancestors[parent]
-        ancestors[task_id] = acc
-    related: Dict[str, Set[str]] = {t: set(ancestors[t]) for t in order}
-    for task_id in order:
-        for ancestor in ancestors[task_id]:
-            related[ancestor].add(task_id)
-    afg._reachability_cache = (version, related)
-    return related
-
-
 class CommitmentLedger:
-    """In-round commitment accounting with O(|related|) queries.
+    """In-round commitment accounting with O(|related ∩ placed|) queries.
 
     "How many tasks already placed on host ``R`` can run concurrently
     with ``task_i``?"  Rescanning every commitment on ``R`` per (task,
     host) prediction is O(total commitments) per pair, quadratic over a
     large bag.  The ledger keeps per-host totals and, once per queried
-    task, a per-host count of that task's *related* (ordered)
-    placements; the concurrent count is then
-    ``total[R] - related_on[R]`` in O(1).
+    task, takes that task's *related* (ordered) placements off a copy;
+    the row kernel then reads the concurrent count of each host with
+    one ``dict.get``.
 
     Every committed task appears at most once per host (bid host groups
     are duplicate-free) and relatedness is symmetric, so subtracting
@@ -166,8 +140,6 @@ class CommitmentLedger:
         self._related = related
         self._total: Dict[str, int] = {}
         self._placed_on: Dict[str, Tuple[str, ...]] = {}
-        self._for_task: Optional[str] = None
-        self._related_on: Dict[str, int] = {}
 
     def commit(self, task_id: str, hosts: Tuple[str, ...]) -> None:
         """Record ``task_id`` as placed on ``hosts`` this round."""
@@ -175,70 +147,56 @@ class CommitmentLedger:
         total = self._total
         for host in hosts:
             total[host] = total.get(host, 0) + 1
-        self._for_task = None  # per-task overlap is stale now
 
-    def extra_load_fn(self, task_id: str):
-        """``extra_load_of(host_name)`` bound to ``task_id``: the number
-        of in-round commitments on the host that can run concurrently
-        with the task.
+    def extra_load(self, task_id: str) -> Mapping[str, int]:
+        """host -> in-round commitments on it that can run concurrently
+        with ``task_id``; a host not in the mapping has none.
 
-        Precomputes the related-placement overlay now and returns a
-        flat closure, one call per host query.
+        Read-only and valid until the next :meth:`commit`: when nothing
+        placed so far is ordered with the task (a bag, an entry wave)
+        it is the ledger's own totals, otherwise a copy with the
+        related placements taken off — only ``related ∩ placed`` is
+        visited, not the whole related set.
         """
-        if task_id != self._for_task:
-            self._begin(task_id)
-        total_get = self._total.get
-        related_on = self._related_on
-        if not related_on:
-            # bag-of-tasks / entry-wave common case: nothing placed so
-            # far is ordered with this task, the count is the raw total
-            # (an int — it promotes exactly when added to a float load)
-            def extra_load_of(host_name: str) -> float:
-                return total_get(host_name, 0)
-
-            return extra_load_of
-        related_get = related_on.get
-
-        def extra_load_of(host_name: str) -> float:
-            return float(total_get(host_name, 0) - related_get(host_name, 0))
-
-        return extra_load_of
-
-    def _begin(self, task_id: str) -> None:
-        related_on: Dict[str, int] = {}
         placed_on = self._placed_on
-        for other in self._related[task_id]:
-            hosts = placed_on.get(other)
-            if hosts:
-                for host in hosts:
-                    related_on[host] = related_on.get(host, 0) + 1
-        self._related_on = related_on
-        self._for_task = task_id
+        ordered = self._related[task_id] & placed_on.keys()
+        if not ordered:
+            return self._total
+        extra = dict(self._total)
+        for other in ordered:
+            for host in placed_on[other]:
+                extra[host] -= 1
+        return extra
 
 
 def bid_for_task(
     task: TaskNode,
     repo: SiteRepository,
     model: PredictionModel,
-    extra_load_of,
+    extra_load: Mapping[str, float],
     health_of=None,
 ) -> Optional[HostSelectionResult]:
     """Figure 3's inner step for one task at one site.
 
     Evaluates ``Predict(task, Rj)`` over every feasible host (with the
-    caller-supplied in-round load ``extra_load_of(host_name)`` added)
-    and returns the minimising host group, or ``None`` when the site
-    cannot run the task (no feasible hosts, task unknown to its DBs).
+    caller-supplied in-round load ``extra_load.get(host_name, 0)``
+    added) and returns the minimising host group, or ``None`` when the
+    site cannot run the task (no feasible hosts, task unknown to its
+    DBs).
 
     ``health_of`` (optional, from :class:`~repro.runtime.straggler.
     HostHealth`) maps a host name to a multiplicative prediction
     penalty, or ``None`` for a quarantined host, which is excluded from
-    the candidate set entirely.
+    the candidate set entirely.  It is consulted per bid, never
+    resolved once per round: ``factor_of`` releases an expired
+    quarantine as a side effect.
     """
     props = task.properties
+    task_type = task.task_type
     candidates = candidate_hosts(task, repo)
-    n_nodes = props.n_nodes if props.is_parallel else 1
-    if not repo.task_perf.has(task.task_type):
+    try:
+        perf = repo.task_perf.get(task_type)
+    except KeyError:
         return None
     factors: Dict[str, float] = {}
     if health_of is not None:
@@ -251,11 +209,10 @@ def bid_for_task(
                 factors[record.name] = factor
                 kept.append(record)
         candidates = kept
+    # sequential tasks have n_nodes == 1 (TaskProperties checks it)
+    n_nodes = props.n_nodes
     if len(candidates) < n_nodes:
         return None
-    memory_mb = props.memory_mb if props.memory_mb > 0 else None
-    task_type = task.task_type
-    scale = props.workload_scale
     # The row kernel: Predict is separable (see scheduler.prediction),
     # so the task half is computed once here, the host half comes from
     # the repository's cached rows, and the loop body is
@@ -269,9 +226,11 @@ def bid_for_task(
         kept_names = {record.name for record in candidates}
         rows = [row for row in rows if row[0] in kept_names]
     span_work, required_mb = model.task_terms(
-        task_type, scale, n_nodes, repo.task_perf, memory_mb
+        perf, props.workload_scale, n_nodes,
+        props.memory_mb if props.memory_mb > 0 else None,
     )
     memory_penalty = model.memory_penalty
+    extra_on = extra_load.get
     # one host wanted (the hot case): keep the running minimum, not a
     # list of pairs.  Rows are name-ordered and names unique, so the
     # first strict minimum is min() over (time, name) tuples.
@@ -279,7 +238,8 @@ def bid_for_task(
     best_time = best_name = None
     pairs = []
     for name, one_plus_load, speed, available_mb, calibration, noise in rows:
-        extra = extra_load_of(name)
+        # an int count promotes exactly when added to the float load
+        extra = extra_on(name, 0)
         if extra < 0:
             raise ValueError("extra_load must be non-negative")
         t = span_work * (one_plus_load + extra) / speed
@@ -303,10 +263,7 @@ def bid_for_task(
         # slowest member (the largest selected prediction)
         predicted_time = chosen[-1][0]
     return HostSelectionResult(
-        task_id=task.id,
-        site=repo.site_name,
-        hosts=chosen_hosts,
-        predicted_time=predicted_time,
+        task.id, repo.site_name, chosen_hosts, predicted_time
     )
 
 
@@ -355,15 +312,15 @@ def select_hosts(
         queue = list(order)
 
     #: in-round commitments: which hosts each placed task went to
-    ledger = CommitmentLedger(_reachability(afg))
+    ledger = CommitmentLedger(afg.structure().related)
 
     for task_id in queue:
         task = afg.task(task_id)
-        concurrent_commitments = ledger.extra_load_fn(task_id)
-
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
-        bid = bid_for_task(task, repo, model, concurrent_commitments, health_of)
+        bid = bid_for_task(
+            task, repo, model, ledger.extra_load(task_id), health_of
+        )
         if bid is None:
             if metrics.enabled:
                 metrics.counter(

@@ -55,7 +55,7 @@ from typing import Optional, Sequence, Tuple
 import numpy as np
 
 from repro.repository.resources import HostRecord
-from repro.repository.taskperf import TaskPerformanceDB
+from repro.repository.taskperf import TaskPerformanceDB, TaskPerfRecord
 
 __all__ = ["PredictionModel"]
 
@@ -153,20 +153,20 @@ class PredictionModel:
 
     def task_terms(
         self,
-        task_type: str,
+        record: TaskPerfRecord,
         scale: float,
         n_nodes: int,
-        task_perf: TaskPerformanceDB,
         memory_mb: Optional[int] = None,
     ) -> Tuple[float, int]:
         """``(span_work, required_mb)``: all of :meth:`predict` that
-        depends on the task alone, computed once per bid."""
-        record = task_perf.get(task_type)
+        depends on the task alone, computed once per bid from the
+        task's ``record`` in the site's task-performance DB."""
         span_work = record.computation_size * scale
         if n_nodes > 1:
             if record.parallel is None:
                 raise ValueError(
-                    f"task {task_type!r} is not parallelizable but n_nodes={n_nodes}"
+                    f"task {record.task_type!r} is not parallelizable "
+                    f"but n_nodes={n_nodes}"
                 )
             span_work = span_work / record.parallel.speedup(n_nodes)
         if memory_mb is None:

@@ -39,21 +39,18 @@ from inside simulated Site Manager processes.
 from __future__ import annotations
 
 import heapq
+from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.afg.validate import validate_afg
+from repro.repository.store import SiteRepository
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
-from repro.scheduler.host_selection import (
-    CommitmentLedger,
-    HostSelectionResult,
-    _reachability,
-    bid_for_task,
-)
+from repro.scheduler.host_selection import CommitmentLedger, bid_for_task
 from repro.scheduler.prediction import PredictionModel
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -78,11 +75,6 @@ class _MaxStr(str):
 
     def __lt__(self, other) -> bool:  # pragma: no branch - trivial
         return str.__gt__(self, other)
-
-
-def _no_extra_load(host_name: str) -> float:
-    """``extra_load_of`` when in-round commitments are not accounted."""
-    return 0.0
 
 
 @dataclass
@@ -153,8 +145,14 @@ class SiteScheduler:
         """
         validate_afg(afg)
 
-        # Step 2: select the k nearest neighbour sites.
-        sites = view.participating_sites(self.k)
+        # Step 2: select the k nearest neighbour sites.  The call is
+        # synchronous, so each site's repository is resolved once here,
+        # like the AFG's structure below (DESIGN §13.8).
+        sites: List[Tuple[str, SiteRepository]] = [
+            (site, view.repository(site))
+            for site in view.participating_sites(self.k)
+        ]
+        structure = afg.structure()
 
         # Steps 3-5 (the AFG multicast and bid replies) are the *wire*
         # protocol, reproduced with real messages by
@@ -179,7 +177,7 @@ class SiteScheduler:
         #: federation-wide in-round commitments; None under the E13
         #: ablation, where Predict ignores what this round already placed
         ledger: Optional[CommitmentLedger] = (
-            CommitmentLedger(_reachability(afg))
+            CommitmentLedger(structure.related)
             if self.account_commitments else None
         )
 
@@ -189,22 +187,24 @@ class SiteScheduler:
 
         # Step 6: ready set starts with the entry nodes.  With level
         # priority it is a heap on (-level, _MaxStr(id)), so each pop is
-        # max(ready, key=(level, id)); the E9 ablation keeps a FIFO list.
-        scheduled: Set[str] = set()
+        # max(ready, key=(level, id)); the E9 ablation keeps a FIFO queue.
+        # A task enters it when its count of unplaced parents hits zero.
+        children = structure.children
+        waiting = {t: len(near) for t, near in structure.parents.items()}
         by_level = self.use_level_priority
-        ready: List = sorted(afg.entry_tasks())
-        ready_set: Set[str] = set(ready)
+        entries = sorted(t for t, n in waiting.items() if not n)
         if by_level:
-            ready = [(-levels[t], _MaxStr(t)) for t in ready]
+            ready = [(-levels[t], _MaxStr(t)) for t in entries]
             heapq.heapify(ready)
+        else:
+            ready = deque(entries)
 
         # Step 7: walk the ready set in priority order.
         while ready:
             if by_level:
                 task_id = str(heapq.heappop(ready)[1])
             else:
-                task_id = ready.pop(0)
-            ready_set.discard(task_id)
+                task_id = ready.popleft()
             assignment = self._place_task(
                 afg, task_id, sites, view, site_by_task, health_of, ledger,
             )
@@ -230,14 +230,9 @@ class SiteScheduler:
                 ledger.commit(task_id, assignment.hosts)
             site_by_task[task_id] = assignment.site
             placement_order.append(task_id)
-            scheduled.add(task_id)
-            for child in afg.children(task_id):
-                if (
-                    child not in scheduled
-                    and child not in ready_set
-                    and all(p in scheduled for p in afg.parents(child))
-                ):
-                    ready_set.add(child)
+            for child in children[task_id]:
+                waiting[child] -= 1
+                if not waiting[child]:
                     if by_level:
                         heapq.heappush(ready, (-levels[child], _MaxStr(child)))
                     else:
@@ -252,62 +247,56 @@ class SiteScheduler:
         self,
         afg: ApplicationFlowGraph,
         task_id: str,
-        sites: List[str],
+        sites: List[Tuple[str, SiteRepository]],
         view: FederationView,
         site_by_task: Dict[str, str],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
     ) -> TaskAssignment:
         task = afg.task(task_id)
+        extra_load = ledger.extra_load(task_id) if ledger is not None else {}
 
-        extra_load_of = (
-            ledger.extra_load_fn(task_id) if ledger is not None
-            else _no_extra_load
-        )
-
-        bids: Dict[str, HostSelectionResult] = {}
-        for site in sites:
-            bid = bid_for_task(
-                task, view.repository(site), self.model, extra_load_of,
-                health_of,
-            )
-            if bid is not None:
-                bids[site] = bid
-        if not bids:
-            raise SchedulingError(
-                f"no site can run task {task_id!r} ({task.task_type})"
-            )
-
-        if not afg.requires_input_transfer(task_id):
-            # Entry / no-input rule: minimise Predict alone.
-            best = min(bids, key=lambda s: (bids[s].predicted_time, s))
-        else:
-            # Dataflow rule: Timetotal = parent-site transfers + Predict.
-            # What does not depend on the candidate site is gathered
-            # once per task; per site only the transfer times are added,
-            # in parent order (the float sum is order-sensitive).
-            site_transfer_time = view.site_transfer_time
+        # Dataflow rule: Timetotal = parent-site transfers + Predict.
+        # What does not depend on the candidate site is gathered once
+        # per task; an entry / no-input task has nothing to transfer,
+        # and its Timetotal is Predict alone.
+        inputs: List[Tuple[str, float]] = []
+        if afg.requires_input_transfer(task_id):
             inputs = [
                 (site_by_task[parent], afg.edge_size_between(parent, task_id))
-                for parent in afg.parents(task_id)
+                for parent in afg.structure().parents[task_id]
             ]
             # explicit file inputs are staged from the submitting site
             file_mb = task.properties.total_input_size_mb()
             if file_mb > 0:
                 inputs.append((view.local_site, file_mb))
+        site_transfer_time = view.site_transfer_time
+        model = self.model
 
-            def time_total(site: str) -> float:
-                transfer = 0.0
-                for source_site, size_mb in inputs:
-                    transfer += site_transfer_time(source_site, site, size_mb)
-                return transfer + bids[site].predicted_time
-
-            best = min(bids, key=lambda s: (time_total(s), s))
-
-        bid = bids[best]
+        # running minimum over (Timetotal, site): sites are distinct, so
+        # this is min() over those pairs whatever order the sites come in
+        best = best_site = best_total = None
+        for site, repository in sites:
+            bid = bid_for_task(task, repository, model, extra_load, health_of)
+            if bid is None:
+                continue
+            # per site the transfer times are added in parent order (the
+            # float sum is order-sensitive)
+            transfer = 0.0
+            for source_site, size_mb in inputs:
+                transfer += site_transfer_time(source_site, site, size_mb)
+            total = transfer + bid.predicted_time
+            if best is None or total < best_total or (
+                total == best_total and site < best_site
+            ):
+                best, best_site, best_total = bid, site, total
+        if best is None:
+            raise SchedulingError(
+                f"no site can run task {task_id!r} ({task.task_type})"
+            )
         return TaskAssignment(
             task_id=task_id,
-            site=bid.site,
-            hosts=bid.hosts,
-            predicted_time=bid.predicted_time,
+            site=best.site,
+            hosts=best.hosts,
+            predicted_time=best.predicted_time,
         )

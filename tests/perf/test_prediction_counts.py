@@ -22,9 +22,8 @@ from repro.workloads import RandomDAGConfig, random_dag
 N_SITES, HOSTS_PER_SITE = 2, 4
 
 
-def place(n_tasks: int, monkeypatch):
-    """Place one layered random DAG on 2 sites x 4 hosts; returns
-    (predict calls, row-table builds, distinct task types)."""
+def federation():
+    """2 sites x 4 hosts: (repositories by site, view from ``site-0``)."""
     speeds = (1.0, 1.5, 2.0, 2.5)
     builder = (
         TopologyBuilder(seed=0)
@@ -42,8 +41,19 @@ def place(n_tasks: int, monkeypatch):
         for name, site in topo.sites.items()
     }
     view = FederationView.from_topology(topo, repos, local_site="site-0")
-    afg = random_dag(RandomDAGConfig(
+    return repos, view
+
+
+def layered_dag(n_tasks: int):
+    return random_dag(RandomDAGConfig(
         n_tasks=n_tasks, width=16, mean_cost=3.0, ccr=0.3, seed=7))
+
+
+def place(n_tasks: int, monkeypatch):
+    """Place one layered random DAG on the federation; returns
+    (predict calls, row-table builds, distinct task types)."""
+    repos, view = federation()
+    afg = layered_dag(n_tasks)
 
     calls = []
     reference = PredictionModel.predict

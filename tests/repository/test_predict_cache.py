@@ -45,12 +45,14 @@ def _direct(model, repo, host_name, extra_load=0.0):
                          extra_load=extra_load)
 
 
-def _both_bids(repo, model, extra_load_of=lambda _h: 0.0, health_of=None):
+def _both_bids(repo, model, extra_load=None, health_of=None):
     """(kernel bid, reference bid); the caller asserts what it needs,
-    this asserts they are the same bid."""
-    kernel = bid_for_task(NODE, repo, model, extra_load_of, health_of)
-    reference = _reference.bid_for_task(NODE, repo, model, extra_load_of,
-                                        health_of)
+    this asserts they are the same bid.  The kernel reads the in-round
+    load from a host -> count mapping, the reference calls a function."""
+    extra_load = extra_load or {}
+    kernel = bid_for_task(NODE, repo, model, extra_load, health_of)
+    reference = _reference.bid_for_task(
+        NODE, repo, model, lambda host: extra_load.get(host, 0), health_of)
     assert kernel == reference
     return kernel
 
@@ -182,12 +184,12 @@ def test_drain_retire_and_rejoin_each_rekey():
 
 
 def test_int_and_float_extra_load_give_one_float():
-    """The commit ledger's fast path hands out raw ints; ints promote
+    """The commit ledger's mapping holds raw ints; ints promote
     exactly, so both forms must produce the reference's float."""
     repo = _repo(n_hosts=1)
     model = PredictionModel()
-    as_int = _both_bids(repo, model, extra_load_of=lambda _h: 2)
-    as_float = _both_bids(repo, model, extra_load_of=lambda _h: 2.0)
+    as_int = _both_bids(repo, model, extra_load={"c0": 2})
+    as_float = _both_bids(repo, model, extra_load={"c0": 2.0})
     assert as_int.predicted_time == as_float.predicted_time \
         == _direct(model, repo, "c0", extra_load=2.0)
 

@@ -4,19 +4,29 @@ The site scheduler asks two questions per placed task that have an
 obvious O(n) answer: "how many commitments on host R can run
 concurrently with this task?" (rescan every commitment on R) and "which
 ready task goes next?" (``max`` over the ready set by ``(level, id)``).
-``src/`` answers both incrementally — the ledger's per-host totals minus
-a per-task related overlay, a heap on ``(-level, _MaxStr(id))`` — and on
-any DAG, any commit sequence, the answers must be the rescans'.
+``src/`` answers both incrementally — the ledger's per-host totals less
+the task's related placements, handed to the row kernel as a host ->
+count mapping; a heap on ``(-level, _MaxStr(id))`` — and on any DAG, any
+commit sequence, the answers must be the rescans'.  The last two tests
+hold whole rounds (``select_hosts`` on any queue order, Fig. 2 under
+both ablations) to the straight-line forms in ``_reference.py``.
 """
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.afg import ComputationMode
 from repro.afg.levels import compute_levels
-from repro.scheduler import SiteScheduler
-from repro.scheduler.host_selection import CommitmentLedger, _reachability
-from repro.workloads import RandomDAGConfig, random_dag
-from tests.scheduler._reference import rescan_extra_load
+from repro.scheduler import PredictionModel, SiteScheduler
+from repro.scheduler.host_selection import CommitmentLedger, select_hosts
+from repro.workloads import (
+    RandomDAGConfig,
+    figure1_afg,
+    linear_solver_afg,
+    random_dag,
+    surveillance_afg,
+)
+from tests.scheduler import _reference
 from tests.scheduler.conftest import build_federation
 
 HOSTS = tuple(f"h{i}" for i in range(5))
@@ -32,29 +42,46 @@ dags = st.builds(
 ).map(random_dag)
 
 
+def with_parallel_tasks(afg, parallel):
+    """Make every ``parallel``-th interior task a 2-node parallel one, so
+    a round commits host *groups* (edges and structure unchanged)."""
+    if parallel:
+        interior = [t for t in afg if t.n_in_ports]
+        for node in interior[::parallel]:
+            afg.replace_task(node.with_properties(
+                mode=ComputationMode.PARALLEL, n_nodes=2))
+    return afg
+
+
 @given(dags, st.data())
 @settings(max_examples=150, deadline=None)
 def test_extra_load_is_the_rescan(afg, data):
-    related = _reachability(afg)
+    related = afg.structure().related
+    assert related == _reference.reachability(afg)
     tasks = sorted(related)
     ledger = CommitmentLedger(related)
+    closures = _reference.ClosureLedger(related)
     committed = {}
-    # any order, not only a schedulable one: the ledger's argument needs
-    # symmetry of `related` and duplicate-free host groups, nothing else
+    # any order, not only a schedulable one (a descendant may be placed
+    # before its ancestor): the ledger's argument needs symmetry of
+    # `related` and duplicate-free host groups, nothing else
     for task_id in data.draw(st.permutations(tasks)):
         query = data.draw(st.sampled_from(tasks))
         load = data.draw(st.floats(min_value=0.0, max_value=8.0))
-        fast = ledger.extra_load_fn(query)
-        rescan = rescan_extra_load(committed, related, query)
+        fast = ledger.extra_load(query)
+        closure = closures.extra_load_fn(query)
+        rescan = _reference.rescan_extra_load(committed, related, query)
         for host in HOSTS:
-            assert fast(host) == rescan(host)
-            # the fast path may hand out an int; what the kernel does
-            # with it is add it to a float, and that must be one float
-            assert load + fast(host) == load + rescan(host)
+            assert fast.get(host, 0) == rescan(host) == closure(host)
+            assert fast.get(host, 0) >= 0
+            # the mapping hands out ints; what the kernel does with one
+            # is add it to a float, and that must be one float
+            assert load + fast.get(host, 0) == load + rescan(host)
         group = data.draw(
             st.lists(st.sampled_from(HOSTS), min_size=1, max_size=3,
                      unique=True))
         ledger.commit(task_id, tuple(group))
+        closures.commit(task_id, tuple(group))
         for host in group:
             committed.setdefault(host, []).append(task_id)
 
@@ -79,3 +106,48 @@ def test_every_placement_is_the_max_of_the_ready_set(afg, account):
             child for child in afg.children(task_id)
             if all(parent in scheduled for parent in afg.parents(child)))
     assert not ready and len(scheduled) == len(afg)
+
+
+@given(dags, st.integers(min_value=0, max_value=3), st.data())
+@settings(max_examples=60, deadline=None)
+def test_select_hosts_on_any_queue_order_is_the_reference(afg, parallel, data):
+    """``order=`` need not be topological — level ties at zero cost put a
+    descendant ahead of its ancestor — and parallel tasks commit host
+    groups; every bid must still be the rescan's."""
+    afg = with_parallel_tasks(afg, parallel)
+    _topo, repos, _view = build_federation()
+    order = data.draw(st.permutations(sorted(t.id for t in afg)))
+    model = PredictionModel()
+    bids = select_hosts(afg, repos["alpha"], model, order=list(order))
+    assert bids == _reference.select_hosts(afg, repos["alpha"], model,
+                                           list(order))
+    assert list(bids) == [t for t in order if t in bids]
+
+
+def _assert_round_is_the_reference(afg, view, **ablation):
+    scheduler = SiteScheduler(k=1, **ablation)
+    table, order = scheduler.schedule_with_trace(afg, view)
+    ref_table, ref_order = _reference.schedule_with_trace(scheduler, afg, view)
+    assert order == ref_order
+    # Fig. 2 site choice and Fig. 3 argmin, every float by ==
+    assert table.to_dict() == ref_table.to_dict()
+
+
+@given(dags, st.integers(min_value=0, max_value=3), st.booleans(),
+       st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_fig2_round_is_the_reference(afg, parallel, by_level, account):
+    _topo, _repos, view = build_federation()
+    _assert_round_is_the_reference(
+        with_parallel_tasks(afg, parallel), view,
+        use_level_priority=by_level, account_commitments=account)
+
+
+def test_fig2_round_is_the_reference_on_the_paper_applications():
+    """File inputs (staged from the submitting site), parallel tasks and
+    multi-port fan-in, as the shipped applications combine them."""
+    _topo, _repos, view = build_federation()
+    for afg in (figure1_afg(), linear_solver_afg(), surveillance_afg()):
+        for by_level in (True, False):
+            _assert_round_is_the_reference(
+                afg, view, use_level_priority=by_level)

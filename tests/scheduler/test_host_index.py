@@ -142,8 +142,7 @@ def test_quarantine_filter_does_not_corrupt_the_index_cache():
     def quarantine_qb(name):
         return None if name == "qb" else 1.0
 
-    bid = bid_for_task(node, repo, model, lambda _h: 0.0,
-                       health_of=quarantine_qb)
+    bid = bid_for_task(node, repo, model, {}, health_of=quarantine_qb)
     assert bid is not None and "qb" not in bid.hosts
     # the quarantined host must still be in the (cached) table
     names = [r.name for r in candidate_hosts(node, repo)]

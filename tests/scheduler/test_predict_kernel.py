@@ -106,13 +106,14 @@ def test_kernel_bid_is_the_models_bid(host_specs, task, model, with_health):
     repo = _repo(host_specs, task)
     node = _node(task)
     by_name = {f"h{i}": spec for i, spec in enumerate(host_specs)}
-    extra_load_of = lambda name: by_name[name]["extra"]
+    # the kernel reads a host -> count mapping, the reference a function
+    extra_load = {name: spec["extra"] for name, spec in by_name.items()}
     health_of = (lambda name: by_name[name]["health"]) if with_health else None
     bids = []
     for _ in range(2):  # the second kernel bid runs on warm rows
-        bids.append(bid_for_task(node, repo, model, extra_load_of, health_of))
-    reference = _reference.bid_for_task(node, repo, model, extra_load_of,
-                                        health_of)
+        bids.append(bid_for_task(node, repo, model, extra_load, health_of))
+    reference = _reference.bid_for_task(node, repo, model,
+                                        extra_load.__getitem__, health_of)
     assert bids[0] == bids[1] == reference
     if reference is not None:
         assert bids[0].predicted_time == reference.predicted_time
@@ -127,6 +128,9 @@ def test_negative_extra_load_still_raises(predict_cache):
                   "overhead": 0.0})
     node = TaskNode(id="t0", task_type=TASK, n_in_ports=0, n_out_ports=1,
                     properties=TaskProperties())
-    bid = bid_for_task if predict_cache else _reference.bid_for_task
     with pytest.raises(ValueError, match="extra_load"):
-        bid(node, repo, PredictionModel(), lambda _h: -1.0)
+        if predict_cache:
+            bid_for_task(node, repo, PredictionModel(), {"h0": -1.0})
+        else:
+            _reference.bid_for_task(node, repo, PredictionModel(),
+                                    lambda _h: -1.0)
