@@ -9,15 +9,17 @@ truth (run-queue length, available memory) every ``period_s`` and sends
 a measurement message to its Group Manager.  Delivery rides the site
 LAN (latency charged); measurements from a down host simply stop, which
 is what the Group Manager's echo protocol exists to notice.
+
+Daemons started together tick together (:class:`MonitorRound`; DESIGN §5
+decision 10, §13.9).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
 
 from repro.sim.host import Host
-from repro.sim.kernel import Process, Simulator, Timeout
+from repro.sim.kernel import Simulator
 from repro.runtime.stats import RuntimeStats
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -25,11 +27,10 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 if TYPE_CHECKING:  # pragma: no cover
     from repro.runtime.group_manager import GroupManager
 
-__all__ = ["MonitorDaemon", "Measurement"]
+__all__ = ["MonitorDaemon", "MonitorRound", "Measurement"]
 
 
-@dataclass(frozen=True)
-class Measurement:
+class Measurement(NamedTuple):
     """One workload report."""
 
     host: str
@@ -60,20 +61,22 @@ class MonitorDaemon:
         self.period_s = float(period_s)
         self.lan_latency_s = float(lan_latency_s)
         self.tracer = tracer
-        self._process: Optional[Process] = None
+        #: the round this daemon ticks in; None while not running
+        self._round: Optional[MonitorRound] = None
         self._stopped = False
+        # Pre-labelled instrument handles, resolved at the first report
+        # (when the families are registered, which fixes their snapshot
+        # order) and reused every period thereafter — not three family
+        # lookups plus three label-key builds per host per period.
+        self._reports_child = self._load_child = self._mem_child = None
 
-    def start(self) -> Process:
-        if self._process is not None and self._process.alive:
-            raise RuntimeError(f"monitor for {self.host.name} already running")
-        self._stopped = False
-        self._process = self.sim.process(
-            self._run(), name=f"monitor:{self.host.name}"
-        )
-        return self._process
+    def start(self) -> "MonitorRound":
+        """Start alone, as a round of one ticking from now (a host that
+        joins a federation whose monitoring is already running)."""
+        return MonitorRound(self.sim, [self])
 
     def stop(self) -> None:
-        """Retire this monitor: the loop exits at its next tick.
+        """Retire this monitor: it leaves its round at the next tick.
 
         Used when the host leaves the federation (graceful drain or
         decommission); no further measurements are taken or sent.
@@ -83,63 +86,116 @@ class MonitorDaemon:
     def measure(self) -> Measurement:
         """Take one measurement of the host's current state."""
         return Measurement(
-            host=self.host.name,
-            load=self.host.load_average(),
-            available_memory_mb=self.host.available_memory_mb(),
-            measured_at=self.sim.now,
+            self.host.name,
+            self.host.load_average(),
+            self.host.available_memory_mb(),
+            self.sim.now,
         )
 
-    def _run(self):
-        # Pre-labelled instrument handles, resolved at the first report
-        # (when the families are registered, which fixes their snapshot
-        # order) and reused every period thereafter — not three family
-        # lookups plus three label-key builds per host per period.
-        reports_child = load_child = mem_child = None
-        while True:
-            if self._stopped:
-                return
-            if self.host.is_up():
-                if not self.group_manager.alive:
-                    # the manager stopped answering: this monitor's next
-                    # report would vanish anyway, so instead it votes to
-                    # promote a deputy (first caller wins the election)
-                    self.group_manager.request_failover(self.host)
-                    yield Timeout(self.period_s)
-                    continue
-                measurement = self.measure()
-                self.stats.monitor_reports += 1
-                metrics = self.sim.metrics
-                if metrics.enabled:
-                    if reports_child is None:
-                        reports_child = metrics.counter(
-                            "vdce_monitor_reports_by_host_total",
-                            "monitor measurements taken, per host",
-                        ).child(host=self.host.name)
-                        load_child = metrics.series(
-                            "vdce_host_load",
-                            "run-queue length sampled by the monitor daemon",
-                        ).child(host=self.host.name)
-                        mem_child = metrics.series(
-                            "vdce_host_available_memory_mb",
-                            "available memory sampled by the monitor daemon",
-                        ).child(host=self.host.name)
-                    reports_child.inc()
-                    load_child.observe(measurement.load)
-                    mem_child.observe(measurement.available_memory_mb)
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.MONITOR_REPORT,
-                        source=f"monitor:{self.host.name}",
-                        host=measurement.host,
-                        load=measurement.load,
-                        available_memory_mb=measurement.available_memory_mb,
-                    )
-                # delivery after LAN latency; a monitor on a host that
-                # dies in flight still delivers (packet already sent).
-                # A degraded host's daemon is itself slowed, so its
-                # report leaves late by the same factor.
-                self.sim.call_after(
-                    self.lan_latency_s * max(1.0, self.host.slowdown),
-                    lambda m=measurement: self.group_manager.receive_measurement(m),
+    def _report(self) -> Measurement:
+        """Measure, count and trace this period's report."""
+        measurement = self.measure()
+        self.stats.monitor_reports += 1
+        metrics = self.sim.metrics
+        if metrics.enabled:
+            if self._reports_child is None:
+                self._reports_child = metrics.counter(
+                    "vdce_monitor_reports_by_host_total",
+                    "monitor measurements taken, per host",
+                ).child(host=self.host.name)
+                self._load_child = metrics.series(
+                    "vdce_host_load",
+                    "run-queue length sampled by the monitor daemon",
+                ).child(host=self.host.name)
+                self._mem_child = metrics.series(
+                    "vdce_host_available_memory_mb",
+                    "available memory sampled by the monitor daemon",
+                ).child(host=self.host.name)
+            self._reports_child.inc()
+            self._load_child.observe(measurement.load)
+            self._mem_child.observe(measurement.available_memory_mb)
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.MONITOR_REPORT,
+                source=f"monitor:{self.host.name}",
+                host=measurement.host,
+                load=measurement.load,
+                available_memory_mb=measurement.available_memory_mb,
+            )
+        return measurement
+
+
+def _deliver(reports: List[Tuple[MonitorDaemon, Measurement]]) -> None:
+    for daemon, measurement in reports:
+        daemon.group_manager.receive_measurement(measurement)
+
+
+class MonitorRound:
+    """Daemons started together: one calendar entry per period for all.
+
+    Each tick runs the live members' reports in start order — the order
+    their own timers, armed back to back, would have fired in — and
+    consecutive reports for one Group Manager after one LAN delay share
+    a delivery entry.  A member's ``process_spawn`` / ``process_finish``
+    events (source ``monitor:<host>``) are emitted when it joins and at
+    the first tick after its ``stop()``.
+    """
+
+    def __init__(self, sim: Simulator, daemons: Iterable[MonitorDaemon]):
+        self.sim = sim
+        self._members = list(daemons)
+        for daemon in self._members:
+            if daemon._round is not None:
+                raise RuntimeError(
+                    f"monitor for {daemon.host.name} already running"
                 )
-            yield Timeout(self.period_s)
+            if daemon.period_s != self._members[0].period_s:
+                raise ValueError("daemons of one round share one period")
+            daemon._round = self
+            daemon._stopped = False
+            if sim.tracer.enabled:
+                sim.tracer.emit(
+                    EventKind.PROCESS_SPAWN,
+                    source=f"monitor:{daemon.host.name}",
+                )
+        if self._members:
+            sim.call_at(sim.now, self._tick)
+
+    def _tick(self) -> None:
+        sim = self.sim
+        retired = False
+        batch_gm = batch_delay = reports = None
+        for daemon in self._members:
+            host = daemon.host
+            if daemon._stopped:
+                daemon._round = None
+                retired = True
+                if sim.tracer.enabled:
+                    sim.tracer.emit(
+                        EventKind.PROCESS_FINISH, source=f"monitor:{host.name}"
+                    )
+                continue
+            if not host.is_up():
+                continue
+            gm = daemon.group_manager
+            if not gm.alive:
+                # the manager stopped answering: this monitor's report
+                # would vanish anyway, so instead it votes to promote a
+                # deputy (first caller wins the election)
+                gm.request_failover(host)
+                continue
+            # delivery after LAN latency; a monitor on a host that dies
+            # in flight still delivers (packet already sent).  A
+            # degraded host's daemon is itself slowed, so its report
+            # leaves late by the same factor.
+            delay = daemon.lan_latency_s * max(1.0, host.slowdown)
+            if gm is not batch_gm or delay != batch_delay:
+                # on the calendar here, where its first report is: an
+                # election a later member calls must land after it
+                batch_gm, batch_delay, reports = gm, delay, []
+                sim.call_after(delay, lambda reports=reports: _deliver(reports))
+            reports.append((daemon, daemon._report()))
+        if retired:
+            self._members = [d for d in self._members if d._round is self]
+        if self._members:
+            sim.call_after(self._members[0].period_s, self._tick)

@@ -45,7 +45,7 @@ from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
 from repro.runtime.group_manager import GroupManager
 from repro.runtime.integrity import IntegrityManager, IntegrityPolicy
 from repro.runtime.membership import MembershipCoordinator
-from repro.runtime.monitor import MonitorDaemon
+from repro.runtime.monitor import MonitorDaemon, MonitorRound
 from repro.runtime.services import ConsoleService, IOService
 from repro.runtime.site_manager import SiteManager
 from repro.runtime.stats import RuntimeStats
@@ -325,8 +325,7 @@ class VDCERuntime:
         if self._monitoring_started:
             raise RuntimeError("monitoring already started")
         self._monitoring_started = True
-        for monitor in self.monitors.values():
-            monitor.start()
+        MonitorRound(self.sim, self.monitors.values())
         for gm in self.group_managers.values():
             gm.start_echo()
 

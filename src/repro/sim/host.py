@@ -132,6 +132,9 @@ class Host:
         #: execution by that multiple (1.0 = nominal)
         self.slowdown: float = 1.0
         self._running: list[TaskExecution] = []
+        #: sum of ``memory_mb`` over ``_running``, kept at every mutation
+        #: so a monitor report or a settle never iterates the residents
+        self._resident_mb = 0
         self._last_settle = sim.now
         self._completion_call = None
         #: called (no arguments) whenever :meth:`set_bg_load` has set a
@@ -161,8 +164,7 @@ class Host:
         return self.bg_load + len(self._running)
 
     def available_memory_mb(self) -> int:
-        used = sum(e.memory_mb for e in self._running)
-        return max(0, self.spec.memory_mb - used)
+        return max(0, self.spec.memory_mb - self._resident_mb)
 
     def is_up(self) -> bool:
         return self.state == HostState.UP
@@ -174,8 +176,7 @@ class Host:
         if self.state is HostState.DOWN or not self._running:
             return 0.0
         rate = self.spec.speed / (self.bg_load + len(self._running))
-        used = sum(e.memory_mb for e in self._running)
-        if used > self.spec.memory_mb:
+        if self._resident_mb > self.spec.memory_mb:
             rate *= self.spec.thrash_factor
         if self.slowdown > 1.0:
             rate /= self.slowdown
@@ -190,12 +191,14 @@ class Host:
         self._settle()
         execution = TaskExecution(self, work, memory_mb, label)
         self._running.append(execution)
+        self._resident_mb += execution.memory_mb
         self.sim.trace(
             "exec.start", host=self.spec.name, label=execution.label, work=work
         )
         if execution.remaining <= 0.0:
             # Zero-work tasks complete immediately (but asynchronously).
             self._running.remove(execution)
+            self._resident_mb -= execution.memory_mb
             execution.finished_at = self.sim.now
             self.completed_count += 1
             self.sim.call_at(self.sim.now, lambda: execution.done.succeed(execution))
@@ -208,6 +211,7 @@ class Host:
             return
         self._settle()
         self._running.remove(execution)
+        self._resident_mb -= execution.memory_mb
         execution.finished_at = self.sim.now
         self.failed_count += 1
         self.sim.trace("exec.cancel", host=self.spec.name, label=execution.label)
@@ -267,6 +271,7 @@ class Host:
         self._settle()
         self.state = HostState.DOWN
         victims, self._running = self._running, []
+        self._resident_mb = 0
         self.sim.trace("host.down", host=self.spec.name, victims=len(victims))
         for execution in victims:
             execution.finished_at = self.sim.now
@@ -328,6 +333,7 @@ class Host:
                     ]
         for execution in finished:
             self._running.remove(execution)
+            self._resident_mb -= execution.memory_mb
             execution.remaining = 0.0
             execution.finished_at = self.sim.now
             self.completed_count += 1

@@ -1,0 +1,76 @@
+"""What an idle federation costs: periodic daemons, counted not timed.
+
+With nothing submitted, the only calendar traffic is the Monitor daemons
+and the Group Managers' echo rounds.  Daemons started together tick
+together (``runtime/monitor.py``), so that traffic is a few entries per
+*group* per period — it must not depend on how many hosts a group has —
+and one report must not walk the host's resident executions.  (One
+kernel process and one delivery callback per daemon: 65 736 events here;
+32 064 reports either way.)
+"""
+
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.sim import TopologyBuilder
+
+HORIZON_VS = 1000.0
+#: measured 6 173 on 8 sites x 8 hosts
+CEILING = 8000
+
+
+def idle_federation(hosts_per_site: int) -> VDCERuntime:
+    """8 sites, one group each, stock config, monitoring on, no work."""
+    builder = (
+        TopologyBuilder(seed=0)
+        .lan_defaults(0.0005, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(8):
+        builder.site(f"site-{s}", n_hosts=hosts_per_site)
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    rt.start_monitoring()
+    rt.sim.run(until=HORIZON_VS)
+    return rt
+
+
+def test_idle_federation_under_the_ceiling():
+    rt = idle_federation(8)
+    # every daemon reported every period: t = 0, 2, ..., 1000
+    assert rt.stats.monitor_reports == 64 * 501
+    assert rt.sim.events_processed < CEILING
+
+
+def test_idle_events_do_not_grow_with_the_group():
+    small, large = idle_federation(8), idle_federation(16)
+    assert large.stats.monitor_reports == 2 * small.stats.monitor_reports
+
+    def periodic_events(rt):
+        # a forward is a message, one calendar entry each: on an idle
+        # federation exactly the first report of every host
+        assert rt.stats.workload_forwards == len(rt.monitors)
+        return rt.sim.events_processed - rt.stats.workload_forwards
+
+    assert periodic_events(large) == periodic_events(small)
+
+
+class _CountingList(list):
+    """A resident list that counts how often it is walked."""
+
+    iterations = 0
+
+    def __iter__(self):
+        self.iterations += 1
+        return super().__iter__()
+
+
+def test_a_report_does_not_walk_the_residents():
+    builder = TopologyBuilder(seed=0).site(
+        "site-0", n_hosts=1, memory_mb=2048)
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    (monitor,) = rt.monitors.values()
+    host = monitor.host
+    for _ in range(1024):
+        host.execute(work=1e6, memory_mb=1)
+    host._running = residents = _CountingList(host._running)
+    measurement = monitor.measure()
+    assert (measurement.load, measurement.available_memory_mb) == (1024.0, 1024)
+    assert residents.iterations == 0

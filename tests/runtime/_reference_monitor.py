@@ -1,0 +1,99 @@
+"""Reference monitor daemon: one kernel process per host.
+
+``MonitorDaemon`` used to own a generator (``_run``) that the kernel
+resumed once per period, and put one delivery callback on the calendar
+per report.  That loop lives on here, verbatim, as the oracle the
+``MonitorRound`` in ``src/`` is compared against
+(``test_monitor_round_equivalence.py``): under :func:`per_daemon_processes`
+every daemon that would join a round is started as its own process
+instead, whichever way it is started (``VDCERuntime.start_monitoring``
+or a lone ``MonitorDaemon.start()`` from the membership layer).
+"""
+
+from contextlib import contextmanager
+
+from repro.runtime.monitor import MonitorRound
+from repro.sim.kernel import Timeout
+from repro.trace.events import EventKind
+
+
+def _run(self):
+    # Pre-labelled instrument handles, resolved at the first report
+    # (when the families are registered, which fixes their snapshot
+    # order) and reused every period thereafter — not three family
+    # lookups plus three label-key builds per host per period.
+    reports_child = load_child = mem_child = None
+    while True:
+        if self._stopped:
+            return
+        if self.host.is_up():
+            if not self.group_manager.alive:
+                # the manager stopped answering: this monitor's next
+                # report would vanish anyway, so instead it votes to
+                # promote a deputy (first caller wins the election)
+                self.group_manager.request_failover(self.host)
+                yield Timeout(self.period_s)
+                continue
+            measurement = self.measure()
+            self.stats.monitor_reports += 1
+            metrics = self.sim.metrics
+            if metrics.enabled:
+                if reports_child is None:
+                    reports_child = metrics.counter(
+                        "vdce_monitor_reports_by_host_total",
+                        "monitor measurements taken, per host",
+                    ).child(host=self.host.name)
+                    load_child = metrics.series(
+                        "vdce_host_load",
+                        "run-queue length sampled by the monitor daemon",
+                    ).child(host=self.host.name)
+                    mem_child = metrics.series(
+                        "vdce_host_available_memory_mb",
+                        "available memory sampled by the monitor daemon",
+                    ).child(host=self.host.name)
+                reports_child.inc()
+                load_child.observe(measurement.load)
+                mem_child.observe(measurement.available_memory_mb)
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    EventKind.MONITOR_REPORT,
+                    source=f"monitor:{self.host.name}",
+                    host=measurement.host,
+                    load=measurement.load,
+                    available_memory_mb=measurement.available_memory_mb,
+                )
+            # delivery after LAN latency; a monitor on a host that
+            # dies in flight still delivers (packet already sent).
+            # A degraded host's daemon is itself slowed, so its
+            # report leaves late by the same factor.
+            self.sim.call_after(
+                self.lan_latency_s * max(1.0, self.host.slowdown),
+                lambda m=measurement: self.group_manager.receive_measurement(m),
+            )
+        yield Timeout(self.period_s)
+
+
+def _start(self):
+    process = getattr(self, "_process", None)
+    if process is not None and process.alive:
+        raise RuntimeError(f"monitor for {self.host.name} already running")
+    self._stopped = False
+    self._process = self.sim.process(
+        _run(self), name=f"monitor:{self.host.name}"
+    )
+
+
+def _round_of_processes(self, sim, daemons):
+    for daemon in daemons:
+        _start(daemon)
+
+
+@contextmanager
+def per_daemon_processes():
+    """Within the body, starting a round starts one process per daemon."""
+    original = MonitorRound.__init__
+    MonitorRound.__init__ = _round_of_processes
+    try:
+        yield
+    finally:
+        MonitorRound.__init__ = original

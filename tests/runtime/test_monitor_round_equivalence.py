@@ -1,0 +1,365 @@
+"""The monitor round against the one-process-per-daemon loop it replaced.
+
+Every scenario runs once under the reference (``_reference_monitor``:
+each daemon its own kernel process, one delivery callback per report)
+and once under the ``MonitorRound`` in ``src/`` (one tick entry per
+period, one delivery entry per run of reports sharing a Group Manager
+and a LAN delay).  Everything the VDCE can observe must come out equal:
+the trace hash (lifecycle events of ``monitor:<host>`` included), every
+``RuntimeStats`` counter, what each site repository believes about each
+host, and the whole metrics snapshot once the three families that
+measure the *simulator* — ``sim_events_total``,
+``sim_events_per_sim_second``, ``sim_queue_depth`` — are dropped.
+
+The scripted Group Manager crash, the chaos campaigns and the Hypothesis
+timelines are the cases with a same-instant tie (a failover election one
+LAN latency after the tick, between two groups' deliveries): they fail
+if a delivery entry is put on the calendar at the end of the tick
+instead of where its first report is, or if one entry carries reports
+for more than one Group Manager.
+"""
+
+import dataclasses
+from contextlib import contextmanager
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.metrics.export import registry_snapshot
+from repro.metrics.registry import MetricsRegistry
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.net.rpc import RpcError
+from repro.runtime.execution import ExecutionError
+from repro.scheduler import SiteScheduler
+from repro.scheduler.site_scheduler import SchedulingError
+from repro.sim import FailureInjector, TopologyBuilder
+from repro.sim.chaos import run_campaign, smoke_config
+from repro.sim.host import HostDownError
+from repro.trace.events import EventKind
+from repro.trace.serialize import trace_hash
+from repro.trace.tracer import Tracer
+from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
+
+from tests.runtime._reference_monitor import per_daemon_processes
+
+#: families that count calendar entries, not VDCE behaviour
+KERNEL_FAMILIES = (
+    "sim_events_total", "sim_events_per_sim_second", "sim_queue_depth",
+)
+LAN_LATENCY_S = 0.0005
+
+
+def both(scenario):
+    """``scenario()`` — which returns its runtime and whatever else it
+    wants compared — under the reference, then under the round."""
+    with per_daemon_processes():
+        reference = scenario()
+    return reference, scenario()
+
+
+def federation(n_sites, hosts_per_site, seed=0):
+    """A traced, metered deployment; every site on the same LAN latency,
+    so deliveries of different groups land on the same instant."""
+    speeds = (1.0, 1.5, 2.0, 2.5)
+    builder = (
+        TopologyBuilder(seed=seed)
+        .lan_defaults(LAN_LATENCY_S, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(n_sites):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
+            for h in range(hosts_per_site)
+        ])
+    return VDCERuntime(builder.build(), config=RuntimeConfig(),
+                       tracer=Tracer(), metrics=MetricsRegistry())
+
+
+def submit(rt, afg, k=2, at=0.0):
+    """Schedule and execute ``afg`` from ``site-0``; a typed death under
+    injected faults is an outcome to compare, not an error."""
+    def pipeline():
+        if at:
+            yield rt.sim.timeout(at)
+        try:
+            table, _ = yield from rt.schedule_process(
+                afg, SiteScheduler(k=k, model=rt.model), local_site="site-0"
+            )
+            result = yield rt.execute_process(
+                afg, table, submit_site="site-0", execute_payloads=False
+            )
+        except (ExecutionError, SchedulingError, RpcError, HostDownError) as exc:
+            return type(exc).__name__
+        return sorted(
+            (task, r.hosts, r.started_at, r.finished_at)
+            for task, r in result.records.items()
+        )
+
+    return rt.sim.process(pipeline(), name=f"submit:{afg.name}")
+
+
+def filtered_snapshot(metrics):
+    snapshot = registry_snapshot(metrics)
+    for section in ("counters", "gauges", "histograms", "series"):
+        for family in KERNEL_FAMILIES:
+            snapshot[section].pop(family, None)
+    return snapshot
+
+
+def observed(rt, extra=None):
+    """Everything that must be equal."""
+    rt.export_metrics()
+    return {
+        "trace_hash": trace_hash(rt.tracer.events()),
+        "stats": dataclasses.asdict(rt.stats),
+        "workloads": {
+            site: [
+                (r.name, r.up, r.load, r.available_memory_mb, r.updated_at,
+                 r.state, r.epoch)
+                for r in repo.resources.all_hosts()
+            ]
+            for site, repo in rt.repositories.items()
+        },
+        "metrics": filtered_snapshot(rt.metrics),
+        "now": rt.sim.now,
+        "extra": extra,
+    }
+
+
+def assert_equivalent(scenario):
+    """Returns the round run's runtime and facts."""
+    (reference_rt, reference_extra), (rt, extra) = both(scenario)
+    facts = observed(rt, extra)
+    assert facts == observed(reference_rt, reference_extra)
+    # the oracle really ran as processes, the round really as a round
+    assert rt.sim.events_processed < reference_rt.sim.events_processed
+    return rt, facts
+
+
+def events_at(rt, time):
+    return [e for e in rt.tracer.events() if e.time == time]
+
+
+# -- (a) stock runs -------------------------------------------------------------
+
+APPLICATIONS = {
+    "bag": lambda n: bag_of_tasks(n=n, cost=4.0, heterogeneity=0.0, seed=0),
+    "dag": lambda n: random_dag(RandomDAGConfig(
+        n_tasks=n, width=6, mean_cost=3.0, ccr=0.3, seed=7)),
+}
+
+
+@pytest.mark.parametrize("shape", sorted(APPLICATIONS))
+@pytest.mark.parametrize("n_sites,hosts_per_site,n_tasks,k",
+                         [(2, 4, 48, 1), (8, 8, 96, 7)])
+def test_stock_runs(shape, n_sites, hosts_per_site, n_tasks, k):
+    def scenario():
+        rt = federation(n_sites, hosts_per_site)
+        rt.start_monitoring()
+        app = submit(rt, APPLICATIONS[shape](n_tasks), k=k)
+        records = rt.sim.run_until_complete(app)
+        assert len(records) == n_tasks
+        return rt, records
+
+    rt, _ = assert_equivalent(scenario)
+    assert rt.stats.monitor_reports > 0
+
+
+# -- (b) a failover election between two groups' deliveries ----------------------
+
+def test_failover_election_ties_with_deliveries():
+    """The middle site's Group Manager dies between ticks.  At the next
+    tick site-0's daemons report, site-1's call the election (due one LAN
+    latency later), site-2's report: all three land on t + latency and
+    must run in that order."""
+    def scenario():
+        rt = federation(3, 3)
+        rt.start_monitoring()
+        injector = FailureInjector(rt.sim)
+        injector.schedule_group_manager_crash(
+            rt.group_managers["site-1-g0"], time=3.0)
+        # a load change per site so the tie instant carries forwards too
+        for s in range(3):
+            host = rt.topology.host(f"s{s}-h1")
+            rt.sim.call_at(3.5, lambda host=host: host.set_bg_load(2.0))
+        app = submit(rt, APPLICATIONS["dag"](24), at=1.0)
+        rt.sim.run(until=12.0)
+        return rt, app.value
+
+    rt, _ = assert_equivalent(scenario)
+    assert rt.stats.failovers == 1
+    tie = events_at(rt, 4.0 + LAN_LATENCY_S)
+    sources = [e.source for e in tie if e.source.startswith("gm:")]
+    election = sources.index("gm:site-1-g0")
+    assert tie[[e.source for e in tie].index("gm:site-1-g0")].kind \
+        == EventKind.FAILOVER
+    assert set(sources[:election]) == {"gm:site-0-g0"}
+    assert set(sources[election + 1:]) == {"gm:site-2-g0"}
+
+
+# -- (c) a slowed host, and a host down -> up across ticks -----------------------
+
+def test_slowed_host_and_outage():
+    """``slowdown`` 3.0 stretches that daemon's LAN delay: its report is
+    its own delivery instant, in the middle of its group."""
+    def scenario():
+        rt = federation(2, 4)
+        rt.start_monitoring()
+        injector = FailureInjector(rt.sim)
+        injector.schedule_host_slowdown(
+            rt.topology.host("s0-h1"), start=3.0, duration=6.0, factor=3.0)
+        injector.schedule_outage(
+            rt.topology.host("s1-h2"), start=5.0, duration=4.5)
+        rt.sim.call_at(
+            6.5, lambda: rt.topology.host("s0-h1").set_bg_load(1.5))
+        app = submit(rt, APPLICATIONS["bag"](24), at=1.0)
+        rt.sim.run(until=16.0)
+        return rt, app.value
+
+    rt, _ = assert_equivalent(scenario)
+    late = [e for e in events_at(rt, 4.0 + 3.0 * LAN_LATENCY_S)
+            if e.kind in (EventKind.WORKLOAD_SUPPRESS,
+                          EventKind.WORKLOAD_FORWARD)]
+    assert [e.data["host"] for e in late] == ["s0-h1"]
+    # down at 5.0, up at 9.5: silent on the ticks at 6 and 8, back at 10
+    reported = [e.time for e in rt.tracer.events()
+                if e.kind == EventKind.MONITOR_REPORT
+                and e.data["host"] == "s1-h2"]
+    assert 4.0 in reported and 10.0 in reported
+    assert 6.0 not in reported and 8.0 not in reported
+
+
+# -- (d) drain -> retire -> rejoin inside one period ------------------------------
+
+@pytest.mark.parametrize("rejoin_at", [3.8, 4.7])
+def test_drain_retire_rejoin(rejoin_at):
+    """Retired at 3.5: ``process_finish`` at the tick at 4.0 and nothing
+    delivered after.  The rejoined host's daemon is a round of one,
+    ticking off-phase from ``rejoin_at`` — before (3.8) or after (4.7)
+    the old daemon has left its round."""
+    olds = []
+
+    def scenario():
+        rt = federation(2, 4)
+        rt.start_monitoring()
+        olds.append(rt.monitors["s0-h2"])
+        rt.sim.call_at(2.5, lambda: rt.membership.drain_host("s0-h2", 1.0))
+        rt.sim.call_at(rejoin_at, lambda: rt.membership.rejoin_host("s0-h2"))
+        app = submit(rt, APPLICATIONS["bag"](24), at=1.0)
+        rt.sim.run(until=12.0)
+        return rt, app.value
+
+    rt, _ = assert_equivalent(scenario)
+    old = olds[-1]
+    lifecycle = [
+        (e.time, e.kind) for e in rt.tracer.events()
+        if e.source == "monitor:s0-h2"
+        and e.kind in (EventKind.PROCESS_SPAWN, EventKind.PROCESS_FINISH)
+    ]
+    assert lifecycle == sorted([
+        (0.0, EventKind.PROCESS_SPAWN), (4.0, EventKind.PROCESS_FINISH),
+        (rejoin_at, EventKind.PROCESS_SPAWN),
+    ])
+    reports = [e.time for e in rt.tracer.events()
+               if e.kind == EventKind.MONITOR_REPORT
+               and e.data["host"] == "s0-h2"]
+    assert reports[:2] == [0.0, 2.0]
+    assert reports[2:5] == pytest.approx(
+        [rejoin_at, rejoin_at + 2.0, rejoin_at + 4.0])
+    # the retired daemon's slot is gone; the new one ticks on its own
+    new = rt.monitors["s0-h2"]
+    assert new is not old and old._round is None
+    assert new._round is not rt.monitors["s0-h1"]._round
+    assert old not in rt.monitors["s0-h1"]._round._members
+
+
+# -- (e) chaos campaigns -----------------------------------------------------------
+
+@contextmanager
+def captured_runtimes():
+    """``run_campaign`` keeps its deployment to itself; hold on to it."""
+    seen = []
+    original = VDCERuntime.__init__
+
+    def init(self, *args, **kwargs):
+        original(self, *args, **kwargs)
+        seen.append(self)
+
+    VDCERuntime.__init__ = init
+    try:
+        yield seen
+    finally:
+        VDCERuntime.__init__ = original
+
+
+@pytest.mark.parametrize("seed", [0, 1, 3])
+def test_chaos_campaign(seed):
+    def scenario():
+        with captured_runtimes() as seen:
+            report = run_campaign(smoke_config(seed))
+        document = report.to_dict()
+        # hashes the kernel families too; the filtered snapshot stands in
+        del document["metrics_hash"]
+        return seen[0], document
+
+    _, facts = assert_equivalent(scenario)
+    assert facts["extra"]["violations"] == []
+
+
+# -- (f) seeds x fault timelines -----------------------------------------------------
+
+#: instants on a half-second grid: some land exactly on a tick (period 2)
+instants = st.integers(1, 36).map(lambda i: i * 0.5)
+durations = st.integers(1, 12).map(lambda i: i * 0.5)
+faults = st.lists(
+    st.tuples(
+        st.sampled_from(
+            ["outage", "slowdown", "gm_crash", "gm_outage", "sm_outage",
+             "churn", "load"]),
+        st.integers(0, 2), st.integers(0, 2), instants, durations,
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 5), timeline=faults)
+def test_fault_timelines(seed, timeline):
+    def scenario():
+        rt = federation(3, 3, seed=seed)
+        rt.start_monitoring()
+        injector = FailureInjector(rt.sim)
+        churned = set()
+        for kind, s, h, at, duration in timeline:
+            site = f"site-{s}"
+            name = f"s{s}-h{h}"
+            gm = rt.group_managers[f"{site}-g0"]
+            if kind == "outage":
+                injector.schedule_outage(rt.topology.host(name), at, duration)
+            elif kind == "slowdown":
+                injector.schedule_host_slowdown(
+                    rt.topology.host(name), at, duration, factor=2.0 + h)
+            elif kind == "gm_crash":
+                injector.schedule_group_manager_crash(gm, at)
+            elif kind == "gm_outage":
+                injector.schedule_group_manager_crash(gm, at, duration)
+            elif kind == "sm_outage":
+                injector.schedule_site_manager_crash(
+                    rt.site_managers[site], at, duration)
+            elif kind == "churn" and h and name not in churned:
+                # never the group leader, and one departure per host
+                churned.add(name)
+                rt.sim.call_at(at, lambda name=name:
+                               rt.membership.drain_host(name, 1.0))
+                rt.sim.call_at(at + 1.0 + duration, lambda name=name:
+                               rt.membership.rejoin_host(name))
+            elif kind == "load":
+                host = rt.topology.host(name)
+                rt.sim.call_at(at, lambda host=host, load=duration:
+                               host.set_bg_load(load))
+        app = submit(rt, APPLICATIONS["dag"](18), at=1.0)
+        rt.sim.run(until=30.0)
+        return rt, app.value
+
+    assert_equivalent(scenario)

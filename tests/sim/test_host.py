@@ -1,6 +1,7 @@
 """Unit tests for the processor-sharing host model."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.sim import Host, HostSpec, HostState, Simulator
 from repro.sim.host import HostDownError, Interrupted
@@ -236,3 +237,68 @@ def test_busy_time_accumulates_only_when_running():
     sim.call_at(20.0, lambda: None)
     sim.run()
     assert host.busy_time == pytest.approx(5.0)
+
+
+# -- the running resident-memory counter against the sums it replaced ---------
+
+def summed_available_memory_mb(host):
+    used = sum(e.memory_mb for e in host._running)
+    return max(0, host.spec.memory_mb - used)
+
+
+def summed_per_task_rate(host):
+    if host.state is HostState.DOWN or not host._running:
+        return 0.0
+    rate = host.spec.speed / (host.bg_load + len(host._running))
+    used = sum(e.memory_mb for e in host._running)
+    if used > host.spec.memory_mb:
+        rate *= host.spec.thrash_factor
+    if host.slowdown > 1.0:
+        rate /= host.slowdown
+    return rate
+
+
+operations = st.lists(
+    st.one_of(
+        st.tuples(st.just("execute"), st.sampled_from([0.0, 0.5, 2.0, 7.0]),
+                  st.integers(0, 200)),
+        st.tuples(st.just("cancel"), st.integers(0, 7)),
+        st.tuples(st.just("preempt_all")),
+        st.tuples(st.just("fail")),
+        st.tuples(st.just("recover")),
+        st.tuples(st.just("set_bg_load"), st.sampled_from([0.0, 1.0, 2.5])),
+        st.tuples(st.just("set_slowdown"), st.sampled_from([1.0, 3.0])),
+        # let completions (and their ticks) happen
+        st.tuples(st.just("advance"), st.sampled_from([0.0, 0.25, 3.0, 40.0])),
+    ),
+    max_size=40,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(ops=operations)
+def test_resident_memory_counter_equals_the_sum(ops):
+    sim = Simulator()
+    host = make_host(sim, speed=2.0, memory_mb=256)
+    started = []
+
+    def check():
+        assert host._resident_mb == sum(e.memory_mb for e in host._running)
+        assert host.available_memory_mb() == summed_available_memory_mb(host)
+        assert host.per_task_rate() == summed_per_task_rate(host)
+
+    for op, *args in ops:
+        if op == "execute":
+            if host.is_up():
+                started.append(host.execute(work=args[0], memory_mb=args[1]))
+        elif op == "cancel":
+            if started:
+                host.cancel(started[args[0] % len(started)])
+        elif op == "advance":
+            sim.run(until=sim.now + args[0])
+        else:
+            getattr(host, op)(*args)
+        check()
+    sim.run()
+    check()
+    assert host._resident_mb == 0 and not host._running
