@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro.afg.task import TaskNode
 
@@ -58,11 +58,13 @@ class StructureSnapshot:
     ``order`` is Kahn's order with a min-heap ready set (each step takes
     the lexicographically smallest ready task); ``parents`` /
     ``children`` are the de-duplicated neighbour ids in first-edge
-    order; ``related`` (built when first asked for) maps each task to
-    the tasks ordered with it, ancestors ∪ descendants.
+    order.  ``index`` is each task's position in ``order`` — its bit —
+    and ``reach`` (built when first asked for) maps each task to the
+    mask of the tasks ordered with it, ancestors | descendants: n
+    integers of n bits where n sets would grow with depth squared.
     """
 
-    __slots__ = ("order", "parents", "children", "_related")
+    __slots__ = ("order", "parents", "children", "index", "_reach")
 
     def __init__(self, afg: "ApplicationFlowGraph"):
         self.parents: Dict[str, Tuple[str, ...]] = {
@@ -89,26 +91,34 @@ class StructureSnapshot:
         if len(order) != len(waiting):
             raise ValueError(f"AFG {afg.name!r} contains a cycle")
         self.order: Tuple[str, ...] = tuple(order)
-        self._related: Optional[Dict[str, Set[str]]] = None
+        self.index: Dict[str, int] = {t: i for i, t in enumerate(order)}
+        self._reach: Optional[Dict[str, int]] = None
 
     @property
-    def related(self) -> Dict[str, Set[str]]:
-        related = self._related
-        if related is None:
-            # ancestors along the order, descendants against it: one
-            # C-level union per task instead of one ``add`` per pair
-            parents, children = self.parents, self.children
-            related = {}
-            for t in self.order:
-                near = parents[t]
-                related[t] = set(near).union(*[related[p] for p in near])
-            below: Dict[str, Set[str]] = {}
+    def reach(self) -> Dict[str, int]:
+        reach = self._reach
+        if reach is None:
+            # descendants against the order, ancestors along it: one
+            # big-int ``|`` per edge.  ``below`` / ``above`` carry the
+            # task's own bit so a neighbour's mask is its whole
+            # contribution; it is taken off again at the end.
+            index, parents, children = self.index, self.parents, self.children
+            reach = {}
             for t in reversed(self.order):
-                near = children[t]
-                below[t] = set(near).union(*[below[c] for c in near])
-                related[t] |= below[t]
-            self._related = related
-        return related
+                below = 1 << index[t]
+                for child in children[t]:
+                    below |= reach[child]
+                reach[t] = below
+            above: Dict[str, int] = {}
+            for t in self.order:
+                own = 1 << index[t]
+                mask = own
+                for parent in parents[t]:
+                    mask |= above[parent]
+                above[t] = mask
+                reach[t] = (reach[t] | mask) ^ own
+            self._reach = reach
+        return reach
 
 
 class ApplicationFlowGraph:

@@ -47,13 +47,14 @@ simply absent from the result — the site declines to bid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Set, Tuple
+from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
 
-from repro.afg.graph import ApplicationFlowGraph
+from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.task import TaskNode
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.repository.resources import HostRecord
 from repro.repository.store import SiteRepository
+from repro.repository.taskperf import TaskPerfRecord
 from repro.scheduler.prediction import PredictionModel
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -62,8 +63,11 @@ __all__ = [
     "CommitmentLedger",
     "HostSelectionResult",
     "bid_for_task",
+    "bid_sheet",
     "candidate_hosts",
+    "predict_rows",
     "select_hosts",
+    "sheet_bid",
 ]
 
 
@@ -119,34 +123,40 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
 
 
 class CommitmentLedger:
-    """In-round commitment accounting with O(|related ∩ placed|) queries.
+    """In-round commitment accounting on bit masks.
 
     "How many tasks already placed on host ``R`` can run concurrently
-    with ``task_i``?"  Rescanning every commitment on ``R`` per (task,
-    host) prediction is O(total commitments) per pair, quadratic over a
-    large bag.  The ledger keeps per-host totals and, once per queried
-    task, takes that task's *related* (ordered) placements off a copy;
-    the row kernel then reads the concurrent count of each host with
-    one ``dict.get``.
+    with ``task_i``?"  Every task is a bit (its position in the round's
+    :class:`~repro.afg.graph.StructureSnapshot`): the ledger keeps, per
+    host, the count and the mask of the tasks placed on it, and the
+    answer is the count less the popcount of ``reach[task_i] &
+    on[R]`` — no per-task walk of the related set, and a site is asked
+    about its own hosts only.
 
     Every committed task appears at most once per host (bid host groups
     are duplicate-free) and relatedness is symmetric, so subtracting
     the related placements from the total is exactly "count others not
-    in related[task]" — ``tests/scheduler/test_commitment_ledger.py``
+    related to the task" — ``tests/scheduler/test_commitment_ledger.py``
     checks it against that rescan on random DAGs.
     """
 
-    def __init__(self, related: Dict[str, Set[str]]):
-        self._related = related
+    def __init__(self, structure: StructureSnapshot):
+        self._index = structure.index
+        self._reach = structure.reach
         self._total: Dict[str, int] = {}
-        self._placed_on: Dict[str, Tuple[str, ...]] = {}
+        self._on: Dict[str, int] = {}
+        self._placed = 0
 
     def commit(self, task_id: str, hosts: Tuple[str, ...]) -> None:
         """Record ``task_id`` as placed on ``hosts`` this round."""
-        self._placed_on[task_id] = tuple(hosts)
-        total = self._total
+        bit = 1 << self._index[task_id]
+        if self._placed & bit:
+            raise ValueError(f"task {task_id!r} committed twice")
+        self._placed |= bit
+        total, on = self._total, self._on
         for host in hosts:
             total[host] = total.get(host, 0) + 1
+            on[host] = on.get(host, 0) | bit
 
     def extra_load(self, task_id: str) -> Mapping[str, int]:
         """host -> in-round commitments on it that can run concurrently
@@ -154,82 +164,61 @@ class CommitmentLedger:
 
         Read-only and valid until the next :meth:`commit`: when nothing
         placed so far is ordered with the task (a bag, an entry wave)
-        it is the ledger's own totals, otherwise a copy with the
-        related placements taken off — only ``related ∩ placed`` is
-        visited, not the whole related set.
+        it is the ledger's own totals, otherwise the totals with each
+        host's related placements counted off.
         """
-        placed_on = self._placed_on
-        ordered = self._related[task_id] & placed_on.keys()
-        if not ordered:
+        reach = self._reach[task_id]
+        if not reach & self._placed:
             return self._total
-        extra = dict(self._total)
-        for other in ordered:
-            for host in placed_on[other]:
-                extra[host] -= 1
-        return extra
+        on = self._on
+        return {
+            host: count - (reach & on[host]).bit_count()
+            for host, count in self._total.items()
+        }
 
 
-def bid_for_task(
-    task: TaskNode,
-    repo: SiteRepository,
-    model: PredictionModel,
-    extra_load: Mapping[str, float],
-    health_of=None,
-) -> Optional[HostSelectionResult]:
-    """Figure 3's inner step for one task at one site.
+#: what a (site, task type) pair resolves to for a whole round: the
+#: site's task-performance record and its prediction rows, name-ordered
+BidSheet = Tuple[TaskPerfRecord, List[tuple]]
 
-    Evaluates ``Predict(task, Rj)`` over every feasible host (with the
-    caller-supplied in-round load ``extra_load.get(host_name, 0)``
-    added) and returns the minimising host group, or ``None`` when the
-    site cannot run the task (no feasible hosts, task unknown to its
-    DBs).
 
-    ``health_of`` (optional, from :class:`~repro.runtime.straggler.
-    HostHealth`) maps a host name to a multiplicative prediction
-    penalty, or ``None`` for a quarantined host, which is excluded from
-    the candidate set entirely.  It is consulted per bid, never
-    resolved once per round: ``factor_of`` releases an expired
-    quarantine as a side effect.
+def bid_sheet(
+    repo: SiteRepository, task_type: str, model: PredictionModel
+) -> Optional[BidSheet]:
+    """Figure 3 steps 1-2 for one task type at one site, or ``None``
+    when the site's task-performance DB lacks the type (it declines).
+
+    A sheet is valid for the synchronous call that built it and never
+    kept beyond: monitor reports rewrite the repositories between the
+    remote passes and the local pass of one scheduling exchange.
     """
-    props = task.properties
-    task_type = task.task_type
-    candidates = candidate_hosts(task, repo)
     try:
         perf = repo.task_perf.get(task_type)
     except KeyError:
         return None
-    factors: Dict[str, float] = {}
-    if health_of is not None:
-        # rebuild rather than remove-in-place: candidate lists may be
-        # the host index's cached table, which is shared and read-only
-        kept = []
-        for record in candidates:
-            factor = health_of(record.name)
-            if factor is not None:  # None = quarantined, excluded
-                factors[record.name] = factor
-                kept.append(record)
-        candidates = kept
-    # sequential tasks have n_nodes == 1 (TaskProperties checks it)
-    n_nodes = props.n_nodes
-    if len(candidates) < n_nodes:
-        return None
-    # The row kernel: Predict is separable (see scheduler.prediction),
-    # so the task half is computed once here, the host half comes from
-    # the repository's cached rows, and the loop body is
-    # ``PredictionModel.predict``'s float operations in ``predict``'s
-    # order (``tests/scheduler/test_predict_kernel.py`` holds the two
-    # to ``==``).
-    rows = repo.predict_cache.rows(task_type, model)
-    if len(rows) != len(candidates):
-        # a preference / quarantine / exclusion filter narrowed the
-        # candidates: select their rows, never touch the shared list
-        kept_names = {record.name for record in candidates}
-        rows = [row for row in rows if row[0] in kept_names]
-    span_work, required_mb = model.task_terms(
-        perf, props.workload_scale, n_nodes,
-        props.memory_mb if props.memory_mb > 0 else None,
-    )
-    memory_penalty = model.memory_penalty
+    return perf, repo.predict_cache.rows(task_type, model)
+
+
+def predict_rows(
+    rows: List[tuple],
+    span_work: float,
+    required_mb: int,
+    memory_penalty: float,
+    extra_load: Mapping[str, float],
+    n_nodes: int = 1,
+    factors: Optional[Mapping[str, float]] = None,
+) -> Tuple[float, Tuple[str, ...]]:
+    """The row kernel: ``(predicted time, host group)`` minimising
+    ``Predict`` over ``rows`` (at least ``n_nodes`` of them).
+
+    Predict is separable (see :mod:`repro.scheduler.prediction`): the
+    task half arrives as ``span_work`` / ``required_mb``, the host half
+    is the repository's cached rows, and the loop body is
+    ``PredictionModel.predict``'s float operations in ``predict``'s
+    order, the health factor multiplied last
+    (``tests/scheduler/test_predict_kernel.py`` holds the two to
+    ``==``).
+    """
     extra_on = extra_load.get
     # one host wanted (the hot case): keep the running minimum, not a
     # list of pairs.  Rows are name-ordered and names unique, so the
@@ -254,17 +243,85 @@ def bid_for_task(
         elif best_name is None or t < best_time:
             best_time, best_name = t, name
     if single:
-        chosen_hosts: Tuple[str, ...] = (best_name,)
-        predicted_time = best_time
-    else:
-        chosen = sorted(pairs)[:n_nodes]
-        chosen_hosts = tuple(name for _, name in chosen)
-        # parallel slices run concurrently; the group finishes with its
-        # slowest member (the largest selected prediction)
-        predicted_time = chosen[-1][0]
-    return HostSelectionResult(
-        task.id, repo.site_name, chosen_hosts, predicted_time
+        return best_time, (best_name,)
+    chosen = sorted(pairs)[:n_nodes]
+    # parallel slices run concurrently; the group finishes with its
+    # slowest member (the largest selected prediction)
+    return chosen[-1][0], tuple(name for _, name in chosen)
+
+
+def sheet_bid(
+    task: TaskNode,
+    repo: SiteRepository,
+    sheet: BidSheet,
+    model: PredictionModel,
+    extra_load: Mapping[str, float],
+    health_of=None,
+) -> Optional[Tuple[float, Tuple[str, ...]]]:
+    """Figure 3 step 4 for one task on one site's sheet: the kernel's
+    ``(predicted time, host group)``, or ``None`` when too few hosts
+    are left after the task's preferences and ``health_of``."""
+    perf, rows = sheet
+    props = task.properties
+    if (props.preferred_machine is not None
+            or props.preferred_machine_type is not None):
+        # select the preferred hosts' rows, never touch the shared list
+        names = {record.name for record in candidate_hosts(task, repo)}
+        rows = [row for row in rows if row[0] in names]
+    factors: Optional[Dict[str, float]] = None
+    if health_of is not None:
+        factors = {}
+        for row in rows:
+            factor = health_of(row[0])
+            if factor is not None:  # None = quarantined, excluded
+                factors[row[0]] = factor
+        if len(factors) != len(rows):
+            rows = [row for row in rows if row[0] in factors]
+    # sequential tasks have n_nodes == 1 (TaskProperties checks it)
+    n_nodes = props.n_nodes
+    if len(rows) < n_nodes:
+        return None
+    span_work, required_mb = model.task_terms(
+        perf, props.workload_scale, n_nodes,
+        props.memory_mb if props.memory_mb > 0 else None,
     )
+    return predict_rows(
+        rows, span_work, required_mb, model.memory_penalty, extra_load,
+        n_nodes, factors,
+    )
+
+
+def bid_for_task(
+    task: TaskNode,
+    repo: SiteRepository,
+    model: PredictionModel,
+    extra_load: Mapping[str, float],
+    health_of=None,
+) -> Optional[HostSelectionResult]:
+    """Figure 3's inner step for one task at one site.
+
+    Evaluates ``Predict(task, Rj)`` over every feasible host (with the
+    caller-supplied in-round load ``extra_load.get(host_name, 0)``
+    added) and returns the minimising host group, or ``None`` when the
+    site cannot run the task (no feasible hosts, task unknown to its
+    DBs).  A round resolves one :func:`bid_sheet` per task type and
+    calls :func:`sheet_bid` per task; this is the same bid on a sheet
+    built for the one call.
+
+    ``health_of`` (optional, from :class:`~repro.runtime.straggler.
+    HostHealth`) maps a host name to a multiplicative prediction
+    penalty, or ``None`` for a quarantined host, which is excluded from
+    the candidate set entirely.  It is consulted per bid, never
+    resolved once per round: ``factor_of`` releases an expired
+    quarantine as a side effect.
+    """
+    sheet = bid_sheet(repo, task.task_type, model)
+    if sheet is None:
+        return None
+    bid = sheet_bid(task, repo, sheet, model, extra_load, health_of)
+    if bid is None:
+        return None
+    return HostSelectionResult(task.id, repo.site_name, bid[1], bid[0])
 
 
 def select_hosts(
@@ -312,33 +369,43 @@ def select_hosts(
         queue = list(order)
 
     #: in-round commitments: which hosts each placed task went to
-    ledger = CommitmentLedger(afg.structure().related)
+    ledger = CommitmentLedger(afg.structure())
+    #: steps 1-2, once per task type: its sheet, None = site declines
+    sheets: Dict[str, Optional[BidSheet]] = {}
+    site = repo.site_name
 
     for task_id in queue:
         task = afg.task(task_id)
+        task_type = task.task_type
+        if task_type not in sheets:
+            sheets[task_type] = bid_sheet(repo, task_type, model)
+        sheet = sheets[task_type]
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
-        bid = bid_for_task(
-            task, repo, model, ledger.extra_load(task_id), health_of
+        bid = None if sheet is None else sheet_bid(
+            task, repo, sheet, model, ledger.extra_load(task_id), health_of
         )
         if bid is None:
             if metrics.enabled:
                 metrics.counter(
                     "vdce_host_bid_declines_total",
                     "tasks a site could not bid on (no feasible host)",
-                ).inc(site=repo.site_name)
+                ).inc(site=site)
             continue  # site cannot run this task; no bid
+        predicted_time, hosts = bid
         if metrics.enabled:
             metrics.counter(
                 "vdce_host_bids_total",
                 "host-selection bids produced, per site",
-            ).inc(site=repo.site_name)
+            ).inc(site=site)
         if tracer.enabled:
             tracer.emit(
-                EventKind.HOST_BID, source=f"hostsel:{repo.site_name}",
-                task=task.id, site=bid.site, hosts=bid.hosts,
-                predicted_time=bid.predicted_time,
+                EventKind.HOST_BID, source=f"hostsel:{site}",
+                task=task_id, site=site, hosts=hosts,
+                predicted_time=predicted_time,
             )
-        ledger.commit(task_id, bid.hosts)
-        results[task.id] = bid
+        ledger.commit(task_id, hosts)
+        results[task_id] = HostSelectionResult(
+            task_id, site, hosts, predicted_time
+        )
     return results

@@ -43,14 +43,14 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.afg.graph import ApplicationFlowGraph
+from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.levels import compute_levels
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.afg.validate import validate_afg
 from repro.repository.store import SiteRepository
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
-from repro.scheduler.host_selection import CommitmentLedger, bid_for_task
+from repro.scheduler.host_selection import CommitmentLedger, bid_sheet, sheet_bid
 from repro.scheduler.prediction import PredictionModel
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -147,11 +147,13 @@ class SiteScheduler:
 
         # Step 2: select the k nearest neighbour sites.  The call is
         # synchronous, so each site's repository is resolved once here,
-        # like the AFG's structure below (DESIGN §13.8).
+        # like the AFG's structure below (DESIGN §13.8) and, per task
+        # type, the (site, repository, bid sheet) of every site knowing it
         sites: List[Tuple[str, SiteRepository]] = [
             (site, view.repository(site))
             for site in view.participating_sites(self.k)
         ]
+        sheets: Dict[str, List[tuple]] = {}
         structure = afg.structure()
 
         # Steps 3-5 (the AFG multicast and bid replies) are the *wire*
@@ -177,7 +179,7 @@ class SiteScheduler:
         #: federation-wide in-round commitments; None under the E13
         #: ablation, where Predict ignores what this round already placed
         ledger: Optional[CommitmentLedger] = (
-            CommitmentLedger(structure.related)
+            CommitmentLedger(structure)
             if self.account_commitments else None
         )
 
@@ -206,7 +208,8 @@ class SiteScheduler:
             else:
                 task_id = ready.popleft()
             assignment = self._place_task(
-                afg, task_id, sites, view, site_by_task, health_of, ledger,
+                afg, structure, task_id, sites, sheets, view, site_by_task,
+                health_of, ledger,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -246,14 +249,21 @@ class SiteScheduler:
     def _place_task(
         self,
         afg: ApplicationFlowGraph,
+        structure: StructureSnapshot,
         task_id: str,
         sites: List[Tuple[str, SiteRepository]],
+        sheets: Dict[str, List[tuple]],
         view: FederationView,
         site_by_task: Dict[str, str],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
     ) -> TaskAssignment:
         task = afg.task(task_id)
+        model, task_type = self.model, task.task_type
+        bidders = sheets.get(task_type)
+        if bidders is None:  # first task of its type this round
+            built = [(s, r, bid_sheet(r, task_type, model)) for s, r in sites]
+            bidders = sheets[task_type] = [b for b in built if b[2] is not None]
         extra_load = ledger.extra_load(task_id) if ledger is not None else {}
 
         # Dataflow rule: Timetotal = parent-site transfers + Predict.
@@ -264,20 +274,19 @@ class SiteScheduler:
         if afg.requires_input_transfer(task_id):
             inputs = [
                 (site_by_task[parent], afg.edge_size_between(parent, task_id))
-                for parent in afg.structure().parents[task_id]
+                for parent in structure.parents[task_id]
             ]
             # explicit file inputs are staged from the submitting site
             file_mb = task.properties.total_input_size_mb()
             if file_mb > 0:
                 inputs.append((view.local_site, file_mb))
         site_transfer_time = view.site_transfer_time
-        model = self.model
 
         # running minimum over (Timetotal, site): sites are distinct, so
         # this is min() over those pairs whatever order the sites come in
         best = best_site = best_total = None
-        for site, repository in sites:
-            bid = bid_for_task(task, repository, model, extra_load, health_of)
+        for site, repository, sheet in bidders:
+            bid = sheet_bid(task, repository, sheet, model, extra_load, health_of)
             if bid is None:
                 continue
             # per site the transfer times are added in parent order (the
@@ -285,18 +294,19 @@ class SiteScheduler:
             transfer = 0.0
             for source_site, size_mb in inputs:
                 transfer += site_transfer_time(source_site, site, size_mb)
-            total = transfer + bid.predicted_time
+            total = transfer + bid[0]
             if best is None or total < best_total or (
                 total == best_total and site < best_site
             ):
                 best, best_site, best_total = bid, site, total
         if best is None:
             raise SchedulingError(
-                f"no site can run task {task_id!r} ({task.task_type})"
+                f"no site can run task {task_id!r} ({task_type})"
             )
+        predicted_time, hosts = best
         return TaskAssignment(
             task_id=task_id,
-            site=best.site,
-            hosts=best.hosts,
-            predicted_time=best.predicted_time,
+            site=best_site,
+            hosts=hosts,
+            predicted_time=predicted_time,
         )

@@ -28,7 +28,7 @@ the set of cross-group links being down, and per-link ``loss_prob`` /
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
@@ -328,6 +328,10 @@ class Network:
         self._lans: Dict[str, Link] = {}
         self._wans: Dict[Tuple[str, str], Link] = {}
         self._host_sites: Dict[str, str] = {}
+        #: (site_a, site_b) -> the ``spec.transfer_time`` of the link
+        #: between them, as first resolved; dropped with any link change
+        self._site_estimates: Dict[
+            Tuple[str, str], Callable[[float], float]] = {}
         #: site -> partition group id while a partition is active
         self._partition_group: Dict[str, int] = {}
         #: WAN keys this partition took down (recovered on heal)
@@ -348,11 +352,13 @@ class Network:
     def set_lan(self, site_name: str, spec: LinkSpec) -> None:
         spec = LinkSpec(spec.latency_s, spec.bandwidth_mbps, f"lan:{site_name}")
         self._lans[site_name] = Link(self.sim, spec)
+        self._site_estimates.clear()
 
     def set_wan(self, site_a: str, site_b: str, spec: LinkSpec) -> None:
         key = self._wan_key(site_a, site_b)
         spec = LinkSpec(spec.latency_s, spec.bandwidth_mbps, f"wan:{key[0]}-{key[1]}")
         self._wans[key] = Link(self.sim, spec)
+        self._site_estimates.clear()
 
     @staticmethod
     def _wan_key(site_a: str, site_b: str) -> Tuple[str, str]:
@@ -537,9 +543,15 @@ class Network:
 
     def site_transfer_time_estimate(self, site_a: str, site_b: str, size_mb: float) -> float:
         """Site-granularity estimate used by the site scheduler (Fig. 2)."""
-        if site_a == site_b:
-            return self.lan_link(site_a).spec.transfer_time(size_mb)
-        return self.wan_link(site_a, site_b).spec.transfer_time(size_mb)
+        estimate = self._site_estimates.get((site_a, site_b))
+        if estimate is None:
+            # the first call for a pair goes through the link look-up,
+            # which creates a missing link (down, inside a partition)
+            link = (self.lan_link(site_a) if site_a == site_b
+                    else self.wan_link(site_a, site_b))
+            estimate = self._site_estimates[site_a, site_b] = (
+                link.spec.transfer_time)
+        return estimate(size_mb)
 
     def transfer(self, src_host: str, dst_host: str, size_mb: float,
                  label: str = "xfer") -> Transfer:

@@ -1,8 +1,8 @@
 """The AFG's structure snapshot: what it holds, when it is dropped.
 
 ``ApplicationFlowGraph.structure()`` derives the topological order, the
-de-duplicated parent/child tuples and the related (ancestor ∪
-descendant) sets once per ``structure_version``.  Two things are held
+de-duplicated parent/child tuples and the reach (ancestor |
+descendant) masks once per ``structure_version``.  Two things are held
 here: the snapshot equals the straight-line forms it replaced
 (``tests/scheduler/_reference.py``) on any DAG, and no reader can see a
 snapshot older than the graph — every mutator drops it, a property edit
@@ -64,7 +64,7 @@ def assert_is_the_reference(afg):
     for task in afg:
         assert list(structure.parents[task.id]) == afg.parents(task.id)
         assert list(structure.children[task.id]) == afg.children(task.id)
-    assert structure.related == _reference.reachability(afg)
+    assert _reference.reach_sets(structure) == _reference.reachability(afg)
     cost = lambda task_id: float(len(task_id))
     assert compute_levels(afg, cost) == _reference.compute_levels(afg, cost)
 
@@ -81,7 +81,7 @@ def test_multi_edges_are_one_neighbour_in_first_edge_order():
     assert structure.children["a"] == ("b", "c")
     assert structure.parents["b"] == ("a",)
     assert structure.parents["d"] == ("b", "c")
-    assert structure.related["b"] == {"a", "d"}
+    assert _reference.reach_sets(structure)["b"] == {"a", "d"}
     assert_is_the_reference(afg)
 
 
@@ -89,7 +89,7 @@ def test_two_reads_without_a_mutation_share_one_snapshot():
     afg = diamond()
     first = afg.structure()
     assert afg.structure() is first
-    assert first.related is afg.structure().related
+    assert first.reach is afg.structure().reach
     # the public accessors hand out fresh lists, never the snapshot's own
     assert afg.topological_order() is not afg.topological_order()
     order = afg.topological_order()
@@ -108,7 +108,7 @@ def test_every_structural_mutator_drops_the_snapshot():
     ]
     for mutate in mutations:
         before, version = afg.structure(), afg.structure_version
-        before.related  # built, so a stale one would be noticed
+        before.reach  # built, so a stale one would be noticed
         mutate()
         assert afg.structure_version == version + 1
         assert afg.structure() is not before
@@ -155,7 +155,8 @@ def test_an_editor_session_never_sees_a_stale_adjacency():
     def seen():
         structure = afg.structure()
         return (afg.topological_order(), afg.parents(snk), afg.children(src),
-                structure.parents[snk], structure.related[src])
+                structure.parents[snk],
+                _reference.reach_sets(structure)[src])
 
     assert seen() == ([mid, snk, src], [], [], (), set())
     builder.connect(src, mid)
@@ -172,7 +173,7 @@ def test_an_editor_session_never_sees_a_stale_adjacency():
 
 def test_copies_and_serialisation_carry_no_snapshot():
     afg = diamond()
-    afg.structure().related
+    afg.structure().reach
     for clone in (copy.deepcopy(afg), pickle.loads(pickle.dumps(afg))):
         assert "_structure" not in vars(clone)
         assert clone.structure() is not afg.structure()

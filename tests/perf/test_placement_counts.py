@@ -1,31 +1,41 @@
-"""One round = one snapshot: the Fig. 2 / Fig. 3 pass count gate.
+"""One round = one snapshot, on indices: the Fig. 2 / Fig. 3 count gate.
 
 A scheduling round is synchronous, so what depends on the AFG's
-structure is derived once per ``structure_version`` and what depends on
-the task is derived once per task — never per (task, site) bid.  Exact
-counts on the 2 x 4 federation of ``test_prediction_counts.py``, the
-same whatever the number of participating sites, so a change that
-quietly re-runs Kahn's algorithm per site (10 passes per k=7
+structure is derived once per ``structure_version``, what depends on
+the (site, task type) pair once per round and what depends on the task
+once per task — never per (task, site) bid.  Exact counts on the 2 x 4
+federation of ``test_prediction_counts.py``, so a change that quietly
+re-runs Kahn's algorithm per site (10 passes per k=7
 ``schedule_process`` before the snapshot), re-derives adjacency per
-ready test, walks the whole related set per task, or builds a closure
-per task fails here and not in a bench run:
+ready test, re-keys the repositories per bid, keeps reachability as n
+sets, or builds a closure per task fails here and not in a bench run:
 
 * Kahn passes per round: exactly one, shared by ``validate_afg``,
   ``compute_levels`` (local and at every remote ``select_hosts``), the
-  reachability sets and the ready loop;
+  reach masks and the ready loop;
 * adjacency: derived inside that one build, the public
   ``parents()`` / ``children()`` are not called at all;
-* ledger visits: Σ |related ∩ placed| over the placement order, not
-  Σ |related|;
+* bid sheets: one per (participating site, distinct task type) per
+  call, and ``HostIndex.version_key`` — two tuples per *bid* before the
+  sheet — at most twice per sheet (the row-table key, and the host
+  table's on a build);
+* reachability: n masks of n bits (n² / 8 bytes), not n sets whose total
+  size grows with depth squared;
+* scaling: the cost of placing a task does not depend on how many tasks
+  the application has (a ratio of two timings taken in one process);
 * closures: the per-task functions define no nested function.
 """
 
+import statistics
+import sys
+import time
 import types
 
 import pytest
 
 from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
-from repro.scheduler import SiteScheduler
+from repro.repository.host_index import HostIndex
+from repro.scheduler import SiteScheduler, host_selection, site_scheduler
 from repro.scheduler.host_selection import (
     CommitmentLedger,
     bid_for_task,
@@ -34,83 +44,82 @@ from repro.scheduler.host_selection import (
 from tests.perf.test_prediction_counts import N_SITES, federation, layered_dag
 
 
-class CountingDict(dict):
-    """A ledger's ``_placed_on`` that counts element reads."""
-
-    reads = 0
-
-    def __getitem__(self, key):
-        self.reads += 1
-        return dict.__getitem__(self, key)
-
-    def get(self, key, default=None):
-        self.reads += 1
-        return dict.get(self, key, default)
-
-
 def count_round(n_tasks: int, k: int, monkeypatch):
     """One Fig. 2 round preceded by Fig. 3 at each of the k remote sites,
     all on one AFG object, as ``schedule_process`` runs them.  Returns
-    (Kahn passes, public adjacency calls, ledger visits, expected
-    ledger visits)."""
+    (Kahn passes, public adjacency calls, bid sheets built,
+    ``version_key`` calls, distinct task types)."""
     repos, view = federation()
     afg = layered_dag(n_tasks)
-    counts = {"kahn": 0, "adjacency": 0}
+    counts = {"kahn": 0, "adjacency": 0, "sheets": 0, "version_key": 0}
 
-    build = StructureSnapshot.__init__
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return counted
 
-    def counted_build(self, graph):
-        counts["kahn"] += 1
-        build(self, graph)
-
-    monkeypatch.setattr(StructureSnapshot, "__init__", counted_build)
+    monkeypatch.setattr(StructureSnapshot, "__init__", counting(
+        "kahn", StructureSnapshot.__init__))
     for name in ("parents", "children"):
-        public = getattr(ApplicationFlowGraph, name)
-
-        def counted(self, task_id, _public=public):
-            counts["adjacency"] += 1
-            return _public(self, task_id)
-
-        monkeypatch.setattr(ApplicationFlowGraph, name, counted)
-
-    ledgers = []
-    init = CommitmentLedger.__init__
-
-    def counted_init(self, related):
-        init(self, related)
-        self._placed_on = CountingDict()
-        ledgers.append(self)
-
-    monkeypatch.setattr(CommitmentLedger, "__init__", counted_init)
+        monkeypatch.setattr(ApplicationFlowGraph, name, counting(
+            "adjacency", getattr(ApplicationFlowGraph, name)))
+    monkeypatch.setattr(HostIndex, "version_key", counting(
+        "version_key", HostIndex.version_key))
+    counted_sheet = counting("sheets", host_selection.bid_sheet)
+    for module in (host_selection, site_scheduler):  # bound by name in both
+        monkeypatch.setattr(module, "bid_sheet", counted_sheet)
 
     for site in view.remote_sites(k):
         assert len(select_hosts(afg, repos[site])) == n_tasks
     _table, order = SiteScheduler(k=k).schedule_with_trace(afg, view)
     monkeypatch.undo()
 
-    assert len(order) == n_tasks and len(ledgers) == k + 1
-    visits = ledgers[-1]._placed_on.reads  # the Fig. 2 round's ledger
-    related = afg.structure().related
-    placed, expected = set(), 0
-    for task_id in order:
-        expected += len(related[task_id] & placed)
-        placed.add(task_id)
-    # each ordered pair is met once, by whichever of the two comes second
-    assert 2 * expected == sum(len(r) for r in related.values())
-    return counts["kahn"], counts["adjacency"], visits, expected
+    assert len(order) == n_tasks
+    return (counts["kahn"], counts["adjacency"], counts["sheets"],
+            counts["version_key"], len({t.task_type for t in afg}))
 
 
 @pytest.mark.parametrize("n_tasks", [256, 1024])
 def test_round_counts_do_not_depend_on_the_number_of_sites(n_tasks, monkeypatch):
-    seen = set()
+    """One Kahn pass and no adjacency call whatever the number of sites;
+    per site, work per task *type*, whatever the number of tasks."""
     for k in range(N_SITES):  # local only, then local + one remote
-        kahn, adjacency, visits, expected = count_round(n_tasks, k, monkeypatch)
+        kahn, adjacency, sheets, version_keys, task_types = count_round(
+            n_tasks, k, monkeypatch)
         assert kahn == 1
         assert adjacency == 0
-        # single-host commitments: one read per related placed task
-        assert visits == expected
-        seen.add((kahn, adjacency, visits))
-    assert len(seen) == 1
+        # k remote Fig. 3 passes of one site, one Fig. 2 pass of k + 1
+        assert sheets == (k + k + 1) * task_types
+        assert version_keys <= 2 * sheets < n_tasks
+
+
+def test_reach_masks_of_a_deep_dag_stay_within_n_squared_bits():
+    reach = layered_dag(4096).structure().reach
+    # 4096 masks of <= 4096 bits: 2 MB and the int headers
+    assert sum(sys.getsizeof(mask) for mask in reach.values()) < 3_000_000
+
+
+def _cpu_seconds_per_task(n_tasks: int) -> float:
+    _repos, view = federation()
+    afg = layered_dag(n_tasks)  # a fresh graph: the snapshot is in the bill
+    started = time.process_time()
+    table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
+    elapsed = time.process_time() - started
+    assert len(table) == n_tasks
+    return elapsed / n_tasks
+
+
+def test_placement_cost_per_task_is_flat_from_1k_to_4k_tasks():
+    """4x the tasks, 256 layers instead of 64: with reachability as sets
+    and a per-query intersection the per-task cost is 1.7-1.85x (median
+    of seven interleaved pairs, the parent of PR 19); on masks it is 1.05-1.35x,
+    what a larger working set costs."""
+    ratios = []
+    for _ in range(7):
+        at_1k = _cpu_seconds_per_task(1024)
+        ratios.append(_cpu_seconds_per_task(4096) / at_1k)
+    assert statistics.median(ratios) < 1.5
 
 
 def _nested_functions(function):
@@ -128,6 +137,8 @@ def _nested_functions(function):
 def test_per_task_functions_create_no_closure():
     for function in (
         bid_for_task,
+        host_selection.sheet_bid,
+        host_selection.predict_rows,
         SiteScheduler._place_task,
         CommitmentLedger.extra_load,
         CommitmentLedger.commit,

@@ -16,8 +16,14 @@ what the equivalence tests compare against, ``==`` on every float:
   :func:`compute_levels` — Kahn's algorithm over the edge lists, the
   ancestor sets inverted one ``add`` per pair, levels from the public
   accessors: what ``ApplicationFlowGraph.structure()`` now derives once;
+* :func:`related_sets` — the snapshot's reachability as n Python sets
+  (ancestors ∪ descendants), which ``StructureSnapshot.reach`` keeps as
+  n bit masks;
 * :class:`ClosureLedger` — the ledger that walked the whole related
   set per task and answered through a closure per host row;
+* :class:`SetLedger` — the ledger that intersected ``related[task]``
+  with the placed tasks per query and took their hosts off a copy of
+  the totals, which ``CommitmentLedger`` answers with popcounts;
 * :func:`select_hosts`, :func:`schedule_with_trace` — the Fig. 3 queue
   walk and the Fig. 2 ready loop (``all(p in scheduled ...)``) with
   ``min(bids, key=lambda ...)`` over a ``time_total`` closure, built on
@@ -25,9 +31,9 @@ what the equivalence tests compare against, ``==`` on every float:
 """
 
 import heapq
-from typing import Callable, Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.afg.graph import ApplicationFlowGraph
+from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.task import TaskNode
 from repro.afg.validate import validate_afg
 from repro.repository.resources import HostRecord
@@ -179,7 +185,58 @@ def compute_levels(
     return levels
 
 
-# -- the closure-form ledger ---------------------------------------------------
+def related_sets(structure: StructureSnapshot) -> Dict[str, Set[str]]:
+    # ancestors along the order, descendants against it: one
+    # C-level union per task instead of one ``add`` per pair
+    parents, children = structure.parents, structure.children
+    related = {}
+    for t in structure.order:
+        near = parents[t]
+        related[t] = set(near).union(*[related[p] for p in near])
+    below: Dict[str, Set[str]] = {}
+    for t in reversed(structure.order):
+        near = children[t]
+        below[t] = set(near).union(*[below[c] for c in near])
+        related[t] |= below[t]
+    return related
+
+
+def reach_sets(structure: StructureSnapshot) -> Dict[str, Set[str]]:
+    """``structure.reach`` read back bit by bit: task -> the tasks whose
+    position in ``order`` is set in its mask."""
+    order = structure.order
+    return {
+        task_id: {order[i] for i in range(mask.bit_length()) if mask >> i & 1}
+        for task_id, mask in structure.reach.items()
+    }
+
+
+# -- the set-form and closure-form ledgers -------------------------------------
+
+
+class SetLedger:
+    def __init__(self, related: Dict[str, Set[str]]):
+        self._related = related
+        self._total: Dict[str, int] = {}
+        self._placed_on: Dict[str, Tuple[str, ...]] = {}
+
+    def commit(self, task_id: str, hosts: Tuple[str, ...]) -> None:
+        self._placed_on[task_id] = tuple(hosts)
+        total = self._total
+        for host in hosts:
+            total[host] = total.get(host, 0) + 1
+
+    def extra_load(self, task_id: str) -> Mapping[str, int]:
+        placed_on = self._placed_on
+        ordered = self._related[task_id] & placed_on.keys()
+        if not ordered:
+            return self._total
+        extra = dict(self._total)
+        for other in ordered:
+            for host in placed_on[other]:
+                extra[host] -= 1
+        return extra
+
 
 
 class ClosureLedger:

@@ -5,13 +5,16 @@ obvious O(n) answer: "how many commitments on host R can run
 concurrently with this task?" (rescan every commitment on R) and "which
 ready task goes next?" (``max`` over the ready set by ``(level, id)``).
 ``src/`` answers both incrementally — the ledger's per-host totals less
-the task's related placements, handed to the row kernel as a host ->
-count mapping; a heap on ``(-level, _MaxStr(id))`` — and on any DAG, any
-commit sequence, the answers must be the rescans'.  The last two tests
-hold whole rounds (``select_hosts`` on any queue order, Fig. 2 under
-both ablations) to the straight-line forms in ``_reference.py``.
+the popcount of the task's reach mask on the host's placed mask, handed
+to the row kernel as a host -> count mapping; a heap on ``(-level,
+_MaxStr(id))`` — and on any DAG, any commit sequence, the answers must
+be the rescans' and the set-form ledger's (``_reference.SetLedger`` on
+``_reference.related_sets``, the bodies the masks replaced).  The last
+two tests hold whole rounds (``select_hosts`` on any queue order, Fig. 2
+under both ablations) to the straight-line forms in ``_reference.py``.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -56,21 +59,29 @@ def with_parallel_tasks(afg, parallel):
 @given(dags, st.data())
 @settings(max_examples=150, deadline=None)
 def test_extra_load_is_the_rescan(afg, data):
-    related = afg.structure().related
+    structure = afg.structure()
+    related = _reference.related_sets(structure)
+    assert _reference.reach_sets(structure) == related
     assert related == _reference.reachability(afg)
     tasks = sorted(related)
-    ledger = CommitmentLedger(related)
+    ledger = CommitmentLedger(structure)
+    sets = _reference.SetLedger(related)
     closures = _reference.ClosureLedger(related)
     committed = {}
     # any order, not only a schedulable one (a descendant may be placed
     # before its ancestor): the ledger's argument needs symmetry of
-    # `related` and duplicate-free host groups, nothing else
+    # relatedness and duplicate-free host groups, nothing else
     for task_id in data.draw(st.permutations(tasks)):
         query = data.draw(st.sampled_from(tasks))
         load = data.draw(st.floats(min_value=0.0, max_value=8.0))
         fast = ledger.extra_load(query)
+        slow = sets.extra_load(query)
         closure = closures.extra_load_fn(query)
         rescan = _reference.rescan_extra_load(committed, related, query)
+        # same keys in the same order, same ints; and the totals object
+        # itself exactly when nothing placed is ordered with the task
+        assert list(fast.items()) == list(slow.items())
+        assert (fast is ledger._total) == (slow is sets._total)
         for host in HOSTS:
             assert fast.get(host, 0) == rescan(host) == closure(host)
             assert fast.get(host, 0) >= 0
@@ -81,9 +92,25 @@ def test_extra_load_is_the_rescan(afg, data):
             st.lists(st.sampled_from(HOSTS), min_size=1, max_size=3,
                      unique=True))
         ledger.commit(task_id, tuple(group))
+        sets.commit(task_id, tuple(group))
         closures.commit(task_id, tuple(group))
         for host in group:
             committed.setdefault(host, []).append(task_id)
+
+
+def test_a_task_committed_twice_is_refused():
+    """A second ``commit`` used to add to the totals again while the
+    placement was overwritten, and surfaced — if at all — as a negative
+    ``extra_load`` inside some later, unrelated bid."""
+    afg = random_dag(RandomDAGConfig(n_tasks=6, width=2, seed=3))
+    first, second = afg.structure().order[:2]
+    ledger = CommitmentLedger(afg.structure())
+    ledger.commit(first, ("h0",))
+    with pytest.raises(ValueError, match=f"task {first!r} committed twice"):
+        ledger.commit(first, ("h1",))
+    # the refused commit left no mark
+    ledger.commit(second, ("h1",))
+    assert dict(ledger._total) == {"h0": 1, "h1": 1}
 
 
 @given(dags, st.booleans())

@@ -1,12 +1,14 @@
 """Row kernel == ``PredictionModel.predict``, bit for bit.
 
-``bid_for_task`` evaluates a bid from the repository's cached host rows
+``predict_rows`` evaluates a bid from the repository's cached host rows
 and a task half computed once; the reference bid
 (``tests/scheduler/_reference.py``) calls ``model.predict`` per (task,
 host) pair.  The kernel performs the model's float operations in the
 model's order, so on *any* repository the two must return the identical
 ``HostSelectionResult`` — same hosts, ``predicted_time`` equal by
-``==``, never ``approx``.
+``==``, never ``approx`` — whether the kernel is reached through
+``bid_for_task`` (a sheet built for the one call) or through one
+``bid_sheet`` that serves every task of the type, as inside a round.
 """
 
 import pytest
@@ -16,7 +18,12 @@ from hypothesis import strategies as st
 from repro.afg import ComputationMode, TaskNode, TaskProperties
 from repro.repository import SiteRepository
 from repro.repository.taskperf import TaskPerfRecord
-from repro.scheduler.host_selection import bid_for_task
+from repro.scheduler.host_selection import (
+    bid_for_task,
+    bid_sheet,
+    predict_rows,
+    sheet_bid,
+)
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 from repro.tasklib.base import ParallelModel
@@ -118,6 +125,44 @@ def test_kernel_bid_is_the_models_bid(host_specs, task, model, with_health):
     if reference is not None:
         assert bids[0].predicted_time == reference.predicted_time
         assert len(reference.hosts) == task["n_nodes"]
+
+
+@given(hosts, st.lists(tasks, min_size=1, max_size=4), models, st.booleans())
+@settings(max_examples=150, deadline=None)
+def test_one_sheet_serves_every_task_of_the_type(host_specs, variants, model,
+                                                 with_health):
+    """A round resolves the (site, task type) sheet once; tasks of the
+    type differ in scale, memory, node count and preference, and each
+    one's bid must be what ``model.predict`` says for it."""
+    repo = _repo(host_specs, variants[0])  # the first variant registers
+    sheet = bid_sheet(repo, TASK, model)
+    assert bid_sheet(repo, "no.such.task", model) is None
+    by_name = {f"h{i}": spec for i, spec in enumerate(host_specs)}
+    extra_load = {name: spec["extra"] for name, spec in by_name.items()}
+    health_of = (lambda name: by_name[name]["health"]) if with_health else None
+    for task in variants:
+        node = _node(task)
+        reference = _reference.bid_for_task(
+            node, repo, model, extra_load.__getitem__, health_of)
+        bid = sheet_bid(node, repo, sheet, model, extra_load, health_of)
+        if reference is None:
+            assert bid is None
+        else:
+            assert bid == (reference.predicted_time, reference.hosts)
+
+
+def test_kernel_rows_are_read_in_name_order_with_a_strict_minimum():
+    """Two hosts predicting the same float: the earlier name wins, as
+    ``min`` over ``(time, name)`` pairs would have it; a parallel task
+    takes the ``n_nodes`` smallest pairs and bids the largest of them."""
+    rows = [("h0", 1.0, 1.0, 64, 1.0, 1.0), ("h1", 1.0, 1.0, 64, 1.0, 1.0),
+            ("h2", 2.0, 1.0, 64, 1.0, 1.0), ("h3", 1.0, 1.0, 8, 1.0, 1.0)]
+    assert predict_rows(rows, 3.0, 16, 4.0, {}) == (3.0, ("h0",))
+    assert predict_rows(rows, 3.0, 16, 4.0, {"h0": 1}) == (3.0, ("h1",))
+    assert predict_rows(rows, 3.0, 16, 4.0, {}, 3) == (6.0, ("h0", "h1", "h2"))
+    assert predict_rows(rows, 3.0, 16, 4.0, {}, 1,
+                        {"h0": 5.0, "h1": 5.0, "h2": 1.0, "h3": 1.0}
+                        ) == (6.0, ("h2",))
 
 
 @pytest.mark.parametrize("predict_cache", [True, False])

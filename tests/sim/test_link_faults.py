@@ -174,6 +174,39 @@ def test_partition_validation():
         network.partition([["alpha", "beta"], ["gamma"]])  # already active
 
 
+def test_site_estimate_creates_its_missing_wan_link_down_inside_a_partition():
+    """``site_transfer_time_estimate`` keeps the resolved pair, so the
+    first call for a pair must still go through ``wan_link``: a site that
+    joined after the partition began is in no group, and its lazily
+    created WAN links are born down and healed with the rest."""
+    topo = _three_site_topology()
+    network = topo.network
+    network.partition([["alpha"], ["beta", "gamma"]])
+    network.register_host("d1", "delta")
+    default = network.default_wan
+    for _ in range(2):  # resolved, then read back: the same float
+        assert network.site_transfer_time_estimate("delta", "alpha", 4.0) == (
+            default.latency_s + 4.0 / default.bandwidth_mbps)
+    assert not network.wan_link("alpha", "delta").up
+    assert ("alpha", "delta") in network.heal_partition()
+    assert network.reachable("alpha", "delta")
+
+
+def test_site_estimate_follows_a_replaced_link_and_still_checks_the_size():
+    network = _three_site_topology().network
+    before = network.site_transfer_time_estimate("alpha", "beta", 4.0)
+    assert before == 0.02 + 4.0 / 2.0
+    network.set_wan("alpha", "beta", LinkSpec(latency_s=0.5, bandwidth_mbps=8.0))
+    assert network.site_transfer_time_estimate("alpha", "beta", 4.0) == 0.5 + 4.0 / 8.0
+    assert network.site_transfer_time_estimate("beta", "alpha", 4.0) == 0.5 + 4.0 / 8.0
+    lan = network.site_transfer_time_estimate("alpha", "alpha", 4.0)
+    network.set_lan("alpha", LinkSpec(latency_s=0.25, bandwidth_mbps=16.0))
+    assert lan != network.site_transfer_time_estimate("alpha", "alpha", 4.0) == (
+        0.25 + 4.0 / 16.0)
+    with pytest.raises(ValueError, match="negative transfer size"):
+        network.site_transfer_time_estimate("alpha", "beta", -1.0)
+
+
 def test_scheduled_partition_kills_inflight_wan_transfer_and_heals():
     topo = _three_site_topology()
     sim = topo.sim
