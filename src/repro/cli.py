@@ -724,49 +724,70 @@ def cmd_serve(args) -> int:  # pragma: no cover - starts a real server
     return 0
 
 
+#: ``repro chaos`` preset flag -> (its builder in repro.sim.chaos, help)
+_CHAOS_PRESETS = {
+    "smoke": ("smoke_config", "the small, fast campaign CI runs"),
+    "slowdown-smoke": (
+        "slowdown_smoke_config",
+        "the straggler-defense campaign CI runs (slowdowns + flapping, "
+        "speculation on)"),
+    "storm": (
+        "storm_config",
+        "the overload campaign: an arrival storm against a bounded "
+        "admission queue, with brownout and circuit breakers armed"),
+    "corruption": (
+        "corruption_smoke_config",
+        "the data-integrity campaign: payload corruption, artifact loss "
+        "and journal rot against end-to-end checksums and the repair "
+        "ladder (invariants I12/I13)"),
+    "churn": (
+        "churn_smoke_config",
+        "the elastic-membership campaign: graceful drains, hard "
+        "decommissions and rejoins under load (invariants I14/I15/I16)"),
+}
+
+#: ``repro chaos`` shape flag -> the ChaosConfig field it sets; unset, the
+#: field keeps its ChaosConfig default.  A preset fixes all of them
+_CHAOS_SHAPE = {
+    "sites": "n_sites",
+    "hosts": "hosts_per_site",
+    "apps": "n_apps",
+    "duration": "duration_s",
+    "slow-hosts": "n_slow_hosts",
+    "slowdown-factor": "slowdown_factor",
+    "flap-hosts": "n_flapping_hosts",
+    "detector": "detector",
+    "speculation": "speculation",
+    "health": "health",
+}
+
+
 def cmd_chaos(args) -> int:
     """Run a chaos campaign; exit 1 on any invariant violation."""
-    from repro.sim.chaos import (
-        ChaosConfig, churn_smoke_config, corruption_smoke_config,
-        run_campaign, slowdown_smoke_config, smoke_config, storm_config,
-    )
+    from repro.sim import chaos
 
-    presets = [args.smoke, args.slowdown_smoke, args.storm, args.corruption,
-               args.churn]
-    if sum(bool(p) for p in presets) > 1:
-        print("error: --smoke, --slowdown-smoke, --storm, --corruption "
-              "and --churn are mutually exclusive")
-        return 1
-    if args.smoke:
-        config = smoke_config(seed=args.seed)
-    elif args.slowdown_smoke:
-        config = slowdown_smoke_config(seed=args.seed)
-    elif args.storm:
-        config = storm_config(seed=args.seed)
-    elif args.corruption:
-        config = corruption_smoke_config(seed=args.seed)
-    elif args.churn:
-        config = churn_smoke_config(seed=args.seed)
-    else:
-        config = ChaosConfig(
+    shape = {
+        flag: value for flag in _CHAOS_SHAPE
+        if (value := getattr(args, flag.replace("-", "_"))) is not None
+    }
+    if args.preset is None:
+        config = chaos.ChaosConfig(
             seed=args.seed,
-            n_sites=args.sites,
-            hosts_per_site=args.hosts,
-            n_apps=args.apps,
-            duration_s=args.duration,
-            n_slow_hosts=args.slow_hosts,
-            slowdown_factor=args.slowdown_factor,
-            n_flapping_hosts=args.flap_hosts,
-            detector=args.detector,
-            speculation=args.speculation,
-            health=args.health,
+            **{_CHAOS_SHAPE[flag]: v for flag, v in shape.items()},
         )
+    elif shape:
+        print(f"error: --{args.preset} fixes the campaign's shape; it "
+              "cannot be combined with "
+              + ", ".join(f"--{flag}" for flag in shape))
+        return 1
+    else:
+        config = getattr(chaos, _CHAOS_PRESETS[args.preset][0])(seed=args.seed)
     if args.spans:
         from dataclasses import replace
 
         config = replace(config, causal_spans=True)
 
-    report = run_campaign(config, trace_path=args.trace)
+    report = chaos.run_campaign(config, trace_path=args.trace)
     if args.trace:
         print(f"campaign trace written to {args.trace}")
     print(f"chaos campaign (seed={config.seed}): "
@@ -825,7 +846,7 @@ def cmd_chaos(args) -> int:
         "campaign": report.campaign_hash(),
     }
     if args.check_determinism:
-        second = run_campaign(config)
+        second = chaos.run_campaign(config)
         same = (second.trace_hash == report.trace_hash
                 and second.metrics_hash == report.metrics_hash
                 and second.campaign_hash() == hashes["campaign"])
@@ -1013,40 +1034,26 @@ def build_parser() -> argparse.ArgumentParser:
     chaos = sub.add_parser(
         "chaos",
         help="run a randomized fault campaign and check its invariants")
-    chaos.add_argument("--smoke", action="store_true",
-                       help="the small, fast campaign CI runs")
-    chaos.add_argument("--slowdown-smoke", action="store_true",
-                       help="the straggler-defense campaign CI runs "
-                            "(slowdowns + flapping, speculation on)")
-    chaos.add_argument("--storm", action="store_true",
-                       help="the overload campaign: an arrival storm "
-                            "against a bounded admission queue, with "
-                            "brownout and circuit breakers armed")
-    chaos.add_argument("--corruption", action="store_true",
-                       help="the data-integrity campaign: payload "
-                            "corruption, artifact loss and journal rot "
-                            "against end-to-end checksums and the "
-                            "repair ladder (invariants I12/I13)")
-    chaos.add_argument("--churn", action="store_true",
-                       help="the elastic-membership campaign: graceful "
-                            "drains, hard decommissions and rejoins "
-                            "under load (invariants I14/I15/I16)")
+    presets = chaos.add_mutually_exclusive_group()
+    for flag, (_builder, text) in _CHAOS_PRESETS.items():
+        presets.add_argument(f"--{flag}", dest="preset", action="store_const",
+                             const=flag, help=text)
     chaos.add_argument("--seed", type=int, default=0)
-    chaos.add_argument("--sites", type=int, default=3)
-    chaos.add_argument("--hosts", type=int, default=4)
-    chaos.add_argument("--apps", type=int, default=4)
-    chaos.add_argument("--duration", type=float, default=300.0)
-    chaos.add_argument("--slow-hosts", type=int, default=0,
+    # shape flags default to None: unset, ChaosConfig's own default applies
+    chaos.add_argument("--sites", type=int)
+    chaos.add_argument("--hosts", type=int)
+    chaos.add_argument("--apps", type=int)
+    chaos.add_argument("--duration", type=float)
+    chaos.add_argument("--slow-hosts", type=int,
                        help="hosts hit by a scripted slowdown")
-    chaos.add_argument("--slowdown-factor", type=float, default=8.0)
-    chaos.add_argument("--flap-hosts", type=int, default=0,
+    chaos.add_argument("--slowdown-factor", type=float)
+    chaos.add_argument("--flap-hosts", type=int,
                        help="hosts flapping between normal and slow")
     chaos.add_argument("--detector", choices=("count", "phi"),
-                       default="count",
                        help="failure detector the Group Managers use")
-    chaos.add_argument("--speculation", action="store_true",
+    chaos.add_argument("--speculation", action="store_const", const=True,
                        help="enable speculative re-execution of stragglers")
-    chaos.add_argument("--health", action="store_true",
+    chaos.add_argument("--health", action="store_const", const=True,
                        help="enable host-health scoring and quarantine")
     chaos.add_argument("--check-determinism", action="store_true",
                        help="run the campaign twice and require "

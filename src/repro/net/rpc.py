@@ -30,6 +30,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.sim.failures import intervals
 from repro.sim.kernel import AnyOf, Simulator, Timeout
 from repro.sim.network import LinkDownError, Network
 from repro.trace.events import EventKind
@@ -275,17 +276,16 @@ class BreakerRegistry:
         self, end_time: float
     ) -> Dict[Tuple[str, str], List[Tuple[float, float]]]:
         """Per-link [open, close-or-half-open) windows from the log."""
-        intervals: Dict[Tuple[str, str], List[Tuple[float, float]]] = {}
-        open_at: Dict[Tuple[str, str], float] = {}
-        for time, src, dst, state in self.transitions:
-            key = (src, dst)
-            if state == "open" and key not in open_at:
-                open_at[key] = time
-            elif state != "open" and key in open_at:
-                intervals.setdefault(key, []).append((open_at.pop(key), time))
-        for key, time in open_at.items():
-            intervals.setdefault(key, []).append((time, end_time))
-        return intervals
+        paired = intervals(
+            ((time, (src, dst), state)
+             for time, src, dst, state in self.transitions),
+            ("open",), ("closed", "half_open"),
+        )
+        return {
+            key: [(opened, end_time if closed is None else closed)
+                  for opened, closed in windows]
+            for key, windows in paired.items()
+        }
 
     def open_violations(self, end_time: float) -> List[str]:
         """I11 audit: sends that happened strictly inside an open window.
@@ -296,9 +296,9 @@ class BreakerRegistry:
         inequalities.
         """
         violations: List[str] = []
-        intervals = self.open_intervals(end_time)
+        windows = self.open_intervals(end_time)
         for time, src, dst in self.send_log:
-            for start, end in intervals.get((src, dst), []):
+            for start, end in windows.get((src, dst), []):
                 if start < time < end:
                     violations.append(
                         f"message sent {src}->{dst} at {time:.3f} while the "

@@ -3,75 +3,24 @@
 A campaign stands up a full VDCE deployment, starts the monitoring
 control plane, arms scripted and stochastic fault injectors (host
 crashes, WAN link outages, a mid-campaign partition, optionally a
-whole-site outage, control-message loss), submits a stream of
-applications, and then audits the run against four invariants:
+whole-site outage, manager crashes, control-message loss, payload
+corruption, membership churn), submits a stream of applications, and
+then audits what the run left behind against invariants I1–I16 — one
+checker each, catalogued in :mod:`repro.sim.invariants`.  I3,
+*determinism* — the same config yields byte-identical trace and
+metrics hashes — is checked by running the campaign twice (``repro
+chaos --check-determinism``).
 
-I1 — *typed completion*: every application either completes or fails
-     with a typed error (:class:`~repro.runtime.execution.ExecutionError`,
-     :class:`~repro.scheduler.site_scheduler.SchedulingError`,
-     :class:`~repro.net.rpc.RpcTimeout`,
-     :class:`~repro.sim.host.HostDownError`).  Untyped exceptions and
-     applications that never settle are violations.
-I2 — *no believed-down placement*: no successful task attempt starts on
-     a host while the failure detector believes that host is down.
-I3 — *determinism*: a campaign is a pure function of its config — the
-     same seed yields byte-identical trace and metrics hashes (checked
-     by running the campaign twice; see ``repro chaos``).
-I4 — *reconciliation*: the injection log (ground truth) and the
-     detection log (what the Group Managers reported) agree — every
-     false positive is accounted for, and every sufficiently long real
-     outage is detected within the echo-protocol's detection window.
-I5 — *resume equivalence*: every completed application's terminal
-     output hashes equal the pure-evaluation oracle
-     (:func:`~repro.runtime.checkpoint.expected_output_hashes`) — in
-     particular an application checkpoint-restarted after its Site
-     Manager crashed produces byte-identical outputs.
-I6 — *no orphaned group*: at campaign end every Site Manager is
-     re-registered, every Group Manager is live (original or deputy),
-     and every host is owned by exactly one live Group Manager.
-I7 — *speculation safety*: every completed application that resolved at
-     least one speculative race with a backup win still reproduces the
-     pure-evaluation oracle's terminal output hashes — which copy won
-     must be unobservable in the outputs.
-I8 — *bounded waste*: at most one backup is ever launched per task
-     attempt, every speculative race launched by a completed
-     application is resolved (no leaked backups), and no backup is
-     launched after its race has already been decided.
-I9 — *span integrity* (only audited with ``causal_spans=True``): every
-     opened causal span closes exactly once, or is explicitly
-     orphan-marked when its application dies or the campaign ends with
-     work in flight — the trace never contains a silently leaked,
-     double-closed, or never-opened span.
-I10 — *bounded admission* (only with ``storm_apps > 0``): the admission
-     queue's depth never exceeds its configured bound, and every
-     submitted storm application reaches a terminal outcome — admitted
-     (completed/failed), rejected, or expired.  Nothing queues forever.
-I11 — *breaker silence* (only with ``breakers=True``): while a circuit
-     is open, no message is sent on that link — every send either
-     precedes the trip or is the half-open probe at window end.
-I12 — *no dirty consumption* (only with ``data_integrity=True``): no
-     task ever consumes bytes whose content hash mismatches the
-     producer's recorded hash — every consumption in the integrity
-     ledger is clean, because a mismatch is always caught and repaired
-     (or fails typed) before the value reaches a task.
-I13 — *repair or typed death* (only with ``data_integrity=True``):
-     every corruption/loss incident ends ``refetched`` or
-     ``regenerated``, or is ``poisoned`` with the owning application
-     terminating in a typed failure — a completed application never
-     leaves an incident unresolved, and never completes past a
-     poisoned artifact.
-I14 — *no placement on a non-ACTIVE host* (only with ``n_churn_hosts
-     > 0``): once a host's drain/departure transition is recorded, no
-     successful task attempt starts on it until it rejoins and
-     reactivates — attempts already running at drain time may finish,
-     which is the entire point of a graceful drain.
-I15 — *drain loses no work*: every task evicted or invalidated by a
-     membership transition either completes on another (ACTIVE) host
-     or its application dies with a typed error — nothing is silently
-     dropped on the federation floor.
-I16 — *rejoin convergence*: a host that departed and rejoined ends the
-     campaign ACTIVE and re-scorable — present in its repository's
-     runnable table, so host selection bids it again.
+:func:`run_campaign` is three stages that hand each other plain data:
+
+* **plan** — :func:`_arm` draws every victim from the named stream
+  ``chaos:plan``, in one fixed order (:func:`_draw`), and arms the
+  injectors; fault processes then draw from their per-target streams;
+* **run** — the application stream (:func:`_run_app`) and the arrival
+  storm (:func:`_run_storm_app`) record one outcome per application
+  (:func:`_outcome`) into a :class:`~repro.sim.invariants.CampaignRun`;
+* **audit** — every checker in
+  :data:`~repro.sim.invariants.INVARIANTS` reads that record.
 
 Campaigns can also inject *performance* faults — scripted host
 slowdowns and stochastic slow/normal flapping — and enable the
@@ -79,22 +28,19 @@ straggler defenses (phi-accrual detection, speculative re-execution,
 host-health quarantine) they exist to stress.  All of it defaults off,
 so existing configs hash identically.
 
-Everything is deterministic: victims are drawn from the named stream
-``chaos:plan``, fault processes from their per-target streams, and the
-report's :meth:`~ChaosReport.campaign_hash` is a content hash of the
-whole outcome — the regression oracle the CLI and CI lean on.
+Everything is deterministic, and the report's
+:meth:`~ChaosReport.campaign_hash` is a content hash of the whole
+outcome — the regression oracle the CLI and CI lean on.
 """
 
 from __future__ import annotations
 
 import hashlib
-import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hashing import canonical_json
 from repro.sim.failures import FailureInjector
-from repro.sim.host import HostDownError
 from repro.sim.kernel import Timeout
 
 __all__ = [
@@ -108,34 +54,31 @@ __all__ = [
     "storm_config",
 ]
 
-#: worst-case lag between a Group Manager detection and the repository
-#: update it triggers (one lossless LAN notify), plus scheduling slack
-_REPORT_DELIVERY_SLACK_S = 0.5
+#: the corruption/integrity knobs — a config where every one sits at
+#: its ChaosConfig default is serialised without them (see
+#: ChaosReport.to_dict)
+_CORRUPTION_KNOBS = (
+    "data_integrity",
+    "integrity_max_refetches",
+    "integrity_max_regenerations",
+    "n_corrupt_links",
+    "link_corrupt_prob",
+    "link_truncate_prob",
+    "corruption_at_s",
+    "corruption_duration_s",
+    "artifact_loss_at_s",
+    "journal_corrupt_at_s",
+)
 
-#: the corruption/integrity knobs and their defaults — a config where
-#: every one matches is serialised without them (see ChaosReport.to_dict)
-_CORRUPTION_DEFAULTS = {
-    "data_integrity": False,
-    "integrity_max_refetches": 2,
-    "integrity_max_regenerations": 2,
-    "n_corrupt_links": 0,
-    "link_corrupt_prob": 0.0,
-    "link_truncate_prob": 0.0,
-    "corruption_at_s": 10.0,
-    "corruption_duration_s": None,
-    "artifact_loss_at_s": None,
-    "journal_corrupt_at_s": None,
-}
-
-#: the membership-churn knobs and their defaults — same omission rule,
-#: so presets that never churn keep their committed campaign hashes
-_CHURN_DEFAULTS = {
-    "n_churn_hosts": 0,
-    "churn_start_s": 30.0,
-    "churn_window_s": 60.0,
-    "churn_drain_deadline_s": 8.0,
-    "churn_rejoin_after_s": None,
-}
+#: the membership-churn knobs — same omission rule, so presets that
+#: never churn keep their committed campaign hashes
+_CHURN_KNOBS = (
+    "n_churn_hosts",
+    "churn_start_s",
+    "churn_window_s",
+    "churn_drain_deadline_s",
+    "churn_rejoin_after_s",
+)
 
 
 @dataclass(frozen=True)
@@ -520,17 +463,15 @@ class ChaosReport:
 
     def to_dict(self) -> Dict[str, Any]:
         config = asdict(self.config)
-        # a config with every corruption knob at its default serialises
-        # exactly as it did before the knobs existed, so the committed
-        # campaign hashes of the older presets stay byte-identical
-        if all(config[k] == v for k, v in _CORRUPTION_DEFAULTS.items()):
-            for key in _CORRUPTION_DEFAULTS:
-                del config[key]
-        # same rule for the churn knobs: a config that never churns
-        # serialises as it did before they existed
-        if all(config[k] == v for k, v in _CHURN_DEFAULTS.items()):
-            for key in _CHURN_DEFAULTS:
-                del config[key]
+        # a config with every knob of a later-added family at its
+        # default serialises exactly as it did before the family
+        # existed, so the committed campaign hashes of the older
+        # presets stay byte-identical
+        defaults = {f.name: f.default for f in fields(ChaosConfig)}
+        for knobs in (_CORRUPTION_KNOBS, _CHURN_KNOBS):
+            if all(config[k] == defaults[k] for k in knobs):
+                for key in knobs:
+                    del config[key]
         document = {
             "config": config,
             "outcomes": {k: self.outcomes[k] for k in sorted(self.outcomes)},
@@ -584,49 +525,20 @@ def _build_apps(config: ChaosConfig):
     return apps
 
 
-def run_campaign(
-    config: ChaosConfig, trace_path: Optional[str] = None
-) -> ChaosReport:
-    """Run one chaos campaign and audit it; never raises on faults —
-    fault-tolerance failures surface as :attr:`ChaosReport.violations`.
-
-    ``trace_path`` writes the campaign's full event trace (JSONL) for
-    offline analysis — with ``causal_spans`` on, ``repro explain`` can
-    attribute each application's time from that file.
-    """
-    # imported here: repro.sim must not depend on the upper layers at
-    # import time (the facade imports back down into repro.sim)
+def _deploy(config: ChaosConfig):
+    """Stand up the deployment under test, traced, monitoring started."""
+    # imported in the functions that use them, here and below:
+    # repro.sim must not depend on the upper layers at import time (the
+    # facade imports back down into repro.sim)
     from repro.core.vdce import VDCE
     from repro.metrics.registry import MetricsRegistry
-    from repro.runtime.checkpoint import (
-        ApplicationCheckpoint,
-        CheckpointJournal,
-        expected_output_hashes,
-        final_output_hashes,
-    )
-    from repro.runtime.admission import (
-        AdmissionExpired,
-        AdmissionPolicy,
-        AdmissionQueue,
-        AdmissionRejected,
-    )
-    from repro.errors import DataIntegrityError, JournalCorruptError
-    from repro.runtime.execution import ExecutionCoordinator, ExecutionError
+    from repro.net.rpc import BreakerPolicy
     from repro.runtime.integrity import IntegrityPolicy
     from repro.runtime.overload import OverloadPolicy
     from repro.runtime.straggler import HealthPolicy, SpeculationPolicy
     from repro.runtime.vdce_runtime import RuntimeConfig
-    from repro.net.rpc import BreakerPolicy, ManagerUnavailable, RpcTimeout
-    from repro.repository.users import AccessDomain
-    from repro.scheduler.site_scheduler import SchedulingError, SiteScheduler
     from repro.trace.tracer import Tracer
 
-    typed_errors = (
-        ExecutionError, SchedulingError, RpcTimeout, ManagerUnavailable,
-        HostDownError, DataIntegrityError, JournalCorruptError,
-    )
-
-    tracer = Tracer()
     vdce = VDCE.standard(
         n_sites=config.n_sites,
         hosts_per_site=config.hosts_per_site,
@@ -649,39 +561,55 @@ def run_campaign(
                 if config.data_integrity else None
             ),
         ),
-        tracer=tracer,
+        tracer=Tracer(),
         metrics=MetricsRegistry(),
     )
-    sim = vdce.sim
-    runtime = vdce.runtime
-    network = vdce.topology.network
-    sites = vdce.sites
     vdce.start_monitoring()
     if config.message_loss_prob > 0 and config.n_sites > 1:
-        network.set_message_loss(config.message_loss_prob)
+        vdce.topology.network.set_message_loss(config.message_loss_prob)
+    return vdce
 
-    # -- arm the injectors -------------------------------------------------
-    injector = FailureInjector(sim)
-    plan_rng = sim.rng("chaos:plan")
-    all_hosts = sorted(vdce.topology.all_hosts, key=lambda h: h.name)
-    n_hosts = min(config.n_flaky_hosts, len(all_hosts))
-    if n_hosts:
-        picks = sorted(plan_rng.choice(len(all_hosts), size=n_hosts, replace=False))
-        for i in picks:
-            injector.start_random(
-                all_hosts[int(i)], config.host_mtbf_s, config.host_mttr_s
-            )
-    site_pairs = [
-        (a, b) for i, a in enumerate(sites) for b in sites[i + 1:]
-    ]
-    n_links = min(config.n_flaky_links, len(site_pairs))
-    if n_links:
-        picks = sorted(plan_rng.choice(len(site_pairs), size=n_links, replace=False))
-        for i in picks:
-            a, b = site_pairs[int(i)]
-            injector.start_random_link(
-                network.wan_link(a, b), config.link_mtbf_s, config.link_mttr_s
-            )
+
+# -- plan: every chaos:plan draw, in one fixed order --------------------------
+
+def _draw(rng, population, n: Optional[int] = None) -> list:
+    """Victims from ``population``, in population order.
+
+    ``n`` distinct members as one sample without replacement — and no
+    draw at all when that is zero; ``n=None`` is a single victim as one
+    scalar draw.  The call shapes are part of the contract: the stream
+    position after each decides every later victim, so a committed
+    campaign hash pins them.
+    """
+    if n is None:
+        return [population[int(rng.choice(len(population)))]]
+    n = min(n, len(population))
+    if not n:
+        return []
+    picks = sorted(rng.choice(len(population), size=n, replace=False))
+    return [population[int(i)] for i in picks]
+
+
+def _arm(
+    config: ChaosConfig, vdce, injector: FailureInjector
+) -> Tuple[Optional[int], List[str]]:
+    """Arm every injector the config asks for.
+
+    Returns the index of the application whose journal rots (or None)
+    and the churn victims.  Each fault family draws its victims after
+    every family older than it, so arming a newer one never perturbs an
+    existing config's fault plan.
+    """
+    rng = vdce.sim.rng("chaos:plan")
+    runtime, network, sites = vdce.runtime, vdce.topology.network, vdce.sites
+    hosts = sorted(vdce.topology.all_hosts, key=lambda h: h.name)
+    site_pairs = [(a, b) for i, a in enumerate(sites) for b in sites[i + 1:]]
+    for host in _draw(rng, hosts, config.n_flaky_hosts):
+        injector.start_random(host, config.host_mtbf_s, config.host_mttr_s)
+    for pair in _draw(rng, site_pairs, config.n_flaky_links):
+        injector.start_random_link(
+            network.wan_link(*pair), config.link_mtbf_s, config.link_mttr_s
+        )
     if config.partition_at_s is not None and config.n_sites > 1:
         injector.schedule_partition(
             network, [[sites[0]], sites[1:]],
@@ -694,678 +622,329 @@ def run_campaign(
             duration=config.site_outage_duration_s,
         )
     if config.gm_crash_at_s is not None:
-        gm_names = sorted(runtime.group_managers)
-        victim = gm_names[int(plan_rng.choice(len(gm_names)))]
+        (victim,) = _draw(rng, sorted(runtime.group_managers))
         injector.schedule_group_manager_crash(
             runtime.group_managers[victim], config.gm_crash_at_s
         )
     if config.sm_crash_at_s is not None:
-        victim = sites[int(plan_rng.choice(len(sites)))]
+        (victim,) = _draw(rng, sites)
         injector.schedule_site_manager_crash(
             runtime.site_managers[victim], config.sm_crash_at_s,
             duration=config.sm_crash_duration_s,
         )
-    # performance faults draw AFTER every crash victim so that enabling
-    # them leaves an existing config's crash plan untouched
-    n_slow = min(config.n_slow_hosts, len(all_hosts))
-    if n_slow:
-        picks = sorted(plan_rng.choice(len(all_hosts), size=n_slow, replace=False))
-        for i in picks:
-            injector.schedule_host_slowdown(
-                all_hosts[int(i)],
-                start=config.slowdown_at_s,
-                duration=config.slowdown_duration_s,
-                factor=config.slowdown_factor,
-            )
-    n_flap = min(config.n_flapping_hosts, len(all_hosts))
-    if n_flap:
-        picks = sorted(plan_rng.choice(len(all_hosts), size=n_flap, replace=False))
-        for i in picks:
-            injector.start_flapping(
-                all_hosts[int(i)],
-                mean_normal_s=config.flap_mean_normal_s,
-                mean_slow_s=config.flap_mean_slow_s,
-                factor=config.flap_factor,
-            )
-    # data-plane corruption victims draw last, so arming them leaves
-    # every crash/slowdown plan of an existing config untouched
-    n_corrupt = min(config.n_corrupt_links, len(site_pairs))
-    if n_corrupt:
-        picks = sorted(plan_rng.choice(
-            len(site_pairs), size=n_corrupt, replace=False
-        ))
-        for i in picks:
-            a, b = site_pairs[int(i)]
-            injector.schedule_link_corruption(
-                network.wan_link(a, b),
-                time=config.corruption_at_s,
-                corrupt_prob=config.link_corrupt_prob,
-                truncate_prob=config.link_truncate_prob,
-                duration=config.corruption_duration_s,
-            )
+    for host in _draw(rng, hosts, config.n_slow_hosts):
+        injector.schedule_host_slowdown(
+            host,
+            start=config.slowdown_at_s,
+            duration=config.slowdown_duration_s,
+            factor=config.slowdown_factor,
+        )
+    for host in _draw(rng, hosts, config.n_flapping_hosts):
+        injector.start_flapping(
+            host,
+            mean_normal_s=config.flap_mean_normal_s,
+            mean_slow_s=config.flap_mean_slow_s,
+            factor=config.flap_factor,
+        )
+    for pair in _draw(rng, site_pairs, config.n_corrupt_links):
+        injector.schedule_link_corruption(
+            network.wan_link(*pair),
+            time=config.corruption_at_s,
+            corrupt_prob=config.link_corrupt_prob,
+            truncate_prob=config.link_truncate_prob,
+            duration=config.corruption_duration_s,
+        )
     if config.artifact_loss_at_s is not None and runtime.integrity is not None:
-        victim_host = all_hosts[int(plan_rng.choice(len(all_hosts)))].name
+        (victim,) = _draw(rng, hosts)
         injector.schedule_artifact_loss(
-            runtime.integrity, victim_host, config.artifact_loss_at_s
+            runtime.integrity, victim.name, config.artifact_loss_at_s
         )
-    journal_victim = (
-        int(plan_rng.choice(config.n_apps))
-        if config.journal_corrupt_at_s is not None else None
+    journal_victim = None
+    if config.journal_corrupt_at_s is not None:
+        (journal_victim,) = _draw(rng, range(config.n_apps))
+    return journal_victim, _arm_churn(config, vdce, injector, rng, hosts)
+
+
+def _arm_churn(
+    config: ChaosConfig, vdce, injector: FailureInjector, rng, hosts
+) -> List[str]:
+    """Draw and schedule the membership-churn victims (the last
+    ``chaos:plan`` draw).  Group leaders and site servers are never
+    eligible — the control plane they run is not what elastic
+    membership removes."""
+    if not config.n_churn_hosts:
+        return []
+    protected = set()
+    for site_name in vdce.sites:
+        site = vdce.topology.site(site_name)
+        protected.add(site.server_host.name)
+        protected.update(group.spec.leader for group in site.groups.values())
+    eligible = sorted(h.name for h in hosts if h.name not in protected)
+    targets = _draw(rng, eligible, config.n_churn_hosts)
+    by_site: Dict[str, List[str]] = {}
+    for name in targets:
+        by_site.setdefault(vdce.topology.host(name).site_name, []).append(name)
+    for site_name in sorted(by_site):
+        injector.schedule_churn(
+            vdce.runtime.site_managers[site_name], by_site[site_name],
+            start=config.churn_start_s,
+            window_s=config.churn_window_s,
+            drain_deadline_s=config.churn_drain_deadline_s,
+            rejoin_after_s=config.churn_rejoin_after_s,
+        )
+    return targets
+
+
+# -- run: the application stream and the storm --------------------------------
+
+def _outcome(status: str, site: str, submitted: float, **extra) -> Dict[str, Any]:
+    """One application's entry in :attr:`ChaosReport.outcomes`."""
+    return {
+        "status": status,
+        "site": site,
+        "submitted_at": round(submitted, 9),
+        **extra,
+    }
+
+
+def _died(site: str, submitted: float, exc: Exception, **extra) -> Dict[str, Any]:
+    """The outcome of an application an exception ended: ``failed``
+    when the error is typed, ``crashed`` — an I1 violation — when not."""
+    from repro.sim.invariants import TYPED_ERRORS
+
+    return _outcome(
+        "failed" if isinstance(exc, TYPED_ERRORS) else "crashed",
+        site, submitted, **extra,
+        error=type(exc).__name__, detail=str(exc),
     )
-    # membership churn victims draw after EVERY other chaos:plan draw,
-    # so arming churn never perturbs an existing config's fault plan.
-    # Group leaders and site servers are never eligible — the control
-    # plane they run is not what elastic membership removes.
-    churn_targets: List[str] = []
-    if config.n_churn_hosts:
-        protected = set()
-        for site_name in sites:
-            site = vdce.topology.site(site_name)
-            protected.add(site.server_host.name)
-            for group in site.groups.values():
-                protected.add(group.spec.leader)
-        eligible = sorted(
-            h.name for h in all_hosts if h.name not in protected
+
+
+def _run_app(run, afg, submit_site: str, delay: float, corrupt_journal: bool):
+    """One application of the stream, from submission to its outcome."""
+    from repro.net.rpc import ManagerUnavailable
+    from repro.runtime.checkpoint import ApplicationCheckpoint, CheckpointJournal
+    from repro.runtime.execution import ExecutionCoordinator
+    from repro.scheduler.site_scheduler import SiteScheduler
+
+    config, runtime, sim = run.config, run.runtime, run.runtime.sim
+    yield Timeout(delay)
+    submitted = sim.now
+    # every app journals to an in-memory journal: same record stream
+    # and byte accounting as a durable one, no filesystem
+    journal = CheckpointJournal(None)
+    if corrupt_journal:
+        # the journal exists only from submission on; a fault slot
+        # already in the past fires immediately
+        run.injector.schedule_journal_corruption(
+            journal, max(config.journal_corrupt_at_s, sim.now), label=afg.name
         )
-        n_churn = min(config.n_churn_hosts, len(eligible))
-        if n_churn:
-            picks = sorted(plan_rng.choice(
-                len(eligible), size=n_churn, replace=False
-            ))
-            churn_targets = [eligible[int(i)] for i in picks]
-            by_site: Dict[str, List[str]] = {}
-            for name in churn_targets:
-                site_name = vdce.topology.host(name).site_name
-                by_site.setdefault(site_name, []).append(name)
-            for site_name in sorted(by_site):
-                injector.schedule_churn(
-                    runtime.site_managers[site_name], by_site[site_name],
-                    start=config.churn_start_s,
-                    window_s=config.churn_window_s,
-                    drain_deadline_s=config.churn_drain_deadline_s,
-                    rejoin_after_s=config.churn_rejoin_after_s,
-                )
-
-    # -- submit the application stream -------------------------------------
-    outcomes: Dict[str, Dict[str, Any]] = {}
-    coordinators: List[ExecutionCoordinator] = []
-    #: app name -> (afg, ApplicationResult) of the completed run (for I5)
-    completed_runs: Dict[str, Tuple[Any, Any]] = {}
-
-    def run_app(afg, submit_site: str, delay: float,
-                corrupt_journal: bool = False):
-        yield Timeout(delay)
-        submitted = sim.now
-        # every app journals to an in-memory journal: same record stream
-        # and byte accounting as a durable one, no filesystem
-        journal = CheckpointJournal(None)
-        if corrupt_journal:
-            # the journal exists only from submission on; a fault slot
-            # already in the past fires immediately
-            injector.schedule_journal_corruption(
-                journal, max(config.journal_corrupt_at_s, sim.now),
-                label=afg.name,
-            )
-        restarted = False
+    restarted = False
+    try:
         try:
-            try:
-                table, _sched = yield from runtime.schedule_process(
-                    afg, SiteScheduler(k=config.k, model=runtime.model),
-                    local_site=submit_site,
-                )
-                coordinator = ExecutionCoordinator(
-                    runtime, afg, table, submit_site=submit_site,
-                    journal=journal,
-                )
-                coordinators.append(coordinator)
-                result = yield coordinator.start()
-            except ManagerUnavailable:
-                # the owning Site Manager crashed mid-flight: restart the
-                # application from its checkpoint on a surviving site;
-                # completed tasks are restored, only the frontier re-runs
-                survivors = [
-                    s for s in sites
-                    if runtime.site_managers[s].alive and s != submit_site
-                ]
-                if not survivors:
-                    raise
-                # the dead incarnation's open spans are orphan-marked;
-                # the restart opens a fresh root window for the app
-                runtime.spans.abandon_app(
-                    afg.name, reason="ManagerUnavailable", source="chaos"
-                )
-                checkpoint = ApplicationCheckpoint.from_records(
-                    journal.records()
-                )
-                restarted = True
-                submit_site = survivors[0]
-                coordinator = ExecutionCoordinator(
-                    runtime, checkpoint.afg, checkpoint.table,
-                    submit_site=submit_site,
-                    journal=journal, checkpoint=checkpoint,
-                )
-                coordinators.append(coordinator)
-                result = yield coordinator.start()
-            outcomes[afg.name] = {
-                "status": "completed",
-                "site": submit_site,
-                "restarted": restarted,
-                "submitted_at": round(submitted, 9),
-                "makespan_s": round(result.makespan, 9),
-                "reschedules": result.reschedules,
-                "transfer_retries": result.transfer_retries,
-                "channel_reestablishes": result.channel_reestablishes,
-                "sites_used": sorted({r.site for r in result.records.values()}),
-            }
-            completed_runs[afg.name] = (coordinator.afg, result)
-        except typed_errors as exc:
-            runtime.spans.abandon_app(
-                afg.name, reason=type(exc).__name__, source="chaos"
+            table, _sched = yield from runtime.schedule_process(
+                afg, SiteScheduler(k=config.k, model=runtime.model),
+                local_site=submit_site,
             )
-            outcomes[afg.name] = {
-                "status": "failed",
-                "site": submit_site,
-                "submitted_at": round(submitted, 9),
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
-        except Exception as exc:  # noqa: BLE001 — untyped = I1 violation
-            runtime.spans.abandon_app(
-                afg.name, reason=type(exc).__name__, source="chaos"
+            coordinator = ExecutionCoordinator(
+                runtime, afg, table, submit_site=submit_site, journal=journal,
             )
-            outcomes[afg.name] = {
-                "status": "crashed",
-                "site": submit_site,
-                "submitted_at": round(submitted, 9),
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }
+            run.coordinators.append(coordinator)
+            result = yield coordinator.start()
+        except ManagerUnavailable:
+            # the owning Site Manager crashed mid-flight: restart the
+            # application from its checkpoint on a surviving site;
+            # completed tasks are restored, only the frontier re-runs
+            survivors = [
+                s for s in runtime.topology.site_names
+                if runtime.site_managers[s].alive and s != submit_site
+            ]
+            if not survivors:
+                raise
+            # the dead incarnation's open spans are orphan-marked;
+            # the restart opens a fresh root window for the app
+            runtime.spans.abandon_app(
+                afg.name, reason="ManagerUnavailable", source="chaos"
+            )
+            checkpoint = ApplicationCheckpoint.from_records(journal.records())
+            restarted = True
+            submit_site = survivors[0]
+            coordinator = ExecutionCoordinator(
+                runtime, checkpoint.afg, checkpoint.table,
+                submit_site=submit_site, journal=journal, checkpoint=checkpoint,
+            )
+            run.coordinators.append(coordinator)
+            result = yield coordinator.start()
+        run.outcomes[afg.name] = _outcome(
+            "completed", submit_site, submitted,
+            restarted=restarted,
+            makespan_s=round(result.makespan, 9),
+            reschedules=result.reschedules,
+            transfer_retries=result.transfer_retries,
+            channel_reestablishes=result.channel_reestablishes,
+            sites_used=sorted({r.site for r in result.records.values()}),
+        )
+        run.completed_runs[afg.name] = (coordinator.afg, result)
+    except Exception as exc:  # noqa: BLE001 — _died tells typed from not
+        runtime.spans.abandon_app(
+            afg.name, reason=type(exc).__name__, source="chaos"
+        )
+        run.outcomes[afg.name] = _died(submit_site, submitted, exc)
 
-    procs = []
-    for i, afg in enumerate(_build_apps(config)):
-        submit_site = sites[i % len(sites)]
-        delay = config.first_submit_s + i * config.app_spacing_s
-        procs.append(sim.process(
-            run_app(afg, submit_site, delay,
-                    corrupt_journal=(i == journal_victim)),
+
+def _run_storm_app(run, afg, user: str, delay: float, deadline: Optional[float]):
+    """One storm submission through the bounded admission queue."""
+    from repro.runtime.admission import AdmissionExpired, AdmissionRejected
+    from repro.scheduler.site_scheduler import SiteScheduler
+
+    queue, runtime = run.storm_queue, run.runtime
+    yield Timeout(delay)
+    submitted = runtime.sim.now
+    try:
+        result = yield queue.submit(
+            afg, user,
+            scheduler=SiteScheduler(k=run.config.k, model=runtime.model),
+            deadline_s=deadline,
+        )
+        outcome = _outcome(
+            "completed", queue.site, submitted,
+            user=user, makespan_s=round(result.makespan, 9),
+        )
+    except AdmissionRejected as exc:
+        outcome = _outcome(
+            "rejected", queue.site, submitted, user=user, error=exc.reason
+        )
+    except AdmissionExpired as exc:
+        outcome = _outcome(
+            "expired", queue.site, submitted,
+            user=user, error=f"waited {exc.waited_s:.3f}s",
+        )
+    except Exception as exc:  # noqa: BLE001 — _died tells typed from not
+        outcome = _died(queue.site, submitted, exc, user=user)
+    run.outcomes[afg.name] = outcome
+
+
+def _submit_storm(run, site: str) -> None:
+    """The arrival storm: ``storm_apps`` small pipelines in bursts, from
+    ``storm_users`` accounts, through one bounded admission queue."""
+    from repro.repository.users import AccessDomain
+    from repro.runtime.admission import AdmissionPolicy, AdmissionQueue
+    from repro.workloads.pipelines import linear_pipeline
+
+    config, runtime = run.config, run.runtime
+    users_db = runtime.repositories[site].users
+    for j in range(config.storm_users):
+        users_db.add_user(
+            f"storm{j}", "storm-pass", priority=1 + j % 3,
+            access_domain=AccessDomain.GLOBAL,
+        )
+    run.storm_queue = AdmissionQueue(
+        runtime,
+        max_concurrent=config.storm_max_concurrent,
+        site=site,
+        policy=AdmissionPolicy(
+            max_queued=config.storm_max_queued,
+            user_rate_per_s=config.storm_user_rate_per_s,
+            user_burst=config.storm_user_burst,
+            default_ttl_s=config.storm_ttl_s,
+        ),
+    )
+    for i in range(config.storm_apps):
+        afg = linear_pipeline(n_stages=3, cost=4.0, edge_mb=1.0)
+        afg.name = f"storm{i:02d}-{afg.name}"
+        run.storm_names.append(afg.name)
+        delay = (
+            config.storm_start_s
+            + (i // config.storm_burst) * config.storm_spacing_s
+        )
+        deadline = (
+            config.storm_deadline_s
+            if config.storm_deadline_s is not None and i % 3 == 2
+            else None
+        )
+        run.procs.append(runtime.sim.process(
+            _run_storm_app(
+                run, afg, f"storm{i % config.storm_users}", delay, deadline
+            ),
             name=f"chaos:{afg.name}",
         ))
 
-    # -- the arrival storm (bounded admission under overload) ---------------
-    storm_queue = None
-    storm_names: List[str] = []
-    if config.storm_apps:
-        from repro.workloads.pipelines import linear_pipeline
 
-        storm_site = sites[0]
-        users_db = runtime.repositories[storm_site].users
-        for j in range(config.storm_users):
-            users_db.add_user(
-                f"storm{j}", "storm-pass", priority=1 + j % 3,
-                access_domain=AccessDomain.GLOBAL,
-            )
-        storm_queue = AdmissionQueue(
-            runtime,
-            max_concurrent=config.storm_max_concurrent,
-            site=storm_site,
-            policy=AdmissionPolicy(
-                max_queued=config.storm_max_queued,
-                user_rate_per_s=config.storm_user_rate_per_s,
-                user_burst=config.storm_user_burst,
-                default_ttl_s=config.storm_ttl_s,
+def _play(config: ChaosConfig):
+    """Plan and run one campaign: deploy, arm, submit, advance the
+    clock until every application settles (or the grace runs out).
+    Returns the deployment and the :class:`CampaignRun` to audit."""
+    from repro.sim.invariants import CampaignRun
+
+    vdce = _deploy(config)
+    sim, sites = vdce.sim, vdce.sites
+    injector = FailureInjector(sim)
+    journal_victim, churn_targets = _arm(config, vdce, injector)
+    run = CampaignRun(
+        config, vdce.runtime, injector,
+        hosts=sorted(h.name for h in vdce.topology.all_hosts),
+        churn_targets=churn_targets,
+    )
+    for i, afg in enumerate(_build_apps(config)):
+        run.procs.append(sim.process(
+            _run_app(
+                run, afg, sites[i % len(sites)],
+                config.first_submit_s + i * config.app_spacing_s,
+                corrupt_journal=(i == journal_victim),
             ),
-        )
+            name=f"chaos:{afg.name}",
+        ))
+    if config.storm_apps:
+        _submit_storm(run, sites[0])
 
-        def run_storm_app(afg, user: str, delay: float,
-                          deadline: Optional[float]):
-            yield Timeout(delay)
-            submitted = sim.now
-            try:
-                result = yield storm_queue.submit(
-                    afg, user,
-                    scheduler=SiteScheduler(k=config.k, model=runtime.model),
-                    deadline_s=deadline,
-                )
-                outcomes[afg.name] = {
-                    "status": "completed",
-                    "site": storm_site,
-                    "user": user,
-                    "submitted_at": round(submitted, 9),
-                    "makespan_s": round(result.makespan, 9),
-                }
-            except AdmissionRejected as exc:
-                outcomes[afg.name] = {
-                    "status": "rejected",
-                    "site": storm_site,
-                    "user": user,
-                    "submitted_at": round(submitted, 9),
-                    "error": exc.reason,
-                }
-            except AdmissionExpired as exc:
-                outcomes[afg.name] = {
-                    "status": "expired",
-                    "site": storm_site,
-                    "user": user,
-                    "submitted_at": round(submitted, 9),
-                    "error": f"waited {exc.waited_s:.3f}s",
-                }
-            except typed_errors as exc:
-                outcomes[afg.name] = {
-                    "status": "failed",
-                    "site": storm_site,
-                    "user": user,
-                    "submitted_at": round(submitted, 9),
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                }
-            except Exception as exc:  # noqa: BLE001 — untyped = I1 violation
-                outcomes[afg.name] = {
-                    "status": "crashed",
-                    "site": storm_site,
-                    "user": user,
-                    "submitted_at": round(submitted, 9),
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                }
-
-        for i in range(config.storm_apps):
-            afg = linear_pipeline(n_stages=3, cost=4.0, edge_mb=1.0)
-            afg.name = f"storm{i:02d}-{afg.name}"
-            storm_names.append(afg.name)
-            delay = (
-                config.storm_start_s
-                + (i // config.storm_burst) * config.storm_spacing_s
-            )
-            deadline = (
-                config.storm_deadline_s
-                if config.storm_deadline_s is not None and i % 3 == 2
-                else None
-            )
-            procs.append(sim.process(
-                run_storm_app(afg, f"storm{i % config.storm_users}",
-                              delay, deadline),
-                name=f"chaos:{afg.name}",
-            ))
-
-    # -- run ----------------------------------------------------------------
     sim.run(until=config.duration_s)
     grace_rounds = 0
-    while any(not p.triggered for p in procs) and grace_rounds < 8:
+    while any(not p.triggered for p in run.procs) and grace_rounds < 8:
         sim.run(until=sim.now + config.duration_s / 2)
         grace_rounds += 1
     # applications still in flight when the campaign stops leave their
     # spans open; mark them as orphans explicitly so I9 can tell a
     # deliberate cut-off from a silent leak
-    runtime.spans.orphan_all(reason="campaign_end", source="chaos")
+    vdce.runtime.spans.orphan_all(reason="campaign_end", source="chaos")
+    run.events = vdce.tracer.events()
+    return vdce, run
 
-    # -- audit ---------------------------------------------------------------
-    violations: List[str] = []
 
-    # I1: typed completion
-    for proc in procs:
-        if not proc.triggered:
-            violations.append(f"I1: application {proc.name!r} never settled")
-    for name in sorted(outcomes):
-        if outcomes[name]["status"] == "crashed":
-            violations.append(
-                f"I1: application {name!r} died with untyped "
-                f"{outcomes[name]['error']}: {outcomes[name]['detail']}"
-            )
+# -- report -------------------------------------------------------------------
 
-    # I2: no successful attempt starts on a believed-down host
-    believed_down = _believed_down_intervals(runtime.stats.detection_log)
-    for coordinator in coordinators:
-        for record in coordinator.records.values():
-            if record.measured_time <= 0 or record.finished_at <= record.started_at:
-                continue
-            start = record.finished_at - record.measured_time
-            for host in record.hosts:
-                for down_at, up_at in believed_down.get(host, []):
-                    if (down_at + _REPORT_DELIVERY_SLACK_S <= start
-                            and (up_at is None or start < up_at)):
-                        violations.append(
-                            f"I2: task {record.task_id!r} of "
-                            f"{coordinator.afg.name!r} started at {start:.3f} "
-                            f"on {host!r}, believed down since {down_at:.3f}"
-                        )
+def _membership_section(run) -> Optional[Dict[str, Any]]:
+    """The membership-transition audit trail (None unless churn armed)."""
+    from repro.sim.invariants import churn_evictions
 
-    # I4: injection log <-> detection log reconciliation
-    detections = list(runtime.stats.detection_log)
-    observed_fp = sum(
-        gm.false_positives for gm in runtime.group_managers.values()
-    )
-    host_names = [h.name for h in all_hosts]
-    down_intervals = {h: injector.downtime_intervals(h) for h in host_names}
+    if not run.churn_targets:
+        return None
+    return {
+        "targets": list(run.churn_targets),
+        "drain_affected_tasks": sum(1 for _ in churn_evictions(run)),
+        "transitions": [
+            {
+                "time": round(e["time"], 9),
+                "host": e["host"],
+                "site": e["site"],
+                "transition": e["transition"],
+                "epoch": e["epoch"],
+            }
+            for e in run.runtime.membership.transitions
+        ],
+    }
 
-    def actually_down(host: str, t: float) -> bool:
-        return any(
-            d <= t and (u is None or t < u)
-            for d, u in down_intervals.get(host, [])
-        )
 
-    counted_fp = sum(
-        1 for t, host, kind in detections
-        if kind == "down" and host in down_intervals and not actually_down(host, t)
-    )
-    if counted_fp != observed_fp:
-        violations.append(
-            f"I4: false-positive reconciliation failed — {counted_fp} "
-            f"detections of healthy hosts vs {observed_fp} recorded "
-            "false positives"
-        )
-    if config.detector == "phi":
-        # phi reaches phi_down once elapsed ≈ phi_down·ln10 mean
-        # intervals; allow one period of phase lag plus slack
-        window = (
-            runtime.config.phi_down * math.log(10.0) + 3.0
-        ) * config.echo_period_s
-    else:
-        window = (config.suspicion_threshold + 2) * config.echo_period_s
-    for host in host_names:
-        for down_at, up_at in down_intervals[host]:
-            end = up_at if up_at is not None else sim.now
-            if end - down_at <= window or down_at + window > sim.now:
-                continue  # too short, or too close to campaign end
-            if not _was_detected(detections, host, down_at, down_at + window):
-                violations.append(
-                    f"I4: outage of {host!r} at {down_at:.3f} "
-                    f"(lasting {end - down_at:.3f}s) was never detected "
-                    f"within the {window:.0f}s window"
-                )
-
-    # I5: resume equivalence — every completed app (restarted or not)
-    # must reproduce the pure-evaluation oracle's terminal output hashes
-    for name in sorted(completed_runs):
-        app_afg, result = completed_runs[name]
-        expected = expected_output_hashes(app_afg, runtime.registry)
-        actual = final_output_hashes(result)
-        if actual != expected:
-            restarted = outcomes[name].get("restarted", False)
-            violations.append(
-                f"I5: application {name!r} "
-                f"({'restarted' if restarted else 'uninterrupted'}) produced "
-                f"output hashes {actual} != expected {expected}"
-            )
-
-    # I6: no orphaned group — every Site Manager re-registered, every
-    # Group Manager live (original or deputy), every host owned by
-    # exactly one live Group Manager
-    for name in sorted(runtime.site_managers):
-        if not runtime.site_managers[name].alive:
-            violations.append(
-                f"I6: site manager {name!r} still crashed at campaign end"
-            )
-    owners = {h: 0 for h in host_names}
-    for gm_name in sorted(runtime.group_managers):
-        gm = runtime.group_managers[gm_name]
-        if not gm.alive:
-            violations.append(
-                f"I6: group {gm_name!r} has no live manager at campaign end"
-            )
-            continue
-        for host in gm.host_names:
-            owners[host] = owners.get(host, 0) + 1
-    for host in sorted(owners):
-        if owners[host] != 1:
-            violations.append(
-                f"I6: host {host!r} is owned by {owners[host]} live group "
-                "managers (expected exactly 1)"
-            )
-
-    # I7: speculation safety — a completed application whose schedule
-    # was decided by a backup win must still match the oracle exactly
-    for coordinator in coordinators:
-        wins = [
-            e for e in coordinator.speculation_log
-            if e["outcome"] == "backup_win"
-        ]
-        if not wins:
-            continue
-        name = coordinator.afg.name
-        if name not in completed_runs:
-            continue
-        app_afg, result = completed_runs[name]
-        expected = expected_output_hashes(app_afg, runtime.registry)
-        actual = final_output_hashes(result)
-        if actual != expected:
-            violations.append(
-                f"I7: application {name!r} completed with "
-                f"{len(wins)} speculative backup win(s) but produced "
-                f"output hashes {actual} != expected {expected}"
-            )
-
-    # I8: bounded waste — ≤1 backup per task attempt, every race a
-    # completed application launched is resolved, and no backup starts
-    # after its race was already decided
-    for coordinator in coordinators:
-        app_completed = coordinator.afg.name in completed_runs
-        seen: Dict[Tuple[str, str, int], int] = {}
-        for entry in coordinator.speculation_log:
-            key = (entry["application"], entry["task"], entry["attempt"])
-            seen[key] = seen.get(key, 0) + 1
-            if seen[key] > 1:
-                violations.append(
-                    f"I8: task {entry['task']!r} of "
-                    f"{entry['application']!r} (attempt {entry['attempt']}) "
-                    f"launched {seen[key]} backups for one race"
-                )
-            resolved_at = entry["resolved_at"]
-            if resolved_at is not None and resolved_at < entry["launched_at"]:
-                violations.append(
-                    f"I8: backup for task {entry['task']!r} of "
-                    f"{entry['application']!r} launched at "
-                    f"{entry['launched_at']:.3f}, after its race was "
-                    f"decided at {resolved_at:.3f}"
-                )
-            if app_completed and (
-                entry["outcome"] is None or resolved_at is None
-            ):
-                violations.append(
-                    f"I8: application {entry['application']!r} completed "
-                    f"but the backup for task {entry['task']!r} was never "
-                    "resolved (leaked speculative copy)"
-                )
-
-    # I9: span integrity — every opened span closed exactly once or
-    # explicitly orphan-marked (abandon on app death, campaign cut-off)
-    if config.causal_spans:
-        from repro.obs.attribution import span_integrity
-
-        for problem in span_integrity(tracer.events()):
-            violations.append(f"I9: {problem}")
-
-    # I10: bounded admission — the queue never exceeded its bound and
-    # every storm submission reached a terminal outcome
-    if storm_queue is not None:
-        if storm_queue.peak_queued > config.storm_max_queued:
-            violations.append(
-                f"I10: admission queue depth peaked at "
-                f"{storm_queue.peak_queued}, exceeding the bound "
-                f"{config.storm_max_queued}"
-            )
-        terminal = ("completed", "failed", "rejected", "expired")
-        for name in storm_names:
-            status = outcomes.get(name, {}).get("status")
-            if status not in terminal:
-                violations.append(
-                    f"I10: storm application {name!r} ended in "
-                    f"{status!r}, not a terminal admission outcome"
-                )
-
-    # I11: breaker silence — no message ever rides an open circuit
-    if runtime.breakers is not None:
-        for problem in runtime.breakers.open_violations(sim.now):
-            violations.append(f"I11: {problem}")
-
-    # I12/I13: data-plane integrity (only audited when armed)
-    integrity_section = None
-    if runtime.integrity is not None:
-        ledger = runtime.integrity
-        # I12: every consumption in the ledger is clean — a task never
-        # received bytes that mismatched the producer's recorded hash
-        for consumption in ledger.consumption_log:
-            if not consumption["clean"]:
-                violations.append(
-                    f"I12: application {consumption['application']!r} "
-                    f"consumed bytes on {consumption['edge']!r} that "
-                    "mismatch the producer's recorded content hash"
-                )
-        # I13: every incident is repaired, or poisoned with its
-        # application dead; a completed app never carries an open
-        # incident and never completes past a poisoned artifact
-        completed = {
-            name for name, outcome in outcomes.items()
-            if outcome["status"] == "completed"
-        }
-        for incident in ledger.incidents:
-            resolution = incident["resolution"]
-            app = incident["application"]
-            if resolution in ("refetched", "regenerated"):
-                continue
-            if resolution == "poisoned":
-                if app in completed:
-                    violations.append(
-                        f"I13: application {app!r} completed despite the "
-                        f"poison-quarantined {incident['target']!r}"
-                    )
-                continue
-            if app in completed:
-                violations.append(
-                    f"I13: application {app!r} completed with an "
-                    f"unresolved {incident['kind']} incident on "
-                    f"{incident['target']!r}"
-                )
-        integrity_section = ledger.as_dict()
-
-    # I14/I15/I16: elastic membership (only audited when churn armed)
-    membership_section = None
-    if churn_targets:
-        transitions = runtime.membership.transitions
-
-        # I14: no successful attempt starts on a host after its
-        # drain/departure transition became visible (attempts already
-        # running at drain time are allowed to finish — that is the
-        # drain grace, not a violation)
-        inactive: Dict[str, List[List[Optional[float]]]] = {}
-        for entry in transitions:
-            if entry["transition"] in ("drain", "depart"):
-                spans_ = inactive.setdefault(entry["host"], [])
-                if not spans_ or spans_[-1][1] is not None:
-                    spans_.append([entry["time"], None])
-            elif entry["transition"] == "rejoin":
-                spans_ = inactive.get(entry["host"], [])
-                if spans_ and spans_[-1][1] is None:
-                    spans_[-1][1] = entry["time"]
-        for coordinator in coordinators:
-            for record in coordinator.records.values():
-                if record.measured_time <= 0:
-                    continue
-                start = record.finished_at - record.measured_time
-                for host in record.hosts:
-                    for opened, closed in inactive.get(host, []):
-                        if opened < start and (closed is None or start < closed):
-                            violations.append(
-                                f"I14: task {record.task_id!r} of "
-                                f"{coordinator.afg.name!r} started at "
-                                f"{start:.3f} on {host!r}, non-ACTIVE "
-                                f"since {opened:.3f}"
-                            )
-
-        # I15: work evicted or invalidated by a membership transition
-        # completes elsewhere, or the application dies typed
-        drain_affected = 0
-        for coordinator in coordinators:
-            name = coordinator.afg.name
-            status = outcomes.get(name, {}).get("status")
-            for record in coordinator.records.values():
-                evictions = [
-                    r for r in record.reschedule_reasons
-                    if "membership change" in r or "decommissioned" in r
-                    or "drained" in r
-                ]
-                if not evictions:
-                    continue
-                drain_affected += 1
-                if status == "completed" and record.measured_time <= 0:
-                    violations.append(
-                        f"I15: task {record.task_id!r} of {name!r} was "
-                        f"evicted by a membership transition and never "
-                        f"completed, yet the application 'completed'"
-                    )
-                if status == "crashed":
-                    violations.append(
-                        f"I15: application {name!r} died untyped after "
-                        f"task {record.task_id!r} was evicted by a "
-                        f"membership transition"
-                    )
-
-        # I16: every churn target whose last transition is a rejoin
-        # ends the campaign ACTIVE and re-scorable (in the runnable
-        # table host selection iterates over)
-        from repro.repository.resources import MembershipState
-
-        last_transition = {}
-        for entry in transitions:
-            last_transition[entry["host"]] = entry
-        task_types = runtime.registry.names()
-        for host_name in sorted(churn_targets):
-            last = last_transition.get(host_name)
-            if last is None or last["transition"] != "rejoin":
-                continue
-            repo = runtime.repositories[last["site"]]
-            if not repo.resources.has_host(host_name):
-                violations.append(
-                    f"I16: rejoined host {host_name!r} has no repository "
-                    "row at campaign end"
-                )
-                continue
-            state = repo.resources.membership_state(host_name)
-            if state != MembershipState.ACTIVE:
-                violations.append(
-                    f"I16: rejoined host {host_name!r} ended the campaign "
-                    f"in state {state}, not ACTIVE"
-                )
-                continue
-            if repo.resources.get(host_name).up:
-                runnable = any(
-                    any(r.spec.name == host_name
-                        for r in repo.runnable_up_hosts(t))
-                    for t in task_types
-                )
-                if not runnable:
-                    violations.append(
-                        f"I16: rejoined host {host_name!r} is ACTIVE and "
-                        "up but absent from every runnable table — host "
-                        "selection will never re-score it"
-                    )
-        membership_section = {
-            "targets": list(churn_targets),
-            "drain_affected_tasks": drain_affected,
-            "transitions": [
-                {
-                    "time": round(e["time"], 9),
-                    "host": e["host"],
-                    "site": e["site"],
-                    "transition": e["transition"],
-                    "epoch": e["epoch"],
-                }
-                for e in transitions
-            ],
-        }
-
-    if trace_path is not None:
-        from repro.trace.serialize import write_jsonl
-
-        write_jsonl(tracer, trace_path)
-
+def _report(vdce, run, violations: List[str]) -> ChaosReport:
+    runtime, queue = run.runtime, run.storm_queue
     return ChaosReport(
-        config=config,
-        outcomes=outcomes,
+        config=run.config,
+        outcomes=run.outcomes,
         violations=violations,
-        injection_events=len(injector.log),
-        detections=len(detections),
-        false_positives=observed_fp,
-        final_time=sim.now,
+        injection_events=len(run.injector.log),
+        detections=len(runtime.stats.detection_log),
+        false_positives=sum(
+            gm.false_positives for gm in runtime.group_managers.values()
+        ),
+        final_time=vdce.sim.now,
         trace_hash=vdce.trace_hash(),
         metrics_hash=vdce.metrics_hash(),
         injection_log=[
@@ -1375,7 +954,7 @@ def run_campaign(
                 "kind": e.kind,
                 "factor": round(e.factor, 9),
             }
-            for e in injector.log
+            for e in run.injector.log
         ],
         speculative_launches=runtime.stats.speculative_launches,
         speculative_wins=runtime.stats.speculative_wins,
@@ -1384,61 +963,43 @@ def run_campaign(
             sorted(runtime.health.quarantined_hosts())
             if runtime.health is not None else []
         ),
-        sheds=(len(storm_queue.shed_log) if storm_queue is not None else 0),
-        shed_log=(
-            list(storm_queue.shed_log) if storm_queue is not None else []
-        ),
-        peak_queued=(
-            storm_queue.peak_queued if storm_queue is not None else 0
-        ),
+        sheds=len(queue.shed_log) if queue is not None else 0,
+        shed_log=list(queue.shed_log) if queue is not None else [],
+        peak_queued=queue.peak_queued if queue is not None else 0,
         brownout_shifts=(
-            len(runtime.brownout.shifts)
-            if runtime.brownout is not None else 0
+            len(runtime.brownout.shifts) if runtime.brownout is not None else 0
         ),
         breaker_transitions=(
             len(runtime.breakers.transitions)
             if runtime.breakers is not None else 0
         ),
         breaker_fast_fails=(
-            runtime.breakers.fast_fails
-            if runtime.breakers is not None else 0
+            runtime.breakers.fast_fails if runtime.breakers is not None else 0
         ),
-        integrity=integrity_section,
-        membership=membership_section,
+        integrity=(
+            runtime.integrity.as_dict()
+            if runtime.integrity is not None else None
+        ),
+        membership=_membership_section(run),
     )
 
 
-def _believed_down_intervals(
-    detection_log,
-) -> Dict[str, List[Tuple[float, Optional[float]]]]:
-    """Per-host ``(down_at, up_at)`` intervals from the detection log."""
-    intervals: Dict[str, List[Tuple[float, Optional[float]]]] = {}
-    open_at: Dict[str, float] = {}
-    for t, host, kind in detection_log:
-        if kind == "down" and host not in open_at:
-            open_at[host] = t
-        elif kind == "up" and host in open_at:
-            intervals.setdefault(host, []).append((open_at.pop(host), t))
-    for host, t in open_at.items():
-        intervals.setdefault(host, []).append((t, None))
-    return intervals
+def run_campaign(
+    config: ChaosConfig, trace_path: Optional[str] = None
+) -> ChaosReport:
+    """Run one chaos campaign and audit it; never raises on faults —
+    fault-tolerance failures surface as :attr:`ChaosReport.violations`.
 
-
-def _was_detected(detections, host: str, start: float, deadline: float) -> bool:
-    """Was ``host`` believed down at any point in [start, deadline]?
-
-    True if a "down" detection lands in the window, or the host was
-    already believed down when the outage began (prior "down" with no
-    intervening "up").
+    ``trace_path`` writes the campaign's full event trace (JSONL) for
+    offline analysis — with ``causal_spans`` on, ``repro explain`` can
+    attribute each application's time from that file.
     """
-    state_down = False
-    for t, h, kind in detections:
-        if h != host:
-            continue
-        if t < start:
-            state_down = kind == "down"
-        elif t <= deadline and kind == "down":
-            return True
-        elif t > deadline:
-            break
-    return state_down
+    from repro.sim.invariants import INVARIANTS
+
+    vdce, run = _play(config)
+    violations = [problem for check in INVARIANTS for problem in check(run)]
+    if trace_path is not None:
+        from repro.trace.serialize import write_jsonl
+
+        write_jsonl(vdce.tracer, trace_path)
+    return _report(vdce, run, violations)

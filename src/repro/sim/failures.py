@@ -24,13 +24,52 @@ another target's fate and campaigns stay deterministic and composable.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.host import Host
 from repro.sim.kernel import Process, SimulationError, Simulator, Timeout
 from repro.sim.network import Link, Network
 
-__all__ = ["FailureEvent", "FailureInjector"]
+__all__ = ["FailureEvent", "FailureInjector", "Interval", "inside", "intervals"]
+
+#: ``(opened_at, closed_at)``; ``closed_at`` is ``None`` while still open
+Interval = Tuple[float, Optional[float]]
+
+
+def intervals(
+    events: Iterable[Tuple[float, Hashable, str]],
+    opens: Sequence[str],
+    closes: Sequence[str],
+) -> Dict[Hashable, List[Interval]]:
+    """Pair open/close events into per-target intervals.
+
+    ``events`` is a time-ordered stream of ``(time, target, kind)``;
+    a kind in ``opens`` opens the target's interval, one in ``closes``
+    closes it, anything else is skipped.  A repeated open (or close)
+    for a target already in that state changes nothing — overlapping
+    scripted and stochastic injectors, a drain followed by its depart
+    — so each interval keeps its *earliest* open.  Intervals still open
+    at the end of the stream close at ``None``.
+    """
+    paired: Dict[Hashable, List[Interval]] = {}
+    open_at: Dict[Hashable, float] = {}
+    for time, target, kind in events:
+        if kind in opens:
+            open_at.setdefault(target, time)
+        elif kind in closes and target in open_at:
+            paired.setdefault(target, []).append((open_at.pop(target), time))
+    for target, time in open_at.items():
+        paired.setdefault(target, []).append((time, None))
+    return paired
+
+
+def inside(spans: Iterable[Interval], t: float) -> Optional[Interval]:
+    """The interval of ``spans`` holding ``t`` (``opened <= t < closed``),
+    or ``None`` — one target's intervals are disjoint, so at most one."""
+    for opened, closed in spans:
+        if opened <= t and (closed is None or t < closed):
+            return (opened, closed)
+    return None
 
 
 @dataclass(frozen=True)
@@ -66,7 +105,8 @@ class FailureInjector:
 
     Only *effective* state changes are logged: crashing a host that is
     already down records nothing, so :meth:`downtime_intervals` pairs
-    cleanly even when scripted and stochastic injectors overlap.
+    cleanly even when scripted and stochastic injectors overlap (and
+    :func:`intervals` tolerates a raw duplicate in the log regardless).
     """
 
     def __init__(self, sim: Simulator):
@@ -564,46 +604,18 @@ class FailureInjector:
 
     # -- queries --------------------------------------------------------------
 
-    def downtime_intervals(self, name: str) -> List[Tuple[float, Optional[float]]]:
+    def downtime_intervals(self, name: str) -> List[Interval]:
         """``(down_at, up_at)`` pairs for a host or link; ``up_at`` is
-        ``None`` while still down.
+        ``None`` while still down."""
+        return self._intervals(name, ("down",), ("up",))
 
-        Tolerates duplicate "down" (or "up") events for a target already
-        in that state — e.g. overlapping scripted and stochastic
-        injectors — by keeping the earliest "down" of each interval.
-        """
-        intervals: List[Tuple[float, Optional[float]]] = []
-        down_at: Optional[float] = None
-        for event in self.log:
-            if event.host != name:
-                continue
-            if event.kind == "down" and down_at is None:
-                down_at = event.time
-            elif event.kind == "up" and down_at is not None:
-                intervals.append((down_at, event.time))
-                down_at = None
-        if down_at is not None:
-            intervals.append((down_at, None))
-        return intervals
-
-    def slowdown_intervals(self, name: str) -> List[Tuple[float, Optional[float]]]:
+    def slowdown_intervals(self, name: str) -> List[Interval]:
         """``(slow_at, normal_at)`` pairs for a host; ``normal_at`` is
-        ``None`` while still degraded.
+        ``None`` while still degraded."""
+        return self._intervals(name, ("slow",), ("normal",))
 
-        Mirrors :meth:`downtime_intervals`: duplicate "slow" (or
-        "normal") events for a host already in that state are tolerated
-        by keeping the earliest "slow" of each interval.
-        """
-        intervals: List[Tuple[float, Optional[float]]] = []
-        slow_at: Optional[float] = None
-        for event in self.log:
-            if event.host != name:
-                continue
-            if event.kind == "slow" and slow_at is None:
-                slow_at = event.time
-            elif event.kind == "normal" and slow_at is not None:
-                intervals.append((slow_at, event.time))
-                slow_at = None
-        if slow_at is not None:
-            intervals.append((slow_at, None))
-        return intervals
+    def _intervals(
+        self, name: str, opens: Sequence[str], closes: Sequence[str]
+    ) -> List[Interval]:
+        events = ((e.time, e.host, e.kind) for e in self.log if e.host == name)
+        return intervals(events, opens, closes).get(name, [])

@@ -72,3 +72,31 @@ class TestCLI:
         out = capsys.readouterr().out
         assert code == 1
         assert f"error: cannot write campaign log to {log}" in out
+
+    @pytest.mark.parametrize("extra", (
+        ["--apps", "64"], ["--slow-hosts", "0"], ["--detector", "phi"],
+        ["--speculation"], ["--health", "--duration", "10"],
+    ), ids=lambda extra: extra[0])
+    def test_chaos_rejects_a_preset_combined_with_a_shape_flag(
+            self, extra, capsys):
+        """A preset fixes the campaign's shape; ``--smoke --apps 64``
+        used to run 3 applications without a word."""
+        assert main(["chaos", "--smoke", *extra]) == 1
+        out = capsys.readouterr().out
+        assert "error: --smoke fixes the campaign's shape" in out
+        assert all(flag in out for flag in extra if flag.startswith("--"))
+        assert "chaos campaign" not in out  # nothing ran
+
+    def test_chaos_presets_are_mutually_exclusive(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["chaos", "--smoke", "--churn"])
+        assert exit_info.value.code == 2
+        assert "not allowed with argument" in capsys.readouterr().err
+
+    def test_chaos_unset_shape_flags_fall_back_to_the_config_defaults(
+            self, capsys):
+        from repro.sim.chaos import ChaosConfig, run_campaign
+
+        assert main(["chaos", "--seed", "1", "--apps", "2"]) == 0
+        expected = run_campaign(ChaosConfig(seed=1, n_apps=2)).campaign_hash()
+        assert f"campaign hash: {expected}" in capsys.readouterr().out
