@@ -43,6 +43,7 @@ from repro.afg.task import TaskNode
 from repro.errors import (
     CorruptPayloadError,
     DataIntegrityError,
+    MissingArtifactError,
     PoisonedArtifactError,
 )
 from repro.net.rpc import ManagerUnavailable, RpcTimeout
@@ -141,6 +142,8 @@ class ApplicationResult:
             "data_transferred_mb": self.data_transferred_mb,
             "transfer_retries": self.transfer_retries,
             "channel_reestablishes": self.channel_reestablishes,
+            "repair_refetches": self.repair_refetches,
+            "repair_regenerations": self.repair_regenerations,
             "tasks": {
                 task_id: {
                     "task_type": r.task_type,
@@ -154,6 +157,8 @@ class ApplicationResult:
                     "reschedule_reasons": list(r.reschedule_reasons),
                     "transfer_retries": r.transfer_retries,
                     "channel_reestablishes": r.channel_reestablishes,
+                    "repair_refetches": r.repair_refetches,
+                    "repair_regenerations": r.repair_regenerations,
                 }
                 for task_id, r in self.records.items()
             },
@@ -168,6 +173,16 @@ class ApplicationResult:
     def channel_reestablishes(self) -> int:
         """Channels re-established mid-execution, across all tasks."""
         return sum(r.channel_reestablishes for r in self.records.values())
+
+    @property
+    def repair_refetches(self) -> int:
+        """Deliveries re-sent after a hash mismatch, across all tasks."""
+        return sum(r.repair_refetches for r in self.records.values())
+
+    @property
+    def repair_regenerations(self) -> int:
+        """Lineage re-executions that restored an output, across all tasks."""
+        return sum(r.repair_regenerations for r in self.records.values())
 
     @property
     def setup_time(self) -> float:
@@ -200,6 +215,31 @@ def _edge_key(edge: Edge) -> Tuple[str, str, int, int]:
     return (edge.src, edge.dst, edge.src_port, edge.dst_port)
 
 
+@dataclass
+class _Race:
+    """One speculation race: what the racing attempt, the copy watchers
+    and the straggler timer share (DESIGN §11)."""
+
+    primary: Any
+    #: fires ``(which, execution)`` for the first copy to complete, or
+    #: fails with the last live copy's error
+    outcome: Signal
+    span_work: float
+    memory_mb: int
+    #: the task span the backup's ``speculate_backup`` span parents under
+    task_span: Any
+    copies: List[Any]
+    #: set by the timer once (and only if) a backup copy is launched
+    bid: Any = None
+    entry: Optional[Dict[str, Any]] = None
+    span: Any = None
+
+    @property
+    def decided(self) -> bool:
+        """Nothing left to speculate on: a copy won or the primary ended."""
+        return self.outcome.triggered or self.primary.done.triggered
+
+
 class ExecutionCoordinator:
     """Runs one application to completion on a :class:`VDCERuntime`."""
 
@@ -219,6 +259,9 @@ class ExecutionCoordinator:
         self.stats: RuntimeStats = runtime.stats
         self.tracer = runtime.tracer
         self.afg = afg
+        #: trace/span source of everything this coordinator emits, and
+        #: the name of its process
+        self._src = f"app:{afg.name}"
         self.table = table
         self.execute_payloads = execute_payloads
         self.submit_site = submit_site or runtime.default_site
@@ -238,8 +281,6 @@ class ExecutionCoordinator:
             self._note_assignment_epochs(assignment)
         #: edge signals carrying produced values to consumers
         self._edge_ready: Dict[Tuple[str, str, int, int], Signal] = {}
-        #: delivered edge values (used for re-staging after reschedule)
-        self._edge_value: Dict[Tuple[str, str, int, int], Any] = {}
         self.records: Dict[str, TaskRecord] = {}
         self.outputs: Dict[str, List[Any]] = {}
         self._excluded_hosts: Dict[str, set] = {}
@@ -251,7 +292,9 @@ class ExecutionCoordinator:
         self.data_policy = runtime.config.data_policy
         #: causal span recorder (runtime-shared; null object when off)
         self.spans = runtime.spans
-        #: this application's root span context (None when spans are off)
+        #: this application's root span context.  None when spans are
+        #: off — and a span whose parent is None is None (``_open``), so
+        #: no span site below tests whether spans are on.
         self._root_span = None
         #: sites that never acknowledged their allocation portion
         self._unreachable_sites: set = set()
@@ -281,84 +324,60 @@ class ExecutionCoordinator:
 
     def start(self):
         """Spawn the coordinator process; its value is ApplicationResult."""
-        return self.sim.process(self._run(), name=f"app:{self.afg.name}")
+        return self.sim.process(self._run(), name=self._src)
+
+    # -- causal spans --------------------------------------------------------
+
+    def _open(self, kind: str, parent, **attrs: Any):
+        """Open a child span of ``parent``; a span whose parent is None is None."""
+        if parent is None:
+            return None
+        return self.spans.open(
+            kind, self.afg.name, parent=parent, source=self._src, **attrs
+        )
+
+    def _close(self, span, **attrs: Any) -> None:
+        if span is not None:
+            self.spans.close(span, source=self._src, **attrs)
 
     # -- protocol ------------------------------------------------------------
 
     def _run(self):
         submitted_at = self.sim.now
-        source = f"app:{self.afg.name}"
         if self.spans.enabled:
-            self._root_span = self.spans.root_of(self.afg.name, source=source)
+            self._root_span = self.spans.root_of(self.afg.name, source=self._src)
+        root = self._root_span
 
         # Phase 0: journal the schedule (fresh run) or the resume.
-        if self._resuming:
-            self._restore_completed()
-            self._reconcile_membership(source)
-            self._journal_append(
-                "resume",
-                submit_site=self.submit_site,
-                completed=sorted(self._restored),
-            )
-            self.stats.resumes += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RESUME, source=source,
-                    submit_site=self.submit_site,
-                    completed=len(self._restored),
-                )
-            if self._root_span is not None:
-                resume_span = self.spans.open(
-                    SpanKind.RESUME, self.afg.name, parent=self._root_span,
-                    source=source, completed=len(self._restored),
-                )
-                self.spans.close(resume_span, source=source)
-        elif self._journaling:
-            self._journal_append(
-                "schedule",
-                scheduler=self.table.scheduler,
-                submit_site=self.submit_site,
-                afg=afg_to_dict(self.afg),
-                table=self.table.to_dict(),
-            )
+        self._journal_start()
 
         # Phase 1: distribute allocation-table portions.
-        alloc_span = None
-        if self._root_span is not None:
-            alloc_span = self.spans.open(
-                SpanKind.ALLOCATION, self.afg.name, parent=self._root_span,
-                source=source,
-            )
-        with self.tracer.span("allocation", source=source):
-            yield from self._distribute_allocation(span=alloc_span)
-        if alloc_span is not None:
-            self.spans.close(alloc_span, source=source)
+        alloc_span = self._open(SpanKind.ALLOCATION, root)
+        with self.tracer.span("allocation", source=self._src):
+            yield from self._distribute_allocation(alloc_span)
+        self._close(alloc_span)
 
         # Phase 2: channel setup + acks for every AFG edge.
-        chan_span = None
-        if self._root_span is not None:
-            chan_span = self.spans.open(
-                SpanKind.CHANNEL_SETUP, self.afg.name, parent=self._root_span,
-                source=source, edges=len(self.afg.edges),
-            )
-        with self.tracer.span("channel_setup", source=source):
-            yield from self._setup_channels(span=chan_span)
-        if chan_span is not None:
-            self.spans.close(chan_span, source=source)
+        chan_span = self._open(
+            SpanKind.CHANNEL_SETUP, root, edges=len(self.afg.edges)
+        )
+        with self.tracer.span("channel_setup", source=self._src):
+            yield from self._setup_channels(chan_span)
+        self._close(chan_span)
 
         # Phase 3: the execution startup signal.
         self.stats.startup_signals += 1
         yield Timeout(_STARTUP_BROADCAST_S)
         startup_at = self.sim.now
         if self.tracer.enabled:
-            self.tracer.emit(EventKind.STARTUP_SIGNAL, source=source)
+            self.tracer.emit(EventKind.STARTUP_SIGNAL, source=self._src)
 
         # Phase 4: per-task processes; wait for all of them.  AllOf
         # subscribes (and so observes) every process up front: when one
         # task fails terminally, the first error propagates here as a
         # typed ExecutionError while sibling failures stay observed.
         try:
-            with self.tracer.span("execution", source=source):
+            with self.tracer.span("execution", source=self._src):
                 procs = [
                     self.sim.process(
                         self._task_process(task_id),
@@ -374,32 +393,14 @@ class ExecutionCoordinator:
                 controller.release(self.afg.name)
         finished_at = self.sim.now
 
-        # Phase 6: post-execution task-performance refinement.  Records
-        # restored from a checkpoint were refined before the crash; a
-        # crashed Site Manager cannot take updates.
-        collect_span = None
-        if self._root_span is not None:
-            collect_span = self.spans.open(
-                SpanKind.COLLECT, self.afg.name, parent=self._root_span,
-                source=source,
-            )
-        for task_id, record in self.records.items():
-            if task_id in self._restored:
-                continue
-            manager = self.runtime.site_managers[record.site]
-            if record.predicted_time > 0 and manager.alive:
-                manager.record_completed_execution(
-                    record.task_type,
-                    record.hosts[0],
-                    expected_s=record.predicted_time,
-                    measured_s=record.measured_time,
-                )
-        if collect_span is not None:
-            self.spans.close(collect_span, source=source)
-            self.spans.close_root(
-                self.afg.name, source=source,
-                makespan_s=finished_at - startup_at,
-            )
+        # Phase 6: post-execution task-performance refinement.
+        collect_span = self._open(SpanKind.COLLECT, root)
+        self._refine_predictions()
+        self._close(collect_span)
+        self.spans.close_root(
+            self.afg.name, source=self._src,
+            makespan_s=finished_at - startup_at,
+        )
 
         return ApplicationResult(
             application=self.afg.name,
@@ -414,7 +415,54 @@ class ExecutionCoordinator:
             reschedules=self._reschedules,
         )
 
-    def _distribute_allocation(self, span=None):
+    def _journal_start(self) -> None:
+        """Phase 0: journal the schedule (fresh run) or the resume."""
+        if self._resuming:
+            self._restore_completed()
+            self._reconcile_membership()
+            self._journal_append(
+                "resume",
+                submit_site=self.submit_site,
+                completed=sorted(self._restored),
+            )
+            self.stats.resumes += 1
+            if self.tracer.enabled:
+                self.tracer.emit(
+                    EventKind.RESUME, source=self._src,
+                    submit_site=self.submit_site,
+                    completed=len(self._restored),
+                )
+            self._close(self._open(
+                SpanKind.RESUME, self._root_span, completed=len(self._restored)
+            ))
+        elif self._journaling:
+            self._journal_append(
+                "schedule",
+                scheduler=self.table.scheduler,
+                submit_site=self.submit_site,
+                afg=afg_to_dict(self.afg),
+                table=self.table.to_dict(),
+            )
+
+    def _refine_predictions(self) -> None:
+        """Phase 6: fold measured times into the task-performance databases.
+
+        Records restored from a checkpoint were refined before the
+        crash; a crashed Site Manager cannot take updates.
+        """
+        for task_id, record in self.records.items():
+            if task_id in self._restored:
+                continue
+            manager = self.runtime.site_managers[record.site]
+            if record.predicted_time > 0 and manager.alive:
+                manager.record_completed_execution(
+                    record.task_type,
+                    record.hosts[0],
+                    expected_s=record.predicted_time,
+                    measured_s=record.measured_time,
+                )
+
+    def _distribute_allocation(self, span):
         """Phase 1: local SM -> remote SMs -> Group Managers -> Controllers.
 
         Remote portions ride the retrying control plane.  A site that
@@ -452,10 +500,7 @@ class ExecutionCoordinator:
                 else:
                     procs.append(
                         self.sim.process(
-                            self._deliver_allocation(
-                                site_name, self._submit_server, snapshot,
-                                span=span,
-                            ),
+                            self._deliver_allocation(site_name, snapshot, span),
                             name=f"alloc:{self.afg.name}:{site_name}",
                         )
                     )
@@ -498,8 +543,7 @@ class ExecutionCoordinator:
             ).inc(n, application=self.afg.name)
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.CHECKPOINT, source=f"app:{self.afg.name}",
-                record=kind, bytes=n,
+                EventKind.CHECKPOINT, source=self._src, record=kind, bytes=n,
             )
 
     def _restore_completed(self) -> None:
@@ -522,7 +566,7 @@ class ExecutionCoordinator:
                     decode_value(o["value"]) for o in rec["outputs"]
                 ]
 
-    def _reconcile_membership(self, source: str) -> None:
+    def _reconcile_membership(self) -> None:
         """Resume-time sweep: flag frontier tasks bound to departed hosts.
 
         A journal can outlive its hosts — the federation that resumes an
@@ -547,7 +591,7 @@ class ExecutionCoordinator:
             )
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.RESUME_MEMBERSHIP_WARNING, source=source,
+                    EventKind.RESUME_MEMBERSHIP_WARNING, source=self._src,
                     task=task_id, stale=stale,
                 )
 
@@ -558,8 +602,7 @@ class ExecutionCoordinator:
             snapshot.assign(assignment)
         return snapshot
 
-    def _deliver_allocation(self, site_name: str, local_server: str, snapshot,
-                            span=None):
+    def _deliver_allocation(self, site_name: str, snapshot, span):
         """Send one remote site its table portion; value ``(site, ok)``."""
         manager = self.runtime.site_managers[site_name]
         remote_server = self.runtime.topology.site(site_name).server_host.name
@@ -570,15 +613,11 @@ class ExecutionCoordinator:
             self.stats.allocation_messages += 1
 
         def handle():
-            def wait():
-                value = yield manager.distribute_allocation(snapshot, self.afg)
-                return value
-
-            return wait()
+            return (yield manager.distribute_allocation(snapshot, self.afg))
 
         try:
             yield from self.control.request(
-                local_server, remote_server, handle,
+                self._submit_server, remote_server, handle,
                 payload_mb=_ALLOC_BYTES_PER_TASK_MB * n_tasks,
                 reply_mb=_ALLOC_ACK_BYTES_MB,
                 label=f"alloc:{self.afg.name}:{site_name}",
@@ -588,7 +627,7 @@ class ExecutionCoordinator:
         except RpcTimeout:
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.SITE_UNREACHABLE, source=f"app:{self.afg.name}",
+                    EventKind.SITE_UNREACHABLE, source=self._src,
                     remote=site_name, phase="allocation",
                 )
             return (site_name, False)
@@ -597,16 +636,9 @@ class ExecutionCoordinator:
     def _reassign_off_sites(self, failed: List[str]) -> List[str]:
         """Move tasks off unreachable sites; returns sites needing
         (re)delivery of their updated portions."""
-        network = self.runtime.topology.network
         dead_hosts: set = set()
         for site_name in self._unreachable_sites:
             dead_hosts.update(self.runtime.topology.site(site_name).hosts)
-        candidates = [self.submit_site] + [
-            s
-            for s in self.runtime.neighbor_order(self.submit_site)
-            if s not in self._unreachable_sites
-            and network.reachable(self.submit_site, s)
-        ]
         moved: set = set()
         for task_id in sorted(
             t for t, a in self.assignment.items() if a.site in failed
@@ -615,47 +647,20 @@ class ExecutionCoordinator:
             excluded = self._excluded_hosts.setdefault(task_id, set())
             excluded.update(dead_hosts)
             excluded.update(self.assignment[task_id].hosts)
-            replacement = None
-            for site_name in candidates:
-                bid = self.runtime.site_managers[site_name].reselect_host(
-                    self.afg, task_id, frozenset(excluded), self.runtime.model
-                )
-                if bid is not None:
-                    replacement = bid
-                    break
-            if replacement is None:
+            bid = self._replacement(task_id, excluded)
+            if bid is None:
                 raise ExecutionError(
                     f"no reachable site can run task {task_id!r} ({reason})"
                 )
-            self._reschedules += 1
-            self.stats.reschedule_requests += 1
             # a pre-execution move off an unreachable site is a
             # failure-driven restart like any other (satellite of the
             # total_control_messages composition fix)
-            self.stats.failure_restarts += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RESCHEDULE, source=f"app:{self.afg.name}",
-                    task=task_id, reason=reason,
-                    from_site=self.assignment[task_id].site,
-                    from_hosts=self.assignment[task_id].hosts,
-                )
+            self._count_reschedule(task_id, reason, failure=True)
             self._pre_execution_moves.setdefault(task_id, []).append(reason)
-            self.assignment[task_id] = TaskAssignment(
-                task_id=task_id,
-                site=replacement.site,
-                hosts=replacement.hosts,
-                predicted_time=replacement.predicted_time,
-            )
-            self._note_assignment_epochs(self.assignment[task_id])
-            self._journal_append(
-                "reschedule", task=task_id, reason=reason,
-                site=replacement.site, hosts=list(replacement.hosts),
-            )
-            moved.add(replacement.site)
+            moved.add(self._rebind(task_id, bid, reason=reason).site)
         return sorted(moved)
 
-    def _setup_channels(self, span=None):
+    def _setup_channels(self, span):
         """Phase 2: one point-to-point channel per edge, setup + ack.
 
         On a resumed run, an edge whose producer already completed
@@ -665,92 +670,79 @@ class ExecutionCoordinator:
         policy fails its setup process, so the resume fails typed
         instead of hanging.
         """
-
-        def setup(edge: Edge):
-            yield from self._establish_channel(edge, span=span)
-            self._edge_ready[_edge_key(edge)] = self.sim.signal(
-                f"edge:{edge.src}->{edge.dst}"
-            )
-
-        def restage(edge: Edge):
-            key = _edge_key(edge)
-            signal = self.sim.signal(f"edge:{edge.src}->{edge.dst}")
-            self._edge_ready[key] = signal
-            value = decode_value(
-                self._restored[edge.src]["outputs"][edge.src_port]["value"]
-            )
-            integrity = self.runtime.integrity
-            if edge.dst in self._restored:
-                # both endpoints already ran; satisfy the edge for free
-                signal.succeed(value)
-                return
-            src_server = self.runtime.topology.site(
-                self.submit_site
-            ).server_host.name
-            dst_host = self.assignment[edge.dst].primary_host
-            label = f"restage:{edge.src}->{edge.dst}"
-            if integrity is not None:
-                # the journalled copy lives on the submitting server;
-                # verified re-stage with a bounded refetch budget (no
-                # lineage: the producer completed in a prior incarnation)
-                expected = integrity.record_artifact(
-                    self.afg.name, edge.src, edge.src_port, value, src_server
-                )
-                incident = None
-                for attempt in range(1 + integrity.policy.max_refetches):
-                    transfer = yield from self._transfer_with_retry(
-                        src_server, dst_host, edge.size_mb, label=label,
-                        record=self.records[edge.src], reason="restage",
-                    )
-                    if transfer is None or transfer.corruption is None:
-                        integrity.record_consumption(
-                            self.afg.name, label, clean=True,
-                            expected_hash=expected,
-                        )
-                        if incident is not None:
-                            integrity.resolve(incident, "refetched")
-                        break
-                    if incident is None:
-                        incident = integrity.open_incident(
-                            self.afg.name, label, "corrupt"
-                        )
-                    integrity.note_corruption(
-                        self.afg.name, label, transfer.corruption, expected
-                    )
-                    if attempt < integrity.policy.max_refetches:
-                        incident["refetches"] += 1
-                        integrity.note_refetch(
-                            self.afg.name, label, incident["refetches"]
-                        )
-                else:
-                    integrity.resolve(incident, "poisoned")
-                    integrity.note_poison(
-                        self.afg.name, edge.src,
-                        "restage refetch budget exhausted",
-                    )
-                    signal.fail(CorruptPayloadError(
-                        f"re-staged output {edge.src}[{edge.src_port}] "
-                        "still corrupt after "
-                        f"{integrity.policy.max_refetches} refetch(es)",
-                        expected_hash=expected,
-                    ))
-                    return
-            else:
-                yield from self._transfer_with_retry(
-                    src_server, dst_host, edge.size_mb, label=label,
-                    record=self.records[edge.src], reason="restage",
-                )
-            self._edge_value[key] = value
-            signal.succeed(value)
-
         procs = []
         for edge in self.afg.edges:
-            gen = restage(edge) if edge.src in self._restored else setup(edge)
+            if edge.src in self._restored:
+                gen = self._restage_edge(edge)
+            else:
+                gen = self._setup_edge(edge, span)
             procs.append(
                 self.sim.process(gen, name=f"chan:{edge.src}->{edge.dst}")
             )
         if procs:
             yield AllOf(procs)
+
+    def _setup_edge(self, edge: Edge, span):
+        yield from self._establish_channel(edge, span)
+        self._edge_ready[_edge_key(edge)] = self.sim.signal(
+            f"edge:{edge.src}->{edge.dst}"
+        )
+
+    def _restage_edge(self, edge: Edge):
+        """Resume: satisfy one edge from its producer's journalled output.
+
+        With integrity on, the journalled copy (which lives on the
+        submitting server) is re-staged under the refetch ladder; it has
+        no lineage — the producer completed in a prior incarnation — so
+        an exhausted budget poisons it and fails the edge typed.
+        """
+        signal = self.sim.signal(f"edge:{edge.src}->{edge.dst}")
+        self._edge_ready[_edge_key(edge)] = signal
+        value = decode_value(
+            self._restored[edge.src]["outputs"][edge.src_port]["value"]
+        )
+        if edge.dst in self._restored:
+            # both endpoints already ran; satisfy the edge for free
+            signal.succeed(value)
+            return
+        integrity = self.runtime.integrity
+        record = self.records[edge.src]
+        label = f"restage:{edge.src}->{edge.dst}"
+
+        def transfer():
+            return self._transfer_with_retry(
+                self._submit_server, self.assignment[edge.dst].primary_host,
+                edge.size_mb, label=label, record=record, reason="restage",
+            )
+
+        if integrity is None:
+            yield from transfer()
+        else:
+            expected = integrity.record_artifact(
+                self.afg.name, edge.src, edge.src_port, value,
+                self._submit_server,
+            )
+            try:
+                yield from integrity.refetch_ladder(
+                    self.afg.name, label,
+                    lambda: self._verified(transfer(), label, expected),
+                    record=record,
+                )
+            except CorruptPayloadError:
+                integrity.note_poison(
+                    self.afg.name, edge.src, "restage refetch budget exhausted"
+                )
+                signal.fail(CorruptPayloadError(
+                    f"re-staged output {edge.src}[{edge.src_port}] "
+                    "still corrupt after "
+                    f"{integrity.policy.max_refetches} refetch(es)",
+                    expected_hash=expected,
+                ))
+                return
+            integrity.record_consumption(
+                self.afg.name, label, clean=True, expected_hash=expected
+            )
+        signal.succeed(value)
 
     def _establish_channel(self, edge: Edge, span=None):
         """Channel setup + ack for one edge, with control-plane retries.
@@ -767,7 +759,7 @@ class ExecutionCoordinator:
             self.stats.channel_setups += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.CHANNEL_SETUP, source=f"app:{self.afg.name}",
+                    EventKind.CHANNEL_SETUP, source=self._src,
                     edge=[edge.src, edge.dst], src_host=src_host,
                     dst_host=dst_host,
                 )
@@ -776,7 +768,7 @@ class ExecutionCoordinator:
             self.stats.channel_acks += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.CHANNEL_ACK, source=f"app:{self.afg.name}",
+                    EventKind.CHANNEL_ACK, source=self._src,
                     edge=[edge.src, edge.dst],
                 )
 
@@ -798,10 +790,36 @@ class ExecutionCoordinator:
         self.stats.channel_reestablishes += 1
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.CHANNEL_REESTABLISH, source=f"app:{self.afg.name}",
+                EventKind.CHANNEL_REESTABLISH, source=self._src,
                 edge=[edge.src, edge.dst],
             )
         yield from self._establish_channel(edge)
+
+    # -- the data plane: transfers, staging, outages, repair ----------------
+
+    def _link_backoff(self, record: TaskRecord, label: str, attempt: int,
+                      exc: LinkDownError, what: str):
+        """The pause after a link outage killed attempt ``attempt``.
+
+        An exhausted data policy raises a typed :class:`ExecutionError`
+        naming ``what`` failed; otherwise the retry is billed, traced
+        and waited out.  The ``retry:<app>:<label>`` stream is taken
+        here, at the draw (DESIGN §5 decision 8).
+        """
+        policy = self.data_policy
+        if attempt >= policy.max_attempts:
+            raise ExecutionError(
+                f"{what} failed after {attempt} attempts: {exc}"
+            ) from exc
+        record.transfer_retries += 1
+        self.stats.transfer_retries += 1
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.TRANSFER_RETRY, source=self._src,
+                label=label, attempt=attempt, reason=str(exc),
+            )
+        rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
+        yield Timeout(policy.backoff(attempt, float(rng.uniform())))
 
     def _transfer_with_retry(self, src_host: str, dst_host: str, size_mb: float,
                              label: str, record: TaskRecord, reason: str,
@@ -817,8 +835,7 @@ class ExecutionCoordinator:
         """
         network = self.runtime.topology.network
         metrics = self.sim.metrics
-        policy = self.data_policy
-        for attempt in range(1, policy.max_attempts + 1):
+        for attempt in range(1, self.data_policy.max_attempts + 1):
             transfer = network.transfer(src_host, dst_host, size_mb, label=label)
             self._transfers += 1
             self._transferred_mb += size_mb
@@ -832,7 +849,7 @@ class ExecutionCoordinator:
                 ).observe(size_mb)
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.DATA_TRANSFER, source=f"app:{self.afg.name}",
+                    EventKind.DATA_TRANSFER, source=self._src,
                     src=src_host, dst=dst_host, size_mb=size_mb,
                     edge=[edge.src, edge.dst] if edge is not None else None,
                     reason=reason, attempt=attempt,
@@ -841,19 +858,9 @@ class ExecutionCoordinator:
                 yield transfer.done
                 return transfer
             except LinkDownError as exc:
-                if attempt >= policy.max_attempts:
-                    raise ExecutionError(
-                        f"transfer {label!r} failed after {attempt} attempts: {exc}"
-                    ) from exc
-                record.transfer_retries += 1
-                self.stats.transfer_retries += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
-                        label=label, attempt=attempt, reason=str(exc),
-                    )
-                rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
-                yield Timeout(policy.backoff(attempt, float(rng.uniform())))
+                yield from self._link_backoff(
+                    record, label, attempt, exc, f"transfer {label!r}"
+                )
                 if edge is not None:
                     try:
                         yield from self._reestablish_channel(edge, record)
@@ -862,142 +869,84 @@ class ExecutionCoordinator:
                         # transfer attempts themselves are the budget
                         pass
 
-    # -- per-task execution -----------------------------------------------------
-
-    def _task_process(self, task_id: str):
-        node = self.afg.task(task_id)
-        assignment = self.assignment[task_id]
-        record = TaskRecord(
-            task_id=task_id,
-            task_type=node.task_type,
-            site=assignment.site,
-            hosts=assignment.hosts,
-            predicted_time=assignment.predicted_time,
-            reschedule_reasons=list(self._pre_execution_moves.get(task_id, [])),
-        )
-        self.records[task_id] = record
-        task_span = None
-        if self._root_span is not None:
-            task_span = self.spans.open(
-                SpanKind.TASK, self.afg.name, parent=self._root_span,
-                source=f"app:{self.afg.name}", task=task_id,
-                task_type=node.task_type, site=assignment.site,
-                hosts=assignment.hosts,
+    def _verified(self, transfer, label: str, expected: Optional[str]):
+        """The ladder's fetch step for a payload whose verdict is the
+        transfer's ``corruption`` marker: drive ``transfer`` (a
+        :meth:`_transfer_with_retry` generator), report and raise on a
+        hash mismatch — the damaged copy is never consumed."""
+        arrived = yield from transfer
+        if arrived.corruption is not None:
+            self.runtime.integrity.note_corruption(
+                self.afg.name, label, arrived.corruption, expected
+            )
+            raise CorruptPayloadError(
+                f"{label} arrived {arrived.corruption}-damaged",
+                expected_hash=expected,
             )
 
-        # Gather dataflow inputs (in dst_port order for the implementation).
-        in_edges = sorted(self.afg.in_edges(task_id), key=lambda e: e.dst_port)
-        port_values: Dict[int, Any] = {}
-        if in_edges:
-            wait_span = None
-            if task_span is not None:
-                wait_span = self.spans.open(
-                    SpanKind.INPUT_WAIT, self.afg.name, parent=task_span,
-                    source=f"app:{self.afg.name}", task=task_id,
-                    edges=len(in_edges),
-                )
-            for edge in in_edges:
-                value = yield self._edge_ready[_edge_key(edge)]
-                port_values[edge.dst_port] = value
-            if wait_span is not None:
-                self.spans.close(wait_span, source=f"app:{self.afg.name}")
+    def _stage_with_retry(self, spec, src_host: str, dst_host: str,
+                          record: TaskRecord):
+        """``io_service.stage`` hardened against link outages.
 
-        # Stage explicit file inputs from the submitting site's server.
-        file_inputs = node.properties.file_inputs()
-        if file_inputs:
-            stage_span = None
-            if task_span is not None:
-                stage_span = self.spans.open(
-                    SpanKind.STAGE_IN, self.afg.name, parent=task_span,
-                    source=f"app:{self.afg.name}", task=task_id,
-                    files=len(file_inputs),
-                )
-            for binding in file_inputs:
-                dst = self.assignment[task_id].primary_host
-                value = yield from self._stage_with_retry(
-                    binding.file, self._submit_server, dst, record
-                )
-                port_values[binding.port] = value
-            if stage_span is not None:
-                self.spans.close(stage_span, source=f"app:{self.afg.name}")
+        With integrity on, a stage-in whose transfer arrived damaged
+        (:class:`CorruptPayloadError` from the I/O service, which has
+        already reported it) is refetched under the ladder; file inputs
+        have no lineage to regenerate from, so an exhausted budget
+        fails typed (I13's typed-termination arm).  Outages and
+        refetches draw on the same ``max_attempts`` budget.
+        """
+        policy = self.data_policy
+        label = f"stage:{spec.path}"
+        what = f"staging {spec.path!r} onto {dst_host}"
+        attempts = iter(range(1, policy.max_attempts + 1))
 
-        inputs = [port_values.get(p) for p in range(node.n_in_ports)]
-
-        # Console service gate (suspend/restart).
-        yield from self.runtime.console.wait_if_suspended(self.afg.name)
-
-        # Execute, retrying through reschedules.
-        record.started_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.TASK_START, source=f"app:{self.afg.name}",
-                task=task_id, task_type=node.task_type,
-                site=record.site, hosts=record.hosts,
-            )
-        yield from self._execute_with_recovery(node, record, inputs,
-                                               span=task_span)
-        record.finished_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.TASK_FINISH, source=f"app:{self.afg.name}",
-                task=task_id, site=record.site, hosts=record.hosts,
-                measured_time=record.measured_time, attempts=record.attempts,
+        def fetch():
+            for attempt in attempts:
+                try:
+                    return (yield from self.runtime.io_service.stage(
+                        spec, src_host, dst_host
+                    ))
+                except LinkDownError as exc:
+                    yield from self._link_backoff(
+                        record, label, attempt, exc, what
+                    )
+            raise ExecutionError(
+                f"{what} exhausted {policy.max_attempts} attempts"
             )
 
-        # Produce real output values.
-        if self.execute_payloads:
-            signature = self.runtime.registry.get(node.task_type)
-            outputs = signature.run(inputs, node.properties.workload_scale)
-            if task_id in self._speculative_wins:
-                self._verify_speculative_outputs(node, inputs, outputs)
-        else:
-            outputs = [None] * node.n_out_ports
-        final_assignment = self.assignment[task_id]
-        if self.runtime.integrity is not None:
-            for port, value in enumerate(outputs):
-                self.runtime.integrity.record_artifact(
-                    self.afg.name, task_id, port, value,
-                    final_assignment.primary_host,
-                )
-        if self._journaling:
-            self._journal_append(
-                "task_complete",
-                task=task_id,
-                site=record.site,
-                hosts=list(record.hosts),
-                predicted_time=record.predicted_time,
-                started_at=record.started_at,
-                finished_at=record.finished_at,
-                measured_time=record.measured_time,
-                attempts=record.attempts,
-                outputs=[
-                    {
-                        "port": port,
-                        "hash": value_hash(value),
-                        "value": encode_value(value),
-                        "location": final_assignment.primary_host,
-                    }
-                    for port, value in enumerate(outputs)
-                ],
-            )
-        if not self.afg.out_edges(task_id):
-            self.outputs[task_id] = outputs
+        integrity = self.runtime.integrity
+        if integrity is None:
+            return (yield from fetch())
+        try:
+            return (yield from integrity.refetch_ladder(
+                self.afg.name, label, fetch, record=record,
+                kind="stage-corrupt",
+            ))
+        except CorruptPayloadError as exc:
+            raise CorruptPayloadError(
+                f"{what} still corrupt after "
+                f"{integrity.policy.max_refetches} refetch(es): {exc}"
+            ) from exc
 
-        # Push outputs down the channels as real (retrying) transfers.
-        for edge in self.afg.out_edges(task_id):
-            value = outputs[edge.src_port] if outputs else None
-            self.sim.process(
-                self._deliver_output(edge, value, record, span=task_span),
-                name=f"xfer:{edge.src}->{edge.dst}",
+    def _feed(self, node: TaskNode, host: str, record: TaskRecord,
+              label: str, reason: str):
+        """The steps that put ``node``'s inputs on ``host``: one generator
+        per input for the caller to ``yield from`` — dataflow edges in
+        port order, then file inputs.  A caller that may lose interest
+        between inputs (the speculation timer) checks between steps."""
+        for edge in sorted(self.afg.in_edges(node.id), key=lambda e: e.dst_port):
+            yield self._transfer_with_retry(
+                self.assignment[edge.src].primary_host, host, edge.size_mb,
+                label=f"{label}:{edge.src}->{edge.dst}", record=record,
+                reason=reason,
             )
-        if task_span is not None:
-            self.spans.close(
-                task_span, source=f"app:{self.afg.name}",
-                attempts=record.attempts, measured_s=record.measured_time,
+        for binding in node.properties.file_inputs():
+            yield self._stage_with_retry(
+                binding.file, self._submit_server, host, record
             )
 
     def _deliver_output(self, edge: Edge, value: Any, record: TaskRecord,
-                        span=None):
+                        span):
         """Push one produced value down its channel, surviving outages.
 
         A delivery that exhausts the data policy fails the edge signal,
@@ -1008,13 +957,10 @@ class ExecutionCoordinator:
         sent_at = self.sim.now
         src_host = self.assignment[edge.src].primary_host
         dst_host = self.assignment[edge.dst].primary_host
-        out_span = None
-        if span is not None and self.spans.enabled:
-            out_span = self.spans.open(
-                SpanKind.STAGE_OUT, self.afg.name, parent=span,
-                source=f"app:{self.afg.name}", task=edge.src,
-                edge=[edge.src, edge.dst], size_mb=edge.size_mb,
-            )
+        out_span = self._open(
+            SpanKind.STAGE_OUT, span, task=edge.src,
+            edge=[edge.src, edge.dst], size_mb=edge.size_mb,
+        )
         try:
             if self.runtime.integrity is None:
                 yield from self._transfer_with_retry(
@@ -1023,14 +969,9 @@ class ExecutionCoordinator:
                     reason="dataflow", edge=edge,
                 )
             else:
-                yield from self._deliver_verified(
-                    edge, record, parent_span=out_span or span
-                )
+                yield from self._deliver_verified(edge, record, out_span)
         except (ExecutionError, DataIntegrityError) as exc:
-            if out_span is not None:
-                self.spans.close(
-                    out_span, source=f"app:{self.afg.name}", status="failed",
-                )
+            self._close(out_span, status="failed")
             self._edge_ready[key].fail(exc)
             return
         if self.sim.metrics.enabled:
@@ -1038,13 +979,10 @@ class ExecutionCoordinator:
                 "vdce_transfer_latency_seconds",
                 "dataflow transfer time on the contended network",
             ).observe(self.sim.now - sent_at)
-        if out_span is not None:
-            self.spans.close(out_span, source=f"app:{self.afg.name}")
-        self._edge_value[key] = value
+        self._close(out_span)
         self._edge_ready[key].succeed(value)
 
-    def _deliver_verified(self, edge: Edge, record: TaskRecord,
-                          parent_span=None):
+    def _deliver_verified(self, edge: Edge, record: TaskRecord, parent_span):
         """One edge delivery under the integrity repair ladder (DESIGN §16).
 
         Every arriving copy is checked against the producer's recorded
@@ -1054,99 +992,58 @@ class ExecutionCoordinator:
         its producer lineage; an artifact that exhausts its
         regeneration budget is poison-quarantined and this edge fails
         with the typed :class:`PoisonedArtifactError`.  Only a verified
-        copy is ever recorded as consumed (invariant I12).
+        copy is ever recorded as consumed (invariant I12).  The whole
+        episode, from the first detection on, is one ``REPAIR`` span.
         """
         integrity = self.runtime.integrity
-        policy = integrity.policy
         app = self.afg.name
         label = f"{edge.src}->{edge.dst}"
         expected = integrity.recorded_hash(app, edge.src, edge.src_port)
-        incident = None
         repair_span = None
-        refetches_left = policy.max_refetches
 
-        def ensure_repair_span():
+        def fetch():
             nonlocal repair_span
-            if repair_span is None and self.spans.enabled:
-                repair_span = self.spans.open(
-                    SpanKind.REPAIR, app, parent=parent_span,
-                    source=f"app:{app}", edge=[edge.src, edge.dst],
+            artifact = integrity.artifact(app, edge.src, edge.src_port)
+            if artifact is not None and artifact.poisoned:
+                raise PoisonedArtifactError(
+                    f"artifact {edge.src}[{edge.src_port}] of {app!r} is "
+                    "quarantined; consumer fails typed"
                 )
+            try:
+                if artifact is not None and artifact.lost:
+                    raise MissingArtifactError(
+                        f"staged copy of {edge.src}[{edge.src_port}] vanished"
+                    )
+                yield from self._verified(self._transfer_with_retry(
+                    self.assignment[edge.src].primary_host,
+                    self.assignment[edge.dst].primary_host,
+                    edge.size_mb, label=label, record=record,
+                    reason="dataflow", edge=edge,
+                ), label, expected)
+            except (CorruptPayloadError, MissingArtifactError):
+                if repair_span is None:
+                    repair_span = self._open(
+                        SpanKind.REPAIR, parent_span, edge=[edge.src, edge.dst]
+                    )
+                raise
 
-        def close_repair_span(status: str) -> None:
-            nonlocal repair_span
-            if repair_span is not None:
-                self.spans.close(
-                    repair_span, source=f"app:{app}", status=status,
-                )
-                repair_span = None
+        def regenerate(incident):
+            return self._regenerate(edge.src, incident, 1, repair_span)
 
         try:
-            while True:
-                artifact = integrity.artifact(app, edge.src, edge.src_port)
-                if artifact is not None and artifact.poisoned:
-                    raise PoisonedArtifactError(
-                        f"artifact {edge.src}[{edge.src_port}] of {app!r} is "
-                        "quarantined; consumer fails typed"
-                    )
-                if artifact is not None and artifact.lost:
-                    # staged copy vanished: refetch cannot help, go
-                    # straight to lineage regeneration
-                    if incident is None:
-                        incident = integrity.open_incident(app, label, "lost")
-                    ensure_repair_span()
-                    yield from self._regenerate(
-                        edge.src, incident, depth=1, span=repair_span
-                    )
-                    continue
-                src_host = self.assignment[edge.src].primary_host
-                dst_host = self.assignment[edge.dst].primary_host
-                transfer = yield from self._transfer_with_retry(
-                    src_host, dst_host, edge.size_mb, label=label,
-                    record=record, reason="dataflow", edge=edge,
-                )
-                if transfer is None or transfer.corruption is None:
-                    integrity.record_consumption(
-                        app, label, clean=True, expected_hash=expected
-                    )
-                    if incident is not None:
-                        integrity.resolve(
-                            incident,
-                            "regenerated"
-                            if incident["regenerations"]
-                            else "refetched",
-                        )
-                    close_repair_span("repaired")
-                    return
-                # hash mismatch: the damaged copy is never consumed
-                if incident is None:
-                    incident = integrity.open_incident(app, label, "corrupt")
-                integrity.note_corruption(
-                    app, label, transfer.corruption, expected
-                )
-                ensure_repair_span()
-                if refetches_left > 0:
-                    refetches_left -= 1
-                    incident["refetches"] += 1
-                    record.repair_refetches += 1
-                    integrity.note_refetch(
-                        app, label, incident["refetches"]
-                    )
-                    continue
-                # refetch budget spent: regenerate, then retry with a
-                # fresh refetch budget (bounded by max_regenerations)
-                yield from self._regenerate(
-                    edge.src, incident, depth=1, span=repair_span
-                )
-                refetches_left = policy.max_refetches
+            yield from integrity.refetch_ladder(
+                app, label, fetch, regenerate, record=record
+            )
         except DataIntegrityError:
-            if incident is not None and incident["resolution"] is None:
-                integrity.resolve(incident, "poisoned")
-            close_repair_span("poisoned")
+            self._close(repair_span, status="poisoned")
             raise
+        integrity.record_consumption(
+            app, label, clean=True, expected_hash=expected
+        )
+        self._close(repair_span, status="repaired")
 
     def _regenerate(self, task_id: str, incident: Dict[str, Any], depth: int,
-                    span=None):
+                    span):
         """Re-execute ``task_id`` to restore its lost/corrupt outputs.
 
         Task implementations are deterministic pure functions of
@@ -1191,7 +1088,7 @@ class ExecutionCoordinator:
             upstream = integrity.artifact(app, in_edge.src, in_edge.src_port)
             if upstream is not None and upstream.lost:
                 yield from self._regenerate(
-                    in_edge.src, incident, depth + 1, span=span
+                    in_edge.src, incident, depth + 1, span
                 )
         producer = self.records.get(task_id)
         assignment = self.assignment[task_id]
@@ -1206,88 +1103,148 @@ class ExecutionCoordinator:
         for artifact in artifacts:
             artifact.regenerations += 1
         integrity.note_regeneration(app, task_id, depth, charged)
-        regen_span = None
-        if span is not None and self.spans.enabled:
-            regen_span = self.spans.open(
-                SpanKind.REPAIR, app, parent=span, source=f"app:{app}",
-                task=task_id, depth=depth,
-            )
+        regen_span = self._open(
+            SpanKind.REPAIR, span, task=task_id, depth=depth
+        )
         yield Timeout(charged)
-        if regen_span is not None:
-            self.spans.close(regen_span, source=f"app:{app}")
+        self._close(regen_span)
         # pure re-execution restored the staged copies on the host
         for artifact in artifacts:
             artifact.lost = False
             artifact.host = assignment.primary_host
 
-    def _stage_with_retry(self, spec, src_host: str, dst_host: str,
-                          record: TaskRecord):
-        """``io_service.stage`` hardened against link outages.
+    # -- per-task execution -----------------------------------------------------
 
-        With integrity on, a stage-in whose transfer arrived damaged
-        (:class:`CorruptPayloadError` from the I/O service) is
-        refetched up to the policy's budget; file inputs have no
-        lineage to regenerate from, so an exhausted budget fails typed
-        (I13's typed-termination arm).
+    def _task_process(self, task_id: str):
+        node = self.afg.task(task_id)
+        assignment = self.assignment[task_id]
+        record = TaskRecord(
+            task_id=task_id,
+            task_type=node.task_type,
+            site=assignment.site,
+            hosts=assignment.hosts,
+            predicted_time=assignment.predicted_time,
+            reschedule_reasons=list(self._pre_execution_moves.get(task_id, [])),
+        )
+        self.records[task_id] = record
+        task_span = self._open(
+            SpanKind.TASK, self._root_span, task=task_id,
+            task_type=node.task_type, site=assignment.site,
+            hosts=assignment.hosts,
+        )
+
+        # Gather dataflow inputs (in dst_port order for the implementation).
+        in_edges = sorted(self.afg.in_edges(task_id), key=lambda e: e.dst_port)
+        port_values: Dict[int, Any] = {}
+        if in_edges:
+            wait_span = self._open(
+                SpanKind.INPUT_WAIT, task_span, task=task_id,
+                edges=len(in_edges),
+            )
+            for edge in in_edges:
+                value = yield self._edge_ready[_edge_key(edge)]
+                port_values[edge.dst_port] = value
+            self._close(wait_span)
+
+        # Stage explicit file inputs from the submitting site's server.
+        file_inputs = node.properties.file_inputs()
+        if file_inputs:
+            stage_span = self._open(
+                SpanKind.STAGE_IN, task_span, task=task_id,
+                files=len(file_inputs),
+            )
+            for binding in file_inputs:
+                dst = self.assignment[task_id].primary_host
+                value = yield from self._stage_with_retry(
+                    binding.file, self._submit_server, dst, record
+                )
+                port_values[binding.port] = value
+            self._close(stage_span)
+
+        inputs = [port_values.get(p) for p in range(node.n_in_ports)]
+
+        # Console service gate (suspend/restart).
+        yield from self.runtime.console.wait_if_suspended(self.afg.name)
+
+        # Execute, retrying through reschedules.
+        record.started_at = self.sim.now
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.TASK_START, source=self._src,
+                task=task_id, task_type=node.task_type,
+                site=record.site, hosts=record.hosts,
+            )
+        yield from self._execute_with_recovery(node, record, task_span)
+        record.finished_at = self.sim.now
+        if self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.TASK_FINISH, source=self._src,
+                task=task_id, site=record.site, hosts=record.hosts,
+                measured_time=record.measured_time, attempts=record.attempts,
+            )
+        self._publish_outputs(node, record, inputs, task_span)
+        self._close(
+            task_span, attempts=record.attempts,
+            measured_s=record.measured_time,
+        )
+
+    def _publish_outputs(self, node: TaskNode, record: TaskRecord, inputs,
+                         task_span) -> None:
+        """Produce the task's real output values, register and journal
+        them, and push them down the channels as (retrying) transfers."""
+        task_id = node.id
+        if self.execute_payloads:
+            signature = self.runtime.registry.get(node.task_type)
+            outputs = signature.run(inputs, node.properties.workload_scale)
+            if task_id in self._speculative_wins:
+                self._verify_speculative_outputs(node, inputs, outputs)
+        else:
+            outputs = [None] * node.n_out_ports
+        location = self.assignment[task_id].primary_host
+        if self.runtime.integrity is not None:
+            for port, value in enumerate(outputs):
+                self.runtime.integrity.record_artifact(
+                    self.afg.name, task_id, port, value, location
+                )
+        if self._journaling:
+            self._journal_append(
+                "task_complete",
+                task=task_id,
+                site=record.site,
+                hosts=list(record.hosts),
+                predicted_time=record.predicted_time,
+                started_at=record.started_at,
+                finished_at=record.finished_at,
+                measured_time=record.measured_time,
+                attempts=record.attempts,
+                outputs=[
+                    {
+                        "port": port,
+                        "hash": value_hash(value),
+                        "value": encode_value(value),
+                        "location": location,
+                    }
+                    for port, value in enumerate(outputs)
+                ],
+            )
+        out_edges = self.afg.out_edges(task_id)
+        if not out_edges:
+            self.outputs[task_id] = outputs
+        for edge in out_edges:
+            value = outputs[edge.src_port] if outputs else None
+            self.sim.process(
+                self._deliver_output(edge, value, record, task_span),
+                name=f"xfer:{edge.src}->{edge.dst}",
+            )
+
+    def _execute_with_recovery(self, node: TaskNode, record: TaskRecord, span):
+        """Run the task's slice(s); on failure/threshold, reschedule and retry.
+
+        Whether a re-placement is a *failure restart* is decided here,
+        where the cause is known — a believed-down host, a host down at
+        start, a :class:`HostDownError` — never from the prose of the
+        reason (DESIGN §5 decision 12).
         """
-        policy = self.data_policy
-        integrity = self.runtime.integrity
-        refetches_left = (
-            integrity.policy.max_refetches if integrity is not None else 0
-        )
-        incident = None
-        for attempt in range(1, policy.max_attempts + 1):
-            try:
-                value = yield from self.runtime.io_service.stage(
-                    spec, src_host, dst_host
-                )
-                if incident is not None:
-                    integrity.resolve(incident, "refetched")
-                return value
-            except CorruptPayloadError as exc:
-                # io_service already emitted CORRUPT_DETECTED
-                if incident is None and integrity is not None:
-                    incident = integrity.open_incident(
-                        self.afg.name, f"stage:{spec.path}", "stage-corrupt"
-                    )
-                if refetches_left <= 0:
-                    if incident is not None:
-                        integrity.resolve(incident, "poisoned")
-                    raise CorruptPayloadError(
-                        f"staging {spec.path!r} onto {dst_host} still "
-                        f"corrupt after {incident['refetches'] if incident else 0} "
-                        f"refetch(es): {exc}"
-                    ) from exc
-                refetches_left -= 1
-                incident["refetches"] += 1
-                record.repair_refetches += 1
-                integrity.note_refetch(
-                    self.afg.name, f"stage:{spec.path}", incident["refetches"]
-                )
-            except LinkDownError as exc:
-                if attempt >= policy.max_attempts:
-                    raise ExecutionError(
-                        f"staging {spec.path!r} onto {dst_host} failed "
-                        f"after {attempt} attempts: {exc}"
-                    ) from exc
-                record.transfer_retries += 1
-                self.stats.transfer_retries += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.TRANSFER_RETRY, source=f"app:{self.afg.name}",
-                        label=f"stage:{spec.path}", attempt=attempt,
-                        reason=str(exc),
-                    )
-                rng = self.sim.rng(f"retry:{self.afg.name}:stage:{spec.path}")
-                yield Timeout(policy.backoff(attempt, float(rng.uniform())))
-        raise ExecutionError(
-            f"staging {spec.path!r} onto {dst_host} exhausted "
-            f"{policy.max_attempts} attempts"
-        )
-
-    def _execute_with_recovery(self, node: TaskNode, record: TaskRecord, inputs,
-                               span=None):
-        """Run the task's slice(s); on failure/threshold, reschedule and retry."""
         signature = self.runtime.registry.get(node.task_type)
         props = node.properties
         n_nodes = props.n_nodes if props.is_parallel else 1
@@ -1307,57 +1264,20 @@ class ExecutionCoordinator:
             record.attempts += 1
             assignment = self.assignment[node.id]
             attempt_start = self.sim.now
-            # Membership first: a departed host has no group, no
-            # controller and no repository row, so every later check
-            # would crash on it — and a draining or rejoined-at-a-new-
-            # epoch host must not take this attempt either (churn
-            # invariant I14).  Billed to the drain wait-state.
-            stale = self._stale_membership_hosts(assignment)
-            if stale:
-                yield from self._reschedule(
-                    node, record,
-                    f"membership change: {', '.join(stale)}",
-                    span=span, span_kind=SpanKind.DRAIN,
-                )
+            fault = self._placement_fault(assignment)
+            if fault is not None:
+                yield from self._reschedule(node, record, span, *fault)
                 continue
-            # Never start a slice on a host the repository believes is
-            # down — the chaos invariant the paper's two-level failure
-            # detection exists to uphold.
-            believed_down = self._believed_down_hosts(assignment)
-            if believed_down:
-                yield from self._reschedule(
-                    node, record,
-                    f"hosts believed down: {', '.join(believed_down)}",
-                    span=span,
-                )
-                continue
-            controllers = [
-                self.runtime.app_controllers[h] for h in assignment.hosts
-            ]
-            executions = []
-            for controller in controllers:
-                try:
-                    execution = controller.start_slice(
-                        span_work, memory_mb,
-                        label=f"{self.afg.name}:{node.id}", task_id=node.id,
-                    )
-                except HostDownError:
-                    yield from self._reschedule(
-                        node, record, "host down at start", span=span
-                    )
-                    executions = None
-                    break
-                executions.append(execution)
+            executions = self._start_slices(node, assignment, span_work, memory_mb)
             if executions is None:
-                continue
-            exec_span = None
-            if span is not None and self.spans.enabled:
-                exec_span = self.spans.open(
-                    SpanKind.EXECUTE, self.afg.name, parent=span,
-                    source=f"app:{self.afg.name}", task=node.id,
-                    attempt=record.attempts, host=assignment.primary_host,
+                yield from self._reschedule(
+                    node, record, span, "host down at start", failure=True
                 )
-
+                continue
+            exec_span = self._open(
+                SpanKind.EXECUTE, span, task=node.id,
+                attempt=record.attempts, host=assignment.primary_host,
+            )
             try:
                 if (
                     self.speculation is not None
@@ -1367,8 +1287,7 @@ class ExecutionCoordinator:
                          or self.runtime.brownout.speculation_allowed())
                 ):
                     yield from self._race_with_backup(
-                        node, record, executions[0], span_work, memory_mb,
-                        task_span=span,
+                        node, record, executions[0], span_work, memory_mb, span
                     )
                 else:
                     for execution in executions:
@@ -1378,36 +1297,74 @@ class ExecutionCoordinator:
                 for execution in executions:
                     if not execution.done.triggered:
                         execution.host.cancel(execution, cause="sibling failed")
-                if exec_span is not None:
-                    self.spans.close(
-                        exec_span, source=f"app:{self.afg.name}",
-                        status="failed",
-                    )
-                yield from self._reschedule(node, record, str(exc), span=span)
-                continue
-
-            record.measured_time = self.sim.now - attempt_start
-            tracker = self.runtime.ratio_tracker
-            final = self.assignment[node.id]
-            if tracker is not None and final.predicted_time > 0:
-                tracker.record(
-                    final.primary_host,
-                    record.measured_time / final.predicted_time,
+                self._close(exec_span, status="failed")
+                yield from self._reschedule(
+                    node, record, span, str(exc),
+                    failure=isinstance(exc, HostDownError),
                 )
-            if self.sim.metrics.enabled:
-                self.sim.metrics.histogram(
-                    "vdce_task_runtime_seconds",
-                    "measured wall time of the successful task attempt",
-                ).observe(record.measured_time, site=record.site)
-            if exec_span is not None:
-                self.spans.close(exec_span, source=f"app:{self.afg.name}")
+                continue
+            self._settle_attempt(node, record, attempt_start)
+            self._close(exec_span)
             return
+
+    def _placement_fault(self, assignment: TaskAssignment):
+        """Why this attempt must not start where it is bound, or None:
+        ``(reason, span kind, is a failure restart)`` for :meth:`_reschedule`."""
+        # Membership first: a departed host has no group, no
+        # controller and no repository row, so every later check
+        # would crash on it — and a draining or rejoined-at-a-new-
+        # epoch host must not take this attempt either (churn
+        # invariant I14).  Billed to the drain wait-state.
+        stale = self._stale_membership_hosts(assignment)
+        if stale:
+            return f"membership change: {', '.join(stale)}", SpanKind.DRAIN, False
+        # Never start a slice on a host the repository believes is
+        # down — the chaos invariant the paper's two-level failure
+        # detection exists to uphold.
+        down = self._believed_down_hosts(assignment)
+        if down:
+            return (
+                f"hosts believed down: {', '.join(down)}",
+                SpanKind.RESCHEDULE, True,
+            )
+        return None
+
+    def _start_slices(self, node: TaskNode, assignment: TaskAssignment,
+                      span_work: float, memory_mb: int):
+        """One slice per assigned host; None when one is down at start."""
+        controllers = [self.runtime.app_controllers[h] for h in assignment.hosts]
+        executions = []
+        for controller in controllers:
+            try:
+                executions.append(controller.start_slice(
+                    span_work, memory_mb,
+                    label=f"{self.afg.name}:{node.id}", task_id=node.id,
+                ))
+            except HostDownError:
+                return None
+        return executions
+
+    def _settle_attempt(self, node: TaskNode, record: TaskRecord,
+                        attempt_start: float) -> None:
+        """Book the successful attempt: measured time, ratio, histogram."""
+        record.measured_time = self.sim.now - attempt_start
+        tracker = self.runtime.ratio_tracker
+        final = self.assignment[node.id]
+        if tracker is not None and final.predicted_time > 0:
+            tracker.record(
+                final.primary_host,
+                record.measured_time / final.predicted_time,
+            )
+        if self.sim.metrics.enabled:
+            self.sim.metrics.histogram(
+                "vdce_task_runtime_seconds",
+                "measured wall time of the successful task attempt",
+            ).observe(record.measured_time, site=record.site)
 
     # -- speculative re-execution (straggler defense) -------------------------
 
-    def _race_with_backup(self, node: TaskNode, record: TaskRecord,
-                          primary, span_work: float, memory_mb: int,
-                          task_span=None):
+    def _race_with_backup(self, node: TaskNode, record: TaskRecord, primary,
+                          span_work: float, memory_mb: int, task_span):
         """Race the primary slice against at most one speculative backup.
 
         A timer process watches the primary's progress; once it exceeds
@@ -1420,59 +1377,30 @@ class ExecutionCoordinator:
         last live copy fails, the failure propagates to the normal
         rescheduling path.
         """
-        source = f"app:{self.afg.name}"
-        outcome = self.sim.signal(
-            f"spec:{self.afg.name}:{node.id}:{record.attempts}"
+        race = _Race(
+            primary,
+            self.sim.signal(f"spec:{self.afg.name}:{node.id}:{record.attempts}"),
+            span_work, memory_mb, task_span, [primary],
         )
-        copies = [primary]
-        entry_box: List[Optional[Dict[str, Any]]] = [None]
-        bid_box: List[Any] = [None]
-        #: the backup copy's speculate_backup span, opened by the timer
-        spec_span_box: List[Any] = [None]
-
-        def watcher(which: str, execution):
-            try:
-                yield execution.done
-            except (HostDownError, Interrupted) as exc:
-                if outcome.triggered:
-                    return
-                if any(
-                    not e.done.triggered for e in copies if e is not execution
-                ):
-                    return  # a sibling copy is still racing
-                outcome.fail(exc)
-                return
-            if not outcome.triggered:
-                outcome.succeed((which, execution))
-
         self.sim.process(
-            watcher("primary", primary),
+            self._watch_copy(race, "primary", primary),
             name=f"specwatch:{self.afg.name}:{node.id}:primary",
         )
         self.sim.process(
-            self._speculation_timer(
-                node, record, primary, copies, outcome,
-                span_work, memory_mb, watcher, entry_box, bid_box,
-                task_span=task_span, spec_span_box=spec_span_box,
-            ),
+            self._speculation_timer(node, record, race),
             name=f"spectimer:{self.afg.name}:{node.id}",
         )
-
         try:
-            which, winner = yield outcome
+            which, winner = yield race.outcome
         except BaseException:
-            entry = entry_box[0]
-            if entry is not None and entry["resolved_at"] is None:
-                entry["resolved_at"] = self.sim.now
-                entry["outcome"] = "failed"
-            if spec_span_box[0] is not None:
-                self.spans.close(
-                    spec_span_box[0], source=source, status="failed",
-                )
+            if race.entry is not None and race.entry["resolved_at"] is None:
+                race.entry["resolved_at"] = self.sim.now
+                race.entry["outcome"] = "failed"
+            self._close(race.span, status="failed")
             raise
 
         # first completion wins: cancel the losing copy (if any)
-        for execution in copies:
+        for execution in race.copies:
             if execution is winner or execution.done.triggered:
                 continue
             wasted = execution.elapsed
@@ -1485,42 +1413,45 @@ class ExecutionCoordinator:
                 ).inc(wasted, host=execution.host.name)
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.SPECULATE_CANCEL, source=source,
+                    EventKind.SPECULATE_CANCEL, source=self._src,
                     task=node.id, host=execution.host.name, wasted_s=wasted,
                 )
-        entry = entry_box[0]
-        if entry is not None:
-            entry["resolved_at"] = self.sim.now
-            entry["outcome"] = "backup_win" if which == "backup" else "primary_win"
-        if spec_span_box[0] is not None:
-            self.spans.close(
-                spec_span_box[0], source=source,
-                status="win" if which == "backup" else "cancelled",
-            )
-        if which == "backup":
-            bid = bid_box[0]
-            self.assignment[node.id] = TaskAssignment(
-                task_id=node.id,
-                site=bid.site,
-                hosts=bid.hosts,
-                predicted_time=bid.predicted_time,
-            )
-            record.site = bid.site
-            record.hosts = bid.hosts
-            self._note_assignment_epochs(self.assignment[node.id])
+        backup_won = which == "backup"
+        if race.entry is not None:
+            race.entry["resolved_at"] = self.sim.now
+            race.entry["outcome"] = "backup_win" if backup_won else "primary_win"
+        self._close(race.span, status="win" if backup_won else "cancelled")
+        if backup_won:
+            # a backup win is no reschedule: nothing is journalled
+            self._rebind(node.id, race.bid, record)
             self.stats.speculative_wins += 1
             self._speculative_wins.add(node.id)
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.SPECULATE_WIN, source=source,
+                    EventKind.SPECULATE_WIN, source=self._src,
                     task=node.id, host=winner.host.name,
                     elapsed_s=winner.elapsed,
                 )
 
-    def _speculation_timer(self, node: TaskNode, record: TaskRecord, primary,
-                           copies, outcome, span_work: float, memory_mb: int,
-                           watcher, entry_box, bid_box,
-                           task_span=None, spec_span_box=None):
+    def _watch_copy(self, race: _Race, which: str, execution):
+        """Report one racing copy's end to the race's ``outcome``."""
+        outcome = race.outcome
+        try:
+            yield execution.done
+        except (HostDownError, Interrupted) as exc:
+            if outcome.triggered:
+                return
+            if any(
+                not e.done.triggered for e in race.copies if e is not execution
+            ):
+                return  # a sibling copy is still racing
+            outcome.fail(exc)
+            return
+        if not outcome.triggered:
+            outcome.succeed((which, execution))
+
+    def _speculation_timer(self, node: TaskNode, record: TaskRecord,
+                           race: _Race):
         """Launch one backup copy once the primary is overdue.
 
         The trigger threshold is ``predicted × trigger_multiple``
@@ -1532,15 +1463,15 @@ class ExecutionCoordinator:
         launched for a task that already completed (chaos invariant I8).
         """
         policy = self.speculation
-        predicted = self.assignment[node.id].predicted_time
-        if predicted <= 0:
-            return
         ratio = None
         tracker = self.runtime.ratio_tracker
         if tracker is not None:
-            ratio = tracker.quantile(primary.host.name, policy.ratio_quantile)
-        threshold = predicted * policy.trigger_multiple * max(
-            1.0, ratio if ratio is not None else 1.0
+            ratio = tracker.quantile(
+                race.primary.host.name, policy.ratio_quantile
+            )
+        threshold = (
+            self.assignment[node.id].predicted_time * policy.trigger_multiple
+            * max(1.0, ratio if ratio is not None else 1.0)
         )
         threshold = max(threshold, policy.min_runtime_s)
         started = self.sim.now
@@ -1551,86 +1482,56 @@ class ExecutionCoordinator:
             if remaining <= 1e-9:
                 break
             yield Timeout(min(policy.check_period_s, remaining))
-            if outcome.triggered or primary.done.triggered:
+            if race.decided:
                 return
 
         # Primary is overdue: pick the next-best host elsewhere.
-        excluded = set(self._excluded_hosts.get(node.id, set()))
+        excluded = set(self._excluded_hosts.get(node.id, ()))
         excluded.update(self.assignment[node.id].hosts)
-        current = self.assignment[node.id].site
-        order = [current, self.submit_site] + list(
-            self.runtime.neighbor_order(self.submit_site)
-        )
-        seen = set()
-        bid = None
-        for site_name in order:
-            if site_name in seen:
-                continue
-            seen.add(site_name)
-            if not self._site_reachable(site_name):
-                continue
-            candidate = self.runtime.site_managers[site_name].reselect_host(
-                self.afg, node.id, frozenset(excluded), self.runtime.model
-            )
-            if candidate is not None:
-                bid = candidate
-                break
+        bid = self._replacement(node.id, excluded)
         if bid is None:
             return  # nowhere to speculate; keep waiting on the primary
-        backup_host = bid.primary_host
-
-        # Feed the backup: re-stage dataflow inputs and file inputs.
-        for edge in sorted(self.afg.in_edges(node.id), key=lambda e: e.dst_port):
-            src_host = self.assignment[edge.src].primary_host
-            try:
-                yield from self._transfer_with_retry(
-                    src_host, backup_host, edge.size_mb,
-                    label=f"spec:{edge.src}->{edge.dst}", record=record,
-                    reason="speculate",
-                )
-            except ExecutionError:
-                return  # could not feed the backup; speculation aborted
-            if outcome.triggered or primary.done.triggered:
-                return
-        for binding in node.properties.file_inputs():
-            try:
-                yield from self._stage_with_retry(
-                    binding.file, self._submit_server, backup_host, record
-                )
-            except ExecutionError:
-                return
-            if outcome.triggered or primary.done.triggered:
-                return
-
-        controller = self.runtime.app_controllers[backup_host]
         try:
-            backup = controller.start_slice(
-                span_work, memory_mb,
+            for step in self._feed(
+                node, bid.primary_host, record, "spec", "speculate"
+            ):
+                yield from step
+                if race.decided:
+                    return
+        except ExecutionError:
+            return  # could not feed the backup; speculation aborted
+        self._launch_backup(node, record, race, bid, threshold)
+
+    def _launch_backup(self, node: TaskNode, record: TaskRecord, race: _Race,
+                       bid, threshold: float) -> None:
+        """Start the fed backup copy and enter it in the race."""
+        backup_host = bid.primary_host
+        primary_host = race.primary.host.name
+        try:
+            backup = self.runtime.app_controllers[backup_host].start_slice(
+                race.span_work, race.memory_mb,
                 label=f"{self.afg.name}:{node.id}:spec", task_id=node.id,
             )
         except HostDownError:
             return
-        copies.append(backup)
-        bid_box[0] = bid
-        entry = {
+        race.copies.append(backup)
+        race.bid = bid
+        race.entry = {
             "application": self.afg.name,
             "task": node.id,
             "attempt": record.attempts,
             "launched_at": self.sim.now,
-            "primary_host": primary.host.name,
+            "primary_host": primary_host,
             "backup_host": backup_host,
             "resolved_at": None,
             "outcome": None,
         }
-        entry_box[0] = entry
-        self.speculation_log.append(entry)
-        if task_span is not None and spec_span_box is not None:
-            # sibling of the primary's execute span under the task span
-            spec_span_box[0] = self.spans.open(
-                SpanKind.SPECULATE_BACKUP, self.afg.name, parent=task_span,
-                source=f"app:{self.afg.name}", task=node.id,
-                host=backup_host, primary_host=primary.host.name,
-            )
+        self.speculation_log.append(race.entry)
+        # sibling of the primary's execute span under the task span
+        race.span = self._open(
+            SpanKind.SPECULATE_BACKUP, race.task_span, task=node.id,
+            host=backup_host, primary_host=primary_host,
+        )
         self.stats.speculative_launches += 1
         if self.sim.metrics.enabled:
             self.sim.metrics.counter(
@@ -1639,19 +1540,19 @@ class ExecutionCoordinator:
             ).inc(host=backup_host)
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.SPECULATE, source=f"app:{self.afg.name}",
-                task=node.id, primary_host=primary.host.name,
+                EventKind.SPECULATE, source=self._src,
+                task=node.id, primary_host=primary_host,
                 backup_host=backup_host, threshold_s=threshold,
             )
         if self.runtime.health is not None:
             self.runtime.health.penalize(
-                primary.host.name,
+                primary_host,
                 self.runtime.health.policy.straggle_penalty,
                 "straggle",
-                origin=f"app:{self.afg.name}",
+                origin=self._src,
             )
         self.sim.process(
-            watcher("backup", backup),
+            self._watch_copy(race, "backup", backup),
             name=f"specwatch:{self.afg.name}:{node.id}:backup",
         )
 
@@ -1673,14 +1574,16 @@ class ExecutionCoordinator:
                 f"{got} != {want}"
             )
 
+    # -- membership and liveness guards ----------------------------------------
+
     def _note_assignment_epochs(self, assignment: TaskAssignment) -> None:
         """Capture the membership epoch of every host in ``assignment``.
 
-        Called at binding time (construction, rescheduling, speculative
-        backup win) so :meth:`_stale_membership_hosts` can detect a
-        depart/rejoin cycle that happened in between.  Hosts a
-        checkpointed assignment names but no repository knows are left
-        unstamped — the staleness check reports them as departed.
+        Called at binding time (construction and :meth:`_rebind`) so
+        :meth:`_stale_membership_hosts` can detect a depart/rejoin
+        cycle that happened in between.  Hosts a checkpointed
+        assignment names but no repository knows are left unstamped —
+        the staleness check reports them as departed.
         """
         repo = self.runtime.repositories.get(assignment.site)
         if repo is None:
@@ -1739,6 +1642,8 @@ class ExecutionCoordinator:
                 down.append(h)
         return down
 
+    # -- re-placement: where does the work go next ----------------------------
+
     def _site_reachable(self, site_name: str) -> bool:
         """Can the submitting site currently talk to ``site_name``?"""
         if site_name == self.submit_site:
@@ -1747,98 +1652,97 @@ class ExecutionCoordinator:
             return False
         return self.runtime.topology.network.reachable(self.submit_site, site_name)
 
-    def _reschedule(self, node: TaskNode, record: TaskRecord, reason: str,
-                    span=None, span_kind: SpanKind = SpanKind.RESCHEDULE):
+    def _replacement(self, task_id: str, excluded: set):
+        """The first bid for ``task_id`` off the ``excluded`` hosts, or None.
+
+        Sites are asked in locality order — the task's current site,
+        the submit site, then the neighbours — skipping any the
+        submitting site cannot currently reach.
+        """
+        sites = [
+            self.assignment[task_id].site, self.submit_site,
+            *self.runtime.neighbor_order(self.submit_site),
+        ]
+        for site_name in dict.fromkeys(sites):
+            if not self._site_reachable(site_name):
+                continue
+            bid = self.runtime.site_managers[site_name].reselect_host(
+                self.afg, task_id, frozenset(excluded), self.runtime.model
+            )
+            if bid is not None:
+                return bid
+        return None
+
+    def _rebind(self, task_id: str, bid, record: Optional[TaskRecord] = None,
+                reason: Optional[str] = None) -> TaskAssignment:
+        """Make ``bid`` the task's live placement: the running task's
+        ``record`` (once it has one) follows, the hosts' membership
+        epochs are re-stamped, and a re-placement with a ``reason`` is
+        journalled as a ``reschedule`` record."""
+        assignment = TaskAssignment(
+            task_id=task_id,
+            site=bid.site,
+            hosts=bid.hosts,
+            predicted_time=bid.predicted_time,
+        )
+        self.assignment[task_id] = assignment
+        if record is not None:
+            record.site = assignment.site
+            record.hosts = assignment.hosts
+        self._note_assignment_epochs(assignment)
+        if reason is not None:
+            self._journal_append(
+                "reschedule", task=task_id, reason=reason,
+                site=assignment.site, hosts=list(assignment.hosts),
+            )
+        return assignment
+
+    def _count_reschedule(self, task_id: str, reason: str, failure: bool) -> None:
+        """Count and trace one rescheduling request off the current placement."""
+        self._reschedules += 1
+        self.stats.reschedule_requests += 1
+        if failure:
+            self.stats.failure_restarts += 1
+        if self.tracer.enabled:
+            current = self.assignment[task_id]
+            self.tracer.emit(
+                EventKind.RESCHEDULE, source=self._src,
+                task=task_id, reason=reason,
+                from_site=current.site, from_hosts=current.hosts,
+            )
+
+    def _reschedule(self, node: TaskNode, record: TaskRecord, span,
+                    reason: str, span_kind: str = SpanKind.RESCHEDULE,
+                    failure: bool = False):
         """Obtain a replacement placement and re-stage inputs onto it.
 
         ``span_kind`` selects the wait-state the re-placement is billed
         to: RESCHEDULE for failures/load, DRAIN when a membership
         transition (graceful drain, decommission, rejoin) invalidated
-        the original binding.
+        the original binding.  ``failure`` says whether the cause was a
+        host or site failure (a *failure restart*) — the caller knows
+        the cause; ``reason`` is prose for the record and the trace.
         """
-        resched_span = None
-        if span is not None and self.spans.enabled:
-            resched_span = self.spans.open(
-                span_kind, self.afg.name, parent=span,
-                source=f"app:{self.afg.name}", task=node.id, reason=reason,
-            )
-        self._reschedules += 1
-        self.stats.reschedule_requests += 1
+        resched_span = self._open(span_kind, span, task=node.id, reason=reason)
         if self.sim.metrics.enabled:
             self.sim.metrics.counter(
                 "vdce_reschedules_total",
                 "task rescheduling requests, by originating site",
             ).inc(site=self.assignment[node.id].site)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.RESCHEDULE, source=f"app:{self.afg.name}",
-                task=node.id, reason=reason,
-                from_site=self.assignment[node.id].site,
-                from_hosts=self.assignment[node.id].hosts,
-            )
+        self._count_reschedule(node.id, reason, failure)
         excluded = self._excluded_hosts.setdefault(node.id, set())
         excluded.update(self.assignment[node.id].hosts)
         record.reschedule_reasons.append(reason)
-        if "down" in reason.lower() or "unreachable" in reason.lower():
-            self.stats.failure_restarts += 1
-
-        # Ask sites in locality order: current site, submit site, neighbours
-        # — skipping any the submitting site cannot currently reach.
-        current = self.assignment[node.id].site
-        order = [current, self.submit_site] + [
-            s for s in self.runtime.neighbor_order(self.submit_site)
-        ]
-        seen = set()
-        replacement = None
-        for site_name in order:
-            if site_name in seen:
-                continue
-            seen.add(site_name)
-            if not self._site_reachable(site_name):
-                continue
-            manager = self.runtime.site_managers[site_name]
-            bid = manager.reselect_host(
-                self.afg, node.id, frozenset(excluded), self.runtime.model
-            )
-            if bid is not None:
-                replacement = bid
-                break
-        if replacement is None:
+        bid = self._replacement(node.id, excluded)
+        if bid is None:
             raise ExecutionError(
                 f"no replacement host for task {node.id!r} "
                 f"(excluded: {sorted(excluded)}; reason: {reason})"
             )
-
-        new_assignment = TaskAssignment(
-            task_id=node.id,
-            site=replacement.site,
-            hosts=replacement.hosts,
-            predicted_time=replacement.predicted_time,
-        )
-        self.assignment[node.id] = new_assignment
-        record.site = new_assignment.site
-        record.hosts = new_assignment.hosts
-        self._note_assignment_epochs(new_assignment)
-        self._journal_append(
-            "reschedule", task=node.id, reason=reason,
-            site=new_assignment.site, hosts=list(new_assignment.hosts),
-        )
-
+        placement = self._rebind(node.id, bid, record, reason)
         # Re-stage inputs onto the new primary host (link-outage safe).
-        new_primary = new_assignment.primary_host
-        for edge in self.afg.in_edges(node.id):
-            src_host = self.assignment[edge.src].primary_host
-            yield from self._transfer_with_retry(
-                src_host, new_primary, edge.size_mb,
-                label=f"restage:{edge.src}->{edge.dst}", record=record,
-                reason="restage",
-            )
-        for binding in node.properties.file_inputs():
-            yield from self._stage_with_retry(
-                binding.file, self._submit_server, new_primary, record
-            )
-        if resched_span is not None:
-            self.spans.close(
-                resched_span, source=f"app:{self.afg.name}",
-                site=new_assignment.site,
-            )
+        for step in self._feed(
+            node, placement.primary_host, record, "restage", "restage"
+        ):
+            yield from step
+        self._close(resched_span, site=placement.site)

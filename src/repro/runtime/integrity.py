@@ -25,6 +25,11 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import (
+    CorruptPayloadError,
+    DataIntegrityError,
+    MissingArtifactError,
+)
 from repro.hashing import value_hash
 from repro.trace.events import EventKind
 
@@ -187,6 +192,72 @@ class IntegrityManager:
     def resolve(self, incident: Dict[str, Any], resolution: str) -> None:
         incident["resolution"] = resolution
         incident["resolved_at"] = self.sim.now
+
+    # -- the repair ladder -------------------------------------------------
+
+    def refetch_ladder(
+        self, application: str, target: str, fetch, regenerate=None, *,
+        record, kind: str = "corrupt",
+    ):
+        """Generator: run ``fetch()`` until it returns a verified copy.
+
+        The one refetch ladder (DESIGN §16.3); returns what ``fetch``
+        returned.  Both steps are generator functions of the caller:
+
+        ``fetch()`` moves one copy and verifies it.  It raises
+        :class:`CorruptPayloadError` for a damaged copy — whoever
+        verifies reports, so ``CORRUPT_DETECTED`` is already emitted —
+        or :class:`MissingArtifactError` for a staged copy that
+        vanished, which no refetch can help.
+
+        ``regenerate(incident)`` restores the artifact from its lineage
+        once the refetch budget is spent (and so refilled) or the copy
+        is lost.  Payloads without lineage (a journalled re-stage, a
+        file input) pass none: exhaustion then re-raises the step's own
+        error for the caller to fail its consumer with.
+
+        ``kind`` names the incident a damaged copy opens; ``record`` is
+        the task telemetry billed one ``repair_refetches`` per refetch.
+        The incident opens lazily and resolves ``refetched`` /
+        ``regenerated`` on success, ``poisoned`` on an integrity failure.
+        """
+        incident = None
+        refetches_left = self.policy.max_refetches
+        try:
+            while True:
+                try:
+                    value = yield from fetch()
+                except (CorruptPayloadError, MissingArtifactError) as damage:
+                    lost = isinstance(damage, MissingArtifactError)
+                    if incident is None:
+                        incident = self.open_incident(
+                            application, target, "lost" if lost else kind
+                        )
+                    if not lost and refetches_left > 0:
+                        refetches_left -= 1
+                        incident["refetches"] += 1
+                        record.repair_refetches += 1
+                        self.note_refetch(
+                            application, target, incident["refetches"]
+                        )
+                        continue
+                    if regenerate is None:
+                        raise
+                    yield from regenerate(incident)
+                    if not lost:
+                        refetches_left = self.policy.max_refetches
+                else:
+                    if incident is not None:
+                        self.resolve(
+                            incident,
+                            "regenerated" if incident["regenerations"]
+                            else "refetched",
+                        )
+                    return value
+        except DataIntegrityError:
+            if incident is not None and incident["resolution"] is None:
+                self.resolve(incident, "poisoned")
+            raise
 
     # -- event/metric emission (one place, so sim + real paths agree) ------
 

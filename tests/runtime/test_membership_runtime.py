@@ -119,6 +119,34 @@ class TestDrain:
         assert runtime.repositories["beta"].resources \
             .membership_state("b2") == MembershipState.DEPARTED
 
+    @pytest.mark.parametrize("site,host", [
+        ("beta", "b2"), ("downtown", "sundown"),
+    ])
+    def test_a_drain_is_no_failure_restart_whatever_the_host_is_called(
+            self, site, host):
+        """Causes are typed, reasons are prose: the same mid-application
+        drain re-places the same three attempts and counts no failure
+        restart — also when the names embedded in the reasons happen to
+        spell "down"."""
+        runtime = build_runtime(site_hosts={
+            "alpha": [("a1", 1.0, 256), ("a2", 2.0, 256)],
+            site: [("b1", 1.5, 256), (host, 3.0, 256)],
+        })
+        proc, _table = start_run(runtime, chain_afg(n=4, scale=6.0))
+        runtime.sim.run(until=2.0)
+        assert runtime.topology.host(host).n_running > 0
+        runtime.membership.drain_host(host, deadline_s=0.25)
+        result = runtime.sim.run_until_complete(proc)
+        reasons = [
+            reason
+            for r in result.records.values()
+            for reason in r.reschedule_reasons
+        ]
+        assert len(reasons) == 3
+        assert all(host in reason for reason in reasons)
+        assert runtime.stats.reschedule_requests == 3
+        assert runtime.stats.failure_restarts == 0
+
     def test_generous_deadline_preempts_nothing(self):
         """Residents that finish inside the grace window are not evicted.
 

@@ -38,6 +38,17 @@ class TestResultSerialisation:
         task = restored["tasks"]["t1"]
         assert task["attempts"] == 1
         assert task["finished_at"] >= task["started_at"]
+        # every recovery counter: per task, and totalled per application
+        for counter in ("transfer_retries", "channel_reestablishes",
+                        "repair_refetches", "repair_regenerations"):
+            assert task[counter] == 0
+            assert restored[counter] == getattr(result, counter) == 0
+        result.records["t1"].repair_refetches = 2
+        result.records["t0"].repair_regenerations = 1
+        repaired = result.to_dict()
+        assert repaired["repair_refetches"] == 2
+        assert repaired["repair_regenerations"] == 1
+        assert repaired["tasks"]["t1"]["repair_refetches"] == 2
 
     def test_to_dict_omits_payload_outputs(self):
         result = self.run()
