@@ -462,6 +462,11 @@ def cmd_explain(args) -> int:
             print(f"  BREAKDOWN MISMATCH: categories sum to "
                   f"{wall - info['breakdown_residual_s']:.9f}s, "
                   f"wall is {wall:.9f}s")
+        round_ = info.get("scheduling_round")
+        if round_ is not None:
+            print(f"  scheduling round: {round_['tasks']} task(s) placed on "
+                  f"{round_['sites_used']} of the {round_['sites_bid']} "
+                  f"site(s) that bid ({round_['sites_answered']} remote)")
         steps = [
             step["span"] + (f"[{step['task']}]" if step.get("task") else "")
             for step in info["critical_path"]
@@ -744,6 +749,10 @@ _CHAOS_PRESETS = {
         "churn_smoke_config",
         "the elastic-membership campaign: graceful drains, hard "
         "decommissions and rejoins under load (invariants I14/I15/I16)"),
+    "calm": (
+        "calm_config",
+        "the fault-free campaign: nothing armed, so any RPC timeout or "
+        "missing bid is the system's own doing (invariant I17)"),
 }
 
 #: ``repro chaos`` shape flag -> the ChaosConfig field it sets; unset, the

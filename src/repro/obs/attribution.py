@@ -49,7 +49,8 @@ __all__ = [
 #: (v3 adds the "repair" wait-state: data-integrity refetch + lineage
 #: regeneration episodes, DESIGN §16; v4 adds the "drain" wait-state:
 #: rescheduling forced by graceful host drains / membership changes,
-#: DESIGN §17)
+#: DESIGN §17).  An application whose trace holds a Fig. 2 round also
+#: carries "scheduling_round" — an optional key, so not a new version.
 ATTRIBUTION_SCHEMA_VERSION = 4
 
 #: span kind -> wait-state category; None marks container spans whose
@@ -113,6 +114,9 @@ class SpanNode:
     orphaned: bool = False
     unclosed: bool = False
     attrs: Dict[str, Any] = field(default_factory=dict)
+    #: the payload of the ``span_close`` event (the event's own dict,
+    #: not a copy: read-only); empty while open, orphaned or unclosed
+    close_attrs: Dict[str, Any] = field(default_factory=dict)
     children: List["SpanNode"] = field(default_factory=list)
 
     @property
@@ -182,6 +186,7 @@ def _forest(span_events: List[TraceEvent], last_time: float) -> List[SpanNode]:
                     node.status = str(data.get("reason", "orphaned"))
                 else:
                     node.status = str(data.get("status", "ok"))
+                    node.close_attrs = data
     roots: List[SpanNode] = []
     for span_id in sorted(nodes):
         node = nodes[span_id]
@@ -343,6 +348,7 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
         breakdown = {c: 0.0 for c in CATEGORIES}
         wall = 0.0
         tasks: Dict[str, Any] = {}
+        scheduling_round: Dict[str, Any] = {}
         for root in windows:
             wall += root.duration
             swept = _sweep(
@@ -363,6 +369,14 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
                         "hosts": node.attrs.get("hosts"),
                         "status": node.status,
                         "breakdown": t_swept,
+                    }
+                elif (node.kind == SpanKind.SCHEDULE
+                      and "sites_bid" in node.close_attrs):
+                    # the latest round wins: a resubmission reschedules
+                    scheduling_round = {
+                        key: node.close_attrs[key]
+                        for key in ("sites_answered", "sites_bid",
+                                    "sites_used", "tasks")
                     }
                 elif node.kind == SpanKind.EXECUTE:
                     host = node.attrs.get("host")
@@ -386,6 +400,8 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
                 for task_id, info in top_tasks
             ],
         }
+        if scheduling_round:
+            apps[app]["scheduling_round"] = scheduling_round
 
     top_hosts = sorted(
         host_execute.items(), key=lambda kv: (-kv[1], kv[0])

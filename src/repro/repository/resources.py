@@ -15,7 +15,7 @@ that staleness.  ``mark_down`` realises "the host is then marked as
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.host import HostSpec
 from repro.sim.network import LinkSpec
@@ -278,6 +278,12 @@ class ResourcePerformanceDB:
             raise KeyError(
                 f"host {name!r} not in resource DB of site {self.site_name!r}"
             ) from None
+
+    def arch_os(self, name: str) -> Tuple[str, str]:
+        """The host's (architecture, OS) — what a machine-type
+        preference is matched against."""
+        spec = self.get(name).spec
+        return spec.arch, spec.os
 
     # -- dynamic updates (written by the Site Manager) -----------------------
 

@@ -49,7 +49,7 @@ class SiteOverloaded(RpcError):
     """A saturated site declined to bid (backpressure, not failure).
 
     Raised by :meth:`~repro.runtime.site_manager.SiteManager.
-    handle_scheduling_request` when the site's occupancy crosses the
+    handle_bid_request` when the site's occupancy crosses the
     bid-exclusion threshold; the scheduling exchange treats it like an
     unreachable site (placement proceeds with whoever answered).
     """

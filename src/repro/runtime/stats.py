@@ -79,6 +79,11 @@ class RuntimeStats:
     detection_log: List[Tuple[float, str, str]] = field(default_factory=list)
     #: per-application queue wait (admission control), excluded from as_dict
     queue_waits: Dict[str, float] = field(default_factory=dict)
+    #: per application, the sites whose bid sheets its (latest) scheduling
+    #: round had in hand: the local one + every remote that answered
+    sites_bid: Dict[str, int] = field(default_factory=dict)
+    #: per application, the distinct sites its allocation table names
+    sites_used: Dict[str, int] = field(default_factory=dict)
 
     def record_detection(self, time: float, host: str, event: str) -> None:
         self.detection_log.append((time, host, event))
@@ -158,5 +163,7 @@ class RuntimeStats:
             "speculative_wins": self.speculative_wins,
             "speculative_wasted_s": self.speculative_wasted_s,
             "queue_wait_s": self.queue_wait_s,
+            "sites_bid": sum(self.sites_bid.values()),
+            "sites_used": sum(self.sites_used.values()),
             "total_control_messages": self.total_control_messages(),
         }

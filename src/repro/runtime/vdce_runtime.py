@@ -20,11 +20,10 @@ as real simulated transfers, so scheduling overhead is measurable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
-from repro.afg.serialize import afg_to_json
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.net.rpc import (
     BreakerPolicy,
@@ -57,6 +56,7 @@ from repro.runtime.straggler import (
 )
 from repro.scheduler.allocation import AllocationTable
 from repro.scheduler.federation import FederationView
+from repro.scheduler.host_selection import SiteBid, site_bid
 from repro.scheduler.prediction import PredictionModel
 from repro.scheduler.site_scheduler import SiteScheduler
 from repro.sim.kernel import AllOf, AnyOf, Simulator, Timeout
@@ -67,10 +67,16 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = ["RuntimeConfig", "VDCERuntime"]
 
-#: approximate wire size of a serialised AFG task entry, MB
-_AFG_BYTES_PER_TASK_MB = 0.0005
-#: approximate wire size of one host-selection bid, MB
-_BID_BYTES_MB = 0.0002
+#: approximate wire size of one task-type entry of a scheduling
+#: request, MB
+_REQUEST_ENTRY_MB = 0.0005
+#: approximate wire size of one prediction row of a bid reply, MB
+_BID_ROW_MB = 0.0002
+
+
+def _reply_mb(bid: SiteBid) -> float:
+    """Wire size of a bid reply: its rows (an empty one still costs one)."""
+    return _BID_ROW_MB * max(1, bid.rows)
 
 
 @dataclass(frozen=True)
@@ -398,103 +404,131 @@ class VDCERuntime:
         """Generator process: distributed scheduling with real messages.
 
         Returns ``(table, scheduling_time_s)``.  Reproduces Fig. 2
-        steps 2-5 as traffic: the AFG multicast to the k nearest
-        neighbour sites rides the WAN (size proportional to the graph)
-        through the retrying control plane, and each site's bids ride
-        back.  Sites that do not answer within ``bid_deadline_s`` — the
-        link is down, or every retry was lost — are simply left out:
-        placement proceeds with the subset that answered, degrading to
-        local-only scheduling under a full partition.
+        steps 2-5 as traffic through the retrying control plane: the
+        request multicast to the k nearest neighbour sites names the
+        AFG's task types (one entry per type, whatever the task count),
+        each site returns its bid sheets for them
+        (:class:`~repro.scheduler.host_selection.SiteBid`, one row per
+        type and up host), and placement runs on the local repository
+        and on what came back — never on a remote repository.  Sites
+        that do not answer in time — the link is down, or every retry
+        was lost — are simply left out: placement proceeds with the
+        subset that answered, degrading to local-only scheduling under
+        a full partition.
+
+        A large message is slow, not lost: each attempt's deadline is
+        ``rpc_policy.timeout_s`` plus the believed wire time of the
+        request and the expected reply (this site's own reply to the
+        same request), and step 5 waits ``bid_deadline_s`` plus the
+        largest such estimate.
         """
         scheduler = scheduler or SiteScheduler(k=2, model=self.model)
         local_site = local_site or self.default_site
+        source = f"sm:{local_site}"
         started = self.sim.now
         span_id = self.tracer.begin_span(
-            "schedule", source=f"sm:{local_site}", application=afg.name
+            "schedule", source=source, application=afg.name
         )
         sched_span = None
         if self.spans.enabled:
-            root = self.spans.root_of(afg.name, source=f"sm:{local_site}")
             sched_span = self.spans.open(
-                SpanKind.SCHEDULE, afg.name, parent=root,
-                source=f"sm:{local_site}", site=local_site,
+                SpanKind.SCHEDULE, afg.name,
+                parent=self.spans.root_of(afg.name, source=source),
+                source=source, site=local_site,
             )
         view = self.federation_view(local_site)
         remotes = view.remote_sites(scheduler.k)
 
-        afg_mb = max(_AFG_BYTES_PER_TASK_MB * len(afg), _AFG_BYTES_PER_TASK_MB)
-        local_server = self.topology.site(local_site).server_host.name
+        task_types = sorted({task.task_type for task in afg})
+        request_mb = _REQUEST_ENTRY_MB * max(1, len(task_types))
+        servers = {
+            site: self.topology.site(site).server_host.name
+            for site in (local_site, *remotes)
+        }
+        local_server = servers[local_site]
+        #: per remote, the believed time on the wire of one request and
+        #: its reply — expected to be the size of this site's own
+        wire_s: Dict[str, float] = {}
+        if remotes:
+            reply_mb = _reply_mb(
+                site_bid(view.local_repository(), task_types, scheduler.model)
+            )
+            estimate = self.topology.network.transfer_time_estimate
+            wire_s = {
+                remote: estimate(local_server, servers[remote], request_mb)
+                + estimate(servers[remote], local_server, reply_mb)
+                for remote in remotes
+            }
+        rpc_policy = self.config.rpc_policy
 
         def exchange(remote: str):
-            remote_server = self.topology.site(remote).server_host.name
             exchange_started = self.sim.now
             bid_span = None
             if self.spans.enabled:
                 bid_span = self.spans.open(
                     SpanKind.BID_EXCHANGE, afg.name, parent=sched_span,
-                    source=f"sm:{local_site}", remote=remote,
+                    source=source, remote=remote,
                 )
 
             def on_send(attempt: int) -> None:
-                # step 3: multicast the AFG (once per attempt on the wire)
+                # step 3: multicast the request (once per attempt on the wire)
                 self.stats.scheduler_messages += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
-                        EventKind.AFG_MULTICAST, source=f"sm:{local_site}",
-                        application=afg.name, remote=remote, size_mb=afg_mb,
-                        attempt=attempt,
+                        EventKind.AFG_MULTICAST, source=source,
+                        application=afg.name, remote=remote,
+                        size_mb=request_mb, attempt=attempt,
                     )
 
             def on_reply(attempt: int) -> None:
                 self.stats.scheduler_messages += 1
 
-            def handle():
-                # step 4 at the remote site: host selection over its repository
-                bids = self.site_managers[remote].handle_scheduling_request(
-                    afg, scheduler.model
+            def handle() -> SiteBid:
+                # step 4 at the remote site: its bid sheets, as of now
+                bid = self.site_managers[remote].handle_bid_request(
+                    task_types, scheduler.model
                 )
                 if self.tracer.enabled:
                     self.tracer.emit(
                         EventKind.BID_REPLY, source=f"sm:{remote}",
-                        application=afg.name, bids=len(bids),
+                        application=afg.name, task_types=len(bid.sheets),
+                        rows=bid.rows, version=bid.version_key,
                     )
-                return bids
+                return bid
 
+            status = None
             try:
-                bids = yield from self.control.request(
-                    local_server, remote_server, handle,
-                    payload_mb=afg_mb,
-                    reply_mb=lambda b: _BID_BYTES_MB * max(1, len(b)),
+                bid = yield from self.control.request(
+                    local_server, servers[remote], handle,
+                    payload_mb=request_mb, reply_mb=_reply_mb,
                     label=f"sched:{afg.name}:{remote}",
+                    policy=replace(
+                        rpc_policy,
+                        timeout_s=rpc_policy.timeout_s + wire_s[remote],
+                    ),
                     on_send=on_send, on_reply=on_reply,
                     span=bid_span,
                 )
             except SiteOverloaded as exc:
                 # backpressure: the saturated site declined to bid.  Not
                 # a failure — placement proceeds with whoever answered.
+                status = "overloaded"
                 if self.tracer.enabled:
                     self.tracer.emit(
-                        EventKind.SITE_OVERLOADED, source=f"sm:{local_site}",
+                        EventKind.SITE_OVERLOADED, source=source,
                         application=afg.name, remote=remote,
                         occupancy=round(exc.occupancy, 9),
                     )
-                if bid_span is not None:
-                    self.spans.close(
-                        bid_span, source=f"sm:{local_site}",
-                        status="overloaded",
-                    )
-                return None
             except RpcTimeout:
+                status = "unreachable"
                 if self.tracer.enabled:
                     self.tracer.emit(
-                        EventKind.SITE_UNREACHABLE, source=f"sm:{local_site}",
+                        EventKind.SITE_UNREACHABLE, source=source,
                         application=afg.name, remote=remote, phase="scheduling",
                     )
+            if status is not None:
                 if bid_span is not None:
-                    self.spans.close(
-                        bid_span, source=f"sm:{local_site}",
-                        status="unreachable",
-                    )
+                    self.spans.close(bid_span, source=source, status=status)
                 return None
             if self.metrics.enabled:
                 self.metrics.histogram(
@@ -503,33 +537,36 @@ class VDCERuntime:
                     buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
                 ).observe(self.sim.now - exchange_started, site=remote)
             if bid_span is not None:
-                self.spans.close(
-                    bid_span, source=f"sm:{local_site}", bids=len(bids),
-                )
-            return remote
+                self.spans.close(bid_span, source=source, rows=bid.rows)
+            return bid
 
         procs = [
             self.sim.process(exchange(r), name=f"sched-xchg:{r}") for r in remotes
         ]
         if procs:
             # step 5 with a deadline: wait for every exchange, but never
-            # longer than bid_deadline_s — late answers are dropped.
-            yield AnyOf([AllOf(procs), Timeout(self.config.bid_deadline_s)])
-        answered = {p.value for p in procs if p.triggered and p.value is not None}
-        if len(answered) < len(remotes):
-            view = view.restricted(answered)
+            # longer than the bid deadline — late answers are dropped.
+            yield AnyOf([AllOf(procs), Timeout(
+                self.config.bid_deadline_s + max(wire_s.values())
+            )])
+        replies = [p.value for p in procs if p.triggered and p.value is not None]
 
-        # placement itself (pure); its wall cost is negligible vs messages
+        # placement itself (pure), on the local repository and the bids
+        # that came back; its wall cost is negligible vs messages
         table = scheduler.schedule(
-            afg, view, tracer=self.tracer, metrics=self.metrics,
+            afg, view.answered(replies),
+            tracer=self.tracer, metrics=self.metrics,
             health_of=(self.health.factor_of if self.health is not None
                        else None),
         )
-        self.tracer.end_span(span_id, source=f"sm:{local_site}")
+        sites_bid = self.stats.sites_bid[afg.name] = 1 + len(replies)
+        sites_used = self.stats.sites_used[afg.name] = len(table.sites_used())
+        self.tracer.end_span(span_id, source=source)
         if sched_span is not None:
             self.spans.close(
-                sched_span, source=f"sm:{local_site}",
-                sites_answered=len(answered), tasks=len(table),
+                sched_span, source=source,
+                sites_answered=len(replies), sites_bid=sites_bid,
+                sites_used=sites_used, tasks=len(table),
             )
         if self.metrics.enabled:
             self.metrics.histogram(

@@ -1,22 +1,33 @@
 """FederationView: what a scheduler is allowed to see.
 
-The paper's scheduler reads exactly three things: the site repositories
-(its own plus those of the k nearest remote sites, reached via the AFG
-multicast), the network attributes between sites, and the AFG itself.
-This class packages the first two so schedulers stay pure functions —
-the runtime layer is responsible for the message passing that, on the
-real system, moves this information around.
+The paper's scheduler reads exactly four things: its own site
+repository, the host-selection information of the k nearest remote
+sites (reached via the AFG multicast), the network attributes between
+sites, and the AFG itself.  This class packages the first three so
+schedulers stay pure functions.  A remote site's information is either
+its repository (the pure entry point: a caller that holds every
+repository asks them directly) or the :class:`~repro.scheduler.
+host_selection.SiteBid` it sent back — the runtime layer does the
+message passing and builds the view of what answered
+(:meth:`FederationView.answered`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Mapping, Optional
+from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 #: (site_a, site_b, size_mb) -> seconds
 TransferEstimator = Callable[[str, str, float], float]
 
 from repro.repository.store import SiteRepository
+from repro.scheduler.host_selection import (
+    ArchOsOf,
+    BidSheet,
+    SiteBid,
+    bid_sheet,
+)
+from repro.scheduler.prediction import PredictionModel
 from repro.sim.topology import Topology
 
 __all__ = ["FederationView"]
@@ -36,6 +47,9 @@ class FederationView:
     repositories: Dict[str, SiteRepository]
     neighbor_order: List[str]
     site_transfer_time: TransferEstimator
+    #: remote sites known by the bid they returned (Fig. 2 step 5)
+    #: instead of a repository
+    bids: Dict[str, SiteBid] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.local_site not in self.repositories:
@@ -43,8 +57,10 @@ class FederationView:
                 f"local site {self.local_site!r} has no repository"
             )
         for name in self.neighbor_order:
-            if name not in self.repositories:
-                raise ValueError(f"neighbor {name!r} has no repository")
+            if name not in self.repositories and name not in self.bids:
+                raise ValueError(
+                    f"neighbor {name!r} has no repository and sent no bid"
+                )
             if name == self.local_site:
                 raise ValueError("local site cannot be its own neighbor")
 
@@ -79,19 +95,50 @@ class FederationView:
         except KeyError:
             raise KeyError(f"no repository for site {site!r}") from None
 
-    def restricted(self, responsive: "set[str] | frozenset[str]") -> "FederationView":
-        """A copy whose neighbours are limited to ``responsive`` sites.
+    def bid_sheet(
+        self, site: str, task_type: str, model: PredictionModel
+    ) -> Optional[BidSheet]:
+        """Figure 3 steps 1-2 of ``site`` for ``task_type``: from the
+        bid it returned (built for the model the request named), else
+        from its repository as of this call.  ``None`` = it declines."""
+        bid = self.bids.get(site)
+        if bid is not None:
+            return bid.sheets.get(task_type)
+        return bid_sheet(self.repository(site), task_type, model)
 
-        The runtime uses this when some of the k nearest sites fail to
-        answer the AFG multicast within the bid deadline: scheduling
-        proceeds over whoever answered (the local site always
-        participates), degrading to local-only under a full partition.
-        """
+    def arch_os_of(self, site: str) -> ArchOsOf:
+        """``host -> (arch, os)`` for the hosts of ``site``'s sheets."""
+        bid = self.bids.get(site)
+        if bid is not None:
+            return bid.host_attrs.__getitem__
+        return self.repository(site).resources.arch_os
+
+    def restricted(self, responsive: "set[str] | frozenset[str]") -> "FederationView":
+        """A copy whose neighbours are limited to ``responsive`` sites
+        (the runtime drops crashed sites before the multicast)."""
         return FederationView(
             local_site=self.local_site,
             repositories=self.repositories,
             neighbor_order=[s for s in self.neighbor_order if s in responsive],
             site_transfer_time=self.site_transfer_time,
+            bids=self.bids,
+        )
+
+    def answered(self, replies: Iterable[SiteBid]) -> "FederationView":
+        """The view of what answered the AFG multicast: the local
+        repository plus the returned bids, and no remote repository.
+
+        Scheduling proceeds over whoever answered within the bid
+        deadline (the local site always participates), degrading to
+        local-only under a full partition.
+        """
+        bids = {bid.site: bid for bid in replies}
+        return FederationView(
+            local_site=self.local_site,
+            repositories={self.local_site: self.local_repository()},
+            neighbor_order=[s for s in self.neighbor_order if s in bids],
+            site_transfer_time=self.site_transfer_time,
+            bids=bids,
         )
 
     def remote_sites(self, k: Optional[int] = None) -> List[str]:

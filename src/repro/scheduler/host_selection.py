@@ -47,7 +47,16 @@ simply absent from the result — the site declines to bid.
 
 from __future__ import annotations
 
-from typing import Dict, List, Mapping, NamedTuple, Optional, Tuple
+from typing import (
+    Callable,
+    Dict,
+    Iterable,
+    List,
+    Mapping,
+    NamedTuple,
+    Optional,
+    Tuple,
+)
 
 from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.task import TaskNode
@@ -62,12 +71,14 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 __all__ = [
     "CommitmentLedger",
     "HostSelectionResult",
+    "SiteBid",
     "bid_for_task",
     "bid_sheet",
     "candidate_hosts",
     "predict_rows",
     "select_hosts",
     "sheet_bid",
+    "site_bid",
 ]
 
 
@@ -88,18 +99,26 @@ class HostSelectionResult(NamedTuple):
         return self.hosts[0]
 
 
-def _matches_machine_type(record: HostRecord, machine_type: str) -> bool:
-    """Case-insensitive match against the host's arch/OS attributes.
+#: host name -> (arch, os): all a ``preferred_machine_type`` filter reads
+#: (``ResourcePerformanceDB.arch_os`` of a site, or what its bid carried)
+ArchOsOf = Callable[[str], Tuple[str, str]]
+
+
+def _attrs_match(attrs: Tuple[str, str], machine_type: str) -> bool:
+    """Case-insensitive match against a host's (arch, OS) attributes.
 
     Figure 1 writes types like ``<SUN solaris>``; we accept any
     whitespace-separated tokens all matching the host's arch or OS.
     """
     tokens = machine_type.lower().split()
-    attrs = {record.spec.arch.lower(), record.spec.os.lower()}
     # vendor aliases seen in the paper's examples ("SUN solaris")
     aliases = {"sun": "sparc"}
     normalized = {aliases.get(t, t) for t in tokens}
-    return normalized <= attrs
+    return normalized <= {attrs[0].lower(), attrs[1].lower()}
+
+
+def _matches_machine_type(record: HostRecord, machine_type: str) -> bool:
+    return _attrs_match((record.spec.arch, record.spec.os), machine_type)
 
 
 def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
@@ -188,15 +207,61 @@ def bid_sheet(
     """Figure 3 steps 1-2 for one task type at one site, or ``None``
     when the site's task-performance DB lacks the type (it declines).
 
-    A sheet is valid for the synchronous call that built it and never
-    kept beyond: monitor reports rewrite the repositories between the
-    remote passes and the local pass of one scheduling exchange.
+    The rows are the repository's cache itself: valid for the
+    synchronous call that built the sheet and never kept beyond it —
+    monitor reports rewrite the repositories between one call and the
+    next.  What crosses the wire is a :class:`SiteBid`, which copies.
     """
     try:
         perf = repo.task_perf.get(task_type)
     except KeyError:
         return None
     return perf, repo.predict_cache.rows(task_type, model)
+
+
+class SiteBid(NamedTuple):
+    """One site's reply to a scheduling request (Fig. 2 step 5): its bid
+    sheets for the requested task types, as of ``version_key``.
+
+    A bid is valid for the exchange that carried it.  ``sheets`` lacks
+    the types the site's task-performance DB lacks (it declines those);
+    ``host_attrs`` covers every host named by a row.
+    """
+
+    site: str
+    #: ``repository.predict_cache.key()`` when the sheets were read
+    version_key: Tuple[int, ...]
+    sheets: Dict[str, BidSheet]
+    host_attrs: Dict[str, Tuple[str, str]]
+
+    @property
+    def rows(self) -> int:
+        """Prediction rows carried — what the reply is sized by."""
+        return sum(len(rows) for _perf, rows in self.sheets.values())
+
+
+def site_bid(
+    repo: SiteRepository, task_types: Iterable[str], model: PredictionModel
+) -> SiteBid:
+    """Figure 3 steps 1-2 for every requested task type at one site.
+
+    The row lists are copied: the cache replaces its lists, never
+    patches them, but a reply must not alias what its sender goes on
+    using.
+    """
+    sheets: Dict[str, BidSheet] = {}
+    for task_type in task_types:
+        sheet = bid_sheet(repo, task_type, model)
+        if sheet is not None:
+            sheets[task_type] = (sheet[0], list(sheet[1]))
+    arch_os = repo.resources.arch_os
+    return SiteBid(
+        repo.site_name,
+        repo.predict_cache.key(),
+        sheets,
+        {row[0]: arch_os(row[0])
+         for _perf, rows in sheets.values() for row in rows},
+    )
 
 
 def predict_rows(
@@ -252,7 +317,7 @@ def predict_rows(
 
 def sheet_bid(
     task: TaskNode,
-    repo: SiteRepository,
+    arch_os: ArchOsOf,
     sheet: BidSheet,
     model: PredictionModel,
     extra_load: Mapping[str, float],
@@ -260,14 +325,24 @@ def sheet_bid(
 ) -> Optional[Tuple[float, Tuple[str, ...]]]:
     """Figure 3 step 4 for one task on one site's sheet: the kernel's
     ``(predicted time, host group)``, or ``None`` when too few hosts
-    are left after the task's preferences and ``health_of``."""
+    are left after the task's preferences and ``health_of``.
+
+    ``arch_os`` answers for the hosts of the sheet (the site's
+    resource DB, or the attributes its :class:`SiteBid` carried); a
+    sheet's rows are the site's up hosts with the executable, so the
+    preferences select among them exactly as :func:`candidate_hosts`
+    selects among the records.
+    """
     perf, rows = sheet
     props = task.properties
-    if (props.preferred_machine is not None
-            or props.preferred_machine_type is not None):
-        # select the preferred hosts' rows, never touch the shared list
-        names = {record.name for record in candidate_hosts(task, repo)}
-        rows = [row for row in rows if row[0] in names]
+    # preferences select rows, never touch the shared list
+    if props.preferred_machine is not None:
+        rows = [row for row in rows if row[0] == props.preferred_machine]
+    if props.preferred_machine_type is not None:
+        rows = [
+            row for row in rows
+            if _attrs_match(arch_os(row[0]), props.preferred_machine_type)
+        ]
     factors: Optional[Dict[str, float]] = None
     if health_of is not None:
         factors = {}
@@ -318,7 +393,9 @@ def bid_for_task(
     sheet = bid_sheet(repo, task.task_type, model)
     if sheet is None:
         return None
-    bid = sheet_bid(task, repo, sheet, model, extra_load, health_of)
+    bid = sheet_bid(
+        task, repo.resources.arch_os, sheet, model, extra_load, health_of
+    )
     if bid is None:
         return None
     return HostSelectionResult(task.id, repo.site_name, bid[1], bid[0])
@@ -373,6 +450,7 @@ def select_hosts(
     #: steps 1-2, once per task type: its sheet, None = site declines
     sheets: Dict[str, Optional[BidSheet]] = {}
     site = repo.site_name
+    arch_os = repo.resources.arch_os
 
     for task_id in queue:
         task = afg.task(task_id)
@@ -383,7 +461,7 @@ def select_hosts(
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
         bid = None if sheet is None else sheet_bid(
-            task, repo, sheet, model, ledger.extra_load(task_id), health_of
+            task, arch_os, sheet, model, ledger.extra_load(task_id), health_of
         )
         if bid is None:
             if metrics.enabled:

@@ -47,10 +47,9 @@ from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.levels import compute_levels
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.afg.validate import validate_afg
-from repro.repository.store import SiteRepository
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
-from repro.scheduler.host_selection import CommitmentLedger, bid_sheet, sheet_bid
+from repro.scheduler.host_selection import ArchOsOf, CommitmentLedger, sheet_bid
 from repro.scheduler.prediction import PredictionModel
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -146,11 +145,12 @@ class SiteScheduler:
         validate_afg(afg)
 
         # Step 2: select the k nearest neighbour sites.  The call is
-        # synchronous, so each site's repository is resolved once here,
-        # like the AFG's structure below (DESIGN §13.8) and, per task
-        # type, the (site, repository, bid sheet) of every site knowing it
-        sites: List[Tuple[str, SiteRepository]] = [
-            (site, view.repository(site))
+        # synchronous, so each site's host attributes are resolved once
+        # here, like the AFG's structure below (DESIGN §13.8) and, per
+        # task type, the (site, arch/os, bid sheet) of every site
+        # knowing it
+        sites: List[Tuple[str, ArchOsOf]] = [
+            (site, view.arch_os_of(site))
             for site in view.participating_sites(self.k)
         ]
         sheets: Dict[str, List[tuple]] = {}
@@ -159,8 +159,10 @@ class SiteScheduler:
         # Steps 3-5 (the AFG multicast and bid replies) are the *wire*
         # protocol, reproduced with real messages by
         # VDCERuntime.schedule_process; the information they move — each
-        # remote site's resource/task parameters — reaches this pure
-        # function through the FederationView.  Step 7's inner
+        # remote site's bid sheets — reaches this pure function through
+        # the FederationView, which answers from the bids it was built
+        # from or, for a caller holding every repository, from those.
+        # Step 7's inner
         # "evaluate Predict(task_i, Rj)" is performed per ready task
         # against the sites' current in-round commitments (the
         # schedule-aware accounting documented in
@@ -251,7 +253,7 @@ class SiteScheduler:
         afg: ApplicationFlowGraph,
         structure: StructureSnapshot,
         task_id: str,
-        sites: List[Tuple[str, SiteRepository]],
+        sites: List[Tuple[str, ArchOsOf]],
         sheets: Dict[str, List[tuple]],
         view: FederationView,
         site_by_task: Dict[str, str],
@@ -262,7 +264,9 @@ class SiteScheduler:
         model, task_type = self.model, task.task_type
         bidders = sheets.get(task_type)
         if bidders is None:  # first task of its type this round
-            built = [(s, r, bid_sheet(r, task_type, model)) for s, r in sites]
+            built = [
+                (s, a, view.bid_sheet(s, task_type, model)) for s, a in sites
+            ]
             bidders = sheets[task_type] = [b for b in built if b[2] is not None]
         extra_load = ledger.extra_load(task_id) if ledger is not None else {}
 
@@ -285,8 +289,8 @@ class SiteScheduler:
         # running minimum over (Timetotal, site): sites are distinct, so
         # this is min() over those pairs whatever order the sites come in
         best = best_site = best_total = None
-        for site, repository, sheet in bidders:
-            bid = sheet_bid(task, repository, sheet, model, extra_load, health_of)
+        for site, arch_os, sheet in bidders:
+            bid = sheet_bid(task, arch_os, sheet, model, extra_load, health_of)
             if bid is None:
                 continue
             # per site the transfer times are added in parent order (the

@@ -5,7 +5,7 @@ control plane, arms scripted and stochastic fault injectors (host
 crashes, WAN link outages, a mid-campaign partition, optionally a
 whole-site outage, manager crashes, control-message loss, payload
 corruption, membership churn), submits a stream of applications, and
-then audits what the run left behind against invariants I1–I16 — one
+then audits what the run left behind against invariants I1–I17 — one
 checker each, catalogued in :mod:`repro.sim.invariants`.  I3,
 *determinism* — the same config yields byte-identical trace and
 metrics hashes — is checked by running the campaign twice (``repro
@@ -46,6 +46,7 @@ from repro.sim.kernel import Timeout
 __all__ = [
     "ChaosConfig",
     "ChaosReport",
+    "calm_config",
     "churn_smoke_config",
     "corruption_smoke_config",
     "run_campaign",
@@ -294,6 +295,26 @@ def smoke_config(seed: int = 0) -> ChaosConfig:
         sm_crash_duration_s=45.0,
         message_loss_prob=0.05,
         echo_loss_prob=0.05,
+    )
+
+
+def calm_config(seed: int = 0) -> ChaosConfig:
+    """The fault-free campaign: the smoke preset's deployment and
+    application stream with nothing armed — what I17 ("no phantom
+    partition") audits, since any timeout or missing bid here is the
+    system's own doing."""
+    return ChaosConfig(
+        seed=seed,
+        n_sites=3,
+        hosts_per_site=3,
+        n_apps=3,
+        duration_s=240.0,
+        app_spacing_s=35.0,
+        n_flaky_hosts=0,
+        n_flaky_links=0,
+        partition_at_s=None,
+        message_loss_prob=0.0,
+        echo_loss_prob=0.0,
     )
 
 

@@ -2,7 +2,7 @@
 
 :func:`repro.sim.chaos.run_campaign` plans a campaign, runs it, and
 hands what it left behind — a :class:`CampaignRun` — to every checker
-in :data:`INVARIANTS`, in order: I1, I2, I4 … I16 (I3, determinism, is
+in :data:`INVARIANTS`, in order: I1, I2, I4 … I17 (I3, determinism, is
 a second run — ``repro chaos --check-determinism`` — not a checker).
 A checker is a plain function ``(run) -> List[str]``: it reads only its
 argument, returns one line per violation, and ``[]`` when the subsystem
@@ -30,6 +30,7 @@ from repro.runtime.execution import ExecutionError
 from repro.scheduler.site_scheduler import SchedulingError
 from repro.sim.failures import FailureInjector, inside, intervals
 from repro.sim.host import HostDownError
+from repro.trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.chaos import ChaosConfig
@@ -472,6 +473,41 @@ def rejoin_convergence(run: CampaignRun) -> List[str]:
     return problems
 
 
+def no_phantom_partition(run: CampaignRun) -> List[str]:
+    """I17 — no phantom partition: a campaign that armed no fault that
+    can silence a site (no host, link, partition, site-outage or manager
+    fault, no message loss, no storm or overload refusal) sees no RPC
+    time out, declares no site unreachable, and has every scheduling
+    round hold the bids of the local site and all its k nearest."""
+    config, runtime = run.config, run.runtime
+    if (config.n_flaky_hosts or config.n_flaky_links or config.storm_apps
+            or config.overload or config.message_loss_prob > 0
+            or any(at is not None for at in (
+                config.partition_at_s, config.site_outage_at_s,
+                config.gm_crash_at_s, config.sm_crash_at_s))):
+        return []
+    problems = []
+    if runtime.stats.rpc_timeouts:
+        problems.append(
+            f"I17: {runtime.stats.rpc_timeouts} RPC(s) exhausted every "
+            "attempt with no fault armed that can silence a site"
+        )
+    problems.extend(
+        f"I17: {event.data['application']!r} declared site "
+        f"{event.data['remote']!r} unreachable at {event.time:.3f} with "
+        "no fault armed that can silence a site"
+        for event in run.events if event.kind == EventKind.SITE_UNREACHABLE
+    )
+    expected = 1 + min(config.k, len(runtime.topology.site_names) - 1)
+    for app, sites_bid in sorted(runtime.stats.sites_bid.items()):
+        if sites_bid != expected:
+            problems.append(
+                f"I17: application {app!r} was scheduled on the bids of "
+                f"{sites_bid} site(s), not of all {expected} within k"
+            )
+    return problems
+
+
 #: the audit, in report order
 INVARIANTS: Tuple[Callable[[CampaignRun], List[str]], ...] = (
     typed_completion,
@@ -489,4 +525,5 @@ INVARIANTS: Tuple[Callable[[CampaignRun], List[str]], ...] = (
     no_non_active_start,
     drain_loses_no_work,
     rejoin_convergence,
+    no_phantom_partition,
 )

@@ -8,6 +8,7 @@ and must produce byte-identical canonical metrics snapshots.
 from repro import VDCE
 from repro.metrics.export import METRICS_SCHEMA_VERSION, snapshot_to_json
 from repro.metrics.registry import MetricsRegistry
+from repro.scheduler import select_hosts
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
 from repro.workloads import linear_solver_afg
 
@@ -55,7 +56,10 @@ class TestMetricsDeterminism:
         assert "vdce_workload_suppression_ratio" in snap["gauges"]
         # scheduler
         assert "vdce_schedule_decisions_total" in snap["counters"]
-        assert "vdce_host_bids_total" in snap["counters"]
+        # Fig. 3 as a whole-AFG pass is off the per-round path: the
+        # exchange carries bid sheets, only a direct select_hosts bids
+        assert "vdce_host_bids_total" not in snap["counters"]
+        assert "vdce_sites_bid_total" in snap["counters"]
         assert "vdce_predicted_task_seconds" in snap["histograms"]
         assert "vdce_bid_latency_seconds" in snap["histograms"]
         assert "vdce_schedule_seconds" in snap["histograms"]
@@ -67,6 +71,13 @@ class TestMetricsDeterminism:
         assert "vdce_prediction_error_ratio" in snap["histograms"]
         # RuntimeStats unification: the dataclass fields become counters
         assert "vdce_data_transfers_total" in snap["counters"]
+
+    def test_a_direct_select_hosts_counts_its_bids(self):
+        env = VDCE.standard(n_sites=1, hosts_per_site=3, seed=3)
+        afg, metrics = linear_solver_afg(scale=0.15), MetricsRegistry()
+        bids = select_hosts(afg, env.repository(), metrics=metrics)
+        counter = metrics.snapshot()["counters"]["vdce_host_bids_total"]
+        assert sum(counter["values"].values()) == len(bids) == len(afg)
 
     def test_timestamps_come_from_the_virtual_clock(self):
         env, _ = run_full_stack(seed=5)

@@ -79,6 +79,8 @@ class TestExplainCli:
         assert "report hash" in out
         assert "execution" in out
         assert "critical path: app" in out
+        assert ("scheduling round: 120 task(s) placed on 4 of the 4 site(s) "
+                "that bid (3 remote)") in out
 
     def test_json_and_hash_outputs_agree(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"

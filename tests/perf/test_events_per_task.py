@@ -17,6 +17,7 @@ import pytest
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
+from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.workloads import bag_of_tasks
 
 #: measured 3.30 at 512 tasks and 3.20 at 2048: about three per task
@@ -27,9 +28,9 @@ CEILING = 5.0
 GROWTH = 1.25
 
 
-def events_per_task(n_tasks: int) -> float:
+def run_bag(n_tasks: int, tracer: Tracer = NULL_TRACER) -> VDCERuntime:
     """Schedule and run one bag on 2 sites x 4 hosts, stock config,
-    monitoring on; kernel events executed per task."""
+    monitoring on; the deployment it ran on."""
     speeds = (1.0, 1.5, 2.0, 2.5)
     builder = (
         TopologyBuilder(seed=0)
@@ -41,7 +42,7 @@ def events_per_task(n_tasks: int) -> float:
             (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
             for h in range(4)
         ])
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig(), tracer=tracer)
     rt.start_monitoring()
     afg = bag_of_tasks(n=n_tasks, cost=4.0, heterogeneity=0.0, seed=0)
 
@@ -55,6 +56,12 @@ def events_per_task(n_tasks: int) -> float:
 
     result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
     assert len(result.records) == n_tasks
+    return rt
+
+
+def events_per_task(n_tasks: int) -> float:
+    """Kernel events executed per task of :func:`run_bag`."""
+    rt = run_bag(n_tasks)
     # nothing per-task is left behind either
     assert len(rt.load_checks) == 0
     assert all(c.n_guarded == 0 for c in rt.app_controllers.values())

@@ -35,7 +35,8 @@ import pytest
 
 from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.repository.host_index import HostIndex
-from repro.scheduler import SiteScheduler, host_selection, site_scheduler
+from repro.scheduler import SiteScheduler, host_selection
+from repro.scheduler import federation as federation_view
 from repro.scheduler.host_selection import (
     CommitmentLedger,
     bid_for_task,
@@ -67,7 +68,7 @@ def count_round(n_tasks: int, k: int, monkeypatch):
     monkeypatch.setattr(HostIndex, "version_key", counting(
         "version_key", HostIndex.version_key))
     counted_sheet = counting("sheets", host_selection.bid_sheet)
-    for module in (host_selection, site_scheduler):  # bound by name in both
+    for module in (host_selection, federation_view):  # bound by name in both
         monkeypatch.setattr(module, "bid_sheet", counted_sheet)
 
     for site in view.remote_sites(k):

@@ -126,6 +126,10 @@ class TestSiteManager:
         # one AFG multicast + one bid reply to/from the single neighbor
         assert rt.stats.scheduler_messages == 2
         assert elapsed > 0.0
+        # both sites' sheets were in hand; the table says which got work
+        assert rt.stats.sites_bid == {afg.name: 2}
+        assert rt.stats.sites_used == {afg.name: len(table.sites_used())}
+        assert rt.stats.as_dict()["sites_bid"] == 2
 
     def test_schedule_k0_exchanges_no_messages(self):
         from repro.scheduler import SiteScheduler
@@ -142,3 +146,4 @@ class TestSiteManager:
         assert rt.stats.scheduler_messages == 0
         assert elapsed == pytest.approx(0.0)
         assert table.sites_used() == ["alpha"]
+        assert rt.stats.sites_bid == rt.stats.sites_used == {afg.name: 1}

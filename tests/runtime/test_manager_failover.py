@@ -162,7 +162,7 @@ class TestSiteManagerCrash:
                               n_out_ports=1,
                               properties=TaskProperties(workload_scale=1.0)))
         with pytest.raises(ManagerUnavailable, match="site manager"):
-            sm.handle_scheduling_request(afg)
+            sm.handle_bid_request(["generic.source"], rt.model)
 
     def test_crashed_sm_never_bids_on_reselect(self):
         rt = build_runtime()

@@ -144,7 +144,8 @@ def test_one_sheet_serves_every_task_of_the_type(host_specs, variants, model,
         node = _node(task)
         reference = _reference.bid_for_task(
             node, repo, model, extra_load.__getitem__, health_of)
-        bid = sheet_bid(node, repo, sheet, model, extra_load, health_of)
+        bid = sheet_bid(node, repo.resources.arch_os, sheet, model, extra_load,
+                        health_of)
         if reference is None:
             assert bid is None
         else:

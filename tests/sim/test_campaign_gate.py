@@ -1,11 +1,12 @@
 """The campaign gate: committed hashes hold, and the monolith stays gone.
 
-``campaign_hashes.json`` was generated at the commit *before*
-``run_campaign`` was split into plan / run / audit; every trace,
-metrics and campaign hash in it must reproduce byte for byte — the
-five presets at seeds 0–2, the ``causal_spans`` variants CI runs with
-``--spans``, and the configuration ``bench``'s ``chaos_2x64`` warms up
-on.  Any change that moves one of them changed campaign behaviour
+``campaign_hashes.json`` was last regenerated at the commit that made
+the Fig. 2 exchange carry bid sheets (a deliberate behaviour change:
+message sizes, ``bid_reply`` fields, no per-round ``host_bid`` events);
+every trace, metrics and campaign hash in it must reproduce byte for
+byte — the six presets at seeds 0–2, the ``causal_spans`` variants CI
+runs with ``--spans``, and the configuration ``bench``'s ``chaos_2x64``
+warms up on.  Any change that moves one of them changed campaign behaviour
 (fault plan, event order or report shape), not just its code.
 
 The size half keeps the audit reviewable: ``run_campaign`` is a
@@ -21,6 +22,7 @@ import pytest
 
 from repro.sim import chaos, invariants
 from repro.sim.chaos import (
+    calm_config,
     churn_smoke_config,
     corruption_smoke_config,
     run_campaign,
@@ -40,6 +42,7 @@ PRESETS = {
     "storm": storm_config,
     "corruption": corruption_smoke_config,
     "churn": churn_smoke_config,
+    "calm": calm_config,
 }
 
 
@@ -101,7 +104,7 @@ def test_no_function_outgrows_a_screenful(module):
 
 
 def test_the_invariant_table_is_complete_and_self_describing():
-    ids = ["I1", "I2"] + [f"I{n}" for n in range(4, 17)]  # I3 is the CLI's
-    assert len(INVARIANTS) == 15
+    ids = ["I1", "I2"] + [f"I{n}" for n in range(4, 18)]  # I3 is the CLI's
+    assert len(INVARIANTS) == 16
     for invariant_id, check in zip(ids, INVARIANTS):
         assert check.__doc__.startswith(f"{invariant_id} — "), check.__name__

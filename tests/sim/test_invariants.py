@@ -5,7 +5,7 @@ means running a whole campaign, and no committed campaign violates
 anything.  Here each checker is handed a passing run with exactly one
 fact doctored (a copy — :func:`dataclasses.replace` on the record, an
 :class:`Overlay` on live objects — so the module-scoped runs stay
-clean) and must report it, while the fourteen others stay silent.
+clean) and must report it, while the fifteen others stay silent.
 
 The property at the bottom pins ``intervals`` / ``inside`` (and I4's
 "was the outage detected" overlap test) to the hand-written loops they
@@ -22,6 +22,7 @@ from hypothesis import given, strategies as st
 from repro.repository.resources import MembershipState
 from repro.sim.chaos import (
     _play,
+    calm_config,
     churn_smoke_config,
     corruption_smoke_config,
     run_campaign,
@@ -30,8 +31,14 @@ from repro.sim.chaos import (
     storm_config,
 )
 from repro.sim.failures import FailureEvent, inside, intervals
-from repro.sim.invariants import INVARIANTS, CampaignRun, no_orphaned_group
-from repro.trace.events import EventKind
+from repro.sim.invariants import (
+    INVARIANTS,
+    CampaignRun,
+    no_orphaned_group,
+    no_phantom_partition,
+)
+from repro.trace.events import EventKind, TraceEvent
+from repro.trace.tracer import Tracer
 
 
 class Overlay:
@@ -88,6 +95,11 @@ def churn():
     return played(churn_smoke_config(0))
 
 
+@pytest.fixture(scope="module")
+def calm():
+    return played(calm_config(0))
+
+
 def with_record(run, pick, **changes):
     """``run`` with the first task record satisfying ``pick`` changed."""
     for i, coordinator in enumerate(run.coordinators):
@@ -126,8 +138,8 @@ def with_wrong_output(run, name):
 
 
 def test_the_undoctored_runs_report_nothing(
-        smoke, slowdown, storm, corruption, churn):
-    for run in (smoke, slowdown, storm, corruption, churn):
+        smoke, slowdown, storm, corruption, churn, calm):
+    for run in (smoke, slowdown, storm, corruption, churn, calm):
         assert firing(run) == set()
 
 
@@ -398,6 +410,70 @@ def test_i16_fires_on_a_rejoined_host_left_draining(churn):
                     site: Overlay(repo, resources=resources)}
     runtime = Overlay(churn.runtime, repositories=repositories)
     assert firing(replace(churn, runtime=runtime)) == {"I16"}
+
+
+# -- I17 -----------------------------------------------------------------------
+
+def test_i17_fires_on_a_timeout_nothing_armed_explains(calm):
+    stats = Overlay(calm.runtime.stats, rpc_timeouts=1)
+    doctored = replace(calm, runtime=Overlay(calm.runtime, stats=stats))
+    assert firing(doctored) == {"I17"}
+
+
+def test_i17_fires_on_a_site_declared_unreachable(calm):
+    app = sorted(calm.outcomes)[0]
+    event = TraceEvent(
+        12.0, len(calm.events), EventKind.SITE_UNREACHABLE, "sm:site-0",
+        {"application": app, "remote": "site-1", "phase": "scheduling"})
+    assert firing(replace(calm, events=[*calm.events, event])) == {"I17"}
+
+
+def test_i17_fires_on_a_round_missing_a_bid(calm):
+    sites_bid = dict(calm.runtime.stats.sites_bid)
+    app = sorted(sites_bid)[0]
+    assert sites_bid[app] == 1 + calm.config.k == 3
+    sites_bid[app] -= 1
+    stats = Overlay(calm.runtime.stats, sites_bid=sites_bid)
+    doctored = replace(calm, runtime=Overlay(calm.runtime, stats=stats))
+    assert firing(doctored) == {"I17"}
+
+
+def test_i17_only_speaks_when_nothing_that_silences_a_site_is_armed(smoke):
+    # the smoke campaign's partition and message loss time RPCs out and
+    # leave sites unbid: specified behaviour, not a phantom
+    assert smoke.runtime.stats.rpc_timeouts
+    assert no_phantom_partition(smoke) == []
+    unarmed = replace(smoke, config=calm_config(0))
+    assert no_phantom_partition(unarmed)
+
+
+def test_i17_is_silent_on_a_fault_free_4096_task_exchange():
+    """The live case: at the parent of the bid-sheet exchange a 4 096-task
+    AFG took 1.05 s on the bench WAN against a flat 1 s timeout, so on a
+    fault-free federation every attempt timed out and both remotes were
+    declared unreachable — which this checker reports line by line."""
+    from repro.scheduler import SiteScheduler
+    from repro.sim.failures import FailureInjector
+    from repro.workloads import bag_of_tasks
+    from tests.runtime.conftest import build_runtime
+
+    rt = build_runtime(
+        site_hosts={f"site-{s}": [(f"s{s}-h{h}", 1.0 + h, 256)
+                                  for h in range(2)] for s in range(3)},
+        wan_latency_s=0.03, tracer=Tracer(),
+    )
+    afg = bag_of_tasks(n=4096, cost=4.0, heterogeneity=0.0, seed=0)
+
+    def run():
+        return (yield from rt.schedule_process(afg, SiteScheduler(k=2)))
+
+    table, _ = rt.sim.run_until_complete(rt.sim.process(run()))
+    assert len(table) == 4096
+    run = CampaignRun(
+        calm_config(0), rt, FailureInjector(rt.sim),
+        events=rt.tracer.events(),
+    )
+    assert no_phantom_partition(run) == []
 
 
 # -- intervals / inside against the loops they replaced -----------------------
