@@ -210,16 +210,13 @@ def cmd_run(args) -> int:
 
         journal = create_checkpoint_dir(env, args.journal)
 
-        def pipeline():
-            table, _sched = yield from env.runtime.schedule_process(
-                afg, SiteScheduler(k=args.k, model=env.runtime.model)
-            )
-            value = yield env.runtime.execute_process(
-                afg, table, journal=journal, execute_payloads=payloads
-            )
-            return value
-
-        proc = env.sim.process(pipeline(), name=f"submit:{afg.name}")
+        proc = env.sim.process(
+            env.runtime.run_process(
+                afg, SiteScheduler(k=args.k, model=env.runtime.model),
+                execute_payloads=payloads, journal=journal,
+            ),
+            name=f"submit:{afg.name}",
+        )
         result = env.sim.run_until_complete(proc)
         print(f"checkpoint journal: {journal_path(args.journal)} "
               f"({journal.bytes_written} bytes)")

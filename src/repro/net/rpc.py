@@ -25,11 +25,16 @@ their fault-free timing.
 
 from __future__ import annotations
 
-import inspect
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import (
+    NULL_SPAN,
+    NULL_SPANS,
+    SpanContext,
+    SpanKind,
+    SpanRecorder,
+)
 from repro.sim.failures import intervals
 from repro.sim.kernel import AnyOf, Simulator, Timeout
 from repro.sim.network import LinkDownError, Network
@@ -341,33 +346,33 @@ class RetryPolicy:
         return base * (1.0 + self.jitter_frac * float(u))
 
 
-def _with_span_context(spans: SpanRecorder, ctx, gen):
-    """Drive a handler generator with ``ctx`` as ambient span context.
+#: what :meth:`ControlPlane._attempt` returns when nobody answered in time
+_NO_REPLY = object()
 
-    The ambient stack must only hold ``ctx`` during the handler's
-    *synchronous* segments: while the handler is suspended at a yield,
-    other simulated processes run and must not inherit its context.  So
-    instead of ``yield from gen`` we advance ``gen`` step by step,
-    pushing before and popping after every resume.
-    """
-    send_value = None
-    thrown = None
-    while True:
-        spans.push(ctx)
-        try:
-            if thrown is not None:
-                exc, thrown = thrown, None
-                item = gen.throw(exc)
-            else:
-                item = gen.send(send_value)
-        except StopIteration as stop:
-            return stop.value
-        finally:
-            spans.pop()
-        try:
-            send_value = yield item
-        except BaseException as exc:  # forwarded into the handler
-            thrown = exc
+
+class _Call(NamedTuple):
+    """What every attempt of one :meth:`ControlPlane.request` shares."""
+
+    src_host: str
+    dst_host: str
+    src_site: str
+    dst_site: str
+    handler: Callable[[], Any]
+    payload_mb: float
+    reply_mb: Any
+    label: str
+    policy: RetryPolicy
+    transport: str
+    on_send: Optional[Callable[[int], None]]
+    on_reply: Optional[Callable[[int], None]]
+    #: the request's ``rpc`` span (NULL_SPAN when the caller gave none)
+    span: SpanContext
+    #: the deployment's breaker registry on a WAN pair, else None
+    breaker: Optional[BreakerRegistry]
+    #: trace/span source of the sending side
+    source: str
+    #: per-peer stream, by name: resolved only where a value is drawn
+    rng_name: str
 
 
 class ControlPlane:
@@ -377,13 +382,19 @@ class ControlPlane:
     generator to ``yield from`` inside a simulated process, and
     :meth:`notify_lan` is callback-based (no process spawn) so the
     high-rate Group Manager -> Site Manager path stays cheap.
+
+    Causal spans: a request given a parent
+    :class:`~repro.obs.spans.SpanContext` becomes an ``rpc`` span under
+    it, with one ``rpc_attempt`` child per attempt (ambient at the
+    destination while the handler runs, so server-side spans parent
+    correctly) and a ``retry_backoff`` child per backoff pause.
     """
 
     def __init__(
         self,
         sim: Simulator,
         network: Network,
-        stats=None,
+        stats,
         policy: RetryPolicy = RetryPolicy(),
         tracer: Tracer = NULL_TRACER,
         spans: SpanRecorder = NULL_SPANS,
@@ -391,6 +402,7 @@ class ControlPlane:
     ):
         self.sim = sim
         self.network = network
+        #: the deployment's :class:`~repro.runtime.stats.RuntimeStats`
         self.stats = stats
         self.policy = policy
         self.tracer = tracer
@@ -412,7 +424,7 @@ class ControlPlane:
         transport: str = "transfer",
         on_send: Optional[Callable[[int], None]] = None,
         on_reply: Optional[Callable[[int], None]] = None,
-        span=None,
+        span: SpanContext = NULL_SPAN,
     ):
         """Round-trip RPC generator; returns ``handler()``'s value.
 
@@ -426,164 +438,148 @@ class ControlPlane:
         signalling, e.g. channel setup).  ``on_send`` / ``on_reply`` run
         once per attempt whose request/reply message is actually put on
         the wire — the hook point for per-message counters and trace
-        events.  ``span`` is an optional parent
-        :class:`~repro.obs.spans.SpanContext`: when causal spans are
-        enabled the whole request becomes an ``rpc`` span under it, with
-        one ``rpc_attempt`` child per attempt (ambient at the
-        destination while the handler runs, so server-side spans parent
-        correctly) and a ``retry_backoff`` child per backoff pause.
+        events.  ``span`` is the parent of the request's span tree (see
+        the class docstring); under the default nothing is recorded.
 
         Raises :class:`RpcTimeout` when every attempt fails.
         """
         policy = policy or self.policy
         src_site = self.network.site_of(src_host)
         dst_site = self.network.site_of(dst_host)
-        # per-peer stream, by name: resolved only where a value is drawn
+        source = f"rpc:{src_site}"
         rng_name = f"rpc:{src_site}->{dst_site}"
         spans = self.spans
-        rpc_span = None
-        if spans.enabled and span is not None and span.span_id >= 0:
-            rpc_span = spans.open(
-                SpanKind.RPC, span.app, parent=span,
-                source=f"rpc:{src_site}", label=label, dst=dst_site,
-            )
-        rpc_source = f"rpc:{src_site}"
-        # WAN circuit breaker: while the circuit to the destination site
-        # is open, fail fast without putting anything on the wire
-        breaker = (
-            self.breakers if self.breakers is not None
-            and src_site != dst_site else None
+        rpc_span = spans.open(
+            SpanKind.RPC, span.app, parent=span,
+            source=source, label=label, dst=dst_site,
+        )
+        # WAN circuit breaker: same-site traffic has none
+        breaker = self.breakers if src_site != dst_site else None
+        call = _Call(
+            src_host, dst_host, src_site, dst_site, handler, payload_mb,
+            reply_mb, label, policy, transport, on_send, on_reply, rpc_span,
+            breaker, source, rng_name,
         )
         for attempt in range(1, policy.max_attempts + 1):
             if breaker is not None and not breaker.allow(src_site, dst_site):
-                if rpc_span is not None:
-                    spans.close(
-                        rpc_span, source=rpc_source, status="circuit_open",
-                        attempts=attempt - 1,
-                    )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.RPC_TIMEOUT, source=rpc_source,
-                        label=label, dst=dst_site, attempts=attempt - 1,
-                        circuit_open=True,
-                    )
-                raise CircuitOpenError(label, src_site, dst_site)
-            started = self.sim.now
-            attempt_span = None
-            if rpc_span is not None:
-                attempt_span = spans.open(
-                    SpanKind.RPC_ATTEMPT, rpc_span.app, parent=rpc_span,
-                    source=rpc_source, label=label, attempt=attempt,
+                # the circuit is open: fail fast, nothing on the wire
+                self._give_up(
+                    call, "circuit_open", attempt - 1,
+                    CircuitOpenError(label, src_site, dst_site),
+                    circuit_open=True,
                 )
-            if on_send is not None:
-                on_send(attempt)
-            if breaker is not None:
-                breaker.note_send(src_site, dst_site)
-            delivered = yield from self._leg(
-                src_host, dst_host, payload_mb, f"{label}:req",
-                policy, rng_name, started, transport,
-            )
-            if delivered:
-                try:
-                    if attempt_span is not None:
-                        spans.push(attempt_span)
-                        try:
-                            value = handler()
-                        finally:
-                            spans.pop()
-                        if inspect.isgenerator(value):
-                            value = yield from _with_span_context(
-                                spans, attempt_span, value
-                            )
-                    else:
-                        value = handler()
-                        if inspect.isgenerator(value):
-                            value = yield from value
-                except ManagerUnavailable:
-                    # the destination manager is crashed: no reply ever
-                    # comes back, exactly like a lost datagram — burn the
-                    # rest of this attempt's deadline and retry
-                    remaining = policy.timeout_s - (self.sim.now - started)
-                    if remaining > 0:
-                        yield Timeout(remaining)
-                except Exception:
-                    # a typed refusal (e.g. SiteOverloaded): the remote
-                    # answered, just not with a value — close the spans
-                    # before the exception propagates to the caller
-                    if attempt_span is not None:
-                        spans.close(
-                            attempt_span, source=rpc_source, status="error"
-                        )
-                        spans.close(
-                            rpc_span, source=rpc_source, status="error",
-                            attempts=attempt,
-                        )
-                    if breaker is not None:
-                        breaker.record_success(src_site, dst_site)
-                    raise
-                else:
-                    if on_reply is not None:
-                        on_reply(attempt)
-                    size = reply_mb(value) if callable(reply_mb) else reply_mb
-                    acked = yield from self._leg(
-                        dst_host, src_host, size, f"{label}:rep",
-                        policy, rng_name, started, transport,
-                    )
-                    if acked:
-                        if attempt_span is not None:
-                            spans.close(attempt_span, source=rpc_source)
-                            spans.close(
-                                rpc_span, source=rpc_source, attempts=attempt
-                            )
-                        if breaker is not None:
-                            breaker.record_success(src_site, dst_site)
-                        return value
-            if attempt_span is not None:
-                spans.close(attempt_span, source=rpc_source, status="failed")
-            if breaker is not None:
-                breaker.record_failure(src_site, dst_site)
-            if self.stats is not None:
-                self.stats.rpc_retries += 1
+            value = yield from self._attempt(call, attempt)
+            if value is not _NO_REPLY:
+                return value
+            self.stats.rpc_retries += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.RPC_RETRY, source=f"rpc:{src_site}",
+                    EventKind.RPC_RETRY, source=source,
                     label=label, attempt=attempt, dst=dst_site,
                 )
             if attempt < policy.max_attempts:
                 delay = policy.backoff(
                     attempt, float(self.sim.rng(rng_name).uniform())
                 )
-                if rpc_span is not None:
-                    backoff_span = spans.open(
-                        SpanKind.RETRY_BACKOFF, rpc_span.app, parent=rpc_span,
-                        source=rpc_source, label=label, attempt=attempt,
-                    )
-                    yield Timeout(delay)
-                    spans.close(backoff_span, source=rpc_source)
-                else:
-                    yield Timeout(delay)
-        if rpc_span is not None:
-            spans.close(
-                rpc_span, source=rpc_source, status="timeout",
-                attempts=policy.max_attempts,
-            )
-        if self.stats is not None:
-            self.stats.rpc_timeouts += 1
+                backoff_span = spans.open(
+                    SpanKind.RETRY_BACKOFF, rpc_span.app, parent=rpc_span,
+                    source=source, label=label, attempt=attempt,
+                )
+                yield Timeout(delay)
+                spans.close(backoff_span, source=source)
+        self.stats.rpc_timeouts += 1
+        self._give_up(
+            call, "timeout", policy.max_attempts,
+            RpcTimeout(label, policy.max_attempts),
+        )
+
+    def _give_up(self, call: _Call, status: str, attempts: int,
+                 error: RpcTimeout, **why: Any) -> None:
+        """End the request without an answer: span, trace event, raise."""
+        self.spans.close(
+            call.span, source=call.source, status=status, attempts=attempts
+        )
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.RPC_TIMEOUT, source=f"rpc:{src_site}",
-                label=label, dst=dst_site, attempts=policy.max_attempts,
+                EventKind.RPC_TIMEOUT, source=call.source, label=call.label,
+                dst=call.dst_site, attempts=attempts, **why,
             )
-        raise RpcTimeout(label, policy.max_attempts)
+        raise error
 
-    def _leg(self, src, dst, size_mb, label, policy, rng_name, started,
-             transport):
+    def _attempt(self, call: _Call, attempt: int):
+        """One attempt: request leg, the handler at the destination, reply leg.
+
+        Returns the handler's value, or :data:`_NO_REPLY` when the
+        attempt is to be retried (a leg was lost or late, or the
+        destination manager is crashed).  A typed refusal (e.g.
+        ``SiteOverloaded``) propagates: the remote answered, just not
+        with a value.
+        """
+        started = self.sim.now
+        attempt_span = self.spans.open(
+            SpanKind.RPC_ATTEMPT, call.span.app, parent=call.span,
+            source=call.source, label=call.label, attempt=attempt,
+        )
+        if call.on_send is not None:
+            call.on_send(attempt)
+        if call.breaker is not None:
+            call.breaker.note_send(call.src_site, call.dst_site)
+        delivered = yield from self._leg(
+            call, call.src_host, call.dst_host, call.payload_mb, "req", started
+        )
+        if delivered:
+            try:
+                value = yield from self.spans.within(attempt_span, call.handler)
+            except ManagerUnavailable:
+                # the destination manager is crashed: no reply ever
+                # comes back, exactly like a lost datagram — burn the
+                # rest of this attempt's deadline and retry
+                remaining = call.policy.timeout_s - (self.sim.now - started)
+                if remaining > 0:
+                    yield Timeout(remaining)
+            except Exception:
+                self._settle(call, attempt_span, attempt, "error")
+                raise
+            else:
+                if call.on_reply is not None:
+                    call.on_reply(attempt)
+                reply_mb = call.reply_mb
+                acked = yield from self._leg(
+                    call, call.dst_host, call.src_host,
+                    reply_mb(value) if callable(reply_mb) else reply_mb,
+                    "rep", started,
+                )
+                if acked:
+                    self._settle(call, attempt_span, attempt, "ok")
+                    return value
+        self._settle(call, attempt_span, attempt, "failed")
+        return _NO_REPLY
+
+    def _settle(self, call: _Call, attempt_span: SpanContext, attempt: int,
+                status: str) -> None:
+        """Close an attempt's spans and tell the breaker how it went.
+
+        ``"failed"`` (nobody answered) leaves the request's own span
+        open for the next attempt; ``"ok"`` and ``"error"`` (a typed
+        refusal is still an answer) end the request.
+        """
+        spans, source = self.spans, call.source
+        spans.close(attempt_span, source=source, status=status)
+        if status != "failed":
+            spans.close(call.span, source=source, status=status, attempts=attempt)
+        if call.breaker is not None:
+            if status == "failed":
+                call.breaker.record_failure(call.src_site, call.dst_site)
+            else:
+                call.breaker.record_success(call.src_site, call.dst_site)
+
+    def _leg(self, call: _Call, src, dst, size_mb, leg, started):
         """One message leg; True iff delivered within the attempt deadline.
 
-        ``rng_name`` names the per-peer loss stream; it is materialised
-        only when the link is lossy.
+        The per-peer loss stream is materialised only when the link is
+        lossy.
         """
-        remaining = policy.timeout_s - (self.sim.now - started)
+        remaining = call.policy.timeout_s - (self.sim.now - started)
         if remaining <= 0:
             return False
         link = self.network.link_between(src, dst)
@@ -591,7 +587,8 @@ class ControlPlane:
             if not link.up:
                 return False  # connect error: fail fast, no time burned
             if (link.loss_prob > 0.0
-                    and float(self.sim.rng(rng_name).uniform()) < link.loss_prob):
+                    and float(self.sim.rng(call.rng_name).uniform())
+                    < link.loss_prob):
                 # the message vanishes; the sender finds out via the timer
                 yield Timeout(remaining)
                 return False
@@ -601,14 +598,16 @@ class ControlPlane:
                 remaining -= delay
                 if remaining <= 0:
                     return False
-        if transport == "latency":
+        if call.transport == "latency":
             latency = link.spec.latency_s if link is not None else 0.0
             if latency > remaining:
                 yield Timeout(remaining)
                 return False
             yield Timeout(latency)
             return link is None or link.up
-        transfer = self.network.transfer(src, dst, size_mb, label=label)
+        transfer = self.network.transfer(
+            src, dst, size_mb, label=f"{call.label}:{leg}"
+        )
         try:
             index, _value = yield AnyOf([transfer.done, Timeout(remaining)])
         except LinkDownError:
@@ -635,7 +634,7 @@ class ControlPlane:
         caller to raise into; the periodic echo loop re-notifies).
         """
         policy = policy or self.policy
-        rng_name = f"rpc:{label}"
+        source = rng_name = f"rpc:{label}"
 
         def attempt(n: int) -> None:
             down = link is not None and not link.up
@@ -647,22 +646,20 @@ class ControlPlane:
                 extra = link.extra_delay_s if link is not None else 0.0
                 self.sim.call_after(latency_s + extra, deliver)
                 return
-            if self.stats is not None:
-                self.stats.rpc_retries += 1
+            self.stats.rpc_retries += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.RPC_RETRY, source=f"rpc:{label}",
+                    EventKind.RPC_RETRY, source=source,
                     label=label, attempt=n, one_way=True,
                 )
             if n < policy.max_attempts:
                 backoff = policy.backoff(n, float(self.sim.rng(rng_name).uniform()))
                 self.sim.call_after(backoff, lambda: attempt(n + 1))
             else:
-                if self.stats is not None:
-                    self.stats.rpc_timeouts += 1
+                self.stats.rpc_timeouts += 1
                 if self.tracer.enabled:
                     self.tracer.emit(
-                        EventKind.RPC_TIMEOUT, source=f"rpc:{label}",
+                        EventKind.RPC_TIMEOUT, source=source,
                         label=label, attempts=policy.max_attempts, one_way=True,
                     )
 

@@ -33,14 +33,19 @@ span is closed exactly once or explicitly orphaned.
 
 The recorder is pure bookkeeping on the virtual clock: it draws no
 random numbers and never yields, so enabling it cannot perturb
-scheduling decisions or timing — only the event stream grows.  The
+scheduling decisions or timing — only the event stream grows.
+
+Spans are switched off in one way only: :data:`NULL_SPAN`.  The
 :data:`NULL_SPANS` singleton is the disabled recorder (the default
-everywhere); hot paths guard with ``if spans.enabled:`` exactly like
-the tracer's null-object pattern.
+everywhere) and hands out nothing else, and on *any* recorder a child
+of :data:`NULL_SPAN` is :data:`NULL_SPAN` — no id taken, no event —
+while closing or orphaning it is a no-op.  So a call site opens and
+closes its spans unconditionally; none asks whether spans are on.
 """
 
 from __future__ import annotations
 
+import inspect
 import itertools
 from typing import Any, Dict, List, NamedTuple, Optional
 
@@ -152,13 +157,15 @@ class SpanRecorder:
         source: str = "",
         **attrs: Any,
     ) -> SpanContext:
-        """Open one span; returns the context to close it with."""
+        """Open one span; returns the context to close it with.
+
+        ``parent=None`` opens a root; a child of :data:`NULL_SPAN` is
+        :data:`NULL_SPAN` (nothing recorded, no id taken).
+        """
+        if parent is NULL_SPAN:
+            return NULL_SPAN
         span_id = next(self._ids)
-        parent_id = (
-            parent.span_id
-            if parent is not None and parent.span_id >= 0
-            else None
-        )
+        parent_id = parent.span_id if parent is not None else None
         ctx = SpanContext(span_id, kind, app)
         self._open[span_id] = ctx
         self.tracer.emit(
@@ -247,6 +254,43 @@ class SpanRecorder:
         """The innermost ambient context, or None outside any."""
         return self._stack[-1] if self._stack else None
 
+    def within(self, ctx: SpanContext, handler):
+        """Generator: ``handler()`` with ``ctx`` ambient; returns its value.
+
+        A handler that returns a generator (server-side work that takes
+        simulated time) is driven here.  The ambient stack must only
+        hold ``ctx`` during the handler's *synchronous* segments: while
+        it is suspended at a yield, other simulated processes run and
+        must not inherit its context.  So instead of ``yield from`` the
+        generator is advanced step by step, pushing before and popping
+        after every resume.
+        """
+        self.push(ctx)
+        try:
+            gen = handler()
+        finally:
+            self.pop()
+        if not inspect.isgenerator(gen):
+            return gen
+        send_value = None
+        thrown = None
+        while True:
+            self.push(ctx)
+            try:
+                if thrown is not None:
+                    exc, thrown = thrown, None
+                    item = gen.throw(exc)
+                else:
+                    item = gen.send(send_value)
+            except StopIteration as stop:
+                return stop.value
+            finally:
+                self.pop()
+            try:
+                send_value = yield item
+            except BaseException as exc:  # forwarded into the handler
+                thrown = exc
+
     # -- introspection -----------------------------------------------------
 
     @property
@@ -258,7 +302,11 @@ class SpanRecorder:
 
 
 class NullSpanRecorder(SpanRecorder):
-    """The disabled recorder: every method a no-op, every span NULL."""
+    """The disabled recorder: it opens nothing, so every span is NULL.
+
+    Everything else is inherited — closing, orphaning or abandoning does
+    nothing on a recorder that never opened a span.
+    """
 
     enabled = False
 
@@ -268,37 +316,18 @@ class NullSpanRecorder(SpanRecorder):
     def open(self, kind, app, parent=None, source="", **attrs):
         return NULL_SPAN
 
-    def close(self, ctx, source="", status="ok", **attrs):
-        pass
-
-    def orphan(self, ctx, reason, source=""):
-        pass
-
     def root_of(self, app, source=""):
         return NULL_SPAN
 
-    def close_root(self, app, source="", status="ok", **attrs):
-        pass
-
-    def abandon_app(self, app, reason, source=""):
-        pass
-
-    def orphan_all(self, reason, source=""):
-        pass
-
-    def push(self, ctx):
-        pass
-
-    def pop(self):
-        pass
-
-    @property
-    def current(self) -> Optional[SpanContext]:
-        return None
+    def within(self, ctx, handler):
+        value = handler()
+        if inspect.isgenerator(value):
+            value = yield from value
+        return value
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullSpanRecorder()"
 
 
-#: shared disabled recorder — safe because it holds no state
+#: shared disabled recorder — safe because it never holds a span
 NULL_SPANS = NullSpanRecorder()

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
-from repro.obs.spans import SpanContext, SpanKind
+from repro.obs.spans import NULL_SPAN, SpanContext, SpanKind
 from repro.scheduler.site_scheduler import SiteScheduler
 from repro.sim.kernel import Signal, Simulator
 from repro.trace.events import EventKind
@@ -134,7 +134,7 @@ class _Pending:
     done: Signal = field(compare=False)
     submitted_at: float = field(compare=False, default=0.0)
     execute_payloads: Optional[bool] = field(compare=False, default=None)
-    wait_span: Optional[SpanContext] = field(compare=False, default=None)
+    wait_span: SpanContext = field(compare=False, default=NULL_SPAN)
     user: str = field(compare=False, default="")
     priority: int = field(compare=False, default=0)
     deadline_at: Optional[float] = field(compare=False, default=None)
@@ -162,6 +162,8 @@ class AdmissionQueue:
         self.runtime = runtime
         self.sim: Simulator = runtime.sim
         self.site = site or runtime.default_site
+        #: trace/span source of everything this queue emits
+        self._src = f"admission:{self.site}"
         self.max_concurrent = max_concurrent
         self.policy = policy
         self._heap: List[_Pending] = []
@@ -173,9 +175,7 @@ class AdmissionQueue:
         #: every shed/expiry, in order: time, application, user, reason
         self.shed_log: List[Dict[str, Any]] = []
         self._buckets: Dict[str, _TokenBucket] = {}
-        queues = getattr(runtime, "admission_queues", None)
-        if queues is not None:
-            queues.append(self)
+        runtime.admission_queues.append(self)
 
     def submit(
         self,
@@ -200,29 +200,11 @@ class AdmissionQueue:
         done = self.sim.signal(f"admission:{afg.name}")
         now = self.sim.now
         policy = self.policy
-        if policy is not None:
-            brownout = getattr(self.runtime, "brownout", None)
-            if brownout is not None and brownout.refuse_new_work():
-                return self._reject(afg, user, "brownout", done)
-            if policy.user_max_queued is not None:
-                queued_by_user = sum(
-                    1 for e in self._heap if e.user == user
-                )
-                if queued_by_user >= policy.user_max_queued:
-                    return self._reject(afg, user, "quota", done)
-            if policy.user_rate_per_s is not None:
-                bucket = self._buckets.get(user)
-                if bucket is None:
-                    bucket = self._buckets[user] = _TokenBucket(
-                        policy.user_rate_per_s, policy.user_burst
-                    )
-                    bucket.last = now
-                if not bucket.take(now):
-                    return self._reject(afg, user, "rate", done)
+        refusal = self._refusal(user, now)
+        if refusal is not None:
+            return self._reject(afg, user, refusal, done)
 
         deadline_at = now + deadline_s if deadline_s is not None else None
-        wait_span = None
-        spans = self.runtime.spans
         entry = _Pending(
             # heap is a min-heap: negate priority so higher goes first
             sort_key=(-account.priority, next(self._seq)),
@@ -231,7 +213,6 @@ class AdmissionQueue:
             done=done,
             submitted_at=now,
             execute_payloads=execute_payloads,
-            wait_span=None,
             user=user,
             priority=account.priority,
             deadline_at=deadline_at,
@@ -240,16 +221,15 @@ class AdmissionQueue:
             if len(self._heap) >= policy.max_queued:
                 victim = max(self._heap, key=lambda e: e.badness)
                 if victim.badness > entry.badness:
-                    self._shed_queued(victim, "queue_full")
+                    self._drop(victim, "shed", "queue_full")
                 else:
                     return self._reject(afg, user, "queue_full", done)
-        if spans.enabled:
-            root = spans.root_of(afg.name, source=f"admission:{self.site}")
-            wait_span = spans.open(
-                SpanKind.ADMISSION_WAIT, afg.name, parent=root,
-                source=f"admission:{self.site}", priority=account.priority,
-            )
-            entry.wait_span = wait_span
+        spans = self.runtime.spans
+        entry.wait_span = spans.open(
+            SpanKind.ADMISSION_WAIT, afg.name,
+            parent=spans.root_of(afg.name, source=self._src),
+            source=self._src, priority=account.priority,
+        )
         heapq.heappush(self._heap, entry)
         self.peak_queued = max(self.peak_queued, len(self._heap))
         expire_at = None
@@ -266,6 +246,29 @@ class AdmissionQueue:
             self.sim.call_at(expire_at, lambda: self._expire(entry))
         self.sim.call_at(now, self._dispatch)
         return done
+
+    def _refusal(self, user: str, now: float) -> Optional[str]:
+        """Why the policy turns ``user`` away at the door, or None."""
+        policy = self.policy
+        if policy is None:
+            return None
+        brownout = self.runtime.brownout
+        if brownout is not None and brownout.refuse_new_work():
+            return "brownout"
+        if policy.user_max_queued is not None:
+            queued_by_user = sum(1 for e in self._heap if e.user == user)
+            if queued_by_user >= policy.user_max_queued:
+                return "quota"
+        if policy.user_rate_per_s is not None:
+            bucket = self._buckets.get(user)
+            if bucket is None:
+                bucket = self._buckets[user] = _TokenBucket(
+                    policy.user_rate_per_s, policy.user_burst
+                )
+                bucket.last = now
+            if not bucket.take(now):
+                return "rate"
+        return None
 
     @property
     def queued(self) -> int:
@@ -288,7 +291,7 @@ class AdmissionQueue:
         tracer = self.runtime.tracer
         if tracer.enabled:
             tracer.emit(
-                EventKind.SHED, source=f"admission:{self.site}",
+                EventKind.SHED, source=self._src,
                 application=afg.name, user=user, reason=reason,
                 waited_s=round(waited_s, 9),
             )
@@ -306,53 +309,34 @@ class AdmissionQueue:
         done.fail(AdmissionRejected(afg.name, user, reason))
         return done
 
-    def _shed_queued(self, entry: _Pending, reason: str) -> None:
-        """Evict a queued entry (overflow preemption by a better arrival)."""
+    def _drop(self, entry: _Pending, state: str, reason: str) -> None:
+        """Evict a queued entry: ``"shed"`` (overflow preemption by a
+        better arrival) or ``"expired"`` (its TTL/deadline passed)."""
         self._heap.remove(entry)
         heapq.heapify(self._heap)
-        entry.state = "shed"
+        entry.state = state
         waited = self.sim.now - entry.submitted_at
         self._record_shed(entry.afg, entry.user, reason, waited_s=waited)
         spans = self.runtime.spans
-        if entry.wait_span is not None:
-            spans.close(
-                entry.wait_span, source=f"admission:{self.site}",
-                status="shed", wait_s=waited,
-            )
-            spans.close_root(
-                entry.afg.name, source=f"admission:{self.site}", status="shed"
-            )
+        spans.close(
+            entry.wait_span, source=self._src, status=state, wait_s=waited
+        )
+        spans.close_root(entry.afg.name, source=self._src, status=state)
         entry.done.fail(
-            AdmissionRejected(entry.afg.name, entry.user, reason)
+            AdmissionExpired(entry.afg.name, entry.user, waited)
+            if state == "expired"
+            else AdmissionRejected(entry.afg.name, entry.user, reason)
         )
 
     def _expire(self, entry: _Pending) -> None:
         """TTL/deadline timer: expire the entry if it is still queued."""
-        if entry.state != "queued" or entry not in self._heap:
-            return
-        self._heap.remove(entry)
-        heapq.heapify(self._heap)
-        entry.state = "expired"
-        waited = self.sim.now - entry.submitted_at
-        self._record_shed(entry.afg, entry.user, "expired", waited_s=waited)
-        spans = self.runtime.spans
-        if entry.wait_span is not None:
-            spans.close(
-                entry.wait_span, source=f"admission:{self.site}",
-                status="expired", wait_s=waited,
-            )
-            spans.close_root(
-                entry.afg.name, source=f"admission:{self.site}",
-                status="expired",
-            )
-        entry.done.fail(
-            AdmissionExpired(entry.afg.name, entry.user, waited)
-        )
+        if entry.state == "queued" and entry in self._heap:
+            self._drop(entry, "expired", "expired")
 
     # -- dispatch ---------------------------------------------------------
 
     def _concurrency_limit(self) -> int:
-        brownout = getattr(self.runtime, "brownout", None)
+        brownout = self.runtime.brownout
         if brownout is not None:
             return brownout.concurrency_limit(self.max_concurrent)
         return self.max_concurrent
@@ -367,29 +351,23 @@ class AdmissionQueue:
             stats = self.runtime.stats
             stats.queue_wait_s += wait
             stats.queue_waits[entry.afg.name] = wait
-            if entry.wait_span is not None:
-                self.runtime.spans.close(
-                    entry.wait_span, source=f"admission:{self.site}",
-                    wait_s=wait,
-                )
+            self.runtime.spans.close(
+                entry.wait_span, source=self._src, wait_s=wait
+            )
             self.sim.process(self._run_entry(entry),
                              name=f"admitted:{entry.afg.name}")
 
     def _run_entry(self, entry: _Pending):
         try:
-            table, _elapsed = yield from self.runtime.schedule_process(
-                entry.afg, entry.scheduler, local_site=self.site
-            )
-            result = yield self.runtime.execute_process(
-                entry.afg, table, submit_site=self.site,
-                execute_payloads=entry.execute_payloads,
+            result = yield from self.runtime.run_process(
+                entry.afg, entry.scheduler, self.site, entry.execute_payloads
             )
         except Exception as exc:  # noqa: BLE001 - surfaced via the signal
             self._running -= 1
             self.sim.call_at(self.sim.now, self._dispatch)
             self.runtime.spans.abandon_app(
                 entry.afg.name, reason=type(exc).__name__,
-                source=f"admission:{self.site}",
+                source=self._src,
             )
             entry.done.fail(exc)
             return

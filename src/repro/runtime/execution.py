@@ -47,7 +47,7 @@ from repro.errors import (
     PoisonedArtifactError,
 )
 from repro.net.rpc import ManagerUnavailable, RpcTimeout
-from repro.obs.spans import SpanKind
+from repro.obs.spans import NULL_SPAN, SpanKind
 from repro.repository.resources import MembershipState
 from repro.runtime.checkpoint import (
     ApplicationCheckpoint,
@@ -232,7 +232,7 @@ class _Race:
     #: set by the timer once (and only if) a backup copy is launched
     bid: Any = None
     entry: Optional[Dict[str, Any]] = None
-    span: Any = None
+    span: Any = NULL_SPAN
 
     @property
     def decided(self) -> bool:
@@ -292,10 +292,9 @@ class ExecutionCoordinator:
         self.data_policy = runtime.config.data_policy
         #: causal span recorder (runtime-shared; null object when off)
         self.spans = runtime.spans
-        #: this application's root span context.  None when spans are
-        #: off — and a span whose parent is None is None (``_open``), so
-        #: no span site below tests whether spans are on.
-        self._root_span = None
+        #: this application's root span context (NULL_SPAN when spans
+        #: are off, and then so is every span below it)
+        self._root_span = NULL_SPAN
         #: sites that never acknowledged their allocation portion
         self._unreachable_sites: set = set()
         #: task -> reasons for pre-execution moves off unreachable sites
@@ -329,24 +328,21 @@ class ExecutionCoordinator:
     # -- causal spans --------------------------------------------------------
 
     def _open(self, kind: str, parent, **attrs: Any):
-        """Open a child span of ``parent``; a span whose parent is None is None."""
-        if parent is None:
-            return None
+        """Open a child span of ``parent`` for this application."""
         return self.spans.open(
             kind, self.afg.name, parent=parent, source=self._src, **attrs
         )
 
     def _close(self, span, **attrs: Any) -> None:
-        if span is not None:
-            self.spans.close(span, source=self._src, **attrs)
+        self.spans.close(span, source=self._src, **attrs)
 
     # -- protocol ------------------------------------------------------------
 
     def _run(self):
         submitted_at = self.sim.now
-        if self.spans.enabled:
-            self._root_span = self.spans.root_of(self.afg.name, source=self._src)
-        root = self._root_span
+        root = self._root_span = self.spans.root_of(
+            self.afg.name, source=self._src
+        )
 
         # Phase 0: journal the schedule (fresh run) or the resume.
         self._journal_start()
@@ -488,15 +484,11 @@ class ExecutionCoordinator:
                     # ambient context so the Site Manager's fanout span
                     # parents under the allocation span (the remote path
                     # gets the same via the RPC attempt context)
-                    if span is not None:
-                        self.spans.push(span)
-                    try:
-                        local_signal = self.runtime.site_managers[
-                            site_name
-                        ].distribute_allocation(snapshot, self.afg)
-                    finally:
-                        if span is not None:
-                            self.spans.pop()
+                    manager = self.runtime.site_managers[site_name]
+                    local_signal = yield from self.spans.within(
+                        span,
+                        lambda: manager.distribute_allocation(snapshot, self.afg),
+                    )
                 else:
                     procs.append(
                         self.sim.process(
@@ -744,7 +736,7 @@ class ExecutionCoordinator:
             )
         signal.succeed(value)
 
-    def _establish_channel(self, edge: Edge, span=None):
+    def _establish_channel(self, edge: Edge, span=NULL_SPAN):
         """Channel setup + ack for one edge, with control-plane retries.
 
         The communication proxy's setup message and the acknowledgement
@@ -999,7 +991,7 @@ class ExecutionCoordinator:
         app = self.afg.name
         label = f"{edge.src}->{edge.dst}"
         expected = integrity.recorded_hash(app, edge.src, edge.src_port)
-        repair_span = None
+        repair_span = NULL_SPAN
 
         def fetch():
             nonlocal repair_span
@@ -1021,7 +1013,7 @@ class ExecutionCoordinator:
                     reason="dataflow", edge=edge,
                 ), label, expected)
             except (CorruptPayloadError, MissingArtifactError):
-                if repair_span is None:
+                if repair_span is NULL_SPAN:  # the episode's first detection
                     repair_span = self._open(
                         SpanKind.REPAIR, parent_span, edge=[edge.src, edge.dst]
                     )

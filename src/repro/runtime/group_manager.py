@@ -19,17 +19,23 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import NULL_SPAN, NULL_SPANS, SpanKind, SpanRecorder
 from repro.runtime.monitor import Measurement
 from repro.runtime.stats import RuntimeStats
-from repro.runtime.straggler import HostHealth, PhiAccrualDetector
+from repro.runtime.straggler import (
+    CountEchoDetector,
+    HostHealth,
+    PhiEchoDetector,
+)
 from repro.sim.kernel import Process, Simulator, Timeout
 from repro.sim.site import Group
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.net.rpc import ControlPlane
     from repro.runtime.site_manager import SiteManager
+    from repro.runtime.vdce_runtime import RuntimeConfig
 
 __all__ = ["GroupManager"]
 
@@ -43,94 +49,57 @@ class GroupManager:
         group: Group,
         site_manager: "SiteManager",
         stats: RuntimeStats,
-        change_threshold: float = 0.25,
-        echo_period_s: float = 5.0,
-        lan_latency_s: float = 0.0005,
-        echo_loss_prob: float = 0.0,
-        suspicion_threshold: int = 1,
+        config: "RuntimeConfig",
+        lan_link,
+        control: "ControlPlane",
         tracer: Tracer = NULL_TRACER,
-        control=None,
-        lan_link=None,
-        detector: str = "count",
-        phi_suspect: float = 1.0,
-        phi_down: float = 2.0,
-        echo_timeout_s: Optional[float] = None,
         health: Optional[HostHealth] = None,
         spans: SpanRecorder = NULL_SPANS,
     ):
-        """``echo_loss_prob`` models a lossy campus LAN: each echo round
-        trip independently fails with this probability.  A host is only
-        declared down after ``suspicion_threshold`` *consecutive* missed
-        echoes — the standard guard against false positives (with the
-        default of 1, behaviour is the paper's immediate declaration).
+        """``config`` carries the monitoring tunables, already validated
+        by ``RuntimeConfig``: the significant-change threshold, the echo
+        period, ``echo_loss_prob`` (a lossy campus LAN: each echo round
+        trip independently fails with this probability) and the
+        failure-detection discipline — ``detector="count"`` is a
+        :class:`~repro.runtime.straggler.CountEchoDetector`, ``"phi"`` a
+        :class:`~repro.runtime.straggler.PhiEchoDetector`.
 
-        ``detector`` picks the failure-detection discipline: ``"count"``
-        is the consecutive-miss counter above; ``"phi"`` is a
-        phi-accrual detector (:class:`~repro.runtime.straggler.
-        PhiAccrualDetector`) over echo inter-arrival history, which
-        SUSPECTs at ``phi_suspect`` and only declares down at
-        ``phi_down`` — so a slowed host (whose echo round trip stretches
-        with its :attr:`~repro.sim.host.Host.slowdown`) stays trusted
-        instead of being treated as dead.  ``echo_timeout_s`` is the
-        count detector's per-round response deadline (default: the echo
-        period, i.e. any response within the round counts); the phi
-        detector has no deadline — late arrivals simply enter the
-        history.
-
-        ``control`` (a :class:`~repro.net.rpc.ControlPlane`) and
-        ``lan_link`` route failure/recovery reports through the retrying
-        notification path, so a lossy or down LAN delays rather than
-        drops them; without them, reports are plain delayed calls."""
-        if change_threshold < 0:
-            raise ValueError("change_threshold must be non-negative")
-        if echo_period_s <= 0:
-            raise ValueError("echo_period_s must be positive")
-        if not (0.0 <= echo_loss_prob < 1.0):
-            raise ValueError("echo_loss_prob must be in [0, 1)")
-        if suspicion_threshold < 1:
-            raise ValueError("suspicion_threshold must be >= 1")
-        if detector not in ("count", "phi"):
-            raise ValueError(f"detector must be 'count' or 'phi', got {detector!r}")
-        if not (0.0 < phi_suspect < phi_down):
-            raise ValueError("need 0 < phi_suspect < phi_down")
-        if echo_timeout_s is not None and echo_timeout_s <= 0:
-            raise ValueError("echo_timeout_s must be positive")
+        Failure/recovery reports go to the Site Manager through
+        ``control``'s retrying notification path over ``lan_link``, so a
+        lossy or down LAN delays rather than drops them."""
         self.sim = sim
         self.group = group
         self.site_manager = site_manager
         self.stats = stats
-        self.change_threshold = float(change_threshold)
-        self.echo_period_s = float(echo_period_s)
-        self.lan_latency_s = float(lan_latency_s)
-        self.echo_loss_prob = float(echo_loss_prob)
-        self.suspicion_threshold = int(suspicion_threshold)
+        self.change_threshold = float(config.change_threshold)
+        self.echo_period_s = float(config.echo_period_s)
+        self.lan_latency_s = float(lan_link.spec.latency_s)
+        self.echo_loss_prob = float(config.echo_loss_prob)
         self.tracer = tracer
         self._control = control
         self._lan_link = lan_link
-        self.detector = detector
-        self.phi_suspect = float(phi_suspect)
-        self.phi_down = float(phi_down)
-        self.echo_timeout_s = (
-            float(echo_timeout_s) if echo_timeout_s is not None else None
-        )
         self.health = health
         self.spans = spans
-        #: open failover span between crash and restart (spans on only)
-        self._crash_span = None
+        #: trace/span source of everything this manager emits
+        self._src = f"gm:{group.name}"
+        #: open failover span between crash and restart
+        self._crash_span = NULL_SPAN
         #: last workload value forwarded upward, per host
         self._last_forwarded: Dict[str, float] = {}
         #: what this Group Manager believes about host liveness
         self._believed_up: Dict[str, bool] = {h.name: True for h in group}
-        #: consecutive missed echoes per host
-        self._missed: Dict[str, int] = {h.name: 0 for h in group}
-        #: phi-accrual state, one detector per host (phi mode only)
-        self._detectors: Dict[str, PhiAccrualDetector] = (
-            {h.name: PhiAccrualDetector(self.echo_period_s) for h in group}
-            if detector == "phi"
-            else {}
+        #: the failure-detection discipline and its per-host state
+        self._detector = (
+            PhiEchoDetector(
+                self.echo_period_s, config.phi_suspect, config.phi_down,
+                self._believed_up,
+            )
+            if config.detector == "phi"
+            else CountEchoDetector(
+                config.suspicion_threshold, config.echo_timeout_s,
+                self._believed_up,
+            )
         )
-        #: hosts currently under suspicion (phi mode only)
-        self._suspected: Dict[str, bool] = {h.name: False for h in group}
         self._echo_process: Optional[Process] = None
         #: pre-labelled counter handles for the measurement fast path,
         #: resolved lazily at first use: family registration order is
@@ -167,17 +136,12 @@ class GroupManager:
         the host — trusted, no missed echoes, fresh detector history.
         """
         self._believed_up[host.name] = True
-        self._missed[host.name] = 0
-        self._suspected[host.name] = False
-        if self.detector == "phi":
-            self._detectors[host.name] = PhiAccrualDetector(self.echo_period_s)
+        self._detector.reset(host.name)
 
     def retire_host(self, name: str) -> None:
         """Forget a departed member: beliefs, suspicion, filter state."""
         self._believed_up.pop(name, None)
-        self._missed.pop(name, None)
-        self._suspected.pop(name, None)
-        self._detectors.pop(name, None)
+        self._detector.retire(name)
         self._last_forwarded.pop(name, None)
 
     # -- crash / failover (control-plane fault model) ----------------------
@@ -198,16 +162,13 @@ class GroupManager:
         self._failover_pending = False
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.MANAGER_CRASH, source=f"gm:{self.name}",
-                role="group_manager",
+                EventKind.MANAGER_CRASH, source=self._src, role="group_manager",
             )
-        if self.spans.enabled:
-            # manager-scoped span (no owning application): the window
-            # from crash to restart during which the group is headless
-            self._crash_span = self.spans.open(
-                SpanKind.FAILOVER, "", source=f"gm:{self.name}",
-                group=self.name,
-            )
+        # manager-scoped span (no owning application): the window from
+        # crash to restart during which the group is headless
+        self._crash_span = self.spans.open(
+            SpanKind.FAILOVER, "", source=self._src, group=self.name,
+        )
 
     def recover(self) -> None:
         """The original manager process comes back (no deputy needed)."""
@@ -256,10 +217,7 @@ class GroupManager:
                 self._believed_up[host_name] = repo.resources.get(host_name).up
             else:
                 self._believed_up[host_name] = True
-            self._missed[host_name] = 0
-            self._suspected[host_name] = False
-            if host_name in self._detectors:
-                self._detectors[host_name].reset()
+            self._detector.reset(host_name)
         self._last_forwarded.clear()
         if kind == EventKind.FAILOVER:
             self.failovers += 1
@@ -272,16 +230,13 @@ class GroupManager:
                 ).inc(group=self.name)
         if self.tracer.enabled:
             self.tracer.emit(
-                kind, source=f"gm:{self.name}", role="group_manager",
-                deputy=deputy,
+                kind, source=self._src, role="group_manager", deputy=deputy,
             )
-        if self._crash_span is not None:
-            self.spans.close(
-                self._crash_span, source=f"gm:{self.name}",
-                status="failover" if kind == EventKind.FAILOVER else "recover",
-                deputy=deputy,
-            )
-            self._crash_span = None
+        self.spans.close(
+            self._crash_span, source=self._src,
+            status="failover" if kind == EventKind.FAILOVER else "recover",
+            deputy=deputy,
+        )
         if self._echo_process is not None:
             # monitoring was running before the crash: resume the echo
             # protocol under the new generation
@@ -315,7 +270,7 @@ class GroupManager:
                 child.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.WORKLOAD_SUPPRESS, source=f"gm:{self.name}",
+                    EventKind.WORKLOAD_SUPPRESS, source=self._src,
                     host=measurement.host, load=measurement.load, last=last,
                 )
             return
@@ -331,7 +286,7 @@ class GroupManager:
             child.inc()
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.WORKLOAD_FORWARD, source=f"gm:{self.name}",
+                EventKind.WORKLOAD_FORWARD, source=self._src,
                 host=measurement.host, load=measurement.load,
             )
         self.sim.call_after(
@@ -378,52 +333,7 @@ class GroupManager:
                         rng = self.sim.rng(f"echo:{self.name}")
                     if float(rng.uniform()) < self.echo_loss_prob:
                         responded = False  # packet lost, host fine
-                if self.detector == "phi":
-                    self._phi_round(host, responded)
-                    continue
-                if responded and self.echo_timeout_s is not None:
-                    # count mode with a response deadline: a slowed
-                    # host's stretched round trip counts as a miss —
-                    # exactly the false positive the phi detector avoids
-                    if self._echo_rtt(host) > self.echo_timeout_s:
-                        responded = False
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.ECHO, source=f"gm:{self.name}",
-                        host=host.name, responded=responded,
-                    )
-                believed = self._believed_up[host.name]
-                if not responded:
-                    self._missed[host.name] += 1
-                else:
-                    self._missed[host.name] = 0
-                if believed and self._missed[host.name] >= self.suspicion_threshold:
-                    self._believed_up[host.name] = False
-                    if host.is_up():
-                        self.false_positives += 1
-                    self.stats.failure_notifications += 1
-                    self.stats.record_detection(self.sim.now, host.name, "down")
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            EventKind.FAILURE_NOTIFICATION,
-                            source=f"gm:{self.name}", host=host.name,
-                            false_positive=host.is_up(),
-                        )
-                    self._send_report(
-                        lambda h=host.name: self.site_manager.receive_failure(h)
-                    )
-                elif not believed and responded:
-                    self._believed_up[host.name] = True
-                    self.stats.recovery_notifications += 1
-                    self.stats.record_detection(self.sim.now, host.name, "up")
-                    if self.tracer.enabled:
-                        self.tracer.emit(
-                            EventKind.RECOVERY_NOTIFICATION,
-                            source=f"gm:{self.name}", host=host.name,
-                        )
-                    self._send_report(
-                        lambda h=host.name: self.site_manager.receive_recovery(h)
-                    )
+                self._echo_round(host, responded)
             brownout = self.site_manager.brownout
             if brownout is not None and self.alive:
                 # backpressure input: this round's believed-up run-queue
@@ -439,118 +349,69 @@ class GroupManager:
                 )
                 self.site_manager.receive_occupancy(self.name, occupancy)
 
-    def _echo_rtt(self, host) -> float:
-        """Echo round-trip time: two LAN hops, stretched by slowdown.
-
-        A degraded host still answers — late.  This is the observable
-        that distinguishes slow from dead, and what a too-tight
-        ``echo_timeout_s`` turns into a false positive.
-        """
-        return 2.0 * self.lan_latency_s * max(1.0, host.slowdown)
-
-    def _phi_round(self, host, responded: bool) -> None:
-        """One echo round under the phi-accrual discipline.
-
-        Suspicion ``phi`` is evaluated against the arrival history
-        *before* this round's arrival is recorded, then transitions:
-
-        * TRUST -> SUSPECT at ``phi >= phi_suspect``;
-        * SUSPECT -> declared down at ``phi >= phi_down`` (the usual
-          failure-notification path);
-        * SUSPECT -> TRUST when arrivals resume and phi falls back
-          below ``phi_suspect``;
-        * believed-down + any arrival -> recovery notification, with
-          the detector history reset.
-        """
-        now = self.sim.now
-        det = self._detectors[host.name]
-        phi = det.phi(now)
-        rtt = self._echo_rtt(host) if responded else None
+    def _echo_round(self, host, responded: bool) -> None:
+        """Read one echo through the detector and act on its verdict."""
+        # two LAN hops, stretched by slowdown: a degraded host still
+        # answers — late.  This is the observable that distinguishes
+        # slow from dead.
+        rtt_s = 2.0 * self.lan_latency_s * max(1.0, host.slowdown)
+        verdict = self._detector.round(
+            host.name, responded, rtt_s, self.sim.now,
+            self._believed_up[host.name],
+        )
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.ECHO, source=f"gm:{self.name}",
-                host=host.name, responded=responded, rtt_s=rtt, phi=phi,
+                EventKind.ECHO, source=self._src, host=host.name,
+                responded=verdict.responded, **verdict.echo,
             )
-        if not self._believed_up[host.name]:
-            if responded:
-                det.reset()
-                det.heartbeat(now + rtt)
-                self._suspected[host.name] = False
-                self._believed_up[host.name] = True
-                self.stats.recovery_notifications += 1
-                self.stats.record_detection(now, host.name, "up")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.RECOVERY_NOTIFICATION,
-                        source=f"gm:{self.name}", host=host.name,
-                    )
-                self._send_report(
-                    lambda h=host.name: self.site_manager.receive_recovery(h)
-                )
-            return
-        if responded:
-            det.heartbeat(now + rtt)
-        if self._suspected[host.name]:
-            if phi >= self.phi_down:
-                self._suspected[host.name] = False
-                self._believed_up[host.name] = False
-                det.reset()
-                if host.is_up():
-                    self.false_positives += 1
-                self.stats.failure_notifications += 1
-                self.stats.record_detection(now, host.name, "down")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.FAILURE_NOTIFICATION,
-                        source=f"gm:{self.name}", host=host.name,
-                        false_positive=host.is_up(), phi=phi,
-                    )
-                self._send_report(
-                    lambda h=host.name: self.site_manager.receive_failure(h)
-                )
-                if self.health is not None:
-                    self.health.penalize(
-                        host.name, self.health.policy.failure_penalty,
-                        "declared_down", origin=f"gm:{self.name}",
-                    )
-            elif phi < self.phi_suspect:
-                self._suspected[host.name] = False
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.TRUST, source=f"gm:{self.name}",
-                        host=host.name, phi=phi,
-                    )
-        elif phi >= self.phi_suspect:
-            self._suspected[host.name] = True
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.SUSPECT, source=f"gm:{self.name}",
-                    host=host.name, phi=phi,
-                )
-            if self.health is not None:
-                self.health.penalize(
-                    host.name, self.health.policy.suspect_penalty, "suspect",
-                    origin=f"gm:{self.name}",
-                )
+        change = verdict.transition
+        if change == "down" or change == "up":
+            self._declare(host, change == "up", **verdict.evidence)
+        elif change is not None and self.tracer.enabled:
+            self.tracer.emit(
+                EventKind.SUSPECT if change == "suspect" else EventKind.TRUST,
+                source=self._src, host=host.name, **verdict.evidence,
+            )
+        if verdict.penalty is not None and self.health is not None:
+            policy = self.health.policy
+            self.health.penalize(
+                host.name,
+                policy.failure_penalty if change == "down"
+                else policy.suspect_penalty,
+                verdict.penalty, origin=self._src,
+            )
+
+    def _declare(self, host, up: bool, **evidence) -> None:
+        """Flip the belief about ``host`` and tell the Site Manager."""
+        name = host.name
+        self._believed_up[name] = up
+        if up:
+            self.stats.recovery_notifications += 1
+            kind = EventKind.RECOVERY_NOTIFICATION
+        else:
+            false_positive = host.is_up()  # a lost or late echo, host fine
+            if false_positive:
+                self.false_positives += 1
+            evidence = {"false_positive": false_positive, **evidence}
+            self.stats.failure_notifications += 1
+            kind = EventKind.FAILURE_NOTIFICATION
+        self.stats.record_detection(self.sim.now, name, "up" if up else "down")
+        if self.tracer.enabled:
+            self.tracer.emit(kind, source=self._src, host=name, **evidence)
+        # over the LAN, retrying (and so loss-tolerant); a lossless,
+        # healthy LAN delivers after exactly one latency
+        receive = (
+            self.site_manager.receive_recovery if up
+            else self.site_manager.receive_failure
+        )
+        self._control.notify_lan(
+            self._lan_link, lambda: receive(name), self.lan_latency_s,
+            label=f"report:{self.name}",
+        )
 
     def is_suspected(self, host_name: str) -> bool:
         """Is the host under (phi) suspicion — slow, but not declared dead?"""
-        return self._suspected.get(host_name, False)
-
-    def _send_report(self, deliver) -> None:
-        """Failure/recovery report to the Site Manager over the LAN.
-
-        Retrying (and so loss-tolerant) when a control plane is wired
-        in; otherwise the original single delayed delivery.  Either way
-        a lossless, healthy LAN delivers after exactly one latency.
-        """
-        if self._control is not None:
-            self._control.notify_lan(
-                self._lan_link, deliver, self.lan_latency_s,
-                label=f"report:{self.name}",
-            )
-        else:
-            self.sim.call_after(self.lan_latency_s, deliver)
+        return self._detector.suspects(host_name)
 
     def believes_up(self, host_name: str) -> bool:
         # a host this manager does not track (departed, or never a

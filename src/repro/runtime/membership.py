@@ -37,8 +37,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Any, Dict, List, Tuple
 
 from repro.repository.resources import MembershipError, MembershipState
-from repro.runtime.app_controller import AppController
-from repro.runtime.monitor import MonitorDaemon
 from repro.sim.host import Host, HostSpec, Interrupted
 from repro.sim.kernel import Timeout
 from repro.trace.events import EventKind
@@ -88,30 +86,9 @@ class MembershipCoordinator:
 
     def _wire_host(self, site_name: str, group_name: str, host: Host) -> None:
         """Attach runtime components for a freshly (re)joined host."""
-        runtime = self.runtime
-        config = runtime.config
-        manager = runtime.site_managers[site_name]
-        gm = manager.group_managers[group_name]
+        gm = self.runtime.site_managers[site_name].group_managers[group_name]
         gm.admit_host(host)
-        lan_latency = runtime.topology.network.lan_link(site_name).spec.latency_s
-        monitor = MonitorDaemon(
-            self.sim, host, gm, runtime.stats,
-            period_s=config.monitor_period_s,
-            lan_latency_s=lan_latency,
-            tracer=self.tracer,
-        )
-        runtime.monitors[host.name] = monitor
-        controller = AppController(
-            self.sim, host, runtime.stats,
-            load_threshold=config.load_threshold,
-            check_period_s=config.check_period_s,
-            tracer=self.tracer,
-            checks=runtime.load_checks,
-        )
-        manager.attach_app_controller(controller)
-        runtime.app_controllers[host.name] = controller
-        if runtime._monitoring_started:
-            monitor.start()
+        self.runtime.attach_host(gm, host)
 
     # -- transitions --------------------------------------------------------
 

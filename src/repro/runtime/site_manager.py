@@ -68,6 +68,8 @@ class SiteManager:
         self.lan_latency_s = float(lan_latency_s)
         self.tracer = tracer
         self.spans = spans
+        #: trace/span source of everything this manager emits
+        self._src = f"sm:{site.name}"
         #: optional HostHealth: quarantine + prediction penalties folded
         #: into every host selection this site performs
         self.health = health
@@ -110,7 +112,7 @@ class SiteManager:
         self.alive = False
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.MANAGER_CRASH, source=f"sm:{self.name}",
+                EventKind.MANAGER_CRASH, source=self._src,
                 role="site_manager",
             )
 
@@ -129,7 +131,7 @@ class SiteManager:
                 self.repository.resources.mark_up(host_name, time=self.sim.now)
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.MANAGER_RECOVER, source=f"sm:{self.name}",
+                EventKind.MANAGER_RECOVER, source=self._src,
                 role="site_manager", replayed_reports=len(pending),
             )
 
@@ -271,28 +273,26 @@ class SiteManager:
         self.stats.allocation_messages += len(groups_involved)
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.ALLOCATION_MULTICAST, source=f"sm:{self.name}",
+                EventKind.ALLOCATION_MULTICAST, source=self._src,
                 application=table.application, groups=groups_involved,
                 hosts=hosts_involved,
             )
         # ... then Group Manager -> each Application Controller
         pending = [len(hosts_involved)]
-        fanout_span = None
-        if self.spans.enabled:
-            # parented to the caller's ambient context: the allocation
-            # span for a local call, the RPC attempt for a remote one —
-            # this is the cross-site hop that stitches the tree together
-            fanout_span = self.spans.open(
-                SpanKind.SM_FANOUT, table.application,
-                parent=self.spans.current, source=f"sm:{self.name}",
-                groups=groups_involved, hosts=len(hosts_involved),
-            )
+        # parented to the caller's ambient context: the allocation span
+        # for a local call, the RPC attempt for a remote one — this is
+        # the cross-site hop that stitches the tree together
+        fanout_span = self.spans.open(
+            SpanKind.SM_FANOUT, table.application,
+            parent=self.spans.current, source=self._src,
+            groups=groups_involved, hosts=len(hosts_involved),
+        )
 
         def deliver_to_controller(host_name: str) -> None:
             self.stats.execution_requests += 1
             if self.tracer.enabled:
                 self.tracer.emit(
-                    EventKind.EXECUTION_REQUEST, source=f"sm:{self.name}",
+                    EventKind.EXECUTION_REQUEST, source=self._src,
                     application=table.application, host=host_name,
                 )
             controller = self.app_controllers.get(host_name)
@@ -302,8 +302,7 @@ class SiteManager:
                 controller.receive_execution_request(table.application)
             pending[0] -= 1
             if pending[0] == 0:
-                if fanout_span is not None:
-                    self.spans.close(fanout_span, source=f"sm:{self.name}")
+                self.spans.close(fanout_span, source=self._src)
                 done.succeed(hosts_involved)
 
         for host_name in hosts_involved:
@@ -335,7 +334,7 @@ class SiteManager:
             ).observe(measured_s / expected_s, site=self.name)
         if self.tracer.enabled:
             self.tracer.emit(
-                EventKind.TASKPERF_UPDATE, source=f"sm:{self.name}",
+                EventKind.TASKPERF_UPDATE, source=self._src,
                 task_type=task_type, host=host,
                 expected_s=expected_s, measured_s=measured_s,
             )

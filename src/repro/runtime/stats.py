@@ -7,7 +7,7 @@ setup counts), so they are first-class rather than scattered ad-hoc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Dict, List, Tuple
 
 __all__ = ["RuntimeStats"]
@@ -133,36 +133,14 @@ class RuntimeStats:
             ).set_total(float(value))
 
     def as_dict(self) -> Dict[str, float]:
+        """Every scalar counter (the fields with a plain default, in
+        field order), the per-application dicts summed, and the total."""
+        counters = {
+            f.name: getattr(self, f.name)
+            for f in fields(self) if f.default is not MISSING
+        }
         return {
-            "monitor_reports": self.monitor_reports,
-            "workload_forwards": self.workload_forwards,
-            "workload_suppressed": self.workload_suppressed,
-            "echo_packets": self.echo_packets,
-            "failure_notifications": self.failure_notifications,
-            "recovery_notifications": self.recovery_notifications,
-            "allocation_messages": self.allocation_messages,
-            "execution_requests": self.execution_requests,
-            "channel_setups": self.channel_setups,
-            "channel_acks": self.channel_acks,
-            "startup_signals": self.startup_signals,
-            "data_transfers": self.data_transfers,
-            "data_transferred_mb": self.data_transferred_mb,
-            "reschedule_requests": self.reschedule_requests,
-            "failure_restarts": self.failure_restarts,
-            "scheduler_messages": self.scheduler_messages,
-            "rpc_retries": self.rpc_retries,
-            "rpc_timeouts": self.rpc_timeouts,
-            "transfer_retries": self.transfer_retries,
-            "channel_reestablishes": self.channel_reestablishes,
-            "taskperf_updates": self.taskperf_updates,
-            "failovers": self.failovers,
-            "checkpoint_records": self.checkpoint_records,
-            "checkpoint_bytes": self.checkpoint_bytes,
-            "resumes": self.resumes,
-            "speculative_launches": self.speculative_launches,
-            "speculative_wins": self.speculative_wins,
-            "speculative_wasted_s": self.speculative_wasted_s,
-            "queue_wait_s": self.queue_wait_s,
+            **counters,
             "sites_bid": sum(self.sites_bid.values()),
             "sites_used": sum(self.sites_used.values()),
             "total_control_messages": self.total_control_messages(),

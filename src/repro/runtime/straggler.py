@@ -36,16 +36,19 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, Optional
+from typing import Any, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
 from repro.sim.kernel import Simulator
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
+    "CountEchoDetector",
+    "EchoVerdict",
     "HealthPolicy",
     "HostHealth",
     "PhiAccrualDetector",
+    "PhiEchoDetector",
     "RatioTracker",
     "SpeculationPolicy",
 ]
@@ -112,6 +115,135 @@ class PhiAccrualDetector:
         """Forget history (after a declared failure or a recovery)."""
         self._intervals.clear()
         self._last_arrival = None
+
+
+_NOTHING: Mapping[str, Any] = {}
+
+
+class EchoVerdict(NamedTuple):
+    """What one echo of one host means under a detection discipline."""
+
+    #: whether the echo counts as answered
+    responded: bool
+    #: ``"down"`` / ``"up"`` (the belief flips, the Site Manager is
+    #: told), ``"suspect"`` / ``"trust"`` (suspicion only), None (no change)
+    transition: Optional[str] = None
+    #: extra fields of the round's ``echo`` trace event
+    echo: Mapping[str, Any] = _NOTHING
+    #: extra fields of the transition's trace event
+    evidence: Mapping[str, Any] = _NOTHING
+    #: reason to charge the host's health score with, if any
+    penalty: Optional[str] = None
+
+
+#: the two verdicts that change nothing (almost every echo ends in one)
+_ANSWERED, _MISSED = EchoVerdict(True), EchoVerdict(False)
+
+
+class CountEchoDetector:
+    """The paper's protocol: down after N consecutive missed echoes.
+
+    ``threshold`` consecutive misses declare a believed-up host down
+    (1 = the paper's immediate declaration; more guards a lossy LAN
+    against false positives); any answer from a believed-down host
+    brings it back.  With a ``timeout_s`` an answer whose round trip
+    took longer counts as a miss — which is how a merely slowed host
+    becomes a false positive, the failure mode :class:`PhiEchoDetector`
+    exists to avoid.
+    """
+
+    def __init__(self, threshold: int, timeout_s: Optional[float] = None,
+                 hosts: Iterable[str] = ()):
+        self.threshold = threshold
+        self.timeout_s = timeout_s
+        #: consecutive missed echoes per host
+        self.missed: Dict[str, int] = {name: 0 for name in hosts}
+
+    def reset(self, host: str) -> None:
+        """Fresh state for ``host`` (also how a joining host is admitted)."""
+        self.missed[host] = 0
+
+    def retire(self, host: str) -> None:
+        self.missed.pop(host, None)
+
+    def suspects(self, host: str) -> bool:
+        return False  # this discipline knows up and down only
+
+    def round(self, host: str, responded: bool, rtt_s: float, now: float,
+              believed_up: bool) -> EchoVerdict:
+        if responded and self.timeout_s is not None and rtt_s > self.timeout_s:
+            responded = False
+        missed = self.missed[host] = 0 if responded else self.missed[host] + 1
+        if believed_up and missed >= self.threshold:
+            return EchoVerdict(responded, "down")
+        if not believed_up and responded:
+            return EchoVerdict(responded, "up")
+        return _ANSWERED if responded else _MISSED
+
+
+class PhiEchoDetector:
+    """Phi-accrual rounds: slow is not dead.
+
+    One :class:`PhiAccrualDetector` per host over echo arrival times.
+    Suspicion ``phi`` is evaluated against the history *before* the
+    round's arrival is recorded, then:
+
+    * TRUST -> SUSPECT at ``phi >= phi_suspect``;
+    * SUSPECT -> declared down at ``phi >= phi_down``;
+    * SUSPECT -> TRUST when arrivals resume and phi falls back below
+      ``phi_suspect``;
+    * believed-down + any arrival -> up, with the history reset.
+
+    There is no deadline: a late arrival simply enters the history.
+    """
+
+    def __init__(self, period_s: float, phi_suspect: float, phi_down: float,
+                 hosts: Iterable[str] = ()):
+        self.period_s = period_s
+        self.phi_suspect = phi_suspect
+        self.phi_down = phi_down
+        self._history: Dict[str, PhiAccrualDetector] = {}
+        self._suspected: Dict[str, bool] = {}
+        for name in hosts:
+            self.reset(name)
+
+    def reset(self, host: str) -> None:
+        """Fresh state for ``host`` (also how a joining host is admitted)."""
+        self._history[host] = PhiAccrualDetector(self.period_s)
+        self._suspected[host] = False
+
+    def retire(self, host: str) -> None:
+        self._history.pop(host, None)
+        self._suspected.pop(host, None)
+
+    def suspects(self, host: str) -> bool:
+        return self._suspected.get(host, False)
+
+    def round(self, host: str, responded: bool, rtt_s: float, now: float,
+              believed_up: bool) -> EchoVerdict:
+        phi = self._history[host].phi(now)
+        echo = {"rtt_s": rtt_s if responded else None, "phi": phi}
+        if not believed_up:
+            if not responded:
+                return EchoVerdict(False, None, echo)
+            self.reset(host)
+            self._history[host].heartbeat(now + rtt_s)
+            return EchoVerdict(True, "up", echo)
+        if responded:
+            self._history[host].heartbeat(now + rtt_s)
+        transition = penalty = None
+        if self._suspected[host]:
+            if phi >= self.phi_down:
+                self.reset(host)
+                transition, penalty = "down", "declared_down"
+            elif phi < self.phi_suspect:
+                self._suspected[host] = False
+                transition = "trust"
+        elif phi >= self.phi_suspect:
+            self._suspected[host] = True
+            transition, penalty = "suspect", "suspect"
+        evidence = {"phi": phi} if transition is not None else _NOTHING
+        return EchoVerdict(responded, transition, echo, evidence, penalty)
 
 
 class RatioTracker:

@@ -21,7 +21,7 @@ as real simulated transfers, so scheduling overhead is measurable
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Dict, List, Mapping, Optional
+from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
@@ -32,7 +32,7 @@ from repro.net.rpc import (
     RetryPolicy,
     RpcTimeout,
 )
-from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
+from repro.obs.spans import NULL_SPANS, SpanContext, SpanKind, SpanRecorder
 from repro.runtime.overload import (
     BrownoutController,
     OverloadPolicy,
@@ -77,6 +77,25 @@ _BID_ROW_MB = 0.0002
 def _reply_mb(bid: SiteBid) -> float:
     """Wire size of a bid reply: its rows (an empty one still costs one)."""
     return _BID_ROW_MB * max(1, bid.rows)
+
+
+class _BidRound(NamedTuple):
+    """What every exchange of one Fig. 2 round shares."""
+
+    application: str
+    #: trace/span source of the local Site Manager
+    source: str
+    #: the round's ``schedule`` span
+    span: SpanContext
+    task_types: List[str]
+    model: PredictionModel
+    request_mb: float
+    #: VDCE Server host of the local site, and of every site in the round
+    local_server: str
+    servers: Dict[str, str]
+    #: per remote, the believed time on the wire of one request and its
+    #: reply — expected to be the size of this site's own
+    wire_s: Dict[str, float]
 
 
 @dataclass(frozen=True)
@@ -241,6 +260,14 @@ class VDCERuntime:
             }
         self.repositories: Dict[str, SiteRepository] = dict(repositories)
 
+        self._monitoring_started = False
+        self._build_sites()
+        self._build_services()
+
+    def _build_sites(self) -> None:
+        """The Fig. 4 hierarchy: per site a Site Manager, per group a
+        Group Manager, per host a Monitor daemon and an Application
+        Controller — and the membership driver that changes it later."""
         self.site_managers: Dict[str, SiteManager] = {}
         self.group_managers: Dict[str, GroupManager] = {}
         self.monitors: Dict[str, MonitorDaemon] = {}
@@ -248,58 +275,10 @@ class VDCERuntime:
         #: one calendar of armed load checks for every controller, so
         #: checks due in the same instant fire oldest slice first
         self.load_checks = LoadCheckCalendar(self.sim)
-
-        for site_name, site in topology.sites.items():
-            lan_latency = topology.network.lan_link(site_name).spec.latency_s
-            manager = SiteManager(
-                self.sim, site, self.repositories[site_name], self.stats,
-                lan_latency_s=lan_latency,
-                tracer=self.tracer,
-                health=self.health,
-                spans=self.spans,
-                brownout=self.brownout,
-            )
-            self.site_managers[site_name] = manager
-            for group in site.groups.values():
-                gm = GroupManager(
-                    self.sim, group, manager, self.stats,
-                    change_threshold=config.change_threshold,
-                    echo_period_s=config.echo_period_s,
-                    lan_latency_s=lan_latency,
-                    echo_loss_prob=config.echo_loss_prob,
-                    suspicion_threshold=config.suspicion_threshold,
-                    tracer=self.tracer,
-                    control=self.control,
-                    lan_link=topology.network.lan_link(site_name),
-                    detector=config.detector,
-                    phi_suspect=config.phi_suspect,
-                    phi_down=config.phi_down,
-                    echo_timeout_s=config.echo_timeout_s,
-                    health=self.health,
-                    spans=self.spans,
-                )
-                manager.attach_group_manager(gm)
-                self.group_managers[gm.name] = gm
-                for host in group:
-                    self.monitors[host.name] = MonitorDaemon(
-                        self.sim, host, gm, self.stats,
-                        period_s=config.monitor_period_s,
-                        lan_latency_s=lan_latency,
-                        tracer=self.tracer,
-                    )
-                    controller = AppController(
-                        self.sim, host, self.stats,
-                        load_threshold=config.load_threshold,
-                        check_period_s=config.check_period_s,
-                        tracer=self.tracer,
-                        checks=self.load_checks,
-                    )
-                    manager.attach_app_controller(controller)
-                    self.app_controllers[host.name] = controller
-
+        for site in self.topology.sites.values():
+            self._build_site(site)
         for manager in self.site_managers.values():
             manager.peers = dict(self.site_managers)
-
         #: elastic membership driver (DESIGN §17): host join / graceful
         #: drain / decommission / rejoin at runtime.  Pure bookkeeping
         #: until a transition is requested — fault-free runs unchanged.
@@ -307,6 +286,9 @@ class VDCERuntime:
         for manager in self.site_managers.values():
             manager.membership = self.membership
 
+    def _build_services(self) -> None:
+        """The data-plane services shared by every application."""
+        config = self.config
         #: end-to-end data integrity (artifact hashes + repair ladder);
         #: None when disabled — no hashing, no verification, no repair
         self.integrity: Optional[IntegrityManager] = (
@@ -318,11 +300,56 @@ class VDCERuntime:
             else None
         )
         self.io_service = IOService(
-            self.sim, topology.network, self.stats, tracer=self.tracer,
+            self.sim, self.topology.network, self.stats, tracer=self.tracer,
             integrity=self.integrity,
         )
         self.console = ConsoleService(self.sim)
-        self._monitoring_started = False
+
+    def _build_site(self, site) -> None:
+        """One site's Site Manager, its Group Managers and their hosts."""
+        lan_link = self.topology.network.lan_link(site.name)
+        manager = self.site_managers[site.name] = SiteManager(
+            self.sim, site, self.repositories[site.name], self.stats,
+            lan_latency_s=lan_link.spec.latency_s,
+            tracer=self.tracer,
+            health=self.health,
+            spans=self.spans,
+            brownout=self.brownout,
+        )
+        for group in site.groups.values():
+            gm = GroupManager(
+                self.sim, group, manager, self.stats, self.config,
+                lan_link=lan_link,
+                tracer=self.tracer,
+                control=self.control,
+                health=self.health,
+                spans=self.spans,
+            )
+            manager.attach_group_manager(gm)
+            self.group_managers[gm.name] = gm
+            for host in group:
+                self.attach_host(gm, host)
+
+    def attach_host(self, gm: GroupManager, host) -> None:
+        """Per-host wiring: a Monitor daemon reporting to ``gm`` and an
+        Application Controller, at deployment and at every (re)join."""
+        config = self.config
+        monitor = self.monitors[host.name] = MonitorDaemon(
+            self.sim, host, gm, self.stats,
+            period_s=config.monitor_period_s,
+            lan_latency_s=gm.lan_latency_s,
+            tracer=self.tracer,
+        )
+        controller = self.app_controllers[host.name] = AppController(
+            self.sim, host, self.stats,
+            load_threshold=config.load_threshold,
+            check_period_s=config.check_period_s,
+            tracer=self.tracer,
+            checks=self.load_checks,
+        )
+        gm.site_manager.attach_app_controller(controller)
+        if self._monitoring_started:
+            monitor.start()
 
     # -- control plane ------------------------------------------------------
 
@@ -415,12 +442,6 @@ class VDCERuntime:
         was lost — are simply left out: placement proceeds with the
         subset that answered, degrading to local-only scheduling under
         a full partition.
-
-        A large message is slow, not lost: each attempt's deadline is
-        ``rpc_policy.timeout_s`` plus the believed wire time of the
-        request and the expected reply (this site's own reply to the
-        same request), and step 5 waits ``bid_deadline_s`` plus the
-        largest such estimate.
         """
         scheduler = scheduler or SiteScheduler(k=2, model=self.model)
         local_site = local_site or self.default_site
@@ -429,125 +450,29 @@ class VDCERuntime:
         span_id = self.tracer.begin_span(
             "schedule", source=source, application=afg.name
         )
-        sched_span = None
-        if self.spans.enabled:
-            sched_span = self.spans.open(
-                SpanKind.SCHEDULE, afg.name,
-                parent=self.spans.root_of(afg.name, source=source),
-                source=source, site=local_site,
-            )
+        sched_span = self.spans.open(
+            SpanKind.SCHEDULE, afg.name,
+            parent=self.spans.root_of(afg.name, source=source),
+            source=source, site=local_site,
+        )
         view = self.federation_view(local_site)
         remotes = view.remote_sites(scheduler.k)
 
-        task_types = sorted({task.task_type for task in afg})
-        request_mb = _REQUEST_ENTRY_MB * max(1, len(task_types))
-        servers = {
-            site: self.topology.site(site).server_host.name
-            for site in (local_site, *remotes)
-        }
-        local_server = servers[local_site]
-        #: per remote, the believed time on the wire of one request and
-        #: its reply — expected to be the size of this site's own
-        wire_s: Dict[str, float] = {}
-        if remotes:
-            reply_mb = _reply_mb(
-                site_bid(view.local_repository(), task_types, scheduler.model)
-            )
-            estimate = self.topology.network.transfer_time_estimate
-            wire_s = {
-                remote: estimate(local_server, servers[remote], request_mb)
-                + estimate(servers[remote], local_server, reply_mb)
-                for remote in remotes
-            }
-        rpc_policy = self.config.rpc_policy
-
-        def exchange(remote: str):
-            exchange_started = self.sim.now
-            bid_span = None
-            if self.spans.enabled:
-                bid_span = self.spans.open(
-                    SpanKind.BID_EXCHANGE, afg.name, parent=sched_span,
-                    source=source, remote=remote,
-                )
-
-            def on_send(attempt: int) -> None:
-                # step 3: multicast the request (once per attempt on the wire)
-                self.stats.scheduler_messages += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.AFG_MULTICAST, source=source,
-                        application=afg.name, remote=remote,
-                        size_mb=request_mb, attempt=attempt,
-                    )
-
-            def on_reply(attempt: int) -> None:
-                self.stats.scheduler_messages += 1
-
-            def handle() -> SiteBid:
-                # step 4 at the remote site: its bid sheets, as of now
-                bid = self.site_managers[remote].handle_bid_request(
-                    task_types, scheduler.model
-                )
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.BID_REPLY, source=f"sm:{remote}",
-                        application=afg.name, task_types=len(bid.sheets),
-                        rows=bid.rows, version=bid.version_key,
-                    )
-                return bid
-
-            status = None
-            try:
-                bid = yield from self.control.request(
-                    local_server, servers[remote], handle,
-                    payload_mb=request_mb, reply_mb=_reply_mb,
-                    label=f"sched:{afg.name}:{remote}",
-                    policy=replace(
-                        rpc_policy,
-                        timeout_s=rpc_policy.timeout_s + wire_s[remote],
-                    ),
-                    on_send=on_send, on_reply=on_reply,
-                    span=bid_span,
-                )
-            except SiteOverloaded as exc:
-                # backpressure: the saturated site declined to bid.  Not
-                # a failure — placement proceeds with whoever answered.
-                status = "overloaded"
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.SITE_OVERLOADED, source=source,
-                        application=afg.name, remote=remote,
-                        occupancy=round(exc.occupancy, 9),
-                    )
-            except RpcTimeout:
-                status = "unreachable"
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.SITE_UNREACHABLE, source=source,
-                        application=afg.name, remote=remote, phase="scheduling",
-                    )
-            if status is not None:
-                if bid_span is not None:
-                    self.spans.close(bid_span, source=source, status=status)
-                return None
-            if self.metrics.enabled:
-                self.metrics.histogram(
-                    "vdce_bid_latency_seconds",
-                    "AFG multicast -> bid reply round trip per remote site",
-                    buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
-                ).observe(self.sim.now - exchange_started, site=remote)
-            if bid_span is not None:
-                self.spans.close(bid_span, source=source, rows=bid.rows)
-            return bid
-
+        # steps 2-4: size the messages, one exchange per remote site
+        bid_round = self._size_messages(
+            afg, scheduler.model, view, remotes, source, sched_span
+        )
         procs = [
-            self.sim.process(exchange(r), name=f"sched-xchg:{r}") for r in remotes
+            self.sim.process(
+                self._bid_exchange(bid_round, r), name=f"sched-xchg:{r}"
+            )
+            for r in remotes
         ]
         if procs:
             # step 5 with a deadline: wait for every exchange, but never
             # longer than the bid deadline — late answers are dropped.
             yield AnyOf([AllOf(procs), Timeout(
-                self.config.bid_deadline_s + max(wire_s.values())
+                self.config.bid_deadline_s + max(bid_round.wire_s.values())
             )])
         replies = [p.value for p in procs if p.triggered and p.value is not None]
 
@@ -562,12 +487,11 @@ class VDCERuntime:
         sites_bid = self.stats.sites_bid[afg.name] = 1 + len(replies)
         sites_used = self.stats.sites_used[afg.name] = len(table.sites_used())
         self.tracer.end_span(span_id, source=source)
-        if sched_span is not None:
-            self.spans.close(
-                sched_span, source=source,
-                sites_answered=len(replies), sites_bid=sites_bid,
-                sites_used=sites_used, tasks=len(table),
-            )
+        self.spans.close(
+            sched_span, source=source,
+            sites_answered=len(replies), sites_bid=sites_bid,
+            sites_used=sites_used, tasks=len(table),
+        )
         if self.metrics.enabled:
             self.metrics.histogram(
                 "vdce_schedule_seconds",
@@ -575,6 +499,119 @@ class VDCERuntime:
                 buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
             ).observe(self.sim.now - started)
         return table, self.sim.now - started
+
+    def _size_messages(self, afg, model, view, remotes, source, span) -> _BidRound:
+        """Fig. 2 step 2: what goes on the wire this round, and for how long.
+
+        A large message is slow, not lost: each attempt's deadline is
+        ``rpc_policy.timeout_s`` plus the believed wire time of the
+        request and the expected reply (this site's own reply to the
+        same request), and step 5 waits ``bid_deadline_s`` plus the
+        largest such estimate.
+        """
+        local_site = view.local_site
+        task_types = sorted({task.task_type for task in afg})
+        request_mb = _REQUEST_ENTRY_MB * max(1, len(task_types))
+        servers = {
+            site: self.topology.site(site).server_host.name
+            for site in (local_site, *remotes)
+        }
+        local_server = servers[local_site]
+        wire_s: Dict[str, float] = {}
+        if remotes:
+            reply_mb = _reply_mb(
+                site_bid(view.local_repository(), task_types, model)
+            )
+            estimate = self.topology.network.transfer_time_estimate
+            wire_s = {
+                remote: estimate(local_server, servers[remote], request_mb)
+                + estimate(servers[remote], local_server, reply_mb)
+                for remote in remotes
+            }
+        return _BidRound(
+            afg.name, source, span, task_types, model, request_mb,
+            local_server, servers, wire_s,
+        )
+
+    def _bid_exchange(self, bid_round: _BidRound, remote: str):
+        """Fig. 2 steps 3-4 with one remote site; value = its bid, or None
+        when the site is saturated (it declined to bid) or unreachable —
+        not a failure: placement proceeds with whoever answered."""
+        started = self.sim.now
+        application, source = bid_round.application, bid_round.source
+        tracer = self.tracer
+        bid_span = self.spans.open(
+            SpanKind.BID_EXCHANGE, application, parent=bid_round.span,
+            source=source, remote=remote,
+        )
+
+        def on_send(attempt: int) -> None:
+            # step 3: multicast the request (once per attempt on the wire)
+            self.stats.scheduler_messages += 1
+            if tracer.enabled:
+                tracer.emit(
+                    EventKind.AFG_MULTICAST, source=source,
+                    application=application, remote=remote,
+                    size_mb=bid_round.request_mb, attempt=attempt,
+                )
+
+        def on_reply(attempt: int) -> None:
+            self.stats.scheduler_messages += 1
+
+        def handle() -> SiteBid:
+            # step 4 at the remote site: its bid sheets, as of now
+            bid = self.site_managers[remote].handle_bid_request(
+                bid_round.task_types, bid_round.model
+            )
+            if tracer.enabled:
+                tracer.emit(
+                    EventKind.BID_REPLY, source=f"sm:{remote}",
+                    application=application, task_types=len(bid.sheets),
+                    rows=bid.rows, version=bid.version_key,
+                )
+            return bid
+
+        rpc_policy = self.config.rpc_policy
+        status = None
+        try:
+            bid = yield from self.control.request(
+                bid_round.local_server, bid_round.servers[remote], handle,
+                payload_mb=bid_round.request_mb, reply_mb=_reply_mb,
+                label=f"sched:{application}:{remote}",
+                policy=replace(
+                    rpc_policy,
+                    timeout_s=rpc_policy.timeout_s + bid_round.wire_s[remote],
+                ),
+                on_send=on_send, on_reply=on_reply,
+                span=bid_span,
+            )
+        except SiteOverloaded as exc:
+            # backpressure: the saturated site declined to bid
+            status = "overloaded"
+            if tracer.enabled:
+                tracer.emit(
+                    EventKind.SITE_OVERLOADED, source=source,
+                    application=application, remote=remote,
+                    occupancy=round(exc.occupancy, 9),
+                )
+        except RpcTimeout:
+            status = "unreachable"
+            if tracer.enabled:
+                tracer.emit(
+                    EventKind.SITE_UNREACHABLE, source=source,
+                    application=application, remote=remote, phase="scheduling",
+                )
+        if status is not None:
+            self.spans.close(bid_span, source=source, status=status)
+            return None
+        if self.metrics.enabled:
+            self.metrics.histogram(
+                "vdce_bid_latency_seconds",
+                "AFG multicast -> bid reply round trip per remote site",
+                buckets=(0.001, 0.005, 0.01, 0.05, 0.1, 0.5, 1.0, 5.0),
+            ).observe(self.sim.now - started, site=remote)
+        self.spans.close(bid_span, source=source, rows=bid.rows)
+        return bid
 
     # -- execution -----------------------------------------------------------------
 
@@ -609,6 +646,25 @@ class VDCERuntime:
         )
         return coordinator.start()
 
+    def run_process(
+        self,
+        afg: ApplicationFlowGraph,
+        scheduler: Optional[SiteScheduler] = None,
+        site: Optional[str] = None,
+        execute_payloads: Optional[bool] = None,
+        journal=None,
+    ):
+        """Generator: the submit pipeline — schedule at ``site``, then
+        execute from it; returns the ApplicationResult."""
+        table, _sched_time = yield from self.schedule_process(
+            afg, scheduler, local_site=site
+        )
+        result = yield self.execute_process(
+            afg, table, submit_site=site,
+            execute_payloads=execute_payloads, journal=journal,
+        )
+        return result
+
     def submit(
         self,
         afg: ApplicationFlowGraph,
@@ -629,15 +685,8 @@ class VDCERuntime:
         site = submit_site or self.default_site
         if user is not None:
             self.repositories[site].users.authenticate(user, password or "")
-
-        def pipeline():
-            table, _sched_time = yield from self.schedule_process(
-                afg, scheduler, local_site=site
-            )
-            result = yield self.execute_process(
-                afg, table, submit_site=site, execute_payloads=execute_payloads
-            )
-            return result
-
-        proc = self.sim.process(pipeline(), name=f"submit:{afg.name}")
+        proc = self.sim.process(
+            self.run_process(afg, scheduler, site, execute_payloads),
+            name=f"submit:{afg.name}",
+        )
         return self.sim.run_until_complete(proc, limit=limit)

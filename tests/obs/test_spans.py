@@ -1,5 +1,7 @@
 """SpanRecorder unit tests: pairing, orphaning, the null object."""
 
+import pytest
+
 from repro.obs.attribution import span_integrity
 from repro.obs.spans import (
     NULL_SPAN,
@@ -49,10 +51,23 @@ class TestPairing:
         assert events[1].data["parent_id"] == parent.span_id
         assert child.span_id != parent.span_id
 
-    def test_null_parent_means_root(self):
+    def test_a_child_of_the_null_span_is_the_null_span(self):
+        # the one "off": no id taken, nothing emitted, and the ids a
+        # real recorder hands out afterwards are unshifted
         _clock, tracer, spans = make_recorder()
-        spans.open(SpanKind.TASK, "a", parent=NULL_SPAN)
-        assert span_events(tracer)[0].data["parent_id"] is None
+        first = spans.open(SpanKind.APP, "a")
+        child = spans.open(SpanKind.TASK, "a", parent=NULL_SPAN, task="t")
+        assert child is NULL_SPAN
+        spans.close(child, status="failed")
+        spans.orphan(child, reason="crash")
+        assert len(span_events(tracer)) == 1
+        assert spans.open_spans == {first.span_id: first}
+        second = spans.open(SpanKind.TASK, "a", parent=first)
+        assert (first.span_id, second.span_id) == (1, 2)
+        # None still means "no parent": a root
+        assert span_events(tracer)[-1].data["parent_id"] == first.span_id
+        spans.open(SpanKind.FAILOVER, "", parent=None)
+        assert span_events(tracer)[-1].data["parent_id"] is None
 
     def test_close_is_idempotent(self):
         _clock, tracer, spans = make_recorder()
@@ -135,6 +150,33 @@ class TestAmbientContext:
         assert spans.current is outer
         spans.pop()
         assert spans.current is None
+
+
+    def test_within_holds_the_context_only_while_the_handler_runs(self):
+        _clock, _tracer, spans = make_recorder()
+        ctx = spans.open(SpanKind.RPC_ATTEMPT, "a")
+        seen = []
+
+        def handler():
+            seen.append(spans.current)
+            got = yield "first"
+            seen.append((spans.current, got))
+            return "value"
+
+        driver = spans.within(ctx, handler)
+        assert next(driver) == "first"
+        assert spans.current is None  # suspended: others must not inherit
+        with pytest.raises(StopIteration) as stop:
+            driver.send("resumed")
+        assert stop.value.value == "value"
+        assert seen == [ctx, (ctx, "resumed")]
+        assert spans.current is None
+
+    def test_within_returns_a_plain_value_without_yielding(self):
+        for recorder in (make_recorder()[2], NULL_SPANS):
+            with pytest.raises(StopIteration) as stop:  # it never yields
+                next(recorder.within(NULL_SPAN, lambda: 42))
+            assert stop.value.value == 42
 
 
 class TestNullRecorder:

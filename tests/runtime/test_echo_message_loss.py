@@ -24,7 +24,7 @@ def test_lost_echoes_below_threshold_keep_host_up():
     # two rounds of misses: below the threshold, still believed up
     rt.sim.run(until=2.5)
     assert gm.believes_up("a1")
-    assert gm._missed["a1"] == 2
+    assert gm._detector.missed["a1"] == 2
     assert rt.stats.failure_notifications == 0
     assert rt.repositories["alpha"].resources.get("a1").up
 
@@ -44,7 +44,7 @@ def test_threshold_consecutive_misses_mark_down_then_recovery_clears():
     gm.echo_loss_prob = 0.0
     rt.sim.run(until=4.5)
     assert gm.believes_up("a1")
-    assert gm._missed["a1"] == 0
+    assert gm._detector.missed["a1"] == 0
     assert rt.stats.recovery_notifications >= 1
     assert rt.repositories["alpha"].resources.get("a1").up
 

@@ -1,22 +1,47 @@
-"""The coordinator's shape: short methods, one copy of each recovery.
+"""The runtime's shape: short functions, one copy of each step, one "off".
 
-``runtime/execution.py`` grew by accretion — each fault-tolerance
-feature brought its own replacement walk, back-off loop, refetch
-accounting and span guards.  They are one of each now (DESIGN §5
-decision 12); this gate keeps a second copy from arriving with the
-next feature.  AST-based, like the campaign size gate it borrows
-``function_lengths`` from.
+``runtime/execution.py`` and the control plane around it (``net/rpc.py``,
+``vdce_runtime.py``, ``group_manager.py``, ``admission.py``,
+``site_manager.py``, ``membership.py``) grew by accretion — each
+fault-tolerance feature brought its own replacement walk, back-off
+loop, refetch accounting, notification block and on/off forks.  They
+are one of each now (DESIGN §5 decisions 12 and 14); this gate keeps a
+second copy, or a second way to switch a channel off, from arriving
+with the next feature.  AST-based, like the campaign size gate.
 """
 
 import ast
 from pathlib import Path
 
-from repro.runtime import execution, integrity
+import repro
+from repro.net import rpc
+from repro.runtime import (
+    admission,
+    execution,
+    group_manager,
+    integrity,
+    membership,
+    site_manager,
+    vdce_runtime,
+)
 
-from tests.sim.test_campaign_gate import function_lengths
+GATED = (execution, rpc, vdce_runtime, group_manager, admission,
+         site_manager, membership)
 
-EXECUTION = ast.parse(Path(execution.__file__).read_text())
-BOTH = [EXECUTION, ast.parse(Path(integrity.__file__).read_text())]
+
+def tree_of(module):
+    return ast.parse(Path(module.__file__).read_text())
+
+
+EXECUTION = tree_of(execution)
+BOTH = [EXECUTION, tree_of(integrity)]
+SRC = Path(repro.__file__).parent
+#: every module of the package, and those outside obs/ (where the span
+#: recorder lives and may look at itself)
+ALL = {path: ast.parse(path.read_text()) for path in sorted(SRC.rglob("*.py"))}
+OUTSIDE_OBS = [
+    tree for path, tree in ALL.items() if "obs" not in path.relative_to(SRC).parts
+]
 
 
 def calls(trees, name):
@@ -30,10 +55,40 @@ def calls(trees, name):
     ]
 
 
+def functions(tree):
+    """``(qualified name, node)`` of every function, methods by class."""
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.ClassDef)):
+                name = f"{prefix}{child.name}"
+                if not isinstance(child, ast.ClassDef):
+                    yield name, child
+                yield from walk(child, f"{name}.")
+            else:
+                yield from walk(child, prefix)
+    return walk(tree, "")
+
+
+def is_none_test(node, names):
+    """``<x> is None`` / ``<x> is not None`` with ``<x>`` named by ``names``."""
+    return (
+        isinstance(node, ast.Compare)
+        and isinstance(node.ops[0], (ast.Is, ast.IsNot))
+        and isinstance(node.comparators[0], ast.Constant)
+        and node.comparators[0].value is None
+        and names(getattr(node.left, "attr", getattr(node.left, "id", "")))
+    )
+
+
 def test_no_function_outgrows_a_screenful():
-    # a nested function's lines count towards its parent too
+    # constructors included; a nested function's lines count towards
+    # its parent too
     too_long = {
-        name: n for name, n in function_lengths(execution).items() if n > 80
+        f"{module.__name__}:{name}": node.end_lineno - node.lineno + 1
+        for module in GATED
+        for name, node in functions(tree_of(module))
+        if node.end_lineno - node.lineno + 1 > 80
     }
     assert not too_long
 
@@ -56,12 +111,79 @@ def test_the_source_string_is_spelled_once():
 
 
 def test_spans_are_guarded_by_their_parent_not_by_a_flag():
-    enabled_tests = [
-        node for node in ast.walk(EXECUTION)
+    # NULL_SPAN is the only "off": the runtime picks its recorder from
+    # the config, and nobody afterwards asks a recorder whether it is on
+    # or a span whether it is real
+    flag_reads = [
+        node for tree in OUTSIDE_OBS for node in ast.walk(tree)
         if isinstance(node, ast.Attribute) and node.attr == "enabled"
-        and getattr(node.value, "attr", None) == "spans"
+        and getattr(node.value, "attr", getattr(node.value, "id", ""))
+        == "spans"
     ]
-    assert len(enabled_tests) <= 1  # the root decision in _run
+    none_tests = [
+        node for tree in OUTSIDE_OBS for node in ast.walk(tree)
+        if is_none_test(node, lambda name: name.endswith("span"))
+    ]
+    id_tests = [
+        node for tree in OUTSIDE_OBS for node in ast.walk(tree)
+        if isinstance(node, ast.Compare)
+        and getattr(node.left, "attr", None) == "span_id"
+    ]
+    assert not flag_reads and not none_tests and not id_tests
+
+
+def test_collaborators_every_deployment_passes_are_not_optional():
+    by_name = dict(functions(tree_of(rpc)))
+    assert not [
+        node for node in ast.walk(tree_of(rpc))
+        if is_none_test(node, lambda name: name == "stats")
+    ]
+    for name in ("ControlPlane.request", "ControlPlane._attempt"):
+        breaker_tests = [
+            node for node in ast.walk(by_name[name])
+            if is_none_test(node, lambda n: n in ("breaker", "breakers"))
+        ]
+        assert len(breaker_tests) <= 1, name
+    assert not [
+        node for tree in ALL.values() for node in calls([tree], "getattr")
+        if len(node.args) > 1
+        and getattr(node.args[1], "value", None) == "brownout"
+    ]
+
+
+def test_the_detector_is_chosen_once():
+    manager = tree_of(group_manager)
+    in_constructor = {
+        id(node) for node in ast.walk(dict(functions(manager))[
+            "GroupManager.__init__"])
+    }
+    forks = [
+        node for node in ast.walk(manager)
+        if isinstance(node, ast.Compare)
+        and getattr(node.left, "attr", getattr(node.left, "id", ""))
+        == "detector"
+    ]
+    assert len(forks) == 1 and id(forks[0]) in in_constructor
+
+
+def test_each_control_plane_step_has_one_copy():
+    everything = list(ALL.values())
+    # per-host wiring, at deployment and at every (re)join
+    assert len(calls(everything, "MonitorDaemon")) == 1
+    assert len(calls(everything, "AppController")) == 1
+    # failure / recovery notification
+    manager = tree_of(group_manager)
+    for kind in ("FAILURE_NOTIFICATION", "RECOVERY_NOTIFICATION"):
+        assert len([
+            node for node in ast.walk(manager)
+            if isinstance(node, ast.Attribute) and node.attr == kind
+        ]) == 1
+    assert len(calls([manager], "notify_lan")) == 1
+    # queue eviction (``self._heap.remove``)
+    assert len(calls([tree_of(admission)], "remove")) == 1
+    # schedule -> execute: VDCERuntime.run_process, and the chaos
+    # harness (which needs the coordinator handle)
+    assert len(calls(everything, "schedule_process")) == 2
 
 
 def test_the_race_shares_a_record_not_boxes():

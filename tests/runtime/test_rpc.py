@@ -88,7 +88,7 @@ def test_handler_generator_is_driven_inside_rpc():
     from repro.sim.kernel import Timeout
 
     topo = _topo()
-    control = ControlPlane(topo.sim, topo.network)
+    control = ControlPlane(topo.sim, topo.network, RuntimeStats())
 
     def handler():
         def work():
@@ -129,7 +129,7 @@ def test_retry_policy_validation():
 
 def test_notify_lan_clean_is_one_latency():
     topo = _topo()
-    control = ControlPlane(topo.sim, topo.network)
+    control = ControlPlane(topo.sim, topo.network, RuntimeStats())
     link = topo.network.lan_link("alpha")
     got = {}
     control.notify_lan(link, lambda: got.setdefault("at", topo.sim.now), 0.001)

@@ -66,3 +66,37 @@ class TestTotalControlMessages:
         stats = RuntimeStats(**_CONTROL_FIELDS)
         assert stats.as_dict()["total_control_messages"] \
             == stats.total_control_messages()
+
+
+# the 29 scalar counters, in the order as_dict listed them when it was
+# a hand-written literal (export_to registers metric families in it)
+_SCALARS = (
+    "monitor_reports", "workload_forwards", "workload_suppressed",
+    "echo_packets", "failure_notifications", "recovery_notifications",
+    "allocation_messages", "execution_requests", "channel_setups",
+    "channel_acks", "startup_signals", "data_transfers",
+    "data_transferred_mb", "reschedule_requests", "failure_restarts",
+    "scheduler_messages", "rpc_retries", "rpc_timeouts", "transfer_retries",
+    "channel_reestablishes", "taskperf_updates", "failovers",
+    "checkpoint_records", "checkpoint_bytes", "resumes",
+    "speculative_launches", "speculative_wins", "speculative_wasted_s",
+    "queue_wait_s",
+)
+
+
+class TestAsDict:
+    def test_every_counter_and_nothing_else_in_field_order(self):
+        values = {name: 1.5 + i for i, name in enumerate(_SCALARS)}
+        stats = RuntimeStats(
+            **values,
+            detection_log=[(1.0, "a1", "down")],
+            queue_waits={"app": 2.0},
+            sites_bid={"app": 3, "other": 2},
+            sites_used={"app": 2, "other": 1},
+        )
+        assert list(stats.as_dict().items()) == [
+            *values.items(),
+            ("sites_bid", 5),
+            ("sites_used", 3),
+            ("total_control_messages", stats.total_control_messages()),
+        ]
