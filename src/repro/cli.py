@@ -35,7 +35,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import List, Optional, Sequence
+from typing import Callable, List, Optional, Sequence
 
 __all__ = ["main"]
 
@@ -249,23 +249,15 @@ def cmd_run(args) -> int:
     if args.trace:
         from repro.metrics import format_trace_summary
 
-        try:
-            env.save_trace(args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}")
+        # the summary goes between the write and its report line
+        if not _write(env.save_trace, args.trace, "trace",
+                      f"\n{format_trace_summary(tracer)}\n\ntrace",
+                      env.trace_hash()):
             return 1
-        print()
-        print(format_trace_summary(tracer))
-        print(f"\ntrace written to {args.trace}  "
-              f"(hash {env.trace_hash()[:16]}...)")
-    if args.metrics:
-        try:
-            env.save_metrics(args.metrics)
-        except OSError as exc:
-            print(f"error: cannot write metrics to {args.metrics}: {exc}")
-            return 1
-        print(f"metrics snapshot written to {args.metrics}  "
-              f"(hash {env.metrics_hash()[:16]}...)")
+    if args.metrics and not _write(
+            env.save_metrics, args.metrics, "metrics",
+            "metrics snapshot", env.metrics_hash()):
+        return 1
     return 0
 
 
@@ -304,14 +296,10 @@ def cmd_monitor(args) -> int:
     for key, value in env.stats().items():
         if value:
             print(f"  {key:<26} {value}")
-    if args.metrics:
-        try:
-            env.save_metrics(args.metrics)
-        except OSError as exc:
-            print(f"error: cannot write metrics to {args.metrics}: {exc}")
-            return 1
-        print(f"\nmetrics snapshot written to {args.metrics}  "
-              f"(hash {env.metrics_hash()[:16]}...)")
+    if args.metrics and not _write(
+            env.save_metrics, args.metrics, "metrics",
+            "\nmetrics snapshot", env.metrics_hash()):
+        return 1
     return 0
 
 
@@ -376,15 +364,31 @@ def cmd_analyze(args) -> int:
     return 0 if structural_diff(events, events2)["identical"] else 2
 
 
-def _write_text(path: str, text: str, what: str) -> bool:
-    """Write ``text`` to ``path``; on failure report it and return False."""
+def _write(save: Callable[[str], object], path: str, what: str,
+           written: str = "", digest: str = "") -> bool:
+    """``save(path)``; on failure report it and return False.
+
+    Given ``written``, success prints ``<written> written to <path>``,
+    followed by 16 hex digits of ``digest`` when there is one.
+    """
     try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        save(path)
     except OSError as exc:
         print(f"error: cannot write {what} to {path}: {exc}")
         return False
+    if written:
+        note = f"  (hash {digest[:16]}...)" if digest else ""
+        print(f"{written} written to {path}{note}")
     return True
+
+
+def _write_text(path: str, text: str, what: str) -> bool:
+    """Write ``text`` to ``path``; on failure report it and return False."""
+    def save(path: str) -> None:
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
+
+    return _write(save, path, what)
 
 
 def _json_text(value) -> str:
@@ -676,12 +680,9 @@ def cmd_resume(args) -> int:
     if args.trace:
         from repro.trace.serialize import write_jsonl
 
-        try:
-            write_jsonl(tracer, args.trace)
-        except OSError as exc:
-            print(f"error: cannot write trace to {args.trace}: {exc}")
+        if not _write(lambda path: write_jsonl(tracer, path), args.trace,
+                      "trace", "resume trace"):
             return 1
-        print(f"resume trace written to {args.trace}")
     hashes = final_output_hashes(result)
     print(f"application {result.application!r} resumed and completed: "
           f"{len(result.records)} tasks, "
@@ -726,32 +727,6 @@ def cmd_serve(args) -> int:  # pragma: no cover - starts a real server
     return 0
 
 
-#: ``repro chaos`` preset flag -> (its builder in repro.sim.chaos, help)
-_CHAOS_PRESETS = {
-    "smoke": ("smoke_config", "the small, fast campaign CI runs"),
-    "slowdown-smoke": (
-        "slowdown_smoke_config",
-        "the straggler-defense campaign CI runs (slowdowns + flapping, "
-        "speculation on)"),
-    "storm": (
-        "storm_config",
-        "the overload campaign: an arrival storm against a bounded "
-        "admission queue, with brownout and circuit breakers armed"),
-    "corruption": (
-        "corruption_smoke_config",
-        "the data-integrity campaign: payload corruption, artifact loss "
-        "and journal rot against end-to-end checksums and the repair "
-        "ladder (invariants I12/I13)"),
-    "churn": (
-        "churn_smoke_config",
-        "the elastic-membership campaign: graceful drains, hard "
-        "decommissions and rejoins under load (invariants I14/I15/I16)"),
-    "calm": (
-        "calm_config",
-        "the fault-free campaign: nothing armed, so any RPC timeout or "
-        "missing bid is the system's own doing (invariant I17)"),
-}
-
 #: ``repro chaos`` shape flag -> the ChaosConfig field it sets; unset, the
 #: field keeps its ChaosConfig default.  A preset fixes all of them
 _CHAOS_SHAPE = {
@@ -787,7 +762,7 @@ def cmd_chaos(args) -> int:
               + ", ".join(f"--{flag}" for flag in shape))
         return 1
     else:
-        config = getattr(chaos, _CHAOS_PRESETS[args.preset][0])(seed=args.seed)
+        config = chaos.preset(args.preset, args.seed)
     if args.spans:
         from dataclasses import replace
 
@@ -1041,9 +1016,11 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run a randomized fault campaign and check its invariants")
     presets = chaos.add_mutually_exclusive_group()
-    for flag, (_builder, text) in _CHAOS_PRESETS.items():
+    from repro.sim.chaos import PRESETS
+
+    for flag, fields in PRESETS.items():
         presets.add_argument(f"--{flag}", dest="preset", action="store_const",
-                             const=flag, help=text)
+                             const=flag, help=fields["doc"])
     chaos.add_argument("--seed", type=int, default=0)
     # shape flags default to None: unset, ChaosConfig's own default applies
     chaos.add_argument("--sites", type=int)

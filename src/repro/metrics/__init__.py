@@ -56,7 +56,6 @@ from repro.metrics.timeline import (
 )
 from repro.metrics.trace_summary import (
     event_counts,
-    events_by_source,
     format_trace_summary,
     phase_timings,
 )
@@ -91,7 +90,6 @@ __all__ = [
     "parallel_efficiency",
     "critical_path_cost",
     "event_counts",
-    "events_by_source",
     "format_table",
     "format_trace_summary",
     "host_utilization",

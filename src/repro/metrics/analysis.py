@@ -25,13 +25,12 @@ too), so saved JSONL traces round-trip through
 
 from __future__ import annotations
 
-from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import format_table
 from repro.metrics.trace_summary import event_counts, phase_timings
 from repro.trace.events import EventKind, TraceEvent
-from repro.trace.serialize import event_to_json
-from repro.trace.tracer import Tracer
+from repro.trace.serialize import TraceLike, events_of, event_to_json
 
 __all__ = [
     "analyze_trace",
@@ -42,15 +41,6 @@ __all__ = [
     "schedule_lag",
     "structural_diff",
 ]
-
-TraceLike = Union[Tracer, Sequence[TraceEvent]]
-
-
-def _events_of(trace: TraceLike) -> List[TraceEvent]:
-    if isinstance(trace, Tracer):
-        return trace.events()
-    return list(trace)
-
 
 def _task_intervals(events: Sequence[TraceEvent]) -> Dict[str, Dict[str, Any]]:
     """task id -> {start, finish, duration, hosts} from task_start/finish.
@@ -109,7 +99,7 @@ def critical_path(trace: TraceLike) -> Dict[str, Any]:
     measured time, the number of tasks executed, and the task ids along
     the chain (empty when the trace has no completed tasks).
     """
-    events = _events_of(trace)
+    events = events_of(trace)
     intervals = _task_intervals(events)
     if not intervals:
         return {"length_s": 0.0, "tasks": 0, "path": []}
@@ -170,7 +160,7 @@ def host_timelines(trace: TraceLike) -> Dict[str, Dict[str, Any]]:
     intervals of tasks placed on it (overlaps merged), idle time is the
     window's remainder.
     """
-    intervals = _task_intervals(_events_of(trace))
+    intervals = _task_intervals(events_of(trace))
     if not intervals:
         return {}
     window_start = min(r["start"] for r in intervals.values())
@@ -210,7 +200,7 @@ def schedule_lag(trace: TraceLike) -> Dict[str, Any]:
     tasks that never started (or were scheduled in a different trace)
     are simply absent.
     """
-    events = _events_of(trace)
+    events = events_of(trace)
     decided_at: Dict[str, float] = {}
     lags: Dict[str, float] = {}
     for event in events:
@@ -233,7 +223,7 @@ def schedule_lag(trace: TraceLike) -> Dict[str, Any]:
 
 def analyze_trace(trace: TraceLike) -> Dict[str, Any]:
     """The full single-trace analysis: one dict, JSON-safe."""
-    events = _events_of(trace)
+    events = events_of(trace)
     times = [e.time for e in events]
     return {
         "events": len(events),
@@ -248,7 +238,7 @@ def analyze_trace(trace: TraceLike) -> Dict[str, Any]:
 
 def format_analysis(trace: TraceLike, title: str = "trace analysis") -> str:
     """Render :func:`analyze_trace` for terminals (the CLI's view)."""
-    events = _events_of(trace)
+    events = events_of(trace)
     report = analyze_trace(events)
     lines = [
         f"{title} — {report['events']} events "
@@ -321,7 +311,7 @@ def structural_diff(a: TraceLike, b: TraceLike) -> Dict[str, Any]:
     ``first_divergence`` carries the two events (dict form; ``None`` on
     the shorter side when one trace is a prefix of the other).
     """
-    events_a, events_b = _events_of(a), _events_of(b)
+    events_a, events_b = events_of(a), events_of(b)
     first: Optional[Dict[str, Any]] = None
     for index, (ea, eb) in enumerate(zip(events_a, events_b)):
         if event_to_json(ea) != event_to_json(eb):

@@ -12,41 +12,23 @@ benchmarks and the CLI actually read:
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Union
+from typing import Dict
 
 from repro.metrics.tables import format_table
-from repro.trace.events import EventKind, TraceEvent
-from repro.trace.tracer import Tracer
+from repro.trace.events import EventKind
+from repro.trace.serialize import TraceLike, events_of
 
 __all__ = [
     "event_counts",
-    "events_by_source",
     "format_trace_summary",
     "phase_timings",
 ]
 
-TraceLike = Union[Tracer, Sequence[TraceEvent]]
-
-
-def _events_of(trace: TraceLike) -> List[TraceEvent]:
-    if isinstance(trace, Tracer):
-        return trace.events()
-    return list(trace)
-
-
 def event_counts(trace: TraceLike) -> Dict[str, int]:
     """How many events of each kind the trace holds (sorted by kind)."""
     counts: Dict[str, int] = {}
-    for event in _events_of(trace):
+    for event in events_of(trace):
         counts[event.kind] = counts.get(event.kind, 0) + 1
-    return dict(sorted(counts.items()))
-
-
-def events_by_source(trace: TraceLike) -> Dict[str, int]:
-    """Event volume per emitting component (sorted by source)."""
-    counts: Dict[str, int] = {}
-    for event in _events_of(trace):
-        counts[event.source] = counts.get(event.source, 0) + 1
     return dict(sorted(counts.items()))
 
 
@@ -69,7 +51,7 @@ def phase_timings(trace: TraceLike) -> Dict[str, Dict[str, float]]:
 
     #: open span_id -> span name (for begin/end pairing)
     open_spans: Dict[object, str] = {}
-    for event in _events_of(trace):
+    for event in events_of(trace):
         if event.kind == EventKind.SPAN_BEGIN:
             name = str(event.data.get("span", ""))
             agg_of(name)["unclosed"] += 1
@@ -91,7 +73,7 @@ def phase_timings(trace: TraceLike) -> Dict[str, Dict[str, float]]:
 
 def format_trace_summary(trace: TraceLike, title: str = "trace summary") -> str:
     """Render the counts + phase-timing tables (the CLI's ``--trace`` view)."""
-    events = _events_of(trace)
+    events = events_of(trace)
     counts = event_counts(events)
     count_rows = [{"event": kind, "count": n} for kind, n in counts.items()]
     sections = [

@@ -105,12 +105,11 @@ class ResourcePerformanceDB:
         self._links: Dict[str, LinkSpec] = {}
         self.workload_updates = 0
         self.status_updates = 0
-        #: bumped when the host *population* changes (registrations);
-        #: the host index's name tables only rebuild on this counter
+        #: bumped when the host *population* changes (registrations)
         self.registration_version = 0
         #: bumped on every dynamic write (workload report, up/down
-        #: transition) — keys the host index's record-list cache, which
-        #: is valid precisely while no host row changed
+        #: transition); with ``registration_version`` it keys the host
+        #: index's rows, valid precisely while no host row changed
         self.state_version = 0
         #: tombstones: departed host name -> its epoch at departure,
         #: consulted by :meth:`rejoin_host` to stamp the next epoch

@@ -12,7 +12,6 @@ from typing import Iterable, Optional
 
 from repro.repository.constraints import TaskConstraintsDB
 from repro.repository.host_index import HostIndex
-from repro.repository.predict_cache import PredictCache
 from repro.repository.resources import (
     MembershipError,
     MembershipState,
@@ -35,10 +34,10 @@ class SiteRepository:
         self.resources = ResourcePerformanceDB(site_name)
         self.task_perf = TaskPerformanceDB(site_name)
         self.constraints = TaskConstraintsDB(site_name)
-        #: host-selection accessories: version-invalidated, derived
+        #: host selection's accessory: version-invalidated, derived
         #: state only — never serialized, rebuilt on restore
-        self.host_index = HostIndex(self.resources, self.constraints)
-        self.predict_cache = PredictCache(self.host_index, self.task_perf)
+        self.host_index = HostIndex(
+            self.resources, self.constraints, self.task_perf)
         # Symmetry guards (issue 10): removing one side of a host's
         # registration while the other still references it is a typed
         # error, not silent divergence.  "Actively registered" excludes
@@ -109,7 +108,7 @@ class SiteRepository:
         by linear scan in registration order: what the baselines and the
         chaos I16 audit read, and the definition
         :class:`~repro.repository.host_index.HostIndex` (host selection's
-        name-sorted, cached form) is tested against.  Non-ACTIVE
+        name-sorted form) is tested against.  Non-ACTIVE
         membership states (joining, draining, rejoining) are excluded,
         so a draining host stops attracting placements the instant its
         transition is recorded.

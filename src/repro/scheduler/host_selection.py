@@ -126,7 +126,7 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
 
     The sorted order is a repository invariant the rest of host
     selection depends on (prediction rows are aligned with it).  The
-    host index hands out its table pre-sorted and the preference
+    host index hands out its list name-sorted and the preference
     filters preserve relative order; ``tests/scheduler/
     test_host_index.py`` pins the answer to a linear scan + sort.
     """
@@ -216,7 +216,7 @@ def bid_sheet(
         perf = repo.task_perf.get(task_type)
     except KeyError:
         return None
-    return perf, repo.predict_cache.rows(task_type, model)
+    return perf, repo.host_index.rows(task_type, model)
 
 
 class SiteBid(NamedTuple):
@@ -229,7 +229,7 @@ class SiteBid(NamedTuple):
     """
 
     site: str
-    #: ``repository.predict_cache.key()`` when the sheets were read
+    #: ``repository.host_index.version_key()`` when the sheets were read
     version_key: Tuple[int, ...]
     sheets: Dict[str, BidSheet]
     host_attrs: Dict[str, Tuple[str, str]]
@@ -257,7 +257,7 @@ def site_bid(
     arch_os = repo.resources.arch_os
     return SiteBid(
         repo.site_name,
-        repo.predict_cache.key(),
+        repo.host_index.version_key(),
         sheets,
         {row[0]: arch_os(row[0])
          for _perf, rows in sheets.values() for row in rows},

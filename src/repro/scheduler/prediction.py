@@ -28,7 +28,7 @@ task or on the host, never on both, except the in-round ``extra_load``
 the caller adds.  :meth:`PredictionModel.task_terms` is the task half
 (``span_work``, ``required_mb``), :meth:`PredictionModel.host_terms`
 the host half (one row per host, cached by
-:class:`~repro.repository.predict_cache.PredictCache`), and host
+:meth:`HostIndex.rows <repro.repository.host_index.HostIndex.rows>`), and host
 selection's row kernel combines them with :meth:`PredictionModel.
 predict`'s float operations in :meth:`predict`'s order:
 
@@ -50,7 +50,7 @@ from __future__ import annotations
 import math
 import zlib
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -110,9 +110,8 @@ class PredictionModel:
         """Predicted execution time of one task slice on ``host``.
 
         For a parallel task (``n_nodes > 1``) this is the time of the
-        per-node slice under the library's speedup model; the caller
-        combines slices across the chosen host group via
-        :meth:`predict_group`.
+        per-node slice under the library's speedup model; a host
+        group's time is its slowest member's slice.
 
         ``extra_load`` is *scheduling-round* load: run-queue entries the
         caller has already committed to this host while placing the
@@ -191,29 +190,6 @@ class PredictionModel:
             task_perf.host_calibration(task_type, name)
             if self.use_calibration else 1.0,
             self._noise_factor(task_type, name) if self.noise > 0.0 else 1.0,
-        )
-
-    # -- host group (parallel tasks) ------------------------------------------
-
-    def predict_group(
-        self,
-        task_type: str,
-        scale: float,
-        hosts: Sequence[HostRecord],
-        task_perf: TaskPerformanceDB,
-        memory_mb: Optional[int] = None,
-    ) -> float:
-        """Predicted span of a parallel task on a specific host group.
-
-        Every node executes the per-node slice concurrently, so the
-        group's time is the slowest member's predicted slice time.
-        """
-        if not hosts:
-            raise ValueError("host group must be non-empty")
-        n = len(hosts)
-        return max(
-            self.predict(task_type, scale, n, h, task_perf, memory_mb=memory_mb)
-            for h in hosts
         )
 
     # -- internals ---------------------------------------------------------------

@@ -25,7 +25,7 @@ from repro.sim.kernel import (
 )
 from repro.sim.host import Host, HostSpec, HostState, TaskExecution
 from repro.sim.site import Group, Site, SiteSpec
-from repro.sim.network import Link, LinkDownError, LinkSpec, Network, TransferModel
+from repro.sim.network import Link, LinkDownError, LinkSpec, Network
 from repro.sim.topology import Topology, TopologyBuilder, star_topology, two_site_topology
 from repro.sim.workload import (
     ConstantLoad,
@@ -72,7 +72,6 @@ __all__ = [
     "Topology",
     "TopologyBuilder",
     "TraceLoad",
-    "TransferModel",
     "run_campaign",
     "smoke_config",
     "star_topology",

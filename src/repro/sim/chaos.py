@@ -46,9 +46,11 @@ from repro.sim.kernel import Timeout
 __all__ = [
     "ChaosConfig",
     "ChaosReport",
+    "PRESETS",
     "calm_config",
     "churn_smoke_config",
     "corruption_smoke_config",
+    "preset",
     "run_campaign",
     "slowdown_smoke_config",
     "smoke_config",
@@ -273,177 +275,109 @@ class ChaosConfig:
                 raise ValueError("churn_rejoin_after_s must be positive")
 
 
+#: the shared base: 3 sites x 3 hosts, applications 35 s apart over a
+#: nominal 240 s
+_SMALL = dict(hosts_per_site=3, duration_s=240.0, app_spacing_s=35.0)
+#: no stochastic link faults and light message loss: the background of
+#: every preset that studies one fault family alone
+_QUIET = dict(n_flaky_links=0, message_loss_prob=0.02, echo_loss_prob=0.02)
+
+#: ``repro chaos --<name>``: the one-line help and the fields that differ
+#: from :class:`ChaosConfig`'s defaults.  The committed campaign hashes
+#: (``tests/sim/campaign_hashes.json``) pin every value here.
+PRESETS: Dict[str, Dict[str, Any]] = {
+    "smoke": dict(
+        doc="the small, fast campaign CI runs",
+        **_SMALL, n_apps=3,
+        host_mtbf_s=90.0, host_mttr_s=25.0,
+        link_mtbf_s=120.0, link_mttr_s=15.0,
+        partition_at_s=40.0, partition_duration_s=30.0,
+        gm_crash_at_s=70.0, sm_crash_at_s=100.0,
+    ),
+    "slowdown-smoke": dict(
+        doc="the straggler-defense campaign CI runs (slowdowns + flapping, "
+            "speculation on)",
+        **_SMALL, n_apps=3, **_QUIET, partition_at_s=None,
+        n_flaky_hosts=1, host_mttr_s=25.0,
+        n_slow_hosts=6, slowdown_at_s=20.0, slowdown_duration_s=90.0,
+        n_flapping_hosts=3,
+        detector="phi", speculation=True, health=True,
+    ),
+    # the partition is there so the breakers actually trip
+    "storm": dict(
+        doc="the overload campaign: an arrival storm against a bounded "
+            "admission queue, with brownout and circuit breakers armed",
+        **_QUIET, partition_at_s=30.0, partition_duration_s=25.0,
+        n_sites=2, hosts_per_site=2, n_apps=2,
+        duration_s=180.0, app_spacing_s=30.0,
+        n_flaky_hosts=1, host_mtbf_s=90.0, host_mttr_s=20.0,
+        storm_apps=18, storm_deadline_s=60.0, storm_user_rate_per_s=0.25,
+        overload=True, breakers=True,
+    ),
+    # every WAN link flips or truncates payloads, one host's staged
+    # artifacts vanish, one journal rots; the Site Manager crash keeps
+    # checkpoint-resume in play so the journal fault has somewhere to bite
+    "corruption": dict(
+        doc="the data-integrity campaign: payload corruption, artifact loss "
+            "and journal rot against end-to-end checksums and the repair "
+            "ladder (invariants I12/I13)",
+        **_SMALL, **_QUIET, partition_at_s=None,
+        n_flaky_hosts=0, sm_crash_at_s=90.0,
+        data_integrity=True, n_corrupt_links=3,
+        link_corrupt_prob=0.35, link_truncate_prob=0.10,
+        artifact_loss_at_s=60.0, journal_corrupt_at_s=80.0,
+    ),
+    # every non-leader host drains, departs and rejoins under a fresh
+    # epoch; the 2 s grace is shorter than a task slice, so resident work
+    # is genuinely preempted, and with crash / partition faults off every
+    # reschedule is attributable to churn
+    "churn": dict(
+        doc="the elastic-membership campaign: graceful drains, hard "
+            "decommissions and rejoins under load (invariants I14/I15/I16)",
+        **_QUIET, partition_at_s=None,
+        app_spacing_s=40.0, n_flaky_hosts=0,
+        n_churn_hosts=9, churn_start_s=25.0, churn_window_s=70.0,
+        churn_drain_deadline_s=2.0, churn_rejoin_after_s=50.0,
+    ),
+    # the smoke preset's deployment and application stream, nothing armed
+    "calm": dict(
+        doc="the fault-free campaign: nothing armed, so any RPC timeout or "
+            "missing bid is the system's own doing (invariant I17)",
+        **_SMALL, n_apps=3,
+        n_flaky_hosts=0, n_flaky_links=0, partition_at_s=None,
+        message_loss_prob=0.0, echo_loss_prob=0.0,
+    ),
+}
+
+
+def preset(name: str, seed: int = 0) -> ChaosConfig:
+    """The campaign ``repro chaos --<name>`` runs, at ``seed``."""
+    fields = {k: v for k, v in PRESETS[name].items() if k != "doc"}
+    return ChaosConfig(seed=seed, **fields)
+
+
 def smoke_config(seed: int = 0) -> ChaosConfig:
-    """The small, fast campaign CI runs on every push."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=3,
-        hosts_per_site=3,
-        n_apps=3,
-        duration_s=240.0,
-        app_spacing_s=35.0,
-        n_flaky_hosts=2,
-        host_mtbf_s=90.0,
-        host_mttr_s=25.0,
-        n_flaky_links=1,
-        link_mtbf_s=120.0,
-        link_mttr_s=15.0,
-        partition_at_s=40.0,
-        partition_duration_s=30.0,
-        gm_crash_at_s=70.0,
-        sm_crash_at_s=100.0,
-        sm_crash_duration_s=45.0,
-        message_loss_prob=0.05,
-        echo_loss_prob=0.05,
-    )
+    return preset("smoke", seed)
 
 
 def calm_config(seed: int = 0) -> ChaosConfig:
-    """The fault-free campaign: the smoke preset's deployment and
-    application stream with nothing armed — what I17 ("no phantom
-    partition") audits, since any timeout or missing bid here is the
-    system's own doing."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=3,
-        hosts_per_site=3,
-        n_apps=3,
-        duration_s=240.0,
-        app_spacing_s=35.0,
-        n_flaky_hosts=0,
-        n_flaky_links=0,
-        partition_at_s=None,
-        message_loss_prob=0.0,
-        echo_loss_prob=0.0,
-    )
+    return preset("calm", seed)
 
 
 def slowdown_smoke_config(seed: int = 0) -> ChaosConfig:
-    """The straggler-defense campaign CI runs: slowdowns + flapping with
-    phi-accrual detection, speculation, and health quarantine enabled."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=3,
-        hosts_per_site=3,
-        n_apps=3,
-        duration_s=240.0,
-        app_spacing_s=35.0,
-        n_flaky_hosts=1,
-        host_mtbf_s=120.0,
-        host_mttr_s=25.0,
-        n_flaky_links=0,
-        partition_at_s=None,
-        message_loss_prob=0.02,
-        echo_loss_prob=0.02,
-        n_slow_hosts=6,
-        slowdown_at_s=20.0,
-        slowdown_duration_s=90.0,
-        slowdown_factor=8.0,
-        n_flapping_hosts=3,
-        flap_mean_normal_s=40.0,
-        flap_mean_slow_s=15.0,
-        flap_factor=6.0,
-        detector="phi",
-        speculation=True,
-        health=True,
-    )
+    return preset("slowdown-smoke", seed)
 
 
 def corruption_smoke_config(seed: int = 0) -> ChaosConfig:
-    """The data-integrity campaign CI runs: every WAN link flips or
-    truncates payloads, one host's staged artifacts vanish mid-run, one
-    app's checkpoint journal takes a bit of rot — with end-to-end
-    checksums and the refetch/regenerate/poison repair ladder armed.
-    A Site Manager crash keeps the checkpoint-resume path in play so
-    the journal fault has somewhere to bite."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=3,
-        hosts_per_site=3,
-        n_apps=4,
-        duration_s=240.0,
-        app_spacing_s=35.0,
-        n_flaky_hosts=0,
-        n_flaky_links=0,
-        partition_at_s=None,
-        sm_crash_at_s=90.0,
-        sm_crash_duration_s=45.0,
-        message_loss_prob=0.02,
-        echo_loss_prob=0.02,
-        data_integrity=True,
-        n_corrupt_links=3,
-        link_corrupt_prob=0.35,
-        link_truncate_prob=0.10,
-        corruption_at_s=10.0,
-        artifact_loss_at_s=60.0,
-        journal_corrupt_at_s=80.0,
-    )
+    return preset("corruption", seed)
 
 
 def churn_smoke_config(seed: int = 0) -> ChaosConfig:
-    """The membership-churn campaign CI runs: every non-leader host
-    gracefully drains and departs mid-run (each at its own
-    ``churn:<name>``-drawn time inside the window), then rejoins under
-    a fresh epoch while applications keep arriving — exercising drain
-    eviction (the 2s grace is shorter than a task slice, so resident
-    work genuinely gets preempted and rescheduled), epoch-checked
-    placement (I14), drain work conservation (I15), and rejoin
-    convergence (I16).  Crash/partition faults stay off so every
-    reschedule in the campaign is attributable to membership churn."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=3,
-        hosts_per_site=4,
-        n_apps=4,
-        duration_s=300.0,
-        app_spacing_s=40.0,
-        n_flaky_hosts=0,
-        n_flaky_links=0,
-        partition_at_s=None,
-        message_loss_prob=0.02,
-        echo_loss_prob=0.02,
-        n_churn_hosts=9,
-        churn_start_s=25.0,
-        churn_window_s=70.0,
-        churn_drain_deadline_s=2.0,
-        churn_rejoin_after_s=50.0,
-    )
+    return preset("churn", seed)
 
 
 def storm_config(seed: int = 0) -> ChaosConfig:
-    """The overload campaign: an arrival storm against a bounded
-    admission queue, with backpressure/brownout and circuit breakers
-    armed, plus a WAN partition so the breakers actually trip."""
-    return ChaosConfig(
-        seed=seed,
-        n_sites=2,
-        hosts_per_site=2,
-        n_apps=2,
-        duration_s=180.0,
-        first_submit_s=5.0,
-        app_spacing_s=30.0,
-        n_flaky_hosts=1,
-        host_mtbf_s=90.0,
-        host_mttr_s=20.0,
-        n_flaky_links=0,
-        partition_at_s=30.0,
-        partition_duration_s=25.0,
-        message_loss_prob=0.02,
-        echo_loss_prob=0.02,
-        storm_apps=18,
-        storm_start_s=10.0,
-        storm_burst=6,
-        storm_spacing_s=4.0,
-        storm_users=3,
-        storm_max_queued=8,
-        storm_max_concurrent=2,
-        storm_ttl_s=45.0,
-        storm_deadline_s=60.0,
-        storm_user_rate_per_s=0.25,
-        storm_user_burst=2,
-        overload=True,
-        breakers=True,
-    )
+    return preset("storm", seed)
 
 
 @dataclass

@@ -30,6 +30,7 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.sim.fair_share import FairShareServer
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
 __all__ = [
@@ -42,9 +43,6 @@ __all__ = [
 ]
 
 _exec_ids = itertools.count(1)
-
-#: progress below this rate is treated as stalled (host down / fully thrashed)
-_MIN_RATE = 1e-12
 
 
 class HostDownError(RuntimeError):
@@ -119,11 +117,15 @@ class TaskExecution:
         )
 
 
-class Host:
+class Host(FairShareServer):
     """A simulated machine with processor-sharing execution semantics."""
 
+    #: work (base-processor seconds) below which an execution is done:
+    #: a nanosecond of base-processor time, far under any task's work
+    DONE_BELOW = 1e-9
+
     def __init__(self, sim: Simulator, spec: HostSpec, site_name: str = ""):
-        self.sim = sim
+        super().__init__(sim)
         self.spec = spec
         self.site_name = site_name
         self.state = HostState.UP
@@ -131,19 +133,15 @@ class Host:
         #: performance-fault factor: > 1 stretches every resident
         #: execution by that multiple (1.0 = nominal)
         self.slowdown: float = 1.0
-        self._running: list[TaskExecution] = []
         #: sum of ``memory_mb`` over ``_running``, kept at every mutation
         #: so a monitor report or a settle never iterates the residents
         self._resident_mb = 0
-        self._last_settle = sim.now
-        self._completion_call = None
         #: called (no arguments) whenever :meth:`set_bg_load` has set a
         #: new background load — the Application Controller's load watch
         self.load_listener: Optional[Callable[[], None]] = None
         #: counters for experiments
         self.completed_count = 0
         self.failed_count = 0
-        self.busy_time = 0.0
 
     # -- observable metrics (what the Monitor daemon measures) -----------
 
@@ -182,6 +180,12 @@ class Host:
             rate /= self.slowdown
         return rate
 
+    _rate = per_task_rate
+
+    def _on_finish(self, execution: TaskExecution) -> None:
+        self._resident_mb -= execution.memory_mb
+        self.completed_count += 1
+
     def execute(self, work: float, memory_mb: int = 0, label: str = "") -> TaskExecution:
         """Begin executing ``work`` base-processor seconds on this host."""
         if work < 0:
@@ -192,15 +196,11 @@ class Host:
         execution = TaskExecution(self, work, memory_mb, label)
         self._running.append(execution)
         self._resident_mb += execution.memory_mb
-        self.sim.trace(
-            "exec.start", host=self.spec.name, label=execution.label, work=work
-        )
         if execution.remaining <= 0.0:
             # Zero-work tasks complete immediately (but asynchronously).
             self._running.remove(execution)
-            self._resident_mb -= execution.memory_mb
             execution.finished_at = self.sim.now
-            self.completed_count += 1
+            self._on_finish(execution)
             self.sim.call_at(self.sim.now, lambda: execution.done.succeed(execution))
         self._reschedule_completion()
         return execution
@@ -214,7 +214,6 @@ class Host:
         self._resident_mb -= execution.memory_mb
         execution.finished_at = self.sim.now
         self.failed_count += 1
-        self.sim.trace("exec.cancel", host=self.spec.name, label=execution.label)
         execution.done.fail(
             cause if isinstance(cause, BaseException) else Interrupted(cause)
         )
@@ -259,7 +258,6 @@ class Host:
             return
         self._settle()
         self.slowdown = float(factor)
-        self.sim.trace("host.slowdown", host=self.spec.name, factor=factor)
         self._reschedule_completion()
 
     # -- failures ------------------------------------------------------------
@@ -272,7 +270,6 @@ class Host:
         self.state = HostState.DOWN
         victims, self._running = self._running, []
         self._resident_mb = 0
-        self.sim.trace("host.down", host=self.spec.name, victims=len(victims))
         for execution in victims:
             execution.finished_at = self.sim.now
             self.failed_count += 1
@@ -284,67 +281,6 @@ class Host:
             return
         self._last_settle = self.sim.now
         self.state = HostState.UP
-        self.sim.trace("host.up", host=self.spec.name)
-
-    # -- processor-sharing bookkeeping ----------------------------------------
-
-    def _settle(self) -> None:
-        """Credit elapsed progress to every resident execution."""
-        now = self.sim.now
-        elapsed = now - self._last_settle
-        self._last_settle = now
-        if elapsed <= 0 or not self._running:
-            return
-        rate = self.per_task_rate()
-        self.busy_time += elapsed
-        if rate <= 0:
-            return
-        credit = elapsed * rate
-        for execution in self._running:
-            execution.remaining = max(0.0, execution.remaining - credit)
-
-    def _reschedule_completion(self) -> None:
-        if self._completion_call is not None:
-            self._completion_call.cancelled = True
-            self._completion_call = None
-        if not self._running:
-            return
-        rate = self.per_task_rate()
-        if rate <= _MIN_RATE:
-            return  # stalled: no progress until conditions change
-        soonest = min(e.remaining for e in self._running)
-        eta = soonest / rate
-        self._completion_call = self.sim.call_after(eta, self._on_completion_tick)
-
-    def _on_completion_tick(self) -> None:
-        self._completion_call = None
-        self._settle()
-        finished = [e for e in self._running if e.remaining <= 1e-9]
-        if not finished and self._running:
-            # Float-stall guard (see Link._tick): a residual whose ETA is
-            # below the clock's ulp would re-tick at the same instant
-            # forever; treat it as complete.
-            rate = self.per_task_rate()
-            if rate > _MIN_RATE:
-                soonest = min(e.remaining for e in self._running)
-                if self.sim.now + soonest / rate <= self.sim.now:
-                    finished = [
-                        e for e in self._running if e.remaining <= soonest
-                    ]
-        for execution in finished:
-            self._running.remove(execution)
-            self._resident_mb -= execution.memory_mb
-            execution.remaining = 0.0
-            execution.finished_at = self.sim.now
-            self.completed_count += 1
-            self.sim.trace(
-                "exec.done",
-                host=self.spec.name,
-                label=execution.label,
-                elapsed=execution.elapsed,
-            )
-            execution.done.succeed(execution)
-        self._reschedule_completion()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -422,7 +422,6 @@ class Simulator:
         self._seq = itertools.count()
         self._rngs: dict[str, np.random.Generator] = {}
         self._failed: list[Process] = []
-        self._trace: Optional[list[tuple[float, str, dict]]] = None
         #: structured tracer (no-op unless a real Tracer is attached)
         self.tracer: Tracer = NULL_TRACER
         #: metrics registry (no-op unless a real registry is attached)
@@ -502,19 +501,6 @@ class Simulator:
             "sim_events_per_sim_second",
             "events executed per unit of virtual time",
         ).set(self.events_processed / self.now if self.now > 0 else 0.0)
-
-    def enable_trace(self) -> None:
-        """Record ``(time, kind, payload)`` tuples for visualisation/tests."""
-        if self._trace is None:
-            self._trace = []
-
-    def trace(self, kind: str, **payload: Any) -> None:
-        if self._trace is not None:
-            self._trace.append((self.now, kind, payload))
-
-    @property
-    def trace_log(self) -> list[tuple[float, str, dict]]:
-        return list(self._trace or [])
 
     # -- scheduling -------------------------------------------------------
 

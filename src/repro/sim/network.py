@@ -30,6 +30,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
+from repro.sim.fair_share import FairShareServer
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
 __all__ = [
@@ -37,14 +38,11 @@ __all__ = [
     "LinkDownError",
     "LinkSpec",
     "Network",
-    "TransferModel",
     "Transfer",
 ]
 
 #: time charged for a "transfer" between two tasks on the same host
 LOCAL_COPY_TIME = 1e-6
-
-_MIN_RATE = 1e-12
 
 
 class LinkDownError(SimulationError):
@@ -88,7 +86,8 @@ class Transfer:
     def __init__(self, link: "Link", size_mb: float, label: str):
         self.link = link
         self.size_mb = float(size_mb)
-        self.remaining_mb = float(size_mb)
+        #: megabytes still to carry
+        self.remaining = float(size_mb)
         self.label = label
         self.started_at = link.sim.now
         self.finished_at: Optional[float] = None
@@ -106,21 +105,22 @@ class Transfer:
         return end - self.started_at
 
 
-class Link:
+class Link(FairShareServer):
     """A shared link: concurrent transfers split bandwidth equally.
 
-    The same settle/reschedule machinery as :class:`repro.sim.host.Host`
-    (a processor-sharing server over megabytes instead of work units).
-    Latency is applied up front as a fixed delay before the transfer
-    joins the bandwidth-sharing phase.
+    A fair-share server over megabytes, as :class:`repro.sim.host.Host`
+    is over work units.  Latency is applied up front as a fixed delay
+    before the transfer joins the bandwidth-sharing phase.
     """
 
+    #: megabytes below which a transfer is done: a millionth of a byte,
+    #: under the smallest control message (hosts use a coarser residual;
+    #: each is far below its unit's smallest job, neither is tuned)
+    DONE_BELOW = 1e-12
+
     def __init__(self, sim: Simulator, spec: LinkSpec):
-        self.sim = sim
+        super().__init__(sim)
         self.spec = spec
-        self._active: list[Transfer] = []
-        self._last_settle = sim.now
-        self._completion_call = None
         self.bytes_carried_mb = 0.0
         self.transfer_count = 0
         #: liveness: a down link kills in-flight transfers and rejects new ones
@@ -144,12 +144,14 @@ class Link:
 
     @property
     def n_active(self) -> int:
-        return len(self._active)
+        return len(self._running)
 
     def per_transfer_rate(self) -> float:
-        if not self._active:
+        if not self._running:
             return 0.0
-        return self.spec.bandwidth_mbps / len(self._active)
+        return self.spec.bandwidth_mbps / len(self._running)
+
+    _rate = per_transfer_rate
 
     def fail(self) -> None:
         """Take the link down, killing every in-flight transfer.
@@ -162,11 +164,8 @@ class Link:
         self._settle()
         self.up = False
         self.failures += 1
-        victims, self._active = list(self._active), []
-        if self._completion_call is not None:
-            self._completion_call.cancelled = True
-            self._completion_call = None
-        self.sim.trace("net.link.down", link=self.spec.name, victims=len(victims))
+        victims, self._running = self._running, []
+        self._reschedule_completion()
         for t in victims:
             t.finished_at = self.sim.now
             t.done.fail(LinkDownError(self.spec.name, t.label))
@@ -177,7 +176,6 @@ class Link:
             return
         self.up = True
         self._last_settle = self.sim.now
-        self.sim.trace("net.link.up", link=self.spec.name)
 
     def transfer(self, size_mb: float, label: str = "xfer") -> Transfer:
         """Start a transfer; its ``done`` signal fires on completion.
@@ -197,12 +195,12 @@ class Link:
                 t.done.fail(LinkDownError(self.spec.name, t.label))
                 return
             self._settle()
-            if t.remaining_mb <= 0.0:
+            if t.remaining <= 0.0:
                 t.finished_at = self.sim.now
                 self._maybe_corrupt(t)
                 self.sim.call_at(self.sim.now, lambda: t.done.succeed(t))
                 return
-            self._active.append(t)
+            self._running.append(t)
             self._reschedule_completion()
 
         if not self.up:
@@ -215,56 +213,7 @@ class Link:
             return t
         # latency phase first, then join the shared-bandwidth phase
         self.sim.call_after(self.spec.latency_s, begin_bandwidth_phase)
-        self.sim.trace("net.xfer.start", link=self.spec.name, label=label, mb=size_mb)
         return t
-
-    def _settle(self) -> None:
-        now = self.sim.now
-        elapsed = now - self._last_settle
-        self._last_settle = now
-        if elapsed <= 0 or not self._active:
-            return
-        credit = elapsed * self.per_transfer_rate()
-        for t in self._active:
-            t.remaining_mb = max(0.0, t.remaining_mb - credit)
-
-    def _reschedule_completion(self) -> None:
-        if self._completion_call is not None:
-            self._completion_call.cancelled = True
-            self._completion_call = None
-        if not self._active:
-            return
-        rate = self.per_transfer_rate()
-        if rate <= _MIN_RATE:
-            return
-        soonest = min(t.remaining_mb for t in self._active)
-        self._completion_call = self.sim.call_after(soonest / rate, self._tick)
-
-    def _tick(self) -> None:
-        self._completion_call = None
-        self._settle()
-        finished = [t for t in self._active if t.remaining_mb <= 1e-12]
-        if not finished and self._active:
-            # Float-stall guard: at large virtual times a tiny residual's
-            # ETA can be below the clock's ulp, so the next tick would
-            # land on the same instant, settle zero progress, and loop
-            # forever.  Such residuals are complete by construction.
-            rate = self.per_transfer_rate()
-            if rate > _MIN_RATE:
-                soonest = min(t.remaining_mb for t in self._active)
-                if self.sim.now + soonest / rate <= self.sim.now:
-                    finished = [
-                        t for t in self._active if t.remaining_mb <= soonest
-                    ]
-        for t in finished:
-            self._active.remove(t)
-            t.finished_at = self.sim.now
-            self._maybe_corrupt(t)
-            self.sim.trace(
-                "net.xfer.done", link=self.spec.name, label=t.label, elapsed=t.elapsed
-            )
-            t.done.succeed(t)
-        self._reschedule_completion()
 
     def _maybe_corrupt(self, t: Transfer) -> None:
         """Draw payload damage for one completing transfer.
@@ -284,33 +233,11 @@ class Link:
             return
         self.corruptions += 1
         self.corruption_log.append((self.sim.now, t.label, t.corruption))
-        self.sim.trace(
-            "net.xfer.corrupt", link=self.spec.name, label=t.label, mode=t.corruption
-        )
+
+    _on_finish = _maybe_corrupt
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return f"Link({self.spec.name!r}, active={len(self._active)})"
-
-
-@dataclass(frozen=True)
-class TransferModel:
-    """Analytic view of the network used by schedulers.
-
-    Built from the same :class:`LinkSpec` parameters, independent of the
-    live :class:`Network`, because the paper's scheduler works off the
-    site repository, not live links.
-    """
-
-    local_copy_time: float = LOCAL_COPY_TIME
-    lan: LinkSpec = LinkSpec(name="lan")
-    wan: LinkSpec = LinkSpec(latency_s=0.05, bandwidth_mbps=1.0, name="wan")
-
-    def estimate(self, same_host: bool, same_site: bool, size_mb: float) -> float:
-        if same_host:
-            return self.local_copy_time
-        if same_site:
-            return self.lan.transfer_time(size_mb)
-        return self.wan.transfer_time(size_mb)
+        return f"Link({self.spec.name!r}, active={len(self._running)})"
 
 
 class Network:
@@ -560,7 +487,7 @@ class Network:
         if link is None:
             # local move: complete after the constant copy time
             t = Transfer(_LocalLink(self.sim), size_mb, label)
-            t.remaining_mb = 0.0
+            t.remaining = 0.0
 
             def finish() -> None:
                 t.finished_at = self.sim.now

@@ -23,6 +23,7 @@ __all__ = [
     "TRACE_SCHEMA_VERSION",
     "diff_traces",
     "event_to_json",
+    "events_of",
     "events_to_jsonl",
     "parse_jsonl",
     "read_jsonl",
@@ -38,7 +39,8 @@ TRACE_SCHEMA_VERSION = 1
 TraceLike = Union[Tracer, Sequence[TraceEvent]]
 
 
-def _events_of(trace: TraceLike) -> List[TraceEvent]:
+def events_of(trace: TraceLike) -> List[TraceEvent]:
+    """The events of a :class:`Tracer` or of a plain event sequence."""
     if isinstance(trace, Tracer):
         return trace.events()
     return list(trace)
@@ -65,7 +67,7 @@ def events_to_jsonl(trace: TraceLike) -> str:
     header = canonical_json(
         {"trace_header": {"schema_version": TRACE_SCHEMA_VERSION}}
     )
-    lines = [header] + [event_to_json(e) for e in _events_of(trace)]
+    lines = [header] + [event_to_json(e) for e in events_of(trace)]
     return "\n".join(lines) + "\n"
 
 
@@ -116,7 +118,7 @@ def read_jsonl(path: str) -> List[TraceEvent]:
 def trace_hash(trace: TraceLike) -> str:
     """SHA-256 over the canonical JSONL — the trace's stable identity."""
     digest = hashlib.sha256()
-    for event in _events_of(trace):
+    for event in events_of(trace):
         digest.update((event_to_json(event) + "\n").encode("utf-8"))
     return digest.hexdigest()
 
@@ -128,7 +130,7 @@ def diff_traces(a: TraceLike, b: TraceLike, limit: int = 10) -> List[str]:
     workflow for debugging a scheduling change: capture a trace before
     and after, then read where the event streams first diverge.
     """
-    events_a, events_b = _events_of(a), _events_of(b)
+    events_a, events_b = events_of(a), events_of(b)
     differences: List[str] = []
     for index, (ea, eb) in enumerate(zip(events_a, events_b)):
         if len(differences) >= limit:

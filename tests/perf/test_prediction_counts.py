@@ -62,7 +62,7 @@ def place(n_tasks: int, monkeypatch):
         lambda self, *a, **kw: calls.append(1) or reference(self, *a, **kw))
     table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
     assert len(table) == n_tasks
-    builds = sum(repo.predict_cache.builds for repo in repos.values())
+    builds = sum(repo.host_index.builds for repo in repos.values())
     return len(calls), builds, len({t.task_type for t in afg})
 
 

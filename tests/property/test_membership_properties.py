@@ -1,12 +1,12 @@
-"""Property: the cached runnable table survives arbitrary churn.
+"""Property: the cached prediction rows survive arbitrary churn.
 
 Satellite 3 of issue 10.  For ANY randomized sequence of membership
 operations — join, activate, drain, retire, rejoin, up/down flaps,
-workload reports — the incrementally-invalidated
-:class:`~repro.repository.host_index.HostIndex` must agree *exactly*
-(same hosts, same order) with
+workload reports — the rows the repository's long-lived, version-keyed
+:class:`~repro.repository.host_index.HostIndex` hands out must name
+*exactly* (same hosts, same order)
 
-* a from-scratch index rebuilt over the same databases, and
+* the hosts of a from-scratch index over the same databases, and
 * the reference linear scan (up + ACTIVE + executable installed,
   name-sorted)
 
@@ -20,9 +20,11 @@ from hypothesis import strategies as st
 from repro.repository.host_index import HostIndex
 from repro.repository.resources import MembershipState
 from repro.repository.store import SiteRepository
+from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 
 TASK_TYPES = ("math.lu_decompose", "signal.spectrum")
+MODEL = PredictionModel()
 
 # ops are drawn as (opcode, host_pick, coin) triples; illegal ops for
 # the picked host's current state degrade to a no-op, so every drawn
@@ -109,10 +111,10 @@ def test_cached_table_equals_rebuild_under_churn(ops):
 
     for step, (opcode, pick, coin) in enumerate(ops):
         _apply(repo, step, opcode, pick, coin)
-        fresh = HostIndex(repo.resources, repo.constraints)
+        fresh = HostIndex(repo.resources, repo.constraints, repo.task_perf)
         for task_type in TASK_TYPES:
-            cached = [r.name for r in
-                      repo.host_index.runnable_up_hosts(task_type)]
+            cached = [row[0] for row in
+                      repo.host_index.rows(task_type, MODEL)]
             rebuilt = [r.name for r in fresh.runnable_up_hosts(task_type)]
             assert cached == rebuilt == _reference(repo, task_type), (
                 f"step {step} op {opcode} on pick {pick}: cached={cached} "

@@ -178,16 +178,16 @@ class TestMembershipInvalidation:
         sim = Simulator()
         site = make_uniform_site(sim, "syr", n_hosts=3)
         repo = SiteRepository.bootstrap(site, default_registry())
-        keys = [repo.predict_cache.key()]
+        keys = [repo.host_index.version_key()]
         repo.resources.begin_draining("syr-h01", time=1.0)
-        keys.append(repo.predict_cache.key())
+        keys.append(repo.host_index.version_key())
         repo.deregister_host("syr-h01")
-        keys.append(repo.predict_cache.key())
+        keys.append(repo.host_index.version_key())
         repo.resources.rejoin_host(site.host("syr-h01").spec,
                                    group="syr-g0", time=2.0)
-        keys.append(repo.predict_cache.key())
+        keys.append(repo.host_index.version_key())
         repo.resources.activate_host("syr-h01", time=3.0)
-        keys.append(repo.predict_cache.key())
+        keys.append(repo.host_index.version_key())
         assert len(set(keys)) == len(keys)
 
     def test_runnable_up_hosts_excludes_non_active(self):

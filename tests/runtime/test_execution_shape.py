@@ -200,3 +200,35 @@ def test_the_race_shares_a_record_not_boxes():
     ]
     args = timer.args
     assert len(args.posonlyargs + args.args + args.kwonlyargs) <= 5
+
+
+# -- what lies under the runtime: sim/ and repository/ -------------------------
+
+def test_the_simulator_has_one_fair_share_server():
+    """``Host`` and ``Link`` subclass ``FairShareServer`` (DESIGN §5
+    decision 15): a second settle loop, re-timing or stall threshold
+    under ``sim/`` is a second server."""
+    sim = [tree for path, tree in ALL.items()
+           if path.relative_to(SRC).parts[0] == "sim"]
+    defined = [name.rsplit(".", 1)[-1]
+               for tree in sim for name, _node in functions(tree)]
+    for name in ("_settle", "_reschedule_completion"):
+        assert defined.count(name) == 1
+    assert len([
+        node for tree in sim for node in ast.walk(tree)
+        if isinstance(node, ast.Assign)
+        and any(getattr(t, "id", None) == "_MIN_RATE" for t in node.targets)
+    ]) == 1
+
+
+def test_the_kernel_has_one_trace_channel():
+    """Events go through the ``Tracer``; the pre-tracer ``Simulator.trace``
+    log and its call sites are gone."""
+    for path in ALL:
+        text = path.read_text()
+        for gone in ("enable_trace", "trace_log", ".sim.trace("):
+            assert gone not in text, f"{gone} in {path}"
+
+
+def test_the_repository_has_one_derived_table():
+    assert not (SRC / "repository" / "predict_cache.py").exists()

@@ -279,7 +279,8 @@ class Rig:
 
     def __init__(self, period=2.0, threshold=4.0, hosts=("h0", "h1")):
         self.sim = Simulator(seed=0)
-        self.sim.enable_trace()
+        #: (time, "start" | "done" | "cancel", label) per slice
+        self.log = []
         self.tracer = self.sim.attach_tracer(Tracer())
         self.checks = LoadCheckCalendar(self.sim)
         self.hosts = {n: Host(self.sim, HostSpec(name=n)) for n in hosts}
@@ -291,8 +292,14 @@ class Rig:
         }
 
     def start(self, at, host, task, work=100.0):
-        self.sim.call_at(at, lambda: self.controllers[host].start_slice(
-            work, 0, label=task, task_id=task))
+        def begin():
+            execution = self.controllers[host].start_slice(
+                work, 0, label=task, task_id=task)
+            self.log.append((self.sim.now, "start", task))
+            execution.done._subscribe(self.sim, lambda done: self.log.append(
+                (self.sim.now, "cancel" if done.failed else "done", task)))
+
+        self.sim.call_at(at, begin)
 
     def load(self, at, host, value):
         self.sim.call_at(at, lambda: self.hosts[host].set_bg_load(value))
@@ -304,8 +311,7 @@ class Rig:
         self.sim.run(until=until)
         return {
             "cancels": [(t, task) for t, task, _, _ in load_cancels(self.tracer)],
-            # exec.start / exec.cancel / exec.done with time and label
-            "log": self.sim.trace_log,
+            "log": self.log,
             "events": self.sim.events_processed,
             "armed": len(self.checks),
         }
@@ -350,7 +356,7 @@ def test_load_dropping_back_before_the_boundary_cancels_nothing():
 
     _, evented = scripted(script)
     assert evented["cancels"] == []
-    assert evented["log"][-1][1] == "exec.done"
+    assert evented["log"][-1][1:] == ("done", "t1")
     assert evented["armed"] == 0
 
 

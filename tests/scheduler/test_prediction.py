@@ -96,21 +96,6 @@ def test_parallel_on_sequential_task_rejected():
         PredictionModel().predict("seq", 1.0, 2, record(), db)
 
 
-def test_predict_group_is_slowest_member():
-    db = make_db()
-    model = PredictionModel()
-    fast, slow = record("f", speed=2.0), record("s2", speed=1.0)
-    t = model.predict_group("par", 1.0, [fast, slow], db)
-    # per-node slice is 20 work (speedup 2); slow host: 20 s, fast: 10 s
-    assert t == pytest.approx(20.0)
-
-
-def test_predict_group_empty_rejected():
-    db = make_db()
-    with pytest.raises(ValueError):
-        PredictionModel().predict_group("par", 1.0, [], db)
-
-
 def test_calibration_factor_applied():
     db = make_db()
     db.record_execution("seq", "h", expected_s=10.0, measured_s=15.0)

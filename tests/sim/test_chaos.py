@@ -1,7 +1,12 @@
 """The chaos-campaign harness: invariants, determinism, typed failures."""
 
+import dataclasses
+import hashlib
+
 import pytest
 
+from repro.hashing import canonical_json
+from repro.sim import chaos
 from repro.sim.chaos import ChaosConfig, run_campaign, smoke_config
 
 
@@ -81,3 +86,38 @@ def test_config_validation():
         ChaosConfig(duration_s=0.0)
     with pytest.raises(ValueError):
         ChaosConfig(n_flaky_hosts=-1)
+
+
+# -- the preset table -----------------------------------------------------------
+
+#: sha256 (16 hex digits) of ``canonical_json(asdict(config))`` at seed 5,
+#: taken from the six hand-spelled builders the table replaced
+PRESET_DIGESTS = {
+    "smoke": ("smoke_config", "0c41043852341fe3"),
+    "slowdown-smoke": ("slowdown_smoke_config", "cbf10d7530eeeb9d"),
+    "storm": ("storm_config", "ef91e10a44f5a673"),
+    "corruption": ("corruption_smoke_config", "3ac9673b7ccb498f"),
+    "churn": ("churn_smoke_config", "be8a95e327659fa8"),
+    "calm": ("calm_config", "2ec347bd07435236"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
+def test_a_preset_is_the_configuration_its_builder_spelled_out(name):
+    builder, digest = PRESET_DIGESTS[name]
+    config = chaos.preset(name, seed=5)
+    assert config == getattr(chaos, builder)(seed=5)
+    encoded = canonical_json(dataclasses.asdict(config)).encode("utf-8")
+    assert hashlib.sha256(encoded).hexdigest()[:16] == digest
+
+
+def test_the_preset_table_holds_only_what_differs_from_the_defaults():
+    assert list(chaos.PRESETS) == list(PRESET_DIGESTS)  # the CLI's flag order
+    defaults = ChaosConfig()
+    for name, fields in chaos.PRESETS.items():
+        assert fields["doc"]
+        restated = [
+            field for field, value in fields.items()
+            if field != "doc" and value == getattr(defaults, field)
+        ]
+        assert not restated, f"{name} restates defaults: {restated}"

@@ -335,16 +335,6 @@ def test_stream_values_do_not_depend_on_when_it_materialises(seed, steps):
         assert values == list(reference.random(len(values)))
 
 
-def test_trace_disabled_by_default_and_enabled_on_request():
-    sim = Simulator()
-    sim.trace("hello", a=1)
-    assert sim.trace_log == []
-    sim.enable_trace()
-    sim.call_at(2.0, lambda: sim.trace("evt", k="v"))
-    sim.run()
-    assert sim.trace_log == [(2.0, "evt", {"k": "v"})]
-
-
 def test_run_until_complete_raises_if_unfinished():
     sim = Simulator()
 

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.sim import LinkSpec, Simulator
-from repro.sim.network import LOCAL_COPY_TIME, Link, Network, TransferModel
+from repro.sim.network import LOCAL_COPY_TIME, Link, Network
 
 
 def test_linkspec_transfer_time_is_latency_plus_serialisation():
@@ -167,16 +167,6 @@ def test_real_transfer_cross_site_uses_wan_link():
     sim.run()
     assert t.finished_at == pytest.approx(0.05 + 2.0)
     assert net.wan_link("site-a", "site-b").transfer_count == 1
-
-
-def test_transfer_model_estimates():
-    model = TransferModel(
-        lan=LinkSpec(latency_s=0.001, bandwidth_mbps=10.0),
-        wan=LinkSpec(latency_s=0.05, bandwidth_mbps=1.0),
-    )
-    assert model.estimate(True, True, 50.0) == LOCAL_COPY_TIME
-    assert model.estimate(False, True, 10.0) == pytest.approx(0.001 + 1.0)
-    assert model.estimate(False, False, 1.0) == pytest.approx(0.05 + 1.0)
 
 
 def test_transfer_done_signal_delivers_transfer_object():
