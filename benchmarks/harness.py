@@ -129,20 +129,17 @@ def _scenario_host_selection(tracer: Tracer, metrics: MetricsRegistry,
                                      ccr=0.4, seed=1))
     # placement-only scenario: wrap the selection in a manual root +
     # schedule span so a span-enabled pass still yields an explainable
-    # window (dead branches on the default, spans-off pass)
-    sched_span = None
-    if rt.spans.enabled:
-        root = rt.spans.root_of(afg.name, source="bench:host_selection")
-        sched_span = rt.spans.open(
-            SpanKind.SCHEDULE, afg.name, parent=root,
-            source="bench:host_selection", site="site-0",
-        )
+    # window (NULL_SPAN, so nothing recorded, on the default pass)
+    sched_span = rt.spans.open(
+        SpanKind.SCHEDULE, afg.name,
+        parent=rt.spans.root_of(afg.name, source="bench:host_selection"),
+        source="bench:host_selection", site="site-0",
+    )
     results = select_hosts(afg, repo, model=rt.model,
                            tracer=tracer, metrics=metrics)
-    if sched_span is not None:
-        rt.spans.close(sched_span, source="bench:host_selection",
-                       tasks=len(results))
-        rt.spans.close_root(afg.name, source="bench:host_selection")
+    rt.spans.close(sched_span, source="bench:host_selection",
+                   tasks=len(results))
+    rt.spans.close_root(afg.name, source="bench:host_selection")
     return {"tasks": len(results), "rt": rt}
 
 

@@ -14,9 +14,10 @@ Commands:
   path, per-host utilization, schedule lag; with two traces, the
   structural diff (first divergent event + per-kind count deltas);
 * ``explain <trace>`` — the attribution engine: rebuild the causal span
-  tree from a ``--spans`` trace (or re-run a bench scenario with spans
-  on), print the per-application wait-state breakdown, critical path
-  and top-k slow tasks/hosts, and hash the canonical report;
+  tree from a ``run``/``resume --trace`` or ``chaos --spans`` trace (or
+  re-run a bench scenario with spans on), print the per-application
+  wait-state breakdown, critical path and top-k slow tasks/hosts, and
+  hash the canonical report;
 * ``experiments`` — print the experiment index (DESIGN.md §4) and the
   bench command that regenerates each one;
 * ``bench`` — run the behaviour gate (three fixed-seed scenarios, trace
@@ -120,21 +121,16 @@ def cmd_run(args) -> int:
     from repro import VDCE
     from repro.metrics import summarize_result
     from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+    from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace import NULL_TRACER, Tracer
 
     tracer = Tracer() if args.trace else NULL_TRACER
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
-    kwargs = {}
-    if args.spans:
-        if not args.trace:
-            print("error: --spans needs --trace (spans live in the trace)")
-            return 1
-        from repro.runtime.vdce_runtime import RuntimeConfig
-
-        kwargs["runtime_config"] = RuntimeConfig(causal_spans=True)
+    # a trace records the causal spans too: the phase table reads them
     env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
                         seed=args.seed, tracer=tracer, metrics=metrics,
-                        **kwargs)
+                        runtime_config=RuntimeConfig(
+                            causal_spans=bool(args.trace)))
     if args.monitoring:
         env.start_monitoring()
     afg, payloads = _build_app(args.application, args.scale, args.seed)
@@ -442,7 +438,7 @@ def cmd_explain(args) -> int:
     report = explain(events, top=args.top)
     if not report["apps"]:
         print(f"no causal spans in {source} — record the trace with "
-              "spans enabled (run/chaos/resume --spans, bench --profile)")
+              "run/resume --trace, chaos --spans --trace or bench --profile")
         return 1
 
     print(f"causal-span attribution — {source}")
@@ -659,15 +655,10 @@ def cmd_resume(args) -> int:
     tracer = None
     runtime_config = None
     if args.trace:
+        from repro.runtime.vdce_runtime import RuntimeConfig
         from repro.trace.tracer import Tracer
 
         tracer = Tracer()
-    if args.spans:
-        from repro.runtime.vdce_runtime import RuntimeConfig
-
-        if tracer is None:
-            print("error: --spans needs --trace (spans live in the trace)")
-            return 1
         runtime_config = RuntimeConfig(causal_spans=True)
     try:
         _env, result = resume_run(
@@ -934,11 +925,9 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--monitoring", action="store_true",
                      help="start monitor daemons + echo loops first")
     run.add_argument("--trace", metavar="PATH",
-                     help="record a structured event trace to PATH (JSONL) "
-                          "and print its summary + content hash")
-    run.add_argument("--spans", action="store_true",
-                     help="with --trace: record causal spans too, for "
-                          "'repro explain'")
+                     help="record a structured event trace with causal "
+                          "spans to PATH (JSONL) and print its summary + "
+                          "content hash; 'repro explain' reads it")
     run.add_argument("--metrics", metavar="PATH",
                      help="record a metrics snapshot to PATH (canonical "
                           "JSON) and print its content hash")
@@ -985,7 +974,8 @@ def build_parser() -> argparse.ArgumentParser:
         "explain",
         help="attribute an application's time from its causal span trace")
     explain.add_argument("trace", nargs="?",
-                         help="JSONL trace recorded with --spans")
+                         help="JSONL trace recorded by run/resume --trace "
+                              "or chaos --spans --trace")
     explain.add_argument("--scenario",
                          help="instead of a trace file: re-run this bench "
                               "scenario with spans on and explain it")
@@ -1086,11 +1076,9 @@ def build_parser() -> argparse.ArgumentParser:
                         help="write the resumed run's terminal output "
                              "hashes (JSON) to PATH")
     resume.add_argument("--trace", metavar="PATH",
-                        help="record the resumed run's event trace (JSONL) "
-                             "to PATH")
-    resume.add_argument("--spans", action="store_true",
-                        help="with --trace: record causal spans too, for "
-                             "'repro explain'")
+                        help="record the resumed run's event trace with "
+                             "causal spans (JSONL) to PATH, for 'repro "
+                             "explain'")
 
     sub.add_parser("selftest", help="quick end-to-end health check")
     sub.add_parser("verify", help="alias for selftest")

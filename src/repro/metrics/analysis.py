@@ -25,10 +25,16 @@ too), so saved JSONL traces round-trip through
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import format_table
-from repro.metrics.trace_summary import event_counts, phase_timings
+from repro.metrics.trace_summary import (
+    event_counts,
+    format_phase_timings,
+    phase_timings,
+)
+from repro.obs.attribution import merge_intervals
 from repro.trace.events import EventKind, TraceEvent
 from repro.trace.serialize import TraceLike, events_of, event_to_json
 
@@ -105,19 +111,19 @@ def critical_path(trace: TraceLike) -> Dict[str, Any]:
         return {"length_s": 0.0, "tasks": 0, "path": []}
 
     children: Dict[str, List[str]] = {}
-    parents_count: Dict[str, int] = {t: 0 for t in intervals}
+    parents: Dict[str, List[str]] = {t: [] for t in intervals}
     for src, dst in _task_edges(events):
         if src in intervals and dst in intervals:
             children.setdefault(src, []).append(dst)
-            parents_count[dst] += 1
+            parents[dst].append(src)
 
     # longest path by accumulated duration, walking a topological order
     # (the AFG is acyclic; observed edges are a subgraph of it)
-    order: List[str] = [t for t in sorted(intervals) if parents_count[t] == 0]
-    remaining = dict(parents_count)
-    queue = list(order)
+    order: List[str] = [t for t in sorted(intervals) if not parents[t]]
+    remaining = {t: len(p) for t, p in parents.items()}
+    queue = deque(order)
     while queue:
-        current = queue.pop(0)
+        current = queue.popleft()
         for child in sorted(children.get(current, ())):
             remaining[child] -= 1
             if remaining[child] == 0:
@@ -127,12 +133,11 @@ def critical_path(trace: TraceLike) -> Dict[str, Any]:
     best_cost: Dict[str, float] = {}
     best_parent: Dict[str, Optional[str]] = {}
     for task in order:
-        incoming = [
-            (best_cost[p], p)
-            for p, kids in children.items()
-            if task in kids and p in best_cost
-        ]
-        cost, parent = max(incoming, default=(0.0, None))
+        # every parent precedes its child in ``order``; ties on cost go
+        # to the larger parent id
+        cost, parent = max(
+            ((best_cost[p], p) for p in parents[task]), default=(0.0, None)
+        )
         best_cost[task] = cost + intervals[task]["duration"]
         best_parent[task] = parent
 
@@ -174,18 +179,13 @@ def host_timelines(trace: TraceLike) -> Dict[str, Dict[str, Any]]:
 
     timelines: Dict[str, Dict[str, Any]] = {}
     for host in sorted(raw):
-        merged: List[List[float]] = []
-        for start, finish in sorted(raw[host]):
-            if merged and start <= merged[-1][1]:
-                merged[-1][1] = max(merged[-1][1], finish)
-            else:
-                merged.append([start, finish])
+        merged = merge_intervals(raw[host])
         busy = sum(finish - start for start, finish in merged)
         timelines[host] = {
             "busy_s": busy,
             "idle_s": max(window - busy, 0.0),
             "utilization": (busy / window) if window > 0 else 0.0,
-            "intervals": [tuple(iv) for iv in merged],
+            "intervals": merged,
             "tasks": sum(
                 1 for r in intervals.values() if host in r["hosts"]
             ),
@@ -277,19 +277,9 @@ def format_analysis(trace: TraceLike, title: str = "trace analysis") -> str:
         lines.append("")
         lines.append(format_table(rows, title="per-host utilization"))
 
-    timing_rows = [
-        {
-            "phase": name,
-            "count": int(agg["count"]),
-            "total_s": round(agg["total_s"], 4),
-            "unclosed": int(agg["unclosed"]),
-        }
-        for name, agg in report["phase_timings"].items()
-        if agg["count"] or agg["unclosed"]
-    ]
-    if timing_rows:
+    if report["phase_timings"]:
         lines.append("")
-        lines.append(format_table(timing_rows, title="phase timings"))
+        lines.append(format_phase_timings(report["phase_timings"]))
     return "\n".join(lines)
 
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
+from repro.obs.attribution import merge_intervals
 from repro.runtime.execution import ApplicationResult
 
 __all__ = ["busy_intervals", "concurrency_profile", "parallel_efficiency"]
@@ -51,22 +52,6 @@ def concurrency_profile(result: ApplicationResult) -> List[Tuple[float, int]]:
     return profile
 
 
-def _union_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length of the union of (already sorted) intervals."""
-    total = 0.0
-    current_start, current_end = None, None
-    for start, end in intervals:
-        if current_end is None or start > current_end:
-            if current_end is not None:
-                total += current_end - current_start
-            current_start, current_end = start, end
-        else:
-            current_end = max(current_end, end)
-    if current_end is not None:
-        total += current_end - current_start
-    return total
-
-
 def parallel_efficiency(result: ApplicationResult) -> float:
     """Fraction of (hosts used x makespan) during which hosts held work.
 
@@ -80,5 +65,8 @@ def parallel_efficiency(result: ApplicationResult) -> float:
     intervals = busy_intervals(result)
     if not intervals:
         return 0.0
-    busy = sum(_union_length(iv) for iv in intervals.values())
+    busy = sum(
+        sum(end - start for start, end in merge_intervals(iv))
+        for iv in intervals.values()
+    )
     return busy / (len(intervals) * result.makespan)

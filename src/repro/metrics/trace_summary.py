@@ -5,8 +5,8 @@ benchmarks and the CLI actually read:
 
 * **event counts** by kind — the trace-side mirror of
   :class:`~repro.runtime.stats.RuntimeStats`;
-* **phase timings** from span events — how much virtual time went to
-  scheduling vs. allocation vs. channel setup vs. execution, so
+* **phase timings** per causal-span kind — how much virtual time went
+  to scheduling vs. allocation vs. channel setup vs. execution, so
   benches can attribute end-to-end cost per phase.
 """
 
@@ -15,11 +15,12 @@ from __future__ import annotations
 from typing import Dict
 
 from repro.metrics.tables import format_table
-from repro.trace.events import EventKind
+from repro.obs.attribution import build_forest
 from repro.trace.serialize import TraceLike, events_of
 
 __all__ = [
     "event_counts",
+    "format_phase_timings",
     "format_trace_summary",
     "phase_timings",
 ]
@@ -33,41 +34,28 @@ def event_counts(trace: TraceLike) -> Dict[str, int]:
 
 
 def phase_timings(trace: TraceLike) -> Dict[str, Dict[str, float]]:
-    """Per-span-name aggregate timings from span events.
+    """Per-span-kind aggregate timings: a fold over the span forest.
 
-    Returns ``{span_name: {"count": n, "total_s": sum, "max_s": max,
-    "unclosed": k}}``.  Span events need not be balanced: begin/end
-    pairs are matched by ``span_id``, nested spans of the same name
-    aggregate independently, a ``span_begin`` with no matching end is
-    reported in ``unclosed`` (count/total cover completed spans only),
-    and a stray ``span_end`` still contributes its measured duration.
+    Returns ``{kind: {"count": n, "total_s": sum, "max_s": max,
+    "unclosed": k}}``.  ``count`` / ``total_s`` / ``max_s`` cover the
+    closed spans; ``unclosed`` counts the orphan-marked ones and those
+    still open at trace end.  Pairing is the forest's, by ``span_id``:
+    nested spans of one kind aggregate independently, and a close
+    without an open contributes nothing (it is an I9 violation).
     """
     result: Dict[str, Dict[str, float]] = {}
-
-    def agg_of(name: str) -> Dict[str, float]:
-        return result.setdefault(
-            name, {"count": 0, "total_s": 0.0, "max_s": 0.0, "unclosed": 0}
-        )
-
-    #: open span_id -> span name (for begin/end pairing)
-    open_spans: Dict[object, str] = {}
-    for event in events_of(trace):
-        if event.kind == EventKind.SPAN_BEGIN:
-            name = str(event.data.get("span", ""))
-            agg_of(name)["unclosed"] += 1
-            span_id = event.data.get("span_id")
-            if span_id is not None:
-                open_spans[span_id] = name
-        elif event.kind == EventKind.SPAN_END:
-            name = str(event.data.get("span", ""))
-            duration = float(event.data.get("duration", 0.0))
-            span_id = event.data.get("span_id")
-            agg = agg_of(open_spans.pop(span_id, name))
-            if agg["unclosed"] > 0:
-                agg["unclosed"] -= 1
-            agg["count"] += 1
-            agg["total_s"] += duration
-            agg["max_s"] = max(agg["max_s"], duration)
+    for root in build_forest(events_of(trace)):
+        for node in root.walk():
+            agg = result.setdefault(
+                node.kind,
+                {"count": 0, "total_s": 0.0, "max_s": 0.0, "unclosed": 0},
+            )
+            if node.orphaned or node.unclosed:
+                agg["unclosed"] += 1
+            else:
+                agg["count"] += 1
+                agg["total_s"] += node.duration
+                agg["max_s"] = max(agg["max_s"], node.duration)
     return dict(sorted(result.items()))
 
 
@@ -79,9 +67,15 @@ def format_trace_summary(trace: TraceLike, title: str = "trace summary") -> str:
     sections = [
         format_table(count_rows, title=f"{title} — {len(events)} events"),
     ]
-    # empty phases (no completed span, nothing left open — e.g. monitor
-    # phases of a run with monitoring off) are suppressed entirely
-    timing_rows = [
+    timings = phase_timings(events)
+    if timings:
+        sections.append(format_phase_timings(timings))
+    return "\n\n".join(sections)
+
+
+def format_phase_timings(timings: Dict[str, Dict[str, float]]) -> str:
+    """The phase-timing table of :func:`phase_timings`' result."""
+    rows = [
         {
             "phase": name,
             "count": int(agg["count"]),
@@ -89,9 +83,6 @@ def format_trace_summary(trace: TraceLike, title: str = "trace summary") -> str:
             "max_s": round(agg["max_s"], 4),
             "unclosed": int(agg["unclosed"]),
         }
-        for name, agg in phase_timings(events).items()
-        if agg["count"] or agg["unclosed"]
+        for name, agg in timings.items()
     ]
-    if timing_rows:
-        sections.append(format_table(timing_rows, title="phase timings"))
-    return "\n\n".join(sections)
+    return format_table(rows, title="phase timings")

@@ -40,6 +40,7 @@ __all__ = [
     "SpanNode",
     "build_forest",
     "explain",
+    "merge_intervals",
     "report_hash",
     "report_to_json",
     "span_integrity",
@@ -120,13 +121,12 @@ class SpanNode:
     children: List["SpanNode"] = field(default_factory=list)
 
     @property
-    def duration(self) -> float:
-        end = self.close_time if self.close_time is not None else self.open_time
-        return max(0.0, end - self.open_time)
-
-    @property
     def end(self) -> float:
         return self.close_time if self.close_time is not None else self.open_time
+
+    @property
+    def duration(self) -> float:
+        return max(0.0, self.end - self.open_time)
 
     def walk(self) -> Iterable["SpanNode"]:
         yield self
@@ -134,18 +134,82 @@ class SpanNode:
             yield from child.walk()
 
 
-def _span_events(
-    events: Iterable[TraceEvent],
-) -> Tuple[List[TraceEvent], float]:
-    """The span events of a trace, in order, and the trace's end time."""
-    span_events = []
+def _pair(events: Iterable[TraceEvent]) -> Tuple[List[SpanNode], List[str]]:
+    """The one span-pairing pass: the forest and the I9 violations.
+
+    Spans are paired by ``span_id``.  A close or orphan ends the span
+    only if it is still open; anything else — an open of a live or ended
+    id, a close/orphan without an open or after one — is a violation,
+    and so is a span still open at trace end, which is then closed at
+    the trace's last event time and marked ``unclosed``.
+    """
+    nodes: Dict[int, SpanNode] = {}
+    state: Dict[int, str] = {}  # span_id -> "open" | "closed" | "orphaned"
+    violations: List[str] = []
     last_time = 0.0
     for event in events:
         if event.time > last_time:
             last_time = event.time
-        if event.kind in _SPAN_KINDS:
-            span_events.append(event)
-    return span_events, last_time
+        if event.kind not in _SPAN_KINDS:
+            continue
+        data = event.data
+        span_id = int(data["span_id"])
+        prior = state.get(span_id)
+        if event.kind == EventKind.SPAN_OPEN:
+            if prior is not None:
+                violations.append(
+                    f"span {span_id} ({data.get('span', '?')}) opened twice"
+                )
+            state[span_id] = "open"
+            parent_id = data.get("parent_id")
+            nodes[span_id] = SpanNode(
+                span_id=span_id,
+                kind=str(data.get("span", "")),
+                app=str(data.get("application", "")),
+                parent_id=int(parent_id) if parent_id is not None else None,
+                open_time=event.time,
+                attrs={
+                    k: v for k, v in data.items()
+                    if k not in ("span", "span_id", "parent_id", "application")
+                },
+            )
+            continue
+        verb = "closed" if event.kind == EventKind.SPAN_CLOSE else "orphaned"
+        if prior == "open":
+            node = nodes[span_id]
+            node.close_time = event.time
+            if verb == "orphaned":
+                node.orphaned = True
+                node.status = str(data.get("reason", "orphaned"))
+            else:
+                node.status = str(data.get("status", "ok"))
+                node.close_attrs = data
+        else:
+            kind = data.get("span", "?")
+            violations.append(
+                f"span {span_id} ({kind}) {verb} without an open"
+                if prior is None else
+                f"span {span_id} ({kind}) {verb} after already {prior}"
+            )
+        state[span_id] = verb
+    roots: List[SpanNode] = []
+    for span_id in sorted(nodes):
+        node = nodes[span_id]
+        if node.close_time is None:
+            node.close_time = last_time
+            node.unclosed = True
+            node.status = "unclosed"
+            violations.append(
+                f"span {span_id} never closed and never orphan-marked"
+            )
+        parent = nodes.get(node.parent_id) if node.parent_id is not None else None
+        if parent is not None:
+            parent.children.append(node)
+        else:
+            roots.append(node)
+    for node in nodes.values():
+        node.children.sort(key=lambda n: (n.open_time, n.span_id))
+    return roots, violations
 
 
 def build_forest(events: Iterable[TraceEvent]) -> List[SpanNode]:
@@ -155,53 +219,7 @@ def build_forest(events: Iterable[TraceEvent]) -> List[SpanNode]:
     Children are sorted by (open_time, span_id), so the forest is
     deterministic regardless of event interleaving.
     """
-    return _forest(*_span_events(events))
-
-
-def _forest(span_events: List[TraceEvent], last_time: float) -> List[SpanNode]:
-    nodes: Dict[int, SpanNode] = {}
-    for event in span_events:
-        data = event.data
-        span_id = int(data["span_id"])
-        if event.kind == EventKind.SPAN_OPEN:
-            parent_id = data.get("parent_id")
-            attrs = {
-                k: v for k, v in data.items()
-                if k not in ("span", "span_id", "parent_id", "application")
-            }
-            nodes[span_id] = SpanNode(
-                span_id=span_id,
-                kind=str(data.get("span", "")),
-                app=str(data.get("application", "")),
-                parent_id=int(parent_id) if parent_id is not None else None,
-                open_time=event.time,
-                attrs=attrs,
-            )
-        elif span_id in nodes:
-            node = nodes[span_id]
-            if node.close_time is None:
-                node.close_time = event.time
-                if event.kind == EventKind.SPAN_ORPHAN:
-                    node.orphaned = True
-                    node.status = str(data.get("reason", "orphaned"))
-                else:
-                    node.status = str(data.get("status", "ok"))
-                    node.close_attrs = data
-    roots: List[SpanNode] = []
-    for span_id in sorted(nodes):
-        node = nodes[span_id]
-        if node.close_time is None:
-            node.close_time = last_time
-            node.unclosed = True
-            node.status = "unclosed"
-        parent = nodes.get(node.parent_id) if node.parent_id is not None else None
-        if parent is not None:
-            parent.children.append(node)
-        else:
-            roots.append(node)
-    for node in nodes.values():
-        node.children.sort(key=lambda n: (n.open_time, n.span_id))
-    return roots
+    return _pair(events)[0]
 
 
 def span_integrity(events: Iterable[TraceEvent]) -> List[str]:
@@ -211,37 +229,25 @@ def span_integrity(events: Iterable[TraceEvent]) -> List[str]:
     one ``span_close`` *or* one explicit ``span_orphan``, never both,
     never more than one, and never a close/orphan without an open.
     """
-    violations: List[str] = []
-    state: Dict[int, str] = {}  # span_id -> "open" | "closed" | "orphaned"
-    for event in events:
-        if event.kind not in _SPAN_KINDS:
-            continue
-        span_id = int(event.data["span_id"])
-        kind = str(event.data.get("span", "?"))
-        if event.kind == EventKind.SPAN_OPEN:
-            if span_id in state:
-                violations.append(f"span {span_id} ({kind}) opened twice")
-            state[span_id] = "open"
+    return _pair(events)[1]
+
+
+def merge_intervals(
+    intervals: Iterable[Tuple[float, float]],
+) -> List[Tuple[float, float]]:
+    """The union of ``(start, end)`` intervals as sorted disjoint runs.
+
+    Runs that touch or overlap merge; the covered length is
+    ``sum(end - start for start, end in runs)``, summed in run order.
+    """
+    runs: List[List[float]] = []
+    for start, end in sorted(intervals):
+        if runs and start <= runs[-1][1]:
+            if end > runs[-1][1]:
+                runs[-1][1] = end
         else:
-            verb = (
-                "closed" if event.kind == EventKind.SPAN_CLOSE else "orphaned"
-            )
-            prior = state.get(span_id)
-            if prior is None:
-                violations.append(
-                    f"span {span_id} ({kind}) {verb} without an open"
-                )
-            elif prior != "open":
-                violations.append(
-                    f"span {span_id} ({kind}) {verb} after already {prior}"
-                )
-            state[span_id] = verb
-    for span_id, prior in sorted(state.items()):
-        if prior == "open":
-            violations.append(
-                f"span {span_id} never closed and never orphan-marked"
-            )
-    return violations
+            runs.append([start, end])
+    return [(start, end) for start, end in runs]
 
 
 # -- the wait-state sweep --------------------------------------------------
@@ -335,8 +341,8 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
     window, per-task breakdowns, and top-``top`` slow tasks.  Globally:
     top hosts by execute time and the span-integrity summary.
     """
-    span_events, last_time = _span_events(events)
-    roots = _forest(span_events, last_time)
+    roots, integrity = _pair(events)
+    orphaned = sum(node.orphaned for root in roots for node in root.walk())
     app_roots: Dict[str, List[SpanNode]] = {}
     for root in roots:
         if root.kind == SpanKind.APP:
@@ -406,10 +412,6 @@ def explain(events: Iterable[TraceEvent], top: int = 5) -> Dict[str, Any]:
     top_hosts = sorted(
         host_execute.items(), key=lambda kv: (-kv[1], kv[0])
     )[:top]
-    integrity = span_integrity(span_events)
-    orphaned = sum(
-        1 for e in span_events if e.kind == EventKind.SPAN_ORPHAN
-    )
     return {
         "schema_version": ATTRIBUTION_SCHEMA_VERSION,
         "apps": apps,

@@ -16,9 +16,9 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Tuple
+from typing import Dict, Iterable, List
 
-from repro.obs.attribution import SpanNode, build_forest
+from repro.obs.attribution import SpanNode, build_forest, merge_intervals
 from repro.obs.spans import SpanKind
 from repro.trace.events import TraceEvent
 
@@ -36,23 +36,6 @@ def _frame(node: SpanNode) -> str:
     return node.kind
 
 
-def _union_length(intervals: List[Tuple[float, float]]) -> float:
-    """Total length covered by a set of (start, end) intervals."""
-    if not intervals:
-        return 0.0
-    covered = 0.0
-    cur_start, cur_end = None, None
-    for start, end in sorted(intervals):
-        if cur_end is None or start > cur_end:
-            if cur_end is not None:
-                covered += cur_end - cur_start
-            cur_start, cur_end = start, end
-        elif end > cur_end:
-            cur_end = end
-    covered += cur_end - cur_start
-    return covered
-
-
 def self_time(node: SpanNode) -> float:
     """Span duration not covered by any child span (clamped to the span)."""
     window = (node.open_time, node.end)
@@ -61,7 +44,8 @@ def self_time(node: SpanNode) -> float:
         for c in node.children
         if min(c.end, window[1]) > max(c.open_time, window[0])
     ]
-    return max(0.0, node.duration - _union_length(child_intervals))
+    covered = sum(end - start for start, end in merge_intervals(child_intervals))
+    return max(0.0, node.duration - covered)
 
 
 def folded_stacks(

@@ -349,16 +349,14 @@ class ExecutionCoordinator:
 
         # Phase 1: distribute allocation-table portions.
         alloc_span = self._open(SpanKind.ALLOCATION, root)
-        with self.tracer.span("allocation", source=self._src):
-            yield from self._distribute_allocation(alloc_span)
+        yield from self._distribute_allocation(alloc_span)
         self._close(alloc_span)
 
         # Phase 2: channel setup + acks for every AFG edge.
         chan_span = self._open(
             SpanKind.CHANNEL_SETUP, root, edges=len(self.afg.edges)
         )
-        with self.tracer.span("channel_setup", source=self._src):
-            yield from self._setup_channels(chan_span)
+        yield from self._setup_channels(chan_span)
         self._close(chan_span)
 
         # Phase 3: the execution startup signal.
@@ -373,17 +371,16 @@ class ExecutionCoordinator:
         # task fails terminally, the first error propagates here as a
         # typed ExecutionError while sibling failures stay observed.
         try:
-            with self.tracer.span("execution", source=self._src):
-                procs = [
-                    self.sim.process(
-                        self._task_process(task_id),
-                        name=f"task:{self.afg.name}:{task_id}",
-                    )
-                    for task_id in self.afg.topological_order()
-                    if task_id not in self._restored
-                ]
-                if procs:
-                    yield AllOf(procs)
+            procs = [
+                self.sim.process(
+                    self._task_process(task_id),
+                    name=f"task:{self.afg.name}:{task_id}",
+                )
+                for task_id in self.afg.topological_order()
+                if task_id not in self._restored
+            ]
+            if procs:
+                yield AllOf(procs)
         finally:
             for controller in self.runtime.app_controllers.values():
                 controller.release(self.afg.name)
@@ -1527,7 +1524,7 @@ class ExecutionCoordinator:
         self.stats.speculative_launches += 1
         if self.sim.metrics.enabled:
             self.sim.metrics.counter(
-                "vdce_speculative_launches_total",
+                "vdce_speculative_launches_by_host_total",
                 "speculative backup task copies launched",
             ).inc(host=backup_host)
         if self.tracer.enabled:

@@ -225,7 +225,7 @@ class GroupManager:
             metrics = self.sim.metrics
             if metrics.enabled:
                 metrics.counter(
-                    "vdce_failovers_total",
+                    "vdce_failovers_by_group_total",
                     "manager failovers completed (deputy promotions)",
                 ).inc(group=self.name)
         if self.tracer.enabled:

@@ -447,9 +447,6 @@ class VDCERuntime:
         local_site = local_site or self.default_site
         source = f"sm:{local_site}"
         started = self.sim.now
-        span_id = self.tracer.begin_span(
-            "schedule", source=source, application=afg.name
-        )
         sched_span = self.spans.open(
             SpanKind.SCHEDULE, afg.name,
             parent=self.spans.root_of(afg.name, source=source),
@@ -486,7 +483,6 @@ class VDCERuntime:
         )
         sites_bid = self.stats.sites_bid[afg.name] = 1 + len(replies)
         sites_used = self.stats.sites_used[afg.name] = len(table.sites_used())
-        self.tracer.end_span(span_id, source=source)
         self.spans.close(
             sched_span, source=source,
             sites_answered=len(replies), sites_bid=sites_bid,

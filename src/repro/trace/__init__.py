@@ -17,7 +17,6 @@ attribute check when disabled.
 
 from repro.trace.events import EventKind, KNOWN_KINDS, TraceEvent
 from repro.trace.serialize import (
-    diff_traces,
     event_to_json,
     events_to_jsonl,
     parse_jsonl,
@@ -34,7 +33,6 @@ __all__ = [
     "NullTracer",
     "TraceEvent",
     "Tracer",
-    "diff_traces",
     "event_to_json",
     "events_to_jsonl",
     "parse_jsonl",

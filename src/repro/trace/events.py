@@ -108,11 +108,7 @@ class EventKind:
     #: checkpoint resume found a frontier task bound to a departed host
     RESUME_MEMBERSHIP_WARNING = "resume_membership_warning"
 
-    # -- spans (timed operations) -----------------------------------------
-    SPAN_BEGIN = "span_begin"
-    SPAN_END = "span_end"
-
-    # -- causal spans (tree-structured, repro.obs) -------------------------
+    # -- causal spans (timed operations, tree-structured, repro.obs) -------
     SPAN_OPEN = "span_open"
     SPAN_CLOSE = "span_close"
     SPAN_ORPHAN = "span_orphan"

@@ -1,4 +1,4 @@
-"""Trace persistence: JSONL export/import, canonical hashing, diffing.
+"""Trace persistence: JSONL export/import and canonical hashing.
 
 The wire format is one JSON object per line (``TraceEvent.to_dict``).
 The *canonical* form — sorted keys, minimal separators — is what the
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import Iterable, List, Sequence, Union
+from typing import List, Sequence, Union
 
 from repro.hashing import canonical_json
 from repro.trace.events import TraceEvent
@@ -21,7 +21,6 @@ from repro.trace.tracer import Tracer
 
 __all__ = [
     "TRACE_SCHEMA_VERSION",
-    "diff_traces",
     "event_to_json",
     "events_of",
     "events_to_jsonl",
@@ -121,28 +120,3 @@ def trace_hash(trace: TraceLike) -> str:
     for event in events_of(trace):
         digest.update((event_to_json(event) + "\n").encode("utf-8"))
     return digest.hexdigest()
-
-
-def diff_traces(a: TraceLike, b: TraceLike, limit: int = 10) -> List[str]:
-    """Human-readable first differences between two traces.
-
-    Returns an empty list when the traces are identical.  The intended
-    workflow for debugging a scheduling change: capture a trace before
-    and after, then read where the event streams first diverge.
-    """
-    events_a, events_b = events_of(a), events_of(b)
-    differences: List[str] = []
-    for index, (ea, eb) in enumerate(zip(events_a, events_b)):
-        if len(differences) >= limit:
-            break
-        if event_to_json(ea) != event_to_json(eb):
-            differences.append(
-                f"event {index}: "
-                f"a=(t={ea.time:.6g} {ea.kind} {ea.source} {ea.data}) "
-                f"b=(t={eb.time:.6g} {eb.kind} {eb.source} {eb.data})"
-            )
-    if len(events_a) != len(events_b) and len(differences) < limit:
-        differences.append(
-            f"length: a has {len(events_a)} events, b has {len(events_b)}"
-        )
-    return differences

@@ -1,12 +1,12 @@
-"""The Tracer: structured event recording with span support.
+"""The Tracer: structured event recording.
 
 Two implementations share one interface:
 
 * :class:`Tracer` — records :class:`~repro.trace.events.TraceEvent`
-  objects in memory, stamps them with a caller-supplied clock (the
-  simulator binds its virtual clock via :meth:`bind_clock`), and
-  supports *spans* for timed operations (scheduling, channel setup,
-  execution phases).
+  objects in memory and stamps them with a caller-supplied clock (the
+  simulator binds its virtual clock via :meth:`bind_clock`).  Timed
+  operations are causal spans, recorded through this tracer by
+  :class:`~repro.obs.spans.SpanRecorder`.
 * :class:`NullTracer` — the default everywhere; every method is a
   no-op so the instrumented hot paths cost one attribute check when
   tracing is disabled.  Emit sites that build non-trivial payloads
@@ -21,12 +21,11 @@ disabled tracer; identity comparison against it is allowed but the
 from __future__ import annotations
 
 import itertools
-from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
-from repro.trace.events import EventKind, TraceEvent
+from repro.trace.events import TraceEvent
 
 __all__ = ["NULL_TRACER", "NullTracer", "Tracer"]
 
@@ -76,10 +75,7 @@ class Tracer:
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self._seq = itertools.count()
-        self._span_ids = itertools.count()
         self._events: List[TraceEvent] = []
-        #: open spans: span_id -> (name, start time)
-        self._open_spans: Dict[int, Tuple[str, float]] = {}
 
     # -- clock -------------------------------------------------------------
 
@@ -110,40 +106,11 @@ class Tracer:
         self._events.append(event)
         return event
 
-    # -- spans -------------------------------------------------------------
-
-    def begin_span(self, name: str, source: str = "", **data: Any) -> int:
-        """Open a timed operation; returns the span id to close it with."""
-        span_id = next(self._span_ids)
-        self._open_spans[span_id] = (name, self.now)
-        self.emit(EventKind.SPAN_BEGIN, source=source, span=name,
-                  span_id=span_id, **data)
-        return span_id
-
-    def end_span(self, span_id: int, source: str = "", **data: Any) -> None:
-        """Close an open span, emitting its measured duration."""
-        name, started = self._open_spans.pop(span_id)
-        self.emit(EventKind.SPAN_END, source=source, span=name,
-                  span_id=span_id, duration=self.now - started, **data)
-
-    @contextmanager
-    def span(self, name: str, source: str = "", **data: Any) -> Iterator[int]:
-        """Context manager sugar around begin/end_span."""
-        span_id = self.begin_span(name, source=source, **data)
-        try:
-            yield span_id
-        finally:
-            self.end_span(span_id)
-
     # -- access ------------------------------------------------------------
 
     def events(self) -> List[TraceEvent]:
         """Snapshot of everything recorded so far."""
         return list(self._events)
-
-    @property
-    def open_spans(self) -> Dict[int, Tuple[str, float]]:
-        return dict(self._open_spans)
 
     def clear(self) -> None:
         """Drop recorded events (sequence numbers keep counting up)."""
@@ -169,16 +136,6 @@ class NullTracer(Tracer):
 
     def emit(self, kind: str, source: str = "", **data: Any) -> None:  # type: ignore[override]
         return None
-
-    def begin_span(self, name: str, source: str = "", **data: Any) -> int:
-        return -1
-
-    def end_span(self, span_id: int, source: str = "", **data: Any) -> None:
-        pass
-
-    @contextmanager
-    def span(self, name: str, source: str = "", **data: Any) -> Iterator[int]:
-        yield -1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullTracer()"

@@ -21,8 +21,10 @@ class TestCLITrace:
 
         # summary table + hash render on stdout
         assert "trace summary" in out
+        # the phase table reads the causal spans the trace records
         assert "phase timings" in out
-        assert "execution" in out
+        assert "execute" in out
+        assert EventKind.SPAN_OPEN in kinds
         assert f"trace written to {trace_path}" in out
         assert trace_hash(events)[:16] in out
 

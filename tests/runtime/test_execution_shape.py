@@ -7,7 +7,10 @@ fault-tolerance feature brought its own replacement walk, back-off
 loop, refetch accounting, notification block and on/off forks.  They
 are one of each now (DESIGN §5 decisions 12 and 14); this gate keeps a
 second copy, or a second way to switch a channel off, from arriving
-with the next feature.  AST-based, like the campaign size gate.
+with the next feature.  The layers under and beside the runtime —
+``sim/``, ``repository/`` and telemetry (``trace/``, ``metrics/``,
+``obs/``) — are held to one of each the same way.  AST-based, like the
+campaign size gate.
 """
 
 import ast
@@ -232,3 +235,26 @@ def test_the_kernel_has_one_trace_channel():
 
 def test_the_repository_has_one_derived_table():
     assert not (SRC / "repository" / "predict_cache.py").exists()
+
+
+# -- telemetry: trace/, metrics/ and obs/ -------------------------------------
+
+def test_one_span_mechanism_and_one_of_each_trace_reader():
+    """Causal spans are the only spans (DESIGN §5 decision 16): the
+    tracer's own begin/end pair, its event kinds, the second trace diff
+    and the private interval unions are gone, and ``obs/`` pairs span
+    events in one loop — the forest, I9 and the phase table read it."""
+    for path in ALL:
+        text = path.read_text()
+        for gone in ("begin_span", "end_span", "SPAN_BEGIN", "SPAN_END",
+                     ".tracer.span(", "diff_traces", "_union_length"):
+            assert gone not in text, f"{gone} in {path}"
+    obs = [tree for path, tree in ALL.items()
+           if path.relative_to(SRC).parts[0] == "obs"]
+    pairing_loops = [
+        node for tree in obs for node in ast.walk(tree)
+        if isinstance(node, ast.For)
+        and any(isinstance(n, ast.Attribute) and n.attr == "SPAN_OPEN"
+                for n in ast.walk(node))
+    ]
+    assert len(pairing_loops) == 1

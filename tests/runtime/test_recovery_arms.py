@@ -5,11 +5,14 @@ recovery code — a file stage-in across a link outage, a corrupt
 stage-in, a corrupt journalled re-stage on resume, a lost or poisoned
 artifact, an exhausted dataflow transfer, a speculation timer with
 nowhere to go — and asserts the typed outcome *and* the run's
-``trace_hash``.  The hashes were generated at the commit before the
-coordinator's duplicated recovery code was folded into one copy of
-each mechanism; they pin event payloads, emission order, RNG draw
-points and span structure (spans are on in every scenario) of code the
-campaign gate never reaches.
+``trace_hash``.  The hashes were first generated at the commit before
+the coordinator's duplicated recovery code was folded into one copy of
+each mechanism, and regenerated once since: when the tracer's own
+``span_begin`` / ``span_end`` pair left the trace (DESIGN §5 decision
+16), each trace became its predecessor with those six events dropped
+and ``seq`` renumbered, event for event.  They pin event payloads,
+emission order, RNG draw points and span structure (spans are on in
+every scenario) of code the campaign gate never reaches.
 """
 
 import pytest
@@ -40,30 +43,30 @@ from repro.trace.events import EventKind
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
-#: trace hashes of every scenario, generated at the parent commit
+#: trace hashes of every scenario (see the module docstring)
 PINNED = {
     "stage_outage_retried":
-        "aa5eb9fed3ab76a4c9c538a22bad80e574286fadd3edc91877096c6f747d1fcc",
+        "78b3b711a18bf863117710c4cdd5fc82a61b77367664f06fddf7501754beaa5a",
     "stage_outage_exhausted":
-        "0022474454362ced2fa51e635fe221a948ca0fbb286af4064259cd206927060a",
+        "6a48afbab5c15b0d96919b00a683640016aa2de250382015e26daeca02dddc5f",
     "stage_corrupt_refetched":
-        "eb19eae5c3d16d1c02d0b6abd0012c50180665d6b2cef828506a37bee493931b",
+        "e5fcd5b37ab0dfd03474d5d07623976f9f5515f90aeffee4c499995d1c407291",
     "stage_corrupt_poisoned":
-        "841cb8f566b6c0d811a578a0d372d4426dd000f5bbbb7793cb9188589e6b9458",
+        "c4b118998ef86bb54abfedf2bb62688a01bf2d32fec4ffe917f7da804cccabc1",
     "restage_corrupt_refetched":
-        "5b341e4ac92c90d82059c6ea260dcf3b3445fb78295d97c69e592bd95c63d544",
+        "e32ec9c7e9fd819b1294f56b7fccda83c5ff83c748d3947e27ed86bf204b053d",
     "restage_corrupt_poisoned":
-        "e59a57f45bc171544645573a451da21f9a7bc24dbb0a153d0087343b038f2bd9",
+        "f37287de267135a10efed097da610f3d84ac6380887c72f0d17359bb7907b107",
     "artifact_lost_before_delivery":
-        "1168fb6e4d44fe5775de0ac7006a56f135e641673de26275cb6e45ad8fb3b3a9",
+        "16f2aaa326102b3df719451d20a812c6db6ae32a394419a0740cf1df66188737",
     "consumer_of_poisoned_artifact":
-        "5b73127635e08bae172b24667d06afd69b66dcb5660e80441e97263c4244070f",
+        "ebcc8e01dac5eaa538e3bb10f5e3e79c28b54b36895946886ff039d661dc9fca",
     "dataflow_transfer_exhausted":
-        "4bcc40071d48f1d11b1ac011ab24d3aa5c4743e2f0537900ba97acdf8967a9e6",
+        "033f95841680c23a4f7d6fb27f1c6ae8b4667a40a5f9a7f976a2b5a7e5b1c51c",
     "speculation_nowhere_to_bid":
-        "68c0a806da507918aef8ac1d6764ee3f07ebda9fe4c66e662f6d39ce6c13c62c",
+        "200b7eb5b612c1f5aba96081eabe5a8bd98cd361d02051a6ef5d6b78c3aaed12",
     "speculation_backup_unfed":
-        "301f80c7a4eb576b8a19f9bdb41ed5b0a67d0895741add31e3c5a2e42b0e7fd0",
+        "afd33ee3db29151462e99f05789f947993eec196871d81aebbad2e14522f381d",
 }
 
 #: a short data policy so exhaustion takes three attempts, not seven

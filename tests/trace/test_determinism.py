@@ -10,7 +10,8 @@ canonical traces; a different seed must diverge.
 
 from repro import VDCE, Tracer
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
-from repro.trace import diff_traces, events_to_jsonl, trace_hash
+from repro.metrics.analysis import structural_diff
+from repro.trace import events_to_jsonl, trace_hash
 from repro.workloads import linear_solver_afg
 
 
@@ -36,14 +37,14 @@ class TestTraceDeterminism:
         assert trace_hash(tracer_a) == trace_hash(tracer_b)
         # the hash stands for the full canonical byte stream
         assert events_to_jsonl(tracer_a) == events_to_jsonl(tracer_b)
-        assert diff_traces(tracer_a, tracer_b) == []
+        assert structural_diff(tracer_a, tracer_b)["identical"]
         assert result_a.makespan == result_b.makespan
 
     def test_different_seed_different_hash(self):
         tracer_a, _ = run_full_stack(seed=7)
         tracer_c, _ = run_full_stack(seed=8)
         assert trace_hash(tracer_a) != trace_hash(tracer_c)
-        assert diff_traces(tracer_a, tracer_c) != []
+        assert not structural_diff(tracer_a, tracer_c)["identical"]
 
     def test_hash_ignores_formatting_not_content(self):
         tracer, _ = run_full_stack(seed=3)

@@ -11,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import VDCE, Tracer
+from repro.obs import span_integrity
+from repro.runtime import RuntimeConfig
 from repro.trace import EventKind, TraceEvent, events_to_jsonl, parse_jsonl
 from repro.workloads import linear_solver_afg
 
@@ -56,11 +58,13 @@ def test_jsonl_round_trip_is_stable(event_list):
 
 def _run_traced(seed: int) -> list:
     tracer = Tracer()
-    env = VDCE.standard(n_sites=2, hosts_per_site=3, seed=seed, tracer=tracer)
+    env = VDCE.standard(n_sites=2, hosts_per_site=3, seed=seed, tracer=tracer,
+                        runtime_config=RuntimeConfig(causal_spans=True))
     env.start_monitoring()
     env.submit(linear_solver_afg(scale=0.1), k=1)
     env.advance(3.0)
-    assert not tracer.open_spans, "all spans must be closed after the run"
+    assert not env.runtime.spans.open_spans, \
+        "all spans must be closed after the run"
     return tracer.events()
 
 
@@ -75,16 +79,9 @@ def test_full_stack_trace_invariants(seed):
         assert later.time >= earlier.time
         assert later.seq > earlier.seq
 
-    # every span opened is closed, with matching ids and names
-    begins = {e.data["span_id"]: e for e in trace
-              if e.kind == EventKind.SPAN_BEGIN}
-    ends = {e.data["span_id"]: e for e in trace if e.kind == EventKind.SPAN_END}
-    assert begins.keys() == ends.keys()
-    for span_id, begin in begins.items():
-        end = ends[span_id]
-        assert end.data["span"] == begin.data["span"]
-        assert end.seq > begin.seq
-        assert end.data["duration"] >= 0.0
+    # every span opened is closed exactly once (invariant I9)
+    assert any(e.kind == EventKind.SPAN_OPEN for e in trace)
+    assert span_integrity(trace) == []
 
     # every task start has exactly one matching finish
     starts = Counter(e.data["task"] for e in trace
