@@ -162,7 +162,7 @@ def run_scenario(name: str) -> Dict:
     return {
         "sim_events": out["rt"].sim.events_processed,
         "tasks_scheduled": out["tasks"],
-        "trace_hash": trace_hash(tracer.events()),
+        "trace_hash": trace_hash(tracer),
         "metrics_hash": metrics.snapshot_hash(),
     }
 

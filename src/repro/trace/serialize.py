@@ -13,9 +13,10 @@ from __future__ import annotations
 
 import hashlib
 import json
-from typing import List, Sequence, Union
+from itertools import islice
+from typing import Callable, Dict, List, Sequence, Union
 
-from repro.hashing import canonical_json
+from repro.hashing import _CANONICAL, canonical_json
 from repro.trace.events import TraceEvent
 from repro.trace.tracer import Tracer
 
@@ -45,15 +46,45 @@ def events_of(trace: TraceLike) -> List[TraceEvent]:
     return list(trace)
 
 
-def event_to_json(event: TraceEvent) -> str:
-    """Canonical single-line JSON for one event."""
-    return canonical_json({
-        "time": event.time,
-        "seq": event.seq,
-        "kind": event.kind,
-        "source": event.source,
-        "data": event.data,
-    })
+def _canonical_line(event: TraceEvent) -> str:
+    return canonical_json(event.to_dict())
+
+
+def _line_encoder() -> Callable[[TraceEvent], str]:
+    """Every reader's line encoder (DESIGN §7): :func:`_canonical_line`'s
+    bytes, ``data`` through one C encoder with ``_CANONICAL``'s settings
+    and the sorted outer frame written here."""
+    make = json.encoder.c_make_encoder
+    if make is None:
+        return _canonical_line
+    escape = json.encoder.encode_basestring_ascii   # encode() of a str
+    # no circular-reference markers: a failed encode would leave its own
+    # behind in a dict shared by every later event
+    encode_data = make(None, _CANONICAL.default, escape, _CANONICAL.indent,
+                       _CANONICAL.key_separator, _CANONICAL.item_separator,
+                       _CANONICAL.sort_keys, _CANONICAL.skipkeys,
+                       _CANONICAL.allow_nan)
+    #: the frame around ``kind``: a few dozen kinds, where sources grow
+    #: with the application (``xfer:n185->n235``) and are escaped per event
+    kinds: Dict[str, str] = {}
+
+    def event_to_json(event: TraceEvent) -> str:
+        """Canonical single-line JSON for one event."""
+        time, seq, kind, source = event.time, event.seq, event.kind, event.source
+        if (type(time) is not float or time - time != 0.0
+                or type(seq) is not int or type(kind) is not str
+                or type(source) is not str):
+            return _canonical_line(event)
+        kind_frame = kinds.get(kind) or kinds.setdefault(
+            kind, f',"kind":{escape(kind)},"seq":')
+        data = "".join(encode_data(event.data, 0))
+        return (f'{{"data":{data}{kind_frame}{seq},"source":{escape(source)},'
+                f'"time":{time!r}}}')
+
+    return event_to_json
+
+
+event_to_json = _line_encoder()
 
 
 def events_to_jsonl(trace: TraceLike) -> str:
@@ -66,7 +97,7 @@ def events_to_jsonl(trace: TraceLike) -> str:
     header = canonical_json(
         {"trace_header": {"schema_version": TRACE_SCHEMA_VERSION}}
     )
-    lines = [header] + [event_to_json(e) for e in events_of(trace)]
+    lines = [header] + [event_to_json(e) for e in trace]
     return "\n".join(lines) + "\n"
 
 
@@ -114,9 +145,15 @@ def read_jsonl(path: str) -> List[TraceEvent]:
         return parse_jsonl(fh.read())
 
 
+#: events per ``sha256.update``: few calls, small enough to stay out of RSS
+_HASH_CHUNK = 1024
+
+
 def trace_hash(trace: TraceLike) -> str:
     """SHA-256 over the canonical JSONL — the trace's stable identity."""
     digest = hashlib.sha256()
-    for event in events_of(trace):
-        digest.update((event_to_json(event) + "\n").encode("utf-8"))
+    events = iter(trace)
+    while lines := [event_to_json(e) for e in islice(events, _HASH_CHUNK)]:
+        lines.append("")
+        digest.update("\n".join(lines).encode("utf-8"))
     return digest.hexdigest()

@@ -21,7 +21,7 @@ disabled tracer; identity comparison against it is allowed but the
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, List, Optional
+from typing import Any, Callable, Iterator, List, Optional
 
 import numpy as np
 
@@ -118,6 +118,9 @@ class Tracer:
 
     def __len__(self) -> int:
         return len(self._events)
+
+    def __iter__(self) -> Iterator[TraceEvent]:     # no :meth:`events` copy
+        return iter(self._events)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Tracer({len(self._events)} events, t={self.now:.6g})"

@@ -1,7 +1,7 @@
 """Telemetry must cost in proportion to what it records.
 
-Three machine-independent gates on the write / encode / read stages of
-the telemetry path, and one on what ``import repro`` drags in:
+Machine-independent gates on the write / encode / read stages of the
+telemetry path, and one on what ``import repro`` drags in:
 
 * reading a trace back is O(n log n): the wait-state sweep used to test
   every interval against every elementary segment (40 000 intervals is
@@ -12,16 +12,22 @@ the telemetry path, and one on what ``import repro`` drags in:
   paid by every process that never executed a payload);
 * ``Tracer.emit`` converts only the payload values that need it: almost
   every value is already a plain ``str``/``int``/``float``, and sending
-  each through ``_jsonify`` was four calls per event.
+  each through ``_jsonify`` was four calls per event;
+* ``trace_hash`` encodes through one cached line encoder: going through
+  ``JSONEncoder.encode`` built a C encoder per event, and feeding the
+  digest one line at a time was one ``update`` per event.
 
 This file runs in the ``bench`` CI job, which installs neither scipy nor
 Hypothesis.
 """
 
+import hashlib
+import json
 import os
 import subprocess
 import sys
 import time
+from hashlib import sha256
 
 import repro
 from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
@@ -30,6 +36,7 @@ from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
+from repro.trace.serialize import trace_hash
 from repro.trace.tracer import Tracer
 from repro.workloads import RandomDAGConfig, random_dag
 
@@ -122,17 +129,8 @@ def test_import_repro_loads_no_optional_heavyweight():
 
 # -- write: emit converts only what needs converting --------------------------
 
-def test_jsonify_entered_less_than_once_per_event(monkeypatch):
+def traced_run() -> Tracer:
     """A 64-task traced run with causal spans on, 2 sites x 4 hosts."""
-    entered = [0]
-    original = tracer_module._jsonify
-
-    def counting(value):
-        entered[0] += 1
-        return original(value)
-
-    monkeypatch.setattr(tracer_module, "_jsonify", counting)
-
     speeds = (1.0, 1.5, 2.0, 2.5)
     builder = (
         TopologyBuilder(seed=0)
@@ -161,7 +159,54 @@ def test_jsonify_entered_less_than_once_per_event(monkeypatch):
 
     result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
     assert len(result.records) == 64
-    events = len(tracer)
+    return tracer
+
+
+def test_jsonify_entered_less_than_once_per_event(monkeypatch):
+    entered = [0]
+    original = tracer_module._jsonify
+
+    def counting(value):
+        entered[0] += 1
+        return original(value)
+
+    monkeypatch.setattr(tracer_module, "_jsonify", counting)
+    events = len(traced_run())
     assert events > 64 * 10
     # recursion into list / dict payloads goes through the wrapper too
     assert 0 < entered[0] < events
+
+
+# -- encode: one encoder per process, a few digest updates per trace ----------
+
+def test_trace_hash_builds_no_encoder_per_event(monkeypatch):
+    """``JSONEncoder.iterencode`` sets up a C encoder on every call: the
+    line encoder must not enter it per event, nor feed the digest per
+    line."""
+    tracer = traced_run()
+    events = len(tracer)
+    expected = trace_hash(tracer)
+    entered, updates = [0], [0]
+    iterencode = json.JSONEncoder.iterencode
+
+    def counting_iterencode(self, o, _one_shot=False):
+        entered[0] += 1
+        return iterencode(self, o, _one_shot)
+
+    class CountingDigest:
+        def __init__(self):
+            self._digest = sha256()
+
+        def update(self, data):
+            updates[0] += 1
+            self._digest.update(data)
+
+        def hexdigest(self):
+            return self._digest.hexdigest()
+
+    monkeypatch.setattr(json.JSONEncoder, "iterencode", counting_iterencode)
+    monkeypatch.setattr(hashlib, "sha256", CountingDigest)
+    assert trace_hash(tracer) == expected
+    assert events > 1000
+    assert entered[0] <= 2
+    assert 0 < updates[0] <= events // 1000 + 1

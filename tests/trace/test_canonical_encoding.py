@@ -10,6 +10,7 @@ digest somebody has to bisect.
 """
 
 import json
+import math
 
 import numpy as np
 
@@ -79,8 +80,50 @@ EXPECTED_TRACE_HASH = (
 )
 
 
+#: hand-built events whose clock the line encoder's fast frame cannot
+#: write with ``float.__repr__``, or only just can: an int stays an int,
+#: non-finite values are JSON's ``NaN`` / ``Infinity``
+HAND_CLOCK_EVENTS = [
+    TraceEvent(time=5, seq=0, kind="int-clock", source="s", data={"t": 5}),
+    TraceEvent(time=math.nan, seq=1, kind="nan-clock", data={"x": math.nan}),
+    TraceEvent(time=math.inf, seq=2, kind="inf-clock",
+               data={"x": -math.inf}),
+    TraceEvent(time=-0.0, seq=3, kind="negzero-clock"),
+    TraceEvent(time=1e22, seq=4, kind="big-clock"),
+]
+EXPECTED_HAND_CLOCK_LINES = [
+    '{"data":{"t":5},"kind":"int-clock","seq":0,"source":"s","time":5}',
+    '{"data":{"x":NaN},"kind":"nan-clock","seq":1,"source":"","time":NaN}',
+    '{"data":{"x":-Infinity},"kind":"inf-clock","seq":2,"source":"","time":Infinity}',
+    '{"data":{},"kind":"negzero-clock","seq":3,"source":"","time":-0.0}',
+    '{"data":{},"kind":"big-clock","seq":4,"source":"","time":1e+22}',
+]
+EXPECTED_HAND_CLOCK_HASH = (
+    "1115f95bfbf799ad597fd66364a204ada41a94b3a518621f824461ab3516f67b"
+)
+
+
 def test_event_lines_are_byte_exact():
     assert [event_to_json(e) for e in fixture_events()] == EXPECTED_LINES
+
+
+def test_hand_built_clocks_are_byte_exact():
+    lines = [event_to_json(e) for e in HAND_CLOCK_EVENTS]
+    assert lines == EXPECTED_HAND_CLOCK_LINES
+    assert lines == [canonical_json(e.to_dict()) for e in HAND_CLOCK_EVENTS]
+    assert trace_hash(HAND_CLOCK_EVENTS) == EXPECTED_HAND_CLOCK_HASH
+
+
+def test_a_failed_encode_leaves_no_circular_marker_behind():
+    inner = {"b": object()}
+    bad = TraceEvent(time=1.0, seq=0, kind="bad", data={"a": inner})
+    for _ in range(2):
+        try:
+            event_to_json(bad)
+        except TypeError as exc:
+            assert "not JSON serializable" in str(exc)
+    inner["b"] = 1
+    assert event_to_json(bad) == canonical_json(bad.to_dict())
 
 
 def test_trace_hash_and_jsonl_are_byte_exact():
