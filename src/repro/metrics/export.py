@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import re
 from typing import Any, Dict, Iterable, List, Tuple, Union
 
 from repro.hashing import canonical_json
@@ -48,14 +49,17 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _labels_id(key: LabelKey) -> str:
-    """Snapshot dict key for one label set: ``"host=a,site=b"`` (sorted)."""
-    return ",".join(f"{k}={v}" for k, v in key)
+    """Snapshot dict key for one label set: ``"host=a,site=b"`` (sorted);
+    ``\\`` and ``,`` in a value (user input) are ``\\``-escaped."""
+    return ",".join(
+        f"{k}=" + v.replace("\\", "\\\\").replace(",", "\\,")
+        for k, v in key
+    )
 
 
 def _parse_labels_id(labels_id: str) -> List[Tuple[str, str]]:
-    if not labels_id:
-        return []
-    return [tuple(part.split("=", 1)) for part in labels_id.split(",")]
+    return [tuple(re.sub(r"\\(.)", r"\1", part).split("=", 1))
+            for part in re.findall(r"(?:\\.|[^\\,])+", labels_id)]
 
 
 # -- JSON snapshot ----------------------------------------------------------

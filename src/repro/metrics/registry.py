@@ -2,21 +2,23 @@
 
 The paper's Resource Controller is built around continuous measurement
 (Monitor daemons sampling load, Group Managers filtering significant
-changes, ``Predict(task, R)`` consuming the telemetry).  PR 1 gave the
-stack a structured event *trace*; this module gives it queryable
-*aggregates* — the currency every performance experiment reads.
+changes, ``Predict(task, R)`` consuming the telemetry).  This module
+keeps queryable *aggregates* of it — the currency every performance
+experiment reads.
 
 Design rules, shared with :mod:`repro.trace.tracer`:
 
+* **Folds over the trace.**  The deployment's one emitter
+  (:meth:`MetricsRegistry.emitter`) hands every event to :meth:`fold`;
+  only metrics with no event at that instant are written directly.
 * **Sim-clock timestamped.**  The registry is bound to a caller-supplied
   clock (the simulator binds its virtual clock via :meth:`bind_clock`),
   never the wall clock, so two same-seed runs produce byte-identical
   snapshots — the metrics counterpart of the trace-hash oracle.
 * **Deterministic.**  Snapshots sort every metric family and label set;
   no iteration-order or wall-time dependence anywhere.
-* **Near-zero cost when disabled.**  :data:`NULL_METRICS` is the default
-  everywhere; instrumented hot paths guard with
-  ``if metrics.enabled:`` so the disabled path pays one attribute check.
+* **Nothing when disabled.**  :data:`NULL_METRICS` is the default
+  everywhere; it listens to nothing, direct writers test ``enabled``.
 
 Metric kinds:
 
@@ -36,9 +38,11 @@ from __future__ import annotations
 import bisect
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
+from repro.metrics.folds import FOLDS
+from repro.trace.tracer import RelayTracer, Tracer
+
 __all__ = [
     "Counter",
-    "CounterChild",
     "DEFAULT_BUCKETS",
     "Gauge",
     "Histogram",
@@ -46,7 +50,6 @@ __all__ = [
     "NULL_METRICS",
     "NullMetricsRegistry",
     "Series",
-    "SeriesChild",
 ]
 
 #: latency-flavoured default bucket edges (seconds); +Inf is implicit
@@ -91,9 +94,11 @@ class Counter(_Metric):
         self._values: Dict[LabelKey, float] = {}
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        self._write(_label_key(labels), amount)
+
+    def _write(self, key: LabelKey, amount: float) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease")
-        key = _label_key(labels)
         self._values[key] = self._values.get(key, 0.0) + float(amount)
 
     def set_total(self, value: float, **labels: Any) -> None:
@@ -108,34 +113,8 @@ class Counter(_Metric):
         """Sum over every label set."""
         return sum(self._values.values())
 
-    def child(self, **labels: Any) -> "CounterChild":
-        """A write handle with the label key resolved once.
-
-        Periodic writers (monitor daemons, echo loops) label every
-        increment identically; resolving the family and canonicalising
-        the label set per period was measurable bookkeeping.  The child
-        writes into the same cell ``inc(**labels)`` would — totals and
-        snapshots are indistinguishable.
-        """
-        return CounterChild(self, _label_key(labels))
-
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._values)
-
-
-class CounterChild:
-    """Pre-labeled :class:`Counter` writer (see :meth:`Counter.child`)."""
-
-    __slots__ = ("_values", "_key")
-
-    def __init__(self, counter: Counter, key: LabelKey):
-        self._values = counter._values
-        self._key = key
-
-    def inc(self, amount: float = 1.0) -> None:
-        if amount < 0:
-            raise ValueError("counter cannot decrease")
-        self._values[self._key] = self._values.get(self._key, 0.0) + float(amount)
 
 
 class Gauge(_Metric):
@@ -148,7 +127,10 @@ class Gauge(_Metric):
         self._values: Dict[LabelKey, Tuple[float, float]] = {}
 
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(labels)] = (self.registry.now, float(value))
+        self._write(_label_key(labels), value)
+
+    def _write(self, key: LabelKey, value: float) -> None:
+        self._values[key] = (self.registry.now, float(value))
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         key = _label_key(labels)
@@ -199,7 +181,9 @@ class Histogram(_Metric):
         self._sums: Dict[LabelKey, float] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        key = _label_key(labels)
+        self._write(_label_key(labels), value)
+
+    def _write(self, key: LabelKey, value: float) -> None:
         counts = self._counts.get(key)
         if counts is None:
             counts = self._counts[key] = [0] * (len(self.buckets) + 1)
@@ -248,7 +232,10 @@ class Series(_Metric):
         self._points: Dict[LabelKey, List[Tuple[float, float]]] = {}
 
     def observe(self, value: float, **labels: Any) -> None:
-        self._points.setdefault(_label_key(labels), []).append(
+        self._write(_label_key(labels), value)
+
+    def _write(self, key: LabelKey, value: float) -> None:
+        self._points.setdefault(key, []).append(
             (self.registry.now, float(value))
         )
 
@@ -259,33 +246,8 @@ class Series(_Metric):
         pts = self._points.get(_label_key(labels))
         return pts[-1] if pts else None
 
-    def child(self, **labels: Any) -> "SeriesChild":
-        """A pre-labeled append handle (see :meth:`Counter.child`).
-
-        The label entry is created lazily on the first observation, so
-        an unused child never adds an empty series to the snapshot.
-        """
-        return SeriesChild(self, _label_key(labels))
-
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._points)
-
-
-class SeriesChild:
-    """Pre-labeled :class:`Series` writer (see :meth:`Series.child`)."""
-
-    __slots__ = ("_series", "_key", "_pts")
-
-    def __init__(self, series: Series, key: LabelKey):
-        self._series = series
-        self._key = key
-        self._pts: Optional[List[Tuple[float, float]]] = None
-
-    def observe(self, value: float) -> None:
-        pts = self._pts
-        if pts is None:
-            pts = self._pts = self._series._points.setdefault(self._key, [])
-        pts.append((self._series.registry.now, float(value)))
 
 
 class MetricsRegistry:
@@ -343,6 +305,24 @@ class MetricsRegistry:
     def series(self, name: str, help: str = "") -> Series:
         return self._family(Series, name, help)
 
+    # -- folds over the trace ----------------------------------------------
+
+    def fold(self, kind: str, source: str, data: Dict[str, Any]) -> None:
+        """Apply the fold table to one event (see :mod:`repro.metrics.folds`):
+        each family's key-level write, as ``inc`` / ``set`` / ``observe``."""
+        for fold in FOLDS.get(kind, ()):
+            if fold.when is None or fold.when(source, data):
+                family = self._metrics.get(fold.name) or fold.register(self)
+                family._write(fold.labels(source, data), fold.value(source, data))
+
+    def emitter(self, tracer: Tracer) -> Tracer:
+        """``tracer`` listened to by :meth:`fold`, or — for one that
+        records nothing, such as ``NULL_TRACER`` — a relay that folds."""
+        if not tracer.records:
+            return RelayTracer(self.fold)
+        tracer.listen(self.fold)
+        return tracer
+
     # -- access ------------------------------------------------------------
 
     def metrics(self) -> List[_Metric]:
@@ -399,13 +379,7 @@ class _NullMetric(Counter, Gauge, Histogram, Series):  # type: ignore[misc]
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         pass
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        pass
-
     def set(self, value: float, **labels: Any) -> None:
-        pass
-
-    def set_total(self, value: float, **labels: Any) -> None:
         pass
 
     def observe(self, value: float, **labels: Any) -> None:
@@ -413,12 +387,6 @@ class _NullMetric(Counter, Gauge, Histogram, Series):  # type: ignore[misc]
 
     def value(self, **labels: Any) -> float:
         return 0.0
-
-    def child(self, **labels: Any) -> "_NullMetric":
-        return self
-
-    def label_sets(self) -> List[LabelKey]:
-        return []
 
 
 _NULL_METRIC = _NullMetric()
@@ -451,6 +419,9 @@ class NullMetricsRegistry(MetricsRegistry):
 
     def series(self, name: str, help: str = "") -> Series:
         return _NULL_METRIC
+
+    def emitter(self, tracer: Tracer) -> Tracer:
+        return tracer
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullMetricsRegistry()"

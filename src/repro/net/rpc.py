@@ -203,11 +203,10 @@ class BreakerRegistry:
 
     Keeps the transition log and the per-link send log that the chaos
     invariant I11 audits (*open circuit => no message sent on that link
-    that round*), emits ``breaker_*`` trace events, and maintains the
-    ``vdce_breaker_state`` gauge (0 closed, 1 half-open, 2 open).
+    that round*) and emits one ``breaker_*`` event per transition (the
+    breaker-state gauge folds them).
     """
 
-    _STATE_VALUE = {"closed": 0.0, "half_open": 1.0, "open": 2.0}
     _STATE_EVENT = {
         "closed": EventKind.BREAKER_CLOSE,
         "half_open": EventKind.BREAKER_HALF_OPEN,
@@ -237,18 +236,10 @@ class BreakerRegistry:
         if new == old:
             return
         self.transitions.append((self.sim.now, src, dst, new))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                self._STATE_EVENT[new], source=f"breaker:{src}->{dst}",
-                src=src, dst=dst, previous=old,
-            )
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.gauge(
-                "vdce_breaker_state",
-                "circuit breaker state per WAN link "
-                "(0 closed, 1 half-open, 2 open)",
-            ).set(self._STATE_VALUE[new], src=src, dst=dst)
+        self.tracer.emit(
+            self._STATE_EVENT[new], source=f"breaker:{src}->{dst}",
+            src=src, dst=dst, previous=old,
+        )
 
     def allow(self, src_site: str, dst_site: str) -> bool:
         breaker = self.of(src_site, dst_site)
@@ -472,11 +463,10 @@ class ControlPlane:
             if value is not _NO_REPLY:
                 return value
             self.stats.rpc_retries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RPC_RETRY, source=source,
-                    label=label, attempt=attempt, dst=dst_site,
-                )
+            self.tracer.emit(
+                EventKind.RPC_RETRY, source=source,
+                label=label, attempt=attempt, dst=dst_site,
+            )
             if attempt < policy.max_attempts:
                 delay = policy.backoff(
                     attempt, float(self.sim.rng(rng_name).uniform())
@@ -499,11 +489,10 @@ class ControlPlane:
         self.spans.close(
             call.span, source=call.source, status=status, attempts=attempts
         )
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.RPC_TIMEOUT, source=call.source, label=call.label,
-                dst=call.dst_site, attempts=attempts, **why,
-            )
+        self.tracer.emit(
+            EventKind.RPC_TIMEOUT, source=call.source, label=call.label,
+            dst=call.dst_site, attempts=attempts, **why,
+        )
         raise error
 
     def _attempt(self, call: _Call, attempt: int):
@@ -647,20 +636,18 @@ class ControlPlane:
                 self.sim.call_after(latency_s + extra, deliver)
                 return
             self.stats.rpc_retries += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RPC_RETRY, source=source,
-                    label=label, attempt=n, one_way=True,
-                )
+            self.tracer.emit(
+                EventKind.RPC_RETRY, source=source,
+                label=label, attempt=n, one_way=True,
+            )
             if n < policy.max_attempts:
                 backoff = policy.backoff(n, float(self.sim.rng(rng_name).uniform()))
                 self.sim.call_after(backoff, lambda: attempt(n + 1))
             else:
                 self.stats.rpc_timeouts += 1
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        EventKind.RPC_TIMEOUT, source=source,
-                        label=label, attempts=policy.max_attempts, one_way=True,
-                    )
+                self.tracer.emit(
+                    EventKind.RPC_TIMEOUT, source=source,
+                    label=label, attempts=policy.max_attempts, one_way=True,
+                )
 
         attempt(1)

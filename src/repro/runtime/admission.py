@@ -288,19 +288,11 @@ class AdmissionQueue:
             "user": user,
             "reason": reason,
         })
-        tracer = self.runtime.tracer
-        if tracer.enabled:
-            tracer.emit(
-                EventKind.SHED, source=self._src,
-                application=afg.name, user=user, reason=reason,
-                waited_s=round(waited_s, 9),
-            )
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "vdce_shed_total",
-                "submissions shed by the admission controller, by reason",
-            ).inc(reason=reason, site=self.site)
+        self.runtime.tracer.emit(
+            EventKind.SHED, source=self._src,
+            application=afg.name, user=user, reason=reason,
+            waited_s=round(waited_s, 9),
+        )
 
     def _reject(self, afg: ApplicationFlowGraph, user: str, reason: str,
                 done: Signal) -> Signal:

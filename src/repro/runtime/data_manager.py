@@ -87,7 +87,8 @@ class LocalDataManager:
         half of DESIGN §16's end-to-end integrity protocol."""
         self.registry = registry or default_registry()
         self.timeout_s = timeout_s
-        self.tracer = tracer
+        #: one emitter: the registry folds what the tracer emits
+        self.tracer = metrics.emitter(tracer)
         self.metrics = metrics
         self.verify_hashes = verify_hashes
 
@@ -200,9 +201,8 @@ class LocalDataManager:
         for thread in threads:
             thread.start()
         startup.set()
-        if self.tracer.enabled:
-            self.tracer.emit(EventKind.STARTUP_SIGNAL, source=f"dm:{afg.name}",
-                             real=True)
+        self.tracer.emit(EventKind.STARTUP_SIGNAL, source=f"dm:{afg.name}",
+                         real=True)
         for thread in threads:
             thread.join(self.timeout_s)
             if thread.is_alive():

@@ -363,8 +363,7 @@ class ExecutionCoordinator:
         self.stats.startup_signals += 1
         yield Timeout(_STARTUP_BROADCAST_S)
         startup_at = self.sim.now
-        if self.tracer.enabled:
-            self.tracer.emit(EventKind.STARTUP_SIGNAL, source=self._src)
+        self.tracer.emit(EventKind.STARTUP_SIGNAL, source=self._src)
 
         # Phase 4: per-task processes; wait for all of them.  AllOf
         # subscribes (and so observes) every process up front: when one
@@ -419,12 +418,11 @@ class ExecutionCoordinator:
                 completed=sorted(self._restored),
             )
             self.stats.resumes += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RESUME, source=self._src,
-                    submit_site=self.submit_site,
-                    completed=len(self._restored),
-                )
+            self.tracer.emit(
+                EventKind.RESUME, source=self._src,
+                submit_site=self.submit_site,
+                completed=len(self._restored),
+            )
             self._close(self._open(
                 SpanKind.RESUME, self._root_span, completed=len(self._restored)
             ))
@@ -517,7 +515,7 @@ class ExecutionCoordinator:
         return self.journal is not None and self.journal.enabled
 
     def _journal_append(self, kind: str, **fields: Any) -> None:
-        """One checkpoint record: journal append + stats/metrics/trace."""
+        """One checkpoint record: journal append, stats and its event."""
         if not self._journaling:
             return
         n = self.journal.append(
@@ -525,15 +523,9 @@ class ExecutionCoordinator:
         )
         self.stats.checkpoint_records += 1
         self.stats.checkpoint_bytes += n
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter(
-                "vdce_checkpoint_bytes",
-                "bytes appended to application checkpoint journals",
-            ).inc(n, application=self.afg.name)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.CHECKPOINT, source=self._src, record=kind, bytes=n,
-            )
+        self.tracer.emit(
+            EventKind.CHECKPOINT, source=self._src, record=kind, bytes=n,
+        )
 
     def _restore_completed(self) -> None:
         """Rebuild records (and terminal outputs) for checkpointed tasks."""
@@ -578,11 +570,10 @@ class ExecutionCoordinator:
                 "membership_warning", task=task_id,
                 hosts=list(assignment.hosts), stale=stale,
             )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.RESUME_MEMBERSHIP_WARNING, source=self._src,
-                    task=task_id, stale=stale,
-                )
+            self.tracer.emit(
+                EventKind.RESUME_MEMBERSHIP_WARNING, source=self._src,
+                task=task_id, stale=stale,
+            )
 
     def _live_table(self) -> AllocationTable:
         """The current assignment as a distributable table snapshot."""
@@ -614,11 +605,10 @@ class ExecutionCoordinator:
                 span=span,
             )
         except RpcTimeout:
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.SITE_UNREACHABLE, source=self._src,
-                    remote=site_name, phase="allocation",
-                )
+            self.tracer.emit(
+                EventKind.SITE_UNREACHABLE, source=self._src,
+                remote=site_name, phase="allocation",
+            )
             return (site_name, False)
         return (site_name, True)
 
@@ -777,11 +767,10 @@ class ExecutionCoordinator:
         """Re-run channel setup after a mid-flight link failure."""
         record.channel_reestablishes += 1
         self.stats.channel_reestablishes += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.CHANNEL_REESTABLISH, source=self._src,
-                edge=[edge.src, edge.dst],
-            )
+        self.tracer.emit(
+            EventKind.CHANNEL_REESTABLISH, source=self._src,
+            edge=[edge.src, edge.dst],
+        )
         yield from self._establish_channel(edge)
 
     # -- the data plane: transfers, staging, outages, repair ----------------
@@ -802,11 +791,10 @@ class ExecutionCoordinator:
             ) from exc
         record.transfer_retries += 1
         self.stats.transfer_retries += 1
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.TRANSFER_RETRY, source=self._src,
-                label=label, attempt=attempt, reason=str(exc),
-            )
+        self.tracer.emit(
+            EventKind.TRANSFER_RETRY, source=self._src,
+            label=label, attempt=attempt, reason=str(exc),
+        )
         rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
         yield Timeout(policy.backoff(attempt, float(rng.uniform())))
 
@@ -823,19 +811,12 @@ class ExecutionCoordinator:
         integrity-aware callers can inspect its ``corruption`` marker.
         """
         network = self.runtime.topology.network
-        metrics = self.sim.metrics
         for attempt in range(1, self.data_policy.max_attempts + 1):
             transfer = network.transfer(src_host, dst_host, size_mb, label=label)
             self._transfers += 1
             self._transferred_mb += size_mb
             self.stats.data_transfers += 1
             self.stats.data_transferred_mb += size_mb
-            if metrics.enabled:
-                metrics.histogram(
-                    "vdce_transfer_mb",
-                    "inter-task payload size per dataflow transfer",
-                    buckets=(0.01, 0.1, 0.5, 1.0, 5.0, 10.0, 50.0, 100.0),
-                ).observe(size_mb)
             if self.tracer.enabled:
                 self.tracer.emit(
                     EventKind.DATA_TRANSFER, source=self._src,
@@ -1335,7 +1316,7 @@ class ExecutionCoordinator:
 
     def _settle_attempt(self, node: TaskNode, record: TaskRecord,
                         attempt_start: float) -> None:
-        """Book the successful attempt: measured time, ratio, histogram."""
+        """Book the successful attempt: measured time and ratio."""
         record.measured_time = self.sim.now - attempt_start
         tracker = self.runtime.ratio_tracker
         final = self.assignment[node.id]
@@ -1344,11 +1325,6 @@ class ExecutionCoordinator:
                 final.primary_host,
                 record.measured_time / final.predicted_time,
             )
-        if self.sim.metrics.enabled:
-            self.sim.metrics.histogram(
-                "vdce_task_runtime_seconds",
-                "measured wall time of the successful task attempt",
-            ).observe(record.measured_time, site=record.site)
 
     # -- speculative re-execution (straggler defense) -------------------------
 
@@ -1395,16 +1371,10 @@ class ExecutionCoordinator:
             wasted = execution.elapsed
             execution.host.cancel(execution, cause="lost speculation race")
             self.stats.speculative_wasted_s += wasted
-            if self.sim.metrics.enabled:
-                self.sim.metrics.counter(
-                    "vdce_speculative_wasted_s",
-                    "virtual seconds discarded with cancelled race losers",
-                ).inc(wasted, host=execution.host.name)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.SPECULATE_CANCEL, source=self._src,
-                    task=node.id, host=execution.host.name, wasted_s=wasted,
-                )
+            self.tracer.emit(
+                EventKind.SPECULATE_CANCEL, source=self._src,
+                task=node.id, host=execution.host.name, wasted_s=wasted,
+            )
         backup_won = which == "backup"
         if race.entry is not None:
             race.entry["resolved_at"] = self.sim.now
@@ -1415,12 +1385,11 @@ class ExecutionCoordinator:
             self._rebind(node.id, race.bid, record)
             self.stats.speculative_wins += 1
             self._speculative_wins.add(node.id)
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.SPECULATE_WIN, source=self._src,
-                    task=node.id, host=winner.host.name,
-                    elapsed_s=winner.elapsed,
-                )
+            self.tracer.emit(
+                EventKind.SPECULATE_WIN, source=self._src,
+                task=node.id, host=winner.host.name,
+                elapsed_s=winner.elapsed,
+            )
 
     def _watch_copy(self, race: _Race, which: str, execution):
         """Report one racing copy's end to the race's ``outcome``."""
@@ -1522,17 +1491,11 @@ class ExecutionCoordinator:
             host=backup_host, primary_host=primary_host,
         )
         self.stats.speculative_launches += 1
-        if self.sim.metrics.enabled:
-            self.sim.metrics.counter(
-                "vdce_speculative_launches_by_host_total",
-                "speculative backup task copies launched",
-            ).inc(host=backup_host)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.SPECULATE, source=self._src,
-                task=node.id, primary_host=primary_host,
-                backup_host=backup_host, threshold_s=threshold,
-            )
+        self.tracer.emit(
+            EventKind.SPECULATE, source=self._src,
+            task=node.id, primary_host=primary_host,
+            backup_host=backup_host, threshold_s=threshold,
+        )
         if self.runtime.health is not None:
             self.runtime.health.penalize(
                 primary_host,
@@ -1692,13 +1655,12 @@ class ExecutionCoordinator:
         self.stats.reschedule_requests += 1
         if failure:
             self.stats.failure_restarts += 1
-        if self.tracer.enabled:
-            current = self.assignment[task_id]
-            self.tracer.emit(
-                EventKind.RESCHEDULE, source=self._src,
-                task=task_id, reason=reason,
-                from_site=current.site, from_hosts=current.hosts,
-            )
+        current = self.assignment[task_id]
+        self.tracer.emit(
+            EventKind.RESCHEDULE, source=self._src,
+            task=task_id, reason=reason,
+            from_site=current.site, from_hosts=current.hosts,
+        )
 
     def _reschedule(self, node: TaskNode, record: TaskRecord, span,
                     reason: str, span_kind: str = SpanKind.RESCHEDULE,

@@ -101,11 +101,6 @@ class GroupManager:
             )
         )
         self._echo_process: Optional[Process] = None
-        #: pre-labelled counter handles for the measurement fast path,
-        #: resolved lazily at first use: family registration order is
-        #: part of the metrics snapshot
-        self._suppressed_child = None
-        self._forwards_child = None
         self.false_positives = 0
         #: False while the manager process is crashed (fault injection)
         self.alive = True
@@ -160,10 +155,9 @@ class GroupManager:
         self.alive = False
         self._generation += 1
         self._failover_pending = False
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.MANAGER_CRASH, source=self._src, role="group_manager",
-            )
+        self.tracer.emit(
+            EventKind.MANAGER_CRASH, source=self._src, role="group_manager",
+        )
         # manager-scoped span (no owning application): the window from
         # crash to restart during which the group is headless
         self._crash_span = self.spans.open(
@@ -222,16 +216,9 @@ class GroupManager:
         if kind == EventKind.FAILOVER:
             self.failovers += 1
             self.stats.failovers += 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                metrics.counter(
-                    "vdce_failovers_by_group_total",
-                    "manager failovers completed (deputy promotions)",
-                ).inc(group=self.name)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                kind, source=self._src, role="group_manager", deputy=deputy,
-            )
+        self.tracer.emit(
+            kind, source=self._src, role="group_manager", deputy=deputy,
+        )
         self.spans.close(
             self._crash_span, source=self._src,
             status="failover" if kind == EventKind.FAILOVER else "recover",
@@ -256,18 +243,9 @@ class GroupManager:
             return  # a dead manager drops reports on the floor
         if measurement.host not in self._believed_up:
             return  # in-flight report from a host retired meanwhile
-        metrics = self.sim.metrics
         last = self._last_forwarded.get(measurement.host)
         if last is not None and abs(measurement.load - last) < self.change_threshold:
             self.stats.workload_suppressed += 1
-            if metrics.enabled:
-                child = self._suppressed_child
-                if child is None:
-                    child = self._suppressed_child = metrics.counter(
-                        "vdce_workload_suppressed_by_group_total",
-                        "measurements filtered by the significant-change test",
-                    ).child(group=self.name)
-                child.inc()
             if self.tracer.enabled:
                 self.tracer.emit(
                     EventKind.WORKLOAD_SUPPRESS, source=self._src,
@@ -276,14 +254,6 @@ class GroupManager:
             return
         self._last_forwarded[measurement.host] = measurement.load
         self.stats.workload_forwards += 1
-        if metrics.enabled:
-            child = self._forwards_child
-            if child is None:
-                child = self._forwards_child = metrics.counter(
-                    "vdce_workload_forwards_by_group_total",
-                    "significant measurements forwarded to the Site Manager",
-                ).child(group=self.name)
-            child.inc()
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.WORKLOAD_FORWARD, source=self._src,
@@ -306,24 +276,13 @@ class GroupManager:
 
     def _echo_loop(self, generation: int):
         rng = None  # echo:{gm}, taken on the first lossy echo
-        echo_child = None
         while True:
             yield Timeout(self.echo_period_s)
             if generation != self._generation:
                 return  # crashed (or failed over) since our last tick
-            metrics = self.sim.metrics
-            # one aggregate bump per round, not one per host: counters
-            # are untimestamped, so the end-of-run snapshot is the same
-            n = len(self.group)
-            if n:
-                self.stats.echo_packets += n
-                if metrics.enabled:
-                    if echo_child is None:
-                        echo_child = metrics.counter(
-                            "vdce_echo_packets_by_group_total",
-                            "echo round trips attempted, per group",
-                        ).child(group=self.name)
-                    echo_child.inc(n)
+            # one aggregate bump per round; the per-group metric folds
+            # the one ECHO event per host below
+            self.stats.echo_packets += len(self.group)
             for host in self.group:
                 # an echo round trip on the LAN; the response reflects the
                 # host's state when the packet arrives, and may be lost
@@ -367,7 +326,7 @@ class GroupManager:
         change = verdict.transition
         if change == "down" or change == "up":
             self._declare(host, change == "up", **verdict.evidence)
-        elif change is not None and self.tracer.enabled:
+        elif change is not None:
             self.tracer.emit(
                 EventKind.SUSPECT if change == "suspect" else EventKind.TRUST,
                 source=self._src, host=host.name, **verdict.evidence,
@@ -396,8 +355,7 @@ class GroupManager:
             self.stats.failure_notifications += 1
             kind = EventKind.FAILURE_NOTIFICATION
         self.stats.record_detection(self.sim.now, name, "up" if up else "down")
-        if self.tracer.enabled:
-            self.tracer.emit(kind, source=self._src, host=name, **evidence)
+        self.tracer.emit(kind, source=self._src, host=name, **evidence)
         # over the LAN, retrying (and so loss-tolerant); a lossless,
         # healthy LAN delivers after exactly one latency
         receive = (

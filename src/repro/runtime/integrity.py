@@ -85,11 +85,10 @@ def _artifact_key(application: str, task: str, port: int) -> Tuple[str, str, int
 class IntegrityManager:
     """Artifact index + integrity ledger for one runtime."""
 
-    def __init__(self, sim, policy: IntegrityPolicy, tracer=None, metrics=None):
+    def __init__(self, sim, policy: IntegrityPolicy):
         self.sim = sim
         self.policy = policy
-        self.tracer = tracer if tracer is not None else sim.tracer
-        self.metrics = metrics if metrics is not None else sim.metrics
+        self.tracer = sim.tracer
         self._artifacts: Dict[Tuple[str, str, int], ArtifactRecord] = {}
         #: every value handed to a task, with its verification verdict
         self.consumption_log: List[Dict[str, Any]] = []
@@ -152,11 +151,10 @@ class IntegrityManager:
                 dropped += 1
         if dropped:
             self.artifacts_lost += dropped
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.ARTIFACT_LOST, source="integrity",
-                    host=host_name, artifacts=dropped,
-                )
+            self.tracer.emit(
+                EventKind.ARTIFACT_LOST, source="integrity",
+                host=host_name, artifacts=dropped,
+            )
         return dropped
 
     # -- ledger ------------------------------------------------------------
@@ -259,64 +257,44 @@ class IntegrityManager:
                 self.resolve(incident, "poisoned")
             raise
 
-    # -- event/metric emission (one place, so sim + real paths agree) ------
+    # -- event emission (one place, so sim + real paths agree) -------------
 
     def note_corruption(
         self, application: str, target: str, mode: str,
         expected_hash: Optional[str],
     ) -> None:
         self.corruptions_detected += 1
-        self.metrics.counter(
-            "vdce_corruptions_detected_total",
-            "payload hash mismatches caught before consumption",
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.CORRUPT_DETECTED, source="integrity",
-                application=application, target=target, mode=mode,
-                expected_hash=expected_hash,
-            )
+        self.tracer.emit(
+            EventKind.CORRUPT_DETECTED, source="integrity",
+            application=application, target=target, mode=mode,
+            expected_hash=expected_hash,
+        )
 
     def note_refetch(self, application: str, target: str, attempt: int) -> None:
         self.refetches += 1
-        self.metrics.counter(
-            "vdce_refetches_total",
-            "verify-and-refetch repair attempts",
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.REFETCH, source="integrity",
-                application=application, target=target, attempt=attempt,
-            )
+        self.tracer.emit(
+            EventKind.REFETCH, source="integrity",
+            application=application, target=target, attempt=attempt,
+        )
 
     def note_regeneration(
         self, application: str, task: str, depth: int, charged_s: float
     ) -> None:
         self.regenerations += 1
-        self.metrics.counter(
-            "vdce_regenerations_total",
-            "lineage-based producer re-executions",
-        ).inc()
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.REGENERATE, source="integrity",
-                application=application, task=task, depth=depth,
-                charged_s=charged_s,
-            )
+        self.tracer.emit(
+            EventKind.REGENERATE, source="integrity",
+            application=application, task=task, depth=depth,
+            charged_s=charged_s,
+        )
 
     def note_poison(self, application: str, task: str, reason: str) -> None:
         self.poisoned += 1
-        self.metrics.counter(
-            "vdce_poisoned_artifacts_total",
-            "artifacts quarantined after exhausting their repair budget",
-        ).inc()
         for record in self.task_artifacts(application, task):
             record.poisoned = True
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.POISON, source="integrity",
-                application=application, task=task, reason=reason,
-            )
+        self.tracer.emit(
+            EventKind.POISON, source="integrity",
+            application=application, task=task, reason=reason,
+        )
 
     # -- reporting ---------------------------------------------------------
 

@@ -76,12 +76,6 @@ class MembershipCoordinator:
             **extra,
         }
         self.transitions.append(entry)
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.counter(
-                "vdce_membership_transitions_total",
-                "host membership transitions (join/drain/depart/rejoin)",
-            ).inc(site=site, transition=transition)
         return entry
 
     def _wire_host(self, site_name: str, group_name: str, host: Host) -> None:
@@ -113,11 +107,10 @@ class MembershipCoordinator:
             self.runtime.registry.names(), (spec.name,)
         )
         self._wire_host(site_name, group_name, host)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.HOST_JOIN, source=f"membership:{site_name}",
-                host=spec.name, site=site_name, group=group_name,
-            )
+        self.tracer.emit(
+            EventKind.HOST_JOIN, source=f"membership:{site_name}",
+            host=spec.name, site=site_name, group=group_name,
+        )
         self._record(spec.name, site_name, "join", 0)
         if activate:
             repo.resources.activate_host(spec.name, time=self.sim.now)
@@ -141,12 +134,11 @@ class MembershipCoordinator:
         repo = self.runtime.repositories[site_name]
         repo.resources.begin_draining(name, time=self.sim.now)
         self._draining.add(name)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.HOST_DRAIN, source=f"membership:{site_name}",
-                host=name, site=site_name, deadline_s=deadline_s,
-                resident=host.n_running,
-            )
+        self.tracer.emit(
+            EventKind.HOST_DRAIN, source=f"membership:{site_name}",
+            host=name, site=site_name, deadline_s=deadline_s,
+            resident=host.n_running,
+        )
         self._record(
             name, site_name, "drain",
             repo.resources.membership_epoch(name), deadline_s=deadline_s,
@@ -193,11 +185,10 @@ class MembershipCoordinator:
         manager.app_controllers.pop(name, None)
         self._draining.discard(name)
         self._departed_info[name] = (site_name, group.name, host.spec)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.HOST_DEPART, source=f"membership:{site_name}",
-                host=name, site=site_name, epoch=epoch, preempted=preempted,
-            )
+        self.tracer.emit(
+            EventKind.HOST_DEPART, source=f"membership:{site_name}",
+            host=name, site=site_name, epoch=epoch, preempted=preempted,
+        )
         self._record(
             name, site_name, "depart", epoch, preempted=preempted
         )
@@ -235,11 +226,10 @@ class MembershipCoordinator:
         )
         self._wire_host(site_name, group_name, host)
         del self._departed_info[name]
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.HOST_REJOIN, source=f"membership:{site_name}",
-                host=name, site=site_name, epoch=record.epoch,
-            )
+        self.tracer.emit(
+            EventKind.HOST_REJOIN, source=f"membership:{site_name}",
+            host=name, site=site_name, epoch=record.epoch,
+        )
         self._record(name, site_name, "rejoin", record.epoch)
         if activate:
             repo.resources.activate_host(name, time=self.sim.now)

@@ -64,11 +64,6 @@ class MonitorDaemon:
         #: the round this daemon ticks in; None while not running
         self._round: Optional[MonitorRound] = None
         self._stopped = False
-        # Pre-labelled instrument handles, resolved at the first report
-        # (when the families are registered, which fixes their snapshot
-        # order) and reused every period thereafter — not three family
-        # lookups plus three label-key builds per host per period.
-        self._reports_child = self._load_child = self._mem_child = None
 
     def start(self) -> "MonitorRound":
         """Start alone, as a round of one ticking from now (a host that
@@ -93,27 +88,9 @@ class MonitorDaemon:
         )
 
     def _report(self) -> Measurement:
-        """Measure, count and trace this period's report."""
+        """Measure, count and emit this period's report."""
         measurement = self.measure()
         self.stats.monitor_reports += 1
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            if self._reports_child is None:
-                self._reports_child = metrics.counter(
-                    "vdce_monitor_reports_by_host_total",
-                    "monitor measurements taken, per host",
-                ).child(host=self.host.name)
-                self._load_child = metrics.series(
-                    "vdce_host_load",
-                    "run-queue length sampled by the monitor daemon",
-                ).child(host=self.host.name)
-                self._mem_child = metrics.series(
-                    "vdce_host_available_memory_mb",
-                    "available memory sampled by the monitor daemon",
-                ).child(host=self.host.name)
-            self._reports_child.inc()
-            self._load_child.observe(measurement.load)
-            self._mem_child.observe(measurement.available_memory_mb)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.MONITOR_REPORT,
@@ -153,11 +130,9 @@ class MonitorRound:
                 raise ValueError("daemons of one round share one period")
             daemon._round = self
             daemon._stopped = False
-            if sim.tracer.enabled:
-                sim.tracer.emit(
-                    EventKind.PROCESS_SPAWN,
-                    source=f"monitor:{daemon.host.name}",
-                )
+            sim.tracer.emit(
+                EventKind.PROCESS_SPAWN, source=f"monitor:{daemon.host.name}",
+            )
         if self._members:
             sim.call_at(sim.now, self._tick)
 
@@ -170,10 +145,9 @@ class MonitorRound:
             if daemon._stopped:
                 daemon._round = None
                 retired = True
-                if sim.tracer.enabled:
-                    sim.tracer.emit(
-                        EventKind.PROCESS_FINISH, source=f"monitor:{host.name}"
-                    )
+                sim.tracer.emit(
+                    EventKind.PROCESS_FINISH, source=f"monitor:{host.name}"
+                )
                 continue
             if not host.is_up():
                 continue

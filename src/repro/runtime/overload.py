@@ -124,18 +124,11 @@ class BrownoutController:
             return
         old, self.level = self.level, new_level
         self.shifts.append((self.sim.now, old, new_level))
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.BROWNOUT, source="brownout",
-                level=new_level, previous=old,
-                occupancy=round(self.federation_occupancy(), 9),
-            )
-        metrics = self.sim.metrics
-        if metrics.enabled:
-            metrics.gauge(
-                "vdce_brownout_level",
-                "federation brownout level (0 normal .. 3 critical)",
-            ).set(float(new_level))
+        self.tracer.emit(
+            EventKind.BROWNOUT, source="brownout",
+            level=new_level, previous=old,
+            occupancy=round(self.federation_occupancy(), 9),
+        )
 
     # -- readouts ----------------------------------------------------------
 

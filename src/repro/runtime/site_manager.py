@@ -110,11 +110,9 @@ class SiteManager:
         if not self.alive:
             return
         self.alive = False
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.MANAGER_CRASH, source=self._src,
-                role="site_manager",
-            )
+        self.tracer.emit(
+            EventKind.MANAGER_CRASH, source=self._src, role="site_manager",
+        )
 
     def recover(self) -> None:
         """A replacement server re-registers and replays buffered reports."""
@@ -129,11 +127,10 @@ class SiteManager:
                 self.repository.resources.mark_down(host_name, time=self.sim.now)
             else:
                 self.repository.resources.mark_up(host_name, time=self.sim.now)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.MANAGER_RECOVER, source=self._src,
-                role="site_manager", replayed_reports=len(pending),
-            )
+        self.tracer.emit(
+            EventKind.MANAGER_RECOVER, source=self._src,
+            role="site_manager", replayed_reports=len(pending),
+        )
 
     # -- wiring ------------------------------------------------------------
 
@@ -271,12 +268,11 @@ class SiteManager:
         )
         # Site Manager -> each Group Manager (one message per group) ...
         self.stats.allocation_messages += len(groups_involved)
-        if self.tracer.enabled:
-            self.tracer.emit(
-                EventKind.ALLOCATION_MULTICAST, source=self._src,
-                application=table.application, groups=groups_involved,
-                hosts=hosts_involved,
-            )
+        self.tracer.emit(
+            EventKind.ALLOCATION_MULTICAST, source=self._src,
+            application=table.application, groups=groups_involved,
+            hosts=hosts_involved,
+        )
         # ... then Group Manager -> each Application Controller
         pending = [len(hosts_involved)]
         # parented to the caller's ambient context: the allocation span
@@ -290,11 +286,10 @@ class SiteManager:
 
         def deliver_to_controller(host_name: str) -> None:
             self.stats.execution_requests += 1
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.EXECUTION_REQUEST, source=self._src,
-                    application=table.application, host=host_name,
-                )
+            self.tracer.emit(
+                EventKind.EXECUTION_REQUEST, source=self._src,
+                application=table.application, host=host_name,
+            )
             controller = self.app_controllers.get(host_name)
             if controller is not None:
                 # a host retired while the request was on the LAN has no
@@ -323,15 +318,6 @@ class SiteManager:
             task_type, host, expected_s=expected_s, measured_s=measured_s
         )
         self.stats.taskperf_updates += 1
-        metrics = self.sim.metrics
-        if metrics.enabled and expected_s > 0:
-            # Predict(task, R) accuracy: measured / predicted, 1.0 = exact
-            metrics.histogram(
-                "vdce_prediction_error_ratio",
-                "measured / predicted task execution time",
-                buckets=(0.25, 0.5, 0.8, 0.9, 0.95, 1.0,
-                         1.05, 1.1, 1.25, 2.0, 4.0),
-            ).observe(measured_s / expected_s, site=self.name)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.TASKPERF_UPDATE, source=self._src,

@@ -124,8 +124,6 @@ class RuntimeStats:
         paths); the registry becomes the queryable mirror — ``vdce
         metrics`` and experiment assertions read the same numbers.
         """
-        if not registry.enabled:
-            return
         for field_name, value in self.as_dict().items():
             registry.counter(
                 f"vdce_{field_name}_total",

@@ -394,13 +394,12 @@ class HostHealth:
             self._quarantined_until[host] = (
                 self.sim.now + self.policy.probation_s
             )
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.QUARANTINE, source="health",
-                    host=host, score=score, reason=reason,
-                    origin=origin or "health",
-                    until=self._quarantined_until[host],
-                )
+            self.tracer.emit(
+                EventKind.QUARANTINE, source="health",
+                host=host, score=score, reason=reason,
+                origin=origin or "health",
+                until=self._quarantined_until[host],
+            )
             self._export_gauge()
 
     # -- selection interface ----------------------------------------------
@@ -421,11 +420,10 @@ class HostHealth:
             del self._quarantined_until[host]
             self._score[host] = self.policy.quarantine_threshold / 2.0
             self._updated[host] = self.sim.now
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    EventKind.PROBATION, source="health",
-                    host=host, score=self._score[host],
-                )
+            self.tracer.emit(
+                EventKind.PROBATION, source="health",
+                host=host, score=self._score[host],
+            )
             self._export_gauge()
         return 1.0 + self.score_of(host)
 

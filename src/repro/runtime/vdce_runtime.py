@@ -203,18 +203,18 @@ class VDCERuntime:
         self.config = config
         self.model = model or PredictionModel()
         self.stats = RuntimeStats()
-        #: shared structured tracer (no-op by default); bound to the
-        #: virtual clock and handed to every component below
-        self.tracer = self.sim.attach_tracer(tracer)
-        #: shared metrics registry (no-op by default); components reach
-        #: it through ``self.sim.metrics``
+        #: shared metrics registry (no-op by default); it folds what the
+        #: emitter below emits, direct writers use ``self.sim.metrics``
         self.metrics = self.sim.attach_metrics(metrics)
+        #: the one emitter handed to every component below (see
+        #: ``Simulator.attach_tracer``)
+        self.tracer = self.sim.attach_tracer(tracer)
         self.default_site = default_site or topology.site_names[0]
         #: causal span recorder (repro.obs); the shared null object
-        #: unless both causal_spans and the tracer are enabled
+        #: unless causal_spans is on and the tracer records
         self.spans = (
             SpanRecorder(self.tracer)
-            if config.causal_spans and self.tracer.enabled
+            if config.causal_spans and self.tracer.records
             else NULL_SPANS
         )
         #: federation brownout controller (overload backpressure); None
@@ -292,10 +292,7 @@ class VDCERuntime:
         #: end-to-end data integrity (artifact hashes + repair ladder);
         #: None when disabled — no hashing, no verification, no repair
         self.integrity: Optional[IntegrityManager] = (
-            IntegrityManager(
-                self.sim, config.data_integrity,
-                tracer=self.tracer, metrics=self.metrics,
-            )
+            IntegrityManager(self.sim, config.data_integrity)
             if config.data_integrity is not None
             else None
         )
@@ -476,8 +473,7 @@ class VDCERuntime:
         # placement itself (pure), on the local repository and the bids
         # that came back; its wall cost is negligible vs messages
         table = scheduler.schedule(
-            afg, view.answered(replies),
-            tracer=self.tracer, metrics=self.metrics,
+            afg, view.answered(replies), tracer=self.tracer,
             health_of=(self.health.factor_of if self.health is not None
                        else None),
         )
@@ -544,12 +540,11 @@ class VDCERuntime:
         def on_send(attempt: int) -> None:
             # step 3: multicast the request (once per attempt on the wire)
             self.stats.scheduler_messages += 1
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.AFG_MULTICAST, source=source,
-                    application=application, remote=remote,
-                    size_mb=bid_round.request_mb, attempt=attempt,
-                )
+            tracer.emit(
+                EventKind.AFG_MULTICAST, source=source,
+                application=application, remote=remote,
+                size_mb=bid_round.request_mb, attempt=attempt,
+            )
 
         def on_reply(attempt: int) -> None:
             self.stats.scheduler_messages += 1
@@ -559,12 +554,11 @@ class VDCERuntime:
             bid = self.site_managers[remote].handle_bid_request(
                 bid_round.task_types, bid_round.model
             )
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.BID_REPLY, source=f"sm:{remote}",
-                    application=application, task_types=len(bid.sheets),
-                    rows=bid.rows, version=bid.version_key,
-                )
+            tracer.emit(
+                EventKind.BID_REPLY, source=f"sm:{remote}",
+                application=application, task_types=len(bid.sheets),
+                rows=bid.rows, version=bid.version_key,
+            )
             return bid
 
         rpc_policy = self.config.rpc_policy
@@ -584,19 +578,17 @@ class VDCERuntime:
         except SiteOverloaded as exc:
             # backpressure: the saturated site declined to bid
             status = "overloaded"
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.SITE_OVERLOADED, source=source,
-                    application=application, remote=remote,
-                    occupancy=round(exc.occupancy, 9),
-                )
+            tracer.emit(
+                EventKind.SITE_OVERLOADED, source=source,
+                application=application, remote=remote,
+                occupancy=round(exc.occupancy, 9),
+            )
         except RpcTimeout:
             status = "unreachable"
-            if tracer.enabled:
-                tracer.emit(
-                    EventKind.SITE_UNREACHABLE, source=source,
-                    application=application, remote=remote, phase="scheduling",
-                )
+            tracer.emit(
+                EventKind.SITE_UNREACHABLE, source=source,
+                application=application, remote=remote, phase="scheduling",
+            )
         if status is not None:
             self.spans.close(bid_span, source=source, status=status)
             return None

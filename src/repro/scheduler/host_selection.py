@@ -415,11 +415,13 @@ def select_hosts(
     ``order`` overrides the queue order (default: level priority); the
     E9 ablation passes a FIFO/topological order here.  ``tracer``
     records one :data:`~repro.trace.events.EventKind.HOST_BID` event
-    per bid produced; ``metrics`` counts bids and declines per site.
+    per bid produced; ``metrics`` counts bids (a fold of those events,
+    through the one emitter the two make) and declines per site.
     ``health_of`` is the optional host-health penalty/quarantine hook
     (see :func:`bid_for_task`).
     """
     model = model or PredictionModel()
+    tracer = metrics.emitter(tracer)
     results: Dict[str, HostSelectionResult] = {}
 
     # Step 3: every AFG task goes in the queue.  The queue is walked in
@@ -471,11 +473,6 @@ def select_hosts(
                 ).inc(site=site)
             continue  # site cannot run this task; no bid
         predicted_time, hosts = bid
-        if metrics.enabled:
-            metrics.counter(
-                "vdce_host_bids_total",
-                "host-selection bids produced, per site",
-            ).inc(site=site)
         if tracer.enabled:
             tracer.emit(
                 EventKind.HOST_BID, source=f"hostsel:{site}",

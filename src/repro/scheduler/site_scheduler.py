@@ -45,7 +45,6 @@ from typing import Dict, List, Optional, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.afg.levels import compute_levels
-from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.afg.validate import validate_afg
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
@@ -117,12 +116,11 @@ class SiteScheduler:
         afg: ApplicationFlowGraph,
         view: FederationView,
         tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
         health_of=None,
     ) -> AllocationTable:
         """Run Figure 2 and return the resource allocation table."""
         table, _ = self.schedule_with_trace(
-            afg, view, tracer=tracer, metrics=metrics, health_of=health_of
+            afg, view, tracer=tracer, health_of=health_of
         )
         return table
 
@@ -131,13 +129,13 @@ class SiteScheduler:
         afg: ApplicationFlowGraph,
         view: FederationView,
         tracer: Tracer = NULL_TRACER,
-        metrics: MetricsRegistry = NULL_METRICS,
         health_of=None,
     ) -> Tuple[AllocationTable, List[str]]:
         """As :meth:`schedule`, also returning the placement order.
 
-        ``tracer`` records one ``schedule_decision`` event per placed
-        task — the substrate for trace-diffing a scheduling change.
+        ``tracer`` emits one ``schedule_decision`` event per placed
+        task — the substrate for trace-diffing a scheduling change, and
+        what the decision metrics fold.
         ``health_of`` is the optional host-health penalty/quarantine
         hook threaded into every bid (see
         :func:`~repro.scheduler.host_selection.bid_for_task`).
@@ -221,15 +219,6 @@ class SiteScheduler:
                     predicted_time=assignment.predicted_time,
                     level=levels[task_id],
                 )
-            if metrics.enabled:
-                metrics.counter(
-                    "vdce_schedule_decisions_total",
-                    "tasks placed by the site scheduler, per chosen site",
-                ).inc(site=assignment.site)
-                metrics.histogram(
-                    "vdce_predicted_task_seconds",
-                    "Predict(task, R) of the winning bid",
-                ).observe(assignment.predicted_time)
             table.assign(assignment)
             if ledger is not None:
                 ledger.commit(task_id, assignment.hosts)

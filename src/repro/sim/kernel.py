@@ -354,15 +354,14 @@ class Process(_Waitable):
         self.triggered = True
         self.value = value
         self._exc = exc
-        if self.sim.tracer.enabled:
-            if exc is None:
+        if exc is None:
+            if self.sim.tracer.enabled:
                 self.sim.tracer.emit(EventKind.PROCESS_FINISH, source=self.name)
-            else:
-                self.sim.tracer.emit(
-                    EventKind.PROCESS_FAIL, source=self.name,
-                    error=type(exc).__name__,
-                )
-        if exc is not None:
+        else:
+            self.sim.tracer.emit(
+                EventKind.PROCESS_FAIL, source=self.name,
+                error=type(exc).__name__,
+            )
             self.sim._record_failed_process(self)
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
@@ -422,12 +421,10 @@ class Simulator:
         self._seq = itertools.count()
         self._rngs: dict[str, np.random.Generator] = {}
         self._failed: list[Process] = []
-        #: structured tracer (no-op unless a real Tracer is attached)
+        #: the deployment's one emitter (no-op until attached)
         self.tracer: Tracer = NULL_TRACER
         #: metrics registry (no-op unless a real registry is attached)
-        self.metrics: MetricsRegistry = NULL_METRICS
-        self._metric_events = NULL_METRICS.counter("")
-        self._metric_depth = NULL_METRICS.histogram("")
+        self.attach_metrics(NULL_METRICS)
         self.events_processed = 0
 
     # -- randomness -----------------------------------------------------
@@ -460,26 +457,28 @@ class Simulator:
     def attach_tracer(self, tracer: Tracer) -> Tracer:
         """Install a structured tracer and bind it to the virtual clock.
 
-        Kernel process lifecycle events (spawn/finish/fail) are emitted
-        whenever the attached tracer is enabled; the rest of the stack
-        shares the same tracer through :class:`~repro.runtime.vdce_runtime.VDCERuntime`.
+        Returns the deployment's emitter: ``tracer``, folded by the
+        attached registry (if any).  Kernel process lifecycle events go
+        through it; the rest of the stack shares it through
+        :class:`~repro.runtime.vdce_runtime.VDCERuntime`.
         """
-        self.tracer = tracer
         tracer.bind_clock(lambda: self.now)
-        return tracer
+        self.tracer = self.metrics.emitter(tracer)
+        return self.tracer
 
     # -- metrics ----------------------------------------------------------
 
     def attach_metrics(self, registry: MetricsRegistry) -> MetricsRegistry:
         """Install a metrics registry and bind it to the virtual clock.
 
-        The kernel contributes the event-loop instruments (events
-        processed, calendar-queue depth); the rest of the stack shares
-        the same registry through
-        :class:`~repro.runtime.vdce_runtime.VDCERuntime`.
+        The registry folds every event the attached tracer emits (see
+        :meth:`~repro.metrics.registry.MetricsRegistry.emitter`).  The kernel writes its
+        event-loop instruments directly: a calendar event is no trace
+        event.
         """
         self.metrics = registry
         registry.bind_clock(lambda: self.now)
+        self.tracer = registry.emitter(self.tracer)
         self._metric_events = registry.counter(
             "sim_events_total", "kernel calendar events executed"
         )

@@ -125,7 +125,11 @@ def parse_jsonl(text: str) -> List[TraceEvent]:
             payload = json.loads(line)
         except ValueError as exc:
             raise ValueError(f"bad trace line {lineno}: {exc}") from exc
-        if isinstance(payload, dict) and "trace_header" in payload:
+        if not (isinstance(payload, dict)
+                and isinstance(payload.get("trace_header", {}), dict)
+                and isinstance(payload.get("data", {}), dict)):
+            raise ValueError(f"bad trace line {lineno}: not an event object")
+        if "trace_header" in payload:
             version = payload["trace_header"].get("schema_version")
             if version != TRACE_SCHEMA_VERSION:
                 raise ValueError(
@@ -135,7 +139,7 @@ def parse_jsonl(text: str) -> List[TraceEvent]:
             continue
         try:
             events.append(TraceEvent.from_dict(payload))
-        except (ValueError, KeyError) as exc:
+        except (ValueError, KeyError, TypeError) as exc:
             raise ValueError(f"bad trace line {lineno}: {exc}") from exc
     return events
 

@@ -1,21 +1,18 @@
-"""The Tracer: structured event recording.
-
-Two implementations share one interface:
+"""The Tracer: structured event recording — the one call a moment makes.
 
 * :class:`Tracer` — records :class:`~repro.trace.events.TraceEvent`
   objects in memory and stamps them with a caller-supplied clock (the
-  simulator binds its virtual clock via :meth:`bind_clock`).  Timed
-  operations are causal spans, recorded through this tracer by
-  :class:`~repro.obs.spans.SpanRecorder`.
-* :class:`NullTracer` — the default everywhere; every method is a
-  no-op so the instrumented hot paths cost one attribute check when
-  tracing is disabled.  Emit sites that build non-trivial payloads
-  guard with ``if tracer.enabled:`` to avoid even the argument
-  packing.
+  simulator binds its virtual clock via :meth:`bind_clock`); causal
+  spans are recorded through it by :class:`~repro.obs.spans.SpanRecorder`.
+  The deployment's metrics registry folds each event it is handed
+  (:meth:`Tracer.listen`), so metrics are written by the emit itself.
+* :class:`NullTracer` — the default everywhere: nobody listens.
+* :class:`RelayTracer` — keeps nothing, hands each event to its
+  listener: the emitter of a deployment with metrics but no trace.
 
-The module-level :data:`NULL_TRACER` singleton is the canonical
-disabled tracer; identity comparison against it is allowed but the
-``enabled`` flag is the supported switch.
+``enabled`` means someone listens, ``records`` that events are kept.
+Only emits of per-task kinds guard with ``if tracer.enabled:`` (DESIGN
+§13.7).  :data:`NULL_TRACER` is the shared disabled tracer.
 """
 
 from __future__ import annotations
@@ -27,7 +24,7 @@ import numpy as np
 
 from repro.trace.events import TraceEvent
 
-__all__ = ["NULL_TRACER", "NullTracer", "Tracer"]
+__all__ = ["NULL_TRACER", "NullTracer", "RelayTracer", "Tracer"]
 
 #: payload types that are already JSON scalars; :meth:`Tracer.emit`
 #: stores these as they are.  Exact types only — a ``str``/``int``/
@@ -71,11 +68,14 @@ class Tracer:
     """
 
     enabled: bool = True
+    records: bool = True
 
     def __init__(self, clock: Optional[Callable[[], float]] = None):
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self._seq = itertools.count()
         self._events: List[TraceEvent] = []
+        #: handed ``(kind, source, data)`` of every recorded event
+        self._listener: Optional[Callable[..., None]] = None
 
     # -- clock -------------------------------------------------------------
 
@@ -89,12 +89,16 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
+    def listen(self, listener: Callable[..., None]) -> None:
+        """Hand every event recorded from now on to ``listener`` too."""
+        self._listener = listener
+
     def emit(self, kind: str, source: str = "", **data: Any) -> TraceEvent:
         """Record one event at the current clock reading.
 
         ``data`` is this call's own keyword dict, so it becomes the
         event's payload in place; only values that are not already
-        plain JSON scalars are converted.
+        plain JSON scalars are converted.  A listener gets it last.
         """
         for key, value in data.items():
             if type(value) not in _PLAIN:
@@ -104,6 +108,8 @@ class Tracer:
             time = float(time)
         event = TraceEvent(time, next(self._seq), kind, source, data)
         self._events.append(event)
+        if self._listener is not None:
+            self._listener(kind, source, data)
         return event
 
     # -- access ------------------------------------------------------------
@@ -127,12 +133,10 @@ class Tracer:
 
 
 class NullTracer(Tracer):
-    """The disabled tracer: records nothing, costs (almost) nothing."""
+    """The disabled tracer: nobody listens, costs (almost) nothing."""
 
     enabled = False
-
-    def __init__(self):
-        super().__init__()
+    records = False
 
     def bind_clock(self, clock: Callable[[], float]) -> None:
         pass
@@ -142,6 +146,19 @@ class NullTracer(Tracer):
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullTracer()"
+
+
+class RelayTracer(NullTracer):
+    """Records nothing; hands every event to its listener."""
+
+    enabled = True
+
+    def __init__(self, listener: Callable[..., None]):
+        super().__init__()
+        self._listener = listener
+
+    def emit(self, kind: str, source: str = "", **data: Any) -> None:  # type: ignore[override]
+        self._listener(kind, source, data)
 
 
 #: shared disabled tracer — safe because it holds no state

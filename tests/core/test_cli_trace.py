@@ -1,5 +1,7 @@
 """CLI --trace: the run command writes parseable JSONL + prints a summary."""
 
+import pytest
+
 from repro.cli import main
 from repro.trace import EventKind, read_jsonl, trace_hash
 
@@ -43,3 +45,18 @@ class TestCLITrace:
         out = capsys.readouterr().out
         assert "trace summary" not in out
         assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["analyze", "explain"])
+@pytest.mark.parametrize("line", [
+    "[1,2]",                                           # not an object
+    '{"trace_header": 3}',                             # header not an object
+    '{"time": 0, "seq": 0, "kind": "x", "data": [1, 2]}',   # data a list
+])
+def test_a_malformed_trace_line_is_an_error_not_a_traceback(
+        tmp_path, capsys, command, line):
+    path = tmp_path / "bad.jsonl"
+    path.write_text(line + "\n")
+    assert main([command, str(path)]) == 1
+    out = capsys.readouterr().out
+    assert f"error: cannot read trace {path}: bad trace line 1" in out

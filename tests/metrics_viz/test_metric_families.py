@@ -1,4 +1,6 @@
-"""A counter family is unlabelled or labelled, never both.
+"""Metric families: one name, one writer, one shape.
+
+A counter family is unlabelled or labelled, never both.
 
 ``RuntimeStats.export_to`` writes every stats field as an unlabelled
 ``vdce_<field>_total``.  A call site that counts the same thing per
@@ -7,11 +9,25 @@ report each event twice, so it keeps its own ``*_by_group_total`` /
 ``*_by_host_total`` family.  The smoke campaign fails a Group Manager
 over and the slowdown campaign launches speculative backups, so both
 labelled families are non-zero here.
+
+A family of a traced moment is an entry of the fold table, spelled once;
+the few written directly are a pinned list of functions.
 """
+
+import ast
+import re
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
+import repro
+from repro.metrics.folds import FOLDS
+from repro.runtime.stats import RuntimeStats
 from repro.sim.chaos import _play, preset
+from repro.trace.events import KNOWN_KINDS
+
+from tests.runtime.test_execution_shape import functions
 
 
 @pytest.mark.parametrize("name", ["smoke", "slowdown-smoke"])
@@ -29,3 +45,56 @@ def test_no_counter_family_mixes_an_unlabelled_total_with_labels(name):
         "slowdown-smoke": "vdce_speculative_launches_by_host_total",
     }[name]
     assert sum(counters[labelled]["values"].values()) > 0
+
+
+# -- a moment is one call: the fold table and its direct-writer exceptions ----
+
+#: the metric writes that have no trace event at that instant (DESIGN §8)
+DIRECT_WRITERS = {
+    "sim/kernel.py": {"Simulator.attach_metrics", "Simulator.export_metrics"},
+    "runtime/vdce_runtime.py": {"VDCERuntime.export_metrics",
+                                "VDCERuntime.schedule_process",
+                                "VDCERuntime._bid_exchange"},
+    "runtime/stats.py": {"RuntimeStats.export_to"},
+    "runtime/site_manager.py": {"SiteManager.receive_workload"},
+    "runtime/straggler.py": {"HostHealth._export_gauge"},
+    "runtime/execution.py": {"ExecutionCoordinator._deliver_output",
+                             "ExecutionCoordinator._reschedule"},
+    "runtime/data_manager.py": {"LocalDataManager._execute_with_proxies"},
+    "scheduler/host_selection.py": {"select_hosts"},
+}
+SRC = Path(repro.__file__).parent
+TREES = {path.relative_to(SRC).as_posix(): ast.parse(path.read_text())
+         for path in sorted(SRC.rglob("*.py"))}
+
+
+def test_every_fold_is_keyed_by_a_known_kind():
+    assert set(FOLDS) <= KNOWN_KINDS
+
+
+def test_each_family_name_is_spelled_once():
+    names = Counter(
+        node.value for tree in TREES.values() for node in ast.walk(tree)
+        if isinstance(node, ast.Constant) and isinstance(node.value, str)
+        and re.fullmatch(r"(vdce|sim)_[a-z0-9_]+", node.value)
+    )
+    assert names and {n: c for n, c in names.items() if c > 1} == {}
+
+
+def test_no_fold_family_collides_with_a_runtime_stats_export():
+    stats = {f"vdce_{name}_total" for name in RuntimeStats().as_dict()}
+    folded = {fold.name for folds in FOLDS.values() for fold in folds}
+    assert folded and not folded & stats
+
+
+def test_only_the_pinned_direct_writers_touch_a_family_outside_metrics():
+    writers = {}
+    for path, tree in TREES.items():
+        if path.startswith("metrics/"):
+            continue
+        for name, node in functions(tree):
+            if any(isinstance(n, ast.Call) and getattr(n.func, "attr", None)
+                   in ("counter", "gauge", "histogram", "series")
+                   for n in ast.walk(node)):
+                writers.setdefault(path, set()).add(name)
+    assert writers == DIRECT_WRITERS

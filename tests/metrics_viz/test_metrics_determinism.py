@@ -5,18 +5,31 @@ load generators + scheduling + execution) runs twice with the same seed
 and must produce byte-identical canonical metrics snapshots.
 """
 
+import pytest
+
 from repro import VDCE
 from repro.metrics.export import METRICS_SCHEMA_VERSION, snapshot_to_json
 from repro.metrics.registry import MetricsRegistry
-from repro.scheduler import select_hosts
+from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.scheduler import SiteScheduler, select_hosts
+from repro.sim import TopologyBuilder
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
-from repro.workloads import linear_solver_afg
+from repro.trace.tracer import NULL_TRACER, Tracer
+from repro.workloads import (
+    RandomDAGConfig,
+    bag_of_tasks,
+    linear_solver_afg,
+    random_dag,
+)
 
 
-def run_full_stack(seed: int, scale: float = 0.15):
-    """One instrumented end-to-end run on a 2-site topology."""
+def run_full_stack(seed: int, scale: float = 0.15, tracer=NULL_TRACER):
+    """One instrumented end-to-end run on a 2-site topology (causal spans
+    too when ``tracer`` records)."""
     env = VDCE.standard(n_sites=2, hosts_per_site=3, seed=seed,
-                        metrics=MetricsRegistry())
+                        metrics=MetricsRegistry(), tracer=tracer,
+                        runtime_config=RuntimeConfig(
+                            causal_spans=tracer is not NULL_TRACER))
     attach_generators(
         env.sim, env.topology.all_hosts,
         lambda: OrnsteinUhlenbeckLoad(mean=0.8, sigma=0.3, period_s=1.0),
@@ -105,3 +118,45 @@ class TestMetricsDeterminism:
         assert snap == {"schema_version": METRICS_SCHEMA_VERSION,
                         "counters": {}, "gauges": {}, "histograms": {},
                         "series": {}}
+
+
+def two_by_four_hash(afg, tracer) -> str:
+    """Metrics hash of ``afg`` run on 2 sites x 4 hosts, monitoring on."""
+    builder = TopologyBuilder(seed=0).lan_defaults(0.0005, 10.0)
+    for s in range(2):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", 1.0 + 0.5 * ((s + h) % 4), 256) for h in range(4)
+        ])
+    rt = VDCERuntime(builder.wan_defaults(0.03, 2.0).build(),
+                     config=RuntimeConfig(causal_spans=tracer is not NULL_TRACER),
+                     tracer=tracer, metrics=MetricsRegistry())
+    rt.start_monitoring()
+
+    def pipeline():
+        table, _ = yield from rt.schedule_process(
+            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0")
+        return (yield rt.execute_process(
+            afg, table, submit_site="site-0", execute_payloads=False))
+
+    rt.sim.run_until_complete(rt.sim.process(pipeline()))
+    rt.export_metrics()
+    return rt.metrics.snapshot_hash()
+
+
+@pytest.mark.parametrize("make_afg", [
+    lambda: bag_of_tasks(n=64, cost=4.0, heterogeneity=0.3, seed=1),
+    lambda: random_dag(RandomDAGConfig(
+        n_tasks=64, width=8, mean_cost=3.0, ccr=0.3, seed=2)),
+], ids=["bag", "dag"])
+def test_metrics_do_not_depend_on_whether_the_trace_is_recorded(make_afg):
+    """The folds run on a relay when nothing records (DESIGN §8): a
+    metrics-only run must fold exactly what a traced one does."""
+    assert two_by_four_hash(make_afg(), NULL_TRACER) == two_by_four_hash(
+        make_afg(), Tracer())
+
+
+def test_full_stack_metrics_do_not_depend_on_the_trace():
+    metrics_only, _ = run_full_stack(seed=4)
+    traced, _ = run_full_stack(seed=4, tracer=Tracer())
+    assert len(traced.tracer) > 0 and len(metrics_only.tracer) == 0
+    assert metrics_only.metrics_hash() == traced.metrics_hash()

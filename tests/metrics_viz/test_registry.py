@@ -238,6 +238,17 @@ class TestPrometheusExposition:
             if not line.startswith("#"):
                 assert _SAMPLE_RE.match(line), f"malformed line: {line!r}"
 
+    def test_separators_in_a_label_value_invent_no_label(self, tmp_path):
+        # an application name is user input and reaches a label value
+        reg = MetricsRegistry()
+        reg.counter("vdce_checkpoint_bytes").inc(
+            5, application="solve,stage=2", site="a\\,b=")
+        path = tmp_path / "m.json"
+        save_snapshot(reg, str(path))
+        text = prometheus_from_snapshot(load_snapshot(str(path)))
+        assert ('vdce_checkpoint_bytes{application="solve,stage=2",'
+                'site="a\\\\,b="} 5') in text.splitlines()
+
     def test_help_escaping_and_special_values(self):
         reg = MetricsRegistry()
         reg.gauge("g", "two\nlines").set(math.nan)

@@ -15,7 +15,10 @@ telemetry path, and one on what ``import repro`` drags in:
   each through ``_jsonify`` was four calls per event;
 * ``trace_hash`` encodes through one cached line encoder: going through
   ``JSONEncoder.encode`` built a C encoder per event, and feeding the
-  digest one line at a time was one ``update`` per event.
+  digest one line at a time was one ``update`` per event;
+* with telemetry off, an application makes as many (null) emits at 2 048
+  tasks as at 512: a null emit with a payload costs ~0.2 us, so an
+  unguarded per-task kind would be a per-task cost nobody asked for.
 
 This file runs in the ``bench`` CI job, which installs neither scipy nor
 Hypothesis.
@@ -30,6 +33,7 @@ import time
 from hashlib import sha256
 
 import repro
+from repro.metrics.registry import MetricsRegistry
 from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
 from repro.obs.spans import SpanKind, SpanRecorder
 from repro.runtime import RuntimeConfig, VDCERuntime
@@ -37,8 +41,10 @@ from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
 from repro.trace.serialize import trace_hash
-from repro.trace.tracer import Tracer
+from repro.trace.tracer import NullTracer, Tracer
 from repro.workloads import RandomDAGConfig, random_dag
+
+from tests.perf.test_events_per_task import run_bag
 
 
 # -- read: the sweep and explain scale as n log n -----------------------------
@@ -210,3 +216,27 @@ def test_trace_hash_builds_no_encoder_per_event(monkeypatch):
     assert events > 1000
     assert entered[0] <= 2
     assert 0 < updates[0] <= events // 1000 + 1
+
+
+# -- off: an application's emits do not grow with its tasks -------------------
+
+def test_telemetry_off_emits_do_not_grow_with_the_bag(monkeypatch):
+    """Per-task kinds keep their ``if tracer.enabled:`` (DESIGN §13.7):
+    an unguarded one would add a null emit per task, on any machine."""
+    emits, folds = [0], []
+    emit = NullTracer.emit
+
+    def counting(self, kind, source="", **data):
+        emits[0] += 1
+        return emit(self, kind, source, **data)
+
+    monkeypatch.setattr(NullTracer, "emit", counting)
+    monkeypatch.setattr(MetricsRegistry, "fold",
+                        lambda self, *event: folds.append(event))
+    per_application = []
+    for n_tasks in (512, 2048):
+        emits[0] = 0
+        run_bag(n_tasks)
+        per_application.append(emits[0])
+    assert 0 < per_application[0] == per_application[1]
+    assert not folds

@@ -18,11 +18,6 @@ from repro.trace.events import EventKind
 
 
 def _run(self):
-    # Pre-labelled instrument handles, resolved at the first report
-    # (when the families are registered, which fixes their snapshot
-    # order) and reused every period thereafter — not three family
-    # lookups plus three label-key builds per host per period.
-    reports_child = load_child = mem_child = None
     while True:
         if self._stopped:
             return
@@ -36,24 +31,7 @@ def _run(self):
                 continue
             measurement = self.measure()
             self.stats.monitor_reports += 1
-            metrics = self.sim.metrics
-            if metrics.enabled:
-                if reports_child is None:
-                    reports_child = metrics.counter(
-                        "vdce_monitor_reports_by_host_total",
-                        "monitor measurements taken, per host",
-                    ).child(host=self.host.name)
-                    load_child = metrics.series(
-                        "vdce_host_load",
-                        "run-queue length sampled by the monitor daemon",
-                    ).child(host=self.host.name)
-                    mem_child = metrics.series(
-                        "vdce_host_available_memory_mb",
-                        "available memory sampled by the monitor daemon",
-                    ).child(host=self.host.name)
-                reports_child.inc()
-                load_child.observe(measurement.load)
-                mem_child.observe(measurement.available_memory_mb)
+            # the report's metrics are folds of this event
             if self.tracer.enabled:
                 self.tracer.emit(
                     EventKind.MONITOR_REPORT,

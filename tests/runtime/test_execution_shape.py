@@ -84,6 +84,16 @@ def is_none_test(node, names):
     )
 
 
+def flag_reads(trees, owner):
+    """Reads of ``<owner>.enabled`` / ``<x>.<owner>.enabled``."""
+    return [
+        node for tree in trees for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "enabled"
+        and getattr(node.value, "attr", getattr(node.value, "id", ""))
+        == owner
+    ]
+
+
 def test_no_function_outgrows_a_screenful():
     # constructors included; a nested function's lines count towards
     # its parent too
@@ -117,12 +127,6 @@ def test_spans_are_guarded_by_their_parent_not_by_a_flag():
     # NULL_SPAN is the only "off": the runtime picks its recorder from
     # the config, and nobody afterwards asks a recorder whether it is on
     # or a span whether it is real
-    flag_reads = [
-        node for tree in OUTSIDE_OBS for node in ast.walk(tree)
-        if isinstance(node, ast.Attribute) and node.attr == "enabled"
-        and getattr(node.value, "attr", getattr(node.value, "id", ""))
-        == "spans"
-    ]
     none_tests = [
         node for tree in OUTSIDE_OBS for node in ast.walk(tree)
         if is_none_test(node, lambda name: name.endswith("span"))
@@ -132,7 +136,8 @@ def test_spans_are_guarded_by_their_parent_not_by_a_flag():
         if isinstance(node, ast.Compare)
         and getattr(node.left, "attr", None) == "span_id"
     ]
-    assert not flag_reads and not none_tests and not id_tests
+    assert not flag_reads(OUTSIDE_OBS, "spans")
+    assert not none_tests and not id_tests
 
 
 def test_collaborators_every_deployment_passes_are_not_optional():
@@ -258,3 +263,38 @@ def test_one_span_mechanism_and_one_of_each_trace_reader():
                 for n in ast.walk(node))
     ]
     assert len(pairing_loops) == 1
+
+
+# -- a moment is one call: emit unguarded unless the kind is per task ---------
+
+#: kinds that fire per task, transfer, process or host-period: the only
+#: emits an ``if tracer.enabled:`` may guard (DESIGN §13.7)
+HOT_KINDS = {
+    "MONITOR_REPORT", "WORKLOAD_SUPPRESS", "WORKLOAD_FORWARD", "ECHO",
+    "PROCESS_SPAWN", "PROCESS_FINISH", "SCHEDULE_DECISION", "HOST_BID",
+    "TASK_START", "TASK_FINISH", "TASKPERF_UPDATE", "DATA_TRANSFER",
+    "CHANNEL_SETUP", "CHANNEL_ACK", "FILE_STAGE", "LOAD_CANCEL",
+}
+
+
+def test_only_per_task_emits_keep_a_guard():
+    """Metrics are folds inside ``emit`` (DESIGN §8), so a moment has at
+    most one guard, and only where the off path would pay per task."""
+    reads = flag_reads(ALL.values(), "tracer")
+    assert len(reads) <= 21
+    guarded = [
+        node for tree in ALL.values() for node in ast.walk(tree)
+        if isinstance(node, ast.If) and any(node.test is r for r in reads)
+    ]
+    for node in guarded:
+        kinds = {
+            n.attr for n in ast.walk(node)
+            if isinstance(n, ast.Attribute)
+            and getattr(n.value, "id", "") == "EventKind"
+        }
+        assert kinds and kinds <= HOT_KINDS, (node.lineno, kinds)
+    outside_metrics = [
+        tree for path, tree in ALL.items()
+        if path.relative_to(SRC).parts[0] != "metrics"
+    ]
+    assert len(flag_reads(outside_metrics, "metrics")) <= 12
