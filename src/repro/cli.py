@@ -12,7 +12,8 @@ Commands:
   file, or a quick instrumented run) as Prometheus text or JSON;
 * ``analyze <trace> [<trace2>]`` — the trace-analysis toolkit: critical
   path, per-host utilization, schedule lag; with two traces, the
-  structural diff (first divergent event + per-kind count deltas);
+  structural diff (first divergent event + per-kind count deltas),
+  ``--modulo KIND[,KIND]`` diffing the first with those kinds dropped;
 * ``explain <trace>`` — the attribution engine: rebuild the causal span
   tree from a ``run``/``resume --trace`` or ``chaos --spans`` trace (or
   re-run a bench scenario with spans on), print the per-application
@@ -348,6 +349,9 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot read trace {args.trace}: {exc}")
         return 1
     if args.trace2 is None:
+        if args.diff or args.modulo:
+            print("error: --diff / --modulo need two traces")
+            return 1
         print(format_analysis(events, title=f"trace analysis — {args.trace}"))
         return 0
     try:
@@ -355,9 +359,11 @@ def cmd_analyze(args) -> int:
     except (OSError, ValueError) as exc:
         print(f"error: cannot read trace {args.trace2}: {exc}")
         return 1
+    kinds = set(args.modulo.split(",")) if args.modulo else None
+    modulo = kinds and (lambda evs: [e for e in evs if e.kind not in kinds])
     print(f"a: {args.trace}\nb: {args.trace2}")
-    print(format_structural_diff(events, events2))
-    return 0 if structural_diff(events, events2)["identical"] else 2
+    print(format_structural_diff(events, events2, modulo))
+    return 0 if structural_diff(events, events2, modulo)["identical"] else 2
 
 
 def _write(save: Callable[[str], object], path: str, what: str,
@@ -996,6 +1002,11 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("trace2", nargs="?",
                      help="second trace: print the structural diff instead "
                           "(exit 2 when the traces differ)")
+    ana.add_argument("--diff", action="store_true",
+                     help="diff the two traces (the default given two)")
+    ana.add_argument("--modulo", metavar="KIND[,KIND]",
+                     help="diff the first trace with these event kinds "
+                          "dropped and seq renumbered")
 
     topo = sub.add_parser("topology", help="print the deployment diagram")
     topo.add_argument("--sites", type=int, default=2)

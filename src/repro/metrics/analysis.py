@@ -16,7 +16,8 @@ questions benchmarks and humans actually ask of a run:
 * :func:`structural_diff` / :func:`format_structural_diff` — compare
   two runs: first divergent event and per-kind count deltas, the
   workflow for debugging a scheduling change
-  (``python -m repro analyze <a> <b>``).
+  (``python -m repro analyze <a> <b>``); ``modulo=`` first applies a
+  declared move to ``a``, such as :func:`elide_repeated_reports`.
 
 Everything consumes a plain event sequence (a :class:`Tracer` works
 too), so saved JSONL traces round-trip through
@@ -26,7 +27,7 @@ too), so saved JSONL traces round-trip through
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.metrics.tables import format_table
 from repro.metrics.trace_summary import (
@@ -41,6 +42,7 @@ from repro.trace.serialize import TraceLike, events_of, event_to_json
 __all__ = [
     "analyze_trace",
     "critical_path",
+    "elide_repeated_reports",
     "format_analysis",
     "format_structural_diff",
     "host_timelines",
@@ -286,7 +288,31 @@ def format_analysis(trace: TraceLike, title: str = "trace analysis") -> str:
 # -- structural diff --------------------------------------------------------
 
 
-def structural_diff(a: TraceLike, b: TraceLike) -> Dict[str, Any]:
+def elide_repeated_reports(events: List[TraceEvent]) -> List[TraceEvent]:
+    """The monitor's elision as a move on a trace taken without it
+    (DESIGN §13.9): drop each ``monitor_report`` that repeats its host's
+    previous ``(load, available_memory_mb)`` and was not forwarded, and
+    the ``workload_suppress`` that answered it."""
+    previous, pending, dropped = {}, {}, set()   # pending: repeats in flight
+    for index, event in enumerate(events):
+        host, kind = event.data.get("host"), event.kind
+        if kind == EventKind.MONITOR_REPORT:
+            reading = (event.data["load"], event.data["available_memory_mb"])
+            pending.pop(host, None)
+            if previous.get(host) == reading:
+                pending[host] = index
+                dropped.add(index)
+            previous[host] = reading
+        elif kind == EventKind.WORKLOAD_FORWARD and host in pending:
+            dropped.discard(pending.pop(host))
+        elif kind == EventKind.WORKLOAD_SUPPRESS and host in pending:
+            del pending[host]
+            dropped.add(index)
+    return [e for i, e in enumerate(events) if i not in dropped]
+
+
+def structural_diff(a: TraceLike, b: TraceLike,
+                    modulo: Optional[Callable] = None) -> Dict[str, Any]:
     """Structural comparison of two traces.
 
     Returns::
@@ -299,9 +325,15 @@ def structural_diff(a: TraceLike, b: TraceLike) -> Dict[str, Any]:
         }
 
     ``first_divergence`` carries the two events (dict form; ``None`` on
-    the shorter side when one trace is a prefix of the other).
+    the shorter side when one trace is a prefix of the other).  With
+    ``modulo``, ``a`` is compared as that move leaves it, ``seq``
+    renumbered: "``b`` is ``a`` after the declared change".
     """
     events_a, events_b = events_of(a), events_of(b)
+    if modulo is not None:
+        seq0 = events_a[0].seq if events_a else 0
+        events_a = [TraceEvent(e.time, seq0 + i, e.kind, e.source, e.data)
+                    for i, e in enumerate(modulo(events_a))]
     first: Optional[Dict[str, Any]] = None
     for index, (ea, eb) in enumerate(zip(events_a, events_b)):
         if event_to_json(ea) != event_to_json(eb):
@@ -339,9 +371,10 @@ def _render_event(payload: Optional[Dict[str, Any]]) -> str:
     )
 
 
-def format_structural_diff(a: TraceLike, b: TraceLike) -> str:
+def format_structural_diff(a: TraceLike, b: TraceLike,
+                           modulo: Optional[Callable] = None) -> str:
     """Render :func:`structural_diff` for terminals."""
-    report = structural_diff(a, b)
+    report = structural_diff(a, b, modulo)
     len_a, len_b = report["lengths"]
     if report["identical"]:
         return f"traces are identical ({len_a} events)"

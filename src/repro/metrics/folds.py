@@ -57,9 +57,9 @@ _SITE = lambda s, d: (("site", d["site"]),)         # noqa: E731
 
 #: event kind -> the folds applied to each event of that kind
 FOLDS: Dict[str, Tuple[Fold, ...]] = {
+    # a repeated report is elided, so its count and its Group Manager's
+    # suppress count are written at export (``VDCERuntime.export_metrics``)
     EventKind.MONITOR_REPORT: (
-        Fold("counter", "vdce_monitor_reports_by_host_total",
-             "monitor measurements taken, per host", labels=_HOST),
         Fold("series", "vdce_host_load",
              "run-queue length sampled by the monitor daemon",
              lambda s, d: d["load"], _HOST),
@@ -115,8 +115,6 @@ FOLDS: Dict[str, Tuple[Fold, ...]] = {
     **{kind: (Fold("counter", name, help,
                    labels=lambda s, d: (("group", _owner(s)),)),)
        for kind, name, help in (
-        (EventKind.WORKLOAD_SUPPRESS, "vdce_workload_suppressed_by_group_total",
-         "measurements filtered by the significant-change test"),
         (EventKind.WORKLOAD_FORWARD, "vdce_workload_forwards_by_group_total",
          "significant measurements forwarded to the Site Manager"),
         (EventKind.ECHO, "vdce_echo_packets_by_group_total",

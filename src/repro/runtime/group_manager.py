@@ -17,7 +17,7 @@ Two responsibilities, both verbatim from the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional
 
 from repro.obs.spans import NULL_SPAN, NULL_SPANS, SpanKind, SpanRecorder
 from repro.runtime.monitor import Measurement
@@ -34,6 +34,7 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.rpc import ControlPlane
+    from repro.runtime.monitor import MonitorDaemon
     from repro.runtime.site_manager import SiteManager
     from repro.runtime.vdce_runtime import RuntimeConfig
 
@@ -86,6 +87,11 @@ class GroupManager:
         self._crash_span = NULL_SPAN
         #: last workload value forwarded upward, per host
         self._last_forwarded: Dict[str, float] = {}
+        #: reports taken per host (one cell, shared by every daemon the
+        #: host has had) and suppresses in this group, elided ones
+        #: included: ``VDCERuntime.export_metrics`` writes them
+        self.reports: Dict[str, List[int]] = {}
+        self.suppressed = 0
         #: what this Group Manager believes about host liveness
         self._believed_up: Dict[str, bool] = {h.name: True for h in group}
         #: the failure-detection discipline and its per-host state
@@ -233,23 +239,26 @@ class GroupManager:
 
     # -- workload path ----------------------------------------------------
 
-    def receive_measurement(self, measurement: Measurement) -> None:
-        """Monitor daemon delivery; forward only significant changes.
+    def suppresses(self, host: str, load: float) -> bool:
+        """Fig. 4's test: has ``load`` not changed considerably from the
+        last load forwarded for ``host``?  (Never for a first report.)"""
+        last = self._last_forwarded.get(host)
+        return last is not None and abs(load - last) < self.change_threshold
 
-        The first measurement for a host is always significant (the
-        Site Manager has nothing yet).
-        """
+    def receive_measurement(self, measurement: Measurement) -> None:
+        """Monitor daemon delivery; forward only significant changes."""
         if not self.alive:
             return  # a dead manager drops reports on the floor
         if measurement.host not in self._believed_up:
             return  # in-flight report from a host retired meanwhile
-        last = self._last_forwarded.get(measurement.host)
-        if last is not None and abs(measurement.load - last) < self.change_threshold:
+        if self.suppresses(measurement.host, measurement.load):
             self.stats.workload_suppressed += 1
+            self.suppressed += 1
             if self.tracer.enabled:
                 self.tracer.emit(
                     EventKind.WORKLOAD_SUPPRESS, source=self._src,
-                    host=measurement.host, load=measurement.load, last=last,
+                    host=measurement.host, load=measurement.load,
+                    last=self._last_forwarded[measurement.host],
                 )
             return
         self._last_forwarded[measurement.host] = measurement.load
@@ -263,6 +272,19 @@ class GroupManager:
             self.lan_latency_s,
             lambda: self.site_manager.receive_workload(measurement),
         )
+
+    def receive_repeat(self, daemon: "MonitorDaemon", load: float) -> None:
+        """An elided report's delivery (DESIGN §13.9): the tests of
+        :meth:`receive_measurement`, the suppress counted, not emitted.
+        A filter reset since the tick sends it down the full path."""
+        host = daemon.host.name
+        if not self.alive or host not in self._believed_up:
+            return
+        if self.suppresses(host, load):
+            self.stats.workload_suppressed += 1
+            self.suppressed += 1
+        else:
+            self.receive_measurement(Measurement(host, load, daemon.reported[1]))
 
     # -- echo / failure detection ----------------------------------------------
 

@@ -11,12 +11,13 @@ LAN (latency charged); measurements from a down host simply stop, which
 is what the Group Manager's echo protocol exists to notice.
 
 Daemons started together tick together (:class:`MonitorRound`; DESIGN §5
-decision 10, §13.9).
+decision 10, §13.9), and a report the Group Manager would suppress
+anyway is counted, not built (§13.9).
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple
+from typing import TYPE_CHECKING, Iterable, List, NamedTuple, Optional, Tuple, Union
 
 from repro.sim.host import Host
 from repro.sim.kernel import Simulator
@@ -36,7 +37,6 @@ class Measurement(NamedTuple):
     host: str
     load: float
     available_memory_mb: int
-    measured_at: float
 
 
 class MonitorDaemon:
@@ -64,6 +64,10 @@ class MonitorDaemon:
         #: the round this daemon ticks in; None while not running
         self._round: Optional[MonitorRound] = None
         self._stopped = False
+        #: (load, available memory) of the last report built
+        self.reported: Optional[Tuple[float, int]] = None
+        #: this host's report count: its manager's cell, kept across rejoins
+        self._tally = group_manager.reports.setdefault(host.name, [0])
 
     def start(self) -> "MonitorRound":
         """Start alone, as a round of one ticking from now (a host that
@@ -78,23 +82,22 @@ class MonitorDaemon:
         """
         self._stopped = True
 
-    def measure(self) -> Measurement:
-        """Take one measurement of the host's current state."""
-        return Measurement(
-            self.host.name,
-            self.host.load_average(),
-            self.host.available_memory_mb(),
-            self.sim.now,
-        )
-
-    def _report(self) -> Measurement:
-        """Measure, count and emit this period's report."""
-        measurement = self.measure()
+    def _report(self) -> Union[Measurement, float]:
+        """Count this period's report; build and emit it, unless it
+        repeats the last one and the manager would suppress it anyway —
+        then it is elided and only its load travels."""
+        host, gm = self.host, self.group_manager
         self.stats.monitor_reports += 1
+        self._tally[0] += 1
+        reading = (host.load_average(), host.available_memory_mb())
+        if reading == self.reported and gm.suppresses(host.name, reading[0]):
+            return reading[0]
+        self.reported = reading
+        measurement = Measurement(host.name, *reading)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.MONITOR_REPORT,
-                source=f"monitor:{self.host.name}",
+                source=f"monitor:{host.name}",
                 host=measurement.host,
                 load=measurement.load,
                 available_memory_mb=measurement.available_memory_mb,
@@ -102,9 +105,12 @@ class MonitorDaemon:
         return measurement
 
 
-def _deliver(reports: List[Tuple[MonitorDaemon, Measurement]]) -> None:
-    for daemon, measurement in reports:
-        daemon.group_manager.receive_measurement(measurement)
+def _deliver(reports: List[Tuple[MonitorDaemon, Union[Measurement, float]]]):
+    for daemon, report in reports:
+        if isinstance(report, Measurement):
+            daemon.group_manager.receive_measurement(report)
+        else:
+            daemon.group_manager.receive_repeat(daemon, report)
 
 
 class MonitorRound:
@@ -113,9 +119,10 @@ class MonitorRound:
     Each tick runs the live members' reports in start order — the order
     their own timers, armed back to back, would have fired in — and
     consecutive reports for one Group Manager after one LAN delay share
-    a delivery entry.  A member's ``process_spawn`` / ``process_finish``
-    events (source ``monitor:<host>``) are emitted when it joins and at
-    the first tick after its ``stop()``.
+    a delivery entry, an elided report as a bare load.  A member's
+    ``process_spawn`` / ``process_finish`` events (source
+    ``monitor:<host>``) are emitted when it joins and at the first tick
+    after its ``stop()``.
     """
 
     def __init__(self, sim: Simulator, daemons: Iterable[MonitorDaemon]):

@@ -366,14 +366,27 @@ class VDCERuntime:
 
         Folds the :class:`~repro.runtime.stats.RuntimeStats` counters
         into registry counters (one source of truth for ``vdce
-        metrics`` and the E5–E8 assertions), sets the kernel gauges
-        (virtual time, event rate) and the monitoring suppression
-        ratio, then returns the registry.  Safe to call repeatedly; a
-        no-op on the disabled registry.
+        metrics`` and the E5–E8 assertions) and the Group Managers'
+        report / suppress counts (an elided report has no event to
+        fold), sets the kernel gauges (virtual time, event rate) and the
+        monitoring suppression ratio, then returns the registry.  Safe
+        to call repeatedly; a no-op on the disabled registry.
         """
         if self.metrics.enabled:
             self.stats.export_to(self.metrics)
             self.sim.export_metrics()
+            for gm in self.group_managers.values():
+                for host, (n,) in gm.reports.items():
+                    if n:
+                        self.metrics.counter(
+                            "vdce_monitor_reports_by_host_total",
+                            "monitor measurements taken, per host",
+                        ).set_total(float(n), host=host)
+                if gm.suppressed:
+                    self.metrics.counter(
+                        "vdce_workload_suppressed_by_group_total",
+                        "measurements filtered by the significant-change test",
+                    ).set_total(float(gm.suppressed), group=gm.name)
             reports = self.stats.workload_forwards + self.stats.workload_suppressed
             self.metrics.gauge(
                 "vdce_workload_suppression_ratio",

@@ -105,3 +105,23 @@ class TestAnalyzeCommand:
     def test_missing_trace_is_an_error(self, tmp_path, capsys):
         assert main(["analyze", str(tmp_path / "nope.jsonl")]) == 1
         assert "error" in capsys.readouterr().out
+
+    def test_modulo_diffs_the_first_trace_with_kinds_dropped(
+            self, tmp_path, capsys):
+        from repro.trace.events import TraceEvent
+        from repro.trace.serialize import read_jsonl, write_jsonl
+
+        a = self._write_trace(tmp_path, "a.jsonl")
+        kept = [e for e in read_jsonl(str(a))
+                if e.kind not in ("task_start", "data_transfer")]
+        b = write_jsonl([TraceEvent(e.time, seq, e.kind, e.source, e.data)
+                         for seq, e in enumerate(kept)],
+                        str(tmp_path / "b.jsonl"))
+        capsys.readouterr()
+        assert main(["analyze", "--diff", str(a), b]) == 2
+        assert main(["analyze", "--diff", str(a), b,
+                     "--modulo", "task_start,data_transfer"]) == 0
+        assert "identical" in capsys.readouterr().out.splitlines()[-1]
+        assert main(["analyze", str(a), b, "--modulo", "task_start"]) == 2
+        assert main(["analyze", str(a), "--modulo", "task_start"]) == 1
+        assert "need two traces" in capsys.readouterr().out

@@ -4,6 +4,7 @@ from repro import VDCE, Tracer
 from repro.metrics.analysis import (
     analyze_trace,
     critical_path,
+    elide_repeated_reports,
     format_analysis,
     format_structural_diff,
     host_timelines,
@@ -159,3 +160,79 @@ class TestStructuralDiff:
         b = a + [_event(9.0, 10, EventKind.ECHO, host="h0")]
         diff = structural_diff(a, b)
         assert set(diff["count_deltas"]) == {EventKind.ECHO}
+
+    def test_modulo_applies_a_move_to_a_and_renumbers(self):
+        a = _chain_trace()
+        b = [_event(e.time, seq, e.kind, **e.data) for seq, e in enumerate(
+            e for e in a if e.kind != EventKind.SCHEDULE_DECISION)]
+        assert not structural_diff(a, b)["identical"]
+
+        def drop(events):
+            return [e for e in events if e.kind != EventKind.SCHEDULE_DECISION]
+
+        assert structural_diff(a, b, modulo=drop)["identical"]
+        assert "identical" in format_structural_diff(a, b, drop)
+        # the move applies to ``a`` only
+        assert not structural_diff(b, a, modulo=drop)["identical"]
+
+
+def _report(time, host, load, memory=256):
+    return TraceEvent(time=time, seq=0, kind=EventKind.MONITOR_REPORT,
+                      source=f"monitor:{host}",
+                      data={"host": host, "load": load,
+                            "available_memory_mb": memory})
+
+
+def _verdict(time, host, kind):
+    return TraceEvent(time=time, seq=0, kind=kind, source="gm:g0",
+                      data={"host": host})
+
+
+class TestElideRepeatedReports:
+    """The monitor's declared move (DESIGN §13.9), on hand-made traces."""
+
+    SUPPRESS, FORWARD = EventKind.WORKLOAD_SUPPRESS, EventKind.WORKLOAD_FORWARD
+
+    def test_a_suppressed_repeat_and_its_suppress_go(self):
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.0), _verdict(2.5, "h0", self.SUPPRESS),
+            _report(4.0, "h0", 1.0), _verdict(4.5, "h0", self.FORWARD),
+        ]
+        assert elide_repeated_reports(events) == events[:2] + events[4:]
+
+    def test_a_changed_report_stays_even_when_suppressed(self):
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.0, memory=128),
+            _verdict(2.5, "h0", self.SUPPRESS),
+        ]
+        assert elide_repeated_reports(events) == events
+
+    def test_a_forwarded_repeat_stays(self):
+        # the filter was reset (a restart) before the repeat was sent
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.0), _verdict(2.5, "h0", self.FORWARD),
+        ]
+        assert elide_repeated_reports(events) == events
+
+    def test_a_repeat_nobody_answered_goes(self):
+        # dropped by a dead manager, or still in flight at the end
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.0),
+            _report(2.0, "h1", 3.0), _verdict(2.5, "h1", self.FORWARD),
+            _report(4.0, "h0", 0.0),
+        ]
+        assert elide_repeated_reports(events) == events[:2] + events[3:5]
+
+    def test_hosts_are_paired_separately(self):
+        events = [
+            _report(0.0, "h0", 0.0), _report(0.0, "h1", 0.0),
+            _verdict(0.5, "h0", self.FORWARD), _verdict(0.5, "h1", self.FORWARD),
+            _report(2.0, "h0", 0.0), _report(2.0, "h1", 0.0),
+            _verdict(2.5, "h1", self.SUPPRESS), _verdict(2.5, "h0", self.FORWARD),
+        ]
+        assert elide_repeated_reports(events) == (
+            events[:4] + [events[4], events[7]])

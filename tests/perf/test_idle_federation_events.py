@@ -7,17 +7,24 @@ together (``runtime/monitor.py``), so that traffic is a few entries per
 and one report must not walk the host's resident executions.  (One
 kernel process and one delivery callback per daemon: 65 736 events here;
 32 064 reports either way.)
+
+Nor does an idle host's trace grow with time: every report after the
+first repeats it and would be suppressed, so it is counted and elided —
+one ``monitor_report`` per host, no ``workload_suppress`` (DESIGN §13.9).
 """
 
+from repro.metrics import event_counts
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.sim import TopologyBuilder
+from repro.trace import EventKind, Tracer
+from repro.trace.tracer import NULL_TRACER
 
 HORIZON_VS = 1000.0
 #: measured 6 173 on 8 sites x 8 hosts
 CEILING = 8000
 
 
-def idle_federation(hosts_per_site: int) -> VDCERuntime:
+def idle_federation(hosts_per_site: int, tracer=NULL_TRACER) -> VDCERuntime:
     """8 sites, one group each, stock config, monitoring on, no work."""
     builder = (
         TopologyBuilder(seed=0)
@@ -26,7 +33,7 @@ def idle_federation(hosts_per_site: int) -> VDCERuntime:
     )
     for s in range(8):
         builder.site(f"site-{s}", n_hosts=hosts_per_site)
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig(), tracer=tracer)
     rt.start_monitoring()
     rt.sim.run(until=HORIZON_VS)
     return rt
@@ -37,6 +44,24 @@ def test_idle_federation_under_the_ceiling():
     # every daemon reported every period: t = 0, 2, ..., 1000
     assert rt.stats.monitor_reports == 64 * 501
     assert rt.sim.events_processed < CEILING
+
+
+def test_an_idle_trace_holds_one_report_per_host():
+    untraced, rt = idle_federation(8), idle_federation(8, Tracer())
+    assert rt.stats.monitor_reports == 64 * 501
+    counts = event_counts(rt.tracer)
+    assert counts[EventKind.MONITOR_REPORT] == 64
+    assert counts.get(EventKind.WORKLOAD_SUPPRESS, 0) == 0
+    assert counts[EventKind.WORKLOAD_FORWARD] == 64
+    reports = [e for e in rt.tracer.events()
+               if e.kind == EventKind.MONITOR_REPORT]
+    assert {e.time for e in reports} == {0.0}
+    assert len({e.data["host"] for e in reports}) == 64
+    # counted all the same (the reports of t = 1000 are still in flight);
+    # an elided report rides its batch's delivery entry, so the calendar
+    # holds what it held when every report was built
+    assert rt.stats.workload_suppressed == 64 * 499
+    assert rt.sim.events_processed == untraced.sim.events_processed == 6173
 
 
 def test_idle_events_do_not_grow_with_the_group():
@@ -71,6 +96,6 @@ def test_a_report_does_not_walk_the_residents():
     for _ in range(1024):
         host.execute(work=1e6, memory_mb=1)
     host._running = residents = _CountingList(host._running)
-    measurement = monitor.measure()
+    measurement = monitor._report()
     assert (measurement.load, measurement.available_memory_mb) == (1024.0, 1024)
     assert residents.iterations == 0

@@ -2,17 +2,19 @@
 
 ``MonitorDaemon`` used to own a generator (``_run``) that the kernel
 resumed once per period, and put one delivery callback on the calendar
-per report.  That loop lives on here, verbatim, as the oracle the
-``MonitorRound`` in ``src/`` is compared against
-(``test_monitor_round_equivalence.py``): under :func:`per_daemon_processes`
-every daemon that would join a round is started as its own process
-instead, whichever way it is started (``VDCERuntime.start_monitoring``
-or a lone ``MonitorDaemon.start()`` from the membership layer).
+per report.  That loop lives on here as the oracle the ``MonitorRound``
+in ``src/`` is compared against (``test_monitor_round_equivalence.py``):
+under :func:`per_daemon_processes` every daemon that would join a round
+is started as its own process instead, whichever way it is started
+(``VDCERuntime.start_monitoring`` or a lone ``MonitorDaemon.start()``
+from the membership layer).  It builds, emits and delivers every report
+— no repeat is elided — and counts it where the round does: in
+``RuntimeStats`` and in its Group Manager's per-host tally.
 """
 
 from contextlib import contextmanager
 
-from repro.runtime.monitor import MonitorRound
+from repro.runtime.monitor import Measurement, MonitorRound
 from repro.sim.kernel import Timeout
 from repro.trace.events import EventKind
 
@@ -29,8 +31,13 @@ def _run(self):
                 self.group_manager.request_failover(self.host)
                 yield Timeout(self.period_s)
                 continue
-            measurement = self.measure()
+            measurement = Measurement(
+                self.host.name,
+                self.host.load_average(),
+                self.host.available_memory_mb(),
+            )
             self.stats.monitor_reports += 1
+            self._tally[0] += 1
             # the report's metrics are folds of this event
             if self.tracer.enabled:
                 self.tracer.emit(

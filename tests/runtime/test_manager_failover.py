@@ -106,8 +106,7 @@ class TestGroupManagerFailover:
         host = sorted(gm.host_names)[0]
         before = env.runtime.stats.workload_forwards
         gm.receive_measurement(
-            Measurement(host=host, load=9.9, available_memory_mb=1,
-                        measured_at=env.sim.now)
+            Measurement(host=host, load=9.9, available_memory_mb=1)
         )
         assert env.runtime.stats.workload_forwards == before
 

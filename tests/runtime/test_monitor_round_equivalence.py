@@ -1,22 +1,34 @@
 """The monitor round against the one-process-per-daemon loop it replaced.
 
 Every scenario runs once under the reference (``_reference_monitor``:
-each daemon its own kernel process, one delivery callback per report)
-and once under the ``MonitorRound`` in ``src/`` (one tick entry per
-period, one delivery entry per run of reports sharing a Group Manager
-and a LAN delay).  Everything the VDCE can observe must come out equal:
-the trace hash (lifecycle events of ``monitor:<host>`` included), every
-``RuntimeStats`` counter, what each site repository believes about each
-host, and the whole metrics snapshot once the three families that
-measure the *simulator* — ``sim_events_total``,
-``sim_events_per_sim_second``, ``sim_queue_depth`` — are dropped.
+each daemon its own kernel process, one delivery callback per report,
+every report built and emitted) and once under the ``MonitorRound`` in
+``src/`` (one tick entry per period, one delivery entry per run of
+reports sharing a Group Manager and a LAN delay, and a report that
+repeats the daemon's last one elided when the manager would suppress it
+anyway).  Everything the VDCE can observe must come out equal, or differ
+by exactly the declared move:
+
+* the trace is the reference's with
+  :func:`~repro.metrics.analysis.elide_repeated_reports` applied and
+  ``seq`` renumbered (lifecycle events of ``monitor:<host>`` included);
+* every ``RuntimeStats`` counter, and what each site repository
+  believes about each host, are equal;
+* the metrics snapshot is equal once the three families that measure
+  the *simulator* — ``sim_events_total``, ``sim_events_per_sim_second``,
+  ``sim_queue_depth`` — are dropped, and once the two monitor series,
+  ``vdce_host_load`` and ``vdce_host_available_memory_mb``, are set
+  aside: each run's series are exactly its own trace's reports, so the
+  round's lose only the elided repeats.
 
 The scripted Group Manager crash, the chaos campaigns and the Hypothesis
 timelines are the cases with a same-instant tie (a failover election one
 LAN latency after the tick, between two groups' deliveries): they fail
 if a delivery entry is put on the calendar at the end of the tick
 instead of where its first report is, or if one entry carries reports
-for more than one Group Manager.
+for more than one Group Manager.  The LAN-window cases put a crash, a
+restart or a retirement between an elided report's tick and its
+delivery, or on the tick instant itself.
 """
 
 import dataclasses
@@ -26,6 +38,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.metrics.analysis import elide_repeated_reports, structural_diff
 from repro.metrics.export import registry_snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime import RuntimeConfig, VDCERuntime
@@ -37,7 +50,6 @@ from repro.sim import FailureInjector, TopologyBuilder
 from repro.sim.chaos import run_campaign, smoke_config
 from repro.sim.host import HostDownError
 from repro.trace.events import EventKind
-from repro.trace.serialize import trace_hash
 from repro.trace.tracer import Tracer
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
@@ -47,6 +59,9 @@ from tests.runtime._reference_monitor import per_daemon_processes
 KERNEL_FAMILIES = (
     "sim_events_total", "sim_events_per_sim_second", "sim_queue_depth",
 )
+#: the monitor series, one point per report in the trace
+SERIES = {"vdce_host_load": "load",
+          "vdce_host_available_memory_mb": "available_memory_mb"}
 LAN_LATENCY_S = 0.0005
 
 
@@ -99,11 +114,22 @@ def submit(rt, afg, k=2, at=0.0):
     return rt.sim.process(pipeline(), name=f"submit:{afg.name}")
 
 
-def filtered_snapshot(metrics):
-    snapshot = registry_snapshot(metrics)
+def filtered_snapshot(rt):
+    """The metrics snapshot without the kernel families; the monitor
+    series checked against the run's own reports and set aside."""
+    snapshot = registry_snapshot(rt.metrics)
     for section in ("counters", "gauges", "histograms", "series"):
         for family in KERNEL_FAMILIES:
             snapshot[section].pop(family, None)
+    reports = [e for e in rt.tracer.events()
+               if e.kind == EventKind.MONITOR_REPORT]
+    for family, field in SERIES.items():
+        points = {}
+        for e in reports:
+            points.setdefault(f"host={e.data['host']}", []).append(
+                [e.time, float(e.data[field])])
+        values = snapshot["series"].pop(family, {"values": {}})["values"]
+        assert values == points, family
     return snapshot
 
 
@@ -111,7 +137,6 @@ def observed(rt, extra=None):
     """Everything that must be equal."""
     rt.export_metrics()
     return {
-        "trace_hash": trace_hash(rt.tracer.events()),
         "stats": dataclasses.asdict(rt.stats),
         "workloads": {
             site: [
@@ -121,17 +146,26 @@ def observed(rt, extra=None):
             ]
             for site, repo in rt.repositories.items()
         },
-        "metrics": filtered_snapshot(rt.metrics),
+        "metrics": filtered_snapshot(rt),
         "now": rt.sim.now,
         "extra": extra,
     }
 
 
-def assert_equivalent(scenario):
-    """Returns the round run's runtime and facts."""
+def assert_equivalent(scenario, fallbacks=0):
+    """Returns the round run's runtime and facts.  ``fallbacks``: how
+    many elided reports met a filter reset in their LAN window and took
+    the full path — their ``monitor_report`` is in the reference only."""
     (reference_rt, reference_extra), (rt, extra) = both(scenario)
     facts = observed(rt, extra)
     assert facts == observed(reference_rt, reference_extra)
+    diff = structural_diff(reference_rt.tracer, rt.tracer,
+                           modulo=elide_repeated_reports)
+    if fallbacks:
+        assert list(diff["count_deltas"]) == [EventKind.MONITOR_REPORT]
+        assert diff["lengths"][0] - diff["lengths"][1] == fallbacks
+    else:
+        assert diff["identical"], diff["first_divergence"]
     # the oracle really ran as processes, the round really as a round
     assert rt.sim.events_processed < reference_rt.sim.events_processed
     return rt, facts
@@ -202,7 +236,8 @@ def test_failover_election_ties_with_deliveries():
 
 def test_slowed_host_and_outage():
     """``slowdown`` 3.0 stretches that daemon's LAN delay: its report is
-    its own delivery instant, in the middle of its group."""
+    its own delivery instant, in the middle of its group (at 8.0 it
+    carries the load change of 6.5, so it is built, not elided)."""
     def scenario():
         rt = federation(2, 4)
         rt.start_monitoring()
@@ -218,16 +253,13 @@ def test_slowed_host_and_outage():
         return rt, app.value
 
     rt, _ = assert_equivalent(scenario)
-    late = [e for e in events_at(rt, 4.0 + 3.0 * LAN_LATENCY_S)
+    late = [e for e in events_at(rt, 8.0 + 3.0 * LAN_LATENCY_S)
             if e.kind in (EventKind.WORKLOAD_SUPPRESS,
                           EventKind.WORKLOAD_FORWARD)]
     assert [e.data["host"] for e in late] == ["s0-h1"]
-    # down at 5.0, up at 9.5: silent on the ticks at 6 and 8, back at 10
-    reported = [e.time for e in rt.tracer.events()
-                if e.kind == EventKind.MONITOR_REPORT
-                and e.data["host"] == "s1-h2"]
-    assert 4.0 in reported and 10.0 in reported
-    assert 6.0 not in reported and 8.0 not in reported
+    # down at 5.0, up at 9.5: silent on the ticks at 6 and 8 of 0 .. 16
+    assert rt.group_managers["site-1-g0"].reports == {
+        "s1-h0": [9], "s1-h1": [9], "s1-h2": [7], "s1-h3": [9]}
 
 
 # -- (d) drain -> retire -> rejoin inside one period ------------------------------
@@ -265,11 +297,15 @@ def test_drain_retire_rejoin(rejoin_at):
                if e.kind == EventKind.MONITOR_REPORT
                and e.data["host"] == "s0-h2"]
     assert reports[:2] == [0.0, 2.0]
-    assert reports[2:5] == pytest.approx(
-        [rejoin_at, rejoin_at + 2.0, rejoin_at + 4.0])
+    # the new daemon builds its first report; the per-host tally of
+    # reports taken, elided ones included, outlives the daemon replaced
+    assert reports[2] == pytest.approx(rejoin_at)
+    ticks = len([t for t in range(5) if rejoin_at + 2.0 * t <= 12.0])
+    assert rt.group_managers["site-0-g0"].reports["s0-h2"] == [2 + ticks]
     # the retired daemon's slot is gone; the new one ticks on its own
     new = rt.monitors["s0-h2"]
     assert new is not old and old._round is None
+    assert new._tally is old._tally
     assert new._round is not rt.monitors["s0-h1"]._round
     assert old not in rt.monitors["s0-h1"]._round._members
 
@@ -299,8 +335,9 @@ def test_chaos_campaign(seed):
         with captured_runtimes() as seen:
             report = run_campaign(smoke_config(seed))
         document = report.to_dict()
-        # hashes the kernel families too; the filtered snapshot stands in
-        del document["metrics_hash"]
+        # hashes the kernel families and the series too, and the trace
+        # before the move; the filtered snapshot and the diff stand in
+        del document["metrics_hash"], document["trace_hash"]
         return seen[0], document
 
     _, facts = assert_equivalent(scenario)
@@ -363,3 +400,59 @@ def test_fault_timelines(seed, timeline):
         return rt, app.value
 
     assert_equivalent(scenario)
+
+
+# -- (g) the LAN window of an elided report ---------------------------------------
+
+TICK = 4.0
+#: strictly between the tick at 4.0 and its deliveries at 4.0005
+WINDOW = TICK + LAN_LATENCY_S / 2
+EARLY = TICK + LAN_LATENCY_S / 4
+
+#: name -> ([(time, behind the tick entry?, action)], reports that fell back)
+LAN_WINDOW_CASES = {
+    "crash": ([(WINDOW, False, "crash")], 0),
+    "crash_on_tick": ([(TICK, True, "crash")], 0),
+    "crash_before_tick": ([(TICK, False, "crash")], 0),
+    "retire": ([(WINDOW, False, "retire")], 0),
+    "retire_on_tick": ([(TICK, True, "retire")], 0),
+    "retire_before_tick": ([(TICK, False, "retire")], 0),
+    # the filter is reset between tick and delivery: the full path, for
+    # each of the group's four elided reports
+    "restart": ([(EARLY, False, "crash"), (WINDOW, False, "recover")], 4),
+    "restart_on_tick": ([(TICK, True, "crash"), (TICK, True, "recover")], 4),
+    # dead at the tick (the daemons vote), back on the tick instant
+    "recover_on_tick": ([(3.0, False, "crash"), (TICK, True, "recover")], 0),
+}
+
+
+@pytest.mark.parametrize("case", sorted(LAN_WINDOW_CASES))
+def test_lan_window_of_an_elided_report(case):
+    """An idle federation: from t = 2 every report repeats the host's
+    first and is elided.  A Group Manager crash, ``_restart`` or
+    ``retire_host`` lands between the tick at 4.0 and its deliveries,
+    or on the tick instant — behind the tick entry when armed from an
+    earlier instant, as the tick's own entry was, ahead of it when armed
+    at set-up.  Stats, beliefs and metrics match the reference."""
+    timeline, fallbacks = LAN_WINDOW_CASES[case]
+
+    def scenario():
+        rt = federation(2, 4)
+        rt.start_monitoring()
+        gm = rt.group_managers["site-0-g0"]
+        actions = {"crash": gm.crash, "recover": gm.recover,
+                   "retire": lambda: rt.membership.retire_host("s0-h1")}
+        for time, behind, action in timeline:
+            action = actions[action]
+            if behind:
+                rt.sim.call_at(time - 1.0, lambda time=time, action=action:
+                               rt.sim.call_at(time, action))
+            else:
+                rt.sim.call_at(time, action)
+        rt.sim.run(until=12.0)
+        return rt, None
+
+    rt, _ = assert_equivalent(scenario, fallbacks=fallbacks)
+    reports = [e for e in rt.tracer.events()
+               if e.kind == EventKind.MONITOR_REPORT]
+    assert len(reports) < rt.stats.monitor_reports

@@ -1,11 +1,12 @@
 """The campaign gate: committed hashes hold, and the monolith stays gone.
 
-``campaign_hashes.json`` was last regenerated at the commit that took
-the tracer's own ``span_begin`` / ``span_end`` events out of the trace
-(every trace is its predecessor with those dropped and ``seq``
-renumbered) and renamed the per-group failover and per-host speculation
-counters out of the unlabelled ``RuntimeStats`` families (the metrics
-hashes of the smoke, slowdown and bench campaigns);
+``campaign_hashes.json`` was last regenerated at the commit that made
+the Monitor daemons elide a report the Group Manager would suppress
+anyway (DESIGN §13.9): every trace is its predecessor under
+``repro.metrics.analysis.elide_repeated_reports`` with ``seq``
+renumbered, every metrics snapshot its predecessor with those reports'
+repeated points gone from the two monitor series, and every other
+field of every report unchanged;
 every trace, metrics and campaign hash in it must reproduce byte for
 byte — the six presets at seeds 0–2, the ``causal_spans`` variants CI
 runs with ``--spans``, and the configuration ``bench``'s ``chaos_2x64``

@@ -4,9 +4,16 @@ RuntimeStats and the tracer observe the same actions through different
 mechanisms (aggregate counters vs. structured events); every counter
 with a corresponding event kind must agree exactly.  A divergence means
 an emit site and a counter increment drifted apart.
+
+The one declared exception is the monitor's elision (DESIGN §13.9): a
+report that repeats its daemon's last one, and that the Group Manager
+would suppress anyway, is counted but emits neither ``monitor_report``
+nor ``workload_suppress`` — so the two counters exceed their events by
+the same number, and with ``change_threshold=0`` by nothing.
 """
 
 from repro import VDCE, Tracer
+from repro.runtime import RuntimeConfig
 from repro.metrics import event_counts
 from repro.trace import EventKind
 from repro.workloads import linear_solver_afg
@@ -27,23 +34,41 @@ class TestStatsCrosscheck:
         victim = env.topology.all_hosts[0].name
         env.sim.call_at(6.0, lambda: env.topology.host(victim).fail())
         env.sim.call_at(18.0, lambda: env.topology.host(victim).recover())
-        env.advance(30.0)
+        # to just past a tick's deliveries: no report is in flight
+        env.advance(31.0)
 
         stats = env.runtime.stats
         counts = event_counts(tracer)
-        assert counts[EventKind.MONITOR_REPORT] == stats.monitor_reports
+        elided = stats.monitor_reports - counts[EventKind.MONITOR_REPORT]
+        assert elided == (
+            stats.workload_suppressed - counts.get(EventKind.WORKLOAD_SUPPRESS, 0)
+        )
+        assert elided > 0
         assert counts[EventKind.ECHO] == stats.echo_packets
         assert counts[EventKind.FAILURE_NOTIFICATION] == stats.failure_notifications
         assert counts[EventKind.RECOVERY_NOTIFICATION] == stats.recovery_notifications
         assert (
             counts.get(EventKind.WORKLOAD_FORWARD, 0) == stats.workload_forwards
         )
-        assert (
-            counts.get(EventKind.WORKLOAD_SUPPRESS, 0) == stats.workload_suppressed
-        )
         # sanity: the failure actually happened and was noticed
         assert stats.failure_notifications >= 1
         assert stats.recovery_notifications >= 1
+
+    def test_a_zero_threshold_elides_nothing(self):
+        env, tracer = build_traced_env(
+            n_sites=1, hosts_per_site=3, seed=0,
+            runtime_config=RuntimeConfig(change_threshold=0.0),
+        )
+        env.start_monitoring()
+        env.advance(31.0)
+
+        stats = env.runtime.stats
+        counts = event_counts(tracer)
+        assert counts[EventKind.MONITOR_REPORT] == stats.monitor_reports > 0
+        assert counts.get(EventKind.WORKLOAD_SUPPRESS, 0) == 0
+        assert stats.workload_suppressed == 0
+        assert counts[EventKind.WORKLOAD_FORWARD] == stats.workload_forwards \
+            == stats.monitor_reports
 
     def test_execution_counters_match_trace(self):
         env, tracer = build_traced_env(n_sites=2, hosts_per_site=3, seed=1)
