@@ -349,8 +349,8 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot read trace {args.trace}: {exc}")
         return 1
     if args.trace2 is None:
-        if args.diff or args.modulo:
-            print("error: --diff / --modulo need two traces")
+        if args.modulo:
+            print("error: --modulo needs two traces")
             return 1
         print(format_analysis(events, title=f"trace analysis — {args.trace}"))
         return 0
@@ -1002,8 +1002,6 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("trace2", nargs="?",
                      help="second trace: print the structural diff instead "
                           "(exit 2 when the traces differ)")
-    ana.add_argument("--diff", action="store_true",
-                     help="diff the two traces (the default given two)")
     ana.add_argument("--modulo", metavar="KIND[,KIND]",
                      help="diff the first trace with these event kinds "
                           "dropped and seq renumbered")

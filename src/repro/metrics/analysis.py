@@ -291,24 +291,35 @@ def format_analysis(trace: TraceLike, title: str = "trace analysis") -> str:
 def elide_repeated_reports(events: List[TraceEvent]) -> List[TraceEvent]:
     """The monitor's elision as a move on a trace taken without it
     (DESIGN §13.9): drop each ``monitor_report`` that repeats its host's
-    previous ``(load, available_memory_mb)`` and was not forwarded, and
-    the ``workload_suppress`` that answered it."""
-    previous, pending, dropped = {}, {}, set()   # pending: repeats in flight
-    for index, event in enumerate(events):
+    previous ``(load, available_memory_mb)`` while the host's manager
+    holds a forwarded load for it — the manager's verdict at the tick is
+    then "suppress" — and the ``workload_suppress`` that answers it.  A
+    manager holds a host's load from its ``workload_forward`` until its
+    ``manager_recover`` / ``failover`` or the host's ``host_depart``.
+    For a run with ``change_threshold > 0``; at 0 nothing is elided."""
+    previous, holder, elided, kept = {}, {}, set(), []
+    for event in events:
         host, kind = event.data.get("host"), event.kind
         if kind == EventKind.MONITOR_REPORT:
             reading = (event.data["load"], event.data["available_memory_mb"])
-            pending.pop(host, None)
-            if previous.get(host) == reading:
-                pending[host] = index
-                dropped.add(index)
+            repeat = previous.get(host) == reading and host in holder
             previous[host] = reading
-        elif kind == EventKind.WORKLOAD_FORWARD and host in pending:
-            dropped.discard(pending.pop(host))
-        elif kind == EventKind.WORKLOAD_SUPPRESS and host in pending:
-            del pending[host]
-            dropped.add(index)
-    return [e for i, e in enumerate(events) if i not in dropped]
+            elided.discard(host)
+            if repeat:
+                elided.add(host)
+                continue
+        elif kind == EventKind.WORKLOAD_SUPPRESS and host in elided:
+            elided.discard(host)
+            continue
+        elif kind == EventKind.WORKLOAD_FORWARD:
+            holder[host] = event.source
+            elided.discard(host)
+        elif kind in (EventKind.MANAGER_RECOVER, EventKind.FAILOVER):
+            holder = {h: s for h, s in holder.items() if s != event.source}
+        elif kind == EventKind.HOST_DEPART:
+            holder.pop(host, None)
+        kept.append(event)
+    return kept
 
 
 def structural_diff(a: TraceLike, b: TraceLike,

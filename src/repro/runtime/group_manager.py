@@ -17,7 +17,7 @@ Two responsibilities, both verbatim from the paper:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 from repro.obs.spans import NULL_SPAN, NULL_SPANS, SpanKind, SpanRecorder
 from repro.runtime.monitor import Measurement
@@ -34,7 +34,6 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 
 if TYPE_CHECKING:  # pragma: no cover
     from repro.net.rpc import ControlPlane
-    from repro.runtime.monitor import MonitorDaemon
     from repro.runtime.site_manager import SiteManager
     from repro.runtime.vdce_runtime import RuntimeConfig
 
@@ -273,18 +272,16 @@ class GroupManager:
             lambda: self.site_manager.receive_workload(measurement),
         )
 
-    def receive_repeat(self, daemon: "MonitorDaemon", load: float) -> None:
-        """An elided report's delivery (DESIGN §13.9): the tests of
-        :meth:`receive_measurement`, the suppress counted, not emitted.
-        A filter reset since the tick sends it down the full path."""
-        host = daemon.host.name
-        if not self.alive or host not in self._believed_up:
-            return
-        if self.suppresses(host, load):
+    def receive_repeat(self, host: str, reading: Tuple[float, int]) -> None:
+        """An elided report's delivery (DESIGN §13.9): a suppress is
+        counted, not emitted; anything else — a dead manager, a retired
+        host, a filter reset since the tick — takes the full path."""
+        if (self.alive and host in self._believed_up
+                and self.suppresses(host, reading[0])):
             self.stats.workload_suppressed += 1
             self.suppressed += 1
         else:
-            self.receive_measurement(Measurement(host, load, daemon.reported[1]))
+            self.receive_measurement(Measurement(host, *reading))
 
     # -- echo / failure detection ----------------------------------------------
 

@@ -82,16 +82,16 @@ class MonitorDaemon:
         """
         self._stopped = True
 
-    def _report(self) -> Union[Measurement, float]:
+    def _report(self) -> Union[Measurement, Tuple[float, int]]:
         """Count this period's report; build and emit it, unless it
         repeats the last one and the manager would suppress it anyway —
-        then it is elided and only its load travels."""
+        then it is elided and only its bare reading travels."""
         host, gm = self.host, self.group_manager
         self.stats.monitor_reports += 1
         self._tally[0] += 1
         reading = (host.load_average(), host.available_memory_mb())
         if reading == self.reported and gm.suppresses(host.name, reading[0]):
-            return reading[0]
+            return reading
         self.reported = reading
         measurement = Measurement(host.name, *reading)
         if self.tracer.enabled:
@@ -105,12 +105,12 @@ class MonitorDaemon:
         return measurement
 
 
-def _deliver(reports: List[Tuple[MonitorDaemon, Union[Measurement, float]]]):
+def _deliver(reports: List[Tuple[MonitorDaemon, Tuple]]) -> None:
     for daemon, report in reports:
         if isinstance(report, Measurement):
             daemon.group_manager.receive_measurement(report)
         else:
-            daemon.group_manager.receive_repeat(daemon, report)
+            daemon.group_manager.receive_repeat(daemon.host.name, report)
 
 
 class MonitorRound:
@@ -119,7 +119,7 @@ class MonitorRound:
     Each tick runs the live members' reports in start order — the order
     their own timers, armed back to back, would have fired in — and
     consecutive reports for one Group Manager after one LAN delay share
-    a delivery entry, an elided report as a bare load.  A member's
+    a delivery entry, an elided report as a bare reading.  A member's
     ``process_spawn`` / ``process_finish`` events (source
     ``monitor:<host>``) are emitted when it joins and at the first tick
     after its ``stop()``.

@@ -159,8 +159,8 @@ class SiteManager:
         )
         metrics = self.sim.metrics
         if metrics.enabled:
-            # the site's *believed* queue depth — sparser than the raw
-            # vdce_host_load series by exactly the suppressed updates
+            # the site's *believed* queue depth: what survives Fig. 4's
+            # filter (vdce_host_load keeps every change point)
             metrics.series(
                 "vdce_site_queue_depth",
                 "per-host run-queue length as known at the Site Manager",

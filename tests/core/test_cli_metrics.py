@@ -118,10 +118,10 @@ class TestAnalyzeCommand:
                          for seq, e in enumerate(kept)],
                         str(tmp_path / "b.jsonl"))
         capsys.readouterr()
-        assert main(["analyze", "--diff", str(a), b]) == 2
-        assert main(["analyze", "--diff", str(a), b,
+        assert main(["analyze", str(a), b]) == 2
+        assert main(["analyze", str(a), b,
                      "--modulo", "task_start,data_transfer"]) == 0
         assert "identical" in capsys.readouterr().out.splitlines()[-1]
         assert main(["analyze", str(a), b, "--modulo", "task_start"]) == 2
         assert main(["analyze", str(a), "--modulo", "task_start"]) == 1
-        assert "need two traces" in capsys.readouterr().out
+        assert "needs two traces" in capsys.readouterr().out

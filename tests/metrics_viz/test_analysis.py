@@ -1,5 +1,7 @@
 """Trace-analysis toolkit: critical path, utilization, lag, diff."""
 
+import pytest
+
 from repro import VDCE, Tracer
 from repro.metrics.analysis import (
     analyze_trace,
@@ -188,6 +190,11 @@ def _verdict(time, host, kind):
                       data={"host": host})
 
 
+def _manager(time, kind, group="g0"):
+    return TraceEvent(time=time, seq=0, kind=kind, source=f"gm:{group}",
+                      data={"role": "group_manager", "deputy": None})
+
+
 class TestElideRepeatedReports:
     """The monitor's declared move (DESIGN §13.9), on hand-made traces."""
 
@@ -209,16 +216,41 @@ class TestElideRepeatedReports:
         ]
         assert elide_repeated_reports(events) == events
 
-    def test_a_forwarded_repeat_stays(self):
-        # the filter was reset (a restart) before the repeat was sent
+    @pytest.mark.parametrize("reset", [EventKind.MANAGER_RECOVER,
+                                       EventKind.FAILOVER])
+    def test_a_repeat_after_a_reset_stays_answered_or_not(self, reset):
         events = [
             _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _manager(1.0, reset),
             _report(2.0, "h0", 0.0), _verdict(2.5, "h0", self.FORWARD),
+            _manager(3.0, reset),
+            _report(4.0, "h0", 0.0),   # then the manager crashed
         ]
         assert elide_repeated_reports(events) == events
 
+    def test_a_reset_in_the_window_keeps_the_forward_only(self):
+        # the fallback: elided at the tick, forwarded at delivery
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.0), _manager(2.2, EventKind.MANAGER_RECOVER),
+            _verdict(2.5, "h0", self.FORWARD),
+        ]
+        assert elide_repeated_reports(events) == events[:2] + events[3:]
+
+    def test_a_reset_of_another_group_or_a_departure(self):
+        depart = TraceEvent(time=1.0, seq=0, kind=EventKind.HOST_DEPART,
+                            source="membership:s0", data={"host": "h0"})
+        events = [
+            _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
+            _manager(1.0, EventKind.FAILOVER, group="g1"),
+            _report(2.0, "h0", 0.0), _verdict(2.5, "h0", self.SUPPRESS),
+            depart, _report(3.0, "h0", 0.0), _verdict(3.5, "h0", self.FORWARD),
+        ]
+        assert elide_repeated_reports(events) == events[:3] + events[5:]
+
     def test_a_repeat_nobody_answered_goes(self):
-        # dropped by a dead manager, or still in flight at the end
+        # dropped by a manager that crashed in the window, or still in
+        # flight at the end
         events = [
             _report(0.0, "h0", 0.0), _verdict(0.5, "h0", self.FORWARD),
             _report(2.0, "h0", 0.0),
@@ -231,8 +263,8 @@ class TestElideRepeatedReports:
         events = [
             _report(0.0, "h0", 0.0), _report(0.0, "h1", 0.0),
             _verdict(0.5, "h0", self.FORWARD), _verdict(0.5, "h1", self.FORWARD),
-            _report(2.0, "h0", 0.0), _report(2.0, "h1", 0.0),
-            _verdict(2.5, "h1", self.SUPPRESS), _verdict(2.5, "h0", self.FORWARD),
+            _report(2.0, "h0", 0.1), _report(2.0, "h1", 0.0),
+            _verdict(2.5, "h1", self.SUPPRESS), _verdict(2.5, "h0", self.SUPPRESS),
         ]
         assert elide_repeated_reports(events) == (
-            events[:4] + [events[4], events[7]])
+            events[:5] + [events[7]])

@@ -27,7 +27,7 @@ LAN latency after the tick, between two groups' deliveries): they fail
 if a delivery entry is put on the calendar at the end of the tick
 instead of where its first report is, or if one entry carries reports
 for more than one Group Manager.  The LAN-window cases put a crash, a
-restart or a retirement between an elided report's tick and its
+restart or a retirement between a repeated report's tick and its
 delivery, or on the tick instant itself.
 """
 
@@ -152,20 +152,14 @@ def observed(rt, extra=None):
     }
 
 
-def assert_equivalent(scenario, fallbacks=0):
-    """Returns the round run's runtime and facts.  ``fallbacks``: how
-    many elided reports met a filter reset in their LAN window and took
-    the full path — their ``monitor_report`` is in the reference only."""
+def assert_equivalent(scenario):
+    """Returns the round run's runtime and facts."""
     (reference_rt, reference_extra), (rt, extra) = both(scenario)
     facts = observed(rt, extra)
     assert facts == observed(reference_rt, reference_extra)
     diff = structural_diff(reference_rt.tracer, rt.tracer,
                            modulo=elide_repeated_reports)
-    if fallbacks:
-        assert list(diff["count_deltas"]) == [EventKind.MONITOR_REPORT]
-        assert diff["lengths"][0] - diff["lengths"][1] == fallbacks
-    else:
-        assert diff["identical"], diff["first_divergence"]
+    assert diff["identical"], diff["first_divergence"]
     # the oracle really ran as processes, the round really as a round
     assert rt.sim.events_processed < reference_rt.sim.events_processed
     return rt, facts
@@ -409,20 +403,26 @@ TICK = 4.0
 WINDOW = TICK + LAN_LATENCY_S / 2
 EARLY = TICK + LAN_LATENCY_S / 4
 
-#: name -> ([(time, behind the tick entry?, action)], reports that fell back)
+#: name -> ([(time, behind the tick entry?, action)], reports built at
+#: the tick, reports forwarded at its delivery)
 LAN_WINDOW_CASES = {
-    "crash": ([(WINDOW, False, "crash")], 0),
-    "crash_on_tick": ([(TICK, True, "crash")], 0),
-    "crash_before_tick": ([(TICK, False, "crash")], 0),
-    "retire": ([(WINDOW, False, "retire")], 0),
-    "retire_on_tick": ([(TICK, True, "retire")], 0),
-    "retire_before_tick": ([(TICK, False, "retire")], 0),
+    "crash": ([(WINDOW, False, "crash")], 0, 0),
+    "crash_on_tick": ([(TICK, True, "crash")], 0, 0),
+    "crash_before_tick": ([(TICK, False, "crash")], 0, 0),
+    "retire": ([(WINDOW, False, "retire")], 0, 0),
+    "retire_on_tick": ([(TICK, True, "retire")], 0, 0),
+    "retire_before_tick": ([(TICK, False, "retire")], 0, 0),
     # the filter is reset between tick and delivery: the full path, for
     # each of the group's four elided reports
-    "restart": ([(EARLY, False, "crash"), (WINDOW, False, "recover")], 4),
-    "restart_on_tick": ([(TICK, True, "crash"), (TICK, True, "recover")], 4),
+    "restart": ([(EARLY, False, "crash"), (WINDOW, False, "recover")], 0, 4),
+    "restart_on_tick": (
+        [(TICK, True, "crash"), (TICK, True, "recover")], 0, 4),
     # dead at the tick (the daemons vote), back on the tick instant
-    "recover_on_tick": ([(3.0, False, "crash"), (TICK, True, "recover")], 0),
+    "recover_on_tick": (
+        [(3.0, False, "crash"), (TICK, True, "recover")], 0, 0),
+    # reset before the tick: its repeats are built, then nobody answers
+    "restart_then_crash": ([(2.5, False, "crash"), (3.0, False, "recover"),
+                            (WINDOW, False, "crash")], 4, 0),
 }
 
 
@@ -433,8 +433,10 @@ def test_lan_window_of_an_elided_report(case):
     ``retire_host`` lands between the tick at 4.0 and its deliveries,
     or on the tick instant — behind the tick entry when armed from an
     earlier instant, as the tick's own entry was, ahead of it when armed
-    at set-up.  Stats, beliefs and metrics match the reference."""
-    timeline, fallbacks = LAN_WINDOW_CASES[case]
+    at set-up.  Stats, beliefs and metrics match the reference, and the
+    trace matches it modulo the move, including a report forwarded by
+    the fallback and a repeat built after a reset that nobody answers."""
+    timeline, built, forwarded = LAN_WINDOW_CASES[case]
 
     def scenario():
         rt = federation(2, 4)
@@ -452,7 +454,12 @@ def test_lan_window_of_an_elided_report(case):
         rt.sim.run(until=12.0)
         return rt, None
 
-    rt, _ = assert_equivalent(scenario, fallbacks=fallbacks)
+    rt, _ = assert_equivalent(scenario)
     reports = [e for e in rt.tracer.events()
                if e.kind == EventKind.MONITOR_REPORT]
     assert len(reports) < rt.stats.monitor_reports
+    # a fallback is forwarded at delivery without a report at the tick
+    assert built == len([e for e in events_at(rt, TICK)
+                         if e.kind == EventKind.MONITOR_REPORT])
+    assert forwarded == len([e for e in events_at(rt, TICK + LAN_LATENCY_S)
+                             if e.kind == EventKind.WORKLOAD_FORWARD])
