@@ -341,6 +341,7 @@ def cmd_analyze(args) -> int:
         format_structural_diff,
         structural_diff,
     )
+    from repro.trace import KNOWN_KINDS
     from repro.trace.serialize import read_jsonl
 
     try:
@@ -360,6 +361,11 @@ def cmd_analyze(args) -> int:
         print(f"error: cannot read trace {args.trace2}: {exc}")
         return 1
     kinds = set(args.modulo.split(",")) if args.modulo else None
+    # a misspelt kind would drop nothing and report a spurious mismatch
+    unknown = sorted(kinds - KNOWN_KINDS) if kinds else []
+    if unknown:
+        print(f"error: unknown event kind {', '.join(unknown)}")
+        return 1
     modulo = kinds and (lambda evs: [e for e in evs if e.kind not in kinds])
     print(f"a: {args.trace}\nb: {args.trace2}")
     print(format_structural_diff(events, events2, modulo))

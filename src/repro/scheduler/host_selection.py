@@ -177,6 +177,12 @@ class CommitmentLedger:
             total[host] = total.get(host, 0) + 1
             on[host] = on.get(host, 0) | bit
 
+    def unordered(self, task_id: str) -> bool:
+        """Whether nothing placed so far is ordered with ``task_id``:
+        its :meth:`extra_load` is then the ledger's own totals, which
+        change on a host only when a placement commits to it."""
+        return not self._reach[task_id] & self._placed
+
     def extra_load(self, task_id: str) -> Mapping[str, int]:
         """host -> in-round commitments on it that can run concurrently
         with ``task_id``; a host not in the mapping has none.

@@ -60,21 +60,6 @@ class SchedulingError(RuntimeError):
     """No feasible placement exists for some task."""
 
 
-class _MaxStr(str):
-    """String whose ordering is inverted, for max-heaps built on heapq.
-
-    ``max(ready, key=lambda t: (levels[t], t))`` breaks level ties by
-    the *largest* task id; a min-heap on ``(-level, _MaxStr(id))`` pops
-    exactly that element.  Ids are unique, so the comparison never
-    falls through to equality.
-    """
-
-    __slots__ = ()
-
-    def __lt__(self, other) -> bool:  # pragma: no branch - trivial
-        return str.__gt__(self, other)
-
-
 @dataclass
 class SiteScheduler:
     """VDCE's distributed scheduler, configured for one local site.
@@ -145,13 +130,18 @@ class SiteScheduler:
         # Step 2: select the k nearest neighbour sites.  The call is
         # synchronous, so each site's host attributes are resolved once
         # here, like the AFG's structure below (DESIGN §13.8) and, per
-        # task type, the (site, arch/os, bid sheet) of every site
-        # knowing it
+        # task type, the (site, arch/os, bid sheet, bid memo) of every
+        # site knowing it
         sites: List[Tuple[str, ArchOsOf]] = [
             (site, view.arch_os_of(site))
             for site in view.participating_sites(self.k)
         ]
         sheets: Dict[str, List[tuple]] = {}
+        #: per site, its bids this round keyed by what sheet_bid reads of
+        #: a task, for tasks whose in-round load is the ledger's totals;
+        #: emptied when the ledger commits a placement to the site
+        #: (DESIGN §13.10)
+        memos: Dict[str, dict] = {site: {} for site, _ in sites}
         structure = afg.structure()
 
         # Steps 3-5 (the AFG multicast and bid replies) are the *wire*
@@ -188,7 +178,8 @@ class SiteScheduler:
         placement_order: List[str] = []
 
         # Step 6: ready set starts with the entry nodes.  With level
-        # priority it is a heap on (-level, _MaxStr(id)), so each pop is
+        # priority it is a heap of ranks, a task's rank its position in
+        # one descending sort of (level, id), so each pop is
         # max(ready, key=(level, id)); the E9 ablation keeps a FIFO queue.
         # A task enters it when its count of unplaced parents hits zero.
         children = structure.children
@@ -196,7 +187,9 @@ class SiteScheduler:
         by_level = self.use_level_priority
         entries = sorted(t for t, n in waiting.items() if not n)
         if by_level:
-            ready = [(-levels[t], _MaxStr(t)) for t in entries]
+            by_rank = sorted(zip(levels.values(), levels), reverse=True)
+            rank = {task: r for r, (_level, task) in enumerate(by_rank)}
+            ready = [rank[t] for t in entries]
             heapq.heapify(ready)
         else:
             ready = deque(entries)
@@ -204,12 +197,12 @@ class SiteScheduler:
         # Step 7: walk the ready set in priority order.
         while ready:
             if by_level:
-                task_id = str(heapq.heappop(ready)[1])
+                task_id = by_rank[heapq.heappop(ready)][1]
             else:
                 task_id = ready.popleft()
             assignment = self._place_task(
-                afg, structure, task_id, sites, sheets, view, site_by_task,
-                health_of, ledger,
+                afg, structure, task_id, sites, sheets, memos, view,
+                site_by_task, health_of, ledger,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -222,13 +215,14 @@ class SiteScheduler:
             table.assign(assignment)
             if ledger is not None:
                 ledger.commit(task_id, assignment.hosts)
+                memos[assignment.site].clear()  # its hosts' totals moved
             site_by_task[task_id] = assignment.site
             placement_order.append(task_id)
             for child in children[task_id]:
                 waiting[child] -= 1
                 if not waiting[child]:
                     if by_level:
-                        heapq.heappush(ready, (-levels[child], _MaxStr(child)))
+                        heapq.heappush(ready, rank[child])
                     else:
                         ready.append(child)
 
@@ -244,6 +238,7 @@ class SiteScheduler:
         task_id: str,
         sites: List[Tuple[str, ArchOsOf]],
         sheets: Dict[str, List[tuple]],
+        memos: Dict[str, dict],
         view: FederationView,
         site_by_task: Dict[str, str],
         health_of=None,
@@ -254,10 +249,22 @@ class SiteScheduler:
         bidders = sheets.get(task_type)
         if bidders is None:  # first task of its type this round
             built = [
-                (s, a, view.bid_sheet(s, task_type, model)) for s, a in sites
+                (s, a, view.bid_sheet(s, task_type, model), memos[s])
+                for s, a in sites
             ]
             bidders = sheets[task_type] = [b for b in built if b[2] is not None]
         extra_load = ledger.extra_load(task_id) if ledger is not None else {}
+        # A site's bid reads the task's fields keyed here, the sheet and
+        # the in-round load on the site's hosts.  While that load is the
+        # ledger's totals, it moves only when a placement commits to the
+        # site, so the site's memo answers an identical task; a health
+        # hook is asked per bid (factor_of releases quarantines)
+        key = None
+        if health_of is None and (ledger is None or ledger.unordered(task_id)):
+            props = task.properties
+            key = (task_type, props.workload_scale, props.memory_mb,
+                   props.n_nodes, props.preferred_machine,
+                   props.preferred_machine_type)
 
         # Dataflow rule: Timetotal = parent-site transfers + Predict.
         # What does not depend on the candidate site is gathered once
@@ -278,8 +285,14 @@ class SiteScheduler:
         # running minimum over (Timetotal, site): sites are distinct, so
         # this is min() over those pairs whatever order the sites come in
         best = best_site = best_total = None
-        for site, arch_os, sheet in bidders:
-            bid = sheet_bid(task, arch_os, sheet, model, extra_load, health_of)
+        for site, arch_os, sheet, memo in bidders:
+            if key is not None and key in memo:
+                bid = memo[key]
+            else:
+                bid = sheet_bid(
+                    task, arch_os, sheet, model, extra_load, health_of)
+                if key is not None:
+                    memo[key] = bid
             if bid is None:
                 continue
             # per site the transfer times are added in parent order (the

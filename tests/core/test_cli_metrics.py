@@ -125,3 +125,13 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(a), b, "--modulo", "task_start"]) == 2
         assert main(["analyze", str(a), "--modulo", "task_start"]) == 1
         assert "needs two traces" in capsys.readouterr().out
+
+    def test_modulo_refuses_an_unknown_kind(self, tmp_path, capsys):
+        """A misspelt kind drops nothing: the diff would report the
+        declared move as a mismatch instead of naming the typo."""
+        a = self._write_trace(tmp_path, "a.jsonl")
+        capsys.readouterr()
+        assert main(["analyze", str(a), str(a),
+                     "--modulo", "task_start,task_strat"]) == 1
+        out = capsys.readouterr().out
+        assert out.strip() == "error: unknown event kind task_strat"

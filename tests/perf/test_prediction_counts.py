@@ -8,16 +8,22 @@ placement writes nothing to the repositories, so that is once per
 change that quietly falls back to per-pair prediction (262 144 calls
 per ``place_4x1k`` round before the kernel) or rebuilds rows per bid
 fails here instead of in a bench run.
+
+Within a round a site answers an identical task from its memo until a
+placement commits to it (DESIGN §13.10): a bag of identical tasks costs
+one kernel call per site for its first task and one per task after it
+(the site the previous task went to), where a bag whose scales never
+repeat, or a DAG past its entry wave, is bid at every site per task.
 """
 
 import pytest
 
 from repro.repository import SiteRepository
-from repro.scheduler import FederationView, SiteScheduler
+from repro.scheduler import FederationView, SiteScheduler, host_selection
 from repro.scheduler.prediction import PredictionModel
 from repro.sim import TopologyBuilder
 from repro.tasklib import default_registry
-from repro.workloads import RandomDAGConfig, random_dag
+from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
 N_SITES, HOSTS_PER_SITE = 2, 4
 
@@ -71,3 +77,22 @@ def test_kernel_never_calls_predict_and_builds_rows_once(n_tasks, monkeypatch):
     predict_calls, builds, task_types = place(n_tasks, monkeypatch)
     assert predict_calls == 0
     assert builds == N_SITES * task_types
+
+
+@pytest.mark.parametrize("afg, calls", [
+    # identical tasks: each placement invalidates one site's bid
+    (lambda: bag_of_tasks(512, cost=4.0), 512 + N_SITES - 1),
+    # no two tasks alike: nothing to reuse
+    (lambda: bag_of_tasks(512, cost=4.0, heterogeneity=0.5), 512 * N_SITES),
+    (lambda: layered_dag(256), 256 * N_SITES),
+], ids=["bag-identical", "bag-heterogeneous", "dag"])
+def test_row_kernel_calls_follow_what_changes(afg, calls, monkeypatch):
+    _repos, view = federation()
+    afg = afg()
+    made = []
+    kernel = host_selection.predict_rows
+    monkeypatch.setattr(host_selection, "predict_rows",
+                        lambda *a: made.append(1) or kernel(*a))
+    table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
+    assert len(table) == len(afg)
+    assert len(made) == calls

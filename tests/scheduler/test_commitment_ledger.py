@@ -1,4 +1,5 @@
-"""CommitmentLedger and the heap ready queue against their rescans.
+"""CommitmentLedger, the rank-heap ready queue and the per-site bid memo
+against their rescans.
 
 The site scheduler asks two questions per placed task that have an
 obvious O(n) answer: "how many commitments on host R can run
@@ -6,13 +7,18 @@ concurrently with this task?" (rescan every commitment on R) and "which
 ready task goes next?" (``max`` over the ready set by ``(level, id)``).
 ``src/`` answers both incrementally — the ledger's per-host totals less
 the popcount of the task's reach mask on the host's placed mask, handed
-to the row kernel as a host -> count mapping; a heap on ``(-level,
-_MaxStr(id))`` — and on any DAG, any commit sequence, the answers must
-be the rescans' and the set-form ledger's (``_reference.SetLedger`` on
-``_reference.related_sets``, the bodies the masks replaced).  The last
-two tests hold whole rounds (``select_hosts`` on any queue order, Fig. 2
-under both ablations) to the straight-line forms in ``_reference.py``.
+to the row kernel as a host -> count mapping; a heap of integer ranks,
+each task's position in one descending sort of ``(level, id)`` — and on
+any DAG, any commit sequence, the answers must be the rescans' and the
+set-form ledger's (``_reference.SetLedger`` on
+``_reference.related_sets``, the bodies the masks replaced).  The
+remaining tests hold whole rounds (``select_hosts`` on any queue order,
+Fig. 2 under both ablations, on DAGs and on bags whose identical tasks
+a site answers from its memo) to the straight-line forms in
+``_reference.py``, which bid every task at every site.
 """
+
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
@@ -20,10 +26,16 @@ from hypothesis import strategies as st
 
 from repro.afg import ComputationMode
 from repro.afg.levels import compute_levels
-from repro.scheduler import PredictionModel, SiteScheduler
-from repro.scheduler.host_selection import CommitmentLedger, select_hosts
+from repro.scheduler import PredictionModel, SiteScheduler, site_scheduler
+from repro.scheduler.host_selection import (
+    CommitmentLedger,
+    select_hosts,
+    sheet_bid,
+)
+from repro.sim.host import HostSpec
 from repro.workloads import (
     RandomDAGConfig,
+    bag_of_tasks,
     figure1_afg,
     linear_solver_afg,
     random_dag,
@@ -82,6 +94,7 @@ def test_extra_load_is_the_rescan(afg, data):
         # itself exactly when nothing placed is ordered with the task
         assert list(fast.items()) == list(slow.items())
         assert (fast is ledger._total) == (slow is sets._total)
+        assert ledger.unordered(query) == (slow is sets._total)
         for host in HOSTS:
             assert fast.get(host, 0) == rescan(host) == closure(host)
             assert fast.get(host, 0) >= 0
@@ -151,13 +164,26 @@ def test_select_hosts_on_any_queue_order_is_the_reference(afg, parallel, data):
     assert list(bids) == [t for t in order if t in bids]
 
 
-def _assert_round_is_the_reference(afg, view, **ablation):
-    scheduler = SiteScheduler(k=1, **ablation)
-    table, order = scheduler.schedule_with_trace(afg, view)
-    ref_table, ref_order = _reference.schedule_with_trace(scheduler, afg, view)
+def _assert_round_is_the_reference(afg, view, k=1, health=None, **ablation):
+    """``health`` (host -> factor, absent = quarantined) becomes a hook
+    for each side that logs what it is asked: ``factor_of`` releases
+    quarantines when asked, so the round must ask what the reference
+    asks, in the same order."""
+    asked = ([], [])
+    hooks = (None, None) if health is None else [
+        lambda host, log=log: log.append(host) or health.get(host)
+        for log in asked
+    ]
+    scheduler = SiteScheduler(k=k, **ablation)
+    table, order = scheduler.schedule_with_trace(
+        afg, view, health_of=hooks[0])
+    ref_table, ref_order = _reference.schedule_with_trace(
+        scheduler, afg, view, hooks[1])
     assert order == ref_order
     # Fig. 2 site choice and Fig. 3 argmin, every float by ==
     assert table.to_dict() == ref_table.to_dict()
+    assert asked[0] == asked[1]
+    return table, order
 
 
 @given(dags, st.integers(min_value=0, max_value=3), st.booleans(),
@@ -178,3 +204,84 @@ def test_fig2_round_is_the_reference_on_the_paper_applications():
         for by_level in (True, False):
             _assert_round_is_the_reference(
                 afg, view, use_level_priority=by_level)
+
+
+# -- bags: where a site answers an identical task from its memo ---------------
+
+#: three sites of three hosts, a different speed at each site: one
+#: 128 MB host per site for ``memory_mb`` to overflow and one x86/linux
+#: host per site for ``preferred_machine_type`` to select (``alpha``,
+#: the submitting site, takes part at every k)
+BAG_SITES = {
+    site: [
+        HostSpec(f"{site}-h0", 1.0 + s, 256),
+        HostSpec(f"{site}-h1", 2.0, 128),
+        HostSpec(f"{site}-h2", 1.5, 256, arch="x86", os="linux"),
+    ]
+    for s, site in enumerate(("alpha", "beta", "gamma"))
+}
+#: host health: one penalised host, one quarantined (absent -> None)
+HEALTH = {spec.name: 1.0 for specs in BAG_SITES.values() for spec in specs}
+HEALTH["beta-h0"] = 1.5
+del HEALTH["gamma-h2"]
+BAG_TYPES = ("generic.source", "generic.compute", "generic.merge")
+#: what a bag task may ask for besides its type; the parallel entry
+#: applies to the parallelizable types only
+VARIANTS = (
+    {}, {}, {},
+    {"preferred_machine_type": "x86 linux"},
+    {"preferred_machine": "alpha-h1"},  # the other sites decline
+    {"memory_mb": 192},
+    {"mode": ComputationMode.PARALLEL, "n_nodes": 2},
+)
+
+
+@st.composite
+def bags(draw):
+    afg = bag_of_tasks(
+        n=draw(st.integers(min_value=1, max_value=16)), cost=2.0,
+        heterogeneity=draw(st.sampled_from((0.0, 0.5))),
+        seed=draw(st.integers(min_value=0, max_value=10_000)))
+    types = BAG_TYPES[:draw(st.integers(min_value=1, max_value=3))]
+    for node in list(afg):
+        task_type = draw(st.sampled_from(types))
+        changes = draw(st.sampled_from(VARIANTS))
+        if task_type == "generic.source" and "n_nodes" in changes:
+            changes = {}
+        afg.replace_task(
+            replace(node, task_type=task_type).with_properties(**changes))
+    return afg
+
+
+@given(bags(), st.sampled_from((1, 2)), st.booleans(), st.booleans(),
+       st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fig2_round_on_a_bag_is_the_reference(afg, k, by_level, account,
+                                              health):
+    _topo, _repos, view = build_federation(site_hosts=BAG_SITES)
+    _assert_round_is_the_reference(
+        afg, view, k=k, health=HEALTH if health else None,
+        use_level_priority=by_level, account_commitments=account)
+
+
+def test_a_commit_invalidates_its_sites_bids_and_no_others(monkeypatch):
+    """Six identical tasks at k = 2: the first is bid at all three
+    sites; each later one at the site the previous placement committed
+    to only — the other two answer from their memo — and the round is
+    still the reference's."""
+    _topo, _repos, view = build_federation(site_hosts=BAG_SITES)
+    bid_at = []
+
+    def counted(task, arch_os, sheet, *args):
+        first_host = sheet[1][0][0]
+        bid_at.append((task.id, first_host.rsplit("-", 1)[0]))
+        return sheet_bid(task, arch_os, sheet, *args)
+
+    monkeypatch.setattr(site_scheduler, "sheet_bid", counted)
+    table, order = _assert_round_is_the_reference(bag_of_tasks(n=6), view,
+                                                  k=2)
+    assert len(table.sites_used()) == 3
+    expected = [(order[0], site) for site in BAG_SITES]
+    expected += [(task, table.site_of(before))
+                 for before, task in zip(order, order[1:])]
+    assert bid_at == expected
