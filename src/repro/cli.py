@@ -135,12 +135,16 @@ def cmd_run(args) -> int:
     if args.monitoring:
         env.start_monitoring()
     afg, payloads = _build_app(args.application, args.scale, args.seed)
+    if args.repeat < 1:
+        print("error: --repeat must be >= 1")
+        return 1
     admission_knobs = (
         args.max_queued is not None or args.deadline is not None
-        or args.ttl is not None
+        or args.ttl is not None or args.repeat > 1
     )
     if args.max_concurrent is None and admission_knobs:
-        print("error: --max-queued/--deadline/--ttl need --max-concurrent")
+        print("error: --max-queued/--deadline/--ttl/--repeat need "
+              "--max-concurrent")
         return 1
     if args.max_concurrent is not None:
         if args.journal:
@@ -162,7 +166,7 @@ def cmd_run(args) -> int:
                                max_concurrent=args.max_concurrent,
                                policy=policy)
         copies = [afg]
-        for i in range(1, max(1, args.repeat)):
+        for i in range(1, args.repeat):
             copy, _ = _build_app(args.application, args.scale, args.seed)
             copy.name = f"{copy.name}#{i}"
             copies.append(copy)
@@ -787,7 +791,7 @@ def cmd_chaos(args) -> int:
     if config.storm_apps:
         print(f"  overload: {report.sheds} sheds, "
               f"peak queue {report.peak_queued}/"
-              f"{config.storm_max_queued}, "
+              f"{chaos.STORM_MAX_QUEUED}, "
               f"{report.brownout_shifts} brownout shifts, "
               f"{report.breaker_transitions} breaker transitions "
               f"({report.breaker_fast_fails} fast-fails)")

@@ -50,11 +50,7 @@ from repro.runtime.admission import (
     AdmissionQueue,
     AdmissionRejected,
 )
-from repro.runtime.overload import (
-    BrownoutController,
-    OverloadPolicy,
-    SiteOverloaded,
-)
+from repro.runtime.overload import BrownoutController, SiteOverloaded
 from repro.runtime.data_manager import LocalDataManager, RealExecutionReport
 from repro.runtime.straggler import (
     HealthPolicy,
@@ -83,7 +79,6 @@ __all__ = [
     "IOService",
     "LocalDataManager",
     "MonitorDaemon",
-    "OverloadPolicy",
     "PhiAccrualDetector",
     "RatioTracker",
     "RealExecutionReport",

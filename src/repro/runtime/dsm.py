@@ -87,16 +87,11 @@ class DSM:
         (invariant I13's typed-termination arm).
         """
         integrity = self.integrity
-        budget = (
-            integrity.policy.max_refetches
-            if integrity is not None and integrity.policy.verify_dsm
-            else 0
-        )
+        budget = integrity.policy.max_refetches if integrity is not None else 0
         for attempt in range(1 + budget):
             transfer = transfer_factory()
             yield transfer.done
-            if (integrity is None or not integrity.policy.verify_dsm
-                    or transfer.corruption is None):
+            if integrity is None or transfer.corruption is None:
                 return
             integrity.note_corruption("dsm", label, transfer.corruption, None)
             if attempt < budget:

@@ -74,6 +74,13 @@ _STARTUP_BROADCAST_S = 0.001
 _ALLOC_BYTES_PER_TASK_MB = 0.0002
 #: approximate wire size of an allocation acknowledgement, MB
 _ALLOC_ACK_BYTES_MB = 0.00005
+#: quantile of the host's measured/predicted ratios folded into the
+#: speculation estimate (values < 1 are clamped to 1 — never speculate
+#: *earlier* than the raw prediction says)
+_RATIO_QUANTILE = 0.75
+#: health penalty added when a speculative backup is launched against
+#: the host
+_STRAGGLE_PENALTY = 1.0
 
 
 class ExecutionError(RuntimeError):
@@ -288,7 +295,6 @@ class ExecutionCoordinator:
         self._transferred_mb = 0.0
         self._reschedules = 0
         self.control = runtime.control
-        self.rpc_policy = runtime.config.rpc_policy
         self.data_policy = runtime.config.data_policy
         #: causal span recorder (runtime-shared; null object when off)
         self.spans = runtime.spans
@@ -601,8 +607,7 @@ class ExecutionCoordinator:
                 payload_mb=_ALLOC_BYTES_PER_TASK_MB * n_tasks,
                 reply_mb=_ALLOC_ACK_BYTES_MB,
                 label=f"alloc:{self.afg.name}:{site_name}",
-                policy=self.rpc_policy, on_send=on_send,
-                span=span,
+                on_send=on_send, span=span,
             )
         except RpcTimeout:
             self.tracer.emit(
@@ -755,8 +760,7 @@ class ExecutionCoordinator:
             yield from self.control.request(
                 src_host, dst_host, lambda: None, transport="latency",
                 label=f"chan:{self.afg.name}:{edge.src}->{edge.dst}",
-                policy=self.rpc_policy, on_send=on_send, on_reply=on_reply,
-                span=span,
+                on_send=on_send, on_reply=on_reply, span=span,
             )
         except RpcTimeout as exc:
             raise ExecutionError(
@@ -1424,14 +1428,11 @@ class ExecutionCoordinator:
         ratio = None
         tracker = self.runtime.ratio_tracker
         if tracker is not None:
-            ratio = tracker.quantile(
-                race.primary.host.name, policy.ratio_quantile
-            )
+            ratio = tracker.quantile(race.primary.host.name, _RATIO_QUANTILE)
         threshold = (
             self.assignment[node.id].predicted_time * policy.trigger_multiple
             * max(1.0, ratio if ratio is not None else 1.0)
         )
-        threshold = max(threshold, policy.min_runtime_s)
         started = self.sim.now
         while True:
             remaining = threshold - (self.sim.now - started)
@@ -1498,10 +1499,7 @@ class ExecutionCoordinator:
         )
         if self.runtime.health is not None:
             self.runtime.health.penalize(
-                primary_host,
-                self.runtime.health.policy.straggle_penalty,
-                "straggle",
-                origin=self._src,
+                primary_host, _STRAGGLE_PENALTY, "straggle", origin=self._src,
             )
         self.sim.process(
             self._watch_copy(race, "backup", backup),

@@ -39,6 +39,13 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GroupManager"]
 
+#: run-queue length at which one host counts as fully occupied
+_SATURATION_LOAD = 4.0
+#: health penalty added when the detector SUSPECTs the host
+_SUSPECT_PENALTY = 0.5
+#: health penalty added when the host is declared down
+_FAILURE_PENALTY = 1.0
+
 
 class GroupManager:
     """Filtering relay + failure detector for one host group."""
@@ -312,8 +319,7 @@ class GroupManager:
                     if float(rng.uniform()) < self.echo_loss_prob:
                         responded = False  # packet lost, host fine
                 self._echo_round(host, responded)
-            brownout = self.site_manager.brownout
-            if brownout is not None and self.alive:
+            if self.site_manager.brownout is not None and self.alive:
                 # backpressure input: this round's believed-up run-queue
                 # lengths, normalised by the saturation threshold.  Rides
                 # the echo bookkeeping — no messages, no RNG draws.
@@ -322,7 +328,7 @@ class GroupManager:
                     if self._believed_up[h.name]
                 ]
                 occupancy = (
-                    (sum(loads) / len(loads)) / brownout.policy.saturation_load
+                    (sum(loads) / len(loads)) / _SATURATION_LOAD
                     if loads else 0.0
                 )
                 self.site_manager.receive_occupancy(self.name, occupancy)
@@ -351,11 +357,9 @@ class GroupManager:
                 source=self._src, host=host.name, **verdict.evidence,
             )
         if verdict.penalty is not None and self.health is not None:
-            policy = self.health.policy
             self.health.penalize(
                 host.name,
-                policy.failure_penalty if change == "down"
-                else policy.suspect_penalty,
+                _FAILURE_PENALTY if change == "down" else _SUSPECT_PENALTY,
                 verdict.penalty, origin=self._src,
             )
 

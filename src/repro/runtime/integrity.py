@@ -45,14 +45,14 @@ class IntegrityPolicy:
     one whose staged copy is lost — is *regenerated* by re-executing
     its producer (recursively up to ``max_depth`` when the producer's
     own inputs are gone), at most ``max_regenerations`` times before it
-    is poison-quarantined and its consumers fail typed.
+    is poison-quarantined and its consumers fail typed.  DSM remote
+    fetches are hash-checked too, with the same refetch budget and no
+    lineage.
     """
 
     max_refetches: int = 2
     max_regenerations: int = 2
     max_depth: int = 3
-    #: hash-check DSM remote fetches too (bounded refetch, no lineage)
-    verify_dsm: bool = True
 
     def __post_init__(self) -> None:
         if self.max_refetches < 0:

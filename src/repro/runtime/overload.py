@@ -22,27 +22,34 @@ service) survive arrival storms:
   ========  ==========================  =================================
   level     trigger (mean occupancy)    effect
   ========  ==========================  =================================
-  0 normal  below ``brownout_degraded`` none
-  1 degraded ``>= brownout_degraded``   speculation disabled
-  2 severe  ``>= brownout_severe``      + admission concurrency shrunk
-  3 critical ``>= brownout_critical``   + new submissions refused
+  0 normal  below ``_BROWNOUT_DEGRADED`` none
+  1 degraded ``>= _BROWNOUT_DEGRADED``  speculation disabled
+  2 severe  ``>= _BROWNOUT_SEVERE``     + admission concurrency shrunk
+  3 critical ``>= _BROWNOUT_CRITICAL``  + new submissions refused
   ========  ==========================  =================================
 
 Everything here is pure bookkeeping on the virtual clock — no RNG, no
-yields — and defaults off (``RuntimeConfig.overload is None``), so
-existing traces, metrics snapshots and benchmark hashes are unchanged.
+yields — and is built only when ``RuntimeConfig.overload`` is on.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.net.rpc import RpcError
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["BrownoutController", "OverloadPolicy", "SiteOverloaded"]
+__all__ = ["BrownoutController", "SiteOverloaded"]
+
+#: mean federation occupancy entering brownout level 1 (degraded)
+_BROWNOUT_DEGRADED = 0.7
+#: level 2 (severe): admission concurrency shrinks
+_BROWNOUT_SEVERE = 0.85
+#: level 3 (critical): new submissions are refused
+_BROWNOUT_CRITICAL = 0.95
+#: multiplier applied to admission ``max_concurrent`` at level >= 2
+_CONCURRENCY_SHRINK = 0.5
 
 
 class SiteOverloaded(RpcError):
@@ -62,38 +69,6 @@ class SiteOverloaded(RpcError):
         self.occupancy = occupancy
 
 
-@dataclass(frozen=True)
-class OverloadPolicy:
-    """Thresholds of the degradation ladder (all occupancy fractions)."""
-
-    #: run-queue length at which one host counts as fully occupied
-    saturation_load: float = 4.0
-    #: site occupancy at which the site stops answering bid requests
-    bid_exclusion_occupancy: float = 1.0
-    #: mean federation occupancy entering brownout level 1 (degraded)
-    brownout_degraded: float = 0.7
-    #: level 2 (severe): admission concurrency shrinks
-    brownout_severe: float = 0.85
-    #: level 3 (critical): new submissions are refused
-    brownout_critical: float = 0.95
-    #: multiplier applied to admission ``max_concurrent`` at level >= 2
-    concurrency_shrink: float = 0.5
-
-    def __post_init__(self) -> None:
-        if self.saturation_load <= 0:
-            raise ValueError("saturation_load must be positive")
-        if self.bid_exclusion_occupancy <= 0:
-            raise ValueError("bid_exclusion_occupancy must be positive")
-        if not (0.0 < self.brownout_degraded < self.brownout_severe
-                < self.brownout_critical):
-            raise ValueError(
-                "need 0 < brownout_degraded < brownout_severe "
-                "< brownout_critical"
-            )
-        if not (0.0 < self.concurrency_shrink <= 1.0):
-            raise ValueError("concurrency_shrink must be in (0, 1]")
-
-
 class BrownoutController:
     """Federation brownout level from per-group occupancy reports.
 
@@ -104,10 +79,8 @@ class BrownoutController:
     cheap and the trace readable.
     """
 
-    def __init__(self, sim, policy: OverloadPolicy,
-                 tracer: Tracer = NULL_TRACER):
+    def __init__(self, sim, tracer: Tracer = NULL_TRACER):
         self.sim = sim
-        self.policy = policy
         self.tracer = tracer
         #: latest occupancy per (site, group)
         self._occupancy: Dict[Tuple[str, str], float] = {}
@@ -142,11 +115,11 @@ class BrownoutController:
         return sum(values) / len(values) if values else 0.0
 
     def _level_for(self, occupancy: float) -> int:
-        if occupancy >= self.policy.brownout_critical:
+        if occupancy >= _BROWNOUT_CRITICAL:
             return 3
-        if occupancy >= self.policy.brownout_severe:
+        if occupancy >= _BROWNOUT_SEVERE:
             return 2
-        if occupancy >= self.policy.brownout_degraded:
+        if occupancy >= _BROWNOUT_DEGRADED:
             return 1
         return 0
 
@@ -160,7 +133,7 @@ class BrownoutController:
         """Level >= 2: shrink admission concurrency (never below 1)."""
         if self.level < 2:
             return base
-        return max(1, int(base * self.policy.concurrency_shrink))
+        return max(1, int(base * _CONCURRENCY_SHRINK))
 
     def refuse_new_work(self) -> bool:
         """Level 3: admission refuses new submissions outright."""

@@ -45,6 +45,9 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["SiteManager"]
 
+#: site occupancy at which the site stops answering bid requests
+_BID_EXCLUSION_OCCUPANCY = 1.0
+
 
 class SiteManager:
     """Per-site control hub bridging runtime components to the repository."""
@@ -340,8 +343,7 @@ class SiteManager:
         if not self.alive:
             raise ManagerUnavailable(self.name)
         if (self.brownout is not None
-                and self.occupancy
-                >= self.brownout.policy.bid_exclusion_occupancy):
+                and self.occupancy >= _BID_EXCLUSION_OCCUPANCY):
             # backpressure: a saturated site excludes itself from bidding
             # instead of attracting work it cannot serve
             raise SiteOverloaded(self.name, self.occupancy)

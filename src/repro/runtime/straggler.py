@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _LN10 = math.log(10.0)
+#: ratio history window per host
+_RATIO_WINDOW = 20
 
 
 class PhiAccrualDetector:
@@ -255,16 +257,13 @@ class RatioTracker:
     sites) do not trip endless false speculations.
     """
 
-    def __init__(self, window: int = 20):
-        if window < 1:
-            raise ValueError("window must be >= 1")
-        self.window = int(window)
+    def __init__(self):
         self._samples: Dict[str, Deque[float]] = {}
 
     def record(self, host: str, ratio: float) -> None:
         if ratio <= 0:
             return
-        self._samples.setdefault(host, deque(maxlen=self.window)).append(
+        self._samples.setdefault(host, deque(maxlen=_RATIO_WINDOW)).append(
             float(ratio)
         )
 
@@ -286,26 +285,12 @@ class SpeculationPolicy:
     trigger_multiple: float = 2.0
     #: how often the per-task speculation timer re-checks progress
     check_period_s: float = 1.0
-    #: quantile of the host's measured/predicted ratios folded into the
-    #: estimate (values < 1 are clamped to 1 — never speculate *earlier*
-    #: than the raw prediction says)
-    ratio_quantile: float = 0.75
-    #: ratio history window per host
-    ratio_window: int = 20
-    #: never speculate before this much wall time has elapsed
-    min_runtime_s: float = 0.0
 
     def __post_init__(self) -> None:
         if self.trigger_multiple <= 1.0:
             raise ValueError("trigger_multiple must exceed 1")
         if self.check_period_s <= 0:
             raise ValueError("check_period_s must be positive")
-        if not (0.0 <= self.ratio_quantile <= 1.0):
-            raise ValueError("ratio_quantile must be in [0, 1]")
-        if self.ratio_window < 1:
-            raise ValueError("ratio_window must be >= 1")
-        if self.min_runtime_s < 0:
-            raise ValueError("min_runtime_s must be non-negative")
 
 
 @dataclass(frozen=True)
@@ -314,12 +299,6 @@ class HealthPolicy:
 
     #: score halves every this many virtual seconds
     half_life_s: float = 120.0
-    #: added when the detector SUSPECTs the host
-    suspect_penalty: float = 0.5
-    #: added when the host is declared down (echo failure detection)
-    failure_penalty: float = 1.0
-    #: added when a speculative backup is launched against the host
-    straggle_penalty: float = 1.0
     #: decayed score at/above this quarantines the host
     quarantine_threshold: float = 3.0
     #: how long a quarantined host is excluded from selection
@@ -328,9 +307,6 @@ class HealthPolicy:
     def __post_init__(self) -> None:
         if self.half_life_s <= 0:
             raise ValueError("half_life_s must be positive")
-        if min(self.suspect_penalty, self.failure_penalty,
-               self.straggle_penalty) < 0:
-            raise ValueError("penalties must be non-negative")
         if self.quarantine_threshold <= 0:
             raise ValueError("quarantine_threshold must be positive")
         if self.probation_s <= 0:

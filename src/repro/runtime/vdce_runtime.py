@@ -33,11 +33,7 @@ from repro.net.rpc import (
     RpcTimeout,
 )
 from repro.obs.spans import NULL_SPANS, SpanContext, SpanKind, SpanRecorder
-from repro.runtime.overload import (
-    BrownoutController,
-    OverloadPolicy,
-    SiteOverloaded,
-)
+from repro.runtime.overload import BrownoutController, SiteOverloaded
 from repro.repository.store import SiteRepository
 from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
@@ -72,6 +68,9 @@ __all__ = ["RuntimeConfig", "VDCERuntime"]
 _REQUEST_ENTRY_MB = 0.0005
 #: approximate wire size of one prediction row of a bid reply, MB
 _BID_ROW_MB = 0.0002
+#: how long the site scheduler waits for remote bids before
+#: proceeding with whichever of the k sites answered (Fig. 2 step 5)
+_BID_DEADLINE_S = 6.0
 
 
 def _reply_mb(bid: SiteBid) -> float:
@@ -118,16 +117,10 @@ class RuntimeConfig:
     check_period_s: float = 2.0
     #: run task implementations for real (False = shape-only execution)
     execute_payloads: bool = True
-    #: timeout/retry/backoff for control-plane RPCs (scheduling, allocation,
-    #: channel signalling, failure reports)
-    rpc_policy: RetryPolicy = RetryPolicy()
     #: more patient policy for payload transfers killed by link outages
     data_policy: RetryPolicy = RetryPolicy(
         timeout_s=5.0, max_attempts=7, backoff_base_s=0.25
     )
-    #: how long the site scheduler waits for remote bids before
-    #: proceeding with whichever of the k sites answered (Fig. 2 step 5)
-    bid_deadline_s: float = 6.0
     #: failure-detection discipline: "count" (consecutive missed echoes,
     #: the paper's protocol) or "phi" (phi-accrual over inter-arrival
     #: history — SUSPECT/TRUST transitions, slow != dead)
@@ -149,9 +142,9 @@ class RuntimeConfig:
     #: Off by default — the disabled recorder is a shared null object and
     #: fault-free traces/hashes are byte-identical either way.
     causal_spans: bool = False
-    #: backpressure + brownout ladder (None = disabled: no occupancy
-    #: bookkeeping, no bid exclusion, traces/hashes unchanged)
-    overload: Optional[OverloadPolicy] = None
+    #: backpressure + brownout ladder (off: no occupancy bookkeeping,
+    #: no bid exclusion)
+    overload: bool = False
     #: per-WAN-link RPC circuit breakers (None = disabled)
     breaker: Optional[BreakerPolicy] = None
     #: end-to-end data integrity: content-hash every produced artifact,
@@ -171,8 +164,6 @@ class RuntimeConfig:
             raise ValueError("suspicion_threshold must be >= 1")
         if self.load_threshold <= 0 or self.check_period_s <= 0:
             raise ValueError("load_threshold/check_period_s must be positive")
-        if self.bid_deadline_s <= 0:
-            raise ValueError("bid_deadline_s must be positive")
         if self.detector not in ("count", "phi"):
             raise ValueError(
                 f"detector must be 'count' or 'phi', got {self.detector!r}"
@@ -218,10 +209,10 @@ class VDCERuntime:
             else NULL_SPANS
         )
         #: federation brownout controller (overload backpressure); None
-        #: when the overload policy is disabled
+        #: when overload protection is off
         self.brownout: Optional[BrownoutController] = (
-            BrownoutController(self.sim, config.overload, tracer=self.tracer)
-            if config.overload is not None
+            BrownoutController(self.sim, tracer=self.tracer)
+            if config.overload
             else None
         )
         #: per-WAN-link circuit breakers; None when disabled
@@ -233,11 +224,12 @@ class VDCERuntime:
         #: admission queues register themselves here so metrics export
         #: can surface their depth/occupancy gauges
         self.admission_queues: List = []
-        #: retrying control-plane messaging shared by every component
+        #: retrying control-plane messaging shared by every component,
+        #: under the default RetryPolicy (scheduling, allocation, channel
+        #: signalling, failure reports)
         self.control = ControlPlane(
             self.sim, topology.network, stats=self.stats,
-            policy=config.rpc_policy, tracer=self.tracer,
-            spans=self.spans, breakers=self.breakers,
+            tracer=self.tracer, spans=self.spans, breakers=self.breakers,
         )
         #: host health scoring (straggler defense); None when disabled
         self.health: Optional[HostHealth] = (
@@ -248,7 +240,7 @@ class VDCERuntime:
         #: per-host measured/predicted ratio history for the adaptive
         #: speculation trigger; None when speculation is disabled
         self.ratio_tracker: Optional[RatioTracker] = (
-            RatioTracker(config.speculation.ratio_window)
+            RatioTracker()
             if config.speculation is not None
             else None
         )
@@ -479,7 +471,7 @@ class VDCERuntime:
             # step 5 with a deadline: wait for every exchange, but never
             # longer than the bid deadline — late answers are dropped.
             yield AnyOf([AllOf(procs), Timeout(
-                self.config.bid_deadline_s + max(bid_round.wire_s.values())
+                _BID_DEADLINE_S + max(bid_round.wire_s.values())
             )])
         replies = [p.value for p in procs if p.triggered and p.value is not None]
 
@@ -509,10 +501,10 @@ class VDCERuntime:
         """Fig. 2 step 2: what goes on the wire this round, and for how long.
 
         A large message is slow, not lost: each attempt's deadline is
-        ``rpc_policy.timeout_s`` plus the believed wire time of the
-        request and the expected reply (this site's own reply to the
-        same request), and step 5 waits ``bid_deadline_s`` plus the
-        largest such estimate.
+        the control plane's ``policy.timeout_s`` plus the believed wire
+        time of the request and the expected reply (this site's own
+        reply to the same request), and step 5 waits ``_BID_DEADLINE_S``
+        plus the largest such estimate.
         """
         local_site = view.local_site
         task_types = sorted({task.task_type for task in afg})
@@ -574,7 +566,7 @@ class VDCERuntime:
             )
             return bid
 
-        rpc_policy = self.config.rpc_policy
+        rpc_policy = self.control.policy
         status = None
         try:
             bid = yield from self.control.request(

@@ -2,9 +2,8 @@
 
 A campaign stands up a full VDCE deployment, starts the monitoring
 control plane, arms scripted and stochastic fault injectors (host
-crashes, WAN link outages, a mid-campaign partition, optionally a
-whole-site outage, manager crashes, control-message loss, payload
-corruption, membership churn), submits a stream of applications, and
+crashes, WAN link outages, a mid-campaign partition, manager crashes,
+control-message loss, payload corruption, membership churn), submits a stream of applications, and
 then audits what the run left behind against invariants I1–I17 — one
 checker each, catalogued in :mod:`repro.sim.invariants`.  I3,
 *determinism* — the same config yields byte-identical trace and
@@ -25,18 +24,20 @@ chaos --check-determinism``).
 Campaigns can also inject *performance* faults — scripted host
 slowdowns and stochastic slow/normal flapping — and enable the
 straggler defenses (phi-accrual detection, speculative re-execution,
-host-health quarantine) they exist to stress.  All of it defaults off,
-so existing configs hash identically.
+host-health quarantine) they exist to stress.
 
+A :class:`ChaosConfig` field is a knob some caller turns; a value no
+caller sets is a module constant beside the code that reads it.
 Everything is deterministic, and the report's
 :meth:`~ChaosReport.campaign_hash` is a content hash of the whole
-outcome — the regression oracle the CLI and CI lean on.
+outcome — the whole config included — and the regression oracle the
+CLI and CI lean on.
 """
 
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.hashing import canonical_json
@@ -47,6 +48,7 @@ __all__ = [
     "ChaosConfig",
     "ChaosReport",
     "PRESETS",
+    "STORM_MAX_QUEUED",
     "calm_config",
     "churn_smoke_config",
     "corruption_smoke_config",
@@ -56,32 +58,6 @@ __all__ = [
     "smoke_config",
     "storm_config",
 ]
-
-#: the corruption/integrity knobs — a config where every one sits at
-#: its ChaosConfig default is serialised without them (see
-#: ChaosReport.to_dict)
-_CORRUPTION_KNOBS = (
-    "data_integrity",
-    "integrity_max_refetches",
-    "integrity_max_regenerations",
-    "n_corrupt_links",
-    "link_corrupt_prob",
-    "link_truncate_prob",
-    "corruption_at_s",
-    "corruption_duration_s",
-    "artifact_loss_at_s",
-    "journal_corrupt_at_s",
-)
-
-#: the membership-churn knobs — same omission rule, so presets that
-#: never churn keep their committed campaign hashes
-_CHURN_KNOBS = (
-    "n_churn_hosts",
-    "churn_start_s",
-    "churn_window_s",
-    "churn_drain_deadline_s",
-    "churn_rejoin_after_s",
-)
 
 
 @dataclass(frozen=True)
@@ -94,7 +70,6 @@ class ChaosConfig:
     n_apps: int = 4
     #: nominal campaign length; apps may run past it, faults keep going
     duration_s: float = 300.0
-    first_submit_s: float = 5.0
     app_spacing_s: float = 45.0
     k: int = 2
     # stochastic host faults
@@ -108,17 +83,13 @@ class ChaosConfig:
     # scripted WAN partition (first site vs the rest); None disables
     partition_at_s: Optional[float] = 60.0
     partition_duration_s: float = 40.0
-    # scripted whole-site outage (last site); None disables
-    site_outage_at_s: Optional[float] = None
-    site_outage_duration_s: float = 30.0
     # scripted Group Manager crash (victim drawn from chaos:plan);
     # permanent — the group's monitors must elect a deputy.  None disables
     gm_crash_at_s: Optional[float] = None
     # scripted Site Manager crash; the server re-registers after
-    # sm_crash_duration_s, and in-flight applications it owned must
+    # _SM_CRASH_DURATION_S, and in-flight applications it owned must
     # checkpoint-restart on a surviving site.  None disables
     sm_crash_at_s: Optional[float] = None
-    sm_crash_duration_s: float = 45.0
     # control-message quality (WAN message loss; echo loss is LAN-side)
     message_loss_prob: float = 0.05
     echo_loss_prob: float = 0.05
@@ -132,9 +103,6 @@ class ChaosConfig:
     slowdown_duration_s: float = 60.0
     slowdown_factor: float = 8.0
     n_flapping_hosts: int = 0
-    flap_mean_normal_s: float = 40.0
-    flap_mean_slow_s: float = 15.0
-    flap_factor: float = 6.0
     # straggler defenses under test (defaults mirror RuntimeConfig: off)
     detector: str = "count"
     speculation: bool = False
@@ -146,42 +114,24 @@ class ChaosConfig:
     # arrival storm through a bounded admission queue at the first site
     # (0 disables: no queue is built, no extra users are created)
     storm_apps: int = 0
-    storm_start_s: float = 10.0
-    #: submissions per burst (a burst lands at one instant)
-    storm_burst: int = 6
-    storm_spacing_s: float = 4.0
-    #: distinct storm users, cycled over submissions; user ``stormJ``
-    #: has priority ``1 + J % 3``
-    storm_users: int = 3
-    storm_max_queued: int = 8
-    storm_max_concurrent: int = 2
-    #: in-queue TTL every storm submission carries (None = no TTL)
-    storm_ttl_s: Optional[float] = 45.0
     #: deadline carried by every third storm submission (None disables)
     storm_deadline_s: Optional[float] = None
     #: per-user token-bucket rate limit (None = no rate limiting)
     storm_user_rate_per_s: Optional[float] = None
-    storm_user_burst: int = 2
     # overload-protection features under test (defaults mirror
-    # RuntimeConfig: off, so existing configs hash identically)
+    # RuntimeConfig: off)
     overload: bool = False
     breakers: bool = False
     # data-plane integrity (DESIGN §16): end-to-end checksums and the
-    # refetch → lineage-regeneration → poison repair ladder.  Default
-    # mirrors RuntimeConfig: off — and :meth:`ChaosReport.to_dict`
-    # omits these keys entirely when every one sits at its default, so
-    # existing configs' campaign hashes stay byte-identical
+    # refetch → lineage-regeneration → poison repair ladder, at the
+    # default budgets.  Default mirrors RuntimeConfig: off
     data_integrity: bool = False
-    integrity_max_refetches: int = 2
-    integrity_max_regenerations: int = 2
     # corruption faults: armed WAN links flip/truncate payloads with
     # these per-transfer probabilities (victims drawn from chaos:plan
     # after every other victim, so arming never perturbs crash plans)
     n_corrupt_links: int = 0
     link_corrupt_prob: float = 0.0
     link_truncate_prob: float = 0.0
-    corruption_at_s: float = 10.0
-    corruption_duration_s: Optional[float] = None
     # scripted staged-artifact loss on one host (needs data_integrity —
     # the artifact index is what gets damaged); None disables
     artifact_loss_at_s: Optional[float] = None
@@ -192,7 +142,7 @@ class ChaosConfig:
     # group leader or site server) each gracefully drain and depart at
     # a per-host time drawn from their own churn:<name> stream inside
     # [churn_start_s, churn_start_s + churn_window_s).  0 disables:
-    # no victims drawn, no extra RNG, campaign hashes unchanged
+    # no victims drawn, no extra RNG
     n_churn_hosts: int = 0
     churn_start_s: float = 30.0
     churn_window_s: float = 60.0
@@ -222,25 +172,10 @@ class ChaosConfig:
             self.slowdown_factor <= 1.0 or self.slowdown_duration_s <= 0
         ):
             raise ValueError("slowdown needs factor > 1 and duration > 0")
-        if self.n_flapping_hosts and (
-            self.flap_factor <= 1.0
-            or self.flap_mean_normal_s <= 0
-            or self.flap_mean_slow_s <= 0
-        ):
-            raise ValueError("flapping needs factor > 1 and positive means")
         if self.detector not in ("count", "phi"):
             raise ValueError(f"unknown detector {self.detector!r}")
         if self.storm_apps < 0:
             raise ValueError("storm_apps must be non-negative")
-        if self.storm_apps:
-            if self.storm_burst < 1 or self.storm_users < 1:
-                raise ValueError("storm_burst/storm_users must be >= 1")
-            if self.storm_spacing_s < 0:
-                raise ValueError("storm_spacing_s must be non-negative")
-            if self.storm_max_queued < 1 or self.storm_max_concurrent < 1:
-                raise ValueError(
-                    "storm_max_queued/storm_max_concurrent must be >= 1"
-                )
         if self.n_corrupt_links < 0:
             raise ValueError("n_corrupt_links must be non-negative")
         if not (0.0 <= self.link_corrupt_prob < 1.0):
@@ -249,8 +184,6 @@ class ChaosConfig:
             raise ValueError("link_truncate_prob must be in [0, 1)")
         if self.link_corrupt_prob + self.link_truncate_prob >= 1.0:
             raise ValueError("corruption probabilities must sum below 1")
-        if self.integrity_max_refetches < 0 or self.integrity_max_regenerations < 0:
-            raise ValueError("integrity repair budgets must be non-negative")
         if self.artifact_loss_at_s is not None and not self.data_integrity:
             raise ValueError(
                 "artifact_loss_at_s damages the integrity artifact index "
@@ -417,18 +350,8 @@ class ChaosReport:
         return not self.violations
 
     def to_dict(self) -> Dict[str, Any]:
-        config = asdict(self.config)
-        # a config with every knob of a later-added family at its
-        # default serialises exactly as it did before the family
-        # existed, so the committed campaign hashes of the older
-        # presets stay byte-identical
-        defaults = {f.name: f.default for f in fields(ChaosConfig)}
-        for knobs in (_CORRUPTION_KNOBS, _CHURN_KNOBS):
-            if all(config[k] == defaults[k] for k in knobs):
-                for key in knobs:
-                    del config[key]
         document = {
-            "config": config,
+            "config": asdict(self.config),
             "outcomes": {k: self.outcomes[k] for k in sorted(self.outcomes)},
             "violations": list(self.violations),
             "injection_events": self.injection_events,
@@ -489,7 +412,6 @@ def _deploy(config: ChaosConfig):
     from repro.metrics.registry import MetricsRegistry
     from repro.net.rpc import BreakerPolicy
     from repro.runtime.integrity import IntegrityPolicy
-    from repro.runtime.overload import OverloadPolicy
     from repro.runtime.straggler import HealthPolicy, SpeculationPolicy
     from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace.tracer import Tracer
@@ -506,15 +428,9 @@ def _deploy(config: ChaosConfig):
             speculation=SpeculationPolicy() if config.speculation else None,
             health=HealthPolicy() if config.health else None,
             causal_spans=config.causal_spans,
-            overload=OverloadPolicy() if config.overload else None,
+            overload=config.overload,
             breaker=BreakerPolicy() if config.breakers else None,
-            data_integrity=(
-                IntegrityPolicy(
-                    max_refetches=config.integrity_max_refetches,
-                    max_regenerations=config.integrity_max_regenerations,
-                )
-                if config.data_integrity else None
-            ),
+            data_integrity=IntegrityPolicy() if config.data_integrity else None,
         ),
         tracer=Tracer(),
         metrics=MetricsRegistry(),
@@ -545,6 +461,17 @@ def _draw(rng, population, n: Optional[int] = None) -> list:
     return [population[int(i)] for i in picks]
 
 
+#: a crashed Site Manager's server re-registers this long after the crash
+_SM_CRASH_DURATION_S = 45.0
+#: stochastic slow/normal flapping: mean phase lengths and the slow
+#: phase's slowdown factor
+_FLAP_MEAN_NORMAL_S = 40.0
+_FLAP_MEAN_SLOW_S = 15.0
+_FLAP_FACTOR = 6.0
+#: corrupting links are armed at this time, for the rest of the campaign
+_CORRUPTION_AT_S = 10.0
+
+
 def _arm(
     config: ChaosConfig, vdce, injector: FailureInjector
 ) -> Tuple[Optional[int], List[str]]:
@@ -570,12 +497,6 @@ def _arm(
             network, [[sites[0]], sites[1:]],
             start=config.partition_at_s, duration=config.partition_duration_s,
         )
-    if config.site_outage_at_s is not None and config.n_sites > 1:
-        injector.schedule_site_outage(
-            vdce.topology.site(sites[-1]), network,
-            start=config.site_outage_at_s,
-            duration=config.site_outage_duration_s,
-        )
     if config.gm_crash_at_s is not None:
         (victim,) = _draw(rng, sorted(runtime.group_managers))
         injector.schedule_group_manager_crash(
@@ -585,7 +506,7 @@ def _arm(
         (victim,) = _draw(rng, sites)
         injector.schedule_site_manager_crash(
             runtime.site_managers[victim], config.sm_crash_at_s,
-            duration=config.sm_crash_duration_s,
+            duration=_SM_CRASH_DURATION_S,
         )
     for host in _draw(rng, hosts, config.n_slow_hosts):
         injector.schedule_host_slowdown(
@@ -597,17 +518,16 @@ def _arm(
     for host in _draw(rng, hosts, config.n_flapping_hosts):
         injector.start_flapping(
             host,
-            mean_normal_s=config.flap_mean_normal_s,
-            mean_slow_s=config.flap_mean_slow_s,
-            factor=config.flap_factor,
+            mean_normal_s=_FLAP_MEAN_NORMAL_S,
+            mean_slow_s=_FLAP_MEAN_SLOW_S,
+            factor=_FLAP_FACTOR,
         )
     for pair in _draw(rng, site_pairs, config.n_corrupt_links):
         injector.schedule_link_corruption(
             network.wan_link(*pair),
-            time=config.corruption_at_s,
+            time=_CORRUPTION_AT_S,
             corrupt_prob=config.link_corrupt_prob,
             truncate_prob=config.link_truncate_prob,
-            duration=config.corruption_duration_s,
         )
     if config.artifact_loss_at_s is not None and runtime.integrity is not None:
         (victim,) = _draw(rng, hosts)
@@ -778,39 +698,50 @@ def _run_storm_app(run, afg, user: str, delay: float, deadline: Optional[float])
     run.outcomes[afg.name] = outcome
 
 
+#: the arrival storm's first burst
+_STORM_START_S = 10.0
+#: submissions per burst (a burst lands at one instant)
+_STORM_BURST = 6
+_STORM_SPACING_S = 4.0
+#: distinct storm users, cycled over submissions; user ``stormJ``
+#: has priority ``1 + J % 3``
+_STORM_USERS = 3
+#: the storm's admission-queue bound (I10 audits the queue against it)
+STORM_MAX_QUEUED = 8
+_STORM_MAX_CONCURRENT = 2
+#: in-queue TTL every storm submission carries
+_STORM_TTL_S = 45.0
+
+
 def _submit_storm(run, site: str) -> None:
     """The arrival storm: ``storm_apps`` small pipelines in bursts, from
-    ``storm_users`` accounts, through one bounded admission queue."""
+    ``_STORM_USERS`` accounts, through one bounded admission queue."""
     from repro.repository.users import AccessDomain
     from repro.runtime.admission import AdmissionPolicy, AdmissionQueue
     from repro.workloads.pipelines import linear_pipeline
 
     config, runtime = run.config, run.runtime
     users_db = runtime.repositories[site].users
-    for j in range(config.storm_users):
+    for j in range(_STORM_USERS):
         users_db.add_user(
             f"storm{j}", "storm-pass", priority=1 + j % 3,
             access_domain=AccessDomain.GLOBAL,
         )
     run.storm_queue = AdmissionQueue(
         runtime,
-        max_concurrent=config.storm_max_concurrent,
+        max_concurrent=_STORM_MAX_CONCURRENT,
         site=site,
         policy=AdmissionPolicy(
-            max_queued=config.storm_max_queued,
+            max_queued=STORM_MAX_QUEUED,
             user_rate_per_s=config.storm_user_rate_per_s,
-            user_burst=config.storm_user_burst,
-            default_ttl_s=config.storm_ttl_s,
+            default_ttl_s=_STORM_TTL_S,
         ),
     )
     for i in range(config.storm_apps):
         afg = linear_pipeline(n_stages=3, cost=4.0, edge_mb=1.0)
         afg.name = f"storm{i:02d}-{afg.name}"
         run.storm_names.append(afg.name)
-        delay = (
-            config.storm_start_s
-            + (i // config.storm_burst) * config.storm_spacing_s
-        )
+        delay = _STORM_START_S + (i // _STORM_BURST) * _STORM_SPACING_S
         deadline = (
             config.storm_deadline_s
             if config.storm_deadline_s is not None and i % 3 == 2
@@ -818,10 +749,14 @@ def _submit_storm(run, site: str) -> None:
         )
         run.procs.append(runtime.sim.process(
             _run_storm_app(
-                run, afg, f"storm{i % config.storm_users}", delay, deadline
+                run, afg, f"storm{i % _STORM_USERS}", delay, deadline
             ),
             name=f"chaos:{afg.name}",
         ))
+
+
+#: when the first application of the stream is submitted
+_FIRST_SUBMIT_S = 5.0
 
 
 def _play(config: ChaosConfig):
@@ -843,7 +778,7 @@ def _play(config: ChaosConfig):
         run.procs.append(sim.process(
             _run_app(
                 run, afg, sites[i % len(sites)],
-                config.first_submit_s + i * config.app_spacing_s,
+                _FIRST_SUBMIT_S + i * config.app_spacing_s,
                 corrupt_journal=(i == journal_victim),
             ),
             name=f"chaos:{afg.name}",

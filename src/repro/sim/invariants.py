@@ -321,7 +321,8 @@ def bounded_admission(run: CampaignRun) -> List[str]:
     if run.storm_queue is None:
         return []
     problems = []
-    peak, bound = run.storm_queue.peak_queued, run.config.storm_max_queued
+    queue = run.storm_queue
+    peak, bound = queue.peak_queued, queue.policy.max_queued
     if peak > bound:
         problems.append(
             f"I10: admission queue depth peaked at {peak}, exceeding the "
@@ -475,16 +476,16 @@ def rejoin_convergence(run: CampaignRun) -> List[str]:
 
 def no_phantom_partition(run: CampaignRun) -> List[str]:
     """I17 — no phantom partition: a campaign that armed no fault that
-    can silence a site (no host, link, partition, site-outage or manager
-    fault, no message loss, no storm or overload refusal) sees no RPC
-    time out, declares no site unreachable, and has every scheduling
-    round hold the bids of the local site and all its k nearest."""
+    can silence a site (no host, link, partition or manager fault, no
+    message loss, no storm or overload refusal) sees no RPC time out,
+    declares no site unreachable, and has every scheduling round hold
+    the bids of the local site and all its k nearest."""
     config, runtime = run.config, run.runtime
     if (config.n_flaky_hosts or config.n_flaky_links or config.storm_apps
             or config.overload or config.message_loss_prob > 0
             or any(at is not None for at in (
-                config.partition_at_s, config.site_outage_at_s,
-                config.gm_crash_at_s, config.sm_crash_at_s))):
+                config.partition_at_s, config.gm_crash_at_s,
+                config.sm_crash_at_s))):
         return []
     problems = []
     if runtime.stats.rpc_timeouts:

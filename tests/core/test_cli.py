@@ -54,6 +54,23 @@ class TestCLI:
         with pytest.raises(SystemExit, match="unknown application"):
             main(["run", "nonsense"])
 
+    def test_run_repeat_without_max_concurrent_is_an_error(self, capsys):
+        # only the admission path submits copies: without it a repeat
+        # would silently run once
+        assert main(["run", "figure1", "--repeat", "3"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            "error: --max-queued/--deadline/--ttl/--repeat need "
+            "--max-concurrent"
+        )
+
+    @pytest.mark.parametrize("repeat", ["0", "-2"])
+    def test_run_repeat_below_one_is_an_error(self, capsys, repeat):
+        assert main(["run", "figure1", "--max-concurrent", "1",
+                     "--repeat", repeat]) == 1
+        assert capsys.readouterr().out.strip() == (
+            "error: --repeat must be >= 1"
+        )
+
     def test_monitor_prints_sparklines_and_stats(self, capsys):
         assert main(["monitor", "--duration", "20", "--hosts", "2"]) == 0
         out = capsys.readouterr().out

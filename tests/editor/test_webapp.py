@@ -231,11 +231,7 @@ class TestAdmissionIntegration:
         assert queue.admitted_order == ["hose"]
 
     def test_brownout_rejection_is_429(self):
-        from repro.runtime.overload import OverloadPolicy
-
-        client, rt, queue = self.make_client(
-            rt=build_runtime(overload=OverloadPolicy())
-        )
+        client, rt, queue = self.make_client(rt=build_runtime(overload=True))
         rt.brownout.update("alpha", "g0", 1.0)  # critical: refuse work
         headers = login(client)
         self.import_chain(client, headers)

@@ -15,7 +15,7 @@ from repro.runtime.admission import (
     AdmissionQueue,
     AdmissionRejected,
 )
-from repro.runtime.overload import BrownoutController, OverloadPolicy
+from repro.runtime.overload import BrownoutController
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
@@ -177,7 +177,7 @@ class TestUserLimits:
 class TestBrownoutLadder:
     def make_controller(self, level_occupancy):
         rt = build_runtime()
-        controller = BrownoutController(rt.sim, OverloadPolicy())
+        controller = BrownoutController(rt.sim)
         controller.update("alpha", "g0", level_occupancy)
         return rt, controller
 
@@ -201,7 +201,7 @@ class TestBrownoutLadder:
         assert c.occupancy_of_site("alpha") == pytest.approx(1.0)
 
     def test_brownout_refuses_admission(self):
-        rt = build_runtime(overload=OverloadPolicy())
+        rt = build_runtime(overload=True)
         rt.brownout.update("alpha", "g0", 1.0)  # critical
         assert rt.brownout.refuse_new_work()
         queue = AdmissionQueue(rt, policy=AdmissionPolicy())
@@ -211,7 +211,7 @@ class TestBrownoutLadder:
         assert outcomes["no"] == "rejected:brownout"
 
     def test_brownout_shrinks_concurrency(self):
-        rt = build_runtime(overload=OverloadPolicy())
+        rt = build_runtime(overload=True)
         rt.brownout.update("alpha", "g0", 0.9)  # severe
         queue = AdmissionQueue(rt, max_concurrent=4)
         assert queue._concurrency_limit() == 2

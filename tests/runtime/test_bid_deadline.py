@@ -1,9 +1,9 @@
 """A legitimately large scheduling message is slow, not lost.
 
-The per-attempt deadline of the Fig. 2 exchange is ``rpc_policy.
-timeout_s`` *plus* the believed wire time of the request and the
-expected reply, and step 5 waits ``bid_deadline_s`` plus the largest
-such estimate — so a WAN on which the round trip outlasts the flat
+The per-attempt deadline of the Fig. 2 exchange is the control plane's
+``policy.timeout_s`` *plus* the believed wire time of the request and
+the expected reply, and step 5 waits ``_BID_DEADLINE_S`` plus the
+largest such estimate — so a WAN on which the round trip outlasts the flat
 timeout (or the flat bid deadline) delays the schedule instead of
 reading as a partition.
 """
@@ -12,6 +12,7 @@ from collections import Counter
 
 import pytest
 
+from repro.runtime.vdce_runtime import _BID_DEADLINE_S
 from repro.scheduler import SiteScheduler
 from repro.trace.events import EventKind
 from repro.trace.tracer import Tracer
@@ -21,12 +22,12 @@ from tests.runtime.conftest import build_runtime, chain_afg
 
 @pytest.mark.parametrize("bandwidth_mb_s, outlasts_s", [
     (0.0005, 1.0),  # the flat RetryPolicy.timeout_s
-    (0.0001, 6.0),  # the flat RuntimeConfig.bid_deadline_s
+    (0.0001, 6.0),  # the flat bid deadline
 ])
 def test_a_slow_wan_answers_on_the_first_attempt(bandwidth_mb_s, outlasts_s):
     rt = build_runtime(wan_bandwidth_mbps=bandwidth_mb_s, tracer=Tracer())
-    assert rt.config.rpc_policy.timeout_s == 1.0
-    assert rt.config.bid_deadline_s == 6.0
+    assert rt.control.policy.timeout_s == 1.0
+    assert _BID_DEADLINE_S == 6.0
     afg = chain_afg(n=3)
 
     def run():

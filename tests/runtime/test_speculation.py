@@ -17,6 +17,7 @@ from repro.runtime.straggler import (
     HostHealth,
     RatioTracker,
     SpeculationPolicy,
+    _RATIO_WINDOW,
 )
 
 from tests.runtime.conftest import build_runtime, chain_afg
@@ -111,11 +112,13 @@ class TestRatioTracker:
         assert tracker.quantile("h", 0.75) is None
 
     def test_quantile_orders_and_windows(self):
-        tracker = RatioTracker(window=4)
-        for ratio in (1.0, 3.0, 2.0, 8.0, 4.0):  # 1.0 falls out of window
-            tracker.record("h", ratio)
-        assert tracker.quantile("h", 0.0) == 2.0
-        assert tracker.quantile("h", 0.75) == 8.0
+        tracker = RatioTracker()
+        # the oldest ratio, 100.0, falls out of the window
+        for ratio in (100.0, *range(_RATIO_WINDOW, 0, -1)):
+            tracker.record("h", float(ratio))
+        assert tracker.quantile("h", 0.0) == 1.0
+        assert tracker.quantile("h", 0.75) == 0.75 * _RATIO_WINDOW + 1
+        assert tracker.quantile("h", 1.0) == _RATIO_WINDOW
 
     def test_nonpositive_ratios_ignored(self):
         tracker = RatioTracker()

@@ -1,17 +1,21 @@
 """The campaign gate: committed hashes hold, and the monolith stays gone.
 
-``campaign_hashes.json`` was last regenerated at the commit that made
-the Monitor daemons elide a report the Group Manager would suppress
-anyway (DESIGN §13.9): every trace is its predecessor under
-``repro.metrics.analysis.elide_repeated_reports`` with ``seq``
-renumbered, every metrics snapshot its predecessor with those reports'
-repeated points gone from the two monitor series, and every other
-field of every report unchanged;
-every trace, metrics and campaign hash in it must reproduce byte for
-byte — the six presets at seeds 0–2, the ``causal_spans`` variants CI
-runs with ``--spans``, and the configuration ``bench``'s ``chaos_2x64``
-warms up on.  Any change that moves one of them changed campaign behaviour
-(fault plan, event order or report shape), not just its code.
+``campaign_hashes.json``'s traces and metrics snapshots were last
+regenerated at the commit that made the Monitor daemons elide a report
+the Group Manager would suppress anyway (DESIGN §13.9): every trace is
+its predecessor under ``repro.metrics.analysis.elide_repeated_reports``
+with ``seq`` renumbered, every metrics snapshot its predecessor with
+those reports' repeated points gone from the two monitor series.  Its
+``campaign`` column was last regenerated when the ``ChaosConfig``
+fields no caller set became module constants and the report began to
+serialise ``asdict(config)`` whole (no per-family omission rule): each
+entry is the previous report with only its ``config`` replaced, and
+the trace and metrics columns did not move.  Every trace, metrics and
+campaign hash in it must reproduce byte for byte — the six presets at
+seeds 0–2, the ``causal_spans`` variants CI runs with ``--spans``, and
+the configuration ``bench``'s ``chaos_2x64`` warms up on.  Any change
+that moves one of them changed campaign behaviour (fault plan, event
+order or report shape), not just its code.
 
 The size half keeps the audit reviewable: ``run_campaign`` is a
 driver, every invariant is one short checker in :data:`INVARIANTS`.

@@ -1,22 +1,15 @@
-"""The corruption chaos campaign: invariants I12/I13, determinism, neutrality.
+"""The corruption chaos campaign: invariants I12/I13, determinism.
 
 I12 — no dirty consumption: every value handed to a task matched its
 producer's recorded hash.  I13 — repair or typed death: every incident
 in a *completed* application resolved ``refetched`` or ``regenerated``;
 ``poisoned`` incidents only ever belong to applications that failed
-typed.  And the feature's existence must not move a byte of the
-pre-existing presets' reports (the committed campaign hashes gate on
-that).
+typed.
 """
 
 import pytest
 
-from repro.sim.chaos import (
-    ChaosConfig,
-    corruption_smoke_config,
-    run_campaign,
-    smoke_config,
-)
+from repro.sim.chaos import ChaosConfig, corruption_smoke_config, run_campaign
 
 
 @pytest.fixture(scope="module")
@@ -66,20 +59,6 @@ def test_report_serialises_the_integrity_section(corruption_report):
         "corruptions_detected", "refetches", "regenerations",
         "poisoned", "artifacts_lost", "incidents", "dirty_consumptions",
     } <= set(payload["integrity"])
-
-
-def test_preexisting_presets_stay_byte_neutral():
-    """The neutrality pin: with integrity off, the report dict carries
-    no corruption keys and no integrity section, so every committed
-    campaign hash predating DESIGN §16 still verifies."""
-    payload = run_campaign(smoke_config(seed=0)).to_dict()
-    assert "integrity" not in payload
-    for key in (
-        "data_integrity", "n_corrupt_links", "link_corrupt_prob",
-        "link_truncate_prob", "corruption_at_s", "artifact_loss_at_s",
-        "journal_corrupt_at_s",
-    ):
-        assert key not in payload["config"]
 
 
 def test_corruption_config_validation():

@@ -8,7 +8,7 @@ terminal state) and I11 (no message crosses an open circuit) — and
 byte-determinism of the whole campaign.
 """
 
-from repro.sim.chaos import run_campaign, storm_config
+from repro.sim.chaos import STORM_MAX_QUEUED, run_campaign, storm_config
 
 SEEDS = (0, 1, 2)
 TERMINAL = {"completed", "failed", "rejected", "expired"}
@@ -26,7 +26,7 @@ def test_storm_holds_invariants_across_seeds():
         }
         assert len(storm) == config.storm_apps
         assert {o["status"] for o in storm.values()} <= TERMINAL, seed
-        assert report.peak_queued <= config.storm_max_queued, seed
+        assert report.peak_queued <= STORM_MAX_QUEUED, seed
 
 
 def test_storm_actually_sheds_and_trips_breakers():

@@ -21,6 +21,7 @@ from hypothesis import given, strategies as st
 
 from repro.repository.resources import MembershipState
 from repro.sim.chaos import (
+    STORM_MAX_QUEUED,
     _play,
     calm_config,
     churn_smoke_config,
@@ -313,7 +314,7 @@ def test_i10_fires_on_a_storm_application_without_a_terminal_outcome(storm):
 
 def test_i10_fires_on_a_queue_deeper_than_its_bound(storm):
     queue = Overlay(storm.storm_queue,
-                    peak_queued=storm.config.storm_max_queued + 1)
+                    peak_queued=STORM_MAX_QUEUED + 1)
     assert firing(replace(storm, storm_queue=queue)) == {"I10"}
 
 
