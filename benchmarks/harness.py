@@ -1,26 +1,24 @@
-"""The behaviour gate — the committed ``BENCH_6.json``.
+"""The three fixed-seed scenarios the behaviour pins run.
 
-Three fixed-seed scenarios, each run once fully instrumented; the
-document records what the run *did* — ``trace_hash``, ``metrics_hash``,
-kernel events processed, tasks scheduled — and nothing about how long it
-took.  ``repro bench --compare BENCH_6.json`` (CI) and
-``tests/perf/test_bench6_gate.py`` (tier-1) re-run the scenarios and
-fail on any hash that moved: a change to a hot path that alters
-behaviour is caught here, on workloads small enough to run everywhere.
+Each scenario is one small deployment run to completion fully
+instrumented.  :func:`run_scenario` returns what the run *did* —
+trace and metrics hashes, kernel events processed, tasks scheduled —
+and nothing about how long it took; ``tests/perf/test_scenario_pins.py``
+pins those values as ``scenario:<name>`` in ``tests/pins.json``, so a
+change to a hot path that alters behaviour fails there, on workloads
+small enough to run everywhere.
 
 Wall-clock measurement is ``python -m bench`` (``BENCHMARK.json``); these
-scenarios run in 0.02-0.08 s, below timer noise.  The PR-6 timings this
-file once carried are tabulated in EXPERIMENTS.md.
+scenarios run in 0.02-0.08 s, below timer noise.
 
-``run_traced`` is the same scenarios for ``repro explain --scenario``
-and ``repro bench --profile``: one instrumented pass, optionally with
-causal spans on, returning the events.
+:func:`run_traced` is the same scenarios for ``repro explain
+--scenario``: one instrumented pass, optionally with causal spans on,
+returning the events.
 """
 
 from __future__ import annotations
 
-import json
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, Optional
 
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.spans import SpanKind
@@ -32,20 +30,7 @@ from repro.trace.serialize import trace_hash
 from repro.trace.tracer import Tracer
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
-__all__ = [
-    "SCENARIOS",
-    "compare",
-    "format_document",
-    "run_all",
-    "run_scenario",
-    "run_traced",
-]
-
-#: schema version of the emitted document (1 carried wall-clock fields)
-SCHEMA = 2
-
-#: canonical scenario order
-SCENARIO_ORDER = ("end_to_end", "scalability", "host_selection")
+__all__ = ["SCENARIOS", "run_scenario", "run_traced"]
 
 
 def _runtime(n_sites: int, hosts_per_site: int, seed: int,
@@ -160,10 +145,10 @@ def run_scenario(name: str) -> Dict:
     out = SCENARIOS[name](tracer, metrics)
     out["rt"].export_metrics()
     return {
+        "trace": trace_hash(tracer),
+        "metrics": metrics.snapshot_hash(),
         "sim_events": out["rt"].sim.events_processed,
         "tasks_scheduled": out["tasks"],
-        "trace_hash": trace_hash(tracer),
-        "metrics_hash": metrics.snapshot_hash(),
     }
 
 
@@ -172,88 +157,11 @@ def run_traced(name: str, causal_spans: bool = False):
 
     With ``causal_spans`` the deployment runs under
     ``RuntimeConfig(causal_spans=True)`` so the trace carries the full
-    span tree — the input for ``repro explain --scenario`` and the
-    ``repro bench --profile`` folded stacks.  The committed hashes always
-    come from :func:`run_scenario`'s stock-config pass, never from here.
+    span tree — the input for ``repro explain --scenario`` and its
+    ``--profile`` folded stacks.  The pinned hashes always come from
+    :func:`run_scenario`'s stock-config pass, never from here.
     """
     tracer = Tracer()
     config = RuntimeConfig(causal_spans=True) if causal_spans else None
     SCENARIOS[name](tracer, MetricsRegistry(), config)
     return tracer.events()
-
-
-def run_all() -> Dict:
-    """Run every scenario; return the canonical bench document."""
-    return {
-        "schema": SCHEMA,
-        "scenarios": {name: run_scenario(name) for name in SCENARIO_ORDER},
-    }
-
-
-# -- comparison (the behaviour gate) ----------------------------------------
-
-def compare(previous: Dict, current: Dict) -> List[str]:
-    """Problems between two bench documents; empty list means clean.
-
-    Every scenario of ``previous`` must be in ``current`` with the same
-    ``trace_hash`` and ``metrics_hash``.  Scenarios only ``current`` has
-    are not failures (the gate grows).
-    """
-    problems: List[str] = []
-    for side, document in (("previous", previous), ("current", current)):
-        version = document.get("schema", SCHEMA)
-        if version != SCHEMA:
-            # refuse to compare across incompatible layouts — a silent
-            # field mismatch would read as a spurious pass or failure
-            return [
-                f"{side} document has schema {version!r}; this harness "
-                f"compares schema {SCHEMA} documents only"
-            ]
-    prev_scenarios = previous.get("scenarios", {})
-    cur_scenarios = current.get("scenarios", {})
-    for name in (n for n in SCENARIO_ORDER if n in prev_scenarios):
-        if name not in cur_scenarios:
-            problems.append(f"{name}: scenario missing from current run")
-            continue
-        prev, cur = prev_scenarios[name], cur_scenarios[name]
-        for key, changed in (
-            ("trace_hash",
-             "trace hash changed ({0:.16}... -> {1:.16}...) — behaviour is "
-             "not identical to the committed reference"),
-            ("metrics_hash",
-             "metrics snapshot hash changed — exported aggregates differ "
-             "from the committed reference"),
-        ):
-            want, got = prev.get(key), cur.get(key)
-            if want is None or got is None:
-                side = "previous" if want is None else "current"
-                problems.append(f"{name}: {side} document has no {key}")
-            elif want != got:
-                problems.append(f"{name}: {changed.format(want, got)}")
-    return problems
-
-
-def format_document(document: Dict) -> str:
-    """Human-readable summary table of one bench document."""
-    lines = [
-        f"{'scenario':<16} {'events':>8} {'tasks':>6}  "
-        f"{'trace_hash':<19} metrics_hash",
-    ]
-    for name in SCENARIO_ORDER:
-        s = document["scenarios"].get(name)
-        if s is None:
-            continue
-        lines.append(
-            f"{name:<16} {s['sim_events']:>8} {s['tasks_scheduled']:>6}  "
-            f"{s['trace_hash'][:16]}... {s['metrics_hash'][:16]}..."
-        )
-    return "\n".join(lines)
-
-
-def to_json(document: Dict) -> str:
-    """Canonical JSON serialization (sorted keys, trailing newline)."""
-    return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-if __name__ == "__main__":  # pragma: no cover - CLI lives in repro.cli
-    print(format_document(run_all()))

@@ -20,10 +20,7 @@ Commands:
   wait-state breakdown, critical path and top-k slow tasks/hosts, and
   hash the canonical report;
 * ``experiments`` — print the experiment index (DESIGN.md §4) and the
-  bench command that regenerates each one;
-* ``bench`` — run the behaviour gate (three fixed-seed scenarios, trace
-  and metrics hashes), optionally comparing against the committed
-  ``BENCH_6.json``; wall-clock measurement is ``python -m bench``;
+  command that regenerates each one;
 * ``resume <dir>`` — resume an interrupted application from a
   checkpoint directory written by ``run --journal`` (optionally
   checking resume equivalence against expected output hashes);
@@ -37,10 +34,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 __all__ = ["main"]
 
+#: (id, title, producer): a ``benchmarks/`` script or a test of ``tests/``
 EXPERIMENTS = [
     ("E1", "Figure 1 linear equation solver", "bench_fig1_linear_solver.py"),
     ("E2", "Site scheduler vs baselines", "bench_fig2_site_scheduler.py"),
@@ -57,6 +55,10 @@ EXPERIMENTS = [
     ("E13", "Load-accounting ablation", "bench_accounting_ablation.py"),
     ("E14", "Distributed shared memory (§5)", "bench_dsm.py"),
     ("E15", "Straggler defense & speculation", "bench_speculation.py"),
+    ("E16", "Data-plane integrity: what repair costs",
+     "tests/runtime/test_integrity.py"),
+    ("E17", "Elastic membership: what a drain buys",
+     "tests/runtime/test_membership_runtime.py::TestDrainPrices"),
 ]
 
 
@@ -348,22 +350,21 @@ def cmd_analyze(args) -> int:
     from repro.trace import KNOWN_KINDS
     from repro.trace.serialize import read_jsonl
 
-    try:
-        events = read_jsonl(args.trace)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace {args.trace}: {exc}")
+    if args.modulo and args.trace2 is None:
+        print("error: --modulo needs two traces")
         return 1
-    if args.trace2 is None:
-        if args.modulo:
-            print("error: --modulo needs two traces")
+    traces = []
+    for path in filter(None, (args.trace, args.trace2)):
+        try:
+            traces.append(read_jsonl(path))
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot read trace {path}: {exc}")
             return 1
-        print(format_analysis(events, title=f"trace analysis — {args.trace}"))
+    if args.trace2 is None:
+        print(format_analysis(traces[0],
+                              title=f"trace analysis — {args.trace}"))
         return 0
-    try:
-        events2 = read_jsonl(args.trace2)
-    except (OSError, ValueError) as exc:
-        print(f"error: cannot read trace {args.trace2}: {exc}")
-        return 1
+    events, events2 = traces
     kinds = set(args.modulo.split(",")) if args.modulo else None
     # a misspelt kind would drop nothing and report a spurious mismatch
     unknown = sorted(kinds - KNOWN_KINDS) if kinds else []
@@ -371,9 +372,10 @@ def cmd_analyze(args) -> int:
         print(f"error: unknown event kind {', '.join(unknown)}")
         return 1
     modulo = kinds and (lambda evs: [e for e in evs if e.kind not in kinds])
+    report = structural_diff(events, events2, modulo)
     print(f"a: {args.trace}\nb: {args.trace2}")
-    print(format_structural_diff(events, events2, modulo))
-    return 0 if structural_diff(events, events2, modulo)["identical"] else 2
+    print(format_structural_diff(report))
+    return 0 if report["identical"] else 2
 
 
 def _write(save: Callable[[str], object], path: str, what: str,
@@ -395,12 +397,13 @@ def _write(save: Callable[[str], object], path: str, what: str,
 
 
 def _write_text(path: str, text: str, what: str) -> bool:
-    """Write ``text`` to ``path``; on failure report it and return False."""
+    """Write ``text`` to ``path`` and say so (``<what> written to
+    <path>``); on failure report it and return False."""
     def save(path: str) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
 
-    return _write(save, path, what)
+    return _write(save, path, what, what)
 
 
 def _json_text(value) -> str:
@@ -409,13 +412,17 @@ def _json_text(value) -> str:
 
 
 def _import_harness():
-    import os
+    """``benchmarks/harness.py`` lives in the checkout, not the package:
+    import it from the checkout this package runs from, whatever the cwd."""
+    from pathlib import Path
 
-    try:
-        from benchmarks import harness
-    except ImportError:
-        sys.path.insert(0, os.getcwd())
-        from benchmarks import harness
+    import repro
+
+    checkout = str(Path(repro.__file__).resolve().parents[2])
+    if checkout not in sys.path:
+        sys.path.insert(0, checkout)
+    from benchmarks import harness
+
     return harness
 
 
@@ -435,11 +442,11 @@ def cmd_explain(args) -> int:
             harness = _import_harness()
         except ImportError:
             print("error: cannot import benchmarks.harness — run 'repro "
-                  "explain --scenario' from the repository root")
+                  "explain --scenario' inside a checkout of the repository")
             return 1
         if args.scenario not in harness.SCENARIOS:
             print(f"error: unknown scenario {args.scenario!r} "
-                  f"(try: {', '.join(harness.SCENARIO_ORDER)})")
+                  f"(try: {', '.join(harness.SCENARIOS)})")
             return 1
         events = harness.run_traced(args.scenario, causal_spans=True)
         source = f"scenario {args.scenario}"
@@ -454,7 +461,7 @@ def cmd_explain(args) -> int:
     report = explain(events, top=args.top)
     if not report["apps"]:
         print(f"no causal spans in {source} — record the trace with "
-              "run/resume --trace, chaos --spans --trace or bench --profile")
+              "run/resume --trace or chaos --spans --trace")
         return 1
 
     print(f"causal-span attribution — {source}")
@@ -508,20 +515,17 @@ def cmd_explain(args) -> int:
 
     digest = report_hash(report)
     print(f"\nreport hash: {digest}")
-    if args.json:
-        if not _write_text(args.json, report_to_json(report), "report"):
-            return 1
-        print(f"report written to {args.json}")
-    if args.hashes:
-        if not _write_text(args.hashes, _json_text({"report": digest}), "hash"):
-            return 1
-        print(f"report hash written to {args.hashes}")
+    if args.json and not _write_text(args.json, report_to_json(report),
+                                     "report"):
+        return 1
+    if args.hashes and not _write_text(
+            args.hashes, _json_text({"report": digest}), "report hash"):
+        return 1
     if args.profile:
         stacks = folded_stacks(events)
-        if not _write_text(args.profile, format_folded(stacks), "profile"):
+        if not _write_text(args.profile, format_folded(stacks),
+                           f"folded-stack profile ({len(stacks)} stacks)"):
             return 1
-        print(f"folded-stack profile ({len(stacks)} stacks) written to "
-              f"{args.profile} — load it in speedscope.app")
     return 2 if failed else 0
 
 
@@ -537,9 +541,10 @@ def cmd_topology(args) -> int:
 
 def cmd_experiments(args) -> int:
     print("experiment index (DESIGN.md section 4):")
-    for exp_id, title, bench in EXPERIMENTS:
-        print(f"  {exp_id:<4} {title:<40} "
-              f"pytest benchmarks/{bench} --benchmark-only")
+    for exp_id, title, producer in EXPERIMENTS:
+        if not producer.startswith("tests/"):
+            producer = f"benchmarks/{producer} --benchmark-only"
+        print(f"  {exp_id:<4} {title:<40} pytest {producer}")
     return 0
 
 
@@ -668,6 +673,17 @@ def cmd_resume(args) -> int:
     """Resume an interrupted application from a checkpoint directory."""
     from repro.runtime.checkpoint import final_output_hashes, resume_run
 
+    expected = None
+    if args.expect:  # checked before the resume, which may take a while
+        try:
+            with open(args.expect, encoding="utf-8") as fh:
+                expected = json.load(fh)
+            if not isinstance(expected, dict) or not all(
+                    isinstance(v, str) for v in expected.values()):
+                raise ValueError("not an object of task id -> hash string")
+        except (OSError, ValueError) as exc:
+            print(f"error: cannot load expected hashes {args.expect}: {exc}")
+            return 1
     tracer = None
     runtime_config = None
     if args.trace:
@@ -697,17 +713,10 @@ def cmd_resume(args) -> int:
           f"finished at t={result.finished_at:.3f}s")
     for task_id in sorted(hashes):
         print(f"  {task_id}: {hashes[task_id]}")
-    if args.hashes:
-        if not _write_text(args.hashes, _json_text(hashes), "output hashes"):
-            return 1
-        print(f"output hashes written to {args.hashes}")
-    if args.expect:
-        try:
-            with open(args.expect, encoding="utf-8") as fh:
-                expected = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load expected hashes {args.expect}: {exc}")
-            return 1
+    if args.hashes and not _write_text(args.hashes, _json_text(hashes),
+                                       "output hashes"):
+        return 1
+    if expected is not None:
         if hashes != expected:
             print("resume equivalence FAILED — output hashes differ:")
             for task in sorted(set(expected) | set(hashes)):
@@ -752,6 +761,8 @@ _CHAOS_SHAPE = {
 
 def cmd_chaos(args) -> int:
     """Run a chaos campaign; exit 1 on any invariant violation."""
+    from collections import Counter
+
     from repro.sim import chaos
 
     shape = {
@@ -805,10 +816,7 @@ def cmd_chaos(args) -> int:
               f"({integ['dirty_consumptions']} dirty consumptions)")
     if config.n_churn_hosts and report.membership is not None:
         member = report.membership
-        counts = {}
-        for transition in member["transitions"]:
-            kind = transition["transition"]
-            counts[kind] = counts.get(kind, 0) + 1
+        counts = Counter(t["transition"] for t in member["transitions"])
         print(f"  membership: {len(member['targets'])} churn targets, "
               f"{counts.get('drain', 0)} drains, "
               f"{counts.get('depart', 0)} departures, "
@@ -828,31 +836,25 @@ def cmd_chaos(args) -> int:
             line += f" ({outcome.get('error', '?')})"
         print(line)
 
-    hashes = {
-        "trace": report.trace_hash,
-        "metrics": report.metrics_hash,
-        "campaign": report.campaign_hash(),
-    }
+    def hashes_of(run):
+        return {"trace": run.trace_hash, "metrics": run.metrics_hash,
+                "campaign": run.campaign_hash()}
+
+    hashes = hashes_of(report)
     if args.check_determinism:
-        second = chaos.run_campaign(config)
-        same = (second.trace_hash == report.trace_hash
-                and second.metrics_hash == report.metrics_hash
-                and second.campaign_hash() == hashes["campaign"])
+        same = hashes_of(chaos.run_campaign(config)) == hashes
         print(f"determinism: {'byte-identical' if same else 'MISMATCH'}")
         if not same:
             report.violations.append(
                 "I3: second run of the same config produced different hashes"
             )
 
-    if args.log:
-        if not _write_text(args.log, _json_text(report.to_dict()),
-                           "campaign log"):
-            return 1
-        print(f"campaign log written to {args.log}")
-    if args.hashes:
-        if not _write_text(args.hashes, _json_text(hashes), "hashes"):
-            return 1
-        print(f"hashes written to {args.hashes}")
+    if args.log and not _write_text(args.log, _json_text(report.to_dict()),
+                                    "campaign log"):
+        return 1
+    if args.hashes and not _write_text(args.hashes, _json_text(hashes),
+                                       "hashes"):
+        return 1
 
     print(f"trace hash:    {report.trace_hash}")
     print(f"campaign hash: {hashes['campaign']}")
@@ -862,57 +864,6 @@ def cmd_chaos(args) -> int:
             print(f"  {violation}")
         return 1
     print("all invariants held")
-    return 0
-
-
-def cmd_bench(args) -> int:
-    """Run the behaviour gate's scenarios (benchmarks/harness.py)."""
-    try:
-        # benchmarks/ is a repo-root package, not an installed one;
-        # running from anywhere inside a checkout still works
-        harness = _import_harness()
-    except ImportError:
-        print("error: cannot import benchmarks.harness — run 'repro "
-              "bench' from the repository root")
-        return 1
-
-    document = harness.run_all()
-    print(harness.format_document(document))
-    if args.out:
-        if not _write_text(args.out, harness.to_json(document),
-                           "bench document"):
-            return 1
-        print(f"\nbench document written to {args.out}")
-    if args.profile:
-        # a separate spans-on pass per scenario: the hashed pass above
-        # never sees spans, so the document's hashes are untouched
-        from repro.obs.profile import folded_stacks, format_folded
-
-        stacks = {}
-        for name in harness.SCENARIO_ORDER:
-            events = harness.run_traced(name, causal_spans=True)
-            stacks.update(folded_stacks(events, prefix=name))
-        if not _write_text(args.profile, format_folded(stacks), "profile"):
-            return 1
-        print(f"folded-stack profile ({len(stacks)} stacks) written to "
-              f"{args.profile} — load it in speedscope.app")
-    if args.compare:
-        try:
-            with open(args.compare, encoding="utf-8") as fh:
-                previous = json.load(fh)
-        except (OSError, ValueError) as exc:
-            print(f"error: cannot load previous bench document "
-                  f"{args.compare}: {exc}")
-            return 1
-        problems = harness.compare(previous, document)
-        if problems:
-            print(f"\ncomparison vs {args.compare}: "
-                  f"{len(problems)} problem(s)")
-            for problem in problems:
-                print(f"  {problem}")
-            return 1
-        print(f"\ncomparison vs {args.compare}: clean "
-              f"(behaviour hashes identical)")
     return 0
 
 
@@ -1061,20 +1012,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the campaign's event trace (JSONL) to "
                             "PATH — with --spans, feed it to 'repro explain'")
 
-    bench = sub.add_parser(
-        "bench",
-        help="run the behaviour gate: three fixed-seed scenarios, hashed")
-    bench.add_argument("--out", metavar="PATH",
-                       help="write the canonical bench JSON to PATH")
-    bench.add_argument("--compare", metavar="PATH",
-                       help="a committed BENCH_*.json: exit 1 if any "
-                            "scenario's trace or metrics hash differs")
-    bench.add_argument("--profile", metavar="PATH",
-                       help="also run every scenario with causal spans on "
-                            "and write the span self-time profile to PATH "
-                            "(speedscope-compatible folded stacks); the "
-                            "document's hashes are unaffected")
-
     sub.add_parser("experiments", help="print the experiment index")
 
     resume = sub.add_parser(
@@ -1120,7 +1057,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         "metrics": cmd_metrics,
         "analyze": cmd_analyze,
         "explain": cmd_explain,
-        "bench": cmd_bench,
         "chaos": cmd_chaos,
         "topology": cmd_topology,
         "experiments": cmd_experiments,

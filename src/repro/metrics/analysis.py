@@ -382,10 +382,8 @@ def _render_event(payload: Optional[Dict[str, Any]]) -> str:
     )
 
 
-def format_structural_diff(a: TraceLike, b: TraceLike,
-                           modulo: Optional[Callable] = None) -> str:
-    """Render :func:`structural_diff` for terminals."""
-    report = structural_diff(a, b, modulo)
+def format_structural_diff(report: Dict) -> str:
+    """Render a :func:`structural_diff` report for terminals."""
     len_a, len_b = report["lengths"]
     if report["identical"]:
         return f"traces are identical ({len_a} events)"

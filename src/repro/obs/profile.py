@@ -5,7 +5,7 @@ distinct span ancestry (frames joined by ``;``) with its total *self
 time* — span duration minus the union of its children's intervals — in
 integer virtual microseconds.  The format is the classic collapsed
 stack format consumed by flamegraph tooling and speedscope's importer,
-so ``repro bench --profile out.folded`` drops straight into
+so ``repro explain --profile out.folded`` drops straight into
 https://speedscope.app.
 
 Frames are stable, human-meaningful names rather than span ids

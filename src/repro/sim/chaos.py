@@ -216,8 +216,8 @@ _SMALL = dict(hosts_per_site=3, duration_s=240.0, app_spacing_s=35.0)
 _QUIET = dict(n_flaky_links=0, message_loss_prob=0.02, echo_loss_prob=0.02)
 
 #: ``repro chaos --<name>``: the one-line help and the fields that differ
-#: from :class:`ChaosConfig`'s defaults.  The committed campaign hashes
-#: (``tests/sim/campaign_hashes.json``) pin every value here.
+#: from :class:`ChaosConfig`'s defaults.  The pinned campaign hashes
+#: (``campaign:*`` in ``tests/pins.json``) pin every value here.
 PRESETS: Dict[str, Dict[str, Any]] = {
     "smoke": dict(
         doc="the small, fast campaign CI runs",

@@ -1,8 +1,13 @@
 """Tests for the command-line interface."""
 
+import re
+from pathlib import Path
+
 import pytest
 
 from repro.cli import main
+
+EXPERIMENTS_MD = Path(__file__).resolve().parents[2] / "EXPERIMENTS.md"
 
 
 class TestCLI:
@@ -17,9 +22,12 @@ class TestCLI:
     def test_experiments_index(self, capsys):
         assert main(["experiments"]) == 0
         out = capsys.readouterr().out
-        for exp in ("E1", "E7", "E13"):
-            assert exp in out
+        listed = re.findall(r"^  (E\d+) ", out, flags=re.MULTILINE)
+        reported = re.findall(r"^## (E\d+) —", EXPERIMENTS_MD.read_text(),
+                              flags=re.MULTILINE)
+        assert reported and set(reported) <= set(listed)
         assert "bench_fig2_site_scheduler.py" in out
+        assert "pytest tests/runtime/test_integrity.py\n" in out
 
     def test_run_linear_solver(self, capsys):
         assert main(["run", "linear-solver", "--scale", "0.15",

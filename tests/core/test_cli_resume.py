@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from repro import VDCE
 from repro.cli import main
 from repro.runtime.checkpoint import (
@@ -55,6 +57,20 @@ class TestResumeCommand:
         assert code == 1
         assert "resume equivalence FAILED" in out
         assert task in out
+
+    @pytest.mark.parametrize("content", ['["t0", "t1"]', '{"t0": 1}', "{oops"],
+                             ids=["list", "non-string-hash", "not-json"])
+    def test_malformed_expect_file_is_refused_before_resuming(
+            self, tmp_path, capsys, content):
+        interrupted_run(tmp_path)
+        expect_file = tmp_path / "expected.json"
+        expect_file.write_text(content)
+        code = main(["resume", str(tmp_path), "--expect", str(expect_file)])
+        out = capsys.readouterr().out
+        assert code == 1
+        assert out.startswith("error: ")
+        assert str(expect_file) in out
+        assert "resumed" not in out  # refused before any resume ran
 
     def test_missing_checkpoint_directory_is_a_clean_error(
         self, tmp_path, capsys

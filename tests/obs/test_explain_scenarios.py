@@ -9,6 +9,10 @@ events and changes nothing else.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,7 +31,7 @@ _SPAN_KINDS = (EventKind.SPAN_OPEN, EventKind.SPAN_CLOSE,
                EventKind.SPAN_ORPHAN)
 
 
-@pytest.mark.parametrize("name", harness.SCENARIO_ORDER)
+@pytest.mark.parametrize("name", list(harness.SCENARIOS))
 class TestScenarioAttribution:
     def test_report_is_deterministic(self, name):
         first = explain(harness.run_traced(name, causal_spans=True))
@@ -81,6 +85,20 @@ class TestExplainCli:
         assert "critical path: app" in out
         assert ("scheduling round: 120 task(s) placed on 4 of the 4 site(s) "
                 "that bid (3 remote)") in out
+
+    def test_scenario_mode_runs_from_a_subdirectory(self):
+        """The scenarios live in the checkout, not the installed package:
+        the command finds them from any directory inside it."""
+        tests_dir = Path(__file__).resolve().parents[1]
+        src = tests_dir.parent / "src"
+        done = subprocess.run(
+            [sys.executable, "-m", "repro", "explain", "--scenario",
+             "host_selection"],
+            cwd=tests_dir, capture_output=True, text=True,
+            env={**os.environ, "PYTHONPATH": str(src)},
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        assert "report hash" in done.stdout
 
     def test_json_and_hash_outputs_agree(self, tmp_path, capsys):
         json_path = tmp_path / "report.json"

@@ -3,15 +3,13 @@
 Trace JSONL files carry a ``trace_header`` line and metrics snapshots a
 ``schema_version`` key; both are validated on load, neither changes the
 committed hashes (the header is excluded from ``trace_hash``, the key
-is stripped before ``snapshot_hash``), and the bench harness refuses to
-compare documents across schema generations.
+is stripped before ``snapshot_hash``).
 """
 
 import json
 
 import pytest
 
-from benchmarks import harness
 from repro.metrics.export import (
     METRICS_SCHEMA_VERSION,
     load_snapshot,
@@ -110,34 +108,3 @@ class TestMetricsSchema:
         path.write_text(json.dumps(snapshot))
         assert load_snapshot(str(path))["counters"]
 
-
-class TestBenchCompare:
-    def test_cross_schema_comparison_is_refused(self):
-        document = {"schema": harness.SCHEMA, "scenarios": {}}
-        foreign = {"schema": harness.SCHEMA + 1, "scenarios": {}}
-        problems = harness.compare(foreign, document)
-        assert problems and "schema" in problems[0]
-        problems = harness.compare(document, foreign)
-        assert problems and "schema" in problems[0]
-
-    @pytest.mark.parametrize("edit, problem", [
-        (lambda scenarios: scenarios["end_to_end"].update(trace_hash="f" * 64),
-         "end_to_end: trace hash changed"),
-        (lambda scenarios: scenarios["end_to_end"].update(metrics_hash="f" * 64),
-         "end_to_end: metrics snapshot hash changed"),
-        (lambda scenarios: scenarios.pop("end_to_end"),
-         "end_to_end: scenario missing from current run"),
-        (lambda scenarios: scenarios["end_to_end"].pop("trace_hash"),
-         "end_to_end: current document has no trace_hash"),
-    ], ids=["trace_hash", "metrics_hash", "missing_scenario", "no_trace_hash"])
-    def test_each_difference_is_one_named_problem(self, edit, problem):
-        def document():
-            return {"schema": harness.SCHEMA, "scenarios": {
-                name: {"trace_hash": "a" * 64, "metrics_hash": "b" * 64}
-                for name in harness.SCENARIO_ORDER}}
-
-        assert harness.compare(document(), document()) == []
-        current = document()
-        edit(current["scenarios"])
-        problems = harness.compare(document(), current)
-        assert len(problems) == 1 and problems[0].startswith(problem)

@@ -234,7 +234,7 @@ def test_any_seed_is_equivalent(seed, period, shape):
 
 @pytest.mark.parametrize("name", ["end_to_end", "scalability"])
 def test_committed_bench_scenarios_differ_only_by_the_watchdogs(name):
-    """What the BENCH_6.json hash refresh covers: with the ``watch:*``
+    """What the scenario pins' hash refresh covered: with the ``watch:*``
     lifecycle events dropped the two traces are the same events."""
     def scenario():
         tracer = Tracer()

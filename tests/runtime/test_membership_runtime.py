@@ -177,6 +177,39 @@ class TestDrain:
             runtime.membership.drain_host("a2", deadline_s=0.0)
 
 
+class TestDrainPrices:
+    """E17 (EXPERIMENTS.md): what a graceful drain buys over a hard
+    decommission.  Three sites of a 1.5-speed leader and a 2.0-speed
+    host; a 6-stage pipeline lands whole on a2, and at t = 3 s — one
+    stage resident, four queued behind it — a2 leaves one of four ways."""
+
+    SITES = {
+        site: [(f"{p}1", 1.5, 256), (f"{p}2", 2.0, 256)]
+        for site, p in (("alpha", "a"), ("beta", "b"), ("gamma", "c"))
+    }
+
+    @pytest.mark.parametrize("leave,makespan,evicted", [
+        (None, 12.000, 0), (4.0, 15.069, 4), (1.0, 17.834, 5),
+        ("hard", 16.834, 5),
+    ], ids=["baseline", "drain-4s", "drain-1s", "hard"])
+    def test_makespan_and_evictions(self, leave, makespan, evicted):
+        runtime = build_runtime(site_hosts=self.SITES)
+        afg = linear_pipeline(n_stages=6, cost=4.0, edge_mb=1.0)
+        expected = expected_output_hashes(afg, runtime.registry)
+        proc, table = start_run(runtime, afg, k=2)
+        assert {a.hosts for a in table.assignments.values()} == {("a2",)}
+        runtime.sim.run(until=3.0)
+        if leave == "hard":
+            runtime.membership.retire_host("a2")
+        elif leave is not None:
+            runtime.membership.drain_host("a2", deadline_s=leave)
+        result = runtime.sim.run_until_complete(proc)
+        assert final_output_hashes(result) == expected
+        assert round(result.makespan, 3) == makespan
+        assert sum(bool(r.reschedule_reasons)
+                   for r in result.records.values()) == evicted
+
+
 class TestRetireAndRejoin:
     def test_retire_unwires_every_layer(self):
         runtime = build_runtime()

@@ -5,7 +5,8 @@ recovery code — a file stage-in across a link outage, a corrupt
 stage-in, a corrupt journalled re-stage on resume, a lost or poisoned
 artifact, an exhausted dataflow transfer, a speculation timer with
 nowhere to go — and asserts the typed outcome *and* the run's
-``trace_hash``.  The hashes were first generated at the commit before
+``trace_hash``, pinned as ``recovery:<scenario>`` in ``tests/pins.json``.
+The hashes were first generated at the commit before
 the coordinator's duplicated recovery code was folded into one copy of
 each mechanism, and regenerated once since: when the tracer's own
 ``span_begin`` / ``span_end`` pair left the trace (DESIGN §5 decision
@@ -43,32 +44,6 @@ from repro.trace.events import EventKind
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
-#: trace hashes of every scenario (see the module docstring)
-PINNED = {
-    "stage_outage_retried":
-        "78b3b711a18bf863117710c4cdd5fc82a61b77367664f06fddf7501754beaa5a",
-    "stage_outage_exhausted":
-        "6a48afbab5c15b0d96919b00a683640016aa2de250382015e26daeca02dddc5f",
-    "stage_corrupt_refetched":
-        "e5fcd5b37ab0dfd03474d5d07623976f9f5515f90aeffee4c499995d1c407291",
-    "stage_corrupt_poisoned":
-        "c4b118998ef86bb54abfedf2bb62688a01bf2d32fec4ffe917f7da804cccabc1",
-    "restage_corrupt_refetched":
-        "e32ec9c7e9fd819b1294f56b7fccda83c5ff83c748d3947e27ed86bf204b053d",
-    "restage_corrupt_poisoned":
-        "f37287de267135a10efed097da610f3d84ac6380887c72f0d17359bb7907b107",
-    "artifact_lost_before_delivery":
-        "16f2aaa326102b3df719451d20a812c6db6ae32a394419a0740cf1df66188737",
-    "consumer_of_poisoned_artifact":
-        "ebcc8e01dac5eaa538e3bb10f5e3e79c28b54b36895946886ff039d661dc9fca",
-    "dataflow_transfer_exhausted":
-        "033f95841680c23a4f7d6fb27f1c6ae8b4667a40a5f9a7f976a2b5a7e5b1c51c",
-    "speculation_nowhere_to_bid":
-        "200b7eb5b612c1f5aba96081eabe5a8bd98cd361d02051a6ef5d6b78c3aaed12",
-    "speculation_backup_unfed":
-        "afd33ee3db29151462e99f05789f947993eec196871d81aebbad2e14522f381d",
-}
-
 #: a short data policy so exhaustion takes three attempts, not seven
 _IMPATIENT = RetryPolicy(timeout_s=5.0, max_attempts=3, backoff_base_s=0.25)
 
@@ -96,10 +71,6 @@ def wan(rt):
     return rt.topology.network.wan_link("alpha", "beta")
 
 
-def assert_pinned(name, rt):
-    assert trace_hash(rt.tracer) == PINNED[name]
-
-
 # -- file stage-in across a link outage / corruption -------------------------
 
 def file_afg(file_mb=4.0):
@@ -123,7 +94,7 @@ def start_remote_stage(rt):
 
 
 class TestStageInAcrossALinkOutage:
-    def test_outage_shorter_than_the_backoff_costs_one_retry(self):
+    def test_outage_shorter_than_the_backoff_costs_one_retry(self, pin):
         rt = traced_runtime()
         FailureInjector(rt.sim).schedule_link_outage(
             wan(rt), start=1.0, duration=0.2
@@ -139,9 +110,9 @@ class TestStageInAcrossALinkOutage:
         assert rt.io_service.staged_count == 1
         (stage_in,) = span_events(rt, "stage_in")
         assert stage_in.data["status"] == "ok"
-        assert_pinned("stage_outage_retried", rt)
+        pin("recovery:stage_outage_retried", trace=trace_hash(rt.tracer))
 
-    def test_outage_outlasting_the_data_policy_fails_typed(self):
+    def test_outage_outlasting_the_data_policy_fails_typed(self, pin):
         rt = traced_runtime(data_policy=_IMPATIENT)
         FailureInjector(rt.sim).schedule_link(wan(rt), 1.0, "down")
         with pytest.raises(ExecutionError,
@@ -150,11 +121,11 @@ class TestStageInAcrossALinkOutage:
             rt.sim.run_until_complete(start_remote_stage(rt))
         assert rt.stats.transfer_retries == 2
         assert rt.io_service.staged_count == 0
-        assert_pinned("stage_outage_exhausted", rt)
+        pin("recovery:stage_outage_exhausted", trace=trace_hash(rt.tracer))
 
 
 class TestCorruptStageIn:
-    def test_within_the_refetch_budget(self):
+    def test_within_the_refetch_budget(self, pin):
         rt = traced_runtime(data_integrity=IntegrityPolicy())
         net = rt.topology.network
         net.set_corruption(0.97)
@@ -169,9 +140,9 @@ class TestCorruptStageIn:
         # io_service reported the damage; the ladder only counts the refetch
         assert rt.integrity.corruptions_detected == 1
         assert rt.integrity.refetches == 1
-        assert_pinned("stage_corrupt_refetched", rt)
+        pin("recovery:stage_corrupt_refetched", trace=trace_hash(rt.tracer))
 
-    def test_past_the_refetch_budget_poisons_and_fails_typed(self):
+    def test_past_the_refetch_budget_poisons_and_fails_typed(self, pin):
         rt = traced_runtime(data_integrity=IntegrityPolicy(max_refetches=1))
         rt.topology.network.set_corruption(0.97)
         with pytest.raises(CorruptPayloadError,
@@ -182,7 +153,7 @@ class TestCorruptStageIn:
         assert incident["resolution"] == "poisoned"
         assert rt.integrity.refetches == 1
         assert rt.integrity.corruptions_detected == 2
-        assert_pinned("stage_corrupt_poisoned", rt)
+        pin("recovery:stage_corrupt_poisoned", trace=trace_hash(rt.tracer))
 
 
 # -- resume: the journalled re-stage arrives corrupt -------------------------
@@ -219,7 +190,7 @@ def resume_with_corrupt_wan(policy, disarm_at=None):
 
 
 class TestCorruptRestageOnResume:
-    def test_within_the_refetch_budget(self):
+    def test_within_the_refetch_budget(self, pin):
         rt, afg, proc = resume_with_corrupt_wan(IntegrityPolicy(),
                                                 disarm_at=1.5)
         result = rt.sim.run_until_complete(proc)
@@ -231,9 +202,9 @@ class TestCorruptRestageOnResume:
         assert incident["refetches"] == 1
         assert incident["resolution"] == "refetched"
         assert all(c["clean"] for c in rt.integrity.consumption_log)
-        assert_pinned("restage_corrupt_refetched", rt)
+        pin("recovery:restage_corrupt_refetched", trace=trace_hash(rt.tracer))
 
-    def test_past_the_refetch_budget_fails_the_edge_typed(self):
+    def test_past_the_refetch_budget_fails_the_edge_typed(self, pin):
         rt, _afg, proc = resume_with_corrupt_wan(
             IntegrityPolicy(max_refetches=1)
         )
@@ -246,13 +217,14 @@ class TestCorruptRestageOnResume:
         (poison,) = events_of(rt, EventKind.POISON)
         assert poison.data["reason"] == "restage refetch budget exhausted"
         assert rt.integrity.consumption_log == []
-        assert_pinned("restage_corrupt_poisoned", rt)
+        pin("recovery:restage_corrupt_poisoned", trace=trace_hash(rt.tracer))
 
 
 # -- lost / poisoned artifacts -----------------------------------------------
 
 class TestArtifactLadderEntryPoints:
-    def test_artifact_lost_before_delivery_goes_straight_to_regeneration(self):
+    def test_artifact_lost_before_delivery_goes_straight_to_regeneration(
+            self, pin):
         """The staged copy vanishes between production and the start of
         its delivery: no transfer is attempted on the lost copy, no
         refetch is spent, the producer is regenerated once."""
@@ -283,9 +255,10 @@ class TestArtifactLadderEntryPoints:
         assert rt.integrity.refetches == 0
         assert result.records["t0"].repair_regenerations == 1
         assert len(events_of(rt, EventKind.DATA_TRANSFER)) == 1
-        assert_pinned("artifact_lost_before_delivery", rt)
+        pin("recovery:artifact_lost_before_delivery",
+            trace=trace_hash(rt.tracer))
 
-    def test_consumer_of_an_already_poisoned_artifact_fails_typed(self):
+    def test_consumer_of_an_already_poisoned_artifact_fails_typed(self, pin):
         """t0 fans out to a small and a large edge over a corrupting WAN.
         The small delivery exhausts the ladder first and quarantines
         t0's artifact; the large one comes back from its first refetch
@@ -317,12 +290,13 @@ class TestArtifactLadderEntryPoints:
         by_target = {i["target"]: i for i in rt.integrity.incidents}
         assert by_target["t0->large"]["refetches"] == 1
         assert by_target["t0->large"]["resolution"] == "poisoned"
-        assert_pinned("consumer_of_poisoned_artifact", rt)
+        pin("recovery:consumer_of_poisoned_artifact",
+            trace=trace_hash(rt.tracer))
 
 
 # -- a dataflow transfer that exhausts its attempts --------------------------
 
-def test_dataflow_transfer_exhausting_the_data_policy_fails_the_consumer():
+def test_dataflow_transfer_exhausting_the_data_policy_fails_the_consumer(pin):
     rt = traced_runtime(data_policy=_IMPATIENT)
     afg = chain_afg(n=2, scale=1.0, edge_mb=4.0)
     table = manual_table(afg, {"t0": ("alpha", "a1"), "t1": ("beta", "b1")})
@@ -335,7 +309,7 @@ def test_dataflow_transfer_exhausting_the_data_policy_fails_the_consumer():
     assert rt.stats.transfer_retries == 2
     (stage_out,) = span_events(rt, "stage_out")
     assert stage_out.data["status"] == "failed"
-    assert_pinned("dataflow_transfer_exhausted", rt)
+    pin("recovery:dataflow_transfer_exhausted", trace=trace_hash(rt.tracer))
 
 
 # -- a speculation timer with nowhere to go ----------------------------------
@@ -344,7 +318,7 @@ _SPECULATE = SpeculationPolicy(trigger_multiple=1.5, check_period_s=0.5)
 
 
 class TestSpeculationTimerDeadEnds:
-    def test_no_reachable_site_can_bid(self):
+    def test_no_reachable_site_can_bid(self, pin):
         """alpha's only host is the straggler and beta is cut off: the
         walk skips the unreachable site, gets no bid and leaves the
         primary to finish on its own."""
@@ -362,9 +336,9 @@ class TestSpeculationTimerDeadEnds:
         assert result.records["t0"].measured_time > 1.5
         assert rt.stats.speculative_launches == 0
         assert events_of(rt, EventKind.SPECULATE) == []
-        assert_pinned("speculation_nowhere_to_bid", rt)
+        pin("recovery:speculation_nowhere_to_bid", trace=trace_hash(rt.tracer))
 
-    def test_backup_that_cannot_be_fed_is_never_launched(self):
+    def test_backup_that_cannot_be_fed_is_never_launched(self, pin):
         """beta bids for t1's backup, but the WAN dies while the backup's
         input is in flight and outlasts the data policy: speculation is
         abandoned, the retries are billed to the task, the primary
@@ -390,4 +364,4 @@ class TestSpeculationTimerDeadEnds:
         assert [e.data["attempt"] for e in feeds] == [1, 2, 3]
         assert rt.stats.speculative_launches == 0
         assert span_events(rt, "speculate_backup", EventKind.SPAN_OPEN) == []
-        assert_pinned("speculation_backup_unfed", rt)
+        pin("recovery:speculation_backup_unfed", trace=trace_hash(rt.tracer))

@@ -1,28 +1,21 @@
-"""The campaign gate: committed hashes hold, and the monolith stays gone.
+"""The campaign gate: pinned hashes hold, and the monolith stays gone.
 
-``campaign_hashes.json``'s traces and metrics snapshots were last
-regenerated at the commit that made the Monitor daemons elide a report
-the Group Manager would suppress anyway (DESIGN §13.9): every trace is
-its predecessor under ``repro.metrics.analysis.elide_repeated_reports``
-with ``seq`` renumbered, every metrics snapshot its predecessor with
-those reports' repeated points gone from the two monitor series.  Its
-``campaign`` column was last regenerated when the ``ChaosConfig``
-fields no caller set became module constants and the report began to
-serialise ``asdict(config)`` whole (no per-family omission rule): each
-entry is the previous report with only its ``config`` replaced, and
-the trace and metrics columns did not move.  Every trace, metrics and
-campaign hash in it must reproduce byte for byte — the six presets at
-seeds 0–2, the ``causal_spans`` variants CI runs with ``--spans``, and
-the configuration ``bench``'s ``chaos_2x64`` warms up on.  Any change
-that moves one of them changed campaign behaviour (fault plan, event
-order or report shape), not just its code.
+Every trace, metrics and campaign hash of the campaigns below is an
+entry of ``tests/pins.json`` (``campaign:<family>:<seed>``) and must
+reproduce byte for byte — the six presets at seeds 0–2, the
+``causal_spans`` variants CI runs with ``--spans``, and the
+configuration ``bench``'s ``chaos_2x64`` warms up on.  Any change that
+moves one of them changed campaign behaviour (fault plan, event order or
+report shape), not just its code.  The traces and metrics snapshots were
+last regenerated when the Monitor daemons began to elide a report the
+Group Manager would suppress anyway (DESIGN §13.9), the ``campaign``
+column when the report began to serialise ``asdict(config)`` whole.
 
 The size half keeps the audit reviewable: ``run_campaign`` is a
 driver, every invariant is one short checker in :data:`INVARIANTS`.
 """
 
 import ast
-import json
 from dataclasses import replace
 from pathlib import Path
 
@@ -39,10 +32,6 @@ from repro.sim.chaos import (
     storm_config,
 )
 from repro.sim.invariants import INVARIANTS
-
-PINNED = json.loads(
-    (Path(__file__).parent / "campaign_hashes.json").read_text()
-)
 
 PRESETS = {
     "smoke": smoke_config,
@@ -64,27 +53,32 @@ def pinned_config(family: str, seed: int):
     return replace(PRESETS[preset](seed), causal_spans=bool(spans))
 
 
-@pytest.mark.parametrize("family,seed", [
-    (family, seed) for family in sorted(PINNED) for seed in sorted(PINNED[family])
-])
-def test_campaign_hashes_match_the_pinned_file(family, seed):
-    report = run_campaign(pinned_config(family, int(seed)))
+#: (family, seed) of every pinned campaign
+CAMPAIGNS = [
+    *((family, seed) for family in (*PRESETS, "slowdown+spans")
+      for seed in range(3)),
+    ("smoke+spans", 0), ("corruption+spans", 0), ("churn+spans", 0),
+    ("bench", 0),
+]
+
+
+@pytest.mark.parametrize("family,seed", CAMPAIGNS)
+def test_campaign_hashes_match_the_pinned_file(family, seed, pin):
+    report = run_campaign(pinned_config(family, seed))
     assert report.ok, report.violations
-    assert {
-        "trace": report.trace_hash,
-        "metrics": report.metrics_hash,
-        "campaign": report.campaign_hash(),
-    } == PINNED[family][seed]
+    pin(f"campaign:{family}:{seed}", trace=report.trace_hash,
+        metrics=report.metrics_hash, campaign=report.campaign_hash())
 
 
 def test_the_pinned_file_covers_what_ci_runs():
-    assert set(PINNED) == set(PRESETS) | {
+    families = {family for family, _seed in CAMPAIGNS}
+    assert families == set(PRESETS) | {
         "smoke+spans", "corruption+spans", "churn+spans", "slowdown+spans",
         "bench",
     }
     # slowdown is the only preset that opens speculate_backup spans
     for family in (*PRESETS, "slowdown+spans"):
-        assert sorted(PINNED[family]) == ["0", "1", "2"]
+        assert sorted(s for f, s in CAMPAIGNS if f == family) == [0, 1, 2]
 
 
 # -- size gate ---------------------------------------------------------------

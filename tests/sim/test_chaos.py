@@ -90,31 +90,32 @@ def test_config_validation():
 
 # -- the preset table -----------------------------------------------------------
 
-#: sha256 (16 hex digits) of ``canonical_json(asdict(config))`` at seed 5,
-#: taken from the six hand-spelled builders the table replaced, and
-#: re-taken when the fields no caller set became module constants: each
-#: is the old preset's ``asdict`` with those keys dropped
-PRESET_DIGESTS = {
-    "smoke": ("smoke_config", "89b307e3b677866b"),
-    "slowdown-smoke": ("slowdown_smoke_config", "8d9837f266b25dd3"),
-    "storm": ("storm_config", "c0cc293bc20569c0"),
-    "corruption": ("corruption_smoke_config", "69cda119989afae4"),
-    "churn": ("churn_smoke_config", "8e368381319520cf"),
-    "calm": ("calm_config", "53f3e660243696f8"),
+#: preset -> the hand-spelled builder the table replaced, in the CLI's
+#: flag order.  ``preset:<name>`` in ``tests/pins.json`` is sha256 (16
+#: hex digits) of ``canonical_json(asdict(config))`` at seed 5, taken
+#: from those builders and re-taken when the fields no caller set became
+#: module constants: each is the old preset's ``asdict`` with those keys
+#: dropped
+PRESET_BUILDERS = {
+    "smoke": "smoke_config",
+    "slowdown-smoke": "slowdown_smoke_config",
+    "storm": "storm_config",
+    "corruption": "corruption_smoke_config",
+    "churn": "churn_smoke_config",
+    "calm": "calm_config",
 }
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_DIGESTS))
-def test_a_preset_is_the_configuration_its_builder_spelled_out(name):
-    builder, digest = PRESET_DIGESTS[name]
+@pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+def test_a_preset_is_the_configuration_its_builder_spelled_out(name, pin):
     config = chaos.preset(name, seed=5)
-    assert config == getattr(chaos, builder)(seed=5)
+    assert config == getattr(chaos, PRESET_BUILDERS[name])(seed=5)
     encoded = canonical_json(dataclasses.asdict(config)).encode("utf-8")
-    assert hashlib.sha256(encoded).hexdigest()[:16] == digest
+    pin(f"preset:{name}", digest=hashlib.sha256(encoded).hexdigest()[:16])
 
 
 def test_the_preset_table_holds_only_what_differs_from_the_defaults():
-    assert list(chaos.PRESETS) == list(PRESET_DIGESTS)  # the CLI's flag order
+    assert list(chaos.PRESETS) == list(PRESET_BUILDERS)
     defaults = ChaosConfig()
     for name, fields in chaos.PRESETS.items():
         assert fields["doc"]
