@@ -120,6 +120,15 @@ def cmd_libraries(args) -> int:
     return 0
 
 
+def _below_minimum(args, minimums) -> bool:
+    """Print ``error: --FLAG must be >= N`` for the first set flag below N."""
+    for flag, least in minimums.items():
+        if getattr(args, flag) is not None and getattr(args, flag) < least:
+            print(f"error: --{flag} must be >= {least}")
+            return True
+    return False
+
+
 def cmd_run(args) -> int:
     from repro import VDCE
     from repro.metrics import summarize_result
@@ -127,6 +136,9 @@ def cmd_run(args) -> int:
     from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace import NULL_TRACER, Tracer
 
+    if _below_minimum(args, {"sites": 1, "hosts": 1, "k": 0, "seed": 0,
+                             "repeat": 1}):
+        return 1
     tracer = Tracer() if args.trace else NULL_TRACER
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
     # a trace records the causal spans too: the phase table reads them
@@ -137,9 +149,6 @@ def cmd_run(args) -> int:
     if args.monitoring:
         env.start_monitoring()
     afg, payloads = _build_app(args.application, args.scale, args.seed)
-    if args.repeat < 1:
-        print("error: --repeat must be >= 1")
-        return 1
     admission_knobs = (
         args.max_queued is not None or args.deadline is not None
         or args.ttl is not None or args.repeat > 1
@@ -765,6 +774,8 @@ def cmd_chaos(args) -> int:
 
     from repro.sim import chaos
 
+    if _below_minimum(args, {"seed": 0, "sites": 1, "hosts": 1, "apps": 1}):
+        return 1
     shape = {
         flag: value for flag in _CHAOS_SHAPE
         if (value := getattr(args, flag.replace("-", "_"))) is not None

@@ -15,6 +15,7 @@ message passing and builds the view of what answered
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Callable, Dict, Iterable, List, Mapping, Optional
 
 #: (site_a, site_b, size_mb) -> seconds
@@ -30,7 +31,7 @@ from repro.scheduler.host_selection import (
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.topology import Topology
 
-__all__ = ["FederationView"]
+__all__ = ["FederationView", "TransferRow"]
 
 
 @dataclass
@@ -40,7 +41,8 @@ class FederationView:
     ``neighbor_order`` lists remote sites from nearest to farthest (the
     paper's "k nearest VDCE neighbor sites" are its first k entries).
     ``site_transfer_time(site_a, site_b, size_mb)`` estimates inter-site
-    transfer times from the repository's network attributes.
+    transfer times from the repository's network attributes (per pair,
+    as ``size_mb -> seconds``: ``site_transfer_estimator``, if given).
     """
 
     local_site: str
@@ -50,6 +52,7 @@ class FederationView:
     #: remote sites known by the bid they returned (Fig. 2 step 5)
     #: instead of a repository
     bids: Dict[str, SiteBid] = field(default_factory=dict)
+    site_transfer_estimator: Optional[Callable[[str, str], Callable[[float], float]]] = None
 
     def __post_init__(self) -> None:
         if self.local_site not in self.repositories:
@@ -82,6 +85,7 @@ class FederationView:
             repositories=dict(repositories),
             neighbor_order=topology.neighbor_sites(local_site),
             site_transfer_time=topology.network.site_transfer_time_estimate,
+            site_transfer_estimator=topology.network.site_transfer_estimator,
         )
 
     # -- queries --------------------------------------------------------------
@@ -122,6 +126,7 @@ class FederationView:
             neighbor_order=[s for s in self.neighbor_order if s in responsive],
             site_transfer_time=self.site_transfer_time,
             bids=self.bids,
+            site_transfer_estimator=self.site_transfer_estimator,
         )
 
     def answered(self, replies: Iterable[SiteBid]) -> "FederationView":
@@ -139,6 +144,7 @@ class FederationView:
             neighbor_order=[s for s in self.neighbor_order if s in bids],
             site_transfer_time=self.site_transfer_time,
             bids=bids,
+            site_transfer_estimator=self.site_transfer_estimator,
         )
 
     def remote_sites(self, k: Optional[int] = None) -> List[str]:
@@ -158,3 +164,21 @@ class FederationView:
             if repo.resources.has_host(host_name):
                 return site
         raise KeyError(f"host {host_name!r} not found in any repository")
+
+
+class TransferRow(dict):
+    """source site -> ``size_mb -> seconds`` into ``site``, each answer
+    of ``view.site_transfer_time`` resolved for its pair on first use:
+    a round keeps one row per bidder, one look-up per (source, bidder)."""
+
+    def __init__(self, view: FederationView, site: str):
+        super().__init__()
+        self._view, self._site = view, site
+
+    def __missing__(self, source: str) -> Callable[[float], float]:
+        view, site = self._view, self._site
+        estimate = self[source] = (
+            partial(view.site_transfer_time, source, site)
+            if view.site_transfer_estimator is None
+            else view.site_transfer_estimator(source, site))
+        return estimate

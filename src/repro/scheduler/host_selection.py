@@ -75,10 +75,9 @@ __all__ = [
     "bid_for_task",
     "bid_sheet",
     "candidate_hosts",
-    "predict_rows",
     "select_hosts",
-    "sheet_bid",
     "site_bid",
+    "task_bid",
 ]
 
 
@@ -141,6 +140,11 @@ def candidate_hosts(task: TaskNode, repo: SiteRepository) -> List[HostRecord]:
     return records
 
 
+#: a task's in-round load: (host -> placement count, host -> placed
+#: mask, mask of the placed tasks ordered with the task)
+Load = Tuple[Mapping[str, int], Mapping[str, int], int]
+
+
 class CommitmentLedger:
     """In-round commitment accounting on bit masks.
 
@@ -177,29 +181,12 @@ class CommitmentLedger:
             total[host] = total.get(host, 0) + 1
             on[host] = on.get(host, 0) | bit
 
-    def unordered(self, task_id: str) -> bool:
-        """Whether nothing placed so far is ordered with ``task_id``:
-        its :meth:`extra_load` is then the ledger's own totals, which
-        change on a host only when a placement commits to it."""
-        return not self._reach[task_id] & self._placed
-
-    def extra_load(self, task_id: str) -> Mapping[str, int]:
-        """host -> in-round commitments on it that can run concurrently
-        with ``task_id``; a host not in the mapping has none.
-
-        Read-only and valid until the next :meth:`commit`: when nothing
-        placed so far is ordered with the task (a bag, an entry wave)
-        it is the ledger's own totals, otherwise the totals with each
-        host's related placements counted off.
-        """
-        reach = self._reach[task_id]
-        if not reach & self._placed:
-            return self._total
-        on = self._on
-        return {
-            host: count - (reach & on[host]).bit_count()
-            for host, count in self._total.items()
-        }
+    def load(self, task_id: str) -> Load:
+        """What :func:`task_bid` reads in place, valid until the next
+        :meth:`commit`: ``related``, the placed tasks ordered with
+        ``task_id``, is 0 for a bag or an entry wave, whose load is then
+        the totals — which move on a host only when a commit lands."""
+        return self._total, self._on, self._reach[task_id] & self._placed
 
 
 #: what a (site, task type) pair resolves to for a whole round: the
@@ -270,106 +257,116 @@ def site_bid(
     )
 
 
-def predict_rows(
-    rows: List[tuple],
-    span_work: float,
-    required_mb: int,
-    memory_penalty: float,
-    extra_load: Mapping[str, float],
-    n_nodes: int = 1,
-    factors: Optional[Mapping[str, float]] = None,
-) -> Tuple[float, Tuple[str, ...]]:
-    """The row kernel: ``(predicted time, host group)`` minimising
-    ``Predict`` over ``rows`` (at least ``n_nodes`` of them).
+#: a bidding site: name, ``host -> (arch, os)``, bid sheet, bid memo
+#: (``None``: none) and transfer row (``federation.TransferRow``)
+Bidder = Tuple[str, ArchOsOf, BidSheet, Optional[dict],
+               Optional[Mapping[str, Callable[[float], float]]]]
 
-    Predict is separable (see :mod:`repro.scheduler.prediction`): the
-    task half arrives as ``span_work`` / ``required_mb``, the host half
-    is the repository's cached rows, and the loop body is
-    ``PredictionModel.predict``'s float operations in ``predict``'s
-    order, the health factor multiplied last
-    (``tests/scheduler/test_predict_kernel.py`` holds the two to
-    ``==``).
-    """
-    extra_on = extra_load.get
-    # one host wanted (the hot case): keep the running minimum, not a
-    # list of pairs.  Rows are name-ordered and names unique, so the
-    # first strict minimum is min() over (time, name) tuples.
-    single = n_nodes == 1
-    best_time = best_name = None
-    pairs = []
-    for name, one_plus_load, speed, available_mb, calibration, noise in rows:
-        # an int count promotes exactly when added to the float load
-        extra = extra_on(name, 0)
-        if extra < 0:
-            raise ValueError("extra_load must be non-negative")
-        t = span_work * (one_plus_load + extra) / speed
-        if required_mb > available_mb:
-            t *= memory_penalty
-        t *= calibration
-        t *= noise
-        if factors:
-            t *= factors[name]
-        if not single:
-            pairs.append((t, name))
-        elif best_name is None or t < best_time:
-            best_time, best_name = t, name
-    if single:
-        return best_time, (best_name,)
-    chosen = sorted(pairs)[:n_nodes]
-    # parallel slices run concurrently; the group finishes with its
-    # slowest member (the largest selected prediction)
-    return chosen[-1][0], tuple(name for _, name in chosen)
+#: :meth:`CommitmentLedger.load` of a round that adds no in-round load
+NO_LOAD: Load = ({}, {}, 0)
 
 
-def sheet_bid(
+def task_bid(
     task: TaskNode,
-    arch_os: ArchOsOf,
-    sheet: BidSheet,
+    bidders: Iterable[Bidder],
     model: PredictionModel,
-    extra_load: Mapping[str, float],
+    load: Load = NO_LOAD,
     health_of=None,
-) -> Optional[Tuple[float, Tuple[str, ...]]]:
-    """Figure 3 step 4 for one task on one site's sheet: the kernel's
-    ``(predicted time, host group)``, or ``None`` when too few hosts
-    are left after the task's preferences and ``health_of``.
+    key=None,
+    inputs: Iterable[Tuple[str, float]] = (),
+) -> Optional[Tuple[str, Tuple[str, ...], float]]:
+    """Figure 3 step 4 at every bidder and Figure 2 step 7's site
+    choice in one pass: the winning ``(site, host group, predicted
+    time)``, or ``None`` when every bidder declines.
 
-    ``arch_os`` answers for the hosts of the sheet (the site's
-    resource DB, or the attributes its :class:`SiteBid` carried); a
-    sheet's rows are the site's up hosts with the executable, so the
-    preferences select among them exactly as :func:`candidate_hosts`
-    selects among the records.
+    Per bidder: preferences select sheet rows, ``health_of`` is asked
+    per selected row in name order (``None`` = quarantined), too few
+    rows is a decline.  The row loop is ``PredictionModel.predict``'s
+    float operations in its order, the health factor last; one node is
+    the first strict minimum, n nodes the n smallest ``(time, name)``
+    pairs.  Task terms are computed once per distinct record; a host's
+    in-round load is its :meth:`CommitmentLedger.load` count less the
+    placements ordered with the task.  With a ``key`` a bidder's memo
+    answers and keeps its bid.  Timetotal adds each ``(source site,
+    MB)`` input's transfer from ``0.0`` in order; sites tie by name.
     """
-    perf, rows = sheet
     props = task.properties
-    # preferences select rows, never touch the shared list
-    if props.preferred_machine is not None:
-        rows = [row for row in rows if row[0] == props.preferred_machine]
-    if props.preferred_machine_type is not None:
-        rows = [
-            row for row in rows
-            if _attrs_match(arch_os(row[0]), props.preferred_machine_type)
-        ]
-    factors: Optional[Dict[str, float]] = None
-    if health_of is not None:
-        factors = {}
-        for row in rows:
-            factor = health_of(row[0])
-            if factor is not None:  # None = quarantined, excluded
-                factors[row[0]] = factor
-        if len(factors) != len(rows):
-            rows = [row for row in rows if row[0] in factors]
-    # sequential tasks have n_nodes == 1 (TaskProperties checks it)
-    n_nodes = props.n_nodes
-    if len(rows) < n_nodes:
-        return None
-    span_work, required_mb = model.task_terms(
-        perf, props.workload_scale, n_nodes,
-        props.memory_mb if props.memory_mb > 0 else None,
-    )
-    return predict_rows(
-        rows, span_work, required_mb, model.memory_penalty, extra_load,
-        n_nodes, factors,
-    )
+    n_nodes = props.n_nodes  # sequential tasks have 1 (TaskProperties)
+    single = n_nodes == 1
+    machine, machine_type = props.preferred_machine, props.preferred_machine_type
+    totals, on, related = load
+    total_of = totals.get
+    penalty = model.memory_penalty
+    terms: Dict[int, Tuple[float, int]] = {}
+    best = best_site = best_total = last = None
+    for site, arch_os, (perf, rows), memo, to_site in bidders:
+        if key is not None and key in memo:
+            bid = memo[key]
+        else:
+            bid = None
+            if machine is not None:
+                rows = [row for row in rows if row[0] == machine]
+            if machine_type is not None:
+                rows = [row for row in rows
+                        if _attrs_match(arch_os(row[0]), machine_type)]
+            factors: Optional[Dict[str, float]] = None
+            if health_of is not None:
+                factors = {}
+                for row in rows:
+                    factor = health_of(row[0])
+                    if factor is not None:
+                        factors[row[0]] = factor
+                if len(factors) != len(rows):
+                    rows = [row for row in rows if row[0] in factors]
+            if len(rows) >= n_nodes:
+                if perf is not last:  # bidders mostly share one record
+                    last = perf
+                    half = terms.get(id(perf))
+                    if half is None:
+                        half = terms[id(perf)] = model.task_terms(
+                            perf, props.workload_scale, n_nodes,
+                            props.memory_mb if props.memory_mb > 0 else None)
+                    span_work, required_mb = half
+                best_time = best_name = None
+                pairs = []
+                for name, one_plus_load, speed, available_mb, calibration, \
+                        noise in rows:
+                    # an int count promotes exactly when added to the load
+                    extra = total_of(name, 0)
+                    if related and extra:
+                        extra -= (related & on[name]).bit_count()
+                    t = span_work * (one_plus_load + extra) / speed
+                    if required_mb > available_mb:
+                        t *= penalty
+                    t = t * calibration * noise
+                    if factors:
+                        t *= factors[name]
+                    if not single:
+                        pairs.append((t, name))
+                    elif best_name is None or t < best_time:
+                        best_time, best_name = t, name
+                if single:
+                    bid = (best_time, (best_name,))
+                else:
+                    # parallel slices run concurrently; the group
+                    # finishes with its slowest member
+                    chosen = sorted(pairs)[:n_nodes]
+                    bid = (chosen[-1][0], tuple(name for _, name in chosen))
+            if key is not None:
+                memo[key] = bid
+        if bid is None:
+            continue
+        total = bid[0]
+        if inputs:
+            transfer = 0.0
+            for source, size_mb in inputs:
+                transfer += to_site[source](size_mb)
+            total = transfer + total
+        if best is None or total < best_total or (
+            total == best_total and site < best_site
+        ):
+            best, best_site, best_total = bid, site, total
+    return None if best is None else (best_site, best[1], best[0])
 
 
 def bid_for_task(
@@ -385,9 +382,8 @@ def bid_for_task(
     caller-supplied in-round load ``extra_load.get(host_name, 0)``
     added) and returns the minimising host group, or ``None`` when the
     site cannot run the task (no feasible hosts, task unknown to its
-    DBs).  A round resolves one :func:`bid_sheet` per task type and
-    calls :func:`sheet_bid` per task; this is the same bid on a sheet
-    built for the one call.
+    DBs).  It is :func:`task_bid` with one bidder, on a sheet built for
+    the one call.
 
     ``health_of`` (optional, from :class:`~repro.runtime.straggler.
     HostHealth`) maps a host name to a multiplicative prediction
@@ -396,15 +392,17 @@ def bid_for_task(
     resolved once per round: ``factor_of`` releases an expired
     quarantine as a side effect.
     """
+    if any(extra < 0 for extra in extra_load.values()):
+        raise ValueError("extra_load must be non-negative")
     sheet = bid_sheet(repo, task.task_type, model)
     if sheet is None:
         return None
-    bid = sheet_bid(
-        task, repo.resources.arch_os, sheet, model, extra_load, health_of
+    site = repo.site_name
+    bid = task_bid(
+        task, ((site, repo.resources.arch_os, sheet, None, None),), model,
+        (extra_load, {}, 0), health_of,
     )
-    if bid is None:
-        return None
-    return HostSelectionResult(task.id, repo.site_name, bid[1], bid[0])
+    return None if bid is None else HostSelectionResult(task.id, *bid)
 
 
 def select_hosts(
@@ -455,21 +453,24 @@ def select_hosts(
 
     #: in-round commitments: which hosts each placed task went to
     ledger = CommitmentLedger(afg.structure())
-    #: steps 1-2, once per task type: its sheet, None = site declines
-    sheets: Dict[str, Optional[BidSheet]] = {}
+    #: steps 1-2, once per task type: this site as the one bidder, or
+    #: no bidder when it declines
+    bidders: Dict[str, Tuple[Bidder, ...]] = {}
     site = repo.site_name
     arch_os = repo.resources.arch_os
 
     for task_id in queue:
         task = afg.task(task_id)
         task_type = task.task_type
-        if task_type not in sheets:
-            sheets[task_type] = bid_sheet(repo, task_type, model)
-        sheet = sheets[task_type]
+        if task_type not in bidders:
+            sheet = bid_sheet(repo, task_type, model)
+            bidders[task_type] = (
+                () if sheet is None else ((site, arch_os, sheet, None, None),)
+            )
         # Step 4: Predict(task, Rj) for every feasible Rj, with the
         # in-round load of concurrent commitments added.
-        bid = None if sheet is None else sheet_bid(
-            task, arch_os, sheet, model, ledger.extra_load(task_id), health_of
+        bid = task_bid(
+            task, bidders[task_type], model, ledger.load(task_id), health_of
         )
         if bid is None:
             if metrics.enabled:
@@ -478,7 +479,7 @@ def select_hosts(
                     "tasks a site could not bid on (no feasible host)",
                 ).inc(site=site)
             continue  # site cannot run this task; no bid
-        predicted_time, hosts = bid
+        _site, hosts, predicted_time = bid
         if tracer.enabled:
             tracer.emit(
                 EventKind.HOST_BID, source=f"hostsel:{site}",

@@ -40,15 +40,22 @@ from __future__ import annotations
 
 import heapq
 from collections import deque
+from math import copysign
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
+from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.afg.validate import validate_afg
+from repro.repository.taskperf import TaskPerfRecord
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
-from repro.scheduler.federation import FederationView
-from repro.scheduler.host_selection import ArchOsOf, CommitmentLedger, sheet_bid
+from repro.scheduler.federation import FederationView, TransferRow
+from repro.scheduler.host_selection import (
+    NO_LOAD,
+    Bidder,
+    CommitmentLedger,
+    task_bid,
+)
 from repro.scheduler.prediction import PredictionModel
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -128,20 +135,34 @@ class SiteScheduler:
         validate_afg(afg)
 
         # Step 2: select the k nearest neighbour sites.  The call is
-        # synchronous, so each site's host attributes are resolved once
-        # here, like the AFG's structure below (DESIGN §13.8) and, per
-        # task type, the (site, arch/os, bid sheet, bid memo) of every
-        # site knowing it
-        sites: List[Tuple[str, ArchOsOf]] = [
-            (site, view.arch_os_of(site))
+        # synchronous, so, like the AFG's structure (DESIGN §13.8), each
+        # task type's bidders — every participating site knowing it,
+        # local first — are resolved once here, each with its site's bid
+        # memo (DESIGN §13.10) and transfer row (§13.12); equal records
+        # become one object, so task terms are computed once per record.
+        model = self.model
+        sites = {
+            site: (view.arch_os_of(site), {}, TransferRow(view, site))
             for site in view.participating_sites(self.k)
-        ]
-        sheets: Dict[str, List[tuple]] = {}
-        #: per site, its bids this round keyed by what sheet_bid reads of
-        #: a task, for tasks whose in-round load is the ledger's totals;
-        #: emptied when the ledger commits a placement to the site
-        #: (DESIGN §13.10)
-        memos: Dict[str, dict] = {site: {} for site, _ in sites}
+        }
+        records: Dict[tuple, TaskPerfRecord] = {}
+        sheets: Dict[str, List[Bidder]] = {}
+        for node in afg:
+            task_type = node.task_type
+            if task_type in sheets:
+                continue
+            bidders = sheets[task_type] = []
+            for site, (arch_os, memo, to_site) in sites.items():
+                sheet = view.bid_sheet(site, task_type, model)
+                if sheet is not None:
+                    perf, rows = sheet  # one object per equal record,
+                    perf = records.setdefault(  # signed: 0.0 == -0.0
+                        (perf, copysign(1.0, perf.computation_size)), perf)
+                    bidders.append((site, arch_os, (perf, rows), memo, to_site))
+            if not bidders:
+                raise SchedulingError(
+                    f"no participating site knows task type {task_type!r}"
+                )
         structure = afg.structure()
 
         # Steps 3-5 (the AFG multicast and bid replies) are the *wire*
@@ -158,12 +179,12 @@ class SiteScheduler:
         # over hosts *and* sites instead of collapsing onto the single
         # fastest machine.
         # Priorities: levels from base computation costs, computed once
-        # "before the execution of the scheduling algorithm" (§3).
-        local_perf = view.local_repository().task_perf
-
+        # "before the execution of the scheduling algorithm" (§3), from
+        # the first bidder's record: the local one when it knows the type.
         def cost(task_id: str) -> float:
             node = afg.task(task_id)
-            return local_perf.base_cost(node.task_type, node.properties.workload_scale)
+            perf = sheets[node.task_type][0][2][0]
+            return perf.computation_size * node.properties.workload_scale
 
         levels = compute_levels(afg, cost)
         #: federation-wide in-round commitments; None under the E13
@@ -201,8 +222,7 @@ class SiteScheduler:
             else:
                 task_id = ready.popleft()
             assignment = self._place_task(
-                afg, structure, task_id, sites, sheets, memos, view,
-                site_by_task, health_of, ledger,
+                afg, task_id, sheets, view, site_by_task, health_of, ledger,
             )
             if tracer.enabled:
                 tracer.emit(
@@ -215,7 +235,7 @@ class SiteScheduler:
             table.assign(assignment)
             if ledger is not None:
                 ledger.commit(task_id, assignment.hosts)
-                memos[assignment.site].clear()  # its hosts' totals moved
+                sites[assignment.site][1].clear()  # its memo: totals moved
             site_by_task[task_id] = assignment.site
             placement_order.append(task_id)
             for child in children[task_id]:
@@ -234,35 +254,24 @@ class SiteScheduler:
     def _place_task(
         self,
         afg: ApplicationFlowGraph,
-        structure: StructureSnapshot,
         task_id: str,
-        sites: List[Tuple[str, ArchOsOf]],
-        sheets: Dict[str, List[tuple]],
-        memos: Dict[str, dict],
+        sheets: Dict[str, List[Bidder]],
         view: FederationView,
         site_by_task: Dict[str, str],
         health_of=None,
         ledger: Optional[CommitmentLedger] = None,
     ) -> TaskAssignment:
         task = afg.task(task_id)
-        model, task_type = self.model, task.task_type
-        bidders = sheets.get(task_type)
-        if bidders is None:  # first task of its type this round
-            built = [
-                (s, a, view.bid_sheet(s, task_type, model), memos[s])
-                for s, a in sites
-            ]
-            bidders = sheets[task_type] = [b for b in built if b[2] is not None]
-        extra_load = ledger.extra_load(task_id) if ledger is not None else {}
+        load = NO_LOAD if ledger is None else ledger.load(task_id)
         # A site's bid reads the task's fields keyed here, the sheet and
         # the in-round load on the site's hosts.  While that load is the
         # ledger's totals, it moves only when a placement commits to the
         # site, so the site's memo answers an identical task; a health
         # hook is asked per bid (factor_of releases quarantines)
         key = None
-        if health_of is None and (ledger is None or ledger.unordered(task_id)):
+        if health_of is None and not load[2]:
             props = task.properties
-            key = (task_type, props.workload_scale, props.memory_mb,
+            key = (task.task_type, props.workload_scale, props.memory_mb,
                    props.n_nodes, props.preferred_machine,
                    props.preferred_machine_type)
 
@@ -272,47 +281,28 @@ class SiteScheduler:
         # and its Timetotal is Predict alone.
         inputs: List[Tuple[str, float]] = []
         if afg.requires_input_transfer(task_id):
-            inputs = [
-                (site_by_task[parent], afg.edge_size_between(parent, task_id))
-                for parent in structure.parents[task_id]
-            ]
+            # afg.edge_size_between per parent, summed in one pass
+            size_of: Dict[str, float] = {}
+            for edge in afg.in_edges(task_id):
+                size_of[edge.src] = size_of.get(edge.src, 0) + edge.size_mb
+            inputs = [(site_by_task[p], mb) for p, mb in size_of.items()]
             # explicit file inputs are staged from the submitting site
             file_mb = task.properties.total_input_size_mb()
             if file_mb > 0:
                 inputs.append((view.local_site, file_mb))
-        site_transfer_time = view.site_transfer_time
 
-        # running minimum over (Timetotal, site): sites are distinct, so
-        # this is min() over those pairs whatever order the sites come in
-        best = best_site = best_total = None
-        for site, arch_os, sheet, memo in bidders:
-            if key is not None and key in memo:
-                bid = memo[key]
-            else:
-                bid = sheet_bid(
-                    task, arch_os, sheet, model, extra_load, health_of)
-                if key is not None:
-                    memo[key] = bid
-            if bid is None:
-                continue
-            # per site the transfer times are added in parent order (the
-            # float sum is order-sensitive)
-            transfer = 0.0
-            for source_site, size_mb in inputs:
-                transfer += site_transfer_time(source_site, site, size_mb)
-            total = transfer + bid[0]
-            if best is None or total < best_total or (
-                total == best_total and site < best_site
-            ):
-                best, best_site, best_total = bid, site, total
-        if best is None:
+        bid = task_bid(
+            task, sheets[task.task_type], self.model, load, health_of, key,
+            inputs,
+        )
+        if bid is None:
             raise SchedulingError(
-                f"no site can run task {task_id!r} ({task_type})"
+                f"no site can run task {task_id!r} ({task.task_type})"
             )
-        predicted_time, hosts = best
+        site, hosts, predicted_time = bid
         return TaskAssignment(
             task_id=task_id,
-            site=best_site,
+            site=site,
             hosts=hosts,
             predicted_time=predicted_time,
         )

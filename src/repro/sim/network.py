@@ -470,6 +470,10 @@ class Network:
 
     def site_transfer_time_estimate(self, site_a: str, site_b: str, size_mb: float) -> float:
         """Site-granularity estimate used by the site scheduler (Fig. 2)."""
+        return self.site_transfer_estimator(site_a, site_b)(size_mb)
+
+    def site_transfer_estimator(self, site_a: str, site_b: str) -> Callable[[float], float]:
+        """:meth:`site_transfer_time_estimate` of one site pair, ``size_mb -> seconds``."""
         estimate = self._site_estimates.get((site_a, site_b))
         if estimate is None:
             # the first call for a pair goes through the link look-up,
@@ -478,7 +482,7 @@ class Network:
                     else self.wan_link(site_a, site_b))
             estimate = self._site_estimates[site_a, site_b] = (
                 link.spec.transfer_time)
-        return estimate(size_mb)
+        return estimate
 
     def transfer(self, src_host: str, dst_host: str, size_mb: float,
                  label: str = "xfer") -> Transfer:

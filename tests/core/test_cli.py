@@ -79,6 +79,22 @@ class TestCLI:
             "error: --repeat must be >= 1"
         )
 
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "random-dag", "--k", "-1"], "--k must be >= 0"),
+        (["run", "random-dag", "--sites", "0"], "--sites must be >= 1"),
+        (["run", "random-dag", "--hosts", "0"], "--hosts must be >= 1"),
+        (["run", "random-dag", "--seed", "-3"], "--seed must be >= 0"),
+        (["chaos", "--smoke", "--seed", "-1"], "--seed must be >= 0"),
+        (["chaos", "--sites", "0"], "--sites must be >= 1"),
+        (["chaos", "--apps", "0"], "--apps must be >= 1"),
+    ])
+    def test_numbers_below_their_minimum_are_errors(self, capsys, argv,
+                                                    message):
+        # these used to end in a ValueError traceback from whatever
+        # first consumed the number (scheduler, deployment, SeedSequence)
+        assert main(argv) == 1
+        assert capsys.readouterr().out.strip() == f"error: {message}"
+
     def test_monitor_prints_sparklines_and_stats(self, capsys):
         assert main(["monitor", "--duration", "20", "--hosts", "2"]) == 0
         out = capsys.readouterr().out

@@ -23,7 +23,13 @@ sets, or builds a closure per task fails here and not in a bench run:
   size grows with depth squared;
 * scaling: the cost of placing a task does not depend on how many tasks
   the application has (a ratio of two timings taken in one process);
-* closures: the per-task functions define no nested function.
+* closures: the per-task functions define no nested function;
+* a task's bid is one pass over its bidders (DESIGN §13.12): one
+  ``task_bid`` call per placed task, ``task_terms`` once per distinct
+  task-performance record among its bidders (not once per site), one
+  transfer-estimator look-up per (source site, bidder) pair per round,
+  and no host -> load mapping built per task — the kernel reads the
+  ledger's own totals.
 """
 
 import statistics
@@ -35,13 +41,16 @@ import pytest
 
 from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
 from repro.repository.host_index import HostIndex
-from repro.scheduler import SiteScheduler, host_selection
+from repro.scheduler import SiteScheduler, host_selection, site_scheduler
 from repro.scheduler import federation as federation_view
+from repro.scheduler.federation import TransferRow
 from repro.scheduler.host_selection import (
     CommitmentLedger,
     bid_for_task,
     select_hosts,
+    task_bid,
 )
+from repro.scheduler.prediction import PredictionModel
 from tests.perf.test_prediction_counts import N_SITES, federation, layered_dag
 
 
@@ -138,12 +147,64 @@ def _nested_functions(function):
 def test_per_task_functions_create_no_closure():
     for function in (
         bid_for_task,
-        host_selection.sheet_bid,
-        host_selection.predict_rows,
+        task_bid,
         SiteScheduler._place_task,
-        CommitmentLedger.extra_load,
+        CommitmentLedger.load,
         CommitmentLedger.commit,
     ):
         assert _nested_functions(function) == [], function.__qualname__
     # the check sees one where there is one: the per-round level cost
     assert _nested_functions(SiteScheduler.schedule_with_trace) == ["cost"]
+
+
+@pytest.mark.parametrize("n_tasks", [256, 1024])
+def test_a_tasks_bid_is_one_pass_over_its_bidders(n_tasks, monkeypatch):
+    _repos, view = federation()
+    afg = layered_dag(n_tasks)
+    counts = {"kernel": 0, "terms": 0}
+    loads = []
+
+    def counting(name, function):
+        def counted(*args, **kwargs):
+            counts[name] += 1
+            return function(*args, **kwargs)
+        return counted
+
+    monkeypatch.setattr(site_scheduler, "task_bid", counting(
+        "kernel", task_bid))
+    monkeypatch.setattr(PredictionModel, "task_terms", counting(
+        "terms", PredictionModel.task_terms))
+    pairs = []
+    missing = TransferRow.__missing__
+
+    def resolved(row, source):
+        pairs.append((source, row._site))
+        return missing(row, source)
+
+    monkeypatch.setattr(TransferRow, "__missing__", resolved)
+    load = CommitmentLedger.load
+
+    def logged_load(ledger, task_id):
+        loaded = load(ledger, task_id)
+        loads.append(loaded[0] is ledger._total and loaded[1] is ledger._on)
+        return loaded
+
+    monkeypatch.setattr(CommitmentLedger, "load", logged_load)
+    table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
+    monkeypatch.undo()
+
+    assert len(table) == n_tasks
+    assert counts["kernel"] == n_tasks
+    # every site's record of a type is the library's: one distinct
+    # record per task, where each of the N_SITES bids used to derive it
+    distinct = sum(
+        len({view.repository(site).task_perf.get(task.task_type)
+             for site in view.participating_sites()})
+        for task in afg)
+    assert distinct == n_tasks
+    assert counts["terms"] == distinct
+    # one estimator per (source site, bidder) pair for the whole round
+    assert 0 < len(pairs) == len(set(pairs)) <= N_SITES * N_SITES
+    # the ledger is read in place: no per-task host -> load mapping
+    assert loads == [True] * n_tasks
+    assert not hasattr(CommitmentLedger, "extra_load")

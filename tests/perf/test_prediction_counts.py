@@ -11,7 +11,8 @@ fails here instead of in a bench run.
 
 Within a round a site answers an identical task from its memo until a
 placement commits to it (DESIGN §13.10): a bag of identical tasks costs
-one kernel call per site for its first task and one per task after it
+one site bid (a memo miss: a pass of the kernel's row loop over the
+site's sheet) per site for its first task and one per task after it
 (the site the previous task went to), where a bag whose scales never
 repeat, or a DAG past its entry wave, is bid at every site per task.
 """
@@ -19,11 +20,12 @@ repeat, or a DAG past its entry wave, is bid at every site per task.
 import pytest
 
 from repro.repository import SiteRepository
-from repro.scheduler import FederationView, SiteScheduler, host_selection
+from repro.scheduler import FederationView, SiteScheduler
 from repro.scheduler.prediction import PredictionModel
 from repro.sim import TopologyBuilder
 from repro.tasklib import default_registry
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
+from tests.scheduler.conftest import log_site_bids
 
 N_SITES, HOSTS_PER_SITE = 2, 4
 
@@ -89,10 +91,7 @@ def test_kernel_never_calls_predict_and_builds_rows_once(n_tasks, monkeypatch):
 def test_row_kernel_calls_follow_what_changes(afg, calls, monkeypatch):
     _repos, view = federation()
     afg = afg()
-    made = []
-    kernel = host_selection.predict_rows
-    monkeypatch.setattr(host_selection, "predict_rows",
-                        lambda *a: made.append(1) or kernel(*a))
+    made = log_site_bids(monkeypatch)
     table = SiteScheduler(k=N_SITES - 1).schedule(afg, view)
     assert len(table) == len(afg)
     assert len(made) == calls

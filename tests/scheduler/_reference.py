@@ -10,6 +10,13 @@ what the equivalence tests compare against, ``==`` on every float:
 * :func:`bid_for_task` — one ``PredictionModel.predict`` call per
   (task, host) pair, times the health factor; the in-round load is a
   callable ``extra_load_of(host_name)``;
+* :func:`sheet_bid` → :func:`predict_rows` — one site's bid on its
+  sheet, the call chain ``task_bid`` fused into one pass over every
+  bidder: preferences and health select rows, task terms once per
+  (task, site), the row loop reading a host -> count mapping;
+* :func:`extra_load` — that mapping, built from
+  ``CommitmentLedger.load`` over every committed host of the federation
+  per task, which ``task_bid`` computes inline per row it evaluates;
 * :func:`rescan_extra_load` — per (task, host) pair, count every
   commitment on the host that is not ordered with the task;
 * :func:`topological_order`, :func:`reachability`,
@@ -41,7 +48,11 @@ from repro.repository.store import SiteRepository
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
 from repro.scheduler.host_selection import (
+    ArchOsOf,
+    BidSheet,
+    CommitmentLedger,
     HostSelectionResult,
+    _attrs_match,
     _matches_machine_type,
 )
 from repro.scheduler.prediction import PredictionModel
@@ -114,6 +125,122 @@ def bid_for_task(
         hosts=chosen_hosts,
         predicted_time=predicted_time,
     )
+
+
+def predict_rows(
+    rows: List[tuple],
+    span_work: float,
+    required_mb: int,
+    memory_penalty: float,
+    extra_load: Mapping[str, float],
+    n_nodes: int = 1,
+    factors: Optional[Mapping[str, float]] = None,
+) -> Tuple[float, Tuple[str, ...]]:
+    """The row kernel: ``(predicted time, host group)`` minimising
+    ``Predict`` over ``rows`` (at least ``n_nodes`` of them).
+
+    Predict is separable (see :mod:`repro.scheduler.prediction`): the
+    task half arrives as ``span_work`` / ``required_mb``, the host half
+    is the repository's cached rows, and the loop body is
+    ``PredictionModel.predict``'s float operations in ``predict``'s
+    order, the health factor multiplied last
+    (``tests/scheduler/test_predict_kernel.py`` holds the two to
+    ``==``).
+    """
+    extra_on = extra_load.get
+    # one host wanted (the hot case): keep the running minimum, not a
+    # list of pairs.  Rows are name-ordered and names unique, so the
+    # first strict minimum is min() over (time, name) tuples.
+    single = n_nodes == 1
+    best_time = best_name = None
+    pairs = []
+    for name, one_plus_load, speed, available_mb, calibration, noise in rows:
+        # an int count promotes exactly when added to the float load
+        extra = extra_on(name, 0)
+        if extra < 0:
+            raise ValueError("extra_load must be non-negative")
+        t = span_work * (one_plus_load + extra) / speed
+        if required_mb > available_mb:
+            t *= memory_penalty
+        t *= calibration
+        t *= noise
+        if factors:
+            t *= factors[name]
+        if not single:
+            pairs.append((t, name))
+        elif best_name is None or t < best_time:
+            best_time, best_name = t, name
+    if single:
+        return best_time, (best_name,)
+    chosen = sorted(pairs)[:n_nodes]
+    # parallel slices run concurrently; the group finishes with its
+    # slowest member (the largest selected prediction)
+    return chosen[-1][0], tuple(name for _, name in chosen)
+
+
+def sheet_bid(
+    task: TaskNode,
+    arch_os: ArchOsOf,
+    sheet: BidSheet,
+    model: PredictionModel,
+    extra_load: Mapping[str, float],
+    health_of=None,
+) -> Optional[Tuple[float, Tuple[str, ...]]]:
+    """Figure 3 step 4 for one task on one site's sheet: the kernel's
+    ``(predicted time, host group)``, or ``None`` when too few hosts
+    are left after the task's preferences and ``health_of``.
+
+    ``arch_os`` answers for the hosts of the sheet (the site's
+    resource DB, or the attributes its :class:`SiteBid` carried); a
+    sheet's rows are the site's up hosts with the executable, so the
+    preferences select among them exactly as :func:`candidate_hosts`
+    selects among the records.
+    """
+    perf, rows = sheet
+    props = task.properties
+    # preferences select rows, never touch the shared list
+    if props.preferred_machine is not None:
+        rows = [row for row in rows if row[0] == props.preferred_machine]
+    if props.preferred_machine_type is not None:
+        rows = [
+            row for row in rows
+            if _attrs_match(arch_os(row[0]), props.preferred_machine_type)
+        ]
+    factors: Optional[Dict[str, float]] = None
+    if health_of is not None:
+        factors = {}
+        for row in rows:
+            factor = health_of(row[0])
+            if factor is not None:  # None = quarantined, excluded
+                factors[row[0]] = factor
+        if len(factors) != len(rows):
+            rows = [row for row in rows if row[0] in factors]
+    # sequential tasks have n_nodes == 1 (TaskProperties checks it)
+    n_nodes = props.n_nodes
+    if len(rows) < n_nodes:
+        return None
+    span_work, required_mb = model.task_terms(
+        perf, props.workload_scale, n_nodes,
+        props.memory_mb if props.memory_mb > 0 else None,
+    )
+    return predict_rows(
+        rows, span_work, required_mb, model.memory_penalty, extra_load,
+        n_nodes, factors,
+    )
+
+
+
+def extra_load(ledger: CommitmentLedger, task_id: str) -> Mapping[str, int]:
+    """host -> in-round commitments on it that can run concurrently
+    with ``task_id``; a host not in the mapping has none.  The ledger's
+    own totals when nothing placed so far is ordered with the task."""
+    total, on, reach = ledger.load(task_id)
+    if not reach:
+        return total
+    return {
+        host: count - (reach & on[host]).bit_count()
+        for host, count in total.items()
+    }
 
 
 def rescan_extra_load(
@@ -319,11 +446,17 @@ def schedule_with_trace(
 ) -> Tuple[AllocationTable, List[str]]:
     validate_afg(afg)
     sites = view.participating_sites(scheduler.k)
-    local_perf = view.local_repository().task_perf
 
     def cost(task_id: str) -> float:
+        # the first participating site, local first, that knows the type
         node = afg.task(task_id)
-        return local_perf.base_cost(node.task_type, node.properties.workload_scale)
+        for site in sites:
+            task_perf = view.repository(site).task_perf
+            if task_perf.has(node.task_type):
+                return task_perf.base_cost(
+                    node.task_type, node.properties.workload_scale)
+        raise SchedulingError(
+            f"no participating site knows task type {node.task_type!r}")
 
     levels = compute_levels(afg, cost)
     ledger = (

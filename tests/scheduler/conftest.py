@@ -1,4 +1,5 @@
-"""Shared fixtures for scheduler tests: a two-site federation."""
+"""Shared fixtures for scheduler tests: a two-site federation, and a
+count of the site bids a round computes."""
 
 import pytest
 
@@ -46,3 +47,33 @@ def build_federation(
 @pytest.fixture
 def federation():
     return build_federation()
+
+
+class _LoggedRows(list):
+    """A bid sheet's rows that log ``site`` on every pass over them."""
+
+    def __init__(self, rows, site, log):
+        super().__init__(rows)
+        self._site, self._log = site, log
+
+    def __iter__(self):
+        self._log.append(self._site)
+        return super().__iter__()
+
+
+def log_site_bids(monkeypatch):
+    """The list of sites, one entry per site bid a Fig. 2 round computes
+    (its memo missed).  Every sheet ``FederationView`` hands out logs a
+    pass over its rows; with no preference and no health hook selecting
+    rows, the row loop is the one pass a computed bid makes."""
+    log = []
+    bid_sheet = FederationView.bid_sheet
+
+    def logged(self, site, task_type, model):
+        sheet = bid_sheet(self, site, task_type, model)
+        if sheet is None:
+            return None
+        return sheet[0], _LoggedRows(sheet[1], site, log)
+
+    monkeypatch.setattr(FederationView, "bid_sheet", logged)
+    return log

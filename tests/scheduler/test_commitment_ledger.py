@@ -6,8 +6,9 @@ obvious O(n) answer: "how many commitments on host R can run
 concurrently with this task?" (rescan every commitment on R) and "which
 ready task goes next?" (``max`` over the ready set by ``(level, id)``).
 ``src/`` answers both incrementally — the ledger's per-host totals less
-the popcount of the task's reach mask on the host's placed mask, handed
-to the row kernel as a host -> count mapping; a heap of integer ranks,
+the popcount of the task's reach mask on the host's placed mask, read in
+place by the kernel (``CommitmentLedger.load``; ``_reference.extra_load``
+is the host -> count mapping it used to be handed); a heap of integer ranks,
 each task's position in one descending sort of ``(level, id)`` — and on
 any DAG, any commit sequence, the answers must be the rescans' and the
 set-form ledger's (``_reference.SetLedger`` on
@@ -26,13 +27,15 @@ from hypothesis import strategies as st
 
 from repro.afg import ComputationMode
 from repro.afg.levels import compute_levels
-from repro.scheduler import PredictionModel, SiteScheduler, site_scheduler
-from repro.scheduler.host_selection import (
-    CommitmentLedger,
-    select_hosts,
-    sheet_bid,
+from repro.scheduler import (
+    PredictionModel,
+    SchedulingError,
+    SiteScheduler,
+    site_scheduler,
 )
+from repro.scheduler.host_selection import CommitmentLedger, select_hosts
 from repro.sim.host import HostSpec
+from repro.tasklib.base import ParallelModel
 from repro.workloads import (
     RandomDAGConfig,
     bag_of_tasks,
@@ -42,7 +45,7 @@ from repro.workloads import (
     surveillance_afg,
 )
 from tests.scheduler import _reference
-from tests.scheduler.conftest import build_federation
+from tests.scheduler.conftest import build_federation, log_site_bids
 
 HOSTS = tuple(f"h{i}" for i in range(5))
 
@@ -86,7 +89,7 @@ def test_extra_load_is_the_rescan(afg, data):
     for task_id in data.draw(st.permutations(tasks)):
         query = data.draw(st.sampled_from(tasks))
         load = data.draw(st.floats(min_value=0.0, max_value=8.0))
-        fast = ledger.extra_load(query)
+        fast = _reference.extra_load(ledger, query)
         slow = sets.extra_load(query)
         closure = closures.extra_load_fn(query)
         rescan = _reference.rescan_extra_load(committed, related, query)
@@ -94,7 +97,7 @@ def test_extra_load_is_the_rescan(afg, data):
         # itself exactly when nothing placed is ordered with the task
         assert list(fast.items()) == list(slow.items())
         assert (fast is ledger._total) == (slow is sets._total)
-        assert ledger.unordered(query) == (slow is sets._total)
+        assert (not ledger.load(query)[2]) == (slow is sets._total)
         for host in HOSTS:
             assert fast.get(host, 0) == rescan(host) == closure(host)
             assert fast.get(host, 0) >= 0
@@ -175,10 +178,17 @@ def _assert_round_is_the_reference(afg, view, k=1, health=None, **ablation):
         for log in asked
     ]
     scheduler = SiteScheduler(k=k, **ablation)
+    try:
+        ref_table, ref_order = _reference.schedule_with_trace(
+            scheduler, afg, view, hooks[1])
+    except SchedulingError as exc:  # then the round fails the same way
+        with pytest.raises(SchedulingError) as raised:
+            scheduler.schedule_with_trace(afg, view, health_of=hooks[0])
+        assert str(raised.value) == str(exc)
+        assert asked[0] == asked[1]
+        return None, None
     table, order = scheduler.schedule_with_trace(
         afg, view, health_of=hooks[0])
-    ref_table, ref_order = _reference.schedule_with_trace(
-        scheduler, afg, view, hooks[1])
     assert order == ref_order
     # Fig. 2 site choice and Fig. 3 argmin, every float by ==
     assert table.to_dict() == ref_table.to_dict()
@@ -264,22 +274,118 @@ def test_fig2_round_on_a_bag_is_the_reference(afg, k, by_level, account,
         use_level_priority=by_level, account_commitments=account)
 
 
+# -- per-site records: what a task shares across its bidders ----------------
+
+#: how a site's record of a type differs from the library's: computation
+#: size factor, required memory, parallel overhead.  The first keeps it
+#: equal to the library's (one object across such sites, one task-terms
+#: computation); each other one gives the site terms of its own
+RECORD_CHANGES = ((1.0, None, None), (1.5, None, None), (1.0, 200, None),
+                  (1.0, None, 0.3))
+
+
+def own_records(repos, changes, dropped=None):
+    """Re-record every ``BAG_TYPES`` type at the i-th site with
+    ``changes[i]``, and drop type ``dropped`` from ``alpha``, the
+    submitting site (the DB has no re-registration API, so the records
+    are swapped in place and the version bumped, as a registration
+    would)."""
+    for (site, repo), (factor, memory, overhead) in zip(repos.items(),
+                                                        changes):
+        db = repo.task_perf
+        for task_type in BAG_TYPES:
+            record = db.get(task_type)
+            db._records[task_type] = replace(
+                record, computation_size=record.computation_size * factor,
+                required_memory_mb=(record.required_memory_mb
+                                    if memory is None else memory),
+                parallel=(record.parallel
+                          if overhead is None or record.parallel is None
+                          else ParallelModel(overhead=overhead)))
+        if site == "alpha" and dropped is not None:
+            del db._records[dropped]
+        db.version += 1
+
+
+@st.composite
+def typed_dags(draw):
+    """A random DAG whose tasks draw a type and a variant as bag tasks
+    do: preferred machine or machine type, over-asked memory, 2 nodes."""
+    afg = draw(dags)
+    for node in list(afg):
+        task_type = draw(st.sampled_from(BAG_TYPES))
+        changes = draw(st.sampled_from(VARIANTS))
+        if task_type == "generic.source" and "n_nodes" in changes:
+            changes = {}
+        afg.replace_task(
+            replace(node, task_type=task_type).with_properties(**changes))
+    return afg
+
+
+records = st.lists(st.sampled_from(RECORD_CHANGES), min_size=3, max_size=3)
+
+
+@given(typed_dags(), records, st.sampled_from((None,) + BAG_TYPES),
+       st.sampled_from((1, 2)), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=80, deadline=None)
+def test_fig2_round_with_per_site_records_is_the_reference(
+        afg, changes, dropped, k, by_level, account, health):
+    """Bidders whose records differ per site (sharing task terms across
+    them by mistake fails here), the submitting site lacking a type
+    (its level cost comes from the first bidder knowing it), every task
+    variant, the health hook on and off, both ablations."""
+    _topo, repos, view = build_federation(site_hosts=BAG_SITES)
+    own_records(repos, changes, dropped)
+    _assert_round_is_the_reference(
+        afg, view, k=k, health=HEALTH if health else None,
+        use_level_priority=by_level, account_commitments=account)
+
+
+@given(typed_dags(), records, st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_select_hosts_descendants_first_is_the_reference(afg, changes, health):
+    """Fig. 3 at one site on a FIFO queue that commits every descendant
+    before its ancestors, on the same task variants and own records,
+    the health hook asked exactly what the reference asks."""
+    _topo, repos, _view = build_federation(site_hosts=BAG_SITES)
+    own_records(repos, changes)
+    order = list(reversed(afg.structure().order))
+    asked = ([], [])
+    hooks = [None, None] if not health else [
+        lambda host, log=log: log.append(host) or HEALTH.get(host)
+        for log in asked
+    ]
+    model = PredictionModel()
+    bids = select_hosts(afg, repos["beta"], model, order=order,
+                        health_of=hooks[0])
+    assert bids == _reference.select_hosts(afg, repos["beta"], model, order,
+                                           hooks[1])
+    assert asked[0] == asked[1]
+    assert list(bids) == [t for t in order if t in bids]
+
+
 def test_a_commit_invalidates_its_sites_bids_and_no_others(monkeypatch):
     """Six identical tasks at k = 2: the first is bid at all three
     sites; each later one at the site the previous placement committed
     to only — the other two answer from their memo — and the round is
     still the reference's."""
     _topo, _repos, view = build_federation(site_hosts=BAG_SITES)
-    bid_at = []
+    log = log_site_bids(monkeypatch)
+    kernel = site_scheduler.task_bid
 
-    def counted(task, arch_os, sheet, *args):
-        first_host = sheet[1][0][0]
-        bid_at.append((task.id, first_host.rsplit("-", 1)[0]))
-        return sheet_bid(task, arch_os, sheet, *args)
+    def logged(task, *args):
+        log.append((task.id,))  # the kernel call, then its sites' bids
+        return kernel(task, *args)
 
-    monkeypatch.setattr(site_scheduler, "sheet_bid", counted)
+    monkeypatch.setattr(site_scheduler, "task_bid", logged)
     table, order = _assert_round_is_the_reference(bag_of_tasks(n=6), view,
                                                   k=2)
+    bid_at = []
+    for entry in log:
+        if isinstance(entry, tuple):
+            (task_id,) = entry
+        else:
+            bid_at.append((task_id, entry))
     assert len(table.sites_used()) == 3
     expected = [(order[0], site) for site in BAG_SITES]
     expected += [(task, table.site_of(before))

@@ -1,6 +1,6 @@
 """Row kernel == ``PredictionModel.predict``, bit for bit.
 
-``predict_rows`` evaluates a bid from the repository's cached host rows
+``task_bid`` evaluates a bid from the repository's cached host rows
 and a task half computed once; the reference bid
 (``tests/scheduler/_reference.py``) calls ``model.predict`` per (task,
 host) pair.  The kernel performs the model's float operations in the
@@ -8,7 +8,9 @@ model's order, so on *any* repository the two must return the identical
 ``HostSelectionResult`` — same hosts, ``predicted_time`` equal by
 ``==``, never ``approx`` — whether the kernel is reached through
 ``bid_for_task`` (a sheet built for the one call) or through one
-``bid_sheet`` that serves every task of the type, as inside a round.
+``bid_sheet`` that serves every task of the type, as inside a round,
+where it is also the call chain it replaced (``_reference.sheet_bid`` →
+``_reference.predict_rows``).
 """
 
 import pytest
@@ -18,12 +20,8 @@ from hypothesis import strategies as st
 from repro.afg import ComputationMode, TaskNode, TaskProperties
 from repro.repository import SiteRepository
 from repro.repository.taskperf import TaskPerfRecord
-from repro.scheduler.host_selection import (
-    bid_for_task,
-    bid_sheet,
-    predict_rows,
-    sheet_bid,
-)
+from repro.scheduler.federation import FederationView, TransferRow
+from repro.scheduler.host_selection import bid_for_task, bid_sheet, task_bid
 from repro.scheduler.prediction import PredictionModel
 from repro.sim.host import HostSpec
 from repro.tasklib.base import ParallelModel
@@ -144,12 +142,31 @@ def test_one_sheet_serves_every_task_of_the_type(host_specs, variants, model,
         node = _node(task)
         reference = _reference.bid_for_task(
             node, repo, model, extra_load.__getitem__, health_of)
-        bid = sheet_bid(node, repo.resources.arch_os, sheet, model, extra_load,
-                        health_of)
+        bid = task_bid(
+            node, [(repo.site_name, repo.resources.arch_os, sheet, None, None)],
+            model, (extra_load, {}, 0), health_of)
+        chain = _reference.sheet_bid(node, repo.resources.arch_os, sheet,
+                                     model, extra_load, health_of)
         if reference is None:
-            assert bid is None
+            assert bid is None and chain is None
         else:
-            assert bid == (reference.predicted_time, reference.hosts)
+            assert bid == (repo.site_name, reference.hosts,
+                           reference.predicted_time)
+            assert chain == (reference.predicted_time, reference.hosts)
+
+
+def _row_bid(rows, extra=None, n_nodes=1, health=None):
+    """``task_bid`` of one task on a one-site sheet of ``rows``: span
+    work 3.0 (1.0 per node of an overhead-free parallel task), 16 MB."""
+    perf = TaskPerfRecord(task_type=TASK, computation_size=3.0,
+                          communication_size_mb=0.1, required_memory_mb=16,
+                          parallel=ParallelModel(overhead=0.0))
+    node = _node({"n_nodes": n_nodes, "scale": 1.0, "memory_mb": 0,
+                  "machine_type": None})
+    bid = task_bid(node, [("s", None, (perf, rows), None, None)],
+                   PredictionModel(), (extra or {}, {}, 0),
+                   None if health is None else health.get)
+    return bid[2], bid[1]
 
 
 def test_kernel_rows_are_read_in_name_order_with_a_strict_minimum():
@@ -158,12 +175,47 @@ def test_kernel_rows_are_read_in_name_order_with_a_strict_minimum():
     takes the ``n_nodes`` smallest pairs and bids the largest of them."""
     rows = [("h0", 1.0, 1.0, 64, 1.0, 1.0), ("h1", 1.0, 1.0, 64, 1.0, 1.0),
             ("h2", 2.0, 1.0, 64, 1.0, 1.0), ("h3", 1.0, 1.0, 8, 1.0, 1.0)]
-    assert predict_rows(rows, 3.0, 16, 4.0, {}) == (3.0, ("h0",))
-    assert predict_rows(rows, 3.0, 16, 4.0, {"h0": 1}) == (3.0, ("h1",))
-    assert predict_rows(rows, 3.0, 16, 4.0, {}, 3) == (6.0, ("h0", "h1", "h2"))
-    assert predict_rows(rows, 3.0, 16, 4.0, {}, 1,
-                        {"h0": 5.0, "h1": 5.0, "h2": 1.0, "h3": 1.0}
-                        ) == (6.0, ("h2",))
+    assert _row_bid(rows) == (3.0, ("h0",))
+    assert _row_bid(rows, {"h0": 1}) == (3.0, ("h1",))
+    assert _row_bid(rows, n_nodes=3) == (2.0, ("h0", "h1", "h2"))
+    assert _row_bid(rows, health={"h0": 5.0, "h1": 5.0, "h2": 1.0,
+                                  "h3": 1.0}) == (6.0, ("h2",))
+    # the oracle's chain agrees on every case
+    assert _reference.predict_rows(rows, 3.0, 16, 4.0, {}) == (3.0, ("h0",))
+    assert _reference.predict_rows(rows, 1.0, 16, 4.0, {}, 3) == (
+        2.0, ("h0", "h1", "h2"))
+
+
+def test_sites_tie_break_by_name_and_transfers_are_resolved_once():
+    """Equal Timetotals: the smaller site name wins whatever order the
+    bidders come in; a transfer to the slower site moves the task, and
+    each bidder's transfer row asks for an estimator once per source
+    site."""
+    rows = [("h0", 1.0, 1.0, 64, 1.0, 1.0)]
+    perf = TaskPerfRecord(task_type=TASK, computation_size=3.0,
+                          communication_size_mb=0.1, required_memory_mb=16)
+    node = _node({"n_nodes": 1, "scale": 1.0, "memory_mb": 0,
+                  "machine_type": None})
+    asked = []
+
+    def estimator(source, site):
+        asked.append((source, site))
+        return lambda mb: mb * (2.0 if site == "a" else 1.0)
+
+    view = FederationView(
+        local_site="a", repositories={"a": SiteRepository("a")},
+        neighbor_order=[], site_transfer_time=None,
+        site_transfer_estimator=estimator)
+    for names in (("a", "b"), ("b", "a")):
+        bidders = [(name, None, (perf, rows), None, TransferRow(view, name))
+                   for name in names]
+        assert task_bid(node, bidders, PredictionModel()) == ("a", ("h0",), 3.0)
+        for _ in range(2):
+            assert task_bid(node, bidders, PredictionModel(),
+                            inputs=[("a", 1.0), ("b", 2.0)]
+                            ) == ("b", ("h0",), 3.0)
+        assert sorted(asked) == [(s, b) for s in "ab" for b in "ab"]
+        asked.clear()
 
 
 @pytest.mark.parametrize("predict_cache", [True, False])

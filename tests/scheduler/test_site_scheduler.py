@@ -9,6 +9,9 @@ from repro.scheduler import (
     SiteScheduler,
 )
 
+from repro.repository.taskperf import TaskPerfRecord
+from repro.scheduler.host_selection import site_bid
+from tests.scheduler import _reference
 from tests.scheduler.conftest import build_federation
 
 
@@ -124,6 +127,53 @@ def test_no_feasible_site_raises(federation):
                           properties=TaskProperties(preferred_machine="nowhere")))
     with pytest.raises(SchedulingError, match="no site can run"):
         SiteScheduler(k=1).schedule(afg, view)
+
+
+def _remote_only_afg():
+    """source -> ``remote.only``, a type registered at ``beta`` alone."""
+    afg = ApplicationFlowGraph("remote-only")
+    afg.add_task(source())
+    afg.add_task(TaskNode(id="t", task_type="remote.only", n_in_ports=1,
+                          n_out_ports=1))
+    afg.connect("src", "t", size_mb=1.0)
+    return afg
+
+
+def _register_remote_only(repo):
+    repo.task_perf.register(TaskPerfRecord(
+        task_type="remote.only", computation_size=2.0,
+        communication_size_mb=0.1, required_memory_mb=16))
+    for host in repo.resources.host_names():
+        repo.constraints.register("remote.only", host, f"/bin/{host}")
+
+
+def test_a_type_only_a_remote_site_knows_is_placed_there(federation):
+    """The submitting site lacks the type: Fig. 3 says it only declines.
+    Its level cost comes from the first participating site that knows
+    the type, and the task goes there — from its repository or from
+    the bid it sent back."""
+    _, repos, view = federation
+    _register_remote_only(repos["beta"])
+    afg = _remote_only_afg()
+    scheduler = SiteScheduler(k=1)
+    table, order = scheduler.schedule_with_trace(afg, view)
+    assert table.get("t").site == "beta"
+    ref_table, ref_order = _reference.schedule_with_trace(scheduler, afg, view)
+    assert order == ref_order == ["src", "t"]
+    assert table.to_dict() == ref_table.to_dict()
+    by_reply = view.answered([site_bid(
+        repos["beta"], ["generic.source", "remote.only"], scheduler.model)])
+    assert scheduler.schedule(afg, by_reply).to_dict() == table.to_dict()
+
+
+def test_a_type_no_participating_site_knows_is_a_scheduling_error(federation):
+    _, repos, view = federation
+    _register_remote_only(repos["beta"])
+    # k = 0: beta does not take part, and alpha lacks the type
+    with pytest.raises(SchedulingError,
+                       match="no participating site knows task type "
+                             "'remote.only'"):
+        SiteScheduler(k=0).schedule(_remote_only_afg(), view)
 
 
 def test_placement_order_follows_levels(federation):
