@@ -120,13 +120,21 @@ def cmd_libraries(args) -> int:
     return 0
 
 
-def _below_minimum(args, minimums) -> bool:
-    """Print ``error: --FLAG must be >= N`` for the first set flag below N."""
-    for flag, least in minimums.items():
-        if getattr(args, flag) is not None and getattr(args, flag) < least:
-            print(f"error: --{flag} must be >= {least}")
+def _below_minimum(args, minimums, positive=()) -> bool:
+    """Print ``error: --FLAG must be >= N`` for the first set flag below
+    its N, or ``... must be > 0`` for a set ``positive`` flag that is not."""
+    bounds = [*((flag, least, ">=") for flag, least in minimums.items()),
+              *((flag, 0, ">") for flag in positive)]
+    for flag, bound, op in bounds:
+        value = getattr(args, flag.replace("-", "_"))
+        if value is not None and (value < bound or op == ">" and value == bound):
+            print(f"error: --{flag} must be {op} {bound}")
             return True
     return False
+
+
+#: ``--sites`` / ``--hosts`` of every command that builds a deployment
+_DEPLOYMENT_MINIMUMS = {"sites": 1, "hosts": 1}
 
 
 def cmd_run(args) -> int:
@@ -136,8 +144,10 @@ def cmd_run(args) -> int:
     from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace import NULL_TRACER, Tracer
 
-    if _below_minimum(args, {"sites": 1, "hosts": 1, "k": 0, "seed": 0,
-                             "repeat": 1}):
+    if _below_minimum(args, {**_DEPLOYMENT_MINIMUMS, "k": 0, "seed": 0,
+                             "repeat": 1, "max-concurrent": 1,
+                             "max-queued": 1, "deadline": 0},
+                      positive=("scale", "ttl")):
         return 1
     tracer = Tracer() if args.trace else NULL_TRACER
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
@@ -279,6 +289,8 @@ def cmd_monitor(args) -> int:
     from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
     from repro.viz import workload_sparkline
 
+    if _below_minimum(args, _DEPLOYMENT_MINIMUMS, positive=("duration",)):
+        return 1
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
     env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
                         seed=args.seed, metrics=metrics)
@@ -323,6 +335,8 @@ def cmd_metrics(args) -> int:
         snapshot_to_json,
     )
 
+    if _below_minimum(args, _DEPLOYMENT_MINIMUMS):
+        return 1
     if args.snapshot:
         try:
             snapshot = load_snapshot(args.snapshot)
@@ -446,6 +460,8 @@ def cmd_explain(args) -> int:
     if (args.trace is None) == (args.scenario is None):
         print("error: give a trace file OR --scenario, not both/neither")
         return 1
+    if _below_minimum(args, {"top": 0}):
+        return 1
     if args.scenario is not None:
         try:
             harness = _import_harness()
@@ -542,6 +558,8 @@ def cmd_topology(args) -> int:
     from repro import VDCE
     from repro.viz import topology_diagram
 
+    if _below_minimum(args, _DEPLOYMENT_MINIMUMS):
+        return 1
     env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
                         seed=args.seed)
     print(topology_diagram(env.topology))
@@ -774,7 +792,8 @@ def cmd_chaos(args) -> int:
 
     from repro.sim import chaos
 
-    if _below_minimum(args, {"seed": 0, "sites": 1, "hosts": 1, "apps": 1}):
+    if _below_minimum(args, {"seed": 0, **_DEPLOYMENT_MINIMUMS, "apps": 1},
+                      positive=("duration",)):
         return 1
     shape = {
         flag: value for flag in _CHAOS_SHAPE
@@ -817,7 +836,7 @@ def cmd_chaos(args) -> int:
               f"{report.brownout_shifts} brownout shifts, "
               f"{report.breaker_transitions} breaker transitions "
               f"({report.breaker_fast_fails} fast-fails)")
-    if config.data_integrity and report.integrity is not None:
+    if report.integrity:
         integ = report.integrity
         print(f"  integrity: {integ['corruptions_detected']} corruptions "
               f"detected, {integ['refetches']} refetches, "

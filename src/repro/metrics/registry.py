@@ -356,12 +356,6 @@ class MetricsRegistry:
 
         return snapshot_hash(self.snapshot())
 
-    def prometheus(self) -> str:
-        """The Prometheus text exposition of the current state."""
-        from repro.metrics.export import prometheus_text
-
-        return prometheus_text(self)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"MetricsRegistry({len(self._metrics)} families, t={self.now:.6g})"
 

@@ -310,11 +310,6 @@ class ApplicationCheckpoint:
             if task_id not in self.completed
         ]
 
-    def output_value(self, task_id: str, port: int) -> Any:
-        """Decode one completed task's recorded output payload."""
-        record = self.completed[task_id]
-        return decode_value(record["outputs"][port]["value"])
-
 
 # -- resume-equivalence oracle -----------------------------------------------
 

@@ -23,9 +23,8 @@ processes (``value = yield from dsm.read("x", host)``).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, Optional, Set
+from typing import Any, Dict, Set
 
-from repro.errors import CorruptPayloadError
 from repro.sim.kernel import AllOf, Simulator, Timeout
 from repro.sim.network import Network
 
@@ -47,8 +46,6 @@ class DSMStats:
     read_misses: int = 0
     writes: int = 0
     invalidations: int = 0
-    #: hash-mismatched fetches re-fetched from the home (integrity on)
-    refetches: int = 0
 
     def hit_rate(self) -> float:
         return self.read_hits / self.reads if self.reads else 0.0
@@ -67,39 +64,13 @@ class _Variable:
 class DSM:
     """One shared-memory space spanning a deployment's hosts."""
 
-    def __init__(self, sim: Simulator, network: Network, integrity=None):
+    def __init__(self, sim: Simulator, network: Network):
         self.sim = sim
         self.network = network
-        #: data-integrity manager (hash-checked remote fetches with a
-        #: bounded refetch budget); None = fetched bytes trusted as-is
-        self.integrity = integrity
         self._variables: Dict[str, _Variable] = {}
         #: per-host caches: host -> {var: (version, value)}
         self._cache: Dict[str, Dict[str, tuple]] = {}
         self.stats = DSMStats()
-
-    def _verified(self, transfer_factory, label: str):
-        """Generator: run a transfer, hash-checked with bounded refetch.
-
-        The home always holds the authoritative value, so DSM repair
-        never needs lineage: a damaged fetch is simply re-fetched.  An
-        exhausted budget raises the typed :class:`CorruptPayloadError`
-        (invariant I13's typed-termination arm).
-        """
-        integrity = self.integrity
-        budget = integrity.policy.max_refetches if integrity is not None else 0
-        for attempt in range(1 + budget):
-            transfer = transfer_factory()
-            yield transfer.done
-            if integrity is None or transfer.corruption is None:
-                return
-            integrity.note_corruption("dsm", label, transfer.corruption, None)
-            if attempt < budget:
-                self.stats.refetches += 1
-                integrity.note_refetch("dsm", label, attempt + 1)
-        raise CorruptPayloadError(
-            f"DSM transfer {label!r} still corrupt after {budget} refetch(es)"
-        )
 
     # -- allocation ----------------------------------------------------------
 
@@ -110,9 +81,6 @@ class DSM:
         self.network.site_of(home_host)  # validates the host exists
         self._variables[name] = _Variable(name=name, home_host=home_host,
                                           value=initial)
-
-    def variables(self) -> list:
-        return sorted(self._variables)
 
     def _get(self, name: str) -> _Variable:
         try:
@@ -135,12 +103,9 @@ class DSM:
             return cached[1]
         # miss: fetch from home
         self.stats.read_misses += 1
-        yield from self._verified(
-            lambda: self.network.transfer(
-                variable.home_host, host, _VALUE_MB, label=f"dsm-read:{name}"
-            ),
-            f"dsm-read:{name}",
-        )
+        yield self.network.transfer(
+            variable.home_host, host, _VALUE_MB, label=f"dsm-read:{name}"
+        ).done
         value, version = variable.value, variable.version
         self._cache.setdefault(host, {})[name] = (version, value)
         variable.copies.add(host)
@@ -157,13 +122,9 @@ class DSM:
         variable = self._get(name)
         self.stats.writes += 1
         if host != variable.home_host:
-            yield from self._verified(
-                lambda: self.network.transfer(
-                    host, variable.home_host, _VALUE_MB,
-                    label=f"dsm-write:{name}",
-                ),
-                f"dsm-write:{name}",
-            )
+            yield self.network.transfer(
+                host, variable.home_host, _VALUE_MB, label=f"dsm-write:{name}"
+            ).done
         # invalidate all copies except the writer's own (which we refresh)
         victims = sorted(variable.copies - {host})
         invalidations = []

@@ -35,6 +35,7 @@ full runtime pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import partial
 from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph, Edge
@@ -105,7 +106,7 @@ class TaskRecord:
     transfer_retries: int = 0
     #: inter-task channels re-established after dying mid-flight
     channel_reestablishes: int = 0
-    #: deliveries of this task's outputs re-sent after a hash mismatch
+    #: copies billed to this task re-sent after a hash mismatch
     repair_refetches: int = 0
     #: lineage re-executions of this task to restore a lost/corrupt output
     repair_regenerations: int = 0
@@ -183,7 +184,7 @@ class ApplicationResult:
 
     @property
     def repair_refetches(self) -> int:
-        """Deliveries re-sent after a hash mismatch, across all tasks."""
+        """Copies re-sent after a hash mismatch, across all tasks."""
         return sum(r.repair_refetches for r in self.records.values())
 
     @property
@@ -296,6 +297,8 @@ class ExecutionCoordinator:
         self._reschedules = 0
         self.control = runtime.control
         self.data_policy = runtime.config.data_policy
+        #: the integrity manager, or NULL_INTEGRITY when it is off
+        self.integrity = runtime.integrity
         #: causal span recorder (runtime-shared; null object when off)
         self.spans = runtime.spans
         #: this application's root span context (NULL_SPAN when spans
@@ -675,10 +678,9 @@ class ExecutionCoordinator:
     def _restage_edge(self, edge: Edge):
         """Resume: satisfy one edge from its producer's journalled output.
 
-        With integrity on, the journalled copy (which lives on the
-        submitting server) is re-staged under the refetch ladder; it has
-        no lineage — the producer completed in a prior incarnation — so
-        an exhausted budget poisons it and fails the edge typed.
+        The copy moves from the submitting server by :meth:`_copy`, with
+        no lineage (the producer ran in a prior incarnation); one that
+        fails typed fails the edge.
         """
         signal = self.sim.signal(f"edge:{edge.src}->{edge.dst}")
         self._edge_ready[_edge_key(edge)] = signal
@@ -689,43 +691,18 @@ class ExecutionCoordinator:
             # both endpoints already ran; satisfy the edge for free
             signal.succeed(value)
             return
-        integrity = self.runtime.integrity
-        record = self.records[edge.src]
-        label = f"restage:{edge.src}->{edge.dst}"
-
-        def transfer():
-            return self._transfer_with_retry(
-                self._submit_server, self.assignment[edge.dst].primary_host,
-                edge.size_mb, label=label, record=record, reason="restage",
+        self.integrity.record_artifact(
+            self.afg.name, edge.src, edge.src_port, value, self._submit_server
+        )
+        try:
+            yield from self._copy(
+                edge, self._submit_server,
+                self.assignment[edge.dst].primary_host, self.records[edge.src],
+                f"restage:{edge.src}->{edge.dst}", "restage",
             )
-
-        if integrity is None:
-            yield from transfer()
-        else:
-            expected = integrity.record_artifact(
-                self.afg.name, edge.src, edge.src_port, value,
-                self._submit_server,
-            )
-            try:
-                yield from integrity.refetch_ladder(
-                    self.afg.name, label,
-                    lambda: self._verified(transfer(), label, expected),
-                    record=record,
-                )
-            except CorruptPayloadError:
-                integrity.note_poison(
-                    self.afg.name, edge.src, "restage refetch budget exhausted"
-                )
-                signal.fail(CorruptPayloadError(
-                    f"re-staged output {edge.src}[{edge.src_port}] "
-                    "still corrupt after "
-                    f"{integrity.policy.max_refetches} refetch(es)",
-                    expected_hash=expected,
-                ))
-                return
-            integrity.record_consumption(
-                self.afg.name, label, clean=True, expected_hash=expected
-            )
+        except DataIntegrityError as exc:
+            signal.fail(exc)
+            return
         signal.succeed(value)
 
     def _establish_channel(self, edge: Edge, span=NULL_SPAN):
@@ -811,8 +788,8 @@ class ExecutionCoordinator:
         :class:`LinkDownError` is retried after an exponential backoff,
         re-establishing the edge's channel first when one exists.  An
         exhausted data policy raises a typed :class:`ExecutionError`.
-        Returns the completed :class:`~repro.sim.network.Transfer`, so
-        integrity-aware callers can inspect its ``corruption`` marker.
+        Returns the completed :class:`~repro.sim.network.Transfer`, whose
+        ``corruption`` marker the integrity check reads.
         """
         network = self.runtime.topology.network
         for attempt in range(1, self.data_policy.max_attempts + 1):
@@ -843,26 +820,11 @@ class ExecutionCoordinator:
                         # transfer attempts themselves are the budget
                         pass
 
-    def _verified(self, transfer, label: str, expected: Optional[str]):
-        """The ladder's fetch step for a payload whose verdict is the
-        transfer's ``corruption`` marker: drive ``transfer`` (a
-        :meth:`_transfer_with_retry` generator), report and raise on a
-        hash mismatch — the damaged copy is never consumed."""
-        arrived = yield from transfer
-        if arrived.corruption is not None:
-            self.runtime.integrity.note_corruption(
-                self.afg.name, label, arrived.corruption, expected
-            )
-            raise CorruptPayloadError(
-                f"{label} arrived {arrived.corruption}-damaged",
-                expected_hash=expected,
-            )
-
     def _stage_with_retry(self, spec, src_host: str, dst_host: str,
                           record: TaskRecord):
         """``io_service.stage`` hardened against link outages.
 
-        With integrity on, a stage-in whose transfer arrived damaged
+        A stage-in whose transfer arrived damaged
         (:class:`CorruptPayloadError` from the I/O service, which has
         already reported it) is refetched under the ladder; file inputs
         have no lineage to regenerate from, so an exhausted budget
@@ -888,9 +850,7 @@ class ExecutionCoordinator:
                 f"{what} exhausted {policy.max_attempts} attempts"
             )
 
-        integrity = self.runtime.integrity
-        if integrity is None:
-            return (yield from fetch())
+        integrity = self.integrity
         try:
             return (yield from integrity.refetch_ladder(
                 self.afg.name, label, fetch, record=record,
@@ -903,16 +863,16 @@ class ExecutionCoordinator:
             ) from exc
 
     def _feed(self, node: TaskNode, host: str, record: TaskRecord,
-              label: str, reason: str):
+              label: str, reason: str, span):
         """The steps that put ``node``'s inputs on ``host``: one generator
         per input for the caller to ``yield from`` — dataflow edges in
-        port order, then file inputs.  A caller that may lose interest
+        port order (each the one dataflow copy, verified like a first
+        delivery), then file inputs.  A caller that may lose interest
         between inputs (the speculation timer) checks between steps."""
         for edge in sorted(self.afg.in_edges(node.id), key=lambda e: e.dst_port):
-            yield self._transfer_with_retry(
-                self.assignment[edge.src].primary_host, host, edge.size_mb,
-                label=f"{label}:{edge.src}->{edge.dst}", record=record,
-                reason=reason,
+            yield self._copy(
+                edge, self.assignment[edge.src].primary_host, host, record,
+                f"{label}:{edge.src}->{edge.dst}", reason, span=span,
             )
         for binding in node.properties.file_inputs():
             yield self._stage_with_retry(
@@ -936,14 +896,10 @@ class ExecutionCoordinator:
             edge=[edge.src, edge.dst], size_mb=edge.size_mb,
         )
         try:
-            if self.runtime.integrity is None:
-                yield from self._transfer_with_retry(
-                    src_host, dst_host, edge.size_mb,
-                    label=f"{edge.src}->{edge.dst}", record=record,
-                    reason="dataflow", edge=edge,
-                )
-            else:
-                yield from self._deliver_verified(edge, record, out_span)
+            yield from self._copy(
+                edge, src_host, dst_host, record, f"{edge.src}->{edge.dst}",
+                "dataflow", channel=edge, span=out_span,
+            )
         except (ExecutionError, DataIntegrityError) as exc:
             self._close(out_span, status="failed")
             self._edge_ready[key].fail(exc)
@@ -956,44 +912,53 @@ class ExecutionCoordinator:
         self._close(out_span)
         self._edge_ready[key].succeed(value)
 
-    def _deliver_verified(self, edge: Edge, record: TaskRecord, parent_span):
-        """One edge delivery under the integrity repair ladder (DESIGN §16).
+    def _copy(self, edge: Edge, src_host: str, dst_host: str,
+              record: TaskRecord, label: str, reason: str,
+              channel: Optional[Edge] = None, span=NULL_SPAN):
+        """The one dataflow copy of ``edge``'s value (a first delivery, a
+        resume re-stage, a reschedule or speculation feed), as the
+        generator to ``yield from``: :meth:`_verified_copy` with integrity
+        on, else the bare :meth:`_transfer_with_retry` — no wrapper frame
+        (DESIGN §16.3).  ``channel`` is re-established on an outage."""
+        move = partial(
+            self._transfer_with_retry, src_host, dst_host, edge.size_mb,
+            label, record, reason, channel,
+        )
+        return self.integrity.copy(
+            move, self._verified_copy, edge, record, label, span
+        )
 
-        Every arriving copy is checked against the producer's recorded
-        content hash.  A mismatch is refetched from the sender up to
-        ``max_refetches`` times; an artifact corrupt beyond that — or
-        one whose staged copy was lost — is regenerated by re-executing
-        its producer lineage; an artifact that exhausts its
-        regeneration budget is poison-quarantined and this edge fails
-        with the typed :class:`PoisonedArtifactError`.  Only a verified
-        copy is ever recorded as consumed (invariant I12).  The whole
-        episode, from the first detection on, is one ``REPAIR`` span.
-        """
-        integrity = self.runtime.integrity
+    def _verified_copy(self, move, edge: Edge, record: TaskRecord,
+                       label: str, parent_span):
+        """One dataflow copy under the repair ladder (DESIGN §16.3):
+        every ``move()`` is verified, refetched, then — when the producer
+        ran in this incarnation (lineage) — regenerated; past the
+        budgets the artifact is poisoned and the copy fails typed.  Only
+        a verified copy is recorded as consumed, under ``label`` (I12);
+        the episode, from its first detection, is one ``REPAIR`` span."""
+        integrity = self.integrity
         app = self.afg.name
-        label = f"{edge.src}->{edge.dst}"
+        lineage = edge.src not in self._restored
         expected = integrity.recorded_hash(app, edge.src, edge.src_port)
         repair_span = NULL_SPAN
 
         def fetch():
             nonlocal repair_span
-            artifact = integrity.artifact(app, edge.src, edge.src_port)
-            if artifact is not None and artifact.poisoned:
+            artifact = lineage and integrity.artifact(
+                app, edge.src, edge.src_port
+            )
+            if artifact and artifact.poisoned:
                 raise PoisonedArtifactError(
                     f"artifact {edge.src}[{edge.src_port}] of {app!r} is "
                     "quarantined; consumer fails typed"
                 )
             try:
-                if artifact is not None and artifact.lost:
+                if artifact and artifact.lost:
                     raise MissingArtifactError(
                         f"staged copy of {edge.src}[{edge.src_port}] vanished"
                     )
-                yield from self._verified(self._transfer_with_retry(
-                    self.assignment[edge.src].primary_host,
-                    self.assignment[edge.dst].primary_host,
-                    edge.size_mb, label=label, record=record,
-                    reason="dataflow", edge=edge,
-                ), label, expected)
+                arrived = yield from move()
+                integrity.verify(arrived, app, label, label, expected)
             except (CorruptPayloadError, MissingArtifactError):
                 if repair_span is NULL_SPAN:  # the episode's first detection
                     repair_span = self._open(
@@ -1006,11 +971,21 @@ class ExecutionCoordinator:
 
         try:
             yield from integrity.refetch_ladder(
-                app, label, fetch, regenerate, record=record
+                app, label, fetch, regenerate if lineage else None,
+                record=record,
             )
-        except DataIntegrityError:
+        except DataIntegrityError as exc:
             self._close(repair_span, status="poisoned")
-            raise
+            if lineage:
+                raise
+            integrity.note_poison(
+                app, edge.src, "restage refetch budget exhausted"
+            )
+            raise CorruptPayloadError(
+                f"re-staged output {edge.src}[{edge.src_port}] still corrupt "
+                f"after {integrity.policy.max_refetches} refetch(es)",
+                expected_hash=expected,
+            ) from exc
         integrity.record_consumption(
             app, label, clean=True, expected_hash=expected
         )
@@ -1029,7 +1004,7 @@ class ExecutionCoordinator:
         carries a shared ``max_regenerations`` budget, after which it
         is poisoned and consumers fail typed.
         """
-        integrity = self.runtime.integrity
+        integrity = self.integrity
         policy = integrity.policy
         app = self.afg.name
         if depth > policy.max_depth:
@@ -1175,11 +1150,10 @@ class ExecutionCoordinator:
         else:
             outputs = [None] * node.n_out_ports
         location = self.assignment[task_id].primary_host
-        if self.runtime.integrity is not None:
-            for port, value in enumerate(outputs):
-                self.runtime.integrity.record_artifact(
-                    self.afg.name, task_id, port, value, location
-                )
+        for port, value in enumerate(outputs):
+            self.integrity.record_artifact(
+                self.afg.name, task_id, port, value, location
+            )
         if self._journaling:
             self._journal_append(
                 "task_complete",
@@ -1452,12 +1426,13 @@ class ExecutionCoordinator:
             return  # nowhere to speculate; keep waiting on the primary
         try:
             for step in self._feed(
-                node, bid.primary_host, record, "spec", "speculate"
+                node, bid.primary_host, record, "spec", "speculate",
+                race.task_span,
             ):
                 yield from step
                 if race.decided:
                     return
-        except ExecutionError:
+        except (ExecutionError, DataIntegrityError):
             return  # could not feed the backup; speculation aborted
         self._launch_backup(node, record, race, bid, threshold)
 
@@ -1691,7 +1666,8 @@ class ExecutionCoordinator:
         placement = self._rebind(node.id, bid, record, reason)
         # Re-stage inputs onto the new primary host (link-outage safe).
         for step in self._feed(
-            node, placement.primary_host, record, "restage", "restage"
+            node, placement.primary_host, record, "restage", "restage",
+            resched_span,
         ):
             yield from step
         self._close(resched_span, site=placement.site)

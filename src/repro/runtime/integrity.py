@@ -4,8 +4,9 @@ The paper's Data Manager moves every inter-task payload over
 point-to-point channels (§4.2) but assumes the bytes arrive intact.
 This module is the runtime half of DESIGN §16: it remembers the
 canonical content hash (:func:`repro.hashing.value_hash`) of every
-produced artifact, tracks where the staged copy lives, and keeps the
-ground-truth ledger the repair ladder and the chaos auditor both read:
+produced artifact, tracks where the staged copy lives, checks every
+moved copy, runs the one refetch ladder, and keeps the ground-truth
+ledger the repair ladder and the chaos auditor both read:
 
 * every *consumption* — a value handed to a task — with whether the
   received bytes matched the producer's recorded hash (invariant I12
@@ -15,14 +16,15 @@ ground-truth ledger the repair ladder and the chaos auditor both read:
   ``poisoned`` (invariant I13 demands none stay unresolved in a
   completed application).
 
-The manager exists only when ``RuntimeConfig.data_integrity`` is set;
-with it off the runtime takes none of these paths, computes no hashes,
-and every committed trace/metrics hash stays byte-identical.
+With ``RuntimeConfig.data_integrity`` unset the runtime holds
+:data:`NULL_INTEGRITY` instead — chosen once, never asked about again —
+which hashes, verifies and records nothing, so every committed
+trace/metrics hash stays byte-identical.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
@@ -33,7 +35,7 @@ from repro.errors import (
 from repro.hashing import value_hash
 from repro.trace.events import EventKind
 
-__all__ = ["ArtifactRecord", "IntegrityManager", "IntegrityPolicy"]
+__all__ = ["ArtifactRecord", "IntegrityManager", "IntegrityPolicy", "NULL_INTEGRITY"]
 
 
 @dataclass(frozen=True)
@@ -45,9 +47,9 @@ class IntegrityPolicy:
     one whose staged copy is lost — is *regenerated* by re-executing
     its producer (recursively up to ``max_depth`` when the producer's
     own inputs are gone), at most ``max_regenerations`` times before it
-    is poison-quarantined and its consumers fail typed.  DSM remote
-    fetches are hash-checked too, with the same refetch budget and no
-    lineage.
+    is poison-quarantined and its consumers fail typed.  A payload with
+    no lineage (a journalled output, a file input) fails typed once its
+    refetches are spent.
     """
 
     max_refetches: int = 2
@@ -78,10 +80,6 @@ class ArtifactRecord:
     regenerations: int = 0
 
 
-def _artifact_key(application: str, task: str, port: int) -> Tuple[str, str, int]:
-    return (application, task, port)
-
-
 class IntegrityManager:
     """Artifact index + integrity ledger for one runtime."""
 
@@ -106,7 +104,7 @@ class IntegrityManager:
         self, application: str, task: str, port: int, value: Any, host: str
     ) -> str:
         """Register (or restore) one produced output; returns its hash."""
-        key = _artifact_key(application, task, port)
+        key = (application, task, port)
         existing = self._artifacts.get(key)
         if existing is not None:
             # regeneration restored the staged copy; budgets carry over
@@ -122,7 +120,7 @@ class IntegrityManager:
     def artifact(
         self, application: str, task: str, port: int
     ) -> Optional[ArtifactRecord]:
-        return self._artifacts.get(_artifact_key(application, task, port))
+        return self._artifacts.get((application, task, port))
 
     def recorded_hash(
         self, application: str, task: str, port: int
@@ -191,7 +189,27 @@ class IntegrityManager:
         incident["resolution"] = resolution
         incident["resolved_at"] = self.sim.now
 
-    # -- the repair ladder -------------------------------------------------
+    # -- verification and the repair ladder --------------------------------
+
+    def verify(self, transfer, application: str, target: str, subject: str,
+               expected_hash: Optional[str] = None, at: str = "") -> None:
+        """The one check of a moved copy, whose transfer's ``corruption``
+        marker is the hash verdict: a damaged copy is reported and
+        raised ("``<subject> arrived <mode>-damaged<at>``")."""
+        if transfer.corruption is None:
+            return
+        self.note_corruption(
+            application, target, transfer.corruption, expected_hash
+        )
+        raise CorruptPayloadError(
+            f"{subject} arrived {transfer.corruption}-damaged{at}",
+            expected_hash=expected_hash,
+        )
+
+    def copy(self, move, verified, *context):
+        """One dataflow copy: the caller's ``verified(move, *context)``,
+        which verifies every ``move()`` under the ladder."""
+        return verified(move, *context)
 
     def refetch_ladder(
         self, application: str, target: str, fetch, regenerate=None, *,
@@ -210,8 +228,8 @@ class IntegrityManager:
 
         ``regenerate(incident)`` restores the artifact from its lineage
         once the refetch budget is spent (and so refilled) or the copy
-        is lost.  Payloads without lineage (a journalled re-stage, a
-        file input) pass none: exhaustion then re-raises the step's own
+        is lost.  Payloads without lineage (a journalled output, a file
+        input) pass none: exhaustion then re-raises the step's own
         error for the caller to fail its consumer with.
 
         ``kind`` names the incident a damaged copy opens; ``record`` is
@@ -311,3 +329,31 @@ class IntegrityManager:
                 1 for c in self.consumption_log if not c["clean"]
             ),
         }
+
+
+class NullIntegrity:
+    """Integrity off: no hash, no check, no ledger entry.  A copy is the
+    caller's bare move and a ladder its bare fetch, so the off path runs
+    no wrapper frame (DESIGN §16.3)."""
+
+    #: what I12 and I13 audit: nothing consumed, nothing opened
+    consumption_log: Tuple[Dict[str, Any], ...] = ()
+    incidents: Tuple[Dict[str, Any], ...] = ()
+
+    def record_artifact(self, application, task, port, value, host) -> None:
+        pass
+
+    def verify(self, transfer, application, target, subject,
+               expected_hash=None, at="") -> None:
+        pass
+
+    def copy(self, move, verified, *context):
+        return move()
+
+    def refetch_ladder(self, application, target, fetch, regenerate=None,
+                       *, record, kind="corrupt"):
+        return fetch()
+
+
+#: the shared "off" — safe because it holds no state
+NULL_INTEGRITY = NullIntegrity()

@@ -237,14 +237,5 @@ class MembershipCoordinator:
 
     # -- queries ------------------------------------------------------------
 
-    def state_of(self, name: str) -> str:
-        """The host's membership state, searching every site's repository."""
-        for repo in self.runtime.repositories.values():
-            try:
-                return repo.resources.membership_state(name)
-            except MembershipError:
-                continue
-        raise MembershipError(f"host {name!r} is not known to any site")
-
     def is_draining(self, name: str) -> bool:
         return name in self._draining

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Any, Callable, Dict, Optional
 
 from repro.afg.properties import FileSpec
-from repro.errors import CorruptPayloadError
+from repro.runtime.integrity import NULL_INTEGRITY
 from repro.runtime.stats import RuntimeStats
 from repro.sim.kernel import Signal, Simulator
 from repro.sim.network import Network
@@ -57,13 +57,13 @@ class IOService:
         network: Network,
         stats: RuntimeStats,
         tracer: Tracer = NULL_TRACER,
-        integrity=None,
+        integrity=NULL_INTEGRITY,
     ):
         self.sim = sim
         self.network = network
         self.stats = stats
         self.tracer = tracer
-        #: data-integrity manager; None = staged bytes are trusted as-is
+        #: data-integrity manager; NULL_INTEGRITY trusts staged bytes
         self.integrity = integrity
         self._loaders: Dict[str, Callable[[FileSpec], Any]] = {}
         self.staged_count = 0
@@ -95,16 +95,12 @@ class IOService:
                     reason="stage",
                 )
             yield transfer.done
-            if self.integrity is not None and transfer.corruption is not None:
-                # stage-in verification: damaged file payloads never
-                # reach a task; _stage_with_retry owns the refetch budget
-                self.integrity.note_corruption(
-                    "io", f"stage:{spec.path}", transfer.corruption, None
-                )
-                raise CorruptPayloadError(
-                    f"staged file {spec.path!r} arrived {transfer.corruption}"
-                    f"-damaged on {dst_host}"
-                )
+            # stage-in verification: damaged file payloads never reach
+            # a task; _stage_with_retry owns the refetch budget
+            self.integrity.verify(
+                transfer, "io", f"stage:{spec.path}",
+                f"staged file {spec.path!r}", at=f" on {dst_host}",
+            )
         self.staged_count += 1
         if self.tracer.enabled:
             self.tracer.emit(

@@ -38,7 +38,7 @@ from repro.repository.store import SiteRepository
 from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
 from repro.runtime.group_manager import GroupManager
-from repro.runtime.integrity import IntegrityManager, IntegrityPolicy
+from repro.runtime.integrity import NULL_INTEGRITY, IntegrityManager, IntegrityPolicy
 from repro.runtime.membership import MembershipCoordinator
 from repro.runtime.monitor import MonitorDaemon, MonitorRound
 from repro.runtime.services import ConsoleService, IOService
@@ -281,12 +281,12 @@ class VDCERuntime:
     def _build_services(self) -> None:
         """The data-plane services shared by every application."""
         config = self.config
-        #: end-to-end data integrity (artifact hashes + repair ladder);
-        #: None when disabled — no hashing, no verification, no repair
-        self.integrity: Optional[IntegrityManager] = (
+        #: end-to-end data integrity (artifact hashes + repair ladder),
+        #: chosen once: NULL_INTEGRITY hashes and repairs nothing
+        self.integrity = (
             IntegrityManager(self.sim, config.data_integrity)
             if config.data_integrity is not None
-            else None
+            else NULL_INTEGRITY
         )
         self.io_service = IOService(
             self.sim, self.topology.network, self.stats, tracer=self.tracer,

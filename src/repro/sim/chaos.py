@@ -373,7 +373,7 @@ class ChaosReport:
             "breaker_fast_fails": self.breaker_fast_fails,
             "ok": self.ok,
         }
-        if self.integrity is not None:
+        if self.integrity:
             document["integrity"] = self.integrity
         if self.membership is not None:
             document["membership"] = self.membership
@@ -529,7 +529,7 @@ def _arm(
             corrupt_prob=config.link_corrupt_prob,
             truncate_prob=config.link_truncate_prob,
         )
-    if config.artifact_loss_at_s is not None and runtime.integrity is not None:
+    if config.artifact_loss_at_s is not None:  # needs data_integrity
         (victim,) = _draw(rng, hosts)
         injector.schedule_artifact_loss(
             runtime.integrity, victim.name, config.artifact_loss_at_s
@@ -867,8 +867,7 @@ def _report(vdce, run, violations: List[str]) -> ChaosReport:
             runtime.breakers.fast_fails if runtime.breakers is not None else 0
         ),
         integrity=(
-            runtime.integrity.as_dict()
-            if runtime.integrity is not None else None
+            runtime.integrity.as_dict() if run.config.data_integrity else None
         ),
         membership=_membership_section(run),
     )

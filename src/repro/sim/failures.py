@@ -441,26 +441,6 @@ class FailureInjector:
 
     # -- elastic membership (churn) --------------------------------------------
 
-    def schedule_host_join(self, manager, spec, group_name: str, time: float) -> None:
-        """Admit a new host into a site's group at ``time``.
-
-        ``manager`` is duck-typed (``alive`` /
-        ``admit_host(spec, group_name)``, the Site Manager's membership
-        RPC) to keep this module's no-runtime-imports layering.  A dead
-        manager skips the join silently — the roster cannot change
-        through a crashed VDCE server.
-        """
-        if time < self.sim.now:
-            raise ValueError("cannot schedule a host join in the past")
-
-        def join() -> None:
-            if not getattr(manager, "alive", True):
-                return  # the site's server is down: no membership change
-            manager.admit_host(spec, group_name)
-            self.log.append(FailureEvent(self.sim.now, spec.name, "join"))
-
-        self.sim.call_at(time, join)
-
     def schedule_host_decommission(
         self,
         manager,

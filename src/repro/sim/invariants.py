@@ -353,13 +353,10 @@ def no_dirty_consumption(run: CampaignRun) -> List[str]:
     consumption in the integrity ledger is clean — no task ever
     received bytes whose content hash mismatches the producer's,
     because a mismatch is repaired (or fails typed) first."""
-    ledger = run.runtime.integrity
-    if ledger is None:
-        return []
     return [
         f"I12: application {c['application']!r} consumed bytes on "
         f"{c['edge']!r} that mismatch the producer's recorded content hash"
-        for c in ledger.consumption_log if not c["clean"]
+        for c in run.runtime.integrity.consumption_log if not c["clean"]
     ]
 
 
@@ -369,11 +366,8 @@ def repair_or_typed_death(run: CampaignRun) -> List[str]:
     is ``poisoned`` with its application dead — a completed application
     never leaves an incident open nor completes past a poisoned
     artifact."""
-    ledger = run.runtime.integrity
-    if ledger is None:
-        return []
     problems = []
-    for incident in ledger.incidents:
+    for incident in run.runtime.integrity.incidents:
         resolution, app = incident["resolution"], incident["application"]
         if (resolution in ("refetched", "regenerated")
                 or run.outcomes.get(app, {}).get("status") != "completed"):

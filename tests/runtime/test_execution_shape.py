@@ -22,7 +22,6 @@ from repro.runtime import (
     admission,
     execution,
     group_manager,
-    integrity,
     membership,
     site_manager,
     vdce_runtime,
@@ -37,7 +36,6 @@ def tree_of(module):
 
 
 EXECUTION = tree_of(execution)
-BOTH = [EXECUTION, tree_of(integrity)]
 SRC = Path(repro.__file__).parent
 #: every module of the package, and those outside obs/ (where the span
 #: recorder lives and may look at itself)
@@ -110,7 +108,72 @@ def test_each_recovery_mechanism_has_one_call_site():
     assert len(calls([EXECUTION], "reselect_host")) == 1   # replacement walk
     assert len(calls([EXECUTION], "TaskAssignment")) == 1  # rebind
     assert len(calls([EXECUTION], "backoff")) == 1         # outage back-off
-    assert len(calls(BOTH, "note_refetch")) == 1           # refetch ladder
+    everything = list(ALL.values())
+    assert len(calls(everything, "note_refetch")) == 1     # refetch ladder
+    assert len(calls(everything, "note_corruption")) == 1  # verification
+
+
+def test_integrity_is_chosen_once():
+    # NULL_INTEGRITY is the only "off": VDCERuntime reads the config
+    # once, and nobody afterwards asks whether there is a manager (or
+    # its ledger) — ChaosReport.integrity, a report field, is read
+    # truthily.  scheduler/ is not asked: its CommitmentLedger is
+    # another ledger, switched off by the E13 ablation.
+    forks = [
+        (path.relative_to(SRC).as_posix(), ast.unparse(node.left))
+        for path, tree in ALL.items()
+        if path.relative_to(SRC).as_posix() != "runtime/integrity.py"
+        and path.relative_to(SRC).parts[0] != "scheduler"
+        for node in ast.walk(tree)
+        if is_none_test(
+            node, lambda name: name.endswith(("integrity", "ledger"))
+        )
+    ]
+    assert forks == [("runtime/vdce_runtime.py", "config.data_integrity")]
+
+
+def delegation_chain(gen):
+    """Function names down a generator's ``yield from`` chain."""
+    names = []
+    while gen is not None:
+        names.append(gen.gi_code.co_name)
+        gen = gen.gi_yieldfrom
+    return names
+
+
+def test_an_unverified_delivery_delegates_straight_to_its_transfer():
+    """With integrity off a delivering process pays no wrapper frame:
+    while its payload is in flight it is suspended directly inside
+    ``_transfer_with_retry`` (DESIGN §16.3)."""
+    from tests.runtime.conftest import build_runtime, chain_afg
+    from tests.runtime.test_integrity import cross_site_table
+
+    rt = build_runtime()
+    processes = {}
+    spawn, transfer = rt.sim.process, rt.topology.network.transfer
+
+    def process(gen, name=""):
+        processes[name] = spawn(gen, name=name)
+        return processes[name]
+
+    chains = []
+
+    def probed_transfer(*args, label, **kwargs):
+        # the delivering process yields the transfer's signal before
+        # anything else runs at this instant
+        delivering = processes.get(f"xfer:{label}")
+        if delivering is not None:  # a dataflow delivery
+            rt.sim.call_at(rt.sim.now, lambda: chains.append(
+                delegation_chain(delivering.gen)
+            ))
+        return transfer(*args, label=label, **kwargs)
+
+    rt.sim.process = process
+    rt.topology.network.transfer = probed_transfer
+    afg = chain_afg(n=3)
+    table = cross_site_table(afg, [("alpha", "a1"), ("beta", "b1")])
+    rt.sim.run_until_complete(rt.execute_process(afg, table))
+    assert chains == [["_deliver_output", "_transfer_with_retry"]] * 2
 
 
 def test_the_source_string_is_spelled_once():

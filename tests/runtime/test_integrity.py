@@ -17,7 +17,11 @@ from repro.errors import (
 )
 from repro.runtime import ExecutionError
 from repro.runtime.checkpoint import expected_output_hashes, final_output_hashes
-from repro.runtime.integrity import IntegrityManager, IntegrityPolicy
+from repro.runtime.integrity import (
+    NULL_INTEGRITY,
+    IntegrityManager,
+    IntegrityPolicy,
+)
 from repro.scheduler import AllocationTable, TaskAssignment
 
 from tests.runtime.conftest import build_runtime, chain_afg
@@ -241,6 +245,98 @@ class TestDefaultOffNeutrality:
             )
         assert hashes["off"] == hashes["on"]
 
-    def test_runtime_has_no_manager_when_off(self):
+    def test_runtime_has_no_manager_when_off(self, monkeypatch):
+        from repro.runtime import integrity
+
+        hashed = []
+        monkeypatch.setattr(
+            integrity, "value_hash", lambda value: hashed.append(value)
+        )
         rt = build_runtime()
-        assert rt.integrity is None
+        assert rt.integrity is NULL_INTEGRITY
+        afg = chain_afg(n=3)
+        table = cross_site_table(afg, TestRepairLadder.PATTERN)
+        rt.sim.run_until_complete(rt.execute_process(afg, table))
+        assert hashed == []  # an off run computes no value_hash
+
+
+class TestReStagedCopiesAreVerified:
+    """A rescheduled or speculative task's inputs move by the same
+    verified copy as a first delivery (DESIGN §16.3)."""
+
+    def restage_run(self, seed):
+        """``src`` on a1, ``snk`` on b1 behind a 6 MB WAN edge; at 8 s
+        b1 fails while every WAN link is armed to corrupt, so ``snk``'s
+        input is re-staged onto b2 over the damaged link."""
+        from repro.afg import ApplicationFlowGraph, TaskNode, TaskProperties
+
+        rt = integrity_runtime(site_hosts={
+            "alpha": [("a1", 1.0, 256), ("a2", 1.0, 256)],
+            "beta": [("b1", 1.0, 256), ("b2", 4.0, 256)],
+        }, seed=seed)
+        afg = ApplicationFlowGraph("restage")
+        afg.add_task(TaskNode(id="src", task_type="generic.source",
+                              n_out_ports=1))
+        afg.add_task(TaskNode(id="snk", task_type="generic.compute",
+                              n_in_ports=1, n_out_ports=1,
+                              properties=TaskProperties(workload_scale=8.0)))
+        afg.connect("src", "snk", size_mb=6.0)
+        table = cross_site_table(afg, [("alpha", "a1"), ("beta", "b1")])
+
+        def strike():
+            rt.topology.network.set_corruption(0.97)
+            rt.topology.host("b1").fail()
+
+        rt.sim.call_at(8.0, strike)
+        return rt, rt.execute_process(afg, table)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_a_damaged_restage_is_detected_and_never_consumed(self, seed):
+        rt, proc = self.restage_run(seed)
+        with pytest.raises(PoisonedArtifactError):
+            rt.sim.run_until_complete(proc)
+        wan = rt.topology.network.wan_link("alpha", "beta")
+        assert wan.corruption_log[0][1:] == ("restage:src->snk", "bitflip")
+        assert rt.integrity.corruptions_detected == len(wan.corruption_log)
+        (incident,) = rt.integrity.incidents
+        assert incident["target"] == "restage:src->snk"
+        assert incident["resolution"] == "poisoned"
+        # only the clean first delivery was ever consumed
+        assert [(c["edge"], c["clean"]) for c in
+                rt.integrity.consumption_log] == [("src->snk", True)]
+
+    def test_a_speculative_feed_that_fails_typed_abandons_the_backup(self):
+        """t1 straggles on a1 and beta bids for its backup, but the
+        backup's input arrives damaged with no repair budget left: the
+        feed fails typed, speculation is abandoned and the primary
+        finishes on the straggler."""
+        from repro.runtime.straggler import SpeculationPolicy
+
+        rt = integrity_runtime(
+            IntegrityPolicy(max_refetches=0, max_regenerations=0), seed=1,
+            site_hosts={"alpha": [("a1", 1.0, 256)],
+                        "beta": [("b1", 1.0, 256)]},
+            speculation=SpeculationPolicy(trigger_multiple=1.5,
+                                          check_period_s=0.5),
+        )
+        afg = chain_afg(n=2, scale=2.0, edge_mb=4.0, name="unfed")
+        table = cross_site_table(afg, [("alpha", "a1")], predicted=2.0)
+        proc = rt.execute_process(afg, table)
+        rt.sim.call_at(3.0, lambda: rt.topology.host("a1").set_slowdown(10.0))
+        rt.sim.call_at(6.0, lambda: rt.topology.network.set_corruption(0.97))
+        result = rt.sim.run_until_complete(proc)
+        assert result.records["t1"].hosts == ("a1",)
+        assert rt.stats.speculative_launches == 0
+        (incident,) = rt.integrity.incidents
+        assert incident["target"] == "spec:t0->t1"
+        assert incident["resolution"] == "poisoned"
+
+    def test_a_clean_restage_is_recorded_under_its_label(self):
+        rt, proc = self.restage_run(1)
+        rt.sim.call_at(10.0, lambda: rt.topology.network.set_corruption(0.0))
+        result = rt.sim.run_until_complete(proc)
+        assert result.records["snk"].hosts == ("b2",)
+        assert rt.integrity.corruptions_detected == 0
+        assert [c["edge"] for c in rt.integrity.consumption_log] == [
+            "src->snk", "restage:src->snk",
+        ]
