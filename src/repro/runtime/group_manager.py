@@ -98,6 +98,9 @@ class GroupManager:
         #: included: ``VDCERuntime.export_metrics`` writes them
         self.reports: Dict[str, List[int]] = {}
         self.suppressed = 0
+        #: per-host filter mark (a cell shared like ``reports``), moved by
+        #: whatever can change a repeat's fate at delivery (DESIGN §13.9)
+        self.filter_marks: Dict[str, List[int]] = {}
         #: what this Group Manager believes about host liveness
         self._believed_up: Dict[str, bool] = {h.name: True for h in group}
         #: the failure-detection discipline and its per-host state
@@ -144,12 +147,14 @@ class GroupManager:
         """
         self._believed_up[host.name] = True
         self._detector.reset(host.name)
+        self._bump(host.name)
 
     def retire_host(self, name: str) -> None:
         """Forget a departed member: beliefs, suspicion, filter state."""
         self._believed_up.pop(name, None)
         self._detector.retire(name)
         self._last_forwarded.pop(name, None)
+        self._bump(name)
 
     # -- crash / failover (control-plane fault model) ----------------------
 
@@ -166,6 +171,7 @@ class GroupManager:
             return
         self.alive = False
         self._generation += 1
+        self._bump(*self.filter_marks)
         self._failover_pending = False
         self.tracer.emit(
             EventKind.MANAGER_CRASH, source=self._src, role="group_manager",
@@ -225,6 +231,7 @@ class GroupManager:
                 self._believed_up[host_name] = True
             self._detector.reset(host_name)
         self._last_forwarded.clear()
+        self._bump(*self.filter_marks)
         if kind == EventKind.FAILOVER:
             self.failovers += 1
             self.stats.failovers += 1
@@ -244,6 +251,12 @@ class GroupManager:
             )
 
     # -- workload path ----------------------------------------------------
+
+    def _bump(self, *names: str) -> None:
+        """Move the filter marks of ``names``: a repeat read under the
+        old mark may no longer be suppressed."""
+        for name in names:
+            self.filter_marks.setdefault(name, [0])[0] += 1
 
     def suppresses(self, host: str, load: float) -> bool:
         """Fig. 4's test: has ``load`` not changed considerably from the
@@ -268,6 +281,7 @@ class GroupManager:
                 )
             return
         self._last_forwarded[measurement.host] = measurement.load
+        self._bump(measurement.host)
         self.stats.workload_forwards += 1
         if self.tracer.enabled:
             self.tracer.emit(
@@ -367,6 +381,7 @@ class GroupManager:
         """Flip the belief about ``host`` and tell the Site Manager."""
         name = host.name
         self._believed_up[name] = up
+        self._bump(name)
         if up:
             self.stats.recovery_notifications += 1
             kind = EventKind.RECOVERY_NOTIFICATION

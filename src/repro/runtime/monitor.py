@@ -12,7 +12,10 @@ is what the Group Manager's echo protocol exists to notice.
 
 Daemons started together tick together (:class:`MonitorRound`; DESIGN §5
 decision 10, §13.9), and a report the Group Manager would suppress
-anyway is counted, not built (§13.9).
+anyway is counted, not built (§13.9).  Nor is a *clean* host read: after
+an elided report, while the host's ``epoch`` and its filter mark at the
+manager hold, the next report repeats and is counted without a reading;
+a repeat whose mark held until delivery is suppressed in bulk.
 """
 
 from __future__ import annotations
@@ -68,6 +71,13 @@ class MonitorDaemon:
         self.reported: Optional[Tuple[float, int]] = None
         #: this host's report count: its manager's cell, kept across rejoins
         self._tally = group_manager.reports.setdefault(host.name, [0])
+        #: this host's filter mark at its manager (a shared cell too)
+        self._mark = group_manager.filter_marks.setdefault(host.name, [0])
+        #: the last report's delivery item: (mark cell, mark, report, host
+        #: name, host epoch), mark and epoch read if it was elided, else -1
+        self._item: Tuple = (self._mark, -1, None, host.name, -1)
+        #: LAN delay of the last report read
+        self._delay = 0.0
 
     def start(self) -> "MonitorRound":
         """Start alone, as a round of one ticking from now (a host that
@@ -91,9 +101,12 @@ class MonitorDaemon:
         self._tally[0] += 1
         reading = (host.load_average(), host.available_memory_mb())
         if reading == self.reported and gm.suppresses(host.name, reading[0]):
+            self._item = (
+                self._mark, self._mark[0], reading, host.name, host.epoch)
             return reading
         self.reported = reading
         measurement = Measurement(host.name, *reading)
+        self._item = (self._mark, -1, measurement, host.name, -1)
         if self.tracer.enabled:
             self.tracer.emit(
                 EventKind.MONITOR_REPORT,
@@ -105,12 +118,19 @@ class MonitorDaemon:
         return measurement
 
 
-def _deliver(reports: List[Tuple[MonitorDaemon, Tuple]]) -> None:
-    for daemon, report in reports:
-        if isinstance(report, Measurement):
-            daemon.group_manager.receive_measurement(report)
+def _deliver(gm: "GroupManager", items: List[Tuple]) -> None:
+    # a repeat whose filter mark held since it was read: the manager is
+    # alive, the host tracked and its load within the threshold
+    repeats = 0
+    for cell, mark, report, host, _ in items:
+        if cell[0] == mark:
+            repeats += 1
+        elif isinstance(report, Measurement):
+            gm.receive_measurement(report)
         else:
-            daemon.group_manager.receive_repeat(daemon.host.name, report)
+            gm.receive_repeat(host, report)
+    gm.stats.workload_suppressed += repeats
+    gm.suppressed += repeats
 
 
 class MonitorRound:
@@ -128,6 +148,7 @@ class MonitorRound:
     def __init__(self, sim: Simulator, daemons: Iterable[MonitorDaemon]):
         self.sim = sim
         self._members = list(daemons)
+        # check every member before attaching any
         for daemon in self._members:
             if daemon._round is not None:
                 raise RuntimeError(
@@ -135,6 +156,7 @@ class MonitorRound:
                 )
             if daemon.period_s != self._members[0].period_s:
                 raise ValueError("daemons of one round share one period")
+        for daemon in self._members:
             daemon._round = self
             daemon._stopped = False
             sim.tracer.emit(
@@ -146,7 +168,7 @@ class MonitorRound:
     def _tick(self) -> None:
         sim = self.sim
         retired = False
-        batch_gm = batch_delay = reports = None
+        batch_gm = batch_delay = items = None
         for daemon in self._members:
             host = daemon.host
             if daemon._stopped:
@@ -156,26 +178,35 @@ class MonitorRound:
                     EventKind.PROCESS_FINISH, source=f"monitor:{host.name}"
                 )
                 continue
-            if not host.is_up():
+            gm, item = daemon.group_manager, daemon._item
+            if host.epoch == item[4] and item[0][0] == item[1]:
+                # clean: up, manager alive, same reading, same verdict
+                daemon.stats.monitor_reports += 1
+                daemon._tally[0] += 1
+                delay = daemon._delay
+            elif not host.is_up():
                 continue
-            gm = daemon.group_manager
-            if not gm.alive:
+            elif not gm.alive:
                 # the manager stopped answering: this monitor's report
                 # would vanish anyway, so instead it votes to promote a
                 # deputy (first caller wins the election)
                 gm.request_failover(host)
                 continue
-            # delivery after LAN latency; a monitor on a host that dies
-            # in flight still delivers (packet already sent).  A
-            # degraded host's daemon is itself slowed, so its report
-            # leaves late by the same factor.
-            delay = daemon.lan_latency_s * max(1.0, host.slowdown)
+            else:
+                # delivery after LAN latency; a monitor on a host that
+                # dies in flight still delivers (packet already sent).
+                # A degraded host's daemon is itself slowed, so its
+                # report leaves late by the same factor.
+                delay = daemon._delay = (
+                    daemon.lan_latency_s * max(1.0, host.slowdown))
+                daemon._report()
+                item = daemon._item
             if gm is not batch_gm or delay != batch_delay:
                 # on the calendar here, where its first report is: an
                 # election a later member calls must land after it
-                batch_gm, batch_delay, reports = gm, delay, []
-                sim.call_after(delay, lambda reports=reports: _deliver(reports))
-            reports.append((daemon, daemon._report()))
+                batch_gm, batch_delay, items = gm, delay, []
+                sim.call_after(delay, lambda g=gm, i=items: _deliver(g, i))
+            items.append(item)
         if retired:
             self._members = [d for d in self._members if d._round is self]
         if self._members:

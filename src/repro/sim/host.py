@@ -136,6 +136,9 @@ class Host(FairShareServer):
         #: sum of ``memory_mb`` over ``_running``, kept at every mutation
         #: so a monitor report or a settle never iterates the residents
         self._resident_mb = 0
+        #: bumped by every change to what a monitor reads (load, memory,
+        #: up/down) or to when its report leaves (slowdown)
+        self.epoch = 0
         #: called (no arguments) whenever :meth:`set_bg_load` has set a
         #: new background load — the Application Controller's load watch
         self.load_listener: Optional[Callable[[], None]] = None
@@ -184,6 +187,7 @@ class Host(FairShareServer):
 
     def _on_finish(self, execution: TaskExecution) -> None:
         self._resident_mb -= execution.memory_mb
+        self.epoch += 1
         self.completed_count += 1
 
     def execute(self, work: float, memory_mb: int = 0, label: str = "") -> TaskExecution:
@@ -193,6 +197,7 @@ class Host(FairShareServer):
         if self.state is HostState.DOWN:
             raise HostDownError(self.spec.name)
         self._settle()
+        self.epoch += 1
         execution = TaskExecution(self, work, memory_mb, label)
         self._running.append(execution)
         self._resident_mb += execution.memory_mb
@@ -210,6 +215,7 @@ class Host(FairShareServer):
         if execution not in self._running:
             return
         self._settle()
+        self.epoch += 1
         self._running.remove(execution)
         self._resident_mb -= execution.memory_mb
         execution.finished_at = self.sim.now
@@ -237,6 +243,7 @@ class Host(FairShareServer):
         if value < 0:
             raise SimulationError(f"negative background load: {value}")
         self._settle()
+        self.epoch += 1
         self.bg_load = float(value)
         # before the completion is re-timed: a load check armed by this
         # change must go on the calendar ahead of a completion landing on
@@ -257,6 +264,7 @@ class Host(FairShareServer):
         if factor == self.slowdown:
             return
         self._settle()
+        self.epoch += 1
         self.slowdown = float(factor)
         self._reschedule_completion()
 
@@ -267,6 +275,7 @@ class Host(FairShareServer):
         if self.state is HostState.DOWN:
             return
         self._settle()
+        self.epoch += 1
         self.state = HostState.DOWN
         victims, self._running = self._running, []
         self._resident_mb = 0
@@ -280,6 +289,7 @@ class Host(FairShareServer):
         if self.state is HostState.UP:
             return
         self._last_settle = self.sim.now
+        self.epoch += 1
         self.state = HostState.UP
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

@@ -11,13 +11,22 @@ kernel process and one delivery callback per daemon: 65 736 events here;
 Nor does an idle host's trace grow with time: every report after the
 first repeats it and would be suppressed, so it is counted and elided —
 one ``monitor_report`` per host, no ``workload_suppress`` (DESIGN §13.9).
+Nor is an idle host read: once a repeat was elided and neither the
+host's epoch nor its filter mark has moved, the next is counted without
+entering ``MonitorDaemon._report`` — two reads per host (the first
+report, and the repeat after its forward) over the whole horizon.
 """
+
+import pytest
 
 from repro.metrics import event_counts
 from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime.monitor import MonitorDaemon
+from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import EventKind, Tracer
 from repro.trace.tracer import NULL_TRACER
+from repro.workloads import bag_of_tasks
 
 HORIZON_VS = 1000.0
 #: measured 6 173 on 8 sites x 8 hosts
@@ -39,11 +48,61 @@ def idle_federation(hosts_per_site: int, tracer=NULL_TRACER) -> VDCERuntime:
     return rt
 
 
-def test_idle_federation_under_the_ceiling():
+@pytest.fixture
+def reads(monkeypatch):
+    """Entries into ``MonitorDaemon._report``: reports read off a host."""
+    count = [0]
+    original = MonitorDaemon._report
+
+    def report(self):
+        count[0] += 1
+        return original(self)
+
+    monkeypatch.setattr(MonitorDaemon, "_report", report)
+    return count
+
+
+def test_idle_federation_under_the_ceiling(reads):
     rt = idle_federation(8)
     # every daemon reported every period: t = 0, 2, ..., 1000
     assert rt.stats.monitor_reports == 64 * 501
     assert rt.sim.events_processed < CEILING
+    # ... but read its host twice (64 x 501 when every report was read)
+    assert reads[0] <= 2 * 64
+
+
+def test_a_bag_reads_few_of_the_reports_it_counts(reads):
+    """``bag_2k``'s input: 2 048 equal tasks from site-0 over 8 x 8.
+    Hosts stay busy at a constant load for most of the run, so at most
+    5 % of the reports counted are read (all 9 536 when every report
+    was).  A shorter bag ticks too few times for the bound: the two
+    reads every change costs are a third of a 512-task bag's reports."""
+    builder = (
+        TopologyBuilder(seed=0)
+        .lan_defaults(0.0005, 10.0)
+        .wan_defaults(0.03, 2.0)
+    )
+    for s in range(8):
+        builder.site(f"site-{s}", hosts=[
+            (f"s{s}-h{h}", (1.0, 1.5, 2.0, 2.5)[(s + h) % 4], 256)
+            for h in range(8)
+        ])
+    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
+    rt.start_monitoring()
+    afg = bag_of_tasks(n=2048, cost=4.0, heterogeneity=0.0, seed=0)
+
+    def submit():
+        table, _ = yield from rt.schedule_process(
+            afg, SiteScheduler(k=7, model=rt.model), local_site="site-0")
+        result = yield rt.execute_process(
+            afg, table, submit_site="site-0", execute_payloads=False)
+        return result
+
+    result = rt.sim.run_until_complete(rt.sim.process(submit()))
+    assert len(result.records) == 2048
+    # about 150 ticks of 64 daemons: the bound is not met by a short run
+    assert rt.stats.monitor_reports >= 100 * 64
+    assert reads[0] <= 0.05 * rt.stats.monitor_reports
 
 
 def test_an_idle_trace_holds_one_report_per_host():

@@ -28,7 +28,11 @@ if a delivery entry is put on the calendar at the end of the tick
 instead of where its first report is, or if one entry carries reports
 for more than one Group Manager.  The LAN-window cases put a crash, a
 restart or a retirement between a repeated report's tick and its
-delivery, or on the tick instant itself.
+delivery, or on the tick instant itself.  The clean-host cases make
+each edit that must end a clean daemon's run — one that moves the
+host's epoch or its filter mark — on an otherwise idle federation,
+where no stock run makes it; each fails when the bumps it exercises
+are taken out.
 """
 
 import dataclasses
@@ -42,6 +46,7 @@ from repro.metrics.analysis import elide_repeated_reports, structural_diff
 from repro.metrics.export import registry_snapshot
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime.monitor import Measurement, MonitorDaemon, MonitorRound
 from repro.net.rpc import RpcError
 from repro.runtime.execution import ExecutionError
 from repro.scheduler import SiteScheduler
@@ -463,3 +468,189 @@ def test_lan_window_of_an_elided_report(case):
                          if e.kind == EventKind.MONITOR_REPORT])
     assert forwarded == len([e for e in events_at(rt, TICK + LAN_LATENCY_S)
                              if e.kind == EventKind.WORKLOAD_FORWARD])
+
+
+# -- (h) a clean host is not read -------------------------------------------------
+
+@pytest.fixture
+def reads(monkeypatch):
+    """``(time, host)`` of every report the round reads — every entry
+    into ``MonitorDaemon._report``; the reference never enters it."""
+    seen = []
+    original = MonitorDaemon._report
+
+    def report(self):
+        seen.append((self.sim.now, self.host.name))
+        return original(self)
+
+    monkeypatch.setattr(MonitorDaemon, "_report", report)
+    return seen
+
+
+def idle(*actions, until=12.0):
+    """An idle federation (2 x 4, ticks at 0, 2, 4, ...): every host's
+    report from t = 2 repeats and is elided, and from t = 4 its daemon
+    is clean.  ``actions`` are ``(time, f(rt))`` pairs."""
+    def scenario():
+        rt = federation(2, 4)
+        rt.start_monitoring()
+        for time, action in actions:
+            rt.sim.call_at(time, lambda action=action: action(rt))
+        rt.sim.run(until=until)
+        return rt, None
+
+    return scenario
+
+
+def host(rt, name="s0-h1"):
+    return rt.topology.host(name)
+
+
+def read_at(reads, name):
+    return [time for time, host_name in reads if host_name == name]
+
+
+def verdicts(rt, time, name):
+    return [e.kind for e in events_at(rt, time + LAN_LATENCY_S)
+            if e.data.get("host") == name
+            and e.kind in (EventKind.WORKLOAD_SUPPRESS,
+                           EventKind.WORKLOAD_FORWARD)]
+
+
+def reported(rt, time, name):
+    return [(e.data["load"], e.data["available_memory_mb"])
+            for e in events_at(rt, time)
+            if e.kind == EventKind.MONITOR_REPORT and e.data["host"] == name]
+
+
+def test_a_memory_only_change_at_constant_load(reads):
+    """A slice retires at 4.5 and one with more memory starts on the same
+    instant: the load stays 1.0, only the memory moves.  The clean host
+    (its repeat at 4.0 elided) must be read at 6.0 — the epoch bumps of
+    the retirement and the start — and its report built and suppressed."""
+    def slices(rt):
+        def run():
+            first = host(rt).execute(6.0, memory_mb=10)  # 4 s at speed 1.5
+            yield first.done
+            host(rt).execute(1e6, memory_mb=30)
+        rt.sim.process(run(), name="slices")
+
+    rt, _ = assert_equivalent(idle((0.5, slices)))
+    assert reported(rt, 2.0, "s0-h1") == [(1.0, 246)]
+    assert reported(rt, 6.0, "s0-h1") == [(1.0, 226)]
+    assert verdicts(rt, 6.0, "s0-h1") == [EventKind.WORKLOAD_SUPPRESS]
+    assert read_at(reads, "s0-h1") == [0.0, 2.0, 4.0, 6.0, 8.0]
+
+
+def test_a_slice_cancelled_on_a_clean_host(reads):
+    """A slice running since 0.5 is preempted at 4.5 (``cancel``): the
+    load drops back to 0.0, so the clean host is read at 6.0 and its
+    report built and forwarded."""
+    rt, _ = assert_equivalent(idle(
+        (0.5, lambda rt: host(rt).execute(1e6, memory_mb=10)),
+        (4.5, lambda rt: host(rt).preempt_all("drain")),
+    ))
+    assert reported(rt, 2.0, "s0-h1") == [(1.0, 246)]
+    assert reported(rt, 6.0, "s0-h1") == [(0.0, 256)]
+    assert verdicts(rt, 6.0, "s0-h1") == [EventKind.WORKLOAD_FORWARD]
+
+
+def test_a_background_load_set_to_its_own_value(reads):
+    """1.0 at 2.5, 1.0 again at 6.5 (the reading does not move, but the
+    host is read once more), 1.1 at 8.5: a change under the threshold,
+    built at 10.0 and suppressed."""
+    rt, _ = assert_equivalent(idle(
+        (2.5, lambda rt: host(rt).set_bg_load(1.0)),
+        (6.5, lambda rt: host(rt).set_bg_load(1.0)),
+        (8.5, lambda rt: host(rt).set_bg_load(1.1)),
+    ))
+    assert reported(rt, 10.0, "s0-h1") == [(1.1, 256)]
+    assert verdicts(rt, 10.0, "s0-h1") == [EventKind.WORKLOAD_SUPPRESS]
+    assert read_at(reads, "s0-h1") == [0.0, 2.0, 4.0, 6.0, 8.0, 10.0, 12.0]
+
+
+def test_a_slowdown_on_a_clean_host_moves_its_delivery(reads):
+    """``slowdown`` 3.0 at 5.0 leaves the reading alone but stretches
+    the LAN delay: at 6.0 the host's repeat is its own delivery entry
+    between its group-mates' two, at 6.0 + 3 x latency — after the crash
+    at 6.001, which drops it instead of suppressing it."""
+    rt, _ = assert_equivalent(idle(
+        (5.0, lambda rt: host(rt).set_slowdown(3.0)),
+        (6.0 + 2 * LAN_LATENCY_S,
+         lambda rt: rt.group_managers["site-0-g0"].crash()),
+    ))
+    assert (6.0, "s0-h1") in reads
+    # the repeats of 2.0 and 4.0, and three of the four of 6.0
+    assert rt.group_managers["site-0-g0"].suppressed == 2 * 4 + 3
+
+
+@pytest.mark.parametrize("down,up", [(3.5, 4.5), (4.2, 4.8)])
+def test_a_host_fails_and_recovers_with_its_reading_unchanged(reads, down, up):
+    """Across the tick at 4.0 (silent there: the epoch bump of ``fail``)
+    or between two ticks; either way the reading at 6.0 repeats."""
+    rt, _ = assert_equivalent(idle(
+        (down, lambda rt: host(rt, "s0-h2").fail()),
+        (up, lambda rt: host(rt, "s0-h2").recover()),
+    ))
+    assert reported(rt, 6.0, "s0-h2") == []
+    assert rt.group_managers["site-0-g0"].reports["s0-h2"] == [
+        6 if down < 4.0 < up else 7]
+    assert (6.0, "s0-h2") in reads
+
+
+def test_a_manager_crashes_and_recovers_between_two_ticks(reads):
+    """The restart at 4.6 resets the filter: at 6.0 every repeat of
+    the group must be built and forwarded, none counted as clean."""
+    gm = lambda rt: rt.group_managers["site-0-g0"]
+    rt, _ = assert_equivalent(idle(
+        (4.2, lambda rt: gm(rt).crash()),
+        (4.6, lambda rt: gm(rt).recover()),
+    ))
+    for h in range(4):
+        name = f"s0-h{h}"
+        assert reported(rt, 6.0, name) == [(0.0, 256)]
+        assert verdicts(rt, 6.0, name) == [EventKind.WORKLOAD_FORWARD]
+        assert (6.0, name) in reads
+
+
+def test_a_forward_of_one_host_leaves_its_group_mates_clean(reads):
+    """A measurement of s0-h1 (load 3.0) delivered out of band inside the
+    LAN window of the tick at 6.0, and forwarded: the filter mark it
+    bumps sends s0-h1's repeat, read clean at the tick, through
+    ``receive_repeat`` — no longer suppressed, it is forwarded — and its
+    next report is read.  s0-h2's repeat in the same delivery entry is
+    counted with the batch, and s0-h2 stays clean and unread."""
+    rt, _ = assert_equivalent(idle(
+        (6.0 + LAN_LATENCY_S / 2,
+         lambda rt: rt.group_managers["site-0-g0"].receive_measurement(
+             Measurement("s0-h1", 3.0, 256))),
+    ))
+    assert verdicts(rt, 6.0, "s0-h1") == [EventKind.WORKLOAD_FORWARD]
+    assert verdicts(rt, 6.0, "s0-h2") == []
+    assert read_at(reads, "s0-h1") == [0.0, 2.0, 8.0]
+    assert read_at(reads, "s0-h2") == [0.0, 2.0]
+
+
+# -- (i) a rejected round attaches no daemon ----------------------------------------
+
+@pytest.mark.parametrize("reject", ["period", "running"])
+def test_a_rejected_round_attaches_no_daemon(reject):
+    """Every member is checked before any is attached: a second daemon
+    with another period, or one already running, rejects the round and
+    leaves the first free to start."""
+    rt = federation(1, 3)
+    first, second, third = (rt.monitors[f"s0-h{h}"] for h in range(3))
+    if reject == "period":
+        second = MonitorDaemon(rt.sim, second.host, second.group_manager,
+                               rt.stats, period_s=3.0)
+        error = ValueError
+    else:
+        second.start()
+        error = RuntimeError
+    with pytest.raises(error):
+        MonitorRound(rt.sim, [first, second, third])
+    assert first._round is None and third._round is None
+    spawned = [e.source for e in rt.tracer.events()
+               if e.kind == EventKind.PROCESS_SPAWN]
+    assert spawned == (["monitor:s0-h1"] if reject == "running" else [])
+    assert first.start() is first._round
