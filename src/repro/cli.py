@@ -13,7 +13,7 @@ Commands:
 * ``analyze <trace> [<trace2>]`` — the trace-analysis toolkit: critical
   path, per-host utilization, schedule lag; with two traces, the
   structural diff (first divergent event + per-kind count deltas),
-  ``--modulo KIND[,KIND]`` diffing the first with those kinds dropped;
+  ``--modulo`` diffing the first with kinds dropped or moves applied;
 * ``explain <trace>`` — the attribution engine: rebuild the causal span
   tree from a ``run``/``resume --trace`` or ``chaos --spans`` trace (or
   re-run a bench scenario with spans on), print the per-application
@@ -34,6 +34,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import reduce
 from typing import Callable, Optional, Sequence
 
 __all__ = ["main"]
@@ -366,6 +367,7 @@ def cmd_metrics(args) -> int:
 def cmd_analyze(args) -> int:
     """Analyze one saved trace, or structurally diff two."""
     from repro.metrics.analysis import (
+        MOVES,
         format_analysis,
         format_structural_diff,
         structural_diff,
@@ -388,13 +390,16 @@ def cmd_analyze(args) -> int:
                               title=f"trace analysis — {args.trace}"))
         return 0
     events, events2 = traces
-    kinds = set(args.modulo.split(",")) if args.modulo else None
+    names = set(args.modulo.split(",")) if args.modulo else set()
     # a misspelt kind would drop nothing and report a spurious mismatch
-    unknown = sorted(kinds - KNOWN_KINDS) if kinds else []
+    unknown = sorted(names - KNOWN_KINDS - set(MOVES))
     if unknown:
         print(f"error: unknown event kind {', '.join(unknown)}")
         return 1
-    modulo = kinds and (lambda evs: [e for e in evs if e.kind not in kinds])
+    moves = [MOVES[name] for name in sorted(names & set(MOVES))]
+    modulo = (lambda evs: [
+        e for e in reduce(lambda kept, move: move(kept), moves, evs)
+        if e.kind not in names]) if names else None
     report = structural_diff(events, events2, modulo)
     print(f"a: {args.trace}\nb: {args.trace2}")
     print(format_structural_diff(report))
@@ -995,7 +1000,9 @@ def build_parser() -> argparse.ArgumentParser:
                           "(exit 2 when the traces differ)")
     ana.add_argument("--modulo", metavar="KIND[,KIND]",
                      help="diff the first trace with these event kinds "
-                          "dropped and seq renumbered")
+                          "dropped, or these declared moves applied ("
+                          "elide_quiet_echoes, elide_repeated_reports), "
+                          "and seq renumbered")
 
     topo = sub.add_parser("topology", help="print the deployment diagram")
     topo.add_argument("--sites", type=int, default=2)

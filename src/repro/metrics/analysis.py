@@ -17,7 +17,8 @@ questions benchmarks and humans actually ask of a run:
   two runs: first divergent event and per-kind count deltas, the
   workflow for debugging a scheduling change
   (``python -m repro analyze <a> <b>``); ``modulo=`` first applies a
-  declared move to ``a``, such as :func:`elide_repeated_reports`.
+  declared move to ``a``, such as :func:`elide_repeated_reports` or
+  :func:`elide_quiet_echoes`.
 
 Everything consumes a plain event sequence (a :class:`Tracer` works
 too), so saved JSONL traces round-trip through
@@ -42,6 +43,7 @@ from repro.trace.serialize import TraceLike, events_of, event_to_json
 __all__ = [
     "analyze_trace",
     "critical_path",
+    "elide_quiet_echoes",
     "elide_repeated_reports",
     "format_analysis",
     "format_structural_diff",
@@ -320,6 +322,35 @@ def elide_repeated_reports(events: List[TraceEvent]) -> List[TraceEvent]:
             holder.pop(host, None)
         kept.append(event)
     return kept
+
+
+def elide_quiet_echoes(events: List[TraceEvent]) -> List[TraceEvent]:
+    """The count detector's quiet echo as a move on a trace taken
+    without it (DESIGN §13.13): drop an answered ``{host, responded}``
+    ``echo`` when its manager's previous echo of the host answered.  A
+    manager's history restarts at its ``manager_recover`` / ``failover``,
+    a host's at its ``host_join`` / ``host_rejoin`` / ``host_depart``."""
+    answered, kept = {}, []
+    for event in events:
+        kind, data = event.kind, event.data
+        if kind == EventKind.ECHO:
+            heard = answered.setdefault(event.source, set())
+            if data["responded"] and data["host"] in heard and len(data) == 2:
+                continue
+            (heard.add if data["responded"] else heard.discard)(data["host"])
+        elif kind in (EventKind.MANAGER_RECOVER, EventKind.FAILOVER):
+            answered.pop(event.source, None)
+        elif kind in (EventKind.HOST_JOIN, EventKind.HOST_REJOIN,
+                      EventKind.HOST_DEPART):
+            for heard in answered.values():
+                heard.discard(data["host"])
+        kept.append(event)
+    return kept
+
+
+#: the declared moves ``repro analyze --modulo`` accepts by name
+MOVES = {"elide_quiet_echoes": elide_quiet_echoes,
+         "elide_repeated_reports": elide_repeated_reports}
 
 
 def structural_diff(a: TraceLike, b: TraceLike,

@@ -1,8 +1,9 @@
 """The fold table: each metric of a traced moment, spelled once.
 
 A registry listening to the deployment's emitter applies :data:`FOLDS`
-to every event (DESIGN §8), so adding a metric of a traced moment is one
-entry.  A fold reads the payload and the ``source`` owner (``gm:<group>``
+to every event of a kind it has (DESIGN §8; no other kind reaches it),
+so adding a metric of a traced moment is one entry.  A fold reads the
+payload and the ``source`` owner (``gm:<group>``
 -> ``<group>``); families take values through ``float``, since a relay
 passes the emitted numpy scalars on.  Metrics with no event at the
 instant they are written stay direct writes (DESIGN §8 lists them).
@@ -57,8 +58,9 @@ _SITE = lambda s, d: (("site", d["site"]),)         # noqa: E731
 
 #: event kind -> the folds applied to each event of that kind
 FOLDS: Dict[str, Tuple[Fold, ...]] = {
-    # a repeated report is elided, so its count and its Group Manager's
-    # suppress count are written at export (``VDCERuntime.export_metrics``)
+    # a repeated report and a quiet echo are elided, so the report, its
+    # suppress and the echo counts are written at export (``VDCERuntime.
+    # export_metrics``)
     EventKind.MONITOR_REPORT: (
         Fold("series", "vdce_host_load",
              "run-queue length sampled by the monitor daemon",
@@ -117,8 +119,6 @@ FOLDS: Dict[str, Tuple[Fold, ...]] = {
        for kind, name, help in (
         (EventKind.WORKLOAD_FORWARD, "vdce_workload_forwards_by_group_total",
          "significant measurements forwarded to the Site Manager"),
-        (EventKind.ECHO, "vdce_echo_packets_by_group_total",
-         "echo round trips attempted, per group"),
         (EventKind.FAILOVER, "vdce_failovers_by_group_total",
          "manager failovers completed (deputy promotions)"),
     )},

@@ -9,8 +9,8 @@ experiment reads.
 Design rules, shared with :mod:`repro.trace.tracer`:
 
 * **Folds over the trace.**  The deployment's one emitter
-  (:meth:`MetricsRegistry.emitter`) hands every event to :meth:`fold`;
-  only metrics with no event at that instant are written directly.
+  (:meth:`MetricsRegistry.emitter`) hands every event of a folded kind
+  to :meth:`fold`; only metrics with no event then are written directly.
 * **Sim-clock timestamped.**  The registry is bound to a caller-supplied
   clock (the simulator binds its virtual clock via :meth:`bind_clock`),
   never the wall clock, so two same-seed runs produce byte-identical
@@ -317,10 +317,11 @@ class MetricsRegistry:
 
     def emitter(self, tracer: Tracer) -> Tracer:
         """``tracer`` listened to by :meth:`fold`, or — for one that
-        records nothing, such as ``NULL_TRACER`` — a relay that folds."""
+        records nothing, such as ``NULL_TRACER`` — a relay that folds;
+        only kinds with a fold are handed over."""
         if not tracer.records:
-            return RelayTracer(self.fold)
-        tracer.listen(self.fold)
+            tracer = RelayTracer()
+        tracer.listen(self.fold, FOLDS)
         return tracer
 
     # -- access ------------------------------------------------------------

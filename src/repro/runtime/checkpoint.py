@@ -88,9 +88,19 @@ def decode_value(encoded: str) -> Any:
 # -- the journal -------------------------------------------------------------
 
 
-def _record_crc(body: Dict[str, Any]) -> str:
-    payload = canonical_json(body)
+def _record_crc(payload: str) -> str:
+    """Checksum of a record's canonical encoding."""
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]
+
+
+def _record_line(body: Dict[str, Any]) -> str:
+    """``body`` plus its ``"crc"``, canonical: the keys sorting before
+    ``"crc"`` and those after are encoded once, for checksum and line."""
+    before, after = (canonical_json({k: v for k, v in body.items()
+                                     if (k < "crc") is side})[1:-1]
+                     for side in (True, False))
+    crc = _record_crc("{" + ",".join(filter(None, (before, after))) + "}")
+    return "{" + ",".join(filter(None, (before, f'"crc":"{crc}"', after))) + "}"
 
 
 class CheckpointJournal:
@@ -127,10 +137,7 @@ class CheckpointJournal:
         if not self.enabled:
             return 0
         body = {"kind": kind, **fields}
-        line_obj = dict(body)
-        line_obj["crc"] = _record_crc(body)
-        line = canonical_json(line_obj) + "\n"
-        raw = line.encode("utf-8")
+        raw = (_record_line(body) + "\n").encode("utf-8")
         if self.path is not None:
             with open(self.path, "ab") as fh:
                 fh.write(raw)
@@ -189,7 +196,8 @@ class CheckpointJournal:
                 crc = line_obj.pop("crc")
             except (ValueError, KeyError, AttributeError):
                 return None
-            if not isinstance(line_obj, dict) or _record_crc(line_obj) != crc:
+            if (not isinstance(line_obj, dict)
+                    or _record_crc(canonical_json(line_obj)) != crc):
                 return None
             return line_obj
 

@@ -116,6 +116,8 @@ class GroupManager:
             )
         )
         self._echo_process: Optional[Process] = None
+        #: echoes sent (written at export) and quiet ones, not traced
+        self.echoes = self.quiet_echoes = 0
         self.false_positives = 0
         #: False while the manager process is crashed (fault injection)
         self.alive = True
@@ -316,13 +318,14 @@ class GroupManager:
 
     def _echo_loop(self, generation: int):
         rng = None  # echo:{gm}, taken on the first lossy echo
+        quiet = self._detector.quiet
         while True:
             yield Timeout(self.echo_period_s)
             if generation != self._generation:
                 return  # crashed (or failed over) since our last tick
-            # one aggregate bump per round; the per-group metric folds
-            # the one ECHO event per host below
+            # one aggregate bump per round, here and per group
             self.stats.echo_packets += len(self.group)
+            self.echoes += len(self.group)
             for host in self.group:
                 # an echo round trip on the LAN; the response reflects the
                 # host's state when the packet arrives, and may be lost
@@ -332,7 +335,12 @@ class GroupManager:
                         rng = self.sim.rng(f"echo:{self.name}")
                     if float(rng.uniform()) < self.echo_loss_prob:
                         responded = False  # packet lost, host fine
-                self._echo_round(host, responded)
+                # two LAN hops, stretched by slowdown: slow, not dead
+                rtt_s = 2.0 * self.lan_latency_s * max(1.0, host.slowdown)
+                if responded and quiet(host.name, rtt_s):
+                    self.quiet_echoes += 1  # changes nothing: no round
+                else:
+                    self._echo_round(host, responded, rtt_s)
             if self.site_manager.brownout is not None and self.alive:
                 # backpressure input: this round's believed-up run-queue
                 # lengths, normalised by the saturation threshold.  Rides
@@ -347,12 +355,8 @@ class GroupManager:
                 )
                 self.site_manager.receive_occupancy(self.name, occupancy)
 
-    def _echo_round(self, host, responded: bool) -> None:
+    def _echo_round(self, host, responded: bool, rtt_s: float) -> None:
         """Read one echo through the detector and act on its verdict."""
-        # two LAN hops, stretched by slowdown: a degraded host still
-        # answers — late.  This is the observable that distinguishes
-        # slow from dead.
-        rtt_s = 2.0 * self.lan_latency_s * max(1.0, host.slowdown)
         verdict = self._detector.round(
             host.name, responded, rtt_s, self.sim.now,
             self._believed_up[host.name],

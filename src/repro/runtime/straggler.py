@@ -152,6 +152,9 @@ class CountEchoDetector:
     took longer counts as a miss — which is how a merely slowed host
     becomes a false positive, the failure mode :class:`PhiEchoDetector`
     exists to avoid.
+
+    An answer in time after one since the host's last :meth:`reset` is
+    :meth:`quiet` — it changes nothing; the first after a reset is news.
     """
 
     def __init__(self, threshold: int, timeout_s: Optional[float] = None,
@@ -160,21 +163,31 @@ class CountEchoDetector:
         self.timeout_s = timeout_s
         #: consecutive missed echoes per host
         self.missed: Dict[str, int] = {name: 0 for name in hosts}
+        #: hosts whose last echo in this epoch answered in time
+        self.answered: set[str] = set()
 
     def reset(self, host: str) -> None:
         """Fresh state for ``host`` (also how a joining host is admitted)."""
         self.missed[host] = 0
+        self.answered.discard(host)
 
     def retire(self, host: str) -> None:
         self.missed.pop(host, None)
+        self.answered.discard(host)
 
     def suspects(self, host: str) -> bool:
         return False  # this discipline knows up and down only
+
+    def quiet(self, host: str, rtt_s: float) -> bool:
+        """Would an answer from ``host`` taking ``rtt_s`` change nothing?"""
+        return host in self.answered and (
+            self.timeout_s is None or rtt_s <= self.timeout_s)
 
     def round(self, host: str, responded: bool, rtt_s: float, now: float,
               believed_up: bool) -> EchoVerdict:
         if responded and self.timeout_s is not None and rtt_s > self.timeout_s:
             responded = False
+        (self.answered.add if responded else self.answered.discard)(host)
         missed = self.missed[host] = 0 if responded else self.missed[host] + 1
         if believed_up and missed >= self.threshold:
             return EchoVerdict(responded, "down")
@@ -220,6 +233,9 @@ class PhiEchoDetector:
 
     def suspects(self, host: str) -> bool:
         return self._suspected.get(host, False)
+
+    def quiet(self, host: str, rtt_s: float) -> bool:
+        return False  # every echo moves the arrival history
 
     def round(self, host: str, responded: bool, rtt_s: float, now: float,
               believed_up: bool) -> EchoVerdict:

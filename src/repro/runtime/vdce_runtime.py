@@ -359,10 +359,11 @@ class VDCERuntime:
         Folds the :class:`~repro.runtime.stats.RuntimeStats` counters
         into registry counters (one source of truth for ``vdce
         metrics`` and the E5–E8 assertions) and the Group Managers'
-        report / suppress counts (an elided report has no event to
-        fold), sets the kernel gauges (virtual time, event rate) and the
-        monitoring suppression ratio, then returns the registry.  Safe
-        to call repeatedly; a no-op on the disabled registry.
+        report / suppress / echo counts (an elided report or quiet echo
+        has no event to fold), sets the kernel gauges (virtual time,
+        event rate) and the monitoring suppression ratio, then returns
+        the registry.  Safe to call repeatedly; a no-op on the disabled
+        registry.
         """
         if self.metrics.enabled:
             self.stats.export_to(self.metrics)
@@ -379,6 +380,11 @@ class VDCERuntime:
                         "vdce_workload_suppressed_by_group_total",
                         "measurements filtered by the significant-change test",
                     ).set_total(float(gm.suppressed), group=gm.name)
+                if gm.echoes:
+                    self.metrics.counter(
+                        "vdce_echo_packets_by_group_total",
+                        "echo round trips attempted, per group",
+                    ).set_total(float(gm.echoes), group=gm.name)
             reports = self.stats.workload_forwards + self.stats.workload_suppressed
             self.metrics.gauge(
                 "vdce_workload_suppression_ratio",

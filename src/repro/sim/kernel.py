@@ -19,6 +19,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from bisect import bisect_left
+from operator import itemgetter
 from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
@@ -63,12 +65,12 @@ class Interrupt(Exception):
 
 
 class _Waitable:
-    """Base class for things a process may ``yield``."""
+    """Base class for things a process may ``yield`` (slotted, as all are)."""
 
-    #: set by the kernel when the waitable has fired
-    triggered: bool = False
-    #: value delivered to the waiting process
-    value: Any = None
+    __slots__ = ()
+
+    #: exception delivered to the waiting process instead of ``value``
+    _exc: Optional[BaseException] = None
 
     def _subscribe(self, sim: "Simulator", callback: Callable[["_Waitable"], None]) -> None:
         raise NotImplementedError
@@ -129,20 +131,16 @@ class Signal(_Waitable):
         self._callbacks: list[Callable[[_Waitable], None]] = []
 
     def succeed(self, value: Any = None) -> "Signal":
-        if self.triggered:
-            raise SimulationError(f"signal {self.name!r} already triggered")
-        self.triggered = True
-        self.value = value
-        callbacks, self._callbacks = self._callbacks, []
-        for cb in callbacks:
-            cb(self)
-        return self
+        return self._fire(value, None)
 
     def fail(self, exc: BaseException) -> "Signal":
+        return self._fire(None, exc)
+
+    def _fire(self, value: Any, exc: Optional[BaseException]) -> "Signal":
         if self.triggered:
             raise SimulationError(f"signal {self.name!r} already triggered")
         self.triggered = True
-        self._exc = exc
+        self.value, self._exc = value, exc
         callbacks, self._callbacks = self._callbacks, []
         for cb in callbacks:
             cb(self)
@@ -176,6 +174,8 @@ class AllOf(_Waitable):
     re-raised in the waiting process rather than silently swallowed.
     """
 
+    __slots__ = ("children", "triggered", "value", "_exc")
+
     def __init__(self, children: Iterable[_Waitable]):
         self.children = list(children)
         self.triggered = False
@@ -196,7 +196,7 @@ class AllOf(_Waitable):
         def child_done(child: _Waitable) -> None:
             if failed[0]:
                 return
-            child_exc = getattr(child, "_exc", None)
+            child_exc = child._exc
             if child_exc is not None:
                 failed[0] = True
                 self.triggered = True
@@ -222,6 +222,8 @@ class AnyOf(_Waitable):
     the waiter.
     """
 
+    __slots__ = ("children", "triggered", "value", "_exc")
+
     def __init__(self, children: Iterable[_Waitable]):
         self.children = list(children)
         if not self.children:
@@ -239,7 +241,7 @@ class AnyOf(_Waitable):
                     return
                 done[0] = True
                 self.triggered = True
-                child_exc = getattr(child, "_exc", None)
+                child_exc = child._exc
                 if child_exc is not None:
                     self._exc = child_exc
                     if hasattr(child, "_exc_observed"):
@@ -266,6 +268,10 @@ class Process(_Waitable):
     :meth:`Simulator.run` if nobody does).
     """
 
+    __slots__ = ("sim", "gen", "name", "triggered", "value", "_exc",
+                 "_exc_observed", "_callbacks", "_interrupting",
+                 "_current_wait")
+
     def __init__(self, sim: "Simulator", gen: ProcessGenerator, name: str = ""):
         self.sim = sim
         self.gen = gen
@@ -279,7 +285,7 @@ class Process(_Waitable):
         self._current_wait: Optional[_Waitable] = None
         if sim.tracer.enabled:
             sim.tracer.emit(EventKind.PROCESS_SPAWN, source=self.name)
-        sim.call_at(sim.now, lambda: self._step(None, None))
+        sim.call_at(sim.now, self._step)
 
     # -- public API ---------------------------------------------------
 
@@ -312,7 +318,8 @@ class Process(_Waitable):
         self._current_wait = None
         self._step(None, exc)
 
-    def _step(self, send_value: Any, throw_exc: Optional[BaseException]) -> None:
+    def _step(self, send_value: Any = None,
+              throw_exc: Optional[BaseException] = None) -> None:
         if self.triggered:
             return
         try:
@@ -337,18 +344,17 @@ class Process(_Waitable):
             return
 
         self._current_wait = target
+        target._subscribe(self.sim, self._resume)
 
-        def resume(waited: _Waitable) -> None:
-            if self.triggered or self._interrupting or self._current_wait is not waited:
-                return
-            self._current_wait = None
-            exc = getattr(waited, "_exc", None)
-            if exc is not None:
-                self._step(None, exc)
-            else:
-                self._step(waited.value, None)
-
-        target._subscribe(self.sim, resume)
+    def _resume(self, waited: _Waitable) -> None:
+        if self.triggered or self._interrupting or self._current_wait is not waited:
+            return
+        self._current_wait = None
+        exc = waited._exc
+        if exc is not None:
+            self._step(None, exc)
+        else:
+            self._step(waited.value, None)
 
     def _finish(self, value: Any, exc: Optional[BaseException]) -> None:
         self.triggered = True
@@ -379,24 +385,15 @@ class Process(_Waitable):
         return f"Process({self.name!r}, {state})"
 
 
-class _ScheduledCall:
-    """Handle for one calendar entry; ``cancelled`` skips it at pop time.
+class _ScheduledCall(list):
+    """One calendar entry ``[time, seq, callback, cancelled]``: heap item
+    and handle in one.  ``seq`` is unique, so heap comparisons stay in C
+    on ``(time, seq)``, the event order; ``cancelled`` skips it at pop."""
 
-    The calendar heap stores ``(time, seq, call)`` tuples rather than
-    these handles: ``seq`` is unique, so heap comparisons resolve in C
-    on the ``(time, seq)`` prefix and never reach the handle — the
-    dataclass ``__lt__`` this replaces was a top-ten frame on
-    bench_scalability.  Event order is the same ``(time, seq)`` total
-    order as before.
-    """
+    __slots__ = ()
 
-    __slots__ = ("time", "seq", "callback", "cancelled")
-
-    def __init__(self, time: float, seq: int, callback: Callable[[], None]):
-        self.time = time
-        self.seq = seq
-        self.callback = callback
-        self.cancelled = False
+    callback = property(itemgetter(2))
+    cancelled = property(itemgetter(3), lambda self, v: self.__setitem__(3, v))
 
 
 class Simulator:
@@ -416,8 +413,8 @@ class Simulator:
 
         self.seed = int(seed)
         self.now: float = 0.0
-        #: heap of (time, seq, _ScheduledCall) — see _ScheduledCall
-        self._queue: list[tuple[float, int, _ScheduledCall]] = []
+        #: heap of calendar entries — see _ScheduledCall
+        self._queue: list[_ScheduledCall] = []
         self._seq = itertools.count()
         self._rngs: dict[str, np.random.Generator] = {}
         self._failed: list[Process] = []
@@ -474,19 +471,23 @@ class Simulator:
         The registry folds every event the attached tracer emits (see
         :meth:`~repro.metrics.registry.MetricsRegistry.emitter`).  The kernel writes its
         event-loop instruments directly: a calendar event is no trace
-        event.
+        event — :meth:`run` binds their cells once and writes them in place.
         """
         self.metrics = registry
         registry.bind_clock(lambda: self.now)
         self.tracer = registry.emitter(self.tracer)
-        self._metric_events = registry.counter(
+        events = registry.counter(
             "sim_events_total", "kernel calendar events executed"
         )
-        self._metric_depth = registry.histogram(
+        depth = registry.histogram(
             "sim_queue_depth",
             "pending calendar-queue depth sampled at each event",
             buckets=(1, 2, 5, 10, 20, 50, 100, 200, 500, 1000),
         )
+        #: the two families' cells, edges and first bucket row, or None
+        self._meter = (events._values, depth._counts, depth._sums,
+                       depth.buckets, [0] * (len(depth.buckets) + 1),
+                       ) if registry.enabled else None
         return registry
 
     def export_metrics(self) -> None:
@@ -507,8 +508,8 @@ class Simulator:
         """Schedule a raw callback at absolute virtual ``time``."""
         if time < self.now:
             raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
-        call = _ScheduledCall(float(time), next(self._seq), callback)
-        heapq.heappush(self._queue, (call.time, call.seq, call))
+        call = _ScheduledCall((float(time), next(self._seq), callback, False))
+        heapq.heappush(self._queue, call)
         return call
 
     def call_after(self, delay: float, callback: Callable[[], None]) -> _ScheduledCall:
@@ -541,11 +542,14 @@ class Simulator:
         """
         queue = self._queue
         pop = heapq.heappop
+        meter = self._meter
+        if meter is not None:
+            totals, rows, sums, edges, fresh = meter
         while queue:
             if stop_when is not None and stop_when():
                 return self.now
-            time, _seq, call = queue[0]
-            if call.cancelled:
+            time, _seq, callback, cancelled = queue[0]
+            if cancelled:
                 pop(queue)
                 continue
             if until is not None and time > until:
@@ -553,10 +557,12 @@ class Simulator:
             pop(queue)
             self.now = time
             self.events_processed += 1
-            if self.metrics.enabled:
-                self._metric_events.inc()
-                self._metric_depth.observe(len(queue))
-            call.callback()
+            if meter is not None:
+                depth = len(queue)
+                totals[()] = totals.get((), 0.0) + 1.0
+                rows.setdefault((), fresh)[bisect_left(edges, depth)] += 1
+                sums[()] = sums.get((), 0.0) + depth
+            callback()
             if self._failed:
                 self._raise_unobserved_failures()
         if until is not None and self.now < until and (

@@ -9,8 +9,9 @@ emitted it, and a JSON-safe payload.
 The kinds mirror the paper's message classes one-to-one where a
 :class:`~repro.runtime.stats.RuntimeStats` counter exists (monitor
 reports, echo packets, failure notifications, channel setups, ...) so
-that ``count(kind) == counter`` is a checkable invariant — the
-cross-check tests rely on it.
+that ``count(kind) == counter`` is a checkable invariant the cross-
+check tests rely on — modulo a declared move for an elided kind (a
+repeated ``monitor_report``, a quiet ``echo``: DESIGN §13.9, §13.13).
 """
 
 from __future__ import annotations

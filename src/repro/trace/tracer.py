@@ -4,8 +4,9 @@
   objects in memory and stamps them with a caller-supplied clock (the
   simulator binds its virtual clock via :meth:`bind_clock`); causal
   spans are recorded through it by :class:`~repro.obs.spans.SpanRecorder`.
-  The deployment's metrics registry folds each event it is handed
-  (:meth:`Tracer.listen`), so metrics are written by the emit itself.
+  The deployment's metrics registry folds each event of a kind it has
+  a fold for (:meth:`Tracer.listen`), so metrics are written by the
+  emit itself.
 * :class:`NullTracer` — the default everywhere: nobody listens.
 * :class:`RelayTracer` — keeps nothing, hands each event to its
   listener: the emitter of a deployment with metrics but no trace.
@@ -18,7 +19,7 @@ Only emits of per-task kinds guard with ``if tracer.enabled:`` (DESIGN
 from __future__ import annotations
 
 import itertools
-from typing import Any, Callable, Iterator, List, Optional
+from typing import Any, Callable, Container, Iterator, List, Optional
 
 import numpy as np
 
@@ -74,8 +75,9 @@ class Tracer:
         self._clock: Callable[[], float] = clock or (lambda: 0.0)
         self._seq = itertools.count()
         self._events: List[TraceEvent] = []
-        #: handed ``(kind, source, data)`` of every recorded event
+        #: handed ``(kind, source, data)`` of each event of a kind ``_heard``
         self._listener: Optional[Callable[..., None]] = None
+        self._heard: Container[str] = ()
 
     # -- clock -------------------------------------------------------------
 
@@ -89,9 +91,10 @@ class Tracer:
 
     # -- recording ---------------------------------------------------------
 
-    def listen(self, listener: Callable[..., None]) -> None:
-        """Hand every event recorded from now on to ``listener`` too."""
+    def listen(self, listener: Callable[..., None], kinds: Container[str]) -> None:
+        """Hand each event of ``kinds`` recorded from now on to ``listener``."""
         self._listener = listener
+        self._heard = kinds
 
     def emit(self, kind: str, source: str = "", **data: Any) -> TraceEvent:
         """Record one event at the current clock reading.
@@ -108,7 +111,7 @@ class Tracer:
             time = float(time)
         event = TraceEvent(time, next(self._seq), kind, source, data)
         self._events.append(event)
-        if self._listener is not None:
+        if kind in self._heard:
             self._listener(kind, source, data)
         return event
 
@@ -149,16 +152,13 @@ class NullTracer(Tracer):
 
 
 class RelayTracer(NullTracer):
-    """Records nothing; hands every event to its listener."""
+    """Records nothing; hands each event it listens for to its listener."""
 
     enabled = True
 
-    def __init__(self, listener: Callable[..., None]):
-        super().__init__()
-        self._listener = listener
-
     def emit(self, kind: str, source: str = "", **data: Any) -> None:  # type: ignore[override]
-        self._listener(kind, source, data)
+        if kind in self._heard:
+            self._listener(kind, source, data)
 
 
 #: shared disabled tracer — safe because it holds no state

@@ -126,6 +126,39 @@ class TestAnalyzeCommand:
         assert main(["analyze", str(a), "--modulo", "task_start"]) == 1
         assert "needs two traces" in capsys.readouterr().out
 
+    def test_modulo_applies_a_declared_move_by_name(self, tmp_path, capsys):
+        """An idle federation echoed by every member (the reference
+        loop) and by the loop that counts a quiet echo: equal under the
+        move, not with the ``echo`` kind dropped — the change keeps each
+        host's first, answered echo."""
+        from repro.runtime import RuntimeConfig, VDCERuntime
+        from repro.sim import TopologyBuilder
+        from repro.trace.serialize import write_jsonl
+        from repro.trace.tracer import Tracer
+        from tests.runtime._reference_echo import every_echo_traced
+
+        def trace(name):
+            topology = TopologyBuilder(seed=0).site("site-0", n_hosts=3)
+            rt = VDCERuntime(topology.build(), config=RuntimeConfig(),
+                             tracer=Tracer())
+            rt.start_monitoring()
+            rt.sim.run(until=30.0)
+            return write_jsonl(rt.tracer, str(tmp_path / name))
+
+        with every_echo_traced():
+            a = trace("a.jsonl")
+        b = trace("b.jsonl")
+        capsys.readouterr()
+        assert main(["analyze", a, b]) == 2
+        assert main(["analyze", a, b, "--modulo", "echo"]) == 2
+        assert main(["analyze", a, b, "--modulo", "elide_quiet_echoes"]) == 0
+        assert "identical" in capsys.readouterr().out.splitlines()[-1]
+        assert main(["analyze", a, b, "--modulo",
+                     "elide_repeated_reports,elide_quiet_echoes"]) == 0
+        assert main(["analyze", a, b, "--modulo", "elide_quiet_echos"]) == 1
+        assert capsys.readouterr().out.strip().splitlines()[-1] == \
+            "error: unknown event kind elide_quiet_echos"
+
     def test_modulo_refuses_an_unknown_kind(self, tmp_path, capsys):
         """A misspelt kind drops nothing: the diff would report the
         declared move as a mismatch instead of naming the typo."""

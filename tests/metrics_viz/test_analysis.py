@@ -6,6 +6,7 @@ from repro import VDCE, Tracer
 from repro.metrics.analysis import (
     analyze_trace,
     critical_path,
+    elide_quiet_echoes,
     elide_repeated_reports,
     format_analysis,
     format_structural_diff,
@@ -269,3 +270,51 @@ class TestElideRepeatedReports:
         ]
         assert elide_repeated_reports(events) == (
             events[:5] + [events[7]])
+
+
+def _echo(time, host, responded=True, group="g0", **extra):
+    return TraceEvent(time=time, seq=0, kind=EventKind.ECHO,
+                      source=f"gm:{group}",
+                      data={"host": host, "responded": responded, **extra})
+
+
+def _membership(time, kind, host):
+    return TraceEvent(time=time, seq=0, kind=kind, source="membership:s0",
+                      data={"host": host})
+
+
+class TestElideQuietEchoes:
+    """The count detector's declared move (DESIGN §13.13)."""
+
+    def test_an_answer_after_an_answer_goes(self):
+        events = [_echo(5.0, "h0"), _echo(10.0, "h0"), _echo(15.0, "h0", False),
+                  _echo(20.0, "h0"), _echo(25.0, "h0")]
+        assert elide_quiet_echoes(events) == events[:1] + events[2:4]
+
+    def test_hosts_and_managers_are_paired_separately(self):
+        events = [_echo(5.0, "h0"), _echo(5.0, "h1", False),
+                  _echo(10.0, "h0", group="g1"), _echo(10.0, "h1"),
+                  _echo(15.0, "h0"), _echo(15.0, "h0", group="g1")]
+        assert elide_quiet_echoes(events) == events[:4]
+
+    @pytest.mark.parametrize("reset", [EventKind.MANAGER_RECOVER,
+                                       EventKind.FAILOVER])
+    def test_a_manager_restart_keeps_its_next_echoes(self, reset):
+        events = [_echo(5.0, "h0"), _echo(5.0, "h0", group="g1"),
+                  _manager(7.0, reset), _echo(10.0, "h0"),
+                  _echo(10.0, "h0", group="g1")]
+        assert elide_quiet_echoes(events) == events[:4]
+
+    @pytest.mark.parametrize("kind", [EventKind.HOST_JOIN,
+                                      EventKind.HOST_REJOIN,
+                                      EventKind.HOST_DEPART])
+    def test_a_membership_edit_keeps_the_hosts_next_echo(self, kind):
+        events = [_echo(5.0, "h0"), _echo(5.0, "h1"),
+                  _membership(7.0, kind, "h0"),
+                  _echo(10.0, "h0"), _echo(10.0, "h1")]
+        assert elide_quiet_echoes(events) == events[:4]
+
+    def test_a_phi_echo_is_kept(self):
+        events = [_echo(5.0, "h0", rtt_s=0.001, phi=0.4),
+                  _echo(10.0, "h0", rtt_s=0.001, phi=0.4)]
+        assert elide_quiet_echoes(events) == events

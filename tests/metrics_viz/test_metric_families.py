@@ -25,7 +25,7 @@ import repro
 from repro.metrics.folds import FOLDS
 from repro.runtime.stats import RuntimeStats
 from repro.sim.chaos import _play, preset
-from repro.trace.events import KNOWN_KINDS
+from repro.trace.events import KNOWN_KINDS, EventKind
 
 from tests.runtime.test_execution_shape import functions
 
@@ -98,3 +98,45 @@ def test_only_the_pinned_direct_writers_touch_a_family_outside_metrics():
                    for n in ast.walk(node)):
                 writers.setdefault(path, set()).add(name)
     assert writers == DIRECT_WRITERS
+
+
+# -- a kind with no fold costs the registry nothing -------------------------
+
+def test_the_registry_is_handed_only_the_kinds_it_folds(monkeypatch):
+    """``MetricsRegistry.fold`` runs once per event of a kind in
+    :data:`FOLDS` and never for any other, traced or metrics-only — a
+    run emits many kinds with no fold (``echo``, lifecycle, RPC), which
+    used to reach it all the same."""
+    from repro.metrics.registry import MetricsRegistry
+    from repro.runtime import RuntimeConfig, VDCERuntime
+    from repro.sim import FailureInjector, TopologyBuilder
+    from repro.trace.tracer import NULL_TRACER, Tracer
+    from repro.workloads import bag_of_tasks
+
+    folded = []
+    fold = MetricsRegistry.fold
+    monkeypatch.setattr(MetricsRegistry, "fold", lambda self, kind, *rest: (
+        folded.append(kind), fold(self, kind, *rest)))
+
+    def run(tracer):
+        builder = TopologyBuilder(seed=0)
+        for s in range(2):
+            builder.site(f"site-{s}", hosts=[
+                (f"s{s}-h{h}", 1.0 + h, 256) for h in range(4)])
+        rt = VDCERuntime(builder.build(), config=RuntimeConfig(),
+                         tracer=tracer, metrics=MetricsRegistry())
+        rt.start_monitoring()
+        FailureInjector(rt.sim).schedule_outage(
+            rt.topology.host("s1-h1"), start=3.0, duration=10.0)
+        rt.sim.run_until_complete(rt.sim.process(rt.run_process(
+            bag_of_tasks(n=24, cost=4.0, seed=0), execute_payloads=False)))
+        kinds = folded[:]
+        folded.clear()
+        return rt, kinds
+
+    traced, by_trace = run(Tracer())
+    emitted = [e.kind for e in traced.tracer]
+    assert {EventKind.ECHO, EventKind.PROCESS_SPAWN} <= set(emitted) - set(FOLDS)
+    assert by_trace == [kind for kind in emitted if kind in FOLDS] != []
+    _, metrics_only = run(NULL_TRACER)
+    assert metrics_only == by_trace

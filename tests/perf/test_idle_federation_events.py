@@ -15,6 +15,8 @@ Nor is an idle host read: once a repeat was elided and neither the
 host's epoch nor its filter mark has moved, the next is counted without
 entering ``MonitorDaemon._report`` — two reads per host (the first
 report, and the repeat after its forward) over the whole horizon.
+Nor is an idle host's echo news after its first answer: every later one
+is quiet, counted and not traced (DESIGN §13.13).
 """
 
 import pytest
@@ -121,6 +123,19 @@ def test_an_idle_trace_holds_one_report_per_host():
     # holds what it held when every report was built
     assert rt.stats.workload_suppressed == 64 * 499
     assert rt.sim.events_processed == untraced.sim.events_processed == 6173
+
+
+def test_an_idle_trace_holds_one_echo_per_host():
+    rt = idle_federation(8, Tracer())
+    # every group echoed every host at t = 5, 10, ..., 1000
+    assert rt.stats.echo_packets == 64 * 200
+    echoes = [e for e in rt.tracer if e.kind == EventKind.ECHO]
+    assert len(echoes) <= 64
+    assert sorted(e.data["host"] for e in echoes) == sorted(
+        h.name for h in rt.topology.all_hosts)
+    assert sum(gm.quiet_echoes for gm in rt.group_managers.values()) \
+        == 64 * 199
+    assert rt.sim.events_processed == 6173
 
 
 def test_idle_events_do_not_grow_with_the_group():

@@ -371,3 +371,73 @@ def test_events_processed_counter():
         sim.call_at(float(i), lambda: None)
     sim.run()
     assert sim.events_processed == 5
+
+
+def test_no_waitable_carries_a_dict():
+    """A kernel object is made per simulated event: every waitable is
+    slotted, the base class included, or ``__slots__`` buys nothing."""
+    sim = Simulator()
+
+    def proc():
+        yield Timeout(1.0)
+
+    waitables = [Timeout(0), Signal("s"), AllOf([]), AnyOf([Timeout(1)]),
+                 sim.process(proc())]
+    assert [w for w in waitables if hasattr(w, "__dict__")] == []
+    # a waitable that never fails still answers the resume's question
+    assert Timeout(0)._exc is None
+
+
+def test_a_calendar_entry_is_its_own_handle():
+    sim = Simulator()
+    fired = []
+    keep = sim.call_at(1.0, lambda: fired.append("keep"))
+    drop = sim.call_at(1.0, lambda: fired.append("drop"))
+    drop.cancelled = True
+    assert keep == [1.0, 0, keep.callback, False]
+    assert drop.cancelled and sim._queue[0] is keep
+    keep.callback()
+    sim.run()
+    assert fired == ["keep", "keep"]
+
+
+def test_the_event_loop_writes_its_instruments_without_a_call(monkeypatch):
+    """``sim_events_total`` / ``sim_queue_depth`` are written in place by
+    ``Simulator.run``: the cells ``inc()`` / ``observe()`` would write,
+    current at every event, with no call to either."""
+    from repro.metrics.registry import Counter, Histogram, MetricsRegistry
+
+    def cells(registry):
+        events = registry.get("sim_events_total")
+        depth = registry.get("sim_queue_depth")
+        return (events.label_sets(), events.value(), depth.bucket_counts(),
+                depth.sum())
+
+    # by call: six events, the third a read, at 5, 4, ..., 0 pending
+    reference = Simulator().attach_metrics(MetricsRegistry())
+    events = reference.get("sim_events_total")
+    depth = reference.get("sim_queue_depth")
+    expected = []
+    for pending in (5, 4, 3, 2, 1, 0):
+        events.inc()
+        depth.observe(pending)
+        if pending == 3:
+            expected.append(cells(reference))
+    expected.append(cells(reference))
+
+    def forbidden(self, *args, **kwargs):
+        raise AssertionError(f"{self.name} written through a call")
+
+    monkeypatch.setattr(Counter, "inc", forbidden)
+    monkeypatch.setattr(Histogram, "observe", forbidden)
+    sim = Simulator()
+    registry = sim.attach_metrics(MetricsRegistry())
+    seen = []
+    for t in range(1, 6):
+        sim.call_at(float(t), lambda: None)
+    sim.call_at(2.5, lambda: seen.append(cells(registry)))
+    # no cell before the first event, as when they were written by call
+    assert cells(registry)[0] == []
+    sim.run()
+    seen.append(cells(registry))
+    assert seen == expected
