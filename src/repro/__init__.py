@@ -30,11 +30,42 @@ Package map (see DESIGN.md for the full inventory):
 =============  =========================================================
 """
 
-from repro.core.config import DeploymentSpec, HostConfig, SiteConfig
-from repro.core.vdce import VDCE
-from repro.trace import Tracer
+import importlib
 
 __version__ = "1.0.0"
+
+
+def _lazy_exports(namespace, table):
+    """A package's PEP 562 ``__getattr__`` and ``__dir__``.
+
+    ``table`` maps a submodule to the names the package re-exports from
+    it; a name equal to its submodule's is the module itself.  The first
+    read of a name imports its submodule and binds the name in
+    ``namespace``, so a process loads only what it uses.
+    """
+    package = namespace["__name__"]
+    owner = {name: sub for sub, names in table.items() for name in names}
+
+    def __getattr__(name):
+        if name not in owner:
+            raise AttributeError(
+                f"module {package!r} has no attribute {name!r}")
+        module = importlib.import_module(f"{package}.{owner[name]}")
+        value = namespace[name] = (
+            module if name == owner[name] else getattr(module, name))
+        return value
+
+    def __dir__():
+        return sorted(namespace.keys() | owner.keys())
+
+    return __getattr__, __dir__
+
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "core.config": ("DeploymentSpec", "HostConfig", "SiteConfig"),
+    "core.vdce": ("VDCE",),
+    "trace.tracer": ("Tracer",),
+})
 
 __all__ = [
     "DeploymentSpec",

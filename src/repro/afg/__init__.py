@@ -9,17 +9,20 @@ marked as *dataflow*.  Edges connect logical output ports to input
 ports and carry the data volume the runtime must move.
 """
 
-from repro.afg.properties import (
-    ComputationMode,
-    FileSpec,
-    InputBinding,
-    TaskProperties,
-)
-from repro.afg.task import TaskNode
-from repro.afg.graph import ApplicationFlowGraph, Edge
-from repro.afg.levels import compute_levels, priority_order
-from repro.afg.validate import AFGValidationError, validate_afg
-from repro.afg.serialize import afg_from_dict, afg_to_dict, afg_from_json, afg_to_json
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "properties": (
+        "ComputationMode", "FileSpec", "InputBinding", "TaskProperties",
+    ),
+    "task": ("TaskNode",),
+    "graph": ("ApplicationFlowGraph", "Edge"),
+    "levels": ("compute_levels", "priority_order"),
+    "validate": ("AFGValidationError", "validate_afg"),
+    "serialize": (
+        "afg_from_dict", "afg_to_dict", "afg_from_json", "afg_to_json",
+    ),
+})
 
 __all__ = [
     "AFGValidationError",

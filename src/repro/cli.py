@@ -1013,7 +1013,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos",
         help="run a randomized fault campaign and check its invariants")
     presets = chaos.add_mutually_exclusive_group()
-    from repro.sim.chaos import PRESETS
+    from repro.sim.presets import PRESETS
 
     for flag, fields in PRESETS.items():
         presets.add_argument(f"--{flag}", dest="preset", action="store_const",

@@ -8,7 +8,11 @@ session, submit applications, run the monitoring control plane, and
 inspect results.
 """
 
-from repro.core.config import DeploymentSpec, HostConfig, SiteConfig
-from repro.core.vdce import VDCE
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "config": ("DeploymentSpec", "HostConfig", "SiteConfig"),
+    "vdce": ("VDCE",),
+})
 
 __all__ = ["VDCE", "DeploymentSpec", "HostConfig", "SiteConfig"]

@@ -19,7 +19,11 @@ Three layers, innermost first:
   application exposing the same operations over HTTP/JSON.
 """
 
-from repro.editor.builder import AFGBuilder, BuilderError
-from repro.editor.session import EditorSession, SessionError
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "builder": ("AFGBuilder", "BuilderError"),
+    "session": ("EditorSession", "SessionError"),
+})
 
 __all__ = ["AFGBuilder", "BuilderError", "EditorSession", "SessionError"]

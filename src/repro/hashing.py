@@ -23,9 +23,8 @@ from __future__ import annotations
 import hashlib
 import json
 import struct
+import sys
 from typing import Any
-
-import numpy as np
 
 __all__ = ["canonical_json", "value_hash"]
 
@@ -44,21 +43,26 @@ def canonical_json(value: Any) -> str:
 
 
 def _feed(h, value: Any) -> None:
-    """Feed one value into a hash, type-tagged and representation-stable."""
+    """Feed one value into a hash, type-tagged and representation-stable.
+
+    numpy is looked up, not imported: a numpy value cannot exist before
+    numpy is.
+    """
+    np = sys.modules.get("numpy")
     if value is None:
         h.update(b"N")
     elif isinstance(value, bool):
         h.update(b"B1" if value else b"B0")
-    elif isinstance(value, (int, np.integer)):
+    elif isinstance(value, int) or (np and isinstance(value, np.integer)):
         h.update(b"I" + str(int(value)).encode("ascii"))
-    elif isinstance(value, (float, np.floating)):
+    elif isinstance(value, float) or (np and isinstance(value, np.floating)):
         h.update(b"F" + struct.pack(">d", float(value)))
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         h.update(b"S" + str(len(raw)).encode("ascii") + b":" + raw)
     elif isinstance(value, bytes):
         h.update(b"Y" + str(len(value)).encode("ascii") + b":" + value)
-    elif isinstance(value, np.ndarray):
+    elif np and isinstance(value, np.ndarray):
         h.update(b"A" + value.dtype.str.encode("ascii"))
         h.update(str(value.shape).encode("ascii"))
         h.update(np.ascontiguousarray(value).tobytes())

@@ -8,57 +8,31 @@ serial execution on the base processor, host utilisation, and the
 communication share of the makespan.
 """
 
-from repro.metrics.analysis import (
-    analyze_trace,
-    critical_path,
-    format_analysis,
-    format_structural_diff,
-    host_timelines,
-    schedule_lag,
-    structural_diff,
-)
-from repro.metrics.export import (
-    METRICS_SCHEMA_VERSION,
-    load_snapshot,
-    prometheus_from_snapshot,
-    prometheus_text,
-    registry_snapshot,
-    save_snapshot,
-    snapshot_hash,
-    snapshot_to_json,
-)
-from repro.metrics.registry import (
-    DEFAULT_BUCKETS,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-    NULL_METRICS,
-    NullMetricsRegistry,
-    Series,
-)
-from repro.metrics.schedule import (
-    critical_path_cost,
-    serial_cost,
-    slr,
-    speedup,
-)
-from repro.metrics.results import (
-    ResultSummary,
-    host_utilization,
-    summarize_result,
-)
-from repro.metrics.tables import format_table
-from repro.metrics.timeline import (
-    busy_intervals,
-    concurrency_profile,
-    parallel_efficiency,
-)
-from repro.metrics.trace_summary import (
-    event_counts,
-    format_trace_summary,
-    phase_timings,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "analysis": (
+        "analyze_trace", "critical_path", "format_analysis",
+        "format_structural_diff", "host_timelines", "schedule_lag",
+        "structural_diff",
+    ),
+    "export": (
+        "METRICS_SCHEMA_VERSION", "load_snapshot", "prometheus_from_snapshot",
+        "prometheus_text", "registry_snapshot", "save_snapshot",
+        "snapshot_hash", "snapshot_to_json",
+    ),
+    "registry": (
+        "DEFAULT_BUCKETS", "Counter", "Gauge", "Histogram", "MetricsRegistry",
+        "NULL_METRICS", "NullMetricsRegistry", "Series",
+    ),
+    "schedule": ("critical_path_cost", "serial_cost", "slr", "speedup"),
+    "results": ("ResultSummary", "host_utilization", "summarize_result"),
+    "tables": ("format_table",),
+    "timeline": (
+        "busy_intervals", "concurrency_profile", "parallel_efficiency",
+    ),
+    "trace_summary": ("event_counts", "format_trace_summary", "phase_timings"),
+})
 
 __all__ = [
     "Counter",

@@ -20,17 +20,16 @@ trusted, single-machine research setting it targets (exactly like the
 1997 prototype's campus network).
 """
 
-from repro.net.messages import (
-    Ack,
-    ChannelSetup,
-    Data,
-    Fin,
-    Message,
-    read_message,
-    write_message,
-)
-from repro.net.proxy import CommunicationProxy, ProxyError
-from repro.net.rpc import ControlPlane, RetryPolicy, RpcError, RpcTimeout
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "messages": (
+        "Ack", "ChannelSetup", "Data", "Fin", "Message", "read_message",
+        "write_message",
+    ),
+    "proxy": ("CommunicationProxy", "ProxyError"),
+    "rpc": ("ControlPlane", "RetryPolicy", "RpcError", "RpcTimeout"),
+})
 
 __all__ = [
     "Ack",

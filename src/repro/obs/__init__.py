@@ -22,22 +22,19 @@ disabled recorder, and enabling spans never changes scheduling,
 timing, or RNG draws — only the event stream.
 """
 
-from repro.obs.attribution import (
-    build_forest,
-    explain,
-    report_hash,
-    report_to_json,
-    span_integrity,
-)
-from repro.obs.profile import folded_stacks, format_folded
-from repro.obs.spans import (
-    NULL_SPAN,
-    NULL_SPANS,
-    NullSpanRecorder,
-    SpanContext,
-    SpanKind,
-    SpanRecorder,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "attribution": (
+        "build_forest", "explain", "report_hash", "report_to_json",
+        "span_integrity",
+    ),
+    "profile": ("folded_stacks", "format_folded"),
+    "spans": (
+        "NULL_SPAN", "NULL_SPANS", "NullSpanRecorder", "SpanContext",
+        "SpanKind", "SpanRecorder",
+    ),
+})
 
 __all__ = [
     "NULL_SPAN",

@@ -18,23 +18,22 @@ databases are:
 :class:`~repro.repository.store.SiteRepository` bundles the four.
 """
 
-from repro.repository.users import (
-    AccessDomain,
-    AuthenticationError,
-    UnknownUserError,
-    UserAccount,
-    UserAccountsDB,
-)
-from repro.repository.resources import HostRecord, ResourcePerformanceDB
-from repro.repository.taskperf import TaskPerfRecord, TaskPerformanceDB
-from repro.repository.constraints import TaskConstraintsDB
-from repro.repository.store import SiteRepository
-from repro.repository.persistence import (
-    load_repository,
-    restore_repository,
-    save_repository,
-    snapshot_repository,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "users": (
+        "AccessDomain", "AuthenticationError", "UnknownUserError",
+        "UserAccount", "UserAccountsDB",
+    ),
+    "resources": ("HostRecord", "ResourcePerformanceDB"),
+    "taskperf": ("TaskPerfRecord", "TaskPerformanceDB"),
+    "constraints": ("TaskConstraintsDB",),
+    "store": ("SiteRepository",),
+    "persistence": (
+        "load_repository", "restore_repository", "save_repository",
+        "snapshot_repository",
+    ),
+})
 
 __all__ = [
     "AccessDomain",

@@ -30,35 +30,32 @@ visualisation).  :class:`~repro.runtime.vdce_runtime.VDCERuntime` wires
 a whole deployment together.
 """
 
-from repro.runtime.stats import RuntimeStats
-from repro.runtime.monitor import MonitorDaemon
-from repro.runtime.group_manager import GroupManager
-from repro.runtime.site_manager import SiteManager
-from repro.runtime.app_controller import AppController
-from repro.runtime.execution import (
-    ApplicationResult,
-    ExecutionCoordinator,
-    ExecutionError,
-    TaskRecord,
-)
-from repro.runtime.services import ConsoleService, IOService, StagedFile
-from repro.runtime.vdce_runtime import RuntimeConfig, VDCERuntime
-from repro.runtime.dsm import DSM, DSMError
-from repro.runtime.admission import (
-    AdmissionExpired,
-    AdmissionPolicy,
-    AdmissionQueue,
-    AdmissionRejected,
-)
-from repro.runtime.overload import BrownoutController, SiteOverloaded
-from repro.runtime.data_manager import LocalDataManager, RealExecutionReport
-from repro.runtime.straggler import (
-    HealthPolicy,
-    HostHealth,
-    PhiAccrualDetector,
-    RatioTracker,
-    SpeculationPolicy,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "stats": ("RuntimeStats",),
+    "monitor": ("MonitorDaemon",),
+    "group_manager": ("GroupManager",),
+    "site_manager": ("SiteManager",),
+    "app_controller": ("AppController",),
+    "execution": (
+        "ApplicationResult", "ExecutionCoordinator", "ExecutionError",
+        "TaskRecord",
+    ),
+    "services": ("ConsoleService", "IOService", "StagedFile"),
+    "vdce_runtime": ("RuntimeConfig", "VDCERuntime"),
+    "dsm": ("DSM", "DSMError"),
+    "admission": (
+        "AdmissionExpired", "AdmissionPolicy", "AdmissionQueue",
+        "AdmissionRejected",
+    ),
+    "overload": ("BrownoutController", "SiteOverloaded"),
+    "data_manager": ("LocalDataManager", "RealExecutionReport"),
+    "straggler": (
+        "HealthPolicy", "HostHealth", "PhiAccrualDetector", "RatioTracker",
+        "SpeculationPolicy",
+    ),
+})
 
 __all__ = [
     "AdmissionExpired",

@@ -20,25 +20,23 @@ Layout:
   min-min, max-min, HEFT, local-only, load-blind) for experiment E2.
 """
 
-from repro.scheduler.prediction import PredictionModel
-from repro.scheduler.allocation import (
-    AllocationTable,
-    ScheduleEstimate,
-    TaskAssignment,
-    estimate_schedule,
-)
-from repro.scheduler.federation import FederationView
-from repro.scheduler.host_selection import HostSelectionResult, select_hosts
-from repro.scheduler.site_scheduler import SiteScheduler, SchedulingError
-from repro.scheduler.baselines import (
-    HEFTScheduler,
-    LoadBlindScheduler,
-    LocalOnlyScheduler,
-    MaxMinScheduler,
-    MinMinScheduler,
-    RandomScheduler,
-    RoundRobinScheduler,
-)
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "prediction": ("PredictionModel",),
+    "allocation": (
+        "AllocationTable", "ScheduleEstimate", "TaskAssignment",
+        "estimate_schedule",
+    ),
+    "federation": ("FederationView",),
+    "host_selection": ("HostSelectionResult", "select_hosts"),
+    "site_scheduler": ("SiteScheduler", "SchedulingError"),
+    "baselines": (
+        "HEFTScheduler", "LoadBlindScheduler", "LocalOnlyScheduler",
+        "MaxMinScheduler", "MinMinScheduler", "RandomScheduler",
+        "RoundRobinScheduler",
+    ),
+})
 
 __all__ = [
     "AllocationTable",

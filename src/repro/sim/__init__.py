@@ -13,31 +13,26 @@ produced by this substrate with controllable ground truth, so every
 experiment in EXPERIMENTS.md is exactly reproducible from a seed.
 """
 
-from repro.sim.kernel import (
-    AllOf,
-    AnyOf,
-    Interrupt,
-    Process,
-    Signal,
-    SimulationError,
-    Simulator,
-    Timeout,
-)
-from repro.sim.host import Host, HostSpec, HostState, TaskExecution
-from repro.sim.site import Group, Site, SiteSpec
-from repro.sim.network import Link, LinkDownError, LinkSpec, Network
-from repro.sim.topology import Topology, TopologyBuilder, star_topology, two_site_topology
-from repro.sim.workload import (
-    ConstantLoad,
-    DiurnalLoad,
-    LoadGenerator,
-    OrnsteinUhlenbeckLoad,
-    RandomWalkLoad,
-    SpikeLoad,
-    TraceLoad,
-)
-from repro.sim.failures import FailureInjector, FailureEvent
-from repro.sim.chaos import ChaosConfig, ChaosReport, run_campaign, smoke_config
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "kernel": (
+        "AllOf", "AnyOf", "Interrupt", "Process", "Signal", "SimulationError",
+        "Simulator", "Timeout",
+    ),
+    "host": ("Host", "HostSpec", "HostState", "TaskExecution"),
+    "site": ("Group", "Site", "SiteSpec"),
+    "network": ("Link", "LinkDownError", "LinkSpec", "Network"),
+    "topology": (
+        "Topology", "TopologyBuilder", "star_topology", "two_site_topology",
+    ),
+    "workload": (
+        "ConstantLoad", "DiurnalLoad", "LoadGenerator",
+        "OrnsteinUhlenbeckLoad", "RandomWalkLoad", "SpikeLoad", "TraceLoad",
+    ),
+    "failures": ("FailureInjector", "FailureEvent"),
+    "chaos": ("ChaosConfig", "ChaosReport", "run_campaign", "smoke_config"),
+})
 
 __all__ = [
     "AllOf",

@@ -21,19 +21,13 @@ import heapq
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 import numpy as np
 
+from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:  # pragma: no cover
-    from repro.metrics.registry import MetricsRegistry
-
-# the registry import is deferred to Simulator.__init__: repro.metrics's
-# package init reaches repro.sim.host (via the repository), which would
-# close an import cycle through this module
 
 __all__ = [
     "AllOf",
@@ -409,8 +403,6 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0):
-        from repro.metrics.registry import NULL_METRICS
-
         self.seed = int(seed)
         self.now: float = 0.0
         #: heap of calendar entries — see _ScheduledCall

@@ -11,9 +11,16 @@ implementation model, and an actual Python callable so applications
 really execute and produce verifiable results.
 """
 
-from repro.tasklib.base import ParallelModel, TaskSignature
-from repro.tasklib.registry import TaskRegistry, default_registry
-from repro.tasklib import c3i, generic, matrix, signal
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "base": ("ParallelModel", "TaskSignature"),
+    "registry": ("TaskRegistry", "default_registry"),
+    "c3i": ("c3i",),
+    "generic": ("generic",),
+    "matrix": ("matrix",),
+    "signal": ("signal",),
+})
 
 __all__ = [
     "ParallelModel",

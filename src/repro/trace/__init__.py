@@ -15,16 +15,16 @@ one comparable string.  The default tracer everywhere is the no-op
 attribute check when disabled.
 """
 
-from repro.trace.events import EventKind, KNOWN_KINDS, TraceEvent
-from repro.trace.serialize import (
-    event_to_json,
-    events_to_jsonl,
-    parse_jsonl,
-    read_jsonl,
-    trace_hash,
-    write_jsonl,
-)
-from repro.trace.tracer import NULL_TRACER, NullTracer, Tracer
+from repro import _lazy_exports
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "events": ("EventKind", "KNOWN_KINDS", "TraceEvent"),
+    "serialize": (
+        "event_to_json", "events_to_jsonl", "parse_jsonl", "read_jsonl",
+        "trace_hash", "write_jsonl",
+    ),
+    "tracer": ("NULL_TRACER", "NullTracer", "Tracer"),
+})
 
 __all__ = [
     "EventKind",

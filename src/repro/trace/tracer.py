@@ -19,9 +19,8 @@ Only emits of per-task kinds guard with ``if tracer.enabled:`` (DESIGN
 from __future__ import annotations
 
 import itertools
+import sys
 from typing import Any, Callable, Container, Iterator, List, Optional
-
-import numpy as np
 
 from repro.trace.events import TraceEvent
 
@@ -40,19 +39,23 @@ def _jsonify(value: Any) -> Any:
     numpy scalars become Python scalars, tuples/sets become lists, and
     mappings are converted recursively — so emit sites can pass
     whatever they have on hand without thinking about the wire format.
+    numpy is looked up, not imported: a numpy value cannot exist before
+    numpy is.
     """
     if isinstance(value, (str, int, float, bool)) or value is None:
         return value
-    if isinstance(value, np.integer):
-        return int(value)
-    if isinstance(value, np.floating):
-        return float(value)
     if isinstance(value, dict):
         return {str(k): _jsonify(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonify(v) for v in value]
     if isinstance(value, (set, frozenset)):
         return sorted(_jsonify(v) for v in value)
+    np = sys.modules.get("numpy")
+    if np is not None:
+        for numpy_type, python_type in ((np.bool_, bool), (np.integer, int),
+                                        (np.floating, float)):
+            if isinstance(value, numpy_type):
+                return python_type(value)
     return str(value)
 
 

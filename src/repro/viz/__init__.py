@@ -7,10 +7,17 @@ executions (:func:`gantt`) and a workload timeline sparkline
 (:func:`workload_sparkline`).
 """
 
+from repro import _lazy_exports
+# eager: the function ``gantt`` shares its submodule's name, and
+# the first import of that submodule would rebind the package
+# attribute to the module
 from repro.viz.gantt import gantt
-from repro.viz.report import execution_report
-from repro.viz.topology_view import topology_diagram
-from repro.viz.workload import LoadRecorder, workload_sparkline
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "report": ("execution_report",),
+    "topology_view": ("topology_diagram",),
+    "workload": ("LoadRecorder", "workload_sparkline"),
+})
 
 __all__ = [
     "LoadRecorder",

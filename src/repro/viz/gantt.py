@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Tuple
+from typing import TYPE_CHECKING, Dict, List, Tuple
 
-from repro.runtime.execution import ApplicationResult
+if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.execution import ApplicationResult
 
 __all__ = ["gantt"]
 

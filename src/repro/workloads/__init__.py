@@ -10,16 +10,20 @@
   reduction trees, embarrassingly parallel bags.
 """
 
-from repro.workloads.linear_solver import figure1_afg, linear_solver_afg
-from repro.workloads.c3i_apps import surveillance_afg
+from repro import _lazy_exports
+# eager: the function ``random_dag`` shares its submodule's name, and
+# the first import of that submodule would rebind the package
+# attribute to the module
 from repro.workloads.random_dag import RandomDAGConfig, random_dag
-from repro.workloads.pipelines import (
-    bag_of_tasks,
-    fork_join,
-    linear_pipeline,
-    reduction_tree,
-    wavefront,
-)
+
+__getattr__, __dir__ = _lazy_exports(globals(), {
+    "linear_solver": ("figure1_afg", "linear_solver_afg"),
+    "c3i_apps": ("surveillance_afg",),
+    "pipelines": (
+        "bag_of_tasks", "fork_join", "linear_pipeline", "reduction_tree",
+        "wavefront",
+    ),
+})
 
 __all__ = [
     "RandomDAGConfig",

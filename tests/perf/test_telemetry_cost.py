@@ -1,15 +1,18 @@
 """Telemetry must cost in proportion to what it records.
 
 Machine-independent gates on the write / encode / read stages of the
-telemetry path, and one on what ``import repro`` drags in:
+telemetry path, and on what a cold process imports:
 
 * reading a trace back is O(n log n): the wait-state sweep used to test
   every interval against every elementary segment (40 000 intervals is
   3 x 10^9 comparisons — minutes), so the bounds below are cliff
   detectors, not stopwatches;
-* a cold ``import repro`` loads none of the optional heavyweights
-  (scipy and networkx were 1.1 s of a 1.3 s import and 80 MB of RSS,
-  paid by every process that never executed a payload);
+* a cold process loads only what it runs: ``import repro`` is one
+  module and no numpy, the trace readers (``repro --help``, ``analyze``,
+  ``explain``) load no simulator, and ``from repro import VDCE`` none
+  of the periphery (the eager package graph was 92 modules and numpy,
+  0.4-0.6 s, paid by every process; scipy and networkx were once
+  1.1 s of a 1.3 s import);
 * ``Tracer.emit`` converts only the payload values that need it: almost
   every value is already a plain ``str``/``int``/``float``, and sending
   each through ``_jsonify`` was four calls per event;
@@ -40,7 +43,7 @@ from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
-from repro.trace.serialize import trace_hash
+from repro.trace.serialize import trace_hash, write_jsonl
 from repro.trace.tracer import NullTracer, Tracer
 from repro.workloads import RandomDAGConfig, random_dag
 
@@ -117,20 +120,59 @@ def test_explain_grows_like_n_log_n():
     assert at_4k < 8.0 * at_1k
 
 
-# -- cold start: what ``import repro`` loads ----------------------------------
+# -- cold start: a process loads only what it runs ----------------------------
 
-def test_import_repro_loads_no_optional_heavyweight():
+HEAVYWEIGHTS = {"scipy", "networkx", "flask", "matplotlib"}
+
+
+def loaded_after(code: str, *argv: str) -> set:
+    """The modules a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
     env = dict(os.environ, PYTHONPATH=src)
     child = subprocess.run(
         [sys.executable, "-c",
-         "import repro, sys; print(' '.join(sorted("
-         "{m.split('.')[0] for m in sys.modules})))"],
+         code + "\nimport sys; print(' '.join(sorted(sys.modules)))",
+         *argv],
         env=env, capture_output=True, text=True, check=True, timeout=120,
     )
-    loaded = set(child.stdout.split())
-    assert "repro" in loaded and "numpy" in loaded
-    assert not loaded & {"scipy", "networkx", "flask", "matplotlib"}
+    return set(child.stdout.splitlines()[-1].split())
+
+
+def test_import_repro_loads_no_optional_heavyweight():
+    """The package root is one module: every name it re-exports is
+    imported on first read."""
+    loaded = loaded_after("import repro")
+    assert {m for m in loaded if m.split(".")[0] == "repro"} == {"repro"}
+    assert "numpy" not in loaded
+    assert not {m.split(".")[0] for m in loaded} & HEAVYWEIGHTS
+
+
+def test_the_trace_readers_load_no_simulator(tmp_path):
+    """``repro --help``, ``analyze`` and ``explain`` read traces: they
+    load neither numpy, the kernel nor the runtime."""
+    trace = tmp_path / "run.jsonl"
+    write_jsonl(traced_run(), str(trace))
+    loaded = loaded_after(
+        "import contextlib, io, sys\n"
+        "from repro.cli import build_parser, main\n"
+        "build_parser().format_help()\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['analyze', sys.argv[1]]) == 0\n"
+        "    assert main(['explain', sys.argv[1]]) == 0\n"
+        "    assert main(['analyze', sys.argv[1], sys.argv[1]]) == 0",
+        str(trace))
+    assert {"repro.metrics.analysis", "repro.obs.attribution"} <= loaded
+    assert not loaded & {"numpy", "repro.sim.kernel", "repro.runtime"}
+    assert not {m.split(".")[0] for m in loaded} & HEAVYWEIGHTS
+
+
+def test_the_facade_loads_no_periphery():
+    loaded = loaded_after("from repro import VDCE")
+    assert "repro.core.vdce" in loaded
+    assert not loaded & {
+        "repro.net.proxy", "repro.runtime.data_manager", "repro.runtime.dsm",
+        "repro.scheduler.baselines", "repro.sim.chaos",
+    }
 
 
 # -- write: emit converts only what needs converting --------------------------

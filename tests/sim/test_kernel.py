@@ -1,5 +1,10 @@
 """Unit tests for the discrete-event kernel."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -441,3 +446,24 @@ def test_the_event_loop_writes_its_instruments_without_a_call(monkeypatch):
     sim.run()
     seen.append(cells(registry))
     assert seen == expected
+
+
+@pytest.mark.parametrize("first, second", [
+    ("repro.sim.kernel", "repro.metrics.registry"),
+    ("repro.metrics.registry", "repro.sim.kernel"),
+    ("repro.sim", "repro.metrics"),
+    ("repro.metrics", "repro.sim"),
+])
+def test_the_kernel_and_the_metrics_registry_import_in_either_order(
+        first, second):
+    """The kernel imports the registry at module top: with lazy package
+    inits, ``metrics.registry`` reaches only ``metrics.folds`` and
+    ``trace``, so neither order closes a cycle (a fresh interpreter each,
+    since an earlier import would hide one)."""
+    src = Path(__file__).resolve().parents[2] / "src"
+    code = (f"import {first}, {second}\n"
+            "from repro.metrics.registry import NULL_METRICS\n"
+            "from repro.sim.kernel import Simulator\n"
+            "assert Simulator().metrics is NULL_METRICS\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=120,
+                   env=dict(os.environ, PYTHONPATH=str(src)))

@@ -68,7 +68,7 @@ EXPECTED_LINES = [
     '{"data":{"empty":"","text":"h\\u00e9llo \\u2713 \\n\\r\\u007f"},"kind":"unicode","seq":2,"source":"app:na\\u00efve-\\u0394\\t\\"q\\"\\\\\\u0001\\u2028","time":-0.0}',
     '{"data":{"alpha":{"3":"int key","k":{"m":-1,"z":0}},"zeta":{"a":{"x":[null,true],"y":[1,2]},"b":2}},"kind":"nested","seq":3,"source":"gm:site-1","time":3.0}',
     '{"data":{"blank":{},"frozen":[1,2,3],"members":["a","b","c"],"nothing":[],"pair":["s1-h00",2],"rows":[[1,2.5],[],[]]},"kind":"containers","seq":4,"source":"","time":0.30000000000000004}',
-    '{"data":{"count":7,"flag":"True","ratio":0.1,"single":0.5,"small":-2,"vec":[1,2.0]},"kind":"numpy","seq":5,"source":"sched","time":1e+22}',
+    '{"data":{"count":7,"flag":true,"ratio":0.1,"single":0.5,"small":-2,"vec":[1,2.0]},"kind":"numpy","seq":5,"source":"sched","time":1e+22}',
     '{"data":{},"kind":"empty","seq":6,"source":"","time":5.0}',
     '{"data":{"big_int":1180591620717411303424,"path":"Ellipsis"},"kind":"object","seq":7,"source":"x","time":123456.789}',
     '{"data":{"a":[1,{"b":false,"q":null}],"z":1},"kind":"hand","seq":100,"source":"s","time":9.5}',
@@ -76,7 +76,7 @@ EXPECTED_LINES = [
 ]
 EXPECTED_HEADER = '{"trace_header":{"schema_version":1}}'
 EXPECTED_TRACE_HASH = (
-    "58cd128b341737a045de8b1e3edc6ee6c0e8d0583ea4e017e34e72ae25243be2"
+    "075e460b89930b419d6640fe52c27ece85d8a0777f207c6dcd1285ff0564bd4e"
 )
 
 
@@ -105,6 +105,16 @@ EXPECTED_HAND_CLOCK_HASH = (
 
 def test_event_lines_are_byte_exact():
     assert [event_to_json(e) for e in fixture_events()] == EXPECTED_LINES
+
+
+def test_a_numpy_bool_payload_is_a_json_bool():
+    """``np.bool_`` is neither ``np.integer`` nor ``np.floating``; it used
+    to fall through to ``str`` and be recorded as the string "True"."""
+    tracer = Tracer()
+    tracer.emit("x", flag=np.bool_(True), off=np.bool_(False))
+    data = tracer.events()[0].data
+    assert data == {"flag": True, "off": False}
+    assert all(type(value) is bool for value in data.values())
 
 
 def test_hand_built_clocks_are_byte_exact():
