@@ -11,6 +11,7 @@ remote sites (Fig. 2, step 3).
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Iterable, Iterator, List, Optional, Tuple
 
@@ -42,8 +43,9 @@ class Edge:
             raise ValueError(f"self-loop on task {self.src!r}")
         if self.src_port < 0 or self.dst_port < 0:
             raise ValueError(f"edge {self.src}->{self.dst}: negative port")
-        if self.size_mb < 0:
-            raise ValueError(f"edge {self.src}->{self.dst}: negative size")
+        if not (math.isfinite(self.size_mb) and self.size_mb >= 0):
+            raise ValueError(f"edge {self.src}->{self.dst}: negative or "
+                             f"non-finite size {self.size_mb!r}")
 
 
 class StructureSnapshot:

@@ -16,6 +16,7 @@ file output).  :class:`TaskProperties` captures exactly those fields.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
@@ -37,8 +38,8 @@ class FileSpec:
     def __post_init__(self) -> None:
         if not self.path:
             raise ValueError("file path must be non-empty")
-        if self.size_mb < 0:
-            raise ValueError(f"file {self.path!r}: negative size")
+        if not (math.isfinite(self.size_mb) and self.size_mb >= 0):
+            raise ValueError(f"file {self.path!r}: negative or non-finite size")
 
 
 @dataclass(frozen=True)
@@ -89,8 +90,8 @@ class TaskProperties:
             raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
         if self.mode is ComputationMode.SEQUENTIAL and self.n_nodes != 1:
             raise ValueError("sequential tasks must have n_nodes == 1")
-        if self.workload_scale <= 0:
-            raise ValueError("workload_scale must be positive")
+        if not (math.isfinite(self.workload_scale) and self.workload_scale > 0):
+            raise ValueError("workload_scale must be positive and finite")
         if self.memory_mb < 0:
             raise ValueError("memory_mb must be non-negative")
         ports = [b.port for b in self.inputs]

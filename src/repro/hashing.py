@@ -51,7 +51,7 @@ def _feed(h, value: Any) -> None:
     np = sys.modules.get("numpy")
     if value is None:
         h.update(b"N")
-    elif isinstance(value, bool):
+    elif isinstance(value, bool) or (np and isinstance(value, np.bool_)):
         h.update(b"B1" if value else b"B0")
     elif isinstance(value, int) or (np and isinstance(value, np.integer)):
         h.update(b"I" + str(int(value)).encode("ascii"))

@@ -30,8 +30,6 @@ import itertools
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.afg.validate import validate_afg
@@ -177,6 +175,8 @@ class RandomScheduler:
     name: str = "random"
 
     def schedule(self, afg: ApplicationFlowGraph, view: FederationView) -> AllocationTable:
+        import numpy as np
+
         validate_afg(afg)
         rng = np.random.default_rng(self.seed)
         sites = view.participating_sites()

@@ -21,13 +21,14 @@ import heapq
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
-from typing import Any, Callable, Generator, Iterable, Optional
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
 
 from repro.metrics.registry import NULL_METRICS, MetricsRegistry
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = [
     "AllOf",
@@ -426,9 +427,12 @@ class Simulator:
         ``SeedSequence`` + PCG64 + ``Generator`` (~40 us) that is kept for
         the life of the simulator; a hit is one dict look-up.  Callers
         therefore take a stream at the statement that draws from it, not
-        when they merely might need it.
+        when they merely might need it — and a run that draws nothing
+        never imports numpy.
         """
         if name not in self._rngs:
+            import numpy as np
+
             child = np.random.SeedSequence(
                 entropy=self.seed,
                 spawn_key=tuple(name.encode("utf-8")),

@@ -15,8 +15,6 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-import numpy as np
-
 from repro.tasklib.base import ParallelModel, TaskSignature
 
 __all__ = ["SIGNATURES", "BASE_CONTACTS"]
@@ -31,6 +29,8 @@ def _n_contacts(scale: float) -> int:
 
 def sensor_sweep(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Produce one radar sweep: rows of (x, y, vx, vy, snr)."""
+    import numpy as np
+
     n = _n_contacts(scale)
     rng = np.random.default_rng(n)
     positions = rng.uniform(-100.0, 100.0, size=(n, 2))
@@ -41,6 +41,8 @@ def sensor_sweep(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def track_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Alpha-beta filter pass over a sweep (smooths kinematics)."""
+    import numpy as np
+
     sweep = np.asarray(inputs[0], dtype=float)
     alpha, beta = 0.85, 0.005
     smoothed = sweep.copy()
@@ -52,6 +54,8 @@ def track_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def track_correlation(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Fuse two sensors' track sets by nearest-neighbour gating."""
+    import numpy as np
+
     a = np.asarray(inputs[0], dtype=float)
     b = np.asarray(inputs[1], dtype=float)
     # pairwise position distances; greedy gate at radius 25
@@ -72,6 +76,8 @@ def track_correlation(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def threat_assessment(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Score tracks: closing speed toward the origin weighted by SNR."""
+    import numpy as np
+
     tracks = np.asarray(inputs[0], dtype=float)
     positions, velocities, snr = tracks[:, 0:2], tracks[:, 2:4], tracks[:, 4]
     dist = np.linalg.norm(positions, axis=1) + 1e-9
@@ -83,6 +89,8 @@ def threat_assessment(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def display_format(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Render the top of the threat picture as display lines."""
+    import numpy as np
+
     assessed = np.asarray(inputs[0], dtype=float)
     lines = [
         f"track {i:03d}: pos=({row[0]:+8.2f},{row[1]:+8.2f}) threat={row[5]:6.3f}"
@@ -93,6 +101,8 @@ def display_format(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def intel_archive(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Summarise a threat picture into archive statistics."""
+    import numpy as np
+
     assessed = np.asarray(inputs[0], dtype=float)
     return [
         {

@@ -10,11 +10,12 @@ task-performance database are physically sensible.
 
 from __future__ import annotations
 
-from typing import Any, List, Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Any, List, Sequence
 
 from repro.tasklib.base import ParallelModel, TaskSignature
+
+if TYPE_CHECKING:
+    import numpy as np
 
 __all__ = ["SIGNATURES", "BASE_N"]
 
@@ -27,6 +28,8 @@ def _dim(scale: float) -> int:
 
 
 def _as_matrix(value: Any) -> np.ndarray:
+    import numpy as np
+
     arr = np.asarray(value, dtype=float)
     if arr.ndim != 2:
         raise ValueError(f"expected a matrix, got ndim={arr.ndim}")
@@ -35,6 +38,8 @@ def _as_matrix(value: Any) -> np.ndarray:
 
 def generate_spd(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Generate a well-conditioned system (A, b); the AFG's data source."""
+    import numpy as np
+
     n = _dim(scale)
     rng = np.random.default_rng(n)  # deterministic per problem size
     a = rng.standard_normal((n, n))
@@ -52,6 +57,7 @@ def lu_decomposition(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 
 def triangular_solve(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import numpy as np
     import scipy.linalg
 
     (lu, piv), b = inputs
@@ -60,12 +66,16 @@ def triangular_solve(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 
 def matrix_multiply(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import numpy as np
+
     a = _as_matrix(inputs[0])
     b = np.asarray(inputs[1], dtype=float)
     return [a @ b]
 
 
 def matrix_add(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import numpy as np
+
     a = np.asarray(inputs[0], dtype=float)
     b = np.asarray(inputs[1], dtype=float)
     return [a + b]
@@ -77,6 +87,8 @@ def transpose(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def residual_norm(inputs: Sequence[Any], scale: float) -> List[Any]:
     """||Ax - b||: the Linear Equation Solver's verification step."""
+    import numpy as np
+
     a = _as_matrix(inputs[0])
     x = np.asarray(inputs[1], dtype=float)
     b = np.asarray(inputs[2], dtype=float)
@@ -84,10 +96,14 @@ def residual_norm(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 
 def cholesky(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import numpy as np
+
     return [np.linalg.cholesky(_as_matrix(inputs[0]))]
 
 
 def qr_decomposition(inputs: Sequence[Any], scale: float) -> List[Any]:
+    import numpy as np
+
     q, r = np.linalg.qr(_as_matrix(inputs[0]))
     return [q, r]
 

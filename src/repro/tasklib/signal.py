@@ -12,8 +12,6 @@ from __future__ import annotations
 
 from typing import Any, List, Sequence
 
-import numpy as np
-
 from repro.tasklib.base import ParallelModel, TaskSignature
 
 __all__ = ["SIGNATURES", "BASE_SAMPLES"]
@@ -31,6 +29,8 @@ def _n_samples(scale: float) -> int:
 
 def synthesize(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Generate a noisy multi-tone test signal (deterministic per size)."""
+    import numpy as np
+
     n = _n_samples(scale)
     rng = np.random.default_rng(n)
     t = np.arange(n, dtype=float)
@@ -41,6 +41,7 @@ def synthesize(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def lowpass_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
     """4th-order Butterworth low-pass at 0.2 cycles/sample."""
+    import numpy as np
     import scipy.signal
 
     signal = np.asarray(inputs[0], dtype=float)
@@ -50,6 +51,7 @@ def lowpass_filter(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def spectrum(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Welch power spectral density estimate."""
+    import numpy as np
     import scipy.signal
 
     signal = np.asarray(inputs[0], dtype=float)
@@ -60,6 +62,7 @@ def spectrum(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def detect_peaks(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Peak frequencies from a PSD, strongest first."""
+    import numpy as np
     import scipy.signal
 
     spec = np.asarray(inputs[0], dtype=float)
@@ -71,6 +74,7 @@ def detect_peaks(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def correlate_frames(inputs: Sequence[Any], scale: float) -> List[Any]:
     """Normalised cross-correlation peak between two frames (lag, value)."""
+    import numpy as np
     import scipy.signal
 
     a = np.asarray(inputs[0], dtype=float)
@@ -84,6 +88,7 @@ def correlate_frames(inputs: Sequence[Any], scale: float) -> List[Any]:
 
 def decimate(inputs: Sequence[Any], scale: float) -> List[Any]:
     """8x decimation with anti-aliasing."""
+    import numpy as np
     import scipy.signal
 
     signal = np.asarray(inputs[0], dtype=float)

@@ -132,11 +132,13 @@ def bag_of_tasks(n: int = 12, cost: float = 2.0,
         raise ValueError("n must be >= 1")
     if not (0.0 <= heterogeneity < 1.0):
         raise ValueError("heterogeneity must be in [0, 1)")
-    import numpy as np
-
-    rng = np.random.default_rng(seed)
     afg = ApplicationFlowGraph(f"bag-{n}")
+    if heterogeneity:
+        import numpy as np
+
+        rng = np.random.default_rng(seed)
     for i in range(n):
-        c = cost * (1.0 + heterogeneity * float(rng.uniform(-1.0, 1.0)))
-        afg.add_task(_source(f"job{i:03d}", c))
+        # homogeneous: 1.0 + 0.0 * u is 1.0 for every drawn u, so draw none
+        u = float(rng.uniform(-1.0, 1.0)) if heterogeneity else 0.0
+        afg.add_task(_source(f"job{i:03d}", cost * (1.0 + heterogeneity * u)))
     return afg

@@ -15,10 +15,9 @@ with as many input ports as sampled parents.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import List
-
-import numpy as np
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.properties import TaskProperties
@@ -53,16 +52,18 @@ class RandomDAGConfig:
             raise ValueError("width must be >= 1")
         if self.max_fan_in < 1:
             raise ValueError("max_fan_in must be >= 1")
-        if self.mean_cost <= 0:
-            raise ValueError("mean_cost must be positive")
+        if not (math.isfinite(self.mean_cost) and self.mean_cost > 0):
+            raise ValueError("mean_cost must be positive and finite")
         if not (0.0 <= self.cost_heterogeneity < 1.0):
             raise ValueError("cost_heterogeneity must be in [0, 1)")
-        if self.ccr < 0:
-            raise ValueError("ccr must be non-negative")
+        if not (math.isfinite(self.ccr) and self.ccr >= 0):
+            raise ValueError("ccr must be non-negative and finite")
 
 
 def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     """Generate a layered random AFG; deterministic for a given config."""
+    import numpy as np
+
     rng = np.random.default_rng(config.seed)
     afg = ApplicationFlowGraph(
         f"random-dag-n{config.n_tasks}-w{config.width}-s{config.seed}"

@@ -96,9 +96,15 @@ def test_self_loop_rejected():
         Edge(src="a", dst="a")
 
 
+NON_FINITE = [float("nan"), float("inf"), float("-inf")]
+
+
 def test_edge_validation():
     with pytest.raises(ValueError):
         Edge(src="a", dst="b", size_mb=-1.0)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            Edge(src="a", dst="b", size_mb=bad)
     with pytest.raises(ValueError):
         Edge(src="a", dst="b", src_port=-1)
 
@@ -206,6 +212,9 @@ def test_task_properties_validation():
         TaskProperties(mode=ComputationMode.SEQUENTIAL, n_nodes=2)
     with pytest.raises(ValueError):
         TaskProperties(workload_scale=0.0)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            TaskProperties(workload_scale=bad)
     with pytest.raises(ValueError):
         TaskProperties(memory_mb=-1)
     with pytest.raises(ValueError):
@@ -232,5 +241,8 @@ def test_filespec_validation():
         FileSpec(path="", size_mb=1.0)
     with pytest.raises(ValueError):
         FileSpec(path="/a", size_mb=-1.0)
+    for bad in NON_FINITE:
+        with pytest.raises(ValueError, match="finite"):
+            FileSpec(path="/a", size_mb=bad)
     with pytest.raises(ValueError):
         InputBinding(port=-1)

@@ -13,6 +13,10 @@ telemetry path, and on what a cold process imports:
   of the periphery (the eager package graph was 92 modules and numpy,
   0.4-0.6 s, paid by every process; scipy and networkx were once
   1.1 s of a 1.3 s import);
+* a run imports what it draws: numpy is imported by the statement that
+  draws a number or computes a payload, so a fault-free shape-only run
+  never loads it (14 MB of the 48 MB ``bag_2k`` bench child, when seven
+  modules imported it at top level);
 * ``Tracer.emit`` converts only the payload values that need it: almost
   every value is already a plain ``str``/``int``/``float``, and sending
   each through ``_jsonify`` was four calls per event;
@@ -27,6 +31,7 @@ This file runs in the ``bench`` CI job, which installs neither scipy nor
 Hypothesis.
 """
 
+import ast
 import hashlib
 import json
 import os
@@ -34,6 +39,9 @@ import subprocess
 import sys
 import time
 from hashlib import sha256
+from pathlib import Path
+
+import pytest
 
 import repro
 from repro.metrics.registry import MetricsRegistry
@@ -128,7 +136,9 @@ HEAVYWEIGHTS = {"scipy", "networkx", "flask", "matplotlib"}
 def loaded_after(code: str, *argv: str) -> set:
     """The modules a fresh interpreter holds after running ``code``."""
     src = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
-    env = dict(os.environ, PYTHONPATH=src)
+    # the checkout root too, so ``code`` may import a test's helpers
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([src, os.path.dirname(src)]))
     child = subprocess.run(
         [sys.executable, "-c",
          code + "\nimport sys; print(' '.join(sorted(sys.modules)))",
@@ -173,6 +183,74 @@ def test_the_facade_loads_no_periphery():
         "repro.net.proxy", "repro.runtime.data_manager", "repro.runtime.dsm",
         "repro.scheduler.baselines", "repro.sim.chaos",
     }
+
+
+# -- a run imports what it draws ----------------------------------------------
+
+def test_a_run_that_draws_nothing_loads_no_numpy():
+    """A homogeneous bag, scheduled and run fault-free with monitoring
+    on, draws no number (``test_rng_streams``) and runs no payload."""
+    loaded = loaded_after(
+        "from tests.perf.test_events_per_task import run_bag\n"
+        "assert run_bag(64).sim.rng_streams == 0")
+    assert {"repro.runtime.vdce_runtime", "repro.tasklib.matrix"} <= loaded
+    assert "numpy" not in loaded
+
+
+def test_the_facade_and_the_registry_load_no_numpy():
+    loaded = loaded_after(
+        "from repro import VDCE\n"
+        "from repro.tasklib import default_registry\n"
+        "assert len(default_registry()) > 20")
+    assert {"repro.core.vdce", "repro.tasklib.c3i"} <= loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.parametrize("draw", [
+    "random_dag(RandomDAGConfig(n_tasks=8))",
+    "Simulator(seed=0).rng('first')",
+])
+def test_the_first_draw_loads_numpy(draw):
+    """Not vacuous: the statement that draws is the one that imports."""
+    loaded = loaded_after(
+        "import sys\n"
+        "from repro.sim.kernel import Simulator\n"
+        "from repro.workloads import RandomDAGConfig, random_dag\n"
+        "assert 'numpy' not in sys.modules\n" + draw)
+    assert "numpy" in loaded
+
+
+def module_level_imports(tree: ast.Module):
+    """The modules imported by code that runs when ``tree`` is imported:
+    outside function bodies and ``if TYPE_CHECKING:`` blocks."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.Lambda)):
+            continue
+        if isinstance(node, ast.If) and ast.unparse(node.test) in {
+                "TYPE_CHECKING", "typing.TYPE_CHECKING"}:
+            stack.extend(node.orelse)
+            continue
+        if isinstance(node, ast.Import):
+            yield from (alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            yield node.module
+        stack.extend(ast.iter_child_nodes(node))
+
+
+def test_no_module_imports_numpy_at_module_level():
+    """numpy (and scipy, which imports it) only inside the functions
+    that draw or compute."""
+    package = Path(repro.__file__).parent
+    offenders = sorted(
+        f"{path.relative_to(package)}: {name}"
+        for path in package.rglob("*.py")
+        for name in module_level_imports(ast.parse(path.read_text()))
+        if name.split(".")[0] in {"numpy", "scipy"}
+    )
+    assert offenders == []
 
 
 # -- write: emit converts only what needs converting --------------------------

@@ -140,6 +140,16 @@ class TestValueHashing:
         hashes = {value_hash(v) for v in (1, 1.0, True, "1", b"1", None)}
         assert len(hashes) == 6
 
+    def test_numpy_scalars_hash_like_python_scalars(self):
+        """Not through ``repr``: ``repr(np.True_)`` is ``np.True_`` under
+        numpy 2 and ``True`` under numpy 1."""
+        for numpy_value, python_value in [
+            (np.bool_(True), True), (np.bool_(False), False),
+            (np.int32(-3), -3), (np.float32(0.5), 0.5),
+        ]:
+            assert value_hash(numpy_value) == value_hash(python_value)
+        assert value_hash([np.bool_(True)]) == value_hash([True])
+
     def test_encode_decode_round_trips_arrays(self):
         value = {"grid": np.linspace(0.0, 1.0, 7), "meta": ("ok", 3)}
         decoded = decode_value(encode_value(value))

@@ -1,8 +1,12 @@
 """Tests for the workload generators."""
 
+import math
+import struct
+
 import pytest
 
 from repro.afg import afg_to_dict, validate_afg
+from repro.scheduler import SiteScheduler
 from repro.tasklib import default_registry
 from repro.workloads import (
     RandomDAGConfig,
@@ -15,6 +19,8 @@ from repro.workloads import (
     reduction_tree,
     surveillance_afg,
 )
+
+from tests.runtime.conftest import build_runtime
 
 
 class TestLinearSolver:
@@ -136,3 +142,79 @@ class TestPipelineShapes:
         assert not afg.edges
         scales = [t.properties.workload_scale for t in afg]
         assert max(scales) > min(scales)
+
+
+# -- a homogeneous bag draws nothing ------------------------------------------
+
+def drawing_bag_scales(n, cost, heterogeneity, seed):
+    """The bag's costs as they were built when every bag drew: one
+    generator, one ``uniform(-1, 1)`` per task, scaled by
+    ``heterogeneity``."""
+    import numpy as np
+
+    rng = np.random.default_rng(seed)
+    return [cost * (1.0 + heterogeneity * float(rng.uniform(-1.0, 1.0)))
+            for _ in range(n)]
+
+
+def bits(values):
+    return [(type(v), struct.pack(">d", v)) for v in values]
+
+
+@pytest.mark.parametrize("heterogeneity", [0.0, -0.0, 0.25, 0.9])
+@pytest.mark.parametrize("cost", [4, 4.0, 3.0, 0.1, 7, 1e-300, 1e300])
+def test_the_homogeneous_bag_is_the_drawing_bag(cost, heterogeneity):
+    """``h * u`` is a signed zero for every drawn ``u`` when ``h`` is,
+    so the bag that draws nothing has the drawing bag's bits and types;
+    a heterogeneous bag still draws, unchanged."""
+    for n in (1, 5, 64):
+        for seed in (0, 1, 12345):
+            afg = bag_of_tasks(n=n, cost=cost, heterogeneity=heterogeneity,
+                               seed=seed)
+            scales = [afg.task(f"job{i:03d}").properties.workload_scale
+                      for i in range(n)]
+            assert bits(scales) == bits(
+                drawing_bag_scales(n, cost, heterogeneity, seed))
+            if heterogeneity and n > 1:
+                assert len(set(scales)) == n
+
+
+# -- non-finite numbers are refused where they enter --------------------------
+
+def run_bounded(rt, make_afg, limit=3000.0):
+    """Build, schedule and run one application inside ``rt``'s
+    simulation, monitoring on, with a simulated-time limit."""
+    rt.start_monitoring()
+
+    def pipeline():
+        afg = make_afg()
+        table, _ = yield from rt.schedule_process(
+            afg, SiteScheduler(k=1, model=rt.model), local_site="alpha")
+        return (yield rt.execute_process(
+            afg, table, submit_site="alpha", execute_payloads=False))
+
+    return rt.sim.run_until_complete(rt.sim.process(pipeline()), limit=limit)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("make_afg", [
+    lambda bad: random_dag(RandomDAGConfig(n_tasks=12, ccr=bad)),
+    lambda bad: random_dag(RandomDAGConfig(n_tasks=12, mean_cost=bad)),
+    lambda bad: bag_of_tasks(n=4, cost=bad),
+], ids=["ccr", "mean_cost", "bag_cost"])
+def test_a_non_finite_number_fails_the_run_at_t0(make_afg, bad):
+    """Refused where the number enters, before any simulated time.  A
+    NaN edge size used to finish the run with the clock at NaN, an
+    infinite one to keep the application from completing (the monitors
+    keep the calendar alive, so only the limit ended the run), and a
+    non-finite cost died in scheduling with ``math.ceil``'s error."""
+    rt = build_runtime()
+    with pytest.raises(ValueError, match="finite"):
+        run_bounded(rt, lambda: make_afg(bad))
+    assert rt.sim.now == 0.0
+
+
+def test_a_finite_run_completes_under_the_same_bound():
+    result = run_bounded(build_runtime(), lambda: random_dag(
+        RandomDAGConfig(n_tasks=12, ccr=0.5)))
+    assert len(result.records) == 12
