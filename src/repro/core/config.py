@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
+from repro.sim.network import LinkSpec
 from repro.sim.topology import Topology, TopologyBuilder
 
 __all__ = ["DeploymentSpec", "HostConfig", "SiteConfig"]
@@ -23,8 +25,8 @@ class HostConfig:
     def __post_init__(self) -> None:
         if not self.name:
             raise ValueError("host name must be non-empty")
-        if self.speed <= 0:
-            raise ValueError(f"host {self.name!r}: speed must be positive")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(f"host {self.name!r}: speed must be positive and finite")
         if self.memory_mb <= 0:
             raise ValueError(f"host {self.name!r}: memory_mb must be positive")
         if not self.arch or not self.os:
@@ -51,6 +53,8 @@ class SiteConfig:
             raise ValueError(
                 f"site {self.name!r}: hosts and n_hosts are mutually exclusive"
             )
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(f"site {self.name!r}: speed must be positive and finite")
 
 
 @dataclass(frozen=True)
@@ -72,6 +76,11 @@ class DeploymentSpec:
         names = [s.name for s in self.sites]
         if len(set(names)) != len(names):
             raise ValueError(f"duplicate site names: {names}")
+        # a LinkSpec refuses what no link may carry
+        LinkSpec(self.lan_latency_s, self.lan_bandwidth_mbps, "lan")
+        LinkSpec(self.wan_latency_s, self.wan_bandwidth_mbps, "wan")
+        for a, b, latency, bandwidth in self.wan_overrides:
+            LinkSpec(latency, bandwidth, f"wan:{a}-{b}")
 
     def build_topology(self) -> Topology:
         builder = (

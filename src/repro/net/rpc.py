@@ -26,6 +26,7 @@ their fault-free timing.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import GeneratorType
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
 from repro.obs.spans import (
@@ -398,6 +399,8 @@ class ControlPlane:
         self.policy = policy
         self.tracer = tracer
         self.spans = spans
+        #: the recorder's open / close / run, kept (no-ops when off)
+        self._open, self._close, self._run = spans.hooks()
         #: per-destination circuit breakers; None = feature disabled
         self.breakers = breakers
 
@@ -439,10 +442,8 @@ class ControlPlane:
         dst_site = self.network.site_of(dst_host)
         source = f"rpc:{src_site}"
         rng_name = f"rpc:{src_site}->{dst_site}"
-        spans = self.spans
-        rpc_span = spans.open(
-            SpanKind.RPC, span.app, parent=span,
-            source=source, label=label, dst=dst_site,
+        rpc_span = self._open(
+            SpanKind.RPC, span.app, span, source, label=label, dst=dst_site,
         )
         # WAN circuit breaker: same-site traffic has none
         breaker = self.breakers if src_site != dst_site else None
@@ -471,12 +472,12 @@ class ControlPlane:
                 delay = policy.backoff(
                     attempt, float(self.sim.rng(rng_name).uniform())
                 )
-                backoff_span = spans.open(
-                    SpanKind.RETRY_BACKOFF, rpc_span.app, parent=rpc_span,
-                    source=source, label=label, attempt=attempt,
+                backoff_span = self._open(
+                    SpanKind.RETRY_BACKOFF, rpc_span.app, rpc_span, source,
+                    label=label, attempt=attempt,
                 )
                 yield Timeout(delay)
-                spans.close(backoff_span, source=source)
+                self._close(backoff_span, source)
         self.stats.rpc_timeouts += 1
         self._give_up(
             call, "timeout", policy.max_attempts,
@@ -486,9 +487,7 @@ class ControlPlane:
     def _give_up(self, call: _Call, status: str, attempts: int,
                  error: RpcTimeout, **why: Any) -> None:
         """End the request without an answer: span, trace event, raise."""
-        self.spans.close(
-            call.span, source=call.source, status=status, attempts=attempts
-        )
+        self._close(call.span, call.source, status, attempts=attempts)
         self.tracer.emit(
             EventKind.RPC_TIMEOUT, source=call.source, label=call.label,
             dst=call.dst_site, attempts=attempts, **why,
@@ -505,9 +504,9 @@ class ControlPlane:
         with a value.
         """
         started = self.sim.now
-        attempt_span = self.spans.open(
-            SpanKind.RPC_ATTEMPT, call.span.app, parent=call.span,
-            source=call.source, label=call.label, attempt=attempt,
+        attempt_span = self._open(
+            SpanKind.RPC_ATTEMPT, call.span.app, call.span, call.source,
+            label=call.label, attempt=attempt,
         )
         if call.on_send is not None:
             call.on_send(attempt)
@@ -518,7 +517,10 @@ class ControlPlane:
         )
         if delivered:
             try:
-                value = yield from self.spans.within(attempt_span, call.handler)
+                # the handler's value, or the server-side work to drive
+                value = self._run(attempt_span, call.handler)
+                if isinstance(value, GeneratorType):
+                    value = yield from value
             except ManagerUnavailable:
                 # the destination manager is crashed: no reply ever
                 # comes back, exactly like a lost datagram — burn the
@@ -552,10 +554,9 @@ class ControlPlane:
         open for the next attempt; ``"ok"`` and ``"error"`` (a typed
         refusal is still an answer) end the request.
         """
-        spans, source = self.spans, call.source
-        spans.close(attempt_span, source=source, status=status)
+        self._close(attempt_span, call.source, status)
         if status != "failed":
-            spans.close(call.span, source=source, status=status, attempts=attempt)
+            self._close(call.span, call.source, status, attempts=attempt)
         if call.breaker is not None:
             if status == "failed":
                 call.breaker.record_failure(call.src_site, call.dst_site)

@@ -41,6 +41,9 @@ everywhere) and hands out nothing else, and on *any* recorder a child
 of :data:`NULL_SPAN` is :data:`NULL_SPAN` — no id taken, no event —
 while closing or orphaning it is a no-op.  So a call site opens and
 closes its spans unconditionally; none asks whether spans are on.
+An owner on a per-task path keeps the calls it makes (:meth:`hooks`,
+:meth:`bind`); the null recorder hands out module-level no-ops, so with
+spans off no recorder method runs per task.
 """
 
 from __future__ import annotations
@@ -241,6 +244,23 @@ class SpanRecorder:
         for span_id in sorted(self._open, reverse=True):
             self.orphan(self._open[span_id], reason, source=source)
 
+    # -- what a per-task owner keeps -----------------------------------------
+
+    def hooks(self):
+        """``(open, close, run)``: ``run(ctx, handler)`` gives the handler's
+        value or a generator to ``yield from`` for it (:meth:`within`)."""
+        return self.open, self.close, self.within
+
+    def bind(self, app: str, source: str):
+        """``(opener, closer)`` of one application's spans from one source:
+        ``opener(kind, parent, **attrs)`` and ``closer(ctx, **attrs)``."""
+        open_, close = self.open, self.close
+        return (
+            lambda kind, parent, **attrs: open_(
+                kind, app, parent, source, **attrs),
+            lambda ctx, **attrs: close(ctx, source, **attrs),
+        )
+
     # -- ambient context (RPC handler-side propagation) --------------------
 
     def push(self, ctx: SpanContext) -> None:
@@ -319,14 +339,23 @@ class NullSpanRecorder(SpanRecorder):
     def root_of(self, app, source=""):
         return NULL_SPAN
 
-    def within(self, ctx, handler):
-        value = handler()
-        if inspect.isgenerator(value):
-            value = yield from value
-        return value
+    def hooks(self):
+        return _null, _null, _run
+
+    def bind(self, app, source):
+        return _null, _null
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return "NullSpanRecorder()"
+
+
+def _null(*_args: Any, **_attrs: Any) -> SpanContext:
+    """The null recorder's open and close: nothing is recorded."""
+    return NULL_SPAN
+
+
+def _run(_ctx: SpanContext, handler):
+    return handler()
 
 
 #: shared disabled recorder — safe because it never holds a span

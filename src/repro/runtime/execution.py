@@ -285,6 +285,8 @@ class ExecutionCoordinator:
         #: placement — and any late bid stamped with the old epoch — is
         #: recognisably stale and must be re-placed, not executed.
         self._bound_epochs: Dict[str, int] = {}
+        #: site -> (repository versions + belief mark, hosts found fit)
+        self._fit: Dict[str, Tuple[tuple, set]] = {}
         for assignment in self.assignment.values():
             self._note_assignment_epochs(assignment)
         #: edge signals carrying produced values to consumers
@@ -301,6 +303,8 @@ class ExecutionCoordinator:
         self.integrity = runtime.integrity
         #: causal span recorder (runtime-shared; null object when off)
         self.spans = runtime.spans
+        #: ``_open(kind, parent, **attrs)`` / ``_close(span, **attrs)``
+        self._open, self._close = self.spans.bind(afg.name, self._src)
         #: this application's root span context (NULL_SPAN when spans
         #: are off, and then so is every span below it)
         self._root_span = NULL_SPAN
@@ -333,17 +337,6 @@ class ExecutionCoordinator:
     def start(self):
         """Spawn the coordinator process; its value is ApplicationResult."""
         return self.sim.process(self._run(), name=self._src)
-
-    # -- causal spans --------------------------------------------------------
-
-    def _open(self, kind: str, parent, **attrs: Any):
-        """Open a child span of ``parent`` for this application."""
-        return self.spans.open(
-            kind, self.afg.name, parent=parent, source=self._src, **attrs
-        )
-
-    def _close(self, span, **attrs: Any) -> None:
-        self.spans.close(span, source=self._src, **attrs)
 
     # -- protocol ------------------------------------------------------------
 
@@ -1257,7 +1250,18 @@ class ExecutionCoordinator:
 
     def _placement_fault(self, assignment: TaskAssignment):
         """Why this attempt must not start where it is bound, or None:
-        ``(reason, span kind, is a failure restart)`` for :meth:`_reschedule`."""
+        ``(reason, span kind, is a failure restart)`` for :meth:`_reschedule`.
+        Hosts found fit are read again only once their site's repository
+        rows or Group Manager beliefs moved (DESIGN §13.15)."""
+        site = assignment.site
+        repo = self.runtime.repositories.get(site)
+        manager = self.runtime.site_managers.get(site)
+        marks = repo is not None and (
+            repo.resources.registration_version, repo.resources.state_version,
+            manager.belief_mark)
+        fit = self._fit.get(site)
+        if fit and fit[0] == marks and fit[1].issuperset(assignment.hosts):
+            return None
         # Membership first: a departed host has no group, no
         # controller and no repository row, so every later check
         # would crash on it — and a draining or rejoined-at-a-new-
@@ -1266,15 +1270,26 @@ class ExecutionCoordinator:
         stale = self._stale_membership_hosts(assignment)
         if stale:
             return f"membership change: {', '.join(stale)}", SpanKind.DRAIN, False
-        # Never start a slice on a host the repository believes is
-        # down — the chaos invariant the paper's two-level failure
-        # detection exists to uphold.
-        down = self._believed_down_hosts(assignment)
+        # Never start a slice on a host believed down — the chaos
+        # invariant the paper's two-level failure detection exists to
+        # uphold.  The repository is the durable view, but it goes stale
+        # while its Site Manager is crashed (reports are buffered), so
+        # the live Group Manager belief fills the gap when that is up.
+        down = []
+        for h in assignment.hosts:
+            if repo.resources.get(h).up:
+                gm = manager.group_managers.get(manager.site.group_of(h).name)
+                if gm is None or not gm.alive or gm.believes_up(h):
+                    continue
+            down.append(h)
         if down:
             return (
                 f"hosts believed down: {', '.join(down)}",
                 SpanKind.RESCHEDULE, True,
             )
+        if not fit or fit[0] != marks:
+            fit = self._fit[site] = (marks, set())
+        fit[1].update(assignment.hosts)
         return None
 
     def _start_slices(self, node: TaskNode, assignment: TaskAssignment,
@@ -1546,26 +1561,6 @@ class ExecutionCoordinator:
                     f"{h} (epoch {self._bound_epochs[h]} -> {epoch})"
                 )
         return stale
-
-    def _believed_down_hosts(self, assignment: TaskAssignment) -> List[str]:
-        """Assigned hosts believed down — repository or live manager view.
-
-        The site repository is the durable view, but it goes stale while
-        its Site Manager is crashed (reports are buffered), so the live
-        Group Manager belief fills the gap when that manager is up.
-        """
-        repo = self.runtime.repositories[assignment.site]
-        manager = self.runtime.site_managers[assignment.site]
-        down: List[str] = []
-        for h in assignment.hosts:
-            if repo.resources.has_host(h) and not repo.resources.get(h).up:
-                down.append(h)
-                continue
-            group = manager.site.group_of(h).name
-            gm = manager.group_managers.get(group)
-            if gm is not None and gm.alive and not gm.believes_up(h):
-                down.append(h)
-        return down
 
     # -- re-placement: where does the work go next ----------------------------
 

@@ -256,7 +256,9 @@ class GroupManager:
 
     def _bump(self, *names: str) -> None:
         """Move the filter marks of ``names``: a repeat read under the
-        old mark may no longer be suppressed."""
+        old mark may no longer be suppressed.  The site's belief mark
+        moves too, so hosts found fit for a placement are checked again."""
+        self.site_manager.belief_mark += 1
         for name in names:
             self.filter_marks.setdefault(name, [0])[0] += 1
 

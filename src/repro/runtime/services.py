@@ -140,11 +140,16 @@ class ConsoleService:
         return application in self._resume_signals
 
     def wait_if_suspended(self, application: str):
-        """Generator: block while the application is suspended.
-
-        Loops because the user may suspend again between resume and the
-        waiter actually running.
+        """What to ``yield from`` to block while the application is
+        suspended: nothing when it is not, so the per-task check builds
+        no generator.  The wait loops because the user may suspend again
+        between resume and the waiter actually running.
         """
+        if application not in self._resume_signals:
+            return ()
+        return self._wait(application)
+
+    def _wait(self, application: str):
         while True:
             signal = self._resume_signals.get(application)
             if signal is None:

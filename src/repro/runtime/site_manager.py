@@ -87,6 +87,8 @@ class SiteManager:
         self.peers: Dict[str, "SiteManager"] = {}
         #: False while the VDCE Server process is crashed
         self.alive = True
+        #: moved by every ``GroupManager._bump`` here (DESIGN §13.15)
+        self.belief_mark = 0
         #: failure/recovery reports received while crashed, in order
         self._pending_reports: List[tuple] = []
         #: runtime-wide membership coordinator, set by VDCERuntime; the

@@ -88,8 +88,8 @@ class PredictionModel:
     ignore_load: bool = False
 
     def __post_init__(self) -> None:
-        if self.memory_penalty < 1.0:
-            raise ValueError("memory_penalty must be >= 1")
+        if not (math.isfinite(self.memory_penalty) and self.memory_penalty >= 1.0):
+            raise ValueError("memory_penalty must be finite and >= 1")
         if not (0.0 <= self.noise < 1.0):
             raise ValueError("noise must be in [0, 1)")
 

@@ -10,15 +10,17 @@ bookkeeping is the same and lives here once:
   last settle to every resident job — called before anything that
   changes the rate (a job joins or leaves, load, slowdown, failure);
 * :meth:`FairShareServer._reschedule_completion` re-times the one
-  calendar entry that fires when the job closest to done completes;
+  calendar entry that fires when the job closest to done completes —
+  that job is kept (``_least``), so an arrival compares one job and
+  only losing it costs a pass over the residents;
 * :meth:`FairShareServer._tick` is that entry: settle, retire what is
   done, re-time.
 
 A job is any object with a ``remaining`` amount, a ``finished_at`` time
-and a ``done`` signal.  A subclass supplies its per-job rate
-(:meth:`_rate`), the residual below which a job counts as complete
-(``DONE_BELOW``, in the job's own unit) and what else happens when a
-job retires (:meth:`_on_finish`).
+(None until it leaves) and a ``done`` signal.  A subclass supplies its
+per-job rate (:meth:`_rate`), the residual below which a job counts as
+complete (``DONE_BELOW``, in the job's own unit) and what else happens
+when a job retires (:meth:`_on_finish`).
 
 The float operations — ``elapsed * rate``, ``max(0.0, remaining -
 credit)``, ``soonest / rate`` — and the order of calendar calls are the
@@ -27,6 +29,7 @@ contract: every committed trace hash depends on them.
 
 from __future__ import annotations
 
+from operator import attrgetter
 from typing import Any, List, Optional
 
 from repro.sim.kernel import Simulator
@@ -48,6 +51,9 @@ class FairShareServer:
         self._running: List[Any] = []
         self._last_settle = sim.now
         self._completion_call: Optional[Any] = None
+        #: the resident job with the least ``remaining``; a settle's uniform
+        #: credit keeps the order, so only a newcomer can undercut it
+        self._least: Optional[Any] = None
         #: virtual seconds during which at least one job was resident
         self.busy_time = 0.0
 
@@ -77,13 +83,21 @@ class FairShareServer:
         if self._completion_call is not None:
             self._completion_call.cancelled = True
             self._completion_call = None
-        if not self._running:
+        running = self._running
+        if not running:
+            self._least = None
             return
+        least = self._least
+        if least is None or least.finished_at is not None:
+            least = min(running, key=attrgetter("remaining"))
+        elif running[-1].remaining < least.remaining:
+            least = running[-1]
+        self._least = least
         rate = self._rate()
         if rate <= _MIN_RATE:
             return  # stalled: no progress until conditions change
-        soonest = min(job.remaining for job in self._running)
-        self._completion_call = self.sim.call_after(soonest / rate, self._tick)
+        self._completion_call = self.sim.call_after(
+            least.remaining / rate, self._tick)
 
     def _tick(self) -> None:
         self._completion_call = None
@@ -97,7 +111,7 @@ class FairShareServer:
             # forever.  Such residuals are complete by construction.
             rate = self._rate()
             if rate > _MIN_RATE:
-                soonest = min(job.remaining for job in self._running)
+                soonest = self._least.remaining
                 if self.sim.now + soonest / rate <= self.sim.now:
                     finished = [
                         job for job in self._running if job.remaining <= soonest

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import enum
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
@@ -77,8 +78,8 @@ class HostSpec:
     thrash_factor: float = 0.25
 
     def __post_init__(self) -> None:
-        if self.speed <= 0:
-            raise ValueError(f"host {self.name!r}: speed must be positive")
+        if not (math.isfinite(self.speed) and self.speed > 0):
+            raise ValueError(f"host {self.name!r}: speed must be positive and finite")
         if self.memory_mb <= 0:
             raise ValueError(f"host {self.name!r}: memory_mb must be positive")
         if not (0.0 < self.thrash_factor <= 1.0):

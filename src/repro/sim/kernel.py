@@ -77,8 +77,9 @@ class Timeout(_Waitable):
     __slots__ = ("delay", "value", "triggered", "_callback")
 
     def __init__(self, delay: float, value: Any = None):
-        if delay < 0:
-            raise SimulationError(f"negative Timeout delay: {delay!r}")
+        # refuses NaN too; +inf is a legal "never" (an unbounded RPC timeout)
+        if not (delay >= 0):
+            raise SimulationError(f"negative or NaN Timeout delay: {delay!r}")
         self.delay = float(delay)
         self.value = value
         self.triggered = False
@@ -501,9 +502,9 @@ class Simulator:
     # -- scheduling -------------------------------------------------------
 
     def call_at(self, time: float, callback: Callable[[], None]) -> _ScheduledCall:
-        """Schedule a raw callback at absolute virtual ``time``."""
-        if time < self.now:
-            raise SimulationError(f"cannot schedule in the past: {time} < {self.now}")
+        """Schedule a raw callback at absolute virtual ``time`` (not NaN)."""
+        if not (time >= self.now):
+            raise SimulationError(f"cannot schedule at {time} (now {self.now})")
         call = _ScheduledCall((float(time), next(self._seq), callback, False))
         heapq.heappush(self._queue, call)
         return call

@@ -27,6 +27,7 @@ the set of cross-group links being down, and per-link ``loss_prob`` /
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -68,10 +69,10 @@ class LinkSpec:
     name: str = "link"
 
     def __post_init__(self) -> None:
-        if self.latency_s < 0:
-            raise ValueError(f"link {self.name!r}: negative latency")
-        if self.bandwidth_mbps <= 0:
-            raise ValueError(f"link {self.name!r}: bandwidth must be positive")
+        if not (math.isfinite(self.latency_s) and self.latency_s >= 0):
+            raise ValueError(f"link {self.name!r}: latency must be finite and >= 0")
+        if not (math.isfinite(self.bandwidth_mbps) and self.bandwidth_mbps > 0):
+            raise ValueError(f"link {self.name!r}: bandwidth must be positive and finite")
 
     def transfer_time(self, size_mb: float) -> float:
         """Analytic un-contended transfer time for ``size_mb`` megabytes."""

@@ -50,6 +50,33 @@ class TestArchOSInSpec:
             HostConfig("h", os="")
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+class TestNonFiniteSpecs:
+    def test_host_config_speed(self, bad):
+        with pytest.raises(ValueError):
+            HostConfig("h", speed=bad)
+
+    def test_site_config_speed(self, bad):
+        with pytest.raises(ValueError):
+            SiteConfig("s", n_hosts=2, speed=bad)
+
+    @pytest.mark.parametrize("field", [
+        "lan_latency_s", "lan_bandwidth_mbps",
+        "wan_latency_s", "wan_bandwidth_mbps",
+    ])
+    def test_deployment_link_fields(self, bad, field):
+        sites = (SiteConfig("s", n_hosts=2),)
+        with pytest.raises(ValueError):
+            DeploymentSpec(sites, **{field: bad})
+
+    def test_deployment_wan_overrides(self, bad):
+        sites = (SiteConfig("a", n_hosts=1), SiteConfig("b", n_hosts=1))
+        for latency, bandwidth in ((bad, 1.0), (0.05, bad)):
+            with pytest.raises(ValueError):
+                DeploymentSpec(
+                    sites, wan_overrides=(("a", "b", latency, bandwidth),))
+
+
 class TestMultiGroupSites:
     def test_group_size_creates_multiple_group_managers(self):
         spec = DeploymentSpec(sites=(

@@ -25,7 +25,11 @@ telemetry path, and on what a cold process imports:
   digest one line at a time was one ``update`` per event;
 * with telemetry off, an application makes as many (null) emits at 2 048
   tasks as at 512: a null emit with a payload costs ~0.2 us, so an
-  unguarded per-task kind would be a per-task cost nobody asked for.
+  unguarded per-task kind would be a per-task cost nobody asked for;
+* with spans off and nothing suspended, a task makes no call into a
+  span recorder and builds no console-gate generator: each owner keeps
+  the no-ops its recorder handed out (an open/close pair through the
+  recorder was ~2.5 us per task, DESIGN §13.15).
 
 This file runs in the ``bench`` CI job, which installs neither scipy nor
 Hypothesis.
@@ -33,6 +37,7 @@ Hypothesis.
 
 import ast
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -46,8 +51,9 @@ import pytest
 import repro
 from repro.metrics.registry import MetricsRegistry
 from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
-from repro.obs.spans import SpanKind, SpanRecorder
+from repro.obs.spans import NullSpanRecorder, SpanKind, SpanRecorder
 from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime.services import ConsoleService
 from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
@@ -360,3 +366,35 @@ def test_telemetry_off_emits_do_not_grow_with_the_bag(monkeypatch):
         per_application.append(emits[0])
     assert 0 < per_application[0] == per_application[1]
     assert not folds
+
+
+def test_spans_off_and_no_suspension_cost_no_call_per_task(monkeypatch):
+    """Off costs nothing per task (DESIGN §13.15): every method of both
+    span recorders and the console gate are counted across a bag run."""
+    calls, generators = [0], [0]
+
+    def counting(method):
+        def wrapper(*args, **kwargs):
+            calls[0] += 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls in (SpanRecorder, NullSpanRecorder):
+        for name, member in list(vars(cls).items()):
+            if callable(member) and not name.startswith("__"):
+                monkeypatch.setattr(cls, name, counting(member))
+    gate = ConsoleService.wait_if_suspended
+
+    def counting_gate(self, application):
+        waits = gate(self, application)
+        generators[0] += inspect.isgenerator(waits)
+        return waits
+
+    monkeypatch.setattr(ConsoleService, "wait_if_suspended", counting_gate)
+    per_application = []
+    for n_tasks in (512, 2048):
+        calls[0] = 0
+        run_bag(n_tasks)
+        per_application.append(calls[0])
+    assert 0 < per_application[0] == per_application[1]
+    assert generators[0] == 0

@@ -123,6 +123,12 @@ def test_noise_seed_changes_draw():
     assert a != b
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_the_memory_penalty_must_be_finite(bad):
+    with pytest.raises(ValueError):
+        PredictionModel(memory_penalty=bad)
+
+
 def test_model_validation():
     with pytest.raises(ValueError):
         PredictionModel(memory_penalty=0.5)

@@ -8,11 +8,12 @@ both — the instants processor sharing prescribes, computed here by an
 exact fluid calculation that shares no code with the server.
 """
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from repro.sim.fair_share import FairShareServer
+from repro.sim.fair_share import _MIN_RATE, FairShareServer
 from repro.sim.host import Host, HostDownError, HostSpec
 from repro.sim.kernel import Simulator
 from repro.sim.network import Link, LinkDownError, LinkSpec
@@ -158,3 +159,100 @@ def test_zero_size_jobs_complete_at_once_and_disturb_nobody(make):
     for job in empties:
         assert job.done.triggered and not job.done.failed
         assert job.finished_at == 1.0
+
+
+# -- the kept least job against the full rescan it replaced -------------------
+
+def rescan_reschedule_completion(self):
+    """``FairShareServer._reschedule_completion`` as it was before the
+    server kept its least job: a ``min`` over every resident job."""
+    if self._completion_call is not None:
+        self._completion_call.cancelled = True
+        self._completion_call = None
+    if not self._running:
+        return
+    rate = self._rate()
+    if rate <= _MIN_RATE:
+        return  # stalled: no progress until conditions change
+    soonest = min(job.remaining for job in self._running)
+    self._completion_call = self.sim.call_after(soonest / rate, self._tick)
+
+
+def recording(cls, oracle):
+    """``cls`` whose every re-timing is logged as ``(now, entry time)``;
+    the oracle re-times by rescanning, the other checks its kept job."""
+    class Recording(cls):
+        def _reschedule_completion(self):
+            if oracle:
+                rescan_reschedule_completion(self)
+            else:
+                super()._reschedule_completion()
+                if self._running:
+                    assert any(j is self._least for j in self._running)
+                    assert self._least.remaining == min(
+                        j.remaining for j in self._running)
+                else:
+                    assert self._least is None
+            call = self._completion_call
+            self.log.append((self.sim.now, call and call[0]))
+    return Recording
+
+
+def scripted_pair(kind, seed):
+    """The kept-least server and its rescanning oracle, side by side in
+    one simulator, driven by one seeded script; returns both logs and
+    both job lists."""
+    rng = random.Random(seed)
+    sim = Simulator()
+    if kind == "host":
+        pair = [recording(Host, oracle)(sim, HostSpec("h", speed=CAPACITY))
+                for oracle in (False, True)]
+        start = lambda server, size: server.execute(work=size)
+    else:
+        spec = LinkSpec(latency_s=0.0, bandwidth_mbps=CAPACITY)
+        pair = [recording(Link, oracle)(sim, spec) for oracle in (False, True)]
+        start = lambda server, size: server.transfer(size)
+    jobs = ([], [])
+    for server in pair:
+        server.log = []
+
+    def act(what, arg):
+        for server, started in zip(pair, jobs):
+            if what == "start":
+                if kind == "link" or server.is_up():
+                    started.append(start(server, arg))
+            elif what == "cancel":
+                if kind == "host" and started:
+                    server.cancel(started[arg % len(started)], "script")
+            elif what == "load" and kind == "host":
+                server.set_bg_load(arg)
+            elif what == "slow" and kind == "host":
+                server.set_slowdown(arg)
+            elif what in ("fail", "recover"):
+                getattr(server, what)()
+
+    for _ in range(200):
+        # a coarse grid of instants: many actions land together
+        at = rng.randrange(80) * 0.25
+        what = rng.choices(["start", "cancel", "load", "slow", "fail",
+                            "recover"], weights=[12, 2, 2, 2, 1, 3])[0]
+        arg = {"start": rng.choice([0.0, 0.5, 1.0, 1.0, rng.uniform(0, 3)]),
+               "cancel": rng.randrange(1000),
+               "load": rng.choice([0.0, 0.5, 2.0]),
+               "slow": rng.choice([1.0, 1.5, 4.0]),
+               }.get(what)
+        sim.call_at(at, lambda what=what, arg=arg: act(what, arg))
+    # bounded: a server that loses track of its jobs may tick forever
+    sim.run(stop_when=lambda: sim.events_processed > 10_000)
+    return pair, jobs
+
+
+@pytest.mark.parametrize("seed", range(8))
+@pytest.mark.parametrize("kind", ["host", "link"])
+def test_the_kept_least_job_retimes_like_a_full_rescan(kind, seed):
+    (kept, rescanned), (jobs, oracle_jobs) = scripted_pair(kind, seed)
+    completed = [j for j in jobs if j.done.triggered and not j.done.failed]
+    assert len(kept.log) > 60 and len(completed) > 10
+    assert kept.log == rescanned.log
+    assert [j.finished_at for j in jobs] == [j.finished_at for j in oracle_jobs]
+    assert [j.done.failed for j in jobs] == [j.done.failed for j in oracle_jobs]

@@ -187,6 +187,12 @@ def test_recover_allows_new_work():
     assert execution.done.triggered
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_host_refuses_a_non_finite_speed(bad):
+    with pytest.raises(ValueError):
+        HostSpec("h", speed=bad)
+
+
 def test_double_fail_and_double_recover_are_noops():
     sim = Simulator()
     host = make_host(sim)

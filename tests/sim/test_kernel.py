@@ -282,6 +282,46 @@ def test_negative_timeout_rejected():
         Timeout(-1.0)
 
 
+@pytest.mark.parametrize("delay", [float("nan"), float("-inf")])
+def test_a_nan_or_minus_infinite_delay_never_reaches_the_clock(delay):
+    sim = Simulator()
+    sim.call_at(1.0, lambda: None)
+    sim.run()
+
+    def proc():
+        yield Timeout(delay)
+
+    with pytest.raises(SimulationError):
+        sim.run_until_complete(sim.process(proc()))
+    with pytest.raises(SimulationError):
+        sim.call_after(delay, lambda: None)
+    assert sim.now == 1.0
+
+
+@pytest.mark.parametrize("time", [float("nan"), float("-inf")])
+def test_call_at_refuses_a_nan_or_minus_infinite_time(time):
+    sim = Simulator()
+    with pytest.raises(SimulationError):
+        sim.call_at(time, lambda: None)
+    assert sim.run() == 0.0
+
+
+def test_an_infinite_delay_is_a_never_that_no_bounded_run_reaches():
+    # RetryPolicy(timeout_s=inf) waits out a lost message with
+    # Timeout(inf): legal, and it must never fire in a bounded run
+    sim = Simulator()
+    woke = []
+
+    def sleeper():
+        yield Timeout(float("inf"))
+        woke.append(sim.now)
+
+    sim.process(sleeper())
+    sim.call_at(float("inf"), lambda: woke.append("call"))
+    assert sim.run(until=50.0) == 50.0
+    assert woke == [] and sim.now == 50.0
+
+
 def test_yielding_non_waitable_fails_process():
     sim = Simulator()
 

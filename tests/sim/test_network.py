@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim import LinkSpec, Simulator
+from repro.sim import LinkSpec, Simulator, TopologyBuilder
 from repro.sim.network import LOCAL_COPY_TIME, Link, Network
 
 
@@ -18,6 +18,20 @@ def test_linkspec_validation():
         LinkSpec(bandwidth_mbps=0.0)
     with pytest.raises(ValueError):
         LinkSpec().transfer_time(-1.0)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_a_link_refuses_a_non_finite_latency_or_bandwidth(bad):
+    for make in (
+        lambda: LinkSpec(latency_s=bad),
+        lambda: LinkSpec(bandwidth_mbps=bad),
+        lambda: TopologyBuilder(seed=0).lan_defaults(bad, 10.0),
+        lambda: TopologyBuilder(seed=0).lan_defaults(0.001, bad),
+        lambda: TopologyBuilder(seed=0).wan_defaults(bad, 1.0),
+        lambda: TopologyBuilder(seed=0).wan_defaults(0.05, bad),
+    ):
+        with pytest.raises(ValueError):
+            make()
 
 
 def test_single_transfer_matches_analytic_time():
