@@ -180,13 +180,11 @@ def cmd_run(args) -> int:
         )
         from repro.scheduler import SiteScheduler
 
-        policy = None
-        if args.max_queued is not None or args.ttl is not None:
-            policy = AdmissionPolicy(max_queued=args.max_queued,
-                                     default_ttl_s=args.ttl)
-        queue = AdmissionQueue(env.runtime,
-                               max_concurrent=args.max_concurrent,
-                               policy=policy)
+        queue = AdmissionQueue(
+            env.runtime, max_concurrent=args.max_concurrent,
+            policy=AdmissionPolicy(max_queued=args.max_queued,
+                                   default_ttl_s=args.ttl),
+        )
         copies = [afg]
         for i in range(1, args.repeat):
             copy, _ = _build_app(args.application, args.scale, args.seed)

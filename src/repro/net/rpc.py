@@ -49,6 +49,7 @@ __all__ = [
     "CircuitOpenError",
     "ControlPlane",
     "ManagerUnavailable",
+    "NULL_BREAKERS",
     "RetryPolicy",
     "RpcError",
     "RpcTimeout",
@@ -226,6 +227,10 @@ class BreakerRegistry:
         self.send_log: List[Tuple[float, str, str]] = []
         self.fast_fails = 0
 
+    def for_requests(self) -> Optional["BreakerRegistry"]:
+        """The registry a WAN request consults: this one."""
+        return self
+
     def of(self, src_site: str, dst_site: str) -> CircuitBreaker:
         key = (src_site, dst_site)
         breaker = self._breakers.get(key)
@@ -302,6 +307,24 @@ class BreakerRegistry:
                         f"circuit was open ({start:.3f}..{end:.3f})"
                     )
         return violations
+
+
+class NullBreakers:
+    """Breakers off: nothing logged or fast-failed, nothing to consult."""
+
+    transitions: Tuple[Tuple[float, str, str, str], ...] = ()
+    send_log: Tuple[Tuple[float, str, str], ...] = ()
+    fast_fails = 0
+
+    def for_requests(self) -> None:
+        return None
+
+    def open_violations(self, end_time: float) -> List[str]:
+        return []
+
+
+#: the shared "off" — safe because it holds no state
+NULL_BREAKERS = NullBreakers()
 
 
 @dataclass(frozen=True)
@@ -390,7 +413,7 @@ class ControlPlane:
         policy: RetryPolicy = RetryPolicy(),
         tracer: Tracer = NULL_TRACER,
         spans: SpanRecorder = NULL_SPANS,
-        breakers: Optional[BreakerRegistry] = None,
+        breakers: BreakerRegistry = NULL_BREAKERS,
     ):
         self.sim = sim
         self.network = network
@@ -401,8 +424,9 @@ class ControlPlane:
         self.spans = spans
         #: the recorder's open / close / run, kept (no-ops when off)
         self._open, self._close, self._run = spans.hooks()
-        #: per-destination circuit breakers; None = feature disabled
-        self.breakers = breakers
+        #: per-destination circuit breakers a WAN request consults;
+        #: None when breakers are off, so an attempt makes no breaker call
+        self._wan_breakers = breakers.for_requests()
 
     # -- request/reply -----------------------------------------------------
 
@@ -446,7 +470,7 @@ class ControlPlane:
             SpanKind.RPC, span.app, span, source, label=label, dst=dst_site,
         )
         # WAN circuit breaker: same-site traffic has none
-        breaker = self.breakers if src_site != dst_site else None
+        breaker = self._wan_breakers if src_site != dst_site else None
         call = _Call(
             src_host, dst_host, src_site, dst_site, handler, payload_mb,
             reply_mb, label, policy, transport, on_send, on_reply, rpc_span,

@@ -7,7 +7,7 @@ to a site enter an admission queue ordered by user priority (higher
 first, FIFO within a priority), and at most ``max_concurrent``
 applications execute at once.
 
-On top of that baseline, an optional :class:`AdmissionPolicy` turns the
+On top of that baseline, an :class:`AdmissionPolicy` turns the
 queue into a bounded, deadline-aware admission controller (the Nimrod/G
 discipline: admit against declared deadlines, reject work that provably
 cannot be served rather than queueing it forever):
@@ -23,9 +23,9 @@ cannot be served rather than queueing it forever):
   meet its QoS contract, so it fails fast instead of starving others.
 
 Rejections fail the submit :class:`~repro.sim.kernel.Signal` with typed
-:class:`AdmissionRejected` / :class:`AdmissionExpired` errors.  With no
-policy (the default) behaviour, traces and hashes are exactly the
-unbounded queue's.
+:class:`AdmissionRejected` / :class:`AdmissionExpired` errors.  Under
+the default policy (every check off) behaviour, traces and hashes are
+the unbounded queue's; a critical brownout refuses under any policy.
 """
 
 from __future__ import annotations
@@ -156,7 +156,7 @@ class AdmissionQueue:
 
     def __init__(self, runtime: "VDCERuntime", max_concurrent: int = 1,
                  site: Optional[str] = None,
-                 policy: Optional[AdmissionPolicy] = None):
+                 policy: AdmissionPolicy = AdmissionPolicy()):
         if max_concurrent < 1:
             raise ValueError("max_concurrent must be >= 1")
         self.runtime = runtime
@@ -217,13 +217,13 @@ class AdmissionQueue:
             priority=account.priority,
             deadline_at=deadline_at,
         )
-        if policy is not None and policy.max_queued is not None:
-            if len(self._heap) >= policy.max_queued:
-                victim = max(self._heap, key=lambda e: e.badness)
-                if victim.badness > entry.badness:
-                    self._drop(victim, "shed", "queue_full")
-                else:
-                    return self._reject(afg, user, "queue_full", done)
+        if (policy.max_queued is not None
+                and len(self._heap) >= policy.max_queued):
+            victim = max(self._heap, key=lambda e: e.badness)
+            if victim.badness > entry.badness:
+                self._drop(victim, "shed", "queue_full")
+            else:
+                return self._reject(afg, user, "queue_full", done)
         spans = self.runtime.spans
         entry.wait_span = spans.open(
             SpanKind.ADMISSION_WAIT, afg.name,
@@ -235,7 +235,7 @@ class AdmissionQueue:
         expire_at = None
         if ttl_s is not None:
             expire_at = now + ttl_s
-        elif policy is not None and policy.default_ttl_s is not None:
+        elif policy.default_ttl_s is not None:
             expire_at = now + policy.default_ttl_s
         if deadline_at is not None:
             expire_at = (
@@ -250,10 +250,7 @@ class AdmissionQueue:
     def _refusal(self, user: str, now: float) -> Optional[str]:
         """Why the policy turns ``user`` away at the door, or None."""
         policy = self.policy
-        if policy is None:
-            return None
-        brownout = self.runtime.brownout
-        if brownout is not None and brownout.refuse_new_work():
+        if self.runtime.brownout.refuse_new_work():
             return "brownout"
         if policy.user_max_queued is not None:
             queued_by_user = sum(1 for e in self._heap if e.user == user)
@@ -328,10 +325,7 @@ class AdmissionQueue:
     # -- dispatch ---------------------------------------------------------
 
     def _concurrency_limit(self) -> int:
-        brownout = self.runtime.brownout
-        if brownout is not None:
-            return brownout.concurrency_limit(self.max_concurrent)
-        return self.max_concurrent
+        return self.runtime.brownout.concurrency_limit(self.max_concurrent)
 
     def _dispatch(self) -> None:
         while self._heap and self._running < self._concurrency_limit():

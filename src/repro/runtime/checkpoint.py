@@ -114,9 +114,8 @@ class CheckpointJournal:
     byte accounting, no filesystem).
     """
 
-    def __init__(self, path: Optional[str] = None, enabled: bool = True):
+    def __init__(self, path: Optional[str] = None):
         self.path = path
-        self.enabled = enabled
         self.bytes_written = 0
         self._records: List[Dict[str, Any]] = []
         #: indices of in-memory records marked corrupt by fault injection
@@ -134,8 +133,6 @@ class CheckpointJournal:
 
     def append(self, kind: str, **fields: Any) -> int:
         """Append one record; returns the bytes it occupied on the wire."""
-        if not self.enabled:
-            return 0
         body = {"kind": kind, **fields}
         raw = (_record_line(body) + "\n").encode("utf-8")
         if self.path is not None:

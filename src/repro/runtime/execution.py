@@ -514,7 +514,7 @@ class ExecutionCoordinator:
     def _journaling(self) -> bool:
         """Whether records are being kept; callers whose record is costly
         to build (serialised AFG, hashed + pickled outputs) test it first."""
-        return self.journal is not None and self.journal.enabled
+        return self.journal is not None
 
     def _journal_append(self, kind: str, **fields: Any) -> None:
         """One checkpoint record: journal append, stats and its event."""
@@ -1224,8 +1224,7 @@ class ExecutionCoordinator:
                     self.speculation is not None
                     and len(executions) == 1
                     and assignment.predicted_time > 0
-                    and (self.runtime.brownout is None
-                         or self.runtime.brownout.speculation_allowed())
+                    and self.runtime.brownout.speculation_allowed()
                 ):
                     yield from self._race_with_backup(
                         node, record, executions[0], span_work, memory_mb, span
@@ -1311,10 +1310,10 @@ class ExecutionCoordinator:
                         attempt_start: float) -> None:
         """Book the successful attempt: measured time and ratio."""
         record.measured_time = self.sim.now - attempt_start
-        tracker = self.runtime.ratio_tracker
         final = self.assignment[node.id]
-        if tracker is not None and final.predicted_time > 0:
-            tracker.record(
+        # the ratio history exists exactly when speculation is on
+        if self.speculation is not None and final.predicted_time > 0:
+            self.runtime.ratio_tracker.record(
                 final.primary_host,
                 record.measured_time / final.predicted_time,
             )
@@ -1414,10 +1413,8 @@ class ExecutionCoordinator:
         launched for a task that already completed (chaos invariant I8).
         """
         policy = self.speculation
-        ratio = None
-        tracker = self.runtime.ratio_tracker
-        if tracker is not None:
-            ratio = tracker.quantile(race.primary.host.name, _RATIO_QUANTILE)
+        ratio = self.runtime.ratio_tracker.quantile(race.primary.host.name,
+                                                    _RATIO_QUANTILE)
         threshold = (
             self.assignment[node.id].predicted_time * policy.trigger_multiple
             * max(1.0, ratio if ratio is not None else 1.0)
@@ -1487,10 +1484,9 @@ class ExecutionCoordinator:
             task=node.id, primary_host=primary_host,
             backup_host=backup_host, threshold_s=threshold,
         )
-        if self.runtime.health is not None:
-            self.runtime.health.penalize(
-                primary_host, _STRAGGLE_PENALTY, "straggle", origin=self._src,
-            )
+        self.runtime.health.penalize(
+            primary_host, _STRAGGLE_PENALTY, "straggle", origin=self._src,
+        )
         self.sim.process(
             self._watch_copy(race, "backup", backup),
             name=f"specwatch:{self.afg.name}:{node.id}:backup",

@@ -23,8 +23,8 @@ from repro.obs.spans import NULL_SPAN, NULL_SPANS, SpanKind, SpanRecorder
 from repro.runtime.monitor import Measurement
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.straggler import (
+    NULL_HEALTH,
     CountEchoDetector,
-    HostHealth,
     PhiEchoDetector,
 )
 from repro.sim.kernel import Process, Simulator, Timeout
@@ -39,8 +39,6 @@ if TYPE_CHECKING:  # pragma: no cover
 
 __all__ = ["GroupManager"]
 
-#: run-queue length at which one host counts as fully occupied
-_SATURATION_LOAD = 4.0
 #: health penalty added when the detector SUSPECTs the host
 _SUSPECT_PENALTY = 0.5
 #: health penalty added when the host is declared down
@@ -60,7 +58,7 @@ class GroupManager:
         lan_link,
         control: "ControlPlane",
         tracer: Tracer = NULL_TRACER,
-        health: Optional[HostHealth] = None,
+        health=NULL_HEALTH,
         spans: SpanRecorder = NULL_SPANS,
     ):
         """``config`` carries the monitoring tunables, already validated
@@ -343,19 +341,8 @@ class GroupManager:
                     self.quiet_echoes += 1  # changes nothing: no round
                 else:
                     self._echo_round(host, responded, rtt_s)
-            if self.site_manager.brownout is not None and self.alive:
-                # backpressure input: this round's believed-up run-queue
-                # lengths, normalised by the saturation threshold.  Rides
-                # the echo bookkeeping — no messages, no RNG draws.
-                loads = [
-                    h.load_average() for h in self.group
-                    if self._believed_up[h.name]
-                ]
-                occupancy = (
-                    (sum(loads) / len(loads)) / _SATURATION_LOAD
-                    if loads else 0.0
-                )
-                self.site_manager.receive_occupancy(self.name, occupancy)
+            # backpressure input (a no-op with overload off)
+            self.site_manager.brownout.observe_round(self)
 
     def _echo_round(self, host, responded: bool, rtt_s: float) -> None:
         """Read one echo through the detector and act on its verdict."""
@@ -376,7 +363,7 @@ class GroupManager:
                 EventKind.SUSPECT if change == "suspect" else EventKind.TRUST,
                 source=self._src, host=host.name, **verdict.evidence,
             )
-        if verdict.penalty is not None and self.health is not None:
+        if verdict.penalty is not None:
             self.health.penalize(
                 host.name,
                 _FAILURE_PENALTY if change == "down" else _SUSPECT_PENALTY,

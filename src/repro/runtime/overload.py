@@ -40,7 +40,7 @@ from repro.net.rpc import RpcError
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
-__all__ = ["BrownoutController", "SiteOverloaded"]
+__all__ = ["BrownoutController", "NULL_BROWNOUT", "SiteOverloaded"]
 
 #: mean federation occupancy entering brownout level 1 (degraded)
 _BROWNOUT_DEGRADED = 0.7
@@ -50,6 +50,8 @@ _BROWNOUT_SEVERE = 0.85
 _BROWNOUT_CRITICAL = 0.95
 #: multiplier applied to admission ``max_concurrent`` at level >= 2
 _CONCURRENCY_SHRINK = 0.5
+#: run-queue length at which one host counts as fully occupied
+_SATURATION_LOAD = 4.0
 
 
 class SiteOverloaded(RpcError):
@@ -90,6 +92,16 @@ class BrownoutController:
 
     # -- inputs ------------------------------------------------------------
 
+    def observe_round(self, gm) -> None:
+        """Fold a live Group Manager's echo round into its occupancy:
+        the believed-up run-queue lengths over the saturation load.
+        Rides the echo bookkeeping — no messages, no RNG draws."""
+        if gm.alive:
+            loads = [h.load_average() for h in gm.group
+                     if gm._believed_up[h.name]]
+            mean = sum(loads) / len(loads) if loads else 0.0
+            gm.site_manager.receive_occupancy(gm.name, mean / _SATURATION_LOAD)
+
     def update(self, site: str, group: str, occupancy: float) -> None:
         self._occupancy[(site, group)] = float(occupancy)
         new_level = self._level_for(self.federation_occupancy())
@@ -109,10 +121,6 @@ class BrownoutController:
         if not self._occupancy:
             return 0.0
         return sum(self._occupancy.values()) / len(self._occupancy)
-
-    def occupancy_of_site(self, site: str) -> float:
-        values = [v for (s, _g), v in self._occupancy.items() if s == site]
-        return sum(values) / len(values) if values else 0.0
 
     def _level_for(self, occupancy: float) -> int:
         if occupancy >= _BROWNOUT_CRITICAL:
@@ -144,3 +152,26 @@ class BrownoutController:
             f"BrownoutController(level={self.level}, "
             f"occupancy={self.federation_occupancy():.2f})"
         )
+
+
+class NullBrownout:
+    """Overload protection off: level 0 for good, no host read."""
+
+    level = 0
+    shifts: Tuple[Tuple[float, int, int], ...] = ()
+
+    def observe_round(self, gm) -> None:
+        pass
+
+    def speculation_allowed(self) -> bool:
+        return True
+
+    def concurrency_limit(self, base: int) -> int:
+        return base
+
+    def refuse_new_work(self) -> bool:
+        return False
+
+
+#: the shared "off" — safe because it holds no state
+NULL_BROWNOUT = NullBrownout()

@@ -21,8 +21,9 @@ from repro.net.rpc import ManagerUnavailable
 from repro.obs.spans import NULL_SPANS, SpanKind, SpanRecorder
 from repro.repository.store import SiteRepository
 from repro.runtime.monitor import Measurement
-from repro.runtime.overload import SiteOverloaded
+from repro.runtime.overload import NULL_BROWNOUT, SiteOverloaded
 from repro.runtime.stats import RuntimeStats
+from repro.runtime.straggler import NULL_HEALTH
 from repro.scheduler.allocation import AllocationTable
 from repro.scheduler.host_selection import (
     HostSelectionResult,
@@ -60,9 +61,9 @@ class SiteManager:
         stats: RuntimeStats,
         lan_latency_s: float = 0.0005,
         tracer: Tracer = NULL_TRACER,
-        health=None,
+        health=NULL_HEALTH,
         spans: SpanRecorder = NULL_SPANS,
-        brownout=None,
+        brownout=NULL_BROWNOUT,
     ):
         self.sim = sim
         self.site = site
@@ -73,14 +74,16 @@ class SiteManager:
         self.spans = spans
         #: trace/span source of everything this manager emits
         self._src = f"sm:{site.name}"
-        #: optional HostHealth: quarantine + prediction penalties folded
-        #: into every host selection this site performs
+        #: HostHealth (or NULL_HEALTH): quarantine + prediction penalties
+        #: folded into every host selection this site performs
         self.health = health
-        #: optional BrownoutController; when set, Group Managers feed
+        #: BrownoutController (or NULL_BROWNOUT): Group Managers feed
         #: per-group occupancy here and saturated sites refuse to bid
         self.brownout = brownout
         #: latest occupancy per group (load / saturation threshold)
         self._occupancy: Dict[str, float] = {}
+        #: site occupancy: mean of the groups' latest reports (0 = idle)
+        self.occupancy = 0.0
         self.group_managers: Dict[str, "GroupManager"] = {}
         self.app_controllers: Dict[str, "AppController"] = {}
         #: peers for inter-site coordination, filled by VDCERuntime
@@ -145,11 +148,6 @@ class SiteManager:
     def attach_app_controller(self, controller: "AppController") -> None:
         self.app_controllers[controller.host.name] = controller
 
-    @property
-    def _health_of(self):
-        """The ``health_of`` hook for host selection (None when off)."""
-        return self.health.factor_of if self.health is not None else None
-
     # -- monitoring inputs (Fig. 4 flows 2-3) -----------------------------------
 
     def receive_workload(self, measurement: Measurement) -> None:
@@ -174,15 +172,8 @@ class SiteManager:
     def receive_occupancy(self, group: str, occupancy: float) -> None:
         """Fold a Group Manager's echo-round occupancy into backpressure."""
         self._occupancy[group] = float(occupancy)
-        if self.brownout is not None:
-            self.brownout.update(self.name, group, occupancy)
-
-    @property
-    def occupancy(self) -> float:
-        """Site occupancy: mean of the groups' latest reports (0 = idle)."""
-        if not self._occupancy:
-            return 0.0
-        return sum(self._occupancy.values()) / len(self._occupancy)
+        self.occupancy = sum(self._occupancy.values()) / len(self._occupancy)
+        self.brownout.update(self.name, group, occupancy)
 
     def receive_failure(self, host_name: str) -> None:
         """Mark the host "down" at the site's resource-performance DB."""
@@ -344,8 +335,7 @@ class SiteManager:
         """
         if not self.alive:
             raise ManagerUnavailable(self.name)
-        if (self.brownout is not None
-                and self.occupancy >= _BID_EXCLUSION_OCCUPANCY):
+        if self.occupancy >= _BID_EXCLUSION_OCCUPANCY:
             # backpressure: a saturated site excludes itself from bidding
             # instead of attracting work it cannot serve
             raise SiteOverloaded(self.name, self.occupancy)
@@ -367,7 +357,7 @@ class SiteManager:
         """
         if not self.alive:
             return None  # a crashed site never bids
-        health_of = self._health_of
+        health_of = self.health.selection_hook
 
         def masked(host_name: str) -> Optional[float]:
             # health first, excluded or not: factor_of releases an

@@ -47,6 +47,7 @@ __all__ = [
     "EchoVerdict",
     "HealthPolicy",
     "HostHealth",
+    "NULL_HEALTH",
     "PhiAccrualDetector",
     "PhiEchoDetector",
     "RatioTracker",
@@ -352,6 +353,8 @@ class HostHealth:
         self._score: Dict[str, float] = {}
         self._updated: Dict[str, float] = {}
         self._quarantined_until: Dict[str, float] = {}
+        #: host selection's ``health_of`` hook
+        self.selection_hook = self.factor_of
 
     # -- scoring ----------------------------------------------------------
 
@@ -436,3 +439,19 @@ class HostHealth:
                 "vdce_quarantined_hosts",
                 "hosts currently excluded from selection by quarantine",
             ).set(float(len(self.quarantined_hosts())))
+
+
+class NullHealth:
+    """Host health off: no score, no quarantine, no selection hook."""
+
+    selection_hook = None
+
+    def penalize(self, host, amount, reason="", origin="") -> None:
+        pass
+
+    def quarantined_hosts(self) -> List[str]:
+        return []
+
+
+#: the shared "off" — safe because it holds no state
+NULL_HEALTH = NullHealth()

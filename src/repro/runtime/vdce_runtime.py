@@ -26,6 +26,7 @@ from typing import Dict, List, Mapping, NamedTuple, Optional
 from repro.afg.graph import ApplicationFlowGraph
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.net.rpc import (
+    NULL_BREAKERS,
     BreakerPolicy,
     BreakerRegistry,
     ControlPlane,
@@ -33,7 +34,7 @@ from repro.net.rpc import (
     RpcTimeout,
 )
 from repro.obs.spans import NULL_SPANS, SpanContext, SpanKind, SpanRecorder
-from repro.runtime.overload import BrownoutController, SiteOverloaded
+from repro.runtime.overload import NULL_BROWNOUT, BrownoutController, SiteOverloaded
 from repro.repository.store import SiteRepository
 from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
@@ -45,6 +46,7 @@ from repro.runtime.services import ConsoleService, IOService
 from repro.runtime.site_manager import SiteManager
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.straggler import (
+    NULL_HEALTH,
     HealthPolicy,
     HostHealth,
     RatioTracker,
@@ -208,18 +210,17 @@ class VDCERuntime:
             if config.causal_spans and self.tracer.records
             else NULL_SPANS
         )
-        #: federation brownout controller (overload backpressure); None
-        #: when overload protection is off
-        self.brownout: Optional[BrownoutController] = (
+        #: federation brownout controller; NULL_BROWNOUT when overload is off
+        self.brownout = (
             BrownoutController(self.sim, tracer=self.tracer)
             if config.overload
-            else None
+            else NULL_BROWNOUT
         )
-        #: per-WAN-link circuit breakers; None when disabled
-        self.breakers: Optional[BreakerRegistry] = (
+        #: per-WAN-link circuit breakers; NULL_BREAKERS when disabled
+        self.breakers = (
             BreakerRegistry(self.sim, config.breaker, tracer=self.tracer)
             if config.breaker is not None
-            else None
+            else NULL_BREAKERS
         )
         #: admission queues register themselves here so metrics export
         #: can surface their depth/occupancy gauges
@@ -231,11 +232,11 @@ class VDCERuntime:
             self.sim, topology.network, stats=self.stats,
             tracer=self.tracer, spans=self.spans, breakers=self.breakers,
         )
-        #: host health scoring (straggler defense); None when disabled
-        self.health: Optional[HostHealth] = (
+        #: host health scoring (straggler defense); NULL_HEALTH when off
+        self.health = (
             HostHealth(self.sim, config.health, tracer=self.tracer)
             if config.health is not None
-            else None
+            else NULL_HEALTH
         )
         #: per-host measured/predicted ratio history for the adaptive
         #: speculation trigger; None when speculation is disabled
@@ -485,8 +486,7 @@ class VDCERuntime:
         # that came back; its wall cost is negligible vs messages
         table = scheduler.schedule(
             afg, view.answered(replies), tracer=self.tracer,
-            health_of=(self.health.factor_of if self.health is not None
-                       else None),
+            health_of=self.health.selection_hook,
         )
         sites_bid = self.stats.sites_bid[afg.name] = 1 + len(replies)
         sites_used = self.stats.sites_used[afg.name] = len(table.sites_used())

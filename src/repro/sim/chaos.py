@@ -50,14 +50,9 @@ __all__ = [
     "ChaosReport",
     "PRESETS",
     "STORM_MAX_QUEUED",
-    "calm_config",
-    "churn_smoke_config",
-    "corruption_smoke_config",
     "preset",
     "run_campaign",
-    "slowdown_smoke_config",
     "smoke_config",
-    "storm_config",
 ]
 
 
@@ -216,27 +211,8 @@ def preset(name: str, seed: int = 0) -> ChaosConfig:
 
 
 def smoke_config(seed: int = 0) -> ChaosConfig:
+    """``preset("smoke", seed)``: the benchmark's campaign base."""
     return preset("smoke", seed)
-
-
-def calm_config(seed: int = 0) -> ChaosConfig:
-    return preset("calm", seed)
-
-
-def slowdown_smoke_config(seed: int = 0) -> ChaosConfig:
-    return preset("slowdown-smoke", seed)
-
-
-def corruption_smoke_config(seed: int = 0) -> ChaosConfig:
-    return preset("corruption", seed)
-
-
-def churn_smoke_config(seed: int = 0) -> ChaosConfig:
-    return preset("churn", seed)
-
-
-def storm_config(seed: int = 0) -> ChaosConfig:
-    return preset("storm", seed)
 
 
 @dataclass
@@ -775,23 +751,13 @@ def _report(vdce, run, violations: List[str]) -> ChaosReport:
         speculative_launches=runtime.stats.speculative_launches,
         speculative_wins=runtime.stats.speculative_wins,
         speculative_wasted_s=runtime.stats.speculative_wasted_s,
-        quarantined_hosts=(
-            sorted(runtime.health.quarantined_hosts())
-            if runtime.health is not None else []
-        ),
+        quarantined_hosts=runtime.health.quarantined_hosts(),
         sheds=len(queue.shed_log) if queue is not None else 0,
         shed_log=list(queue.shed_log) if queue is not None else [],
         peak_queued=queue.peak_queued if queue is not None else 0,
-        brownout_shifts=(
-            len(runtime.brownout.shifts) if runtime.brownout is not None else 0
-        ),
-        breaker_transitions=(
-            len(runtime.breakers.transitions)
-            if runtime.breakers is not None else 0
-        ),
-        breaker_fast_fails=(
-            runtime.breakers.fast_fails if runtime.breakers is not None else 0
-        ),
+        brownout_shifts=len(runtime.brownout.shifts),
+        breaker_transitions=len(runtime.breakers.transitions),
+        breaker_fast_fails=runtime.breakers.fast_fails,
         integrity=(
             runtime.integrity.as_dict() if run.config.data_integrity else None
         ),

@@ -121,5 +121,5 @@ class FairShareServer:
             job.remaining = 0.0
             job.finished_at = self.sim.now
             self._on_finish(job)
-            job.done.succeed(job)
+            job.done.succeed()
         self._reschedule_completion()

@@ -89,8 +89,8 @@ class HostSpec:
 class TaskExecution:
     """One task running (or queued to run) on a host.
 
-    ``done`` is a :class:`Signal` that succeeds with the execution when
-    the work completes, or fails with :class:`HostDownError` /
+    ``done`` is a :class:`Signal` that succeeds, with no value (no cycle),
+    when the work completes, or fails with :class:`HostDownError` /
     cancellation errors.  ``cpu_time`` accumulates virtual seconds of
     wall time during which the execution was resident on the host.
     """
@@ -207,7 +207,7 @@ class Host(FairShareServer):
             self._running.remove(execution)
             execution.finished_at = self.sim.now
             self._on_finish(execution)
-            self.sim.call_at(self.sim.now, lambda: execution.done.succeed(execution))
+            self.sim.call_at(self.sim.now, execution.done.succeed)
         self._reschedule_completion()
         return execution
 

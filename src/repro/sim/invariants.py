@@ -343,8 +343,6 @@ def breaker_silence(run: CampaignRun) -> List[str]:
     message is sent on that link — every send either precedes the trip
     or is the half-open probe at window end."""
     breakers = run.runtime.breakers
-    if breakers is None:
-        return []
     return [f"I11: {p}" for p in breakers.open_violations(run.runtime.sim.now)]
 
 

@@ -82,7 +82,7 @@ class LinkSpec:
 
 
 class Transfer:
-    """One in-flight transfer on a fair-share :class:`Link`."""
+    """One in-flight transfer on a :class:`Link`; ``done`` has no value."""
 
     def __init__(self, link: "Link", size_mb: float, label: str):
         self.link = link
@@ -199,7 +199,7 @@ class Link(FairShareServer):
             if t.remaining <= 0.0:
                 t.finished_at = self.sim.now
                 self._maybe_corrupt(t)
-                self.sim.call_at(self.sim.now, lambda: t.done.succeed(t))
+                self.sim.call_at(self.sim.now, t.done.succeed)
                 return
             self._running.append(t)
             self._reschedule_completion()
@@ -496,7 +496,7 @@ class Network:
 
             def finish() -> None:
                 t.finished_at = self.sim.now
-                t.done.succeed(t)
+                t.done.succeed()
 
             self.sim.call_after(LOCAL_COPY_TIME, finish)
             return t

@@ -99,7 +99,10 @@ def test_self_loop_rejected():
 NON_FINITE = [float("nan"), float("inf"), float("-inf")]
 
 
+@pytest.mark.gate
 def test_edge_validation():
+    """A negative or non-finite edge size is refused where it enters the
+    AFG, before any simulated time."""
     with pytest.raises(ValueError):
         Edge(src="a", dst="b", size_mb=-1.0)
     for bad in NON_FINITE:
@@ -205,7 +208,10 @@ def test_tasknode_validation():
         )
 
 
+@pytest.mark.gate
 def test_task_properties_validation():
+    """Task properties are refused at construction; a non-finite
+    ``workload_scale`` among them."""
     with pytest.raises(ValueError):
         TaskProperties(n_nodes=0)
     with pytest.raises(ValueError):
@@ -236,7 +242,10 @@ def test_properties_input_helpers():
     assert props.total_input_size_mb() == pytest.approx(15.0)
 
 
+@pytest.mark.gate
 def test_filespec_validation():
+    """An empty path or a negative or non-finite file size is refused at
+    construction."""
     with pytest.raises(ValueError):
         FileSpec(path="", size_mb=1.0)
     with pytest.raises(ValueError):

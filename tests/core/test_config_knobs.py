@@ -22,6 +22,10 @@ import ast
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
+import pytest
+
+pytestmark = pytest.mark.gate
+
 ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "benchmarks", "examples", "bench", "tests")
 #: defaulted fields over every config dataclass (DESIGN §5, decision 17)

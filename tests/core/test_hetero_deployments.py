@@ -50,8 +50,12 @@ class TestArchOSInSpec:
             HostConfig("h", os="")
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 class TestNonFiniteSpecs:
+    """The deployment's entry points (``HostConfig``, ``SiteConfig``,
+    ``DeploymentSpec``) refuse a non-finite number."""
+
     def test_host_config_speed(self, bad):
         with pytest.raises(ValueError):
             HostConfig("h", speed=bad)

@@ -32,6 +32,8 @@ from typing import Dict, Optional, Tuple
 
 import pytest
 
+pytestmark = pytest.mark.gate
+
 SRC = Path(__file__).resolve().parents[2] / "src"
 PACKAGES = ["repro"] + sorted(
     f"repro.{init.parent.name}" for init in SRC.glob("repro/*/__init__.py"))

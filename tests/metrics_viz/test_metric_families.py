@@ -29,6 +29,8 @@ from repro.trace.events import KNOWN_KINDS, EventKind
 
 from tests.runtime.test_execution_shape import functions
 
+pytestmark = pytest.mark.gate
+
 
 @pytest.mark.parametrize("name", ["smoke", "slowdown-smoke"])
 def test_no_counter_family_mixes_an_unlabelled_total_with_labels(name):

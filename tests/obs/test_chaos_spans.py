@@ -25,8 +25,8 @@ from repro.runtime.straggler import HealthPolicy, HostHealth
 from repro.scheduler import SiteScheduler
 from repro.sim.chaos import (
     ChaosConfig,
+    preset,
     run_campaign,
-    slowdown_smoke_config,
     smoke_config,
 )
 from repro.sim.kernel import Simulator
@@ -51,7 +51,7 @@ def manager_crash_config(seed: int) -> ChaosConfig:
 
 
 def slowdown_config(seed: int) -> ChaosConfig:
-    return replace(slowdown_smoke_config(seed), causal_spans=True)
+    return replace(preset("slowdown-smoke", seed), causal_spans=True)
 
 
 #: the audit campaign: crashes + slowdowns + speculation in 3 apps,

@@ -20,6 +20,8 @@ from repro.repository.host_index import HostIndex
 from repro.sim.chaos import run_campaign, smoke_config
 from tests.perf.test_events_per_task import run_bag
 
+pytestmark = pytest.mark.gate
+
 
 @pytest.fixture
 def traffic(monkeypatch):

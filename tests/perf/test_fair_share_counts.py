@@ -17,6 +17,8 @@ from repro.sim.host import Host, HostSpec
 from repro.sim.kernel import Simulator
 from repro.sim.network import Link, LinkSpec
 
+pytestmark = pytest.mark.gate
+
 
 class CountingList(list):
     """A resident list that counts the jobs a pass over it visits."""

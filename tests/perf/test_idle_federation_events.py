@@ -30,6 +30,8 @@ from repro.trace import EventKind, Tracer
 from repro.trace.tracer import NULL_TRACER
 from repro.workloads import bag_of_tasks
 
+pytestmark = pytest.mark.gate
+
 HORIZON_VS = 1000.0
 #: measured 6 173 on 8 sites x 8 hosts
 CEILING = 8000

@@ -157,8 +157,12 @@ def test_per_task_functions_create_no_closure():
     assert _nested_functions(SiteScheduler.schedule_with_trace) == ["cost"]
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("n_tasks", [256, 1024])
 def test_a_tasks_bid_is_one_pass_over_its_bidders(n_tasks, monkeypatch):
+    """A task's bid is one pass over its bidders: one kernel call per placed
+    task, task terms once per distinct record, one transfer estimator per
+    (source, bidder) pair and no per-task load mapping."""
     _repos, view = federation()
     afg = layered_dag(n_tasks)
     counts = {"kernel": 0, "terms": 0}

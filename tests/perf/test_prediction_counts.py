@@ -27,6 +27,8 @@ from repro.tasklib import default_registry
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 from tests.scheduler.conftest import log_site_bids
 
+pytestmark = pytest.mark.gate
+
 N_SITES, HOSTS_PER_SITE = 2, 4
 
 

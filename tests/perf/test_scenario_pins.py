@@ -12,6 +12,8 @@ import pytest
 
 from benchmarks import harness
 
+pytestmark = pytest.mark.gate
+
 
 @pytest.mark.parametrize("name", list(harness.SCENARIOS))
 def test_a_scenario_reproduces_its_pins(name, pin):

@@ -29,7 +29,10 @@ telemetry path, and on what a cold process imports:
 * with spans off and nothing suspended, a task makes no call into a
   span recorder and builds no console-gate generator: each owner keeps
   the no-ops its recorder handed out (an open/close pair through the
-  recorder was ~2.5 us per task, DESIGN §13.15).
+  recorder was ~2.5 us per task, DESIGN §13.15);
+* with overload, breakers and host health off, a task makes no call into
+  their null objects: the brownout's occupancy feed runs once per echo
+  round and reads no host, and a request consults no breaker.
 
 This file runs in the ``bench`` CI job, which installs neither scipy nor
 Hypothesis.
@@ -50,10 +53,13 @@ import pytest
 
 import repro
 from repro.metrics.registry import MetricsRegistry
+from repro.net.rpc import NullBreakers
 from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
 from repro.obs.spans import NullSpanRecorder, SpanKind, SpanRecorder
 from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime.overload import NullBrownout
 from repro.runtime.services import ConsoleService
+from repro.runtime.straggler import NullHealth
 from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
@@ -154,6 +160,7 @@ def loaded_after(code: str, *argv: str) -> set:
     return set(child.stdout.splitlines()[-1].split())
 
 
+@pytest.mark.gate
 def test_import_repro_loads_no_optional_heavyweight():
     """The package root is one module: every name it re-exports is
     imported on first read."""
@@ -163,6 +170,7 @@ def test_import_repro_loads_no_optional_heavyweight():
     assert not {m.split(".")[0] for m in loaded} & HEAVYWEIGHTS
 
 
+@pytest.mark.gate
 def test_the_trace_readers_load_no_simulator(tmp_path):
     """``repro --help``, ``analyze`` and ``explain`` read traces: they
     load neither numpy, the kernel nor the runtime."""
@@ -182,7 +190,10 @@ def test_the_trace_readers_load_no_simulator(tmp_path):
     assert not {m.split(".")[0] for m in loaded} & HEAVYWEIGHTS
 
 
+@pytest.mark.gate
 def test_the_facade_loads_no_periphery():
+    """``from repro import VDCE`` loads none of the periphery (proxy, real
+    Data Manager, DSM, baselines, chaos): a process imports what it runs."""
     loaded = loaded_after("from repro import VDCE")
     assert "repro.core.vdce" in loaded
     assert not loaded & {
@@ -193,6 +204,7 @@ def test_the_facade_loads_no_periphery():
 
 # -- a run imports what it draws ----------------------------------------------
 
+@pytest.mark.gate
 def test_a_run_that_draws_nothing_loads_no_numpy():
     """A homogeneous bag, scheduled and run fault-free with monitoring
     on, draws no number (``test_rng_streams``) and runs no payload."""
@@ -203,7 +215,10 @@ def test_a_run_that_draws_nothing_loads_no_numpy():
     assert "numpy" not in loaded
 
 
+@pytest.mark.gate
 def test_the_facade_and_the_registry_load_no_numpy():
+    """The facade and the task registry load no numpy: a run imports what
+    it draws."""
     loaded = loaded_after(
         "from repro import VDCE\n"
         "from repro.tasklib import default_registry\n"
@@ -212,6 +227,7 @@ def test_the_facade_and_the_registry_load_no_numpy():
     assert "numpy" not in loaded
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("draw", [
     "random_dag(RandomDAGConfig(n_tasks=8))",
     "Simulator(seed=0).rng('first')",
@@ -246,6 +262,7 @@ def module_level_imports(tree: ast.Module):
         stack.extend(ast.iter_child_nodes(node))
 
 
+@pytest.mark.gate
 def test_no_module_imports_numpy_at_module_level():
     """numpy (and scipy, which imports it) only inside the functions
     that draw or compute."""
@@ -346,6 +363,7 @@ def test_trace_hash_builds_no_encoder_per_event(monkeypatch):
 
 # -- off: an application's emits do not grow with its tasks -------------------
 
+@pytest.mark.gate
 def test_telemetry_off_emits_do_not_grow_with_the_bag(monkeypatch):
     """Per-task kinds keep their ``if tracer.enabled:`` (DESIGN §13.7):
     an unguarded one would add a null emit per task, on any machine."""
@@ -368,6 +386,7 @@ def test_telemetry_off_emits_do_not_grow_with_the_bag(monkeypatch):
     assert not folds
 
 
+@pytest.mark.gate
 def test_spans_off_and_no_suspension_cost_no_call_per_task(monkeypatch):
     """Off costs nothing per task (DESIGN §13.15): every method of both
     span recorders and the console gate are counted across a bag run."""
@@ -398,3 +417,36 @@ def test_spans_off_and_no_suspension_cost_no_call_per_task(monkeypatch):
         per_application.append(calls[0])
     assert 0 < per_application[0] == per_application[1]
     assert generators[0] == 0
+
+
+@pytest.mark.gate
+def test_overload_health_and_breakers_off_cost_no_call_per_task(monkeypatch):
+    """Off is a null object, not a ``None`` test (DESIGN §5 decision 14),
+    and it adds no per-task call: across a bag run every method of the
+    null brownout, health and breakers is counted.  The brownout's
+    occupancy feed is called once per echo round and reads no host; a
+    request consults no null breaker; nothing else is called per task."""
+    calls = {}
+
+    def counting(name, method):
+        def wrapper(*args, **kwargs):
+            calls[name] = calls.get(name, 0) + 1
+            return method(*args, **kwargs)
+        return wrapper
+
+    for cls in (NullBrownout, NullHealth, NullBreakers):
+        for name, member in list(vars(cls).items()):
+            if callable(member) and not name.startswith("__"):
+                monkeypatch.setattr(
+                    cls, name, counting(f"{cls.__name__}.{name}", member)
+                )
+    per_application = []
+    for n_tasks in (512, 2048):
+        calls.clear()
+        rt = run_bag(n_tasks)
+        rounds = sum(
+            gm.echoes // len(gm.group) for gm in rt.group_managers.values()
+        )
+        assert calls.pop("NullBrownout.observe_round") == rounds > 0
+        per_application.append(dict(calls))
+    assert per_application[0] == per_application[1]

@@ -12,7 +12,8 @@ per-group totals, and feeds the brownout controller the same occupancy.
 
 from contextlib import contextmanager
 
-from repro.runtime.group_manager import _SATURATION_LOAD, GroupManager
+from repro.runtime.group_manager import GroupManager
+from repro.runtime.overload import _SATURATION_LOAD, NULL_BROWNOUT
 from repro.sim.kernel import Timeout
 
 
@@ -33,7 +34,7 @@ def _echo_loop(self, generation: int):
                     responded = False  # packet lost, host fine
             rtt_s = 2.0 * self.lan_latency_s * max(1.0, host.slowdown)
             self._echo_round(host, responded, rtt_s)
-        if self.site_manager.brownout is not None and self.alive:
+        if self.site_manager.brownout is not NULL_BROWNOUT and self.alive:
             loads = [
                 h.load_average() for h in self.group
                 if self._believed_up[h.name]

@@ -15,7 +15,9 @@ from repro.runtime.admission import (
     AdmissionQueue,
     AdmissionRejected,
 )
-from repro.runtime.overload import BrownoutController
+from repro.net.rpc import NULL_BREAKERS
+from repro.runtime.overload import NULL_BROWNOUT, BrownoutController
+from repro.runtime.straggler import NULL_HEALTH
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
@@ -198,13 +200,24 @@ class TestBrownoutLadder:
         _, c = self.make_controller(1.0)
         c.update("beta", "g1", 0.0)
         assert c.federation_occupancy() == pytest.approx(0.5)
-        assert c.occupancy_of_site("alpha") == pytest.approx(1.0)
 
     def test_brownout_refuses_admission(self):
         rt = build_runtime(overload=True)
         rt.brownout.update("alpha", "g0", 1.0)  # critical
         assert rt.brownout.refuse_new_work()
         queue = AdmissionQueue(rt, policy=AdmissionPolicy())
+        outcomes = wait_all(
+            rt, [queue.submit(chain_afg(n=1, name="no"), "admin")]
+        )
+        assert outcomes["no"] == "rejected:brownout"
+
+    @pytest.mark.gate
+    def test_brownout_refuses_admission_without_a_policy(self):
+        """A queue built without a policy is the all-off policy's queue:
+        a critical brownout refuses its submissions too."""
+        rt = build_runtime(overload=True)
+        rt.brownout.update("alpha", "g0", 1.0)  # critical
+        queue = AdmissionQueue(rt)
         outcomes = wait_all(
             rt, [queue.submit(chain_afg(n=1, name="no"), "admin")]
         )
@@ -217,9 +230,15 @@ class TestBrownoutLadder:
         assert queue._concurrency_limit() == 2
 
     def test_unarmed_runtime_has_no_brownout(self):
+        """Off is the shared null object, chosen where the runtime is
+        wired: level 0 for good, no breaker, no health score."""
         rt = build_runtime()
-        assert rt.brownout is None
-        assert rt.breakers is None
+        assert rt.brownout is NULL_BROWNOUT
+        assert rt.breakers is NULL_BREAKERS
+        assert rt.health is NULL_HEALTH
+        assert rt.brownout.concurrency_limit(4) == 4
+        assert rt.brownout.speculation_allowed()
+        assert not rt.brownout.refuse_new_work()
 
 
 class TestShedAttribution:

@@ -13,6 +13,10 @@ from repro.runtime.checkpoint import (
     encode_value,
     value_hash,
 )
+from repro.scheduler import SiteScheduler
+from repro.trace.tracer import Tracer
+
+from tests.runtime.conftest import build_runtime, chain_afg
 
 
 class TestJournalRoundTrip:
@@ -44,12 +48,30 @@ class TestJournalRoundTrip:
         assert len(journal.records()) == 1
         assert journal.bytes_written > 0
 
-    def test_disabled_journal_appends_nothing(self, tmp_path):
-        path = str(tmp_path / "journal.jsonl")
-        journal = CheckpointJournal(path, enabled=False)
-        assert journal.append("schedule", application="app") == 0
-        assert journal.records() == []
-        assert not (tmp_path / "journal.jsonl").exists()
+
+class TestNoJournal:
+    @staticmethod
+    def run_chain(journal):
+        rt = build_runtime(tracer=Tracer())
+        afg = chain_afg()
+        table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
+        rt.sim.run_until_complete(
+            rt.execute_process(afg, table, journal=journal)
+        )
+        checkpoints = [e for e in rt.tracer.events() if e.kind == "checkpoint"]
+        return rt.stats, checkpoints
+
+    def test_a_coordinator_without_a_journal_appends_nothing(self):
+        """``journal=None`` is checkpointing's one off switch: no record,
+        no byte, no ``checkpoint`` event — where a journal, run alike,
+        records the schedule and every completed task."""
+        stats, checkpoints = self.run_chain(None)
+        assert stats.checkpoint_records == stats.checkpoint_bytes == 0
+        assert checkpoints == []
+        journal = CheckpointJournal(None)
+        stats, checkpoints = self.run_chain(journal)
+        assert stats.checkpoint_records == len(journal.records()) == 4
+        assert len(checkpoints) == 4
 
 
 class TestCrashConsistency:
@@ -140,6 +162,7 @@ class TestValueHashing:
         hashes = {value_hash(v) for v in (1, 1.0, True, "1", b"1", None)}
         assert len(hashes) == 6
 
+    @pytest.mark.gate
     def test_numpy_scalars_hash_like_python_scalars(self):
         """Not through ``repr``: ``repr(np.True_)`` is ``np.True_`` under
         numpy 2 and ``True`` under numpy 1."""

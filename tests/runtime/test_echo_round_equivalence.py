@@ -39,6 +39,8 @@ from repro.trace.tracer import Tracer
 from tests.runtime._reference_echo import every_echo_traced
 from tests.runtime.test_monitor_round_equivalence import APPLICATIONS, submit
 
+pytestmark = pytest.mark.gate
+
 #: echo rounds (period 5.0) at 5, 10, 15, ...
 LAN_LATENCY_S = 0.0005
 

@@ -260,6 +260,7 @@ class TestDefaultOffNeutrality:
         assert hashed == []  # an off run computes no value_hash
 
 
+@pytest.mark.gate
 class TestReStagedCopiesAreVerified:
     """A rescheduled or speculative task's inputs move by the same
     verified copy as a first delivery (DESIGN §16.3)."""

@@ -12,11 +12,14 @@ must read back through the journal's own checksum test.
 import hashlib
 import os
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.hashing import canonical_json
 from repro.runtime.checkpoint import CheckpointJournal, _record_line
+
+pytestmark = pytest.mark.gate
 
 
 def two_encodings(body):

@@ -22,8 +22,12 @@ Constructors set the initial state and are exempt.
 import ast
 from pathlib import Path
 
+import pytest
+
 from repro.runtime import group_manager
 from repro.sim import fair_share, host
+
+pytestmark = pytest.mark.gate
 
 HOST_FIELDS = {"bg_load", "state", "slowdown", "_resident_mb", "_running"}
 FILTER_FIELDS = {"alive", "_last_forwarded", "_believed_up"}

@@ -60,6 +60,8 @@ from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
 from tests.runtime._reference_monitor import per_daemon_processes
 
+pytestmark = pytest.mark.gate
+
 #: families that count calendar entries, not VDCE behaviour
 KERNEL_FAMILIES = (
     "sim_events_total", "sim_events_per_sim_second", "sim_queue_depth",

@@ -28,6 +28,8 @@ from tests.runtime.conftest import build_runtime, chain_afg
 from tests.runtime.test_monitor_marks import methods, writes
 from tests.runtime.test_recovery_arms import manual_table
 
+pytestmark = pytest.mark.gate
+
 
 def primed():
     """A coordinator whose one task is bound to ``a1``, checked fit twice

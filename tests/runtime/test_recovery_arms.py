@@ -44,6 +44,8 @@ from repro.trace.events import EventKind
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
+pytestmark = pytest.mark.gate
+
 #: a short data policy so exhaustion takes three attempts, not seven
 _IMPATIENT = RetryPolicy(timeout_s=5.0, max_attempts=3, backoff_base_s=0.25)
 

@@ -263,11 +263,14 @@ def bags(draw):
     return afg
 
 
+@pytest.mark.gate
 @given(bags(), st.sampled_from((1, 2)), st.booleans(), st.booleans(),
        st.booleans())
 @settings(max_examples=80, deadline=None)
 def test_fig2_round_on_a_bag_is_the_reference(afg, k, by_level, account,
                                               health):
+    """Fig. 2 on a bag, each site memoising its bids within the round, is
+    the straight-line reference, every float by ``==``."""
     _topo, _repos, view = build_federation(site_hosts=BAG_SITES)
     _assert_round_is_the_reference(
         afg, view, k=k, health=HEALTH if health else None,
@@ -325,6 +328,7 @@ def typed_dags(draw):
 records = st.lists(st.sampled_from(RECORD_CHANGES), min_size=3, max_size=3)
 
 
+@pytest.mark.gate
 @given(typed_dags(), records, st.sampled_from((None,) + BAG_TYPES),
        st.sampled_from((1, 2)), st.booleans(), st.booleans(), st.booleans())
 @settings(max_examples=80, deadline=None)
@@ -341,6 +345,7 @@ def test_fig2_round_with_per_site_records_is_the_reference(
         use_level_priority=by_level, account_commitments=account)
 
 
+@pytest.mark.gate
 @given(typed_dags(), records, st.booleans())
 @settings(max_examples=60, deadline=None)
 def test_select_hosts_descendants_first_is_the_reference(afg, changes, health):
@@ -364,6 +369,7 @@ def test_select_hosts_descendants_first_is_the_reference(afg, changes, health):
     assert list(bids) == [t for t in order if t in bids]
 
 
+@pytest.mark.gate
 def test_a_commit_invalidates_its_sites_bids_and_no_others(monkeypatch):
     """Six identical tasks at k = 2: the first is bid at all three
     sites; each later one at the site the previous placement committed

@@ -123,8 +123,10 @@ def test_noise_seed_changes_draw():
     assert a != b
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_the_memory_penalty_must_be_finite(bad):
+    """``PredictionModel`` refuses a non-finite memory penalty."""
     with pytest.raises(ValueError):
         PredictionModel(memory_penalty=bad)
 

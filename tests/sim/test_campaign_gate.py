@@ -23,23 +23,22 @@ import pytest
 
 from repro.sim import chaos, invariants
 from repro.sim.chaos import (
-    calm_config,
-    churn_smoke_config,
-    corruption_smoke_config,
+    preset,
     run_campaign,
-    slowdown_smoke_config,
     smoke_config,
-    storm_config,
 )
 from repro.sim.invariants import INVARIANTS
 
+pytestmark = pytest.mark.gate
+
+#: campaign family -> the chaos preset it runs
 PRESETS = {
-    "smoke": smoke_config,
-    "slowdown": slowdown_smoke_config,
-    "storm": storm_config,
-    "corruption": corruption_smoke_config,
-    "churn": churn_smoke_config,
-    "calm": calm_config,
+    "smoke": "smoke",
+    "slowdown": "slowdown-smoke",
+    "storm": "storm",
+    "corruption": "corruption",
+    "churn": "churn",
+    "calm": "calm",
 }
 
 
@@ -49,8 +48,8 @@ def pinned_config(family: str, seed: int):
             smoke_config(seed), n_sites=8, hosts_per_site=8, n_apps=11,
             app_spacing_s=2.0, n_flaky_hosts=12, n_flaky_links=4, k=3,
         )
-    preset, _, spans = family.partition("+")
-    return replace(PRESETS[preset](seed), causal_spans=bool(spans))
+    name, _, spans = family.partition("+")
+    return replace(preset(PRESETS[name], seed), causal_spans=bool(spans))
 
 
 #: (family, seed) of every pinned campaign

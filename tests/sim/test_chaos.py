@@ -90,32 +90,28 @@ def test_config_validation():
 
 # -- the preset table -----------------------------------------------------------
 
-#: preset -> the hand-spelled builder the table replaced, in the CLI's
-#: flag order.  ``preset:<name>`` in ``tests/pins.json`` is sha256 (16
-#: hex digits) of ``canonical_json(asdict(config))`` at seed 5, taken
-#: from those builders and re-taken when the fields no caller set became
-#: module constants: each is the old preset's ``asdict`` with those keys
-#: dropped
-PRESET_BUILDERS = {
-    "smoke": "smoke_config",
-    "slowdown-smoke": "slowdown_smoke_config",
-    "storm": "storm_config",
-    "corruption": "corruption_smoke_config",
-    "churn": "churn_smoke_config",
-    "calm": "calm_config",
-}
+#: the presets, in the CLI's flag order.  ``preset:<name>`` in
+#: ``tests/pins.json`` is sha256 (16 hex digits) of
+#: ``canonical_json(asdict(config))`` at seed 5, taken from the
+#: hand-spelled builders the table replaced and re-taken when the fields
+#: no caller set became module constants: each is the old preset's
+#: ``asdict`` with those keys dropped
+PRESET_NAMES = ("smoke", "slowdown-smoke", "storm", "corruption", "churn",
+                "calm")
 
 
-@pytest.mark.parametrize("name", sorted(PRESET_BUILDERS))
+@pytest.mark.gate
+@pytest.mark.parametrize("name", sorted(PRESET_NAMES))
 def test_a_preset_is_the_configuration_its_builder_spelled_out(name, pin):
+    """Each preset at seed 5 is its pinned digest (``preset:<name>``): a
+    moved field moves every campaign that preset runs."""
     config = chaos.preset(name, seed=5)
-    assert config == getattr(chaos, PRESET_BUILDERS[name])(seed=5)
     encoded = canonical_json(dataclasses.asdict(config)).encode("utf-8")
     pin(f"preset:{name}", digest=hashlib.sha256(encoded).hexdigest()[:16])
 
 
 def test_the_preset_table_holds_only_what_differs_from_the_defaults():
-    assert list(chaos.PRESETS) == list(PRESET_BUILDERS)
+    assert list(chaos.PRESETS) == list(PRESET_NAMES)
     defaults = ChaosConfig()
     for name, fields in chaos.PRESETS.items():
         assert fields["doc"]

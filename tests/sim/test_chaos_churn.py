@@ -14,7 +14,7 @@ import pytest
 
 from repro.sim.chaos import (
     ChaosConfig,
-    churn_smoke_config,
+    preset,
     run_campaign,
     smoke_config,
 )
@@ -22,7 +22,7 @@ from repro.sim.chaos import (
 
 @pytest.fixture(scope="module")
 def churn_report():
-    return run_campaign(churn_smoke_config(seed=0))
+    return run_campaign(preset("churn", seed=0))
 
 
 def test_churn_campaign_passes_all_invariants(churn_report):
@@ -59,8 +59,8 @@ def test_transitions_are_ordered_and_epoch_stamped(churn_report):
 
 
 def test_churn_campaign_is_byte_deterministic():
-    first = run_campaign(churn_smoke_config(seed=0))
-    second = run_campaign(churn_smoke_config(seed=0))
+    first = run_campaign(preset("churn", seed=0))
+    second = run_campaign(preset("churn", seed=0))
     assert first.trace_hash == second.trace_hash
     assert first.metrics_hash == second.metrics_hash
     assert first.campaign_hash() == second.campaign_hash()
@@ -68,7 +68,7 @@ def test_churn_campaign_is_byte_deterministic():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_other_seeds_hold_the_invariants(seed):
-    report = run_campaign(churn_smoke_config(seed=seed))
+    report = run_campaign(preset("churn", seed=seed))
     assert report.ok, report.violations
     assert report.membership["drain_affected_tasks"] >= 1
     assert all(

@@ -9,12 +9,12 @@ typed.
 
 import pytest
 
-from repro.sim.chaos import ChaosConfig, corruption_smoke_config, run_campaign
+from repro.sim.chaos import ChaosConfig, preset, run_campaign
 
 
 @pytest.fixture(scope="module")
 def corruption_report():
-    return run_campaign(corruption_smoke_config(seed=0))
+    return run_campaign(preset("corruption", seed=0))
 
 
 def test_corruption_campaign_passes_all_invariants(corruption_report):
@@ -38,8 +38,8 @@ def test_the_ladder_actually_exercised(corruption_report):
 
 
 def test_corruption_campaign_is_byte_deterministic():
-    first = run_campaign(corruption_smoke_config(seed=0))
-    second = run_campaign(corruption_smoke_config(seed=0))
+    first = run_campaign(preset("corruption", seed=0))
+    second = run_campaign(preset("corruption", seed=0))
     assert first.trace_hash == second.trace_hash
     assert first.metrics_hash == second.metrics_hash
     assert first.campaign_hash() == second.campaign_hash()
@@ -47,7 +47,7 @@ def test_corruption_campaign_is_byte_deterministic():
 
 @pytest.mark.parametrize("seed", [1, 2])
 def test_other_seeds_hold_the_invariants(seed):
-    report = run_campaign(corruption_smoke_config(seed=seed))
+    report = run_campaign(preset("corruption", seed=seed))
     assert report.ok, report.violations
 
 

@@ -8,7 +8,7 @@ terminal state) and I11 (no message crosses an open circuit) — and
 byte-determinism of the whole campaign.
 """
 
-from repro.sim.chaos import STORM_MAX_QUEUED, run_campaign, storm_config
+from repro.sim.chaos import STORM_MAX_QUEUED, preset, run_campaign
 
 SEEDS = (0, 1, 2)
 TERMINAL = {"completed", "failed", "rejected", "expired"}
@@ -16,9 +16,9 @@ TERMINAL = {"completed", "failed", "rejected", "expired"}
 
 def test_storm_holds_invariants_across_seeds():
     for seed in SEEDS:
-        report = run_campaign(storm_config(seed=seed))
+        report = run_campaign(preset("storm", seed=seed))
         assert report.ok, (seed, report.violations)
-        config = storm_config(seed=seed)
+        config = preset("storm", seed=seed)
         storm = {
             name: outcome
             for name, outcome in report.outcomes.items()
@@ -32,7 +32,7 @@ def test_storm_holds_invariants_across_seeds():
 def test_storm_actually_sheds_and_trips_breakers():
     # seed 0 is the CI-pinned storm: it must exercise every defense
     # layer, not just survive
-    report = run_campaign(storm_config(seed=0))
+    report = run_campaign(preset("storm", seed=0))
     statuses = [o["status"] for n, o in report.outcomes.items()
                 if n.startswith("storm")]
     assert "completed" in statuses
@@ -45,15 +45,15 @@ def test_storm_actually_sheds_and_trips_breakers():
 
 
 def test_storm_is_byte_deterministic():
-    first = run_campaign(storm_config(seed=0))
-    second = run_campaign(storm_config(seed=0))
+    first = run_campaign(preset("storm", seed=0))
+    second = run_campaign(preset("storm", seed=0))
     assert first.trace_hash == second.trace_hash
     assert first.metrics_hash == second.metrics_hash
     assert first.campaign_hash() == second.campaign_hash()
 
 
 def test_storm_report_serialises_overload_fields():
-    payload = run_campaign(storm_config(seed=0)).to_dict()
+    payload = run_campaign(preset("storm", seed=0)).to_dict()
     assert payload["ok"] is True
     for key in ("sheds", "shed_log", "peak_queued", "brownout_shifts",
                 "breaker_transitions", "breaker_fast_fails"):

@@ -18,6 +18,8 @@ from repro.sim.host import Host, HostDownError, HostSpec
 from repro.sim.kernel import Simulator
 from repro.sim.network import Link, LinkDownError, LinkSpec
 
+pytestmark = pytest.mark.gate
+
 CAPACITY = 2.0
 
 

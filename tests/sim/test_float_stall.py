@@ -11,6 +11,8 @@ import pytest
 from repro.sim import Host, HostSpec, LinkSpec, Simulator
 from repro.sim.network import Link
 
+pytestmark = pytest.mark.gate
+
 
 class TestLinkStallGuard:
     def test_subulp_residual_completes(self):

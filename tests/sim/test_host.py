@@ -187,8 +187,10 @@ def test_recover_allows_new_work():
     assert execution.done.triggered
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_a_host_refuses_a_non_finite_speed(bad):
+    """A host's speed is refused unless finite, at the model's entry point."""
     with pytest.raises(ValueError):
         HostSpec("h", speed=bad)
 

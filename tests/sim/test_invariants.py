@@ -23,13 +23,9 @@ from repro.repository.resources import MembershipState
 from repro.sim.chaos import (
     STORM_MAX_QUEUED,
     _play,
-    calm_config,
-    churn_smoke_config,
-    corruption_smoke_config,
+    preset,
     run_campaign,
-    slowdown_smoke_config,
     smoke_config,
-    storm_config,
 )
 from repro.sim.failures import FailureEvent, inside, intervals
 from repro.sim.invariants import (
@@ -78,27 +74,27 @@ def smoke():
 
 @pytest.fixture(scope="module")
 def slowdown():
-    return played(slowdown_smoke_config(0))
+    return played(preset("slowdown-smoke", 0))
 
 
 @pytest.fixture(scope="module")
 def storm():
-    return played(storm_config(0))
+    return played(preset("storm", 0))
 
 
 @pytest.fixture(scope="module")
 def corruption():
-    return played(corruption_smoke_config(0))
+    return played(preset("corruption", 0))
 
 
 @pytest.fixture(scope="module")
 def churn():
-    return played(churn_smoke_config(0))
+    return played(preset("churn", 0))
 
 
 @pytest.fixture(scope="module")
 def calm():
-    return played(calm_config(0))
+    return played(preset("calm", 0))
 
 
 def with_record(run, pick, **changes):
@@ -258,7 +254,7 @@ def test_i6_fires_on_a_live_host_nobody_owns(smoke):
 def test_i6_holds_when_departed_hosts_stay_gone(victims):
     """The documented "they stay gone" configuration: a tombstoned host
     is owned by nobody, and that is not an orphan."""
-    config = replace(churn_smoke_config(0), n_churn_hosts=victims,
+    config = replace(preset("churn", 0), n_churn_hosts=victims,
                      churn_rejoin_after_s=None)
     report = run_campaign(config)
     assert report.ok, report.violations
@@ -444,7 +440,7 @@ def test_i17_only_speaks_when_nothing_that_silences_a_site_is_armed(smoke):
     # leave sites unbid: specified behaviour, not a phantom
     assert smoke.runtime.stats.rpc_timeouts
     assert no_phantom_partition(smoke) == []
-    unarmed = replace(smoke, config=calm_config(0))
+    unarmed = replace(smoke, config=preset("calm", 0))
     assert no_phantom_partition(unarmed)
 
 
@@ -471,7 +467,7 @@ def test_i17_is_silent_on_a_fault_free_4096_task_exchange():
     table, _ = rt.sim.run_until_complete(rt.sim.process(run()))
     assert len(table) == 4096
     run = CampaignRun(
-        calm_config(0), rt, FailureInjector(rt.sim),
+        preset("calm", 0), rt, FailureInjector(rt.sim),
         events=rt.tracer.events(),
     )
     assert no_phantom_partition(run) == []

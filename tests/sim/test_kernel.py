@@ -282,8 +282,11 @@ def test_negative_timeout_rejected():
         Timeout(-1.0)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("delay", [float("nan"), float("-inf")])
 def test_a_nan_or_minus_infinite_delay_never_reaches_the_clock(delay):
+    """The kernel refuses a NaN or -inf delay, from a process or a raw
+    callback, and the clock stays where it was."""
     sim = Simulator()
     sim.call_at(1.0, lambda: None)
     sim.run()
@@ -298,17 +301,20 @@ def test_a_nan_or_minus_infinite_delay_never_reaches_the_clock(delay):
     assert sim.now == 1.0
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("time", [float("nan"), float("-inf")])
 def test_call_at_refuses_a_nan_or_minus_infinite_time(time):
+    """``call_at`` refuses a NaN or -inf time; nothing is scheduled."""
     sim = Simulator()
     with pytest.raises(SimulationError):
         sim.call_at(time, lambda: None)
     assert sim.run() == 0.0
 
 
+@pytest.mark.gate
 def test_an_infinite_delay_is_a_never_that_no_bounded_run_reaches():
-    # RetryPolicy(timeout_s=inf) waits out a lost message with
-    # Timeout(inf): legal, and it must never fire in a bounded run
+    """+inf is a legal "never" (``RetryPolicy(timeout_s=inf)`` waits out a
+    lost message with ``Timeout(inf)``): no bounded run reaches it."""
     sim = Simulator()
     woke = []
 
@@ -418,6 +424,7 @@ def test_events_processed_counter():
     assert sim.events_processed == 5
 
 
+@pytest.mark.gate
 def test_no_waitable_carries_a_dict():
     """A kernel object is made per simulated event: every waitable is
     slotted, the base class included, or ``__slots__`` buys nothing."""
@@ -446,6 +453,7 @@ def test_a_calendar_entry_is_its_own_handle():
     assert fired == ["keep", "keep"]
 
 
+@pytest.mark.gate
 def test_the_event_loop_writes_its_instruments_without_a_call(monkeypatch):
     """``sim_events_total`` / ``sim_queue_depth`` are written in place by
     ``Simulator.run``: the cells ``inc()`` / ``observe()`` would write,
@@ -488,6 +496,7 @@ def test_the_event_loop_writes_its_instruments_without_a_call(monkeypatch):
     assert seen == expected
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("first, second", [
     ("repro.sim.kernel", "repro.metrics.registry"),
     ("repro.metrics.registry", "repro.sim.kernel"),

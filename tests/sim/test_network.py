@@ -1,8 +1,11 @@
 """Unit tests for links, transfers and the network registry."""
 
+import gc
+import weakref
+
 import pytest
 
-from repro.sim import LinkSpec, Simulator, TopologyBuilder
+from repro.sim import Host, HostSpec, LinkSpec, Simulator, TopologyBuilder
 from repro.sim.network import LOCAL_COPY_TIME, Link, Network
 
 
@@ -20,8 +23,11 @@ def test_linkspec_validation():
         LinkSpec().transfer_time(-1.0)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_a_link_refuses_a_non_finite_latency_or_bandwidth(bad):
+    """``LinkSpec`` and the topology builder's LAN / WAN defaults refuse a
+    non-finite latency or bandwidth."""
     for make in (
         lambda: LinkSpec(latency_s=bad),
         lambda: LinkSpec(bandwidth_mbps=bad),
@@ -183,16 +189,34 @@ def test_real_transfer_cross_site_uses_wan_link():
     assert net.wan_link("site-a", "site-b").transfer_count == 1
 
 
-def test_transfer_done_signal_delivers_transfer_object():
+@pytest.mark.gate
+def test_a_finished_job_is_freed_without_the_cycle_collector():
+    """``done`` succeeds with no value: a finished transfer (LAN, WAN or
+    local copy) or task execution (zero work included) is no cycle
+    through its own signal, so reference counting alone frees it."""
     sim = Simulator()
     net = build_network(sim)
-    results = []
+    host = Host(sim, HostSpec(name="h0", speed=1.0, memory_mb=256))
+    got = []
 
-    def waiter():
-        t = net.transfer("a1", "a2", 1.0, label="edge")
-        got = yield t.done
-        results.append(got.label)
+    def waiter(job):
+        got.append((yield job.done))
 
-    sim.process(waiter())
-    sim.run()
-    assert results == ["edge"]
+    gc.disable()
+    try:
+        jobs = [
+            net.transfer("a1", "a2", 1.0, label="lan"),
+            net.transfer("a1", "b1", 1.0, label="wan"),
+            net.transfer("a1", "a1", 1.0, label="local"),
+            host.execute(work=2.0),
+            host.execute(work=0.0),
+        ]
+        for job in jobs:
+            sim.process(waiter(job))
+        sim.run()
+        assert got == [None] * len(jobs)
+        refs = [weakref.ref(job) for job in jobs]
+        del jobs, job
+        assert [ref() for ref in refs] == [None] * len(refs)
+    finally:
+        gc.enable()

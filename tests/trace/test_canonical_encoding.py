@@ -14,6 +14,8 @@ import math
 
 import numpy as np
 
+import pytest
+
 from repro.hashing import canonical_json
 from repro.metrics.export import snapshot_hash, snapshot_to_json
 from repro.metrics.registry import MetricsRegistry
@@ -27,6 +29,8 @@ from repro.trace.serialize import (
     trace_hash,
 )
 from repro.trace.tracer import Tracer
+
+pytestmark = pytest.mark.gate
 
 #: clock readings of the fixture, one per emitted event; a caller-supplied
 #: clock may return an int, which must still be written as a float

@@ -18,6 +18,8 @@ from repro.hashing import canonical_json
 from repro.trace import TraceEvent, serialize
 from repro.trace.serialize import event_to_json, trace_hash
 
+pytestmark = pytest.mark.gate
+
 #: every code point but surrogates: non-ASCII and control characters
 texts = st.text(max_size=12)
 scalars = st.one_of(

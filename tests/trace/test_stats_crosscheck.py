@@ -16,11 +16,15 @@ traced, so ``echo`` events and the Group Managers' quiet counts add up
 to ``echo_packets``.
 """
 
+import pytest
+
 from repro import VDCE, Tracer
 from repro.runtime import RuntimeConfig
 from repro.metrics import event_counts
 from repro.trace import EventKind
 from repro.workloads import linear_solver_afg
+
+pytestmark = pytest.mark.gate
 
 
 def build_traced_env(**kwargs):

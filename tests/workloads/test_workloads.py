@@ -161,6 +161,7 @@ def bits(values):
     return [(type(v), struct.pack(">d", v)) for v in values]
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("heterogeneity", [0.0, -0.0, 0.25, 0.9])
 @pytest.mark.parametrize("cost", [4, 4.0, 3.0, 0.1, 7, 1e-300, 1e300])
 def test_the_homogeneous_bag_is_the_drawing_bag(cost, heterogeneity):
@@ -196,6 +197,7 @@ def run_bounded(rt, make_afg, limit=3000.0):
     return rt.sim.run_until_complete(rt.sim.process(pipeline()), limit=limit)
 
 
+@pytest.mark.gate
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 @pytest.mark.parametrize("make_afg", [
     lambda bad: random_dag(RandomDAGConfig(n_tasks=12, ccr=bad)),
