@@ -1,70 +1,22 @@
-"""Shared builders for the experiment benches (E1-E12).
+"""Shared helpers for the experiment benches (E1-E12).
 
 Each bench module regenerates one experiment from DESIGN.md §4: it
 prints the experiment's table (captured into EXPERIMENTS.md) and
 asserts the *shape* the paper's design predicts, so regressions in the
-scheduler/runtime break the bench, not just the numbers.
+scheduler/runtime break the bench, not just the numbers.  A bench
+builds a bare ``VDCERuntime`` over ``DeploymentSpec.grid(...)
+.build_topology()`` or ``star_topology(...)``.
 """
 
 from __future__ import annotations
-
-from typing import Dict, Optional
-
-from repro.runtime import RuntimeConfig, VDCERuntime
-from repro.scheduler import SiteScheduler
-from repro.sim import TopologyBuilder
-from repro.sim.topology import star_topology
-
-
-def fresh_runtime(
-    n_sites: int = 2,
-    hosts_per_site: int = 4,
-    speeds=(1.0, 1.5, 2.0, 2.5),
-    wan_latency_s: float = 0.03,
-    wan_bandwidth_mbps: float = 2.0,
-    lan_latency_s: float = 0.0005,
-    lan_bandwidth_mbps: float = 10.0,
-    seed: int = 0,
-    config: Optional[RuntimeConfig] = None,
-) -> VDCERuntime:
-    """A heterogeneous multi-site deployment with fresh state."""
-    builder = (
-        TopologyBuilder(seed=seed)
-        .lan_defaults(lan_latency_s, lan_bandwidth_mbps)
-        .wan_defaults(wan_latency_s, wan_bandwidth_mbps)
-    )
-    for s in range(n_sites):
-        hosts = [
-            (f"s{s}-h{h:02d}", float(speeds[(s + h) % len(speeds)]), 256)
-            for h in range(hosts_per_site)
-        ]
-        builder.site(f"site-{s}", hosts=hosts)
-    return VDCERuntime(builder.build(), config=config or RuntimeConfig())
-
-
-def star_runtime(n_sites: int = 4, hosts_per_site: int = 4, seed: int = 0,
-                 config: Optional[RuntimeConfig] = None,
-                 **star_kwargs) -> VDCERuntime:
-    topo = star_topology(seed=seed, n_sites=n_sites,
-                         hosts_per_site=hosts_per_site, **star_kwargs)
-    return VDCERuntime(topo, config=config or RuntimeConfig())
-
-
-def run_app(runtime: VDCERuntime, afg, scheduler=None, payloads=False,
-            submit_site=None):
-    """Schedule (pure) + execute (simulated); returns the result."""
-    scheduler = scheduler or SiteScheduler(k=runtime_default_k(runtime))
-    view = runtime.federation_view(submit_site)
-    table = scheduler.schedule(afg, view)
-    proc = runtime.execute_process(afg, table, submit_site=submit_site,
-                                   execute_payloads=payloads)
-    return runtime.sim.run_until_complete(proc)
-
-
-def runtime_default_k(runtime: VDCERuntime) -> int:
-    return max(0, len(runtime.topology.site_names) - 1)
 
 
 def mean(values) -> float:
     values = list(values)
     return sum(values) / len(values) if values else 0.0
+
+
+def execute(runtime, afg, table, **kwargs):
+    """Run ``afg`` as ``table`` placed it, to completion; the result."""
+    return runtime.sim.run_until_complete(
+        runtime.execute_process(afg, table, **kwargs))

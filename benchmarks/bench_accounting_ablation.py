@@ -22,7 +22,9 @@ Expected shape: accounting never loses, ties on chains, and wins big
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.workloads import (
     RandomDAGConfig,
@@ -31,16 +33,14 @@ from repro.workloads import (
     random_dag,
 )
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 
 def run(afg, account: bool, seed: int) -> float:
-    rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=seed)
+    rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=seed).build_topology())
     scheduler = SiteScheduler(k=1, account_commitments=account)
     table = scheduler.schedule(afg, rt.federation_view())
-    result = rt.sim.run_until_complete(
-        rt.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(rt, afg, table, execute_payloads=False)
     return result.makespan
 
 

@@ -20,14 +20,15 @@ cost one WAN round trip per miss/write.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.runtime.dsm import DSM
 
-from benchmarks._common import fresh_runtime
 
 
 def run_sharing(write_fraction: float, n_ops: int = 400, seed: int = 0):
-    rt = fresh_runtime(n_sites=2, hosts_per_site=2, seed=seed)
+    rt = VDCERuntime(DeploymentSpec.grid(2, 2, seed=seed).build_topology())
     dsm = DSM(rt.sim, rt.topology.network)
     hosts = sorted(h.name for h in rt.topology.all_hosts)
     dsm.allocate("x", hosts[0], initial=0)
@@ -83,7 +84,7 @@ def test_home_placement_locality(benchmark):
     """Ops from a host are cheaper when the variable's home is local."""
 
     def run_home(home_is_local: bool):
-        rt = fresh_runtime(n_sites=2, hosts_per_site=2, seed=1)
+        rt = VDCERuntime(DeploymentSpec.grid(2, 2, seed=1).build_topology())
         dsm = DSM(rt.sim, rt.topology.network)
         hosts = sorted(h.name for h in rt.topology.all_hosts)
         worker_host = hosts[0]  # in site-0

@@ -17,7 +17,9 @@ cost with federation width.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.workloads import (
     RandomDAGConfig,
@@ -26,7 +28,6 @@ from repro.workloads import (
     surveillance_afg,
 )
 
-from benchmarks._common import fresh_runtime
 
 APPLICATIONS = [
     ("linear-solver", lambda: linear_solver_afg(scale=0.3,
@@ -40,18 +41,11 @@ APPLICATIONS = [
 
 
 def run_pipeline(afg, payloads):
-    rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=5)
-
-    def pipeline():
-        table, sched_time = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1)
-        )
-        result = yield rt.execute_process(afg, table,
-                                          execute_payloads=payloads)
-        return sched_time, result
-
-    sched_time, result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
-    return rt, sched_time, result
+    """Schedule and run ``afg`` from ``site-0``; scheduling ends at the
+    submission, which the federation's clock starts at 0."""
+    rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=5).build_topology())
+    result = rt.submit(afg, SiteScheduler(k=1), execute_payloads=payloads)
+    return rt, result.submitted_at, result
 
 
 def test_end_to_end_breakdown(benchmark):

@@ -16,23 +16,20 @@ classic liveness/overhead trade-off.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.workloads import bag_of_tasks
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import mean
 
 HORIZON_S = 400.0
 
 
 def run_detection(echo_period: float, seed: int = 0):
-    rt = fresh_runtime(
-        n_sites=1,
-        hosts_per_site=8,
-        seed=seed,
-        config=RuntimeConfig(echo_period_s=echo_period),
-    )
+    rt = VDCERuntime(DeploymentSpec.grid(1, 8, seed=seed).build_topology(),
+                     config=RuntimeConfig(echo_period_s=echo_period))
     rt.start_monitoring()
     rng = rt.sim.rng("bench:crashes")
     crash_times = {}
@@ -82,10 +79,8 @@ def test_detection_latency_vs_echo_period(benchmark):
 
 def test_scheduler_avoids_detected_down_hosts(benchmark):
     """After detection, host selection must exclude the dead host."""
-    rt = fresh_runtime(
-        n_sites=1, hosts_per_site=4, seed=1,
-        config=RuntimeConfig(echo_period_s=2.0),
-    )
+    rt = VDCERuntime(DeploymentSpec.grid(1, 4, seed=1).build_topology(),
+                     config=RuntimeConfig(echo_period_s=2.0))
     rt.start_monitoring()
     # the fastest host dies; detection happens by t=4
     fastest = max(rt.topology.all_hosts, key=lambda h: h.spec.speed)

@@ -14,21 +14,22 @@ completes.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.workloads import figure1_afg, linear_solver_afg
 
-from benchmarks._common import fresh_runtime
+from benchmarks._common import execute
 
 
 def schedule_and_run(runtime, afg):
     table = SiteScheduler(k=1).schedule(afg, runtime.federation_view())
-    proc = runtime.execute_process(afg, table, execute_payloads=False)
-    return table, runtime.sim.run_until_complete(proc)
+    return table, execute(runtime, afg, table, execute_payloads=False)
 
 
 def test_figure1_placement_and_execution(benchmark):
-    runtime = fresh_runtime(n_sites=2, hosts_per_site=4, seed=1)
+    runtime = VDCERuntime(DeploymentSpec.grid(2, 4, seed=1).build_topology())
     afg = figure1_afg()
     table, result = schedule_and_run(runtime, afg)
 
@@ -64,7 +65,7 @@ def test_figure1_placement_and_execution(benchmark):
 
     # wall-clock benchmark: one full schedule+execute cycle
     def cycle():
-        rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=1)
+        rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=1).build_topology())
         return schedule_and_run(rt, figure1_afg())
 
     benchmark(cycle)
@@ -72,22 +73,18 @@ def test_figure1_placement_and_execution(benchmark):
 
 def test_computational_variant_produces_correct_solution(benchmark):
     """The computational linear solver runs with real payloads."""
-    runtime = fresh_runtime(n_sites=2, hosts_per_site=4, seed=2)
+    runtime = VDCERuntime(DeploymentSpec.grid(2, 4, seed=2).build_topology())
     afg = linear_solver_afg(scale=0.2, parallel_lu_nodes=2)
     table = SiteScheduler(k=1).schedule(afg, runtime.federation_view())
-    result = runtime.sim.run_until_complete(
-        runtime.execute_process(afg, table, execute_payloads=True)
-    )
+    result = execute(runtime, afg, table, execute_payloads=True)
     (residual,) = result.outputs["verify"]
     print(f"\nE1b residual ||Ax-b|| = {residual:.2e}, "
           f"makespan = {result.makespan:.3f}s")
     assert residual < 1e-8
 
     def cycle():
-        rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=2)
+        rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=2).build_topology())
         t = SiteScheduler(k=1).schedule(afg, rt.federation_view())
-        return rt.sim.run_until_complete(
-            rt.execute_process(afg, t, execute_payloads=True)
-        )
+        return execute(rt, afg, t, execute_payloads=True)
 
     benchmark(cycle)

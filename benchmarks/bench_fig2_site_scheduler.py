@@ -14,7 +14,9 @@ every size and stays within the list-scheduling family's envelope
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import (
     HEFTScheduler,
     LoadBlindScheduler,
@@ -27,7 +29,7 @@ from repro.scheduler import (
 )
 from repro.workloads import RandomDAGConfig, random_dag
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 SCHEDULERS = [
     ("vdce", lambda: SiteScheduler(k=1, name="vdce")),
@@ -45,14 +47,13 @@ SEEDS = [0, 1, 2]
 
 
 def run_one(n_tasks: int, seed: int, factory) -> float:
-    runtime = fresh_runtime(n_sites=2, hosts_per_site=4, seed=seed)
+    runtime = VDCERuntime(
+        DeploymentSpec.grid(2, 4, seed=seed).build_topology())
     afg = random_dag(RandomDAGConfig(n_tasks=n_tasks, width=5, mean_cost=3.0,
                                      cost_heterogeneity=0.6, ccr=0.4,
                                      seed=seed))
     table = factory().schedule(afg, runtime.federation_view())
-    result = runtime.sim.run_until_complete(
-        runtime.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(runtime, afg, table, execute_payloads=False)
     return result.makespan
 
 

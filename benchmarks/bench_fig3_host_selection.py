@@ -16,7 +16,9 @@ placement keeps picking the nominally fastest (but busy) hosts.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import (
     LoadBlindScheduler,
     RandomScheduler,
@@ -24,7 +26,7 @@ from repro.scheduler import (
 )
 from repro.workloads import bag_of_tasks
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 POLICIES = [
     ("predictive", lambda: SiteScheduler(k=0, name="predictive")),
@@ -34,8 +36,9 @@ POLICIES = [
 
 
 def run_policy(factory, load_skew: float, seed: int) -> float:
-    runtime = fresh_runtime(n_sites=1, hosts_per_site=6,
-                            speeds=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5), seed=seed)
+    runtime = VDCERuntime(DeploymentSpec.grid(
+        1, 6, seed=seed, speeds=(1.0, 1.5, 2.0, 2.5, 3.0, 3.5),
+    ).build_topology())
     # ground truth + repository view: fast hosts are the busy ones
     hosts = sorted(runtime.topology.all_hosts, key=lambda h: h.spec.speed)
     for rank, host in enumerate(hosts):
@@ -46,9 +49,7 @@ def run_policy(factory, load_skew: float, seed: int) -> float:
         )
     afg = bag_of_tasks(n=18, cost=4.0, heterogeneity=0.4, seed=seed)
     table = factory().schedule(afg, runtime.federation_view())
-    result = runtime.sim.run_until_complete(
-        runtime.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(runtime, afg, table, execute_payloads=False)
     return result.makespan
 
 
@@ -82,7 +83,7 @@ def test_host_selection_pure_algorithm_speed(benchmark):
     from repro.scheduler import select_hosts
     from repro.workloads import RandomDAGConfig, random_dag
 
-    runtime = fresh_runtime(n_sites=1, hosts_per_site=16, seed=0)
+    runtime = VDCERuntime(DeploymentSpec.grid(1, 16, seed=0).build_topology())
     afg = random_dag(RandomDAGConfig(n_tasks=100, seed=0))
     repo = runtime.repositories["site-0"]
     bids = benchmark(lambda: select_hosts(afg, repo))

@@ -17,22 +17,20 @@ the error floor is set by the monitor period alone.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import mean
 
 HORIZON_S = 120.0
 
 
 def run_monitoring(threshold: float, sigma: float, seed: int = 0):
-    rt = fresh_runtime(
-        n_sites=1,
-        hosts_per_site=8,
-        seed=seed,
-        config=RuntimeConfig(monitor_period_s=2.0, change_threshold=threshold),
-    )
+    rt = VDCERuntime(DeploymentSpec.grid(1, 8, seed=seed).build_topology(),
+                     config=RuntimeConfig(monitor_period_s=2.0,
+                                           change_threshold=threshold))
     attach_generators(
         rt.sim,
         rt.topology.all_hosts,

@@ -12,20 +12,20 @@ orders coincide, so ties are expected there).
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.workloads import RandomDAGConfig, fork_join, random_dag
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 
 def run(afg, use_levels: bool, seed: int) -> float:
-    rt = fresh_runtime(n_sites=2, hosts_per_site=3, seed=seed)
+    rt = VDCERuntime(DeploymentSpec.grid(2, 3, seed=seed).build_topology())
     scheduler = SiteScheduler(k=1, use_level_priority=use_levels)
     table = scheduler.schedule(afg, rt.federation_view())
-    result = rt.sim.run_until_complete(
-        rt.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(rt, afg, table, execute_payloads=False)
     return result.makespan
 
 

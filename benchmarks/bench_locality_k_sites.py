@@ -18,18 +18,18 @@ larger the share of tasks the scheduler keeps on the submitting site.
 import pytest
 
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
+from repro.sim.topology import star_topology
 from repro.workloads import bag_of_tasks, linear_pipeline
 
-from benchmarks._common import star_runtime
+from benchmarks._common import execute
 
 
 def run(runtime, afg, k):
     table = SiteScheduler(k=k).schedule(afg, runtime.federation_view("site-0"))
-    result = runtime.sim.run_until_complete(
-        runtime.execute_process(afg, table, submit_site="site-0",
-                                execute_payloads=False)
-    )
+    result = execute(runtime, afg, table, submit_site="site-0",
+                     execute_payloads=False)
     local_share = sum(
         1 for r in result.records.values() if r.site == "site-0"
     ) / len(result.records)
@@ -41,11 +41,11 @@ def test_k_sweep_two_workloads(benchmark):
     chatty = {}
     compute = {}
     for k in (0, 1, 2, 3):
-        rt = star_runtime(n_sites=4, hosts_per_site=3, seed=k)
+        rt = VDCERuntime(star_topology(n_sites=4, hosts_per_site=3, seed=k))
         chatty_result, chatty_local = run(
             rt, linear_pipeline(n_stages=8, cost=3.0, edge_mb=20.0), k
         )
-        rt2 = star_runtime(n_sites=4, hosts_per_site=3, seed=k)
+        rt2 = VDCERuntime(star_topology(n_sites=4, hosts_per_site=3, seed=k))
         bag_result, _ = run(rt2, bag_of_tasks(n=24, cost=4.0, seed=k), k)
         chatty[k] = chatty_result
         compute[k] = bag_result
@@ -67,8 +67,9 @@ def test_k_sweep_two_workloads(benchmark):
     # the transfer term keeps the pipeline co-located
     assert chatty[3].makespan <= chatty[0].makespan * 1.25
 
-    benchmark(lambda: run(star_runtime(n_sites=4, hosts_per_site=3, seed=0),
-                          bag_of_tasks(n=24, cost=4.0, seed=0), 3))
+    benchmark(lambda: run(
+        VDCERuntime(star_topology(n_sites=4, hosts_per_site=3, seed=0)),
+        bag_of_tasks(n=24, cost=4.0, seed=0), 3))
 
 
 def staged_pipeline(n_stages: int, cost: float, edge_mb: float,
@@ -119,9 +120,9 @@ def test_wan_bandwidth_governs_offloading(benchmark):
     shares = {}
     for bandwidth in (0.05, 2.0, 50.0):
         # remote sites are faster, so offloading is tempting ...
-        rt = star_runtime(n_sites=4, hosts_per_site=2, seed=1,
-                          speeds=(1.0, 1.0, 3.0, 3.0),
-                          wan_bandwidth_mbps=bandwidth)
+        rt = VDCERuntime(star_topology(n_sites=4, hosts_per_site=2, seed=1,
+                                       speeds=(1.0, 1.0, 3.0, 3.0),
+                                       wan_bandwidth_mbps=bandwidth))
         # ... but the 60 MB input must come from the submitting site
         afg = staged_pipeline(n_stages=10, cost=2.0, edge_mb=5.0,
                               file_mb=60.0)
@@ -144,9 +145,9 @@ def test_wan_bandwidth_governs_offloading(benchmark):
 
     benchmark(
         lambda: run(
-            star_runtime(n_sites=4, hosts_per_site=2, seed=1,
-                         speeds=(1.0, 1.0, 3.0, 3.0),
-                         wan_bandwidth_mbps=2.0),
+            VDCERuntime(star_topology(n_sites=4, hosts_per_site=2, seed=1,
+                                      speeds=(1.0, 1.0, 3.0, 3.0),
+                                      wan_bandwidth_mbps=2.0)),
             staged_pipeline(n_stages=10, cost=2.0, edge_mb=5.0, file_mb=60.0),
             3,
         )

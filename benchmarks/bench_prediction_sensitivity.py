@@ -15,23 +15,23 @@ error run over run on a stable system.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import PredictionModel, SiteScheduler
 from repro.workloads import RandomDAGConfig, random_dag
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 
 def run_with_noise(noise: float, seed: int) -> float:
-    rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=seed)
+    rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=seed).build_topology())
     afg = random_dag(RandomDAGConfig(n_tasks=40, width=6, mean_cost=3.0,
                                      cost_heterogeneity=0.7, ccr=0.3,
                                      seed=seed))
     model = PredictionModel(noise=noise, noise_seed=seed)
     table = SiteScheduler(k=1, model=model).schedule(afg, rt.federation_view())
-    result = rt.sim.run_until_complete(
-        rt.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(rt, afg, table, execute_payloads=False)
     return result.makespan
 
 
@@ -75,7 +75,7 @@ def test_calibration_loop_reduces_error(benchmark):
     from repro.scheduler import PredictionModel
     from repro.workloads import linear_pipeline
 
-    rt = fresh_runtime(n_sites=1, hosts_per_site=4, seed=3)
+    rt = VDCERuntime(DeploymentSpec.grid(1, 4, seed=3).build_topology())
     afg = linear_pipeline(n_stages=6, cost=3.0, edge_mb=0.1)
     # pin each stage to a host (the user's preferred-machine property) so
     # the measurement isolates the §4.1 refinement loop from placement
@@ -93,9 +93,7 @@ def test_calibration_loop_reduces_error(benchmark):
         table = SiteScheduler(k=0, model=model).schedule(
             afg, rt.federation_view()
         )
-        result = rt.sim.run_until_complete(
-            rt.execute_process(afg, table, execute_payloads=False)
-        )
+        result = execute(rt, afg, table, execute_payloads=False)
         per_task = [
             abs(r.measured_time - r.predicted_time) / r.predicted_time
             for r in result.records.values()

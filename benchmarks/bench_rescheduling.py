@@ -16,20 +16,22 @@ the no-spike case worse.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.sim.workload import SpikeLoad, attach_generators
 from repro.workloads import linear_pipeline
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 ENABLED = RuntimeConfig(load_threshold=3.0, check_period_s=1.0)
 DISABLED = RuntimeConfig(load_threshold=1e9, check_period_s=1.0)
 
 
 def run_case(config: RuntimeConfig, spikes: bool, seed: int):
-    rt = fresh_runtime(n_sites=1, hosts_per_site=5, seed=seed, config=config)
+    rt = VDCERuntime(DeploymentSpec.grid(1, 5, seed=seed).build_topology(),
+                     config=config)
     if spikes:
         attach_generators(
             rt.sim,
@@ -39,9 +41,7 @@ def run_case(config: RuntimeConfig, spikes: bool, seed: int):
         )
     afg = linear_pipeline(n_stages=8, cost=8.0, edge_mb=0.5)
     table = SiteScheduler(k=0).schedule(afg, rt.federation_view())
-    result = rt.sim.run_until_complete(
-        rt.execute_process(afg, table, execute_payloads=False)
-    )
+    result = execute(rt, afg, table, execute_payloads=False)
     return result
 
 

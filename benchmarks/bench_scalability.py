@@ -17,10 +17,12 @@ import time
 import pytest
 
 from repro.metrics import format_table
+from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
+from repro.sim.topology import star_topology
 from repro.workloads import bag_of_tasks
 
-from benchmarks._common import star_runtime
+from benchmarks._common import execute
 
 
 def schedule_distributed(runtime, afg, k):
@@ -40,15 +42,14 @@ def test_scaling_with_sites(benchmark):
     messages = {}
     makespans = {}
     for n_sites in (1, 2, 4, 8):
-        rt = star_runtime(n_sites=n_sites, hosts_per_site=4, seed=0)
+        rt = VDCERuntime(star_topology(n_sites=n_sites, hosts_per_site=4,
+                                       seed=0))
         k = n_sites - 1
         wall_start = time.perf_counter()
         table, sched_virtual = schedule_distributed(rt, afg, k)
         wall = time.perf_counter() - wall_start
-        result = rt.sim.run_until_complete(
-            rt.execute_process(afg, table, submit_site="site-0",
-                               execute_payloads=False)
-        )
+        result = execute(rt, afg, table, submit_site="site-0",
+                         execute_payloads=False)
         overheads[n_sites] = sched_virtual
         messages[n_sites] = rt.stats.scheduler_messages
         makespans[n_sites] = result.makespan
@@ -75,7 +76,7 @@ def test_scaling_with_sites(benchmark):
     assert overheads[1] == 0.0
     assert overheads[8] >= overheads[2]
 
-    rt = star_runtime(n_sites=4, hosts_per_site=4, seed=0)
+    rt = VDCERuntime(star_topology(n_sites=4, hosts_per_site=4, seed=0))
     benchmark(lambda: SiteScheduler(k=3).schedule(
         afg, rt.federation_view("site-0")))
 
@@ -84,7 +85,7 @@ def test_placement_wall_time_vs_dag_size(benchmark):
     """Pure scheduler wall time on growing DAGs (fixed 4-site pool)."""
     from repro.workloads import RandomDAGConfig, random_dag
 
-    rt = star_runtime(n_sites=4, hosts_per_site=4, seed=1)
+    rt = VDCERuntime(star_topology(n_sites=4, hosts_per_site=4, seed=1))
     view = rt.federation_view("site-0")
     rows = []
     for n_tasks in (25, 100, 400):

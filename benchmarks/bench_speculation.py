@@ -18,14 +18,15 @@ overhead (no launches, identical makespan) when nothing straggles.
 
 import pytest
 
+from repro import DeploymentSpec
 from repro.metrics import format_table
-from repro.runtime import RuntimeConfig
+from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.runtime.checkpoint import expected_output_hashes, final_output_hashes
 from repro.runtime.straggler import SpeculationPolicy
 from repro.scheduler import SiteScheduler
 from repro.workloads import linear_pipeline
 
-from benchmarks._common import fresh_runtime, mean
+from benchmarks._common import execute, mean
 
 ENABLED = lambda: RuntimeConfig(  # noqa: E731 - fresh policy per run
     speculation=SpeculationPolicy(trigger_multiple=1.5, check_period_s=0.5)
@@ -34,7 +35,8 @@ DISABLED = lambda: RuntimeConfig()  # noqa: E731
 
 
 def run_case(config: RuntimeConfig, straggle: bool, seed: int):
-    rt = fresh_runtime(n_sites=2, hosts_per_site=4, seed=seed, config=config)
+    rt = VDCERuntime(DeploymentSpec.grid(2, 4, seed=seed).build_topology(),
+                     config=config)
     if straggle:
         # degrade every speed-2.5 host: wherever Predict lands, it crawls
         for host in rt.topology.all_hosts:
@@ -42,9 +44,7 @@ def run_case(config: RuntimeConfig, straggle: bool, seed: int):
                 host.set_slowdown(10.0)
     afg = linear_pipeline(n_stages=4, cost=6.0, edge_mb=0.5)
     table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
-    result = rt.sim.run_until_complete(
-        rt.execute_process(afg, table, execute_payloads=True)
-    )
+    result = execute(rt, afg, table, execute_payloads=True)
     return rt, afg, result
 
 

@@ -16,7 +16,7 @@ Commands:
   ``--modulo`` diffing the first with kinds dropped or moves applied;
 * ``explain <trace>`` — the attribution engine: rebuild the causal span
   tree from a ``run``/``resume --trace`` or ``chaos --spans`` trace (or
-  re-run a bench scenario with spans on), print the per-application
+  re-run a pinned scenario with spans on), print the per-application
   wait-state breakdown, critical path and top-k slow tasks/hosts, and
   hash the canonical report;
 * ``experiments`` — print the experiment index (DESIGN.md §4) and the
@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from functools import reduce
 from typing import Callable, Optional, Sequence
@@ -123,11 +124,15 @@ def cmd_libraries(args) -> int:
 
 def _below_minimum(args, minimums, positive=()) -> bool:
     """Print ``error: --FLAG must be >= N`` for the first set flag below
-    its N, or ``... must be > 0`` for a set ``positive`` flag that is not."""
+    its N, or ``... must be > 0`` for a set ``positive`` flag that is not,
+    or ``... must be finite`` for NaN or an infinity."""
     bounds = [*((flag, least, ">=") for flag, least in minimums.items()),
               *((flag, 0, ">") for flag in positive)]
     for flag, bound, op in bounds:
         value = getattr(args, flag.replace("-", "_"))
+        if value is not None and not math.isfinite(value):
+            print(f"error: --{flag} must be finite")
+            return True
         if value is not None and (value < bound or op == ">" and value == bound):
             print(f"error: --{flag} must be {op} {bound}")
             return True
@@ -437,21 +442,6 @@ def _json_text(value) -> str:
     return json.dumps(value, indent=2, sort_keys=True) + "\n"
 
 
-def _import_harness():
-    """``benchmarks/harness.py`` lives in the checkout, not the package:
-    import it from the checkout this package runs from, whatever the cwd."""
-    from pathlib import Path
-
-    import repro
-
-    checkout = str(Path(repro.__file__).resolve().parents[2])
-    if checkout not in sys.path:
-        sys.path.insert(0, checkout)
-    from benchmarks import harness
-
-    return harness
-
-
 def cmd_explain(args) -> int:
     """Attribute an application's wall time from its causal span trace."""
     from repro.obs.attribution import (
@@ -466,17 +456,13 @@ def cmd_explain(args) -> int:
     if _below_minimum(args, {"top": 0}):
         return 1
     if args.scenario is not None:
-        try:
-            harness = _import_harness()
-        except ImportError:
-            print("error: cannot import benchmarks.harness — run 'repro "
-                  "explain --scenario' inside a checkout of the repository")
-            return 1
-        if args.scenario not in harness.SCENARIOS:
+        from repro.core.scenario import SCENARIOS, run_traced
+
+        if args.scenario not in SCENARIOS:
             print(f"error: unknown scenario {args.scenario!r} "
-                  f"(try: {', '.join(harness.SCENARIOS)})")
+                  f"(try: {', '.join(SCENARIOS)})")
             return 1
-        events = harness.run_traced(args.scenario, causal_spans=True)
+        events = run_traced(args.scenario, causal_spans=True)
         source = f"scenario {args.scenario}"
     else:
         try:
@@ -714,6 +700,8 @@ def cmd_resume(args) -> int:
         except (OSError, ValueError) as exc:
             print(f"error: cannot load expected hashes {args.expect}: {exc}")
             return 1
+    if _below_minimum(args, {}, positive=("limit",)):
+        return 1
     tracer = None
     runtime_config = None
     if args.trace:
@@ -796,7 +784,7 @@ def cmd_chaos(args) -> int:
     from repro.sim import chaos
 
     if _below_minimum(args, {"seed": 0, **_DEPLOYMENT_MINIMUMS, "apps": 1},
-                      positive=("duration",)):
+                      positive=("duration", "slowdown-factor")):
         return 1
     shape = {
         flag: value for flag in _CHAOS_SHAPE
@@ -977,8 +965,9 @@ def build_parser() -> argparse.ArgumentParser:
                          help="JSONL trace recorded by run/resume --trace "
                               "or chaos --spans --trace")
     explain.add_argument("--scenario",
-                         help="instead of a trace file: re-run this bench "
-                              "scenario with spans on and explain it")
+                         help="instead of a trace file: re-run this pinned "
+                              "scenario (repro.core.scenario.SCENARIOS) with "
+                              "spans on and explain it")
     explain.add_argument("--top", type=int, default=5,
                          help="how many slow tasks / busy hosts to list")
     explain.add_argument("--json", metavar="PATH",

@@ -2,10 +2,11 @@
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from dataclasses import dataclass
+from typing import Sequence, Tuple
 
+from repro.errors import refuse_non_finite
+from repro.sim.host import HostSpec
 from repro.sim.network import LinkSpec
 from repro.sim.topology import Topology, TopologyBuilder
 
@@ -23,10 +24,11 @@ class HostConfig:
     os: str = "solaris"
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if not self.name:
             raise ValueError("host name must be non-empty")
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(f"host {self.name!r}: speed must be positive and finite")
+        if self.speed <= 0:
+            raise ValueError(f"host {self.name!r}: speed must be positive")
         if self.memory_mb <= 0:
             raise ValueError(f"host {self.name!r}: memory_mb must be positive")
         if not self.arch or not self.os:
@@ -45,6 +47,7 @@ class SiteConfig:
     group_size: int = 0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if not self.name:
             raise ValueError("site name must be non-empty")
         if not self.hosts and self.n_hosts <= 0:
@@ -53,8 +56,8 @@ class SiteConfig:
             raise ValueError(
                 f"site {self.name!r}: hosts and n_hosts are mutually exclusive"
             )
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(f"site {self.name!r}: speed must be positive and finite")
+        if self.speed <= 0:
+            raise ValueError(f"site {self.name!r}: speed must be positive")
 
 
 @dataclass(frozen=True)
@@ -82,33 +85,41 @@ class DeploymentSpec:
         for a, b, latency, bandwidth in self.wan_overrides:
             LinkSpec(latency, bandwidth, f"wan:{a}-{b}")
 
+    @classmethod
+    def grid(cls, n_sites: int, hosts_per_site: int, seed: int = 0,
+             speeds: Sequence[float] = (1.0, 1.5, 2.0, 2.5)) -> DeploymentSpec:
+        """``n_sites`` sites ``site-{s}`` of ``hosts_per_site`` 256 MB hosts
+        ``s{s}-h{h:02d}``, each site one group, host speeds cycling
+        through ``speeds`` by ``(s + h)``; LAN 0.5 ms / 10 MB/s, WAN
+        30 ms / 2 MB/s.  The pinned scenarios and the experiment
+        benches run on it."""
+        return cls(
+            sites=tuple(
+                SiteConfig(f"site-{s}", hosts=tuple(
+                    HostConfig(f"s{s}-h{h:02d}",
+                               speed=float(speeds[(s + h) % len(speeds)]))
+                    for h in range(hosts_per_site)
+                ))
+                for s in range(n_sites)
+            ),
+            wan_latency_s=0.03, wan_bandwidth_mbps=2.0, seed=seed,
+        )
+
     def build_topology(self) -> Topology:
         builder = (
             TopologyBuilder(seed=self.seed)
             .lan_defaults(self.lan_latency_s, self.lan_bandwidth_mbps)
             .wan_defaults(self.wan_latency_s, self.wan_bandwidth_mbps)
         )
-        from repro.sim.host import HostSpec
-
         for site in self.sites:
-            if site.hosts:
-                builder.site(
-                    site.name,
-                    hosts=[
-                        HostSpec(name=h.name, speed=h.speed,
-                                 memory_mb=h.memory_mb, arch=h.arch, os=h.os)
-                        for h in site.hosts
-                    ],
-                    group_size=site.group_size,
-                )
-            else:
-                builder.site(
-                    site.name,
-                    n_hosts=site.n_hosts,
-                    speed=site.speed,
-                    memory_mb=site.memory_mb,
-                    group_size=site.group_size,
-                )
+            builder.site(
+                site.name,
+                hosts=[HostSpec(**vars(h)) for h in site.hosts] or None,
+                n_hosts=site.n_hosts,
+                speed=site.speed,
+                memory_mb=site.memory_mb,
+                group_size=site.group_size,
+            )
         for a, b, latency, bandwidth in self.wan_overrides:
             builder.wan(a, b, latency_s=latency, bandwidth_mbps=bandwidth)
         return builder.build()

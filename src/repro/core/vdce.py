@@ -163,8 +163,8 @@ class VDCE:
 
     def advance(self, seconds: float) -> float:
         """Run the simulation forward (monitoring, workload dynamics...)."""
-        if seconds <= 0:
-            raise ValueError("seconds must be positive")
+        if not (0 < seconds < float("inf")):
+            raise ValueError("seconds must be positive and finite")
         return self.sim.run(until=self.sim.now + seconds)
 
     # -- durable state --------------------------------------------------------

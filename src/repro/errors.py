@@ -6,10 +6,15 @@ harness treats every :class:`DataIntegrityError` subclass as a *typed*
 failure: invariant I13 requires that a corrupted or lost artifact is
 either repaired or surfaces to its consumers as one of these — never
 as a silent wrong answer or an anonymous crash.
+
+:func:`refuse_non_finite` is the one finiteness check every config
+dataclass runs at construction, in whichever layer it lives.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import math
 from typing import List, Optional, Sequence
 
 __all__ = [
@@ -88,3 +93,16 @@ class AggregateExecutionError(RuntimeError):
         for err in self.errors:
             lines.append(f"  - {type(err).__name__}: {err}")
         super().__init__("\n".join(lines))
+
+
+def refuse_non_finite(config, unbounded: Sequence[str] = ()) -> None:
+    """Raise ``ValueError`` naming the first float field of the
+    dataclass ``config`` that is NaN or infinite.  A field named in
+    ``unbounded`` may be ``+inf``: there it means "never"."""
+    for f in dataclasses.fields(config):
+        value = getattr(config, f.name)
+        if (isinstance(value, float) and not math.isfinite(value)
+                and not (value == math.inf and f.name in unbounded)):
+            raise ValueError(
+                f"{type(config).__name__}.{f.name} must be finite, got {value}"
+            )

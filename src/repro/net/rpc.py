@@ -29,6 +29,7 @@ from dataclasses import dataclass
 from types import GeneratorType
 from typing import Any, Callable, Dict, List, NamedTuple, Optional, Tuple
 
+from repro.errors import refuse_non_finite
 from repro.obs.spans import (
     NULL_SPAN,
     NULL_SPANS,
@@ -129,6 +130,7 @@ class BreakerPolicy:
     open_duration_s: float = 10.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.window < 1:
             raise ValueError("window must be >= 1")
         if not (0.0 < self.failure_threshold <= 1.0):
@@ -345,6 +347,8 @@ class RetryPolicy:
     jitter_frac: float = 0.2
 
     def __post_init__(self) -> None:
+        # an infinite timeout waits out a lost message: never retried
+        refuse_non_finite(self, unbounded=("timeout_s",))
         if self.timeout_s <= 0:
             raise ValueError("timeout_s must be positive")
         if self.max_attempts < 1:

@@ -37,6 +37,7 @@ from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, List, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
+from repro.errors import refuse_non_finite
 from repro.obs.spans import NULL_SPAN, SpanContext, SpanKind
 from repro.scheduler.site_scheduler import SiteScheduler
 from repro.sim.kernel import Signal, Simulator
@@ -94,6 +95,7 @@ class AdmissionPolicy:
     default_ttl_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.max_queued is not None and self.max_queued < 1:
             raise ValueError("max_queued must be >= 1")
         if self.user_rate_per_s is not None and self.user_rate_per_s <= 0:

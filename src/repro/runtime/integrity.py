@@ -31,6 +31,7 @@ from repro.errors import (
     CorruptPayloadError,
     DataIntegrityError,
     MissingArtifactError,
+    refuse_non_finite,
 )
 from repro.hashing import value_hash
 from repro.trace.events import EventKind
@@ -57,6 +58,7 @@ class IntegrityPolicy:
     max_depth: int = 3
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.max_refetches < 0:
             raise ValueError("max_refetches must be non-negative")
         if self.max_regenerations < 0:

@@ -38,6 +38,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Any, Deque, Dict, Iterable, List, Mapping, NamedTuple, Optional
 
+from repro.errors import refuse_non_finite
 from repro.sim.kernel import Simulator
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
@@ -304,6 +305,7 @@ class SpeculationPolicy:
     check_period_s: float = 1.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.trigger_multiple <= 1.0:
             raise ValueError("trigger_multiple must exceed 1")
         if self.check_period_s <= 0:
@@ -322,6 +324,7 @@ class HealthPolicy:
     probation_s: float = 300.0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.half_life_s <= 0:
             raise ValueError("half_life_s must be positive")
         if self.quarantine_threshold <= 0:

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
+from repro.errors import refuse_non_finite
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.net.rpc import (
     NULL_BREAKERS,
@@ -156,6 +157,7 @@ class RuntimeConfig:
     data_integrity: Optional[IntegrityPolicy] = None
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.monitor_period_s <= 0 or self.echo_period_s <= 0:
             raise ValueError("periods must be positive")
         if self.change_threshold < 0:

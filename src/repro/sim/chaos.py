@@ -40,6 +40,7 @@ import hashlib
 from dataclasses import asdict, dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
+from repro.errors import refuse_non_finite
 from repro.hashing import canonical_json
 from repro.sim.failures import FailureInjector
 from repro.sim.kernel import Timeout
@@ -150,6 +151,7 @@ class ChaosConfig:
     churn_rejoin_after_s: Optional[float] = None
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.n_sites < 1 or self.hosts_per_site < 1:
             raise ValueError("need at least one site with one host")
         if self.n_apps < 1:

@@ -535,8 +535,11 @@ class Simulator:
 
         Returns the final value of the virtual clock.  If a process died
         with an exception that no other process observed, the exception
-        is re-raised here — silent failures do not exist.
+        is re-raised here — silent failures do not exist.  A NaN
+        ``until`` is refused: no event time is ever past it.
         """
+        if until is not None and until != until:
+            raise SimulationError(f"cannot run until {until}")
         queue = self._queue
         pop = heapq.heappop
         meter = self._meter

@@ -15,13 +15,13 @@ with as many input ports as sampled parents.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import List
 
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.properties import TaskProperties
 from repro.afg.task import TaskNode
+from repro.errors import refuse_non_finite
 
 __all__ = ["RandomDAGConfig", "random_dag"]
 
@@ -46,18 +46,19 @@ class RandomDAGConfig:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        refuse_non_finite(self)
         if self.n_tasks < 1:
             raise ValueError("n_tasks must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
         if self.max_fan_in < 1:
             raise ValueError("max_fan_in must be >= 1")
-        if not (math.isfinite(self.mean_cost) and self.mean_cost > 0):
-            raise ValueError("mean_cost must be positive and finite")
+        if self.mean_cost <= 0:
+            raise ValueError("mean_cost must be positive")
         if not (0.0 <= self.cost_heterogeneity < 1.0):
             raise ValueError("cost_heterogeneity must be in [0, 1)")
-        if not (math.isfinite(self.ccr) and self.ccr >= 0):
-            raise ValueError("ccr must be non-negative and finite")
+        if self.ccr < 0:
+            raise ValueError("ccr must be non-negative")
 
 
 def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:

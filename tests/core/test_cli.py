@@ -118,6 +118,24 @@ class TestCLI:
         assert main(argv) == 1
         assert capsys.readouterr().out.strip() == f"error: {message}"
 
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("argv, flag", [
+        (["chaos"], "duration"),
+        (["chaos"], "slowdown-factor"),
+        (["monitor"], "duration"),
+        (["run", "figure1"], "scale"),
+        (["run", "figure1", "--max-concurrent", "1"], "ttl"),
+        (["run", "figure1", "--max-concurrent", "1"], "deadline"),
+        (["resume", "no-such-dir"], "limit"),
+    ])
+    def test_a_non_finite_float_flag_is_an_error(self, capsys, argv, flag,
+                                                 bad):
+        # NaN is below no bound: unchecked, a NaN --duration runs a chaos
+        # campaign or a monitor loop that never ends
+        assert main([*argv, f"--{flag}={bad}"]) == 1
+        assert capsys.readouterr().out.strip() == (
+            f"error: --{flag} must be finite")
+
     def test_monitor_prints_sparklines_and_stats(self, capsys):
         assert main(["monitor", "--duration", "20", "--hosts", "2"]) == 0
         out = capsys.readouterr().out

@@ -16,9 +16,17 @@ body.  A setter is
 A value no caller sets is a module constant beside the code that reads
 it (DESIGN §5, decision 17).  The total is pinned too, so a new option
 is a decision the diff shows.
+
+Every numeric settable value also refuses NaN and both infinities at
+construction, unless it is listed in ``UNBOUNDED``.
 """
 
 import ast
+import dataclasses
+import functools
+import importlib
+import math
+import re
 from pathlib import Path
 from typing import Dict, List, Set, Tuple
 
@@ -106,3 +114,42 @@ def test_the_number_of_settable_values_is_pinned():
     fields = config_fields()
     assert len(fields) == 11
     assert sum(len(names) for names in fields.values()) == SETTABLE_VALUES
+
+
+# -- non-finite numbers ----------------------------------------------------
+
+#: numeric settable values for which ``+inf`` means "unbounded": a lost
+#: message is waited out with ``Timeout(inf)``, never retried
+UNBOUNDED = {("RetryPolicy", "timeout_s")}
+#: what a valid instance needs besides its defaults
+REQUIRED = {"HostConfig": {"name": "h"},
+            "SiteConfig": {"name": "s", "n_hosts": 1}}
+
+
+@functools.lru_cache(maxsize=None)
+def numeric_settable_values() -> Tuple[Tuple[type, str], ...]:
+    """(class, field) for every settable value typed int or float, or
+    Optional of one; no settable value is a container of numbers."""
+    settable, found = config_fields(), []
+    for path, tree in _modules("src/repro"):
+        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in filter(_is_config_dataclass, ast.walk(tree)):
+            cls = getattr(importlib.import_module(module), node.name)
+            found += [(cls, f.name) for f in dataclasses.fields(cls)
+                      if f.name in settable[node.name]
+                      and re.fullmatch(r"(Optional\[)?(int|float)]?",
+                                       str(f.type))]
+    return tuple(found)
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_a_non_finite_number_is_refused_at_construction(bad):
+    cases = numeric_settable_values()
+    assert len(cases) == 84
+    for cls, name in cases:
+        kwargs = {**REQUIRED.get(cls.__name__, {}), name: bad}
+        if bad == math.inf and (cls.__name__, name) in UNBOUNDED:
+            assert getattr(cls(**kwargs), name) == math.inf
+        else:
+            with pytest.raises(ValueError):
+                cls(**kwargs)

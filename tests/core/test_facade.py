@@ -78,6 +78,16 @@ class TestVDCEFacade:
         with pytest.raises(ValueError):
             env.advance(0.0)
 
+    @pytest.mark.parametrize("seconds", [float("nan"), float("inf")])
+    def test_advance_refuses_a_non_finite_span(self, seconds):
+        # no monitoring: the calendar drains, so accepting one fails here
+        # (NaN leaves the clock put, inf moves it to inf) instead of
+        # running the daemons forever
+        env = VDCE.standard(n_sites=1, hosts_per_site=1)
+        with pytest.raises(ValueError):
+            env.advance(seconds)
+        assert env.sim.now == 0.0
+
     def test_repository_accessor(self):
         env = VDCE.standard()
         repo = env.repository()

@@ -7,12 +7,11 @@ and must produce byte-identical canonical metrics snapshots.
 
 import pytest
 
-from repro import VDCE
+from repro import VDCE, DeploymentSpec
 from repro.metrics.export import METRICS_SCHEMA_VERSION, snapshot_to_json
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler, select_hosts
-from repro.sim import TopologyBuilder
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.workloads import (
@@ -122,23 +121,13 @@ class TestMetricsDeterminism:
 
 def two_by_four_hash(afg, tracer) -> str:
     """Metrics hash of ``afg`` run on 2 sites x 4 hosts, monitoring on."""
-    builder = TopologyBuilder(seed=0).lan_defaults(0.0005, 10.0)
-    for s in range(2):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", 1.0 + 0.5 * ((s + h) % 4), 256) for h in range(4)
-        ])
-    rt = VDCERuntime(builder.wan_defaults(0.03, 2.0).build(),
+    rt = VDCERuntime(DeploymentSpec.grid(2, 4).build_topology(),
                      config=RuntimeConfig(causal_spans=tracer is not NULL_TRACER),
                      tracer=tracer, metrics=MetricsRegistry())
     rt.start_monitoring()
-
-    def pipeline():
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0")
-        return (yield rt.execute_process(
-            afg, table, submit_site="site-0", execute_payloads=False))
-
-    rt.sim.run_until_complete(rt.sim.process(pipeline()))
+    rt.sim.run_until_complete(rt.sim.process(rt.run_process(
+        afg, SiteScheduler(k=1, model=rt.model), "site-0",
+        execute_payloads=False)))
     rt.export_metrics()
     return rt.metrics.snapshot_hash()
 

@@ -1,4 +1,4 @@
-"""End-to-end attribution over the canonical bench scenarios.
+"""End-to-end attribution over the pinned scenarios.
 
 The explain determinism oracle: two span-enabled runs of the same
 scenario must produce byte-identical attribution reports, every
@@ -16,8 +16,8 @@ from pathlib import Path
 
 import pytest
 
-from benchmarks import harness
 from repro.cli import main as cli_main
+from repro.core.scenario import SCENARIOS, run_traced
 from repro.obs.attribution import (
     explain,
     report_hash,
@@ -31,16 +31,16 @@ _SPAN_KINDS = (EventKind.SPAN_OPEN, EventKind.SPAN_CLOSE,
                EventKind.SPAN_ORPHAN)
 
 
-@pytest.mark.parametrize("name", list(harness.SCENARIOS))
+@pytest.mark.parametrize("name", list(SCENARIOS))
 class TestScenarioAttribution:
     def test_report_is_deterministic(self, name):
-        first = explain(harness.run_traced(name, causal_spans=True))
-        second = explain(harness.run_traced(name, causal_spans=True))
+        first = explain(run_traced(name, causal_spans=True))
+        second = explain(run_traced(name, causal_spans=True))
         assert report_to_json(first) == report_to_json(second)
         assert report_hash(first) == report_hash(second)
 
     def test_breakdown_sums_to_wall_and_spans_pair_up(self, name):
-        events = harness.run_traced(name, causal_spans=True)
+        events = run_traced(name, causal_spans=True)
         assert span_integrity(events) == []
         report = explain(events)
         assert report["apps"], "scenario produced no application spans"
@@ -55,8 +55,8 @@ class TestScenarioAttribution:
     def test_spans_only_add_events(self, name):
         """Behaviour neutrality: the spans-off event stream is exactly
         the spans-on stream with the span events removed."""
-        plain = harness.run_traced(name, causal_spans=False)
-        spanned = harness.run_traced(name, causal_spans=True)
+        plain = run_traced(name, causal_spans=False)
+        spanned = run_traced(name, causal_spans=True)
         stripped = [e for e in spanned if e.kind not in _SPAN_KINDS]
         assert len(stripped) == len(plain)
         for ours, theirs in zip(stripped, plain):
@@ -66,13 +66,13 @@ class TestScenarioAttribution:
             assert ours.data == theirs.data
 
     def test_profile_is_stable(self, name):
-        events = harness.run_traced(name, causal_spans=True)
+        events = run_traced(name, causal_spans=True)
         stacks = folded_stacks(events, prefix=name)
         assert all(key.startswith(f"{name};") for key in stacks)
         if name != "host_selection":  # zero virtual time -> zero self time
             assert stacks
         assert folded_stacks(
-            harness.run_traced(name, causal_spans=True), prefix=name
+            run_traced(name, causal_spans=True), prefix=name
         ) == stacks
 
 
@@ -86,15 +86,14 @@ class TestExplainCli:
         assert ("scheduling round: 120 task(s) placed on 4 of the 4 site(s) "
                 "that bid (3 remote)") in out
 
-    def test_scenario_mode_runs_from_a_subdirectory(self):
-        """The scenarios live in the checkout, not the installed package:
-        the command finds them from any directory inside it."""
-        tests_dir = Path(__file__).resolve().parents[1]
-        src = tests_dir.parent / "src"
+    def test_scenario_mode_runs_from_a_subdirectory(self, tmp_path):
+        """The scenarios are part of the package: the command runs from
+        any directory, inside a checkout or not."""
+        src = Path(__file__).resolve().parents[2] / "src"
         done = subprocess.run(
             [sys.executable, "-m", "repro", "explain", "--scenario",
              "host_selection"],
-            cwd=tests_dir, capture_output=True, text=True,
+            cwd=tmp_path, capture_output=True, text=True,
             env={**os.environ, "PYTHONPATH": str(src)},
         )
         assert done.returncode == 0, done.stdout + done.stderr

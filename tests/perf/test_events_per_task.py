@@ -14,9 +14,9 @@ scale.
 
 import pytest
 
-from repro.runtime import RuntimeConfig, VDCERuntime
-from repro.scheduler import SiteScheduler
-from repro.sim import TopologyBuilder
+from repro.core import DeploymentSpec
+from repro.core.scenario import Scenario, run
+from repro.runtime import VDCERuntime
 from repro.trace.tracer import NULL_TRACER, Tracer
 from repro.workloads import bag_of_tasks
 
@@ -31,32 +31,12 @@ GROWTH = 1.25
 def run_bag(n_tasks: int, tracer: Tracer = NULL_TRACER) -> VDCERuntime:
     """Schedule and run one bag on 2 sites x 4 hosts, stock config,
     monitoring on; the deployment it ran on."""
-    speeds = (1.0, 1.5, 2.0, 2.5)
-    builder = (
-        TopologyBuilder(seed=0)
-        .lan_defaults(0.0005, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(2):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
-            for h in range(4)
-        ])
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig(), tracer=tracer)
-    rt.start_monitoring()
-    afg = bag_of_tasks(n=n_tasks, cost=4.0, heterogeneity=0.0, seed=0)
-
-    def pipeline():
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0"
-        )
-        return (yield rt.execute_process(
-            afg, table, submit_site="site-0", execute_payloads=False
-        ))
-
-    result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
-    assert len(result.records) == n_tasks
-    return rt
+    record = run(Scenario(
+        DeploymentSpec.grid(2, 4), bag_of_tasks,
+        (("n", n_tasks), ("cost", 4.0), ("heterogeneity", 0.0), ("seed", 0)),
+        k=1), tracer)
+    assert len(record.result.records) == n_tasks
+    return record.runtime
 
 
 def events_per_task(n_tasks: int) -> float:

@@ -21,10 +21,11 @@ is quiet, counted and not traced (DESIGN §13.13).
 
 import pytest
 
+from repro.core import DeploymentSpec
+from repro.core.scenario import Scenario, run
 from repro.metrics import event_counts
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.runtime.monitor import MonitorDaemon
-from repro.scheduler import SiteScheduler
 from repro.sim import TopologyBuilder
 from repro.trace import EventKind, Tracer
 from repro.trace.tracer import NULL_TRACER
@@ -81,28 +82,10 @@ def test_a_bag_reads_few_of_the_reports_it_counts(reads):
     5 % of the reports counted are read (all 9 536 when every report
     was).  A shorter bag ticks too few times for the bound: the two
     reads every change costs are a third of a 512-task bag's reports."""
-    builder = (
-        TopologyBuilder(seed=0)
-        .lan_defaults(0.0005, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(8):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", (1.0, 1.5, 2.0, 2.5)[(s + h) % 4], 256)
-            for h in range(8)
-        ])
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
-    rt.start_monitoring()
-    afg = bag_of_tasks(n=2048, cost=4.0, heterogeneity=0.0, seed=0)
-
-    def submit():
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=7, model=rt.model), local_site="site-0")
-        result = yield rt.execute_process(
-            afg, table, submit_site="site-0", execute_payloads=False)
-        return result
-
-    result = rt.sim.run_until_complete(rt.sim.process(submit()))
+    rt, result = run(Scenario(
+        DeploymentSpec.grid(8, 8), bag_of_tasks,
+        (("n", 2048), ("cost", 4.0), ("heterogeneity", 0.0), ("seed", 0)),
+        k=7))
     assert len(result.records) == 2048
     # about 150 ticks of 64 daemons: the bound is not met by a short run
     assert rt.stats.monitor_reports >= 100 * 64

@@ -19,10 +19,10 @@ repeat, or a DAG past its entry wave, is bid at every site per task.
 
 import pytest
 
+from repro.core import DeploymentSpec
 from repro.repository import SiteRepository
 from repro.scheduler import FederationView, SiteScheduler
 from repro.scheduler.prediction import PredictionModel
-from repro.sim import TopologyBuilder
 from repro.tasklib import default_registry
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 from tests.scheduler.conftest import log_site_bids
@@ -34,18 +34,7 @@ N_SITES, HOSTS_PER_SITE = 2, 4
 
 def federation():
     """2 sites x 4 hosts: (repositories by site, view from ``site-0``)."""
-    speeds = (1.0, 1.5, 2.0, 2.5)
-    builder = (
-        TopologyBuilder(seed=0)
-        .lan_defaults(0.0005, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(N_SITES):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
-            for h in range(HOSTS_PER_SITE)
-        ])
-    topo = builder.build()
+    topo = DeploymentSpec.grid(N_SITES, HOSTS_PER_SITE).build_topology()
     repos = {
         name: SiteRepository.bootstrap(site, default_registry())
         for name, site in topo.sites.items()

@@ -12,9 +12,8 @@ simulator) fails here instead of in a bench run.
 
 import pytest
 
-from repro.runtime import RuntimeConfig, VDCERuntime
-from repro.scheduler import SiteScheduler
-from repro.sim import TopologyBuilder
+from repro.core import DeploymentSpec
+from repro.core.scenario import Scenario, run
 from repro.workloads import RandomDAGConfig, random_dag
 
 
@@ -22,31 +21,10 @@ from repro.workloads import RandomDAGConfig, random_dag
 def test_fault_free_run_materialises_no_stream(n_tasks):
     """Schedule and run one layered DAG on 2 sites x 4 hosts, stock
     config, monitoring on."""
-    speeds = (1.0, 1.5, 2.0, 2.5)
-    builder = (
-        TopologyBuilder(seed=0)
-        .lan_defaults(0.0005, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(2):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
-            for h in range(4)
-        ])
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig())
-    rt.start_monitoring()
-    afg = random_dag(RandomDAGConfig(
-        n_tasks=n_tasks, width=16, mean_cost=3.0, ccr=0.3, seed=7))
-
-    def pipeline():
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0"
-        )
-        return (yield rt.execute_process(
-            afg, table, submit_site="site-0", execute_payloads=False
-        ))
-
-    result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
+    rt, result = run(Scenario(
+        DeploymentSpec.grid(2, 4), random_dag,
+        (("config", RandomDAGConfig(n_tasks=n_tasks, width=16, mean_cost=3.0,
+                                    ccr=0.3, seed=7)),), k=1))
     assert len(result.records) == n_tasks
     # the run did cross sites, so the retry/rpc paths were all entered
     assert rt.stats.data_transfers > n_tasks // 2

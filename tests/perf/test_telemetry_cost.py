@@ -52,16 +52,16 @@ from pathlib import Path
 import pytest
 
 import repro
+from repro.core import DeploymentSpec
+from repro.core.scenario import Scenario, run
 from repro.metrics.registry import MetricsRegistry
 from repro.net.rpc import NullBreakers
 from repro.obs.attribution import CATEGORIES, PRIORITY, _sweep, explain
 from repro.obs.spans import NullSpanRecorder, SpanKind, SpanRecorder
-from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime import RuntimeConfig
 from repro.runtime.overload import NullBrownout
 from repro.runtime.services import ConsoleService
 from repro.runtime.straggler import NullHealth
-from repro.scheduler import SiteScheduler
-from repro.sim import TopologyBuilder
 from repro.trace import tracer as tracer_module
 from repro.trace.serialize import trace_hash, write_jsonl
 from repro.trace.tracer import NullTracer, Tracer
@@ -280,34 +280,13 @@ def test_no_module_imports_numpy_at_module_level():
 
 def traced_run() -> Tracer:
     """A 64-task traced run with causal spans on, 2 sites x 4 hosts."""
-    speeds = (1.0, 1.5, 2.0, 2.5)
-    builder = (
-        TopologyBuilder(seed=0)
-        .lan_defaults(0.0005, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(2):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
-            for h in range(4)
-        ])
     tracer = Tracer()
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig(causal_spans=True),
-                     tracer=tracer)
-    rt.start_monitoring()
-    afg = random_dag(RandomDAGConfig(
-        n_tasks=64, width=16, mean_cost=3.0, ccr=0.3, seed=7))
-
-    def pipeline():
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1, model=rt.model), local_site="site-0"
-        )
-        return (yield rt.execute_process(
-            afg, table, submit_site="site-0", execute_payloads=False
-        ))
-
-    result = rt.sim.run_until_complete(rt.sim.process(pipeline()))
-    assert len(result.records) == 64
+    record = run(Scenario(
+        DeploymentSpec.grid(2, 4), random_dag,
+        (("config", RandomDAGConfig(n_tasks=64, width=16, mean_cost=3.0,
+                                    ccr=0.3, seed=7)),),
+        k=1, config=RuntimeConfig(causal_spans=True)), tracer)
+    assert len(record.result.records) == 64
     return tracer
 
 

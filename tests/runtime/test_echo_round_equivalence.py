@@ -30,36 +30,19 @@ from hypothesis import strategies as st
 
 from repro.metrics.analysis import elide_quiet_echoes, structural_diff
 from repro.metrics.export import registry_snapshot
-from repro.metrics.registry import MetricsRegistry
-from repro.runtime import RuntimeConfig, VDCERuntime
-from repro.sim import FailureInjector, TopologyBuilder
+from repro.sim import FailureInjector
 from repro.trace.events import EventKind
-from repro.trace.tracer import Tracer
 
 from tests.runtime._reference_echo import every_echo_traced
-from tests.runtime.test_monitor_round_equivalence import APPLICATIONS, submit
+from tests.runtime.test_monitor_round_equivalence import (
+    APPLICATIONS, federation as monitor_federation, submit)
 
 pytestmark = pytest.mark.gate
 
-#: echo rounds (period 5.0) at 5, 10, 15, ...
-LAN_LATENCY_S = 0.0005
-
 
 def federation(n_sites=2, hosts_per_site=4, seed=0, **config):
-    """A traced, metered deployment under ``RuntimeConfig(**config)``,
-    monitoring on."""
-    builder = (
-        TopologyBuilder(seed=seed)
-        .lan_defaults(LAN_LATENCY_S, 10.0)
-        .wan_defaults(0.03, 2.0)
-    )
-    for s in range(n_sites):
-        builder.site(f"site-{s}", hosts=[
-            (f"s{s}-h{h}", (1.0, 1.5, 2.0, 2.5)[(s + h) % 4], 256)
-            for h in range(hosts_per_site)
-        ])
-    rt = VDCERuntime(builder.build(), config=RuntimeConfig(**config),
-                     tracer=Tracer(), metrics=MetricsRegistry())
+    """The monitor-round tests' deployment, monitoring on."""
+    rt = monitor_federation(n_sites, hosts_per_site, seed, **config)
     rt.start_monitoring()
     return rt
 

@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from benchmarks.harness import SCENARIOS
+from repro.core.scenario import SCENARIOS, run
 from repro.metrics.registry import NULL_METRICS
 from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ExecutionError
@@ -238,8 +238,8 @@ def test_committed_bench_scenarios_differ_only_by_the_watchdogs(name):
     lifecycle events dropped the two traces are the same events."""
     def scenario():
         tracer = Tracer()
-        out = SCENARIOS[name](tracer, NULL_METRICS)
-        return filtered_trace(tracer), out["rt"].sim.events_processed
+        record = run(SCENARIOS[name], tracer, NULL_METRICS)
+        return filtered_trace(tracer), record.runtime.sim.events_processed
 
     (polled_trace, polled_events), (trace, events) = both(scenario)
     assert trace == polled_trace

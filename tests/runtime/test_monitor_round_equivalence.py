@@ -80,9 +80,12 @@ def both(scenario):
     return reference, scenario()
 
 
-def federation(n_sites, hosts_per_site, seed=0):
-    """A traced, metered deployment; every site on the same LAN latency,
-    so deliveries of different groups land on the same instant."""
+def federation(n_sites, hosts_per_site, seed=0, **config):
+    """A traced, metered deployment under ``RuntimeConfig(**config)``;
+    every site on the same LAN latency, so deliveries of different
+    groups land on the same instant.  The hosts are ``s{s}-h{h}``, which
+    the tests here and in ``test_echo_round_equivalence`` name, so this
+    is not ``DeploymentSpec.grid`` (``s{s}-h{h:02d}``)."""
     speeds = (1.0, 1.5, 2.0, 2.5)
     builder = (
         TopologyBuilder(seed=seed)
@@ -94,7 +97,7 @@ def federation(n_sites, hosts_per_site, seed=0):
             (f"s{s}-h{h}", speeds[(s + h) % len(speeds)], 256)
             for h in range(hosts_per_site)
         ])
-    return VDCERuntime(builder.build(), config=RuntimeConfig(),
+    return VDCERuntime(builder.build(), config=RuntimeConfig(**config),
                        tracer=Tracer(), metrics=MetricsRegistry())
 
 
@@ -105,12 +108,9 @@ def submit(rt, afg, k=2, at=0.0):
         if at:
             yield rt.sim.timeout(at)
         try:
-            table, _ = yield from rt.schedule_process(
-                afg, SiteScheduler(k=k, model=rt.model), local_site="site-0"
-            )
-            result = yield rt.execute_process(
-                afg, table, submit_site="site-0", execute_payloads=False
-            )
+            result = yield from rt.run_process(
+                afg, SiteScheduler(k=k, model=rt.model), "site-0",
+                execute_payloads=False)
         except (ExecutionError, SchedulingError, RpcError, HostDownError) as exc:
             return type(exc).__name__
         return sorted(

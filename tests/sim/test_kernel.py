@@ -312,6 +312,20 @@ def test_call_at_refuses_a_nan_or_minus_infinite_time(time):
 
 
 @pytest.mark.gate
+def test_run_refuses_a_nan_until():
+    """No event time is past NaN, so ``run(until=nan)`` would run every
+    event there is — forever, with the periodic daemons running.  It is
+    refused like a NaN ``call_at``; the calendar here drains, so a
+    kernel that accepts NaN fails this test instead of hanging."""
+    sim = Simulator()
+    woke = []
+    sim.call_at(1.0, lambda: woke.append(sim.now))
+    with pytest.raises(SimulationError):
+        sim.run(until=float("nan"))
+    assert woke == [] and sim.now == 0.0
+
+
+@pytest.mark.gate
 def test_an_infinite_delay_is_a_never_that_no_bounded_run_reaches():
     """+inf is a legal "never" (``RetryPolicy(timeout_s=inf)`` waits out a
     lost message with ``Timeout(inf)``): no bounded run reaches it."""

@@ -188,11 +188,9 @@ def run_bounded(rt, make_afg, limit=3000.0):
     rt.start_monitoring()
 
     def pipeline():
-        afg = make_afg()
-        table, _ = yield from rt.schedule_process(
-            afg, SiteScheduler(k=1, model=rt.model), local_site="alpha")
-        return (yield rt.execute_process(
-            afg, table, submit_site="alpha", execute_payloads=False))
+        return (yield from rt.run_process(
+            make_afg(), SiteScheduler(k=1, model=rt.model), "alpha",
+            execute_payloads=False))
 
     return rt.sim.run_until_complete(rt.sim.process(pipeline()), limit=limit)
 
