@@ -12,7 +12,7 @@ This is the 60-second tour of the reproduction:
 Run:  python examples/quickstart.py
 """
 
-from repro import VDCE, DeploymentSpec, HostConfig, SiteConfig
+from repro import VDCE, DeploymentSpec, HostSpec, SiteConfig
 from repro.metrics import summarize_result
 from repro.workloads import linear_solver_afg
 
@@ -24,9 +24,9 @@ def main() -> None:
             SiteConfig(
                 name="syracuse",
                 hosts=(
-                    HostConfig("grad1", speed=1.0, memory_mb=128),
-                    HostConfig("grad2", speed=1.5, memory_mb=256),
-                    HostConfig("hunding", speed=2.5, memory_mb=512),
+                    HostSpec("grad1", speed=1.0, memory_mb=128),
+                    HostSpec("grad2", speed=1.5, memory_mb=256),
+                    HostSpec("hunding", speed=2.5, memory_mb=512),
                 ),
             ),
             SiteConfig(name="rome-lab", n_hosts=4, speed=2.0),

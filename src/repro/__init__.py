@@ -62,14 +62,15 @@ def _lazy_exports(namespace, table):
 
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "core.config": ("DeploymentSpec", "HostConfig", "SiteConfig"),
+    "core.config": ("DeploymentSpec", "SiteConfig"),
     "core.vdce": ("VDCE",),
+    "sim.host": ("HostSpec",),
     "trace.tracer": ("Tracer",),
 })
 
 __all__ = [
     "DeploymentSpec",
-    "HostConfig",
+    "HostSpec",
     "SiteConfig",
     "Tracer",
     "VDCE",

@@ -139,29 +139,49 @@ def _below_minimum(args, minimums, positive=()) -> bool:
     return False
 
 
-#: ``--sites`` / ``--hosts`` of every command that builds a deployment
-_DEPLOYMENT_MINIMUMS = {"sites": 1, "hosts": 1}
+#: ``--sites`` / ``--hosts`` / ``--seed`` of every command that takes them
+_DEPLOYMENT_MINIMUMS = {"sites": 1, "hosts": 1, "seed": 0}
+
+
+def _add_deployment_flags(parser, sites=2, hosts=4) -> None:
+    """``--sites`` / ``--hosts`` / ``--seed``: the federation
+    :func:`_deployment` builds (``repro chaos`` maps them onto its
+    campaign instead)."""
+    parser.add_argument("--sites", type=int, default=sites)
+    parser.add_argument("--hosts", type=int, default=hosts)
+    parser.add_argument("--seed", type=int, default=0)
+
+
+def _deployment(args, minimums=None, positive=(), **kwargs):
+    """``VDCE.standard`` over ``--sites`` / ``--hosts`` / ``--seed``, once
+    they and the command's own ``minimums`` / ``positive`` flags are in
+    range; ``None`` after printing the error otherwise."""
+    from repro import VDCE
+
+    if _below_minimum(args, {**_DEPLOYMENT_MINIMUMS, **(minimums or {})},
+                      positive):
+        return None
+    return VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
+                         seed=args.seed, **kwargs)
 
 
 def cmd_run(args) -> int:
-    from repro import VDCE
     from repro.metrics import summarize_result
     from repro.metrics.registry import NULL_METRICS, MetricsRegistry
     from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace import NULL_TRACER, Tracer
 
-    if _below_minimum(args, {**_DEPLOYMENT_MINIMUMS, "k": 0, "seed": 0,
-                             "repeat": 1, "max-concurrent": 1,
-                             "max-queued": 1, "deadline": 0},
-                      positive=("scale", "ttl")):
-        return 1
     tracer = Tracer() if args.trace else NULL_TRACER
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
     # a trace records the causal spans too: the phase table reads them
-    env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
-                        seed=args.seed, tracer=tracer, metrics=metrics,
-                        runtime_config=RuntimeConfig(
-                            causal_spans=bool(args.trace)))
+    env = _deployment(args, {"k": 0, "repeat": 1, "max-concurrent": 1,
+                             "max-queued": 1, "deadline": 0},
+                      positive=("scale", "ttl"),
+                      tracer=tracer, metrics=metrics,
+                      runtime_config=RuntimeConfig(
+                          causal_spans=bool(args.trace)))
+    if env is None:
+        return 1
     if args.monitoring:
         env.start_monitoring()
     afg, payloads = _build_app(args.application, args.scale, args.seed)
@@ -232,18 +252,10 @@ def cmd_run(args) -> int:
         result = results[0]
     elif args.journal:
         from repro.runtime.checkpoint import create_checkpoint_dir, journal_path
-        from repro.scheduler import SiteScheduler
 
         journal = create_checkpoint_dir(env, args.journal)
-
-        proc = env.sim.process(
-            env.runtime.run_process(
-                afg, SiteScheduler(k=args.k, model=env.runtime.model),
-                execute_payloads=payloads, journal=journal,
-            ),
-            name=f"submit:{afg.name}",
-        )
-        result = env.sim.run_until_complete(proc)
+        result = env.submit(afg, k=args.k, execute_payloads=payloads,
+                            journal=journal)
         print(f"checkpoint journal: {journal_path(args.journal)} "
               f"({journal.bytes_written} bytes)")
     else:
@@ -288,16 +300,14 @@ def cmd_run(args) -> int:
 
 
 def cmd_monitor(args) -> int:
-    from repro import VDCE
     from repro.metrics.registry import NULL_METRICS, MetricsRegistry
     from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
     from repro.viz import workload_sparkline
 
-    if _below_minimum(args, _DEPLOYMENT_MINIMUMS, positive=("duration",)):
-        return 1
     metrics = MetricsRegistry() if args.metrics else NULL_METRICS
-    env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
-                        seed=args.seed, metrics=metrics)
+    env = _deployment(args, positive=("duration",), metrics=metrics)
+    if env is None:
+        return 1
     samples = {h.name: [] for h in env.topology.all_hosts}
     attach_generators(
         env.sim, env.topology.all_hosts,
@@ -339,8 +349,6 @@ def cmd_metrics(args) -> int:
         snapshot_to_json,
     )
 
-    if _below_minimum(args, _DEPLOYMENT_MINIMUMS):
-        return 1
     if args.snapshot:
         try:
             snapshot = load_snapshot(args.snapshot)
@@ -349,12 +357,12 @@ def cmd_metrics(args) -> int:
             return 1
     else:
         # no file: run a small instrumented deployment and export that
-        from repro import VDCE
         from repro.metrics.registry import MetricsRegistry
         from repro.workloads import linear_solver_afg
 
-        env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
-                            seed=args.seed, metrics=MetricsRegistry())
+        env = _deployment(args, metrics=MetricsRegistry())
+        if env is None:
+            return 1
         env.start_monitoring()
         env.submit(linear_solver_afg(scale=0.15), k=1)
         env.advance(5.0)
@@ -544,13 +552,11 @@ def cmd_explain(args) -> int:
 
 
 def cmd_topology(args) -> int:
-    from repro import VDCE
     from repro.viz import topology_diagram
 
-    if _below_minimum(args, _DEPLOYMENT_MINIMUMS):
+    env = _deployment(args)
+    if env is None:
         return 1
-    env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
-                        seed=args.seed)
     print(topology_diagram(env.topology))
     return 0
 
@@ -747,12 +753,13 @@ def cmd_resume(args) -> int:
 
 
 def cmd_serve(args) -> int:  # pragma: no cover - starts a real server
-    from repro import VDCE
-    from repro.editor.webapp import create_webapp
     from repro.metrics.registry import MetricsRegistry
 
-    env = VDCE.standard(n_sites=args.sites, hosts_per_site=args.hosts,
-                        seed=args.seed, metrics=MetricsRegistry())
+    env = _deployment(args, metrics=MetricsRegistry())
+    if env is None:
+        return 1
+    from repro.editor.webapp import create_webapp
+
     env.start_monitoring()
     app = create_webapp(env.runtime)
     print(f"VDCE web editor on http://127.0.0.1:{args.port} "
@@ -783,7 +790,7 @@ def cmd_chaos(args) -> int:
 
     from repro.sim import chaos
 
-    if _below_minimum(args, {"seed": 0, **_DEPLOYMENT_MINIMUMS, "apps": 1},
+    if _below_minimum(args, {**_DEPLOYMENT_MINIMUMS, "apps": 1},
                       positive=("duration", "slowdown-factor")):
         return 1
     shape = {
@@ -901,12 +908,10 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="submit a built-in application")
     run.add_argument("application",
                      help="linear-solver | figure1 | c3i | dsp | random-dag")
-    run.add_argument("--sites", type=int, default=2)
-    run.add_argument("--hosts", type=int, default=4)
+    _add_deployment_flags(run)
     run.add_argument("--k", type=int, default=1,
                      help="nearest remote sites joining the schedule")
     run.add_argument("--scale", type=float, default=0.3)
-    run.add_argument("--seed", type=int, default=0)
     run.add_argument("--gantt", action="store_true")
     run.add_argument("--report", action="store_true",
                      help="print the full execution report")
@@ -940,10 +945,8 @@ def build_parser() -> argparse.ArgumentParser:
                           "'repro resume DIR'")
 
     mon = sub.add_parser("monitor", help="run the control plane alone")
-    mon.add_argument("--sites", type=int, default=2)
-    mon.add_argument("--hosts", type=int, default=3)
+    _add_deployment_flags(mon, hosts=3)
     mon.add_argument("--duration", type=float, default=60.0)
-    mon.add_argument("--seed", type=int, default=0)
     mon.add_argument("--metrics", metavar="PATH",
                      help="record a metrics snapshot to PATH (canonical "
                           "JSON) and print its content hash")
@@ -954,9 +957,7 @@ def build_parser() -> argparse.ArgumentParser:
                      help="a snapshot file written by --metrics "
                           "(default: run a quick instrumented deployment)")
     met.add_argument("--format", choices=("prom", "json"), default="prom")
-    met.add_argument("--sites", type=int, default=2)
-    met.add_argument("--hosts", type=int, default=3)
-    met.add_argument("--seed", type=int, default=0)
+    _add_deployment_flags(met, hosts=3)
 
     explain = sub.add_parser(
         "explain",
@@ -992,9 +993,7 @@ def build_parser() -> argparse.ArgumentParser:
                           "and seq renumbered")
 
     topo = sub.add_parser("topology", help="print the deployment diagram")
-    topo.add_argument("--sites", type=int, default=2)
-    topo.add_argument("--hosts", type=int, default=4)
-    topo.add_argument("--seed", type=int, default=0)
+    _add_deployment_flags(topo)
 
     chaos = sub.add_parser(
         "chaos",
@@ -1005,10 +1004,8 @@ def build_parser() -> argparse.ArgumentParser:
     for flag, fields in PRESETS.items():
         presets.add_argument(f"--{flag}", dest="preset", action="store_const",
                              const=flag, help=fields["doc"])
-    chaos.add_argument("--seed", type=int, default=0)
     # shape flags default to None: unset, ChaosConfig's own default applies
-    chaos.add_argument("--sites", type=int)
-    chaos.add_argument("--hosts", type=int)
+    _add_deployment_flags(chaos, sites=None, hosts=None)
     chaos.add_argument("--apps", type=int)
     chaos.add_argument("--duration", type=float)
     chaos.add_argument("--slow-hosts", type=int,
@@ -1065,9 +1062,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     serve = sub.add_parser("serve", help="start the Flask web editor")
     serve.add_argument("--port", type=int, default=8080)
-    serve.add_argument("--sites", type=int, default=2)
-    serve.add_argument("--hosts", type=int, default=4)
-    serve.add_argument("--seed", type=int, default=0)
+    _add_deployment_flags(serve)
 
     return parser
 

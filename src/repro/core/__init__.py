@@ -11,8 +11,8 @@ inspect results.
 from repro import _lazy_exports
 
 __getattr__, __dir__ = _lazy_exports(globals(), {
-    "config": ("DeploymentSpec", "HostConfig", "SiteConfig"),
+    "config": ("DeploymentSpec", "SiteConfig"),
     "vdce": ("VDCE",),
 })
 
-__all__ = ["VDCE", "DeploymentSpec", "HostConfig", "SiteConfig"]
+__all__ = ["VDCE", "DeploymentSpec", "SiteConfig"]

@@ -10,29 +10,7 @@ from repro.sim.host import HostSpec
 from repro.sim.network import LinkSpec
 from repro.sim.topology import Topology, TopologyBuilder
 
-__all__ = ["DeploymentSpec", "HostConfig", "SiteConfig"]
-
-
-@dataclass(frozen=True)
-class HostConfig:
-    """One machine in a deployment spec."""
-
-    name: str
-    speed: float = 1.0
-    memory_mb: int = 256
-    arch: str = "sparc"
-    os: str = "solaris"
-
-    def __post_init__(self) -> None:
-        refuse_non_finite(self)
-        if not self.name:
-            raise ValueError("host name must be non-empty")
-        if self.speed <= 0:
-            raise ValueError(f"host {self.name!r}: speed must be positive")
-        if self.memory_mb <= 0:
-            raise ValueError(f"host {self.name!r}: memory_mb must be positive")
-        if not self.arch or not self.os:
-            raise ValueError(f"host {self.name!r}: arch/os must be non-empty")
+__all__ = ["DeploymentSpec", "SiteConfig"]
 
 
 @dataclass(frozen=True)
@@ -40,7 +18,7 @@ class SiteConfig:
     """One site: explicit hosts, or a uniform block."""
 
     name: str
-    hosts: Tuple[HostConfig, ...] = ()
+    hosts: Tuple[HostSpec, ...] = ()
     n_hosts: int = 0
     speed: float = 1.0
     memory_mb: int = 256
@@ -96,8 +74,8 @@ class DeploymentSpec:
         return cls(
             sites=tuple(
                 SiteConfig(f"site-{s}", hosts=tuple(
-                    HostConfig(f"s{s}-h{h:02d}",
-                               speed=float(speeds[(s + h) % len(speeds)]))
+                    HostSpec(f"s{s}-h{h:02d}",
+                             speed=float(speeds[(s + h) % len(speeds)]))
                     for h in range(hosts_per_site)
                 ))
                 for s in range(n_sites)
@@ -114,7 +92,7 @@ class DeploymentSpec:
         for site in self.sites:
             builder.site(
                 site.name,
-                hosts=[HostSpec(**vars(h)) for h in site.hosts] or None,
+                hosts=site.hosts or None,
                 n_hosts=site.n_hosts,
                 speed=site.speed,
                 memory_mb=site.memory_mb,

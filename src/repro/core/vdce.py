@@ -147,6 +147,7 @@ class VDCE:
         site: Optional[str] = None,
         execute_payloads: Optional[bool] = None,
         scheduler: Optional[SiteScheduler] = None,
+        journal=None,
     ) -> ApplicationResult:
         scheduler = scheduler or SiteScheduler(k=k, model=self.runtime.model)
         return self.runtime.submit(
@@ -154,6 +155,7 @@ class VDCE:
             scheduler,
             submit_site=site,
             execute_payloads=execute_payloads,
+            journal=journal,
         )
 
     # -- control plane (paper §4.1) ------------------------------------------------------

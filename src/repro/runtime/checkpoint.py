@@ -399,13 +399,14 @@ def create_checkpoint_dir(vdce, directory: str) -> CheckpointJournal:
 
 
 def _spec_from_meta(meta: Dict[str, Any]):
-    from repro.core.config import DeploymentSpec, HostConfig, SiteConfig
+    from repro.core.config import DeploymentSpec, SiteConfig
+    from repro.sim.host import HostSpec
 
     payload = dict(meta["deployment"])
     sites = []
     for site in payload.pop("sites"):
         site = dict(site)
-        site["hosts"] = tuple(HostConfig(**h) for h in site.get("hosts", ()))
+        site["hosts"] = tuple(HostSpec(**h) for h in site.get("hosts", ()))
         sites.append(SiteConfig(**site))
     payload["sites"] = tuple(sites)
     payload["wan_overrides"] = tuple(

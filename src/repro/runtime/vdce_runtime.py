@@ -675,19 +675,21 @@ class VDCERuntime:
         password: Optional[str] = None,
         execute_payloads: Optional[bool] = None,
         limit: Optional[float] = None,
+        journal=None,
     ) -> ApplicationResult:
         """Convenience one-shot: authenticate, schedule, execute, return.
 
         Drives the simulator until the application completes.  When
         credentials are given they are checked against the submitting
         site's user-accounts database (paper §2: "After user
-        authentication, the Application Editor is loaded ...").
+        authentication, the Application Editor is loaded ...").  A
+        ``journal`` checkpoints the execution (:meth:`run_process`).
         """
         site = submit_site or self.default_site
         if user is not None:
             self.repositories[site].users.authenticate(user, password or "")
         proc = self.sim.process(
-            self.run_process(afg, scheduler, site, execute_payloads),
+            self.run_process(afg, scheduler, site, execute_payloads, journal),
             name=f"submit:{afg.name}",
         )
         return self.sim.run_until_complete(proc, limit=limit)

@@ -23,9 +23,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "host": ("Host", "HostSpec", "HostState", "TaskExecution"),
     "site": ("Group", "Site", "SiteSpec"),
     "network": ("Link", "LinkDownError", "LinkSpec", "Network"),
-    "topology": (
-        "Topology", "TopologyBuilder", "star_topology", "two_site_topology",
-    ),
+    "topology": ("Topology", "TopologyBuilder", "star_topology"),
     "workload": (
         "ConstantLoad", "DiurnalLoad", "LoadGenerator",
         "OrnsteinUhlenbeckLoad", "RandomWalkLoad", "SpikeLoad", "TraceLoad",
@@ -70,5 +68,4 @@ __all__ = [
     "run_campaign",
     "smoke_config",
     "star_topology",
-    "two_site_topology",
 ]

@@ -27,10 +27,10 @@ from __future__ import annotations
 
 import enum
 import itertools
-import math
 from dataclasses import dataclass, field
 from typing import Any, Callable, Optional
 
+from repro.errors import refuse_non_finite
 from repro.sim.fair_share import FairShareServer
 from repro.sim.kernel import Signal, SimulationError, Simulator
 
@@ -78,10 +78,15 @@ class HostSpec:
     thrash_factor: float = 0.25
 
     def __post_init__(self) -> None:
-        if not (math.isfinite(self.speed) and self.speed > 0):
-            raise ValueError(f"host {self.name!r}: speed must be positive and finite")
+        refuse_non_finite(self)
+        if not self.name:
+            raise ValueError("host name must be non-empty")
+        if self.speed <= 0:
+            raise ValueError(f"host {self.name!r}: speed must be positive")
         if self.memory_mb <= 0:
             raise ValueError(f"host {self.name!r}: memory_mb must be positive")
+        if not self.arch or not self.os:
+            raise ValueError(f"host {self.name!r}: arch/os must be non-empty")
         if not (0.0 < self.thrash_factor <= 1.0):
             raise ValueError(f"host {self.name!r}: thrash_factor must be in (0, 1]")
 

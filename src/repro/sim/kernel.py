@@ -536,7 +536,10 @@ class Simulator:
         Returns the final value of the virtual clock.  If a process died
         with an exception that no other process observed, the exception
         is re-raised here — silent failures do not exist.  A NaN
-        ``until`` is refused: no event time is ever past it.
+        ``until`` is refused: no event time is ever past it.  A drained
+        calendar advances the clock to a finite ``until`` only: ``+inf``
+        is "never", and a clock at infinity would queue every later
+        event there.
         """
         if until is not None and until != until:
             raise SimulationError(f"cannot run until {until}")
@@ -565,7 +568,7 @@ class Simulator:
             callback()
             if self._failed:
                 self._raise_unobserved_failures()
-        if until is not None and self.now < until and (
+        if until is not None and self.now < until < float("inf") and (
             stop_when is None or not stop_when()
         ):
             self.now = float(until)

@@ -9,8 +9,8 @@ management processes live in :mod:`repro.runtime`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import Dict, List
 
 from repro.sim.host import Host, HostSpec
 from repro.sim.kernel import SimulationError, Simulator
@@ -201,28 +201,3 @@ class Site:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Site({self.name!r}, hosts={len(self._hosts)})"
 
-
-def make_uniform_site(
-    sim: Simulator,
-    name: str,
-    n_hosts: int,
-    speed: float = 1.0,
-    memory_mb: int = 256,
-    group_size: int = 0,
-) -> Site:
-    """Convenience constructor: ``n_hosts`` identical hosts in one or more groups."""
-    if n_hosts <= 0:
-        raise ValueError("n_hosts must be positive")
-    group_size = group_size or n_hosts
-    specs = [
-        HostSpec(name=f"{name}-h{i:02d}", speed=speed, memory_mb=memory_mb)
-        for i in range(n_hosts)
-    ]
-    groups = []
-    for gi in range(0, n_hosts, group_size):
-        members = tuple(specs[gi : gi + group_size])
-        groups.append(
-            GroupSpec(name=f"{name}-g{gi // group_size}", leader=members[0].name,
-                      hosts=members)
-        )
-    return Site(sim, SiteSpec(name=name, groups=tuple(groups)))

@@ -4,8 +4,9 @@ A :class:`Topology` bundles the :class:`~repro.sim.kernel.Simulator`,
 all :class:`~repro.sim.site.Site` objects and the
 :class:`~repro.sim.network.Network` so that schedulers, runtimes and
 experiments share one coherent world.  :class:`TopologyBuilder` offers
-a fluent construction API; :func:`two_site_topology` and
-:func:`star_topology` build the standard experiment fixtures.
+a fluent construction API and is the one place a site's hosts are
+partitioned into groups; :func:`star_topology` builds the
+k-nearest-site experiment fixture.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ from repro.sim.kernel import SimulationError, Simulator
 from repro.sim.network import LinkSpec, Network
 from repro.sim.site import GroupSpec, Site, SiteSpec
 
-__all__ = ["Topology", "TopologyBuilder", "star_topology", "two_site_topology"]
+__all__ = ["Topology", "TopologyBuilder", "star_topology"]
 
 
 class Topology:
@@ -135,10 +136,9 @@ class TopologyBuilder:
                 .build())
     """
 
-    def __init__(self, seed: int = 0, sim: Optional[Simulator] = None):
-        self.sim = sim or Simulator(seed=seed)
+    def __init__(self, seed: int = 0):
+        self.sim = Simulator(seed=seed)
         self._site_specs: List[SiteSpec] = []
-        self._lan_overrides: Dict[str, LinkSpec] = {}
         self._wan_overrides: List[Tuple[str, str, LinkSpec]] = []
         self._default_lan = LinkSpec(latency_s=0.0005, bandwidth_mbps=10.0, name="lan")
         self._default_wan = LinkSpec(latency_s=0.05, bandwidth_mbps=1.0, name="wan")
@@ -159,7 +159,6 @@ class TopologyBuilder:
         speed: float = 1.0,
         memory_mb: int = 256,
         group_size: int = 0,
-        lan: Optional[LinkSpec] = None,
     ) -> "TopologyBuilder":
         """Add a site, either from explicit hosts — ``(name, speed,
         memory)`` tuples or full :class:`HostSpec` objects — or as
@@ -177,20 +176,14 @@ class TopologyBuilder:
             ]
         else:
             raise ValueError(f"site {name!r}: provide hosts or n_hosts")
-        gsize = group_size or len(specs)
-        groups = []
-        for gi in range(0, len(specs), gsize):
-            members = tuple(specs[gi : gi + gsize])
-            groups.append(
-                GroupSpec(
-                    name=f"{name}-g{gi // gsize}",
-                    leader=members[0].name,
-                    hosts=members,
-                )
-            )
-        self._site_specs.append(SiteSpec(name=name, groups=tuple(groups)))
-        if lan is not None:
-            self._lan_overrides[name] = lan
+        # groups of ``group_size`` in host order, each led by its first
+        size = group_size or len(specs)
+        groups = tuple(
+            GroupSpec(name=f"{name}-g{gi // size}", leader=specs[gi].name,
+                      hosts=tuple(specs[gi:gi + size]))
+            for gi in range(0, len(specs), size)
+        )
+        self._site_specs.append(SiteSpec(name=name, groups=groups))
         return self
 
     def wan(self, site_a: str, site_b: str, latency_s: float,
@@ -207,33 +200,9 @@ class TopologyBuilder:
                           default_wan=self._default_wan)
         sites = [Site(self.sim, spec) for spec in self._site_specs]
         topo = Topology(self.sim, sites, network)
-        for site_name, lan in self._lan_overrides.items():
-            network.set_lan(site_name, lan)
         for a, b, spec in self._wan_overrides:
             network.set_wan(a, b, spec)
         return topo
-
-
-def two_site_topology(
-    seed: int = 0,
-    hosts_per_site: int = 3,
-    speeds: Sequence[float] = (1.0, 1.5, 2.0),
-    wan_latency_s: float = 0.05,
-    wan_bandwidth_mbps: float = 1.0,
-) -> Topology:
-    """The paper's Figure 1 setting: two campus sites joined by a WAN link.
-
-    Host speeds cycle through ``speeds`` so each site is heterogeneous —
-    the host-selection algorithm has real choices to make.
-    """
-    builder = TopologyBuilder(seed=seed).wan_defaults(wan_latency_s, wan_bandwidth_mbps)
-    for site_name in ("site-a", "site-b"):
-        hosts = [
-            (f"{site_name}-h{i:02d}", float(speeds[i % len(speeds)]), 256)
-            for i in range(hosts_per_site)
-        ]
-        builder.site(site_name, hosts=hosts)
-    return builder.build()
 
 
 def star_topology(

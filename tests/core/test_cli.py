@@ -108,6 +108,8 @@ class TestCLI:
          "--deadline must be >= 0"),
         (["explain", "--scenario", "end_to_end", "--top", "-1"],
          "--top must be >= 0"),
+        (["serve", "--sites", "0"], "--sites must be >= 1"),
+        (["monitor", "--seed", "-1"], "--seed must be >= 0"),
     ])
     def test_numbers_below_their_minimum_are_errors(self, capsys, argv,
                                                     message):

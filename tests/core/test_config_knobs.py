@@ -37,7 +37,7 @@ pytestmark = pytest.mark.gate
 ROOT = Path(__file__).resolve().parents[2]
 SCANNED = ("src", "benchmarks", "examples", "bench", "tests")
 #: defaulted fields over every config dataclass (DESIGN §5, decision 17)
-SETTABLE_VALUES = 103
+SETTABLE_VALUES = 99
 
 
 def _is_config_dataclass(node: ast.AST) -> bool:
@@ -112,7 +112,7 @@ def test_every_settable_value_has_a_caller():
 
 def test_the_number_of_settable_values_is_pinned():
     fields = config_fields()
-    assert len(fields) == 11
+    assert len(fields) == 10
     assert sum(len(names) for names in fields.values()) == SETTABLE_VALUES
 
 
@@ -122,8 +122,7 @@ def test_the_number_of_settable_values_is_pinned():
 #: message is waited out with ``Timeout(inf)``, never retried
 UNBOUNDED = {("RetryPolicy", "timeout_s")}
 #: what a valid instance needs besides its defaults
-REQUIRED = {"HostConfig": {"name": "h"},
-            "SiteConfig": {"name": "s", "n_hosts": 1}}
+REQUIRED = {"SiteConfig": {"name": "s", "n_hosts": 1}}
 
 
 @functools.lru_cache(maxsize=None)
@@ -145,7 +144,7 @@ def numeric_settable_values() -> Tuple[Tuple[type, str], ...]:
 @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
 def test_a_non_finite_number_is_refused_at_construction(bad):
     cases = numeric_settable_values()
-    assert len(cases) == 84
+    assert len(cases) == 82
     for cls, name in cases:
         kwargs = {**REQUIRED.get(cls.__name__, {}), name: bad}
         if bad == math.inf and (cls.__name__, name) in UNBOUNDED:

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro import VDCE, DeploymentSpec, HostConfig, SiteConfig
+from repro import VDCE, DeploymentSpec, HostSpec, SiteConfig
 from repro.repository import AccessDomain
 from repro.workloads import linear_solver_afg, surveillance_afg
 
@@ -12,8 +12,8 @@ class TestDeploymentSpec:
         spec = DeploymentSpec(
             sites=(
                 SiteConfig(name="syr", hosts=(
-                    HostConfig("grad1", speed=1.0),
-                    HostConfig("grad2", speed=2.0, memory_mb=512),
+                    HostSpec("grad1", speed=1.0),
+                    HostSpec("grad2", speed=2.0, memory_mb=512),
                 )),
                 SiteConfig(name="cs", n_hosts=3, speed=1.5),
             ),
@@ -32,9 +32,9 @@ class TestDeploymentSpec:
         with pytest.raises(ValueError):
             SiteConfig(name="x")
         with pytest.raises(ValueError):
-            SiteConfig(name="x", hosts=(HostConfig("h"),), n_hosts=2)
+            SiteConfig(name="x", hosts=(HostSpec("h"),), n_hosts=2)
         with pytest.raises(ValueError):
-            HostConfig("h", speed=0.0)
+            HostSpec("h", speed=0.0)
 
 
 class TestVDCEFacade:

@@ -1,14 +1,17 @@
 """Tests: heterogeneous arch/OS deployments and multi-group sites."""
 
+import math
+
 import pytest
 
-from repro import VDCE, DeploymentSpec, HostConfig, SiteConfig
+from repro import VDCE, DeploymentSpec, HostSpec, SiteConfig
 from repro.scheduler import (
     HEFTScheduler,
     MaxMinScheduler,
     MinMinScheduler,
     SiteScheduler,
 )
+from repro.sim import TopologyBuilder
 from repro.workloads import bag_of_tasks
 
 from tests.scheduler.conftest import build_federation
@@ -18,8 +21,8 @@ class TestArchOSInSpec:
     def test_arch_os_flow_through_to_hosts(self):
         spec = DeploymentSpec(sites=(
             SiteConfig(name="mixed", hosts=(
-                HostConfig("sunbox", arch="sparc", os="solaris"),
-                HostConfig("pc", speed=2.0, arch="x86", os="linux"),
+                HostSpec("sunbox", arch="sparc", os="solaris"),
+                HostSpec("pc", speed=2.0, arch="x86", os="linux"),
             )),
         ))
         env = VDCE(spec=spec)
@@ -31,8 +34,8 @@ class TestArchOSInSpec:
 
         spec = DeploymentSpec(sites=(
             SiteConfig(name="mixed", hosts=(
-                HostConfig("sunbox", speed=1.0, arch="sparc", os="solaris"),
-                HostConfig("pc", speed=8.0, arch="x86", os="linux"),
+                HostSpec("sunbox", speed=1.0, arch="sparc", os="solaris"),
+                HostSpec("pc", speed=8.0, arch="x86", os="linux"),
             )),
         ))
         env = VDCE(spec=spec)
@@ -45,20 +48,20 @@ class TestArchOSInSpec:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            HostConfig("h", arch="")
+            HostSpec("h", arch="")
         with pytest.raises(ValueError):
-            HostConfig("h", os="")
+            HostSpec("h", os="")
 
 
 @pytest.mark.gate
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 class TestNonFiniteSpecs:
-    """The deployment's entry points (``HostConfig``, ``SiteConfig``,
+    """The deployment's entry points (``HostSpec``, ``SiteConfig``,
     ``DeploymentSpec``) refuse a non-finite number."""
 
     def test_host_config_speed(self, bad):
         with pytest.raises(ValueError):
-            HostConfig("h", speed=bad)
+            HostSpec("h", speed=bad)
 
     def test_site_config_speed(self, bad):
         with pytest.raises(ValueError):
@@ -79,6 +82,20 @@ class TestNonFiniteSpecs:
             with pytest.raises(ValueError):
                 DeploymentSpec(
                     sites, wan_overrides=(("a", "b", latency, bandwidth),))
+
+
+@pytest.mark.parametrize("build", [
+    lambda: TopologyBuilder(seed=0).site("a", hosts=[("h", 1.0, math.nan)]),
+    lambda: TopologyBuilder(seed=0).site("a", hosts=[("h", 1.0, math.inf)]),
+    lambda: HostSpec(name=""),
+    lambda: HostSpec(name="x", arch=""),
+], ids=["memory-nan", "memory-inf", "no-name", "no-arch"])
+def test_a_host_spec_refuses_what_no_machine_has(build):
+    """``HostSpec`` is the one host record and makes every check of a
+    deployment's host, however the host is declared (it is not a
+    ``*Config`` class, so the knob gate's sweep does not reach it)."""
+    with pytest.raises(ValueError):
+        build()
 
 
 class TestMultiGroupSites:

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro import VDCE, DeploymentSpec, HostConfig, SiteConfig
+from repro import VDCE, DeploymentSpec, HostSpec, SiteConfig
 from repro.runtime import AdmissionQueue, RuntimeConfig
 from repro.scheduler import SiteScheduler
 from repro.sim.workload import OrnsteinUhlenbeckLoad, attach_generators
@@ -169,8 +169,8 @@ class TestHeterogeneousDeployments:
     def test_memory_constrained_task_avoids_small_hosts(self):
         spec = DeploymentSpec(sites=(
             SiteConfig(name="s", hosts=(
-                HostConfig("big-slow", speed=1.0, memory_mb=2048),
-                HostConfig("small-fast", speed=4.0, memory_mb=64),
+                HostSpec("big-slow", speed=1.0, memory_mb=2048),
+                HostSpec("small-fast", speed=4.0, memory_mb=64),
             )),
         ))
         env = VDCE(spec=spec)

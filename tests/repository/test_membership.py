@@ -19,8 +19,7 @@ from repro.repository.resources import (
 )
 from repro.repository.store import SiteRepository
 from repro.sim.host import HostSpec
-from repro.sim.kernel import Simulator
-from repro.sim.site import make_uniform_site
+from repro.sim.topology import TopologyBuilder
 from repro.tasklib.registry import default_registry
 
 
@@ -133,8 +132,7 @@ class TestRegistrationSymmetry:
     """Satellite 1: constraints and resources can't silently diverge."""
 
     def make_repo(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=3)
+        site = TopologyBuilder().site("syr", n_hosts=3).build().site("syr")
         return SiteRepository.bootstrap(site, default_registry())
 
     def test_deregister_with_live_constraints_is_typed(self):
@@ -175,8 +173,7 @@ class TestMembershipInvalidation:
     def test_every_transition_clears_predict_cache(self):
         """Prediction rows hold no listener: each transition moves their
         version key, so the next bid rebuilds them."""
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=3)
+        site = TopologyBuilder().site("syr", n_hosts=3).build().site("syr")
         repo = SiteRepository.bootstrap(site, default_registry())
         keys = [repo.host_index.version_key()]
         repo.resources.begin_draining("syr-h01", time=1.0)
@@ -191,8 +188,7 @@ class TestMembershipInvalidation:
         assert len(set(keys)) == len(keys)
 
     def test_runnable_up_hosts_excludes_non_active(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=4)
+        site = TopologyBuilder().site("syr", n_hosts=4).build().site("syr")
         repo = SiteRepository.bootstrap(site, default_registry())
         registry = default_registry()
         task = registry.names()[0]
@@ -214,8 +210,7 @@ class TestPartialDeregistrationPersistence:
     """Satellite 1: a mid-churn site snapshot round-trips exactly."""
 
     def test_snapshot_restores_states_epochs_and_tombstones(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=4)
+        site = TopologyBuilder().site("syr", n_hosts=4).build().site("syr")
         repo = SiteRepository.bootstrap(site, default_registry())
         # h01 draining; h02 departed (tombstone); h03 rejoined at epoch 1
         repo.resources.begin_draining("syr-h01", time=1.0)
@@ -245,8 +240,7 @@ class TestPartialDeregistrationPersistence:
             restored.resources.register_host(spec("syr-h02"))
 
     def test_snapshot_is_stable_across_a_round_trip(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=3)
+        site = TopologyBuilder().site("syr", n_hosts=3).build().site("syr")
         repo = SiteRepository.bootstrap(site, default_registry())
         repo.deregister_host("syr-h02")
         first = snapshot_repository(repo)

@@ -12,14 +12,13 @@ from repro.repository import (
     save_repository,
     snapshot_repository,
 )
-from repro.sim import Simulator
-from repro.sim.site import make_uniform_site
+from repro.sim import TopologyBuilder
 from repro.tasklib import default_registry
 
 
 def populated_repo():
-    sim = Simulator()
-    site = make_uniform_site(sim, "syr", n_hosts=3, group_size=2)
+    site = (TopologyBuilder().site("syr", n_hosts=3, group_size=2)
+            .build().site("syr"))
     repo = SiteRepository.bootstrap(site, default_registry())
     repo.users.add_user("haluk", "topsecret", priority=7,
                         access_domain=AccessDomain.CAMPUS)

@@ -12,8 +12,7 @@ from repro.repository import (
     TaskPerfRecord,
     UserAccountsDB,
 )
-from repro.sim import HostSpec, Simulator
-from repro.sim.site import make_uniform_site
+from repro.sim import HostSpec, TopologyBuilder
 from repro.tasklib import default_registry
 
 
@@ -240,8 +239,8 @@ class TestConstraintsDB:
 
 class TestSiteRepository:
     def test_bootstrap_wires_everything(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=4, group_size=2)
+        site = (TopologyBuilder().site("syr", n_hosts=4, group_size=2)
+                .build().site("syr"))
         repo = SiteRepository.bootstrap(site, default_registry())
         assert len(repo.resources) == 4
         assert repo.resources.get("syr-h00").group == "syr-g0"
@@ -252,8 +251,7 @@ class TestSiteRepository:
         assert admin.access_domain is AccessDomain.GLOBAL
 
     def test_runnable_up_hosts_intersection(self):
-        sim = Simulator()
-        site = make_uniform_site(sim, "syr", n_hosts=3)
+        site = TopologyBuilder().site("syr", n_hosts=3).build().site("syr")
         repo = SiteRepository.bootstrap(site, default_registry())
         repo.resources.mark_down("syr-h01", time=1.0)
         repo.resources.begin_draining("syr-h02", time=1.0)

@@ -7,9 +7,12 @@ truth any run must reproduce — uninterrupted, crashed-and-resumed,
 failed-over or restarted on another site.
 """
 
+import json
+from dataclasses import fields
+
 import pytest
 
-from repro import VDCE
+from repro import VDCE, DeploymentSpec, HostSpec
 from repro.runtime.checkpoint import (
     ApplicationCheckpoint,
     CheckpointJournal,
@@ -28,8 +31,8 @@ from repro.workloads import linear_pipeline
 CRASH_POINTS_S = (2.0, 5.0, 9.0)
 
 
-def start_checkpointed_run(tmp_path, seed, n_stages=5):
-    env = VDCE.standard(n_sites=2, hosts_per_site=2, seed=seed)
+def start_checkpointed_run(tmp_path, seed, n_stages=5, env=None):
+    env = env or VDCE.standard(n_sites=2, hosts_per_site=2, seed=seed)
     afg = linear_pipeline(n_stages=n_stages, cost=4.0, edge_mb=1.0)
     expected = expected_output_hashes(afg, env.runtime.registry)
     journal = create_checkpoint_dir(env, str(tmp_path))
@@ -178,3 +181,34 @@ class TestResumeChecksApplication:
             ExecutionCoordinator(
                 env.runtime, other, table, checkpoint=checkpoint
             )
+
+
+class TestResumeRebuildsTheDeployment:
+    @pytest.mark.parametrize("hosts_as", ["HostSpec", "five keys"])
+    def test_explicit_hosts_resume_to_the_same_topology(self, tmp_path,
+                                                         hosts_as):
+        """``meta.json`` keeps every explicit host as its ``HostSpec``
+        record; one written before ``ip`` and ``thrash_factor`` were
+        kept (five keys a host) resumes to the same hosts and outputs."""
+        spec = DeploymentSpec.grid(2, 2, seed=11)
+        env, _afg, _proc, expected = start_checkpointed_run(
+            tmp_path, seed=11, env=VDCE(spec=spec))
+        env.sim.run(until=5.0)
+        env.save_repositories(str(tmp_path / "repos"))
+        meta_file = tmp_path / "meta.json"
+        meta = json.loads(meta_file.read_text())
+        hosts = [h for site in meta["deployment"]["sites"]
+                 for h in site["hosts"]]
+        assert len(hosts) == 4
+        assert all(set(h) == {f.name for f in fields(HostSpec)}
+                   for h in hosts)
+        if hosts_as == "five keys":
+            for host in hosts:
+                del host["ip"], host["thrash_factor"]
+            meta_file.write_text(json.dumps(meta))
+
+        env2, result = resume_run(str(tmp_path))
+        assert env2.spec == spec
+        assert [h.spec for h in env2.topology.all_hosts] \
+            == [h.spec for h in env.topology.all_hosts]
+        assert final_output_hashes(result) == expected

@@ -325,6 +325,19 @@ def test_run_refuses_a_nan_until():
     assert woke == [] and sim.now == 0.0
 
 
+def test_run_until_infinity_leaves_the_clock_at_the_last_event():
+    """A drained calendar moves the clock to a finite ``until`` only:
+    ``run(until=inf)`` runs every event there is and stops at the last
+    one, so a later ``call_after`` lands at a finite time."""
+    sim = Simulator()
+    woke = []
+    sim.call_at(1.0, lambda: woke.append(sim.now))
+    assert sim.run(until=float("inf")) == 1.0
+    sim.call_after(2.0, lambda: woke.append(sim.now))
+    sim.run()
+    assert woke == [1.0, 3.0] and sim.now == 3.0
+
+
 @pytest.mark.gate
 def test_an_infinite_delay_is_a_never_that_no_bounded_run_reaches():
     """+inf is a legal "never" (``RetryPolicy(timeout_s=inf)`` waits out a

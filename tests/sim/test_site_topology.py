@@ -3,8 +3,8 @@
 import pytest
 
 from repro.sim import HostSpec, Simulator, Topology, TopologyBuilder
-from repro.sim.site import GroupSpec, Site, SiteSpec, make_uniform_site
-from repro.sim.topology import star_topology, two_site_topology
+from repro.sim.site import GroupSpec, Site, SiteSpec
+from repro.sim.topology import star_topology
 
 
 def simple_site_spec():
@@ -74,11 +74,11 @@ def test_server_must_be_site_host():
         SiteSpec(name="s", groups=(g,), server="elsewhere")
 
 
-def test_make_uniform_site_groups():
-    sim = Simulator()
-    site = make_uniform_site(sim, "u", n_hosts=5, group_size=2)
+def test_uniform_site_groups():
+    site = TopologyBuilder().site("u", n_hosts=5, group_size=2).build().site("u")
     assert len(site) == 5
-    assert len(site.groups) == 3  # 2 + 2 + 1
+    assert {name: group.spec.leader for name, group in site.groups.items()} \
+        == {"u-g0": "u-h00", "u-g1": "u-h02", "u-g2": "u-h04"}  # 2 + 2 + 1
 
 
 def test_topology_builder_end_to_end():
@@ -119,14 +119,6 @@ def test_builder_requires_hosts():
         TopologyBuilder().site("empty")
     with pytest.raises(Exception):
         TopologyBuilder().build()
-
-
-def test_two_site_topology_shape():
-    topo = two_site_topology(hosts_per_site=3)
-    assert len(topo.site_names) == 2
-    assert len(topo.all_hosts) == 6
-    speeds = {h.spec.speed for h in topo.site("site-a")}
-    assert speeds == {1.0, 1.5, 2.0}
 
 
 def test_star_topology_neighbor_ordering():
