@@ -19,8 +19,9 @@ Commands:
   re-run a pinned scenario with spans on), print the per-application
   wait-state breakdown, critical path and top-k slow tasks/hosts, and
   hash the canonical report;
-* ``experiments`` — print the experiment index (DESIGN.md §4) and the
-  command that regenerates each one;
+* ``experiments [ID ...]`` — print the experiment index (DESIGN.md §4),
+  or run experiments E1–E15 and print their tables as EXPERIMENTS.md
+  shows them;
 * ``resume <dir>`` — resume an interrupted application from a
   checkpoint directory written by ``run --journal`` (optionally
   checking resume equivalence against expected output hashes);
@@ -39,30 +40,6 @@ from functools import reduce
 from typing import Callable, Optional, Sequence
 
 __all__ = ["main"]
-
-#: (id, title, producer): a ``benchmarks/`` script or a test of ``tests/``
-EXPERIMENTS = [
-    ("E1", "Figure 1 linear equation solver", "bench_fig1_linear_solver.py"),
-    ("E2", "Site scheduler vs baselines", "bench_fig2_site_scheduler.py"),
-    ("E3", "Host selection within a site", "bench_fig3_host_selection.py"),
-    ("E4", "k-nearest-site locality", "bench_locality_k_sites.py"),
-    ("E5", "Monitoring significant-change filter", "bench_fig4_monitoring.py"),
-    ("E6", "Echo-packet failure detection", "bench_failure_detection.py"),
-    ("E7", "Load-threshold rescheduling", "bench_rescheduling.py"),
-    ("E8", "Real-socket Data Manager", "bench_data_manager.py"),
-    ("E9", "Level-priority ablation", "bench_level_priority.py"),
-    ("E10", "Prediction sensitivity + calibration", "bench_prediction_sensitivity.py"),
-    ("E11", "Federation scalability", "bench_scalability.py"),
-    ("E12", "End-to-end phase breakdown", "bench_end_to_end.py"),
-    ("E13", "Load-accounting ablation", "bench_accounting_ablation.py"),
-    ("E14", "Distributed shared memory (§5)", "bench_dsm.py"),
-    ("E15", "Straggler defense & speculation", "bench_speculation.py"),
-    ("E16", "Data-plane integrity: what repair costs",
-     "tests/runtime/test_integrity.py"),
-    ("E17", "Elastic membership: what a drain buys",
-     "tests/runtime/test_membership_runtime.py::TestDrainPrices"),
-]
-
 
 def _build_app(name: str, scale: float, seed: int):
     from repro.workloads import (
@@ -562,11 +539,24 @@ def cmd_topology(args) -> int:
 
 
 def cmd_experiments(args) -> int:
-    print("experiment index (DESIGN.md section 4):")
-    for exp_id, title, producer in EXPERIMENTS:
-        if not producer.startswith("tests/"):
-            producer = f"benchmarks/{producer} --benchmark-only"
-        print(f"  {exp_id:<4} {title:<40} pytest {producer}")
+    from repro.experiments import EXPERIMENTS, MEASURED_BY_TESTS, render
+
+    for exp_id in args.ids:
+        if exp_id not in EXPERIMENTS:
+            print(f"error: unknown experiment {exp_id}")
+            return 1
+    if not args.ids:
+        print("experiment index (EXPERIMENTS.md, DESIGN.md section 4):")
+        for exp_id, (title, _tables) in EXPERIMENTS.items():
+            print(f"  {exp_id:<4} {title:<62} repro experiments {exp_id}")
+        for exp_id, (title, test) in MEASURED_BY_TESTS.items():
+            print(f"  {exp_id:<4} {title:<62} pytest {test}")
+    for exp_id in args.ids:
+        title, tables = EXPERIMENTS[exp_id]
+        print(f"## {exp_id} — {title}")
+        for block in render(tables()):
+            print(f"\n{block}")
+        print()
     return 0
 
 
@@ -1033,7 +1023,12 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write the campaign's event trace (JSONL) to "
                             "PATH — with --spans, feed it to 'repro explain'")
 
-    sub.add_parser("experiments", help="print the experiment index")
+    experiments = sub.add_parser(
+        "experiments",
+        help="print the experiment index, or run experiments and print "
+             "their tables")
+    experiments.add_argument("ids", nargs="*", metavar="ID",
+                             help="experiment ids (E1-E15) to run")
 
     resume = sub.add_parser(
         "resume",

@@ -18,7 +18,7 @@ import hashlib
 import hmac
 import os
 from dataclasses import dataclass, field
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 __all__ = [
     "AccessDomain",
@@ -61,19 +61,24 @@ def _hash_password(password: str, salt: bytes) -> bytes:
     return hashlib.pbkdf2_hmac("sha256", password.encode("utf-8"), salt, 10_000)
 
 
-#: bring-up cache: password -> (salt, hash).  Federation bootstrap
-#: creates the same admin account at every site, and PBKDF2 (by design)
-#: dominated deployment construction in the benchmarks.  Reusing one
-#: salted hash per unique password makes an n-site bring-up pay the key
-#: derivation once; verification and authentication are unchanged.
-_BRINGUP_HASHES: Dict[str, tuple] = {}
+#: bring-up cache: (user name, keyed digest of the password) -> (salt,
+#: hash).  Federation bootstrap creates the same admin account at every
+#: site, and PBKDF2 (by design) dominated deployment construction.
+#: Reusing one salted hash per account and password makes an n-site
+#: bring-up pay the key derivation once; distinct accounts never share a
+#: salt.  The memo holds no password: its key is an HMAC under a random
+#: per-process key.  Verification and authentication are unchanged.
+_BRINGUP_HASHES: Dict[Tuple[str, bytes], Tuple[bytes, bytes]] = {}
+_MEMO_KEY = os.urandom(32)
 
 
-def _salted_hash(password: str) -> tuple:
-    cached = _BRINGUP_HASHES.get(password)
+def _salted_hash(user_name: str, password: str) -> Tuple[bytes, bytes]:
+    key = (user_name, hmac.digest(_MEMO_KEY, password.encode("utf-8"),
+                                  "sha256"))
+    cached = _BRINGUP_HASHES.get(key)
     if cached is None:
         salt = os.urandom(16)
-        cached = _BRINGUP_HASHES[password] = (salt, _hash_password(password, salt))
+        cached = _BRINGUP_HASHES[key] = (salt, _hash_password(password, salt))
     return cached
 
 
@@ -120,7 +125,7 @@ class UserAccountsDB:
         if user_id is None:
             user_id = self._next_uid
             self._next_uid += 1
-        salt, password_hash = _salted_hash(password)
+        salt, password_hash = _salted_hash(user_name, password)
         account = UserAccount(
             user_name=user_name,
             user_id=user_id,

@@ -26,7 +26,7 @@ class TestCLI:
         reported = re.findall(r"^## (E\d+) —", EXPERIMENTS_MD.read_text(),
                               flags=re.MULTILINE)
         assert reported and set(reported) <= set(listed)
-        assert "bench_fig2_site_scheduler.py" in out
+        assert "repro experiments E2\n" in out
         assert "pytest tests/runtime/test_integrity.py\n" in out
 
     def test_run_linear_solver(self, capsys):

@@ -6,6 +6,7 @@ import pytest
 
 from repro import VDCE
 from repro.cli import main
+from repro.repository import users
 from repro.runtime.checkpoint import (
     create_checkpoint_dir,
     expected_output_hashes,
@@ -79,3 +80,40 @@ class TestResumeCommand:
         out = capsys.readouterr().out
         assert code == 1
         assert "cannot resume" in out
+
+
+
+def test_a_journalled_run_is_reproducible_but_for_its_salts(
+        tmp_path, capsys, monkeypatch):
+    """Two ``run --journal`` processes of one seed write byte-identical
+    directories but for every account's ``salt`` and ``password_hash``:
+    salts stay ``os.urandom`` (DESIGN §10), because a seeded salt would
+    make every deployment's hashes predictable."""
+    runs = []
+    for name in ("a", "b"):
+        # a fresh process: no account derived yet
+        monkeypatch.setattr(users, "_BRINGUP_HASHES", {})
+        assert main(["run", "linear-solver", "--scale", "0.1",
+                     "--journal", str(tmp_path / name)]) == 0
+        runs.append(tmp_path / name)
+    capsys.readouterr()
+    first, second = runs
+    for name in ("meta.json", "journal.jsonl"):
+        assert (first / name).read_bytes() == (second / name).read_bytes()
+    repos = sorted(path.name for path in (first / "repos").iterdir())
+    assert repos == ["site-0.json", "site-1.json"]
+    assert repos == sorted(p.name for p in (second / "repos").iterdir())
+    for name in repos:
+        (a, salts_a), (b, salts_b) = (
+            unsalted(root / "repos" / name) for root in runs)
+        assert a == b
+        assert salts_a != salts_b
+
+
+def unsalted(path):
+    """A repository snapshot with its accounts' salts and hashes taken
+    out, and the (salt, hash) pairs taken."""
+    snapshot = json.loads(path.read_text())
+    salts = [(account.pop("salt"), account.pop("password_hash"))
+             for account in snapshot["users"]]
+    return snapshot, salts

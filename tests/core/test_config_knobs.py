@@ -3,9 +3,9 @@
 A defaulted field of a ``*Config`` / ``*Policy`` dataclass under
 ``src/repro`` is an option, and each independent option doubles the
 configurations a test must cover.  This gate scans every module under
-``src/``, ``benchmarks/``, ``examples/``, ``bench/`` and ``tests/`` and
-asserts that each such field is set at least once outside its own class
-body.  A setter is
+``src/``, ``examples/``, ``bench/`` and ``tests/`` and asserts that each
+such field is set at least once outside its own class body.  A setter
+is
 
 * a keyword argument of that name — a constructor, ``dataclasses.
   replace``, a helper that forwards to one, or a preset ``dict(...)``
@@ -35,7 +35,7 @@ import pytest
 pytestmark = pytest.mark.gate
 
 ROOT = Path(__file__).resolve().parents[2]
-SCANNED = ("src", "benchmarks", "examples", "bench", "tests")
+SCANNED = ("src", "examples", "bench", "tests")
 #: defaulted fields over every config dataclass (DESIGN §5, decision 17)
 SETTABLE_VALUES = 99
 

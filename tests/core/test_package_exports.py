@@ -1,6 +1,6 @@
 """Every exported name resolves, whatever is imported first.
 
-The package root and the fourteen subpackage ``__init__``\\ s re-export
+The package root and the fifteen subpackage ``__init__``\\ s re-export
 their names lazily (PEP 562): a name is imported on its first read.  Each
 case below runs in a fresh interpreter, because what a process has
 already imported is exactly what could mask a broken re-export:
@@ -107,8 +107,8 @@ def test_every_exported_name_is_its_defining_modules_object(package, order):
     assert report["unknown"] == "AttributeError"
 
 
-def test_the_packages_are_the_root_and_its_fourteen_subpackages():
-    assert len(PACKAGES) == 15
+def test_the_packages_are_the_root_and_its_fifteen_subpackages():
+    assert len(PACKAGES) == 16
 
 
 @pytest.mark.parametrize("first", ["the submodule", "a sibling name"])

@@ -9,10 +9,11 @@ telemetry path, and on what a cold process imports:
   detectors, not stopwatches;
 * a cold process loads only what it runs: ``import repro`` is one
   module and no numpy, the trace readers (``repro --help``, ``analyze``,
-  ``explain``) load no simulator, and ``from repro import VDCE`` none
-  of the periphery (the eager package graph was 92 modules and numpy,
-  0.4-0.6 s, paid by every process; scipy and networkx were once
-  1.1 s of a 1.3 s import);
+  ``explain``) load no simulator, ``from repro import VDCE`` none of
+  the periphery, and the ``repro experiments`` index no numpy (the
+  eager package graph was 92 modules and numpy, 0.4-0.6 s, paid by
+  every process; scipy and networkx were once 1.1 s of a 1.3 s
+  import);
 * a run imports what it draws: numpy is imported by the statement that
   draws a number or computes a payload, so a fault-free shape-only run
   never loads it (14 MB of the 48 MB ``bag_2k`` bench child, when seven
@@ -193,13 +194,27 @@ def test_the_trace_readers_load_no_simulator(tmp_path):
 @pytest.mark.gate
 def test_the_facade_loads_no_periphery():
     """``from repro import VDCE`` loads none of the periphery (proxy, real
-    Data Manager, DSM, baselines, chaos): a process imports what it runs."""
+    Data Manager, DSM, baselines, chaos, the experiments): a process
+    imports what it runs."""
     loaded = loaded_after("from repro import VDCE")
     assert "repro.core.vdce" in loaded
     assert not loaded & {
         "repro.net.proxy", "repro.runtime.data_manager", "repro.runtime.dsm",
-        "repro.scheduler.baselines", "repro.sim.chaos",
+        "repro.scheduler.baselines", "repro.sim.chaos", "repro.experiments",
     }
+
+
+@pytest.mark.gate
+def test_the_experiment_index_loads_no_numpy():
+    """``repro experiments`` without ids prints the registry's index: it
+    loads the row functions' modules, and runs none of them."""
+    loaded = loaded_after(
+        "import contextlib, io\n"
+        "from repro.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    assert main(['experiments']) == 0")
+    assert "repro.experiments.registry" in loaded
+    assert "numpy" not in loaded
 
 
 # -- a run imports what it draws ----------------------------------------------

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.core import DeploymentSpec
 from repro.repository import (
     AccessDomain,
     AuthenticationError,
@@ -12,6 +13,8 @@ from repro.repository import (
     TaskPerfRecord,
     UserAccountsDB,
 )
+from repro.repository import users
+from repro.runtime import VDCERuntime
 from repro.sim import HostSpec, TopologyBuilder
 from repro.tasklib import default_registry
 
@@ -42,6 +45,32 @@ class TestUserAccounts:
         account = db.add_user("u", "hunter2")
         assert b"hunter2" not in account.password_hash
         assert "hunter2" not in repr(account)
+
+    def test_distinct_accounts_never_share_a_salt(self):
+        db = UserAccountsDB()
+        alice = db.add_user("alice", "hunter2")
+        bob = db.add_user("bob", "hunter2")
+        assert alice.salt != bob.salt
+        assert alice.password_hash != bob.password_hash
+        assert db.authenticate("bob", "hunter2") == bob
+
+    def test_the_bring_up_memo_holds_no_password(self):
+        UserAccountsDB().add_user("carol", "memo-canary")
+        assert "memo-canary" not in repr(users._BRINGUP_HASHES)
+        assert all(b"memo-canary" not in digest
+                   for _name, digest in users._BRINGUP_HASHES)
+
+    def test_a_bring_up_derives_the_replicated_admin_once(self, monkeypatch):
+        monkeypatch.setattr(users, "_BRINGUP_HASHES", {})
+        derived = []
+        real = users._hash_password
+        monkeypatch.setattr(users, "_hash_password", lambda password, salt: (
+            derived.append(salt) or real(password, salt)))
+        runtime = VDCERuntime(DeploymentSpec.grid(4, 2).build_topology())
+        assert len(derived) == 1
+        admins = {repo.users.get("admin")
+                  for repo in runtime.repositories.values()}
+        assert len(admins) == 1 and admins.pop().verify("vdce-admin")
 
     def test_duplicate_user_rejected(self):
         db = UserAccountsDB()
