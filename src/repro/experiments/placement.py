@@ -9,6 +9,7 @@ tables (EXPERIMENTS.md).
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Dict, List
 
 from repro.afg import (
@@ -69,10 +70,23 @@ def makespan(runtime, afg, scheduler) -> float:
 
 # -- E1: Figure 1 -------------------------------------------------------------
 
+def mixed_os_grid() -> VDCERuntime:
+    """A bare runtime over ``grid(2, 4, seed=1)`` whose odd-numbered hosts
+    are x86 Linux machines: on an all-Solaris grid a ``<SUN solaris>``
+    preference is met by any placement."""
+    spec = DeploymentSpec.grid(2, 4, seed=1)
+    return VDCERuntime(replace(spec, sites=tuple(
+        replace(site, hosts=tuple(
+            replace(host, arch="x86", os="linux") if h % 2 else host
+            for h, host in enumerate(site.hosts)))
+        for site in spec.sites)).build_topology())
+
+
 def e1() -> List[Rows]:
-    """The Figure 1 AFG placed and run on 2 sites x 4 hosts: per task its
-    mode, nodes, hosts and their OS; then the run's totals."""
-    runtime = grid(2, 4, seed=1)
+    """The Figure 1 AFG placed and run on 2 sites x 4 hosts, half of them
+    Linux: per task its mode, nodes, hosts and their OS; then the run's
+    totals."""
+    runtime = mixed_os_grid()
     afg = figure1_afg()
     table = SiteScheduler(k=1).schedule(afg, runtime.federation_view())
     result = execute(runtime, afg, table, execute_payloads=False)
@@ -86,7 +100,8 @@ def e1() -> List[Rows]:
             "nodes": node.properties.n_nodes,
             "site": record.site,
             "hosts": ",".join(record.hosts),
-            "os": runtime.topology.host(record.hosts[0]).spec.os,
+            "os": ",".join(runtime.topology.host(host).spec.os
+                           for host in record.hosts),
             "predicted_s": round(record.predicted_time, 3),
             "measured_s": round(record.measured_time, 3),
         })

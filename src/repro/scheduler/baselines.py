@@ -33,6 +33,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.levels import compute_levels
 from repro.afg.validate import validate_afg
+from repro.pcg64 import PCG64, check_seed
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.scheduler.federation import FederationView
 from repro.scheduler.host_selection import candidate_hosts
@@ -174,11 +175,12 @@ class RandomScheduler:
     model: PredictionModel = field(default_factory=PredictionModel)
     name: str = "random"
 
-    def schedule(self, afg: ApplicationFlowGraph, view: FederationView) -> AllocationTable:
-        import numpy as np
+    def __post_init__(self) -> None:
+        check_seed(self.seed)
 
+    def schedule(self, afg: ApplicationFlowGraph, view: FederationView) -> AllocationTable:
         validate_afg(afg)
-        rng = np.random.default_rng(self.seed)
+        rng = PCG64(self.seed)
         sites = view.participating_sites()
         candidates = _task_candidates(afg, view, self.model, sites)
         choices = {

@@ -52,6 +52,7 @@ import zlib
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
+from repro.pcg64 import PCG64
 from repro.repository.resources import HostRecord
 from repro.repository.taskperf import TaskPerformanceDB, TaskPerfRecord
 
@@ -194,8 +195,6 @@ class PredictionModel:
 
     def _noise_factor(self, task_type: str, host_name: str) -> float:
         """Deterministic multiplicative noise in [1-noise, 1+noise]."""
-        import numpy as np
-
         key = f"{self.noise_seed}:{task_type}:{host_name}".encode("utf-8")
-        rng = np.random.default_rng(zlib.crc32(key))
+        rng = PCG64(zlib.crc32(key))
         return 1.0 + self.noise * float(rng.uniform(-1.0, 1.0))

@@ -429,7 +429,10 @@ class Simulator:
         the life of the simulator; a hit is one dict look-up.  Callers
         therefore take a stream at the statement that draws from it, not
         when they merely might need it — and a run that draws nothing
-        never imports numpy.
+        never imports numpy.  These streams are the only seeded draws
+        that stay on numpy: their ``exponential`` and ``normal`` draws
+        use numpy's ziggurat tables, which ``repro.pcg64`` (the stream
+        of every draw outside the simulator) does not replicate.
         """
         if name not in self._rngs:
             import numpy as np

@@ -12,6 +12,7 @@ from __future__ import annotations
 from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.properties import TaskProperties
 from repro.afg.task import TaskNode
+from repro.pcg64 import PCG64, check_seed
 
 __all__ = [
     "bag_of_tasks",
@@ -132,11 +133,10 @@ def bag_of_tasks(n: int = 12, cost: float = 2.0,
         raise ValueError("n must be >= 1")
     if not (0.0 <= heterogeneity < 1.0):
         raise ValueError("heterogeneity must be in [0, 1)")
+    check_seed(seed)
     afg = ApplicationFlowGraph(f"bag-{n}")
     if heterogeneity:
-        import numpy as np
-
-        rng = np.random.default_rng(seed)
+        rng = PCG64(seed)
     for i in range(n):
         # homogeneous: 1.0 + 0.0 * u is 1.0 for every drawn u, so draw none
         u = float(rng.uniform(-1.0, 1.0)) if heterogeneity else 0.0

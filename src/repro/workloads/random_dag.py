@@ -22,6 +22,7 @@ from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.properties import TaskProperties
 from repro.afg.task import TaskNode
 from repro.errors import refuse_non_finite
+from repro.pcg64 import PCG64, check_seed
 
 __all__ = ["RandomDAGConfig", "random_dag"]
 
@@ -59,13 +60,12 @@ class RandomDAGConfig:
             raise ValueError("cost_heterogeneity must be in [0, 1)")
         if self.ccr < 0:
             raise ValueError("ccr must be non-negative")
+        check_seed(self.seed)
 
 
 def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     """Generate a layered random AFG; deterministic for a given config."""
-    import numpy as np
-
-    rng = np.random.default_rng(config.seed)
+    rng = PCG64(config.seed)
     afg = ApplicationFlowGraph(
         f"random-dag-n{config.n_tasks}-w{config.width}-s{config.seed}"
     )

@@ -11,7 +11,8 @@ any table: their tests run their own application.
 
 import pytest
 
-from repro.experiments.placement import execute, grid, mean
+import repro.scheduler.host_selection as host_selection
+from repro.experiments.placement import e1, execute, grid, mean
 from repro.experiments.runtime import submitted
 from repro.scheduler import SiteScheduler, select_hosts
 from repro.workloads import (
@@ -36,6 +37,16 @@ def test_e1_the_figure1_properties_are_honoured(measured):
     assert tasks["Matrix_Multiplication"]["os"] == "solaris", (
         "machine-type preference violated")
     assert totals["makespan_s"] > 0
+
+
+def test_e1_a_placement_ignoring_the_machine_type_fails_the_check(monkeypatch):
+    """Half of E1's hosts run Linux, so the ``<SUN solaris>`` check above
+    can fail: with the preference ignored, the multiplication lands on
+    a faster Linux host."""
+    monkeypatch.setattr(host_selection, "_attrs_match",
+                        lambda attrs, machine_type: True)
+    tasks, _totals = e1()
+    assert "linux" in keyed(tasks, "task")["Matrix_Multiplication"]["os"]
 
 
 def test_e1b_the_computational_solver_solves_its_system():

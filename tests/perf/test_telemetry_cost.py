@@ -243,16 +243,46 @@ def test_the_facade_and_the_registry_load_no_numpy():
 
 
 @pytest.mark.gate
+def test_seeded_draws_outside_the_simulator_load_no_numpy():
+    """A random DAG, a heterogeneous bag, a random placement and a noisy
+    prediction draw from ``repro.pcg64``, and a 64-task random DAG run
+    fault-free with monitoring on draws from no simulator stream: none
+    of them loads numpy."""
+    loaded = loaded_after(
+        "from repro.core import DeploymentSpec\n"
+        "from repro.core.scenario import Scenario, run\n"
+        "from repro.scheduler import PredictionModel, RandomScheduler\n"
+        "from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag\n"
+        "from tests.scheduler.conftest import build_federation\n"
+        "afg = random_dag(RandomDAGConfig(n_tasks=32, seed=3))\n"
+        "bag_of_tasks(n=16, heterogeneity=0.5, seed=2)\n"
+        "_, repos, view = build_federation()\n"
+        "RandomScheduler(seed=1).schedule(afg, view)\n"
+        "repo = repos['alpha']\n"
+        "host = repo.resources.all_hosts()[0]\n"
+        "PredictionModel(noise=0.3).predict('generic.compute', 1.0, 1, host,\n"
+        "                                   repo.task_perf)\n"
+        "record = run(Scenario(\n"
+        "    DeploymentSpec.grid(2, 4), random_dag,\n"
+        "    (('config', RandomDAGConfig(n_tasks=64, width=16, seed=7)),),\n"
+        "    k=1))\n"
+        "assert len(record.result.records) == 64\n"
+        "assert record.runtime.sim.rng_streams == 0")
+    assert {"repro.pcg64", "repro.runtime.vdce_runtime",
+            "repro.scheduler.baselines"} <= loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.gate
 @pytest.mark.parametrize("draw", [
-    "random_dag(RandomDAGConfig(n_tasks=8))",
     "Simulator(seed=0).rng('first')",
 ])
 def test_the_first_draw_loads_numpy(draw):
-    """Not vacuous: the statement that draws is the one that imports."""
+    """Not vacuous: the statement that draws from a simulator stream is
+    the one that imports numpy."""
     loaded = loaded_after(
         "import sys\n"
         "from repro.sim.kernel import Simulator\n"
-        "from repro.workloads import RandomDAGConfig, random_dag\n"
         "assert 'numpy' not in sys.modules\n" + draw)
     assert "numpy" in loaded
 

@@ -1,0 +1,172 @@
+"""``repro.pcg64`` is ``numpy.random.default_rng``'s stream, draw for draw.
+
+The oracle is the numpy this interpreter has: every CI job installs its
+own, so the replica is checked against numpy on every supported Python.
+A script of draws — ``integers`` over 32- and 64-bit ranges, ``uniform``
+and ``choice`` in both of numpy's branches, interleaved so that a 32-bit
+draw's buffered upper half outlives the 64-bit draws between — runs on
+both, and a mismatch names the first draw that differs.  Each call site
+(random DAGs, heterogeneous bags, ``RandomScheduler``, the prediction
+model's noise) is then run once on the replica and once on numpy's
+``Generator``, which has the same call shapes.
+
+Should numpy ever change its stream, these tests fail and the pins in
+``tests/pins.json``, not numpy, define the stream from then on.
+"""
+
+import importlib
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+import repro.scheduler.baselines as baselines
+import repro.scheduler.prediction as prediction
+import repro.workloads.pipelines as pipelines
+from repro.afg import afg_to_dict
+from repro.pcg64 import PCG64
+from repro.scheduler import PredictionModel, RandomScheduler
+from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
+
+from tests.scheduler.conftest import build_federation
+
+pytestmark = pytest.mark.gate
+
+#: the module, which the package's ``random_dag`` function shadows
+random_dag_module = importlib.import_module("repro.workloads.random_dag")
+
+#: ``high - low`` of an ``integers`` draw: no draw, 32-bit Lemire, the
+#: plain 32-bit draw (2**32), 64-bit Lemire
+SPANS = [1, 2, 3, 10, 2**32 - 1, 2**32, 2**32 + 1, 2**40, 2**63]
+#: ``choice`` populations and sizes on the tail-shuffle branch
+#: (``n > 10_000 and size > n // 50``) and just off it (Floyd's)
+LARGE_CHOICES = [(10_001, 201), (20_000, 401), (10_001, 200), (20_000, 400),
+                 (10_001, 10_001)]
+
+seeds = st.one_of(st.integers(0, 2**130), st.integers(0, 2**32),
+                  st.just(True))
+draws = st.one_of(
+    st.tuples(st.just("integers"), st.integers(-(2**62), 0),
+              st.sampled_from(SPANS)),
+    st.tuples(st.just("uniform"), st.floats(-1e6, 1e6), st.floats(0.0, 1e6)),
+    st.integers(1, 300).flatmap(
+        lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, n))),
+    st.sampled_from([("choice", n, size) for n, size in LARGE_CHOICES]),
+)
+
+
+def draw(rng, step):
+    kind, a, b = step
+    if kind == "integers":
+        return int(rng.integers(a, a + b))
+    if kind == "uniform":
+        return float(rng.uniform(a, a + b))
+    return [int(i) for i in rng.choice(a, size=b, replace=False)]
+
+
+def assert_same_stream(seed, steps):
+    ours, numpy_rng = PCG64(seed), np.random.default_rng(seed)
+    for index, step in enumerate(steps):
+        got, want = draw(ours, step), draw(numpy_rng, step)
+        assert got == want, (
+            f"seed {seed}: draw {index}, {step[0]}{step[1:]}, differs "
+            f"from numpy after {steps[:index]}")
+
+
+@given(seeds, st.lists(draws, max_size=40))
+@settings(max_examples=150, deadline=None)
+@example(0, [("integers", 0, 10), ("uniform", 0.0, 1.0), ("integers", 0, 10)])
+@example(2**130, [("integers", 0, 2**40)] + [("integers", -5, 2**32)] * 3)
+@example(True, [("choice", 10_001, 201), ("choice", 20_000, 401)])
+def test_every_draw_is_numpys(seed, steps):
+    assert_same_stream(seed, steps)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64, 2**128 - 1,
+                                  2**128, 2**130, True])
+def test_every_draw_shape_is_numpys_at_boundary_seeds(seed):
+    steps = [("integers", 0, span) for span in SPANS]
+    steps += [("uniform", -1.0, 2.0), ("integers", 1, 4), ("uniform", 0.5, 1.0),
+              ("integers", 1, 4), ("integers", -(2**62), 2**63)]
+    steps += [("choice", n, size) for n, size in LARGE_CHOICES]
+    steps += [("choice", 7, 3), ("choice", 300, 300), ("choice", 1, 0)]
+    assert_same_stream(seed, steps * 2)
+
+
+def test_an_empty_or_out_of_bounds_range_is_refused_as_numpy_refuses_it():
+    for low, high in [(5, 5), (0, 0), (3, 1), (-(2**63) - 1, 0), (0, 2**63 + 1)]:
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).integers(low, high)
+        with pytest.raises(ValueError):
+            PCG64(0).integers(low, high)
+    for n, size in [(3, 4), (3, -1)]:
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(n, size=size, replace=False)
+        with pytest.raises(ValueError):
+            PCG64(0).choice(n, size=size, replace=False)
+
+
+@pytest.mark.parametrize("seed,error", [(-1, ValueError), (-(2**70), ValueError),
+                                        (1.0, TypeError), ("5", TypeError)])
+def test_a_bad_seed_raises_numpys_exception(seed, error):
+    with pytest.raises(error):
+        np.random.default_rng(seed)
+    with pytest.raises(error):
+        PCG64(seed)
+
+
+# -- the call sites: the replica against numpy's Generator ---------------------
+
+def on_numpy(module, call):
+    """``call()`` with ``module``'s stream replaced by numpy's."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(module, "PCG64", np.random.default_rng)
+        return call()
+
+
+DAG_GRID = [
+    RandomDAGConfig(n_tasks=n, width=width, max_fan_in=fan_in, ccr=ccr,
+                    cost_heterogeneity=h, seed=seed)
+    for n, width, fan_in, ccr, h, seed in itertools.product(
+        [1, 20, 512], [1, 4, 16], [1, 3, 8], [0.0, 0.5], [0.0, 0.5],
+        [0, 2**40])
+    if n < 512 or (ccr and h)
+]
+
+
+def test_random_dags_are_numpys():
+    for config in DAG_GRID:
+        want = on_numpy(random_dag_module, lambda: random_dag(config))
+        assert afg_to_dict(random_dag(config)) == afg_to_dict(want), config
+
+
+def test_heterogeneous_bags_are_numpys():
+    for n, heterogeneity, seed in itertools.product(
+            [1, 12, 300], [0.1, 0.5, 0.9], [0, 7, 2**33]):
+        def bag():
+            return bag_of_tasks(n=n, cost=3.0, heterogeneity=heterogeneity,
+                                seed=seed)
+        assert afg_to_dict(bag()) == afg_to_dict(on_numpy(pipelines, bag))
+
+
+def test_random_placements_are_numpys():
+    _, _, view = build_federation()
+    for dag_seed, seed in itertools.product([0, 1, 2], [0, 3, 2**35]):
+        afg = random_dag(RandomDAGConfig(n_tasks=40, width=6, seed=dag_seed))
+
+        def place():
+            return RandomScheduler(seed=seed).schedule(afg, view).to_dict()
+        assert place() == on_numpy(baselines, place)
+
+
+def test_prediction_noise_is_numpys():
+    for noise, noise_seed in itertools.product([0.1, 0.9], [0, 5, 2**40]):
+        model = PredictionModel(noise=noise, noise_seed=noise_seed)
+        for task_type, host in itertools.product(
+                ["generic.compute", "matrix.lu", "c3i.display"],
+                ["a-slow", "b-fast", "site-3-host-7"]):
+            def factor():
+                return model._noise_factor(task_type, host)
+            assert factor() == on_numpy(prediction, factor)

@@ -171,6 +171,12 @@ class TestBaselines:
         t2 = RandomScheduler(seed=5).schedule(afg, view)
         assert t1.to_dict() == t2.to_dict()
 
+    @pytest.mark.parametrize("seed,error", [
+        (-1, ValueError), (1.5, TypeError), ("7", TypeError)])
+    def test_random_refuses_a_bad_seed_at_construction(self, seed, error):
+        with pytest.raises(error):
+            RandomScheduler(seed=seed)
+
     def test_random_seed_changes_placement(self):
         _, _, view = build_federation()
         afg = make_afg(n_stages=8)

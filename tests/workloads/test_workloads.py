@@ -22,6 +22,9 @@ from repro.workloads import (
 
 from tests.runtime.conftest import build_runtime
 
+#: seeds numpy's ``SeedSequence`` refuses, and the exception it raises
+BAD_SEEDS = [(-1, ValueError), (1.5, TypeError), ("7", TypeError)]
+
 
 class TestLinearSolver:
     def test_figure1_structure(self):
@@ -110,6 +113,15 @@ class TestRandomDAG:
         with pytest.raises(ValueError):
             RandomDAGConfig(ccr=-1.0)
 
+    @pytest.mark.parametrize("seed,error", BAD_SEEDS)
+    def test_a_bad_seed_is_refused_at_construction(self, seed, error):
+        """Not later, from inside the generator; what numpy's
+        ``SeedSequence`` takes is taken (``True``, ints >= 2**128)."""
+        with pytest.raises(error):
+            RandomDAGConfig(seed=seed)
+        for good in (True, 2**130):
+            assert len(random_dag(RandomDAGConfig(n_tasks=5, seed=good))) == 5
+
 
 class TestPipelineShapes:
     def test_linear_pipeline(self):
@@ -135,6 +147,13 @@ class TestPipelineShapes:
         assert validate_afg(afg) == []
         with pytest.raises(ValueError):
             reduction_tree(leaves=6)
+
+    @pytest.mark.parametrize("seed,error", BAD_SEEDS)
+    @pytest.mark.parametrize("heterogeneity", [0.0, 0.5])
+    def test_a_bad_seed_is_refused_by_a_bag(self, seed, error, heterogeneity):
+        """Even by a homogeneous bag, which draws nothing."""
+        with pytest.raises(error):
+            bag_of_tasks(n=4, heterogeneity=heterogeneity, seed=seed)
 
     def test_bag_of_tasks(self):
         afg = bag_of_tasks(n=10, heterogeneity=0.5, seed=1)
