@@ -12,6 +12,11 @@ from repro.sim.topology import Topology, TopologyBuilder
 
 __all__ = ["DeploymentSpec", "SiteConfig"]
 
+#: memory of every host of a uniform ``n_hosts`` block, MB
+SITE_MEMORY_MB = 256
+#: hosts per group; 0 makes the whole site one group
+SITE_GROUP_SIZE = 0
+
 
 @dataclass(frozen=True)
 class SiteConfig:
@@ -21,8 +26,6 @@ class SiteConfig:
     hosts: Tuple[HostSpec, ...] = ()
     n_hosts: int = 0
     speed: float = 1.0
-    memory_mb: int = 256
-    group_size: int = 0
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -95,8 +98,8 @@ class DeploymentSpec:
                 hosts=site.hosts or None,
                 n_hosts=site.n_hosts,
                 speed=site.speed,
-                memory_mb=site.memory_mb,
-                group_size=site.group_size,
+                memory_mb=SITE_MEMORY_MB,
+                group_size=SITE_GROUP_SIZE,
             )
         for a, b, latency, bandwidth in self.wan_overrides:
             builder.wan(a, b, latency_s=latency, bandwidth_mbps=bandwidth)

@@ -145,7 +145,7 @@ class VDCE:
         afg,
         k: int = 2,
         site: Optional[str] = None,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         scheduler: Optional[SiteScheduler] = None,
         journal=None,
     ) -> ApplicationResult:

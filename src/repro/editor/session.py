@@ -142,7 +142,7 @@ class EditorSession:
         self,
         name_or_afg,
         k: int = 2,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         admission=None,
         deadline_s: Optional[float] = None,
         ttl_s: Optional[float] = None,

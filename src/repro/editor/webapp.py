@@ -285,7 +285,7 @@ def create_webapp(runtime: VDCERuntime, site: str | None = None,
         result = session.submit(
             name,
             k=body.get("k", 2),
-            execute_payloads=body.get("execute_payloads"),
+            execute_payloads=body.get("execute_payloads", True),
             admission=admission,
             deadline_s=body.get("deadline_s"),
             ttl_s=body.get("ttl_s"),

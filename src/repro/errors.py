@@ -58,7 +58,7 @@ class MissingArtifactError(DataIntegrityError):
 class PoisonedArtifactError(DataIntegrityError):
     """An artifact exhausted its repair budget and is quarantined.
 
-    After ``max_regenerations`` failed lineage re-executions the
+    After ``MAX_REGENERATIONS`` failed lineage re-executions the
     integrity layer stops looping and fails every consumer with this
     error instead (I13's typed-termination arm).
     """

@@ -44,7 +44,6 @@ from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
 
 __all__ = [
-    "BreakerPolicy",
     "BreakerRegistry",
     "CircuitBreaker",
     "CircuitOpenError",
@@ -109,43 +108,31 @@ class CircuitOpenError(RpcTimeout):
         self.dst_site = dst_site
 
 
-@dataclass(frozen=True)
-class BreakerPolicy:
-    """Per-destination circuit-breaker knobs.
+# A breaker trips **open** when, over the last _BREAKER_WINDOW completed
+# attempts (given at least _BREAKER_MIN_SAMPLES), the failure rate
+# reaches _BREAKER_FAILURE_THRESHOLD.  While open every request
+# fast-fails without touching the wire, bounding retry amplification
+# during partitions.  After _BREAKER_OPEN_S the breaker goes
+# **half-open** and lets exactly one probe request through: success
+# closes the circuit, failure re-opens it for another full
+# _BREAKER_OPEN_S.  All transitions are driven by the virtual clock and
+# the deterministic request stream — no RNG.  The breaker reads these
+# at call time.
 
-    A breaker trips **open** when, over the last ``window`` completed
-    attempts (given at least ``min_samples``), the failure rate reaches
-    ``failure_threshold``.  While open every request fast-fails without
-    touching the wire, bounding retry amplification during partitions.
-    After ``open_duration_s`` the breaker goes **half-open** and lets
-    exactly one probe request through: success closes the circuit,
-    failure re-opens it for another full ``open_duration_s``.  All
-    transitions are driven by the virtual clock and the deterministic
-    request stream — no RNG.
-    """
-
-    window: int = 6
-    failure_threshold: float = 0.5
-    min_samples: int = 4
-    open_duration_s: float = 10.0
-
-    def __post_init__(self) -> None:
-        refuse_non_finite(self)
-        if self.window < 1:
-            raise ValueError("window must be >= 1")
-        if not (0.0 < self.failure_threshold <= 1.0):
-            raise ValueError("failure_threshold must be in (0, 1]")
-        if not (1 <= self.min_samples <= self.window):
-            raise ValueError("need 1 <= min_samples <= window")
-        if self.open_duration_s <= 0:
-            raise ValueError("open_duration_s must be positive")
+#: completed attempts the failure rate is taken over
+_BREAKER_WINDOW = 6
+#: failure rate at/above which the breaker opens
+_BREAKER_FAILURE_THRESHOLD = 0.5
+#: attempts the window must hold before it may open
+_BREAKER_MIN_SAMPLES = 4
+#: how long an open breaker fast-fails before its half-open probe
+_BREAKER_OPEN_S = 10.0
 
 
 class CircuitBreaker:
     """Failure-rate window and state machine for one (src, dst) pair."""
 
-    def __init__(self, policy: BreakerPolicy):
-        self.policy = policy
+    def __init__(self) -> None:
         self.state = "closed"
         self.opened_at = 0.0
         self._results: List[bool] = []  # True = attempt succeeded
@@ -156,7 +143,7 @@ class CircuitBreaker:
         if self.state == "closed":
             return True
         if self.state == "open":
-            if now >= self.opened_at + self.policy.open_duration_s:
+            if now >= self.opened_at + _BREAKER_OPEN_S:
                 self.state = "half_open"
                 self._probe_inflight = True
                 return True
@@ -183,12 +170,12 @@ class CircuitBreaker:
         if self.state == "open":
             return False
         self._results.append(False)
-        if len(self._results) > self.policy.window:
+        if len(self._results) > _BREAKER_WINDOW:
             del self._results[0]
         failures = self._results.count(False)
-        if (len(self._results) >= self.policy.min_samples
+        if (len(self._results) >= _BREAKER_MIN_SAMPLES
                 and failures / len(self._results)
-                >= self.policy.failure_threshold):
+                >= _BREAKER_FAILURE_THRESHOLD):
             self.state = "open"
             self.opened_at = now
             self._results.clear()
@@ -198,7 +185,7 @@ class CircuitBreaker:
     def record_closed_success(self) -> None:
         """A success observed while closed feeds the window."""
         self._results.append(True)
-        if len(self._results) > self.policy.window:
+        if len(self._results) > _BREAKER_WINDOW:
             del self._results[0]
 
 
@@ -217,10 +204,8 @@ class BreakerRegistry:
         "open": EventKind.BREAKER_OPEN,
     }
 
-    def __init__(self, sim: Simulator, policy: BreakerPolicy = BreakerPolicy(),
-                 tracer: Tracer = NULL_TRACER):
+    def __init__(self, sim: Simulator, tracer: Tracer = NULL_TRACER):
         self.sim = sim
-        self.policy = policy
         self.tracer = tracer
         self._breakers: Dict[Tuple[str, str], CircuitBreaker] = {}
         #: (time, src, dst, new_state) per transition
@@ -237,7 +222,7 @@ class BreakerRegistry:
         key = (src_site, dst_site)
         breaker = self._breakers.get(key)
         if breaker is None:
-            breaker = self._breakers[key] = CircuitBreaker(self.policy)
+            breaker = self._breakers[key] = CircuitBreaker()
         return breaker
 
     def _note_transition(self, src: str, dst: str, old: str, new: str) -> None:
@@ -329,22 +314,26 @@ class NullBreakers:
 NULL_BREAKERS = NullBreakers()
 
 
+#: each backoff pause is this many times the one before it
+_BACKOFF_FACTOR = 2.0
+#: a backoff pause is stretched by up to this share, drawn per pause
+_JITTER_FRAC = 0.2
+
+
 @dataclass(frozen=True)
 class RetryPolicy:
     """Timeout/retry/backoff knobs for one class of control messages.
 
     ``backoff(attempt, u)`` returns the pause after the given (1-based)
-    failed attempt: ``base * factor**(attempt-1)`` stretched by up to
-    ``jitter_frac`` using the caller-supplied uniform draw ``u`` — the
-    jitter source stays in the caller's RNG stream, keeping runs
+    failed attempt: ``base * _BACKOFF_FACTOR**(attempt-1)`` stretched by
+    up to ``_JITTER_FRAC`` using the caller-supplied uniform draw ``u`` —
+    the jitter source stays in the caller's RNG stream, keeping runs
     deterministic.
     """
 
     timeout_s: float = 1.0
     max_attempts: int = 4
     backoff_base_s: float = 0.05
-    backoff_factor: float = 2.0
-    jitter_frac: float = 0.2
 
     def __post_init__(self) -> None:
         # an infinite timeout waits out a lost message: never retried
@@ -353,16 +342,14 @@ class RetryPolicy:
             raise ValueError("timeout_s must be positive")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        if self.backoff_base_s < 0 or self.backoff_factor < 1.0:
-            raise ValueError("backoff_base_s >= 0 and backoff_factor >= 1 required")
-        if not (0.0 <= self.jitter_frac <= 1.0):
-            raise ValueError("jitter_frac must be in [0, 1]")
+        if self.backoff_base_s < 0:
+            raise ValueError("backoff_base_s must be non-negative")
 
     def backoff(self, attempt: int, u: float) -> float:
         if attempt < 1:
             raise ValueError("attempt is 1-based")
-        base = self.backoff_base_s * self.backoff_factor ** (attempt - 1)
-        return base * (1.0 + self.jitter_frac * float(u))
+        base = self.backoff_base_s * _BACKOFF_FACTOR ** (attempt - 1)
+        return base * (1.0 + _JITTER_FRAC * float(u))
 
 
 #: what :meth:`ControlPlane._attempt` returns when nobody answered in time

@@ -52,7 +52,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "overload": ("BrownoutController", "SiteOverloaded"),
     "data_manager": ("LocalDataManager", "RealExecutionReport"),
     "straggler": (
-        "HealthPolicy", "HostHealth", "PhiAccrualDetector", "RatioTracker",
+        "HostHealth", "PhiAccrualDetector", "RatioTracker",
         "SpeculationPolicy",
     ),
 })
@@ -71,7 +71,6 @@ __all__ = [
     "ExecutionCoordinator",
     "ExecutionError",
     "GroupManager",
-    "HealthPolicy",
     "HostHealth",
     "IOService",
     "LocalDataManager",

@@ -16,8 +16,8 @@ cannot be served rather than queueing it forever):
   (lowest priority, then latest deadline, then latest arrival) is shed
   in favour of a better newcomer, or the newcomer itself is rejected —
   deterministically, no RNG.
-* per-user token-bucket **rate limits** and queued-entry **quotas**,
-  driven by the existing users DB;
+* per-user token-bucket **rate limits**, driven by the existing users
+  DB;
 * per-application **deadlines/TTLs**: an entry still queued when its
   TTL or deadline passes is expired in place — it was never going to
   meet its QoS contract, so it fails fast instead of starving others.
@@ -87,10 +87,6 @@ class AdmissionPolicy:
     max_queued: Optional[int] = None
     #: per-user token-bucket refill rate, submissions per second
     user_rate_per_s: Optional[float] = None
-    #: token-bucket burst capacity (only meaningful with a rate)
-    user_burst: int = 2
-    #: max entries one user may have queued at once (None = unlimited)
-    user_max_queued: Optional[int] = None
     #: default in-queue TTL applied when a submission carries none
     default_ttl_s: Optional[float] = None
 
@@ -100,21 +96,21 @@ class AdmissionPolicy:
             raise ValueError("max_queued must be >= 1")
         if self.user_rate_per_s is not None and self.user_rate_per_s <= 0:
             raise ValueError("user_rate_per_s must be positive")
-        if self.user_burst < 1:
-            raise ValueError("user_burst must be >= 1")
-        if self.user_max_queued is not None and self.user_max_queued < 1:
-            raise ValueError("user_max_queued must be >= 1")
         if self.default_ttl_s is not None and self.default_ttl_s <= 0:
             raise ValueError("default_ttl_s must be positive")
+
+
+#: token-bucket burst capacity of a rate-limited user
+_USER_BURST = 2
 
 
 class _TokenBucket:
     """Deterministic token bucket on the virtual clock."""
 
-    def __init__(self, rate: float, burst: int):
+    def __init__(self, rate: float):
         self.rate = rate
-        self.burst = float(burst)
-        self.tokens = float(burst)
+        self.burst = float(_USER_BURST)
+        self.tokens = self.burst
         self.last = 0.0
 
     def take(self, now: float) -> bool:
@@ -135,7 +131,7 @@ class _Pending:
     scheduler: Optional[SiteScheduler] = field(compare=False)
     done: Signal = field(compare=False)
     submitted_at: float = field(compare=False, default=0.0)
-    execute_payloads: Optional[bool] = field(compare=False, default=None)
+    execute_payloads: bool = field(compare=False, default=True)
     wait_span: SpanContext = field(compare=False, default=NULL_SPAN)
     user: str = field(compare=False, default="")
     priority: int = field(compare=False, default=0)
@@ -184,7 +180,7 @@ class AdmissionQueue:
         afg: ApplicationFlowGraph,
         user: str,
         scheduler: Optional[SiteScheduler] = None,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         deadline_s: Optional[float] = None,
         ttl_s: Optional[float] = None,
     ) -> Signal:
@@ -254,16 +250,11 @@ class AdmissionQueue:
         policy = self.policy
         if self.runtime.brownout.refuse_new_work():
             return "brownout"
-        if policy.user_max_queued is not None:
-            queued_by_user = sum(1 for e in self._heap if e.user == user)
-            if queued_by_user >= policy.user_max_queued:
-                return "quota"
         if policy.user_rate_per_s is not None:
             bucket = self._buckets.get(user)
             if bucket is None:
                 bucket = self._buckets[user] = _TokenBucket(
-                    policy.user_rate_per_s, policy.user_burst
-                )
+                    policy.user_rate_per_s)
                 bucket.last = now
             if not bucket.take(now):
                 return "rate"

@@ -399,13 +399,28 @@ def create_checkpoint_dir(vdce, directory: str) -> CheckpointJournal:
 
 
 def _spec_from_meta(meta: Dict[str, Any]):
-    from repro.core.config import DeploymentSpec, SiteConfig
+    from repro.core.config import (
+        SITE_GROUP_SIZE,
+        SITE_MEMORY_MB,
+        DeploymentSpec,
+        SiteConfig,
+    )
     from repro.sim.host import HostSpec
 
+    # a meta.json from before these SiteConfig fields became constants
+    # holds them on every site: it resumes when each holds the value
+    # every deployment now uses
+    retired = {"memory_mb": SITE_MEMORY_MB, "group_size": SITE_GROUP_SIZE}
     payload = dict(meta["deployment"])
     sites = []
     for site in payload.pop("sites"):
         site = dict(site)
+        for key, value in retired.items():
+            held = site.pop(key, value)
+            if held != value:
+                raise ValueError(
+                    f"meta.json: site {site.get('name')!r} has {key}={held!r}, "
+                    f"but every deployment now uses {key}={value!r}")
         site["hosts"] = tuple(HostSpec(**h) for h in site.get("hosts", ()))
         sites.append(SiteConfig(**site))
     payload["sites"] = tuple(sites)

@@ -47,7 +47,7 @@ from repro.errors import (
     MissingArtifactError,
     PoisonedArtifactError,
 )
-from repro.net.rpc import ManagerUnavailable, RpcTimeout
+from repro.net.rpc import ManagerUnavailable, RetryPolicy, RpcTimeout
 from repro.obs.spans import NULL_SPAN, SpanKind
 from repro.repository.resources import MembershipState
 from repro.runtime.checkpoint import (
@@ -57,6 +57,7 @@ from repro.runtime.checkpoint import (
     encode_value,
     value_hash,
 )
+from repro.runtime import integrity as ladder
 from repro.runtime.stats import RuntimeStats
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
 from repro.sim.host import HostDownError, Interrupted
@@ -82,6 +83,9 @@ _RATIO_QUANTILE = 0.75
 #: health penalty added when a speculative backup is launched against
 #: the host
 _STRAGGLE_PENALTY = 1.0
+#: more patient policy than the control plane's for payload transfers
+#: killed by link outages
+_DATA_POLICY = RetryPolicy(timeout_s=5.0, max_attempts=7, backoff_base_s=0.25)
 
 
 class ExecutionError(RuntimeError):
@@ -298,7 +302,6 @@ class ExecutionCoordinator:
         self._transferred_mb = 0.0
         self._reschedules = 0
         self.control = runtime.control
-        self.data_policy = runtime.config.data_policy
         #: the integrity manager, or NULL_INTEGRITY when it is off
         self.integrity = runtime.integrity
         #: causal span recorder (runtime-shared; null object when off)
@@ -758,7 +761,7 @@ class ExecutionCoordinator:
         and waited out.  The ``retry:<app>:<label>`` stream is taken
         here, at the draw (DESIGN §5 decision 8).
         """
-        policy = self.data_policy
+        policy = _DATA_POLICY
         if attempt >= policy.max_attempts:
             raise ExecutionError(
                 f"{what} failed after {attempt} attempts: {exc}"
@@ -785,7 +788,7 @@ class ExecutionCoordinator:
         ``corruption`` marker the integrity check reads.
         """
         network = self.runtime.topology.network
-        for attempt in range(1, self.data_policy.max_attempts + 1):
+        for attempt in range(1, _DATA_POLICY.max_attempts + 1):
             transfer = network.transfer(src_host, dst_host, size_mb, label=label)
             self._transfers += 1
             self._transferred_mb += size_mb
@@ -824,7 +827,7 @@ class ExecutionCoordinator:
         fails typed (I13's typed-termination arm).  Outages and
         refetches draw on the same ``max_attempts`` budget.
         """
-        policy = self.data_policy
+        policy = _DATA_POLICY
         label = f"stage:{spec.path}"
         what = f"staging {spec.path!r} onto {dst_host}"
         attempts = iter(range(1, policy.max_attempts + 1))
@@ -852,7 +855,7 @@ class ExecutionCoordinator:
         except CorruptPayloadError as exc:
             raise CorruptPayloadError(
                 f"{what} still corrupt after "
-                f"{integrity.policy.max_refetches} refetch(es): {exc}"
+                f"{ladder.MAX_REFETCHES} refetch(es): {exc}"
             ) from exc
 
     def _feed(self, node: TaskNode, host: str, record: TaskRecord,
@@ -976,7 +979,7 @@ class ExecutionCoordinator:
             )
             raise CorruptPayloadError(
                 f"re-staged output {edge.src}[{edge.src_port}] still corrupt "
-                f"after {integrity.policy.max_refetches} refetch(es)",
+                f"after {ladder.MAX_REFETCHES} refetch(es)",
                 expected_hash=expected,
             ) from exc
         integrity.record_consumption(
@@ -993,20 +996,19 @@ class ExecutionCoordinator:
         regeneration restores byte-identical artifacts; what it costs
         is the producer's measured compute time, charged here.  When
         the producer's own inputs are lost the regeneration recurses up
-        the lineage, bounded by ``max_depth``; each task's artifact set
-        carries a shared ``max_regenerations`` budget, after which it
+        the lineage, bounded by ``MAX_DEPTH``; each task's artifact set
+        carries a shared ``MAX_REGENERATIONS`` budget, after which it
         is poisoned and consumers fail typed.
         """
         integrity = self.integrity
-        policy = integrity.policy
         app = self.afg.name
-        if depth > policy.max_depth:
+        if depth > ladder.MAX_DEPTH:
             integrity.note_poison(
                 app, task_id, f"lineage depth {depth} exceeds bound"
             )
             raise PoisonedArtifactError(
                 f"regenerating {task_id!r} exceeds lineage depth bound "
-                f"{policy.max_depth}"
+                f"{ladder.MAX_DEPTH}"
             )
         artifacts = integrity.task_artifacts(app, task_id)
         # no registered artifacts (restored producer): fall back to the
@@ -1015,10 +1017,10 @@ class ExecutionCoordinator:
             (a.regenerations for a in artifacts),
             default=incident["regenerations"],
         )
-        if spent >= policy.max_regenerations:
+        if spent >= ladder.MAX_REGENERATIONS:
             integrity.note_poison(
                 app, task_id,
-                f"regeneration budget {policy.max_regenerations} exhausted",
+                f"regeneration budget {ladder.MAX_REGENERATIONS} exhausted",
             )
             raise PoisonedArtifactError(
                 f"artifact of {task_id!r} still unusable after "

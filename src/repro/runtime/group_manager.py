@@ -103,15 +103,9 @@ class GroupManager:
         self._believed_up: Dict[str, bool] = {h.name: True for h in group}
         #: the failure-detection discipline and its per-host state
         self._detector = (
-            PhiEchoDetector(
-                self.echo_period_s, config.phi_suspect, config.phi_down,
-                self._believed_up,
-            )
+            PhiEchoDetector(self.echo_period_s, self._believed_up)
             if config.detector == "phi"
-            else CountEchoDetector(
-                config.suspicion_threshold, config.echo_timeout_s,
-                self._believed_up,
-            )
+            else CountEchoDetector(config.suspicion_threshold, self._believed_up)
         )
         self._echo_process: Optional[Process] = None
         #: echoes sent (written at export) and quiet ones, not traced

@@ -16,7 +16,7 @@ ledger the repair ladder and the chaos auditor both read:
   ``poisoned`` (invariant I13 demands none stay unresolved in a
   completed application).
 
-With ``RuntimeConfig.data_integrity`` unset the runtime holds
+With ``RuntimeConfig.data_integrity`` off the runtime holds
 :data:`NULL_INTEGRITY` instead — chosen once, never asked about again —
 which hashes, verifies and records nothing, so every committed
 trace/metrics hash stays byte-identical.
@@ -31,40 +31,29 @@ from repro.errors import (
     CorruptPayloadError,
     DataIntegrityError,
     MissingArtifactError,
-    refuse_non_finite,
 )
 from repro.hashing import value_hash
 from repro.trace.events import EventKind
 
-__all__ = ["ArtifactRecord", "IntegrityManager", "IntegrityPolicy", "NULL_INTEGRITY"]
+__all__ = ["ArtifactRecord", "IntegrityManager", "NULL_INTEGRITY"]
 
 
-@dataclass(frozen=True)
-class IntegrityPolicy:
-    """Repair-ladder budgets (DESIGN §16).
+# The repair ladder's budgets (DESIGN §16).  A delivery that arrives
+# corrupt is refetched from the sender up to MAX_REFETCHES times; an
+# artifact still corrupt beyond that — or one whose staged copy is lost
+# — is *regenerated* by re-executing its producer (recursively up to
+# MAX_DEPTH when the producer's own inputs are gone), at most
+# MAX_REGENERATIONS times before it is poison-quarantined and its
+# consumers fail typed.  A payload with no lineage (a journalled output,
+# a file input) fails typed once its refetches are spent.  Read at call
+# time.
 
-    A delivery that arrives corrupt is refetched from the sender up to
-    ``max_refetches`` times; an artifact still corrupt beyond that — or
-    one whose staged copy is lost — is *regenerated* by re-executing
-    its producer (recursively up to ``max_depth`` when the producer's
-    own inputs are gone), at most ``max_regenerations`` times before it
-    is poison-quarantined and its consumers fail typed.  A payload with
-    no lineage (a journalled output, a file input) fails typed once its
-    refetches are spent.
-    """
-
-    max_refetches: int = 2
-    max_regenerations: int = 2
-    max_depth: int = 3
-
-    def __post_init__(self) -> None:
-        refuse_non_finite(self)
-        if self.max_refetches < 0:
-            raise ValueError("max_refetches must be non-negative")
-        if self.max_regenerations < 0:
-            raise ValueError("max_regenerations must be non-negative")
-        if self.max_depth < 1:
-            raise ValueError("max_depth must be >= 1")
+#: refetches of a corrupt delivery before lineage regeneration
+MAX_REFETCHES = 2
+#: re-executions of one producer before its artifacts are poisoned
+MAX_REGENERATIONS = 2
+#: deepest lineage recursion one regeneration may start
+MAX_DEPTH = 3
 
 
 @dataclass
@@ -85,9 +74,8 @@ class ArtifactRecord:
 class IntegrityManager:
     """Artifact index + integrity ledger for one runtime."""
 
-    def __init__(self, sim, policy: IntegrityPolicy):
+    def __init__(self, sim):
         self.sim = sim
-        self.policy = policy
         self.tracer = sim.tracer
         self._artifacts: Dict[Tuple[str, str, int], ArtifactRecord] = {}
         #: every value handed to a task, with its verification verdict
@@ -240,7 +228,7 @@ class IntegrityManager:
         ``regenerated`` on success, ``poisoned`` on an integrity failure.
         """
         incident = None
-        refetches_left = self.policy.max_refetches
+        refetches_left = MAX_REFETCHES
         try:
             while True:
                 try:
@@ -263,7 +251,7 @@ class IntegrityManager:
                         raise
                     yield from regenerate(incident)
                     if not lost:
-                        refetches_left = self.policy.max_refetches
+                        refetches_left = MAX_REFETCHES
                 else:
                     if incident is not None:
                         self.resolve(

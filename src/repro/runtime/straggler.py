@@ -19,15 +19,15 @@ still answers echoes and never raises :class:`HostDownError`:
 * :class:`SpeculationPolicy` — the knobs of speculative re-execution
   (when the :class:`~repro.runtime.execution.ExecutionCoordinator`
   launches one backup copy of an overdue task; first completion wins).
-* :class:`HealthPolicy` / :class:`HostHealth` — a decaying per-host
-  health score fed by suspicion, declared failures and lost
-  speculation races.  Host selection folds ``1 + score`` into
-  ``Predict()`` as a multiplicative penalty and, past a threshold,
-  quarantines the host for a probation window.
+* :class:`HostHealth` — a decaying per-host health score fed by
+  suspicion, declared failures and lost speculation races.  Host
+  selection folds ``1 + score`` into ``Predict()`` as a multiplicative
+  penalty and, past a threshold, quarantines the host for a probation
+  window.
 
 Everything here is driven by the virtual clock and draws **no RNG**:
 with the default configuration (``detector="count"``,
-``speculation=None``, ``health=None``) none of it is constructed and
+``speculation=None``, ``health=False``) none of it is constructed and
 existing seeded traces are byte-identical.
 """
 
@@ -46,7 +46,6 @@ from repro.trace.tracer import NULL_TRACER, Tracer
 __all__ = [
     "CountEchoDetector",
     "EchoVerdict",
-    "HealthPolicy",
     "HostHealth",
     "NULL_HEALTH",
     "PhiAccrualDetector",
@@ -150,22 +149,17 @@ class CountEchoDetector:
     ``threshold`` consecutive misses declare a believed-up host down
     (1 = the paper's immediate declaration; more guards a lossy LAN
     against false positives); any answer from a believed-down host
-    brings it back.  With a ``timeout_s`` an answer whose round trip
-    took longer counts as a miss — which is how a merely slowed host
-    becomes a false positive, the failure mode :class:`PhiEchoDetector`
-    exists to avoid.
+    brings it back.
 
-    An answer in time after one since the host's last :meth:`reset` is
+    An answer after one since the host's last :meth:`reset` is
     :meth:`quiet` — it changes nothing; the first after a reset is news.
     """
 
-    def __init__(self, threshold: int, timeout_s: Optional[float] = None,
-                 hosts: Iterable[str] = ()):
+    def __init__(self, threshold: int, hosts: Iterable[str] = ()):
         self.threshold = threshold
-        self.timeout_s = timeout_s
         #: consecutive missed echoes per host
         self.missed: Dict[str, int] = {name: 0 for name in hosts}
-        #: hosts whose last echo in this epoch answered in time
+        #: hosts whose last echo in this epoch answered
         self.answered: set[str] = set()
 
     def reset(self, host: str) -> None:
@@ -181,14 +175,11 @@ class CountEchoDetector:
         return False  # this discipline knows up and down only
 
     def quiet(self, host: str, rtt_s: float) -> bool:
-        """Would an answer from ``host`` taking ``rtt_s`` change nothing?"""
-        return host in self.answered and (
-            self.timeout_s is None or rtt_s <= self.timeout_s)
+        """Would an answer from ``host`` change nothing?"""
+        return host in self.answered
 
     def round(self, host: str, responded: bool, rtt_s: float, now: float,
               believed_up: bool) -> EchoVerdict:
-        if responded and self.timeout_s is not None and rtt_s > self.timeout_s:
-            responded = False
         (self.answered.add if responded else self.answered.discard)(host)
         missed = self.missed[host] = 0 if responded else self.missed[host] + 1
         if believed_up and missed >= self.threshold:
@@ -198,6 +189,12 @@ class CountEchoDetector:
         return _ANSWERED if responded else _MISSED
 
 
+#: phi at which a host becomes SUSPECTed
+PHI_SUSPECT = 1.0
+#: phi at which a SUSPECTed host is declared down
+PHI_DOWN = 2.0
+
+
 class PhiEchoDetector:
     """Phi-accrual rounds: slow is not dead.
 
@@ -205,20 +202,17 @@ class PhiEchoDetector:
     Suspicion ``phi`` is evaluated against the history *before* the
     round's arrival is recorded, then:
 
-    * TRUST -> SUSPECT at ``phi >= phi_suspect``;
-    * SUSPECT -> declared down at ``phi >= phi_down``;
+    * TRUST -> SUSPECT at ``phi >= PHI_SUSPECT``;
+    * SUSPECT -> declared down at ``phi >= PHI_DOWN``;
     * SUSPECT -> TRUST when arrivals resume and phi falls back below
-      ``phi_suspect``;
+      ``PHI_SUSPECT``;
     * believed-down + any arrival -> up, with the history reset.
 
     There is no deadline: a late arrival simply enters the history.
     """
 
-    def __init__(self, period_s: float, phi_suspect: float, phi_down: float,
-                 hosts: Iterable[str] = ()):
+    def __init__(self, period_s: float, hosts: Iterable[str] = ()):
         self.period_s = period_s
-        self.phi_suspect = phi_suspect
-        self.phi_down = phi_down
         self._history: Dict[str, PhiAccrualDetector] = {}
         self._suspected: Dict[str, bool] = {}
         for name in hosts:
@@ -253,13 +247,13 @@ class PhiEchoDetector:
             self._history[host].heartbeat(now + rtt_s)
         transition = penalty = None
         if self._suspected[host]:
-            if phi >= self.phi_down:
+            if phi >= PHI_DOWN:
                 self.reset(host)
                 transition, penalty = "down", "declared_down"
-            elif phi < self.phi_suspect:
+            elif phi < PHI_SUSPECT:
                 self._suspected[host] = False
                 transition = "trust"
-        elif phi >= self.phi_suspect:
+        elif phi >= PHI_SUSPECT:
             self._suspected[host] = True
             transition, penalty = "suspect", "suspect"
         evidence = {"phi": phi} if transition is not None else _NOTHING
@@ -312,46 +306,27 @@ class SpeculationPolicy:
             raise ValueError("check_period_s must be positive")
 
 
-@dataclass(frozen=True)
-class HealthPolicy:
-    """Scoring knobs for :class:`HostHealth`."""
-
-    #: score halves every this many virtual seconds
-    half_life_s: float = 120.0
-    #: decayed score at/above this quarantines the host
-    quarantine_threshold: float = 3.0
-    #: how long a quarantined host is excluded from selection
-    probation_s: float = 300.0
-
-    def __post_init__(self) -> None:
-        refuse_non_finite(self)
-        if self.half_life_s <= 0:
-            raise ValueError("half_life_s must be positive")
-        if self.quarantine_threshold <= 0:
-            raise ValueError("quarantine_threshold must be positive")
-        if self.probation_s <= 0:
-            raise ValueError("probation_s must be positive")
+#: a host's health score halves every this many virtual seconds
+_HALF_LIFE_S = 120.0
+#: decayed score at/above which the host is quarantined
+_QUARANTINE_THRESHOLD = 3.0
+#: how long a quarantined host is excluded from selection
+_PROBATION_S = 300.0
 
 
 class HostHealth:
     """Decaying per-host health scores with quarantine.
 
-    ``score`` starts at 0 (healthy) and decays exponentially with the
-    policy's half-life; penalties add to the decayed value.  Host
+    ``score`` starts at 0 (healthy) and decays exponentially with
+    half-life ``_HALF_LIFE_S``; penalties add to the decayed value.  Host
     selection asks :meth:`factor_of`: ``None`` means quarantined
     (exclude the host), otherwise ``1 + score`` multiplies the
     ``Predict()`` value, steering work away from flaky hosts in
     proportion to how recently they misbehaved.
     """
 
-    def __init__(
-        self,
-        sim: Simulator,
-        policy: HealthPolicy = HealthPolicy(),
-        tracer: Tracer = NULL_TRACER,
-    ):
+    def __init__(self, sim: Simulator, tracer: Tracer = NULL_TRACER):
         self.sim = sim
-        self.policy = policy
         self.tracer = tracer
         self._score: Dict[str, float] = {}
         self._updated: Dict[str, float] = {}
@@ -368,7 +343,7 @@ class HostHealth:
             return 0.0
         dt = self.sim.now - self._updated.get(host, self.sim.now)
         if dt > 0:
-            score *= 0.5 ** (dt / self.policy.half_life_s)
+            score *= 0.5 ** (dt / _HALF_LIFE_S)
         return score
 
     def penalize(
@@ -386,11 +361,11 @@ class HostHealth:
         self._score[host] = score
         self._updated[host] = self.sim.now
         if (
-            score >= self.policy.quarantine_threshold
+            score >= _QUARANTINE_THRESHOLD
             and host not in self._quarantined_until
         ):
             self._quarantined_until[host] = (
-                self.sim.now + self.policy.probation_s
+                self.sim.now + _PROBATION_S
             )
             self.tracer.emit(
                 EventKind.QUARANTINE, source="health",
@@ -416,7 +391,7 @@ class HostHealth:
             if self.sim.now < until:
                 return None
             del self._quarantined_until[host]
-            self._score[host] = self.policy.quarantine_threshold / 2.0
+            self._score[host] = _QUARANTINE_THRESHOLD / 2.0
             self._updated[host] = self.sim.now
             self.tracer.emit(
                 EventKind.PROBATION, source="health",

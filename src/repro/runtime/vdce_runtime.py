@@ -28,10 +28,8 @@ from repro.errors import refuse_non_finite
 from repro.metrics.registry import MetricsRegistry, NULL_METRICS
 from repro.net.rpc import (
     NULL_BREAKERS,
-    BreakerPolicy,
     BreakerRegistry,
     ControlPlane,
-    RetryPolicy,
     RpcTimeout,
 )
 from repro.obs.spans import NULL_SPANS, SpanContext, SpanKind, SpanRecorder
@@ -40,7 +38,7 @@ from repro.repository.store import SiteRepository
 from repro.runtime.app_controller import AppController, LoadCheckCalendar
 from repro.runtime.execution import ApplicationResult, ExecutionCoordinator
 from repro.runtime.group_manager import GroupManager
-from repro.runtime.integrity import NULL_INTEGRITY, IntegrityManager, IntegrityPolicy
+from repro.runtime.integrity import NULL_INTEGRITY, IntegrityManager
 from repro.runtime.membership import MembershipCoordinator
 from repro.runtime.monitor import MonitorDaemon, MonitorRound
 from repro.runtime.services import ConsoleService, IOService
@@ -48,7 +46,6 @@ from repro.runtime.site_manager import SiteManager
 from repro.runtime.stats import RuntimeStats
 from repro.runtime.straggler import (
     NULL_HEALTH,
-    HealthPolicy,
     HostHealth,
     RatioTracker,
     SpeculationPolicy,
@@ -118,28 +115,15 @@ class RuntimeConfig:
     load_threshold: float = 4.0
     #: Application Controller check period
     check_period_s: float = 2.0
-    #: run task implementations for real (False = shape-only execution)
-    execute_payloads: bool = True
-    #: more patient policy for payload transfers killed by link outages
-    data_policy: RetryPolicy = RetryPolicy(
-        timeout_s=5.0, max_attempts=7, backoff_base_s=0.25
-    )
     #: failure-detection discipline: "count" (consecutive missed echoes,
     #: the paper's protocol) or "phi" (phi-accrual over inter-arrival
     #: history — SUSPECT/TRUST transitions, slow != dead)
     detector: str = "count"
-    #: phi at which a host becomes SUSPECTed (phi detector only)
-    phi_suspect: float = 1.0
-    #: phi at which a SUSPECTed host is declared down (phi detector only)
-    phi_down: float = 2.0
-    #: count detector's per-round echo response deadline; None means the
-    #: echo period itself (any response within the round counts)
-    echo_timeout_s: Optional[float] = None
     #: speculative re-execution of straggling tasks (None = disabled:
     #: fault-free runs draw zero extra RNG, traces unchanged)
     speculation: Optional[SpeculationPolicy] = None
-    #: host health scoring + quarantine (None = disabled)
-    health: Optional[HealthPolicy] = None
+    #: host health scoring + quarantine
+    health: bool = False
     #: causal span tracing (repro.obs): tree-structured open/close span
     #: events threaded through RPC, admission, scheduling and execution.
     #: Off by default — the disabled recorder is a shared null object and
@@ -148,13 +132,13 @@ class RuntimeConfig:
     #: backpressure + brownout ladder (off: no occupancy bookkeeping,
     #: no bid exclusion)
     overload: bool = False
-    #: per-WAN-link RPC circuit breakers (None = disabled)
-    breaker: Optional[BreakerPolicy] = None
+    #: per-WAN-link RPC circuit breakers
+    breaker: bool = False
     #: end-to-end data integrity: content-hash every produced artifact,
     #: verify on receive/stage-in, repair via refetch → lineage
-    #: regeneration → poison-quarantine (None = disabled: no hashes are
-    #: computed, no extra RNG is drawn, traces/hashes unchanged)
-    data_integrity: Optional[IntegrityPolicy] = None
+    #: regeneration → poison-quarantine (off: no hashes are computed, no
+    #: extra RNG is drawn, traces/hashes unchanged)
+    data_integrity: bool = False
 
     def __post_init__(self) -> None:
         refuse_non_finite(self)
@@ -172,10 +156,6 @@ class RuntimeConfig:
             raise ValueError(
                 f"detector must be 'count' or 'phi', got {self.detector!r}"
             )
-        if not (0.0 < self.phi_suspect < self.phi_down):
-            raise ValueError("need 0 < phi_suspect < phi_down")
-        if self.echo_timeout_s is not None and self.echo_timeout_s <= 0:
-            raise ValueError("echo_timeout_s must be positive")
 
 
 class VDCERuntime:
@@ -220,8 +200,8 @@ class VDCERuntime:
         )
         #: per-WAN-link circuit breakers; NULL_BREAKERS when disabled
         self.breakers = (
-            BreakerRegistry(self.sim, config.breaker, tracer=self.tracer)
-            if config.breaker is not None
+            BreakerRegistry(self.sim, tracer=self.tracer)
+            if config.breaker
             else NULL_BREAKERS
         )
         #: admission queues register themselves here so metrics export
@@ -236,8 +216,8 @@ class VDCERuntime:
         )
         #: host health scoring (straggler defense); NULL_HEALTH when off
         self.health = (
-            HostHealth(self.sim, config.health, tracer=self.tracer)
-            if config.health is not None
+            HostHealth(self.sim, tracer=self.tracer)
+            if config.health
             else NULL_HEALTH
         )
         #: per-host measured/predicted ratio history for the adaptive
@@ -287,8 +267,8 @@ class VDCERuntime:
         #: end-to-end data integrity (artifact hashes + repair ladder),
         #: chosen once: NULL_INTEGRITY hashes and repairs nothing
         self.integrity = (
-            IntegrityManager(self.sim, config.data_integrity)
-            if config.data_integrity is not None
+            IntegrityManager(self.sim)
+            if config.data_integrity
             else NULL_INTEGRITY
         )
         self.io_service = IOService(
@@ -621,7 +601,7 @@ class VDCERuntime:
         afg: ApplicationFlowGraph,
         table: AllocationTable,
         submit_site: Optional[str] = None,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         journal=None,
         checkpoint=None,
     ):
@@ -636,11 +616,7 @@ class VDCERuntime:
             self,
             afg,
             table,
-            execute_payloads=(
-                self.config.execute_payloads
-                if execute_payloads is None
-                else execute_payloads
-            ),
+            execute_payloads=execute_payloads,
             submit_site=submit_site or self.default_site,
             journal=journal,
             checkpoint=checkpoint,
@@ -652,7 +628,7 @@ class VDCERuntime:
         afg: ApplicationFlowGraph,
         scheduler: Optional[SiteScheduler] = None,
         site: Optional[str] = None,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         journal=None,
     ):
         """Generator: the submit pipeline — schedule at ``site``, then
@@ -673,7 +649,7 @@ class VDCERuntime:
         submit_site: Optional[str] = None,
         user: Optional[str] = None,
         password: Optional[str] = None,
-        execute_payloads: Optional[bool] = None,
+        execute_payloads: bool = True,
         limit: Optional[float] = None,
         journal=None,
     ) -> ApplicationResult:

@@ -90,8 +90,6 @@ class ChaosConfig:
     # control-message quality (WAN message loss; echo loss is LAN-side)
     message_loss_prob: float = 0.05
     echo_loss_prob: float = 0.05
-    suspicion_threshold: int = 2
-    echo_period_s: float = 5.0
     # performance faults: scripted slowdowns + stochastic slow/normal
     # flapping (victims drawn from chaos:plan, after all crash victims,
     # so enabling them never perturbs an existing config's fault plan)
@@ -307,6 +305,11 @@ def _build_apps(config: ChaosConfig):
     return apps
 
 
+#: consecutive missed echoes before a campaign's count detector declares
+#: a host down: two, so one lost echo on the lossy LAN is no false positive
+_SUSPICION_THRESHOLD = 2
+
+
 def _deploy(config: ChaosConfig):
     """Stand up the deployment under test, traced, monitoring started."""
     # imported in the functions that use them, here and below:
@@ -314,9 +317,7 @@ def _deploy(config: ChaosConfig):
     # facade imports back down into repro.sim)
     from repro.core.vdce import VDCE
     from repro.metrics.registry import MetricsRegistry
-    from repro.net.rpc import BreakerPolicy
-    from repro.runtime.integrity import IntegrityPolicy
-    from repro.runtime.straggler import HealthPolicy, SpeculationPolicy
+    from repro.runtime.straggler import SpeculationPolicy
     from repro.runtime.vdce_runtime import RuntimeConfig
     from repro.trace.tracer import Tracer
 
@@ -326,15 +327,14 @@ def _deploy(config: ChaosConfig):
         seed=config.seed,
         runtime_config=RuntimeConfig(
             echo_loss_prob=config.echo_loss_prob,
-            suspicion_threshold=config.suspicion_threshold,
-            echo_period_s=config.echo_period_s,
+            suspicion_threshold=_SUSPICION_THRESHOLD,
             detector=config.detector,
             speculation=SpeculationPolicy() if config.speculation else None,
-            health=HealthPolicy() if config.health else None,
+            health=config.health,
             causal_spans=config.causal_spans,
             overload=config.overload,
-            breaker=BreakerPolicy() if config.breakers else None,
-            data_integrity=IntegrityPolicy() if config.data_integrity else None,
+            breaker=config.breakers,
+            data_integrity=config.data_integrity,
         ),
         tracer=Tracer(),
         metrics=MetricsRegistry(),

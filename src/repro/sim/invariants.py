@@ -26,6 +26,7 @@ from repro.net.rpc import ManagerUnavailable, RpcTimeout
 from repro.obs.attribution import span_integrity
 from repro.repository.resources import MembershipState
 from repro.runtime.checkpoint import expected_output_hashes, final_output_hashes
+from repro.runtime import straggler
 from repro.runtime.execution import ExecutionError
 from repro.scheduler.site_scheduler import SchedulingError
 from repro.sim.failures import FailureInjector, inside, intervals
@@ -153,7 +154,8 @@ def reconciliation(run: CampaignRun) -> List[str]:
     detection log (what the Group Managers reported) agree — every
     false positive is accounted for, and every sufficiently long real
     outage is detected within the echo protocol's detection window."""
-    runtime, config, now = run.runtime, run.config, run.runtime.sim.now
+    runtime, now = run.runtime, run.runtime.sim.now
+    config = runtime.config
     detections = runtime.stats.detection_log
     believed = intervals(detections, ("down",), ("up",))
     down = {h: run.injector.downtime_intervals(h) for h in run.hosts}
@@ -169,9 +171,9 @@ def reconciliation(run: CampaignRun) -> List[str]:
             f"of healthy hosts vs {observed_fp} recorded false positives"
         )
     if config.detector == "phi":
-        # phi reaches phi_down once elapsed ≈ phi_down·ln10 mean
+        # phi reaches PHI_DOWN once elapsed ≈ PHI_DOWN·ln10 mean
         # intervals; allow one period of phase lag plus slack
-        periods = runtime.config.phi_down * math.log(10.0) + 3.0
+        periods = straggler.PHI_DOWN * math.log(10.0) + 3.0
     else:
         periods = config.suspicion_threshold + 2
     window = periods * config.echo_period_s

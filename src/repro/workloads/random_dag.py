@@ -26,6 +26,9 @@ from repro.pcg64 import PCG64, check_seed
 
 __all__ = ["RandomDAGConfig", "random_dag"]
 
+#: most parents a non-entry task samples from the earlier layers
+_MAX_FAN_IN = 3
+
 
 @dataclass(frozen=True)
 class RandomDAGConfig:
@@ -38,7 +41,6 @@ class RandomDAGConfig:
 
     n_tasks: int = 20
     width: int = 4
-    max_fan_in: int = 3
     #: mean task cost in base-processor seconds
     mean_cost: float = 2.0
     #: multiplicative half-range of per-task cost (0 = homogeneous)
@@ -52,8 +54,6 @@ class RandomDAGConfig:
             raise ValueError("n_tasks must be >= 1")
         if self.width < 1:
             raise ValueError("width must be >= 1")
-        if self.max_fan_in < 1:
-            raise ValueError("max_fan_in must be >= 1")
         if self.mean_cost <= 0:
             raise ValueError("mean_cost must be positive")
         if not (0.0 <= self.cost_heterogeneity < 1.0):
@@ -110,7 +110,7 @@ def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     earlier: List[str] = list(layers[0])
     for layer in layers[1:]:
         for task_id in layer:
-            fan_in = int(rng.integers(1, config.max_fan_in + 1))
+            fan_in = int(rng.integers(1, _MAX_FAN_IN + 1))
             fan_in = min(fan_in, len(earlier))
             parent_idx = rng.choice(len(earlier), size=fan_in, replace=False)
             parents = sorted(earlier[i] for i in parent_idx)

@@ -25,16 +25,20 @@ from repro.afg import (
 )
 from repro.afg.levels import compute_levels
 from repro.editor import AFGBuilder
-from repro.workloads import RandomDAGConfig, random_dag
+from repro.workloads import RandomDAGConfig
 from tests.scheduler import _reference
+from tests.workloads.fan_in import random_dag_at
 
 dags = st.builds(
-    RandomDAGConfig,
-    n_tasks=st.integers(min_value=1, max_value=40),
-    width=st.integers(min_value=1, max_value=6),
-    max_fan_in=st.integers(min_value=1, max_value=4),
-    seed=st.integers(min_value=0, max_value=10_000),
-).map(random_dag)
+    random_dag_at,
+    st.builds(
+        RandomDAGConfig,
+        n_tasks=st.integers(min_value=1, max_value=40),
+        width=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=10_000),
+    ),
+    st.integers(min_value=1, max_value=4),
+)
 
 
 def node(task_id, n_in=0, n_out=1):

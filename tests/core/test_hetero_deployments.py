@@ -99,19 +99,18 @@ def test_a_host_spec_refuses_what_no_machine_has(build):
 
 
 class TestMultiGroupSites:
+    """A site split into groups is declared where the split is made,
+    ``TopologyBuilder.site(group_size=)``."""
+
     def test_group_size_creates_multiple_group_managers(self):
-        spec = DeploymentSpec(sites=(
-            SiteConfig(name="big", n_hosts=6, group_size=2),
-        ))
-        env = VDCE(spec=spec)
+        env = VDCE(topology=TopologyBuilder()
+                   .site("big", n_hosts=6, group_size=2).build())
         groups = [g for g in env.runtime.group_managers if g.startswith("big")]
         assert len(groups) == 3
 
     def test_monitoring_covers_all_groups(self):
-        spec = DeploymentSpec(sites=(
-            SiteConfig(name="big", n_hosts=6, group_size=2),
-        ))
-        env = VDCE(spec=spec)
+        env = VDCE(topology=TopologyBuilder()
+                   .site("big", n_hosts=6, group_size=2).build())
         env.start_monitoring()
         for host in env.topology.all_hosts:
             host.set_bg_load(1.0)
@@ -121,10 +120,8 @@ class TestMultiGroupSites:
                    for h in env.topology.all_hosts)
 
     def test_execution_spans_groups(self):
-        spec = DeploymentSpec(sites=(
-            SiteConfig(name="big", n_hosts=4, group_size=2),
-        ))
-        env = VDCE(spec=spec)
+        env = VDCE(topology=TopologyBuilder()
+                   .site("big", n_hosts=4, group_size=2).build())
         result = env.submit(bag_of_tasks(n=8, cost=2.0), k=0,
                             execute_payloads=False)
         assert len(result.hosts_used()) == 4  # both groups participate

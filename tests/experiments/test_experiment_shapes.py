@@ -11,8 +11,9 @@ any table: their tests run their own application.
 
 import pytest
 
+import repro.experiments.placement as placement
 import repro.scheduler.host_selection as host_selection
-from repro.experiments.placement import e1, execute, grid, mean
+from repro.experiments.placement import e1, e9, execute, grid, mean
 from repro.experiments.runtime import submitted
 from repro.scheduler import SiteScheduler, select_hosts
 from repro.workloads import (
@@ -146,6 +147,13 @@ def test_e8_the_protocol_sets_up_and_feeds_every_edge(measured):
     assert row["payload_frames"] == 4
 
 
+def level_priority_wins_in_aggregate(rows):
+    """E9's claim: the mean makespan with level priority is strictly
+    below the mean with FIFO ready order."""
+    return (mean(row["level_makespan_s"] for row in rows)
+            < mean(row["fifo_makespan_s"] for row in rows))
+
+
 def test_e9_level_priority_wins_in_aggregate(measured):
     (rows,) = measured("E9")
     # per workload the heuristic may trade a few percent either way...
@@ -153,8 +161,17 @@ def test_e9_level_priority_wins_in_aggregate(measured):
         assert row["level_makespan_s"] <= row["fifo_makespan_s"] * 1.15, (
             f"level priority badly lost on {row['workload']}")
     # ...but in aggregate level priority must win
-    assert (mean(row["level_makespan_s"] for row in rows)
-            <= mean(row["fifo_makespan_s"] for row in rows))
+    assert level_priority_wins_in_aggregate(rows)
+
+
+def test_e9_fifo_ready_order_fails_the_check(monkeypatch):
+    """With level priority forced off both columns schedule in FIFO
+    ready order, the rows tie, and the strict aggregate win fails."""
+    scheduler = placement.SiteScheduler
+    monkeypatch.setattr(placement, "SiteScheduler", lambda **kwargs: scheduler(
+        **{**kwargs, "use_level_priority": False}))
+    (rows,) = e9()
+    assert not level_priority_wins_in_aggregate(rows)
 
 
 def test_e10_noise_degrades_and_calibration_cancels_it(measured):

@@ -142,13 +142,12 @@ class TestRealSimHashParity:
         content hash on the real wire equals the simulated integrity
         ledger's artifact hash for the producing port — the §16 protocol
         is one protocol, not two."""
-        from repro.runtime.integrity import IntegrityPolicy
         from repro.scheduler import SiteScheduler
         from tests.runtime.conftest import build_runtime
 
         afg = linear_solver_afg(scale=0.15, parallel_lu_nodes=1)
 
-        rt = build_runtime(data_integrity=IntegrityPolicy())
+        rt = build_runtime(data_integrity=True)
         sim_table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
         rt.sim.run_until_complete(rt.execute_process(afg, sim_table))
 

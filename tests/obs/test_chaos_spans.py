@@ -21,7 +21,8 @@ import pytest
 from repro.obs.attribution import explain, span_integrity
 from repro.runtime.checkpoint import create_checkpoint_dir, resume_run
 from repro.runtime import RuntimeConfig
-from repro.runtime.straggler import HealthPolicy, HostHealth
+from repro.runtime import straggler
+from repro.runtime.straggler import HostHealth
 from repro.scheduler import SiteScheduler
 from repro.sim.chaos import (
     ChaosConfig,
@@ -134,10 +135,10 @@ class TestEventAttributionAudit:
 
 
 class TestQuarantineOrigin:
-    def test_quarantine_carries_the_tipping_origin(self):
+    def test_quarantine_carries_the_tipping_origin(self, monkeypatch):
+        monkeypatch.setattr(straggler, "_QUARANTINE_THRESHOLD", 2.0)
         sim, tracer = Simulator(), Tracer()
-        health = HostHealth(sim, HealthPolicy(quarantine_threshold=2.0),
-                            tracer=tracer)
+        health = HostHealth(sim, tracer=tracer)
         health.penalize("h0", 1.0, "straggle", origin="gm:site-0")
         health.penalize("h0", 1.5, "straggle", origin="app:mapreduce")
         events = [e for e in tracer.events()
@@ -146,10 +147,10 @@ class TestQuarantineOrigin:
         assert events[0].data["origin"] == "app:mapreduce"
         assert events[0].data["host"] == "h0"
 
-    def test_origin_defaults_to_health(self):
+    def test_origin_defaults_to_health(self, monkeypatch):
+        monkeypatch.setattr(straggler, "_QUARANTINE_THRESHOLD", 1.0)
         sim, tracer = Simulator(), Tracer()
-        health = HostHealth(sim, HealthPolicy(quarantine_threshold=1.0),
-                            tracer=tracer)
+        health = HostHealth(sim, tracer=tracer)
         health.penalize("h0", 2.0, "failure")
         [event] = [e for e in tracer.events()
                    if e.kind == EventKind.QUARANTINE]

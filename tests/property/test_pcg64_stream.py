@@ -31,6 +31,7 @@ from repro.scheduler import PredictionModel, RandomScheduler
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
 from tests.scheduler.conftest import build_federation
+from tests.workloads.fan_in import random_dag_at
 
 pytestmark = pytest.mark.gate
 
@@ -127,8 +128,8 @@ def on_numpy(module, call):
 
 
 DAG_GRID = [
-    RandomDAGConfig(n_tasks=n, width=width, max_fan_in=fan_in, ccr=ccr,
-                    cost_heterogeneity=h, seed=seed)
+    (RandomDAGConfig(n_tasks=n, width=width, ccr=ccr, cost_heterogeneity=h,
+                     seed=seed), fan_in)
     for n, width, fan_in, ccr, h, seed in itertools.product(
         [1, 20, 512], [1, 4, 16], [1, 3, 8], [0.0, 0.5], [0.0, 0.5],
         [0, 2**40])
@@ -137,9 +138,10 @@ DAG_GRID = [
 
 
 def test_random_dags_are_numpys():
-    for config in DAG_GRID:
-        want = on_numpy(random_dag_module, lambda: random_dag(config))
-        assert afg_to_dict(random_dag(config)) == afg_to_dict(want), config
+    for config, fan_in in DAG_GRID:
+        want = on_numpy(random_dag_module, lambda: random_dag_at(config, fan_in))
+        assert afg_to_dict(random_dag_at(config, fan_in)) \
+            == afg_to_dict(want), (config, fan_in)
 
 
 def test_heterogeneous_bags_are_numpys():

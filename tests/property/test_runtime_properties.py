@@ -5,24 +5,27 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.scheduler import SiteScheduler
-from repro.workloads import RandomDAGConfig, random_dag
+from repro.workloads import RandomDAGConfig
 
 from tests.runtime.conftest import build_runtime
+from tests.workloads.fan_in import random_dag_at
 
-small_dags = st.builds(
-    RandomDAGConfig,
-    n_tasks=st.integers(min_value=1, max_value=20),
-    width=st.integers(min_value=1, max_value=5),
-    max_fan_in=st.integers(min_value=1, max_value=3),
-    mean_cost=st.floats(min_value=0.2, max_value=4.0),
-    ccr=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=500),
+small_dags = st.tuples(
+    st.builds(
+        RandomDAGConfig,
+        n_tasks=st.integers(min_value=1, max_value=20),
+        width=st.integers(min_value=1, max_value=5),
+        mean_cost=st.floats(min_value=0.2, max_value=4.0),
+        ccr=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=500),
+    ),
+    st.integers(min_value=1, max_value=3),
 )
 
 
 @given(small_dags)
 @settings(max_examples=40, deadline=None)
-def test_protocol_counters_match_graph_structure(config):
+def test_protocol_counters_match_graph_structure(dag):
     """Without failures, the Data Manager's message bill is exact:
 
     * one channel setup + one ack per AFG edge;
@@ -31,7 +34,7 @@ def test_protocol_counters_match_graph_structure(config):
     * one task-performance refinement per task.
     """
     rt = build_runtime()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
     result = rt.sim.run_until_complete(
         rt.execute_process(afg, table, execute_payloads=False)
@@ -51,11 +54,11 @@ def test_protocol_counters_match_graph_structure(config):
 
 @given(small_dags)
 @settings(max_examples=30, deadline=None)
-def test_makespan_bounds(config):
+def test_makespan_bounds(dag):
     """Makespan is bounded below by the slowest single slice and above
     by fully serial execution on the slowest host plus all transfers."""
     rt = build_runtime()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
     result = rt.sim.run_until_complete(
         rt.execute_process(afg, table, execute_payloads=False)
@@ -81,10 +84,10 @@ def test_makespan_bounds(config):
 
 @given(small_dags, st.integers(min_value=0, max_value=1))
 @settings(max_examples=30, deadline=None)
-def test_execution_is_deterministic(config, k):
+def test_execution_is_deterministic(dag, k):
     def run():
         rt = build_runtime()
-        afg = random_dag(config)
+        afg = random_dag_at(*dag)
         table = SiteScheduler(k=k).schedule(afg, rt.federation_view())
         result = rt.sim.run_until_complete(
             rt.execute_process(afg, table, execute_payloads=False)

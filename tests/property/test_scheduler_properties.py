@@ -11,19 +11,22 @@ from repro.scheduler import (
     SiteScheduler,
     estimate_schedule,
 )
-from repro.workloads import RandomDAGConfig, random_dag
+from repro.workloads import RandomDAGConfig
 
 from tests.scheduler.conftest import build_federation
+from tests.workloads.fan_in import random_dag_at
 
-small_dags = st.builds(
-    RandomDAGConfig,
-    n_tasks=st.integers(min_value=1, max_value=25),
-    width=st.integers(min_value=1, max_value=5),
-    max_fan_in=st.integers(min_value=1, max_value=3),
-    mean_cost=st.floats(min_value=0.5, max_value=5.0),
-    cost_heterogeneity=st.floats(min_value=0.0, max_value=0.8),
-    ccr=st.floats(min_value=0.0, max_value=1.0),
-    seed=st.integers(min_value=0, max_value=1000),
+small_dags = st.tuples(
+    st.builds(
+        RandomDAGConfig,
+        n_tasks=st.integers(min_value=1, max_value=25),
+        width=st.integers(min_value=1, max_value=5),
+        mean_cost=st.floats(min_value=0.5, max_value=5.0),
+        cost_heterogeneity=st.floats(min_value=0.0, max_value=0.8),
+        ccr=st.floats(min_value=0.0, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=1000),
+    ),
+    st.integers(min_value=1, max_value=3),
 )
 
 scheduler_factories = st.sampled_from([
@@ -38,9 +41,9 @@ scheduler_factories = st.sampled_from([
 
 @given(small_dags, scheduler_factories)
 @settings(max_examples=50, deadline=None)
-def test_every_table_is_complete_and_well_formed(config, factory):
+def test_every_table_is_complete_and_well_formed(dag, factory):
     _, repos, view = build_federation()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     table = factory().schedule(afg, view)
     table.validate_against(afg)
     known_hosts = {
@@ -59,9 +62,9 @@ def test_every_table_is_complete_and_well_formed(config, factory):
 
 @given(small_dags)
 @settings(max_examples=40, deadline=None)
-def test_vdce_schedule_is_deterministic(config):
+def test_vdce_schedule_is_deterministic(dag):
     _, _, view = build_federation()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     t1 = SiteScheduler(k=1).schedule(afg, view).to_dict()
     t2 = SiteScheduler(k=1).schedule(afg, view).to_dict()
     assert t1 == t2
@@ -69,9 +72,9 @@ def test_vdce_schedule_is_deterministic(config):
 
 @given(small_dags)
 @settings(max_examples=40, deadline=None)
-def test_estimate_respects_precedence_and_durations(config):
+def test_estimate_respects_precedence_and_durations(dag):
     _, _, view = build_federation()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     table = SiteScheduler(k=1).schedule(afg, view)
     est = estimate_schedule(
         afg, table,
@@ -88,12 +91,12 @@ def test_estimate_respects_precedence_and_durations(config):
 
 @given(small_dags)
 @settings(max_examples=25, deadline=None)
-def test_simulated_execution_respects_precedence(config):
+def test_simulated_execution_respects_precedence(dag):
     """The runtime never starts a task before its parents finished."""
     from tests.runtime.conftest import build_runtime
 
     rt = build_runtime()
-    afg = random_dag(config)
+    afg = random_dag_at(*dag)
     table = SiteScheduler(k=1).schedule(afg, rt.federation_view())
     result = rt.sim.run_until_complete(
         rt.execute_process(afg, table, execute_payloads=False)

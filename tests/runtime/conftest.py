@@ -4,6 +4,7 @@ import pytest
 
 from repro.afg import ApplicationFlowGraph, TaskNode, TaskProperties
 from repro.runtime import RuntimeConfig, VDCERuntime
+from repro.runtime import integrity
 from repro.sim import TopologyBuilder
 from repro.trace.tracer import NULL_TRACER
 
@@ -45,3 +46,14 @@ def chain_afg(n=3, scale=1.0, edge_mb=0.5, name="chain"):
 @pytest.fixture
 def runtime():
     return build_runtime()
+
+
+@pytest.fixture
+def budgets(monkeypatch):
+    """``budgets(MAX_REFETCHES=1, ...)`` sets the repair ladder's budgets
+    (the constants of :mod:`repro.runtime.integrity`) for one test."""
+    def set_budgets(**values):
+        for name, value in values.items():
+            assert hasattr(integrity, name), name
+            monkeypatch.setattr(integrity, name, value)
+    return set_budgets

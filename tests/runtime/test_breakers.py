@@ -1,9 +1,7 @@
 """WAN circuit breakers: trip, fast-fail, half-open probe, audit log."""
 
-import pytest
-
+from repro.net import rpc
 from repro.net.rpc import (
-    BreakerPolicy,
     BreakerRegistry,
     CircuitBreaker,
     CircuitOpenError,
@@ -36,9 +34,9 @@ def _drive(sim, gen):
     return box.get("value"), box.get("error")
 
 
-def _breaker_setup(seed=0, **policy_kwargs):
+def _breaker_setup(seed=0):
     topo = _topo(seed)
-    registry = BreakerRegistry(topo.sim, BreakerPolicy(**policy_kwargs))
+    registry = BreakerRegistry(topo.sim)
     control = ControlPlane(
         topo.sim, topo.network, stats=RuntimeStats(), breakers=registry
     )
@@ -47,14 +45,11 @@ def _breaker_setup(seed=0, **policy_kwargs):
 
 class TestPolicyValidation:
     def test_rejects_bad_knobs(self):
-        with pytest.raises(ValueError):
-            BreakerPolicy(window=0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(failure_threshold=0.0)
-        with pytest.raises(ValueError):
-            BreakerPolicy(min_samples=7, window=6)
-        with pytest.raises(ValueError):
-            BreakerPolicy(open_duration_s=0.0)
+        """The constants the breaker reads are a state machine that can
+        open and close again."""
+        assert 1 <= rpc._BREAKER_MIN_SAMPLES <= rpc._BREAKER_WINDOW
+        assert 0.0 < rpc._BREAKER_FAILURE_THRESHOLD <= 1.0
+        assert rpc._BREAKER_OPEN_S > 0
 
 
 class TestTripAndFastFail:
@@ -62,7 +57,7 @@ class TestTripAndFastFail:
         topo, registry, control = _breaker_setup()
         topo.network.wan_link("alpha", "beta").fail()
         # one request = 4 failed attempts under the default RetryPolicy,
-        # exactly min_samples failures at 100% failure rate
+        # exactly _BREAKER_MIN_SAMPLES failures at 100% failure rate
         value, error = _drive(
             topo.sim, control.request("a1", "b1", lambda: 1, label="x")
         )
@@ -103,7 +98,7 @@ class TestHalfOpenProbe:
         _drive(topo.sim, control.request("a1", "b1", lambda: 1, label="t"))
 
     def test_probe_success_closes_the_circuit(self):
-        topo, registry, control = _breaker_setup(open_duration_s=10.0)
+        topo, registry, control = _breaker_setup()
         self._trip(topo, control)
         topo.network.wan_link("alpha", "beta").recover()
         topo.sim.run(until=topo.sim.now + 10.0)
@@ -118,7 +113,7 @@ class TestHalfOpenProbe:
         assert states == ["open", "half_open", "closed"]
 
     def test_probe_failure_reopens(self):
-        topo, registry, control = _breaker_setup(open_duration_s=10.0)
+        topo, registry, control = _breaker_setup()
         self._trip(topo, control)
         topo.sim.run(until=topo.sim.now + 10.0)  # link still down
         value, error = _drive(
@@ -131,11 +126,12 @@ class TestHalfOpenProbe:
         states = [s for _, _, _, s in registry.transitions]
         assert states == ["open", "half_open", "open"]
 
-    def test_before_open_duration_requests_still_fast_fail(self):
-        topo, registry, control = _breaker_setup(open_duration_s=50.0)
+    def test_before_open_duration_requests_still_fast_fail(self, monkeypatch):
+        monkeypatch.setattr(rpc, "_BREAKER_OPEN_S", 50.0)
+        topo, registry, control = _breaker_setup()
         self._trip(topo, control)
         topo.network.wan_link("alpha", "beta").recover()
-        topo.sim.run(until=topo.sim.now + 10.0)  # < open_duration_s
+        topo.sim.run(until=topo.sim.now + 10.0)  # < _BREAKER_OPEN_S
         value, error = _drive(
             topo.sim, control.request("a1", "b1", lambda: 1, label="e")
         )
@@ -162,7 +158,7 @@ class TestRegistryBookkeeping:
         assert registry.send_log == [(0.0, "alpha", "beta")]
 
     def test_open_violations_empty_in_correct_operation(self):
-        topo, registry, control = _breaker_setup(open_duration_s=10.0)
+        topo, registry, control = _breaker_setup()
         topo.network.wan_link("alpha", "beta").fail()
         _drive(topo.sim, control.request("a1", "b1", lambda: 1, label="a"))
         _drive(topo.sim, control.request("a1", "b1", lambda: 2, label="b"))
@@ -190,10 +186,9 @@ class TestRegistryBookkeeping:
 
 
 class TestStateMachineUnit:
-    def test_window_slides_and_mixed_results_count(self):
-        breaker = CircuitBreaker(
-            BreakerPolicy(window=4, failure_threshold=0.5, min_samples=4)
-        )
+    def test_window_slides_and_mixed_results_count(self, monkeypatch):
+        monkeypatch.setattr(rpc, "_BREAKER_WINDOW", 4)
+        breaker = CircuitBreaker()
         for _ in range(3):
             breaker.record_closed_success()
         assert breaker.record_failure(1.0) is False  # 1/4 failures
@@ -207,7 +202,7 @@ class TestStateMachineUnit:
         builder.site("alpha", hosts=[("a1", 1.0, 256), ("a2", 1.0, 256)])
         builder.site("beta", hosts=[("b1", 1.0, 256)])
         topo = builder.build()
-        registry = BreakerRegistry(topo.sim, BreakerPolicy())
+        registry = BreakerRegistry(topo.sim)
         control = ControlPlane(
             topo.sim, topo.network, stats=RuntimeStats(), breakers=registry
         )

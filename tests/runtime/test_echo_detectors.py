@@ -48,20 +48,14 @@ class TestCountEchoDetector:
         echoes = [(False, RTT), (True, RTT)] * 3
         assert transitions(drive(detector, echoes)) == [None] * 6
         assert detector.missed["a1"] == 0
+        # however slow, an answer within the round is an answer
+        patient = CountEchoDetector(1, hosts=["a1"])
+        assert drive(patient, [(True, 20 * RTT)]) == [EchoVerdict(True)]
 
     def test_a_believed_down_host_comes_back_on_its_first_answer(self):
         detector = CountEchoDetector(1, hosts=["a1"])
         verdicts = drive(detector, [(False, RTT), (False, RTT), (True, RTT)])
         assert transitions(verdicts) == ["down", None, "up"]
-
-    def test_an_answer_past_the_deadline_is_a_miss(self):
-        detector = CountEchoDetector(1, timeout_s=0.005, hosts=["a1"])
-        on_time, late = drive(detector, [(True, 0.004), (True, 0.02)])
-        assert on_time == EchoVerdict(True)
-        assert late == EchoVerdict(False, "down")  # slow, declared dead
-        # without a deadline the same echo counts
-        patient = CountEchoDetector(1, hosts=["a1"])
-        assert drive(patient, [(True, 0.02)]) == [EchoVerdict(True)]
 
     def test_membership(self):
         detector = CountEchoDetector(1)
@@ -75,7 +69,7 @@ class TestCountEchoDetector:
 
 class TestPhiEchoDetector:
     def detector(self):
-        return PhiEchoDetector(1.0, phi_suspect=1.0, phi_down=2.0, hosts=["a1"])
+        return PhiEchoDetector(1.0, hosts=["a1"])
 
     def test_a_regular_host_is_never_suspected(self):
         verdicts = drive(self.detector(), [(True, RTT)] * 10)
@@ -125,7 +119,7 @@ class TestPhiEchoDetector:
         assert transitions(verdicts) == [None] * 3
 
     def test_membership(self):
-        detector = PhiEchoDetector(1.0, 1.0, 2.0)
+        detector = PhiEchoDetector(1.0)
         detector.reset("b1")
         assert detector.round("b1", True, RTT, 1.0, True) == EchoVerdict(
             True, None, {"rtt_s": RTT, "phi": 0.0}

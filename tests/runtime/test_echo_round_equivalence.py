@@ -106,28 +106,6 @@ def test_loss_under_a_threshold_of_two():
     assert 0 < len(echoes_of(rt, "s0-h0")) < len(echoes_of(reference, "s0-h0"))
 
 
-def test_a_deadline_a_slowed_host_misses():
-    """``echo_timeout_s`` 0.002: at slowdown 3 the round trip takes
-    0.003, a miss; the host is declared down, and back when it speeds
-    up.  Its answers in time while slowed by 1.5 are quiet."""
-    def scenario():
-        rt = federation(echo_timeout_s=0.002)
-        injector = FailureInjector(rt.sim)
-        host = rt.topology.host("s0-h1")
-        injector.schedule_host_slowdown(host, start=12.0, duration=20.0,
-                                        factor=1.5)
-        injector.schedule_host_slowdown(host, start=42.0, duration=20.0,
-                                        factor=3.0)
-        rt.sim.run(until=90.0)
-        return rt
-
-    _, rt = assert_equivalent(scenario)
-    assert rt.stats.failure_notifications == 1
-    assert rt.stats.recovery_notifications == 1
-    assert echoes_of(rt, "s0-h1") == [
-        (5.0, True), (45.0, False), (50.0, False), (55.0, False),
-        (60.0, False), (65.0, True)]
-
 
 def test_a_host_believed_down_answers_and_stays_up():
     def scenario():
@@ -223,12 +201,11 @@ faults = st.lists(
 
 @settings(max_examples=15, deadline=None)
 @given(seed=st.integers(0, 3), timeline=faults,
-       loss=st.sampled_from([0.0, 0.2]), threshold=st.integers(1, 2),
-       timeout=st.sampled_from([None, 0.0025]))
-def test_fault_timelines(seed, timeline, loss, threshold, timeout):
+       loss=st.sampled_from([0.0, 0.2]), threshold=st.integers(1, 2))
+def test_fault_timelines(seed, timeline, loss, threshold):
     def scenario():
         rt = federation(seed=seed, echo_loss_prob=loss,
-                        suspicion_threshold=threshold, echo_timeout_s=timeout)
+                        suspicion_threshold=threshold)
         injector = FailureInjector(rt.sim)
         churned = set()
         for kind, s, h, at, duration in timeline:

@@ -118,9 +118,9 @@ def test_each_recovery_mechanism_has_one_call_site():
 
 
 def test_integrity_is_chosen_once():
-    # NULL_INTEGRITY is the only "off": VDCERuntime reads the config
-    # once, and nobody afterwards asks whether there is a manager (or
-    # its ledger) — ChaosReport.integrity, a report field, is read
+    # NULL_INTEGRITY is the only "off": VDCERuntime reads the config's
+    # boolean once, and nobody asks whether there is a manager (or its
+    # ledger) — ChaosReport.integrity, a report field, is read
     # truthily.  scheduler/ is not asked: its CommitmentLedger is
     # another ledger, switched off by the E13 ablation.
     forks = [
@@ -133,7 +133,7 @@ def test_integrity_is_chosen_once():
             node, lambda name: name.endswith(("integrity", "ledger"))
         )
     ]
-    assert forks == [("runtime/vdce_runtime.py", "config.data_integrity")]
+    assert forks == []
 
 
 def delegation_chain(gen):
@@ -214,14 +214,14 @@ OPT_IN = ("brownout", "health", "breaker", "breakers", "ratio_tracker",
 #: the ``None`` tests on them that stay, per function: the breaker
 #: registry's dictionary miss; the per-pair breaker a request resolves
 #: once (None on a same-site pair and with breakers off, so an attempt
-#: makes no breaker call), at most one test in each step; the
-#: deployment's construction choices; the journal's one question
+#: makes no breaker call), at most one test in each step; the journal's
+#: one question.  The deployment chooses breakers and health from
+#: booleans.
 NONE_TESTS_KEPT = {
     ("net/rpc.py", "BreakerRegistry.of"): 1,
     ("net/rpc.py", "ControlPlane.request"): 1,
     ("net/rpc.py", "ControlPlane._attempt"): 1,
     ("net/rpc.py", "ControlPlane._settle"): 1,
-    ("runtime/vdce_runtime.py", "VDCERuntime.__init__"): 2,
     ("runtime/execution.py", "ExecutionCoordinator._journaling"): 1,
 }
 
@@ -246,7 +246,8 @@ def test_collaborators_every_deployment_passes_are_not_optional():
     """Brownout, breakers, host health, the admission policy, the ratio
     history and the journal are each switched off once, where the
     deployment is wired; a reader calls the object it holds (27 ``None``
-    tests across 8 modules before the null objects, 7 since)."""
+    tests across 8 modules before the null objects, 7 after them, 5
+    since breakers and health became booleans)."""
     assert not [
         node for node in ast.walk(tree_of(rpc))
         if is_none_test(node, lambda name: name == "stats")
@@ -256,7 +257,7 @@ def test_collaborators_every_deployment_passes_are_not_optional():
         key: count for key, count in kept.items()
         if count > NONE_TESTS_KEPT.get(key, 0)
     } == {}
-    assert sum(kept.values()) <= 7
+    assert sum(kept.values()) <= 5
     assert not [
         node for tree in ALL.values() for node in calls([tree], "getattr")
         if len(node.args) > 1

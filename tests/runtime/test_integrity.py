@@ -17,11 +17,8 @@ from repro.errors import (
 )
 from repro.runtime import ExecutionError
 from repro.runtime.checkpoint import expected_output_hashes, final_output_hashes
-from repro.runtime.integrity import (
-    NULL_INTEGRITY,
-    IntegrityManager,
-    IntegrityPolicy,
-)
+from repro.runtime import integrity
+from repro.runtime.integrity import NULL_INTEGRITY, IntegrityManager
 from repro.scheduler import AllocationTable, TaskAssignment
 
 from tests.runtime.conftest import build_runtime, chain_afg
@@ -36,10 +33,8 @@ def cross_site_table(afg, pattern, predicted=0.5):
     return table
 
 
-def integrity_runtime(policy=None, **kwargs):
-    return build_runtime(
-        data_integrity=policy or IntegrityPolicy(), **kwargs
-    )
+def integrity_runtime(**kwargs):
+    return build_runtime(data_integrity=True, **kwargs)
 
 
 class TestIntegrityManagerLedger:
@@ -77,10 +72,10 @@ class TestIntegrityManagerLedger:
         assert rt.integrity.poisoned == 1
 
     def test_policy_validation(self):
-        with pytest.raises(ValueError):
-            IntegrityPolicy(max_refetches=-1)
-        with pytest.raises(ValueError):
-            IntegrityPolicy(max_depth=0)
+        """The budgets the ladder reads leave every repair bounded."""
+        assert integrity.MAX_REFETCHES >= 0
+        assert integrity.MAX_REGENERATIONS >= 0
+        assert integrity.MAX_DEPTH >= 1
 
 
 class TestRepairLadder:
@@ -123,10 +118,9 @@ class TestRepairLadder:
             for i in rt.integrity.incidents
         )
 
-    def test_permanent_corruption_poisons_and_fails_typed(self):
-        rt = integrity_runtime(
-            IntegrityPolicy(max_refetches=1, max_regenerations=1)
-        )
+    def test_permanent_corruption_poisons_and_fails_typed(self, budgets):
+        budgets(MAX_REFETCHES=1, MAX_REGENERATIONS=1)
+        rt = integrity_runtime()
         rt.topology.network.set_corruption(0.97)
         _afg, _expected, proc = self.run_chain(rt)
         with pytest.raises((DataIntegrityError, ExecutionError)):
@@ -138,12 +132,11 @@ class TestRepairLadder:
         # the damaged bytes were never consumed (I12)
         assert all(c["clean"] for c in rt.integrity.consumption_log)
 
-    def test_regeneration_repairs_past_the_refetch_budget(self):
+    def test_regeneration_repairs_past_the_refetch_budget(self, budgets):
         """A corruption window longer than the refetch budget forces a
         lineage re-execution; the run still matches the oracle."""
-        rt = integrity_runtime(
-            IntegrityPolicy(max_refetches=0, max_regenerations=3)
-        )
+        budgets(MAX_REFETCHES=0, MAX_REGENERATIONS=3)
+        rt = integrity_runtime()
         net = rt.topology.network
         net.set_corruption(0.97)
         rt.sim.call_at(2.5, lambda: net.set_corruption(0.0))
@@ -159,12 +152,12 @@ class TestRepairLadder:
             r.repair_regenerations > 0 for r in result.records.values()
         )
 
-    def lineage_setup(self, policy):
+    def lineage_setup(self):
         """t0,t1 on alpha, t2 on beta: only t1->t2 crosses the armed
         WAN.  On the FIRST corruption detection, t0's staged artifact
         is dropped and the link disarmed — so regenerating t1 finds a
         lost upstream input and must recurse to t0 first."""
-        rt = integrity_runtime(policy)
+        rt = integrity_runtime()
         net = rt.topology.network
         afg = chain_afg(n=3, scale=1.0, edge_mb=4.0)
         table = cross_site_table(
@@ -185,10 +178,9 @@ class TestRepairLadder:
         rt.integrity.note_corruption = on_first_corruption
         return rt, afg, proc
 
-    def test_lost_upstream_recurses_the_lineage_regeneration(self):
-        rt, afg, proc = self.lineage_setup(
-            IntegrityPolicy(max_refetches=0, max_regenerations=3)
-        )
+    def test_lost_upstream_recurses_the_lineage_regeneration(self, budgets):
+        budgets(MAX_REFETCHES=0, MAX_REGENERATIONS=3)
+        rt, afg, proc = self.lineage_setup()
         result = rt.sim.run_until_complete(proc)
         assert final_output_hashes(result) \
             == expected_output_hashes(afg, rt.registry)
@@ -200,12 +192,11 @@ class TestRepairLadder:
         assert incident["regenerations"] == 2
         assert not rt.integrity.artifact("chain", "t0", 0).lost
 
-    def test_depth_bound_quarantines_deep_lineage(self):
-        """Same lost-upstream scenario with max_depth=1: the recursion
+    def test_depth_bound_quarantines_deep_lineage(self, budgets):
+        """Same lost-upstream scenario with MAX_DEPTH 1: the recursion
         to t0 at depth 2 is forbidden, so the repair poisons instead."""
-        rt, _afg, proc = self.lineage_setup(
-            IntegrityPolicy(max_refetches=0, max_regenerations=3, max_depth=1)
-        )
+        budgets(MAX_REFETCHES=0, MAX_REGENERATIONS=3, MAX_DEPTH=1)
+        rt, _afg, proc = self.lineage_setup()
         with pytest.raises((DataIntegrityError, ExecutionError)):
             rt.sim.run_until_complete(proc)
         assert rt.integrity.poisoned >= 1
@@ -224,13 +215,13 @@ class TestDefaultOffNeutrality:
         from repro.trace.tracer import Tracer
 
         hashes = {}
-        for label, policy in (("off", None), ("on", IntegrityPolicy())):
+        for label, armed in (("off", False), ("on", True)):
             builder = TopologyBuilder(seed=0).wan_defaults(0.02, 2.0)
             builder.site("alpha", hosts=[("a1", 1.0, 256), ("a2", 2.0, 256)])
             builder.site("beta", hosts=[("b1", 1.5, 256), ("b2", 3.0, 256)])
             rt = VDCERuntime(
                 builder.build(),
-                config=RuntimeConfig(data_integrity=policy),
+                config=RuntimeConfig(data_integrity=armed),
                 tracer=Tracer(), metrics=MetricsRegistry(),
             )
             afg = chain_afg(n=3)
@@ -306,15 +297,17 @@ class TestReStagedCopiesAreVerified:
         assert [(c["edge"], c["clean"]) for c in
                 rt.integrity.consumption_log] == [("src->snk", True)]
 
-    def test_a_speculative_feed_that_fails_typed_abandons_the_backup(self):
+    def test_a_speculative_feed_that_fails_typed_abandons_the_backup(
+            self, budgets):
         """t1 straggles on a1 and beta bids for its backup, but the
         backup's input arrives damaged with no repair budget left: the
         feed fails typed, speculation is abandoned and the primary
         finishes on the straggler."""
         from repro.runtime.straggler import SpeculationPolicy
 
+        budgets(MAX_REFETCHES=0, MAX_REGENERATIONS=0)
         rt = integrity_runtime(
-            IntegrityPolicy(max_refetches=0, max_regenerations=0), seed=1,
+            seed=1,
             site_hosts={"alpha": [("a1", 1.0, 256)],
                         "beta": [("b1", 1.0, 256)]},
             speculation=SpeculationPolicy(trigger_multiple=1.5,

@@ -5,6 +5,7 @@ import pytest
 from repro import VDCE
 from repro.afg import ApplicationFlowGraph, TaskNode, TaskProperties
 from repro.net.rpc import ManagerUnavailable
+from repro.runtime import straggler
 from repro.runtime.monitor import Measurement
 from repro.scheduler import SiteScheduler
 from repro.sim import FailureInjector
@@ -173,12 +174,10 @@ class TestSiteManagerCrash:
     def test_reselect_masks_excluded_and_quarantined_hosts(self):
         """Exclusion and quarantine are one mask over one bid: the
         replacement is the best host that is neither."""
-        from repro.runtime.straggler import HealthPolicy
-
         rt = build_runtime(
             site_hosts={"alpha": [("a1", 1.0, 256), ("a2", 2.0, 256),
                                   ("a3", 4.0, 256)]},
-            health=HealthPolicy(),
+            health=True,
         )
         sm = rt.site_managers["alpha"]
         afg = chain_afg(n=2)
@@ -189,7 +188,7 @@ class TestSiteManagerCrash:
 
         assert pick() == ("a3",)
         assert pick("a3") == ("a2",)
-        rt.health.penalize("a2", rt.health.policy.quarantine_threshold)
+        rt.health.penalize("a2", straggler._QUARANTINE_THRESHOLD)
         assert pick("a3") == ("a1",)  # a2 quarantined, a3 excluded
         assert pick("a1", "a3") is None
         # a penalty short of quarantine multiplies the prediction

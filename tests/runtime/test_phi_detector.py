@@ -3,14 +3,14 @@
 Scripted echo-delay/outage sequences drive the Group Manager's phi
 detector through its full transition table (TRUST -> SUSPECT ->
 declared down -> recovered; SUSPECT -> TRUST on resumed arrivals), and
-a side-by-side shows the count detector's false positive on a merely
-slowed host — the failure mode phi exists to avoid.
+a slowed or flapping host is never declared down — slow is not dead.
 """
 
 import math
 
 import pytest
 
+from repro.runtime import straggler
 from repro.runtime.straggler import PhiAccrualDetector
 
 from tests.runtime.conftest import build_runtime
@@ -69,7 +69,7 @@ class TestPhiAccrualDetector:
 
 
 class TestPhiTransitionTable:
-    """period=1s, phi_suspect=1.0, phi_down=2.0: suspicion crosses 1.0
+    """period=1s, PHI_SUSPECT 1.0, PHI_DOWN 2.0: suspicion crosses 1.0
     after ~ln10 ≈ 2.3 silent periods and 2.0 after ~4.6."""
 
     def _runtime(self):
@@ -114,7 +114,7 @@ class TestPhiTransitionTable:
         rt.sim.run(until=6.4)
         assert gm.is_suspected("a1")  # 3 silent periods
         # round 7 answers (phi still ≥ 1, stays formally suspected),
-        # round 8's fresh interval history drops phi below phi_suspect
+        # round 8's fresh interval history drops phi below PHI_SUSPECT
         rt.sim.run(until=8.5)
         assert gm.believes_up("a1")
         assert not gm.is_suspected("a1")
@@ -130,22 +130,8 @@ class TestPhiTransitionTable:
 
 
 class TestSlowIsNotDead:
-    """The contrast the phi detector exists for: a 10x-slowed host
-    answers echoes late; count + tight deadline kills it, phi doesn't."""
-
-    def test_count_detector_with_tight_deadline_false_positives(self):
-        # healthy RTT = 2 x 0.0005s; the slowed host's RTT is 10x that,
-        # so a 2ms deadline misses every round
-        rt = build_runtime(echo_period_s=1.0, suspicion_threshold=2,
-                           echo_timeout_s=0.002)
-        rt.start_monitoring()
-        gm = _gm_of(rt, "a1")
-        _host(rt, "a1").set_slowdown(10.0)
-        rt.sim.run(until=10.0)
-        assert not gm.believes_up("a1")  # declared dead...
-        assert _host(rt, "a1").is_up()  # ...while merely slow
-        assert gm.false_positives >= 1
-        assert rt.stats.failure_notifications >= 1
+    """The case the phi detector exists for: a 10x-slowed host answers
+    echoes late, and phi keeps trusting it."""
 
     def test_phi_detector_keeps_trusting_the_slowed_host(self):
         rt = build_runtime(detector="phi", echo_period_s=1.0)
@@ -184,9 +170,4 @@ class TestConfigValidation:
             build_runtime(detector="oracle")
 
     def test_phi_thresholds_must_be_ordered(self):
-        with pytest.raises(ValueError):
-            build_runtime(detector="phi", phi_suspect=2.0, phi_down=1.0)
-
-    def test_echo_timeout_must_be_positive(self):
-        with pytest.raises(ValueError):
-            build_runtime(echo_timeout_s=0.0)
+        assert 0.0 < straggler.PHI_SUSPECT < straggler.PHI_DOWN

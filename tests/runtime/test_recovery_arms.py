@@ -34,8 +34,8 @@ from repro.runtime.checkpoint import (
     expected_output_hashes,
     final_output_hashes,
 )
+from repro.runtime import execution
 from repro.runtime.execution import ExecutionCoordinator
-from repro.runtime.integrity import IntegrityPolicy
 from repro.runtime.straggler import SpeculationPolicy
 from repro.scheduler import AllocationTable, TaskAssignment
 from repro.sim import FailureInjector
@@ -46,8 +46,11 @@ from tests.runtime.conftest import build_runtime, chain_afg
 
 pytestmark = pytest.mark.gate
 
-#: a short data policy so exhaustion takes three attempts, not seven
-_IMPATIENT = RetryPolicy(timeout_s=5.0, max_attempts=3, backoff_base_s=0.25)
+@pytest.fixture
+def impatient(monkeypatch):
+    """A short data policy, so exhaustion takes three attempts, not seven."""
+    monkeypatch.setattr(execution, "_DATA_POLICY", RetryPolicy(
+        timeout_s=5.0, max_attempts=3, backoff_base_s=0.25))
 
 
 def traced_runtime(**config):
@@ -114,8 +117,9 @@ class TestStageInAcrossALinkOutage:
         assert stage_in.data["status"] == "ok"
         pin("recovery:stage_outage_retried", trace=trace_hash(rt.tracer))
 
-    def test_outage_outlasting_the_data_policy_fails_typed(self, pin):
-        rt = traced_runtime(data_policy=_IMPATIENT)
+    def test_outage_outlasting_the_data_policy_fails_typed(self, pin,
+                                                           impatient):
+        rt = traced_runtime()
         FailureInjector(rt.sim).schedule_link(wan(rt), 1.0, "down")
         with pytest.raises(ExecutionError,
                            match="staging '/data/in.dat' onto b1 failed "
@@ -128,7 +132,7 @@ class TestStageInAcrossALinkOutage:
 
 class TestCorruptStageIn:
     def test_within_the_refetch_budget(self, pin):
-        rt = traced_runtime(data_integrity=IntegrityPolicy())
+        rt = traced_runtime(data_integrity=True)
         net = rt.topology.network
         net.set_corruption(0.97)
         rt.sim.call_at(3.0, lambda: net.set_corruption(0.0))
@@ -144,8 +148,10 @@ class TestCorruptStageIn:
         assert rt.integrity.refetches == 1
         pin("recovery:stage_corrupt_refetched", trace=trace_hash(rt.tracer))
 
-    def test_past_the_refetch_budget_poisons_and_fails_typed(self, pin):
-        rt = traced_runtime(data_integrity=IntegrityPolicy(max_refetches=1))
+    def test_past_the_refetch_budget_poisons_and_fails_typed(self, pin,
+                                                              budgets):
+        budgets(MAX_REFETCHES=1)
+        rt = traced_runtime(data_integrity=True)
         rt.topology.network.set_corruption(0.97)
         with pytest.raises(CorruptPayloadError,
                            match=r"still corrupt after 1 refetch\(es\)"):
@@ -177,9 +183,9 @@ def crashed_after_t0():
     return afg, journal, checkpoint
 
 
-def resume_with_corrupt_wan(policy, disarm_at=None):
+def resume_with_corrupt_wan(disarm_at=None):
     afg, journal, checkpoint = crashed_after_t0()
-    rt = traced_runtime(data_integrity=policy)
+    rt = traced_runtime(data_integrity=True)
     net = rt.topology.network
     net.set_corruption(0.97)
     if disarm_at is not None:
@@ -193,8 +199,7 @@ def resume_with_corrupt_wan(policy, disarm_at=None):
 
 class TestCorruptRestageOnResume:
     def test_within_the_refetch_budget(self, pin):
-        rt, afg, proc = resume_with_corrupt_wan(IntegrityPolicy(),
-                                                disarm_at=1.5)
+        rt, afg, proc = resume_with_corrupt_wan(disarm_at=1.5)
         result = rt.sim.run_until_complete(proc)
         assert final_output_hashes(result) \
             == expected_output_hashes(afg, rt.registry)
@@ -206,10 +211,9 @@ class TestCorruptRestageOnResume:
         assert all(c["clean"] for c in rt.integrity.consumption_log)
         pin("recovery:restage_corrupt_refetched", trace=trace_hash(rt.tracer))
 
-    def test_past_the_refetch_budget_fails_the_edge_typed(self, pin):
-        rt, _afg, proc = resume_with_corrupt_wan(
-            IntegrityPolicy(max_refetches=1)
-        )
+    def test_past_the_refetch_budget_fails_the_edge_typed(self, pin, budgets):
+        budgets(MAX_REFETCHES=1)
+        rt, _afg, proc = resume_with_corrupt_wan()
         with pytest.raises(CorruptPayloadError,
                            match=r"re-staged output t0\[0\] still corrupt "
                                  r"after 1 refetch\(es\)"):
@@ -230,7 +234,7 @@ class TestArtifactLadderEntryPoints:
         """The staged copy vanishes between production and the start of
         its delivery: no transfer is attempted on the lost copy, no
         refetch is spent, the producer is regenerated once."""
-        rt = traced_runtime(data_integrity=IntegrityPolicy())
+        rt = traced_runtime(data_integrity=True)
         injector = FailureInjector(rt.sim)
         record_artifact = rt.integrity.record_artifact
 
@@ -260,14 +264,14 @@ class TestArtifactLadderEntryPoints:
         pin("recovery:artifact_lost_before_delivery",
             trace=trace_hash(rt.tracer))
 
-    def test_consumer_of_an_already_poisoned_artifact_fails_typed(self, pin):
+    def test_consumer_of_an_already_poisoned_artifact_fails_typed(
+            self, pin, budgets):
         """t0 fans out to a small and a large edge over a corrupting WAN.
         The small delivery exhausts the ladder first and quarantines
         t0's artifact; the large one comes back from its first refetch
         to find it poisoned and fails without poisoning it again."""
-        rt = traced_runtime(data_integrity=IntegrityPolicy(
-            max_refetches=1, max_regenerations=0
-        ))
+        budgets(MAX_REFETCHES=1, MAX_REGENERATIONS=0)
+        rt = traced_runtime(data_integrity=True)
         rt.topology.network.set_corruption(0.97)
         afg = ApplicationFlowGraph("fan")
         afg.add_task(TaskNode(id="t0", task_type="generic.source",
@@ -298,8 +302,9 @@ class TestArtifactLadderEntryPoints:
 
 # -- a dataflow transfer that exhausts its attempts --------------------------
 
-def test_dataflow_transfer_exhausting_the_data_policy_fails_the_consumer(pin):
-    rt = traced_runtime(data_policy=_IMPATIENT)
+def test_dataflow_transfer_exhausting_the_data_policy_fails_the_consumer(
+        pin, impatient):
+    rt = traced_runtime()
     afg = chain_afg(n=2, scale=1.0, edge_mb=4.0)
     table = manual_table(afg, {"t0": ("alpha", "a1"), "t1": ("beta", "b1")})
     proc = rt.execute_process(afg, table)
@@ -340,7 +345,7 @@ class TestSpeculationTimerDeadEnds:
         assert events_of(rt, EventKind.SPECULATE) == []
         pin("recovery:speculation_nowhere_to_bid", trace=trace_hash(rt.tracer))
 
-    def test_backup_that_cannot_be_fed_is_never_launched(self, pin):
+    def test_backup_that_cannot_be_fed_is_never_launched(self, pin, impatient):
         """beta bids for t1's backup, but the WAN dies while the backup's
         input is in flight and outlasts the data policy: speculation is
         abandoned, the retries are billed to the task, the primary
@@ -348,7 +353,7 @@ class TestSpeculationTimerDeadEnds:
         rt = traced_runtime(
             site_hosts={"alpha": [("a1", 1.0, 256)],
                         "beta": [("b1", 1.0, 256)]},
-            speculation=_SPECULATE, data_policy=_IMPATIENT,
+            speculation=_SPECULATE,
         )
         afg = chain_afg(n=2, scale=2.0, edge_mb=4.0, name="unfed")
         table = manual_table(

@@ -212,3 +212,41 @@ class TestResumeRebuildsTheDeployment:
         assert [h.spec for h in env2.topology.all_hosts] \
             == [h.spec for h in env.topology.all_hosts]
         assert final_output_hashes(result) == expected
+
+    @staticmethod
+    def uniform_checkpoint(tmp_path):
+        """A run on uniform-block sites, checkpointed mid-way: the run,
+        its oracle and its ``meta.json``."""
+        env, _afg, _proc, expected = start_checkpointed_run(tmp_path, seed=12)
+        env.sim.run(until=5.0)
+        env.save_repositories(str(tmp_path / "repos"))
+        return env, expected, tmp_path / "meta.json"
+
+    def test_a_meta_json_holding_the_retired_site_keys_resumes(self, tmp_path):
+        """A ``meta.json`` written while ``SiteConfig`` had ``memory_mb``
+        and ``group_size`` holds both on every site; at the values every
+        deployment now uses it resumes to the same hosts and outputs."""
+        env, expected, meta_file = self.uniform_checkpoint(tmp_path)
+        meta = json.loads(meta_file.read_text())
+        for site in meta["deployment"]["sites"]:
+            site.update(memory_mb=256, group_size=0)
+        meta_file.write_text(json.dumps(meta))
+
+        env2, result = resume_run(str(tmp_path))
+        assert env2.spec == env.spec
+        assert [h.spec for h in env2.topology.all_hosts] \
+            == [h.spec for h in env.topology.all_hosts]
+        assert final_output_hashes(result) == expected
+
+    @pytest.mark.parametrize("key, value", [("memory_mb", 512),
+                                            ("group_size", 1)])
+    def test_a_retired_site_key_at_another_value_is_refused(
+            self, tmp_path, key, value):
+        """A deployment no spec can declare any more is refused by name,
+        not rebuilt as a different federation."""
+        _env, _expected, meta_file = self.uniform_checkpoint(tmp_path)
+        meta = json.loads(meta_file.read_text())
+        meta["deployment"]["sites"][0][key] = value
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"{key}={value}"):
+            resume_run(str(tmp_path))

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.net import rpc
 from repro.net.rpc import ControlPlane, RetryPolicy, RpcTimeout
 from repro.runtime.stats import RuntimeStats
 from repro.sim import TopologyBuilder
@@ -107,7 +108,7 @@ def test_handler_generator_is_driven_inside_rpc():
 
 
 def test_backoff_is_exponential_with_bounded_jitter():
-    policy = RetryPolicy(backoff_base_s=0.1, backoff_factor=2.0, jitter_frac=0.2)
+    policy = RetryPolicy(backoff_base_s=0.1)
     assert policy.backoff(1, 0.0) == pytest.approx(0.1)
     assert policy.backoff(2, 0.0) == pytest.approx(0.2)
     assert policy.backoff(3, 0.0) == pytest.approx(0.4)
@@ -122,9 +123,7 @@ def test_retry_policy_validation():
     with pytest.raises(ValueError):
         RetryPolicy(max_attempts=0)
     with pytest.raises(ValueError):
-        RetryPolicy(backoff_factor=0.5)
-    with pytest.raises(ValueError):
-        RetryPolicy(jitter_frac=1.5)
+        RetryPolicy(backoff_base_s=-0.1)
 
 
 def test_notify_lan_clean_is_one_latency():
@@ -137,7 +136,8 @@ def test_notify_lan_clean_is_one_latency():
     assert got["at"] == pytest.approx(0.001)
 
 
-def test_notify_lan_retries_through_loss():
+def test_notify_lan_retries_through_loss(monkeypatch):
+    monkeypatch.setattr(rpc, "_BACKOFF_FACTOR", 1.0)
     topo = _topo()
     stats = RuntimeStats()
     control = ControlPlane(topo.sim, topo.network, stats=stats)
@@ -147,8 +147,7 @@ def test_notify_lan_retries_through_loss():
     control.notify_lan(
         link, lambda: got.setdefault("at", topo.sim.now), 0.001,
         label="test-report",
-        policy=RetryPolicy(max_attempts=200, backoff_base_s=0.01,
-                           backoff_factor=1.0),
+        policy=RetryPolicy(max_attempts=200, backoff_base_s=0.01),
     )
     topo.sim.run()
     assert "at" in got  # eventually delivered

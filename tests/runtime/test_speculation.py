@@ -10,10 +10,10 @@ matter which copy won.
 
 import pytest
 
+from repro.runtime import straggler
 from repro.runtime.checkpoint import expected_output_hashes, final_output_hashes
 from repro.runtime.execution import ExecutionCoordinator
 from repro.runtime.straggler import (
-    HealthPolicy,
     HostHealth,
     RatioTracker,
     SpeculationPolicy,
@@ -128,12 +128,11 @@ class TestRatioTracker:
 
 
 class TestHostHealth:
-    def _health(self, **kwargs):
+    def _health(self):
         from repro.sim import Simulator
 
         sim = Simulator()
-        policy = HealthPolicy(**kwargs)
-        return sim, HostHealth(sim, policy)
+        return sim, HostHealth(sim)
 
     def test_penalties_accumulate_into_the_predict_factor(self):
         _, health = self._health()
@@ -141,15 +140,17 @@ class TestHostHealth:
         health.penalize("h", 0.5, "suspect")
         assert health.factor_of("h") == pytest.approx(1.5)
 
-    def test_score_decays_with_half_life(self):
-        sim, health = self._health(half_life_s=10.0)
+    def test_score_decays_with_half_life(self, monkeypatch):
+        monkeypatch.setattr(straggler, "_HALF_LIFE_S", 10.0)
+        sim, health = self._health()
         health.penalize("h", 2.0, "suspect")
         sim.call_at(10.0, lambda: None)
         sim.run()
         assert health.score_of("h") == pytest.approx(1.0)
 
-    def test_quarantine_at_threshold_then_probation_release(self):
-        sim, health = self._health(quarantine_threshold=3.0, probation_s=50.0)
+    def test_quarantine_at_threshold_then_probation_release(self, monkeypatch):
+        monkeypatch.setattr(straggler, "_PROBATION_S", 50.0)
+        sim, health = self._health()
         health.penalize("h", 3.0, "failure")
         assert health.is_quarantined("h")
         assert health.factor_of("h") is None  # excluded from selection
@@ -164,25 +165,26 @@ class TestHostHealth:
 
 
 class TestQuarantineScheduling:
-    def test_quarantined_host_excluded_from_placement(self):
-        rt = build_runtime(health=HealthPolicy(quarantine_threshold=3.0,
-                                               probation_s=1000.0))
+    def test_quarantined_host_excluded_from_placement(self, monkeypatch):
+        monkeypatch.setattr(straggler, "_PROBATION_S", 1000.0)
+        rt = build_runtime(health=True)
         rt.health.penalize("b2", 5.0, "test")
         result = rt.submit(chain_afg(n=3, scale=1.0, name="avoids-b2"))
         used = {h for r in result.records.values() for h in r.hosts}
         assert "b2" not in used
 
-    def test_health_penalty_steers_prediction_away(self):
+    def test_health_penalty_steers_prediction_away(self, monkeypatch):
         # b2 (speed 3.0) normally wins every bid; a 1.0 score doubles
         # its predictions, so slower-but-clean hosts win instead
-        rt = build_runtime(health=HealthPolicy(half_life_s=1e9))
+        monkeypatch.setattr(straggler, "_HALF_LIFE_S", 1e9)
+        rt = build_runtime(health=True)
         rt.health.penalize("b2", 1.0, "test")
         result = rt.submit(chain_afg(n=3, scale=1.0, name="steered"))
         primaries = {r.hosts[0] for r in result.records.values()}
         assert "b2" not in primaries
 
     def test_clean_slate_uses_the_fast_host(self):
-        rt = build_runtime(health=HealthPolicy())
+        rt = build_runtime(health=True)
         result = rt.submit(chain_afg(n=3, scale=1.0, name="clean"))
         used = {h for r in result.records.values() for h in r.hosts}
         assert "b2" in used

@@ -46,18 +46,22 @@ from repro.workloads import (
 )
 from tests.scheduler import _reference
 from tests.scheduler.conftest import build_federation, log_site_bids
+from tests.workloads.fan_in import random_dag_at
 
 HOSTS = tuple(f"h{i}" for i in range(5))
 
 dags = st.builds(
-    RandomDAGConfig,
-    n_tasks=st.integers(min_value=1, max_value=24),
-    width=st.integers(min_value=1, max_value=6),
-    max_fan_in=st.integers(min_value=1, max_value=3),
-    # 0 = every task costs the same: levels tie, the id breaks them
-    cost_heterogeneity=st.sampled_from((0.0, 0.5)),
-    seed=st.integers(min_value=0, max_value=10_000),
-).map(random_dag)
+    random_dag_at,
+    st.builds(
+        RandomDAGConfig,
+        n_tasks=st.integers(min_value=1, max_value=24),
+        width=st.integers(min_value=1, max_value=6),
+        # 0 = every task costs the same: levels tie, the id breaks them
+        cost_heterogeneity=st.sampled_from((0.0, 0.5)),
+        seed=st.integers(min_value=0, max_value=10_000),
+    ),
+    st.integers(min_value=1, max_value=3),
+)
 
 
 def with_parallel_tasks(afg, parallel):

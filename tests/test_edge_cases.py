@@ -161,7 +161,7 @@ class TestNetworkOverrides:
 
 class TestRuntimeSubmitOverrides:
     def test_execute_payloads_override_wins_over_config(self):
-        rt = build_runtime(config=RuntimeConfig(execute_payloads=True))
+        rt = build_runtime()
         result = rt.submit(chain_afg(n=2), SiteScheduler(k=0),
                            execute_payloads=False)
         assert result.outputs["t1"] == [None]

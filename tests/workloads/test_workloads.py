@@ -21,6 +21,7 @@ from repro.workloads import (
 )
 
 from tests.runtime.conftest import build_runtime
+from tests.workloads.fan_in import random_dag_at
 
 #: seeds numpy's ``SeedSequence`` refuses, and the exception it raises
 BAD_SEEDS = [(-1, ValueError), (1.5, TypeError), ("7", TypeError)]
@@ -87,8 +88,8 @@ class TestRandomDAG:
             assert afg.is_acyclic()
 
     def test_fan_in_bounded(self):
-        cfg = RandomDAGConfig(n_tasks=50, max_fan_in=2, seed=2)
-        afg = random_dag(cfg)
+        cfg = RandomDAGConfig(n_tasks=50, seed=2)
+        afg = random_dag_at(cfg, 2)
         assert all(t.n_in_ports <= 2 for t in afg)
 
     def test_cost_heterogeneity_range(self):
