@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 __all__ = ["ComputationMode", "FileSpec", "InputBinding", "TaskProperties"]

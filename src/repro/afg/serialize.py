@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 from typing import Any, Dict
 
-from repro.afg.graph import ApplicationFlowGraph, Edge
+from repro.afg.graph import ApplicationFlowGraph
 from repro.afg.properties import (
     ComputationMode,
     FileSpec,

@@ -7,7 +7,7 @@ deserialiser and the web editor all enforce the same contract.
 
 from __future__ import annotations
 
-from typing import List, Optional
+from typing import List
 
 from repro.afg.graph import ApplicationFlowGraph
 

@@ -43,7 +43,7 @@ except ImportError as _exc:  # pragma: no cover - environment without flask
     _import_error = _exc
 
 from repro.afg.serialize import afg_to_dict
-from repro.afg.validate import AFGValidationError, validate_afg
+from repro.afg.validate import AFGValidationError
 from repro.editor.builder import BuilderError
 from repro.editor.session import EditorSession, SessionError
 from repro.repository.users import AuthenticationError, UnknownUserError

@@ -7,7 +7,6 @@ performance" views (paper §4.2) and several experiment assertions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Tuple
 
 from repro.obs.attribution import merge_intervals

@@ -21,7 +21,7 @@ from typing import Any, Dict
 
 from repro.repository.store import SiteRepository
 from repro.repository.users import AccessDomain, UserAccount
-from repro.repository.resources import HostRecord, MembershipState
+from repro.repository.resources import MembershipState
 from repro.repository.taskperf import TaskPerfRecord
 from repro.sim.host import HostSpec
 from repro.tasklib.base import ParallelModel

@@ -14,7 +14,7 @@ that staleness.  ``mark_down`` realises "the host is then marked as
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.host import HostSpec

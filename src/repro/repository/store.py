@@ -8,8 +8,6 @@ appropriate member database.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional
-
 from repro.repository.constraints import TaskConstraintsDB
 from repro.repository.host_index import HostIndex
 from repro.repository.resources import (

@@ -15,10 +15,10 @@ applications.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from repro.tasklib.base import ParallelModel, TaskSignature
+from repro.tasklib.base import ParallelModel
 from repro.tasklib.registry import TaskRegistry
 
 __all__ = ["TaskPerfRecord", "TaskPerformanceDB"]

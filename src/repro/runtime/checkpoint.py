@@ -45,7 +45,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
-from repro.afg.serialize import afg_from_dict, afg_to_dict
+from repro.afg.serialize import afg_from_dict
 from repro.errors import JournalCorruptError
 from repro.hashing import canonical_json, value_hash
 from repro.scheduler.allocation import AllocationTable

@@ -16,8 +16,8 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional
 
 from repro.afg.graph import ApplicationFlowGraph, Edge
 from repro.errors import AggregateExecutionError

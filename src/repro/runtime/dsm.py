@@ -25,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Dict, Set
 
-from repro.sim.kernel import AllOf, Simulator, Timeout
+from repro.sim.kernel import AllOf, Simulator
 from repro.sim.network import Network
 
 __all__ = ["DSM", "DSMError", "DSMStats"]

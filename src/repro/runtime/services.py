@@ -17,7 +17,7 @@ as I/O service, console service, and visualization service."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, Optional
+from typing import Any, Callable, Dict
 
 from repro.afg.properties import FileSpec
 from repro.runtime.integrity import NULL_INTEGRITY

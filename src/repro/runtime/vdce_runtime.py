@@ -20,7 +20,7 @@ as real simulated transfers, so scheduling overhead is measurable
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Dict, List, Mapping, NamedTuple, Optional
 
 from repro.afg.graph import ApplicationFlowGraph

@@ -13,8 +13,8 @@ apples-to-apples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Mapping, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
 

@@ -31,7 +31,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.afg.graph import ApplicationFlowGraph
-from repro.afg.levels import compute_levels
 from repro.afg.validate import validate_afg
 from repro.pcg64 import PCG64, check_seed
 from repro.scheduler.allocation import AllocationTable, TaskAssignment

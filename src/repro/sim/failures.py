@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
 
 from repro.sim.host import Host
-from repro.sim.kernel import Process, SimulationError, Simulator, Timeout
+from repro.sim.kernel import Process, Simulator, Timeout
 from repro.sim.network import Link, Network
 
 __all__ = ["FailureEvent", "FailureInjector", "Interval", "inside", "intervals"]

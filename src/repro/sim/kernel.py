@@ -6,8 +6,9 @@ Python generators that ``yield`` waitable objects (:class:`Timeout`,
 are resumed by the :class:`Simulator` when the waited-on condition
 fires.  Event ordering is fully deterministic: ties in virtual time are
 broken by a monotonically increasing sequence number, and all randomness
-is drawn from named, seed-derived :mod:`numpy` generator streams
-(:meth:`Simulator.rng`), so two runs with the same seed produce
+is drawn from named, seed-derived :class:`repro.pcg64.PCG64` streams
+(:meth:`Simulator.rng`, numpy's ``default_rng`` streams replayed
+without numpy), so two runs with the same seed produce
 identical traces regardless of host platform or dict ordering.
 
 The kernel intentionally keeps the waitable vocabulary small; the whole
@@ -21,14 +22,12 @@ import heapq
 import itertools
 from bisect import bisect_left
 from operator import itemgetter
-from typing import TYPE_CHECKING, Any, Callable, Generator, Iterable, Optional
+from typing import Any, Callable, Generator, Iterable, Optional
 
 from repro.metrics.registry import NULL_METRICS, MetricsRegistry
+from repro.pcg64 import PCG64
 from repro.trace.events import EventKind
 from repro.trace.tracer import NULL_TRACER, Tracer
-
-if TYPE_CHECKING:
-    import numpy as np
 
 __all__ = [
     "AllOf",
@@ -410,7 +409,7 @@ class Simulator:
         #: heap of calendar entries — see _ScheduledCall
         self._queue: list[_ScheduledCall] = []
         self._seq = itertools.count()
-        self._rngs: dict[str, np.random.Generator] = {}
+        self._rngs: dict[str, PCG64] = {}
         self._failed: list[Process] = []
         #: the deployment's one emitter (no-op until attached)
         self.tracer: Tracer = NULL_TRACER
@@ -420,28 +419,21 @@ class Simulator:
 
     # -- randomness -----------------------------------------------------
 
-    def rng(self, name: str) -> np.random.Generator:
+    def rng(self, name: str) -> PCG64:
         """Named deterministic RNG stream (stable across runs and platforms).
 
         A stream is a pure function of ``(seed, name)``, so *when* it is
-        first asked for cannot change a value it yields.  A miss builds a
-        ``SeedSequence`` + PCG64 + ``Generator`` (~40 us) that is kept for
-        the life of the simulator; a hit is one dict look-up.  Callers
-        therefore take a stream at the statement that draws from it, not
-        when they merely might need it — and a run that draws nothing
-        never imports numpy.  These streams are the only seeded draws
-        that stay on numpy: their ``exponential`` and ``normal`` draws
-        use numpy's ziggurat tables, which ``repro.pcg64`` (the stream
-        of every draw outside the simulator) does not replicate.
+        first asked for cannot change a value it yields.  It is numpy's
+        ``default_rng(SeedSequence(seed, spawn_key=tuple(name.encode(
+        "utf-8"))))`` replayed by :class:`repro.pcg64.PCG64`, which no
+        numpy import backs.  A miss mixes the name's bytes into the seed
+        (tens of microseconds) and keeps the stream for the life of the
+        simulator; a hit is one dict look-up.  Callers take a stream at
+        the statement that draws from it, not when they merely might
+        need it.
         """
         if name not in self._rngs:
-            import numpy as np
-
-            child = np.random.SeedSequence(
-                entropy=self.seed,
-                spawn_key=tuple(name.encode("utf-8")),
-            )
-            self._rngs[name] = np.random.default_rng(child)
+            self._rngs[name] = PCG64(self.seed, name.encode("utf-8"))
         return self._rngs[name]
 
     @property

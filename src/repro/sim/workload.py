@@ -10,7 +10,7 @@ and rescheduling experiments are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence, Tuple
+from typing import Iterable, Sequence
 
 from repro.sim.host import Host
 from repro.sim.kernel import Process, Simulator, Timeout

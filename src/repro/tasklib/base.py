@@ -16,7 +16,7 @@ the executable, only the database parameters.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, List, Optional, Sequence
 
 __all__ = ["ParallelModel", "TaskSignature"]

@@ -274,16 +274,29 @@ def test_seeded_draws_outside_the_simulator_load_no_numpy():
 
 
 @pytest.mark.gate
-@pytest.mark.parametrize("draw", [
-    "Simulator(seed=0).rng('first')",
-])
-def test_the_first_draw_loads_numpy(draw):
-    """Not vacuous: the statement that draws from a simulator stream is
-    the one that imports numpy."""
+def test_a_chaos_campaign_loads_no_numpy():
+    """The simulator's named streams are ``repro.pcg64`` streams too: a
+    smoke campaign draws its fault plan, failures and losses from them
+    and loads no numpy."""
+    loaded = loaded_after(
+        "from repro.sim.chaos import _play, smoke_config\n"
+        "from repro.sim.invariants import INVARIANTS\n"
+        "vdce, run = _play(smoke_config(0))\n"
+        "assert vdce.sim.rng_streams > 0\n"
+        "assert not [p for check in INVARIANTS for p in check(run)]")
+    assert {"repro.pcg64", "repro.sim.chaos"} <= loaded
+    assert "numpy" not in loaded
+
+
+@pytest.mark.gate
+def test_the_first_payload_loads_numpy():
+    """Not vacuous: the statement that computes a matrix payload is the
+    one that imports numpy."""
     loaded = loaded_after(
         "import sys\n"
-        "from repro.sim.kernel import Simulator\n"
-        "assert 'numpy' not in sys.modules\n" + draw)
+        "from repro.tasklib.matrix import generate_spd\n"
+        "assert 'numpy' not in sys.modules\n"
+        "generate_spd([], 0.01)")
     assert "numpy" in loaded
 
 

@@ -3,12 +3,17 @@
 The oracle is the numpy this interpreter has: every CI job installs its
 own, so the replica is checked against numpy on every supported Python.
 A script of draws — ``integers`` over 32- and 64-bit ranges, ``uniform``
-and ``choice`` in both of numpy's branches, interleaved so that a 32-bit
-draw's buffered upper half outlives the 64-bit draws between — runs on
-both, and a mismatch names the first draw that differs.  Each call site
-(random DAGs, heterogeneous bags, ``RandomScheduler``, the prediction
-model's noise) is then run once on the replica and once on numpy's
-``Generator``, which has the same call shapes.
+and ``choice`` in both of numpy's branches, and the simulator's shapes
+(``random``, ``exponential``, ``normal``, a scalar ``choice``),
+interleaved so that a 32-bit draw's buffered upper half outlives the
+64-bit draws between — runs on both, on a plain seed's stream and on a
+named one (``SeedSequence(seed, spawn_key=name's UTF-8 bytes)``, a
+``Simulator.rng`` stream), and a mismatch names the first draw that
+differs.  A fixed script then proves that every path of the two
+ziggurats ran.  Each call site (random DAGs, heterogeneous bags,
+``RandomScheduler``, the prediction model's noise) is run once on the
+replica and once on numpy's ``Generator``, which has the same call
+shapes.
 
 Should numpy ever change its stream, these tests fail and the pins in
 ``tests/pins.json``, not numpy, define the stream from then on.
@@ -22,6 +27,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import repro.pcg64 as pcg64
 import repro.scheduler.baselines as baselines
 import repro.scheduler.prediction as prediction
 import repro.workloads.pipelines as pipelines
@@ -56,24 +62,49 @@ draws = st.one_of(
         lambda n: st.tuples(st.just("choice"), st.just(n), st.integers(0, n))),
     st.sampled_from([("choice", n, size) for n, size in LARGE_CHOICES]),
 )
+#: the shapes ``Simulator.rng``'s callers draw, as ``(method, *args)``
+scales = st.floats(0.0, 1e6)
+simulator_draws = st.one_of(
+    st.just(("random",)),
+    st.just(("uniform",)),
+    st.just(("normal",)),
+    st.just(("exponential",)),
+    st.tuples(st.just("exponential"), scales),
+    st.tuples(st.just("normal"), st.floats(-1e6, 1e6), scales),
+    st.tuples(st.just("choice"), st.integers(1, 2**40)),
+    st.tuples(st.just("integers"), st.integers(1, 2**63)),
+)
+names = st.one_of(st.just(""), st.text(max_size=24))
 
 
 def draw(rng, step):
-    kind, a, b = step
+    kind, *args = step
+    if len(args) < 2:  # a simulator shape with at most one argument
+        return getattr(rng, kind)(*args)
+    a, b = args
     if kind == "integers":
         return int(rng.integers(a, a + b))
     if kind == "uniform":
         return float(rng.uniform(a, a + b))
+    if kind == "normal":
+        return float(rng.normal(a, b))
     return [int(i) for i in rng.choice(a, size=b, replace=False)]
 
 
-def assert_same_stream(seed, steps):
-    ours, numpy_rng = PCG64(seed), np.random.default_rng(seed)
+def numpy_stream(seed, name=""):
+    """``Simulator.rng(name)``'s stream, as numpy builds it."""
+    return np.random.default_rng(np.random.SeedSequence(
+        seed, spawn_key=tuple(name.encode("utf-8"))))
+
+
+def assert_same_stream(seed, steps, name=""):
+    ours, numpy_rng = PCG64(seed, name.encode("utf-8")), numpy_stream(seed, name)
     for index, step in enumerate(steps):
         got, want = draw(ours, step), draw(numpy_rng, step)
+        assert type(got) in (int, float, list), step
         assert got == want, (
-            f"seed {seed}: draw {index}, {step[0]}{step[1:]}, differs "
-            f"from numpy after {steps[:index]}")
+            f"seed {seed}, name {name!r}: draw {index}, {step[0]}{step[1:]}, "
+            f"differs from numpy after {steps[:index]}")
 
 
 @given(seeds, st.lists(draws, max_size=40))
@@ -96,6 +127,91 @@ def test_every_draw_shape_is_numpys_at_boundary_seeds(seed):
     assert_same_stream(seed, steps * 2)
 
 
+@given(seeds, names, st.lists(st.one_of(draws, simulator_draws), max_size=40))
+@settings(max_examples=120, deadline=None)
+@example(0, "chaos:plan", [("choice", 12), ("choice", 9, 2), ("uniform",)])
+@example(2**130, "fail:s1-h03", [("exponential", 30.0), ("normal",)] * 4)
+@example(True, "rpc:alpha->bêta \u2192", [("integers", 0, 10), ("random",),
+                                        ("integers", 0, 10)])
+def test_every_named_stream_draw_is_numpys(seed, name, steps):
+    """``Simulator.rng(name)``'s stream, every shape mixed."""
+    assert_same_stream(seed, steps, name)
+
+
+class Counted:
+    """Counts the module's ``exp`` / ``log1p`` calls and the 64-bit
+    draws, so that a draw's path through a ziggurat can be told."""
+
+    def __init__(self, patch):
+        self.calls = [0, 0, 0]
+        next64 = PCG64._next64
+
+        def counted(index, function):
+            def call(*args):
+                self.calls[index] += 1
+                return function(*args)
+            return call
+        patch.setattr(PCG64, "_next64", counted(0, next64))
+        patch.setattr(pcg64, "exp", counted(1, pcg64.exp))
+        patch.setattr(pcg64, "log1p", counted(2, pcg64.log1p))
+
+    def path(self, draw):
+        """``(value, (64-bit draws, exp calls, log1p calls))``."""
+        self.calls[:] = [0, 0, 0]
+        value = draw()
+        return value, tuple(self.calls)
+
+
+def ziggurat_path(kind, calls):
+    """The path a draw of ``kind`` took, told from its counted calls."""
+    draws, exps, logs = calls
+    tail_draws = 2 if kind == "exponential" else 3
+    if calls == (1, 0, 0):
+        return "fast accept"
+    if calls == (2, 1, 0):
+        return "wedge accept"
+    if exps and draws >= 3:
+        return "wedge reject, redraw"
+    if not exps and logs and draws == tail_draws:
+        return "tail"
+    if kind == "normal" and not exps and logs >= 4:
+        return "tail, inner reject"
+    return calls
+
+
+#: a stream and a count of draws that take every path of a ziggurat
+ZIGGURAT_SCRIPTS = {
+    "exponential": (361, "zig", 1000, {"fast accept", "wedge accept",
+                                     "wedge reject, redraw", "tail"}),
+    "normal": (391, "zig", 1700, {"fast accept", "wedge accept",
+                                  "wedge reject, redraw", "tail",
+                                  "tail, inner reject"}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(ZIGGURAT_SCRIPTS))
+def test_every_ziggurat_path_ran_and_is_numpys(kind, monkeypatch):
+    seed, name, n, paths = ZIGGURAT_SCRIPTS[kind]
+    want = getattr(numpy_stream(seed, name), kind)(size=n).tolist()
+    ours = PCG64(seed, name.encode("utf-8"))
+    counted = Counted(monkeypatch)
+    seen = set()
+    for index in range(n):
+        value, calls = counted.path(getattr(ours, kind))
+        seen.add(ziggurat_path(kind, calls))
+        assert value == want[index], (kind, index, calls)
+    assert seen == paths
+
+
+@pytest.mark.parametrize("scale", [-1.0, -0.0, -1e-300, -float("inf")])
+def test_a_negative_scale_is_refused_as_numpy_refuses_it(scale):
+    for rng in (PCG64(0, b"x"), numpy_stream(0, "x")):
+        with pytest.raises(ValueError):
+            rng.exponential(scale)
+        with pytest.raises(ValueError):
+            rng.normal(0.0, scale)
+
+
 def test_an_empty_or_out_of_bounds_range_is_refused_as_numpy_refuses_it():
     for low, high in [(5, 5), (0, 0), (3, 1), (-(2**63) - 1, 0), (0, 2**63 + 1)]:
         with pytest.raises(ValueError):
@@ -107,6 +223,11 @@ def test_an_empty_or_out_of_bounds_range_is_refused_as_numpy_refuses_it():
             np.random.default_rng(0).choice(n, size=size, replace=False)
         with pytest.raises(ValueError):
             PCG64(0).choice(n, size=size, replace=False)
+    for n in (0, -2):
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).choice(n)
+        with pytest.raises(ValueError):
+            PCG64(0).choice(n)
 
 
 @pytest.mark.parametrize("seed,error", [(-1, ValueError), (-(2**70), ValueError),

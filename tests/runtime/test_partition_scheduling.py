@@ -189,16 +189,19 @@ def test_fault_path_draws_the_same_numbers_whenever_streams_materialise():
     """Streams are taken where they draw, so (a) every stream a faulty
     run materialised was drawn from, and (b) materialising them — and
     decoys that never draw — up front, in any order, changes nothing."""
-    from repro.sim import Simulator
+    import numpy as np
 
     rt, facts, digest = _lossy_partitioned_run()
     names = list(rt.sim._rngs)
     assert {n.split(":")[0] for n in names} == {"retry", "rpc", "echo"}
-    untouched = Simulator(seed=rt.sim.seed)
+
+    def fresh(name):
+        return np.random.default_rng(np.random.SeedSequence(
+            entropy=rt.sim.seed, spawn_key=tuple(name.encode("utf-8"))))
+
+    # undrawn: the next draw is a fresh stream's first
     assert [
-        n for n in names
-        if rt.sim.rng(n).bit_generator.state
-        == untouched.rng(n).bit_generator.state
+        n for n in names if rt.sim.rng(n).random() == fresh(n).random()
     ] == []
 
     decoys = ["retry:chain:t2->t3", "retry:chain:decoy", "rpc:gamma->alpha",

@@ -40,14 +40,17 @@ def test_clean_request_returns_handler_value_and_draws_no_rng():
     assert error is None and value == 42
     # fault-free runs must not consume randomness (determinism of the
     # fault-free timing across configs that add fault streams): the
-    # per-peer stream exists but has the state of a never-used stream
+    # per-peer stream is undrawn: its next draws, 32-bit ones included
+    # (which would read a buffered half), are a fresh stream's first
     import numpy as np
 
     fresh = np.random.default_rng(np.random.SeedSequence(
         entropy=topo.sim.seed, spawn_key=tuple(b"rpc:alpha->beta")
     ))
-    assert (topo.sim.rng("rpc:alpha->beta").bit_generator.state
-            == fresh.bit_generator.state)
+    stream = topo.sim.rng("rpc:alpha->beta")
+    for _ in range(3):
+        assert stream.integers(2**31) == fresh.integers(2**31)
+        assert stream.random() == fresh.random()
 
 
 def test_request_to_downed_link_raises_typed_timeout_fast():

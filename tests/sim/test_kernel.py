@@ -365,12 +365,23 @@ def test_yielding_non_waitable_fails_process():
         sim.run_until_complete(sim.process(bad()))
 
 
+def numpy_stream(seed, name):
+    """The oracle: numpy's stream for ``(seed, name)``."""
+    return np.random.default_rng(np.random.SeedSequence(
+        entropy=seed, spawn_key=tuple(name.encode("utf-8"))))
+
+
 def test_rng_streams_are_deterministic_and_independent():
-    a1 = Simulator(seed=123).rng("alpha").random(5)
-    a2 = Simulator(seed=123).rng("alpha").random(5)
-    b = Simulator(seed=123).rng("beta").random(5)
-    assert list(a1) == list(a2)
-    assert list(a1) != list(b)
+    def five(stream):
+        return [stream.random() for _ in range(5)]
+
+    a1 = five(Simulator(seed=123).rng("alpha"))
+    a2 = five(Simulator(seed=123).rng("alpha"))
+    b = five(Simulator(seed=123).rng("beta"))
+    assert a1 == a2
+    assert a1 != b
+    assert a1 == list(numpy_stream(123, "alpha").random(5))
+    assert b == list(numpy_stream(123, "beta").random(5))
 
 
 def test_rng_stream_cached_per_name():
@@ -403,14 +414,11 @@ def test_stream_values_do_not_depend_on_when_it_materialises(seed, steps):
     sim = Simulator(seed=seed)
     drawn = {}
     for name, k in steps:
-        values = sim.rng(name).random(k)
-        drawn.setdefault(name, []).extend(values)
+        stream = sim.rng(name)
+        drawn.setdefault(name, []).extend(stream.random() for _ in range(k))
     assert sim.rng_streams == len(drawn)
     for name, values in drawn.items():
-        reference = np.random.default_rng(np.random.SeedSequence(
-            entropy=seed, spawn_key=tuple(name.encode("utf-8")),
-        ))
-        assert values == list(reference.random(len(values)))
+        assert values == list(numpy_stream(seed, name).random(len(values)))
 
 
 def test_run_until_complete_raises_if_unfinished():
