@@ -108,7 +108,7 @@ def main() -> None:
                 (afg.name, user, queue.submit(afg, user))
             ),
         )
-        t += float(rng.exponential(DAY_S / 16))
+        t += rng.exponential(DAY_S / 16)
 
     env.advance(DAY_S)
 

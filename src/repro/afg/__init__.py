@@ -20,7 +20,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "levels": ("compute_levels", "priority_order"),
     "validate": ("AFGValidationError", "validate_afg"),
     "serialize": (
-        "afg_from_dict", "afg_to_dict", "afg_from_json", "afg_to_json",
+        "afg_from_dict", "afg_to_dict", "afg_from_json",
     ),
 })
 
@@ -36,7 +36,6 @@ __all__ = [
     "afg_from_dict",
     "afg_from_json",
     "afg_to_dict",
-    "afg_to_json",
     "compute_levels",
     "priority_order",
     "validate_afg",

@@ -13,12 +13,9 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.afg.task import TaskNode
-
-if TYPE_CHECKING:
-    import networkx as nx
 
 __all__ = ["ApplicationFlowGraph", "Edge", "StructureSnapshot"]
 
@@ -324,22 +321,6 @@ class ApplicationFlowGraph:
             return True
         except ValueError:
             return False
-
-    def edge_size_between(self, src: str, dst: str) -> float:
-        """Total data volume moved from ``src`` to ``dst`` (all port pairs)."""
-        return sum(e.size_mb for e in self._succ[src] if e.dst == dst)
-
-    def to_networkx(self) -> nx.DiGraph:
-        """Export for analysis/visualisation (node attrs carry the TaskNode)."""
-        import networkx as nx
-
-        g = nx.DiGraph(name=self.name)
-        for task in self._tasks.values():
-            g.add_node(task.id, task=task)
-        for e in self._edges:
-            weight = g.edges[e.src, e.dst]["size_mb"] if g.has_edge(e.src, e.dst) else 0.0
-            g.add_edge(e.src, e.dst, size_mb=weight + e.size_mb)
-        return g
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

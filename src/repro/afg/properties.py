@@ -105,9 +105,6 @@ class TaskProperties:
     def file_inputs(self) -> Tuple[InputBinding, ...]:
         return tuple(b for b in self.inputs if not b.is_dataflow)
 
-    def dataflow_inputs(self) -> Tuple[InputBinding, ...]:
-        return tuple(b for b in self.inputs if b.is_dataflow)
-
     def total_input_size_mb(self) -> float:
         """Size of explicit file inputs (the scheduler's transfer-size
         parameter for tasks that stage files in)."""

@@ -121,9 +121,5 @@ def afg_from_dict(data: Dict[str, Any]) -> ApplicationFlowGraph:
     return afg
 
 
-def afg_to_json(afg: ApplicationFlowGraph, indent: int | None = None) -> str:
-    return json.dumps(afg_to_dict(afg), indent=indent, sort_keys=True)
-
-
 def afg_from_json(text: str) -> ApplicationFlowGraph:
     return afg_from_dict(json.loads(text))

@@ -7,7 +7,6 @@ from typing import Dict, List, Optional
 from repro.core.config import DeploymentSpec, SiteConfig
 from repro.editor.session import EditorSession
 from repro.metrics.export import (
-    prometheus_text,
     registry_snapshot,
     save_snapshot,
     snapshot_hash,
@@ -246,10 +245,6 @@ class VDCE:
     def metrics_hash(self) -> str:
         """Stable content hash of the snapshot (trace_hash's counterpart)."""
         return snapshot_hash(self.metrics_snapshot())
-
-    def prometheus_metrics(self) -> str:
-        """The registry in Prometheus text exposition format."""
-        return prometheus_text(self.runtime.export_metrics())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

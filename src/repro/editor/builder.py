@@ -170,10 +170,6 @@ class AFGBuilder:
 
     # -- introspection ---------------------------------------------------------
 
-    @property
-    def task_ids(self) -> List[str]:
-        return [t.id for t in self._afg]
-
     def preview(self) -> ApplicationFlowGraph:
         """The graph as wired so far (no validation, no bindings applied)."""
         return self._afg

@@ -103,12 +103,6 @@ class EditorSession:
         self._imported[afg.name] = afg
         return afg
 
-    def imported(self, name: str) -> ApplicationFlowGraph:
-        try:
-            return self._imported[name]
-        except KeyError:
-            raise SessionError(f"no imported application {name!r}") from None
-
     def application(self, name: str) -> AFGBuilder:
         self._check_open()
         try:
@@ -203,10 +197,6 @@ class EditorSession:
 
     def close(self) -> None:
         self._open = False
-
-    @property
-    def is_open(self) -> bool:
-        return self._open
 
     def _check_open(self) -> None:
         if not self._open:

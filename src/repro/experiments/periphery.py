@@ -47,8 +47,8 @@ def _random_sharing(write_fraction: float, n_ops: int = 400):
     def worker(dsm, hosts, sim):
         rng = sim.rng("bench:dsm")
         for i in range(n_ops):
-            host = hosts[int(rng.integers(len(hosts)))]
-            if float(rng.uniform()) < write_fraction:
+            host = hosts[rng.integers(len(hosts))]
+            if rng.uniform() < write_fraction:
                 yield from dsm.write("x", i, host)
             else:
                 yield from dsm.read("x", host)

@@ -92,7 +92,7 @@ def _detection(echo_period: float, horizon_s: float = 400.0):
     rng = runtime.sim.rng("bench:crashes")
     crash_times = {}
     for host in runtime.topology.all_hosts[:6]:
-        crash_times[host.name] = float(rng.uniform(10.0, horizon_s - 50.0))
+        crash_times[host.name] = rng.uniform(10.0, horizon_s - 50.0)
         runtime.sim.call_at(crash_times[host.name], host.fail)
     runtime.sim.run(until=horizon_s)
     latencies = []

@@ -29,7 +29,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "results": ("ResultSummary", "host_utilization", "summarize_result"),
     "tables": ("format_table",),
     "timeline": (
-        "busy_intervals", "concurrency_profile", "parallel_efficiency",
+        "busy_intervals", "parallel_efficiency",
     ),
     "trace_summary": ("event_counts", "format_trace_summary", "phase_timings"),
 })
@@ -60,7 +60,6 @@ __all__ = [
     "snapshot_to_json",
     "structural_diff",
     "busy_intervals",
-    "concurrency_profile",
     "parallel_efficiency",
     "critical_path_cost",
     "event_counts",

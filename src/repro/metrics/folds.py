@@ -4,9 +4,10 @@ A registry listening to the deployment's emitter applies :data:`FOLDS`
 to every event of a kind it has (DESIGN §8; no other kind reaches it),
 so adding a metric of a traced moment is one entry.  A fold reads the
 payload and the ``source`` owner (``gm:<group>``
--> ``<group>``); families take values through ``float``, since a relay
-passes the emitted numpy scalars on.  Metrics with no event at the
-instant they are written stay direct writes (DESIGN §8 lists them).
+-> ``<group>``); families take values through ``float``, so an int
+payload value lands as the float a snapshot holds.  Metrics with no
+event at the instant they are written stay direct writes (DESIGN §8
+lists them).
 """
 
 from __future__ import annotations

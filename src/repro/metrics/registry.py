@@ -137,15 +137,8 @@ class Gauge(_Metric):
         _, current = self._values.get(key, (0.0, 0.0))
         self._values[key] = (self.registry.now, current + float(amount))
 
-    def dec(self, amount: float = 1.0, **labels: Any) -> None:
-        self.inc(-amount, **labels)
-
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), (0.0, 0.0))[1]
-
-    def set_at(self, **labels: Any) -> float:
-        """Sim time of the last write for this label set."""
-        return self._values.get(_label_key(labels), (0.0, 0.0))[0]
 
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._values)
@@ -197,15 +190,6 @@ class Histogram(_Metric):
         """Non-cumulative per-bucket counts (finite edges then +Inf)."""
         key = _label_key(labels)
         return list(self._counts.get(key, [0] * (len(self.buckets) + 1)))
-
-    def cumulative_counts(self, **labels: Any) -> List[int]:
-        """Cumulative counts as the Prometheus exposition reports them."""
-        total = 0
-        out = []
-        for n in self.bucket_counts(**labels):
-            total += n
-            out.append(total)
-        return out
 
     def sum(self, **labels: Any) -> float:
         return self._sums.get(_label_key(labels), 0.0)
@@ -346,11 +330,6 @@ class MetricsRegistry:
         from repro.metrics.export import registry_snapshot
 
         return registry_snapshot(self)
-
-    def snapshot_json(self) -> str:
-        from repro.metrics.export import snapshot_to_json
-
-        return snapshot_to_json(self.snapshot())
 
     def snapshot_hash(self) -> str:
         from repro.metrics.export import snapshot_hash

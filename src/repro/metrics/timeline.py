@@ -1,4 +1,4 @@
-"""Execution timelines: utilisation and concurrency over time.
+"""Execution timelines: per-host busy intervals and parallel efficiency.
 
 Derived purely from an :class:`~repro.runtime.execution.ApplicationResult`'s
 task records, these power the visualisation service's "application
@@ -12,7 +12,7 @@ from typing import Dict, List, Tuple
 from repro.obs.attribution import merge_intervals
 from repro.runtime.execution import ApplicationResult
 
-__all__ = ["busy_intervals", "concurrency_profile", "parallel_efficiency"]
+__all__ = ["busy_intervals", "parallel_efficiency"]
 
 
 def busy_intervals(result: ApplicationResult) -> Dict[str, List[Tuple[float, float]]]:
@@ -26,29 +26,6 @@ def busy_intervals(result: ApplicationResult) -> Dict[str, List[Tuple[float, flo
     for host in intervals:
         intervals[host].sort()
     return intervals
-
-
-def concurrency_profile(result: ApplicationResult) -> List[Tuple[float, int]]:
-    """Step function ``(time, #tasks running)`` over the execution.
-
-    Times are the task start/finish instants; between consecutive
-    entries the concurrency is constant.  The profile starts at the
-    startup signal and ends at the last finish with concurrency 0.
-    """
-    events: List[Tuple[float, int]] = []
-    for record in result.records.values():
-        events.append((record.started_at, +1))
-        events.append((record.finished_at, -1))
-    events.sort()
-    profile: List[Tuple[float, int]] = []
-    running = 0
-    for time, delta in events:
-        running += delta
-        if profile and profile[-1][0] == time:
-            profile[-1] = (time, running)
-        else:
-            profile.append((time, running))
-    return profile
 
 
 def parallel_efficiency(result: ApplicationResult) -> float:

@@ -14,13 +14,12 @@ control-plane exchange in the standard machinery:
 * **fail-fast** on a link known to be down (a connect error is
   immediate, unlike a lost datagram which burns the full timeout).
 
-Message loss and extra delay come from the per-link ``loss_prob`` /
-``extra_delay_s`` knobs on :class:`repro.sim.network.Link` — they apply
-only to control messages sent through this layer, never to bulk data
-transfers.  With the default lossless links and all links up, a
-:meth:`ControlPlane.request` costs exactly one request transfer plus
-one reply transfer and draws no random numbers, so fault-free runs keep
-their fault-free timing.
+Message loss comes from the per-link ``loss_prob`` knob on
+:class:`repro.sim.network.Link` — it applies only to control messages
+sent through this layer, never to bulk data transfers.  With the
+default lossless links and all links up, a :meth:`ControlPlane.request`
+costs exactly one request transfer plus one reply transfer and draws no
+random numbers, so fault-free runs keep their fault-free timing.
 """
 
 from __future__ import annotations
@@ -485,7 +484,7 @@ class ControlPlane:
             )
             if attempt < policy.max_attempts:
                 delay = policy.backoff(
-                    attempt, float(self.sim.rng(rng_name).uniform())
+                    attempt, self.sim.rng(rng_name).uniform()
                 )
                 backoff_span = self._open(
                     SpanKind.RETRY_BACKOFF, rpc_span.app, rpc_span, source,
@@ -592,17 +591,11 @@ class ControlPlane:
             if not link.up:
                 return False  # connect error: fail fast, no time burned
             if (link.loss_prob > 0.0
-                    and float(self.sim.rng(call.rng_name).uniform())
+                    and self.sim.rng(call.rng_name).uniform()
                     < link.loss_prob):
                 # the message vanishes; the sender finds out via the timer
                 yield Timeout(remaining)
                 return False
-            if link.extra_delay_s > 0.0:
-                delay = min(link.extra_delay_s, remaining)
-                yield Timeout(delay)
-                remaining -= delay
-                if remaining <= 0:
-                    return False
         if call.transport == "latency":
             latency = link.spec.latency_s if link is not None else 0.0
             if latency > remaining:
@@ -645,11 +638,10 @@ class ControlPlane:
             down = link is not None and not link.up
             loss_p = link.loss_prob if link is not None else 0.0
             lost = down or (
-                loss_p > 0.0 and float(self.sim.rng(rng_name).uniform()) < loss_p
+                loss_p > 0.0 and self.sim.rng(rng_name).uniform() < loss_p
             )
             if not lost:
-                extra = link.extra_delay_s if link is not None else 0.0
-                self.sim.call_after(latency_s + extra, deliver)
+                self.sim.call_after(latency_s, deliver)
                 return
             self.stats.rpc_retries += 1
             self.tracer.emit(
@@ -657,7 +649,7 @@ class ControlPlane:
                 label=label, attempt=n, one_way=True,
             )
             if n < policy.max_attempts:
-                backoff = policy.backoff(n, float(self.sim.rng(rng_name).uniform()))
+                backoff = policy.backoff(n, self.sim.rng(rng_name).uniform())
                 self.sim.call_after(backoff, lambda: attempt(n + 1))
             else:
                 self.stats.rpc_timeouts += 1

@@ -6,9 +6,10 @@ databases are:
 
 * :class:`~repro.repository.users.UserAccountsDB` — authentication
   (5-tuple: user name, password, user ID, priority, access domain);
-* :class:`~repro.repository.resources.ResourcePerformanceDB` — host and
-  network attributes plus recent workload measurements and up/down
-  status (maintained by the Resource Controller);
+* :class:`~repro.repository.resources.ResourcePerformanceDB` — host
+  attributes plus recent workload measurements and up/down status
+  (maintained by the Resource Controller; the scheduler reads network
+  parameters from the network model);
 * :class:`~repro.repository.taskperf.TaskPerformanceDB` — per-task
   performance characteristics used by prediction, refined with measured
   execution times after each run;

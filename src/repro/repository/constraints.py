@@ -11,7 +11,7 @@ arch/OS per host) constrain placement.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Optional, Tuple
 
 from repro.repository.resources import RegistrationSyncError
 
@@ -24,7 +24,6 @@ class TaskConstraintsDB:
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._paths: Dict[Tuple[str, str], str] = {}
-        self._hosts_by_task: Dict[str, List[str]] = {}
         #: bumped on any registration change (the host index watches it)
         self.version = 0
         #: optional guard wired by the site repository: called with a
@@ -44,7 +43,6 @@ class TaskConstraintsDB:
                 f"executable for {task_type!r} on {host!r} already registered"
             )
         self._paths[key] = path
-        self._hosts_by_task.setdefault(task_type, []).append(host)
         self.version += 1
 
     def install_everywhere(
@@ -78,9 +76,6 @@ class TaskConstraintsDB:
     def is_runnable(self, task_type: str, host: str) -> bool:
         return (task_type, host) in self._paths
 
-    def hosts_supporting(self, task_type: str) -> List[str]:
-        return list(self._hosts_by_task.get(task_type, []))
-
     def remove_host(self, host: str, deregistering: bool = False) -> int:
         """Drop all registrations for a decommissioned host.
 
@@ -103,7 +98,6 @@ class TaskConstraintsDB:
         doomed = [key for key in self._paths if key[1] == host]
         for key in doomed:
             del self._paths[key]
-            self._hosts_by_task[key[0]].remove(host)
         if doomed:
             self.version += 1
         return len(doomed)

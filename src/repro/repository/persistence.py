@@ -59,7 +59,6 @@ def snapshot_repository(repo: SiteRepository) -> Dict[str, Any]:
                 "memory_mb": record.spec.memory_mb,
                 "arch": record.spec.arch,
                 "os": record.spec.os,
-                "ip": record.spec.ip,
                 "thrash_factor": record.spec.thrash_factor,
             },
             "group": record.group,
@@ -145,7 +144,7 @@ def restore_repository(data: Dict[str, Any]) -> SiteRepository:
         )
 
     for h in data["hosts"]:
-        spec = HostSpec(**h["spec"])
+        spec = HostSpec.from_record(h["spec"], "repository snapshot")
         repo.resources.register_host(
             spec,
             group=h["group"],

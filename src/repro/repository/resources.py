@@ -18,7 +18,6 @@ from dataclasses import dataclass, replace
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.sim.host import HostSpec
-from repro.sim.network import LinkSpec
 
 __all__ = [
     "HostRecord",
@@ -96,13 +95,11 @@ class HostRecord:
 
 
 class ResourcePerformanceDB:
-    """Host rows plus the network attributes of the site's links."""
+    """One row per host of the site."""
 
     def __init__(self, site_name: str):
         self.site_name = site_name
         self._hosts: Dict[str, HostRecord] = {}
-        #: network attributes: link name -> spec (LAN + WANs to neighbours)
-        self._links: Dict[str, LinkSpec] = {}
         self.workload_updates = 0
         self.status_updates = 0
         #: bumped when the host *population* changes (registrations)
@@ -328,24 +325,6 @@ class ResourcePerformanceDB:
 
     def host_names(self) -> List[str]:
         return list(self._hosts)
-
-    def staleness(self, name: str, now: float) -> float:
-        """Age of the last workload report for ``name`` at time ``now``."""
-        return now - self.get(name).updated_at
-
-    # -- network attributes ------------------------------------------------------
-
-    def set_link(self, name: str, spec: LinkSpec) -> None:
-        self._links[name] = spec
-
-    def get_link(self, name: str) -> LinkSpec:
-        try:
-            return self._links[name]
-        except KeyError:
-            raise KeyError(f"unknown link {name!r}") from None
-
-    def links(self) -> Dict[str, LinkSpec]:
-        return dict(self._links)
 
     def __len__(self) -> int:
         return len(self._hosts)

@@ -155,21 +155,6 @@ class UserAccountsDB:
             raise UnknownUserError(user_name)
         del self._accounts[user_name]
 
-    def set_priority(self, user_name: str, priority: int) -> UserAccount:
-        if priority < 0:
-            raise ValueError("priority must be non-negative")
-        old = self.get(user_name)
-        updated = UserAccount(
-            user_name=old.user_name,
-            user_id=old.user_id,
-            priority=priority,
-            access_domain=old.access_domain,
-            salt=old.salt,
-            password_hash=old.password_hash,
-        )
-        self._accounts[user_name] = updated
-        return updated
-
     def __len__(self) -> int:
         return len(self._accounts)
 

@@ -244,8 +244,8 @@ class CheckpointJournal:
             size = os.path.getsize(self.path)
             if size == 0:
                 return {"mode": "file", "offset": None}
-            offset = int(rng.integers(0, size))
-            bit = int(rng.integers(0, 8))
+            offset = rng.integers(0, size)
+            bit = rng.integers(0, 8)
             with open(self.path, "r+b") as fh:
                 fh.seek(offset)
                 byte = fh.read(1)
@@ -254,7 +254,7 @@ class CheckpointJournal:
             return {"mode": "file", "offset": offset, "bit": bit}
         if not self._records:
             return {"mode": "memory", "index": None}
-        index = int(rng.integers(0, len(self._records)))
+        index = rng.integers(0, len(self._records))
         self._corrupt_indices.add(index)
         return {"mode": "memory", "index": index}
 
@@ -421,7 +421,8 @@ def _spec_from_meta(meta: Dict[str, Any]):
                 raise ValueError(
                     f"meta.json: site {site.get('name')!r} has {key}={held!r}, "
                     f"but every deployment now uses {key}={value!r}")
-        site["hosts"] = tuple(HostSpec(**h) for h in site.get("hosts", ()))
+        site["hosts"] = tuple(HostSpec.from_record(h, "meta.json")
+                              for h in site.get("hosts", ()))
         sites.append(SiteConfig(**site))
     payload["sites"] = tuple(sites)
     payload["wan_overrides"] = tuple(

@@ -115,10 +115,6 @@ class TaskRecord:
     #: lineage re-executions of this task to restore a lost/corrupt output
     repair_regenerations: int = 0
 
-    @property
-    def was_rescheduled(self) -> bool:
-        return bool(self.reschedule_reasons)
-
 
 @dataclass
 class ApplicationResult:
@@ -212,15 +208,6 @@ class ApplicationResult:
 
     def hosts_used(self) -> List[str]:
         return sorted({h for r in self.records.values() for h in r.hosts})
-
-    def comm_to_compute_ratio(self) -> float:
-        compute = sum(r.measured_time for r in self.records.values())
-        if compute <= 0:
-            return 0.0
-        comm = self.makespan - max(
-            (r.measured_time for r in self.records.values()), default=0.0
-        )
-        return max(0.0, comm) / compute
 
 
 def _edge_key(edge: Edge) -> Tuple[str, str, int, int]:
@@ -773,7 +760,7 @@ class ExecutionCoordinator:
             label=label, attempt=attempt, reason=str(exc),
         )
         rng = self.sim.rng(f"retry:{self.afg.name}:{label}")
-        yield Timeout(policy.backoff(attempt, float(rng.uniform())))
+        yield Timeout(policy.backoff(attempt, rng.uniform()))
 
     def _transfer_with_retry(self, src_host: str, dst_host: str, size_mb: float,
                              label: str, record: TaskRecord, reason: str,

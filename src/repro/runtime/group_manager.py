@@ -327,7 +327,7 @@ class GroupManager:
                 if responded and self.echo_loss_prob > 0.0:
                     if rng is None:
                         rng = self.sim.rng(f"echo:{self.name}")
-                    if float(rng.uniform()) < self.echo_loss_prob:
+                    if rng.uniform() < self.echo_loss_prob:
                         responded = False  # packet lost, host fine
                 # two LAN hops, stretched by slowdown: slow, not dead
                 rtt_s = 2.0 * self.lan_latency_s * max(1.0, host.slowdown)

@@ -6,7 +6,7 @@ as I/O service, console service, and visualization service."
 * :class:`IOService` — "provides either file I/O or URL I/O for the
   inputs of the application tasks": stages a file/URL input onto the
   task's host (a real simulated transfer from the submitting site's
-  server) and resolves its contents through registered loaders;
+  server) and hands the task a :class:`StagedFile` handle;
 * :class:`ConsoleService` — "the user can suspend and restart the
   application execution": a per-application gate the execution
   coordinator checks before launching each task;
@@ -17,7 +17,7 @@ as I/O service, console service, and visualization service."
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict
+from typing import Dict
 
 from repro.afg.properties import FileSpec
 from repro.runtime.integrity import NULL_INTEGRITY
@@ -32,15 +32,10 @@ __all__ = ["ConsoleService", "IOService", "StagedFile"]
 
 @dataclass(frozen=True)
 class StagedFile:
-    """Opaque handle for a staged input with no registered loader."""
+    """Opaque handle for a staged input: where it came from and its size."""
 
     path: str
     size_mb: float
-
-    @property
-    def is_url(self) -> bool:
-        """URL I/O vs file I/O — the two §4.2 input flavours."""
-        return "://" in self.path
 
 
 class IOService:
@@ -65,16 +60,9 @@ class IOService:
         self.tracer = tracer
         #: data-integrity manager; NULL_INTEGRITY trusts staged bytes
         self.integrity = integrity
-        self._loaders: Dict[str, Callable[[FileSpec], Any]] = {}
         self.staged_count = 0
         self.staged_mb = 0.0
         self.url_staged_count = 0
-
-    def register_loader(self, path: str, loader: Callable[[FileSpec], Any]) -> None:
-        """Map a path (or URL) to a function producing its contents."""
-        if path in self._loaders:
-            raise ValueError(f"loader for {path!r} already registered")
-        self._loaders[path] = loader
 
     def stage(self, spec: FileSpec, src_host: str, dst_host: str):
         """Generator: move the file to ``dst_host`` and resolve its value.
@@ -111,8 +99,7 @@ class IOService:
         self.staged_mb += spec.size_mb
         if "://" in spec.path:
             self.url_staged_count += 1
-        loader = self._loaders.get(spec.path)
-        return loader(spec) if loader is not None else StagedFile(spec.path, spec.size_mb)
+        return StagedFile(spec.path, spec.size_mb)
 
 
 class ConsoleService:

@@ -183,7 +183,7 @@ class RandomScheduler:
         sites = view.participating_sites()
         candidates = _task_candidates(afg, view, self.model, sites)
         choices = {
-            task_id: options[int(rng.integers(len(options)))]
+            task_id: options[rng.integers(len(options))]
             for task_id, options in sorted(candidates.items())
         }
         return _table_from_choices(afg, choices, self.name)

@@ -442,10 +442,9 @@ def select_hosts(
             return 0.0
 
     if order is None:
-        from repro.afg.levels import compute_levels
+        from repro.afg.levels import priority_order
 
-        levels = compute_levels(afg, base_cost)
-        queue = sorted(levels, key=lambda t: (-levels[t], t))
+        queue = priority_order(afg, base_cost)
     else:
         if sorted(order) != sorted(t.id for t in afg):
             raise ValueError("order must be a permutation of the AFG's tasks")

@@ -197,4 +197,4 @@ class PredictionModel:
         """Deterministic multiplicative noise in [1-noise, 1+noise]."""
         key = f"{self.noise_seed}:{task_type}:{host_name}".encode("utf-8")
         rng = PCG64(zlib.crc32(key))
-        return 1.0 + self.noise * float(rng.uniform(-1.0, 1.0))
+        return 1.0 + self.noise * rng.uniform(-1.0, 1.0)

@@ -25,8 +25,7 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "network": ("Link", "LinkDownError", "LinkSpec", "Network"),
     "topology": ("Topology", "TopologyBuilder", "star_topology"),
     "workload": (
-        "ConstantLoad", "DiurnalLoad", "LoadGenerator",
-        "OrnsteinUhlenbeckLoad", "RandomWalkLoad", "SpikeLoad", "TraceLoad",
+        "DiurnalLoad", "LoadGenerator", "OrnsteinUhlenbeckLoad", "SpikeLoad",
     ),
     "failures": ("FailureInjector", "FailureEvent"),
     "chaos": ("ChaosConfig", "ChaosReport", "run_campaign", "smoke_config"),
@@ -37,7 +36,6 @@ __all__ = [
     "AnyOf",
     "ChaosConfig",
     "ChaosReport",
-    "ConstantLoad",
     "DiurnalLoad",
     "FailureEvent",
     "FailureInjector",
@@ -53,7 +51,6 @@ __all__ = [
     "Network",
     "OrnsteinUhlenbeckLoad",
     "Process",
-    "RandomWalkLoad",
     "Signal",
     "SimulationError",
     "Simulator",
@@ -64,7 +61,6 @@ __all__ = [
     "Timeout",
     "Topology",
     "TopologyBuilder",
-    "TraceLoad",
     "run_campaign",
     "smoke_config",
     "star_topology",

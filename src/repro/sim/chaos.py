@@ -357,12 +357,12 @@ def _draw(rng, population, n: Optional[int] = None) -> list:
     campaign hash pins them.
     """
     if n is None:
-        return [population[int(rng.choice(len(population)))]]
+        return [population[rng.choice(len(population))]]
     n = min(n, len(population))
     if not n:
         return []
     picks = sorted(rng.choice(len(population), size=n, replace=False))
-    return [population[int(i)] for i in picks]
+    return [population[i] for i in picks]
 
 
 #: a crashed Site Manager's server re-registers this long after the crash

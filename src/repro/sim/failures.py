@@ -8,13 +8,12 @@ resource-performance database."
 
 This module provides the ground truth that machinery must detect:
 scheduled or stochastic crash/recover events on hosts, link outages,
-whole-site outages, WAN partitions, and *performance faults* —
-slowdown intervals and stochastic flapping during which a host answers
-echoes but computes at a fraction of its nominal speed (the straggler
-model the phi-accrual detector and speculative re-execution defend
-against).  Detection latency experiments
-(E6) and the chaos harness (:mod:`repro.sim.chaos`) compare the
-injection log against the runtime's repository updates.
+WAN partitions, and *performance faults* — slowdown intervals and
+stochastic flapping during which a host answers echoes but computes at
+a fraction of its nominal speed (the straggler model the phi-accrual
+detector and speculative re-execution defend against).  Detection
+latency experiments (E6) and the chaos harness (:mod:`repro.sim.chaos`)
+compare the injection log against the runtime's repository updates.
 
 Every stochastic process draws from its own named RNG stream
 (``fail:<target>``), so adding an injector to one target never perturbs
@@ -77,8 +76,8 @@ class FailureEvent:
     """Ground-truth record of one state change.
 
     ``host`` carries the target's name: a host name, a link name
-    (``lan:<site>`` / ``wan:<a>-<b>``), ``site:<name>`` for whole-site
-    outage markers, or ``partition`` for partition markers.
+    (``lan:<site>`` / ``wan:<a>-<b>``), a manager label (``gm:<name>`` /
+    ``sm:<name>``), or ``partition:<groups>`` for partition markers.
     """
 
     time: float
@@ -97,9 +96,9 @@ class FailureInjector:
     Two modes, for every fault class:
 
     * scripted — explicit ``(time, target, kind)`` events for
-      deterministic tests (:meth:`schedule`, :meth:`schedule_outage`,
-      :meth:`schedule_link_outage`, :meth:`schedule_site_outage`,
-      :meth:`schedule_partition`);
+      deterministic tests and campaigns (:meth:`schedule`,
+      :meth:`schedule_partition`, the manager crashes, slowdowns and
+      corruption);
     * stochastic — exponential time-to-failure / time-to-repair
       (:meth:`start_random`, :meth:`start_random_link`).
 
@@ -124,13 +123,6 @@ class FailureInjector:
                 f"(time={time}, now={self.sim.now})"
             )
         self.sim.call_at(time, lambda: self._apply_host(host, kind))
-
-    def schedule_outage(self, host: Host, start: float, duration: float) -> None:
-        """Crash ``host`` at ``start`` and recover it ``duration`` later."""
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
-        self.schedule(host, start, "down")
-        self.schedule(host, start + duration, "up")
 
     def _apply_host(self, host: Host, kind: str) -> None:
         if kind == "down":
@@ -200,31 +192,14 @@ class FailureInjector:
         def run():
             rng = self.sim.rng(f"fail:{host.name}")
             while True:
-                yield Timeout(float(rng.exponential(mean_normal_s)))
+                yield Timeout(rng.exponential(mean_normal_s))
                 self._apply_slowdown(host, factor)
-                yield Timeout(float(rng.exponential(mean_slow_s)))
+                yield Timeout(rng.exponential(mean_slow_s))
                 self._apply_slowdown(host, 1.0)
 
         return self.sim.process(run(), name=f"flapinj:{host.name}")
 
-    # -- scripted link faults ------------------------------------------------
-
-    def schedule_link(self, link: Link, time: float, kind: str = "down") -> None:
-        if kind not in ("down", "up"):
-            raise ValueError(f"kind must be 'down' or 'up', got {kind!r}")
-        if time < self.sim.now:
-            raise ValueError(
-                f"cannot schedule a link event in the past "
-                f"(time={time}, now={self.sim.now})"
-            )
-        self.sim.call_at(time, lambda: self._apply_link(link, kind))
-
-    def schedule_link_outage(self, link: Link, start: float, duration: float) -> None:
-        """Take ``link`` down at ``start`` and restore it ``duration`` later."""
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
-        self.schedule_link(link, start, "down")
-        self.schedule_link(link, start + duration, "up")
+    # -- link faults -----------------------------------------------------------
 
     def _apply_link(self, link: Link, kind: str) -> None:
         if kind == "down":
@@ -268,39 +243,6 @@ class FailureInjector:
                     FailureEvent(self.sim.now, network.wan_link(*key).spec.name, "up")
                 )
             self.log.append(FailureEvent(self.sim.now, f"partition:{label}", "heal"))
-
-        self.sim.call_at(start, begin)
-        self.sim.call_at(start + duration, end)
-
-    # -- scripted whole-site outages -------------------------------------------
-
-    def schedule_site_outage(
-        self,
-        site,
-        network: Network,
-        start: float,
-        duration: float,
-    ) -> None:
-        """Take a whole :class:`~repro.sim.site.Site` down: every host
-        crashes and every link touching the site (LAN + WAN) goes dark."""
-        if duration <= 0:
-            raise ValueError("outage duration must be positive")
-        if start < self.sim.now:
-            raise ValueError("cannot schedule a site outage in the past")
-
-        def begin() -> None:
-            self.log.append(FailureEvent(self.sim.now, f"site:{site.name}", "down"))
-            for host in sorted(site.hosts.values(), key=lambda h: h.name):
-                self._apply_host(host, "down")
-            for link in network.links_of_site(site.name):
-                self._apply_link(link, "down")
-
-        def end() -> None:
-            for link in network.links_of_site(site.name):
-                self._apply_link(link, "up")
-            for host in sorted(site.hosts.values(), key=lambda h: h.name):
-                self._apply_host(host, "up")
-            self.log.append(FailureEvent(self.sim.now, f"site:{site.name}", "up"))
 
         self.sim.call_at(start, begin)
         self.sim.call_at(start + duration, end)
@@ -376,6 +318,11 @@ class FailureInjector:
             raise ValueError("cannot schedule link corruption in the past")
         if duration is not None and duration <= 0:
             raise ValueError("corruption duration must be positive")
+        if (corrupt_prob < 0 or truncate_prob < 0
+                or corrupt_prob + truncate_prob >= 1.0):
+            raise ValueError(
+                "corruption probabilities must be non-negative and sum below 1"
+            )
 
         def arm() -> None:
             link.corrupt_prob = corrupt_prob
@@ -519,14 +466,14 @@ class FailureInjector:
             raise ValueError("rejoin_after_s must be positive")
         for host_name in host_names:
             rng = self.sim.rng(f"churn:{host_name}")
-            depart_at = start + float(rng.uniform(0.0, window_s))
+            depart_at = start + rng.uniform(0.0, window_s)
             self.schedule_host_decommission(
                 manager, host_name, depart_at,
                 drain_deadline_s=drain_deadline_s,
             )
             if rejoin_after_s is not None:
                 departed_at = depart_at + (drain_deadline_s or 0.0)
-                delay = rejoin_after_s * float(rng.uniform(0.75, 1.25))
+                delay = rejoin_after_s * rng.uniform(0.75, 1.25)
                 self.schedule_host_rejoin(
                     manager, host_name, departed_at + delay
                 )
@@ -551,9 +498,9 @@ class FailureInjector:
         def run():
             rng = self.sim.rng(f"fail:{host.name}")
             while True:
-                yield Timeout(float(rng.exponential(mtbf_s)))
+                yield Timeout(rng.exponential(mtbf_s))
                 self._apply_host(host, "down")
-                yield Timeout(float(rng.exponential(mttr_s)))
+                yield Timeout(rng.exponential(mttr_s))
                 self._apply_host(host, "up")
 
         return self.sim.process(run(), name=f"failinj:{host.name}")
@@ -575,9 +522,9 @@ class FailureInjector:
         def run():
             rng = self.sim.rng(f"fail:{link.spec.name}")
             while True:
-                yield Timeout(float(rng.exponential(mtbf_s)))
+                yield Timeout(rng.exponential(mtbf_s))
                 self._apply_link(link, "down")
-                yield Timeout(float(rng.exponential(mttr_s)))
+                yield Timeout(rng.exponential(mttr_s))
                 self._apply_link(link, "up")
 
         return self.sim.process(run(), name=f"failinj:{link.spec.name}")

@@ -28,7 +28,7 @@ from __future__ import annotations
 import enum
 import itertools
 from dataclasses import dataclass
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Dict, Optional
 
 from repro.errors import refuse_non_finite
 from repro.sim.fair_share import FairShareServer
@@ -44,6 +44,9 @@ __all__ = [
 ]
 
 _exec_ids = itertools.count(1)
+
+#: the ``ip`` every stored host record held before the field was retired
+RETIRED_IP = "0.0.0.0"
 
 
 class HostDownError(RuntimeError):
@@ -65,7 +68,8 @@ class HostSpec:
 
     Mirrors the paper's resource attribute list: "host name, IP address,
     architecture type, OS type, total memory size of the machine, recent
-    workload measurements, and available memory size" (§3).
+    workload measurements, and available memory size" (§3) — all but the
+    IP address, which nothing in a simulated federation reads.
     """
 
     name: str
@@ -73,7 +77,6 @@ class HostSpec:
     memory_mb: int = 256
     arch: str = "sparc"
     os: str = "solaris"
-    ip: str = "0.0.0.0"
     #: rate multiplier applied while resident memory exceeds memory_mb
     thrash_factor: float = 0.25
 
@@ -89,6 +92,21 @@ class HostSpec:
             raise ValueError(f"host {self.name!r}: arch/os must be non-empty")
         if not (0.0 < self.thrash_factor <= 1.0):
             raise ValueError(f"host {self.name!r}: thrash_factor must be in (0, 1]")
+
+    @classmethod
+    def from_record(cls, record: Dict[str, Any], source: str) -> "HostSpec":
+        """The spec a stored host record (a repository snapshot's or a
+        ``meta.json``'s) describes.  A record written before ``ip`` was
+        retired holds ``"ip": "0.0.0.0"``, the value every host had; it
+        loads, and any other value is refused, naming ``source``."""
+        fields = dict(record)
+        held = fields.pop("ip", RETIRED_IP)
+        if held != RETIRED_IP:
+            raise ValueError(
+                f"{source}: host {fields.get('name')!r} has ip={held!r}, but "
+                f"hosts keep no IP address; only the retired "
+                f"ip={RETIRED_IP!r} loads")
+        return cls(**fields)
 
 
 class TaskExecution:

@@ -20,9 +20,9 @@ site's LAN link; inter-site moves use the WAN link for that site pair.
 Links can also *fail*: :meth:`Link.fail` takes a link down (killing any
 in-flight transfer with :class:`LinkDownError`) and :meth:`Link.recover`
 brings it back.  :meth:`Network.partition` expresses a WAN partition as
-the set of cross-group links being down, and per-link ``loss_prob`` /
-``extra_delay_s`` knobs model lossy or slow *control-plane* messaging
-(read by :mod:`repro.net.rpc`; bulk data transfers are unaffected).
+the set of cross-group links being down, and the per-link ``loss_prob``
+knob models lossy *control-plane* messaging (read by
+:mod:`repro.net.rpc`; bulk data transfers are unaffected).
 """
 
 from __future__ import annotations
@@ -130,8 +130,6 @@ class Link(FairShareServer):
         #: probability a single control-plane message on this link is lost
         #: (read by repro.net.rpc; bulk transfers are not affected)
         self.loss_prob = 0.0
-        #: additional one-way control-message delay (congestion, long routes)
-        self.extra_delay_s = 0.0
         #: per-transfer payload damage probabilities (data plane).  Drawn
         #: once per completed transfer from the link's own
         #: ``corrupt:<name>`` RNG stream, and only when armed — an
@@ -225,7 +223,7 @@ class Link(FairShareServer):
         """
         if self.corrupt_prob <= 0.0 and self.truncate_prob <= 0.0:
             return
-        u = float(self.sim.rng(f"corrupt:{self.spec.name}").random())
+        u = self.sim.rng(f"corrupt:{self.spec.name}").random()
         if u < self.corrupt_prob:
             t.corruption = "bitflip"
         elif u < self.corrupt_prob + self.truncate_prob:
@@ -328,18 +326,6 @@ class Network:
     def site_names(self) -> List[str]:
         return sorted(self._lans)
 
-    def links_of_site(self, site_name: str) -> List[Link]:
-        """The site's LAN plus every WAN link touching it (full mesh).
-
-        Used for whole-site outages: taking all of these down isolates
-        the site at the network layer.
-        """
-        links = [self.lan_link(site_name)]
-        for other in self.site_names:
-            if other != site_name:
-                links.append(self.wan_link(site_name, other))
-        return links
-
     # -- partitions -------------------------------------------------------
 
     def _crosses_partition(self, site_a: str, site_b: str) -> bool:
@@ -420,33 +406,6 @@ class Network:
             raise SimulationError("loss probability must be in [0, 1)")
         for link in self._select_wans(site_a, site_b):
             link.loss_prob = prob
-
-    def set_message_delay(self, extra_s: float, site_a: Optional[str] = None,
-                          site_b: Optional[str] = None) -> None:
-        """Add one-way control-message delay on WAN links."""
-        if extra_s < 0:
-            raise SimulationError("extra delay must be non-negative")
-        for link in self._select_wans(site_a, site_b):
-            link.extra_delay_s = extra_s
-
-    def set_corruption(self, corrupt_prob: float, truncate_prob: float = 0.0,
-                       site_a: Optional[str] = None,
-                       site_b: Optional[str] = None) -> None:
-        """Arm data-plane payload damage on WAN links.
-
-        With both sites given, targets that pair's link; with neither,
-        every WAN link of the (full-mesh) federation.  Unlike
-        ``loss_prob`` this affects *bulk data transfers*: a completing
-        transfer is marked bit-flipped or truncated with the given
-        probabilities (one draw per transfer, per-link RNG stream).
-        """
-        if corrupt_prob < 0 or truncate_prob < 0 or corrupt_prob + truncate_prob >= 1.0:
-            raise SimulationError(
-                "corruption probabilities must be non-negative and sum below 1"
-            )
-        for link in self._select_wans(site_a, site_b):
-            link.corrupt_prob = corrupt_prob
-            link.truncate_prob = truncate_prob
 
     def _select_wans(self, site_a: Optional[str], site_b: Optional[str]) -> List[Link]:
         if (site_a is None) != (site_b is None):

@@ -57,10 +57,6 @@ class SiteSpec:
             )
 
     @property
-    def host_specs(self) -> List[HostSpec]:
-        return [h for g in self.groups for h in g.hosts]
-
-    @property
     def server_name(self) -> str:
         if self.server:
             return self.server

@@ -10,19 +10,16 @@ and rescheduling experiments are reproducible.
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from repro.sim.host import Host
 from repro.sim.kernel import Process, Simulator, Timeout
 
 __all__ = [
-    "ConstantLoad",
     "DiurnalLoad",
     "LoadGenerator",
     "OrnsteinUhlenbeckLoad",
-    "RandomWalkLoad",
     "SpikeLoad",
-    "TraceLoad",
 ]
 
 
@@ -57,40 +54,6 @@ class LoadGenerator:
         raise NotImplementedError
 
 
-class ConstantLoad(LoadGenerator):
-    """A fixed background load (dedicated machine: 0.0)."""
-
-    def __init__(self, level: float = 0.0, period_s: float = 60.0):
-        super().__init__(period_s)
-        if level < 0:
-            raise ValueError("load level must be non-negative")
-        self.level = float(level)
-
-    def initial(self, rng) -> float:
-        return self.level
-
-    def next_value(self, current: float, rng) -> float:
-        return self.level
-
-
-class RandomWalkLoad(LoadGenerator):
-    """Load takes uniform steps in ``[-step, +step]``, clamped to [lo, hi]."""
-
-    def __init__(self, lo: float = 0.0, hi: float = 2.0, step: float = 0.2,
-                 period_s: float = 1.0):
-        super().__init__(period_s)
-        if not (0 <= lo <= hi):
-            raise ValueError("require 0 <= lo <= hi")
-        self.lo, self.hi, self.step = float(lo), float(hi), float(step)
-
-    def initial(self, rng) -> float:
-        return float(rng.uniform(self.lo, self.hi))
-
-    def next_value(self, current: float, rng) -> float:
-        nxt = current + float(rng.uniform(-self.step, self.step))
-        return min(self.hi, max(self.lo, nxt))
-
-
 class OrnsteinUhlenbeckLoad(LoadGenerator):
     """Mean-reverting load — the standard model for CPU load averages.
 
@@ -107,12 +70,11 @@ class OrnsteinUhlenbeckLoad(LoadGenerator):
         self.mean, self.theta, self.sigma = float(mean), float(theta), float(sigma)
 
     def initial(self, rng) -> float:
-        return max(0.0, float(rng.normal(self.mean, self.sigma)))
+        return max(0.0, rng.normal(self.mean, self.sigma))
 
     def next_value(self, current: float, rng) -> float:
-        nxt = current + self.theta * (self.mean - current) + self.sigma * float(
-            rng.normal()
-        )
+        nxt = (current + self.theta * (self.mean - current)
+               + self.sigma * rng.normal())
         return max(0.0, nxt)
 
 
@@ -147,7 +109,7 @@ class SpikeLoad(LoadGenerator):
         if self._remaining_spike > 0:
             self._remaining_spike -= 1
             return self.spike_level
-        if float(rng.uniform()) < self.spike_prob:
+        if rng.uniform() < self.spike_prob:
             self._remaining_spike = self.spike_duration_periods - 1
             return self.spike_level
         return self.base
@@ -182,7 +144,7 @@ class DiurnalLoad(LoadGenerator):
         daytime = math.sin(2.0 * math.pi * (t - self.phase_s) / self.day_length_s)
         level = self.base + self.amplitude * max(0.0, daytime)
         if self.jitter > 0:
-            level += self.jitter * float(rng.normal())
+            level += self.jitter * rng.normal()
         return max(0.0, level)
 
     def initial(self, rng) -> float:
@@ -192,30 +154,6 @@ class DiurnalLoad(LoadGenerator):
     def next_value(self, current: float, rng) -> float:
         self._elapsed += self.period_s
         return self._level(self._elapsed, rng)
-
-
-class TraceLoad(LoadGenerator):
-    """Replays an explicit ``(load value per period)`` sequence, then holds.
-
-    Used by tests that need exact, hand-written load timelines.
-    """
-
-    def __init__(self, values: Sequence[float], period_s: float = 1.0):
-        super().__init__(period_s)
-        if not values:
-            raise ValueError("trace must be non-empty")
-        if any(v < 0 for v in values):
-            raise ValueError("trace values must be non-negative")
-        self.values = [float(v) for v in values]
-        self._index = 0
-
-    def initial(self, rng) -> float:
-        self._index = 0
-        return self.values[0]
-
-    def next_value(self, current: float, rng) -> float:
-        self._index = min(self._index + 1, len(self.values) - 1)
-        return self.values[self._index]
 
 
 def attach_generators(

@@ -49,14 +49,6 @@ class ParallelModel:
             raise ValueError(f"node count must be >= 1, got {m}")
         return m / (1.0 + self.overhead * (m - 1))
 
-    def per_node_work(self, total_work: float, m: int) -> float:
-        """Work each of ``m`` concurrent nodes executes.
-
-        Every node runs for ``total_work / speedup(m)`` base-processor
-        seconds, so the parallel span matches the speedup model.
-        """
-        return total_work / self.speedup(m)
-
 
 @dataclass(frozen=True)
 class TaskSignature:

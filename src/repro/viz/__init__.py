@@ -16,11 +16,10 @@ from repro.viz.gantt import gantt
 __getattr__, __dir__ = _lazy_exports(globals(), {
     "report": ("execution_report",),
     "topology_view": ("topology_diagram",),
-    "workload": ("LoadRecorder", "workload_sparkline"),
+    "workload": ("workload_sparkline",),
 })
 
 __all__ = [
-    "LoadRecorder",
     "execution_report",
     "gantt",
     "topology_diagram",

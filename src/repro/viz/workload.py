@@ -1,87 +1,17 @@
-"""Workload visualisations (paper §4.2): sparklines + live recording.
+"""Workload visualisations (paper §4.2): load sparklines.
 
-:func:`workload_sparkline` renders a sampled load series;
-:class:`LoadRecorder` produces those samples by periodically reading
-host load averages while a simulation runs — attach it before
-submitting applications, then render per-host charts afterwards.
+:func:`workload_sparkline` renders a sampled load series; ``repro
+monitor`` samples each host's load average while a simulation runs and
+renders one per host.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence
+from typing import Sequence
 
-__all__ = ["LoadRecorder", "workload_sparkline"]
+__all__ = ["workload_sparkline"]
 
 _BLOCKS = " .:-=+*#%@"
-
-
-class LoadRecorder:
-    """Samples host load averages on a period while the simulation runs.
-
-    Usage::
-
-        recorder = LoadRecorder(env.sim, env.topology.all_hosts, period_s=1.0)
-        recorder.start()
-        env.submit(...)           # or env.advance(...)
-        print(recorder.render())
-    """
-
-    def __init__(self, sim, hosts: Iterable, period_s: float = 1.0):
-        if period_s <= 0:
-            raise ValueError("period_s must be positive")
-        self.sim = sim
-        self.hosts = list(hosts)
-        if not self.hosts:
-            raise ValueError("need at least one host to record")
-        self.period_s = float(period_s)
-        self.samples: Dict[str, List[float]] = {h.name: [] for h in self.hosts}
-        self.times: List[float] = []
-        self._started = False
-
-    def start(self):
-        """Spawn the sampling process (runs for the simulation's life)."""
-        if self._started:
-            raise RuntimeError("recorder already started")
-        self._started = True
-
-        def loop():
-            from repro.sim.kernel import Timeout
-
-            while True:
-                self.times.append(self.sim.now)
-                for host in self.hosts:
-                    self.samples[host.name].append(host.load_average())
-                yield Timeout(self.period_s)
-
-        return self.sim.process(loop(), name="load-recorder")
-
-    def render(self, width: int = 60) -> str:
-        """One sparkline per host on a shared scale, downsampled to width."""
-        peak = max(
-            (max(s) for s in self.samples.values() if s), default=1.0
-        )
-        peak = max(peak, 1e-9)
-        lines = []
-        label_width = max(len(n) for n in self.samples) + 1
-        for name in sorted(self.samples):
-            series = self.samples[name]
-            if len(series) > width:
-                stride = len(series) / width
-                series = [
-                    max(series[int(i * stride):max(int(i * stride) + 1,
-                                                   int((i + 1) * stride))])
-                    for i in range(width)
-                ]
-            lines.append(
-                workload_sparkline(series, label=f"{name:<{label_width}}",
-                                   max_value=peak)
-            )
-        if self.times:
-            lines.append(
-                f"{'':<{label_width}}  t={self.times[0]:.1f}s .. "
-                f"t={self.times[-1]:.1f}s ({len(self.times)} samples)"
-            )
-        return "\n".join(lines)
 
 
 def workload_sparkline(samples: Sequence[float], label: str = "",

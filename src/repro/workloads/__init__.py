@@ -21,7 +21,6 @@ __getattr__, __dir__ = _lazy_exports(globals(), {
     "c3i_apps": ("surveillance_afg",),
     "pipelines": (
         "bag_of_tasks", "fork_join", "linear_pipeline", "reduction_tree",
-        "wavefront",
     ),
 })
 
@@ -35,5 +34,4 @@ __all__ = [
     "random_dag",
     "reduction_tree",
     "surveillance_afg",
-    "wavefront",
 ]

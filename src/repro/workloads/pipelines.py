@@ -19,7 +19,6 @@ __all__ = [
     "fork_join",
     "linear_pipeline",
     "reduction_tree",
-    "wavefront",
 ]
 
 
@@ -91,41 +90,6 @@ def reduction_tree(leaves: int = 8, leaf_cost: float = 2.0,
     return afg
 
 
-def wavefront(n: int = 4, cost: float = 2.0,
-              edge_mb: float = 1.0) -> ApplicationFlowGraph:
-    """An n x n wavefront (Smith-Waterman/stencil) dependency grid.
-
-    Cell (i, j) depends on (i-1, j) and (i, j-1); the anti-diagonal
-    frontier widens then narrows, which exercises schedulers on
-    *changing* available parallelism — neither a chain nor a bag.
-    """
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    afg = ApplicationFlowGraph(f"wavefront-{n}x{n}")
-
-    def cell(i: int, j: int) -> str:
-        return f"c{i:02d}_{j:02d}"
-
-    for i in range(n):
-        for j in range(n):
-            parents = int(i > 0) + int(j > 0)
-            if parents == 0:
-                afg.add_task(_source(cell(i, j), cost))
-            else:
-                afg.add_task(_compute(cell(i, j), cost, n_in=parents))
-    for i in range(n):
-        for j in range(n):
-            port = 0
-            if i > 0:
-                afg.connect(cell(i - 1, j), cell(i, j), dst_port=port,
-                            size_mb=edge_mb)
-                port += 1
-            if j > 0:
-                afg.connect(cell(i, j - 1), cell(i, j), dst_port=port,
-                            size_mb=edge_mb)
-    return afg
-
-
 def bag_of_tasks(n: int = 12, cost: float = 2.0,
                  heterogeneity: float = 0.0, seed: int = 0) -> ApplicationFlowGraph:
     """``n`` independent tasks (no edges) — pure load balancing."""
@@ -139,6 +103,6 @@ def bag_of_tasks(n: int = 12, cost: float = 2.0,
         rng = PCG64(seed)
     for i in range(n):
         # homogeneous: 1.0 + 0.0 * u is 1.0 for every drawn u, so draw none
-        u = float(rng.uniform(-1.0, 1.0)) if heterogeneity else 0.0
+        u = rng.uniform(-1.0, 1.0) if heterogeneity else 0.0
         afg.add_task(_source(f"job{i:03d}", cost * (1.0 + heterogeneity * u)))
     return afg

@@ -75,7 +75,7 @@ def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     remaining = config.n_tasks
     index = 0
     while remaining > 0:
-        layer_size = int(rng.integers(1, config.width + 1))
+        layer_size = rng.integers(1, config.width + 1)
         layer_size = min(layer_size, remaining)
         layer = [f"n{index + i:03d}" for i in range(layer_size)]
         layers.append(layer)
@@ -84,7 +84,7 @@ def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
 
     def draw_cost() -> float:
         h = config.cost_heterogeneity
-        factor = 1.0 + h * float(rng.uniform(-1.0, 1.0))
+        factor = 1.0 + h * rng.uniform(-1.0, 1.0)
         return config.mean_cost * factor
 
     mean_edge_mb = config.ccr * config.mean_cost  # 1 MB/s reference link
@@ -92,7 +92,7 @@ def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     def draw_edge_mb() -> float:
         if mean_edge_mb <= 0:
             return 0.0
-        return float(rng.uniform(0.5, 1.5)) * mean_edge_mb
+        return rng.uniform(0.5, 1.5) * mean_edge_mb
 
     # first layer: entry tasks
     for task_id in layers[0]:
@@ -110,7 +110,7 @@ def random_dag(config: RandomDAGConfig) -> ApplicationFlowGraph:
     earlier: List[str] = list(layers[0])
     for layer in layers[1:]:
         for task_id in layer:
-            fan_in = int(rng.integers(1, _MAX_FAN_IN + 1))
+            fan_in = rng.integers(1, _MAX_FAN_IN + 1)
             fan_in = min(fan_in, len(earlier))
             parent_idx = rng.choice(len(earlier), size=fan_in, replace=False)
             parents = sorted(earlier[i] for i in parent_idx)

@@ -12,6 +12,9 @@ from repro.afg import (
     TaskProperties,
 )
 
+from tests.afg._networkx import to_networkx
+from tests.scheduler._reference import edge_size_between
+
 
 def node(id, n_in=0, n_out=1, **props):
     return TaskNode(
@@ -138,7 +141,7 @@ def test_edge_size_between_sums_port_pairs():
     afg.add_task(node("b", n_in=2, n_out=0))
     afg.connect("a", "b", src_port=0, dst_port=0, size_mb=1.5)
     afg.connect("a", "b", src_port=1, dst_port=1, size_mb=2.5)
-    assert afg.edge_size_between("a", "b") == pytest.approx(4.0)
+    assert edge_size_between(afg, "a", "b") == pytest.approx(4.0)
     assert afg.parents("b") == ["a"]  # deduplicated
 
 
@@ -179,7 +182,7 @@ def test_to_networkx_merges_parallel_edges():
     afg.add_task(node("b", n_in=2, n_out=0))
     afg.connect("a", "b", src_port=0, dst_port=0, size_mb=1.0)
     afg.connect("a", "b", src_port=1, dst_port=1, size_mb=2.0)
-    g = afg.to_networkx()
+    g = to_networkx(afg)
     assert g.number_of_nodes() == 2
     assert g.edges["a", "b"]["size_mb"] == pytest.approx(3.0)
 
@@ -238,7 +241,7 @@ def test_properties_input_helpers():
         )
     )
     assert len(props.file_inputs()) == 2
-    assert len(props.dataflow_inputs()) == 1
+    assert sum(b.is_dataflow for b in props.inputs) == 1
     assert props.total_input_size_mb() == pytest.approx(15.0)
 
 

@@ -40,9 +40,10 @@ from typing import Dict, List, Set, Tuple
 
 import pytest
 
+from tests.core._program import ROOT, modules
+
 pytestmark = pytest.mark.gate
 
-ROOT = Path(__file__).resolve().parents[2]
 #: the program: tests and examples are not callers
 SCANNED = ("src", "bench")
 #: defaulted fields over every config dataclass (DESIGN §5, decision 17)
@@ -64,19 +65,11 @@ def _is_config_dataclass(node: ast.AST) -> bool:
 
 
 @functools.lru_cache(maxsize=None)
-def _modules(*roots: str) -> Tuple[Tuple[Path, ast.Module], ...]:
-    return tuple(
-        (path, ast.parse(path.read_text(), filename=str(path)))
-        for root in roots
-        for path in sorted((ROOT / root).rglob("*.py"))
-    )
-
-
 def config_fields() -> Dict[str, List[str]]:
     """Class name -> its defaulted fields, over ``src/repro``."""
     found: Dict[str, List[str]] = {}
-    for _path, tree in _modules("src/repro"):
-        for node in ast.walk(tree):
+    for module in modules("src/repro"):
+        for node in module.nodes:
             if _is_config_dataclass(node):
                 found[node.name] = [
                     statement.target.id for statement in node.body
@@ -108,29 +101,30 @@ def _callee(call: ast.Call) -> str:
 def _forwarders(fields: Dict[str, List[str]]) -> Dict[str, Set[str]]:
     """Helper name -> the config classes its ``**kwargs`` reach, over
     ``src/`` (to a fixed point: a helper may forward to a helper)."""
-    functions = [
-        node for _path, tree in _modules("src")
-        for node in ast.walk(tree)
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
-        and node.args.kwarg is not None
-    ]
+    #: (helper, callee) for every call that splats the helper's **kwargs
+    forwards = []
+    for module in modules("src"):
+        for function in module.nodes:
+            if not (isinstance(function, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and function.args.kwarg is not None):
+                continue
+            kwarg = function.args.kwarg.arg
+            forwards += [
+                (function.name, _callee(call)) for call in ast.walk(function)
+                if isinstance(call, ast.Call) and any(
+                    k.arg is None and isinstance(k.value, ast.Name)
+                    and k.value.id == kwarg for k in call.keywords)
+            ]
     reach: Dict[str, Set[str]] = {}
     changed = True
     while changed:
         changed = False
-        for function in functions:
-            kwarg = function.args.kwarg.arg
-            for call in ast.walk(function):
-                if not (isinstance(call, ast.Call) and any(
-                        k.arg is None and isinstance(k.value, ast.Name)
-                        and k.value.id == kwarg for k in call.keywords)):
-                    continue
-                callee = _callee(call)
-                targets = ({callee} if callee in fields else set()) | reach.get(
-                    callee, set())
-                if not targets <= reach.get(function.name, set()):
-                    reach.setdefault(function.name, set()).update(targets)
-                    changed = True
+        for helper, callee in forwards:
+            targets = ({callee} if callee in fields else set()) | reach.get(
+                callee, set())
+            if not targets <= reach.get(helper, set()):
+                reach.setdefault(helper, set()).update(targets)
+                changed = True
     return reach
 
 
@@ -161,6 +155,7 @@ def _preset_keys(tree: ast.Module) -> Set[str]:
     return set().union(*(keys(entry) for entry in presets.values))
 
 
+@functools.lru_cache(maxsize=None)
 def bound_setters() -> Dict[Tuple[str, str], Set[str]]:
     """(class, field) -> the columns whose code sets it, bound to the
     class; a field no code sets is absent."""
@@ -173,13 +168,14 @@ def bound_setters() -> Dict[Tuple[str, str], Set[str]]:
             if name in fields[cls]:
                 found.setdefault((cls, name), set()).add(column)
 
-    for path, tree in _modules(*SCANNED):
+    for module in modules(*SCANNED):
+        path, tree = module.path, module.tree
         column = _column(path)
         owner: Dict[int, str] = {}
-        for node in filter(_is_config_dataclass, ast.walk(tree)):
+        for node in filter(_is_config_dataclass, module.nodes):
             for inner in ast.walk(node):
                 owner[id(inner)] = node.name
-        for call in ast.walk(tree):
+        for call in module.nodes:
             if not isinstance(call, ast.Call):
                 continue
             names = {k.arg for k in call.keywords if k.arg is not None}
@@ -269,10 +265,11 @@ def numeric_settable_values() -> Tuple[Tuple[type, str], ...]:
     """(class, field) for every settable value typed int or float, or
     Optional of one; no settable value is a container of numbers."""
     settable, found = config_fields(), []
-    for path, tree in _modules("src/repro"):
-        module = ".".join(path.relative_to(ROOT / "src").with_suffix("").parts)
-        for node in filter(_is_config_dataclass, ast.walk(tree)):
-            cls = getattr(importlib.import_module(module), node.name)
+    for module in modules("src/repro"):
+        name = ".".join(
+            module.path.relative_to(ROOT / "src").with_suffix("").parts)
+        for node in filter(_is_config_dataclass, module.nodes):
+            cls = getattr(importlib.import_module(name), node.name)
             found += [(cls, f.name) for f in dataclasses.fields(cls)
                       if f.name in settable[node.name]
                       and re.fullmatch(r"(Optional\[)?(int|float)]?",

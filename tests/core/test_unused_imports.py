@@ -18,16 +18,14 @@ A name bound for another module to read or rebind goes into
 
 import ast
 import functools
-from pathlib import Path
-from typing import Iterator, Set
+from typing import Iterable, Iterator, Sequence, Set
 
 import pytest
 
-import repro
+from tests.core._program import modules
 
 pytestmark = pytest.mark.gate
 
-PACKAGE = Path(repro.__file__).parent
 
 #: ``module path: name`` -> why the binding stays unread in its module
 ALLOWED = {
@@ -54,8 +52,8 @@ def module_imports(tree: ast.Module) -> Iterator[str]:
                 yield alias.asname or alias.name
 
 
-def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
-    for node in ast.walk(tree):
+def _annotations(nodes: Iterable[ast.AST]) -> Iterator[ast.expr]:
+    for node in nodes:
         if isinstance(node, ast.arg) and node.annotation is not None:
             yield node.annotation
         elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
@@ -65,10 +63,10 @@ def _annotations(tree: ast.Module) -> Iterator[ast.expr]:
             yield node.annotation
 
 
-def used_names(tree: ast.Module) -> Set[str]:
+def used_names(tree: ast.Module, nodes: Sequence[ast.AST]) -> Set[str]:
     """Every name ``tree`` reads, ``__all__`` and quoted annotations
-    included."""
-    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    included; ``nodes`` is ``ast.walk(tree)``."""
+    used = {node.id for node in nodes if isinstance(node, ast.Name)}
     for node in tree.body:
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = getattr(node, "targets", None) or [node.target]
@@ -77,7 +75,7 @@ def used_names(tree: ast.Module) -> Set[str]:
                 used |= {c.value for c in ast.walk(node.value)
                          if isinstance(c, ast.Constant)
                          and isinstance(c.value, str)}
-    for annotation in _annotations(tree):
+    for annotation in _annotations(nodes):
         for constant in ast.walk(annotation):
             if isinstance(constant, ast.Constant) \
                     and isinstance(constant.value, str):
@@ -91,13 +89,12 @@ def used_names(tree: ast.Module) -> Set[str]:
 def unused_imports():
     """``module path: name`` of every import nothing in its module reads."""
     found = []
-    for path in sorted(PACKAGE.rglob("*.py")):
-        if path.name == "__init__.py":
+    for module in modules("src/repro"):
+        if module.path.name == "__init__.py":
             continue
-        tree = ast.parse(path.read_text())
-        used = used_names(tree)
-        rel = path.relative_to(PACKAGE).as_posix()
-        found += [f"{rel}: {name}" for name in module_imports(tree)
+        used = used_names(module.tree, module.nodes)
+        rel = module.rel[len("src/repro/"):]
+        found += [f"{rel}: {name}" for name in module_imports(module.tree)
                   if name not in used]
     return tuple(sorted(found))
 
@@ -124,4 +121,4 @@ def test_the_walk_sees_each_kind_of_use():
         "    return os.path.join(x)\n")
     names = set(module_imports(tree))
     assert names == {"TYPE_CHECKING", "Dict", "List", "Optional", "os", "np"}
-    assert names - used_names(tree) == {"List", "Optional"}
+    assert names - used_names(tree, tuple(ast.walk(tree))) == {"List", "Optional"}

@@ -1,13 +1,16 @@
 """Tests: application import (session + web) and the wavefront workload."""
 
+import json
+
 import pytest
 
-from repro.afg import AFGValidationError, afg_to_dict, afg_to_json, validate_afg
+from repro.afg import AFGValidationError, afg_to_dict, validate_afg
 from repro.editor import EditorSession, SessionError
 from repro.scheduler import SiteScheduler
-from repro.workloads import surveillance_afg, wavefront
+from repro.workloads import surveillance_afg
 
 from tests.runtime.conftest import build_runtime
+from tests.workloads._wavefront import wavefront
 
 
 class TestWavefront:
@@ -23,8 +26,6 @@ class TestWavefront:
 
     def test_frontier_parallelism_is_visible_in_execution(self):
         """The anti-diagonal widens: peak concurrency ~ n on n hosts."""
-        from repro.metrics import concurrency_profile
-
         rt = build_runtime(
             site_hosts={"alpha": [(f"h{i}", 1.0, 256) for i in range(4)]}
         )
@@ -33,7 +34,9 @@ class TestWavefront:
         result = rt.sim.run_until_complete(
             rt.execute_process(afg, table, execute_payloads=False)
         )
-        peak = max(c for _, c in concurrency_profile(result))
+        starts = [r.started_at for r in result.records.values()]
+        peak = max(sum(r.started_at <= t < r.finished_at
+                       for r in result.records.values()) for t in starts)
         assert peak >= 3  # near the main anti-diagonal
 
     def test_validation(self):
@@ -64,9 +67,11 @@ class TestImport:
         rt = build_runtime()
         session = EditorSession(rt, "alpha", "admin", "vdce-admin")
         afg = session.import_application(
-            afg_to_json(wavefront(n=2, cost=1.0))
+            json.dumps(afg_to_dict(wavefront(n=2, cost=1.0)))
         )
-        assert session.imported("wavefront-2x2") is afg
+        assert afg.name == "wavefront-2x2"
+        result = session.submit("wavefront-2x2", k=1, execute_payloads=False)
+        assert sorted(result.records) == sorted(t.id for t in afg)
 
     def test_duplicate_import_rejected(self):
         rt = build_runtime()
@@ -87,8 +92,8 @@ class TestImport:
     def test_unknown_imported_name(self):
         rt = build_runtime()
         session = EditorSession(rt, "alpha", "admin", "vdce-admin")
-        with pytest.raises(SessionError):
-            session.imported("ghost")
+        with pytest.raises(SessionError, match="unknown application"):
+            session.submit("ghost")
 
     def test_web_import_endpoint(self):
         pytest.importorskip("flask")

@@ -73,7 +73,7 @@ class TestBuilderRemoval:
         b.connect(src, mid)
         b.connect(mid, snk)
         b.remove(mid)
-        assert mid not in b.task_ids
+        assert mid not in [t.id for t in b.preview()]
         # re-wire around the removed node
         mid2 = b.add("generic.compute")
         b.connect(src, mid2)

@@ -1,5 +1,6 @@
 """Tests: the saved application JSONs load, validate and run."""
 
+import json
 import os
 
 import pytest
@@ -54,12 +55,10 @@ class TestSavedApplications:
 
     def test_files_match_generators(self):
         """The committed JSONs are exactly what the generators produce."""
-        from repro.afg import afg_to_json
-        from repro.workloads import (
-            linear_solver_afg,
-            surveillance_afg,
-            wavefront,
-        )
+        from repro.afg import afg_to_dict
+        from repro.workloads import linear_solver_afg, surveillance_afg
+
+        from tests.workloads._wavefront import wavefront
 
         expected = {
             "linear_solver.json": linear_solver_afg(scale=0.25,
@@ -68,4 +67,5 @@ class TestSavedApplications:
             "wavefront_6x6.json": wavefront(n=6, cost=1.5, edge_mb=0.5),
         }
         for filename, afg in expected.items():
-            assert load(filename) == afg_to_json(afg, indent=1)
+            assert load(filename) == json.dumps(afg_to_dict(afg), indent=1,
+                                                sort_keys=True)

@@ -5,7 +5,9 @@ import pytest
 from repro.runtime import VDCERuntime
 from repro.scheduler import SiteScheduler
 from repro.sim.topology import star_topology
-from repro.workloads import RandomDAGConfig, random_dag, wavefront
+from repro.workloads import RandomDAGConfig, random_dag
+
+from tests.workloads._wavefront import wavefront
 
 
 class TestScale:

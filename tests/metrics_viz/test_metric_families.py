@@ -128,8 +128,9 @@ def test_the_registry_is_handed_only_the_kinds_it_folds(monkeypatch):
         rt = VDCERuntime(builder.build(), config=RuntimeConfig(),
                          tracer=tracer, metrics=MetricsRegistry())
         rt.start_monitoring()
-        FailureInjector(rt.sim).schedule_outage(
-            rt.topology.host("s1-h1"), start=3.0, duration=10.0)
+        injector = FailureInjector(rt.sim)
+        injector.schedule(rt.topology.host("s1-h1"), 3.0, "down")
+        injector.schedule(rt.topology.host("s1-h1"), 13.0, "up")
         rt.sim.run_until_complete(rt.sim.process(rt.run_process(
             bag_of_tasks(n=24, cost=4.0, seed=0), execute_payloads=False)))
         kinds = folded[:]

@@ -8,7 +8,11 @@ and must produce byte-identical canonical metrics snapshots.
 import pytest
 
 from repro import VDCE, DeploymentSpec
-from repro.metrics.export import METRICS_SCHEMA_VERSION, snapshot_to_json
+from repro.metrics.export import (
+    METRICS_SCHEMA_VERSION,
+    prometheus_text,
+    snapshot_to_json,
+)
 from repro.metrics.registry import MetricsRegistry
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.scheduler import SiteScheduler, select_hosts
@@ -46,7 +50,8 @@ class TestMetricsDeterminism:
         snap_a, snap_b = env_a.metrics_snapshot(), env_b.metrics_snapshot()
         assert snapshot_to_json(snap_a) == snapshot_to_json(snap_b)
         assert env_a.metrics_hash() == env_b.metrics_hash()
-        assert env_a.prometheus_metrics() == env_b.prometheus_metrics()
+        assert prometheus_text(env_a.runtime.export_metrics()) \
+            == prometheus_text(env_b.runtime.export_metrics())
         assert result_a.makespan == result_b.makespan
 
     def test_different_seed_different_snapshot(self):

@@ -2,11 +2,7 @@
 
 import pytest
 
-from repro.metrics import (
-    busy_intervals,
-    concurrency_profile,
-    parallel_efficiency,
-)
+from repro.metrics import busy_intervals, parallel_efficiency
 from repro.scheduler import SiteScheduler
 from repro.viz import execution_report
 from repro.workloads import bag_of_tasks, linear_pipeline
@@ -37,16 +33,24 @@ class TestTimeline:
 
     def test_concurrency_profile_starts_and_ends_at_zero(self):
         result = run(bag_of_tasks(n=6, cost=2.0))
-        profile = concurrency_profile(result)
-        assert profile[-1][1] == 0
-        assert max(c for _, c in profile) >= 2  # bag really ran in parallel
-        times = [t for t, _ in profile]
-        assert times == sorted(times)
+        spans = [(r.started_at, r.finished_at)
+                 for r in result.records.values()]
+        first = min(start for start, _ in spans)
+        last = max(finish for _, finish in spans)
+
+        def running(t):
+            return sum(start <= t < finish for start, finish in spans)
+
+        assert running(first - 1e-9) == 0 and running(last) == 0
+        # the bag really ran in parallel
+        assert max(running(start) for start, _ in spans) >= 2
 
     def test_chain_has_concurrency_one(self):
         result = run(chain_afg(n=4, scale=1.0))
-        profile = concurrency_profile(result)
-        assert max(c for _, c in profile) == 1
+        spans = sorted((r.started_at, r.finished_at)
+                       for r in result.records.values())
+        assert all(finish <= start
+                   for (_, finish), (start, _) in zip(spans, spans[1:]))
 
     def test_parallel_efficiency_bounds_and_ordering(self):
         # a bag on 2 hosts keeps both busy; a chain on 1 host is "efficient"

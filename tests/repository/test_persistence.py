@@ -36,6 +36,25 @@ class TestSnapshotRestore:
         restored = restore_repository(snapshot_repository(repo))
         assert snapshot_repository(restored) == snapshot_repository(repo)
 
+    def test_a_snapshot_holding_the_retired_ip_restores(self):
+        """A snapshot written while hosts kept an ``ip`` holds the one
+        value every host had on every row; it restores to the same
+        repository, and a snapshot is no longer written with it."""
+        repo = populated_repo()
+        data = snapshot_repository(repo)
+        assert all("ip" not in h["spec"] for h in data["hosts"])
+        for h in data["hosts"]:
+            h["spec"]["ip"] = "0.0.0.0"
+        restored = restore_repository(data)
+        assert snapshot_repository(restored) == snapshot_repository(repo)
+
+    def test_a_snapshot_holding_another_ip_is_refused(self):
+        data = snapshot_repository(populated_repo())
+        data["hosts"][1]["spec"]["ip"] = "10.0.0.7"
+        with pytest.raises(ValueError, match=r"repository snapshot: host "
+                           r"'syr-h01' has ip='10\.0\.0\.7'"):
+            restore_repository(data)
+
     def test_snapshot_is_json_safe(self):
         data = snapshot_repository(populated_repo())
         json.dumps(data)  # must not raise

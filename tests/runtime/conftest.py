@@ -5,7 +5,7 @@ import pytest
 from repro.afg import ApplicationFlowGraph, TaskNode, TaskProperties
 from repro.runtime import RuntimeConfig, VDCERuntime
 from repro.runtime import integrity
-from repro.sim import TopologyBuilder
+from repro.sim import FailureInjector, TopologyBuilder
 from repro.trace.tracer import NULL_TRACER
 
 
@@ -29,6 +29,23 @@ def build_runtime(
     topo = builder.build()
     cfg = config or RuntimeConfig(**config_kwargs)
     return VDCERuntime(topo, config=cfg, tracer=tracer)
+
+
+def corrupt_wans(rt, corrupt_prob, at=None, until=None):
+    """Arm bit-flip corruption on every WAN link of ``rt``'s federation
+    at ``at`` (default: now), disarming at ``until``, through
+    :meth:`FailureInjector.schedule_link_corruption` as a chaos campaign
+    arms one link; ``corrupt_prob=0.0`` disarms."""
+    at = rt.sim.now if at is None else at
+    net = rt.topology.network
+    injector = FailureInjector(rt.sim)
+    sites = net.site_names
+    for i, a in enumerate(sites):
+        for b in sites[i + 1:]:
+            injector.schedule_link_corruption(
+                net.wan_link(a, b), at, corrupt_prob,
+                duration=None if until is None else until - at)
+    return injector
 
 
 def chain_afg(n=3, scale=1.0, edge_mb=0.5, name="chain"):

@@ -3,9 +3,9 @@
 import pytest
 
 from repro.runtime import RuntimeConfig
-from repro.sim import ConstantLoad, TraceLoad
 
 from tests.runtime.conftest import build_runtime
+from tests.sim._loads import TraceLoad
 
 
 class TestMonitoringPath:
@@ -28,7 +28,7 @@ class TestMonitoringPath:
     def test_constant_load_is_suppressed_after_first_report(self):
         rt = build_runtime(monitor_period_s=1.0, change_threshold=0.25)
         for host in rt.topology.all_hosts:
-            ConstantLoad(level=0.5, period_s=10.0).start(rt.sim, host)
+            TraceLoad([0.5], period_s=10.0).start(rt.sim, host)
         rt.start_monitoring()
         rt.sim.run(until=10.5)
         # only the first measurement per host is forwarded

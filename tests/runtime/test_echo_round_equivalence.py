@@ -110,8 +110,9 @@ def test_loss_under_a_threshold_of_two():
 def test_a_host_believed_down_answers_and_stays_up():
     def scenario():
         rt = federation()
-        FailureInjector(rt.sim).schedule_outage(
-            rt.topology.host("s1-h2"), start=7.0, duration=10.0)
+        injector = FailureInjector(rt.sim)
+        injector.schedule(rt.topology.host("s1-h2"), 7.0, "down")
+        injector.schedule(rt.topology.host("s1-h2"), 17.0, "up")
         rt.sim.run(until=60.0)
         return rt
 
@@ -125,8 +126,9 @@ def test_a_host_believed_down_answers_and_stays_up():
 def test_a_fault_healed_between_rounds_is_never_seen():
     def scenario():
         rt = federation()
-        FailureInjector(rt.sim).schedule_outage(
-            rt.topology.host("s0-h3"), start=6.0, duration=2.0)
+        injector = FailureInjector(rt.sim)
+        injector.schedule(rt.topology.host("s0-h3"), 6.0, "down")
+        injector.schedule(rt.topology.host("s0-h3"), 8.0, "up")
         app = submit(rt, APPLICATIONS["bag"](16), at=1.0)
         rt.sim.run(until=30.0)
         assert app.triggered
@@ -151,8 +153,8 @@ def test_a_manager_restart_starts_every_epoch_over(restart):
             injector.schedule_group_manager_crash(gm, 12.5, duration=1.0)
         else:
             injector.schedule_group_manager_crash(gm, 12.5)
-        injector.schedule_outage(rt.topology.host("s0-h2"), start=13.0,
-                                 duration=30.0)
+        injector.schedule(rt.topology.host("s0-h2"), 13.0, "down")
+        injector.schedule(rt.topology.host("s0-h2"), 43.0, "up")
         rt.sim.run(until=60.0)
         return rt
 
@@ -212,7 +214,8 @@ def test_fault_timelines(seed, timeline, loss, threshold):
             name = f"s{s}-h{h}"
             gm = rt.group_managers[f"site-{s}-g0"]
             if kind == "outage":
-                injector.schedule_outage(rt.topology.host(name), at, duration)
+                injector.schedule(rt.topology.host(name), at, "down")
+                injector.schedule(rt.topology.host(name), at + duration, "up")
             elif kind == "slowdown":
                 injector.schedule_host_slowdown(
                     rt.topology.host(name), at, duration, factor=1.0 + h)

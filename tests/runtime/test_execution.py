@@ -126,16 +126,6 @@ class TestFileInputs:
         assert out.size_mb == 5.0
         assert runtime.io_service.staged_count == 1
 
-    def test_registered_loader_resolves_contents(self, runtime):
-        runtime.io_service.register_loader("/data/in.dat", lambda spec: "CONTENTS")
-        result, _ = schedule_and_execute(runtime, self.afg_with_file())
-        assert result.outputs["t"] == ["CONTENTS"]
-
-    def test_duplicate_loader_rejected(self, runtime):
-        runtime.io_service.register_loader("/x", lambda s: 1)
-        with pytest.raises(ValueError):
-            runtime.io_service.register_loader("/x", lambda s: 2)
-
 
 class TestConsoleService:
     def test_suspend_delays_task_start(self, runtime):
@@ -175,7 +165,7 @@ class TestFaultHandling:
         record = result.records["t0"]
         assert record.attempts == 2
         assert record.hosts == ("a2",)
-        assert record.was_rescheduled
+        assert record.reschedule_reasons
         assert rt.stats.failure_restarts == 1
 
     def test_no_replacement_raises_execution_error(self):

@@ -21,7 +21,7 @@ from repro.runtime import integrity
 from repro.runtime.integrity import NULL_INTEGRITY, IntegrityManager
 from repro.scheduler import AllocationTable, TaskAssignment
 
-from tests.runtime.conftest import build_runtime, chain_afg
+from tests.runtime.conftest import build_runtime, chain_afg, corrupt_wans
 
 
 def cross_site_table(afg, pattern, predicted=0.5):
@@ -104,9 +104,7 @@ class TestRepairLadder:
         """Corruption armed for a window: detection + refetch, then the
         run completes with oracle-exact outputs."""
         rt = integrity_runtime()
-        net = rt.topology.network
-        net.set_corruption(0.97)  # first transfers corrupt, then disarm
-        rt.sim.call_at(1.2, lambda: net.set_corruption(0.0))
+        corrupt_wans(rt, 0.97, until=1.2)  # first transfers corrupt
         afg, expected, proc = self.run_chain(rt)
         result = rt.sim.run_until_complete(proc)
         assert final_output_hashes(result) == expected
@@ -121,7 +119,7 @@ class TestRepairLadder:
     def test_permanent_corruption_poisons_and_fails_typed(self, budgets):
         budgets(MAX_REFETCHES=1, MAX_REGENERATIONS=1)
         rt = integrity_runtime()
-        rt.topology.network.set_corruption(0.97)
+        corrupt_wans(rt, 0.97)
         _afg, _expected, proc = self.run_chain(rt)
         with pytest.raises((DataIntegrityError, ExecutionError)):
             rt.sim.run_until_complete(proc)
@@ -137,9 +135,7 @@ class TestRepairLadder:
         lineage re-execution; the run still matches the oracle."""
         budgets(MAX_REFETCHES=0, MAX_REGENERATIONS=3)
         rt = integrity_runtime()
-        net = rt.topology.network
-        net.set_corruption(0.97)
-        rt.sim.call_at(2.5, lambda: net.set_corruption(0.0))
+        corrupt_wans(rt, 0.97, until=2.5)
         afg, expected, proc = self.run_chain(rt)
         result = rt.sim.run_until_complete(proc)
         assert final_output_hashes(result) == expected
@@ -158,12 +154,11 @@ class TestRepairLadder:
         is dropped and the link disarmed — so regenerating t1 finds a
         lost upstream input and must recurse to t0 first."""
         rt = integrity_runtime()
-        net = rt.topology.network
         afg = chain_afg(n=3, scale=1.0, edge_mb=4.0)
         table = cross_site_table(
             afg, [("alpha", "a1"), ("alpha", "a2"), ("beta", "b1")]
         )
-        net.set_corruption(0.97)
+        corrupt_wans(rt, 0.97)
         proc = rt.execute_process(afg, table)
         original = rt.integrity.note_corruption
         fired = []
@@ -172,7 +167,7 @@ class TestRepairLadder:
             if not fired:
                 fired.append(rt.sim.now)
                 rt.integrity.drop_host("a1")
-                net.set_corruption(0.0)
+                corrupt_wans(rt, 0.0)
             return original(*args, **kwargs)
 
         rt.integrity.note_corruption = on_first_corruption
@@ -275,11 +270,8 @@ class TestReStagedCopiesAreVerified:
         afg.connect("src", "snk", size_mb=6.0)
         table = cross_site_table(afg, [("alpha", "a1"), ("beta", "b1")])
 
-        def strike():
-            rt.topology.network.set_corruption(0.97)
-            rt.topology.host("b1").fail()
-
-        rt.sim.call_at(8.0, strike)
+        corrupt_wans(rt, 0.97, at=8.0)
+        rt.sim.call_at(8.0, rt.topology.host("b1").fail)
         return rt, rt.execute_process(afg, table)
 
     @pytest.mark.parametrize("seed", [1, 2, 3])
@@ -317,7 +309,7 @@ class TestReStagedCopiesAreVerified:
         table = cross_site_table(afg, [("alpha", "a1")], predicted=2.0)
         proc = rt.execute_process(afg, table)
         rt.sim.call_at(3.0, lambda: rt.topology.host("a1").set_slowdown(10.0))
-        rt.sim.call_at(6.0, lambda: rt.topology.network.set_corruption(0.97))
+        corrupt_wans(rt, 0.97, at=6.0)
         result = rt.sim.run_until_complete(proc)
         assert result.records["t1"].hosts == ("a1",)
         assert rt.stats.speculative_launches == 0
@@ -327,7 +319,7 @@ class TestReStagedCopiesAreVerified:
 
     def test_a_clean_restage_is_recorded_under_its_label(self):
         rt, proc = self.restage_run(1)
-        rt.sim.call_at(10.0, lambda: rt.topology.network.set_corruption(0.0))
+        corrupt_wans(rt, 0.0, at=10.0)
         result = rt.sim.run_until_complete(proc)
         assert result.records["snk"].hosts == ("b2",)
         assert rt.integrity.corruptions_detected == 0

@@ -27,12 +27,7 @@ from repro.runtime.straggler import SpeculationPolicy
 from repro.scheduler import SiteScheduler
 from repro.sim.host import Host, HostSpec
 from repro.sim.kernel import Simulator, Timeout
-from repro.sim.workload import (
-    RandomWalkLoad,
-    SpikeLoad,
-    TraceLoad,
-    attach_generators,
-)
+from repro.sim.workload import SpikeLoad, attach_generators
 from repro.trace.events import EventKind
 from repro.trace.serialize import event_to_json
 from repro.trace.tracer import Tracer
@@ -40,6 +35,7 @@ from repro.workloads import bag_of_tasks
 from repro.workloads.random_dag import RandomDAGConfig, random_dag
 
 from tests.runtime.conftest import build_runtime, chain_afg
+from tests.sim._loads import RandomWalkLoad, TraceLoad
 
 
 # -- the reference: the polling loop as it stood in app_controller.py --------

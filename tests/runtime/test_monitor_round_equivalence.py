@@ -245,8 +245,8 @@ def test_slowed_host_and_outage():
         injector = FailureInjector(rt.sim)
         injector.schedule_host_slowdown(
             rt.topology.host("s0-h1"), start=3.0, duration=6.0, factor=3.0)
-        injector.schedule_outage(
-            rt.topology.host("s1-h2"), start=5.0, duration=4.5)
+        injector.schedule(rt.topology.host("s1-h2"), 5.0, "down")
+        injector.schedule(rt.topology.host("s1-h2"), 9.5, "up")
         rt.sim.call_at(
             6.5, lambda: rt.topology.host("s0-h1").set_bg_load(1.5))
         app = submit(rt, APPLICATIONS["bag"](24), at=1.0)
@@ -374,7 +374,8 @@ def test_fault_timelines(seed, timeline):
             name = f"s{s}-h{h}"
             gm = rt.group_managers[f"{site}-g0"]
             if kind == "outage":
-                injector.schedule_outage(rt.topology.host(name), at, duration)
+                injector.schedule(rt.topology.host(name), at, "down")
+                injector.schedule(rt.topology.host(name), at + duration, "up")
             elif kind == "slowdown":
                 injector.schedule_host_slowdown(
                     rt.topology.host(name), at, duration, factor=2.0 + h)

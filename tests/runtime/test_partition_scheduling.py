@@ -128,14 +128,12 @@ def test_mid_execution_transfer_retry_telemetry():
         "t2": ("gamma", "g1"),
     })
 
-    from repro.sim import FailureInjector
-
-    injector = FailureInjector(rt.sim)
     # break every WAN link briefly, a moment into execution
     t0 = rt.sim.now
     for pair in (("alpha", "beta"), ("alpha", "gamma"), ("beta", "gamma")):
-        injector.schedule_link_outage(network.wan_link(*pair),
-                                      start=t0 + 3.0, duration=2.0)
+        link = network.wan_link(*pair)
+        rt.sim.call_at(t0 + 3.0, link.fail)
+        rt.sim.call_at(t0 + 3.0 + 2.0, link.recover)
     proc = rt.execute_process(afg, table, execute_payloads=False)
     result = rt.sim.run_until_complete(proc, limit=1e5)
     assert result.transfer_retries >= 1

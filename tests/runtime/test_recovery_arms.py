@@ -42,7 +42,7 @@ from repro.sim import FailureInjector
 from repro.trace import Tracer, trace_hash
 from repro.trace.events import EventKind
 
-from tests.runtime.conftest import build_runtime, chain_afg
+from tests.runtime.conftest import build_runtime, chain_afg, corrupt_wans
 
 pytestmark = pytest.mark.gate
 
@@ -101,9 +101,8 @@ def start_remote_stage(rt):
 class TestStageInAcrossALinkOutage:
     def test_outage_shorter_than_the_backoff_costs_one_retry(self, pin):
         rt = traced_runtime()
-        FailureInjector(rt.sim).schedule_link_outage(
-            wan(rt), start=1.0, duration=0.2
-        )
+        rt.sim.call_at(1.0, wan(rt).fail)
+        rt.sim.call_at(1.2, wan(rt).recover)
         result = rt.sim.run_until_complete(start_remote_stage(rt))
         assert result.records["t"].transfer_retries == 1
         assert rt.stats.transfer_retries == 1
@@ -120,7 +119,7 @@ class TestStageInAcrossALinkOutage:
     def test_outage_outlasting_the_data_policy_fails_typed(self, pin,
                                                            impatient):
         rt = traced_runtime()
-        FailureInjector(rt.sim).schedule_link(wan(rt), 1.0, "down")
+        rt.sim.call_at(1.0, wan(rt).fail)
         with pytest.raises(ExecutionError,
                            match="staging '/data/in.dat' onto b1 failed "
                                  "after 3 attempts"):
@@ -133,9 +132,7 @@ class TestStageInAcrossALinkOutage:
 class TestCorruptStageIn:
     def test_within_the_refetch_budget(self, pin):
         rt = traced_runtime(data_integrity=True)
-        net = rt.topology.network
-        net.set_corruption(0.97)
-        rt.sim.call_at(3.0, lambda: net.set_corruption(0.0))
+        corrupt_wans(rt, 0.97, until=3.0)
         result = rt.sim.run_until_complete(start_remote_stage(rt))
         assert result.records["t"].repair_refetches == 1
         (incident,) = rt.integrity.incidents
@@ -152,7 +149,7 @@ class TestCorruptStageIn:
                                                               budgets):
         budgets(MAX_REFETCHES=1)
         rt = traced_runtime(data_integrity=True)
-        rt.topology.network.set_corruption(0.97)
+        corrupt_wans(rt, 0.97)
         with pytest.raises(CorruptPayloadError,
                            match=r"still corrupt after 1 refetch\(es\)"):
             rt.sim.run_until_complete(start_remote_stage(rt))
@@ -186,10 +183,7 @@ def crashed_after_t0():
 def resume_with_corrupt_wan(disarm_at=None):
     afg, journal, checkpoint = crashed_after_t0()
     rt = traced_runtime(data_integrity=True)
-    net = rt.topology.network
-    net.set_corruption(0.97)
-    if disarm_at is not None:
-        rt.sim.call_at(disarm_at, lambda: net.set_corruption(0.0))
+    corrupt_wans(rt, 0.97, until=disarm_at)
     coordinator = ExecutionCoordinator(
         rt, checkpoint.afg, checkpoint.table, submit_site="alpha",
         journal=journal, checkpoint=checkpoint,
@@ -272,7 +266,7 @@ class TestArtifactLadderEntryPoints:
         to find it poisoned and fails without poisoning it again."""
         budgets(MAX_REFETCHES=1, MAX_REGENERATIONS=0)
         rt = traced_runtime(data_integrity=True)
-        rt.topology.network.set_corruption(0.97)
+        corrupt_wans(rt, 0.97)
         afg = ApplicationFlowGraph("fan")
         afg.add_task(TaskNode(id="t0", task_type="generic.source",
                               n_out_ports=1))

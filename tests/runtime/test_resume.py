@@ -184,12 +184,14 @@ class TestResumeChecksApplication:
 
 
 class TestResumeRebuildsTheDeployment:
-    @pytest.mark.parametrize("hosts_as", ["HostSpec", "five keys"])
+    @pytest.mark.parametrize("hosts_as",
+                             ["HostSpec", "five keys", "retired ip"])
     def test_explicit_hosts_resume_to_the_same_topology(self, tmp_path,
                                                          hosts_as):
         """``meta.json`` keeps every explicit host as its ``HostSpec``
-        record; one written before ``ip`` and ``thrash_factor`` were
-        kept (five keys a host) resumes to the same hosts and outputs."""
+        record; one written before ``thrash_factor`` was kept (five
+        keys a host), or while hosts still kept the ``ip`` every one of
+        them had, resumes to the same hosts and outputs."""
         spec = DeploymentSpec.grid(2, 2, seed=11)
         env, _afg, _proc, expected = start_checkpointed_run(
             tmp_path, seed=11, env=VDCE(spec=spec))
@@ -204,8 +206,11 @@ class TestResumeRebuildsTheDeployment:
                    for h in hosts)
         if hosts_as == "five keys":
             for host in hosts:
-                del host["ip"], host["thrash_factor"]
-            meta_file.write_text(json.dumps(meta))
+                del host["thrash_factor"]
+        elif hosts_as == "retired ip":
+            for host in hosts:
+                host["ip"] = "0.0.0.0"
+        meta_file.write_text(json.dumps(meta))
 
         env2, result = resume_run(str(tmp_path))
         assert env2.spec == spec
@@ -237,6 +242,21 @@ class TestResumeRebuildsTheDeployment:
         assert [h.spec for h in env2.topology.all_hosts] \
             == [h.spec for h in env.topology.all_hosts]
         assert final_output_hashes(result) == expected
+
+    def test_a_meta_json_holding_another_ip_is_refused(self, tmp_path):
+        """Only the ``ip`` every host had loads: a host that claims
+        another address describes a deployment no spec declares."""
+        spec = DeploymentSpec.grid(2, 2, seed=11)
+        env, _afg, _proc, _expected = start_checkpointed_run(
+            tmp_path, seed=11, env=VDCE(spec=spec))
+        env.sim.run(until=5.0)
+        meta_file = tmp_path / "meta.json"
+        meta = json.loads(meta_file.read_text())
+        meta["deployment"]["sites"][0]["hosts"][0]["ip"] = "10.0.0.7"
+        meta_file.write_text(json.dumps(meta))
+        with pytest.raises(ValueError,
+                           match=r"meta\.json: host .* has ip='10\.0\.0\.7'"):
+            resume_run(str(tmp_path))
 
     @pytest.mark.parametrize("key, value", [("memory_mb", 512),
                                             ("group_size", 1)])

@@ -34,7 +34,8 @@ what the equivalence tests compare against, ``==`` on every float:
 * :func:`select_hosts`, :func:`schedule_with_trace` — the Fig. 3 queue
   walk and the Fig. 2 ready loop (``all(p in scheduled ...)``) with
   ``min(bids, key=lambda ...)`` over a ``time_total`` closure, built on
-  nothing but the functions above.
+  nothing but the functions above and :func:`edge_size_between`, a
+  parent's summed edge volume to a child over every port pair.
 """
 
 import heapq
@@ -312,6 +313,11 @@ def compute_levels(
     return levels
 
 
+def edge_size_between(afg: ApplicationFlowGraph, src: str, dst: str) -> float:
+    """Total data volume moved from ``src`` to ``dst`` (all port pairs)."""
+    return sum(e.size_mb for e in afg.out_edges(src) if e.dst == dst)
+
+
 def related_sets(structure: StructureSnapshot) -> Dict[str, Set[str]]:
     # ancestors along the order, descendants against it: one
     # C-level union per task instead of one ``add`` per pair
@@ -528,7 +534,7 @@ def _place_task(
     else:
         site_transfer_time = view.site_transfer_time
         inputs = [
-            (site_by_task[parent], afg.edge_size_between(parent, task_id))
+            (site_by_task[parent], edge_size_between(afg, parent, task_id))
             for parent in afg.parents(task_id)
         ]
         file_mb = task.properties.total_input_size_mb()

@@ -102,6 +102,17 @@ class TestInjectorCorruptionHooks:
             injector.schedule_link_corruption(
                 link, time=6.0, corrupt_prob=0.1, duration=0.0
             )
+        # above one would flip every transfer and below zero arm
+        # nothing, both silently: refused when scheduled
+        for corrupt_prob, truncate_prob in ((1.5, 0.0), (-0.1, 0.0),
+                                            (0.1, -0.2), (0.6, 0.4)):
+            with pytest.raises(ValueError, match="sum below 1"):
+                injector.schedule_link_corruption(
+                    link, time=6.0, corrupt_prob=corrupt_prob,
+                    truncate_prob=truncate_prob)
+        sim.run()
+        assert (link.corrupt_prob, link.truncate_prob) == (0.0, 0.0)
+        assert injector.log == []
 
     def test_artifact_loss_logs_only_effective_drops(self):
         class Store:

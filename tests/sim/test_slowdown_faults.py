@@ -105,7 +105,8 @@ class TestScheduledSlowdown:
         sim = Simulator()
         host = make_host(sim)
         injector = FailureInjector(sim)
-        injector.schedule_outage(host, start=5.0, duration=5.0)
+        injector.schedule(host, 5.0, "down")
+        injector.schedule(host, 10.0, "up")
         injector.schedule_host_slowdown(host, start=20.0, duration=10.0,
                                         factor=2.0)
         sim.run()

@@ -3,17 +3,17 @@
 import pytest
 
 from repro.sim import (
-    ConstantLoad,
     FailureInjector,
     Host,
     HostSpec,
+    LoadGenerator,
     OrnsteinUhlenbeckLoad,
-    RandomWalkLoad,
     Simulator,
     SpikeLoad,
-    TraceLoad,
 )
 from repro.sim.workload import attach_generators
+
+from tests.sim._loads import RandomWalkLoad, TraceLoad
 
 
 def make_host(sim, name="h0"):
@@ -23,7 +23,7 @@ def make_host(sim, name="h0"):
 def test_constant_load_holds_level():
     sim = Simulator()
     host = make_host(sim)
-    ConstantLoad(level=0.7, period_s=1.0).start(sim, host)
+    SpikeLoad(base=0.7, spike_prob=0.0, period_s=1.0).start(sim, host)
     sim.run(until=5.0)
     assert host.bg_load == pytest.approx(0.7)
 
@@ -120,21 +120,20 @@ def test_spike_load_produces_spikes_of_right_height_and_width():
 
 def test_generator_param_validation():
     with pytest.raises(ValueError):
-        ConstantLoad(level=-1.0)
-    with pytest.raises(ValueError):
-        RandomWalkLoad(lo=2.0, hi=1.0)
+        SpikeLoad(spike_duration_periods=0)
     with pytest.raises(ValueError):
         OrnsteinUhlenbeckLoad(theta=0.0)
     with pytest.raises(ValueError):
         SpikeLoad(spike_prob=2.0)
     with pytest.raises(ValueError):
-        ConstantLoad(period_s=0.0)
+        LoadGenerator(period_s=0.0)
 
 
 def test_attach_generators_one_per_host():
     sim = Simulator()
     hosts = [make_host(sim, name=f"h{i}") for i in range(4)]
-    procs = attach_generators(sim, hosts, lambda: ConstantLoad(level=0.3))
+    procs = attach_generators(
+        sim, hosts, lambda: SpikeLoad(base=0.3, spike_prob=0.0))
     sim.run(until=1.0)
     assert len(procs) == 4
     assert all(h.bg_load == pytest.approx(0.3) for h in hosts)
@@ -144,7 +143,8 @@ def test_scripted_failure_and_recovery():
     sim = Simulator()
     host = make_host(sim)
     injector = FailureInjector(sim)
-    injector.schedule_outage(host, start=5.0, duration=3.0)
+    injector.schedule(host, 5.0, "down")
+    injector.schedule(host, 8.0, "up")
     states = {}
     sim.call_at(4.0, lambda: states.setdefault("before", host.is_up()))
     sim.call_at(6.0, lambda: states.setdefault("during", host.is_up()))
@@ -161,7 +161,7 @@ def test_failure_injector_validation():
     with pytest.raises(ValueError):
         injector.schedule(host, 1.0, kind="explode")
     with pytest.raises(ValueError):
-        injector.schedule_outage(host, 1.0, duration=0.0)
+        injector.schedule(host, -1.0)
     with pytest.raises(ValueError):
         injector.start_random(host, mtbf_s=0.0, mttr_s=1.0)
 

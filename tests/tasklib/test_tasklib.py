@@ -22,8 +22,10 @@ class TestParallelModel:
         assert m.speedup(8) / 8 < m.speedup(4) / 4
 
     def test_per_node_work(self):
-        m = ParallelModel(overhead=0.0)
-        assert m.per_node_work(100.0, 4) == pytest.approx(25.0)
+        sig = TaskSignature(name="x", library="l", n_in_ports=0,
+                            n_out_ports=0, base_comp_size=100.0,
+                            parallel=ParallelModel(overhead=0.0))
+        assert sig.span_work(1.0, 4) == pytest.approx(25.0)
 
     def test_validation(self):
         with pytest.raises(ValueError):

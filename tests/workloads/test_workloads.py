@@ -39,7 +39,7 @@ class TestLinearSolver:
         mm = afg.task("Matrix_Multiplication")
         assert mm.properties.preferred_machine_type == "SUN solaris"
         assert mm.properties.n_nodes == 1
-        assert len(mm.properties.dataflow_inputs()) == 2
+        assert sum(b.is_dataflow for b in mm.properties.inputs) == 2
         assert validate_afg(afg, registry=default_registry()) == []
 
     def test_linear_solver_validates(self):
