@@ -240,10 +240,6 @@ class ApplicationFlowGraph:
     # -- queries -------------------------------------------------------------
 
     @property
-    def tasks(self) -> Dict[str, TaskNode]:
-        return dict(self._tasks)
-
-    @property
     def edges(self) -> List[Edge]:
         return list(self._edges)
 
@@ -267,20 +263,6 @@ class ApplicationFlowGraph:
 
     def in_edges(self, task_id: str) -> List[Edge]:
         return list(self._pred[self.task(task_id).id])
-
-    def children(self, task_id: str) -> List[str]:
-        seen: List[str] = []
-        for e in self._succ[self.task(task_id).id]:
-            if e.dst not in seen:
-                seen.append(e.dst)
-        return seen
-
-    def parents(self, task_id: str) -> List[str]:
-        seen: List[str] = []
-        for e in self._pred[self.task(task_id).id]:
-            if e.src not in seen:
-                seen.append(e.src)
-        return seen
 
     def entry_tasks(self) -> List[str]:
         """Tasks with no parents ("entry nodes" in Fig. 2 step 6)."""

@@ -86,14 +86,18 @@ class TaskProperties:
     memory_mb: int = 0
 
     def __post_init__(self) -> None:
-        if self.n_nodes < 1:
-            raise ValueError(f"n_nodes must be >= 1, got {self.n_nodes}")
+        # a bool is an int to Python, never a processor count
+        if (not isinstance(self.n_nodes, int) or isinstance(self.n_nodes, bool)
+                or self.n_nodes < 1):
+            raise ValueError(f"n_nodes must be an integer >= 1, "
+                             f"got {self.n_nodes!r}")
         if self.mode is ComputationMode.SEQUENTIAL and self.n_nodes != 1:
             raise ValueError("sequential tasks must have n_nodes == 1")
         if not (math.isfinite(self.workload_scale) and self.workload_scale > 0):
             raise ValueError("workload_scale must be positive and finite")
-        if self.memory_mb < 0:
-            raise ValueError("memory_mb must be non-negative")
+        if not (math.isfinite(self.memory_mb) and self.memory_mb >= 0):
+            raise ValueError(f"memory_mb must be non-negative and finite, "
+                             f"got {self.memory_mb!r}")
         ports = [b.port for b in self.inputs]
         if len(set(ports)) != len(ports):
             raise ValueError(f"duplicate input port bindings: {ports}")

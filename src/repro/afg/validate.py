@@ -7,9 +7,12 @@ deserialiser and the web editor all enforce the same contract.
 
 from __future__ import annotations
 
-from typing import List
+from typing import TYPE_CHECKING, List, Optional
 
 from repro.afg.graph import ApplicationFlowGraph
+
+if TYPE_CHECKING:
+    from repro.tasklib.registry import TaskRegistry
 
 __all__ = ["AFGValidationError", "validate_afg"]
 
@@ -24,7 +27,7 @@ class AFGValidationError(ValueError):
 
 def validate_afg(
     afg: ApplicationFlowGraph,
-    registry=None,
+    registry: Optional[TaskRegistry] = None,
     collect: bool = False,
 ) -> List[str]:
     """Check structural validity; optionally check against a task registry.

@@ -10,7 +10,7 @@ tables (EXPERIMENTS.md).
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, List
+from typing import Dict, List, Union
 
 from repro.afg import (
     ApplicationFlowGraph,
@@ -62,7 +62,10 @@ def grid(n_sites: int, hosts_per_site: int, seed: int, **kwargs) -> VDCERuntime:
         n_sites, hosts_per_site, seed=seed).build_topology(), **kwargs)
 
 
-def makespan(runtime, afg, scheduler) -> float:
+def makespan(runtime: VDCERuntime, afg: ApplicationFlowGraph,
+             scheduler: Union[SiteScheduler, MinMinScheduler, MaxMinScheduler,
+                              HEFTScheduler, RoundRobinScheduler,
+                              RandomScheduler]) -> float:
     """Place ``afg`` with ``scheduler`` and run it without payloads."""
     table = scheduler.schedule(afg, runtime.federation_view())
     return execute(runtime, afg, table, execute_payloads=False).makespan

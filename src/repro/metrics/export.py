@@ -97,7 +97,7 @@ def registry_snapshot(registry: MetricsRegistry) -> Dict[str, Any]:
                 "buckets": list(metric.buckets),
                 "values": {
                     _labels_id(key): {
-                        "counts": metric._counts[key],
+                        "counts": list(metric._counts[key]),
                         "sum": metric._sums[key],
                         "count": sum(metric._counts[key]),
                     }

@@ -36,7 +36,7 @@ Metric kinds:
 from __future__ import annotations
 
 import bisect
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Sequence, Tuple
 
 from repro.metrics.folds import FOLDS
 from repro.trace.tracer import RelayTracer, Tracer
@@ -109,10 +109,6 @@ class Counter(_Metric):
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), 0.0)
 
-    def total(self) -> float:
-        """Sum over every label set."""
-        return sum(self._values.values())
-
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._values)
 
@@ -131,11 +127,6 @@ class Gauge(_Metric):
 
     def _write(self, key: LabelKey, value: float) -> None:
         self._values[key] = (self.registry.now, float(value))
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(labels)
-        _, current = self._values.get(key, (0.0, 0.0))
-        self._values[key] = (self.registry.now, current + float(amount))
 
     def value(self, **labels: Any) -> float:
         return self._values.get(_label_key(labels), (0.0, 0.0))[1]
@@ -186,17 +177,6 @@ class Histogram(_Metric):
         counts[bisect.bisect_left(self.buckets, float(value))] += 1
         self._sums[key] += float(value)
 
-    def bucket_counts(self, **labels: Any) -> List[int]:
-        """Non-cumulative per-bucket counts (finite edges then +Inf)."""
-        key = _label_key(labels)
-        return list(self._counts.get(key, [0] * (len(self.buckets) + 1)))
-
-    def sum(self, **labels: Any) -> float:
-        return self._sums.get(_label_key(labels), 0.0)
-
-    def count(self, **labels: Any) -> int:
-        return sum(self.bucket_counts(**labels))
-
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._counts)
 
@@ -222,13 +202,6 @@ class Series(_Metric):
         self._points.setdefault(key, []).append(
             (self.registry.now, float(value))
         )
-
-    def points(self, **labels: Any) -> List[Tuple[float, float]]:
-        return list(self._points.get(_label_key(labels), ()))
-
-    def last(self, **labels: Any) -> Optional[Tuple[float, float]]:
-        pts = self._points.get(_label_key(labels))
-        return pts[-1] if pts else None
 
     def label_sets(self) -> List[LabelKey]:
         return sorted(self._points)

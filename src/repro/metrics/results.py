@@ -32,20 +32,6 @@ class ResultSummary:
     data_transferred_mb: float
     prediction_error: float  # mean relative |measured - predicted| / predicted
 
-    def row(self) -> Dict[str, object]:
-        return {
-            "scheduler": self.scheduler,
-            "makespan_s": round(self.makespan, 3),
-            "slr": round(self.slr, 3),
-            "speedup": round(self.speedup, 3),
-            "setup_s": round(self.setup_time, 4),
-            "sites": self.n_sites,
-            "hosts": self.n_hosts,
-            "resched": self.reschedules,
-            "moved_mb": round(self.data_transferred_mb, 2),
-            "pred_err": round(self.prediction_error, 3),
-        }
-
 
 def summarize_result(
     result: ApplicationResult,

@@ -37,10 +37,6 @@ class TaskPerfRecord:
     required_memory_mb: int
     parallel: Optional[ParallelModel] = None
 
-    @property
-    def parallelizable(self) -> bool:
-        return self.parallel is not None
-
 
 class TaskPerformanceDB:
     """Task parameters + per-(task, host) measured-time refinement."""
@@ -89,9 +85,6 @@ class TaskPerformanceDB:
         return count
 
     # -- queries ----------------------------------------------------------------
-
-    def has(self, task_type: str) -> bool:
-        return task_type in self._records
 
     def get(self, task_type: str) -> TaskPerfRecord:
         try:

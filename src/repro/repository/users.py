@@ -150,11 +150,6 @@ class UserAccountsDB:
         except KeyError:
             raise UnknownUserError(user_name) from None
 
-    def remove(self, user_name: str) -> None:
-        if user_name not in self._accounts:
-            raise UnknownUserError(user_name)
-        del self._accounts[user_name]
-
     def __len__(self) -> int:
         return len(self._accounts)
 

@@ -60,7 +60,7 @@ from repro.runtime.checkpoint import (
 from repro.runtime import integrity as ladder
 from repro.runtime.stats import RuntimeStats
 from repro.scheduler.allocation import AllocationTable, TaskAssignment
-from repro.sim.host import HostDownError, Interrupted
+from repro.sim.host import HostDownError, Interrupted, TaskExecution
 from repro.sim.kernel import AllOf, Signal, Simulator, Timeout
 from repro.sim.network import LinkDownError
 from repro.trace.events import EventKind
@@ -219,7 +219,7 @@ class _Race:
     """One speculation race: what the racing attempt, the copy watchers
     and the straggler timer share (DESIGN §11)."""
 
-    primary: Any
+    primary: TaskExecution
     #: fires ``(which, execution)`` for the first copy to complete, or
     #: fails with the last live copy's error
     outcome: Signal
@@ -227,7 +227,7 @@ class _Race:
     memory_mb: int
     #: the task span the backup's ``speculate_backup`` span parents under
     task_span: Any
-    copies: List[Any]
+    copies: List[TaskExecution]
     #: set by the timer once (and only if) a backup copy is launched
     bid: Any = None
     entry: Optional[Dict[str, Any]] = None
@@ -1309,8 +1309,9 @@ class ExecutionCoordinator:
 
     # -- speculative re-execution (straggler defense) -------------------------
 
-    def _race_with_backup(self, node: TaskNode, record: TaskRecord, primary,
-                          span_work: float, memory_mb: int, task_span):
+    def _race_with_backup(self, node: TaskNode, record: TaskRecord,
+                          primary: TaskExecution, span_work: float,
+                          memory_mb: int, task_span):
         """Race the primary slice against at most one speculative backup.
 
         A timer process watches the primary's progress; once it exceeds
@@ -1336,6 +1337,7 @@ class ExecutionCoordinator:
             self._speculation_timer(node, record, race),
             name=f"spectimer:{self.afg.name}:{node.id}",
         )
+        winner: TaskExecution
         try:
             which, winner = yield race.outcome
         except BaseException:

@@ -61,7 +61,6 @@ class IOService:
         #: data-integrity manager; NULL_INTEGRITY trusts staged bytes
         self.integrity = integrity
         self.staged_count = 0
-        self.staged_mb = 0.0
         self.url_staged_count = 0
 
     def stage(self, spec: FileSpec, src_host: str, dst_host: str):
@@ -96,7 +95,6 @@ class IOService:
                 path=spec.path, dst=dst_host, size_mb=spec.size_mb,
                 url="://" in spec.path,
             )
-        self.staged_mb += spec.size_mb
         if "://" in spec.path:
             self.url_staged_count += 1
         return StagedFile(spec.path, spec.size_mb)

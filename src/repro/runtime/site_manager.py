@@ -86,8 +86,6 @@ class SiteManager:
         self.occupancy = 0.0
         self.group_managers: Dict[str, "GroupManager"] = {}
         self.app_controllers: Dict[str, "AppController"] = {}
-        #: peers for inter-site coordination, filled by VDCERuntime
-        self.peers: Dict[str, "SiteManager"] = {}
         #: False while the VDCE Server process is crashed
         self.alive = True
         #: moved by every ``GroupManager._bump`` here (DESIGN §13.15)

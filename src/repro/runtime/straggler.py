@@ -114,11 +114,6 @@ class PhiAccrualDetector:
             return 0.0
         return elapsed / (self.mean_interval() * _LN10)
 
-    def reset(self) -> None:
-        """Forget history (after a declared failure or a recovery)."""
-        self._intervals.clear()
-        self._last_arrival = None
-
 
 _NOTHING: Mapping[str, Any] = {}
 

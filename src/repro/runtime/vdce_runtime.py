@@ -252,8 +252,6 @@ class VDCERuntime:
         self.load_checks = LoadCheckCalendar(self.sim)
         for site in self.topology.sites.values():
             self._build_site(site)
-        for manager in self.site_managers.values():
-            manager.peers = dict(self.site_managers)
         #: elastic membership driver (DESIGN §17): host join / graceful
         #: drain / decommission / rejoin at runtime.  Pure bookkeeping
         #: until a transition is requested — fault-free runs unchanged.

@@ -84,17 +84,11 @@ class AllocationTable:
     def assignments(self) -> Dict[str, TaskAssignment]:
         return dict(self._assignments)
 
-    def site_of(self, task_id: str) -> str:
-        return self.get(task_id).site
-
     def hosts_of(self, task_id: str) -> Tuple[str, ...]:
         return self.get(task_id).hosts
 
     def sites_used(self) -> List[str]:
         return sorted({a.site for a in self._assignments.values()})
-
-    def hosts_used(self) -> List[str]:
-        return sorted({h for a in self._assignments.values() for h in a.hosts})
 
     def tasks_on_site(self, site: str) -> List[str]:
         """The "related portion of the resource allocation table" the
@@ -166,12 +160,6 @@ class ScheduleEstimate:
     start: Dict[str, float]
     finish: Dict[str, float]
     comm_time: float  # total predicted transfer time across edges
-
-    def slr(self, critical_path_cost: float) -> float:
-        """Schedule length ratio vs the graph's computation-only critical path."""
-        if critical_path_cost <= 0:
-            raise ValueError("critical path cost must be positive")
-        return self.makespan / critical_path_cost
 
 
 def estimate_schedule(

@@ -159,12 +159,6 @@ class FederationView:
         """Local site + the selected remote sites, local first."""
         return [self.local_site] + self.remote_sites(k)
 
-    def site_of_host(self, host_name: str) -> str:
-        for site, repo in self.repositories.items():
-            if repo.resources.has_host(host_name):
-                return site
-        raise KeyError(f"host {host_name!r} not found in any repository")
-
 
 class TransferRow(dict):
     """source site -> ``size_mb -> seconds`` into ``site``, each answer

@@ -112,17 +112,7 @@ class FailureInjector:
         self.sim = sim
         self.log: List[FailureEvent] = []
 
-    # -- scripted host faults ------------------------------------------------
-
-    def schedule(self, host: Host, time: float, kind: str = "down") -> None:
-        if kind not in ("down", "up"):
-            raise ValueError(f"kind must be 'down' or 'up', got {kind!r}")
-        if time < self.sim.now:
-            raise ValueError(
-                f"cannot schedule a failure event in the past "
-                f"(time={time}, now={self.sim.now})"
-            )
-        self.sim.call_at(time, lambda: self._apply_host(host, kind))
+    # -- host faults ---------------------------------------------------------
 
     def _apply_host(self, host: Host, kind: str) -> None:
         if kind == "down":

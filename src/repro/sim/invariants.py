@@ -34,6 +34,7 @@ from repro.sim.host import HostDownError
 from repro.trace.events import EventKind
 
 if TYPE_CHECKING:  # pragma: no cover
+    from repro.runtime.vdce_runtime import VDCERuntime
     from repro.sim.chaos import ChaosConfig
 
 __all__ = ["CampaignRun", "INVARIANTS", "TYPED_ERRORS", "churn_evictions"]
@@ -54,8 +55,7 @@ class CampaignRun:
     """What one campaign left behind — everything the checkers read."""
 
     config: "ChaosConfig"
-    #: the deployment's :class:`~repro.runtime.vdce_runtime.VDCERuntime`
-    runtime: Any
+    runtime: "VDCERuntime"
     #: ground truth: its ``log`` is what was actually injected
     injector: FailureInjector
     #: every host of the deployment as armed (before any churn), sorted

@@ -508,9 +508,6 @@ class Simulator:
         """Schedule a raw callback ``delay`` units from now."""
         return self.call_at(self.now + delay, callback)
 
-    def timeout(self, delay: float, value: Any = None) -> Timeout:
-        return Timeout(delay, value)
-
     def signal(self, name: str = "") -> Signal:
         return Signal(name)
 

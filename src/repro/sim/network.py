@@ -100,11 +100,6 @@ class Transfer:
         #: non-None marker as a content-hash mismatch.
         self.corruption: Optional[str] = None
 
-    @property
-    def elapsed(self) -> float:
-        end = self.finished_at if self.finished_at is not None else self.link.sim.now
-        return end - self.started_at
-
 
 class Link(FairShareServer):
     """A shared link: concurrent transfers split bandwidth equally.

@@ -10,7 +10,7 @@ management processes live in :mod:`repro.runtime`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Dict
 
 from repro.sim.host import Host, HostSpec
 from repro.sim.kernel import SimulationError, Simulator
@@ -184,9 +184,6 @@ class Site:
         group = self.group_of(name)  # raises for unknown hosts
         group.remove_host(name)
         return self._hosts.pop(name)
-
-    def up_hosts(self) -> List[Host]:
-        return [h for h in self._hosts.values() if h.is_up()]
 
     def __iter__(self):
         return iter(self._hosts.values())

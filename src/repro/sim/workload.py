@@ -30,7 +30,6 @@ class LoadGenerator:
         if period_s <= 0:
             raise ValueError("period_s must be positive")
         self.period_s = float(period_s)
-        self.updates = 0
 
     def start(self, sim: Simulator, host: Host) -> Process:
         """Spawn the generator process for ``host``."""
@@ -41,7 +40,6 @@ class LoadGenerator:
         state = self.initial(rng)
         while True:
             host.set_bg_load(max(0.0, state))
-            self.updates += 1
             yield Timeout(self.period_s)
             state = self.next_value(state, rng)
 

@@ -124,10 +124,6 @@ class Tracer:
         """Snapshot of everything recorded so far."""
         return list(self._events)
 
-    def clear(self) -> None:
-        """Drop recorded events (sequence numbers keep counting up)."""
-        self._events.clear()
-
     def __len__(self) -> int:
         return len(self._events)
 

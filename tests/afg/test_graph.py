@@ -57,11 +57,11 @@ def test_duplicate_task_rejected():
 
 
 def test_parents_children():
-    afg = diamond()
-    assert afg.children("a") == ["b", "c"]
-    assert afg.parents("d") == ["b", "c"]
-    assert afg.parents("a") == []
-    assert afg.children("d") == []
+    structure = diamond().structure()
+    assert structure.children["a"] == ("b", "c")
+    assert structure.parents["d"] == ("b", "c")
+    assert structure.parents["a"] == ()
+    assert structure.children["d"] == ()
 
 
 def test_entry_exit_tasks():
@@ -142,7 +142,7 @@ def test_edge_size_between_sums_port_pairs():
     afg.connect("a", "b", src_port=0, dst_port=0, size_mb=1.5)
     afg.connect("a", "b", src_port=1, dst_port=1, size_mb=2.5)
     assert edge_size_between(afg, "a", "b") == pytest.approx(4.0)
-    assert afg.parents("b") == ["a"]  # deduplicated
+    assert afg.structure().parents["b"] == ("a",)  # deduplicated
 
 
 def test_requires_input_transfer():
@@ -171,7 +171,7 @@ def test_replace_task_keeps_edges():
     updated = afg.task("b").with_properties(workload_scale=3.0)
     afg.replace_task(updated)
     assert afg.task("b").properties.workload_scale == 3.0
-    assert afg.parents("d") == ["b", "c"]
+    assert afg.structure().parents["d"] == ("b", "c")
     with pytest.raises(KeyError):
         afg.replace_task(node("zz"))
 
@@ -230,6 +230,23 @@ def test_task_properties_validation():
         TaskProperties(inputs=(InputBinding(port=0), InputBinding(port=0)))
     props = TaskProperties(mode=ComputationMode.PARALLEL, n_nodes=4)
     assert props.is_parallel
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+def test_a_non_finite_memory_need_is_refused(bad):
+    # NaN slipped past ``< 0``, and made ``memory_mb > 0`` false
+    with pytest.raises(ValueError, match="memory_mb"):
+        TaskProperties(memory_mb=bad)
+
+
+def test_a_bool_is_not_a_node_count():
+    with pytest.raises(ValueError, match="n_nodes"):
+        TaskProperties(n_nodes=True)
+
+
+def test_a_fractional_node_count_is_refused():
+    with pytest.raises(ValueError, match="n_nodes"):
+        TaskProperties(mode=ComputationMode.PARALLEL, n_nodes=2.5)
 
 
 def test_properties_input_helpers():

@@ -66,8 +66,10 @@ def assert_is_the_reference(afg):
     assert list(structure.order) == _reference.topological_order(afg)
     assert afg.topological_order() == _reference.topological_order(afg)
     for task in afg:
-        assert list(structure.parents[task.id]) == afg.parents(task.id)
-        assert list(structure.children[task.id]) == afg.children(task.id)
+        assert list(structure.parents[task.id]) == _reference.parents(
+            afg, task.id)
+        assert list(structure.children[task.id]) == _reference.children(
+            afg, task.id)
     assert _reference.reach_sets(structure) == _reference.reachability(afg)
     cost = lambda task_id: float(len(task_id))
     assert compute_levels(afg, cost) == _reference.compute_levels(afg, cost)
@@ -99,7 +101,6 @@ def test_two_reads_without_a_mutation_share_one_snapshot():
     order = afg.topological_order()
     order.clear()
     assert afg.topological_order() == list(first.order)
-    assert afg.parents("d") is not afg.parents("d")
 
 
 def test_every_structural_mutator_drops_the_snapshot():
@@ -144,7 +145,8 @@ def test_a_failed_build_is_not_kept():
             afg.structure()
         assert not afg.is_acyclic()
     # adjacency of a graph under construction does not need an order
-    assert afg.parents("a") == ["b"] and afg.children("a") == ["b"]
+    assert [e.src for e in afg.in_edges("a")] == ["b"]
+    assert [e.dst for e in afg.out_edges("a")] == ["b"]
     afg.disconnect("b", "a")
     assert afg.topological_order() == ["a", "b"]
 
@@ -158,8 +160,8 @@ def test_an_editor_session_never_sees_a_stale_adjacency():
 
     def seen():
         structure = afg.structure()
-        return (afg.topological_order(), afg.parents(snk), afg.children(src),
-                structure.parents[snk],
+        return (afg.topological_order(), _reference.parents(afg, snk),
+                _reference.children(afg, src), structure.parents[snk],
                 _reference.reach_sets(structure)[src])
 
     assert seen() == ([mid, snk, src], [], [], (), set())

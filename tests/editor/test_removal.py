@@ -25,8 +25,8 @@ class TestGraphRemoval:
         afg.remove_task("b")
         assert "b" not in afg
         assert afg.edges == []
-        assert afg.children("a") == []
-        assert afg.parents("c") == []
+        assert afg.structure().children["a"] == ()
+        assert afg.structure().parents["c"] == ()
         with pytest.raises(KeyError):
             afg.remove_task("b")
 
@@ -43,7 +43,7 @@ class TestGraphRemoval:
         afg = small_graph()
         edge = afg.disconnect("a", "b")
         assert edge.size_mb == 1.0
-        assert afg.children("a") == []
+        assert afg.structure().children["a"] == ()
         assert len(afg.edges) == 1
         with pytest.raises(KeyError):
             afg.disconnect("a", "b")
@@ -54,7 +54,7 @@ class TestGraphRemoval:
         afg.add_task(TaskNode(id="a2", task_type="generic.source",
                               n_out_ports=1))
         afg.connect("a2", "b")  # port 0 is free again
-        assert afg.parents("b") == ["a2"]
+        assert afg.structure().parents["b"] == ("a2",)
 
     def test_disconnect_unknown_endpoints(self):
         afg = small_graph()

@@ -148,6 +148,16 @@ class TestEditorFlow:
         assert response.status_code == 400
         assert "unknown task type" in response.get_json()["error"]
 
+    def test_a_non_finite_memory_need_is_400(self, client):
+        headers = login(client)
+        client.post("/applications", json={"name": "app"}, headers=headers)
+        response = client.post(
+            "/applications/app/tasks",
+            data='{"task_type": "generic.compute", "memory_mb": 1e309}',
+            content_type="application/json", headers=headers)
+        assert response.status_code == 400
+        assert "memory_mb" in response.get_json()["error"]
+
     def test_unknown_application_is_400(self, client):
         headers = login(client)
         response = client.get("/applications/ghost", headers=headers)
@@ -246,7 +256,7 @@ class TestAdmissionIntegration:
         client, rt, queue = self.make_client(max_queued=4)
         headers = login(client)
         self.import_chain(client, headers)
-        rt.repositories["alpha"].users.remove("admin")
+        del rt.repositories["alpha"].users._accounts["admin"]
         response = client.post("/applications/hose/submit", json={"k": 1},
                                headers=headers)
         assert response.status_code == 403

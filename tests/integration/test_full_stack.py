@@ -31,11 +31,11 @@ class TestMonitoringInformsScheduling:
 
         afg = bag_of_tasks(n=3, cost=2.0)
         stale = SiteScheduler(k=0).schedule(afg, env.runtime.federation_view())
-        assert set(stale.hosts_used()) == set(hosts)  # spreads blindly
+        assert {h for a in stale.assignments.values() for h in a.hosts} == set(hosts)  # spreads blindly
         # after a monitoring round, the loaded hosts are avoided
         env.advance(2.0)
         fresh = SiteScheduler(k=0).schedule(afg, env.runtime.federation_view())
-        assert fresh.hosts_used() == [hosts[2]]
+        assert {h for a in fresh.assignments.values() for h in a.hosts} == {hosts[2]}
 
     def test_stale_monitoring_hurts_makespan(self):
         """Slower monitoring -> staler DB -> worse placements on average."""

@@ -28,6 +28,7 @@ from repro.sim.chaos import _play, preset
 from repro.trace.events import KNOWN_KINDS, EventKind
 
 from tests.runtime.test_execution_shape import functions
+from tests.sim._scripted import host_fault
 
 pytestmark = pytest.mark.gate
 
@@ -129,8 +130,8 @@ def test_the_registry_is_handed_only_the_kinds_it_folds(monkeypatch):
                          tracer=tracer, metrics=MetricsRegistry())
         rt.start_monitoring()
         injector = FailureInjector(rt.sim)
-        injector.schedule(rt.topology.host("s1-h1"), 3.0, "down")
-        injector.schedule(rt.topology.host("s1-h1"), 13.0, "up")
+        host_fault(injector, rt.topology.host("s1-h1"), 3.0, "down")
+        host_fault(injector, rt.topology.host("s1-h1"), 13.0, "up")
         rt.sim.run_until_complete(rt.sim.process(rt.run_process(
             bag_of_tasks(n=24, cost=4.0, seed=0), execute_payloads=False)))
         kinds = folded[:]

@@ -60,8 +60,7 @@ class TestResultSummary:
         assert summary.makespan == pytest.approx(result.makespan)
         assert summary.slr >= 1.0 or summary.speedup > 1.0  # fast hosts can beat base
         assert summary.prediction_error >= 0.0
-        row = summary.row()
-        assert row["scheduler"] == "vdce"
+        assert summary.scheduler == "vdce"
 
     def test_host_utilization(self):
         rt = build_runtime()

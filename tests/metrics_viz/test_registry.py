@@ -36,7 +36,7 @@ class TestCounter:
         c.inc(3, host="a")
         assert c.value() == 3.5
         assert c.value(host="a") == 4.0
-        assert c.total() == 7.5
+        assert sum(c.value(**dict(key)) for key in c.label_sets()) == 7.5
         assert c.label_sets() == [(), (("host", "a"),)]
 
     def test_counter_rejects_negative(self):
@@ -68,12 +68,17 @@ class TestGauge:
         g = reg.gauge("load")
         g.set(0.5, host="a")
         clock[0] = 2.0
-        g.inc(0.25, host="a")
+        g.set(0.75, host="a")
         assert g.value(host="a") == 0.75
         assert registry_snapshot(reg)["gauges"]["load"]["values"] == {
             "host=a": [2.0, 0.75]}
-        g.inc(-0.75, host="a")
-        assert g.value(host="a") == 0.0
+
+
+def cells(histogram: Histogram):
+    """The snapshot of ``histogram``'s unlabelled cell: non-cumulative
+    per-bucket counts (finite edges, then +Inf), sum and count."""
+    return registry_snapshot(histogram.registry)["histograms"][
+        histogram.name]["values"][""]
 
 
 class TestHistogramBucketEdges:
@@ -83,21 +88,21 @@ class TestHistogramBucketEdges:
         h.observe(1.0)
         h.observe(2.0)
         h.observe(5.0)
-        assert h.bucket_counts() == [1, 1, 1, 0]
+        assert cells(h)["counts"] == [1, 1, 1, 0]
 
     def test_values_between_edges(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0, 5.0))
         h.observe(0.5)   # <= 1.0
         h.observe(1.5)   # <= 2.0
         h.observe(4.999)  # <= 5.0
-        assert h.bucket_counts() == [1, 1, 1, 0]
+        assert cells(h)["counts"] == [1, 1, 1, 0]
 
     def test_value_above_last_edge_lands_in_inf(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
         h.observe(2.0000001)
         h.observe(1e9)
-        assert h.bucket_counts() == [0, 0, 2]
-        assert h.count() == 2
+        assert cells(h)["counts"] == [0, 0, 2]
+        assert cells(h)["count"] == 2
 
     def test_cumulative_counts_and_sum(self):
         h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
@@ -107,8 +112,15 @@ class TestHistogramBucketEdges:
         assert [line.rsplit(" ", 1)[1] for line in prometheus_text(
             h.registry).splitlines()
             if line.startswith("h_bucket")] == ["2", "3", "4"]
-        assert h.sum() == pytest.approx(6.0)
-        assert h.count() == 4
+        assert cells(h)["sum"] == pytest.approx(6.0)
+        assert cells(h)["count"] == 4
+
+    def test_a_snapshot_keeps_the_counts_it_was_taken_with(self):
+        h = MetricsRegistry().histogram("h", buckets=(1.0, 2.0))
+        h.observe(0.5)
+        taken = cells(h)
+        h.observe(0.5)
+        assert taken["counts"] == [1, 0, 0] and taken["count"] == 1
 
     def test_buckets_must_strictly_increase(self):
         reg = MetricsRegistry()
@@ -130,9 +142,8 @@ class TestSeries:
         s.observe(0.1, host="a")
         clock[0] = 1.5
         s.observe(0.9, host="a")
-        assert s.points(host="a") == [(0.0, 0.1), (1.5, 0.9)]
-        assert s.last(host="a") == (1.5, 0.9)
-        assert s.last(host="missing") is None
+        assert registry_snapshot(reg)["series"]["load"]["values"] == {
+            "host=a": [[0.0, 0.1], [1.5, 0.9]]}
 
 
 class TestNullRegistry:

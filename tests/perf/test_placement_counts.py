@@ -13,8 +13,8 @@ sets, or builds a closure per task fails here and not in a bench run:
 * Kahn passes per round: exactly one, shared by ``validate_afg``,
   ``compute_levels`` (local and at every remote ``select_hosts``), the
   reach masks and the ready loop;
-* adjacency: derived inside that one build, the public
-  ``parents()`` / ``children()`` are not called at all;
+* adjacency: derived inside that one build; the graph keeps no other
+  parent / child lists;
 * bid sheets: one per (participating site, distinct task type) per
   call, and ``HostIndex.version_key`` — two tuples per *bid* before the
   sheet — at most twice per sheet (the row-table key, and the host
@@ -39,7 +39,7 @@ import types
 
 import pytest
 
-from repro.afg.graph import ApplicationFlowGraph, StructureSnapshot
+from repro.afg.graph import StructureSnapshot
 from repro.repository.host_index import HostIndex
 from repro.scheduler import SiteScheduler, host_selection, site_scheduler
 from repro.scheduler import federation as federation_view
@@ -57,11 +57,11 @@ from tests.perf.test_prediction_counts import N_SITES, federation, layered_dag
 def count_round(n_tasks: int, k: int, monkeypatch):
     """One Fig. 2 round preceded by Fig. 3 at each of the k remote sites,
     all on one AFG object, as ``schedule_process`` runs them.  Returns
-    (Kahn passes, public adjacency calls, bid sheets built,
-    ``version_key`` calls, distinct task types)."""
+    (Kahn passes, bid sheets built, ``version_key`` calls, distinct
+    task types)."""
     repos, view = federation()
     afg = layered_dag(n_tasks)
-    counts = {"kahn": 0, "adjacency": 0, "sheets": 0, "version_key": 0}
+    counts = {"kahn": 0, "sheets": 0, "version_key": 0}
 
     def counting(name, function):
         def counted(*args, **kwargs):
@@ -71,9 +71,6 @@ def count_round(n_tasks: int, k: int, monkeypatch):
 
     monkeypatch.setattr(StructureSnapshot, "__init__", counting(
         "kahn", StructureSnapshot.__init__))
-    for name in ("parents", "children"):
-        monkeypatch.setattr(ApplicationFlowGraph, name, counting(
-            "adjacency", getattr(ApplicationFlowGraph, name)))
     monkeypatch.setattr(HostIndex, "version_key", counting(
         "version_key", HostIndex.version_key))
     counted_sheet = counting("sheets", host_selection.bid_sheet)
@@ -86,19 +83,19 @@ def count_round(n_tasks: int, k: int, monkeypatch):
     monkeypatch.undo()
 
     assert len(order) == n_tasks
-    return (counts["kahn"], counts["adjacency"], counts["sheets"],
-            counts["version_key"], len({t.task_type for t in afg}))
+    return (counts["kahn"], counts["sheets"], counts["version_key"],
+            len({t.task_type for t in afg}))
 
 
 @pytest.mark.parametrize("n_tasks", [256, 1024])
 def test_round_counts_do_not_depend_on_the_number_of_sites(n_tasks, monkeypatch):
-    """One Kahn pass and no adjacency call whatever the number of sites;
-    per site, work per task *type*, whatever the number of tasks."""
+    """One Kahn pass whatever the number of sites — the graph has no
+    parent / child lists but its snapshot's; per site, work per task
+    *type*, whatever the number of tasks."""
     for k in range(N_SITES):  # local only, then local + one remote
-        kahn, adjacency, sheets, version_keys, task_types = count_round(
+        kahn, sheets, version_keys, task_types = count_round(
             n_tasks, k, monkeypatch)
         assert kahn == 1
-        assert adjacency == 0
         # k remote Fig. 3 passes of one site, one Fig. 2 pass of k + 1
         assert sheets == (k + k + 1) * task_types
         assert version_keys <= 2 * sheets < n_tasks

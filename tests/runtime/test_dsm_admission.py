@@ -4,6 +4,7 @@ import pytest
 
 from repro.runtime.admission import AdmissionQueue
 from repro.runtime.dsm import DSM, DSMError
+from repro.sim.kernel import Timeout
 
 from tests.runtime.conftest import build_runtime, chain_afg
 
@@ -175,7 +176,7 @@ class TestAdmissionQueue:
         def prober():
             while not all(s.triggered for s in signals):
                 max_running.append(queue.running)
-                yield rt.sim.timeout(0.5)
+                yield Timeout(0.5)
 
         rt.sim.process(prober())
 

@@ -55,7 +55,7 @@ class TestBasicExecution:
     def test_execution_requests_reach_controllers(self, runtime):
         afg = chain_afg(n=3)
         result, table = schedule_and_execute(runtime, afg)
-        hosts = set(table.hosts_used())
+        hosts = {h for a in table.assignments.values() for h in a.hosts}
         for h in hosts:
             assert runtime.app_controllers[h].requests_received >= 1
         assert runtime.stats.execution_requests >= len(hosts)

@@ -54,11 +54,13 @@ from repro.scheduler.site_scheduler import SchedulingError
 from repro.sim import FailureInjector, TopologyBuilder
 from repro.sim.chaos import run_campaign, smoke_config
 from repro.sim.host import HostDownError
+from repro.sim.kernel import Timeout
 from repro.trace.events import EventKind
 from repro.trace.tracer import Tracer
 from repro.workloads import RandomDAGConfig, bag_of_tasks, random_dag
 
 from tests.runtime._reference_monitor import per_daemon_processes
+from tests.sim._scripted import host_fault
 
 pytestmark = pytest.mark.gate
 
@@ -106,7 +108,7 @@ def submit(rt, afg, k=2, at=0.0):
     injected faults is an outcome to compare, not an error."""
     def pipeline():
         if at:
-            yield rt.sim.timeout(at)
+            yield Timeout(at)
         try:
             result = yield from rt.run_process(
                 afg, SiteScheduler(k=k, model=rt.model), "site-0",
@@ -245,8 +247,8 @@ def test_slowed_host_and_outage():
         injector = FailureInjector(rt.sim)
         injector.schedule_host_slowdown(
             rt.topology.host("s0-h1"), start=3.0, duration=6.0, factor=3.0)
-        injector.schedule(rt.topology.host("s1-h2"), 5.0, "down")
-        injector.schedule(rt.topology.host("s1-h2"), 9.5, "up")
+        host_fault(injector, rt.topology.host("s1-h2"), 5.0, "down")
+        host_fault(injector, rt.topology.host("s1-h2"), 9.5, "up")
         rt.sim.call_at(
             6.5, lambda: rt.topology.host("s0-h1").set_bg_load(1.5))
         app = submit(rt, APPLICATIONS["bag"](24), at=1.0)
@@ -374,8 +376,8 @@ def test_fault_timelines(seed, timeline):
             name = f"s{s}-h{h}"
             gm = rt.group_managers[f"{site}-g0"]
             if kind == "outage":
-                injector.schedule(rt.topology.host(name), at, "down")
-                injector.schedule(rt.topology.host(name), at + duration, "up")
+                host_fault(injector, rt.topology.host(name), at, "down")
+                host_fault(injector, rt.topology.host(name), at + duration, "up")
             elif kind == "slowdown":
                 injector.schedule_host_slowdown(
                     rt.topology.host(name), at, duration, factor=2.0 + h)

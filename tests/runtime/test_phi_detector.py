@@ -59,14 +59,6 @@ class TestPhiAccrualDetector:
         # the same silence now accrues suspicion half as fast
         assert det.phi(6.0 + 2 * _LN10) == pytest.approx(1.0)
 
-    def test_reset_clears_history(self):
-        det = PhiAccrualDetector(expected_interval_s=1.0)
-        det.heartbeat(0.0)
-        det.heartbeat(1.0)
-        det.reset()
-        assert det.phi(50.0) == 0.0
-        assert det.mean_interval() == 1.0
-
 
 class TestPhiTransitionTable:
     """period=1s, PHI_SUSPECT 1.0, PHI_DOWN 2.0: suspicion crosses 1.0

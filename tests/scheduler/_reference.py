@@ -82,7 +82,7 @@ def bid_for_task(
     props = task.properties
     candidates = candidate_hosts(task, repo)
     n_nodes = props.n_nodes if props.is_parallel else 1
-    if not repo.task_perf.has(task.task_type):
+    if task.task_type not in repo.task_perf.task_types():
         return None
     factors: Dict[str, float] = {}
     if health_of is not None:
@@ -265,6 +265,16 @@ def rescan_extra_load(
 # -- AFG structure: what the snapshot replaced --------------------------------
 
 
+def parents(afg: ApplicationFlowGraph, task_id: str) -> List[str]:
+    """``task_id``'s parents, de-duplicated, in first-edge order."""
+    return list(dict.fromkeys(e.src for e in afg.in_edges(task_id)))
+
+
+def children(afg: ApplicationFlowGraph, task_id: str) -> List[str]:
+    """``task_id``'s children, de-duplicated, in first-edge order."""
+    return list(dict.fromkeys(e.dst for e in afg.out_edges(task_id)))
+
+
 def topological_order(afg: ApplicationFlowGraph) -> List[str]:
     indeg = {t.id: len(afg.in_edges(t.id)) for t in afg}
     ready = [t for t, d in indeg.items() if d == 0]
@@ -289,7 +299,7 @@ def reachability(afg: ApplicationFlowGraph) -> Dict[str, Set[str]]:
     ancestors: Dict[str, Set[str]] = {}
     for task_id in order:
         acc: Set[str] = set()
-        for parent in afg.parents(task_id):
+        for parent in parents(afg, task_id):
             acc.add(parent)
             acc |= ancestors[parent]
         ancestors[task_id] = acc
@@ -308,7 +318,7 @@ def compute_levels(
         c = float(cost(task_id))
         if c < 0:
             raise ValueError(f"task {task_id!r}: negative computation cost {c}")
-        child_best = max((levels[ch] for ch in afg.children(task_id)), default=0.0)
+        child_best = max((levels[ch] for ch in children(afg, task_id)), default=0.0)
         levels[task_id] = c + child_best
     return levels
 
@@ -458,7 +468,7 @@ def schedule_with_trace(
         node = afg.task(task_id)
         for site in sites:
             task_perf = view.repository(site).task_perf
-            if task_perf.has(node.task_type):
+            if node.task_type in task_perf.task_types():
                 return task_perf.base_cost(
                     node.task_type, node.properties.workload_scale)
         raise SchedulingError(
@@ -491,11 +501,11 @@ def schedule_with_trace(
         site_by_task[task_id] = assignment.site
         placement_order.append(task_id)
         scheduled.add(task_id)
-        for child in afg.children(task_id):
+        for child in children(afg, task_id):
             if (
                 child not in scheduled
                 and child not in ready
-                and all(p in scheduled for p in afg.parents(child))
+                and all(p in scheduled for p in parents(afg, child))
             ):
                 ready.append(child)
     table.validate_against(afg)
@@ -535,7 +545,7 @@ def _place_task(
         site_transfer_time = view.site_transfer_time
         inputs = [
             (site_by_task[parent], edge_size_between(afg, parent, task_id))
-            for parent in afg.parents(task_id)
+            for parent in parents(afg, task_id)
         ]
         file_mb = task.properties.total_input_size_mb()
         if file_mb > 0:

@@ -150,8 +150,8 @@ def test_every_placement_is_the_max_of_the_ready_set(afg, account):
         ready.remove(task_id)
         scheduled.add(task_id)
         ready.update(
-            child for child in afg.children(task_id)
-            if all(parent in scheduled for parent in afg.parents(child)))
+            child for child in _reference.children(afg, task_id)
+            if all(parent in scheduled for parent in _reference.parents(afg, child)))
     assert not ready and len(scheduled) == len(afg)
 
 
@@ -398,6 +398,6 @@ def test_a_commit_invalidates_its_sites_bids_and_no_others(monkeypatch):
             bid_at.append((task_id, entry))
     assert len(table.sites_used()) == 3
     expected = [(order[0], site) for site in BAG_SITES]
-    expected += [(task, table.site_of(before))
+    expected += [(task, table.get(before).site)
                  for before, task in zip(order, order[1:])]
     assert bid_at == expected

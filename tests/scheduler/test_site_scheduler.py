@@ -212,7 +212,7 @@ def test_fifo_ablation_changes_order(federation):
     _, fifo_order = SiteScheduler(
         k=1, use_level_priority=False
     ).schedule_with_trace(afg, view)
-    # FIFO appends children in afg.children order: z-heavy then a-light
+    # FIFO appends children in edge order: z-heavy then a-light
     assert fifo_order.index("z-heavy") < fifo_order.index("a-light")
     _, level_order = SiteScheduler(k=1).schedule_with_trace(afg, view)
     assert level_order.index("z-heavy") < level_order.index("a-light")

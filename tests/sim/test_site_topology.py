@@ -43,7 +43,7 @@ def test_up_hosts_excludes_failed():
     sim = Simulator()
     site = Site(sim, simple_site_spec())
     site.host("h1").fail()
-    names = {h.name for h in site.up_hosts()}
+    names = {h.name for h in site if h.is_up()}
     assert names == {"h0", "h2"}
 
 

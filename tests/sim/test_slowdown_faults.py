@@ -6,6 +6,7 @@ import pytest
 from repro.sim import Host, HostSpec, Simulator
 from repro.sim.failures import FailureInjector
 from repro.sim.host import SimulationError
+from tests.sim._scripted import host_fault
 
 
 def make_host(sim, speed=1.0, name="h0"):
@@ -105,8 +106,8 @@ class TestScheduledSlowdown:
         sim = Simulator()
         host = make_host(sim)
         injector = FailureInjector(sim)
-        injector.schedule(host, 5.0, "down")
-        injector.schedule(host, 10.0, "up")
+        host_fault(injector, host, 5.0, "down")
+        host_fault(injector, host, 10.0, "up")
         injector.schedule_host_slowdown(host, start=20.0, duration=10.0,
                                         factor=2.0)
         sim.run()

